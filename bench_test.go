@@ -1,38 +1,23 @@
 package rlscope
 
-// One benchmark per paper table and figure (see DESIGN.md's per-experiment
-// index), plus ablation benches for the design decisions DESIGN.md calls
-// out. Each figure bench regenerates the figure's data at a reduced
-// step budget and reports the figure's headline quantity as a custom
-// metric, so `go test -bench=. -benchmem` doubles as a smoke reproduction
-// of the whole evaluation.
+// The root package's gated benchmarks (BENCH_BASELINE.json, CI bench-gate):
+// the Figure 3 worked example and the materialized and streaming analysis
+// paths over one Minigo-scale trace. The paper's figures and the design
+// ablations are asserted by the hypothesis grid (hypotheses.json), not
+// benchmarked.
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/backend"
-	"repro/internal/calib"
-	"repro/internal/cuda"
 	"repro/internal/experiments"
-	"repro/internal/gpu"
 	"repro/internal/minigo"
-	"repro/internal/overlap"
-	"repro/internal/profiler"
 	"repro/internal/trace"
-	"repro/internal/vclock"
-	"repro/internal/workloads"
 )
-
-// benchSteps keeps figure benches fast; the cmd/rlscope-experiments tool
-// runs the full-scale versions.
-const benchSteps = 400
 
 // TestMain cleans up the on-disk bench trace streamingBenchDir lazily
 // creates (b.TempDir is per-benchmark, so the shared directory cannot use
@@ -48,14 +33,6 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-func BenchmarkTable1Frameworks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if experiments.RenderTable1() == "" {
-			b.Fatal("empty table")
-		}
-	}
-}
-
 func BenchmarkFigure3Overlap(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -63,296 +40,6 @@ func BenchmarkFigure3Overlap(b *testing.B) {
 		if r.CPUMcts == 0 {
 			b.Fatal("empty figure 3")
 		}
-	}
-}
-
-func BenchmarkFigure4aTD3Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure4(experiments.Options{Steps: benchSteps, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eager := r.Entry("TD3", backend.EagerTF).Total
-		graph := r.Entry("TD3", backend.Graph).Total
-		b.ReportMetric(float64(eager)/float64(graph), "eager/graph-slowdown")
-	}
-}
-
-func BenchmarkFigure4bDDPGBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure4(experiments.Options{Steps: benchSteps, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		g := r.Entry("DDPG", backend.Graph).Res.OpTotal(workloads.OpBackpropagation)
-		a := r.Entry("DDPG", backend.Autograph).Res.OpTotal(workloads.OpBackpropagation)
-		b.ReportMetric(float64(g)/float64(a), "mpi-adam-backprop-inflation")
-	}
-}
-
-func BenchmarkFigure4cdTransitions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure4(experiments.Options{Steps: benchSteps, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		tf := r.Entry("TD3", backend.EagerTF).Res.TotalTransitions(trace.TransPythonToBackend)
-		pt := r.Entry("TD3", backend.EagerPyTorch).Res.TotalTransitions(trace.TransPythonToBackend)
-		b.ReportMetric(float64(tf)/float64(pt), "tf/pytorch-transition-ratio")
-	}
-}
-
-func BenchmarkFigure5AlgorithmSurvey(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure5(experiments.Options{Steps: 600, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		on := r.Entry("A2C").SimulationFraction()
-		off := r.Entry("SAC").SimulationFraction()
-		b.ReportMetric(on/off, "onpolicy/offpolicy-sim-ratio")
-	}
-}
-
-func BenchmarkFigure7SimulatorSurvey(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure7(experiments.Options{Steps: 512, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*r.Entry("AirLearning").SimulationFraction(), "airlearning-sim-%")
-	}
-}
-
-func BenchmarkFigure8MinigoScaleup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure8(experiments.Options{Steps: 100, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*r.SampledUtil, "nvidia-smi-util-%")
-		b.ReportMetric(100*r.TrueUtil, "true-util-%")
-	}
-}
-
-func BenchmarkFigure9DeltaCalibration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure9(experiments.Options{Steps: 200, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.MeanOverhead), "mean-hook-overhead-ns")
-	}
-}
-
-func BenchmarkFigure10DiffOfAverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure10(experiments.Options{Steps: 200, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.Rows[0].InflationPerCall), "cupti-inflation-ns")
-	}
-}
-
-func BenchmarkFigure11aCorrectionByAlgorithm(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure11(experiments.Options{Steps: 200, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var worst float64
-		for _, v := range r.ByAlgorithm {
-			if bias := math.Abs(v.Bias()); bias > worst {
-				worst = bias
-			}
-		}
-		b.ReportMetric(100*worst, "worst-algorithm-bias-%")
-	}
-}
-
-func BenchmarkFigure11bCorrectionBySimulator(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure11(experiments.Options{Steps: 200, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var worst float64
-		for _, v := range r.BySimulator {
-			if bias := math.Abs(v.Bias()); bias > worst {
-				worst = bias
-			}
-		}
-		b.ReportMetric(100*worst, "worst-simulator-bias-%")
-	}
-}
-
-func BenchmarkAppendixC4UncorrectedEffect(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AppendixC4(experiments.Options{Steps: 200, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.TotalInflation, "uncorrected-inflation-x")
-		b.ReportMetric(r.CUDAToGPURatioUncorrected, "uncorrected-cuda/gpu")
-	}
-}
-
-// --- Ablation benches (DESIGN.md §4) ---
-
-// benchTrace builds a profiled workload trace once for the analysis-side
-// ablations.
-func benchTrace(b *testing.B, flags trace.FeatureFlags) *calib.RunStats {
-	b.Helper()
-	stats, err := workloads.Run(workloads.Spec{
-		Algo: "DDPG", Env: "Walker2D", Model: backend.Graph,
-		TotalSteps: benchSteps, Seed: 5,
-	}, flags)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return stats
-}
-
-// BenchmarkAblationScopedVsFlatAttribution compares the full overlap sweep
-// (scoped to operations) against a flat sweep on a trace stripped of
-// operation annotations — quantifying the cost of the scoping RL-Scope adds
-// over a conventional profiler.
-func BenchmarkAblationScopedVsFlatAttribution(b *testing.B) {
-	stats := benchTrace(b, trace.Uninstrumented())
-	events := stats.Trace.ProcEvents(0)
-	var flat []trace.Event
-	for _, e := range events {
-		if e.Kind != trace.KindOp {
-			flat = append(flat, e)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		scoped := overlap.Compute(events)
-		flatRes := overlap.Compute(flat)
-		if len(scoped.ByKey) <= len(flatRes.ByKey) {
-			b.Fatal("scoping added no information")
-		}
-	}
-	b.ReportMetric(float64(len(events)), "events")
-}
-
-// BenchmarkAblationPointVsScalarCorrection compares RL-Scope's
-// point-subtraction correction against naive end-of-run scalar scaling
-// (shrink every duration by the global inflation factor), reporting both
-// biases on the per-operation breakdown.
-func BenchmarkAblationPointVsScalarCorrection(b *testing.B) {
-	runner := workloads.Runner(workloads.Spec{
-		Algo: "DDPG", Env: "Walker2D", Model: backend.Graph, TotalSteps: benchSteps,
-	})
-	cal, err := calib.Calibrate(runner, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := runner(trace.Uninstrumented(), 99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	full, err := runner(trace.Full(), 99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	truth := overlap.Compute(base.Trace.ProcEvents(0))
-	scale := float64(base.Total) / float64(full.Total)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		corrected := overlap.Compute(calib.Correct(full.Trace, cal).ProcEvents(0))
-		uncorrected := overlap.Compute(full.Trace.ProcEvents(0))
-		pointBias := relErr(corrected.OpTotal(workloads.OpBackpropagation),
-			truth.OpTotal(workloads.OpBackpropagation))
-		scalarBias := relErr(
-			vclock.Duration(float64(uncorrected.OpTotal(workloads.OpBackpropagation))*scale),
-			truth.OpTotal(workloads.OpBackpropagation))
-		b.ReportMetric(100*pointBias, "point-correction-bias-%")
-		b.ReportMetric(100*scalarBias, "scalar-correction-bias-%")
-	}
-}
-
-func relErr(got, want vclock.Duration) float64 {
-	if want == 0 {
-		return 0
-	}
-	return math.Abs(float64(got-want)) / float64(want)
-}
-
-// BenchmarkAblationAsyncTraceWriter measures the chunked asynchronous trace
-// writer's throughput (events/op written to a temp dir).
-func BenchmarkAblationAsyncTraceWriter(b *testing.B) {
-	stats := benchTrace(b, trace.Full())
-	events := stats.Trace.Events
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dir := b.TempDir()
-		w, err := trace.NewWriter(dir, 1<<18)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w.Append(events...)
-		if err := w.Close(stats.Trace.Meta); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(events)), "events/op")
-}
-
-// BenchmarkAblationJitterOnCalibration compares calibration accuracy with
-// jittered book-keeping costs (realistic) against exact costs: delta
-// calibration recovers the mean either way, demonstrating that the method
-// does not depend on deterministic overheads (DESIGN.md decision 1).
-func BenchmarkAblationJitterOnCalibration(b *testing.B) {
-	runWith := func(model profiler.OverheadModel) float64 {
-		runner := func(flags trace.FeatureFlags, seed int64) (*calib.RunStats, error) {
-			p := profiler.New(profiler.Options{
-				Workload: "jitter-ablation", Flags: flags,
-				Overheads: model, Seed: seed,
-			})
-			dev := gpu.NewDevice(-1)
-			s := p.NewProcess("t", -1, 0)
-			ctx := cuda.NewContext(s, dev, cuda.DefaultCosts())
-			for i := 0; i < 300; i++ {
-				s.WithOperation("step", func() {
-					s.CallBackend("run", func() {
-						ctx.LaunchKernel("k", 3*vclock.Microsecond)
-						ctx.StreamSynchronize()
-					})
-				})
-			}
-			s.Close()
-			return calib.StatsFromTrace(p.MustTrace(), flags, p.OverheadCounts(), p.TotalTime()), nil
-		}
-		cal, err := calib.Calibrate(runner, 11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return 100 * relErr(cal.Interception, model.Interception.Mean)
-	}
-	jittered := profiler.DefaultOverheads()
-	exact := jittered
-	exact.Interception = vclock.Exact(jittered.Interception.Mean)
-	exact.Annotation = vclock.Exact(jittered.Annotation.Mean)
-	exact.CUDAIntercept = vclock.Exact(jittered.CUDAIntercept.Mean)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(runWith(jittered), "jittered-calib-error-%")
-		b.ReportMetric(runWith(exact), "exact-calib-error-%")
-	}
-}
-
-// BenchmarkExtensionMinigoScaling runs the worker-count sweep extension.
-func BenchmarkExtensionMinigoScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Figure8Scaling(experiments.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*r.Point(16).SampledUtil, "16-worker-sampled-util-%")
-		b.ReportMetric(100*r.Point(16).WorkerGPUFrac, "per-worker-gpu-%")
 	}
 }
 
@@ -439,44 +126,6 @@ var streamingBenchDirV2 = sync.OnceValues(func() (string, error) {
 	}
 	return dst, nil
 })
-
-// BenchmarkEngineAnalysis gates the Engine front door's cost: the same
-// Minigo-scale trace analyzed through the direct analysis.Run path and
-// through NewEngine().Analyze(FromTrace(...)). The wrapper adds one Source
-// resolution, one options translation, and one Report allocation per call —
-// nothing per event — so the two variants must stay indistinguishable; the
-// bench gate enforces it by holding both to the same baseline.
-func BenchmarkEngineAnalysis(b *testing.B) {
-	tr, err := parallelBenchTrace()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	b.Run("direct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if r := analysis.Run(tr, analysis.Options{Workers: 1}); len(r) == 0 {
-				b.Fatal("empty analysis")
-			}
-		}
-		b.ReportMetric(float64(len(tr.Events)), "events")
-	})
-	b.Run("engine", func(b *testing.B) {
-		b.ReportAllocs()
-		eng := NewEngine(WithWorkers(1))
-		src := FromTrace(tr)
-		for i := 0; i < b.N; i++ {
-			rep, err := eng.Analyze(ctx, src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(rep.Results) == 0 {
-				b.Fatal("empty analysis")
-			}
-		}
-		b.ReportMetric(float64(len(tr.Events)), "events")
-	})
-}
 
 // BenchmarkStreamingAnalysis measures the streaming ingestion + incremental
 // analysis path against load-then-analyze on the same on-disk trace. The
@@ -573,27 +222,5 @@ func BenchmarkStreamingAnalysis(b *testing.B) {
 				b.ReportMetric(float64(stats.Evictions), "evictions")
 			})
 		}
-	}
-}
-
-// BenchmarkAblationSamplingProfiler quantifies why RL-Scope avoids sampling
-// profilers (paper Appendix A.2): the PC-sampling estimate of GPU-busy time
-// versus the exact interval record, on a kernel population dominated by
-// short kernels.
-func BenchmarkAblationSamplingProfiler(b *testing.B) {
-	stats := benchTrace(b, trace.Uninstrumented())
-	var busy []gpu.Busy
-	var exact vclock.Duration
-	for _, e := range stats.Trace.Events {
-		if e.Kind == trace.KindGPU {
-			busy = append(busy, gpu.Busy{Start: e.Start, End: e.End})
-			exact += e.Duration()
-		}
-	}
-	start, end := stats.Trace.Span()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		est := calib.PCSampleEstimate(busy, start, end, vclock.Millisecond)
-		b.ReportMetric(100*relErr(est, exact), "pc-sampling-error-%")
 	}
 }

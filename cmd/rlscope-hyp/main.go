@@ -26,7 +26,7 @@ import (
 	"strings"
 	"syscall"
 
-	"repro/internal/hypmetrics"
+	"repro/internal/experiments"
 	"repro/internal/hypothesis"
 )
 
@@ -40,7 +40,7 @@ func main() {
 		gate     = flag.Bool("gate", false, "exit 1 when any deterministic hypothesis is refuted")
 		strict   = flag.Bool("strict", false, "with -gate, also fail on refuted statistical hypotheses")
 		list     = flag.Bool("list", false, "print the grid's hypotheses without running them")
-		metrics  = flag.String("metrics", "", "dump one experiment's metric bundle instead of evaluating (ids: "+strings.Join(hypmetrics.Experiments(), ",")+")")
+		metrics  = flag.String("metrics", "", "dump one experiment's metric bundle instead of evaluating (ids: "+strings.Join(experiments.MetricExperiments, ",")+")")
 		seed     = flag.Int64("seed", 1, "seed for -metrics")
 	)
 	flag.Parse()
@@ -49,7 +49,7 @@ func main() {
 	defer stop()
 
 	if *metrics != "" {
-		bundle, err := hypmetrics.Metrics(ctx, *metrics, *steps, *seed)
+		bundle, err := experiments.Metrics(ctx, *metrics, *steps, *seed)
 		if err != nil {
 			fail(ctx, err)
 		}
@@ -81,7 +81,7 @@ func main() {
 			idList = append(idList, strings.TrimSpace(id))
 		}
 	}
-	eval := hypothesis.NewEvaluator(hypmetrics.Metrics)
+	eval := hypothesis.NewEvaluator(experiments.Metrics)
 	doc, err := eval.Evaluate(grid, hypothesis.Options{
 		IDs: idList, Timing: *timing, Steps: *steps, Context: ctx,
 	})

@@ -25,7 +25,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -34,10 +33,8 @@ import (
 	"path/filepath"
 	"strings"
 
-	rlscope "repro"
 	"repro/internal/fleet"
 	"repro/internal/overlap"
-	"repro/internal/report"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -49,7 +46,7 @@ func main() {
 		groupBy   = flag.String("group-by", "", "comma-separated group dimensions: id, workload, label.<key>")
 		metrics   = flag.String("metrics", "", "comma-separated metrics (default total_ns,cpu_ns,gpu_ns,gpu_frac)")
 		reportDir = flag.String("store-reports", "", "content-addressed report store directory shared with rlscope-serve; misses are computed and written back")
-		workers   = flag.Int("workers", 0, "Engine workers per cold-trace analysis (0 = one per CPU)")
+		workers   = flag.Int("workers", 0, "Engine worker budget per cold-trace analysis (0 = one per CPU)")
 	)
 	filter := map[string]string{}
 	flag.Func("filter", "filter clause k=v with glob patterns, e.g. 'workload=ppo-*' (repeatable)", func(v string) error {
@@ -81,12 +78,13 @@ func main() {
 		fatal(err)
 	}
 
-	var store *serve.DiskStore
-	if *reportDir != "" {
-		if store, err = serve.NewDiskStore(*reportDir); err != nil {
-			fatal(err)
-		}
+	// The offline loader is the server's: a Server with only the report
+	// store configured reads and writes the same entries rlscope-serve does.
+	srv, err := serve.NewServerStrict(serve.Config{ReportDir: *reportDir, MaxWorkers: *workers})
+	if err != nil {
+		fatal(err)
 	}
+	defer srv.Close()
 
 	type candidate struct {
 		dir    string
@@ -117,27 +115,8 @@ func main() {
 
 	load := func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
 		c := byID[t.ID]
-		key := serve.ResultSetKey(c.digest)
-		if store != nil {
-			if body, ok := store.Get(key); ok {
-				if results, err := report.DecodeResultSet(body); err == nil {
-					return results, nil
-				}
-			}
-		}
-		rep, err := rlscope.NewEngine(rlscope.WithWorkers(*workers)).Analyze(ctx, rlscope.FromDir(c.dir))
-		if err != nil {
-			return nil, err
-		}
-		if store != nil {
-			var buf bytes.Buffer
-			if err := report.EncodeResultSet(&buf, rep.Results); err == nil {
-				if err := store.Put(key, buf.Bytes()); err != nil {
-					fmt.Fprintln(os.Stderr, "rlscope-query: warning:", err)
-				}
-			}
-		}
-		return rep.Results, nil
+		results, _, err := srv.LoadResults(ctx, c.digest, c.dir)
+		return results, err
 	}
 
 	doc, err := plan.Execute(context.Background(), candidates, load)

@@ -1,11 +1,7 @@
 package rlscope
 
 import (
-	"context"
-	"errors"
-
 	"repro/internal/analysis"
-	"repro/internal/calib"
 	"repro/internal/trace"
 )
 
@@ -55,41 +51,27 @@ type Progress = analysis.Progress
 // An Engine is immutable after construction and safe for concurrent use;
 // one Engine can serve many Analyze calls (though a single streaming
 // source must not be analyzed concurrently — see FromReader).
-type Engine struct {
-	workers     int
-	maxResident int64
-	cal         *Calibration
-	progress    func(Progress)
-	procs       []ProcID
-}
+type Engine = analysis.Engine
 
 // EngineOption configures an Engine at construction.
-type EngineOption func(*Engine)
+type EngineOption = analysis.EngineOption
 
 // NewEngine builds an Engine from functional options; nil options are
 // ignored.
-func NewEngine(opts ...EngineOption) *Engine {
-	e := &Engine{}
-	for _, o := range opts {
-		if o != nil {
-			o(e)
-		}
-	}
-	return e
-}
+func NewEngine(opts ...EngineOption) *Engine { return analysis.NewEngine(opts...) }
 
 // WithWorkers sets the analysis worker-pool size. Zero or negative (the
 // default) selects one worker per available CPU; 1 runs strictly
 // sequentially, with no goroutines. Results are byte-identical for every
 // pool size.
-func WithWorkers(n int) EngineOption { return func(e *Engine) { e.workers = n } }
+func WithWorkers(n int) EngineOption { return analysis.WithWorkers(n) }
 
 // WithMaxResidentBytes bounds the estimated bytes of decoded events a
 // streaming analysis keeps resident; complete window prefixes are finalized
 // early to stay under the budget, without changing the result. Zero (the
 // default) means unbounded. Materialized sources ignore the budget — the
 // whole trace is resident by definition.
-func WithMaxResidentBytes(n int64) EngineOption { return func(e *Engine) { e.maxResident = n } }
+func WithMaxResidentBytes(n int64) EngineOption { return analysis.WithMaxResidentBytes(n) }
 
 // WithCorrection makes the analysis subtract calibrated profiling overhead
 // (paper §3.4) before computing overlaps. Materialized sources correct via
@@ -97,107 +79,18 @@ func WithMaxResidentBytes(n int64) EngineOption { return func(e *Engine) { e.max
 // collects the overhead markers' calibrated costs, then the analysis pass
 // streams under the usual memory budget. Both produce breakdowns
 // byte-identical to Correct-then-Analyze on the materialized trace.
-func WithCorrection(cal *Calibration) EngineOption { return func(e *Engine) { e.cal = cal } }
+func WithCorrection(cal *Calibration) EngineOption { return analysis.WithCorrection(cal) }
 
 // WithProgress registers a callback receiving progress notifications (per
 // chunk for streaming sources, per pipeline stage otherwise).
-func WithProgress(fn func(Progress)) EngineOption { return func(e *Engine) { e.progress = fn } }
+func WithProgress(fn func(Progress)) EngineOption { return analysis.WithProgress(fn) }
 
 // WithProcesses restricts the analysis to the listed processes. Streaming
 // analyses additionally skip decoding chunks that contribute to none of
 // them. No arguments (the default) analyzes every process.
-func WithProcesses(procs ...ProcID) EngineOption { return func(e *Engine) { e.procs = procs } }
+func WithProcesses(procs ...ProcID) EngineOption { return analysis.WithProcesses(procs...) }
 
-// Report bundles everything one analysis produced.
-type Report struct {
-	// Results maps each analyzed process to its cross-stack overlap
-	// breakdown.
-	Results map[ProcID]*Result
-	// Stats describes the streaming schedule (chunks decoded, shards
-	// dispatched, peak residency). Stats.Events counts events read from
-	// the source before any correction stage, whatever the source kind;
-	// materialized sources report only that count. An error mid-way — a
-	// cancelled correction pre-pass included — leaves the partial counts
-	// here.
-	Stats StreamStats
-	// Meta is the run metadata the source carried. A corrected analysis
-	// reports Config as Uninstrumented, exactly like Correct's output
-	// trace: corrected results estimate the uninstrumented run.
-	Meta Meta
-	// Corrected reports whether the overhead-correction stage ran.
-	Corrected bool
-}
-
-// Analyze runs the configured analysis over src. It returns as soon as ctx
-// is cancelled — draining, never leaking, its worker goroutines — with
-// ctx.Err(). On error the returned Report is still non-nil when any work
-// was done, carrying the partial Stats (never partial Results), so callers
-// can report how far an interrupted analysis got.
-func (e *Engine) Analyze(ctx context.Context, src Source) (*Report, error) {
-	if src == nil {
-		return nil, errors.New("rlscope: Engine.Analyze: nil source")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	tr, r, err := src.Open()
-	if err != nil {
-		return nil, err
-	}
-	opts := analysis.Options{
-		Workers:          e.workers,
-		MaxResidentBytes: e.maxResident,
-		Procs:            e.procs,
-		Progress:         e.progress,
-	}
-	switch {
-	case tr != nil:
-		// Stats.Events counts events read from the source, before any
-		// correction stage — the same quantity the streaming path reports.
-		stats := StreamStats{Events: len(tr.Events)}
-		if e.cal != nil {
-			// Correct rewrites Meta.Config to Uninstrumented — the
-			// corrected trace estimates the uninstrumented run — so both
-			// corrected paths report the same Meta.
-			tr = calib.Correct(tr, e.cal)
-		}
-		results, err := analysis.RunContext(ctx, tr, opts)
-		if err != nil {
-			return &Report{Meta: tr.Meta}, err
-		}
-		return &Report{
-			Results:   results,
-			Stats:     stats,
-			Meta:      tr.Meta,
-			Corrected: e.cal != nil,
-		}, nil
-	case r != nil:
-		meta := r.Meta()
-		if e.cal != nil {
-			meta.Config = trace.Uninstrumented() // match Correct's corrected-trace metadata
-			// Track the pre-pass in StreamStats shape so an error (or
-			// cancellation) mid-pre-pass still reports partial progress.
-			prepass := StreamStats{Chunks: r.NumChunks()}
-			onChunk := func(done, total, events int) {
-				prepass.ChunksDecoded, prepass.Events = done, events
-				if e.progress != nil {
-					e.progress(Progress{
-						Stage:      analysis.StageCorrect,
-						ChunksDone: done, Chunks: total, Events: events,
-					})
-				}
-			}
-			corr, err := calib.NewStreamCorrector(ctx, r, e.cal, e.procs, onChunk)
-			if err != nil {
-				return &Report{Stats: prepass, Meta: meta}, err
-			}
-			opts.Stage = corr
-		}
-		results, stats, err := analysis.RunStreamContext(ctx, r, opts)
-		if err != nil {
-			return &Report{Stats: stats, Meta: meta}, err
-		}
-		return &Report{Results: results, Stats: stats, Meta: meta, Corrected: e.cal != nil}, nil
-	}
-	return nil, errors.New("rlscope: source resolved to neither a trace nor a reader")
-}
+// Report bundles everything one analysis produced: the per-process Results,
+// the streaming schedule's Stats, the run Meta the source carried (Config
+// reads Uninstrumented after correction), and whether correction ran.
+type Report = analysis.Report

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,7 +18,7 @@ import (
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		var hits [57]int32
-		if err := ForEach(workers, len(hits), func(i int) error {
+		if err := ForEachContext(context.Background(), workers, len(hits), func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		}); err != nil {
@@ -34,7 +35,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 func TestForEachReturnsLowestIndexError(t *testing.T) {
 	errA, errB := errors.New("a"), errors.New("b")
 	for _, workers := range []int{2, 4, 8} {
-		err := ForEach(workers, 20, func(i int) error {
+		err := ForEachContext(context.Background(), workers, 20, func(i int) error {
 			switch i {
 			case 3:
 				return errA
@@ -50,7 +51,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("called") }); err != nil {
+	if err := ForEachContext(context.Background(), 4, 0, func(int) error { return errors.New("called") }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -16,7 +16,7 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // the moment its last contributing chunk has been decoded) instead of as a
 // pre-sized index range. A pool of one executes jobs inline on the
 // submitting goroutine, so single-worker streaming is strictly sequential,
-// exactly like ForEach(1, ...).
+// exactly like ForEachContext with one worker.
 //
 // The pool is context-aware: once ctx is cancelled, submitted jobs are
 // accepted but no longer executed, so Wait drains the queue at channel
@@ -98,7 +98,7 @@ func (p *Pool) Wait() {
 // ClampWorkers resolves a worker-count option against a job count: zero or
 // negative selects DefaultWorkers, and the pool never exceeds one worker
 // per job. The result is the number of distinct worker indices
-// ForEachWorker can pass to fn.
+// ForEachWorkerContext can pass to fn.
 func ClampWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = DefaultWorkers()
@@ -112,32 +112,19 @@ func ClampWorkers(workers, n int) int {
 	return workers
 }
 
-// ForEach runs fn(0), …, fn(n-1) across a pool of workers and returns the
-// lowest-index error, or nil. See ForEachWorker for the scheduling
-// contract; ForEach is the face used by callers that need no per-worker
-// state.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachContext(context.Background(), workers, n, fn)
-}
-
-// ForEachContext is ForEach bound to a context: dispatch stops as soon as
-// ctx is cancelled and the cancellation is reported (unless a job error,
-// which takes precedence, already occurred).
+// ForEachContext runs fn(0), …, fn(n-1) across a pool of workers and returns
+// the lowest-index error, or nil: ForEachWorkerContext (which holds the
+// scheduling contract) for callers that need no per-worker state.
 func ForEachContext(ctx context.Context, workers, n int, fn func(i int) error) error {
 	return ForEachWorkerContext(ctx, workers, n, func(_, i int) error { return fn(i) })
 }
 
-// ForEachWorker runs fn(w, 0), …, fn(w, n-1) across a pool of workers,
-// where w identifies the executing worker (0 <= w < ClampWorkers(workers,
-// n); each index is owned by exactly one goroutine), and returns the
-// lowest-index error, or nil. The worker index lets callers thread private
-// reusable scratch — the analysis engine gives each worker its own
-// overlap.Sweeper — without any locking.
-func ForEachWorker(workers, n int, fn func(worker, i int) error) error {
-	return ForEachWorkerContext(context.Background(), workers, n, fn)
-}
-
-// ForEachWorkerContext is ForEachWorker bound to a context.
+// ForEachWorkerContext runs fn(w, 0), …, fn(w, n-1) across a pool of
+// workers, where w identifies the executing worker (0 <= w <
+// ClampWorkers(workers, n); each index is owned by exactly one goroutine),
+// and returns the lowest-index error, or nil. The worker index lets callers
+// thread private reusable scratch — the analysis engine gives each worker
+// its own overlap.Sweeper — without any locking.
 //
 // workers <= 0 selects DefaultWorkers; a pool of one runs inline with no
 // goroutines, so single-worker execution is strictly sequential. Dispatch

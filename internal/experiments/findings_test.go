@@ -1,13 +1,13 @@
-package experiments_test
+package experiments
 
 import (
 	"encoding/json"
 	"sync"
 	"testing"
 
-	"repro/internal/experiments"
-	"repro/internal/hypmetrics"
 	"repro/internal/hypothesis"
+	"repro/internal/overlap"
+	"repro/internal/trace"
 )
 
 // The tests in this file assert the paper's findings F.1–F.12 hold in this
@@ -40,10 +40,7 @@ func evaluateGrid(t *testing.T) *hypothesis.Document {
 		}
 		// Timing hypotheses measure host wall-clock — meaningless under
 		// a loaded test runner — and never gate; the CLI covers them.
-		// hypmetrics is the full metric source (this external test
-		// package may import it even though it depends on experiments),
-		// so serve-side bundles like "ingest" evaluate here too.
-		gridEval.doc, gridEval.err = hypothesis.NewEvaluator(hypmetrics.Metrics).
+		gridEval.doc, gridEval.err = hypothesis.NewEvaluator(Metrics).
 			Evaluate(grid, hypothesis.Options{Timing: false})
 	})
 	if gridEval.err != nil {
@@ -148,32 +145,52 @@ func TestGridHasNoSurpriseVerdicts(t *testing.T) {
 	}
 }
 
+// Scoping is the information RL-Scope adds over a conventional profiler
+// (paper §3.3): the same trace stripped of its operation annotations must
+// sweep to strictly fewer breakdown cells.
+func TestScopingAddsInformation(t *testing.T) {
+	tr, err := walkerRun(400, 5, trace.Uninstrumented())
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := tr.ProcEvents(0)
+	var flat []trace.Event
+	for _, e := range events {
+		if e.Kind != trace.KindOp {
+			flat = append(flat, e)
+		}
+	}
+	if scoped, unscoped := len(overlap.Compute(events).ByKey), len(overlap.Compute(flat).ByKey); scoped <= unscoped {
+		t.Fatalf("scoping added no information: %d scoped cells, %d flat", scoped, unscoped)
+	}
+}
+
 // The renders stay exercised at a small scale; the figures' numeric claims
 // live in the grid above.
 func TestRendersNonEmpty(t *testing.T) {
-	f4, err := experiments.Figure4(experiments.Options{Steps: 200, Seed: 1})
+	f4, err := Figure4(Options{Steps: 200, Seed: 1})
 	if err != nil {
 		t.Fatalf("Figure4: %v", err)
 	}
-	f5, err := experiments.Figure5(experiments.Options{Steps: 200, Seed: 1})
+	f5, err := Figure5(Options{Steps: 200, Seed: 1})
 	if err != nil {
 		t.Fatalf("Figure5: %v", err)
 	}
-	f7, err := experiments.Figure7(experiments.Options{Steps: 128, Seed: 1})
+	f7, err := Figure7(Options{Steps: 128, Seed: 1})
 	if err != nil {
 		t.Fatalf("Figure7: %v", err)
 	}
-	f8s, err := experiments.Figure8Scaling(experiments.Options{Steps: 50, Seed: 1})
+	f8s, err := Figure8Scaling(Options{Steps: 50, Seed: 1})
 	if err != nil {
 		t.Fatalf("Figure8Scaling: %v", err)
 	}
 	if f4.Render() == "" || f5.Render() == "" || f7.Render() == "" || f8s.Render() == "" {
 		t.Fatal("empty figure render")
 	}
-	if experiments.RenderFigure6() == "" {
+	if RenderFigure6() == "" {
 		t.Fatal("empty figure 6 render")
 	}
-	if experiments.RenderTable1() == "" {
+	if RenderTable1() == "" {
 		t.Fatal("empty table 1 render")
 	}
 }

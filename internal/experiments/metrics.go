@@ -22,13 +22,11 @@ import (
 // timing ones (sweepscale, servecache) measure the simulated clock and are
 // byte-deterministic per cell.
 
-// MetricExperiments lists the bundle ids Metrics accepts. The servecache
-// timing bundle lives in internal/hypmetrics — internal/serve depends on
-// the root rlscope package, whose tests import this package, so it cannot
-// be computed here without an import cycle.
+// MetricExperiments lists the bundle ids Metrics accepts.
 var MetricExperiments = []string{
 	"table1", "fig3", "fig4", "fig5", "fig7", "fig8",
 	"scaling", "stream", "seedrepro", "sweepscale", "multihost",
+	"servecache", "ingest", "formatv2", "fleet",
 }
 
 // Metrics computes the named experiment's metric bundle. The bundle names
@@ -58,6 +56,14 @@ func Metrics(ctx context.Context, experiment string, steps int, seed int64) (map
 		return sweepScaleMetrics(opts)
 	case "multihost":
 		return multihostMetrics(opts)
+	case "servecache":
+		return serveCacheMetrics(opts)
+	case "ingest":
+		return ingestMetrics(opts)
+	case "formatv2":
+		return formatv2Metrics(opts)
+	case "fleet":
+		return fleetMetrics(opts)
 	}
 	return nil, fmt.Errorf("experiments: unknown metric experiment %q (have %s)",
 		experiment, strings.Join(MetricExperiments, ","))
@@ -311,10 +317,7 @@ func streamMetrics(opts Options) (map[string]float64, error) {
 func seedReproMetrics(opts Options) (map[string]float64, error) {
 	steps := opts.steps(300)
 	digest := func(seed int64) (string, error) {
-		stats, err := workloads.Run(workloads.Spec{
-			Algo: "DDPG", Env: "Walker2D", Model: backend.Graph,
-			TotalSteps: steps, Seed: seed,
-		}, trace.Uninstrumented())
+		tr, err := walkerRun(steps, seed, trace.Uninstrumented())
 		if err != nil {
 			return "", err
 		}
@@ -323,12 +326,7 @@ func seedReproMetrics(opts Options) (map[string]float64, error) {
 			return "", err
 		}
 		defer os.RemoveAll(dir)
-		w, err := trace.NewWriter(dir, 1<<16)
-		if err != nil {
-			return "", err
-		}
-		w.Append(stats.Trace.Events...)
-		if err := w.Close(stats.Trace.Meta); err != nil {
+		if err := writeTraceDir(dir, tr); err != nil {
 			return "", err
 		}
 		return trace.DirDigest(dir)

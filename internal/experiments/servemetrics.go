@@ -1,0 +1,401 @@
+package experiments
+
+// Metric bundles over the storage and serving layers: the report cache
+// (servecache), live ingest (ingest), the columnar chunk format (formatv2)
+// and fleet queries (fleet). Each writes a real DDPG/Walker2D trace
+// directory and drives the same front doors users do — the Engine,
+// rlscope-serve's handler, the typed client.
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
+	"time"
+
+	"repro/client"
+	"repro/internal/analysis"
+	"repro/internal/backend"
+	"repro/internal/fleet"
+	"repro/internal/overlap"
+	"repro/internal/report"
+	"repro/internal/serve"
+	"repro/internal/trace"
+	"repro/internal/workloads"
+)
+
+// walkerRun replays the bundles' shared workload.
+func walkerRun(steps int, seed int64, flags trace.FeatureFlags) (*trace.Trace, error) {
+	stats, err := workloads.Run(workloads.Spec{
+		Algo: "DDPG", Env: "Walker2D", Model: backend.Graph,
+		TotalSteps: steps, Seed: seed,
+	}, flags)
+	if err != nil {
+		return nil, err
+	}
+	return stats.Trace, nil
+}
+
+// writeTraceDir writes tr to dir through the chunked writer, in 64 KiB
+// chunks so even a test-sized run spans several.
+func writeTraceDir(dir string, tr *trace.Trace) error {
+	w, err := trace.NewWriter(dir, 1<<16)
+	if err != nil {
+		return err
+	}
+	w.Append(tr.Events...)
+	return w.Close(tr.Meta)
+}
+
+// engineResults is the offline oracle: one fresh single-worker Engine run
+// over a trace directory.
+func engineResults(ctx context.Context, dir string) (*analysis.Report, error) {
+	return analysis.NewEngine(analysis.WithWorkers(1)).Analyze(ctx, trace.FromDir(dir))
+}
+
+// resultDoc encodes the result-only document of an offline Engine run over
+// dir — what `rlscope-analyze -json -result-only` prints.
+func resultDoc(ctx context.Context, dir string) ([]byte, error) {
+	rep, err := engineResults(ctx, dir)
+	if err != nil {
+		return nil, fmt.Errorf("analyzing %s: %w", dir, err)
+	}
+	var buf bytes.Buffer
+	if err := report.NewResultAnalysis(rep.Meta, rep.Results, rep.Corrected).Encode(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// serveCacheMetrics measures rlscope-serve's content-addressed report cache
+// (PR 5's claim): a cache hit answers from stored bytes and must be far
+// cheaper than the cache miss that pays a full Engine run. Host wall-clock
+// time — a timing bundle.
+func serveCacheMetrics(opts Options) (map[string]float64, error) {
+	tr, err := walkerRun(opts.steps(200), opts.Seed, trace.Uninstrumented())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: servecache: %w", err)
+	}
+	dir, err := os.MkdirTemp("", "rlscope-hyp-servecache-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	if err := writeTraceDir(dir, tr); err != nil {
+		return nil, err
+	}
+
+	request := func(h http.Handler) (time.Duration, error) {
+		if err := opts.ctx().Err(); err != nil {
+			return 0, err
+		}
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/v1/traces/t/analyze", strings.NewReader(`{"workers":1}`))
+		start := time.Now()
+		h.ServeHTTP(rec, req)
+		elapsed := time.Since(start)
+		if rec.Code != http.StatusOK {
+			return 0, fmt.Errorf("experiments: servecache: analyze: %d %s", rec.Code, rec.Body)
+		}
+		return elapsed, nil
+	}
+	newServer := func() (*serve.Server, error) {
+		s := serve.NewServer(serve.Config{})
+		if _, err := s.AddDir("t", dir); err != nil {
+			s.Close()
+			return nil, fmt.Errorf("experiments: servecache: %w", err)
+		}
+		return s, nil
+	}
+
+	// Miss: a fresh server's first request pays digesting + the Engine
+	// run + encoding. Min over a few one-shot servers.
+	const missReps = 3
+	var missBest time.Duration
+	for i := 0; i < missReps; i++ {
+		s, err := newServer()
+		if err != nil {
+			return nil, err
+		}
+		elapsed, err := request(s.Handler())
+		s.Close()
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 || elapsed < missBest {
+			missBest = elapsed
+		}
+	}
+
+	// Hit: a warm server answers the identical request from the cache.
+	s, err := newServer()
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	h := s.Handler()
+	if _, err := request(h); err != nil { // warm the cache
+		return nil, err
+	}
+	const hitReps = 50
+	var hitBest time.Duration
+	for i := 0; i < hitReps; i++ {
+		elapsed, err := request(h)
+		if err != nil {
+			return nil, err
+		}
+		if i == 0 || elapsed < hitBest {
+			hitBest = elapsed
+		}
+	}
+	if runs := s.EngineRuns(); runs != 1 {
+		return nil, fmt.Errorf("experiments: servecache: cache hits performed %d engine runs", runs)
+	}
+	return map[string]float64{
+		"miss_over_hit": missBest.Seconds() / hitBest.Seconds(),
+	}, nil
+}
+
+// formatv2Metrics checks PR 8's format-parity and compression claims on a
+// real profiled workload: converting the trace directory to the columnar v2
+// format (with the round-trip digest verification on) and analyzing it — and
+// a directory mixing v1 and v2 chunks — must produce analysis documents
+// byte-identical to the v1 original's, while the v2 chunks are measurably
+// smaller at rest. Byte-equality and a deterministic workload make this a
+// deterministic bundle.
+func formatv2Metrics(opts Options) (map[string]float64, error) {
+	tr, err := walkerRun(opts.steps(200), opts.Seed, trace.Full())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: formatv2: %w", err)
+	}
+	base, err := os.MkdirTemp("", "rlscope-hyp-formatv2-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(base)
+	v1dir, v2dir, mixdir := filepath.Join(base, "v1"), filepath.Join(base, "v2"), filepath.Join(base, "mixed")
+	if err := writeTraceDir(v1dir, tr); err != nil {
+		return nil, err
+	}
+	cstats, err := trace.ConvertDir(v1dir, v2dir, trace.FormatV2, true)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: formatv2: convert: %w", err)
+	}
+
+	// Mixed directory: the v1 original with every other chunk re-encoded
+	// columnar in place — the per-chunk version sniffing must make the mix
+	// indistinguishable from either pure directory.
+	if err := os.CopyFS(mixdir, os.DirFS(v1dir)); err != nil {
+		return nil, fmt.Errorf("experiments: formatv2: %w", err)
+	}
+	r, err := trace.OpenDir(mixdir)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: formatv2: %w", err)
+	}
+	var events []trace.Event
+	for i := 0; i < r.NumChunks(); i += 2 {
+		if events, err = r.ReadChunk(i, events[:0]); err != nil {
+			return nil, fmt.Errorf("experiments: formatv2: %w", err)
+		}
+		chunk, _, err := trace.EncodeEventsFormat(events, trace.FormatV2)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: formatv2: %w", err)
+		}
+		if err := os.WriteFile(filepath.Join(mixdir, r.ChunkName(i)), chunk, 0o644); err != nil {
+			return nil, fmt.Errorf("experiments: formatv2: %w", err)
+		}
+	}
+
+	var docs [3][]byte
+	for i, dir := range []string{v1dir, v2dir, mixdir} {
+		if docs[i], err = resultDoc(opts.ctx(), dir); err != nil {
+			return nil, fmt.Errorf("experiments: formatv2: %w", err)
+		}
+	}
+	return map[string]float64{
+		"v2_identical":     boolMetric(bytes.Equal(docs[0], docs[1])),
+		"mixed_identical":  boolMetric(bytes.Equal(docs[0], docs[2])),
+		"convert_verified": boolMetric(cstats.Verified),
+		"size_ratio":       cstats.Ratio(),
+	}, nil
+}
+
+// fleetMetrics checks PR 9's fleet-analytics claim end to end: a grouped
+// POST /v1/query over several labeled runs must be byte-identical to the
+// offline fleet plan executed with fresh Engine runs per trace (the
+// rlscope-query path), and a server restarted over the same report-store
+// directory must answer the same bytes without a single Engine run.
+// Byte-equality plus run counters — a deterministic bundle.
+func fleetMetrics(opts Options) (map[string]float64, error) {
+	ctx := opts.ctx()
+	base, err := os.MkdirTemp("", "rlscope-hyp-fleet-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(base)
+
+	runs := []struct {
+		id, algo string
+		extra    int
+	}{
+		{"run-a", "ppo", 0},
+		{"run-b", "dqn", 40},
+		{"run-c", "a2c", 80},
+	}
+	dirs := map[string]string{}
+	var candidates []fleet.Trace
+	for i, run := range runs {
+		tr, err := walkerRun(opts.steps(200)+run.extra, opts.Seed+int64(i), trace.Uninstrumented())
+		if err != nil {
+			return nil, fmt.Errorf("experiments: fleet: %w", err)
+		}
+		tr.Meta.Labels = map[string]string{"algo": run.algo}
+		dirs[run.id] = filepath.Join(base, run.id)
+		if err := writeTraceDir(dirs[run.id], tr); err != nil {
+			return nil, err
+		}
+		candidates = append(candidates, fleet.Trace{ID: run.id, Meta: tr.Meta})
+	}
+
+	query := fleet.Query{
+		GroupBy: []string{"label.algo"},
+		Compare: &fleet.Compare{Baseline: map[string]string{"label.algo": "dqn"}},
+	}
+
+	// Offline oracle: the fleet plan executed with a fresh Engine run per
+	// trace — exactly what rlscope-query does without a store directory.
+	plan, err := fleet.Compile(query)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fleet: %w", err)
+	}
+	doc, err := plan.Execute(ctx, candidates, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
+		rep, err := engineResults(ctx, dirs[t.ID])
+		if err != nil {
+			return nil, err
+		}
+		return rep.Results, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: fleet: offline execute: %w", err)
+	}
+	var offline bytes.Buffer
+	if err := doc.Encode(&offline); err != nil {
+		return nil, err
+	}
+
+	reportDir := filepath.Join(base, "reports")
+	serveQuery := func() ([]byte, int64, error) {
+		s, err := serve.NewServerStrict(serve.Config{ReportDir: reportDir})
+		if err != nil {
+			return nil, 0, fmt.Errorf("experiments: fleet: %w", err)
+		}
+		defer s.Close()
+		for _, run := range runs {
+			if _, err := s.AddDir(run.id, dirs[run.id]); err != nil {
+				return nil, 0, fmt.Errorf("experiments: fleet: %w", err)
+			}
+		}
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		body, err := client.New(ts.URL).Query(ctx, query)
+		if err != nil {
+			return nil, 0, fmt.Errorf("experiments: fleet: query: %w", err)
+		}
+		return body, s.EngineRuns(), nil
+	}
+
+	// Cold server: one Engine run per trace, result sets land in the store.
+	cold, coldRuns, err := serveQuery()
+	if err != nil {
+		return nil, err
+	}
+	// Restarted server over the same store directory: zero Engine runs.
+	warm, warmRuns, err := serveQuery()
+	if err != nil {
+		return nil, err
+	}
+	return map[string]float64{
+		"grouped_exact":          boolMetric(bytes.Equal(cold, offline.Bytes())),
+		"warm_restart_identical": boolMetric(bytes.Equal(warm, cold)),
+		"cold_engine_runs":       float64(coldRuns),
+		"warm_engine_runs":       float64(warmRuns),
+	}, nil
+}
+
+// ingestMetrics checks PR 7's determinism claim end to end over real HTTP:
+// a trace streamed chunk-by-chunk through the typed client — with analyses
+// interleaved mid-stream so the resident incremental state absorbs multiple
+// epochs — seals to a directory whose digest matches the server's running
+// digest, and the live analysis document is byte-identical to a fresh
+// offline Engine run over that sealed directory. Counter-based, so it holds
+// under any scheduler: a deterministic bundle.
+func ingestMetrics(opts Options) (map[string]float64, error) {
+	ctx := opts.ctx()
+	tr, err := walkerRun(opts.steps(200), opts.Seed, trace.Uninstrumented())
+	if err != nil {
+		return nil, fmt.Errorf("experiments: ingest: %w", err)
+	}
+	store, err := os.MkdirTemp("", "rlscope-hyp-ingest-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(store)
+	s := serve.NewServer(serve.Config{StoreDir: store})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+
+	const id = "live"
+	if _, err := c.Register(ctx, id); err != nil {
+		return nil, fmt.Errorf("experiments: ingest: %w", err)
+	}
+	events := tr.Events
+	const frames = 8
+	per := (len(events) + frames - 1) / frames
+	for seq := 0; seq*per < len(events); seq++ {
+		hi := min((seq+1)*per, len(events))
+		chunk, ix, err := trace.EncodeEvents(events[seq*per : hi])
+		if err != nil {
+			return nil, fmt.Errorf("experiments: ingest: %w", err)
+		}
+		if _, err := c.AppendChunk(ctx, id, seq, chunk, ix); err != nil {
+			return nil, fmt.Errorf("experiments: ingest: append %d: %w", seq, err)
+		}
+		// Analyze mid-stream so the appends land as separate epochs.
+		if seq == 2 {
+			if _, err := c.Analyze(ctx, id, serve.AnalyzeRequest{Workers: 1}); err != nil {
+				return nil, fmt.Errorf("experiments: ingest: mid-stream analyze: %w", err)
+			}
+		}
+	}
+	sealed, err := c.Seal(ctx, id, tr.Meta)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: ingest: %w", err)
+	}
+	live, err := c.Analyze(ctx, id, serve.AnalyzeRequest{Workers: 1})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: ingest: %w", err)
+	}
+
+	dir := filepath.Join(store, id)
+	onDisk, err := trace.DirDigest(dir)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: ingest: %w", err)
+	}
+	offline, err := resultDoc(ctx, dir)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: ingest: offline engine: %w", err)
+	}
+	incStats, _ := s.IncrementalStats(id)
+	return map[string]float64{
+		"byte_identical": boolMetric(bytes.Equal(live, offline)),
+		"digest_match":   boolMetric(sealed.Digest == onDisk),
+		"engine_runs":    float64(s.EngineRuns()),
+		"multi_epoch":    boolMetric(incStats.Epochs >= 2),
+	}, nil
+}

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/hypmetrics"
+	"repro/internal/experiments"
 	"repro/internal/hypothesis"
 )
 
@@ -37,7 +37,7 @@ func TestCommittedGridLoads(t *testing.T) {
 		}
 	}
 	known := map[string]bool{}
-	for _, e := range hypmetrics.Experiments() {
+	for _, e := range experiments.MetricExperiments {
 		known[e] = true
 	}
 	for _, e := range g.Experiments() {

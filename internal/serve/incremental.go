@@ -28,8 +28,8 @@ import (
 	"strings"
 	"sync"
 
-	rlscope "repro"
 	"repro/internal/analysis"
+	"repro/internal/overlap"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -389,7 +389,7 @@ func (s *Server) evictSealed(lt *liveTrace) {
 	}
 	var rsBuf bytes.Buffer
 	if err := report.EncodeResultSet(&rsBuf, results); err == nil {
-		s.store.add(resultSetKey(digest), rsBuf.Bytes())
+		s.store.add(ResultSetKey(digest), rsBuf.Bytes())
 	}
 	lt.finalStats = lt.inc.Stats()
 	lt.inc = nil
@@ -441,16 +441,6 @@ func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, lt *liveTra
 		return
 	}
 
-	if lt.inc == nil {
-		// Sealing evicted the resident state and cached the unfiltered
-		// final document above; reaching here means a different process
-		// filter. The sealed directory is complete on disk, so answer
-		// with a one-shot Engine run over it — the cold path a filtered
-		// query of any registered trace pays.
-		s.analyzeEvicted(w, r, lt, c, digest, procsKey)
-		return
-	}
-
 	var filter map[trace.ProcID]bool
 	if len(c.procs) > 0 {
 		filter = make(map[trace.ProcID]bool, len(c.procs))
@@ -458,42 +448,31 @@ func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, lt *liveTra
 			filter[p] = true
 		}
 	}
-	results := lt.inc.Results(filter)
+	var results map[trace.ProcID]*overlap.Result
+	if lt.inc != nil {
+		results = lt.inc.Results(filter)
+	} else {
+		// Sealing evicted the resident state, cached the unfiltered final
+		// document above, and stored the trace's full result set; reaching
+		// here means a different process filter. Per-process results are
+		// independent, so the requested processes of the stored set are
+		// what an Engine run filtered to them would compute.
+		all, _, err := s.LoadResults(r.Context(), digest, lt.sink.Dir())
+		if err != nil {
+			writeRunError(w, r, "analysis", err)
+			return
+		}
+		results = all
+		if filter != nil {
+			results = make(map[trace.ProcID]*overlap.Result, len(filter))
+			for p := range filter {
+				if res := all[p]; res != nil {
+					results[p] = res
+				}
+			}
+		}
+	}
 	doc := report.NewResultAnalysis(lt.meta, results, false)
-	var buf bytes.Buffer
-	if err := doc.Encode(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding report: "+err.Error())
-		return
-	}
-	lt.lastBody = buf.Bytes()
-	lt.lastDigest = digest
-	lt.lastProcs = procsKey
-	w.Header().Set("X-RLScope-Cache", "miss")
-	writeBody(w, lt.lastBody)
-}
-
-// analyzeEvicted answers a filtered analyze of a sealed, evicted live
-// trace with one Engine run over its directory, producing the same
-// result-only document shape the incremental path serves. Called with
-// lt.amu held, which serializes runs per trace exactly like the
-// incremental path it replaces.
-func (s *Server) analyzeEvicted(w http.ResponseWriter, r *http.Request, lt *liveTrace, c canonical, digest, procsKey string) {
-	if err := s.budget.acquire(r.Context(), c.workers); err != nil {
-		writeError(w, http.StatusServiceUnavailable, ErrCodeAnalysisAborted, "analysis aborted: "+err.Error())
-		return
-	}
-	defer s.budget.release(c.workers)
-	s.engineRuns.Add(1)
-	rep, err := rlscope.NewEngine(
-		rlscope.WithWorkers(c.workers),
-		rlscope.WithMaxResidentBytes(c.maxResident),
-		rlscope.WithProcesses(c.procs...),
-	).Analyze(r.Context(), rlscope.FromDir(lt.sink.Dir()))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "analysis failed: "+err.Error())
-		return
-	}
-	doc := report.NewResultAnalysis(rep.Meta, rep.Results, false)
 	var buf bytes.Buffer
 	if err := doc.Encode(&buf); err != nil {
 		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding report: "+err.Error())

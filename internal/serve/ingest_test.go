@@ -170,6 +170,41 @@ func TestIngestLifecycle(t *testing.T) {
 	if !bytes.Equal(rec2.Body.Bytes(), rec.Body.Bytes()) {
 		t.Fatal("cached live document differs")
 	}
+
+	// Filtered analyzes of the sealed trace render the requested processes
+	// of the result set stored at seal: byte-identical to an offline Engine
+	// run under the same filter (a process the trace lacks included), and —
+	// alternating filters, then back to the unfiltered request — never an
+	// Engine run, although each request displaces the one cached document.
+	for _, req := range []struct {
+		body  string
+		procs []trace.ProcID
+	}{
+		{`{"procs":[0]}`, []trace.ProcID{0}},
+		{`{"procs":[7]}`, []trace.ProcID{7}},
+		{`{"procs":[0]}`, []trace.ProcID{0}},
+		{`{"workers":1}`, nil},
+	} {
+		got := doReq(t, h, "POST", "/v1/traces/run42/analyze", req.body)
+		if got.Code != http.StatusOK {
+			t.Fatalf("sealed analyze %s: %d %s", req.body, got.Code, got.Body)
+		}
+		rep, err := rlscope.NewEngine(rlscope.WithWorkers(1), rlscope.WithProcesses(req.procs...)).
+			Analyze(context.Background(), rlscope.FromDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := report.NewResultAnalysis(rep.Meta, rep.Results, rep.Corrected).Encode(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("sealed analyze %s diverges from offline:\nlive:\n%s\noffline:\n%s", req.body, got.Body, want.String())
+		}
+		if runs := s.EngineRuns(); runs != 0 {
+			t.Fatalf("sealed analyze %s: %d engine runs, want 0", req.body, runs)
+		}
+	}
 }
 
 // TestIngestIncrementalLocality pins the acceptance criterion on the serve

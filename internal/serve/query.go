@@ -7,7 +7,7 @@
 //
 // Per-trace results come from the tiered report store: the full-fidelity
 // result set of each trace is cached under its content digest alone
-// (resultSetKey — results are byte-identical at any worker count, so no
+// (ResultSetKey — results are byte-identical at any worker count, so no
 // options belong in the key), which makes an N-trace query over a warm
 // store N store lookups plus an exact in-memory merge, zero Engine runs.
 // Misses fall back to a singleflight-deduplicated Engine run whose encoded
@@ -21,13 +21,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
-	"sync/atomic"
 
-	rlscope "repro"
-	"repro/internal/analysis"
 	"repro/internal/fleet"
 	"repro/internal/overlap"
 	"repro/internal/report"
@@ -38,11 +34,8 @@ import (
 // store by content digest alone — no analysis options belong in the key
 // because results are byte-identical at any worker count. The "rs|" prefix
 // keeps result-set blobs disjoint from analysis documents, whose keys
-// start with the bare digest. Exported so rlscope-query reading a shared
-// -store-reports directory addresses the same entries the server writes.
+// start with the bare digest.
 func ResultSetKey(digest string) string { return "rs|" + digest }
-
-func resultSetKey(digest string) string { return ResultSetKey(digest) }
 
 // queryCandidate pairs a fleet candidate with what the loader needs to
 // produce its results: the content digest (store address) and the trace
@@ -80,21 +73,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// runs another in-flight query computed (singleflight shared) or the
 	// store absorbed don't count, which is exactly what a warm-store
 	// assertion wants to read.
-	var engineRuns atomic.Int64
+	engineRuns := 0
 	doc, err := plan.Execute(r.Context(), traces, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
-		return s.loadResults(ctx, byID[t.ID], &engineRuns)
+		c := byID[t.ID]
+		results, ran, err := s.LoadResults(ctx, c.digest, c.dir)
+		if ran {
+			engineRuns++
+		}
+		return results, err
 	})
 	if err != nil {
 		var qerr *fleet.QueryError
-		switch {
-		case errors.As(err, &qerr):
+		if errors.As(err, &qerr) {
 			writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error())
-		case r.Context().Err() != nil:
-			// The client is gone; nothing useful can be written.
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusServiceUnavailable, ErrCodeAnalysisAborted, "query aborted: "+err.Error())
-		default:
-			writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "query failed: "+err.Error())
+		} else {
+			writeRunError(w, r, "query", err)
 		}
 		return
 	}
@@ -103,7 +96,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding query document: "+err.Error())
 		return
 	}
-	w.Header().Set("X-RLScope-Engine-Runs", strconv.FormatInt(engineRuns.Load(), 10))
+	w.Header().Set("X-RLScope-Engine-Runs", strconv.Itoa(engineRuns))
 	writeBody(w, buf.Bytes())
 }
 
@@ -150,36 +143,33 @@ func (s *Server) queryCandidates() []queryCandidate {
 	return out
 }
 
-// loadResults is the server's fleet.ResultLoader: tiered store lookup by
-// content digest, singleflight-deduplicated Engine run on a miss, encoded
-// result set written back through both tiers.
-func (s *Server) loadResults(ctx context.Context, c queryCandidate, engineRuns *atomic.Int64) (map[trace.ProcID]*overlap.Result, error) {
-	if c.digest == "" {
-		return nil, fmt.Errorf("serve: no candidate for trace")
-	}
-	key := resultSetKey(c.digest)
+// LoadResults returns the full-fidelity per-process results of the sealed
+// trace directory dir, addressed by its content digest: tiered store lookup
+// first, a singleflight-deduplicated Engine run on a miss, the encoded
+// result set written back through both tiers. ran reports whether this call
+// paid for an Engine run. It backs POST /v1/query, filtered analyzes of
+// sealed live traces, and rlscope-query (a Server with only ReportDir set).
+func (s *Server) LoadResults(ctx context.Context, digest, dir string) (results map[trace.ProcID]*overlap.Result, ran bool, err error) {
+	key := ResultSetKey(digest)
 	if body, ok := s.store.get(key); ok {
 		if results, err := report.DecodeResultSet(body); err == nil {
-			return results, nil
+			return results, false, nil
 		}
 		// A stale or corrupt blob (version bump, torn disk entry the
 		// frame check missed) is a miss: recompute and overwrite.
 	}
+	// paid is written on the flight's goroutine and read only once do has
+	// returned the flight's result, which orders the two.
+	paid := false
 	body, _, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
 		if body, ok := s.store.get(key); ok {
 			return body, nil
 		}
-		workers := analysis.ClampWorkers(0, s.cfg.MaxWorkers)
-		if err := s.budget.acquire(runCtx, workers); err != nil {
-			return nil, err
-		}
-		defer s.budget.release(workers)
-		s.engineRuns.Add(1)
-		engineRuns.Add(1)
-		rep, err := rlscope.NewEngine(rlscope.WithWorkers(workers)).Analyze(runCtx, rlscope.FromDir(c.dir))
+		rep, err := s.run(runCtx, dir, s.canonicalize(AnalyzeRequest{}))
 		if err != nil {
 			return nil, err
 		}
+		paid = true
 		var buf bytes.Buffer
 		if err := report.EncodeResultSet(&buf, rep.Results); err != nil {
 			return nil, err
@@ -189,7 +179,8 @@ func (s *Server) loadResults(ctx context.Context, c queryCandidate, engineRuns *
 		return body, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return report.DecodeResultSet(body)
+	results, err = report.DecodeResultSet(body)
+	return results, paid, err
 }

@@ -396,7 +396,7 @@ func TestQueryOverSealedLive(t *testing.T) {
 
 // TestSealEvictsIncremental: sealing drops the resident incremental state
 // while keeping the final document, the final counters, and a working
-// (Engine-backed) filtered-analysis path.
+// (store-backed) filtered-analysis path.
 func TestSealEvictsIncremental(t *testing.T) {
 	s, _ := liveServer(t, Config{MaxWorkers: 2})
 	h := s.Handler()
@@ -463,14 +463,15 @@ func TestSealEvictsIncremental(t *testing.T) {
 		t.Fatalf("unfiltered post-seal analyze ran %d engines, want 0", runs)
 	}
 
-	// A filtered analyze of the evicted trace falls back to one Engine run
-	// over the sealed directory and produces the filtered result-only doc.
+	// A filtered analyze of the evicted trace renders the requested
+	// processes of the result set stored at seal — still zero Engine runs —
+	// and produces the filtered result-only doc.
 	rec = doReq(t, h, "POST", "/v1/traces/run/analyze", `{"procs":[0]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("filtered post-seal analyze: %d %s", rec.Code, rec.Body)
 	}
-	if runs := s.EngineRuns(); runs != 1 {
-		t.Fatalf("filtered post-seal analyze ran %d engines, want 1", runs)
+	if runs := s.EngineRuns(); runs != 0 {
+		t.Fatalf("filtered post-seal analyze ran %d engines, want 0", runs)
 	}
 	repF, err := rlscope.NewEngine(rlscope.WithWorkers(1), rlscope.WithProcesses(0)).Analyze(context.Background(), rlscope.FromDir(dir))
 	if err != nil {
@@ -488,7 +489,7 @@ func TestSealEvictsIncremental(t *testing.T) {
 	if got := rec.Header().Get("X-RLScope-Cache"); got != "hit" {
 		t.Fatalf("repeat filtered analyze cache %q, want hit", got)
 	}
-	if runs := s.EngineRuns(); runs != 1 {
-		t.Fatalf("repeat filtered analyze ran extra engines: %d", runs)
+	if runs := s.EngineRuns(); runs != 0 {
+		t.Fatalf("repeat filtered analyze ran engines: %d", runs)
 	}
 }

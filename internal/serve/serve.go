@@ -33,7 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	rlscope "repro"
 	"repro/internal/analysis"
 	"repro/internal/calib"
 	"repro/internal/fleet"
@@ -585,24 +584,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if s.preRun != nil {
 			s.preRun(runCtx, key)
 		}
-		// Admission: hold this run's worker allotment for its duration.
-		if err := s.budget.acquire(runCtx, c.workers); err != nil {
-			return nil, err
-		}
-		defer s.budget.release(c.workers)
-
-		s.engineRuns.Add(1)
-		opts := []rlscope.EngineOption{
-			rlscope.WithWorkers(c.workers),
-			rlscope.WithMaxResidentBytes(c.maxResident),
-			rlscope.WithProcesses(c.procs...),
-		}
-		if c.correction {
-			opts = append(opts, rlscope.WithCorrection(s.cfg.Calibration))
-		}
-		// A fresh Source per run: trace.Reader is not safe for
-		// concurrent use, so runs never share one.
-		rep, err := rlscope.NewEngine(opts...).Analyze(runCtx, rlscope.FromDir(entry.dir))
+		rep, err := s.run(runCtx, entry.dir, c)
 		if err != nil {
 			return nil, err
 		}
@@ -616,15 +598,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return body, nil
 	})
 	if err != nil {
-		if r.Context().Err() != nil {
-			// The client is gone; nothing useful can be written.
-			return
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			writeError(w, http.StatusServiceUnavailable, ErrCodeAnalysisAborted, "analysis aborted: "+err.Error())
-			return
-		}
-		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "analysis failed: "+err.Error())
+		writeRunError(w, r, "analysis", err)
 		return
 	}
 	if shared {
@@ -633,6 +607,42 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-RLScope-Cache", "miss")
 	}
 	writeBody(w, body)
+}
+
+// run is the server's one Engine call. It holds c.workers of the global
+// budget for the run's duration (admission), counts the run, and analyzes
+// dir through a fresh Source — trace.Reader is not safe for concurrent use,
+// so runs never share one. Callers encode the document they serve.
+func (s *Server) run(ctx context.Context, dir string, c canonical) (*analysis.Report, error) {
+	if err := s.budget.acquire(ctx, c.workers); err != nil {
+		return nil, err
+	}
+	defer s.budget.release(c.workers)
+
+	s.engineRuns.Add(1)
+	opts := []analysis.EngineOption{
+		analysis.WithWorkers(c.workers),
+		analysis.WithMaxResidentBytes(c.maxResident),
+		analysis.WithProcesses(c.procs...),
+	}
+	if c.correction {
+		opts = append(opts, analysis.WithCorrection(s.cfg.Calibration))
+	}
+	return analysis.NewEngine(opts...).Analyze(ctx, trace.FromDir(dir))
+}
+
+// writeRunError reports a failed Engine-backed request (what is "analysis"
+// or "query"): 503 analysis_aborted when the run was cancelled, 500
+// analysis_failed otherwise, and nothing when the client itself is gone.
+func writeRunError(w http.ResponseWriter, r *http.Request, what string, err error) {
+	switch {
+	case r.Context().Err() != nil:
+		// The client is gone; nothing useful can be written.
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusServiceUnavailable, ErrCodeAnalysisAborted, what+" aborted: "+err.Error())
+	default:
+		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, what+" failed: "+err.Error())
+	}
 }
 
 func writeBody(w http.ResponseWriter, body []byte) {

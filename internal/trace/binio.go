@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"repro/internal/vclock"
 )
 
 // Binary trace chunk formats (paper Appendix A.1 uses protobuf; this repo is
@@ -148,12 +150,12 @@ func (d *v1Decoder) decodeV1(cur *colCursor, dst []Event, in *Interner) ([]Event
 			return dst, fmt.Errorf("trace: decode: event %d start: %w", i, err)
 		}
 		prevStart += delta
-		e.Start = timeFromInt64(prevStart)
+		e.Start = vclock.Time(prevStart)
 		dur, err := cur.uvarint("dur")
 		if err != nil {
 			return dst, fmt.Errorf("trace: decode: event %d dur: %w", i, err)
 		}
-		e.End = e.Start.Add(durFromUint64(dur))
+		e.End = e.Start.Add(vclock.Duration(dur))
 		// A duration past MaxInt64, or one that overflows past MaxTime,
 		// wraps to End < Start; valid encoders never emit either.
 		if e.End < e.Start {

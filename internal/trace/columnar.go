@@ -134,17 +134,6 @@ func EncodeChunkV2(w io.Writer, events []Event) error {
 	return err
 }
 
-// AppendChunkV2 appends the columnar encoding of events to dst.
-func AppendChunkV2(dst []byte, events []Event) ([]byte, error) {
-	enc := v2EncPool.Get().(*v2Encoder)
-	defer v2EncPool.Put(enc)
-	frame, err := enc.encode(events)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, frame...), nil
-}
-
 func (e *v2Encoder) encode(events []Event) ([]byte, error) {
 	for i := range e.cols {
 		e.cols[i] = e.cols[i][:0]
@@ -485,12 +474,12 @@ func (c *ColumnChunk) Events(yield func(i int, e Event) bool) error {
 			return fmt.Errorf("trace: decode: event %d start: %w", i, err)
 		}
 		prevStart += delta
-		e.Start = timeFromInt64(prevStart)
+		e.Start = vclock.Time(prevStart)
 		dur, err := durs.next()
 		if err != nil {
 			return fmt.Errorf("trace: decode: event %d dur: %w", i, err)
 		}
-		e.End = e.Start.Add(durFromUint64(dur))
+		e.End = e.Start.Add(vclock.Duration(dur))
 		if e.End < e.Start {
 			return fmt.Errorf("trace: decode: event %d duration %d overflows", i, dur)
 		}
@@ -521,12 +510,12 @@ func (c *ColumnChunk) Times(yield func(i int, start, end vclock.Time) bool) erro
 			return fmt.Errorf("trace: decode: event %d start: %w", i, err)
 		}
 		prevStart += delta
-		start := timeFromInt64(prevStart)
+		start := vclock.Time(prevStart)
 		dur, err := durs.next()
 		if err != nil {
 			return fmt.Errorf("trace: decode: event %d dur: %w", i, err)
 		}
-		end := start.Add(durFromUint64(dur))
+		end := start.Add(vclock.Duration(dur))
 		if end < start {
 			return fmt.Errorf("trace: decode: event %d duration %d overflows", i, dur)
 		}

@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 )
 
 // ConvertStats reports what a directory conversion did.
@@ -120,22 +118,4 @@ func ConvertDir(src, dst string, to Format, verify bool) (*ConvertStats, error) 
 		stats.Verified = true
 	}
 	return stats, nil
-}
-
-// DirChunkBytes totals the chunk-file bytes of a trace directory — the
-// at-rest size the columnar format shrinks.
-func DirChunkBytes(dir string) (int64, error) {
-	r, err := OpenDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for i := 0; i < r.NumChunks(); i++ {
-		fi, err := os.Stat(filepath.Join(dir, r.ChunkName(i)))
-		if err != nil {
-			return 0, err
-		}
-		total += fi.Size()
-	}
-	return total, nil
 }

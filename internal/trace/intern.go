@@ -27,14 +27,5 @@ func (in *Interner) Intern(b []byte) string {
 	return s
 }
 
-// InternString is Intern for an already-materialized string.
-func (in *Interner) InternString(s string) string {
-	if c, ok := in.m[s]; ok {
-		return c
-	}
-	in.m[s] = s
-	return s
-}
-
 // Len reports how many distinct strings the interner holds.
 func (in *Interner) Len() int { return len(in.m) }

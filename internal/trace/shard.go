@@ -65,7 +65,7 @@ func (t *Trace) Shards() []Shard {
 		// the window and stops at the first event starting after it.
 		base := 0
 		for _, w := range windows {
-			for base < len(events) && deadBefore(events[base], w.Lo) {
+			for base < len(events) && DeadBefore(events[base], w.Lo) {
 				base++
 			}
 			sh := Shard{Proc: p, Phase: w.Phase, Lo: w.Lo, Hi: w.Hi}
@@ -106,9 +106,6 @@ func DeadBefore(e Event, lo vclock.Time) bool {
 	}
 	return e.End <= lo
 }
-
-// deadBefore is the internal alias Shards scans with.
-func deadBefore(e Event, lo vclock.Time) bool { return DeadBefore(e, lo) }
 
 // Window is one slice of a process's timeline in the per-phase partition:
 // the half-open extent [Lo, Hi) and the innermost phase covering it ("" for

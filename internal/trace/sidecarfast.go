@@ -1,5 +1,7 @@
 package trace
 
+import "repro/internal/vclock"
+
 // A hand-rolled parser for the sidecar JSON the Writer emits
 // (json.Marshal of ChunkIndex). The streaming planner reads one sidecar per
 // chunk; encoding/json costs ~40 allocations per document, which dominates
@@ -209,9 +211,9 @@ func (p *jparser) procs(ix *ChunkIndex) bool {
 			}
 			switch string(field) {
 			case "min_start":
-				sp.MinStart = timeFromInt64(v)
+				sp.MinStart = vclock.Time(v)
 			case "max_end":
-				sp.MaxEnd = timeFromInt64(v)
+				sp.MaxEnd = vclock.Time(v)
 			case "events":
 				sp.Events = int(v)
 			default:
@@ -284,9 +286,9 @@ func (p *jparser) phases(ix *ChunkIndex, in *Interner) bool {
 			case "Proc":
 				e.Proc = ProcID(v)
 			case "Start":
-				e.Start = timeFromInt64(v)
+				e.Start = vclock.Time(v)
 			case "End":
-				e.End = timeFromInt64(v)
+				e.End = vclock.Time(v)
 			default:
 				return false
 			}
