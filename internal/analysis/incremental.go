@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/overlap"
@@ -8,11 +10,16 @@ import (
 	"repro/internal/vclock"
 )
 
+// splitEvents is the window size that drives the partition: a dirty window
+// holding more events than this is cut in two before it is swept, so an
+// epoch pays for a bounded number of events beyond the ones it brought.
+const splitEvents = 4096
+
 // IncrementalStats counts what an Incremental analysis has done so far.
-// Shards is the load-bearing one: the acceptance criterion for live ingest
-// is that appending one chunk to an N-chunk trace recomputes only the
-// (proc, window) shards the chunk's events actually touch, and that is
-// asserted by watching this counter — not by timing.
+// EventsSwept is the load-bearing one: the acceptance criterion for live
+// ingest is that appending one chunk to an N-event trace costs O(chunk),
+// independent of N, and that is asserted by watching this counter — not by
+// timing.
 type IncrementalStats struct {
 	// Chunks and Events count what Apply has ingested.
 	Chunks, Events int
@@ -20,50 +27,55 @@ type IncrementalStats struct {
 	// every chunk that arrived since the previous epoch.
 	Epochs int
 	// Shards counts window sweeps performed, cumulatively. A Results call
-	// on a clean state adds zero; after an epoch it adds exactly the
-	// number of dirty windows.
+	// on a clean state adds zero; after an epoch it adds the number of
+	// dirty windows (after splitting). Finer windows mean more, cheaper
+	// sweeps: this is a count, EventsSwept is the cost.
 	Shards int
-	// Repartitions counts per-process window-partition rebuilds, triggered
-	// by the arrival of a new phase interval (or a process's first epoch).
-	// A rebuild marks every window of that process dirty.
-	Repartitions int
+	// EventsSwept counts the events handed to the sweeper, cumulatively:
+	// the sum over window sweeps of the window's buffer length.
+	EventsSwept int
 	// Windows is the current total window count across processes.
 	Windows int
 }
 
 // incWindow is one (process, window) shard of the incremental state: the
-// cached sweep result for [lo, hi) plus a dirty bit set when an epoch routes
-// new events into the window.
+// buffer of every event overlapping [lo, hi), the cached sweep result over
+// that buffer, and a dirty bit set when an epoch routes a new event in.
 type incWindow struct {
 	lo, hi vclock.Time
+	events []trace.Event
 	dirty  bool
-	res    *overlap.Result // last sweep; nil while dirty or window empty
+	res    *overlap.Result // last sweep; nil while the window is empty
+	retry  int             // buffer length below which a refused split is not retried
 }
 
-// incProc is the per-process incremental state. events holds every routed
-// event in arrival (chunk) order — the overlap sweep is input-order
-// invariant, so arrival order is as good as time order. phases holds the
-// KindPhase events seen so far; when a new phase interval arrives the
-// window partition derived from them is stale and must be rebuilt, which
-// dirties every window (a phase boundary can re-cut the whole timeline).
+// incProc is the per-process incremental state: an ascending partition of
+// the whole timeline [MinTime, MaxTime) into windows, and the merge of
+// their results, cached while no window is dirty.
 type incProc struct {
-	events  []trace.Event
-	phases  []trace.Event
 	windows []*incWindow
-	stale   bool // partition must be rebuilt before the next sweep
+	merged  *overlap.Result
 }
 
 // Incremental is a resumable analysis state for a growing trace: the
-// serve-side complement of RunStream. Where RunStream plans all (process,
-// window) shards up front from a complete directory's sidecars, Incremental
-// maintains the same partition live — chunks are applied in epochs, each
-// event is routed to the windows it overlaps (the same OverlapsWindow
-// predicate RunStream routes with), and only windows that received events
-// are re-swept on the next Results call. Everything downstream of routing is
-// shared with the batch engine: the same windowed sweep
-// (overlap.Sweeper.ComputeWindow) and the same commutative shard merge, so
-// Results on a fully-applied trace is identical to a fresh Engine run over
-// the sealed directory — the live-ingest equivalence the property tests pin
+// serve-side complement of RunStream. Chunks are applied in epochs; each
+// event is routed to the buffers of the windows it overlaps (the same
+// OverlapsWindow predicate the batch engines shard with), and only windows
+// that received events are re-swept on the next Results call, each straight
+// from its own buffer. Everything downstream of routing is shared with the
+// batch engine: the same windowed sweep (overlap.Sweeper.ComputeWindow) and
+// the same commutative shard merge.
+//
+// The partition is driven by size, not by phase annotations. The windowed
+// sweep clips accumulation to the window and counts point markers by
+// membership while classifying against unclipped events, so the per-window
+// results of ANY partition of the timeline merge to the whole-timeline
+// sweep; where the cuts fall is purely a cost decision. A window that has
+// outgrown splitEvents is cut at the median start of its events, which
+// keeps the cost of an epoch bounded by the events it brought plus a
+// constant, whatever the trace length and arrival order. Results on a
+// fully-applied trace is therefore identical to a fresh Engine run over the
+// sealed directory — the live-ingest equivalence the property tests pin
 // down.
 //
 // Incremental is not safe for concurrent use; the serve layer serializes
@@ -79,37 +91,36 @@ func NewIncremental() *Incremental {
 }
 
 // Apply ingests one epoch: every chunk that arrived since the last epoch,
-// in sequence order. Events are buffered per process and routed to the
-// windows they overlap, marking those windows dirty; a new phase interval
-// instead marks the whole process stale, deferring the re-cut to the next
-// Results call so a burst of phase events costs one repartition, not many.
+// in sequence order. Each event is appended to the buffer of every window
+// it overlaps, marking those windows dirty. Phase and overhead annotations
+// register their process but are not buffered: the sweep reads neither.
 func (inc *Incremental) Apply(chunks [][]trace.Event) {
 	inc.stats.Epochs++
 	for _, events := range chunks {
 		inc.stats.Chunks++
+		inc.stats.Events += len(events)
 		for _, e := range events {
-			inc.stats.Events++
 			p := inc.procs[e.Proc]
 			if p == nil {
-				p = &incProc{stale: true}
+				p = &incProc{windows: []*incWindow{{lo: vclock.MinTime, hi: vclock.MaxTime}}}
 				inc.procs[e.Proc] = p
+				inc.stats.Windows++
 			}
-			if e.Kind == trace.KindPhase {
-				p.phases = append(p.phases, e)
-				if e.End > e.Start {
-					// Only a closed phase interval participates in
-					// PhasePartition, so only one can move the cuts.
-					p.stale = true
-				}
+			if e.Kind == trace.KindPhase || e.Kind == trace.KindOverhead {
+				continue
 			}
-			p.events = append(p.events, e)
-			if !p.stale {
-				for _, w := range p.windows {
-					if trace.OverlapsWindow(e, w.lo, w.hi) {
-						w.dirty = true
-					}
-				}
+			// The first window ending after the event's start is the first
+			// it can overlap; in-order arrival finds it at the tail.
+			i := len(p.windows) - 1
+			if e.Start < p.windows[i].lo {
+				i = sort.Search(i, func(j int) bool { return p.windows[j].hi > e.Start })
 			}
+			for ; i < len(p.windows) && trace.OverlapsWindow(e, p.windows[i].lo, p.windows[i].hi); i++ {
+				w := p.windows[i]
+				w.events = append(w.events, e)
+				w.dirty = true
+			}
+			p.merged = nil
 		}
 	}
 }
@@ -119,67 +130,95 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 // events produces. filter, when non-nil, restricts both the output and the
 // recomputation to the named processes (matching Options.Procs semantics);
 // windows of filtered-out processes stay dirty and are swept when next
-// asked for.
+// asked for. The returned results are shared with later calls and must not
+// be modified.
 func (inc *Incremental) Results(filter map[trace.ProcID]bool) map[trace.ProcID]*overlap.Result {
-	procs := make([]trace.ProcID, 0, len(inc.procs))
-	for p := range inc.procs {
-		if filter == nil || filter[p] {
-			procs = append(procs, p)
-		}
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
-
 	sw := overlap.GetSweeper()
 	defer overlap.PutSweeper(sw)
-
-	var scratch []trace.Event
-	out := make(map[trace.ProcID]*overlap.Result, len(procs))
-	for _, pid := range procs {
-		p := inc.procs[pid]
-		if p.stale {
-			inc.repartition(p)
+	out := make(map[trace.ProcID]*overlap.Result, len(inc.procs))
+	for pid, p := range inc.procs {
+		if filter != nil && !filter[pid] {
+			continue
 		}
-		res := &overlap.Result{
-			ByKey:       map[overlap.Key]vclock.Duration{},
-			Transitions: map[overlap.TransitionKey]int{},
+		if p.merged == nil {
+			p.merged = inc.sweep(p, sw)
 		}
-		for _, w := range p.windows {
-			if w.dirty {
-				scratch = scratch[:0]
-				for _, e := range p.events {
-					if trace.OverlapsWindow(e, w.lo, w.hi) {
-						scratch = append(scratch, e)
-					}
-				}
-				w.res = nil
-				if len(scratch) > 0 {
-					w.res = sw.ComputeWindow(scratch, w.lo, w.hi)
-					inc.stats.Shards++
-				}
-				w.dirty = false
-			}
-			if w.res != nil {
-				mergeShard(res, w.res)
-			}
-		}
-		out[pid] = res
+		out[pid] = p.merged
 	}
 	return out
 }
 
-// repartition re-cuts a process's timeline from its phase events, replacing
-// the window set and marking every window dirty. Cached window results
-// cannot be carried across a re-cut: a new phase boundary changes which
-// instants belong to which window.
-func (inc *Incremental) repartition(p *incProc) {
-	inc.stats.Windows -= len(p.windows)
-	p.windows = p.windows[:0]
-	for _, w := range trace.PhasePartition(p.phases) {
-		p.windows = append(p.windows, &incWindow{lo: w.Lo, hi: w.Hi, dirty: true})
+// sweep re-sweeps p's dirty windows, splitting the ones that have outgrown
+// splitEvents first, and returns the merge of all of p's window results.
+func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
+	res := &overlap.Result{
+		ByKey:       map[overlap.Key]vclock.Duration{},
+		Transitions: map[overlap.TransitionKey]int{},
 	}
-	inc.stats.Windows += len(p.windows)
-	inc.stats.Repartitions++
-	p.stale = false
+	for i := 0; i < len(p.windows); i++ {
+		w := p.windows[i]
+		if w.dirty {
+			for len(w.events) > max(splitEvents, w.retry) {
+				right := w.split()
+				if right == nil {
+					break
+				}
+				p.windows = slices.Insert(p.windows, i+1, right)
+				inc.stats.Windows++
+			}
+			w.res = sw.ComputeWindow(w.events, w.lo, w.hi)
+			w.dirty = false
+			inc.stats.Shards++
+			inc.stats.EventsSwept += len(w.events)
+		}
+		if w.res != nil {
+			mergeShard(res, w.res)
+		}
+	}
+	return res
+}
+
+// split cuts a window at the median start of its events, shrinking w to the
+// left part and returning the right part, both dirty. The buffer is sorted
+// by start (the sweep is input-order invariant), so the events starting
+// before the cut are exactly the left part; it moves to a buffer of its own
+// size, and the right part — copies of the left intervals reaching past
+// the cut, then the rest — keeps the old buffer and its spare capacity,
+// which is where in-order arrivals will land.
+//
+// A split is refused (nil) when the cut is not strictly inside the window
+// or would leave the right part above ¾ of the buffer — a window dominated
+// by long enclosing events, or by events sharing one start, which no cut
+// divides. Refusing is safe because no result depends on where the cuts
+// are; the window is simply swept whole and not tried again until it has
+// doubled, so refused attempts stay amortized O(1) per event.
+func (w *incWindow) split() *incWindow {
+	n := len(w.events)
+	slices.SortFunc(w.events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
+	cut := w.events[n/2].Start
+	k, _ := slices.BinarySearchFunc(w.events, cut, func(e trace.Event, t vclock.Time) int { return cmp.Compare(e.Start, t) })
+	spanning := 0
+	for _, e := range w.events[:k] {
+		if e.End > cut {
+			spanning++
+		}
+	}
+	if cut <= w.lo || n-k+spanning > n/4*3 {
+		w.retry = 2 * n
+		return nil
+	}
+	left := slices.Clone(w.events[:k])
+	// Reaching intervals first: they start before everything else, so an
+	// in-order stream keeps the buffer sorted for the next split.
+	right := &incWindow{lo: cut, hi: w.hi, dirty: true, events: w.events[:0]}
+	for _, e := range left {
+		if e.End > cut {
+			right.events = append(right.events, e)
+		}
+	}
+	right.events = append(right.events, w.events[k:]...)
+	w.hi, w.events, w.res, w.retry = cut, left, nil, 0
+	return right
 }
 
 // Stats returns a snapshot of the cumulative counters.

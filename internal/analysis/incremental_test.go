@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/overlap"
@@ -105,7 +107,6 @@ func TestIncrementalFilterMatchesRun(t *testing.T) {
 	}
 }
 
-// localityEvent is a helper for the shard-locality tests below.
 func cpuEvent(p trace.ProcID, lo, hi vclock.Time) trace.Event {
 	return trace.Event{Proc: p, Kind: trace.KindCPU, Cat: trace.CatPython, Start: lo, End: hi}
 }
@@ -114,74 +115,221 @@ func phaseEvent(p trace.ProcID, name string, lo, hi vclock.Time) trace.Event {
 	return trace.Event{Proc: p, Kind: trace.KindPhase, Name: name, Start: lo, End: hi}
 }
 
+// steadyEvents is n back-to-back 10-tick CPU events of process p starting
+// at tick from*10, each carrying a transition marker every fourth event —
+// the in-order stream a profiler ships.
+func steadyEvents(p trace.ProcID, from, n int) []trace.Event {
+	var out []trace.Event
+	for i := from; i < from+n; i++ {
+		t := vclock.Time(i * 10)
+		out = append(out, cpuEvent(p, t, t+10))
+		if i%4 == 0 {
+			out = append(out, trace.Event{Proc: p, Kind: trace.KindTransition, Name: trace.TransPythonToBackend, Start: t + 5, End: t + 5})
+		}
+	}
+	return out
+}
+
 // TestIncrementalShardLocality is the acceptance criterion for live ingest,
-// asserted on counters rather than timing: appending one chunk to an
-// already-analyzed trace re-sweeps exactly the (process, window) shards the
-// chunk's events overlap — not the whole trace.
+// asserted on the EventsSwept counter rather than timing: once an N-event
+// trace has been analysed, the cost of absorbing one more chunk is bounded
+// by the chunk plus a constant — the same for N and 4N — whichever process
+// and whatever kind of event the chunk carries.
 func TestIncrementalShardLocality(t *testing.T) {
-	// Proc 0: three phases cutting the timeline at 0/1000/2000/3000, with
-	// events in each. Proc 1: phaseless, one full-timeline window.
-	base := []trace.Event{
-		phaseEvent(0, "warmup", 0, 1000),
-		phaseEvent(0, "training", 1000, 2000),
-		phaseEvent(0, "evaluation", 2000, 3000),
-		cpuEvent(0, 100, 200),
-		cpuEvent(0, 1100, 1200),
-		cpuEvent(0, 2100, 2200),
-		cpuEvent(1, 50, 2500),
-	}
-	inc := NewIncremental()
-	inc.Apply([][]trace.Event{base})
-	inc.Results(nil)
-	s0 := inc.Stats()
-	if s0.Repartitions != 2 { // one per process's first epoch
-		t.Fatalf("initial repartitions %d, want 2", s0.Repartitions)
-	}
+	const chunk = 256
+	for _, n := range []int{4 * splitEvents, 16 * splitEvents} {
+		var all []trace.Event
+		inc := NewIncremental()
+		// apply feeds one epoch and returns the events its analysis swept.
+		apply := func(events []trace.Event) int {
+			t.Helper()
+			all = append(all, events...)
+			before := inc.Stats().EventsSwept
+			inc.Apply([][]trace.Event{events})
+			inc.Results(nil)
+			return inc.Stats().EventsSwept - before
+		}
 
-	// One new event wholly inside proc 0's "training" window: exactly one
-	// shard goes dirty, and the next read re-sweeps exactly that one.
-	inc.Apply([][]trace.Event{{cpuEvent(0, 1500, 1600)}})
-	inc.Results(nil)
-	s1 := inc.Stats()
-	if d := s1.Shards - s0.Shards; d != 1 {
-		t.Fatalf("single-window append re-swept %d shards, want 1", d)
-	}
-	if s1.Repartitions != s0.Repartitions {
-		t.Fatalf("append without new phases triggered a repartition")
-	}
+		// Two processes, n events each, arriving in 1024-event epochs.
+		for _, p := range []trace.ProcID{0, 1} {
+			base := steadyEvents(p, 0, n)
+			for len(base) > 0 {
+				k := min(1024, len(base))
+				apply(base[:k])
+				base = base[k:]
+			}
+		}
+		if w := inc.Stats().Windows; w < 2*n/splitEvents {
+			t.Fatalf("n=%d: %d windows after %d events, want at least %d", n, w, inc.Stats().Events, 2*n/splitEvents)
+		}
 
-	// An event spanning the warmup/training boundary touches two windows.
-	inc.Apply([][]trace.Event{{cpuEvent(0, 900, 1100)}})
-	inc.Results(nil)
-	s2 := inc.Stats()
-	if d := s2.Shards - s1.Shards; d != 2 {
-		t.Fatalf("boundary-spanning append re-swept %d shards, want 2", d)
-	}
+		// One more in-order chunk on proc 0: the chunk plus at most the
+		// window it lands in, split or not.
+		tail := steadyEvents(0, n, chunk)
+		if swept := apply(tail); swept > len(tail)+2*splitEvents {
+			t.Fatalf("n=%d: a %d-event append swept %d events, want at most %d", n, len(tail), swept, len(tail)+2*splitEvents)
+		}
+		// The same chunk arriving late, into the middle of the timeline.
+		late := steadyEvents(0, n/2, chunk)
+		if swept := apply(late); swept > len(late)+2*splitEvents {
+			t.Fatalf("n=%d: a late %d-event append swept %d events, want at most %d", n, len(late), swept, len(late)+2*splitEvents)
+		}
 
-	// Proc 1's append never touches proc 0's shards.
-	inc.Apply([][]trace.Event{{cpuEvent(1, 600, 700)}})
-	inc.Results(nil)
-	s3 := inc.Stats()
-	if d := s3.Shards - s2.Shards; d != 1 {
-		t.Fatalf("other-process append re-swept %d shards, want 1", d)
-	}
+		// Proc 1's append sweeps nothing of proc 0, and costs the same
+		// however much proc 0 holds.
+		other := steadyEvents(1, n, chunk)
+		all = append(all, other...)
+		inc.Apply([][]trace.Event{other})
+		before := inc.Stats().EventsSwept
+		inc.Results(map[trace.ProcID]bool{0: true})
+		if d := inc.Stats().EventsSwept - before; d != 0 {
+			t.Fatalf("n=%d: proc 1's append left %d events to sweep in proc 0", n, d)
+		}
+		if swept := apply(nil); swept > len(other)+2*splitEvents {
+			t.Fatalf("n=%d: other-process append swept %d events, want at most %d", n, swept, len(other)+2*splitEvents)
+		}
 
-	// A new phase interval re-cuts proc 0's timeline: every window of that
-	// process is dirtied (a repartition), proc 1 stays untouched.
-	inc.Apply([][]trace.Event{{phaseEvent(0, "cooldown", 3000, 4000)}})
-	inc.Results(nil)
-	s4 := inc.Stats()
-	if s4.Repartitions != s3.Repartitions+1 {
-		t.Fatalf("new phase did not repartition: %d, want %d", s4.Repartitions, s3.Repartitions+1)
-	}
+		// A new phase interval costs no more than a CPU event of the same
+		// extent — it re-cuts nothing.
+		lo, hi := vclock.Time(n*10/4), vclock.Time(n*10/4+100)
+		asCPU := apply([]trace.Event{cpuEvent(0, lo, hi)})
+		asPhase := apply([]trace.Event{phaseEvent(0, "cooldown", lo, hi)})
+		if asPhase > asCPU {
+			t.Fatalf("n=%d: a phase interval swept %d events, a CPU event of its extent %d", n, asPhase, asCPU)
+		}
 
-	// The incremental result still equals a batch run over everything.
-	tr := &trace.Trace{Events: append([]trace.Event{},
-		base[0], base[1], base[2], base[3], base[4], base[5], base[6],
-		cpuEvent(0, 1500, 1600), cpuEvent(0, 900, 1100), cpuEvent(1, 600, 700),
-		phaseEvent(0, "cooldown", 3000, 4000),
-	)}
-	if got, want := dumpAll(inc.Results(nil)), dumpAll(Run(tr, Options{Workers: 1})); got != want {
-		t.Fatalf("after locality sequence, incremental diverges from batch:\ngot:\n%s\nwant:\n%s", got, want)
+		if got, want := dumpAll(inc.Results(nil)), dumpAll(Run(&trace.Trace{Events: all}, Options{Workers: 1})); got != want {
+			t.Fatalf("n=%d: after locality sequence, incremental diverges from batch", n)
+		}
+	}
+}
+
+// splittingTrace generates a trace whose windows split repeatedly and whose
+// splits sometimes refuse. Every process gets several × splitEvents short
+// events under a process-lifetime operation; odd processes snap timestamps
+// to a coarse grid, so many events start and end exactly where a median cut
+// falls — among them zero-width intervals and transition markers; process 0
+// additionally holds a layer of long events enclosing most of its timeline
+// and a burst of events sharing one start, neither of which any cut divides.
+func splittingTrace(rng *rand.Rand) *trace.Trace {
+	const horizon = 10_000_000
+	tr := &trace.Trace{}
+	cpuCats := []trace.Category{trace.CatPython, trace.CatSimulator, trace.CatBackend, trace.CatCUDA}
+	ops := []string{"inference", "simulation", "backpropagation"}
+	for p := trace.ProcID(0); p < 3; p++ {
+		grid := vclock.Time(1)
+		if p%2 == 1 {
+			grid = 2000
+		}
+		add := func(e trace.Event) {
+			e.Proc = p
+			tr.Events = append(tr.Events, e)
+		}
+		add(trace.Event{Kind: trace.KindOp, Name: "lifetime", Start: 0, End: horizon + 10_000})
+		for i, n := 0, (3+rng.Intn(3))*splitEvents; i < n; i++ {
+			start := vclock.Time(rng.Intn(horizon)) / grid * grid
+			end := start + vclock.Time(rng.Intn(6000))/grid*grid
+			switch rng.Intn(10) {
+			case 0:
+				add(trace.Event{Kind: trace.KindOp, Name: ops[rng.Intn(len(ops))], Start: start, End: end})
+			case 1:
+				if i%50 == 0 {
+					add(trace.Event{Kind: trace.KindPhase, Name: "phase", Start: start, End: end + 100_000})
+				}
+			case 2, 3:
+				add(trace.Event{Kind: trace.KindTransition, Name: trace.TransPythonToBackend, Start: start, End: start})
+			case 4, 5:
+				add(trace.Event{Kind: trace.KindGPU, Cat: trace.CatGPUKernel, Name: "kernel", Start: start, End: end})
+			default:
+				add(trace.Event{Kind: trace.KindCPU, Cat: cpuCats[rng.Intn(len(cpuCats))], Start: start, End: end})
+			}
+		}
+		if p == 0 {
+			for i := 0; i < splitEvents/4; i++ {
+				add(cpuEvent(p, vclock.Time(rng.Intn(1000)), horizon-vclock.Time(rng.Intn(1000))))
+			}
+			for i := 0; i < splitEvents+100; i++ {
+				add(cpuEvent(p, horizon/2, horizon/2+vclock.Time(rng.Intn(3))))
+			}
+		}
+	}
+	return tr
+}
+
+// TestIncrementalArrivalOrderAndSplits is the property the size-driven
+// partition rests on: where the cuts fall — and so the order events arrive
+// in, the epochs they are grouped into and the reads interleaved with them
+// — never shows in the result. Traces large enough to split every process's
+// timeline many times over are applied sorted, in close-time order
+// interleaved across processes, and fully shuffled; every final result is
+// byte-equal to a batch Run.
+func TestIncrementalArrivalOrderAndSplits(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tr := splittingTrace(rng)
+		want := dumpAll(Run(tr, Options{Workers: 1}))
+
+		for _, o := range []struct {
+			name  string
+			order func(a, b trace.Event) int
+		}{
+			{"sorted", func(a, b trace.Event) int {
+				return cmp.Or(cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Start, b.Start))
+			}},
+			{"close-time", func(a, b trace.Event) int { return cmp.Compare(a.End, b.End) }},
+			{"shuffled", nil},
+		} {
+			events := slices.Clone(tr.Events)
+			rng.Shuffle(len(events), func(i, j int) { events[i], events[j] = events[j], events[i] })
+			if o.order != nil {
+				slices.SortStableFunc(events, o.order)
+			}
+			inc := NewIncremental()
+			for len(events) > 0 {
+				var epoch [][]trace.Event
+				for c := 1 + rng.Intn(4); c > 0 && len(events) > 0; c-- {
+					k := min(1+rng.Intn(3000), len(events))
+					epoch = append(epoch, events[:k])
+					events = events[k:]
+				}
+				inc.Apply(epoch)
+				switch rng.Intn(3) {
+				case 0:
+					inc.Results(nil)
+				case 1:
+					inc.Results(map[trace.ProcID]bool{trace.ProcID(rng.Intn(3)): true})
+				}
+			}
+			if got := dumpAll(inc.Results(nil)); got != want {
+				t.Fatalf("seed %d, %s order: incremental result diverges from batch Run", seed, o.name)
+			}
+			before := inc.Stats()
+			if got := dumpAll(inc.Results(nil)); got != want {
+				t.Fatalf("seed %d, %s order: repeated read diverges", seed, o.name)
+			}
+			if d := inc.Stats().EventsSwept - before.EventsSwept; d != 0 {
+				t.Fatalf("seed %d, %s order: clean re-read swept %d events", seed, o.name, d)
+			}
+
+			// The run must have exercised what it claims to: many splits,
+			// and at least one refused.
+			if before.Windows < len(tr.Events)/(2*splitEvents) {
+				t.Fatalf("seed %d, %s order: only %d windows for %d events", seed, o.name, before.Windows, len(tr.Events))
+			}
+			refused := 0
+			for _, p := range inc.procs {
+				for i, w := range p.windows {
+					if w.retry > 0 {
+						refused++
+					}
+					if i > 0 && p.windows[i-1].hi != w.lo {
+						t.Fatalf("seed %d, %s order: windows [..%d) and [%d..) do not abut", seed, o.name, p.windows[i-1].hi, w.lo)
+					}
+				}
+			}
+			if refused == 0 {
+				t.Fatalf("seed %d, %s order: no split was refused", seed, o.name)
+			}
+		}
 	}
 }

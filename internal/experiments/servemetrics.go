@@ -326,22 +326,67 @@ func fleetMetrics(opts Options) (map[string]float64, error) {
 	}, nil
 }
 
-// ingestMetrics checks PR 7's determinism claim end to end over real HTTP:
-// a trace streamed chunk-by-chunk through the typed client — with analyses
-// interleaved mid-stream so the resident incremental state absorbs multiple
-// epochs — seals to a directory whose digest matches the server's running
-// digest, and the live analysis document is byte-identical to a fresh
-// offline Engine run over that sealed directory. Counter-based, so it holds
-// under any scheduler: a deterministic bundle.
+// Live-ingest streaming cadence: fixed, so that the only thing varying
+// between ingestMetrics' two runs is the length of the trace.
+const (
+	ingestChunkEvents  = 1024
+	ingestAnalyzeEvery = 4
+)
+
+// ingestRun is what one streamed, sealed and verified live trace reports.
+type ingestRun struct {
+	identical, digestMatch bool
+	engineRuns             int64
+	epochs                 int
+	// maxEpochSwept is the largest number of events any single analyze
+	// handed to the sweeper (the per-epoch EventsSwept delta).
+	maxEpochSwept int
+}
+
+// ingestMetrics checks the live path's two claims end to end over real
+// HTTP. Determinism (PR 7): a trace streamed chunk-by-chunk through the
+// typed client — with analyses interleaved mid-stream so the resident
+// incremental state absorbs many epochs — seals to a directory whose digest
+// matches the server's running digest, and the live analysis document is
+// byte-identical to a fresh offline Engine run over that sealed directory.
+// Cost: streamed again at twice the steps with the same chunk size and
+// analyze cadence, the most expensive epoch costs no more — an epoch is
+// O(epoch), not O(trace). Counter-based, so it holds under any scheduler: a
+// deterministic bundle.
 func ingestMetrics(opts Options) (map[string]float64, error) {
-	ctx := opts.ctx()
-	tr, err := walkerRun(opts.steps(200), opts.Seed, trace.Uninstrumented())
+	steps := opts.steps(200)
+	n, err := ingestStream(opts, steps)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ingest: %w", err)
 	}
+	n2, err := ingestStream(opts, 2*steps)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: ingest: at 2n steps: %w", err)
+	}
+	return map[string]float64{
+		"byte_identical":            boolMetric(n.identical && n2.identical),
+		"digest_match":              boolMetric(n.digestMatch && n2.digestMatch),
+		"engine_runs":               float64(n.engineRuns + n2.engineRuns),
+		"multi_epoch":               boolMetric(n.epochs >= 2),
+		"max_epoch_swept_n":         float64(n.maxEpochSwept),
+		"max_epoch_swept_2n":        float64(n2.maxEpochSwept),
+		"epoch_swept_growth_chunks": float64(n2.maxEpochSwept-n.maxEpochSwept) / ingestChunkEvents,
+	}, nil
+}
+
+// ingestStream streams one walker run of the given length into a fresh
+// server, analyzing every ingestAnalyzeEvery chunks, then seals it and
+// compares the live document and digest with the offline ones.
+func ingestStream(opts Options, steps int) (ingestRun, error) {
+	var run ingestRun
+	ctx := opts.ctx()
+	tr, err := walkerRun(steps, opts.Seed, trace.Uninstrumented())
+	if err != nil {
+		return run, err
+	}
 	store, err := os.MkdirTemp("", "rlscope-hyp-ingest-")
 	if err != nil {
-		return nil, err
+		return run, err
 	}
 	defer os.RemoveAll(store)
 	s := serve.NewServer(serve.Config{StoreDir: store})
@@ -352,50 +397,51 @@ func ingestMetrics(opts Options) (map[string]float64, error) {
 
 	const id = "live"
 	if _, err := c.Register(ctx, id); err != nil {
-		return nil, fmt.Errorf("experiments: ingest: %w", err)
+		return run, err
 	}
 	events := tr.Events
-	const frames = 8
-	per := (len(events) + frames - 1) / frames
-	for seq := 0; seq*per < len(events); seq++ {
-		hi := min((seq+1)*per, len(events))
-		chunk, ix, err := trace.EncodeEvents(events[seq*per : hi])
+	for seq := 0; seq*ingestChunkEvents < len(events); seq++ {
+		hi := min((seq+1)*ingestChunkEvents, len(events))
+		chunk, ix, err := trace.EncodeEvents(events[seq*ingestChunkEvents : hi])
 		if err != nil {
-			return nil, fmt.Errorf("experiments: ingest: %w", err)
+			return run, err
 		}
 		if _, err := c.AppendChunk(ctx, id, seq, chunk, ix); err != nil {
-			return nil, fmt.Errorf("experiments: ingest: append %d: %w", seq, err)
+			return run, fmt.Errorf("append %d: %w", seq, err)
+		}
+		if (seq+1)%ingestAnalyzeEvery != 0 {
+			continue
 		}
 		// Analyze mid-stream so the appends land as separate epochs.
-		if seq == 2 {
-			if _, err := c.Analyze(ctx, id, serve.AnalyzeRequest{Workers: 1}); err != nil {
-				return nil, fmt.Errorf("experiments: ingest: mid-stream analyze: %w", err)
-			}
+		before, _ := s.IncrementalStats(id)
+		if _, err := c.Analyze(ctx, id, serve.AnalyzeRequest{Workers: 1}); err != nil {
+			return run, fmt.Errorf("mid-stream analyze: %w", err)
 		}
+		after, _ := s.IncrementalStats(id)
+		run.maxEpochSwept = max(run.maxEpochSwept, after.EventsSwept-before.EventsSwept)
 	}
 	sealed, err := c.Seal(ctx, id, tr.Meta)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: ingest: %w", err)
+		return run, err
 	}
 	live, err := c.Analyze(ctx, id, serve.AnalyzeRequest{Workers: 1})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: ingest: %w", err)
+		return run, err
 	}
 
 	dir := filepath.Join(store, id)
 	onDisk, err := trace.DirDigest(dir)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: ingest: %w", err)
+		return run, err
 	}
 	offline, err := resultDoc(ctx, dir)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: ingest: offline engine: %w", err)
+		return run, fmt.Errorf("offline engine: %w", err)
 	}
 	incStats, _ := s.IncrementalStats(id)
-	return map[string]float64{
-		"byte_identical": boolMetric(bytes.Equal(live, offline)),
-		"digest_match":   boolMetric(sealed.Digest == onDisk),
-		"engine_runs":    float64(s.EngineRuns()),
-		"multi_epoch":    boolMetric(incStats.Epochs >= 2),
-	}, nil
+	run.identical = bytes.Equal(live, offline)
+	run.digestMatch = sealed.Digest == onDisk
+	run.engineRuns = s.EngineRuns()
+	run.epochs = incStats.Epochs
+	return run, nil
 }

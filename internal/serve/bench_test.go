@@ -53,8 +53,9 @@ func BenchmarkServeCacheHit(b *testing.B) {
 // BenchmarkIncrementalAppend measures the live-ingest steady state: one
 // chunk append plus the analyze that absorbs it as an epoch, against a
 // trace that already holds many chunks. This is the path whose cost must
-// stay O(chunk) — the gate watches it alongside the batch cache paths, and
-// the closing counter check proves no iteration fell back to a batch
+// stay O(chunk) — printed as events_swept/op, the events the iteration
+// handed to the sweeper — which the gate watches alongside the batch cache
+// paths; the closing counter check proves no iteration fell back to a batch
 // Engine run.
 func BenchmarkIncrementalAppend(b *testing.B) {
 	s := NewServer(Config{StoreDir: b.TempDir()})
@@ -81,15 +82,7 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 	}
 
 	seq := 0
-	for lo := 0; lo < len(tr.Events); lo += perChunk {
-		hi := lo + perChunk
-		if hi > len(tr.Events) {
-			hi = len(tr.Events)
-		}
-		chunk, _, err := trace.EncodeEvents(tr.Events[lo:hi])
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, chunk := range eventFrames(b, tr.Events, perChunk) {
 		post(seq, chunk)
 		seq++
 	}
@@ -101,6 +94,7 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	base, _ := s.IncrementalStats("bench")
 	b.SetBytes(int64(len(iterChunk)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -110,6 +104,8 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 		analyze()
 	}
 	b.StopTimer()
+	end, _ := s.IncrementalStats("bench")
+	b.ReportMetric(float64(end.EventsSwept-base.EventsSwept)/float64(b.N), "events_swept/op")
 	if runs := s.EngineRuns(); runs != 0 {
 		b.Fatalf("incremental appends fell back to %d batch engine runs", runs)
 	}

@@ -206,6 +206,21 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiErr)
 		return
 	}
+	// An append the sink is certain to refuse — the trace is sealed, or seq
+	// lies beyond its next — is refused here, before the frame is decoded,
+	// indexed and marshalled for nothing. The sink's own check under pmu
+	// stays the authority; a trace that does not exist yet has nothing to
+	// ask, so an undecodable first chunk still creates no trace.
+	if lt := s.liveLookup(r.PathValue("id")); lt != nil {
+		if lt.sink.Sealed() {
+			writeAPIError(w, ingestError(trace.ErrSinkSealed))
+			return
+		}
+		if next := lt.sink.Chunks(); seq > next {
+			writeAPIError(w, ingestError(&trace.SeqError{Seq: seq, Next: next}))
+			return
+		}
+	}
 	// DecodeChunkBytes sniffs the frame's version, so live ingest accepts
 	// v1 and v2 chunks alike — the store lands whatever frame the client
 	// sent, byte-for-byte, while the analysis sees decoded events.
@@ -293,11 +308,15 @@ func readChunkBody(r *http.Request) (chunk, index []byte, apiErr *apiError) {
 }
 
 // checkClientIndex verifies a client-shipped sidecar against the one the
-// server derived from the decoded chunk. The comparison is semantic — the
-// client bytes are normalized through ChunkIndex before comparing — so any
-// JSON spelling of the correct index passes, but an index describing
-// different events does not.
+// server derived from the decoded chunk. The comparison is semantic — client
+// bytes that are not already the derived ones (this repository's client
+// ships exactly those, plus json.Encoder's newline) are normalized through
+// ChunkIndex before comparing — so any JSON spelling of the correct index
+// passes, but an index describing different events does not.
 func checkClientIndex(clientIndex, derived []byte, seq int) *apiError {
+	if bytes.Equal(bytes.TrimSpace(clientIndex), derived) {
+		return nil
+	}
 	var ix trace.ChunkIndex
 	if err := json.Unmarshal(clientIndex, &ix); err != nil {
 		return &apiError{http.StatusBadRequest, ErrCodeBadChunk, "undecodable sidecar index: " + err.Error()}
@@ -546,7 +565,8 @@ func (s *Server) handleLiveSummary(w http.ResponseWriter, lt *liveTrace) {
 
 // IncrementalStats reports the incremental-analysis counters of a live
 // trace — the instrumented ground truth that appending one chunk re-sweeps
-// only affected shards. ok is false if id is not a live trace.
+// only the windows it lands in, whatever the trace's length. ok is false if
+// id is not a live trace.
 func (s *Server) IncrementalStats(id string) (stats analysis.IncrementalStats, ok bool) {
 	lt := s.liveLookup(id)
 	if lt == nil {

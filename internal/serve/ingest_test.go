@@ -14,7 +14,6 @@ import (
 	rlscope "repro"
 	"repro/internal/report"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 // quickstartFrames encodes the quickstart trace as n chunk frames plus its
@@ -22,19 +21,7 @@ import (
 func quickstartFrames(tb testing.TB, steps, n int) (chunks [][]byte, meta trace.Meta) {
 	tb.Helper()
 	tr := quickstartTrace(tb, steps)
-	per := (len(tr.Events) + n - 1) / n
-	for lo := 0; lo < len(tr.Events); lo += per {
-		hi := lo + per
-		if hi > len(tr.Events) {
-			hi = len(tr.Events)
-		}
-		chunk, _, err := trace.EncodeEvents(tr.Events[lo:hi])
-		if err != nil {
-			tb.Fatal(err)
-		}
-		chunks = append(chunks, chunk)
-	}
-	return chunks, tr.Meta
+	return eventFrames(tb, tr.Events, (len(tr.Events)+n-1)/n), tr.Meta
 }
 
 func errCode(tb testing.TB, rec interface{ Result() *http.Response }) string {
@@ -207,84 +194,140 @@ func TestIngestLifecycle(t *testing.T) {
 	}
 }
 
-// TestIngestIncrementalLocality pins the acceptance criterion on the serve
-// layer: after an initial analyze, appending one chunk and re-analyzing
-// re-sweeps only the shards that chunk touches (watched via the incremental
-// counters), runs zero batch engines, and each append batches into exactly
-// one epoch per analyze regardless of how many chunks landed in between.
-func TestIngestIncrementalLocality(t *testing.T) {
-	s, _ := liveServer(t, Config{})
-	h := s.Handler()
-
-	// A multi-shard trace: proc 0's three phases cut its timeline into
-	// three populated windows, proc 1 is phaseless (one window). The final
-	// chunk lands wholly inside one of proc 0's windows.
-	cpu := func(p trace.ProcID, lo, hi int64) trace.Event {
-		return trace.Event{Proc: p, Kind: trace.KindCPU, Cat: trace.CatPython,
-			Start: vclock.Time(lo), End: vclock.Time(hi)}
-	}
-	phase := func(name string, lo, hi int64) trace.Event {
-		return trace.Event{Proc: 0, Kind: trace.KindPhase, Name: name,
-			Start: vclock.Time(lo), End: vclock.Time(hi)}
-	}
-	groups := [][]trace.Event{
-		{phase("warmup", 0, 1000), phase("training", 1000, 2000), phase("evaluation", 2000, 3000),
-			cpu(0, 100, 300), cpu(1, 50, 2500)},
-		{cpu(0, 1100, 1300), cpu(0, 2100, 2300), cpu(1, 2600, 2700)},
-		{cpu(0, 1500, 1600)}, // the locality probe: one window of proc 0
-	}
+// eventFrames encodes events as consecutive chunk frames of at most per
+// events each.
+func eventFrames(tb testing.TB, events []trace.Event, per int) [][]byte {
+	tb.Helper()
 	var chunks [][]byte
-	for _, g := range groups {
-		chunk, _, err := trace.EncodeEvents(g)
+	for lo := 0; lo < len(events); lo += per {
+		chunk, _, err := trace.EncodeEvents(events[lo:min(lo+per, len(events))])
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		chunks = append(chunks, chunk)
 	}
+	return chunks
+}
 
-	post := func(seq int) {
-		t.Helper()
-		rec := doReq(t, h, "POST", fmt.Sprintf("/v1/traces/loc/chunks?seq=%d", seq), string(chunks[seq]))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("append %d: %d %s", seq, rec.Code, rec.Body)
+// TestIngestIncrementalLocality pins the acceptance criterion on the serve
+// layer, on counters: every analyze of a growing live trace sweeps at most
+// the events that arrived since the previous one plus a constant — for a
+// trace four times as long exactly as for the short one — runs zero batch
+// engines, and batches everything appended in between into exactly one
+// epoch.
+func TestIngestIncrementalLocality(t *testing.T) {
+	// sweepSlack is that constant: twice analysis' window split size (a
+	// chunk can land across two windows, each swept whole).
+	const perChunk, every, sweepSlack = 512, 4, 2 * 4096
+	for _, steps := range []int{400, 1600} {
+		s, _ := liveServer(t, Config{})
+		h := s.Handler()
+		chunks := eventFrames(t, quickstartTrace(t, steps).Events, perChunk)
+
+		epochs, maxSwept := 0, 0
+		for seq, chunk := range chunks {
+			rec := doReq(t, h, "POST", fmt.Sprintf("/v1/traces/loc/chunks?seq=%d", seq), string(chunk))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("append %d: %d %s", seq, rec.Code, rec.Body)
+			}
+			if (seq+1)%every != 0 && seq != len(chunks)-1 {
+				continue
+			}
+			before, _ := s.IncrementalStats("loc")
+			if rec := doReq(t, h, "POST", "/v1/traces/loc/analyze", `{}`); rec.Code != http.StatusOK {
+				t.Fatalf("analyze: %d %s", rec.Code, rec.Body)
+			}
+			epochs++
+			after, ok := s.IncrementalStats("loc")
+			if !ok {
+				t.Fatal("no incremental stats for live trace")
+			}
+			if after.Epochs != epochs || after.Chunks != seq+1 {
+				t.Fatalf("analyze %d: %+v, want %d epochs over %d chunks", epochs, after, epochs, seq+1)
+			}
+			maxSwept = max(maxSwept, after.EventsSwept-before.EventsSwept)
+		}
+		if limit := every*perChunk + sweepSlack; maxSwept > limit {
+			t.Fatalf("steps=%d: one epoch of %d events swept %d, want at most %d", steps, every*perChunk, maxSwept, limit)
+		}
+		if st, _ := s.IncrementalStats("loc"); st.Windows < 2 {
+			t.Fatalf("steps=%d: %d events never split the timeline: %+v", steps, st.Events, st)
+		}
+		if runs := s.EngineRuns(); runs != 0 {
+			t.Fatalf("live path started %d batch engine runs", runs)
 		}
 	}
-	analyze := func() {
-		t.Helper()
-		rec := doReq(t, h, "POST", "/v1/traces/loc/analyze", `{}`)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("analyze: %d %s", rec.Code, rec.Body)
+}
+
+// TestLiveAppendDuringAnalyze races the two halves of the epoch hand-off:
+// one goroutine streams chunks while another keeps analyzing, so epochs of
+// arbitrary size land on window state that is being split and swept. The
+// sealed document must still be the offline Engine's, byte for byte.
+func TestLiveAppendDuringAnalyze(t *testing.T) {
+	s, store := liveServer(t, Config{})
+	h := s.Handler()
+	tr := quickstartTrace(t, 600)
+	chunks := eventFrames(t, tr.Events, 256)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for seq, chunk := range chunks {
+			rec := doReq(t, h, "POST", fmt.Sprintf("/v1/traces/race/chunks?seq=%d", seq), string(chunk))
+			if rec.Code != http.StatusOK {
+				t.Errorf("append %d: %d %s", seq, rec.Code, rec.Body)
+				return
+			}
 		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			// 404 until the first append creates the trace.
+			rec := doReq(t, h, "POST", "/v1/traces/race/analyze", `{}`)
+			if rec.Code != http.StatusOK && rec.Code != http.StatusNotFound {
+				t.Errorf("analyze: %d %s", rec.Code, rec.Body)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
 
-	for seq := 0; seq < len(chunks)-1; seq++ {
-		post(seq)
+	metaBody, err := json.Marshal(tr.Meta)
+	if err != nil {
+		t.Fatal(err)
 	}
-	analyze()
-	s0, ok := s.IncrementalStats("loc")
-	if !ok {
-		t.Fatal("no incremental stats for live trace")
+	if rec := doReq(t, h, "POST", "/v1/traces/race/seal", string(metaBody)); rec.Code != http.StatusOK {
+		t.Fatalf("seal: %d %s", rec.Code, rec.Body)
 	}
-	if s0.Epochs != 1 || s0.Chunks != len(chunks)-1 {
-		t.Fatalf("first analyze: %+v, want 1 epoch over %d chunks", s0, len(chunks)-1)
+	rec := doReq(t, h, "POST", "/v1/traces/race/analyze", `{}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sealed analyze: %d %s", rec.Code, rec.Body)
 	}
-
-	// One more chunk: the re-analysis sweeps only the shards it touches,
-	// strictly fewer than the full shard count of the first pass.
-	post(len(chunks) - 1)
-	analyze()
-	s1, _ := s.IncrementalStats("loc")
-	if s1.Epochs != 2 {
-		t.Fatalf("second analyze: %d epochs, want 2", s1.Epochs)
+	rep, err := rlscope.NewEngine(rlscope.WithWorkers(1)).Analyze(context.Background(), rlscope.FromDir(filepath.Join(store, "race")))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s0.Shards < 4 {
-		t.Fatalf("first pass swept %d shards, want at least 4 (3 phase windows + 1 phaseless proc)", s0.Shards)
+	var offline bytes.Buffer
+	if err := report.NewResultAnalysis(rep.Meta, rep.Results, rep.Corrected).Encode(&offline); err != nil {
+		t.Fatal(err)
 	}
-	if delta := s1.Shards - s0.Shards; delta != 1 {
-		t.Fatalf("one-chunk append re-swept %d shards (first pass swept %d), want exactly 1", delta, s0.Shards)
+	if !bytes.Equal(rec.Body.Bytes(), offline.Bytes()) {
+		t.Fatalf("live document diverges from offline engine run:\nlive:\n%s\noffline:\n%s", rec.Body, offline.String())
 	}
-	if runs := s.EngineRuns(); runs != 0 {
-		t.Fatalf("live path started %d batch engine runs", runs)
+	if st, _ := s.IncrementalStats("race"); st.Chunks != len(chunks) || st.Windows < 2 {
+		t.Fatalf("final stats %+v, want %d chunks over a split timeline", st, len(chunks))
 	}
 }
 
@@ -324,6 +367,11 @@ func TestIngestProtocolErrors(t *testing.T) {
 		}
 	}
 
+	// The undecodable first chunk above created no trace.
+	if s.liveLookup("run") != nil {
+		t.Fatal("an undecodable first chunk created the trace")
+	}
+
 	// Sequence protocol on a real live trace.
 	if rec := doReq(t, h, "POST", "/v1/traces/run/chunks?seq=0", string(chunks[0])); rec.Code != http.StatusOK {
 		t.Fatalf("append 0: %d %s", rec.Code, rec.Body)
@@ -332,6 +380,12 @@ func TestIngestProtocolErrors(t *testing.T) {
 	rec := doReq(t, h, "POST", "/v1/traces/run/chunks?seq=5", string(chunks[1]))
 	if rec.Code != http.StatusConflict || errCode(t, rec) != ErrCodeOutOfOrderSeq {
 		t.Fatalf("gap append: %d %s", rec.Code, rec.Body)
+	}
+	// A gap is refused on its sequence number alone, before the frame is
+	// looked at.
+	rec = doReq(t, h, "POST", "/v1/traces/run/chunks?seq=5", "not a chunk frame")
+	if rec.Code != http.StatusConflict || errCode(t, rec) != ErrCodeOutOfOrderSeq {
+		t.Fatalf("gap append of an undecodable frame: %d %s", rec.Code, rec.Body)
 	}
 	// Identical replay: flagged duplicate, no error.
 	rec = doReq(t, h, "POST", "/v1/traces/run/chunks?seq=0", string(chunks[0]))
@@ -360,9 +414,65 @@ func TestIngestProtocolErrors(t *testing.T) {
 	if rec.Code != http.StatusConflict || errCode(t, rec) != ErrCodeTraceSealed {
 		t.Fatalf("post-seal append: %d %s", rec.Code, rec.Body)
 	}
+	// So is a frame nobody could decode: the seal answers first.
+	rec = doReq(t, h, "POST", "/v1/traces/run/chunks?seq=1", "not a chunk frame")
+	if rec.Code != http.StatusConflict || errCode(t, rec) != ErrCodeTraceSealed {
+		t.Fatalf("post-seal append of an undecodable frame: %d %s", rec.Code, rec.Body)
+	}
 	rec = doReq(t, h, "POST", "/v1/traces/run/seal", "")
 	if rec.Code != http.StatusConflict || errCode(t, rec) != ErrCodeTraceSealed {
 		t.Fatalf("double seal: %d %s", rec.Code, rec.Body)
+	}
+}
+
+// TestCheckClientIndex covers both branches of the client-sidecar check:
+// the bytes this repository's client ships pass without being parsed, any
+// other spelling of the same index passes after normalization, and an
+// index of different events — or no index at all — is a bad chunk.
+func TestCheckClientIndex(t *testing.T) {
+	events := quickstartTrace(t, 5).Events
+	chunk, index, err := trace.EncodeEvents(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, err := json.Marshal(trace.BuildChunkIndex(events, int64(len(chunk))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shipped bytes.Buffer
+	if err := json.NewEncoder(&shipped).Encode(index); err != nil {
+		t.Fatal(err)
+	}
+	respelled, err := json.MarshalIndent(index, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lying := *index
+	lying.Events++
+	lyingBytes, err := json.Marshal(&lying)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		client []byte
+		ok     bool
+	}{
+		{"client bytes", shipped.Bytes(), true},
+		{"respelled", respelled, true},
+		{"different events", lyingBytes, false},
+		{"not JSON", []byte("{"), false},
+	} {
+		apiErr := checkClientIndex(tc.client, derived, 0)
+		if tc.ok && apiErr != nil {
+			t.Errorf("%s: rejected: %+v", tc.name, apiErr)
+		}
+		if !tc.ok && (apiErr == nil || apiErr.code != ErrCodeBadChunk) {
+			t.Errorf("%s: got %+v, want %s", tc.name, apiErr, ErrCodeBadChunk)
+		}
+	}
+	if bytes.Equal(bytes.TrimSpace(respelled), derived) {
+		t.Fatal("the respelled index does not exercise the normalizing branch")
 	}
 }
 
