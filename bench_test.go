@@ -45,9 +45,8 @@ func BenchmarkFigure3Overlap(b *testing.B) {
 
 // parallelBenchTrace builds the multi-process Minigo-scale trace the
 // parallel-analysis benchmarks analyze: the paper's 16 self-play workers
-// plus the trainer, each with training phases, giving 17 processes' worth
-// of (process, phase) shards. Built once and pre-sorted so every variant
-// measures pure analysis.
+// plus the trainer: 17 processes' worth of windows. Built once and
+// pre-sorted so every variant measures pure analysis.
 var parallelBenchTrace = sync.OnceValues(func() (*trace.Trace, error) {
 	res, err := minigo.Run(minigo.DefaultConfig())
 	if err != nil {
@@ -57,7 +56,7 @@ var parallelBenchTrace = sync.OnceValues(func() (*trace.Trace, error) {
 	return res.Trace, nil
 })
 
-// BenchmarkParallelAnalysis measures the sharded analysis engine's scaling:
+// BenchmarkParallelAnalysis measures the batch analysis pipeline's scaling:
 // the same trace analyzed with 1/2/4/8 workers. workers=1 is the sequential
 // baseline.
 func BenchmarkParallelAnalysis(b *testing.B) {

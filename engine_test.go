@@ -465,3 +465,46 @@ func TestEngineSourceOpenContract(t *testing.T) {
 	}
 	var _ Source = customSource{} // the interface is open by design
 }
+
+// TestEngineOneEventCount pins the one definition of "events": whatever the
+// source and whether or not the correction stage runs inside the pipeline,
+// the last Progress notification of the analysis pass and the Report count
+// the events read before the stage — markers included — and a materialized
+// source, which has no chunk files, reports none.
+func TestEngineOneEventCount(t *testing.T) {
+	tr := randomWorkloadTrace(7)
+	cal := syntheticCalibration(tr)
+	dir := writeWorkloadTrace(t, tr, 2048)
+	for name, mk := range engineSources(t, tr, dir) {
+		for _, corrected := range []bool{false, true} {
+			var last Progress
+			opts := []EngineOption{WithWorkers(2), WithProgress(func(p Progress) {
+				if p.Stage == analysis.StageAnalyze {
+					last = p
+				}
+			})}
+			if corrected {
+				opts = append(opts, WithCorrection(cal))
+			}
+			rep, err := NewEngine(opts...).Analyze(context.Background(), mk())
+			if err != nil {
+				t.Fatalf("%s corrected=%v: %v", name, corrected, err)
+			}
+			if rep.Stats.Events != len(tr.Events) || last.Events != rep.Stats.Events {
+				t.Fatalf("%s corrected=%v: Stats.Events=%d, final Progress.Events=%d, trace holds %d",
+					name, corrected, rep.Stats.Events, last.Events, len(tr.Events))
+			}
+			if last.Shards != rep.Stats.Shards {
+				t.Fatalf("%s corrected=%v: final Progress.Shards=%d, Stats.Shards=%d", name, corrected, last.Shards, rep.Stats.Shards)
+			}
+			if name == "FromTrace" {
+				if last.Chunks != 0 || last.ChunksDone != 0 || rep.Stats.Chunks != 0 || rep.Stats.ChunksDecoded != 0 {
+					t.Fatalf("materialized corrected=%v reports chunk files: progress %+v, stats %+v", corrected, last, rep.Stats)
+				}
+			} else if last.ChunksDone != rep.Stats.Chunks || last.Chunks != rep.Stats.Chunks {
+				t.Fatalf("%s corrected=%v: final progress %d/%d chunks, directory has %d",
+					name, corrected, last.ChunksDone, last.Chunks, rep.Stats.Chunks)
+			}
+		}
+	}
+}

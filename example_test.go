@@ -86,9 +86,9 @@ func ExampleEngine() {
 }
 
 // ExampleEngine_streaming analyzes a chunked trace directory with bounded
-// memory: chunks decode lazily and each (process, phase) shard is analyzed
-// as soon as its last contributing chunk arrives. The result is
-// byte-identical to analyzing the materialized trace.
+// memory: chunks decode lazily and each process's window is swept as soon
+// as no later chunk can reach back into it. The result is byte-identical to
+// analyzing the materialized trace.
 func ExampleEngine_streaming() {
 	p := rlscope.New(rlscope.Options{Workload: "streaming-example", Seed: 7})
 	sess := p.NewProcess("trainer", -1, 0)

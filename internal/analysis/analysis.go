@@ -1,21 +1,18 @@
-// Package analysis is RL-Scope's sharded, concurrent offline-analysis
-// engine. The paper's overlap computation (§3.3) is embarrassingly parallel
-// across processes and training phases: the engine splits a trace into
-// per-(process, phase) shards (trace.Shards), fans the windowed overlap
-// sweep (overlap.ComputeWindow) out over a worker pool, and merges the
-// per-shard results back into per-process breakdowns.
+// Package analysis is RL-Scope's offline-analysis engine. The paper's
+// overlap computation (§3.3) is one sweep per process, and the windowed
+// sweep (overlap.ComputeWindow) is exact for any cut of a process's
+// timeline (see window), so there is one batch pipeline: plan watermarks
+// from chunk indexes, route each event to its process's one open window, cut
+// windows by size at watermarks, sweep the closed windows on a worker pool,
+// merge per process. Run feeds it a materialized trace, RunStream a chunked
+// directory; Incremental drives the same windows for a trace still growing.
 //
-// The merge is exact, not approximate: shards carry unclipped events and
-// the sweep restricts accumulation — never classification — to the shard
-// window, so every instant is attributed against the same event boundaries
-// the sequential sweep sees. Run therefore returns byte-identical results
-// for any worker count, including Workers: 1, which executes inline with no
-// goroutines at all.
-//
-// Both entry points have context-aware forms (RunContext, RunStreamContext)
-// that stop dispatching work as soon as the context is cancelled and join
-// every worker goroutine before returning — cancellation drains the pool,
-// it never leaks it.
+// Results are byte-identical for any worker count — including Workers: 1,
+// which executes inline with no goroutines at all — any memory budget and
+// either source. The context-aware entry points (RunContext,
+// RunStreamContext) stop dispatching work as soon as the context is
+// cancelled and join every worker goroutine before returning — cancellation
+// drains the pool, it never leaks it.
 package analysis
 
 import (
@@ -23,15 +20,14 @@ import (
 
 	"repro/internal/overlap"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
-// EventStage is a per-event transform plugged into the streaming engine
-// between chunk decode and shard routing. The streaming overhead-correction
-// stage (calib.Corrector) is the canonical implementation: it shifts every
-// event's timestamps left by the calibrated overhead that preceded them and
-// drops the overhead markers themselves, so a corrected analysis runs in
-// bounded memory without ever materializing the corrected trace.
+// EventStage is a per-event transform plugged into the pipeline between
+// decode and window routing. The overhead-correction stage (calib.Corrector)
+// is the canonical implementation: it shifts every event's timestamps left
+// by the calibrated overhead that preceded them and drops the overhead
+// markers themselves, so a corrected analysis runs in bounded memory without
+// ever materializing the corrected trace.
 type EventStage interface {
 	// MapEvent rewrites one event in place; returning false drops it.
 	// The transform must depend only on the event's own fields (plus any
@@ -39,9 +35,9 @@ type EventStage interface {
 	MapEvent(e *trace.Event) bool
 	// MapSpan rewrites a chunk sidecar's per-process span conservatively:
 	// the returned span must contain the MapEvent-transformed extent of
-	// every event the input span summarizes. The planner derives chunk
-	// relevance and eviction watermarks from mapped spans, so soundness of
-	// the bound — not tightness — is what keeps budgeted streaming exact.
+	// every event the input span summarizes. The planner derives cut
+	// watermarks from mapped spans, so soundness of the bound — not
+	// tightness — is what keeps every cut exact.
 	MapSpan(p trace.ProcID, sp trace.ProcSpan) trace.ProcSpan
 }
 
@@ -55,7 +51,8 @@ const (
 
 // Progress is one notification from a running analysis, delivered on the
 // producing goroutine (callbacks need no locking). Streaming runs report
-// after every chunk; materialized runs report once, on completion.
+// after every chunk; materialized runs after every run of at most
+// splitEvents events of one process.
 type Progress struct {
 	// Stage is StageCorrect or StageAnalyze.
 	Stage string
@@ -64,140 +61,107 @@ type Progress struct {
 	ChunksDone, Chunks int
 	// Shards counts window computations dispatched so far.
 	Shards int
-	// Events counts events read so far.
+	// Events counts events read so far, before any Options.Stage.
 	Events int
 }
 
-// Options configures a parallel analysis.
+// Options configures an analysis.
 type Options struct {
-	// Workers is the number of concurrent shard workers. Zero or negative
+	// Workers is the number of concurrent sweep workers. Zero or negative
 	// selects one worker per available CPU; 1 runs strictly sequentially.
 	Workers int
 	// MaxResidentBytes, when positive, bounds the estimated bytes of
-	// decoded events the streaming engine (RunStream) keeps resident:
-	// whenever buffered shards exceed the budget, windows whose prefix can
-	// no longer receive events are finalized early and their dead events
-	// dropped, carrying only still-open intervals forward. The bound is
-	// best-effort — a single chunk, plus intervals genuinely open across
-	// the whole trace, must stay resident regardless. Ignored by Run,
-	// which materializes the trace by definition.
+	// events the pipeline keeps buffered: whenever open windows plus
+	// windows in flight exceed the budget, any window — not only those
+	// that reached splitEvents — is cut at its watermark and its dead
+	// events dropped, carrying only still-open intervals forward. The
+	// bound is best-effort — a single chunk, plus intervals genuinely open
+	// across the whole trace, must stay resident regardless.
 	MaxResidentBytes int64
 	// Procs, when non-empty, restricts the analysis to the listed
-	// processes. The streaming engine additionally skips decoding chunks
-	// that contribute to none of them.
+	// processes; chunks that hold none of them are never decoded.
 	Procs []trace.ProcID
 	// Stage, when non-nil, transforms every event between decode and
-	// analysis — the streaming correction stage. Consumed by RunStream
-	// only: materialized callers transform the trace before analysis
-	// (calib.Correct), which is the same computation.
+	// routing — the correction stage. With it the result is byte-identical
+	// to materializing the trace, applying the transform (for correction:
+	// calib.Correct) and analysing the outcome.
 	Stage EventStage
 	// Progress, when non-nil, receives progress notifications.
 	Progress func(Progress)
 }
 
-// procFilter resolves Options.Procs into a membership test; nil means no
-// restriction.
-func (o Options) procFilter() map[trace.ProcID]bool {
-	if len(o.Procs) == 0 {
-		return nil
-	}
-	set := make(map[trace.ProcID]bool, len(o.Procs))
-	for _, p := range o.Procs {
-		set[p] = true
-	}
-	return set
+// StreamStats reports what an analysis did: how much it read, how it
+// scheduled the work, and the peak number of events it ever held buffered —
+// the quantity MaxResidentBytes bounds.
+type StreamStats struct {
+	// Chunks and Events count the chunk files in the directory (zero for a
+	// materialized source, which has none) and the events read, before any
+	// Options.Stage transform drops or rewrites them. Under an
+	// Options.Procs restriction, chunks contributing to no requested
+	// process are skipped entirely and their events never read or counted.
+	Chunks, Events int
+	// ChunksDecoded counts chunk files actually decoded so far — fewer
+	// than Chunks when a Procs restriction skips chunks or a cancellation
+	// cuts the run short.
+	ChunksDecoded int
+	// Shards counts window sweeps dispatched to the pool: every prefix
+	// closed at a watermark, by size or by the memory budget, and every
+	// process's final window.
+	Shards int
+	// Evictions counts the cuts forced by MaxResidentBytes.
+	Evictions int
+	// PeakResidentEvents and PeakResidentBytes track the high-water mark
+	// of events resident at once (buffered in open windows, in the chunk
+	// being decoded, or in flight to a worker).
+	PeakResidentEvents int
+	PeakResidentBytes  int64
 }
 
-// Run computes the per-process cross-stack overlap breakdown of a trace by
-// fanning (process, phase) shards over a worker pool. The result is
-// identical to running overlap.Compute per process regardless of worker
-// count. Run is RunContext with a background context, which cannot fail.
+// Run computes the per-process cross-stack overlap breakdown of a
+// materialized trace: the pipeline over the sorted trace presented as
+// per-process runs of at most splitEvents events. The result is identical to
+// running overlap.Compute per process regardless of worker count. Run is
+// RunContext with a background context, which cannot fail.
 func Run(t *trace.Trace, opts Options) map[trace.ProcID]*overlap.Result {
 	out, _ := RunContext(context.Background(), t, opts)
 	return out
 }
 
-// RunContext is Run bound to a context: shard dispatch stops as soon as
-// ctx is cancelled, every worker goroutine is joined, and ctx.Err() is
-// returned (partial results are discarded).
+// RunContext is Run bound to a context: dispatch stops as soon as ctx is
+// cancelled, every worker goroutine is joined, and ctx.Err() is returned
+// (partial results are discarded).
 func RunContext(ctx context.Context, t *trace.Trace, opts Options) (map[trace.ProcID]*overlap.Result, error) {
-	shards := t.Shards()
-	if filter := opts.procFilter(); filter != nil {
-		kept := shards[:0:len(shards)]
-		for _, sh := range shards {
-			if filter[sh.Proc] {
-				kept = append(kept, sh)
-			}
-		}
-		shards = kept
-	}
-	results := make([]*overlap.Result, len(shards))
-	// Each worker owns one pooled Sweeper for the whole run: the sweep
-	// scratch (boundary slices, stacks, interners, the dense accumulator)
-	// is borrowed once, sized by the worker's first shard, reused for all
-	// its later ones, and returned for the next Run to pick up.
-	sweepers := make([]*overlap.Sweeper, ClampWorkers(opts.Workers, len(shards)))
-	err := ForEachWorkerContext(ctx, opts.Workers, len(shards), func(w, i int) error {
-		if sweepers[w] == nil {
-			sweepers[w] = overlap.GetSweeper()
-		}
-		results[i] = sweepers[w].ComputeWindow(shards[i].Events, shards[i].Lo, shards[i].Hi)
-		return nil
-	})
-	for _, sw := range sweepers {
-		if sw != nil {
-			overlap.PutSweeper(sw)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	// Every process with at least one event has at least one shard (windows
-	// partition the timeline and empty windows are dropped), so the result
-	// key set can be derived from the shards without an extra pass over the
-	// trace. A process covered by a single shard adopts that shard's result
-	// wholesale — merging into a fresh accumulator would only copy it.
-	nShards := map[trace.ProcID]int{}
-	for _, sh := range shards {
-		nShards[sh.Proc]++
-	}
-	out := map[trace.ProcID]*overlap.Result{}
-	// Merge in shard order: commutative integer sums plus span extremes,
-	// so the outcome is independent of completion order anyway.
-	for i, sh := range shards {
-		if nShards[sh.Proc] == 1 {
-			out[sh.Proc] = results[i]
-			continue
-		}
-		if out[sh.Proc] == nil {
-			out[sh.Proc] = &overlap.Result{
-				ByKey:       map[overlap.Key]vclock.Duration{},
-				Transitions: map[overlap.TransitionKey]int{},
-			}
-		}
-		mergeShard(out[sh.Proc], results[i])
-	}
-	if opts.Progress != nil {
-		opts.Progress(Progress{Stage: StageAnalyze, Shards: len(shards), Events: len(t.Events)})
-	}
-	return out, nil
+	out, _, err := run(ctx, newMemSource(t), opts)
+	return out, err
 }
 
-// MergeResult folds src into dst with the exact deterministic merge the
-// sharded engine uses: commutative integer sums for breakdown cells and
-// transition counts, span extremes with the zero-span sentinel respected.
-// It is the primitive the fleet aggregation layer merges per-trace Results
-// with — merging N results this way is byte-identical (after rendering) to
-// one sweep over the concatenated inputs, the property the shard merge is
-// tested for.
-func MergeResult(dst, src *overlap.Result) { mergeShard(dst, src) }
+// RunStream computes the same breakdown from a chunked trace directory
+// without ever materializing the whole trace: the pipeline over the chunks
+// of r, decoded lazily one at a time. The result is byte-identical to
+// Run(ReadDir(dir)) for every worker count and every memory budget.
+func RunStream(r *trace.Reader, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
+	return RunStreamContext(context.Background(), r, opts)
+}
 
-// mergeShard folds one shard result into the process accumulator. Span is
-// only merged from shards that saw interval events: ComputeWindow leaves
+// RunStreamContext is RunStream bound to a context: the chunk loop stops at
+// the first cancelled iteration, queued sweeps are drained unexecuted, every
+// worker goroutine is joined, and ctx.Err() is returned. The returned
+// StreamStats always describe the work done so far, so a cancelled run still
+// reports how far it got.
+func RunStreamContext(ctx context.Context, r *trace.Reader, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
+	return run(ctx, &readerSource{r: r}, opts)
+}
+
+// MergeResult folds one window result into an accumulator with the exact
+// deterministic merge every path uses: commutative integer sums for
+// breakdown cells and transition counts, span extremes with the zero-span
+// sentinel respected. Merging N results this way is byte-identical (after
+// rendering) to one sweep over the concatenated inputs, which is also what
+// lets the fleet aggregation layer merge per-trace Results with it. Span is
+// only merged from results that saw interval events: ComputeWindow leaves
 // the span zeroed otherwise, and a process with no interval events must end
 // with a zero span exactly like sequential Compute.
-func mergeShard(dst, src *overlap.Result) {
+func MergeResult(dst, src *overlap.Result) {
 	for k, d := range src.ByKey {
 		dst.ByKey[k] += d
 	}
@@ -205,16 +169,12 @@ func mergeShard(dst, src *overlap.Result) {
 		dst.Transitions[k] += n
 	}
 	if src.SpanStart == 0 && src.SpanEnd == 0 {
-		return // shard had no interval events
+		return // no interval events
 	}
 	if dst.SpanStart == 0 && dst.SpanEnd == 0 {
 		dst.SpanStart, dst.SpanEnd = src.SpanStart, src.SpanEnd
 		return
 	}
-	if src.SpanStart < dst.SpanStart {
-		dst.SpanStart = src.SpanStart
-	}
-	if src.SpanEnd > dst.SpanEnd {
-		dst.SpanEnd = src.SpanEnd
-	}
+	dst.SpanStart = min(dst.SpanStart, src.SpanStart)
+	dst.SpanEnd = max(dst.SpanEnd, src.SpanEnd)
 }

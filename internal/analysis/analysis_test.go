@@ -175,77 +175,6 @@ func TestRunMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardsPartitionTimeline checks the shard invariants Run relies on:
-// per-process windows partition (-inf, +inf) and every event lands in at
-// least one shard.
-func TestShardsPartitionTimeline(t *testing.T) {
-	tr := randomTrace(rand.New(rand.NewSource(42)))
-	shards := tr.Shards()
-	byProc := map[trace.ProcID][]trace.Shard{}
-	counted := 0
-	for _, sh := range shards {
-		byProc[sh.Proc] = append(byProc[sh.Proc], sh)
-		counted += len(sh.Events)
-	}
-	if counted < len(tr.Events) {
-		t.Fatalf("shards hold %d event references for %d events: some event is in no shard", counted, len(tr.Events))
-	}
-	// Empty windows are dropped, so kept windows may have gaps — but they
-	// must never overlap (an event instant counted twice would break the
-	// exact merge).
-	for p, list := range byProc {
-		sort.Slice(list, func(i, j int) bool { return list[i].Lo < list[j].Lo })
-		for i := 1; i < len(list); i++ {
-			if list[i].Lo < list[i-1].Hi {
-				t.Fatalf("proc %d: windows %d and %d overlap", p, i-1, i)
-			}
-		}
-	}
-}
-
-// TestShardPhaseLabels checks that shards carry the phase names their
-// windows fall inside — the (process, phase) identity tools use to label
-// parallel work.
-func TestShardPhaseLabels(t *testing.T) {
-	tr := &trace.Trace{Events: []trace.Event{
-		{Proc: 0, Kind: trace.KindPhase, Name: "collect", Start: 0, End: 100},
-		{Proc: 0, Kind: trace.KindPhase, Name: "train", Start: 100, End: 250},
-		{Proc: 0, Kind: trace.KindCPU, Cat: trace.CatPython, Start: 10, End: 240},
-		{Proc: 0, Kind: trace.KindCPU, Cat: trace.CatPython, Start: 260, End: 300},
-	}}
-	want := map[string]bool{"collect": false, "train": false, "": false}
-	for _, sh := range tr.Shards() {
-		seen, known := want[sh.Phase]
-		if !known {
-			t.Fatalf("unexpected shard phase %q", sh.Phase)
-		}
-		if seen {
-			t.Fatalf("phase %q produced more than one shard", sh.Phase)
-		}
-		want[sh.Phase] = true
-		switch sh.Phase {
-		case "collect":
-			if sh.Lo != 0 || sh.Hi != 100 {
-				t.Fatalf("collect window [%d,%d)", sh.Lo, sh.Hi)
-			}
-		case "train":
-			if sh.Lo != 100 || sh.Hi != 250 {
-				t.Fatalf("train window [%d,%d)", sh.Lo, sh.Hi)
-			}
-		case "":
-			// The post-phase tail: the second CPU event at [260, 300).
-			if sh.Lo != 250 || sh.Hi != vclock.MaxTime {
-				t.Fatalf("tail window [%d,%d)", sh.Lo, sh.Hi)
-			}
-		}
-	}
-	for phase, seen := range want {
-		if !seen {
-			t.Fatalf("no shard for phase %q", phase)
-		}
-	}
-}
-
 // TestRunEmptyTrace mirrors sequential behavior on a trace with no events.
 func TestRunEmptyTrace(t *testing.T) {
 	if got := Run(&trace.Trace{}, Options{Workers: 4}); len(got) != 0 {

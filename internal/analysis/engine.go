@@ -10,10 +10,11 @@ import (
 )
 
 // Engine is the one way to run an analysis: a cancellable Analyze over any
-// trace.Source — RunContext for a materialized trace, RunStreamContext for a
-// chunked one — with overhead correction composed in as a stage. The public
-// facade (package repro) re-exports these names and carries the per-option
-// documentation; the serving layer and the metric bundles call them here.
+// trace.Source — one pipeline call, whether the source is a materialized
+// trace or a chunked one — with overhead correction composed in as a stage.
+// The public facade (package repro) re-exports these names and carries the
+// per-option documentation; the serving layer and the metric bundles call
+// them here.
 //
 // An Engine is immutable after construction and safe for concurrent use,
 // though one streaming source must not be analyzed concurrently (see
@@ -61,11 +62,11 @@ type Report struct {
 	// Results maps each analyzed process to its cross-stack overlap
 	// breakdown.
 	Results map[trace.ProcID]*overlap.Result
-	// Stats describes the streaming schedule (chunks decoded, shards
-	// dispatched, peak residency). Stats.Events counts events read from
-	// the source before any correction stage, whatever the source kind;
-	// materialized sources report only that count. An error mid-way — a
-	// cancelled correction pre-pass included — leaves the partial counts
+	// Stats describes the schedule (chunks decoded, windows swept, peak
+	// residency). Stats.Events counts events read from the source before
+	// any correction stage, whatever the source kind; a materialized source
+	// has no chunk files, so its chunk counts stay zero. An error mid-way —
+	// a cancelled correction pre-pass included — leaves the partial counts
 	// here.
 	Stats StreamStats
 	// Meta is the run metadata the source carried. A corrected analysis
@@ -85,9 +86,6 @@ func (e *Engine) Analyze(ctx context.Context, src trace.Source) (*Report, error)
 	if src == nil {
 		return nil, errors.New("rlscope: Engine.Analyze: nil source")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	tr, r, err := src.Open()
 	if err != nil {
 		return nil, err
@@ -98,31 +96,23 @@ func (e *Engine) Analyze(ctx context.Context, src trace.Source) (*Report, error)
 		Procs:            e.procs,
 		Progress:         e.progress,
 	}
+	var (
+		in   source
+		meta trace.Meta
+	)
 	switch {
 	case tr != nil:
-		// Stats.Events counts events read from the source, before any
-		// correction stage — the same quantity the streaming path reports.
-		stats := StreamStats{Events: len(tr.Events)}
-		if e.cal != nil {
-			// Correct rewrites Meta.Config to Uninstrumented — the
-			// corrected trace estimates the uninstrumented run — so both
-			// corrected paths report the same Meta.
-			tr = calib.Correct(tr, e.cal)
-		}
-		results, err := RunContext(ctx, tr, opts)
-		if err != nil {
-			return &Report{Meta: tr.Meta}, err
-		}
-		return &Report{
-			Results:   results,
-			Stats:     stats,
-			Meta:      tr.Meta,
-			Corrected: e.cal != nil,
-		}, nil
+		in, meta = newMemSource(tr), tr.Meta
 	case r != nil:
-		meta := r.Meta()
-		if e.cal != nil {
-			meta.Config = trace.Uninstrumented() // match Correct's corrected-trace metadata
+		in, meta = &readerSource{r: r}, r.Meta()
+	default:
+		return nil, errors.New("rlscope: source resolved to neither a trace nor a reader")
+	}
+	if e.cal != nil {
+		meta.Config = trace.Uninstrumented() // see Report.Meta
+		if tr != nil {
+			opts.Stage = calib.NewCorrector(tr, e.cal)
+		} else {
 			// Track the pre-pass in StreamStats shape so an error (or
 			// cancellation) mid-pre-pass still reports partial progress.
 			prepass := StreamStats{Chunks: r.NumChunks()}
@@ -141,11 +131,10 @@ func (e *Engine) Analyze(ctx context.Context, src trace.Source) (*Report, error)
 			}
 			opts.Stage = corr
 		}
-		results, stats, err := RunStreamContext(ctx, r, opts)
-		if err != nil {
-			return &Report{Stats: stats, Meta: meta}, err
-		}
-		return &Report{Results: results, Stats: stats, Meta: meta, Corrected: e.cal != nil}, nil
 	}
-	return nil, errors.New("rlscope: source resolved to neither a trace nor a reader")
+	results, stats, err := run(ctx, in, opts)
+	if err != nil {
+		return &Report{Stats: stats, Meta: meta}, err
+	}
+	return &Report{Results: results, Stats: stats, Meta: meta, Corrected: e.cal != nil}, nil
 }

@@ -10,11 +10,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// splitEvents is the window size that drives the partition: a dirty window
-// holding more events than this is cut in two before it is swept, so an
-// epoch pays for a bounded number of events beyond the ones it brought.
-const splitEvents = 4096
-
 // IncrementalStats counts what an Incremental analysis has done so far.
 // EventsSwept is the load-bearing one: the acceptance criterion for live
 // ingest is that appending one chunk to an N-event trace costs O(chunk),
@@ -38,15 +33,13 @@ type IncrementalStats struct {
 	Windows int
 }
 
-// incWindow is one (process, window) shard of the incremental state: the
-// buffer of every event overlapping [lo, hi), the cached sweep result over
-// that buffer, and a dirty bit set when an epoch routes a new event in.
+// incWindow is one persistent window of the incremental state: the shared
+// window plus the cached sweep result over its buffer and a dirty bit set
+// when an epoch routes a new event in.
 type incWindow struct {
-	lo, hi vclock.Time
-	events []trace.Event
-	dirty  bool
-	res    *overlap.Result // last sweep; nil while the window is empty
-	retry  int             // buffer length below which a refused split is not retried
+	window
+	dirty bool
+	res   *overlap.Result // last sweep; nil while the window is empty
 }
 
 // incProc is the per-process incremental state: an ascending partition of
@@ -58,25 +51,21 @@ type incProc struct {
 }
 
 // Incremental is a resumable analysis state for a growing trace: the
-// serve-side complement of RunStream. Chunks are applied in epochs; each
-// event is routed to the buffers of the windows it overlaps (the same
-// OverlapsWindow predicate the batch engines shard with), and only windows
-// that received events are re-swept on the next Results call, each straight
-// from its own buffer. Everything downstream of routing is shared with the
-// batch engine: the same windowed sweep (overlap.Sweeper.ComputeWindow) and
-// the same commutative shard merge.
+// serve-side complement of the batch pipeline. Chunks are applied in
+// epochs; each event is routed to the buffers of the windows it overlaps,
+// and only windows that received events are re-swept on the next Results
+// call, each straight from its own buffer. It keeps its own driver because
+// its windows are persistent and re-dirtied, where the pipeline's are closed
+// once; the window type, its cut, the windowed sweep and the shard merge are
+// the pipeline's.
 //
-// The partition is driven by size, not by phase annotations. The windowed
-// sweep clips accumulation to the window and counts point markers by
-// membership while classifying against unclipped events, so the per-window
-// results of ANY partition of the timeline merge to the whole-timeline
-// sweep; where the cuts fall is purely a cost decision. A window that has
-// outgrown splitEvents is cut at the median start of its events, which
+// A window that has outgrown splitEvents is cut at the median start of its
+// events (no watermark exists for a trace that is still growing), which
 // keeps the cost of an epoch bounded by the events it brought plus a
-// constant, whatever the trace length and arrival order. Results on a
-// fully-applied trace is therefore identical to a fresh Engine run over the
-// sealed directory — the live-ingest equivalence the property tests pin
-// down.
+// constant, whatever the trace length and arrival order. Any cut is exact
+// (see window), so Results on a fully-applied trace is identical to a fresh
+// Engine run over the sealed directory — the live-ingest equivalence the
+// property tests pin down.
 //
 // Incremental is not safe for concurrent use; the serve layer serializes
 // epochs and result reads per trace under its analysis lock.
@@ -102,7 +91,7 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 		for _, e := range events {
 			p := inc.procs[e.Proc]
 			if p == nil {
-				p = &incProc{windows: []*incWindow{{lo: vclock.MinTime, hi: vclock.MaxTime}}}
+				p = &incProc{windows: []*incWindow{{window: window{lo: vclock.MinTime, hi: vclock.MaxTime}}}}
 				inc.procs[e.Proc] = p
 				inc.stats.Windows++
 			}
@@ -172,7 +161,7 @@ func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
 			inc.stats.EventsSwept += len(w.events)
 		}
 		if w.res != nil {
-			mergeShard(res, w.res)
+			MergeResult(res, w.res)
 		}
 	}
 	return res
@@ -180,44 +169,22 @@ func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
 
 // split cuts a window at the median start of its events, shrinking w to the
 // left part and returning the right part, both dirty. The buffer is sorted
-// by start (the sweep is input-order invariant), so the events starting
-// before the cut are exactly the left part; it moves to a buffer of its own
-// size, and the right part — copies of the left intervals reaching past
-// the cut, then the rest — keeps the old buffer and its spare capacity,
-// which is where in-order arrivals will land.
-//
-// A split is refused (nil) when the cut is not strictly inside the window
-// or would leave the right part above ¾ of the buffer — a window dominated
-// by long enclosing events, or by events sharing one start, which no cut
-// divides. Refusing is safe because no result depends on where the cuts
-// are; the window is simply swept whole and not tried again until it has
-// doubled, so refused attempts stay amortized O(1) per event.
+// by start first (the sweep is input-order invariant), so the right part —
+// the left intervals reaching past the cut, then the rest — stays sorted
+// for the next split and keeps the old buffer with its spare capacity,
+// which is where in-order arrivals will land; the left part moves to a
+// buffer of its own size. A split that would leave the right part above ¾
+// of the buffer is refused (nil); see window.cut.
 func (w *incWindow) split() *incWindow {
 	n := len(w.events)
 	slices.SortFunc(w.events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
-	cut := w.events[n/2].Start
-	k, _ := slices.BinarySearchFunc(w.events, cut, func(e trace.Event, t vclock.Time) int { return cmp.Compare(e.Start, t) })
-	spanning := 0
-	for _, e := range w.events[:k] {
-		if e.End > cut {
-			spanning++
-		}
-	}
-	if cut <= w.lo || n-k+spanning > n/4*3 {
-		w.retry = 2 * n
+	lo := w.lo
+	left, ok := w.cut(w.events[n/2].Start, n/4*3, nil)
+	if !ok {
 		return nil
 	}
-	left := slices.Clone(w.events[:k])
-	// Reaching intervals first: they start before everything else, so an
-	// in-order stream keeps the buffer sorted for the next split.
-	right := &incWindow{lo: cut, hi: w.hi, dirty: true, events: w.events[:0]}
-	for _, e := range left {
-		if e.End > cut {
-			right.events = append(right.events, e)
-		}
-	}
-	right.events = append(right.events, w.events[k:]...)
-	w.hi, w.events, w.res, w.retry = cut, left, nil, 0
+	right := &incWindow{window: w.window, dirty: true}
+	*w = incWindow{window: window{lo: lo, hi: right.lo, events: left}, dirty: true}
 	return right
 }
 

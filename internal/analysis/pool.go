@@ -11,90 +11,6 @@ import (
 // available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Pool is the streaming face of the shard worker pool: jobs are submitted
-// one at a time as a producer discovers them (RunStream dispatches a shard
-// the moment its last contributing chunk has been decoded) instead of as a
-// pre-sized index range. A pool of one executes jobs inline on the
-// submitting goroutine, so single-worker streaming is strictly sequential,
-// exactly like ForEachContext with one worker.
-//
-// The pool is context-aware: once ctx is cancelled, submitted jobs are
-// accepted but no longer executed, so Wait drains the queue at channel
-// speed instead of sweeping every remaining window. Producers observe the
-// cancellation themselves (ctx.Err()) — the pool's only job is to stop
-// burning CPU and to guarantee that Wait still joins every goroutine, so
-// cancellation never leaks workers.
-//
-// Jobs receive the index of the worker executing them (0 in inline mode),
-// so callers can give each worker private reusable scratch — the streaming
-// engine hands every worker its own overlap.Sweeper.
-type Pool struct {
-	ctx     context.Context
-	workers int
-	jobs    chan func(worker int)
-	wg      sync.WaitGroup
-}
-
-// NewPool starts a pool of workers bound to ctx; workers <= 0 selects
-// DefaultWorkers. Callers must Wait exactly once after the last Submit.
-func NewPool(ctx context.Context, workers int) *Pool {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	p := &Pool{ctx: ctx, workers: workers}
-	if workers == 1 {
-		return p // inline mode: no goroutines, no channel
-	}
-	p.jobs = make(chan func(worker int), workers)
-	p.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer p.wg.Done()
-			for fn := range p.jobs {
-				if p.ctx.Err() != nil {
-					continue // cancelled: drain without executing
-				}
-				fn(worker)
-			}
-		}(w)
-	}
-	return p
-}
-
-// Workers returns the resolved pool size — the number of distinct worker
-// indices jobs may observe.
-func (p *Pool) Workers() int { return p.workers }
-
-// Submit schedules one job. In inline mode it runs before Submit returns,
-// with worker index 0. After cancellation the job is dropped; callers
-// notice through their own ctx.Err() check.
-func (p *Pool) Submit(fn func(worker int)) {
-	if p.jobs == nil {
-		if p.ctx.Err() == nil {
-			fn(0)
-		}
-		return
-	}
-	select {
-	case p.jobs <- fn:
-	case <-p.ctx.Done():
-	}
-}
-
-// Wait closes the pool and blocks until every submitted job has finished
-// (or, after cancellation, been drained unexecuted) and every worker
-// goroutine has exited.
-func (p *Pool) Wait() {
-	if p.jobs == nil {
-		return
-	}
-	close(p.jobs)
-	p.wg.Wait()
-}
-
 // ClampWorkers resolves a worker-count option against a job count: zero or
 // negative selects DefaultWorkers, and the pool never exceeds one worker
 // per job. The result is the number of distinct worker indices
@@ -123,8 +39,7 @@ func ForEachContext(ctx context.Context, workers, n int, fn func(i int) error) e
 // workers, where w identifies the executing worker (0 <= w <
 // ClampWorkers(workers, n); each index is owned by exactly one goroutine),
 // and returns the lowest-index error, or nil. The worker index lets callers
-// thread private reusable scratch — the analysis engine gives each worker
-// its own overlap.Sweeper — without any locking.
+// thread private reusable scratch without any locking.
 //
 // workers <= 0 selects DefaultWorkers; a pool of one runs inline with no
 // goroutines, so single-worker execution is strictly sequential. Dispatch

@@ -214,6 +214,27 @@ func (e Event) Duration() vclock.Duration { return e.End.Sub(e.Start) }
 // IsPoint reports whether the event is a zero-width marker.
 func (e Event) IsPoint() bool { return e.Start == e.End }
 
+// OverlapsWindow reports whether the event intersects the half-open
+// analysis window [lo, hi): interval events by extent, point markers by
+// membership of their instant. Every analysis path routes events to windows
+// and cuts windows with this one predicate.
+func OverlapsWindow(e Event, lo, hi vclock.Time) bool {
+	if e.IsPoint() {
+		return lo <= e.Start && e.Start < hi
+	}
+	return e.End > lo && e.Start < hi
+}
+
+// DeadBefore reports whether the event ends strictly before lo and so can
+// overlap neither a window starting at lo nor any later one: a cut at lo
+// drops it and carries the still-open intervals forward.
+func DeadBefore(e Event, lo vclock.Time) bool {
+	if e.IsPoint() {
+		return e.Start < lo
+	}
+	return e.End <= lo
+}
+
 // Validate checks the internal consistency of a single event.
 func (e Event) Validate() error {
 	if e.End < e.Start {

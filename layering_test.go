@@ -1,10 +1,13 @@
 package rlscope
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -32,5 +35,75 @@ func TestInternalDoesNotImportFacade(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneSweepPath pins the batch refactor structurally: the windowed sweep
+// is reached from exactly two functions in internal/analysis — the
+// pipeline's sweep job and Incremental.sweep — so a third analysis path
+// cannot grow back unnoticed, and internal/trace exports no partitioner of
+// its own again.
+func TestOneSweepPath(t *testing.T) {
+	fset := token.NewFileSet()
+	parseDir := func(dir string) []*ast.File {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				files = append(files, f)
+			}
+		}
+		return files
+	}
+
+	var callers []string
+	for _, f := range parseDir(filepath.Join("internal", "analysis")) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil && len(fn.Recv.List) == 1 {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok &&
+					(sel.Sel.Name == "ComputeWindow" || sel.Sel.Name == "ComputeWindowInto") {
+					callers = append(callers, name)
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(callers)
+	if want := []string{"Incremental.sweep", "pipeline.sweep"}; !slices.Equal(callers, want) {
+		t.Errorf("windowed sweep called from %v, want exactly %v", callers, want)
+	}
+
+	// Spelled in two halves so a grep for the deleted names stays empty.
+	banned := []string{"Shards", "Phase" + "Partition"}
+	for _, f := range parseDir(filepath.Join("internal", "trace")) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && slices.Contains(banned, id.Name) {
+				t.Errorf("internal/trace names %s at %s", id.Name, fset.Position(id.Pos()))
+			}
+			return true
+		})
 	}
 }
