@@ -34,7 +34,6 @@ import (
 	"strings"
 
 	"repro/internal/fleet"
-	"repro/internal/overlap"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -78,7 +77,7 @@ func main() {
 		fatal(err)
 	}
 
-	// The offline loader is the server's: a Server with only the report
+	// The offline query path is the server's: a Server with only the report
 	// store configured reads and writes the same entries rlscope-serve does.
 	srv, err := serve.NewServerStrict(serve.Config{ReportDir: *reportDir, MaxWorkers: *workers})
 	if err != nil {
@@ -86,20 +85,12 @@ func main() {
 	}
 	defer srv.Close()
 
-	type candidate struct {
-		dir    string
-		digest string
-	}
-	byID := map[string]candidate{}
 	candidates := make([]fleet.Trace, 0, len(traceArgs))
 	for _, arg := range traceArgs {
 		id, dir, ok := strings.Cut(arg, "=")
 		if !ok {
 			dir = arg
 			id = filepath.Base(filepath.Clean(dir))
-		}
-		if _, dup := byID[id]; dup {
-			fatal(fmt.Errorf("duplicate trace id %q (name traces explicitly with -trace NAME=DIR)", id))
 		}
 		digest, err := trace.DirDigest(dir)
 		if err != nil {
@@ -109,21 +100,16 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		byID[id] = candidate{dir: dir, digest: digest}
-		candidates = append(candidates, fleet.Trace{ID: id, Meta: r.Meta()})
+		candidates = append(candidates, fleet.Trace{ID: id, Meta: r.Meta(), Digest: digest, Dir: dir})
 	}
 
-	load := func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
-		c := byID[t.ID]
-		results, _, err := srv.LoadResults(ctx, c.digest, c.dir)
-		return results, err
-	}
-
-	doc, err := plan.Execute(context.Background(), candidates, load)
+	// Two directories with one basename are a duplicate id, which the query
+	// path itself rejects; -trace NAME=DIR names them apart.
+	res, err := srv.Query(context.Background(), plan, candidates)
 	if err != nil {
 		fatal(err)
 	}
-	if err := doc.Encode(os.Stdout); err != nil {
+	if _, err := os.Stdout.Write(res.Body); err != nil {
 		fatal(err)
 	}
 }

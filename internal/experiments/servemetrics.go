@@ -9,6 +9,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -224,12 +225,16 @@ func formatv2Metrics(opts Options) (map[string]float64, error) {
 	}, nil
 }
 
-// fleetMetrics checks PR 9's fleet-analytics claim end to end: a grouped
+// fleetMetrics checks the fleet-analytics claims end to end: a grouped
 // POST /v1/query over several labeled runs must be byte-identical to the
 // offline fleet plan executed with fresh Engine runs per trace (the
 // rlscope-query path), and a server restarted over the same report-store
-// directory must answer the same bytes without a single Engine run.
-// Byte-equality plus run counters — a deterministic bundle.
+// directory must answer the same bytes without a single Engine run. On that
+// restarted server the document cache is then held to its contract: the
+// identical query again is a hit with identical bytes, and registering a
+// fourth run makes the next answer a miss that equals the oracle over four
+// traces. Byte-equality plus run counters and cache headers — a
+// deterministic bundle.
 func fleetMetrics(opts Options) (map[string]float64, error) {
 	ctx := opts.ctx()
 	base, err := os.MkdirTemp("", "rlscope-hyp-fleet-")
@@ -245,7 +250,9 @@ func fleetMetrics(opts Options) (map[string]float64, error) {
 		{"run-a", "ppo", 0},
 		{"run-b", "dqn", 40},
 		{"run-c", "a2c", 80},
+		{"run-d", "ppo", 120}, // registered only for the membership change
 	}
+	const initial = 3
 	dirs := map[string]string{}
 	var candidates []fleet.Trace
 	for i, run := range runs {
@@ -265,64 +272,120 @@ func fleetMetrics(opts Options) (map[string]float64, error) {
 		GroupBy: []string{"label.algo"},
 		Compare: &fleet.Compare{Baseline: map[string]string{"label.algo": "dqn"}},
 	}
-
 	// Offline oracle: the fleet plan executed with a fresh Engine run per
 	// trace — exactly what rlscope-query does without a store directory.
 	plan, err := fleet.Compile(query)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fleet: %w", err)
 	}
-	doc, err := plan.Execute(ctx, candidates, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
-		rep, err := engineResults(ctx, dirs[t.ID])
+	offline := func(candidates []fleet.Trace) ([]byte, error) {
+		doc, err := plan.Execute(ctx, candidates, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
+			rep, err := engineResults(ctx, dirs[t.ID])
+			if err != nil {
+				return nil, err
+			}
+			return rep.Results, nil
+		})
 		if err != nil {
+			return nil, fmt.Errorf("experiments: fleet: offline execute: %w", err)
+		}
+		var buf bytes.Buffer
+		if err := doc.Encode(&buf); err != nil {
 			return nil, err
 		}
-		return rep.Results, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: fleet: offline execute: %w", err)
+		return buf.Bytes(), nil
 	}
-	var offline bytes.Buffer
-	if err := doc.Encode(&offline); err != nil {
+	offline3, err := offline(candidates[:initial])
+	if err != nil {
+		return nil, err
+	}
+	offline4, err := offline(candidates)
+	if err != nil {
 		return nil, err
 	}
 
 	reportDir := filepath.Join(base, "reports")
-	serveQuery := func() ([]byte, int64, error) {
+	newServer := func() (*serve.Server, error) {
 		s, err := serve.NewServerStrict(serve.Config{ReportDir: reportDir})
 		if err != nil {
-			return nil, 0, fmt.Errorf("experiments: fleet: %w", err)
+			return nil, fmt.Errorf("experiments: fleet: %w", err)
 		}
-		defer s.Close()
-		for _, run := range runs {
+		for _, run := range runs[:initial] {
 			if _, err := s.AddDir(run.id, dirs[run.id]); err != nil {
-				return nil, 0, fmt.Errorf("experiments: fleet: %w", err)
+				s.Close()
+				return nil, fmt.Errorf("experiments: fleet: %w", err)
 			}
 		}
+		return s, nil
+	}
+	// viaClient asks the way users do, through the typed client over a
+	// socket; ask posts straight to the handler, for the cache header the
+	// client does not surface.
+	viaClient := func(s *serve.Server) ([]byte, error) {
 		ts := httptest.NewServer(s.Handler())
 		defer ts.Close()
 		body, err := client.New(ts.URL).Query(ctx, query)
 		if err != nil {
-			return nil, 0, fmt.Errorf("experiments: fleet: query: %w", err)
+			return nil, fmt.Errorf("experiments: fleet: query: %w", err)
 		}
-		return body, s.EngineRuns(), nil
+		return body, nil
+	}
+	ask := func(s *serve.Server) (body []byte, cache string, err error) {
+		queryBody, err := json.Marshal(query)
+		if err != nil {
+			return nil, "", err
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequestWithContext(ctx, "POST", "/v1/query", bytes.NewReader(queryBody)))
+		if rec.Code != http.StatusOK {
+			return nil, "", fmt.Errorf("experiments: fleet: query: %d %s", rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes(), rec.Header().Get("X-RLScope-Cache"), nil
 	}
 
 	// Cold server: one Engine run per trace, result sets land in the store.
-	cold, coldRuns, err := serveQuery()
+	coldSrv, err := newServer()
 	if err != nil {
 		return nil, err
 	}
+	cold, err := viaClient(coldSrv)
+	coldRuns := coldSrv.EngineRuns()
+	coldSrv.Close()
+	if err != nil {
+		return nil, err
+	}
+
 	// Restarted server over the same store directory: zero Engine runs.
-	warm, warmRuns, err := serveQuery()
+	s, err := newServer()
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	warm, err := viaClient(s)
+	if err != nil {
+		return nil, err
+	}
+	warmRuns := s.EngineRuns()
+
+	again, againCache, err := ask(s)
+	if err != nil {
+		return nil, err
+	}
+	fourth := runs[initial]
+	if _, err := s.AddDir(fourth.id, dirs[fourth.id]); err != nil {
+		return nil, fmt.Errorf("experiments: fleet: %w", err)
+	}
+	grown, grownCache, err := ask(s)
 	if err != nil {
 		return nil, err
 	}
 	return map[string]float64{
-		"grouped_exact":          boolMetric(bytes.Equal(cold, offline.Bytes())),
-		"warm_restart_identical": boolMetric(bytes.Equal(warm, cold)),
-		"cold_engine_runs":       float64(coldRuns),
-		"warm_engine_runs":       float64(warmRuns),
+		"grouped_exact":           boolMetric(bytes.Equal(cold, offline3)),
+		"warm_restart_identical":  boolMetric(bytes.Equal(warm, cold)),
+		"cold_engine_runs":        float64(coldRuns),
+		"warm_engine_runs":        float64(warmRuns),
+		"warm_doc_hit":            boolMetric(againCache == "hit" && bytes.Equal(again, warm)),
+		"membership_change_exact": boolMetric(grownCache == "miss" && bytes.Equal(grown, offline4)),
 	}, nil
 }
 

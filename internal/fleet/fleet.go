@@ -12,18 +12,22 @@
 // one Engine run over the concatenated member traces would report (for
 // disjoint process ids — the multi-run case by construction).
 //
-// Execute is deliberately front-end-neutral: rlscope-serve's POST /v1/query
-// and the offline rlscope-query CLI both call it with their own result
-// loader (the server reads its content-addressed report store, the CLI runs
-// the Engine or reads a shared store directory) and render the same
-// byte-stable report.QueryDoc, so server and CLI output can be compared
-// with cmp.
+// Execute is front-end-neutral — it takes the caller's result loader — and
+// renders the byte-stable report.QueryDoc. rlscope-serve's POST /v1/query
+// and the offline rlscope-query CLI reach it through one path,
+// serve.Server.Query, which Selects first and caches the encoded document
+// under ContentKey; test oracles call Execute directly with a fresh Engine
+// run per trace, so server and CLI output can be compared with cmp.
 package fleet
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,6 +43,12 @@ import (
 type Trace struct {
 	ID   string
 	Meta trace.Meta
+	// Digest is the content address of the trace (trace.DirDigest) and Dir
+	// the directory holding it. The query layer only hashes Digest into
+	// ContentKey; both are there for the front end's ResultLoader, which
+	// would otherwise keep a side table from id back to them.
+	Digest string
+	Dir    string
 }
 
 // Query is the fleet query DSL, decoded verbatim from the POST /v1/query
@@ -245,23 +255,84 @@ type group struct {
 	merged  *overlap.Result
 }
 
-// Execute runs the compiled query over the candidate traces: filter, load
-// each match's results, merge exactly per group, render the byte-stable
-// document. Candidates may arrive in any order; the document does not
-// depend on it.
-func (p *Plan) Execute(ctx context.Context, candidates []Trace, load ResultLoader) (*report.QueryDoc, error) {
-	matched := make([]Trace, 0, len(candidates))
-	seen := map[string]bool{}
-	for _, t := range candidates {
-		if seen[t.ID] {
+// Select is the first half of Execute: it rejects duplicate candidate ids
+// and returns the traces the filter matches in ascending id order — the
+// order Execute loads and lists them in. Candidates may arrive in any
+// order and are left untouched; selecting an already-selected list returns
+// it unchanged.
+func (p *Plan) Select(candidates []Trace) ([]Trace, error) {
+	sorted := slices.Clone(candidates)
+	slices.SortFunc(sorted, func(a, b Trace) int { return strings.Compare(a.ID, b.ID) })
+	matched := sorted[:0]
+	for i, t := range sorted {
+		if i > 0 && t.ID == sorted[i-1].ID {
 			return nil, queryErrf("duplicate trace id %q", t.ID)
 		}
-		seen[t.ID] = true
 		if p.matcher.Match(t) {
 			matched = append(matched, t)
 		}
 	}
-	sort.Slice(matched, func(i, j int) bool { return matched[i].ID < matched[j].ID })
+	return matched, nil
+}
+
+// ContentKey addresses the document Execute renders for an already-selected
+// list by content: a SHA-256 over the canonical query (what echo() prints)
+// and, per matched trace, its id, its Digest and its group_by values. That
+// is everything the document is a function of — membership and order come
+// from the ids, every number from the results the digests address, the
+// group keys from the values — so equal keys mean equal bytes, and any
+// registration that changes a query's answer changes its key. Every field
+// is length-prefixed and every list count-prefixed, so no two inputs share
+// an encoding.
+func (p *Plan) ContentKey(matched []Trace) string {
+	buf := make([]byte, 0, 1024)
+	num := func(n int) { buf = binary.AppendUvarint(buf, uint64(n)) }
+	str := func(s string) { num(len(s)); buf = append(buf, s...) }
+	list := func(ss []string) {
+		num(len(ss))
+		for _, s := range ss {
+			str(s)
+		}
+	}
+
+	num(len(p.matcher.dims))
+	for _, dim := range p.matcher.dims {
+		str(dim)
+		str(p.matcher.patterns[dim])
+	}
+	list(p.groupBy)
+	list(p.metrics)
+	if p.query.Compare == nil {
+		num(0)
+	} else {
+		// Compile checked the baseline names exactly the group_by
+		// dimensions, so their order spells the whole map.
+		num(1)
+		for _, dim := range p.groupBy {
+			str(p.query.Compare.Baseline[dim])
+		}
+	}
+	num(len(matched))
+	for _, t := range matched {
+		str(t.ID)
+		str(t.Digest)
+		for _, dim := range p.groupBy {
+			str(DimensionValue(t, dim))
+		}
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
+}
+
+// Execute runs the compiled query over the candidate traces: Select, load
+// each match's results, merge exactly per group, render the byte-stable
+// document. Candidates may arrive in any order; the document does not
+// depend on it.
+func (p *Plan) Execute(ctx context.Context, candidates []Trace, load ResultLoader) (*report.QueryDoc, error) {
+	matched, err := p.Select(candidates)
+	if err != nil {
+		return nil, err
+	}
 
 	groups := map[string]*group{}
 	for _, t := range matched {

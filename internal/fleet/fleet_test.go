@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -438,5 +439,116 @@ func TestExecuteBaselineMissing(t *testing.T) {
 	}
 	if _, err := plan.Execute(context.Background(), traces, staticLoader(results)); err == nil {
 		t.Fatal("compare against missing baseline group accepted")
+	}
+}
+
+// TestSelect: Select is Execute's first half — duplicate ids fail, matches
+// come back id-ascending whatever the input order, the input is untouched,
+// and selecting a selection changes nothing (which is what lets Execute run
+// over an already-selected list).
+func TestSelect(t *testing.T) {
+	traces, _ := fleetFixture()
+	plan, err := Compile(Query{Filter: map[string]string{"label.algo": "ppo"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(ts []Trace) string {
+		var out []string
+		for _, t := range ts {
+			out = append(out, t.ID)
+		}
+		return strings.Join(out, ",")
+	}
+	before := ids(traces)
+	matched, err := plan.Select(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(matched); got != "run-b,run-c" {
+		t.Fatalf("selected %s, want run-b,run-c", got)
+	}
+	if got := ids(traces); got != before {
+		t.Fatalf("Select reordered its input: %s, was %s", got, before)
+	}
+	again, err := plan.Select(matched)
+	if err != nil || ids(again) != ids(matched) {
+		t.Fatalf("re-selecting gave %s (err %v), want %s", ids(again), err, ids(matched))
+	}
+	// A duplicate fails even when the filter would have dropped it.
+	var qerr *QueryError
+	if _, err := plan.Select(append(traces, Trace{ID: "run-a"})); !errors.As(err, &qerr) {
+		t.Fatalf("duplicate id: err %v, want a QueryError", err)
+	}
+}
+
+// TestContentKey pins what the key is a function of: the canonical query
+// (not its spelling), and each matched trace's id, digest and group_by
+// values — nothing else, and each field with its own boundary.
+func TestContentKey(t *testing.T) {
+	key := func(q Query, traces ...Trace) string {
+		t.Helper()
+		plan, err := Compile(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		matched, err := plan.Select(traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.ContentKey(matched)
+	}
+	tr := func(id, digest, algo string) Trace {
+		return Trace{ID: id, Digest: digest, Meta: trace.Meta{Labels: map[string]string{"algo": algo}}}
+	}
+	q := Query{
+		Filter:  map[string]string{"label.algo": "*"},
+		GroupBy: []string{"label.algo"},
+		Metrics: []string{MetricTotalNS, MetricGPUNS},
+		Compare: &Compare{Baseline: map[string]string{"label.algo": "dqn"}},
+	}
+	a, b := tr("a", "d1", "ppo"), tr("b", "d2", "dqn")
+	base := key(q, a, b)
+
+	same := map[string]string{
+		"candidate order": key(q, b, a),
+		"duplicate metrics and dimensions": key(Query{
+			Filter:  q.Filter,
+			GroupBy: []string{"label.algo", "label.algo"},
+			Metrics: []string{MetricTotalNS, MetricGPUNS, MetricTotalNS},
+			Compare: q.Compare,
+		}, a, b),
+		"a label no group_by reads": key(q, a, Trace{ID: "b", Digest: "d2", Meta: trace.Meta{
+			Workload: "w", Labels: map[string]string{"algo": "dqn", "note": "x"},
+		}}),
+	}
+	for name, k := range same {
+		if k != base {
+			t.Errorf("%s changed the key", name)
+		}
+	}
+	narrow := Query{Filter: map[string]string{"label.algo": "ppo"}, GroupBy: q.GroupBy}
+	if key(narrow, a) != key(narrow, a, b) {
+		t.Error("a candidate the filter rejects changed the key")
+	}
+
+	different := map[string]string{
+		"a digest":         key(q, a, tr("b", "d2'", "dqn")),
+		"an id":            key(q, a, tr("b2", "d2", "dqn")),
+		"a group_by value": key(q, tr("a", "d1", "a2c"), b),
+		"a new member":     key(q, a, b, tr("c", "d3", "ppo")),
+		"the metrics":      key(Query{Filter: q.Filter, GroupBy: q.GroupBy, Metrics: []string{MetricTotalNS}, Compare: q.Compare}, a, b),
+		"the metric order": key(Query{Filter: q.Filter, GroupBy: q.GroupBy, Metrics: []string{MetricGPUNS, MetricTotalNS}, Compare: q.Compare}, a, b),
+		"the filter":       key(Query{Filter: map[string]string{"label.algo": "?*"}, GroupBy: q.GroupBy, Metrics: q.Metrics, Compare: q.Compare}, a, b),
+		"the compare":      key(Query{Filter: q.Filter, GroupBy: q.GroupBy, Metrics: q.Metrics}, a, b),
+		"the baseline":     key(Query{Filter: q.Filter, GroupBy: q.GroupBy, Metrics: q.Metrics, Compare: &Compare{Baseline: map[string]string{"label.algo": "ppo"}}}, a, b),
+		"the group_by":     key(Query{Filter: q.Filter, Metrics: q.Metrics}, a, b),
+		"a field boundary": key(q, tr("a", "d1", "ppo"), tr("b", "d", "2dqn")),
+	}
+	seen := map[string]string{base: "the base"}
+	for name, k := range different {
+		if other, ok := seen[k]; ok {
+			t.Errorf("changing %s gives the key of %s", name, other)
+		}
+		seen[k] = name
 	}
 }

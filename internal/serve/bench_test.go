@@ -111,11 +111,11 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetQueryWarm measures the fleet steady state the report store
-// buys: a grouped query over several traces whose result sets are all
-// stored — per trace one store lookup, one decode, one exact merge, then
-// one document render. The closing counter check proves no iteration paid
-// an Engine run.
+// BenchmarkFleetQueryWarm measures the fleet steady state: a grouped query
+// repeated over an unchanged fleet is a document hit — decode and compile
+// the query, select, hash the content key, one LRU lookup, write the stored
+// bytes; no result set is decoded, nothing merged or rendered. The closing
+// counter check proves no iteration paid an Engine run.
 func BenchmarkFleetQueryWarm(b *testing.B) {
 	s := NewServer(Config{})
 	b.Cleanup(s.Close)
@@ -135,7 +135,7 @@ func BenchmarkFleetQueryWarm(b *testing.B) {
 		}
 		return rec
 	}
-	rec := query() // warm the result-set store
+	rec := query() // the miss: fills the result-set store and the document cache
 	warmRuns := s.EngineRuns()
 	b.SetBytes(int64(rec.Body.Len()))
 	b.ReportAllocs()

@@ -5,12 +5,14 @@
 // offline rlscope-query CLI prints for the same traces and query, so the
 // two can be compared with cmp.
 //
-// Per-trace results come from the tiered report store: the full-fidelity
-// result set of each trace is cached under its content digest alone
-// (ResultSetKey — results are byte-identical at any worker count, so no
-// options belong in the key), which makes an N-trace query over a warm
-// store N store lookups plus an exact in-memory merge, zero Engine runs.
-// Misses fall back to a singleflight-deduplicated Engine run whose encoded
+// The document is cached encoded, by content (Server.Query): a repeat of a
+// query over an unchanged fleet is one LRU lookup. Behind that, per-trace
+// results come from the tiered report store: the full-fidelity result set
+// of each trace is cached under its content digest alone (ResultSetKey —
+// results are byte-identical at any worker count, so no options belong in
+// the key), which makes an N-trace document miss over a warm store N store
+// lookups plus an exact in-memory merge, zero Engine runs. Result-set
+// misses fall back to a singleflight-deduplicated Engine run whose encoded
 // result set immediately lands back in the store — on disk when the server
 // has a -store-reports directory, so the warmth survives restarts and is
 // shared by every server pointed at the same directory.
@@ -21,6 +23,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -37,13 +40,70 @@ import (
 // start with the bare digest.
 func ResultSetKey(digest string) string { return "rs|" + digest }
 
-// queryCandidate pairs a fleet candidate with what the loader needs to
-// produce its results: the content digest (store address) and the trace
-// directory (Engine fallback).
-type queryCandidate struct {
-	t      fleet.Trace
-	digest string
-	dir    string
+// queryKey addresses an encoded query document in the report cache by the
+// plan's content key. Query documents live in the memory tier only: the
+// disk tier keeps what costs an Engine run (result sets, analysis
+// documents), memory keeps what costs a merge — every registration changes
+// the key of each query it matches, and that churn must not become files.
+func queryKey(contentKey string) string { return "q|" + contentKey }
+
+// QueryResult is one answered fleet query: the encoded report.QueryDoc,
+// how the cache answered it ("hit", "miss", or "dedup" when an identical
+// in-flight query computed it), and the Engine runs this call itself paid
+// for — runs another in-flight query computed or the store absorbed don't
+// count, which is exactly what a warm-store assertion wants to read.
+type QueryResult struct {
+	Body       []byte
+	Cache      string
+	EngineRuns int
+}
+
+// Query answers plan over candidates (each carrying its Digest and Dir) —
+// the one fleet query path, behind POST /v1/query and rlscope-query alike.
+// The document is a pure function of the plan and the selected traces'
+// content, so it is cached encoded under the plan's ContentKey: a repeat is
+// one LRU lookup, and a miss runs Execute once however many identical
+// queries are waiting. Selection runs first either way, so an invalid
+// candidate list fails on a hit exactly as on a miss; only successful
+// documents are stored, and nothing is ever purged — a changed fleet is a
+// changed key.
+func (s *Server) Query(ctx context.Context, plan *fleet.Plan, candidates []fleet.Trace) (QueryResult, error) {
+	matched, err := plan.Select(candidates)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	key := queryKey(plan.ContentKey(matched))
+	if body, ok := s.store.lru.get(key); ok {
+		return QueryResult{Body: body, Cache: "hit"}, nil
+	}
+	// engineRuns is written on the flight's goroutine and read only once do
+	// has returned the flight's result, which orders the two.
+	engineRuns := 0
+	body, shared, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
+		doc, err := plan.Execute(runCtx, matched, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
+			results, ran, err := s.LoadResults(ctx, t.Digest, t.Dir)
+			if ran {
+				engineRuns++
+			}
+			return results, err
+		})
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if err := doc.Encode(&buf); err != nil {
+			return nil, fmt.Errorf("encoding query document: %w", err)
+		}
+		s.store.lru.add(key, buf.Bytes())
+		return buf.Bytes(), nil
+	})
+	if err != nil {
+		return QueryResult{}, err
+	}
+	if shared {
+		return QueryResult{Body: body, Cache: "dedup"}, nil
+	}
+	return QueryResult{Body: body, Cache: "miss", EngineRuns: engineRuns}, nil
 }
 
 // handleQuery is POST /v1/query.
@@ -60,28 +120,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error())
 		return
 	}
-
-	candidates := s.queryCandidates()
-	byID := make(map[string]queryCandidate, len(candidates))
-	traces := make([]fleet.Trace, 0, len(candidates))
-	for _, c := range candidates {
-		byID[c.t.ID] = c
-		traces = append(traces, c.t)
-	}
-
-	// engineRuns counts the Engine work this query itself paid for —
-	// runs another in-flight query computed (singleflight shared) or the
-	// store absorbed don't count, which is exactly what a warm-store
-	// assertion wants to read.
-	engineRuns := 0
-	doc, err := plan.Execute(r.Context(), traces, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
-		c := byID[t.ID]
-		results, ran, err := s.LoadResults(ctx, c.digest, c.dir)
-		if ran {
-			engineRuns++
-		}
-		return results, err
-	})
+	res, err := s.Query(r.Context(), plan, s.queryCandidates())
 	if err != nil {
 		var qerr *fleet.QueryError
 		if errors.As(err, &qerr) {
@@ -91,38 +130,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	var buf bytes.Buffer
-	if err := doc.Encode(&buf); err != nil {
-		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding query document: "+err.Error())
-		return
-	}
-	w.Header().Set("X-RLScope-Engine-Runs", strconv.Itoa(engineRuns))
-	writeBody(w, buf.Bytes())
+	w.Header().Set("X-RLScope-Cache", res.Cache)
+	w.Header().Set("X-RLScope-Engine-Runs", strconv.Itoa(res.EngineRuns))
+	writeBody(w, res.Body)
 }
 
 // queryCandidates snapshots every sealed trace as a fleet candidate:
 // registered directories plus sealed live traces. Open live traces are
 // excluded — their content (and digest) is still moving, so they have no
 // stable result set to aggregate; seal them to make them queryable.
-func (s *Server) queryCandidates() []queryCandidate {
+func (s *Server) queryCandidates() []fleet.Trace {
 	s.mu.RLock()
-	entries := make([]*traceEntry, 0, len(s.ids))
+	out := make([]fleet.Trace, 0, len(s.ids)+len(s.liveIDs))
 	for _, id := range s.ids {
-		entries = append(entries, s.traces[id])
+		e := s.traces[id]
+		out = append(out, fleet.Trace{ID: e.id, Meta: e.meta, Digest: e.info.Digest, Dir: e.dir})
 	}
 	lives := make([]*liveTrace, 0, len(s.liveIDs))
 	for _, id := range s.liveIDs {
 		lives = append(lives, s.lives[id])
 	}
 	s.mu.RUnlock()
-	out := make([]queryCandidate, 0, len(entries)+len(lives))
-	for _, e := range entries {
-		out = append(out, queryCandidate{
-			t:      fleet.Trace{ID: e.id, Meta: e.meta},
-			digest: e.info.Digest,
-			dir:    e.dir,
-		})
-	}
+	// Live rows are read outside the registry lock: each takes its trace's
+	// own locks, which an in-flight append or analyze may hold.
 	for _, lt := range lives {
 		lt.pmu.Lock()
 		sealed := lt.sink.Sealed()
@@ -134,11 +164,7 @@ func (s *Server) queryCandidates() []queryCandidate {
 		lt.amu.Lock()
 		meta := lt.meta
 		lt.amu.Unlock()
-		out = append(out, queryCandidate{
-			t:      fleet.Trace{ID: lt.id, Meta: meta},
-			digest: digest,
-			dir:    lt.sink.Dir(),
-		})
+		out = append(out, fleet.Trace{ID: lt.id, Meta: meta, Digest: digest, Dir: lt.sink.Dir()})
 	}
 	return out
 }
@@ -162,8 +188,13 @@ func (s *Server) LoadResults(ctx context.Context, digest, dir string) (results m
 	// returned the flight's result, which orders the two.
 	paid := false
 	body, _, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
+		// A flight that lost a fill race can answer from the store — but
+		// only with a blob that decodes, or the stale one above would be
+		// served straight back and never overwritten.
 		if body, ok := s.store.get(key); ok {
-			return body, nil
+			if _, err := report.DecodeResultSet(body); err == nil {
+				return body, nil
+			}
 		}
 		rep, err := s.run(runCtx, dir, s.canonicalize(AnalyzeRequest{}))
 		if err != nil {

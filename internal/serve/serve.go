@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,11 +105,13 @@ type Server struct {
 // registry; handlers holding the old pointer keep a consistent (if stale)
 // read-only view.
 type traceEntry struct {
-	id      string
-	info    TraceInfo
-	dir     string
-	meta    trace.Meta
-	summary *TraceSummary
+	id   string
+	info TraceInfo
+	dir  string
+	meta trace.Meta
+	// summary is the encoded TraceSummary: the entry never changes, so
+	// GET /summary serves these bytes instead of re-rendering them.
+	summary []byte
 }
 
 // TraceInfo is one registered trace's identity row (GET /v1/traces).
@@ -264,7 +267,11 @@ func newTraceEntry(id, dir string) (*traceEntry, error) {
 	summary.Host = meta.Host
 	summary.Labels = meta.Labels
 	summary.State = StateSealed
-	return &traceEntry{id: id, info: summary.TraceInfo, dir: dir, meta: meta, summary: summary}, nil
+	var body bytes.Buffer
+	if err := encodeJSON(&body, summary); err != nil {
+		return nil, fmt.Errorf("serve: encoding summary of %s: %w", dir, err)
+	}
+	return &traceEntry{id: id, info: summary.TraceInfo, dir: dir, meta: meta, summary: body.Bytes()}, nil
 }
 
 // buildSummary derives a trace summary from sidecar indexes alone — no
@@ -456,7 +463,7 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
 		return
 	}
-	writeJSON(w, http.StatusOK, entry.summary)
+	writeBody(w, entry.summary)
 }
 
 // canonical is an analyze request normalized to its cache-key form:
@@ -481,14 +488,9 @@ func (s *Server) canonicalize(req AnalyzeRequest) canonical {
 		c.maxResident = req.MaxResidentBytes
 	}
 	if len(req.Procs) > 0 {
-		seen := map[trace.ProcID]bool{}
-		for _, p := range req.Procs {
-			if !seen[p] {
-				seen[p] = true
-				c.procs = append(c.procs, p)
-			}
-		}
-		sort.Slice(c.procs, func(i, j int) bool { return c.procs[i] < c.procs[j] })
+		c.procs = slices.Clone(req.Procs)
+		slices.Sort(c.procs)
+		c.procs = slices.Compact(c.procs)
 	}
 	return c
 }
@@ -655,10 +657,16 @@ func writeBody(w http.ResponseWriter, body []byte) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	encodeJSON(w, v)
+}
+
+// encodeJSON is the one spelling of the service's JSON: two-space indent,
+// no HTML escaping, trailing newline.
+func encodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	return enc.Encode(v)
 }
 
 // Stable machine-readable error codes. Every /v1 error body is the
