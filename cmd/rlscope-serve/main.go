@@ -66,6 +66,15 @@ import (
 	"repro/internal/serve"
 )
 
+// Connection timeouts. A client that never finishes its request headers, or
+// parks a keep-alive connection, would otherwise hold it forever. There is
+// deliberately no ReadTimeout or WriteTimeout: an append body may be 64 MiB
+// over a slow link and an analysis may run for as long as its trace needs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	var (
 		listen     = flag.String("listen", ":8080", "address to serve on")
@@ -120,7 +129,12 @@ func main() {
 			info.ID, dir, info.Chunks, info.Events, info.Procs, info.Digest)
 	}
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *listen,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "rlscope-serve: listening on %s\n", *listen)

@@ -420,7 +420,7 @@ func sweepStressEvents(total, depth int) []trace.Event {
 }
 
 // minSweepTime returns the minimum wall time of the incremental sweep over
-// several repetitions — min-of-K, like benchgate, to shed scheduler noise.
+// several repetitions — min-of-K, to shed scheduler noise.
 func minSweepTime(ctx context.Context, events []trace.Event) (time.Duration, error) {
 	const reps = 5
 	best := time.Duration(0)

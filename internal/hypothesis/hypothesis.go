@@ -4,7 +4,7 @@
 // set of conditions over named experiment metrics; the evaluator runs the
 // required experiment cells (one per ⟨experiment, steps, seed⟩, shared
 // across hypotheses), classifies each claim, and emits a machine-readable
-// verdict document CI can gate on, the way benchgate gates performance.
+// verdict document CI can gate on.
 //
 // The rigor rules follow the BLIS experiment standards (SNIPPETS.md
 // snippet 3). Every hypothesis is classified before evaluation:

@@ -19,3 +19,18 @@ func BenchmarkMultiHostMerge(b *testing.B) {
 		}
 	}
 }
+
+// TestMergeAllocs pins "no per-event allocation in alignment": merging the
+// distributed fixture's ~89k events allocates per host, per process and per
+// output slice only.
+func TestMergeAllocs(t *testing.T) {
+	inputs := distTraces(t)
+	got := testing.AllocsPerRun(10, func() {
+		if _, _, err := MergeTraces(inputs, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 103 {
+		t.Errorf("merge of %d hosts' traces: %.0f allocs, want <= 103", len(inputs), got)
+	}
+}

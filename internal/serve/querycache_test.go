@@ -355,9 +355,10 @@ func warmAllocs(t *testing.T, h http.Handler, method, target, body string) float
 	return testing.AllocsPerRun(200, serve)
 }
 
-// TestWarmReadAllocs pins what a warm fleet query and a warm summary cost.
-// Both serve stored bytes, so the counts are small and exact: a rise means
-// a decode, a merge or a render crept back onto the hit path.
+// TestWarmReadAllocs pins what a warm fleet query, a warm summary and an
+// analyze cache hit cost. All three serve stored bytes, so the counts are
+// small and exact: a rise means a decode, a merge, a render or an Engine
+// run crept back onto the hit path.
 func TestWarmReadAllocs(t *testing.T) {
 	s := NewServer(Config{MaxWorkers: 2})
 	t.Cleanup(s.Close)
@@ -371,6 +372,7 @@ func TestWarmReadAllocs(t *testing.T) {
 	}{
 		{"query", "POST", "/v1/query", query, 43},
 		{"summary", "GET", "/v1/traces/run-a/summary", "", 6},
+		{"analyze", "POST", "/v1/traces/run-a/analyze", `{"workers":1}`, 23},
 	} {
 		if got := warmAllocs(t, h, pin.method, pin.target, pin.body); got > pin.max {
 			t.Errorf("warm %s: %.0f allocs per request, want <= %.0f", pin.name, got, pin.max)

@@ -163,6 +163,33 @@ func TestColumnChunkIteration(t *testing.T) {
 	}
 }
 
+// TestColumnParseAllocs pins the streaming hot path's allocation fact:
+// framing a workload-shaped v2 chunk into a reused ColumnChunk and Interner
+// and sweeping its extents materializes nothing, so once the chunk's scratch
+// and the name dictionary are warm it allocates nothing at all.
+func TestColumnParseAllocs(t *testing.T) {
+	const n = 8192
+	frame := seedChunkV2(workloadishEvents(rand.New(rand.NewSource(17)), n))
+	in := NewInterner()
+	var cc ColumnChunk
+	parse := func() {
+		if err := cc.Parse(frame, in); err != nil {
+			t.Fatal(err)
+		}
+		swept := 0
+		if err := cc.Times(func(int, vclock.Time, vclock.Time) bool { swept++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if swept != n {
+			t.Fatalf("swept %d of %d events", swept, n)
+		}
+	}
+	parse()
+	if got := testing.AllocsPerRun(100, parse); got != 0 {
+		t.Errorf("warm Parse + Times of a %d-event chunk: %.0f allocs, want 0", n, got)
+	}
+}
+
 // TestWriterFormatV2 proves the end-to-end v2 write path: a Writer opened
 // with WithFormat(FormatV2) emits columnar chunks that ReadColumns serves
 // without materialization, and a chunk-order sweep reproduces the write

@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -105,5 +107,73 @@ func TestOneSweepPath(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// docNames matches the names README.md and DESIGN.md use for things in the
+// tree: an internal package, a command (by path or by binary name) and a
+// benchmark function.
+var docNames = regexp.MustCompile(`\binternal/[a-z0-9_]+|\bcmd/[a-z0-9-]+|\brlscope-[a-z0-9-]+|\bBenchmark[A-Z]\w*`)
+
+// TestDocsNameWhatExists fails when README.md or DESIGN.md names a package,
+// command or benchmark that is no longer in the tree, so a deletion cannot
+// leave its documentation behind.
+func TestDocsNameWhatExists(t *testing.T) {
+	benchmarks := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
+				benchmarks[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isDir := func(path string) bool {
+		fi, err := os.Stat(path)
+		return err == nil && fi.IsDir()
+	}
+	// The CI badge URL's organisation and repository.
+	allowed := map[string]bool{"rlscope-repro": true}
+
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(text), "\n") {
+			for _, name := range docNames.FindAllString(line, -1) {
+				var ok bool
+				switch {
+				case allowed[name]:
+					ok = true
+				case strings.HasPrefix(name, "Benchmark"):
+					ok = benchmarks[name]
+				case strings.HasPrefix(name, "rlscope-"):
+					ok = isDir(filepath.Join("cmd", name))
+				default:
+					ok = isDir(name)
+				}
+				if !ok {
+					t.Errorf("%s:%d names %s, which is not in the tree", doc, i+1, name)
+				}
+			}
+		}
 	}
 }
