@@ -72,8 +72,11 @@ func StreamReplay(opts Options) (*StreamReplayResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: stream replay: %w", err)
 	}
+	// One worker: windows are swept inline in fixed process order, so the
+	// peak-residency figures the hypothesis grid reports repeat exactly
+	// instead of following worker interleaving.
 	streamed, stats, err := analysis.RunStreamContext(opts.ctx(), r, analysis.Options{
-		Workers: 0, MaxResidentBytes: budget,
+		Workers: 1, MaxResidentBytes: budget,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: stream replay: %w", err)

@@ -31,6 +31,7 @@ package profiler
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"repro/internal/cuda"
@@ -126,26 +127,59 @@ func (p *Profiler) NewProcess(name string, parent trace.ProcID, start vclock.Tim
 	return s
 }
 
-// Trace assembles the full run trace across all sessions. Sessions must be
-// closed first.
-func (p *Profiler) Trace() (*trace.Trace, error) {
+// sortedSessions returns each session's events in Sort order, session by
+// session, and the run's metadata. Sessions sort concurrently (each at most
+// once: see Session.sortedEvents). The slices are the sessions' caches:
+// read-only.
+func (p *Profiler) sortedSessions() ([][]trace.Event, trace.Meta, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t := &trace.Trace{
-		Meta: trace.Meta{
-			Workload: p.opts.Workload,
-			Host:     p.opts.Host,
-			Config:   p.opts.Flags,
-			Procs:    map[trace.ProcID]trace.ProcInfo{},
-		},
+	meta := trace.Meta{
+		Workload: p.opts.Workload,
+		Host:     p.opts.Host,
+		Config:   p.opts.Flags,
+		Procs:    make(map[trace.ProcID]trace.ProcInfo, len(p.sessions)),
 	}
 	for _, s := range p.sessions {
 		if !s.closed {
-			return nil, fmt.Errorf("profiler: session %q (proc %d) not closed", s.name, s.proc)
+			return nil, meta, fmt.Errorf("profiler: session %q (proc %d) not closed", s.name, s.proc)
 		}
-		t.Meta.Procs[s.proc] = trace.ProcInfo{Name: s.name, Parent: s.parent}
-		t.Events = append(t.Events, s.events...)
+		meta.Procs[s.proc] = trace.ProcInfo{Name: s.name, Parent: s.parent}
 	}
+	sorted := make([][]trace.Event, len(p.sessions))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	for i, s := range p.sessions {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			sorted[i] = s.sortedEvents()
+			<-sem
+		}()
+	}
+	wg.Wait()
+	return sorted, meta, nil
+}
+
+// Trace assembles the full run trace across all sessions. Sessions must be
+// closed first. The returned trace is the caller's: its events are a copy
+// of the sessions' sorted buffers.
+func (p *Profiler) Trace() (*trace.Trace, error) {
+	sorted, meta, err := p.sortedSessions()
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, evs := range sorted {
+		n += len(evs)
+	}
+	t := &trace.Trace{Meta: meta, Events: make([]trace.Event, 0, n)}
+	for _, evs := range sorted {
+		t.Events = append(t.Events, evs...)
+	}
+	// Sessions are created in ProcID order and each is sorted, so this is
+	// the O(n) check.
 	t.Sort()
 	return t, nil
 }
@@ -163,7 +197,7 @@ func (p *Profiler) MustTrace() *trace.Trace {
 // WriteTo persists the run's trace to dir with the chunked asynchronous
 // trace writer (paper Appendix A.1). Sessions must be closed first.
 func (p *Profiler) WriteTo(dir string) error {
-	t, err := p.Trace()
+	sorted, meta, err := p.sortedSessions()
 	if err != nil {
 		return err
 	}
@@ -171,8 +205,7 @@ func (p *Profiler) WriteTo(dir string) error {
 	if err != nil {
 		return err
 	}
-	w.Append(t.Events...)
-	return w.Close(t.Meta)
+	return writeSessions(w, sorted, meta)
 }
 
 // WriteToSink persists the run's trace through an arbitrary chunk sink —
@@ -181,13 +214,21 @@ func (p *Profiler) WriteTo(dir string) error {
 // store (client.Sink) instead of writing a local directory. Sessions must
 // be closed first.
 func (p *Profiler) WriteToSink(sink trace.Sink) error {
-	t, err := p.Trace()
+	sorted, meta, err := p.sortedSessions()
 	if err != nil {
 		return err
 	}
-	w := trace.NewSinkWriter(sink, 0)
-	w.Append(t.Events...)
-	return w.Close(t.Meta)
+	return writeSessions(trace.NewSinkWriter(sink, 0), sorted, meta)
+}
+
+// writeSessions feeds the sorted sessions to w in order — the event
+// sequence of Trace() without assembling it; the Writer encodes its chunks
+// straight out of the sessions' buffers.
+func writeSessions(w *trace.Writer, sorted [][]trace.Event, meta trace.Meta) error {
+	for _, evs := range sorted {
+		w.Append(evs...)
+	}
+	return w.Close(meta)
 }
 
 // OverheadCounts sums book-keeping occurrence counts across sessions —

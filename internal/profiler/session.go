@@ -1,8 +1,10 @@
 package profiler
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -21,7 +23,14 @@ type Session struct {
 	parent trace.ProcID
 	clock  *vclock.Clock
 
-	events    []trace.Event
+	// Recorded events live in fixed-capacity blocks: full is the filled
+	// ones, cur the open one. A block is never regrown, so recording an
+	// event writes it once and copies nothing. sortedEvents moves them into
+	// sorted, after which the blocks are released.
+	full   [][]trace.Event
+	cur    []trace.Event
+	sorted []trace.Event
+
 	rootStart vclock.Time
 	closed    bool
 
@@ -50,9 +59,82 @@ func (s *Session) Name() string { return s.name }
 // Clock returns the process's virtual clock.
 func (s *Session) Clock() *vclock.Clock { return s.clock }
 
-// Emit records one event into the session buffer.
+// blockEvents is the capacity of a session's event blocks: large enough
+// that the per-block allocation is noise against 2048 Emit calls, small
+// enough that the open block's unused tail is. The first blocks double up
+// to it from minBlockEvents, so a process that records a handful of events
+// holds a handful of slots.
+const (
+	blockEvents    = 2048
+	minBlockEvents = 32
+)
+
+// Emit records one event into the session buffer. The event must belong to
+// this session's process.
 func (s *Session) Emit(e trace.Event) {
-	s.events = append(s.events, e)
+	if e.Proc != s.proc {
+		panic(fmt.Sprintf("profiler: session %q (proc %d) asked to record an event of proc %d", s.name, s.proc, e.Proc))
+	}
+	if len(s.cur) == cap(s.cur) {
+		s.newBlock()
+	}
+	s.cur = append(s.cur, e)
+}
+
+func (s *Session) newBlock() {
+	n := minBlockEvents
+	if len(s.cur) > 0 {
+		s.full = append(s.full, s.cur)
+		n = min(2*cap(s.cur), blockEvents)
+	}
+	s.cur = make([]trace.Event, 0, n)
+}
+
+// sortKey is what sortedEvents sorts in place of the events themselves: it
+// holds no pointer, so moving one costs no write barrier, and pos says where
+// the event is — block<<32 | offset, which is also its emission rank.
+type sortKey struct {
+	start, end vclock.Time
+	pos        uint64
+}
+
+// sortedEvents returns the session's events in trace.Trace.Sort order. The
+// first call after recording sorts one key per event and gathers the events
+// out of their blocks into one exact-size slice, which is cached (the
+// blocks are released) and shared: callers must not modify it. Events of
+// one session share its Proc, which leaves (Start, End descending) as the
+// order, and the sort is stable, so ties keep emission order exactly as a
+// stable sort of the whole trace would.
+func (s *Session) sortedEvents() []trace.Event {
+	if len(s.cur) == 0 { // the open block is empty only when nothing was recorded
+		return s.sorted
+	}
+	// Events recorded after an earlier call (nothing in this repository
+	// does) sort in behind the cached ones, as one stable sort would.
+	src := make([][]trace.Event, 0, len(s.full)+2)
+	src = append(append(append(src, s.sorted), s.full...), s.cur)
+	n := 0
+	for _, b := range src {
+		n += len(b)
+	}
+	keys := make([]sortKey, 0, n)
+	for i, b := range src {
+		for j := range b {
+			keys = append(keys, sortKey{b[j].Start, b[j].End, uint64(i)<<32 | uint64(j)})
+		}
+	}
+	slices.SortStableFunc(keys, func(a, b sortKey) int {
+		if c := cmp.Compare(a.start, b.start); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.end, a.end)
+	})
+	out := make([]trace.Event, n)
+	for i, k := range keys {
+		out[i] = src[k.pos>>32][uint32(k.pos)]
+	}
+	s.full, s.cur, s.sorted = nil, nil, out
+	return out
 }
 
 // Overhead executes one occurrence of profiler book-keeping: if the feature

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -44,72 +43,58 @@ const (
 	chunkVersion = 1
 )
 
+// v1EventBytesHint presizes a v1 frame: three header bytes, a one-byte proc,
+// a two-to-four-byte start delta, a duration and a one-byte name reference
+// come to 10–14 bytes for the events the profiler records. A chunk that
+// needs more (wide deltas, many distinct names) grows by append.
+const v1EventBytesHint = 16
+
 // EncodeChunk writes events as one v1 binary chunk to w.
 func EncodeChunk(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(chunkMagic); err != nil {
+	frame, err := encodeChunkV1(events)
+	if err != nil {
 		return err
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	putVarint := func(v int64) error {
-		n := binary.PutVarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	if err := putUvarint(chunkVersion); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(events))); err != nil {
-		return err
-	}
+	_, err = w.Write(frame)
+	return err
+}
+
+// encodeChunkV1 is the v1 encoder: it appends every field into one presized
+// frame buffer and returns it.
+func encodeChunkV1(events []Event) ([]byte, error) {
+	dst := make([]byte, 0, 16+len(events)*v1EventBytesHint)
+	dst = append(dst, chunkMagic...)
+	dst = binary.AppendUvarint(dst, chunkVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(events)))
 	strings := map[string]uint64{}
+	var ref uint64 // the previous event's string-table reference
 	var prevStart int64
-	for _, e := range events {
-		if err := bw.WriteByte(byte(e.Kind)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(e.Cat)); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(e.Overhead)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(e.Proc)); err != nil {
-			return err
-		}
-		if err := putVarint(int64(e.Start) - prevStart); err != nil {
-			return err
-		}
-		prevStart = int64(e.Start)
+	for i := range events {
+		e := &events[i]
 		if e.End < e.Start {
-			return fmt.Errorf("trace: encode: event %q has negative duration", e.Name)
+			return nil, fmt.Errorf("trace: encode: event %q has negative duration", e.Name)
 		}
-		if err := putUvarint(uint64(e.End - e.Start)); err != nil {
-			return err
+		dst = append(dst, byte(e.Kind), byte(e.Cat), byte(e.Overhead))
+		dst = binary.AppendUvarint(dst, uint64(e.Proc))
+		dst = binary.AppendVarint(dst, int64(e.Start)-prevStart)
+		prevStart = int64(e.Start)
+		dst = binary.AppendUvarint(dst, uint64(e.End-e.Start))
+		// A run of one name (a kernel relaunched, an API called in a loop)
+		// reuses the previous reference without a map lookup.
+		if i == 0 || e.Name != events[i-1].Name {
+			var ok bool
+			if ref, ok = strings[e.Name]; !ok {
+				ref = uint64(len(strings))
+				strings[e.Name] = ref
+				dst = binary.AppendUvarint(dst, ref)
+				dst = binary.AppendUvarint(dst, uint64(len(e.Name)))
+				dst = append(dst, e.Name...)
+				continue
+			}
 		}
-		ref, ok := strings[e.Name]
-		if !ok {
-			ref = uint64(len(strings))
-			strings[e.Name] = ref
-			if err := putUvarint(ref); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(len(e.Name))); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(e.Name); err != nil {
-				return err
-			}
-		} else if err := putUvarint(ref); err != nil {
-			return err
-		}
+		dst = binary.AppendUvarint(dst, ref)
 	}
-	return bw.Flush()
+	return dst, nil
 }
 
 // v1Decoder holds the reusable scratch of one v1 decode: the incremental

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -132,6 +133,18 @@ func EncodeChunkV2(w io.Writer, events []Event) error {
 	}
 	_, err = w.Write(frame)
 	return err
+}
+
+// encodeChunkV2 returns events as one columnar frame the caller owns (the
+// encoder's own frame is pooled scratch).
+func encodeChunkV2(events []Event) ([]byte, error) {
+	enc := v2EncPool.Get().(*v2Encoder)
+	defer v2EncPool.Put(enc)
+	frame, err := enc.encode(events)
+	if err != nil {
+		return nil, err
+	}
+	return bytes.Clone(frame), nil
 }
 
 func (e *v2Encoder) encode(events []Event) ([]byte, error) {

@@ -72,22 +72,29 @@ func BuildChunkIndex(events []Event, encodedBytes int64) *ChunkIndex {
 		Bytes:   encodedBytes,
 		Procs:   map[ProcID]ProcSpan{},
 	}
-	for _, e := range events {
-		sp, ok := ix.Procs[e.Proc]
+	// Events arrive in runs of one process (a sorted trace is one run per
+	// process), so a run's span is accumulated in a local and the map is
+	// touched once per run, not twice per event.
+	for i := 0; i < len(events); {
+		proc := events[i].Proc
+		sp, ok := ix.Procs[proc]
 		if !ok {
-			sp = ProcSpan{MinStart: e.Start, MaxEnd: e.End}
+			sp = ProcSpan{MinStart: events[i].Start, MaxEnd: events[i].End}
 		}
-		if e.Start < sp.MinStart {
-			sp.MinStart = e.Start
+		for ; i < len(events) && events[i].Proc == proc; i++ {
+			e := &events[i]
+			if e.Start < sp.MinStart {
+				sp.MinStart = e.Start
+			}
+			if e.End > sp.MaxEnd {
+				sp.MaxEnd = e.End
+			}
+			sp.Events++
+			if e.Kind == KindPhase {
+				ix.Phases = append(ix.Phases, *e)
+			}
 		}
-		if e.End > sp.MaxEnd {
-			sp.MaxEnd = e.End
-		}
-		sp.Events++
-		ix.Procs[e.Proc] = sp
-		if e.Kind == KindPhase {
-			ix.Phases = append(ix.Phases, e)
-		}
+		ix.Procs[proc] = sp
 	}
 	return ix
 }

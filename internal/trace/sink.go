@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding"
 	"encoding/hex"
@@ -274,15 +273,14 @@ func EncodeEvents(events []Event) (chunk []byte, index *ChunkIndex, err error) {
 // schema version, not the chunk's), so sinks — local directories, the
 // network ingest path — handle either format without caring which.
 func EncodeEventsFormat(events []Event, f Format) (chunk []byte, index *ChunkIndex, err error) {
-	var buf bytes.Buffer
 	switch f {
 	case FormatV2:
-		err = EncodeChunkV2(&buf, events)
+		chunk, err = encodeChunkV2(events)
 	default:
-		err = EncodeChunk(&buf, events)
+		chunk, err = encodeChunkV1(events)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return buf.Bytes(), BuildChunkIndex(events, int64(buf.Len())), nil
+	return chunk, BuildChunkIndex(events, int64(len(chunk))), nil
 }

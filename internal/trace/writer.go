@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 )
 
@@ -16,14 +17,22 @@ const (
 	metaFileName     = "meta.json"
 )
 
+// maxEncoders caps the Writer's encode stage. Landing a chunk in a
+// directory sink costs about what encoding it does, so past a few encoders
+// the one deliverer is the limit and more would only hold more frames in
+// flight.
+const maxEncoders = 4
+
 // Writer persists a trace as a sequence of binary chunks plus run
-// metadata, delivered to a Sink. Serialization and delivery happen on a
-// background goroutine so that trace collection stays off the training
+// metadata, delivered to a Sink. Serialization and delivery happen on
+// background goroutines so that trace collection stays off the training
 // critical path (paper Appendix A.1: traces are aggregated in librlscope.so
-// and dumped asynchronously). NewWriter targets a local directory — the
-// historical layout — while NewSinkWriter accepts any Sink, which is how a
-// workload streams its trace over HTTP into a live rlscope-serve store
-// instead of writing local files.
+// and dumped asynchronously): a bounded set of encoders turns chunks into
+// frames concurrently, and one deliverer hands the frames to the Sink
+// strictly in sequence order — the order the Sink contract requires.
+// NewWriter targets a local directory — the historical layout — while
+// NewSinkWriter accepts any Sink, which is how a workload streams its trace
+// over HTTP into a live rlscope-serve store instead of writing local files.
 //
 // Writer methods are not safe for concurrent use by multiple goroutines;
 // each simulated process buffers its own events and the harness feeds them
@@ -33,25 +42,37 @@ type Writer struct {
 	chunkBytes int
 	format     Format
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// pending holds what earlier Append calls left of the open chunk; the
+	// current call's share of it stays in the caller's slice until that
+	// call returns.
 	pending []Event
 	size    int
 	nchunks int
 	// names tracks the distinct names of the pending v2 chunk, so the
 	// flush threshold can estimate the encoded size (each name is stored
 	// once per chunk in the dictionary).
-	names map[string]struct{}
+	names  map[string]struct{}
+	closed bool
 
-	jobs    chan writeJob
-	done    chan struct{}
-	errOnce sync.Once
-	err     error
-	closed  bool
+	// Every chunk goes to both channels in sequence order: encode feeds
+	// the encoders, deliver tells the deliverer which frame comes next.
+	// Their capacity bounds the chunks in flight.
+	encode  chan *writeJob
+	deliver chan *writeJob
+	stages  sync.WaitGroup // the encoders and the deliverer
+	err     error          // first error; the deliverer's until stages is done
 }
 
+// writeJob is one chunk on its way through the pipeline. An encoder fills
+// frame, index and err and then closes encoded.
 type writeJob struct {
-	seq    int
-	events []Event
+	seq     int
+	events  []Event
+	encoded chan struct{}
+	frame   []byte
+	index   *ChunkIndex
+	err     error
 }
 
 // WriterOption configures a Writer.
@@ -88,12 +109,16 @@ func NewSinkWriter(sink Sink, chunkBytes int, opts ...WriterOption) *Writer {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
+	n := min(runtime.GOMAXPROCS(0), maxEncoders)
 	w := &Writer{
 		sink:       sink,
 		chunkBytes: chunkBytes,
 		format:     FormatV1,
-		jobs:       make(chan writeJob, 16),
-		done:       make(chan struct{}),
+		// Two chunks per encoder: one being encoded, one encoded and
+		// waiting its turn at the sink, so an encoder never idles behind a
+		// slower neighbour.
+		encode:  make(chan *writeJob, 2*n),
+		deliver: make(chan *writeJob, 2*n),
 	}
 	for _, opt := range opts {
 		opt(w)
@@ -101,39 +126,60 @@ func NewSinkWriter(sink Sink, chunkBytes int, opts ...WriterOption) *Writer {
 	if w.format == FormatV2 {
 		w.names = map[string]struct{}{}
 	}
-	go w.writeLoop()
+	w.stages.Add(n + 1)
+	for i := 0; i < n; i++ {
+		go w.encodeLoop()
+	}
+	go w.deliverLoop()
 	return w
 }
 
-func (w *Writer) writeLoop() {
-	defer close(w.done)
-	for job := range w.jobs {
+func (w *Writer) encodeLoop() {
+	defer w.stages.Done()
+	for job := range w.encode {
 		// The sidecar index is derived from the same event slice the chunk
 		// was encoded from, so the two can never disagree; a streaming
 		// analysis plans chunk routing from it without decoding events.
-		chunk, ix, err := EncodeEventsFormat(job.events, w.format)
-		if err != nil {
-			w.setErr(err)
+		job.frame, job.index, job.err = EncodeEventsFormat(job.events, w.format)
+		job.events = nil
+		close(job.encoded)
+	}
+}
+
+// deliverLoop hands frames to the sink in sequence order. The first error —
+// an encode failure or the sink's — wins, and nothing is delivered after
+// it: a later chunk would be a gap to the sink.
+func (w *Writer) deliverLoop() {
+	defer w.stages.Done()
+	for job := range w.deliver {
+		<-job.encoded
+		if w.err != nil {
 			continue
 		}
-		if err := w.sink.AppendChunk(job.seq, chunk, ix); err != nil {
-			w.setErr(err)
+		if w.err = job.err; w.err == nil {
+			w.err = w.sink.AppendChunk(job.seq, job.frame, job.index)
 		}
 	}
 }
 
-func (w *Writer) setErr(err error) {
-	w.errOnce.Do(func() { w.err = err })
-}
-
-// Append buffers events, flushing a chunk to the background writer whenever
-// the buffer passes the chunk-size threshold. The threshold is checked per
-// event, so one large Append still produces size-bounded chunks.
+// Append adds events to the trace, handing a chunk to the background
+// encoders whenever the open chunk passes the chunk-size threshold. The
+// threshold is checked per event, so one large Append still produces
+// size-bounded chunks.
+//
+// Append borrows: a chunk that begins and ends inside events is encoded
+// straight from that slice, and only the tail that does not fill a chunk is
+// copied. The caller must therefore leave events untouched until Close
+// returns. Appending to a closed Writer panics.
 func (w *Writer) Append(events ...Event) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for _, e := range events {
-		w.pending = append(w.pending, e)
+	if w.closed {
+		panic("trace: Writer.Append after Close")
+	}
+	from := 0 // events[from:i] is the open chunk's share of this call
+	for i := range events {
+		e := &events[i]
 		// Estimated serialized size. An estimate is fine; chunk boundaries
 		// are not semantic. The v1 estimate (fixed fields plus name bytes)
 		// tracks the resident footprint; the v2 estimate tracks the
@@ -147,12 +193,14 @@ func (w *Writer) Append(events ...Event) {
 				w.size += len(e.Name) + 2
 			}
 		} else {
-			w.size += eventBytes(e)
+			w.size += eventBytes(*e)
 		}
 		if w.size >= w.chunkBytes {
-			w.flushLocked()
+			w.flushLocked(events[from : i+1 : i+1])
+			from = i + 1
 		}
 	}
+	w.pending = append(w.pending, events[from:]...)
 }
 
 // eventBytes estimates an event's in-memory/serialized footprint: fixed
@@ -164,21 +212,29 @@ func eventBytes(e Event) int { return 16 + len(e.Name) }
 // analysis engine uses it for its MaxResidentBytes accounting.
 func EventBytes(e Event) int { return eventBytes(e) }
 
-func (w *Writer) flushLocked() {
-	if len(w.pending) == 0 {
+// flushLocked closes the open chunk — pending followed by tail — and queues
+// it. With nothing pending the chunk is tail itself, borrowed.
+func (w *Writer) flushLocked(tail []Event) {
+	chunk := tail
+	if len(w.pending) > 0 {
+		chunk = append(w.pending, tail...)
+		w.pending = nil
+	}
+	if len(chunk) == 0 {
 		return
 	}
-	w.jobs <- writeJob{seq: w.nchunks, events: w.pending}
+	job := &writeJob{seq: w.nchunks, events: chunk, encoded: make(chan struct{})}
+	w.deliver <- job
+	w.encode <- job
 	w.nchunks++
-	w.pending = nil
 	w.size = 0
 	if w.names != nil {
 		clear(w.names)
 	}
 }
 
-// Close flushes remaining events, waits for the background writer to
-// finish, seals the sink with the run metadata, and reports the first
+// Close flushes remaining events, waits for the background pipeline to
+// drain, seals the sink with the run metadata, and reports the first
 // error encountered, if any.
 func (w *Writer) Close(meta Meta) error {
 	w.mu.Lock()
@@ -187,11 +243,12 @@ func (w *Writer) Close(meta Meta) error {
 		return fmt.Errorf("trace: writer already closed")
 	}
 	w.closed = true
-	w.flushLocked()
+	w.flushLocked(nil)
 	w.mu.Unlock()
 
-	close(w.jobs)
-	<-w.done
+	close(w.encode)
+	close(w.deliver)
+	w.stages.Wait()
 
 	if err := w.sink.Seal(meta); err != nil && w.err == nil {
 		return err
