@@ -5,7 +5,9 @@
 // from chunk indexes, route each event to its process's one open window, cut
 // windows by size at watermarks, sweep the closed windows on a worker pool,
 // merge per process. Run feeds it a materialized trace, RunStream a chunked
-// directory; Incremental drives the same windows for a trace still growing.
+// directory — decoded, when there is a pool, one chunk ahead of the router by
+// a goroutine of its own (decodeAhead); Incremental drives the same windows
+// for a trace still growing.
 //
 // Results are byte-identical for any worker count — including Workers: 1,
 // which executes inline with no goroutines at all — any memory budget and
@@ -100,7 +102,7 @@ type StreamStats struct {
 	// Options.Procs restriction, chunks contributing to no requested
 	// process are skipped entirely and their events never read or counted.
 	Chunks, Events int
-	// ChunksDecoded counts chunk files actually decoded so far — fewer
+	// ChunksDecoded counts chunk files decoded and routed so far — fewer
 	// than Chunks when a Procs restriction skips chunks or a cancellation
 	// cuts the run short.
 	ChunksDecoded int
@@ -112,7 +114,8 @@ type StreamStats struct {
 	Evictions int
 	// PeakResidentEvents and PeakResidentBytes track the high-water mark
 	// of events resident at once (buffered in open windows, in the chunk
-	// being decoded, or in flight to a worker).
+	// being decoded, in the chunk decoded ahead of it, or in flight to a
+	// worker).
 	PeakResidentEvents int
 	PeakResidentBytes  int64
 }

@@ -90,8 +90,12 @@ func (e *Engine) Analyze(ctx context.Context, src trace.Source) (*Report, error)
 	if err != nil {
 		return nil, err
 	}
+	workers := e.workers
+	if workers <= 0 {
+		workers = DefaultWorkers()
+	}
 	opts := Options{
-		Workers:          e.workers,
+		Workers:          workers,
 		MaxResidentBytes: e.maxResident,
 		Procs:            e.procs,
 		Progress:         e.progress,
@@ -125,7 +129,13 @@ func (e *Engine) Analyze(ctx context.Context, src trace.Source) (*Report, error)
 					})
 				}
 			}
-			corr, err := calib.NewStreamCorrector(ctx, r, e.cal, e.procs, onChunk)
+			// The pre-pass reads the way the analysis pass will: with a
+			// worker pool, through the decode-ahead stage.
+			var chunks calib.ChunkSource = r
+			if workers > 1 {
+				chunks = aheadReader{r}
+			}
+			corr, err := calib.NewStreamCorrector(ctx, chunks, e.cal, e.procs, onChunk)
 			if err != nil {
 				return &Report{Stats: prepass, Meta: meta}, err
 			}

@@ -18,23 +18,26 @@ import (
 // at which watermarks advance.
 type source interface {
 	numChunks() int
-	// files reports whether the chunks are chunk files, which StreamStats
-	// and Progress count; a materialized trace has none.
-	files() bool
+	// reader returns the Reader whose chunk files the chunks are — which
+	// StreamStats and Progress count, and which a run with a worker pool
+	// reads through the decode-ahead stage instead of each — or nil: a
+	// materialized trace has none.
+	reader() *trace.Reader
 	index(i int) (*trace.ChunkIndex, error)
 	each(i int, yield func(int, trace.Event) bool) error
 }
 
-// readerSource streams the chunk files of a trace directory: v2 chunks are
-// swept straight off their columns (each event is built on the stack, no
-// []Event is materialized), v1 chunks decode into one reused buffer.
+// readerSource streams the chunk files of a trace directory inline, for a
+// run without a worker pool: v2 chunks are swept straight off their columns
+// (each event is built on the stack, no []Event is materialized), v1 chunks
+// decode into one reused buffer.
 type readerSource struct {
 	r   *trace.Reader
 	buf []trace.Event
 }
 
 func (s *readerSource) numChunks() int                         { return s.r.NumChunks() }
-func (s *readerSource) files() bool                            { return true }
+func (s *readerSource) reader() *trace.Reader                  { return s.r }
 func (s *readerSource) index(i int) (*trace.ChunkIndex, error) { return s.r.Index(i) }
 
 func (s *readerSource) each(i int, yield func(int, trace.Event) bool) error {
@@ -78,8 +81,8 @@ func newMemSource(t *trace.Trace) *memSource {
 	return s
 }
 
-func (s *memSource) numChunks() int { return len(s.off) - 1 }
-func (s *memSource) files() bool    { return false }
+func (s *memSource) numChunks() int        { return len(s.off) - 1 }
+func (s *memSource) reader() *trace.Reader { return nil }
 
 func (s *memSource) index(i int) (*trace.ChunkIndex, error) {
 	return trace.BuildChunkIndex(s.events[s.off[i]:s.off[i+1]], 0), nil
@@ -136,6 +139,15 @@ type pipeline struct {
 	order   []*procWindow // ascending process: the budget's scan order
 	spans   []chunkSpan   // chunk i's entries are spans[spanOff[i]:spanOff[i+1]]
 	spanOff []int
+	// Events arrive in runs of one process, so route looks a window up once
+	// per run: last is windows[lastProc] while routed is set.
+	last     *procWindow
+	lastProc trace.ProcID
+	routed   bool
+
+	// ahead is the decode-ahead stage, with a worker pool over chunk files;
+	// nil otherwise: the coordinator decodes inline.
+	ahead *decodeAhead
 
 	// The coordinator's side of the residency estimate: events buffered in
 	// open windows, and the chunk being decoded.
@@ -164,7 +176,7 @@ func run(ctx context.Context, src source, opts Options) (map[trace.ProcID]*overl
 		ctx = context.Background()
 	}
 	pl := &pipeline{ctx: ctx, src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}}
-	if src.files() {
+	if src.reader() != nil {
 		pl.stats.Chunks = src.numChunks()
 	}
 	if err := ctx.Err(); err != nil {
@@ -257,9 +269,22 @@ func (pl *pipeline) plan(procs []trace.ProcID) error {
 }
 
 // stream is the chunk loop: decode, route, then close what can be closed.
+// With a worker pool, decoding chunk files is the decode-ahead stage's: the
+// plan is complete, so the Reader is its goroutine's until the loop ends.
 func (pl *pipeline) stream(opts Options) error {
 	route := pl.route // one method value for the run, not one per chunk
-	for i := 0; i < pl.src.numChunks(); i++ {
+	n := pl.src.numChunks()
+	if r := pl.src.reader(); r != nil && pl.jobs != nil {
+		chunks := make([]int, 0, n)
+		for i := 0; i < n; i++ {
+			if pl.spanOff[i] < pl.spanOff[i+1] {
+				chunks = append(chunks, i)
+			}
+		}
+		pl.ahead = startDecodeAhead(r, chunks)
+		defer pl.ahead.close()
+	}
+	for i := 0; i < n; i++ {
 		if err := pl.ctx.Err(); err != nil {
 			return err
 		}
@@ -277,11 +302,19 @@ func (pl *pipeline) stream(opts Options) error {
 			}
 			s.w.left -= s.events
 		}
-		if err := pl.src.each(i, route); err != nil {
+		if pl.ahead != nil {
+			events, err := pl.ahead.next()
+			if err != nil {
+				return err
+			}
+			for j := range events {
+				pl.route(j, events[j])
+			}
+		} else if err := pl.src.each(i, route); err != nil {
 			return err
 		}
 		done := 0
-		if pl.src.files() {
+		if pl.src.reader() != nil {
 			pl.stats.ChunksDecoded++
 			done = i + 1
 		}
@@ -337,7 +370,10 @@ func (pl *pipeline) route(_ int, e trace.Event) bool {
 	eb := int64(trace.EventBytes(e))
 	pl.chunkEvents++
 	pl.chunkBytes += eb
-	if w := pl.windows[e.Proc]; w != nil {
+	if !pl.routed || e.Proc != pl.lastProc {
+		pl.last, pl.lastProc, pl.routed = pl.windows[e.Proc], e.Proc, true
+	}
+	if w := pl.last; w != nil {
 		w.events = append(w.events, e)
 		w.bytes += eb
 		pl.bufferedBytes += eb
@@ -444,10 +480,15 @@ func (pl *pipeline) recycle(buf []trace.Event) {
 }
 
 // sample folds the current residency estimate — open windows, the chunk
-// being decoded, closed windows in flight — into the peaks.
+// being decoded, the chunk decoded ahead of it, closed windows in flight —
+// into the peaks.
 func (pl *pipeline) sample() {
 	bytes := pl.bufferedBytes + pl.chunkBytes + pl.inflightBytes.Load()
 	events := pl.bufferedEvents + pl.chunkEvents + int(pl.inflightEvents.Load())
+	if pl.ahead != nil {
+		bytes += pl.ahead.waitingBytes.Load()
+		events += int(pl.ahead.waitingEvents.Load())
+	}
 	pl.stats.PeakResidentBytes = max(pl.stats.PeakResidentBytes, bytes)
 	pl.stats.PeakResidentEvents = max(pl.stats.PeakResidentEvents, events)
 }

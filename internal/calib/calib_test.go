@@ -2,6 +2,8 @@ package calib
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/cuda"
@@ -257,5 +259,30 @@ func TestPCSampleEstimateEdgeCases(t *testing.T) {
 	}
 	if got := PCSampleEstimate(nil, 100, 100, 10); got != 0 {
 		t.Fatalf("empty window estimate = %v", got)
+	}
+}
+
+// TestShiftIndexRankMatchesSortSearch pins the hand-inlined searches to the
+// sort.Search they replaced: every rank, and every resumed rank from every
+// position at or below it, over marker times with duplicates.
+func TestShiftIndexRankMatchesSortSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 7, 64} {
+		ms := make([]marker, n)
+		for i := range ms {
+			ms[i] = marker{vclock.Time(rng.Intn(2*n + 1)), 1}
+		}
+		ix := buildShiftFromMarkers(ms)
+		for q := vclock.Time(-1); q <= vclock.Time(2*n+2); q++ {
+			want := sort.Search(n, func(i int) bool { return ix.times[i] >= q })
+			if got := ix.rank(q, 0, n); got != want {
+				t.Fatalf("n %d: rank(%d) = %d, want %d", n, q, got, want)
+			}
+			for from := 0; from <= want; from++ {
+				if got := ix.rankFrom(q, from); got != want {
+					t.Fatalf("n %d: rankFrom(%d, %d) = %d, want %d", n, q, from, got, want)
+				}
+			}
+		}
 	}
 }

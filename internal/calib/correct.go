@@ -74,17 +74,29 @@ func NewCorrector(t *trace.Trace, cal *Calibration) *Corrector {
 	return c
 }
 
+// ChunkSource is the chunked storage the streaming pre-pass reads: a
+// *trace.Reader, or a Reader behind the analysis engine's decode-ahead stage.
+type ChunkSource interface {
+	NumChunks() int
+	Index(i int) (*trace.ChunkIndex, error)
+	// EachChunk decodes the listed chunks in order and calls fn with each
+	// one's events, which are valid only during the call. It stops at the
+	// first error: ctx's, a decode failure or fn's own.
+	EachChunk(ctx context.Context, chunks []int, fn func(i int, events []trace.Event) error) error
+}
+
 // NewStreamCorrector builds the correction stage from chunked storage with
-// one bounded-memory pre-pass: every relevant chunk is decoded once into a
-// reusable buffer and only the overhead markers' (time, calibrated cost)
-// pairs are retained. A non-empty procs list restricts the pre-pass the
-// same way Options.Procs restricts the analysis: markers of other
-// processes are never consulted by MapEvent/MapSpan for surviving events,
-// so chunks whose sidecar lists none of the requested processes are
-// skipped without decoding. onChunk, when non-nil, is invoked after each
-// chunk — skipped or decoded — with the cumulative decoded-event count;
-// ctx cancels the pre-pass between chunks.
-func NewStreamCorrector(ctx context.Context, r *trace.Reader, cal *Calibration, procs []trace.ProcID, onChunk func(done, total, events int)) (*Corrector, error) {
+// one bounded-memory pre-pass: every relevant chunk is decoded once and only
+// the overhead markers' (time, calibrated cost) pairs are retained. A
+// non-empty procs list restricts the pre-pass the same way Options.Procs
+// restricts the analysis: markers of other processes are never consulted by
+// MapEvent/MapSpan for surviving events, so chunks whose sidecar lists none
+// of the requested processes are skipped without decoding. The relevant
+// chunks are chosen from the sidecars before the first is decoded, so src is
+// free to decode them on a goroutine of its own. onChunk, when non-nil, is
+// invoked after each chunk — skipped or decoded — with the cumulative
+// decoded-event count; ctx cancels the pre-pass between chunks.
+func NewStreamCorrector(ctx context.Context, src ChunkSource, cal *Calibration, procs []trace.ProcID, onChunk func(done, total, events int)) (*Corrector, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -95,40 +107,41 @@ func NewStreamCorrector(ctx context.Context, r *trace.Reader, cal *Calibration, 
 			filter[p] = true
 		}
 	}
-	byProc := map[trace.ProcID][]marker{}
-	var buf []trace.Event
-	n := r.NumChunks()
-	events := 0
+	n := src.NumChunks()
+	chunks := make([]int, 0, n)
 	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if filter != nil {
-			ix, err := r.Index(i)
+		relevant := filter == nil
+		if !relevant {
+			ix, err := src.Index(i)
 			if err != nil {
 				return nil, err
 			}
-			relevant := false
 			for p := range ix.Procs {
 				if filter[p] {
 					relevant = true
 					break
 				}
 			}
-			if !relevant {
-				if onChunk != nil {
-					onChunk(i+1, n, events)
-				}
-				continue
+		}
+		if relevant {
+			chunks = append(chunks, i)
+		}
+	}
+	byProc := map[trace.ProcID][]marker{}
+	done, events := 0, 0
+	// report notifies for chunks [done, upto): the one just decoded and the
+	// skipped ones before it.
+	report := func(upto int) {
+		for ; done < upto; done++ {
+			if onChunk != nil {
+				onChunk(done+1, n, events)
 			}
 		}
-		var err error
-		buf, err = r.ReadChunk(i, buf[:0])
-		if err != nil {
-			return nil, err
-		}
-		events += len(buf)
-		for _, e := range buf {
+	}
+	err := src.EachChunk(ctx, chunks, func(i int, chunk []trace.Event) error {
+		report(i)
+		events += len(chunk)
+		for _, e := range chunk {
 			if e.Kind != trace.KindOverhead || (filter != nil && !filter[e.Proc]) {
 				continue
 			}
@@ -136,10 +149,13 @@ func NewStreamCorrector(ctx context.Context, r *trace.Reader, cal *Calibration, 
 				byProc[e.Proc] = append(byProc[e.Proc], marker{e.Start, d})
 			}
 		}
-		if onChunk != nil {
-			onChunk(i+1, n, events)
-		}
+		report(i + 1)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	report(n)
 	c := &Corrector{shifts: make(map[trace.ProcID]shiftIndex, len(byProc))}
 	for p, ms := range byProc {
 		c.shifts[p] = buildShiftFromMarkers(ms)
@@ -159,8 +175,10 @@ func (c *Corrector) MapEvent(e *trace.Event) bool {
 	if !ok || len(ix.times) == 0 {
 		return true
 	}
-	e.Start = e.Start.Add(-ix.before(e.Start))
-	e.End = e.End.Add(-ix.before(e.End))
+	// End ≥ Start, so the second search resumes where the first ended.
+	at := ix.rank(e.Start, 0, len(ix.times))
+	e.Start = e.Start.Add(-ix.prefix[at])
+	e.End = e.End.Add(-ix.prefix[ix.rankFrom(e.End, at)])
 	if e.End < e.Start {
 		e.End = e.Start
 	}
@@ -233,6 +251,36 @@ func buildShiftFromMarkers(ms []marker) shiftIndex {
 
 // before returns cumulative overhead for markers with time < t.
 func (ix shiftIndex) before(t vclock.Time) vclock.Duration {
-	lo := sort.Search(len(ix.times), func(i int) bool { return ix.times[i] >= t })
-	return ix.prefix[lo]
+	return ix.prefix[ix.rank(t, 0, len(ix.times))]
+}
+
+// rank returns the number of markers with time < t, given that it lies in
+// [lo, hi]: a hand-inlined binary search — the closure sort.Search calls per
+// probe was a fifth of a corrected analysis's coordinator time.
+func (ix shiftIndex) rank(t vclock.Time, lo, hi int) int {
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ix.times[m] < t {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// rankFrom is rank for a t whose rank is at least from and usually close to
+// it: it gallops — probing from, from+1, from+3, from+7, … — to bracket the
+// answer, then searches the bracket.
+func (ix shiftIndex) rankFrom(t vclock.Time, from int) int {
+	lo, hi := from, len(ix.times)
+	for step := 1; lo < hi; step *= 2 {
+		probe := min(lo+step-1, hi-1)
+		if ix.times[probe] >= t {
+			hi = probe
+			break
+		}
+		lo = probe + 1
+	}
+	return ix.rank(t, lo, hi)
 }

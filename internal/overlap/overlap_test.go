@@ -399,6 +399,92 @@ func TestSweepMatchesReferenceSweepAdversarial(t *testing.T) {
 	}
 }
 
+// refBoundsSorter is the whole-array boundary sort the merge replaced, kept
+// verbatim as the oracle for the order nextBound delivers: by time, closes
+// before opens, opens of one kind outermost-first.
+type refBoundsSorter struct {
+	bounds []boundary
+	events []trace.Event
+}
+
+func (s *refBoundsSorter) Len() int      { return len(s.bounds) }
+func (s *refBoundsSorter) Swap(i, j int) { s.bounds[i], s.bounds[j] = s.bounds[j], s.bounds[i] }
+
+func (s *refBoundsSorter) Less(i, j int) bool {
+	bi, bj := &s.bounds[i], &s.bounds[j]
+	if bi.t != bj.t {
+		return bi.t < bj.t
+	}
+	if bi.open != bj.open {
+		return !bi.open
+	}
+	if !bi.open || bi.kind != bj.kind {
+		return eventOrder(bi, bj)
+	}
+	switch bi.kind {
+	case trace.KindCPU:
+		if innerCPU(s.events[bi.ev], s.events[bj.ev]) {
+			return false
+		}
+		if innerCPU(s.events[bj.ev], s.events[bi.ev]) {
+			return true
+		}
+	case trace.KindOp:
+		if innerOp(s.events[bi.ev], s.events[bj.ev]) {
+			return false
+		}
+		if innerOp(s.events[bj.ev], s.events[bi.ev]) {
+			return true
+		}
+	}
+	return eventOrder(bi, bj)
+}
+
+// TestMergedBoundsMatchSortedBounds: the sequence nextBound delivers — opens
+// verified or repaired in place, closes drawn from the heap — is exactly what
+// sorting all 2n boundaries produced, on input in canonical order and
+// shuffled, with exact start ties across and within kinds, non-LIFO closes,
+// zero-width events and events outside the window.
+func TestMergedBoundsMatchSortedBounds(t *testing.T) {
+	sw := NewSweeper()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const horizon = vclock.Time(200)
+		events := genAdversarialEvents(rng, horizon)
+		if rng.Intn(2) == 0 {
+			(&trace.Trace{Events: events}).Sort()
+		}
+		lo, hi := vclock.MinTime, vclock.MaxTime
+		if rng.Intn(2) == 0 {
+			lo = vclock.Time(rng.Int63n(int64(horizon)))
+			hi = lo.Add(vclock.Duration(1 + rng.Int63n(int64(horizon))))
+		}
+		sw.bounds = sw.bounds[:0]
+		var want []boundary
+		for i, e := range events {
+			if e.Kind > trace.KindOp || e.End <= e.Start || e.End <= lo || e.Start >= hi {
+				continue
+			}
+			sw.bounds = append(sw.bounds, boundary{e.Start, e.End, int32(i), 0, e.Kind, true})
+			want = append(want,
+				boundary{t: e.Start, ev: int32(i), kind: e.Kind, open: true},
+				boundary{t: e.End, ev: int32(i), kind: e.Kind})
+		}
+		sort.Sort(&refBoundsSorter{want, events})
+		sw.orderOpens(events)
+		for _, w := range want {
+			got := sw.nextBound()
+			if got == nil || got.t != w.t || got.ev != w.ev || got.kind != w.kind || got.open != w.open {
+				return false
+			}
+		}
+		return sw.nextBound() == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAdversarialBruteForceProperty checks the incremental sweep against
 // the unit-timestep oracle on adversarial traces (the oracle cannot check
 // Transitions or Span, but evaluates attribution from first principles).

@@ -8,8 +8,12 @@ import (
 )
 
 // Sweeper is the reusable scratch state of the incremental overlap sweep.
-// One sweep is O(n log n): the boundary sort dominates, and every elementary
-// interval is classified in O(1) amortized from state maintained across
+// Boundaries are never sorted as a whole: events arrive in the trace's
+// canonical order (start ascending), so their opens are already in time
+// order and their closes come out of a small heap of the active events (see
+// orderOpens and nextBound) — O(n log k) for k events active at once, with a
+// sort of the opens only for input that is out of order. Every elementary
+// interval is then classified in O(1) amortized from state maintained across
 // boundaries instead of re-derived by scanning the active set.
 //
 // The state machine exploits the nesting structure the package doc proves:
@@ -18,7 +22,7 @@ import (
 // stack. The stack is ordered by the innermost-wins comparator (innerCPU /
 // innerOp) at all times: a later-starting event is always more deeply
 // nested than everything already active, and events opening at the same
-// instant are pushed outermost-first (the boundary sort guarantees it).
+// instant are pushed outermost-first (orderOpens guarantees it).
 // Adversarial inputs — partially overlapping "nested" events whose closes
 // arrive in non-LIFO order — cannot break the ordering, because the
 // comparator depends only on immutable event fields; a non-LIFO close is
@@ -43,7 +47,10 @@ import (
 // A Sweeper is not safe for concurrent use; the package-level Compute and
 // ComputeWindow draw from an internal pool.
 type Sweeper struct {
-	bounds  []boundary
+	bounds  []boundary // the opens, in openSorter order once orderOpens ran
+	next    int        // the first open nextBound has not yet delivered
+	closes  []boundary // min-heap (closeBefore) of the closes of the active events
+	closed  boundary   // the close nextBound delivered last
 	cpu     innerStack
 	ops     innerStack
 	gpu     innerStack
@@ -60,7 +67,7 @@ type Sweeper struct {
 	segDead []bool
 	segs    []opSegment
 
-	sorter boundsSorter
+	sorter openSorter
 }
 
 // NewSweeper returns an empty Sweeper. The zero value is also usable; New
@@ -68,11 +75,13 @@ type Sweeper struct {
 func NewSweeper() *Sweeper { return &Sweeper{} }
 
 // boundary is one endpoint of an interval event. id carries the interned
-// category slot (KindCPU), the kernel flag (KindGPU: 1 for kernels, 0
-// otherwise), or the interned operation ID (KindOp), so applying a boundary
-// never touches the event table.
+// category slot (KindCPU, KindGPU) or the interned operation ID (KindOp), so
+// applying a boundary never touches the event table. Only opens are stored
+// per event; each carries its event's end, from which nextBound makes the
+// close when it delivers the open.
 type boundary struct {
 	t    vclock.Time
+	end  vclock.Time
 	ev   int32
 	id   int32
 	kind trace.EventKind
@@ -173,9 +182,9 @@ func (sw *Sweeper) computeWindow(events []trace.Event, lo, hi vclock.Time, withT
 }
 
 func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi vclock.Time, withTransitions bool) {
-	// Pass 1: intern names/categories and collect window-relevant interval
-	// boundaries. Span uses the unclipped extent of included events so a
-	// partition of windows merges to the span Compute reports.
+	// Pass 1: intern names/categories and collect the opens of the
+	// window-relevant intervals. Span uses the unclipped extent of included
+	// events so a partition of windows merges to the span Compute reports.
 	sw.resetInterners()
 	if cap(sw.dead) < len(events) {
 		sw.dead = make([]bool, len(events))
@@ -201,9 +210,7 @@ func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi v
 			case trace.KindOp:
 				id = sw.internOp(e.Name)
 			}
-			sw.bounds = append(sw.bounds,
-				boundary{e.Start, int32(i), id, e.Kind, true},
-				boundary{e.End, int32(i), id, e.Kind, false})
+			sw.bounds = append(sw.bounds, boundary{e.Start, e.End, int32(i), id, e.Kind, true})
 			if !spanSet || e.Start < res.SpanStart {
 				res.SpanStart = e.Start
 			}
@@ -213,7 +220,7 @@ func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi v
 			spanSet = true
 		}
 	}
-	sw.sortBounds(events)
+	sw.orderOpens(events)
 
 	// The dense accumulator: (opID, resource set, catID) -> duration.
 	nCats := len(sw.cats)
@@ -227,19 +234,18 @@ func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi v
 	kernelCat := sw.catSlot[trace.CatGPUKernel] - 1 // -1 when no kernels exist
 
 	// Pass 2: the sweep proper. Classification state persists across
-	// elementary intervals; each boundary batch updates it in O(1)
-	// amortized, and each interval reads the stack tops directly.
+	// elementary intervals; each boundary updates it in O(1) amortized, and
+	// each interval reads the stack tops directly.
 	sw.cpu.reset()
 	sw.ops.reset()
 	sw.gpu.reset()
 	kernels := 0
 	var prev vclock.Time
 	first := true
-	for bi := 0; bi < len(sw.bounds); {
-		t := sw.bounds[bi].t
-		if !first && t > prev {
+	for b := sw.nextBound(); b != nil; b = sw.nextBound() {
+		if !first && b.t > prev {
 			// Accumulate only the part of [prev, t) inside [lo, hi).
-			s, e := prev, t
+			s, e := prev, b.t
 			if s < lo {
 				s = lo
 			}
@@ -273,37 +279,33 @@ func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi v
 				}
 			}
 		}
-		for bi < len(sw.bounds) && sw.bounds[bi].t == t {
-			b := sw.bounds[bi]
-			switch b.kind {
-			case trace.KindCPU:
-				if b.open {
-					sw.cpu.push(stackEntry{b.ev, b.id})
-				} else {
-					sw.cpu.close(b.ev, sw.dead)
+		switch b.kind {
+		case trace.KindCPU:
+			if b.open {
+				sw.cpu.push(stackEntry{b.ev, b.id})
+			} else {
+				sw.cpu.close(b.ev, sw.dead)
+			}
+		case trace.KindOp:
+			if b.open {
+				sw.ops.push(stackEntry{b.ev, b.id})
+			} else {
+				sw.ops.close(b.ev, sw.dead)
+			}
+		case trace.KindGPU:
+			if b.open {
+				sw.gpu.push(stackEntry{b.ev, b.id})
+				if b.id == kernelCat {
+					kernels++
 				}
-			case trace.KindOp:
-				if b.open {
-					sw.ops.push(stackEntry{b.ev, b.id})
-				} else {
-					sw.ops.close(b.ev, sw.dead)
-				}
-			case trace.KindGPU:
-				if b.open {
-					sw.gpu.push(stackEntry{b.ev, b.id})
-					if b.id == kernelCat {
-						kernels++
-					}
-				} else {
-					sw.gpu.close(b.ev, sw.dead)
-					if b.id == kernelCat {
-						kernels--
-					}
+			} else {
+				sw.gpu.close(b.ev, sw.dead)
+				if b.id == kernelCat {
+					kernels--
 				}
 			}
-			bi++
 		}
-		prev = t
+		prev = b.t
 		first = false
 	}
 
@@ -374,56 +376,144 @@ func (sw *Sweeper) internCat(c trace.Category) int32 {
 	return int32(len(sw.cats) - 1)
 }
 
-// sortBounds orders boundaries by time with closes before opens, so
-// back-to-back intervals never appear concurrent. Opens at the same instant
-// are ordered outermost-first per kind, which is what lets the sweep push
-// them onto the stacks in nesting order; close order is immaterial (lazy
-// deletion absorbs it) and tied down only for determinism. The sorter is a
-// concrete sort.Interface kept in the Sweeper: sort.Slice's reflection
-// swapper allocates per call and shows up at tiny-trace scale.
-func (sw *Sweeper) sortBounds(events []trace.Event) {
-	sw.sorter.bounds, sw.sorter.events = sw.bounds, events
-	sort.Sort(&sw.sorter)
-	sw.sorter.events = nil
+// orderOpens puts the collected opens into the order the sweep applies them
+// in — by time, and at one instant by kind, then outermost-first within a
+// kind, which is what lets the sweep push them onto the stacks in nesting
+// order — and readies nextBound. Events reach the sweep in the trace's
+// canonical per-process order (start ascending), so the opens are normally in
+// time order already: one pass verifies that and repairs only the runs of
+// opens that share an instant. Input that fails the check has its opens
+// sorted whole and then takes the same merge.
+func (sw *Sweeper) orderOpens(events []trace.Event) {
+	sw.next, sw.closes = 0, sw.closes[:0]
+	s, b := &sw.sorter, sw.bounds
+	s.events = events
+	inTime := true
+	for i := 1; i < len(b) && inTime; i++ {
+		inTime = b[i-1].t <= b[i].t
+	}
+	if !inTime {
+		s.bounds = b
+		sort.Sort(s)
+	} else {
+		for i := 0; i < len(b); {
+			j, inOrder := i+1, true
+			for ; j < len(b) && b[j].t == b[i].t; j++ {
+				inOrder = inOrder && s.before(&b[j-1], &b[j])
+			}
+			if !inOrder {
+				s.bounds = b[i:j]
+				sort.Sort(s)
+			}
+			i = j
+		}
+	}
+	s.bounds, s.events = nil, nil
 }
 
-// boundsSorter implements sort.Interface over a boundary slice.
-type boundsSorter struct {
+// nextBound delivers the boundaries in sweep order — each valid until the
+// next call, nil after the last: the ordered opens merged with the closes of
+// the events they opened, a close before an open at one instant so
+// back-to-back intervals never appear concurrent. Delivering an open queues
+// its close, which lies strictly later (zero-width events never get here), so
+// the closes need no array of their own: they wait in a min-heap that holds
+// only the events active at once. Close order at one instant is immaterial
+// (lazy deletion absorbs it) and tied down by closeBefore only for
+// determinism.
+func (sw *Sweeper) nextBound() *boundary {
+	h := sw.closes
+	if sw.next < len(sw.bounds) {
+		if o := &sw.bounds[sw.next]; len(h) == 0 || o.t < h[0].t {
+			sw.next++
+			// Sift the close up from a new leaf.
+			c := boundary{t: o.end, ev: o.ev, id: o.id, kind: o.kind}
+			i := len(h)
+			h = append(h, c)
+			for i > 0 {
+				parent := (i - 1) / 2
+				if !closeBefore(&c, &h[parent]) {
+					break
+				}
+				h[i] = h[parent]
+				i = parent
+			}
+			h[i] = c
+			sw.closes = h
+			return o
+		}
+	} else if len(h) == 0 {
+		return nil
+	}
+	// Pop the earliest close: sift the last leaf down from the root.
+	sw.closed = h[0]
+	last := h[len(h)-1]
+	h = h[:len(h)-1]
+	for i := 0; ; {
+		child := 2*i + 1
+		if child >= len(h) {
+			if i < len(h) {
+				h[i] = last
+			}
+			break
+		}
+		if child+1 < len(h) && closeBefore(&h[child+1], &h[child]) {
+			child++
+		}
+		if !closeBefore(&h[child], &last) {
+			h[i] = last
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	sw.closes = h
+	return &sw.closed
+}
+
+// closeBefore orders the closes: by time, then kind, then event.
+func closeBefore(a, b *boundary) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return eventOrder(a, b)
+}
+
+// openSorter orders opens, as a concrete sort.Interface kept in the Sweeper:
+// sort.Slice's reflection swapper allocates per call and shows up at
+// tiny-trace scale.
+type openSorter struct {
 	bounds []boundary
 	events []trace.Event
 }
 
-func (s *boundsSorter) Len() int      { return len(s.bounds) }
-func (s *boundsSorter) Swap(i, j int) { s.bounds[i], s.bounds[j] = s.bounds[j], s.bounds[i] }
+func (s *openSorter) Len() int           { return len(s.bounds) }
+func (s *openSorter) Swap(i, j int)      { s.bounds[i], s.bounds[j] = s.bounds[j], s.bounds[i] }
+func (s *openSorter) Less(i, j int) bool { return s.before(&s.bounds[i], &s.bounds[j]) }
 
-func (s *boundsSorter) Less(i, j int) bool {
-	bi, bj := &s.bounds[i], &s.bounds[j]
-	if bi.t != bj.t {
-		return bi.t < bj.t
+// before reports whether open a is applied before open b.
+func (s *openSorter) before(a, b *boundary) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	if bi.open != bj.open {
-		return !bi.open
-	}
-	if !bi.open || bi.kind != bj.kind {
-		return eventOrder(bi, bj)
-	}
-	switch bi.kind {
-	case trace.KindCPU:
-		if innerCPU(s.events[bi.ev], s.events[bj.ev]) {
-			return false // i is more inner: push it later
-		}
-		if innerCPU(s.events[bj.ev], s.events[bi.ev]) {
-			return true
-		}
-	case trace.KindOp:
-		if innerOp(s.events[bi.ev], s.events[bj.ev]) {
-			return false
-		}
-		if innerOp(s.events[bj.ev], s.events[bi.ev]) {
-			return true
+	if a.kind == b.kind {
+		switch a.kind {
+		case trace.KindCPU:
+			if innerCPU(s.events[a.ev], s.events[b.ev]) {
+				return false // a is more inner: push it later
+			}
+			if innerCPU(s.events[b.ev], s.events[a.ev]) {
+				return true
+			}
+		case trace.KindOp:
+			if innerOp(s.events[a.ev], s.events[b.ev]) {
+				return false
+			}
+			if innerOp(s.events[b.ev], s.events[a.ev]) {
+				return true
+			}
 		}
 	}
-	return eventOrder(bi, bj)
+	return eventOrder(a, b)
 }
 
 // eventOrder is the deterministic fallback ordering for boundaries whose
@@ -452,11 +542,9 @@ func (sw *Sweeper) buildSegments(events []trace.Event) {
 	}
 	sw.bounds = sw.bounds[:0]
 	for i, e := range sw.opEvs {
-		sw.bounds = append(sw.bounds,
-			boundary{e.Start, int32(i), 0, trace.KindOp, true},
-			boundary{e.End, int32(i), 0, trace.KindOp, false})
+		sw.bounds = append(sw.bounds, boundary{e.Start, e.End, int32(i), 0, trace.KindOp, true})
 	}
-	sw.sortBounds(sw.opEvs)
+	sw.orderOpens(sw.opEvs)
 	if cap(sw.segDead) < len(sw.opEvs) {
 		sw.segDead = make([]bool, len(sw.opEvs))
 	} else {
@@ -466,9 +554,8 @@ func (sw *Sweeper) buildSegments(events []trace.Event) {
 	sw.ops.reset()
 	var prev vclock.Time
 	first := true
-	for bi := 0; bi < len(sw.bounds); {
-		t := sw.bounds[bi].t
-		if !first && t > prev {
+	for b := sw.nextBound(); b != nil; b = sw.nextBound() {
+		if !first && b.t > prev {
 			name := UntrackedOp
 			if top, ok := sw.ops.top(sw.segDead); ok {
 				name = sw.opEvs[top.ev].Name
@@ -477,16 +564,12 @@ func (sw *Sweeper) buildSegments(events []trace.Event) {
 				sw.segs = append(sw.segs, opSegment{prev, name})
 			}
 		}
-		for bi < len(sw.bounds) && sw.bounds[bi].t == t {
-			b := sw.bounds[bi]
-			if b.open {
-				sw.ops.push(stackEntry{b.ev, 0})
-			} else {
-				sw.ops.close(b.ev, sw.segDead)
-			}
-			bi++
+		if b.open {
+			sw.ops.push(stackEntry{b.ev, 0})
+		} else {
+			sw.ops.close(b.ev, sw.segDead)
 		}
-		prev = t
+		prev = b.t
 		first = false
 	}
 	// Sentinel: instants at or past the last boundary are untracked.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/vclock"
@@ -48,6 +49,10 @@ const (
 // come to 10–14 bytes for the events the profiler records. A chunk that
 // needs more (wide deltas, many distinct names) grows by append.
 const v1EventBytesHint = 16
+
+// v1MinEventBytes is the smallest v1 event record: three header bytes and
+// one byte each of proc, start delta, duration and name reference.
+const v1MinEventBytes = 7
 
 // EncodeChunk writes events as one v1 binary chunk to w.
 func EncodeChunk(w io.Writer, events []Event) error {
@@ -113,6 +118,10 @@ func (d *v1Decoder) decodeV1(cur *colCursor, dst []Event, in *Interner) ([]Event
 	if err != nil {
 		return dst, err
 	}
+	// Grow dst once, to the count the header states — but never past what
+	// the bytes that follow could encode, so a hostile header cannot force
+	// an allocation larger than its frame justifies.
+	dst = slices.Grow(dst, int(min(count, uint64(len(cur.b)-cur.off)/v1MinEventBytes)))
 	table := d.table[:0]
 	defer func() { d.table = table }()
 	var prevStart int64

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/vclock"
@@ -540,8 +541,9 @@ func (c *ColumnChunk) Times(yield func(i int, start, end vclock.Time) bool) erro
 }
 
 // AppendEvents materializes the chunk, appending its events to dst — the v2
-// half of DecodeChunk.
+// half of DecodeChunk. dst grows once, by the count Parse validated.
 func (c *ColumnChunk) AppendEvents(dst []Event) ([]Event, error) {
+	dst = slices.Grow(dst, c.Len())
 	err := c.Events(func(_ int, e Event) bool {
 		dst = append(dst, e)
 		return true

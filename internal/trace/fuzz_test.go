@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -36,12 +37,20 @@ func FuzzDecodeChunk(f *testing.F) {
 	f.Add(full)
 	f.Add(full[:len(full)/2])                   // truncation mid-stream
 	f.Add(append([]byte("RLSC\x01\xff"), 0xff)) // huge count, no data
+	// A header claiming 2^62 events over a 20-byte frame: the decoder sizes
+	// its output by the header, so the claim must be capped by the frame.
+	huge := binary.AppendUvarint([]byte("RLSC\x01"), 1<<62)
+	f.Add(append(huge, make([]byte, 20-len(huge))...))
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := DecodeChunk(bytes.NewReader(data), nil)
+		// An event takes at least one byte of either format, seven of v1.
+		if cap(events) > len(data) {
+			t.Fatalf("a %d-byte frame made the decoder allocate room for %d events", len(data), cap(events))
+		}
 		if err != nil {
 			return // rejected input: the only requirement is no panic
 		}

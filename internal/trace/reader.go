@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -218,6 +219,27 @@ func (r *Reader) ReadChunk(i int, dst []Event) ([]Event, error) {
 		return out, &ChunkError{Dir: r.dir, Chunk: r.names[i], Err: err}
 	}
 	return out, nil
+}
+
+// EachChunk decodes the listed chunks in order — one at a time, into one
+// buffer reused across them — and calls fn with each one's events, which are
+// valid only during the call. It stops at the first error: ctx's, checked
+// before every chunk, a decode failure (*ChunkError) or fn's own.
+func (r *Reader) EachChunk(ctx context.Context, chunks []int, fn func(i int, events []Event) error) error {
+	var buf []Event
+	for _, i := range chunks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var err error
+		if buf, err = r.ReadChunk(i, buf[:0]); err != nil {
+			return err
+		}
+		if err := fn(i, buf); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ReadColumns reads chunk i and, when it is columnar (v2), parses it into
