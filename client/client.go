@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -90,39 +89,44 @@ func decodeError(resp *http.Response) error {
 	return &APIError{Status: resp.StatusCode, Code: env.Error.Code, Message: env.Error.Message}
 }
 
-// do performs one request, retrying transport failures when idempotent.
-// Every v1 request in this client is idempotent by protocol design —
-// chunk appends carry sequence numbers the server deduplicates.
-func (c *Client) do(req *http.Request, rewind func() io.Reader) (*http.Response, error) {
-	var lastErr error
+// do performs one request, retrying transport failures (API errors are
+// never retried). body is the whole request body, nil for none; every
+// attempt reads it from the start. Every v1 request in this client is
+// idempotent by protocol design — chunk appends carry sequence numbers the
+// server deduplicates.
+func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
 	for attempt := 0; ; attempt++ {
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+		if err != nil {
+			return nil, err
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
 		resp, err := c.http.Do(req)
 		if err == nil {
 			return resp, nil
 		}
-		lastErr = err
-		if attempt >= c.retries || req.Context().Err() != nil || rewind == nil {
-			return nil, lastErr
+		if attempt >= c.retries || ctx.Err() != nil {
+			return nil, err
 		}
-		req = req.Clone(req.Context())
-		req.Body = io.NopCloser(rewind())
 		// Brief linear backoff: transient transport failures (connection
 		// reset, server restart) usually clear within a beat.
 		select {
 		case <-time.After(time.Duration(attempt+1) * 50 * time.Millisecond):
-		case <-req.Context().Done():
-			return nil, lastErr
+		case <-ctx.Done():
+			return nil, err
 		}
 	}
 }
 
 // getJSON GETs path and decodes the response into out.
 func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.do(req, func() io.Reader { return nil })
+	resp, err := c.do(ctx, http.MethodGet, path, "", nil)
 	if err != nil {
 		return err
 	}
@@ -133,29 +137,31 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// postJSON POSTs body (JSON-encoded) to path and decodes the response.
-func (c *Client) postJSON(ctx context.Context, path string, body, out any) error {
-	data, err := json.Marshal(body)
+// post POSTs body to path and returns the 200/201 response body verbatim.
+func (c *Client) post(ctx context.Context, path, contentType string, body []byte) ([]byte, error) {
+	resp, err := c.do(ctx, http.MethodPost, path, contentType, body)
 	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(req, func() io.Reader { return bytes.NewReader(data) })
-	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
-		return decodeError(resp)
+		return nil, decodeError(resp)
 	}
-	if out == nil {
-		return nil
+	return io.ReadAll(resp.Body)
+}
+
+// postJSON POSTs body (JSON-encoded) to path and returns the response body;
+// out, when non-nil, also receives it decoded.
+func (c *Client) postJSON(ctx context.Context, path string, body, out any) ([]byte, error) {
+	data, err := json.Marshal(body)
+	if err != nil {
+		return nil, err
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	data, err = c.post(ctx, path, "application/json", data)
+	if err != nil || out == nil {
+		return data, err
+	}
+	return data, json.Unmarshal(data, out)
 }
 
 // Health returns GET /healthz as loosely-typed JSON.
@@ -179,7 +185,7 @@ func (c *Client) Traces(ctx context.Context) ([]serve.TraceInfo, error) {
 // Register surfaces id collisions before any chunk is shipped.
 func (c *Client) Register(ctx context.Context, id string) (serve.TraceInfo, error) {
 	var out serve.TraceInfo
-	err := c.postJSON(ctx, "/v1/traces", serve.CreateTraceRequest{ID: id}, &out)
+	_, err := c.postJSON(ctx, "/v1/traces", serve.CreateTraceRequest{ID: id}, &out)
 	return out, err
 }
 
@@ -197,49 +203,14 @@ func (c *Client) Summary(ctx context.Context, id string) (*serve.TraceSummary, e
 // server caches, so byte-level comparisons against `rlscope-analyze -json`
 // output work without a decode/re-encode round trip.
 func (c *Client) Analyze(ctx context.Context, id string, req serve.AnalyzeRequest) ([]byte, error) {
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/traces/"+url.PathEscape(id)+"/analyze", bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(hreq, func() io.Reader { return bytes.NewReader(data) })
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return io.ReadAll(resp.Body)
+	return c.postJSON(ctx, "/v1/traces/"+url.PathEscape(id)+"/analyze", req, nil)
 }
 
 // Query runs a fleet aggregation query (POST /v1/query) and returns the
 // encoded report.QueryDoc verbatim — the exact bytes rlscope-query prints
 // offline for the same traces and query, so cmp-level comparisons work.
 func (c *Client) Query(ctx context.Context, q fleet.Query) ([]byte, error) {
-	data, err := json.Marshal(q)
-	if err != nil {
-		return nil, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/query", bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.do(hreq, func() io.Reader { return bytes.NewReader(data) })
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
-	}
-	return io.ReadAll(resp.Body)
+	return c.postJSON(ctx, "/v1/query", q, nil)
 }
 
 // AnalyzeDoc is Analyze with the document decoded.
@@ -256,66 +227,18 @@ func (c *Client) AnalyzeDoc(ctx context.Context, id string, req serve.AnalyzeReq
 }
 
 // AppendChunk ships one encoded chunk frame as sequence number seq
-// (POST /v1/traces/{id}/chunks). index, when non-nil, is sent alongside as
-// the sidecar for the server to cross-check; nil lets the server derive it.
-// Appends are idempotent: retrying a delivered sequence number with the
-// same bytes is a no-op the response flags as Duplicate.
+// (POST /v1/traces/{id}/chunks, the frame as the raw body). index is unused
+// — the server derives the sidecar from the frame — and stays in the
+// signature because trace.Sink hands one over. Appends are idempotent:
+// retrying a delivered sequence number with the same bytes is a no-op the
+// response flags as Duplicate.
 func (c *Client) AppendChunk(ctx context.Context, id string, seq int, chunk []byte, index *trace.ChunkIndex) (serve.AppendResponse, error) {
 	var out serve.AppendResponse
-	path := c.base + "/v1/traces/" + url.PathEscape(id) + "/chunks?seq=" + strconv.Itoa(seq)
-
-	var build func() (io.Reader, string, error)
-	if index == nil {
-		build = func() (io.Reader, string, error) {
-			return bytes.NewReader(chunk), "application/octet-stream", nil
-		}
-	} else {
-		build = func() (io.Reader, string, error) {
-			var buf bytes.Buffer
-			mw := multipart.NewWriter(&buf)
-			cw, err := mw.CreateFormFile("chunk", "chunk.rlstrace")
-			if err == nil {
-				_, err = cw.Write(chunk)
-			}
-			if err == nil {
-				var iw io.Writer
-				if iw, err = mw.CreateFormFile("index", "chunk.rlsidx"); err == nil {
-					err = json.NewEncoder(iw).Encode(index)
-				}
-			}
-			if err == nil {
-				err = mw.Close()
-			}
-			if err != nil {
-				return nil, "", err
-			}
-			return &buf, mw.FormDataContentType(), nil
-		}
-	}
-	body, contentType, err := build()
+	data, err := c.post(ctx, "/v1/traces/"+url.PathEscape(id)+"/chunks?seq="+strconv.Itoa(seq), "application/octet-stream", chunk)
 	if err != nil {
 		return out, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, path, body)
-	if err != nil {
-		return out, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	resp, err := c.do(req, func() io.Reader {
-		r, _, err := build()
-		if err != nil {
-			return strings.NewReader("")
-		}
-		return r
-	})
-	if err != nil {
-		return out, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return out, decodeError(resp)
-	}
-	return out, json.NewDecoder(resp.Body).Decode(&out)
+	return out, json.Unmarshal(data, &out)
 }
 
 // Seal finalizes trace id with its run metadata
@@ -323,7 +246,7 @@ func (c *Client) AppendChunk(ctx context.Context, id string, seq int, chunk []by
 // for the trace equals trace.DirDigest over the stored directory.
 func (c *Client) Seal(ctx context.Context, id string, meta trace.Meta) (serve.SealResponse, error) {
 	var out serve.SealResponse
-	err := c.postJSON(ctx, "/v1/traces/"+url.PathEscape(id)+"/seal", meta, &out)
+	_, err := c.postJSON(ctx, "/v1/traces/"+url.PathEscape(id)+"/seal", meta, &out)
 	return out, err
 }
 

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	rlscope "repro"
@@ -130,8 +134,8 @@ func TestClientStreamRoundTrip(t *testing.T) {
 }
 
 // TestClientAppendChunkProtocol exercises the typed append path directly:
-// multipart delivery with a client-computed sidecar, idempotent retries,
-// and structured API errors with the server's stable codes.
+// raw-frame delivery, idempotent retries, and structured API errors with
+// the server's stable codes.
 func TestClientAppendChunkProtocol(t *testing.T) {
 	c, _ := newLiveService(t)
 	ctx := context.Background()
@@ -141,7 +145,6 @@ func TestClientAppendChunkProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Multipart append with the sidecar attached.
 	resp, err := c.AppendChunk(ctx, "run2", 0, chunk, index)
 	if err != nil {
 		t.Fatal(err)
@@ -154,12 +157,10 @@ func TestClientAppendChunkProtocol(t *testing.T) {
 	if err != nil || !resp.Duplicate {
 		t.Fatalf("retry: %+v, %v — want duplicate", resp, err)
 	}
-	// A sidecar that lies about the events is rejected with bad_chunk.
-	bogus := *index
-	bogus.Events++
+	// A frame the server cannot decode is bad_chunk.
 	var apiErr *client.APIError
-	if _, err := c.AppendChunk(ctx, "run2", 1, chunk, &bogus); !errors.As(err, &apiErr) || apiErr.Code != serve.ErrCodeBadChunk {
-		t.Fatalf("lying sidecar: %v, want APIError %s", err, serve.ErrCodeBadChunk)
+	if _, err := c.AppendChunk(ctx, "run2", 1, chunk[:len(chunk)/2], nil); !errors.As(err, &apiErr) || apiErr.Code != serve.ErrCodeBadChunk {
+		t.Fatalf("truncated frame: %v, want APIError %s", err, serve.ErrCodeBadChunk)
 	}
 	// A gap maps to out_of_order_sequence.
 	if _, err := c.AppendChunk(ctx, "run2", 7, chunk, nil); !errors.As(err, &apiErr) || apiErr.Code != serve.ErrCodeOutOfOrderSeq {
@@ -179,5 +180,69 @@ func TestClientAppendChunkProtocol(t *testing.T) {
 	// Invalid ids are rejected before touching the store.
 	if _, err := c.Register(ctx, "a..b"); !errors.As(err, &apiErr) || apiErr.Code != serve.ErrCodeInvalidTraceID {
 		t.Fatalf("invalid id: %v", err)
+	}
+}
+
+// resetFirst is a listener that resets the first `drop` connections it
+// accepts — a server restart, or a proxy dropping an idle connection, as the
+// client sees it.
+type resetFirst struct {
+	net.Listener
+	drop atomic.Int32
+}
+
+func (l *resetFirst) Accept() (net.Conn, error) {
+	for {
+		conn, err := l.Listener.Accept()
+		if err != nil || l.drop.Add(-1) < 0 {
+			return conn, err
+		}
+		conn.(*net.TCPConn).SetLinger(0) // close sends RST, not FIN
+		conn.Close()
+	}
+}
+
+// TestClientRetriesAfterConnectionReset: a request whose first connection is
+// reset succeeds on the retry, whatever its body — none (GET), JSON, or a
+// chunk frame. Before do built each attempt's body itself, the retried GET
+// died with a nil-pointer panic on a transport goroutine.
+func TestClientRetriesAfterConnectionReset(t *testing.T) {
+	s := serve.NewServer(serve.Config{StoreDir: t.TempDir()})
+	t.Cleanup(s.Close)
+	ts := httptest.NewUnstartedServer(s.Handler())
+	flaky := &resetFirst{Listener: ts.Listener}
+	ts.Listener = flaky
+	ts.Start()
+	t.Cleanup(ts.Close)
+	// One connection per request, so every case below dials — and loses —
+	// a fresh one.
+	c := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: &http.Transport{DisableKeepAlives: true}}))
+	ctx := context.Background()
+	events, _ := testTrace()
+	chunk, index, err := trace.EncodeEvents(events[:50])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"GET", func() error { _, err := c.Health(ctx); return err }},
+		{"postJSON", func() error { _, err := c.Register(ctx, "retry"); return err }},
+		{"AppendChunk", func() error {
+			resp, err := c.AppendChunk(ctx, "retry", 0, chunk, index)
+			if err == nil && (resp.Chunks != 1 || resp.Duplicate) {
+				err = fmt.Errorf("append landed as %+v", resp)
+			}
+			return err
+		}},
+	} {
+		flaky.drop.Store(1)
+		if err := tc.call(); err != nil {
+			t.Fatalf("%s after a reset connection: %v", tc.name, err)
+		}
+		if left := flaky.drop.Load(); left >= 0 {
+			t.Fatalf("%s: no connection was reset (drop = %d), the test exercised nothing", tc.name, left)
+		}
 	}
 }

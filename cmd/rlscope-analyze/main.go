@@ -6,9 +6,8 @@
 // By default the trace is analyzed *streamingly*: chunk files are decoded
 // lazily and fed to the shard pool as they arrive, so memory stays bounded
 // by -max-resident instead of the trace size. Report modes that need the
-// whole event list at once (-summary, -timeline, -tree, -phases) — or an
-// explicit -materialize — load the trace as before; the results are
-// byte-identical either way.
+// whole event list at once (-summary, -timeline, -tree, -phases) load the
+// trace first; the results are byte-identical either way.
 //
 // Ctrl-C (or SIGTERM) cancels the analysis cleanly: in-flight workers are
 // drained, and a streaming run reports the partial streaming statistics it
@@ -21,7 +20,7 @@
 //
 // Usage:
 //
-//	rlscope-analyze -trace /tmp/trace [-workers N] [-max-resident BYTES] [-materialize] [-json]
+//	rlscope-analyze -trace /tmp/trace [-workers N] [-max-resident BYTES] [-json]
 package main
 
 import (
@@ -49,7 +48,6 @@ func main() {
 		tree        = flag.Bool("tree", false, "render the multi-process fork tree (Figure 8 style)")
 		workers     = flag.Int("workers", 0, "analysis worker pool size (0 = one per CPU)")
 		maxResident = flag.Int64("max-resident", 0, "streaming memory budget in bytes (0 = unbounded)")
-		materialize = flag.Bool("materialize", false, "force load-then-analyze instead of streaming")
 		jsonOut     = flag.Bool("json", false, "emit the analysis as the stable JSON document rlscope-serve serves")
 		resultOnly  = flag.Bool("result-only", false, "with -json: omit the run-descriptive stats block, matching the document live-ingested traces serve")
 	)
@@ -62,8 +60,8 @@ func main() {
 	// trace regardless of any streaming budget. A -max-resident that can't
 	// be honored is a conflict, not a preference — reject it instead of
 	// silently analyzing at full residency.
-	if *maxResident > 0 && (*materialize || *summary || *timeline || *tree || *phases) {
-		fmt.Fprintln(os.Stderr, "rlscope-analyze: -max-resident conflicts with -materialize/-summary/-timeline/-tree/-phases: those modes materialize the whole trace, so the budget cannot be honored; drop -max-resident or the materializing flag")
+	if *maxResident > 0 && (*summary || *timeline || *tree || *phases) {
+		fmt.Fprintln(os.Stderr, "rlscope-analyze: -max-resident conflicts with -summary/-timeline/-tree/-phases: those modes materialize the whole trace, so the budget cannot be honored; drop -max-resident or the materializing flag")
 		os.Exit(2)
 	}
 	// -json emits the one canonical document; the human report modes write
@@ -90,7 +88,7 @@ func main() {
 
 	// -phases and the report modes below consume the full event list, so
 	// they force materialization; plain breakdowns stream.
-	needTrace := *materialize || *summary || *timeline || *tree || *phases
+	needTrace := *summary || *timeline || *tree || *phases
 
 	var (
 		tr  *trace.Trace

@@ -20,8 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
 	"path/filepath"
 	"strconv"
@@ -186,13 +184,10 @@ func validTraceID(id string) bool {
 	return true
 }
 
-// handleAppendChunk is POST /v1/traces/{id}/chunks?seq=N: one encoded chunk
-// frame per request, either as the raw request body or as the "chunk" part
-// of a multipart/form-data body with an optional "index" part carrying the
-// client's .rlsidx sidecar. The server decodes the chunk and derives the
-// sidecar itself — the derived bytes are authoritative, and a provided
-// index that disagrees with them is rejected, so a lying client cannot skew
-// the stored trace or the incremental analysis.
+// handleAppendChunk is POST /v1/traces/{id}/chunks?seq=N: the request body
+// is one encoded chunk frame, whatever its Content-Type. The server decodes
+// the chunk and derives the sidecar itself, so nothing a client sends beside
+// the frame can skew the stored trace or the incremental analysis.
 func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	seqStr := r.URL.Query().Get("seq")
 	seq, err := strconv.Atoi(seqStr)
@@ -201,9 +196,9 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("chunk append needs a non-negative ?seq parameter, got %q", seqStr))
 		return
 	}
-	chunk, clientIndex, apiErr := readChunkBody(r)
-	if apiErr != nil {
-		writeAPIError(w, apiErr)
+	chunk, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxChunkBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading chunk body: "+err.Error())
 		return
 	}
 	// An append the sink is certain to refuse — the trace is sealed, or seq
@@ -230,16 +225,10 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	index := trace.BuildChunkIndex(events, int64(len(chunk)))
-	sidecar, err := json.Marshal(index)
+	sidecar, err := index.AppendBinary(nil)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding sidecar: "+err.Error())
 		return
-	}
-	if clientIndex != nil {
-		if apiErr := checkClientIndex(clientIndex, sidecar, seq); apiErr != nil {
-			writeAPIError(w, apiErr)
-			return
-		}
 	}
 
 	lt, _, apiErr := s.openLive(r.PathValue("id"))
@@ -267,66 +256,6 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, AppendResponse{
 		ID: lt.id, Seq: seq, Chunks: chunks, Digest: digest, Duplicate: dup,
 	})
-}
-
-// readChunkBody extracts the chunk frame (and the optional client sidecar)
-// from an append request: raw body by default, multipart/form-data with
-// "chunk" and optional "index" parts when the client ships both.
-func readChunkBody(r *http.Request) (chunk, index []byte, apiErr *apiError) {
-	mediaType, params, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-	if mediaType != "multipart/form-data" {
-		body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxChunkBytes))
-		if err != nil {
-			return nil, nil, &apiError{http.StatusBadRequest, ErrCodeBadRequest, "reading chunk body: " + err.Error()}
-		}
-		return body, nil, nil
-	}
-	mr := multipart.NewReader(http.MaxBytesReader(nil, r.Body, maxChunkBytes), params["boundary"])
-	for {
-		part, err := mr.NextPart()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, nil, &apiError{http.StatusBadRequest, ErrCodeBadRequest, "reading multipart body: " + err.Error()}
-		}
-		data, err := io.ReadAll(part)
-		if err != nil {
-			return nil, nil, &apiError{http.StatusBadRequest, ErrCodeBadRequest, "reading multipart part: " + err.Error()}
-		}
-		switch part.FormName() {
-		case "chunk":
-			chunk = data
-		case "index":
-			index = data
-		}
-	}
-	if chunk == nil {
-		return nil, nil, &apiError{http.StatusBadRequest, ErrCodeBadRequest, `multipart append body has no "chunk" part`}
-	}
-	return chunk, index, nil
-}
-
-// checkClientIndex verifies a client-shipped sidecar against the one the
-// server derived from the decoded chunk. The comparison is semantic — client
-// bytes that are not already the derived ones (this repository's client
-// ships exactly those, plus json.Encoder's newline) are normalized through
-// ChunkIndex before comparing — so any JSON spelling of the correct index
-// passes, but an index describing different events does not.
-func checkClientIndex(clientIndex, derived []byte, seq int) *apiError {
-	if bytes.Equal(bytes.TrimSpace(clientIndex), derived) {
-		return nil
-	}
-	var ix trace.ChunkIndex
-	if err := json.Unmarshal(clientIndex, &ix); err != nil {
-		return &apiError{http.StatusBadRequest, ErrCodeBadChunk, "undecodable sidecar index: " + err.Error()}
-	}
-	normalized, err := json.Marshal(&ix)
-	if err != nil || !bytes.Equal(normalized, derived) {
-		return &apiError{http.StatusBadRequest, ErrCodeBadChunk,
-			fmt.Sprintf("sidecar index for chunk seq %d does not describe the chunk's events", seq)}
-	}
-	return nil
 }
 
 // ingestError maps sink errors onto the API error vocabulary.

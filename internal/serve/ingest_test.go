@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"mime/multipart"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -425,54 +428,39 @@ func TestIngestProtocolErrors(t *testing.T) {
 	}
 }
 
-// TestCheckClientIndex covers both branches of the client-sidecar check:
-// the bytes this repository's client ships pass without being parsed, any
-// other spelling of the same index passes after normalization, and an
-// index of different events — or no index at all — is a bad chunk.
-func TestCheckClientIndex(t *testing.T) {
-	events := quickstartTrace(t, 5).Events
-	chunk, index, err := trace.EncodeEvents(events)
+// TestIngestMultipartIsBadChunk: the append body has one shape, the raw
+// frame. A multipart body — the shape that used to carry a client-computed
+// sidecar beside a perfectly good frame — is just bytes that do not decode:
+// 400 bad_chunk, and neither a trace nor a store directory comes of it.
+func TestIngestMultipartIsBadChunk(t *testing.T) {
+	s, store := liveServer(t, Config{})
+	chunks, _ := quickstartFrames(t, 5, 1)
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	part, err := mw.CreateFormFile("chunk", "chunk.rlstrace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	derived, err := json.Marshal(trace.BuildChunkIndex(events, int64(len(chunk))))
-	if err != nil {
+	part.Write(chunks[0])
+	if part, err = mw.CreateFormFile("index", "chunk.rlsidx"); err != nil {
 		t.Fatal(err)
 	}
-	var shipped bytes.Buffer
-	if err := json.NewEncoder(&shipped).Encode(index); err != nil {
+	part.Write([]byte(`{"version":1}`))
+	if err := mw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	respelled, err := json.MarshalIndent(index, "", "\t")
-	if err != nil {
-		t.Fatal(err)
+	req := httptest.NewRequest("POST", "/v1/traces/mp/chunks?seq=0", &body)
+	req.Header.Set("Content-Type", mw.FormDataContentType())
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest || errCode(t, rec) != ErrCodeBadChunk {
+		t.Fatalf("multipart append: %d %s, want 400 %s", rec.Code, rec.Body, ErrCodeBadChunk)
 	}
-	lying := *index
-	lying.Events++
-	lyingBytes, err := json.Marshal(&lying)
-	if err != nil {
-		t.Fatal(err)
+	if s.liveLookup("mp") != nil {
+		t.Fatal("a multipart append created the trace")
 	}
-	for _, tc := range []struct {
-		name   string
-		client []byte
-		ok     bool
-	}{
-		{"client bytes", shipped.Bytes(), true},
-		{"respelled", respelled, true},
-		{"different events", lyingBytes, false},
-		{"not JSON", []byte("{"), false},
-	} {
-		apiErr := checkClientIndex(tc.client, derived, 0)
-		if tc.ok && apiErr != nil {
-			t.Errorf("%s: rejected: %+v", tc.name, apiErr)
-		}
-		if !tc.ok && (apiErr == nil || apiErr.code != ErrCodeBadChunk) {
-			t.Errorf("%s: got %+v, want %s", tc.name, apiErr, ErrCodeBadChunk)
-		}
-	}
-	if bytes.Equal(bytes.TrimSpace(respelled), derived) {
-		t.Fatal("the respelled index does not exercise the normalizing branch")
+	if entries, err := os.ReadDir(store); err != nil || len(entries) != 0 {
+		t.Fatalf("a multipart append left %d entries in the store (err %v)", len(entries), err)
 	}
 }
 

@@ -64,10 +64,13 @@ func EncodeChunk(w io.Writer, events []Event) error {
 	return err
 }
 
-// encodeChunkV1 is the v1 encoder: it appends every field into one presized
-// frame buffer and returns it.
+// encodeChunkV1 is the v1 encoder into one presized frame buffer.
 func encodeChunkV1(events []Event) ([]byte, error) {
-	dst := make([]byte, 0, 16+len(events)*v1EventBytesHint)
+	return appendChunkV1(make([]byte, 0, 16+len(events)*v1EventBytesHint), events)
+}
+
+// appendChunkV1 appends events as one v1 frame to dst.
+func appendChunkV1(dst []byte, events []Event) ([]byte, error) {
 	dst = append(dst, chunkMagic...)
 	dst = binary.AppendUvarint(dst, chunkVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(events)))

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"os"
 )
 
 // ConvertStats reports what a directory conversion did.
@@ -93,7 +95,12 @@ func ConvertDir(src, dst string, to Format, verify bool) (*ConvertStats, error) 
 			if err != nil {
 				return nil, fmt.Errorf("trace: convert: re-encoding chunk %d: %w", i, err)
 			}
-			sidecar, err := json.Marshal(backIx)
+			// The sidecar is re-derived in the encoding the source's one
+			// has: a pre-binary JSON document marshals as it always did.
+			sidecar, err := backIx.AppendBinary(nil)
+			if old, rerr := os.ReadFile(r.sidePaths[i]); rerr == nil && !bytes.HasPrefix(old, []byte(sidecarMagic)) {
+				sidecar, err = json.Marshal(backIx)
+			}
 			if err != nil {
 				return nil, err
 			}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -211,6 +212,82 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(events, got) {
 			t.Fatal("round trip mismatch")
+		}
+	})
+}
+
+// FuzzSidecar feeds arbitrary bytes to the sidecar parser — the one decoder
+// of files that arrive from outside the program which had no fuzz target.
+// It must never panic; what it allocates is bounded by the input's length,
+// whatever process or phase count the input claims; and a binary document it
+// accepts is the canonical one, re-encoding to the very same bytes (a legacy
+// JSON document it accepts re-encodes to a binary one that parses back to
+// the same index). Seeds: both encodings of a real index, with and without
+// phases, and truncations of each.
+func FuzzSidecar(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte(sidecarMagic))
+	f.Add([]byte("{}"))
+	// 2^62 processes, 2^62 phase events: nine bytes each.
+	f.Add(binary.AppendUvarint([]byte(sidecarMagic+"\x01\x00\x00"), 1<<62))
+	f.Add(append([]byte(sidecarMagic+"\x01\x00\x00\x00"), binary.AppendUvarint([]byte("RLSC\x01"), 1<<62)...))
+	for _, events := range [][]Event{
+		sidecarEvents(rand.New(rand.NewSource(31)), 64),
+		workloadishEvents(rand.New(rand.NewSource(31)), 64), // no phases
+	} {
+		ix := BuildChunkIndex(events, 4096)
+		legacy, err := json.Marshal(ix)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, doc := range [][]byte{mustSidecar(f, ix), legacy} {
+			f.Add(doc)
+			for _, cut := range []int{5, len(doc) / 3, len(doc) / 2, len(doc) - 1} {
+				f.Add(doc[:cut])
+			}
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ix ChunkIndex
+		err := parseSidecar(data, &ix, nil)
+		// A process entry takes four bytes, a phase event seven; JSON more.
+		if len(ix.Procs) > len(data)/4 || cap(ix.Phases) > len(data) {
+			t.Fatalf("a %d-byte sidecar made the parser hold %d processes and room for %d phases", len(data), len(ix.Procs), cap(ix.Phases))
+		}
+		if err != nil {
+			return // rejected input: the Reader rebuilds the index from the chunk
+		}
+		again, err := ix.AppendBinary(nil)
+		if err != nil {
+			return // only a legacy document can carry a phase that ends before it starts
+		}
+		if bytes.HasPrefix(data, []byte(sidecarMagic)) {
+			if !bytes.Equal(again, data) {
+				t.Fatalf("accepted sidecar is not canonical:\n   input %x\nre-coded %x", data, again)
+			}
+			return
+		}
+		// JSON can spell what the binary encoding cannot: a negative count.
+		negative := ix.Events < 0 || ix.Bytes < 0
+		for _, sp := range ix.Procs {
+			negative = negative || sp.Events < 0
+		}
+		if negative {
+			return
+		}
+		var back ChunkIndex
+		if err := parseSidecar(again, &back, nil); err != nil {
+			t.Fatalf("a legacy document's binary re-encoding does not parse: %v", err)
+		}
+		if ix.Procs == nil {
+			ix.Procs = map[ProcID]ProcSpan{} // "procs": null
+		}
+		if len(ix.Phases) == 0 {
+			ix.Phases = nil
+		}
+		if !reflect.DeepEqual(&ix, &back) {
+			t.Fatalf("legacy document %+v came back from its binary form as %+v", ix, back)
 		}
 	})
 }

@@ -68,7 +68,7 @@ type ChunkIndex struct {
 // encodedBytes records the serialized chunk size.
 func BuildChunkIndex(events []Event, encodedBytes int64) *ChunkIndex {
 	ix := &ChunkIndex{
-		Version: chunkVersion,
+		Version: sidecarVersion,
 		Events:  len(events),
 		Bytes:   encodedBytes,
 		Procs:   map[ProcID]ProcSpan{},
@@ -288,28 +288,19 @@ func (r *Reader) Index(i int) (*ChunkIndex, error) {
 
 // IndexInto is Index into a caller-reused ChunkIndex: ix's map and slices
 // are cleared and refilled, so a planning loop that copies what it needs out
-// of ix between calls touches the allocator only for map growth. Sidecars
-// are parsed with a specialized parser for the exact documents the Writer
-// emits, falling back to encoding/json for anything else.
+// of ix between calls allocates only when a map or slice must grow. A
+// sidecar that is missing or does not parse (sidecar.go) is rebuilt by
+// decoding the chunk.
 func (r *Reader) IndexInto(i int, ix *ChunkIndex) error {
 	f, err := os.Open(r.sidePaths[i])
 	if err == nil {
 		r.side, err = readAllInto(r.side[:0], f)
 		f.Close()
-		if err != nil {
-			return &ChunkError{Dir: r.dir, Chunk: sidecarPath(r.names[i]), Err: err}
-		}
-		if parseSidecarInto(r.side, ix, r.in) && ix.Version == chunkVersion {
+		if err == nil && parseSidecar(r.side, ix, r.in) == nil {
 			return nil
 		}
-		// Not the fast shape: let encoding/json have it.
-		*ix = ChunkIndex{Procs: ix.Procs, Phases: ix.Phases[:0]}
-		clear(ix.Procs)
-		if jerr := json.Unmarshal(r.side, ix); jerr == nil && ix.Version == chunkVersion {
-			return nil
-		}
-		// Corrupt or version-skewed sidecar: fall through to rebuild.
-	} else if !errors.Is(err, os.ErrNotExist) {
+	}
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return &ChunkError{Dir: r.dir, Chunk: sidecarPath(r.names[i]), Err: err}
 	}
 	events, err := r.ReadChunk(i, nil)

@@ -132,11 +132,11 @@ func newDirSink(dir string, overwrite bool) (*DirSink, error) {
 // Dir returns the directory the sink writes into.
 func (s *DirSink) Dir() string { return s.dir }
 
-// AppendChunk implements Sink: it marshals the index to its sidecar form
+// AppendChunk implements Sink: it encodes the index to its sidecar form
 // and applies both frames. Replays of an already-applied sequence are
 // treated as successful no-ops when the content matches.
 func (s *DirSink) AppendChunk(seq int, chunk []byte, index *ChunkIndex) error {
-	sidecar, err := json.Marshal(index)
+	sidecar, err := index.AppendBinary(nil)
 	if err != nil {
 		return fmt.Errorf("trace: encoding sidecar index: %w", err)
 	}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"testing"
@@ -119,9 +118,9 @@ func TestDirSinkIdempotencyProtocol(t *testing.T) {
 	}
 }
 
-func mustSidecar(t *testing.T, ix *ChunkIndex) []byte {
+func mustSidecar(t testing.TB, ix *ChunkIndex) []byte {
 	t.Helper()
-	data, err := json.Marshal(ix)
+	data, err := ix.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

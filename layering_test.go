@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -115,9 +116,64 @@ func TestOneSweepPath(t *testing.T) {
 // benchmark function.
 var docNames = regexp.MustCompile(`\binternal/[a-z0-9_]+|\bcmd/[a-z0-9-]+|\brlscope-[a-z0-9-]+|\bBenchmark[A-Z]\w*`)
 
+// docSpans matches the code spans of one line of markdown, docFlag the flag
+// a word of one spells (`-workers`, `-timing=false`, `-label k=v`).
+var (
+	docSpans = regexp.MustCompile("`[^`]+`")
+	docFlag  = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
+)
+
+// commandFlags returns the flags each command under cmd/ defines: the name
+// argument of every call into package flag.
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	flags := map[string]map[string]bool{}
+	mains, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range mains {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmd := filepath.Base(filepath.Dir(path))
+		if flags[cmd] == nil {
+			flags[cmd] = map[string]bool{}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				return true
+			}
+			// flag.String(name, ...), flag.Func(name, ...), flag.Var(&v, name, ...)
+			for _, arg := range call.Args[:min(2, len(call.Args))] {
+				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					flags[cmd][strings.Trim(lit.Value, "\"`")] = true
+					break
+				}
+			}
+			return true
+		})
+	}
+	return flags
+}
+
 // TestDocsNameWhatExists fails when README.md or DESIGN.md names a package,
-// command or benchmark that is no longer in the tree, so a deletion cannot
-// leave its documentation behind.
+// command, benchmark or command-line flag that is no longer in the tree, so
+// a deletion cannot leave its documentation behind. A flag is a code span
+// that starts with one (`-workers N`): it must be defined by a command named
+// on the same line, or — prose wraps — by any command when the line names
+// none. A span that is a command line (`rlscope-hyp -gate`) is held to that
+// command's flags.
 func TestDocsNameWhatExists(t *testing.T) {
 	benchmarks := map[string]bool{}
 	fset := token.NewFileSet()
@@ -151,6 +207,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 	// The CI badge URL's organisation and repository.
 	allowed := map[string]bool{"rlscope-repro": true}
+	flags := commandFlags(t)
+	everyCommand := slices.Sorted(maps.Keys(flags))
+	defines := func(cmds []string, flag string) bool {
+		return slices.ContainsFunc(cmds, func(cmd string) bool { return flags[cmd][flag] })
+	}
 
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
@@ -172,6 +233,24 @@ func TestDocsNameWhatExists(t *testing.T) {
 				}
 				if !ok {
 					t.Errorf("%s:%d names %s, which is not in the tree", doc, i+1, name)
+				}
+			}
+			named := everyCommand
+			if onLine := slices.DeleteFunc(docNames.FindAllString(line, -1), func(name string) bool { return flags[name] == nil }); len(onLine) > 0 {
+				named = onLine
+			}
+			for _, span := range docSpans.FindAllString(line, -1) {
+				// A command line's every word, else the span's first.
+				owners, words := named, strings.Fields(strings.Trim(span, "`"))
+				if len(words) > 0 && flags[words[0]] != nil {
+					owners, words = words[:1], words[1:]
+				} else if len(words) > 1 {
+					words = words[:1]
+				}
+				for _, word := range words {
+					if m := docFlag.FindStringSubmatch(word); m != nil && !defines(owners, m[1]) {
+						t.Errorf("%s:%d names the flag -%s, which %v does not define", doc, i+1, m[1], owners)
+					}
 				}
 			}
 		}

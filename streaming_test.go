@@ -1,10 +1,14 @@
 package rlscope
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -106,5 +110,65 @@ func TestEngineDirReportsResidency(t *testing.T) {
 	}
 	if stats.Chunks < 2 {
 		t.Fatalf("expected multiple chunks, got %d", stats.Chunks)
+	}
+}
+
+// resultDoc renders dir's analysis as the result-only document
+// `rlscope-analyze -json -result-only` prints.
+func resultDoc(t *testing.T, dir string) string {
+	t.Helper()
+	rep, err := NewEngine(WithWorkers(2)).Analyze(context.Background(), FromDir(dir))
+	if err != nil {
+		t.Fatalf("%s: %v", dir, err)
+	}
+	var doc bytes.Buffer
+	if err := report.NewResultAnalysis(rep.Meta, rep.Results, rep.Corrected).Encode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.String()
+}
+
+// TestSidecarEncodingNeverReachesResults: the sidecar plans the analysis and
+// nothing more, so the committed directory with pre-binary JSON sidecars, a
+// copy with binary ones, a copy mixing the two and a copy with none at all
+// analyze to the same document.
+func TestSidecarEncodingNeverReachesResults(t *testing.T) {
+	const fixture = "internal/trace/testdata/legacy-json-sidecars"
+	want := resultDoc(t, fixture)
+	if !strings.Contains(want, `"backpropagation"`) {
+		t.Fatalf("the fixture's document names none of its operations:\n%s", want)
+	}
+	r, err := trace.OpenDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One letter per chunk: b rewrites its sidecar in the binary encoding,
+	// j keeps the JSON one, - removes it.
+	for _, layout := range []string{"bbb", "jbj", "---"} {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < r.NumChunks(); i++ {
+			side := filepath.Join(dir, strings.TrimSuffix(r.ChunkName(i), ".rlstrace")+".rlsidx")
+			switch layout[i] {
+			case '-':
+				err = os.Remove(side)
+			case 'b':
+				var ix *trace.ChunkIndex
+				var data []byte
+				if ix, err = r.Index(i); err == nil {
+					if data, err = ix.AppendBinary(nil); err == nil {
+						err = os.WriteFile(side, data, 0o644)
+					}
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := resultDoc(t, dir); got != want {
+			t.Errorf("sidecars %s: document diverges from the JSON-sidecar directory's:\n%s\nwant:\n%s", layout, got, want)
+		}
 	}
 }
