@@ -13,10 +13,10 @@
 //
 // With -store DIR, the service is also a write path: profilers stream
 // sequence-numbered chunk frames into server-owned trace directories under
-// DIR (create-on-first-write, idempotent retries), and analysis of a live
-// trace is incremental — chunks are batched into analysis epochs and only
-// the (process, window) shards they touch are re-swept, so a report after
-// a new chunk costs O(chunk) instead of O(trace).
+// DIR (create-on-first-write, idempotent retries). An open trace is analyzed
+// incrementally — chunks are batched into epochs and only the (process,
+// window) shards they touch are re-swept, O(chunk) not O(trace) — and
+// sealing it registers it: from then on it is a -trace directory.
 //
 // Endpoints:
 //
@@ -25,13 +25,13 @@
 //	                                   ?id= ?workload= ?label.k= glob filters
 //	POST /v1/query                     fleet aggregation query over sealed
 //	                                   traces; body: the fleet query DSL
-//	POST /v1/traces                    open a live trace: {"id":"run42"}
+//	POST /v1/traces                    open a trace for ingest: {"id":"run42"}
 //	GET  /v1/traces/{id}/summary       sidecar summary: processes, extents, fork tree
 //	POST /v1/traces/{id}/analyze       run (or serve from cache) an analysis;
 //	                                   body: {"workers":N, "max_resident_bytes":N,
 //	                                          "correction":true, "procs":[...]}
-//	POST /v1/traces/{id}/chunks?seq=N  append one chunk frame to a live trace
-//	POST /v1/traces/{id}/seal          finalize a live trace with its run metadata
+//	POST /v1/traces/{id}/chunks?seq=N  append one chunk frame to an open trace
+//	POST /v1/traces/{id}/seal          seal (register) it with its run metadata
 //
 // Errors share the envelope {"error":{"code","message"}} with the stable
 // code vocabulary of DESIGN.md §9.

@@ -75,16 +75,6 @@ func (c *reportCache) add(key string, body []byte) {
 	}
 }
 
-// reset drops every entry but keeps the hit/miss/eviction counters.
-// Benchmarks use it to measure the miss path repeatedly.
-func (c *reportCache) reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = map[string]*list.Element{}
-	c.size = 0
-}
-
 // cacheStats is the snapshot /healthz reports.
 type cacheStats struct {
 	Entries   int   `json:"entries"`

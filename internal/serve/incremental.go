@@ -1,17 +1,12 @@
-// Live trace ingest: the write path of rlscope-serve. Profilers stream
-// sequence-numbered chunk frames into a server-owned trace store
-// (POST /v1/traces/{id}/chunks, finalized by POST /v1/traces/{id}/seal),
-// and analysis of a live trace is incremental — one resident
-// analysis.Incremental per open trace, advanced in epochs, so a report
-// after a new chunk costs O(chunk), not O(trace).
-//
-// Concurrency follows ddtxn's coordinator/worker epoch design: appends are
-// the workers, enqueueing decoded chunks under a light pending lock and
-// returning immediately; the next analyze call is the coordinator, draining
-// everything pending as ONE epoch under the per-trace analysis lock and
-// re-sweeping only the (proc, window) shards the epoch's events touched.
-// Appends arriving during an analysis are never lost and never block it —
-// they land in the next epoch.
+// Live trace ingest: the write path of rlscope-serve, and the open state of
+// a trace. Profilers stream sequence-numbered chunk frames into a server-owned
+// store (POST /v1/traces/{id}/chunks) and POST /v1/traces/{id}/seal promotes
+// the trace to a sealed entry. While open it is analyzed incrementally, in
+// ddtxn's coordinator/worker epochs: appends enqueue decoded chunks under a
+// light pending lock and return; the next analyze drains everything pending
+// as ONE epoch under the per-trace analysis lock and re-sweeps only the
+// (proc, window) shards it touched — O(chunk), not O(trace). Appends arriving
+// during an analysis are never lost and never block it.
 package serve
 
 import (
@@ -22,12 +17,12 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/analysis"
-	"repro/internal/overlap"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -36,42 +31,51 @@ import (
 // chunks (trace.DefaultChunkBytes), so 64 MiB is generous headroom.
 const maxChunkBytes = 64 << 20
 
-// Trace lifecycle states reported in TraceInfo.State.
+// Trace lifecycle states reported in TraceInfo.State: open while the trace
+// accepts chunks, sealed from /seal on — and from AddDir on, by construction.
 const (
-	// StateOpen marks a live trace still accepting chunks.
-	StateOpen = "open"
-	// StateSealed marks a finalized trace: registered directories are
-	// sealed by construction, live traces become sealed at /seal.
+	StateOpen   = "open"
 	StateSealed = "sealed"
 )
 
-// liveTrace is one live-ingested trace: the durable side (a DirSink landing
-// frames in the store) plus the resident analysis state.
+// liveTrace is the open state of a traceEntry: the durable side (a DirSink
+// landing frames in the store) plus the resident analysis state. Seal builds
+// the entry's sealed state from it and drops it whole.
 type liveTrace struct {
 	id   string
 	sink *trace.DirSink
 
-	// pmu guards the ingest side: sink ordering, the pending epoch queue,
-	// and the sidecar-index fold the summary endpoint reads.
+	// pmu guards the ingest side: sink ordering, the pending epoch queue, and
+	// what listing and summary read — the digest as of the last append and
+	// the sidecar fold. They never ask the sink, so a trace reads as open,
+	// with its last open digest, until seal swaps it out.
 	pmu     sync.Mutex
 	pending [][]trace.Event
-	indexes []*trace.ChunkIndex
+	digest  string
+	fold    summaryFold
 
-	// amu guards the analysis side: the incremental state, the sealed run
-	// metadata, and the encoded-document cache. Epoch application and
-	// result reads are serialized per trace; appends are not (they only
-	// touch the pending queue).
+	// amu guards the analysis side: the incremental state and the one-slot
+	// encoded-document cache. Epoch application and result reads are
+	// serialized per trace; appends, listings and summaries never take it.
 	amu        sync.Mutex
 	inc        *analysis.Incremental
-	meta       trace.Meta
-	hasMeta    bool
 	lastDigest string
-	lastProcs  string
+	lastProcs  []trace.ProcID
 	lastBody   []byte
-	// finalStats preserves the incremental counters after sealing evicts
-	// the resident state (inc == nil): the trace is immutable from then
-	// on, so the counters are final.
-	finalStats analysis.IncrementalStats
+}
+
+// drain is the coordinator step: everything appended since the last epoch
+// becomes this epoch, applied in landing order. It returns the digest the
+// epoch brings the analysis up to. amu held.
+func (lt *liveTrace) drain() (digest string) {
+	lt.pmu.Lock()
+	batch := lt.pending
+	lt.pending, digest = nil, lt.digest
+	lt.pmu.Unlock()
+	if len(batch) > 0 {
+		lt.inc.Apply(batch)
+	}
+	return digest
 }
 
 // AppendResponse is the POST /v1/traces/{id}/chunks response body.
@@ -96,18 +100,9 @@ type SealResponse struct {
 	Digest string `json:"digest"`
 }
 
-// liveLookup returns the live trace registered under id, if any.
-func (s *Server) liveLookup(id string) *liveTrace {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.lives[id]
-}
-
-// openLive returns the live trace for id, creating it on first use
-// (create-on-first-write: the first chunk append — or an explicit
-// POST /v1/traces — brings the trace into existence). A trace id already
-// registered as a read-only directory cannot be appended to, and creation
-// requires the server to have a trace store configured.
+// openLive returns the open trace for id, creating it on first use (the
+// first chunk append, or an explicit POST /v1/traces). A sealed id cannot be
+// appended to, and creation requires a configured trace store.
 func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiError) {
 	if !validTraceID(id) {
 		return nil, false, &apiError{http.StatusBadRequest, ErrCodeInvalidTraceID,
@@ -115,12 +110,8 @@ func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiEr
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if lt := s.lives[id]; lt != nil {
-		return lt, false, nil
-	}
-	if _, ok := s.traces[id]; ok {
-		return nil, false, &apiError{http.StatusConflict, ErrCodeTraceExists,
-			fmt.Sprintf("trace %q is registered read-only; live chunks cannot be appended to it", id)}
+	if entry := s.traces[id]; entry != nil {
+		return entry.live, false, entry.appendRefusal()
 	}
 	if s.cfg.StoreDir == "" {
 		return nil, false, &apiError{http.StatusForbidden, ErrCodeIngestDisabled,
@@ -132,9 +123,23 @@ func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiEr
 			fmt.Sprintf("creating trace store dir: %v", err)}
 	}
 	lt = &liveTrace{id: id, sink: sink, inc: analysis.NewIncremental()}
-	s.lives[id] = lt
-	s.liveIDs = append(s.liveIDs, id)
+	s.traces[id] = &traceEntry{id: id, live: lt}
+	s.ids = append(s.ids, id)
 	return lt, true, nil
+}
+
+// appendRefusal is why e takes no more chunks: nil while it is open,
+// trace_sealed once the seal of a streamed trace has promoted it,
+// trace_exists for a directory registered read-only.
+func (e *traceEntry) appendRefusal() *apiError {
+	if e.live != nil {
+		return nil
+	}
+	if e.streamed != nil {
+		return ingestError(trace.ErrSinkSealed)
+	}
+	return &apiError{http.StatusConflict, ErrCodeTraceExists,
+		fmt.Sprintf("trace %q is registered read-only; live chunks cannot be appended to it", e.id)}
 }
 
 // CreateTraceRequest is the POST /v1/traces body.
@@ -142,11 +147,9 @@ type CreateTraceRequest struct {
 	ID string `json:"id"`
 }
 
-// handleCreateTrace is POST /v1/traces: explicitly open a live trace.
-// Creation is also implicit on the first chunk append; this endpoint
-// exists so a client can reserve the id (and learn about collisions with
-// registered traces) before streaming. Opening an already-open trace is a
-// 200 no-op; a fresh open is a 201.
+// handleCreateTrace is POST /v1/traces: reserve an id (and learn about
+// collisions) before streaming; the first chunk append creates implicitly.
+// Opening an already-open trace is a 200 no-op; a fresh open is a 201.
 func (s *Server) handleCreateTrace(w http.ResponseWriter, r *http.Request) {
 	var req CreateTraceRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
@@ -164,7 +167,7 @@ func (s *Server) handleCreateTrace(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusCreated
 	}
-	writeJSON(w, status, lt.liveInfo())
+	writeJSON(w, status, lt.summary().TraceInfo)
 }
 
 // validTraceID accepts ids safe to use as store directory names: one path
@@ -201,24 +204,23 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading chunk body: "+err.Error())
 		return
 	}
-	// An append the sink is certain to refuse — the trace is sealed, or seq
-	// lies beyond its next — is refused here, before the frame is decoded,
-	// indexed and marshalled for nothing. The sink's own check under pmu
-	// stays the authority; a trace that does not exist yet has nothing to
-	// ask, so an undecodable first chunk still creates no trace.
-	if lt := s.liveLookup(r.PathValue("id")); lt != nil {
-		if lt.sink.Sealed() {
-			writeAPIError(w, ingestError(trace.ErrSinkSealed))
+	// An append certain to be refused — a sealed trace, a seq beyond its next
+	// — is refused before the frame is decoded and indexed for nothing;
+	// openLive and the sink's check under pmu stay the authority. A trace that
+	// does not exist yet has nothing to ask, so an undecodable first chunk
+	// still creates no trace.
+	if entry := s.lookup(r.PathValue("id")); entry != nil {
+		if apiErr := entry.appendRefusal(); apiErr != nil {
+			writeAPIError(w, apiErr)
 			return
 		}
-		if next := lt.sink.Chunks(); seq > next {
+		if next := entry.live.sink.Chunks(); seq > next {
 			writeAPIError(w, ingestError(&trace.SeqError{Seq: seq, Next: next}))
 			return
 		}
 	}
-	// DecodeChunkBytes sniffs the frame's version, so live ingest accepts
-	// v1 and v2 chunks alike — the store lands whatever frame the client
-	// sent, byte-for-byte, while the analysis sees decoded events.
+	// DecodeChunkBytes sniffs the frame's version: v1 and v2 chunks are
+	// accepted alike, landed byte-for-byte, and analyzed as decoded events.
 	events, err := trace.DecodeChunkBytes(chunk, nil)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadChunk, "undecodable chunk frame: "+err.Error())
@@ -237,25 +239,22 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Apply under the ingest lock so the sink's sequence order and the
-	// pending queue's order are the same order: the epoch the coordinator
-	// later drains replays chunks exactly as they landed on disk.
+	// Apply under the ingest lock so the sink's sequence order is the pending
+	// queue's: the epoch drained later replays chunks as they landed on disk.
 	lt.pmu.Lock()
 	dup, err := lt.sink.Append(seq, chunk, sidecar)
 	if err == nil && !dup {
 		lt.pending = append(lt.pending, events)
-		lt.indexes = append(lt.indexes, index)
+		lt.fold.foldIndex(index)
+		lt.digest = lt.sink.Digest()
 	}
-	chunks := lt.sink.Chunks()
-	digest := lt.sink.Digest()
+	chunks, digest := lt.fold.chunks, lt.digest
 	lt.pmu.Unlock()
 	if err != nil {
 		writeAPIError(w, ingestError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, AppendResponse{
-		ID: lt.id, Seq: seq, Chunks: chunks, Digest: digest, Duplicate: dup,
-	})
+	writeJSON(w, http.StatusOK, AppendResponse{ID: lt.id, Seq: seq, Chunks: chunks, Digest: digest, Duplicate: dup})
 }
 
 // ingestError maps sink errors onto the API error vocabulary.
@@ -278,12 +277,16 @@ func ingestError(err error) *apiError {
 
 // handleSeal is POST /v1/traces/{id}/seal: the body is the run's trace.Meta
 // (an empty body seals with zero metadata). Sealing writes meta.json, fixes
-// the trace's content digest, and upgrades analysis documents from
-// provisional (empty workload, default process names) to final.
+// the trace's content digest, and promotes the entry in place: from here on
+// the id is a sealed entry like any AddDir registered.
 func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
-	lt := s.liveLookup(r.PathValue("id"))
-	if lt == nil {
+	entry := s.lookup(r.PathValue("id"))
+	if entry == nil {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown live trace id")
+		return
+	}
+	if entry.live == nil {
+		writeAPIError(w, ingestError(trace.ErrSinkSealed))
 		return
 	}
 	var meta trace.Meta
@@ -292,98 +295,78 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad seal body: "+err.Error())
 		return
 	}
-	// Take the analysis lock across the seal so no analyze encodes a
-	// sealed-digest document with pre-seal metadata.
-	lt.amu.Lock()
-	err := lt.sink.Seal(meta)
-	if err == nil {
-		lt.meta = meta
-		lt.hasMeta = true
-		s.evictSealed(lt)
-	}
-	lt.amu.Unlock()
+	sealed, err := s.promote(entry.live, meta)
 	if err != nil {
 		writeAPIError(w, ingestError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, SealResponse{ID: lt.id, Chunks: lt.sink.Chunks(), Digest: lt.sink.Digest()})
+	writeJSON(w, http.StatusOK, SealResponse{ID: sealed.id, Chunks: sealed.info.Chunks, Digest: sealed.info.Digest})
 }
 
-// evictSealed retires a just-sealed trace's resident incremental state.
-// A sealed trace is immutable, so its analysis is computed once, here:
-// any still-pending chunks are drained as the final epoch, the final
-// result-only document is cached under the final digest (repeated
-// analyzes keep costing zero Engine runs), the full-fidelity result set
-// lands in the report store for fleet queries, and the Incremental —
-// which holds every decoded event resident — is dropped. Called with
-// lt.amu held, immediately after a successful sink.Seal.
-func (s *Server) evictSealed(lt *liveTrace) {
-	lt.pmu.Lock()
-	batch := lt.pending
-	lt.pending = nil
-	digest := lt.sink.Digest()
-	lt.pmu.Unlock()
-	if len(batch) > 0 {
-		lt.inc.Apply(batch)
+// promote seals lt and swaps the sealed entry in for its open one, all under
+// the analysis lock: an analyze that was waiting on it finds the registry
+// changed and answers from the sealed entry. A sealed trace is immutable, so
+// its analysis is computed once, here — the pending chunks are the final
+// epoch; the result set (fleet queries, filtered analyzes) and the unfiltered
+// result-only document go to the report store, so neither costs an Engine
+// run. The entry is built from memory, not read back from the directory; the
+// liveTrace, whose Incremental holds every decoded event, goes with the old one.
+func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
+	lt.amu.Lock()
+	defer lt.amu.Unlock()
+	if err := lt.sink.Seal(meta); err != nil {
+		return nil, err
 	}
+	// The sink now refuses appends: this epoch and the fold are final.
+	lt.drain()
+	sealed, err := sealedEntry(lt.id, lt.sink.Dir(), lt.sink.Digest(), meta, &lt.fold)
+	if err != nil {
+		return nil, err
+	}
+	stats := lt.inc.Stats()
+	sealed.streamed = &stats
+
 	results := lt.inc.Results(nil)
-	lt.lastBody = nil // cached doc predates the seal metadata
-	doc := report.NewResultAnalysis(lt.meta, results, false)
-	var buf bytes.Buffer
-	if err := doc.Encode(&buf); err == nil {
-		lt.lastBody = buf.Bytes()
-		lt.lastDigest = digest
-		lt.lastProcs = ""
+	var rs bytes.Buffer
+	if err := report.EncodeResultSet(&rs, results); err == nil {
+		s.store.add(ResultSetKey(sealed.info.Digest), rs.Bytes())
 	}
-	var rsBuf bytes.Buffer
-	if err := report.EncodeResultSet(&rsBuf, results); err == nil {
-		s.store.add(ResultSetKey(digest), rsBuf.Bytes())
-	}
-	lt.finalStats = lt.inc.Stats()
-	lt.inc = nil
+	s.storeDoc(cacheKey(sealed.info.Digest, canonical{resultOnly: true}), report.NewResultAnalysis(meta, results, false))
+
+	s.mu.Lock()
+	s.traces[lt.id] = sealed
+	s.mu.Unlock()
+	return sealed, nil
 }
 
-// analyzeLive answers POST /v1/traces/{id}/analyze for a live-ingested
-// trace. It drains every pending chunk as one analysis epoch, re-sweeps
-// only the shards the epoch dirtied, and serves the result-only document
-// (no run-descriptive stats block — an incremental state has no single
-// "run" to describe). The encoded document is cached per (digest, procs);
-// a quiescent trace answers repeated analyzes from the cached bytes.
-//
-// Correction is not supported on the live path: a correction stage rewrites
-// events before routing, which would require the calibration at ingest
-// time. Clients needing a corrected report seal the trace and register the
-// directory.
-func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, lt *liveTrace, req AnalyzeRequest) {
+// analyzeLive answers an analyze of an open trace: one epoch over everything
+// pending, then the result-only document (no stats block — an incremental
+// state has no single "run" to describe), cached encoded per (digest, procs)
+// so a quiescent trace answers repeats from the cached bytes. Correction is
+// refused: it rewrites events before routing, which would need the
+// calibration at ingest time. Once sealed it is an ordinary Engine run.
+func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *traceEntry, req AnalyzeRequest) {
 	if req.Correction {
 		writeError(w, http.StatusBadRequest, ErrCodeCorrectionUnsupported,
-			"correction is not supported on live-ingested traces; seal the trace and register the directory instead")
+			"correction is not supported on an open trace; seal it first")
 		return
 	}
 	c := s.canonicalize(req)
 
+	lt := entry.live
 	lt.amu.Lock()
+	if now := s.lookup(entry.id); now != entry {
+		// Sealed while this request waited for the lock.
+		lt.amu.Unlock()
+		s.analyzeSealed(w, r, now, req)
+		return
+	}
 	defer lt.amu.Unlock()
 
-	// Coordinator step: everything appended since the last epoch becomes
-	// this epoch, applied in landing order.
-	lt.pmu.Lock()
-	batch := lt.pending
-	lt.pending = nil
-	digest := lt.sink.Digest()
-	lt.pmu.Unlock()
-	if len(batch) > 0 && lt.inc != nil {
-		lt.inc.Apply(batch)
-	}
-
-	procsKey := procsKey(c.procs)
-	state := StateOpen
-	if lt.sink.Sealed() {
-		state = StateSealed
-	}
+	digest := lt.drain()
 	w.Header().Set("X-RLScope-Digest", digest)
-	w.Header().Set("X-RLScope-State", state)
-	if lt.lastBody != nil && lt.lastDigest == digest && lt.lastProcs == procsKey {
+	w.Header().Set("X-RLScope-State", StateOpen)
+	if lt.lastBody != nil && lt.lastDigest == digest && slices.Equal(lt.lastProcs, c.procs) {
 		w.Header().Set("X-RLScope-Cache", "hit")
 		writeBody(w, lt.lastBody)
 		return
@@ -396,31 +379,7 @@ func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, lt *liveTra
 			filter[p] = true
 		}
 	}
-	var results map[trace.ProcID]*overlap.Result
-	if lt.inc != nil {
-		results = lt.inc.Results(filter)
-	} else {
-		// Sealing evicted the resident state, cached the unfiltered final
-		// document above, and stored the trace's full result set; reaching
-		// here means a different process filter. Per-process results are
-		// independent, so the requested processes of the stored set are
-		// what an Engine run filtered to them would compute.
-		all, _, err := s.LoadResults(r.Context(), digest, lt.sink.Dir())
-		if err != nil {
-			writeRunError(w, r, "analysis", err)
-			return
-		}
-		results = all
-		if filter != nil {
-			results = make(map[trace.ProcID]*overlap.Result, len(filter))
-			for p := range filter {
-				if res := all[p]; res != nil {
-					results[p] = res
-				}
-			}
-		}
-	}
-	doc := report.NewResultAnalysis(lt.meta, results, false)
+	doc := report.NewResultAnalysis(trace.Meta{}, lt.inc.Results(filter), false)
 	var buf bytes.Buffer
 	if err := doc.Encode(&buf); err != nil {
 		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding report: "+err.Error())
@@ -428,83 +387,32 @@ func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, lt *liveTra
 	}
 	lt.lastBody = buf.Bytes()
 	lt.lastDigest = digest
-	lt.lastProcs = procsKey
+	lt.lastProcs = c.procs
 	w.Header().Set("X-RLScope-Cache", "miss")
 	writeBody(w, lt.lastBody)
 }
 
-// procsKey is the canonical cache-key spelling of a process filter.
-func procsKey(procs []trace.ProcID) string {
-	var sb strings.Builder
-	for i, p := range procs {
-		if i > 0 {
-			sb.WriteString(",")
-		}
-		sb.WriteString(strconv.Itoa(int(p)))
-	}
-	return sb.String()
-}
-
-// liveInfo snapshots a live trace's identity row.
-func (lt *liveTrace) liveInfo() TraceInfo {
+// summary renders an open trace's summary — and with it its listing row —
+// over the chunks landed so far: the derivation a sealed entry got once.
+func (lt *liveTrace) summary() *TraceSummary {
 	lt.pmu.Lock()
-	indexes := lt.indexes
-	chunks := lt.sink.Chunks()
-	digest := lt.sink.Digest()
-	sealed := lt.sink.Sealed()
-	lt.pmu.Unlock()
-	procs := map[trace.ProcID]bool{}
-	events := 0
-	for _, ix := range indexes {
-		events += ix.Events
-		for p := range ix.Procs {
-			procs[p] = true
-		}
-	}
-	info := TraceInfo{
-		ID: lt.id, Digest: digest, Chunks: chunks, Events: events,
-		Procs: len(procs), State: StateOpen,
-	}
-	if sealed {
-		info.State = StateSealed
-	}
-	lt.amu.Lock()
-	info.Workload = lt.meta.Workload
-	info.Host = lt.meta.Host
-	info.Labels = lt.meta.Labels
-	lt.amu.Unlock()
-	return info
+	defer lt.pmu.Unlock()
+	return buildSummary(&lt.fold, lt.id, lt.digest, StateOpen, trace.Meta{})
 }
 
-// handleLiveSummary answers GET /v1/traces/{id}/summary for a live trace
-// from the sidecar indexes folded at append time — the same derivation
-// registered directories get at AddDir, over the chunks landed so far.
-func (s *Server) handleLiveSummary(w http.ResponseWriter, lt *liveTrace) {
-	lt.pmu.Lock()
-	indexes := make([]*trace.ChunkIndex, len(lt.indexes))
-	copy(indexes, lt.indexes)
-	lt.pmu.Unlock()
-	lt.amu.Lock()
-	meta := lt.meta
-	lt.amu.Unlock()
-	sum := buildSummary(indexes, meta)
-	sum.TraceInfo = lt.liveInfo()
-	writeJSON(w, http.StatusOK, sum)
-}
-
-// IncrementalStats reports the incremental-analysis counters of a live
-// trace — the instrumented ground truth that appending one chunk re-sweeps
-// only the windows it lands in, whatever the trace's length. ok is false if
-// id is not a live trace.
+// IncrementalStats reports the incremental-analysis counters of a trace that
+// arrived over /chunks — the instrumented ground truth that appending one
+// chunk re-sweeps only the windows it lands in, whatever the trace's length.
+// After seal they are final. ok is false if id is not such a trace.
 func (s *Server) IncrementalStats(id string) (stats analysis.IncrementalStats, ok bool) {
-	lt := s.liveLookup(id)
-	if lt == nil {
-		return analysis.IncrementalStats{}, false
+	entry := s.lookup(id)
+	switch {
+	case entry != nil && entry.live != nil:
+		entry.live.amu.Lock()
+		defer entry.live.amu.Unlock()
+		return entry.live.inc.Stats(), true
+	case entry != nil && entry.streamed != nil:
+		return *entry.streamed, true
 	}
-	lt.amu.Lock()
-	defer lt.amu.Unlock()
-	if lt.inc == nil {
-		return lt.finalStats, true
-	}
-	return lt.inc.Stats(), true
+	return stats, false
 }

@@ -371,7 +371,7 @@ func TestIngestProtocolErrors(t *testing.T) {
 	}
 
 	// The undecodable first chunk above created no trace.
-	if s.liveLookup("run") != nil {
+	if s.lookup("run") != nil {
 		t.Fatal("an undecodable first chunk created the trace")
 	}
 
@@ -456,7 +456,7 @@ func TestIngestMultipartIsBadChunk(t *testing.T) {
 	if rec.Code != http.StatusBadRequest || errCode(t, rec) != ErrCodeBadChunk {
 		t.Fatalf("multipart append: %d %s, want 400 %s", rec.Code, rec.Body, ErrCodeBadChunk)
 	}
-	if s.liveLookup("mp") != nil {
+	if s.lookup("mp") != nil {
 		t.Fatal("a multipart append created the trace")
 	}
 	if entries, err := os.ReadDir(store); err != nil || len(entries) != 0 {
@@ -484,7 +484,7 @@ func TestIngestDisabledWithoutStore(t *testing.T) {
 // lifecycle state, and the summary endpoint works over the chunks landed so
 // far.
 func TestLiveListingAndSummary(t *testing.T) {
-	s, _ := liveServer(t, Config{})
+	s, store := liveServer(t, Config{})
 	h := s.Handler()
 	chunks, meta := quickstartFrames(t, 10, 3)
 	for seq := range chunks {
@@ -522,8 +522,11 @@ func TestLiveListingAndSummary(t *testing.T) {
 	}
 
 	// Sealing flips the state everywhere, and the sealed metadata's
-	// originating host surfaces in the listing for fleet host filters.
+	// originating host surfaces in the listing for fleet host filters. The
+	// metadata also names a process that logged no event: the listing row,
+	// the summary and AddDir on the same directory all count it.
 	meta.Host = "gpu-node-3"
+	meta.Procs[5] = trace.ProcInfo{Name: "idle-worker", Parent: 0}
 	metaBody, _ := json.Marshal(meta)
 	if rec := doReq(t, h, "POST", "/v1/traces/live1/seal", string(metaBody)); rec.Code != http.StatusOK {
 		t.Fatalf("seal: %d %s", rec.Code, rec.Body)
@@ -532,7 +535,20 @@ func TestLiveListingAndSummary(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
 		t.Fatal(err)
 	}
-	if got := listing.Traces[0]; got.State != StateSealed || got.Workload != "quickstart" || got.Host != "gpu-node-3" {
+	got := listing.Traces[0]
+	if got.State != StateSealed || got.Workload != "quickstart" || got.Host != "gpu-node-3" {
 		t.Fatalf("sealed listing %+v", got)
+	}
+	rec = doReq(t, h, "GET", "/v1/traces/live1/summary", "")
+	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
+		t.Fatal(err)
+	}
+	twin, err := s.AddDir("twin", filepath.Join(store, "live1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Procs != 2 || got.Procs != len(sum.Processes) || sum.Procs != got.Procs || twin.Procs != got.Procs {
+		t.Fatalf("procs: listing %d, summary %d over %d processes, AddDir twin %d; want 2 everywhere",
+			got.Procs, sum.Procs, len(sum.Processes), twin.Procs)
 	}
 }

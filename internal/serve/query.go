@@ -1,9 +1,8 @@
 // Fleet queries: POST /v1/query answers cross-trace aggregation questions
-// over every sealed trace the server knows — registered directories and
-// sealed live-ingested traces alike. The query body is the fleet DSL
-// (fleet.Query); the response is the byte-stable report.QueryDoc the
-// offline rlscope-query CLI prints for the same traces and query, so the
-// two can be compared with cmp.
+// over every sealed trace the server knows. The query body is the fleet DSL
+// (fleet.Query); the response is the byte-stable report.QueryDoc the offline
+// rlscope-query CLI prints for the same traces and query, so the two can be
+// compared with cmp.
 //
 // The document is cached encoded, by content (Server.Query): a repeat of a
 // query over an unchanged fleet is one LRU lookup. Behind that, per-trace
@@ -135,36 +134,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, res.Body)
 }
 
-// queryCandidates snapshots every sealed trace as a fleet candidate:
-// registered directories plus sealed live traces. Open live traces are
-// excluded — their content (and digest) is still moving, so they have no
-// stable result set to aggregate; seal them to make them queryable.
+// queryCandidates snapshots every sealed entry as a fleet candidate. Open
+// traces are excluded — their content (and digest) is still moving, so they
+// have no stable result set to aggregate; seal them to make them queryable.
 func (s *Server) queryCandidates() []fleet.Trace {
 	s.mu.RLock()
-	out := make([]fleet.Trace, 0, len(s.ids)+len(s.liveIDs))
+	defer s.mu.RUnlock()
+	out := make([]fleet.Trace, 0, len(s.ids))
 	for _, id := range s.ids {
-		e := s.traces[id]
-		out = append(out, fleet.Trace{ID: e.id, Meta: e.meta, Digest: e.info.Digest, Dir: e.dir})
-	}
-	lives := make([]*liveTrace, 0, len(s.liveIDs))
-	for _, id := range s.liveIDs {
-		lives = append(lives, s.lives[id])
-	}
-	s.mu.RUnlock()
-	// Live rows are read outside the registry lock: each takes its trace's
-	// own locks, which an in-flight append or analyze may hold.
-	for _, lt := range lives {
-		lt.pmu.Lock()
-		sealed := lt.sink.Sealed()
-		digest := lt.sink.Digest()
-		lt.pmu.Unlock()
-		if !sealed {
-			continue
+		if e := s.traces[id]; e.live == nil {
+			out = append(out, fleet.Trace{ID: e.id, Meta: e.meta, Digest: e.info.Digest, Dir: e.dir})
 		}
-		lt.amu.Lock()
-		meta := lt.meta
-		lt.amu.Unlock()
-		out = append(out, fleet.Trace{ID: lt.id, Meta: meta, Digest: digest, Dir: lt.sink.Dir()})
 	}
 	return out
 }
@@ -173,8 +153,8 @@ func (s *Server) queryCandidates() []fleet.Trace {
 // trace directory dir, addressed by its content digest: tiered store lookup
 // first, a singleflight-deduplicated Engine run on a miss, the encoded
 // result set written back through both tiers. ran reports whether this call
-// paid for an Engine run. It backs POST /v1/query, filtered analyzes of
-// sealed live traces, and rlscope-query (a Server with only ReportDir set).
+// paid for an Engine run. It backs POST /v1/query, the result-only analyzes
+// of streamed traces, and rlscope-query (a Server with only ReportDir set).
 func (s *Server) LoadResults(ctx context.Context, digest, dir string) (results map[trace.ProcID]*overlap.Result, ran bool, err error) {
 	key := ResultSetKey(digest)
 	if body, ok := s.store.get(key); ok {

@@ -424,12 +424,9 @@ func TestSealEvictsIncremental(t *testing.T) {
 	if rec := doReq(t, h, "POST", "/v1/traces/run/seal", string(metaBody)); rec.Code != http.StatusOK {
 		t.Fatalf("seal: %d %s", rec.Code, rec.Body)
 	}
-	lt := s.liveLookup("run")
-	lt.amu.Lock()
-	evicted := lt.inc == nil
-	lt.amu.Unlock()
-	if !evicted {
-		t.Fatal("seal did not evict the incremental state")
+	entry := s.lookup("run")
+	if entry.live != nil || entry.streamed == nil {
+		t.Fatal("seal did not replace the open entry (and its incremental state) with a sealed one")
 	}
 
 	// The final counters survive eviction, including the seal's last epoch.
@@ -447,7 +444,7 @@ func TestSealEvictsIncremental(t *testing.T) {
 	if got := rec.Header().Get("X-RLScope-Cache"); got != "hit" {
 		t.Fatalf("post-seal analyze cache %q, want hit", got)
 	}
-	dir := lt.sink.Dir()
+	dir := entry.dir
 	rep, err := rlscope.NewEngine(rlscope.WithWorkers(1)).Analyze(context.Background(), rlscope.FromDir(dir))
 	if err != nil {
 		t.Fatal(err)

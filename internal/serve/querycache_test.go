@@ -25,11 +25,7 @@ import (
 // on anything but 200.
 func queryOK(tb testing.TB, h http.Handler, body string) *httptest.ResponseRecorder {
 	tb.Helper()
-	rec := doReq(tb, h, "POST", "/v1/query", body)
-	if rec.Code != http.StatusOK {
-		tb.Fatalf("query %s: %d %s", body, rec.Code, rec.Body)
-	}
-	return rec
+	return mustOK(tb, h, "POST", "/v1/query", body)
 }
 
 func parseQuery(tb testing.TB, body string) fleet.Query {
@@ -358,12 +354,13 @@ func warmAllocs(t *testing.T, h http.Handler, method, target, body string) float
 // TestWarmReadAllocs pins what a warm fleet query, a warm summary and an
 // analyze cache hit cost. All three serve stored bytes, so the counts are
 // small and exact: a rise means a decode, a merge, a render or an Engine
-// run crept back onto the hit path.
+// run crept back onto the hit path. A trace that was streamed in and sealed
+// is held to the registered ones' pins: it is the same kind of entry.
 func TestWarmReadAllocs(t *testing.T) {
-	s := NewServer(Config{MaxWorkers: 2})
-	t.Cleanup(s.Close)
+	s, _ := liveServer(t, Config{MaxWorkers: 2})
 	fleetDirs(t, s)
 	h := s.Handler()
+	streamAndSeal(t, h, "streamed", map[string]string{"algo": "sac"})
 	query := `{"group_by":["label.algo"],"compare":{"baseline":{"label.algo":"dqn"}}}`
 	queryOK(t, h, query)
 	for _, pin := range []struct {
@@ -373,6 +370,8 @@ func TestWarmReadAllocs(t *testing.T) {
 		{"query", "POST", "/v1/query", query, 43},
 		{"summary", "GET", "/v1/traces/run-a/summary", "", 6},
 		{"analyze", "POST", "/v1/traces/run-a/analyze", `{"workers":1}`, 23},
+		{"streamed summary", "GET", "/v1/traces/streamed/summary", "", 6},
+		{"streamed analyze", "POST", "/v1/traces/streamed/analyze", `{"workers":1}`, 23},
 	} {
 		if got := warmAllocs(t, h, pin.method, pin.target, pin.body); got > pin.max {
 			t.Errorf("warm %s: %.0f allocs per request, want <= %.0f", pin.name, got, pin.max)

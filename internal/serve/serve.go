@@ -1,15 +1,14 @@
 // Package serve implements rlscope-serve: a long-running HTTP/JSON service
 // answering RL-Scope analysis queries over a repository of trace
-// directories — registered read-only (AddDir) or streamed in live over
-// POST /v1/traces/{id}/chunks (see incremental.go). It is the step from
-// one-shot CLI analysis to shared infrastructure: reports are cached by
-// content — the trace directory's DirDigest plus the canonicalized
-// analysis options — in a bounded LRU, so repeated queries cost a map
-// lookup; concurrent identical queries collapse into one Engine run via
-// singleflight; a global worker budget bounds the total Engine parallelism
-// the service spends at once, however many clients are connected; and live
-// traces are analyzed incrementally, so a report after a new chunk costs
-// O(chunk) instead of O(trace).
+// directories — registered (AddDir) or streamed in over
+// POST /v1/traces/{id}/chunks and sealed (incremental.go); once sealed the
+// two are one kind of entry. Reports are cached by content — the directory's
+// DirDigest plus the canonicalized analysis options — in a bounded LRU, so
+// repeated queries cost a map lookup; concurrent identical queries collapse
+// into one Engine run via singleflight; a global worker budget bounds the
+// Engine parallelism the service spends at once, however many clients are
+// connected; and open traces are analyzed incrementally, so a report after a
+// new chunk costs O(chunk) instead of O(trace).
 //
 // The response body of POST /analyze is the report.Analysis document
 // `rlscope-analyze -json` prints — the CLI and the service are two front
@@ -28,7 +27,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -37,6 +35,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/calib"
 	"repro/internal/fleet"
+	"repro/internal/overlap"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -70,20 +69,17 @@ type Config struct {
 // DefaultCacheBytes is the report-cache budget selected by Config.CacheBytes <= 0.
 const DefaultCacheBytes = 64 << 20
 
-// Server is the service state: the registered traces, the report cache,
-// the singleflight group, and the admission budget. Register traces with
-// AddDir, mount Handler on an http.Server, and Close on shutdown to abort
-// any still-running analyses.
+// Server is the service state: the trace registry, the report cache, the
+// singleflight group, and the admission budget. Register traces with AddDir,
+// mount Handler on an http.Server, and Close on shutdown to abort any
+// still-running analyses.
 type Server struct {
-	cfg     Config
-	baseCtx context.Context
-	stop    context.CancelFunc
+	cfg  Config
+	stop context.CancelFunc
 
-	mu      sync.RWMutex
-	traces  map[string]*traceEntry
-	ids     []string // registration order
-	lives   map[string]*liveTrace
-	liveIDs []string // first-write order
+	mu     sync.RWMutex
+	traces map[string]*traceEntry
+	ids    []string // registration order: AddDir, or a streamed trace's first write
 
 	store   *tieredStore
 	flights *flightGroup
@@ -99,22 +95,32 @@ type Server struct {
 	preRun func(ctx context.Context, key string)
 }
 
-// traceEntry is an immutable snapshot of one registered directory's
-// content. When a miss-path analysis discovers the directory's digest has
-// changed since the snapshot was taken, a fresh entry replaces it in the
-// registry; handlers holding the old pointer keep a consistent (if stale)
-// read-only view.
+// traceEntry is one trace of the registry, in one of two states. Open
+// (live != nil): the trace is being streamed in, live owns everything that
+// moves and the other fields are zero. Sealed (live == nil): an immutable
+// snapshot of a finished directory's content — AddDir builds it from the
+// directory, POST /seal from memory, swapping it in at the same id. A sealed
+// entry is never modified; when a miss-path analysis finds the directory
+// rewritten a fresh entry replaces it, and handlers holding the old pointer
+// keep a consistent (if stale) read-only view.
 type traceEntry struct {
 	id   string
+	live *liveTrace
+
 	info TraceInfo
 	dir  string
 	meta trace.Meta
-	// summary is the encoded TraceSummary: the entry never changes, so
-	// GET /summary serves these bytes instead of re-rendering them.
+	// summary is the encoded TraceSummary: GET /summary serves these bytes.
 	summary []byte
+	// streamed, the final incremental counters, is all that tells a sealed
+	// entry that arrived over /chunks from one AddDir registered. Its results
+	// never came from a batch run, so its uncorrected analyzes are the
+	// result-only document (no stats block: no Engine run to describe), and
+	// an append to it is trace_sealed rather than trace_exists.
+	streamed *analysis.IncrementalStats
 }
 
-// TraceInfo is one registered trace's identity row (GET /v1/traces).
+// TraceInfo is one trace's identity row (GET /v1/traces).
 type TraceInfo struct {
 	ID       string `json:"id"`
 	Digest   string `json:"digest"`
@@ -129,9 +135,7 @@ type TraceInfo struct {
 	Chunks int               `json:"chunks"`
 	Events int               `json:"events"`
 	Procs  int               `json:"procs"`
-	// State is "sealed" for finalized traces (every registered directory,
-	// and live traces after /seal) and "open" for live traces still
-	// accepting chunks.
+	// State is StateOpen while the trace accepts chunks, StateSealed after.
 	State string `json:"state"`
 }
 
@@ -198,10 +202,8 @@ func NewServerStrict(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:     cfg,
-		baseCtx: ctx,
 		stop:    cancel,
 		traces:  map[string]*traceEntry{},
-		lives:   map[string]*liveTrace{},
 		store:   store,
 		flights: newFlightGroup(ctx),
 		budget:  newWorkerBudget(cfg.MaxWorkers),
@@ -232,9 +234,6 @@ func (s *Server) AddDir(id, dir string) (TraceInfo, error) {
 	if _, ok := s.traces[id]; ok {
 		return TraceInfo{}, fmt.Errorf("serve: trace id %q already registered", id)
 	}
-	if _, ok := s.lives[id]; ok {
-		return TraceInfo{}, fmt.Errorf("serve: trace id %q already exists as a live trace", id)
-	}
 	s.traces[id] = entry
 	s.ids = append(s.ids, id)
 	return entry.info, nil
@@ -251,22 +250,23 @@ func newTraceEntry(id, dir string) (*traceEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta := r.Meta()
-	indexes := make([]*trace.ChunkIndex, r.NumChunks())
-	for i := range indexes {
+	var fold summaryFold
+	for i := 0; i < r.NumChunks(); i++ {
 		// A missing sidecar falls back to a one-off chunk decode inside
 		// Index, so pre-sidecar directories still register.
-		if indexes[i], err = r.Index(i); err != nil {
+		ix, err := r.Index(i)
+		if err != nil {
 			return nil, err
 		}
+		fold.foldIndex(ix)
 	}
-	summary := buildSummary(indexes, meta)
-	summary.ID = id
-	summary.Digest = digest
-	summary.Workload = meta.Workload
-	summary.Host = meta.Host
-	summary.Labels = meta.Labels
-	summary.State = StateSealed
+	return sealedEntry(id, dir, digest, r.Meta(), &fold)
+}
+
+// sealedEntry builds a trace's sealed state from what AddDir has just read
+// from dir and what seal holds in memory.
+func sealedEntry(id, dir, digest string, meta trace.Meta, fold *summaryFold) (*traceEntry, error) {
+	summary := buildSummary(fold, id, digest, StateSealed, meta)
 	var body bytes.Buffer
 	if err := encodeJSON(&body, summary); err != nil {
 		return nil, fmt.Errorf("serve: encoding summary of %s: %w", dir, err)
@@ -274,57 +274,56 @@ func newTraceEntry(id, dir string) (*traceEntry, error) {
 	return &traceEntry{id: id, info: summary.TraceInfo, dir: dir, meta: meta, summary: body.Bytes()}, nil
 }
 
-// buildSummary derives a trace summary from sidecar indexes alone — no
-// chunk is decoded. Both registration (all indexes of a complete
-// directory) and the live-ingest summary endpoint (the indexes landed so
-// far) feed it; the caller fills the TraceInfo identity fields it knows.
-func buildSummary(indexes []*trace.ChunkIndex, meta trace.Meta) *TraceSummary {
-	type span struct {
-		events   int
-		min, max int64
+// summaryFold accumulates what a trace's listing row and summary need from
+// its sidecar indexes — no chunk is decoded. Each index is folded in exactly
+// once: as its chunk is appended to an open trace, or as newTraceEntry walks
+// a complete directory.
+type summaryFold struct {
+	chunks, events int
+	spans          map[trace.ProcID]trace.ProcSpan // over the whole trace
+	phases         map[string]bool
+}
+
+func (f *summaryFold) foldIndex(ix *trace.ChunkIndex) {
+	if f.spans == nil {
+		f.spans, f.phases = map[trace.ProcID]trace.ProcSpan{}, map[string]bool{}
 	}
-	spans := map[trace.ProcID]*span{}
-	phaseNames := map[string]bool{}
-	totalEvents := 0
-	for _, ix := range indexes {
-		totalEvents += ix.Events
-		for p, sp := range ix.Procs {
-			agg, ok := spans[p]
-			if !ok {
-				agg = &span{min: int64(sp.MinStart), max: int64(sp.MaxEnd)}
-				spans[p] = agg
-			}
-			if int64(sp.MinStart) < agg.min {
-				agg.min = int64(sp.MinStart)
-			}
-			if int64(sp.MaxEnd) > agg.max {
-				agg.max = int64(sp.MaxEnd)
-			}
-			agg.events += sp.Events
+	f.chunks++
+	f.events += ix.Events
+	for p, sp := range ix.Procs {
+		if agg, ok := f.spans[p]; ok {
+			sp = trace.ProcSpan{MinStart: min(agg.MinStart, sp.MinStart), MaxEnd: max(agg.MaxEnd, sp.MaxEnd), Events: agg.Events + sp.Events}
 		}
-		for _, e := range ix.Phases {
-			phaseNames[e.Name] = true
-		}
+		f.spans[p] = sp
 	}
+	for _, e := range ix.Phases {
+		f.phases[e.Name] = true
+	}
+}
+
+// buildSummary renders the fold as a trace's summary, listing row included.
+// An open trace has no metadata yet and passes the zero Meta.
+func buildSummary(f *summaryFold, id, digest, state string, meta trace.Meta) *TraceSummary {
 	// List every process the metadata or the chunks know about: metadata
 	// names processes, chunks prove they produced events.
-	procSet := map[trace.ProcID]bool{}
-	for p := range meta.Procs {
-		procSet[p] = true
-	}
-	for p := range spans {
-		procSet[p] = true
-	}
-	procs := make([]trace.ProcID, 0, len(procSet))
-	for p := range procSet {
+	procs := make([]trace.ProcID, 0, len(f.spans))
+	for p := range f.spans {
 		procs = append(procs, p)
 	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
+	for p := range meta.Procs {
+		if _, ok := f.spans[p]; !ok {
+			procs = append(procs, p)
+		}
+	}
+	slices.Sort(procs)
 
 	sum := &TraceSummary{
-		TraceInfo: TraceInfo{Chunks: len(indexes), Events: totalEvents, Procs: len(procs)},
-		Config:    meta.Config,
-		Tree:      report.TreeJSON(meta),
+		TraceInfo: TraceInfo{
+			ID: id, Digest: digest, Workload: meta.Workload, Host: meta.Host, Labels: meta.Labels,
+			Chunks: f.chunks, Events: f.events, Procs: len(procs), State: state,
+		},
+		Config: meta.Config,
+		Tree:   report.TreeJSON(meta),
 	}
 	for _, p := range procs {
 		info := meta.Procs[p]
@@ -333,15 +332,15 @@ func buildSummary(indexes []*trace.ChunkIndex, meta trace.Meta) *TraceSummary {
 			name = fmt.Sprintf("proc%d", p)
 		}
 		ps := ProcSummary{Proc: p, Name: name, Parent: info.Parent}
-		if agg := spans[p]; agg != nil {
-			ps.Events, ps.MinStart, ps.MaxEnd = agg.events, agg.min, agg.max
+		if sp, ok := f.spans[p]; ok {
+			ps.Events, ps.MinStart, ps.MaxEnd = sp.Events, int64(sp.MinStart), int64(sp.MaxEnd)
 		}
 		sum.Processes = append(sum.Processes, ps)
 	}
-	for name := range phaseNames {
+	for name := range f.phases {
 		sum.Phases = append(sum.Phases, name)
 	}
-	sort.Strings(sum.Phases)
+	slices.Sort(sum.Phases)
 	return sum
 }
 
@@ -381,7 +380,7 @@ type workerHealth struct {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
-	n := len(s.ids) + len(s.liveIDs)
+	n := len(s.ids)
 	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, healthResponse{
 		Status:     "ok",
@@ -407,24 +406,20 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	for _, id := range s.ids {
 		entries = append(entries, s.traces[id])
 	}
-	lives := make([]*liveTrace, 0, len(s.liveIDs))
-	for _, id := range s.liveIDs {
-		lives = append(lives, s.lives[id])
-	}
 	s.mu.RUnlock()
-	infos := make([]TraceInfo, 0, len(entries)+len(lives))
+	infos := make([]TraceInfo, 0, len(entries))
 	for _, entry := range entries {
-		if matcher == nil || matcher.Match(fleet.Trace{ID: entry.id, Meta: entry.meta}) {
-			infos = append(infos, entry.info)
+		// An open trace has no metadata until seal: only id filters select it.
+		if matcher != nil && !matcher.Match(fleet.Trace{ID: entry.id, Meta: entry.meta}) {
+			continue
 		}
-	}
-	// Live rows are snapshotted outside the registry lock: each one takes
-	// its trace's own ingest lock, which an in-flight append may hold.
-	for _, lt := range lives {
-		info := lt.liveInfo()
-		if matcher == nil || matcher.Match(fleet.Trace{ID: info.ID, Meta: trace.Meta{Workload: info.Workload, Host: info.Host, Labels: info.Labels}}) {
-			infos = append(infos, info)
+		info := entry.info
+		if entry.live != nil {
+			// Outside the registry lock: the row takes the trace's own ingest
+			// lock, which an in-flight append may hold.
+			info = entry.live.summary().TraceInfo
 		}
+		infos = append(infos, info)
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Traces []TraceInfo `json:"traces"`
@@ -453,14 +448,13 @@ func listFilter(params map[string][]string) (*fleet.Matcher, error) {
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	entry := s.lookup(id)
+	entry := s.lookup(r.PathValue("id"))
 	if entry == nil {
-		if lt := s.liveLookup(id); lt != nil {
-			s.handleLiveSummary(w, lt)
-			return
-		}
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
+		return
+	}
+	if entry.live != nil {
+		writeJSON(w, http.StatusOK, entry.live.summary())
 		return
 	}
 	writeBody(w, entry.summary)
@@ -477,6 +471,10 @@ type canonical struct {
 	maxResident int64
 	correction  bool
 	procs       []trace.ProcID
+	// resultOnly selects a streamed entry's result-only document. No run
+	// shaped it, so only the process filter accompanies it, and its keys get
+	// a prefix that keeps them disjoint from the full documents'.
+	resultOnly bool
 }
 
 func (s *Server) canonicalize(req AnalyzeRequest) canonical {
@@ -499,6 +497,10 @@ func (s *Server) canonicalize(req AnalyzeRequest) canonical {
 // under what result-and-run-relevant options.
 func cacheKey(digest string, c canonical) string {
 	var sb strings.Builder
+	sb.Grow(len(digest) + 32)
+	if c.resultOnly {
+		sb.WriteString("ro|")
+	}
 	sb.WriteString(digest)
 	sb.WriteString("|w=")
 	sb.WriteString(strconv.Itoa(c.workers))
@@ -520,15 +522,42 @@ func cacheKey(digest string, c canonical) string {
 	return sb.String()
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	entry := s.lookup(id)
-	var live *liveTrace
-	if entry == nil {
-		if live = s.liveLookup(id); live == nil {
-			writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
-			return
+// storeDoc encodes doc and lands it in the report store under key.
+func (s *Server) storeDoc(key string, doc *report.Analysis) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := doc.Encode(&buf); err != nil {
+		return nil, err
+	}
+	s.store.add(key, buf.Bytes())
+	return buf.Bytes(), nil
+}
+
+// renderStored computes a streamed entry's result-only document from the
+// result set its seal stored: per-process results are independent, so the
+// requested processes of the set are what an Engine run filtered to them would
+// compute. LoadResults re-runs the Engine only if every tier has lost the set.
+func (s *Server) renderStored(ctx context.Context, entry *traceEntry, procs []trace.ProcID, key string) ([]byte, error) {
+	results, _, err := s.LoadResults(ctx, entry.info.Digest, entry.dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(procs) > 0 {
+		all := results
+		results = make(map[trace.ProcID]*overlap.Result, len(procs))
+		for _, p := range procs {
+			if res := all[p]; res != nil {
+				results[p] = res
+			}
 		}
+	}
+	return s.storeDoc(key, report.NewResultAnalysis(entry.meta, results, false))
+}
+
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
+	entry := s.lookup(r.PathValue("id"))
+	if entry == nil {
+		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
+		return
 	}
 	var req AnalyzeRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
@@ -538,18 +567,35 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad analyze request: "+err.Error())
 		return
 	}
-	if live != nil {
-		s.analyzeLive(w, r, live, req)
+	if entry.live != nil {
+		s.analyzeLive(w, r, entry, req)
 		return
 	}
+	s.analyzeSealed(w, r, entry, req)
+}
+
+// analyzeSealed answers an analyze of a sealed entry: the content-addressed
+// store, then one singleflight-deduplicated computation on a miss — an Engine
+// run rendered as the full document, except that the uncorrected analyze of
+// a streamed entry renders the result set its seal stored (renderStored). A
+// corrected one is an Engine run like any other: the directory is all it needs.
+func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *traceEntry, req AnalyzeRequest) {
 	if req.Correction && s.cfg.Calibration == nil {
 		writeError(w, http.StatusBadRequest, ErrCodeNoCalibration, "correction requested but the server has no calibration loaded (start rlscope-serve with -calibration)")
 		return
 	}
 	c := s.canonicalize(req)
+	if entry.streamed != nil && !c.correction {
+		c = canonical{procs: c.procs, resultOnly: true}
+	}
 	key := cacheKey(entry.info.Digest, c)
 
 	w.Header().Set("X-RLScope-Digest", entry.info.Digest)
+	if entry.streamed != nil {
+		// X-RLScope-State in net/http's canonical spelling: Set allocates to
+		// canonicalise any other, and this hit shares the registered hit's pin.
+		w.Header().Set("X-Rlscope-State", StateSealed)
+	}
 	if body, ok := s.store.get(key); ok {
 		// Content hit: the stored bytes answer the request with zero
 		// Engine (and zero encoding) work.
@@ -562,6 +608,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// A flight that lost a fill race can still answer from cache.
 		if body, ok := s.store.get(key); ok {
 			return body, nil
+		}
+		if c.resultOnly {
+			return s.renderStored(runCtx, entry, c.procs, key)
 		}
 		// Every miss pays an Engine run, so re-digesting first is cheap
 		// insurance that the report is addressed by the content actually
@@ -577,6 +626,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
+			fresh.streamed = entry.streamed
 			s.mu.Lock()
 			s.traces[entry.id] = fresh
 			s.mu.Unlock()
@@ -590,14 +640,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		doc := report.NewAnalysis(rep.Meta, rep.Results, rep.Stats, rep.Corrected)
-		var buf bytes.Buffer
-		if err := doc.Encode(&buf); err != nil {
-			return nil, err
-		}
-		body := buf.Bytes()
-		s.store.add(storeKey, body)
-		return body, nil
+		return s.storeDoc(storeKey, report.NewAnalysis(rep.Meta, rep.Results, rep.Stats, rep.Corrected))
 	})
 	if err != nil {
 		writeRunError(w, r, "analysis", err)

@@ -47,9 +47,6 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return &DiskStore{dir: dir}, nil
 }
 
-// Dir returns the store directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
 // path maps a cache key to its file: keys embed hex digests and option
 // canonicalizations of unbounded length, so the filename is the key's own
 // sha256 — still a pure function of content.

@@ -41,31 +41,29 @@ func TestInternalDoesNotImportFacade(t *testing.T) {
 	}
 }
 
-// TestOneSweepPath pins the batch refactor structurally: the windowed sweep
-// is reached from exactly two functions in internal/analysis — the
-// pipeline's sweep job and Incremental.sweep — so a third analysis path
-// cannot grow back unnoticed, and internal/trace exports no partitioner of
-// its own again.
-func TestOneSweepPath(t *testing.T) {
-	fset := token.NewFileSet()
-	parseDir := func(dir string) []*ast.File {
-		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var files []*ast.File
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				files = append(files, f)
-			}
-		}
-		return files
+// parseNonTest parses the non-test files of one package directory.
+func parseNonTest(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
+	t.Helper()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	var files []*ast.File
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			files = append(files, f)
+		}
+	}
+	return files
+}
 
+// callersOf lists, sorted, the functions ("Recv.name" for methods) of files
+// that call a method or package function with one of the given names.
+func callersOf(files []*ast.File, names ...string) []string {
 	var callers []string
-	for _, f := range parseDir(filepath.Join("internal", "analysis")) {
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
@@ -82,33 +80,80 @@ func TestOneSweepPath(t *testing.T) {
 				}
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok &&
-					(sel.Sel.Name == "ComputeWindow" || sel.Sel.Name == "ComputeWindowInto") {
-					callers = append(callers, name)
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && slices.Contains(names, sel.Sel.Name) {
+						callers = append(callers, name)
+					}
 				}
 				return true
 			})
 		}
 	}
 	sort.Strings(callers)
-	if want := []string{"Incremental.sweep", "pipeline.sweep"}; !slices.Equal(callers, want) {
-		t.Errorf("windowed sweep called from %v, want exactly %v", callers, want)
-	}
+	return callers
+}
 
-	// Spelled in two halves so a grep for the deleted names stays empty.
-	banned := []string{"Shards", "Phase" + "Partition"}
-	for _, f := range parseDir(filepath.Join("internal", "trace")) {
+// forbidIdents fails for every identifier of files spelled like one of banned.
+func forbidIdents(t *testing.T, fset *token.FileSet, files []*ast.File, banned ...string) {
+	t.Helper()
+	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && slices.Contains(banned, id.Name) {
-				t.Errorf("internal/trace names %s at %s", id.Name, fset.Position(id.Pos()))
+				t.Errorf("%s is named again at %s", id.Name, fset.Position(id.Pos()))
 			}
 			return true
 		})
 	}
+}
+
+// TestOneSweepPath pins the batch refactor structurally: the windowed sweep
+// is reached from exactly two functions in internal/analysis — the
+// pipeline's sweep job and Incremental.sweep — so a third analysis path
+// cannot grow back unnoticed, and internal/trace exports no partitioner of
+// its own again.
+func TestOneSweepPath(t *testing.T) {
+	fset := token.NewFileSet()
+	callers := callersOf(parseNonTest(t, fset, filepath.Join("internal", "analysis")), "ComputeWindow", "ComputeWindowInto")
+	if want := []string{"Incremental.sweep", "pipeline.sweep"}; !slices.Equal(callers, want) {
+		t.Errorf("windowed sweep called from %v, want exactly %v", callers, want)
+	}
+	// Spelled in two halves so a grep for the deleted names stays empty.
+	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "trace")), "Shards", "Phase"+"Partition")
+}
+
+// TestOneTraceLifecycle pins internal/serve's registry structurally: the
+// Server holds exactly one map (the registry, keyed by trace id), a sidecar
+// index is folded into a summary from exactly two places — the append of an
+// open trace and newTraceEntry's walk of a complete directory — and nothing
+// of the second registry or the sealed-but-still-live state is named again.
+func TestOneTraceLifecycle(t *testing.T) {
+	fset := token.NewFileSet()
+	files := parseNonTest(t, fset, filepath.Join("internal", "serve"))
+	var maps []string
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != "Server" {
+				return true
+			}
+			for _, field := range ts.Type.(*ast.StructType).Fields.List {
+				if _, ok := field.Type.(*ast.MapType); ok {
+					for _, name := range field.Names {
+						maps = append(maps, name.Name)
+					}
+				}
+			}
+			return false
+		})
+	}
+	if want := []string{"traces"}; !slices.Equal(maps, want) {
+		t.Errorf("serve.Server's map fields are %v, want exactly %v", maps, want)
+	}
+	if got, want := callersOf(files, "foldIndex"), []string{"Server.handleAppendChunk", "newTraceEntry"}; !slices.Equal(got, want) {
+		t.Errorf("sidecar indexes folded from %v, want exactly %v", got, want)
+	}
+	forbidIdents(t, fset, files, "li"+"ves", "live"+"IDs", "live"+"Lookup", "live"+"Info", "evict"+"Sealed",
+		"final"+"Stats", "has"+"Meta", "handle"+"LiveSummary", "ind"+"exes")
 }
 
 // docNames matches the names README.md and DESIGN.md use for things in the
