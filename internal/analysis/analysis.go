@@ -152,7 +152,7 @@ func RunStream(r *trace.Reader, opts Options) (map[trace.ProcID]*overlap.Result,
 // StreamStats always describe the work done so far, so a cancelled run still
 // reports how far it got.
 func RunStreamContext(ctx context.Context, r *trace.Reader, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
-	return run(ctx, &readerSource{r: r}, opts)
+	return run(ctx, readerSource{r}, opts)
 }
 
 // MergeResult folds one window result into an accumulator with the exact

@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"context"
 	"sync/atomic"
 
 	"repro/internal/trace"
@@ -9,22 +8,22 @@ import (
 
 // decodeAhead is the ordered decode-ahead stage in front of the router, the
 // read-side mirror of trace.Writer's encode → deliver pipeline: one goroutine
-// decodes the listed chunks in order, chunk k+1 into the second of two
-// recycled buffers while the consumer works on chunk k. The goroutine owns
-// the Reader — its frame buffer, column scratch and Interner, which therefore
-// stays single-threaded — from startDecodeAhead until close returns; the
-// consumer must not call the Reader in between. Chunks arrive in list order
-// and so do errors, as the *trace.ChunkError ReadChunk reports; the first
-// error ends the stage.
+// decodes the listed chunks in order, chunk k+1 into one buffer while the
+// consumer works on chunk k in another. The goroutine owns the Reader — its
+// frame buffer, column scratch and Interner, which therefore stays
+// single-threaded — from startDecodeAhead until close returns; the consumer
+// must not call the Reader in between. Chunks arrive in list order and so do
+// errors, as the *trace.ChunkError ReadChunk reports; the first error ends
+// the stage.
+//
+// Two buffers circulate, and each has one owner at a time: the consumer
+// passes one in with every next and owns the one that comes out, to keep or
+// to pass back; close returns whatever the stage still holds.
 type decodeAhead struct {
 	out  chan decodedChunk  // unbuffered: the hand-off is the one-chunk lookahead
-	free chan []trace.Event // the two buffers, on their way back from the consumer
+	free chan []trace.Event // buffers on their way from the consumer; room for both
 	stop chan struct{}
 	done chan struct{}
-	// held is the buffer the consumer has: the one behind the last next —
-	// before the first, the second buffer, not yet allocated — which the next
-	// call hands to the decoder.
-	held []trace.Event
 	// The chunk decoded and not yet taken: the stage's share of the
 	// residency estimate.
 	waitingEvents, waitingBytes atomic.Int64
@@ -32,20 +31,20 @@ type decodeAhead struct {
 
 type decodedChunk struct {
 	events []trace.Event
-	bytes  int64 // eventBytes(events)
+	bytes  int64 // their summed trace.EventBytes
 	err    error
 }
 
-// startDecodeAhead starts the stage over the chunks of r listed, ascending.
-// Every start is paired with a close.
-func startDecodeAhead(r *trace.Reader, chunks []int) *decodeAhead {
+// startDecodeAhead starts the stage over the chunks of r listed, ascending,
+// decoding the first into buf. Every start is paired with a close.
+func startDecodeAhead(r *trace.Reader, chunks []int, buf []trace.Event) *decodeAhead {
 	d := &decodeAhead{
 		out:  make(chan decodedChunk),
 		free: make(chan []trace.Event, 2),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
-	d.free <- nil // the first buffer; the second is held
+	d.free <- buf
 	go func() {
 		defer close(d.done)
 		for _, i := range chunks {
@@ -55,13 +54,13 @@ func startDecodeAhead(r *trace.Reader, chunks []int) *decodeAhead {
 			case <-d.stop:
 				return
 			}
-			events, err := r.ReadChunk(i, buf[:0])
-			c := decodedChunk{events, eventBytes(events), err}
+			events, bytes, err := r.ReadChunkSized(i, buf[:0])
 			d.waitingEvents.Add(int64(len(events)))
-			d.waitingBytes.Add(c.bytes)
+			d.waitingBytes.Add(bytes)
 			select {
-			case d.out <- c:
+			case d.out <- decodedChunk{events, bytes, err}:
 			case <-d.stop:
+				d.free <- events // never blocks: the other buffer is all that can be there
 				return
 			}
 			if err != nil {
@@ -72,45 +71,31 @@ func startDecodeAhead(r *trace.Reader, chunks []int) *decodeAhead {
 	return d
 }
 
-// next returns the events of the next listed chunk, valid until the call
-// after: that one hands their buffer back to the decoder. It must be called
-// at most once per listed chunk, and not again after an error.
-func (d *decodeAhead) next() ([]trace.Event, error) {
-	d.free <- d.held // never blocks: two buffers, room for two
+// next hands back to the decoder — which may be writing it as soon as next
+// is called — and returns the events of the next listed chunk with their
+// summed trace.EventBytes; they are the caller's until it passes them to a
+// later next. It must be called at most once per listed chunk, and not again
+// after an error.
+func (d *decodeAhead) next(back []trace.Event) ([]trace.Event, int64, error) {
+	d.free <- back // never blocks: two buffers, room for two
 	c := <-d.out
 	d.waitingEvents.Add(-int64(len(c.events)))
 	d.waitingBytes.Add(-c.bytes)
-	d.held = c.events
-	return c.events, c.err
+	return c.events, c.bytes, c.err
 }
 
 // close stops the decoder — between chunks: a decode under way completes —
-// and returns once it has exited, which hands the Reader back to the caller.
-func (d *decodeAhead) close() {
+// and returns once it has exited, which hands the Reader back to the caller,
+// with the buffers the stage was left holding.
+func (d *decodeAhead) close() (held [][]trace.Event) {
 	close(d.stop)
 	<-d.done
-}
-
-// aheadReader is a Reader whose EachChunk runs through the decode-ahead
-// stage: what the correction pre-pass (calib.NewStreamCorrector) is handed
-// when the run has a worker pool, so it overlaps its marker scan with the
-// decode of the next chunk exactly as the router does.
-type aheadReader struct{ *trace.Reader }
-
-func (a aheadReader) EachChunk(ctx context.Context, chunks []int, fn func(i int, events []trace.Event) error) error {
-	d := startDecodeAhead(a.Reader, chunks)
-	defer d.close()
-	for _, i := range chunks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		events, err := d.next()
-		if err != nil {
-			return err
-		}
-		if err := fn(i, events); err != nil {
-			return err
+	for {
+		select {
+		case buf := <-d.free:
+			held = append(held, buf)
+		default:
+			return held
 		}
 	}
-	return nil
 }

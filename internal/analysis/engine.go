@@ -108,7 +108,7 @@ func (e *Engine) Analyze(ctx context.Context, src trace.Source) (*Report, error)
 	case tr != nil:
 		in, meta = newMemSource(tr), tr.Meta
 	case r != nil:
-		in, meta = &readerSource{r: r}, r.Meta()
+		in, meta = readerSource{r}, r.Meta()
 	default:
 		return nil, errors.New("rlscope: source resolved to neither a trace nor a reader")
 	}
@@ -129,13 +129,7 @@ func (e *Engine) Analyze(ctx context.Context, src trace.Source) (*Report, error)
 					})
 				}
 			}
-			// The pre-pass reads the way the analysis pass will: with a
-			// worker pool, through the decode-ahead stage.
-			var chunks calib.ChunkSource = r
-			if workers > 1 {
-				chunks = aheadReader{r}
-			}
-			corr, err := calib.NewStreamCorrector(ctx, chunks, e.cal, e.procs, onChunk)
+			corr, err := calib.NewStreamCorrector(ctx, r, e.cal, e.procs, onChunk)
 			if err != nil {
 				return &Report{Stats: prepass, Meta: meta}, err
 			}

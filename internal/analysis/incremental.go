@@ -179,7 +179,7 @@ func (w *incWindow) split() *incWindow {
 	n := len(w.events)
 	slices.SortFunc(w.events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
 	lo := w.lo
-	left, ok := w.cut(w.events[n/2].Start, n/4*3, nil)
+	left, _, _, ok := w.cut(w.events[n/2].Start, n/4*3, nil)
 	if !ok {
 		return nil
 	}

@@ -20,44 +20,27 @@ type source interface {
 	numChunks() int
 	// reader returns the Reader whose chunk files the chunks are — which
 	// StreamStats and Progress count, and which a run with a worker pool
-	// reads through the decode-ahead stage instead of each — or nil: a
+	// reads through the decode-ahead stage instead of chunk — or nil: a
 	// materialized trace has none.
 	reader() *trace.Reader
 	index(i int) (*trace.ChunkIndex, error)
-	each(i int, yield func(int, trace.Event) bool) error
+	// chunk returns chunk i's events and their summed trace.EventBytes. A
+	// chunk file is decoded into buf[:0], and the events — buf's array, grown
+	// if need be, even when err is set — are then the caller's to rewrite and
+	// to keep; a materialized trace's are returned where they lie, borrowed.
+	chunk(i int, buf []trace.Event) (events []trace.Event, bytes int64, err error)
 }
 
-// readerSource streams the chunk files of a trace directory inline, for a
-// run without a worker pool: v2 chunks are swept straight off their columns
-// (each event is built on the stack, no []Event is materialized), v1 chunks
-// decode into one reused buffer.
-type readerSource struct {
-	r   *trace.Reader
-	buf []trace.Event
-}
+// readerSource decodes the chunk files of a trace directory inline, for a
+// run without a worker pool.
+type readerSource struct{ r *trace.Reader }
 
-func (s *readerSource) numChunks() int                         { return s.r.NumChunks() }
-func (s *readerSource) reader() *trace.Reader                  { return s.r }
-func (s *readerSource) index(i int) (*trace.ChunkIndex, error) { return s.r.Index(i) }
+func (s readerSource) numChunks() int                         { return s.r.NumChunks() }
+func (s readerSource) reader() *trace.Reader                  { return s.r }
+func (s readerSource) index(i int) (*trace.ChunkIndex, error) { return s.r.Index(i) }
 
-func (s *readerSource) each(i int, yield func(int, trace.Event) bool) error {
-	cc, columnar, err := s.r.ReadColumns(i)
-	if err != nil {
-		return err
-	}
-	if columnar {
-		if err := cc.Events(yield); err != nil {
-			return &trace.ChunkError{Dir: s.r.Dir(), Chunk: s.r.ChunkName(i), Err: err}
-		}
-		return nil
-	}
-	if s.buf, err = s.r.ReadChunk(i, s.buf[:0]); err != nil {
-		return err
-	}
-	for j := range s.buf {
-		yield(j, s.buf[j])
-	}
-	return nil
+func (s readerSource) chunk(i int, buf []trace.Event) ([]trace.Event, int64, error) {
+	return s.r.ReadChunkSized(i, buf[:0])
 }
 
 // memSource presents a materialized trace: sorted, then offered as
@@ -66,16 +49,21 @@ func (s *readerSource) each(i int, yield func(int, trace.Event) bool) error {
 // watermark and is cut exactly as it would be streaming from disk.
 type memSource struct {
 	events []trace.Event
-	off    []int // run i is events[off[i]:off[i+1]]
+	off    []int   // run i is events[off[i]:off[i+1]]
+	bytes  []int64 // and its summed trace.EventBytes bytes[i]
 }
 
 func newMemSource(t *trace.Trace) *memSource {
 	t.Sort()
 	s := &memSource{events: t.Events, off: []int{0}}
+	var bytes int64
 	for i := 1; i <= len(t.Events); i++ {
+		bytes += int64(trace.EventBytes(t.Events[i-1]))
 		first := s.off[len(s.off)-1]
 		if i == len(t.Events) || t.Events[i].Proc != t.Events[first].Proc || i-first == splitEvents {
 			s.off = append(s.off, i)
+			s.bytes = append(s.bytes, bytes)
+			bytes = 0
 		}
 	}
 	return s
@@ -88,11 +76,8 @@ func (s *memSource) index(i int) (*trace.ChunkIndex, error) {
 	return trace.BuildChunkIndex(s.events[s.off[i]:s.off[i+1]], 0), nil
 }
 
-func (s *memSource) each(i int, yield func(int, trace.Event) bool) error {
-	for j, e := range s.events[s.off[i]:s.off[i+1]] {
-		yield(j, e)
-	}
-	return nil
+func (s *memSource) chunk(i int, _ []trace.Event) ([]trace.Event, int64, error) {
+	return s.events[s.off[i]:s.off[i+1]], s.bytes[i], nil
 }
 
 // procWindow is the one open window of a process plus what the pipeline
@@ -126,28 +111,90 @@ type sweepJob struct {
 	lo, hi vclock.Time
 }
 
+// runScratch is what one run leaves for the next: its event buffers — the
+// chunk buffers of the decode-ahead stage, the windows' and the ones closed
+// windows travel to the workers in. A run takes the scratch from the pool,
+// draws every buffer it needs from it (allocating only what the scratch
+// cannot supply) and, once its goroutines have ended, puts every buffer
+// back, however it ends. A server's engine runs, an experiment's hundreds
+// and a benchmark's therefore allocate event buffers once per process, not
+// once per run. The buffers are not cleared: the names their stale events
+// still point at are the last run's interned strings, which live until the
+// buffer is next filled.
+type runScratch struct {
+	bufs [][]trace.Event // empty, in ascending capacity: a pipeline's free list
+}
+
+// scratches is the pool: the scratch of runs that have ended, for the runs to
+// come. It is a plain bounded stack, not a sync.Pool: that one empties on
+// every second GC and does not show a Get on one P what was Put on another,
+// so what a warm run allocated depended on when the collector last ran and on
+// where the goroutine was scheduled (the same op measured anywhere between
+// 0.8 and 10.7 MB). Here a run allocates event buffers exactly when no
+// earlier run left one large enough. The price is memory the collector cannot
+// take back, so it is bounded: maxIdleScratches scratches, each trimmed to
+// maxScratchEvents events of capacity when it is put back.
+var scratches struct {
+	mu   sync.Mutex
+	idle []*runScratch
+}
+
+const (
+	maxIdleScratches = 2       // concurrent runs beyond these allocate afresh
+	maxScratchEvents = 1 << 20 // 40 MiB of trace.Event
+)
+
+func getScratch() *runScratch {
+	scratches.mu.Lock()
+	defer scratches.mu.Unlock()
+	if n := len(scratches.idle); n > 0 {
+		sc := scratches.idle[n-1]
+		scratches.idle = scratches.idle[:n-1]
+		return sc
+	}
+	return new(runScratch)
+}
+
+func putScratch(sc *runScratch) {
+	events := 0
+	for i, buf := range sc.bufs {
+		if events += cap(buf); events > maxScratchEvents {
+			clear(sc.bufs[i:])
+			sc.bufs = sc.bufs[:i]
+			break
+		}
+	}
+	scratches.mu.Lock()
+	defer scratches.mu.Unlock()
+	if len(scratches.idle) < maxIdleScratches {
+		scratches.idle = append(scratches.idle, sc)
+	}
+}
+
 // pipeline is the state of one batch analysis (see the package comment):
 // plan → route → cut → sweep → merge.
 type pipeline struct {
-	ctx    context.Context
-	src    source
-	stage  EventStage
-	staged trace.Event // the one addressable event MapEvent ever sees
-	stats  StreamStats
+	ctx   context.Context
+	src   source
+	stage EventStage
+	stats StreamStats
 
 	windows map[trace.ProcID]*procWindow
 	order   []*procWindow // ascending process: the budget's scan order
 	spans   []chunkSpan   // chunk i's entries are spans[spanOff[i]:spanOff[i+1]]
 	spanOff []int
-	// Events arrive in runs of one process, so route looks a window up once
-	// per run: last is windows[lastProc] while routed is set.
-	last     *procWindow
-	lastProc trace.ProcID
-	routed   bool
+	// chunkHint is the largest event count an index claims for a chunk the
+	// run decodes: a hint, which picks a chunk buffer and never sizes one.
+	chunkHint int
 
 	// ahead is the decode-ahead stage, with a worker pool over chunk files;
 	// nil otherwise: the coordinator decodes inline.
 	ahead *decodeAhead
+	// spare is the coordinator's chunk buffer: what the next chunk is decoded
+	// into (handed to the decode-ahead stage in exchange for the chunk it has
+	// ready), or a borrowed chunk is copied into for the stage to rewrite.
+	// Between chunks it holds the last chunk's events, already routed.
+	spare []trace.Event
 
 	// The coordinator's side of the residency estimate: events buffered in
 	// open windows, and the chunk being decoded.
@@ -163,19 +210,34 @@ type pipeline struct {
 	inlineSw  *overlap.Sweeper
 	inlineRes overlap.Result
 	// mu guards the per-process accumulators and the free list of event
-	// buffers that closed windows recycle through.
+	// buffers: the run's scratch, which closed windows recycle through, in
+	// ascending capacity.
 	mu   sync.Mutex
 	free [][]trace.Event
 }
 
-// run executes the pipeline over src. The returned StreamStats always
-// describe the work done so far, so a cancelled or failed run still reports
-// how far it got; results are returned only by a run that completed.
+// run executes the pipeline over src on scratch from the pool. The returned
+// StreamStats always describe the work done so far, so a cancelled or failed
+// run still reports how far it got; results are returned only by a run that
+// completed.
 func run(ctx context.Context, src source, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
+	sc := getScratch()
+	defer putScratch(sc)
+	return runOn(ctx, sc, src, opts)
+}
+
+// runOn is run on the caller's scratch, which it empties and, before it
+// returns, refills with every buffer the run held.
+func runOn(ctx context.Context, sc *runScratch, src source, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pl := &pipeline{ctx: ctx, src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}}
+	pl := &pipeline{ctx: ctx, src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}, free: sc.bufs}
+	sc.bufs = nil
+	// Deferred, so it runs on every exit path, and after the only goroutines
+	// that touch the buffers have ended: stream closes the decode-ahead stage
+	// before it returns and the workers are joined right after it.
+	defer func() { sc.bufs = pl.release() }()
 	if src.reader() != nil {
 		pl.stats.Chunks = src.numChunks()
 	}
@@ -225,6 +287,18 @@ func run(ctx context.Context, src source, opts Options) (map[trace.ProcID]*overl
 	return out, pl.stats, nil
 }
 
+// release gathers every buffer the run still holds — the free list, the
+// coordinator's chunk buffer, and the windows a failed run left open — for
+// the scratch. Only runOn calls it, once no other goroutine is left.
+func (pl *pipeline) release() [][]trace.Event {
+	pl.recycle(pl.spare)
+	for _, w := range pl.order {
+		pl.recycle(w.events)
+		w.events = nil
+	}
+	return pl.free
+}
+
 // plan derives the watermarks of every process in procs (none: all) from
 // chunk indexes alone. An EventStage bends the plan the way it bends the
 // events: spans are mapped (conservatively) before the watermarks are taken
@@ -257,6 +331,9 @@ func (pl *pipeline) plan(procs []trace.ProcID) error {
 			pl.spans = append(pl.spans, chunkSpan{w: w, events: sp.Events, after: sp.MinStart})
 		}
 		pl.spanOff[i+1] = len(pl.spans)
+		if pl.spanOff[i] < pl.spanOff[i+1] {
+			pl.chunkHint = max(pl.chunkHint, ix.Events)
+		}
 	}
 	// Suffix-min, last chunk first: each entry trades the MinStart it was
 	// stashed with for the minimum over the process's later chunks.
@@ -272,17 +349,22 @@ func (pl *pipeline) plan(procs []trace.ProcID) error {
 // With a worker pool, decoding chunk files is the decode-ahead stage's: the
 // plan is complete, so the Reader is its goroutine's until the loop ends.
 func (pl *pipeline) stream(opts Options) error {
-	route := pl.route // one method value for the run, not one per chunk
 	n := pl.src.numChunks()
-	if r := pl.src.reader(); r != nil && pl.jobs != nil {
+	r := pl.src.reader()
+	owned := r != nil // decoded chunks are the pipeline's, a trace's events are not
+	if r != nil && pl.jobs != nil {
 		chunks := make([]int, 0, n)
 		for i := 0; i < n; i++ {
 			if pl.spanOff[i] < pl.spanOff[i+1] {
 				chunks = append(chunks, i)
 			}
 		}
-		pl.ahead = startDecodeAhead(r, chunks)
-		defer pl.ahead.close()
+		pl.ahead = startDecodeAhead(r, chunks, pl.buffer(pl.chunkHint))
+		defer func() {
+			for _, buf := range pl.ahead.close() {
+				pl.recycle(buf)
+			}
+		}()
 	}
 	for i := 0; i < n; i++ {
 		if err := pl.ctx.Err(); err != nil {
@@ -293,28 +375,40 @@ func (pl *pipeline) stream(opts Options) error {
 			continue // holds no requested process: never decoded
 		}
 		// Reserve room for what the chunk can bring, so routing appends
-		// never reallocate — and when that takes a new buffer, room to
+		// never reallocate — and when that takes another buffer, room to
 		// reach the split size or the process's end, whichever is nearer,
-		// so a window fed a little per chunk does not regrow per chunk.
+		// so a window fed a little per chunk does not move per chunk.
 		for _, s := range spans {
 			if w := s.w; cap(w.events)-len(w.events) < s.events {
-				w.events = slices.Grow(w.events, min(w.left, splitEvents+s.events))
+				w.events = pl.reserve(w.events, min(w.left, splitEvents+s.events))
 			}
 			s.w.left -= s.events
 		}
+		// After an adoption the spare is the window's old array: trade one
+		// too small for a chunk, so the decoder need not replace it.
+		if cap(pl.spare) < pl.chunkHint {
+			pl.recycle(pl.spare)
+			pl.spare = pl.buffer(pl.chunkHint)
+		}
+		var (
+			events []trace.Event
+			bytes  int64
+			err    error
+		)
 		if pl.ahead != nil {
-			events, err := pl.ahead.next()
-			if err != nil {
-				return err
-			}
-			for j := range events {
-				pl.route(j, events[j])
-			}
-		} else if err := pl.src.each(i, route); err != nil {
+			events, bytes, err = pl.ahead.next(pl.spare)
+		} else {
+			events, bytes, err = pl.src.chunk(i, pl.spare)
+		}
+		if owned {
+			pl.spare = events
+		}
+		if err != nil {
 			return err
 		}
+		pl.route(events, bytes, owned)
 		done := 0
-		if pl.src.reader() != nil {
+		if r != nil {
 			pl.stats.ChunksDecoded++
 			done = i + 1
 		}
@@ -352,34 +446,55 @@ func (pl *pipeline) stream(opts Options) error {
 	return nil
 }
 
-// route maps one decoded event through the stage and appends it to its
-// process's open window. Every event of a process belongs there: the window
-// reaches to MaxTime and its lo is a past watermark, which no later event
-// can start before.
-func (pl *pipeline) route(_ int, e trace.Event) bool {
-	pl.stats.Events++
+// route takes one chunk through the stage, in place, and into the windows,
+// one bulk append per run of one process — every event of a process belongs
+// in its one open window: the window reaches to MaxTime and its lo is a past
+// watermark, which no later event can start before. bytes is the chunk's
+// summed trace.EventBytes. An owned chunk is pl.spare's array; when it is
+// all one process's and that window is empty, the window takes the array
+// itself and leaves its own as the spare.
+func (pl *pipeline) route(events []trace.Event, bytes int64, owned bool) {
+	pl.stats.Events += len(events)
 	if pl.stage != nil {
-		// MapEvent needs an addressable event, and &e would move every
-		// decoded event to the heap.
-		pl.staged = e
-		if !pl.stage.MapEvent(&pl.staged) {
-			return true
+		if !owned {
+			pl.spare = append(pl.spare[:0], events...)
+			events, owned = pl.spare, true
 		}
-		e = pl.staged
+		mapped := events[:0]
+		bytes = 0
+		for i := range events {
+			if pl.stage.MapEvent(&events[i]) {
+				bytes += int64(trace.EventBytes(events[i]))
+				mapped = append(mapped, events[i])
+			}
+		}
+		events = mapped
 	}
-	eb := int64(trace.EventBytes(e))
-	pl.chunkEvents++
-	pl.chunkBytes += eb
-	if !pl.routed || e.Proc != pl.lastProc {
-		pl.last, pl.lastProc, pl.routed = pl.windows[e.Proc], e.Proc, true
+	pl.chunkEvents, pl.chunkBytes = len(events), bytes
+	for rest := events; len(rest) > 0; {
+		n := 1
+		for n < len(rest) && rest[n].Proc == rest[0].Proc {
+			n++
+		}
+		run := rest[:n]
+		rest = rest[n:]
+		w := pl.windows[run[0].Proc]
+		if w == nil {
+			continue
+		}
+		runBytes := bytes
+		if n < len(events) {
+			runBytes = eventBytes(run)
+		}
+		if owned && n == len(events) && len(w.events) == 0 {
+			w.events, pl.spare = run, w.events
+		} else {
+			w.events = append(w.events, run...)
+		}
+		w.bytes += runBytes
+		pl.bufferedBytes += runBytes
+		pl.bufferedEvents += n
 	}
-	if w := pl.last; w != nil {
-		w.events = append(w.events, e)
-		w.bytes += eb
-		pl.bufferedBytes += eb
-		pl.bufferedEvents++
-	}
-	return true
 }
 
 // closeWindow cuts w at its watermark and dispatches the closed prefix,
@@ -387,17 +502,19 @@ func (pl *pipeline) route(_ int, e trace.Event) bool {
 // whole. It reports false when the cut was refused (see window.cut).
 func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
 	lo, n := w.lo, len(w.events)
-	var prefix []trace.Event
+	var (
+		prefix      []trace.Event
+		bytes, kept int64
+	)
 	if w.watermark == vclock.MaxTime {
-		prefix, w.events = w.events, nil
+		prefix, w.events, bytes = w.events, nil, w.bytes
 	} else {
 		var ok bool
-		if prefix, ok = w.cut(w.watermark, keep, pl.buffer()); !ok {
+		if prefix, bytes, kept, ok = w.cut(w.watermark, keep, pl.buffer(n)); !ok {
 			pl.recycle(prefix)
 			return false
 		}
 	}
-	kept, bytes := eventBytes(w.events), eventBytes(prefix)
 	pl.bufferedBytes += kept - w.bytes
 	pl.bufferedEvents += len(w.events) - n
 	w.bytes = kept
@@ -412,14 +529,13 @@ func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
 	pl.inflightEvents.Add(int64(len(prefix)))
 	job := sweepJob{acc: w.acc, events: prefix, bytes: bytes, lo: lo, hi: w.watermark}
 	if pl.jobs == nil {
-		if pl.ctx.Err() == nil {
-			pl.sweep(pl.inlineSw, &pl.inlineRes, job)
-		}
+		pl.sweep(pl.inlineSw, &pl.inlineRes, job)
 		return true
 	}
 	select {
 	case pl.jobs <- job:
 	case <-pl.ctx.Done(): // dropped: run reports ctx.Err()
+		pl.recycle(prefix)
 	}
 	return true
 }
@@ -439,9 +555,7 @@ func (pl *pipeline) work() {
 	defer overlap.PutSweeper(sw)
 	var res overlap.Result
 	for job := range pl.jobs {
-		if pl.ctx.Err() == nil {
-			pl.sweep(sw, &res, job)
-		}
+		pl.sweep(sw, &res, job)
 	}
 }
 
@@ -449,34 +563,61 @@ func (pl *pipeline) work() {
 // pooled Sweeper and one reusable Result, so no per-window Result ever
 // reaches the heap — and merges it into its process's accumulator
 // (commutative integer sums plus span extremes, so completion order cannot
-// leak into results), then recycles the window's buffer.
+// leak into results), then recycles the window's buffer. Once ctx is
+// cancelled only the recycling is left.
 func (pl *pipeline) sweep(sw *overlap.Sweeper, res *overlap.Result, job sweepJob) {
-	sw.ComputeWindowInto(res, job.events, job.lo, job.hi)
-	pl.mu.Lock()
-	MergeResult(job.acc, res)
-	pl.mu.Unlock()
+	if pl.ctx.Err() == nil {
+		sw.ComputeWindowInto(res, job.events, job.lo, job.hi)
+		pl.mu.Lock()
+		MergeResult(job.acc, res)
+		pl.mu.Unlock()
+	}
 	pl.recycle(job.events)
 	pl.inflightBytes.Add(-job.bytes)
 	pl.inflightEvents.Add(-int64(len(job.events)))
 }
 
-// buffer takes an event buffer off the run's free list (nil when empty):
-// more, smaller windows must not mean more allocations.
-func (pl *pipeline) buffer() []trace.Event {
+// buffer takes off the run's free list the smallest event buffer with room
+// for n events or, when none has, the largest, for the caller to grow; nil
+// when the list is empty. It never allocates, so n may be a sidecar's word.
+// Best fit is what lets a scratch settle: were a small request handed a large
+// buffer, the large request behind it would find only small ones and replace
+// one, run after run, in whatever order the workers happened to recycle them.
+func (pl *pipeline) buffer(n int) []trace.Event {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if n := len(pl.free); n > 0 {
-		buf := pl.free[n-1]
-		pl.free = pl.free[:n-1]
-		return buf
+	if len(pl.free) == 0 {
+		return nil
 	}
-	return nil
+	i, _ := slices.BinarySearchFunc(pl.free, n, capCompare)
+	i = min(i, len(pl.free)-1)
+	buf := pl.free[i]
+	pl.free = slices.Delete(pl.free, i, i+1)
+	return buf
 }
 
 func (pl *pipeline) recycle(buf []trace.Event) {
+	if cap(buf) == 0 {
+		return
+	}
 	pl.mu.Lock()
-	pl.free = append(pl.free, buf[:0])
+	i, _ := slices.BinarySearchFunc(pl.free, cap(buf), capCompare)
+	pl.free = slices.Insert(pl.free, i, buf[:0])
 	pl.mu.Unlock()
+}
+
+func capCompare(buf []trace.Event, n int) int { return cmp.Compare(cap(buf), n) }
+
+// reserve returns buf with room for n more events: buf itself when it has
+// the room, else its events moved into a buffer off the free list — a new
+// one only when that is too small as well — and buf recycled.
+func (pl *pipeline) reserve(buf []trace.Event, n int) []trace.Event {
+	if cap(buf)-len(buf) >= n {
+		return buf
+	}
+	moved := append(slices.Grow(pl.buffer(len(buf)+n), len(buf)+n), buf...)
+	pl.recycle(buf)
+	return moved
 }
 
 // sample folds the current residency estimate — open windows, the chunk

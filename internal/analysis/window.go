@@ -34,7 +34,8 @@ type window struct {
 // cut closes the prefix [lo, at) of the window: the events overlapping it
 // are appended to prefix[:0] and returned, and w shrinks to [at, hi),
 // keeping — compacted in place, order preserved — only the events still
-// alive at the cut.
+// alive at the cut. closed and kept are the summed trace.EventBytes of the
+// two sides, taken in the same pass.
 //
 // The cut is refused (false, only retry touched) when at is not past lo or
 // when more than keep events would survive it: a window dominated by long
@@ -42,32 +43,35 @@ type window struct {
 // Refusing is safe because no result depends on where the cuts are; the
 // window is simply not tried again by size until it has doubled, so
 // refused attempts stay amortized O(1) per event.
-func (w *window) cut(at vclock.Time, keep int, prefix []trace.Event) ([]trace.Event, bool) {
-	alive, closed := 0, 0
+func (w *window) cut(at vclock.Time, keep int, prefix []trace.Event) (_ []trace.Event, closed, kept int64, ok bool) {
+	alive, overlapping := 0, 0
 	if at > w.lo {
 		for _, e := range w.events {
 			if !trace.DeadBefore(e, at) {
 				alive++
 			}
 			if trace.OverlapsWindow(e, w.lo, at) {
-				closed++
+				overlapping++
 			}
 		}
 	}
 	if at <= w.lo || alive > keep {
 		w.retry = 2 * len(w.events)
-		return prefix, false
+		return prefix, 0, 0, false
 	}
-	prefix = slices.Grow(prefix[:0], closed)
+	prefix = slices.Grow(prefix[:0], overlapping)
 	survivors := w.events[:0]
 	for _, e := range w.events {
+		eb := int64(trace.EventBytes(e))
 		if trace.OverlapsWindow(e, w.lo, at) {
 			prefix = append(prefix, e)
+			closed += eb
 		}
 		if !trace.DeadBefore(e, at) {
 			survivors = append(survivors, e)
+			kept += eb
 		}
 	}
 	w.events, w.lo, w.retry = survivors, at, 0
-	return prefix, true
+	return prefix, closed, kept, true
 }

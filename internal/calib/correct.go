@@ -74,29 +74,18 @@ func NewCorrector(t *trace.Trace, cal *Calibration) *Corrector {
 	return c
 }
 
-// ChunkSource is the chunked storage the streaming pre-pass reads: a
-// *trace.Reader, or a Reader behind the analysis engine's decode-ahead stage.
-type ChunkSource interface {
-	NumChunks() int
-	Index(i int) (*trace.ChunkIndex, error)
-	// EachChunk decodes the listed chunks in order and calls fn with each
-	// one's events, which are valid only during the call. It stops at the
-	// first error: ctx's, a decode failure or fn's own.
-	EachChunk(ctx context.Context, chunks []int, fn func(i int, events []trace.Event) error) error
-}
-
 // NewStreamCorrector builds the correction stage from chunked storage with
-// one bounded-memory pre-pass: every relevant chunk is decoded once and only
-// the overhead markers' (time, calibrated cost) pairs are retained. A
-// non-empty procs list restricts the pre-pass the same way Options.Procs
-// restricts the analysis: markers of other processes are never consulted by
-// MapEvent/MapSpan for surviving events, so chunks whose sidecar lists none
-// of the requested processes are skipped without decoding. The relevant
-// chunks are chosen from the sidecars before the first is decoded, so src is
-// free to decode them on a goroutine of its own. onChunk, when non-nil, is
-// invoked after each chunk — skipped or decoded — with the cumulative
-// decoded-event count; ctx cancels the pre-pass between chunks.
-func NewStreamCorrector(ctx context.Context, src ChunkSource, cal *Calibration, procs []trace.ProcID, onChunk func(done, total, events int)) (*Corrector, error) {
+// one bounded-memory pre-pass that decodes nothing: every relevant chunk is
+// scanned once for its overhead markers (trace.Reader.ScanOverhead, which
+// checks the chunk as thoroughly as a decode would) and only their (time,
+// calibrated cost) pairs are retained. A non-empty procs list restricts the
+// pre-pass the same way Options.Procs restricts the analysis: markers of
+// other processes are never consulted by MapEvent/MapSpan for surviving
+// events, so chunks whose sidecar lists none of the requested processes are
+// skipped without a scan. onChunk, when non-nil, is invoked after each chunk
+// — skipped or scanned — with the cumulative scanned-event count; ctx cancels
+// the pre-pass between chunks.
+func NewStreamCorrector(ctx context.Context, r *trace.Reader, cal *Calibration, procs []trace.ProcID, onChunk func(done, total, events int)) (*Corrector, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -107,12 +96,12 @@ func NewStreamCorrector(ctx context.Context, src ChunkSource, cal *Calibration, 
 			filter[p] = true
 		}
 	}
-	n := src.NumChunks()
+	n := r.NumChunks()
 	chunks := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		relevant := filter == nil
 		if !relevant {
-			ix, err := src.Index(i)
+			ix, err := r.Index(i)
 			if err != nil {
 				return nil, err
 			}
@@ -127,9 +116,35 @@ func NewStreamCorrector(ctx context.Context, src ChunkSource, cal *Calibration, 
 			chunks = append(chunks, i)
 		}
 	}
-	byProc := map[trace.ProcID][]marker{}
+	// Markers arrive in runs of one process, so the map is touched once per
+	// run: ix is shifts[proc]'s index under construction while open is set.
+	c := &Corrector{shifts: map[trace.ProcID]shiftIndex{}}
+	var (
+		ix   shiftIndex
+		proc trace.ProcID
+		open bool
+	)
+	unsorted := map[trace.ProcID]bool{}
+	collect := func(p trace.ProcID, at vclock.Time, kind trace.OverheadKind, name string) {
+		if filter != nil && !filter[p] {
+			return
+		}
+		d := cal.MeanFor(kind, name)
+		if d <= 0 {
+			return
+		}
+		if !open || p != proc {
+			if open {
+				c.shifts[proc] = ix
+			}
+			ix, proc, open = c.shifts[p], p, true
+		}
+		if !ix.add(at, d) {
+			unsorted[p] = true
+		}
+	}
 	done, events := 0, 0
-	// report notifies for chunks [done, upto): the one just decoded and the
+	// report notifies for chunks [done, upto): the one just scanned and the
 	// skipped ones before it.
 	report := func(upto int) {
 		for ; done < upto; done++ {
@@ -138,27 +153,24 @@ func NewStreamCorrector(ctx context.Context, src ChunkSource, cal *Calibration, 
 			}
 		}
 	}
-	err := src.EachChunk(ctx, chunks, func(i int, chunk []trace.Event) error {
-		report(i)
-		events += len(chunk)
-		for _, e := range chunk {
-			if e.Kind != trace.KindOverhead || (filter != nil && !filter[e.Proc]) {
-				continue
-			}
-			if d := cal.MeanFor(e.Overhead, e.Name); d > 0 {
-				byProc[e.Proc] = append(byProc[e.Proc], marker{e.Start, d})
-			}
+	for _, i := range chunks {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		scanned, err := r.ScanOverhead(i, collect)
+		if err != nil {
+			return nil, err
+		}
+		report(i)
+		events += scanned
 		report(i + 1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	report(n)
-	c := &Corrector{shifts: make(map[trace.ProcID]shiftIndex, len(byProc))}
-	for p, ms := range byProc {
-		c.shifts[p] = buildShiftFromMarkers(ms)
+	if open {
+		c.shifts[proc] = ix
+	}
+	for p := range unsorted {
+		c.shifts[p] = c.shifts[p].resorted()
 	}
 	return c, nil
 }
@@ -247,6 +259,30 @@ func buildShiftFromMarkers(ms []marker) shiftIndex {
 		ix.prefix[i+1] = ix.prefix[i] + m.d
 	}
 	return ix
+}
+
+// add appends one marker to an index under construction and reports whether
+// the times are still ascending — as markers in storage order all but always
+// are, so the streaming pre-pass builds each index in place as its markers
+// arrive. One marker out of order leaves the index unusable until resorted
+// has rebuilt it.
+func (ix *shiftIndex) add(t vclock.Time, d vclock.Duration) bool {
+	if ix.prefix == nil {
+		ix.prefix = append(ix.prefix, 0)
+	}
+	n := len(ix.times)
+	ix.times = append(ix.times, t)
+	ix.prefix = append(ix.prefix, ix.prefix[n]+d)
+	return n == 0 || ix.times[n-1] <= t
+}
+
+// resorted is the index of the markers added to ix, whatever their order.
+func (ix shiftIndex) resorted() shiftIndex {
+	ms := make([]marker, len(ix.times))
+	for i, t := range ix.times {
+		ms[i] = marker{t, ix.prefix[i+1] - ix.prefix[i]}
+	}
+	return buildShiftFromMarkers(ms)
 }
 
 // before returns cumulative overhead for markers with time < t.

@@ -464,6 +464,36 @@ func TestIngestMultipartIsBadChunk(t *testing.T) {
 	}
 }
 
+// TestIngestTrailingBytesIsBadChunk: a frame followed by bytes no reader
+// would ever look at is refused whole — 400 bad_chunk, in either format —
+// instead of being stored and digested with its padding; the frame itself is
+// then accepted under the same sequence number.
+func TestIngestTrailingBytesIsBadChunk(t *testing.T) {
+	for _, format := range []trace.Format{trace.FormatV1, trace.FormatV2} {
+		s, _ := liveServer(t, Config{})
+		h := s.Handler()
+		chunks, _ := quickstartFrames(t, 5, 1)
+		events, err := trace.DecodeChunkBytes(chunks[0], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, _, err := trace.EncodeEventsFormat(events, format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := doReq(t, h, "POST", "/v1/traces/pad/chunks?seq=0", string(frame)+"\x01\x02\x03")
+		if rec.Code != http.StatusBadRequest || errCode(t, rec) != ErrCodeBadChunk {
+			t.Fatalf("%v: padded append: %d %s, want 400 %s", format, rec.Code, rec.Body, ErrCodeBadChunk)
+		}
+		if s.lookup("pad") != nil {
+			t.Fatalf("%v: a padded append created the trace", format)
+		}
+		if rec := doReq(t, h, "POST", "/v1/traces/pad/chunks?seq=0", string(frame)); rec.Code != http.StatusOK {
+			t.Fatalf("%v: the frame without its padding: %d %s", format, rec.Code, rec.Body)
+		}
+	}
+}
+
 // TestIngestDisabledWithoutStore: a server started without a store rejects
 // the whole write surface.
 func TestIngestDisabledWithoutStore(t *testing.T) {

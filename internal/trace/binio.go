@@ -105,7 +105,7 @@ func appendChunkV1(dst []byte, events []Event) ([]byte, error) {
 	return dst, nil
 }
 
-// v1Decoder holds the reusable scratch of one v1 decode: the incremental
+// v1Decoder holds the reusable scratch of one v1 walk: the incremental
 // string table. Pooled so the compat path stops churning the allocator.
 type v1Decoder struct {
 	table []string
@@ -113,99 +113,165 @@ type v1Decoder struct {
 
 var v1DecPool = sync.Pool{New: func() any { return &v1Decoder{} }}
 
-// decodeV1 decodes the body of a v1 chunk (cursor positioned after the
-// version field), appending events to dst. Table strings resolve through in
-// when non-nil, so repeated names across chunks share storage.
-func (d *v1Decoder) decodeV1(cur *colCursor, dst []Event, in *Interner) ([]Event, error) {
-	count, err := cur.uvarint("count")
-	if err != nil {
-		return dst, err
+// uvarint1 is the one-byte case of the uvarint at b[off:] — nearly every
+// proc, class, run length and reference — and small enough to inline into
+// the decoders' loops, which is why it is not simply the first branch of
+// uvarint: on ok the value is v and the next field starts at off+1, otherwise
+// uvarint decides.
+func uvarint1(b []byte, off int) (v uint64, ok bool) {
+	if off < len(b) && b[off] < 0x80 {
+		return uint64(b[off]), true
 	}
-	// Grow dst once, to the count the header states — but never past what
-	// the bytes that follow could encode, so a hostile header cannot force
-	// an allocation larger than its frame justifies.
-	dst = slices.Grow(dst, int(min(count, uint64(len(cur.b)-cur.off)/v1MinEventBytes)))
+	return 0, false
+}
+
+// uvarint decodes the uvarint at b[off:] and returns it with the offset past
+// it — a negative offset when the varint is truncated or overflows 64 bits.
+func uvarint(b []byte, off int) (uint64, int) {
+	// Two bytes — most start deltas and durations — before the general loop.
+	if off+1 < len(b) && b[off] >= 0x80 && b[off+1] < 0x80 {
+		return uint64(b[off]&0x7f) | uint64(b[off+1])<<7, off + 2
+	}
+	v, n := binary.Uvarint(b[off:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, off + n
+}
+
+// zigzag undoes the sign folding of binary.AppendVarint.
+func zigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// errTruncated reports a field of event i that runs past its frame or
+// column, or is no well-formed varint. Like every decode error it is built
+// on the failing branch only.
+func errTruncated(i int, what string) error {
+	return fmt.Errorf("trace: decode: event %d %s: %w", i, what, io.ErrUnexpectedEOF)
+}
+
+// OverheadFunc receives one KindOverhead record from a marker scan.
+type OverheadFunc func(proc ProcID, at vclock.Time, kind OverheadKind, name string)
+
+// walk is the one pass over the body of a v1 chunk (b[off:] starts at the
+// count field). With scan nil it decodes: the records are appended to dst as
+// events, and bytes is their summed EventBytes. With scan set it builds no
+// event: scan sees each KindOverhead record and dst comes back untouched.
+// Either way every record passes the same checks and n counts the records
+// walked, so a scan accepts exactly the frames a decode accepts. Table
+// strings resolve through in when non-nil, so repeated names across chunks
+// share storage.
+func (d *v1Decoder) walk(b []byte, off int, in *Interner, dst []Event, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
+	count, off := uvarint(b, off)
+	if off < 0 {
+		return dst, 0, 0, fmt.Errorf("trace: decode: reading count: %w", io.ErrUnexpectedEOF)
+	}
+	if scan == nil {
+		// Grow dst once, to the count the header states — but never past
+		// what the bytes that follow could encode, so a hostile header
+		// cannot force an allocation larger than its frame justifies.
+		dst = slices.Grow(dst, int(min(count, uint64(len(b)-off)/v1MinEventBytes)))
+	}
 	table := d.table[:0]
 	defer func() { d.table = table }()
 	var prevStart int64
-	for i := uint64(0); i < count; i++ {
-		var e Event
-		hdr, err := cur.take(3, "event header")
-		if err != nil {
-			return dst, err
+	for ; uint64(n) < count; n++ {
+		if len(b)-off < 3 {
+			return dst, n, bytes, errTruncated(n, "header")
 		}
-		e.Kind = EventKind(hdr[0])
-		e.Cat = Category(hdr[1])
-		e.Overhead = OverheadKind(hdr[2])
-		proc, err := cur.uvarint("proc")
-		if err != nil {
-			return dst, fmt.Errorf("trace: decode: event %d proc: %w", i, err)
+		kind, cat, overhead := EventKind(b[off]), Category(b[off+1]), OverheadKind(b[off+2])
+		off += 3
+		proc, ok := uvarint1(b, off)
+		if ok {
+			off++
+		} else if proc, off = uvarint(b, off); off < 0 {
+			return dst, n, bytes, errTruncated(n, "proc")
 		}
-		e.Proc = ProcID(proc)
-		delta, err := cur.varint("start")
-		if err != nil {
-			return dst, fmt.Errorf("trace: decode: event %d start: %w", i, err)
+		delta, ok := uvarint1(b, off)
+		if ok {
+			off++
+		} else if delta, off = uvarint(b, off); off < 0 {
+			return dst, n, bytes, errTruncated(n, "start")
 		}
-		prevStart += delta
-		e.Start = vclock.Time(prevStart)
-		dur, err := cur.uvarint("dur")
-		if err != nil {
-			return dst, fmt.Errorf("trace: decode: event %d dur: %w", i, err)
+		prevStart += zigzag(delta)
+		start := vclock.Time(prevStart)
+		dur, ok := uvarint1(b, off)
+		if ok {
+			off++
+		} else if dur, off = uvarint(b, off); off < 0 {
+			return dst, n, bytes, errTruncated(n, "dur")
 		}
-		e.End = e.Start.Add(vclock.Duration(dur))
+		end := start.Add(vclock.Duration(dur))
 		// A duration past MaxInt64, or one that overflows past MaxTime,
 		// wraps to End < Start; valid encoders never emit either.
-		if e.End < e.Start {
-			return dst, fmt.Errorf("trace: decode: event %d duration %d overflows", i, dur)
+		if end < start {
+			return dst, n, bytes, fmt.Errorf("trace: decode: event %d duration %d overflows", n, dur)
 		}
-		ref, err := cur.uvarint("name ref")
-		if err != nil {
-			return dst, fmt.Errorf("trace: decode: event %d name ref: %w", i, err)
+		ref, ok := uvarint1(b, off)
+		if ok {
+			off++
+		} else if ref, off = uvarint(b, off); off < 0 {
+			return dst, n, bytes, errTruncated(n, "name ref")
 		}
+		var name string
 		switch {
 		case ref < uint64(len(table)):
-			e.Name = table[ref]
+			name = table[ref]
 		case ref == uint64(len(table)):
-			slen, err := cur.uvarint("name len")
-			if err != nil {
-				return dst, fmt.Errorf("trace: decode: event %d name len: %w", i, err)
+			slen, next := uvarint(b, off)
+			if next < 0 {
+				return dst, n, bytes, errTruncated(n, "name len")
 			}
 			if slen > maxNameLen {
-				return dst, fmt.Errorf("trace: decode: event %d name length %d exceeds limit", i, slen)
+				return dst, n, bytes, fmt.Errorf("trace: decode: event %d name length %d exceeds limit", n, slen)
 			}
-			buf, err := cur.take(int(slen), "name bytes")
-			if err != nil {
-				return dst, fmt.Errorf("trace: decode: event %d name bytes: %w", i, err)
+			if slen > uint64(len(b)-next) {
+				return dst, n, bytes, errTruncated(n, "name bytes")
 			}
+			off = next + int(slen)
 			if in != nil {
-				e.Name = in.Intern(buf)
+				name = in.Intern(b[next:off])
 			} else {
-				e.Name = string(buf)
+				name = string(b[next:off])
 			}
-			table = append(table, e.Name)
+			table = append(table, name)
 		default:
-			return dst, fmt.Errorf("trace: decode: event %d references string %d beyond table size %d", i, ref, len(table))
+			return dst, n, bytes, fmt.Errorf("trace: decode: event %d references string %d beyond table size %d", n, ref, len(table))
 		}
-		dst = append(dst, e)
+		switch {
+		case scan == nil:
+			e := Event{Kind: kind, Cat: cat, Overhead: overhead, Proc: ProcID(proc), Start: start, End: end, Name: name}
+			dst = append(dst, e)
+			bytes += int64(eventBytes(e))
+		case kind == KindOverhead:
+			scan(ProcID(proc), start, overhead, name)
+		}
 	}
-	return dst, nil
+	if off != len(b) {
+		return dst, n, bytes, errTrailing(len(b) - off)
+	}
+	return dst, n, bytes, nil
 }
 
-// sniffVersion validates the magic and reads the version field, returning a
-// cursor positioned at the body.
-func sniffVersion(data []byte) (version uint64, cur colCursor, err error) {
+// errTrailing refuses a frame that goes on after its last record or column:
+// bytes no reader would ever look at, which ingest would store and digest.
+func errTrailing(n int) error {
+	return fmt.Errorf("trace: decode: %d trailing bytes after the chunk", n)
+}
+
+// sniffVersion validates the magic and reads the version field, returning
+// the offset of the body.
+func sniffVersion(data []byte) (version uint64, body int, err error) {
 	if len(data) < len(chunkMagic) {
-		return 0, cur, fmt.Errorf("trace: decode: reading magic: %w", io.ErrUnexpectedEOF)
+		return 0, 0, fmt.Errorf("trace: decode: reading magic: %w", io.ErrUnexpectedEOF)
 	}
 	if string(data[:len(chunkMagic)]) != chunkMagic {
-		return 0, cur, fmt.Errorf("trace: decode: bad magic %q", data[:len(chunkMagic)])
+		return 0, 0, fmt.Errorf("trace: decode: bad magic %q", data[:len(chunkMagic)])
 	}
-	cur = colCursor{b: data, off: len(chunkMagic)}
-	version, err = cur.uvarint("version")
-	if err != nil {
-		return 0, cur, err
+	version, body = uvarint(data, len(chunkMagic))
+	if body < 0 {
+		return 0, 0, fmt.Errorf("trace: decode: reading version: %w", io.ErrUnexpectedEOF)
 	}
-	return version, cur, nil
+	return version, body, nil
 }
 
 // ChunkFormat sniffs the format of one encoded chunk frame.
@@ -221,30 +287,30 @@ func ChunkFormat(data []byte) (Format, error) {
 	return f, nil
 }
 
-// decodeChunkBytes decodes one chunk frame of either version, appending its
-// events to dst. cc, when non-nil, is the reusable column scratch for v2
+// walkChunk walks one chunk frame of either version the way v1Decoder.walk
+// documents: decoding into dst when scan is nil, scanning for overhead
+// records otherwise. cc, when non-nil, is the reusable column scratch for v2
 // frames; names resolve through in when non-nil.
-func decodeChunkBytes(data []byte, dst []Event, in *Interner, cc *ColumnChunk) ([]Event, error) {
-	version, cur, err := sniffVersion(data)
+func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
+	version, body, err := sniffVersion(data)
 	if err != nil {
-		return dst, err
+		return dst, 0, 0, err
 	}
 	switch version {
 	case chunkVersion:
 		d := v1DecPool.Get().(*v1Decoder)
-		dst, err = d.decodeV1(&cur, dst, in)
-		v1DecPool.Put(d)
-		return dst, err
+		defer v1DecPool.Put(d)
+		return d.walk(data, body, in, dst, scan)
 	case chunkVersion2:
 		if cc == nil {
 			cc = &ColumnChunk{}
 		}
 		if err := cc.Parse(data, in); err != nil {
-			return dst, err
+			return dst, 0, 0, err
 		}
-		return cc.AppendEvents(dst)
+		return cc.walk(dst, scan)
 	default:
-		return dst, fmt.Errorf("trace: decode: unsupported version %d", version)
+		return dst, 0, 0, fmt.Errorf("trace: decode: unsupported version %d", version)
 	}
 }
 
@@ -253,7 +319,8 @@ func decodeChunkBytes(data []byte, dst []Event, in *Interner, cc *ColumnChunk) (
 // extended slice. It never aliases data: decoded names are fresh (or
 // interner-shared) strings.
 func DecodeChunkBytes(data []byte, dst []Event) ([]Event, error) {
-	return decodeChunkBytes(data, dst, nil, nil)
+	dst, _, _, err := walkChunk(data, nil, nil, dst, nil)
+	return dst, err
 }
 
 // readBufPool recycles whole-frame read buffers for DecodeChunk.
@@ -272,7 +339,7 @@ func DecodeChunk(r io.Reader, dst []Event) ([]Event, error) {
 		readBufPool.Put(bp)
 		return dst, fmt.Errorf("trace: decode: reading chunk: %w", err)
 	}
-	dst, err = decodeChunkBytes(buf, dst, nil, nil)
+	dst, err = DecodeChunkBytes(buf, dst)
 	*bp = buf
 	readBufPool.Put(bp)
 	return dst, err

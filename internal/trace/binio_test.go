@@ -89,6 +89,32 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingBytes: a frame that goes on after its last record
+// (v1) or column (v2) is refused — by the decoder, so live ingest never
+// stores and digests bytes no reader would look at, and by the marker scan,
+// which accepts what the decoder accepts.
+func TestDecodeRejectsTrailingBytes(t *testing.T) {
+	for name, frame := range map[string][]byte{
+		"v1": seedChunk(sampleEvents()), "v2": seedChunkV2(sampleEvents()),
+		"v1 empty": seedChunk(nil), "v2 empty": seedChunkV2(nil),
+	} {
+		if _, err := DecodeChunkBytes(frame, nil); err != nil {
+			t.Fatalf("%s: the frame itself: %v", name, err)
+		}
+		padded := append(bytes.Clone(frame), 1, 2, 3)
+		events, err := DecodeChunkBytes(padded, nil)
+		if err == nil || !strings.Contains(err.Error(), "trailing") {
+			t.Errorf("%s: %d events, err = %v; want a trailing-bytes error", name, len(events), err)
+		}
+		if _, err := DecodeChunk(bytes.NewReader(padded), nil); err == nil {
+			t.Errorf("%s: DecodeChunk accepted the padded frame", name)
+		}
+		if _, _, _, err := walkChunk(padded, nil, nil, nil, func(ProcID, vclock.Time, OverheadKind, string) {}); err == nil {
+			t.Errorf("%s: the overhead scan accepted the padded frame", name)
+		}
+	}
+}
+
 func TestEncodeRejectsNegativeDuration(t *testing.T) {
 	var buf bytes.Buffer
 	err := EncodeChunk(&buf, []Event{{Kind: KindCPU, Cat: CatPython, Start: 10, End: 5}})

@@ -357,6 +357,9 @@ func (c *ColumnChunk) Parse(frame []byte, in *Interner) error {
 		}
 		c.cols[i] = b
 	}
+	if cur.off != len(frame) {
+		return errTrailing(len(frame) - cur.off)
+	}
 	// Every event consumes at least one byte in the start column (the only
 	// one that is never run-length encoded), so a plausible count is bounded
 	// by its length; this rejects absurd counts before any iteration work.
@@ -398,15 +401,6 @@ func (c *colCursor) uvarint(what string) (uint64, error) {
 	return v, nil
 }
 
-func (c *colCursor) varint(what string) (int64, error) {
-	v, n := binary.Varint(c.b[c.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("trace: decode: reading %s: %w", what, io.ErrUnexpectedEOF)
-	}
-	c.off += n
-	return v, nil
-}
-
 func (c *colCursor) take(n int, what string) ([]byte, error) {
 	if n < 0 || n > len(c.b)-c.off {
 		return nil, fmt.Errorf("trace: decode: reading %s: %w", what, io.ErrUnexpectedEOF)
@@ -416,43 +410,174 @@ func (c *colCursor) take(n int, what string) ([]byte, error) {
 	return b, nil
 }
 
-// modeCursor replays one mode column in whichever encoding its mode byte
-// selects: run-length pairs or one plain uvarint per event.
-type modeCursor struct {
-	cur   colCursor
-	run   uint64
-	val   uint64
+// colBlock is how many events the decoder expands from the columns at a time:
+// enough that the per-block work disappears, few enough that the four value
+// blocks (8 KiB) stay on the stack and in L1.
+const colBlock = 256
+
+// colIter replays one mode column block by block, in whichever encoding its
+// mode byte selects: run-length pairs or one plain uvarint per event.
+type colIter struct {
+	b     []byte
+	off   int
 	plain bool
-	what  string
+	run   uint64 // events the current run still covers
+	val   uint64
 }
 
-// newModeCursor positions a cursor past the column's mode byte (validated by
+// newColIter positions an iterator past the column's mode byte (validated by
 // Parse; an empty column only occurs when the chunk has zero events).
-func newModeCursor(b []byte, what string) modeCursor {
-	c := modeCursor{cur: colCursor{b: b}, what: what}
+func newColIter(b []byte) colIter {
+	it := colIter{b: b}
 	if len(b) > 0 {
-		c.plain = b[0] == colModePlain
-		c.cur.off = 1
+		it.plain = b[0] == colModePlain
+		it.off = 1
 	}
-	return c
+	return it
 }
 
-func (r *modeCursor) next() (uint64, error) {
-	if r.plain {
-		return r.cur.uvarint(r.what)
-	}
-	for r.run == 0 {
-		n, err := r.cur.uvarint(r.what)
-		if err != nil {
-			return 0, err
+// fill expands the column's next len(out) values into out — a run becomes a
+// fill, not len(run) reads — and reports false when the column ends first.
+func (it *colIter) fill(out []uint64) bool {
+	b, off := it.b, it.off
+	if it.plain {
+		for i := range out {
+			v, ok := uvarint1(b, off)
+			if ok {
+				off++
+			} else if v, off = uvarint(b, off); off < 0 {
+				return false
+			}
+			out[i] = v
 		}
-		if r.val, err = r.cur.uvarint(r.what); err != nil {
-			return 0, err
-		}
-		r.run = n
+		it.off = off
+		return true
 	}
-	r.run--
-	return r.val, nil
+	for len(out) > 0 {
+		for it.run == 0 {
+			if it.run, off = uvarint(b, off); off < 0 {
+				return false
+			}
+			if it.val, off = uvarint(b, off); off < 0 {
+				return false
+			}
+		}
+		n := int(min(it.run, uint64(len(out))))
+		for i := range out[:n] {
+			out[i] = it.val
+		}
+		it.run -= uint64(n)
+		out = out[n:]
+	}
+	it.off = off
+	return true
+}
+
+// colWalk is the position of one block-at-a-time pass over a chunk's columns:
+// next expands the following block of every mode column and builds its
+// events, reading the start column as it goes and applying the per-event
+// checks the v1 decoder applies — duration overflow, dangling dictionary or
+// class references, truncated columns.
+type colWalk struct {
+	c                          *ColumnChunk
+	classes, procs, durs, refs colIter
+	starts                     []byte
+	soff                       int
+	prevStart                  int64
+	done                       int   // events built so far
+	bytes                      int64 // and their summed EventBytes
+	// The column values of the block being built.
+	class, proc, dur, ref [colBlock]uint64
+}
+
+func (c *ColumnChunk) newWalk() colWalk {
+	return colWalk{
+		c:       c,
+		classes: newColIter(c.cols[colClasses]),
+		procs:   newColIter(c.cols[colProcs]),
+		durs:    newColIter(c.cols[colDurs]),
+		refs:    newColIter(c.cols[colNames]),
+		starts:  c.cols[colStarts],
+	}
+}
+
+// next builds the chunk's next events — a block of them, at most len(out) —
+// into out and returns how many: zero, with no error, once the chunk is
+// exhausted. On an error the block does not count, whatever of it out holds.
+func (w *colWalk) next(out []Event) (int, error) {
+	n := min(colBlock, len(out), w.c.count-w.done)
+	switch {
+	case !w.classes.fill(w.class[:n]):
+		return 0, errTruncated(w.done, "class column")
+	case !w.procs.fill(w.proc[:n]):
+		return 0, errTruncated(w.done, "proc column")
+	case !w.durs.fill(w.dur[:n]):
+		return 0, errTruncated(w.done, "dur column")
+	case !w.refs.fill(w.ref[:n]):
+		return 0, errTruncated(w.done, "name column")
+	}
+	classes, dict := w.c.classes, w.c.dict
+	starts, soff, prevStart, bytes := w.starts, w.soff, w.prevStart, w.bytes
+	for j := range out[:n] {
+		class, ref := w.class[j], w.ref[j]
+		if class >= uint64(len(classes)) {
+			return 0, fmt.Errorf("trace: decode: event %d references class %d beyond class table size %d", w.done+j, class, len(classes))
+		}
+		if ref >= uint64(len(dict)) {
+			return 0, fmt.Errorf("trace: decode: event %d references name %d beyond dictionary size %d", w.done+j, ref, len(dict))
+		}
+		delta, ok := uvarint1(starts, soff)
+		if ok {
+			soff++
+		} else if delta, soff = uvarint(starts, soff); soff < 0 {
+			return 0, errTruncated(w.done+j, "start")
+		}
+		prevStart += zigzag(delta)
+		start := vclock.Time(prevStart)
+		end := start.Add(vclock.Duration(w.dur[j]))
+		if end < start {
+			return 0, fmt.Errorf("trace: decode: event %d duration %d overflows", w.done+j, w.dur[j])
+		}
+		cl := classes[class]
+		e := Event{
+			Kind: cl.kind, Cat: cl.cat, Overhead: cl.ov,
+			Proc: ProcID(w.proc[j]), Start: start, End: end, Name: dict[ref],
+		}
+		out[j] = e
+		bytes += int64(eventBytes(e))
+	}
+	w.soff, w.prevStart, w.bytes = soff, prevStart, bytes
+	w.done += n
+	return n, nil
+}
+
+// walk is v1Decoder.walk for a parsed columnar chunk: the one pass behind
+// AppendEvents (scan nil), which builds the events where they are to stay,
+// and the overhead scan, which builds them a block at a time on its stack.
+func (c *ColumnChunk) walk(dst []Event, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
+	w := c.newWalk()
+	if scan != nil {
+		var block [colBlock]Event
+		for {
+			m, err := w.next(block[:])
+			if m == 0 {
+				return dst, w.done, 0, err
+			}
+			for i := range block[:m] {
+				if e := &block[i]; e.Kind == KindOverhead {
+					scan(e.Proc, e.Start, e.Overhead, e.Name)
+				}
+			}
+		}
+	}
+	dst = slices.Grow(dst, c.count)
+	for {
+		m, err := w.next(dst[len(dst):cap(dst)])
+		if m == 0 {
+			return dst, w.done, w.bytes, err
+		}
+		dst = dst[:len(dst)+m]
+	}
 }
 
 // Events iterates the chunk in storage order, constructing each Event on the
@@ -461,80 +586,48 @@ func (r *modeCursor) next() (uint64, error) {
 // classes the v1 decoder rejects (duration overflow, dangling dictionary or
 // class references, truncated columns) surface as errors here.
 func (c *ColumnChunk) Events(yield func(i int, e Event) bool) error {
-	classes := newModeCursor(c.cols[colClasses], "class column")
-	procs := newModeCursor(c.cols[colProcs], "proc column")
-	durs := newModeCursor(c.cols[colDurs], "dur column")
-	names := newModeCursor(c.cols[colNames], "name column")
-	starts := colCursor{b: c.cols[colStarts]}
-	var prevStart int64
-	for i := 0; i < c.count; i++ {
-		var e Event
-		class, err := classes.next()
-		if err != nil {
-			return fmt.Errorf("trace: decode: event %d class: %w", i, err)
+	w := c.newWalk()
+	var block [colBlock]Event
+	for {
+		m, err := w.next(block[:])
+		if m == 0 {
+			return err
 		}
-		if class >= uint64(len(c.classes)) {
-			return fmt.Errorf("trace: decode: event %d references class %d beyond class table size %d", i, class, len(c.classes))
-		}
-		cl := c.classes[class]
-		e.Kind, e.Cat, e.Overhead = cl.kind, cl.cat, cl.ov
-		v, err := procs.next()
-		if err != nil {
-			return fmt.Errorf("trace: decode: event %d proc: %w", i, err)
-		}
-		e.Proc = ProcID(v)
-		delta, err := starts.varint("start")
-		if err != nil {
-			return fmt.Errorf("trace: decode: event %d start: %w", i, err)
-		}
-		prevStart += delta
-		e.Start = vclock.Time(prevStart)
-		dur, err := durs.next()
-		if err != nil {
-			return fmt.Errorf("trace: decode: event %d dur: %w", i, err)
-		}
-		e.End = e.Start.Add(vclock.Duration(dur))
-		if e.End < e.Start {
-			return fmt.Errorf("trace: decode: event %d duration %d overflows", i, dur)
-		}
-		ref, err := names.next()
-		if err != nil {
-			return fmt.Errorf("trace: decode: event %d name ref: %w", i, err)
-		}
-		if ref >= uint64(len(c.dict)) {
-			return fmt.Errorf("trace: decode: event %d references name %d beyond dictionary size %d", i, ref, len(c.dict))
-		}
-		e.Name = c.dict[ref]
-		if !yield(i, e) {
-			return nil
+		for i, e := range block[:m] {
+			if !yield(w.done-m+i, e) {
+				return nil
+			}
 		}
 	}
-	return nil
 }
 
 // Times iterates only the timestamp columns — start and end per event — for
 // consumers that need extents without names or classifications.
 func (c *ColumnChunk) Times(yield func(i int, start, end vclock.Time) bool) error {
-	starts := colCursor{b: c.cols[colStarts]}
-	durs := newModeCursor(c.cols[colDurs], "dur column")
+	starts, soff := c.cols[colStarts], 0
+	durs := newColIter(c.cols[colDurs])
+	var block [colBlock]uint64
 	var prevStart int64
-	for i := 0; i < c.count; i++ {
-		delta, err := starts.varint("start")
-		if err != nil {
-			return fmt.Errorf("trace: decode: event %d start: %w", i, err)
+	for i := 0; i < c.count; {
+		dur := block[:min(colBlock, c.count-i)]
+		if !durs.fill(dur) {
+			return errTruncated(i, "dur column")
 		}
-		prevStart += delta
-		start := vclock.Time(prevStart)
-		dur, err := durs.next()
-		if err != nil {
-			return fmt.Errorf("trace: decode: event %d dur: %w", i, err)
-		}
-		end := start.Add(vclock.Duration(dur))
-		if end < start {
-			return fmt.Errorf("trace: decode: event %d duration %d overflows", i, dur)
-		}
-		if !yield(i, start, end) {
-			return nil
+		for _, d := range dur {
+			var delta uint64
+			if delta, soff = uvarint(starts, soff); soff < 0 {
+				return errTruncated(i, "start")
+			}
+			prevStart += zigzag(delta)
+			start := vclock.Time(prevStart)
+			end := start.Add(vclock.Duration(d))
+			if end < start {
+				return fmt.Errorf("trace: decode: event %d duration %d overflows", i, d)
+			}
+			if !yield(i, start, end) {
+				return nil
+			}
+			i++
 		}
 	}
 	return nil
@@ -543,10 +636,6 @@ func (c *ColumnChunk) Times(yield func(i int, start, end vclock.Time) bool) erro
 // AppendEvents materializes the chunk, appending its events to dst — the v2
 // half of DecodeChunk. dst grows once, by the count Parse validated.
 func (c *ColumnChunk) AppendEvents(dst []Event) ([]Event, error) {
-	dst = slices.Grow(dst, c.Len())
-	err := c.Events(func(_ int, e Event) bool {
-		dst = append(dst, e)
-		return true
-	})
+	dst, _, _, err := c.walk(dst, nil)
 	return dst, err
 }

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/vclock"
 )
 
 // seedChunk encodes events into bytes for the fuzz corpus.
@@ -45,6 +47,7 @@ func FuzzDecodeChunk(f *testing.F) {
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
+	f.Add(append(bytes.Clone(full), 1, 2, 3)) // garbage after the last record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := DecodeChunk(bytes.NewReader(data), nil)
@@ -115,6 +118,7 @@ func FuzzDecodeChunkV2(f *testing.F) {
 	flipped2 := append([]byte(nil), full...)
 	flipped2[len(flipped2)/3] ^= 0x40
 	f.Add(flipped2)
+	f.Add(append(bytes.Clone(full), 1, 2, 3)) // garbage after the last column
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := DecodeChunk(bytes.NewReader(data), nil)
@@ -139,6 +143,74 @@ func FuzzDecodeChunkV2(f *testing.F) {
 		}
 		if !reflect.DeepEqual(events, again) {
 			t.Fatalf("round trip not a fixed point:\n first %+v\nsecond %+v", events, again)
+		}
+	})
+}
+
+// scannedMarker is one record as the overhead scan reports it.
+type scannedMarker struct {
+	proc ProcID
+	at   vclock.Time
+	kind OverheadKind
+	name string
+}
+
+// FuzzOverheadScan holds the marker scan to the decoder it stands in for: on
+// arbitrary bytes it must accept exactly the frames DecodeChunk accepts — the
+// correction pre-pass may not wave through a chunk the analysis pass will
+// then refuse, nor the reverse — count the same events, and report exactly
+// the KindOverhead records of the decoded list, in order. The seeds are both
+// decoders' own: every truncation, bit flip and hostile header, in v1 and v2.
+func FuzzOverheadScan(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("RLSC\x01\xff\xff"))
+	f.Add([]byte("RLSC\x02\xff\xff"))
+	events := randomEvents(rand.New(rand.NewSource(31)), 64)
+	events = append(events,
+		Event{Kind: KindOverhead, Overhead: OverheadCUPTI, Proc: 3, Start: 5, End: 5, Name: "cudaLaunchKernel"},
+		Event{Kind: KindOverhead, Overhead: OverheadAnnotation, Proc: 3, Start: 9, End: 9},
+		Event{Kind: KindOverhead, Proc: 4, Start: 9, End: 12, Name: "wide"}, // not a point, no overhead kind: still a marker
+	)
+	for _, full := range [][]byte{seedChunk(nil), seedChunkV2(nil), seedChunk(events), seedChunkV2(events)} {
+		f.Add(full)
+		f.Add(append(bytes.Clone(full), 1, 2, 3))
+		for _, cut := range []int{5, 6, 8, len(full) / 4, len(full) / 2, len(full) - 1} {
+			if cut < len(full) {
+				f.Add(full[:cut])
+			}
+		}
+		for _, at := range []int{6, len(full) / 3, len(full) - 2} {
+			if at < len(full) {
+				flipped := bytes.Clone(full)
+				flipped[at] ^= 0x40
+				f.Add(flipped)
+			}
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, decodeErr := DecodeChunkBytes(data, nil)
+		var got []scannedMarker
+		_, n, _, scanErr := walkChunk(data, nil, nil, nil, func(proc ProcID, at vclock.Time, kind OverheadKind, name string) {
+			got = append(got, scannedMarker{proc, at, kind, name})
+		})
+		if (decodeErr == nil) != (scanErr == nil) {
+			t.Fatalf("decode says %v, scan says %v", decodeErr, scanErr)
+		}
+		if decodeErr != nil {
+			return
+		}
+		if n != len(events) {
+			t.Fatalf("scan counted %d events, decode returned %d", n, len(events))
+		}
+		var want []scannedMarker
+		for _, e := range events {
+			if e.Kind == KindOverhead {
+				want = append(want, scannedMarker{e.Proc, e.Start, e.Overhead, e.Name})
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scan reported %+v, the decoded chunk holds %+v", got, want)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -173,18 +172,16 @@ func OpenDir(dir string) (*Reader, error) {
 // Meta returns the run metadata.
 func (r *Reader) Meta() Meta { return r.meta }
 
-// Dir returns the directory the Reader reads from.
-func (r *Reader) Dir() string { return r.dir }
-
 // NumChunks reports the number of chunk files in the directory.
 func (r *Reader) NumChunks() int { return len(r.names) }
 
 // ChunkName returns the file name of chunk i.
 func (r *Reader) ChunkName(i int) string { return r.names[i] }
 
-// load reads chunk i's frame into the reusable frame buffer. The previous
-// frame stays cached, so ReadColumns followed by ReadChunk on the same chunk
-// (the v1 fallback path) reads the file once.
+// load reads chunk i's frame into the reusable frame buffer, first sized from
+// the file so that a Reader's first chunk costs one allocation, not a
+// doubling series. The previous frame stays cached, so ReadColumns followed
+// by ReadChunk on the same chunk (the v1 fallback path) reads the file once.
 func (r *Reader) load(i int) ([]byte, error) {
 	if r.loaded == i {
 		return r.frame, nil
@@ -194,6 +191,13 @@ func (r *Reader) load(i int) ([]byte, error) {
 	f, err := os.Open(r.paths[i])
 	if err != nil {
 		return nil, &ChunkError{Dir: r.dir, Chunk: name, Err: err}
+	}
+	if cap(r.frame) == 0 {
+		// The Reader's first chunk: one byte past the file's size lets the
+		// read that finds EOF fit too. Later chunks find the buffer there.
+		if fi, err := f.Stat(); err == nil {
+			r.frame = make([]byte, 0, fi.Size()+1)
+		}
 	}
 	r.frame, err = readAllInto(r.frame[:0], f)
 	f.Close()
@@ -210,36 +214,38 @@ func (r *Reader) load(i int) ([]byte, error) {
 // one buffer for the whole trace. Decode failures are reported as
 // *ChunkError.
 func (r *Reader) ReadChunk(i int, dst []Event) ([]Event, error) {
-	frame, err := r.load(i)
-	if err != nil {
-		return dst, err
-	}
-	out, err := decodeChunkBytes(frame, dst, r.in, &r.cc)
-	if err != nil {
-		return out, &ChunkError{Dir: r.dir, Chunk: r.names[i], Err: err}
-	}
-	return out, nil
+	dst, _, err := r.ReadChunkSized(i, dst)
+	return dst, err
 }
 
-// EachChunk decodes the listed chunks in order — one at a time, into one
-// buffer reused across them — and calls fn with each one's events, which are
-// valid only during the call. It stops at the first error: ctx's, checked
-// before every chunk, a decode failure (*ChunkError) or fn's own.
-func (r *Reader) EachChunk(ctx context.Context, chunks []int, fn func(i int, events []Event) error) error {
-	var buf []Event
-	for _, i := range chunks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var err error
-		if buf, err = r.ReadChunk(i, buf[:0]); err != nil {
-			return err
-		}
-		if err := fn(i, buf); err != nil {
-			return err
-		}
+// ReadChunkSized is ReadChunk that also returns the summed EventBytes of the
+// events it appended, which the decoder has at hand: a caller that accounts
+// for resident bytes need not walk the events again.
+func (r *Reader) ReadChunkSized(i int, dst []Event) ([]Event, int64, error) {
+	dst, _, bytes, err := r.walk(i, dst, nil)
+	return dst, bytes, err
+}
+
+// ScanOverhead passes every KindOverhead record of chunk i to fn, in storage
+// order, without building the chunk's events, and returns the chunk's event
+// count. It applies every check ReadChunk applies, so it fails — with the
+// same *ChunkError — on exactly the chunks ReadChunk fails on; fn may have
+// seen the markers ahead of the corruption by then.
+func (r *Reader) ScanOverhead(i int, fn OverheadFunc) (events int, err error) {
+	_, events, _, err = r.walk(i, nil, fn)
+	return events, err
+}
+
+func (r *Reader) walk(i int, dst []Event, scan OverheadFunc) ([]Event, int, int64, error) {
+	frame, err := r.load(i)
+	if err != nil {
+		return dst, 0, 0, err
 	}
-	return nil
+	dst, n, bytes, err := walkChunk(frame, r.in, &r.cc, dst, scan)
+	if err != nil {
+		err = &ChunkError{Dir: r.dir, Chunk: r.names[i], Err: err}
+	}
+	return dst, n, bytes, err
 }
 
 // ReadColumns reads chunk i and, when it is columnar (v2), parses it into
@@ -292,15 +298,11 @@ func (r *Reader) Index(i int) (*ChunkIndex, error) {
 // sidecar that is missing or does not parse (sidecar.go) is rebuilt by
 // decoding the chunk.
 func (r *Reader) IndexInto(i int, ix *ChunkIndex) error {
-	f, err := os.Open(r.sidePaths[i])
-	if err == nil {
-		r.side, err = readAllInto(r.side[:0], f)
-		f.Close()
-		if err == nil && parseSidecar(r.side, ix, r.in) == nil {
-			return nil
-		}
+	ok, err := r.readSidecar(i, ix)
+	if ok {
+		return nil
 	}
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err != nil {
 		return &ChunkError{Dir: r.dir, Chunk: sidecarPath(r.names[i]), Err: err}
 	}
 	events, err := r.ReadChunk(i, nil)
@@ -313,4 +315,36 @@ func (r *Reader) IndexInto(i int, ix *ChunkIndex) error {
 	}
 	*ix = *BuildChunkIndex(events, size)
 	return nil
+}
+
+// readSidecar parses chunk i's sidecar file into ix and reports whether it
+// could: a missing file or one that does not parse is not an error — the
+// index is then the chunk's to rebuild — only a file that cannot be read is.
+func (r *Reader) readSidecar(i int, ix *ChunkIndex) (ok bool, err error) {
+	f, err := os.Open(r.sidePaths[i])
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			err = nil
+		}
+		return false, err
+	}
+	r.side, err = readAllInto(r.side[:0], f)
+	f.Close()
+	return err == nil && parseSidecar(r.side, ix, r.in) == nil, err
+}
+
+// eventsHint is the directory's event count as its sidecars state it, for
+// presizing a whole-trace buffer: each chunk's claim is capped by what its
+// file could encode, so a hostile sidecar cannot force the allocation, and a
+// chunk without a readable sidecar contributes nothing — the buffer grows for
+// it when it is decoded.
+func (r *Reader) eventsHint() (n int) {
+	var ix ChunkIndex
+	for i := range r.names {
+		fi, err := os.Stat(r.paths[i])
+		if ok, _ := r.readSidecar(i, &ix); ok && err == nil && ix.Events > 0 {
+			n += int(min(int64(ix.Events), fi.Size()/v1MinEventBytes))
+		}
+	}
+	return n
 }

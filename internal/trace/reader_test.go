@@ -189,3 +189,53 @@ func TestWriterAppendBulkChunks(t *testing.T) {
 		t.Fatalf("read %d events, want %d", len(got.Events), len(events))
 	}
 }
+
+// TestReadDirPresizesOnce: ReadDir sizes the whole-trace buffer from the
+// sidecars' event counts, so decoding chunk after chunk into it never regrows
+// it — and a sidecar claiming more events than its chunk's bytes could encode
+// cannot force the allocation, nor does a missing one cost more than the
+// growth it always cost.
+func TestReadDirPresizesOnce(t *testing.T) {
+	dir, events := writeRandomTrace(t, 29, 3000, 2048)
+	tr, err := ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) != len(events) || cap(tr.Events) != len(events) {
+		t.Fatalf("read %d events into room for %d, wrote %d", len(tr.Events), cap(tr.Events), len(events))
+	}
+	want := tr.Events
+
+	r, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunkBytes int64
+	for i := 0; i < r.NumChunks(); i++ {
+		chunkBytes += int64(len(readFile(t, r.paths[i])))
+	}
+	// Chunk 0's sidecar now claims 2^40 events; chunk 1's is gone.
+	ix, err := r.Index(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hostile := *ix
+	hostile.Events = 1 << 40
+	if err := os.WriteFile(r.sidePaths[0], mustSidecar(t, &hostile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(r.sidePaths[1]); err != nil {
+		t.Fatal(err)
+	}
+	tr, err = ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr.Events, want) {
+		t.Fatal("a lying and a missing sidecar changed what ReadDir returns")
+	}
+	// Append growth can overshoot by its growth factor, never by 2^40.
+	if limit := 2 * int(chunkBytes/v1MinEventBytes); cap(tr.Events) > limit {
+		t.Fatalf("a sidecar claiming 2^40 events made ReadDir allocate room for %d (chunks hold %d bytes)", cap(tr.Events), chunkBytes)
+	}
+}

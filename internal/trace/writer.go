@@ -272,7 +272,7 @@ func ReadDir(dir string) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Meta: r.Meta()}
+	t := &Trace{Meta: r.Meta(), Events: make([]Event, 0, r.eventsHint())}
 	for i := 0; i < r.NumChunks(); i++ {
 		t.Events, err = r.ReadChunk(i, t.Events)
 		if err != nil {
