@@ -213,19 +213,6 @@ func (c *Client) Query(ctx context.Context, q fleet.Query) ([]byte, error) {
 	return c.postJSON(ctx, "/v1/query", q, nil)
 }
 
-// AnalyzeDoc is Analyze with the document decoded.
-func (c *Client) AnalyzeDoc(ctx context.Context, id string, req serve.AnalyzeRequest) (map[string]any, error) {
-	body, err := c.Analyze(ctx, id, req)
-	if err != nil {
-		return nil, err
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, err
-	}
-	return doc, nil
-}
-
 // AppendChunk ships one encoded chunk frame as sequence number seq
 // (POST /v1/traces/{id}/chunks, the frame as the raw body). index is unused
 // — the server derives the sidecar from the frame — and stays in the

@@ -12,8 +12,7 @@
 //	rlscope-hyp -metrics fig4 -steps 800 -seed 42  # dump one experiment's metric bundle
 //
 // Exit status: 0 on success, 1 when -gate trips (a refuted deterministic
-// hypothesis — always a bug; -strict extends this to any refuted
-// hypothesis), 2 on usage errors, 130 on interrupt.
+// hypothesis — always a bug), 2 on usage errors, 130 on interrupt.
 package main
 
 import (
@@ -38,7 +37,6 @@ func main() {
 		timing   = flag.Bool("timing", true, "include wall-clock (timing) hypotheses; disable for byte-deterministic output")
 		out      = flag.String("out", "", "write the verdict document to this file (default: stdout)")
 		gate     = flag.Bool("gate", false, "exit 1 when any deterministic hypothesis is refuted")
-		strict   = flag.Bool("strict", false, "with -gate, also fail on refuted statistical hypotheses")
 		list     = flag.Bool("list", false, "print the grid's hypotheses without running them")
 		metrics  = flag.String("metrics", "", "dump one experiment's metric bundle instead of evaluating (ids: "+strings.Join(experiments.MetricExperiments, ",")+")")
 		seed     = flag.Int64("seed", 1, "seed for -metrics")
@@ -95,7 +93,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rlscope-hyp: %-18s %s\n", r.ID, r.Verdict)
 	}
 	if *gate {
-		if err := hypothesis.Gate(doc, *strict); err != nil {
+		if err := hypothesis.Gate(doc); err != nil {
 			fmt.Fprintf(os.Stderr, "rlscope-hyp: gate: %v\n", err)
 			os.Exit(1)
 		}

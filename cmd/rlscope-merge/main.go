@@ -33,7 +33,6 @@ func main() {
 		out          = flag.String("out", "", "merged trace output directory (required)")
 		manifestPath = flag.String("manifest", "", "manifest.json from rlscope-prof -distributed; its host dirs are merged (alternative to positional dirs)")
 		maxUnc       = flag.Duration("max-uncertainty", 0, "largest acceptable clock-offset bracket half-width, e.g. 5ms (0 = default)")
-		chunkBytes   = flag.Int("chunk-bytes", 0, "output chunk-size target in bytes (0 = writer default)")
 		quiet        = flag.Bool("q", false, "suppress the per-host offset summary")
 	)
 	flag.Parse()
@@ -55,10 +54,7 @@ func main() {
 		fatal(fmt.Errorf("need at least 2 host trace dirs (got %d); pass them as arguments or via -manifest", len(dirs)))
 	}
 
-	stats, err := multihost.Merge(*out, dirs, multihost.Options{
-		MaxUncertainty: vclock.Duration(*maxUnc),
-		ChunkBytes:     *chunkBytes,
-	})
+	stats, err := multihost.Merge(*out, dirs, multihost.Options{MaxUncertainty: vclock.Duration(*maxUnc)})
 	if err != nil {
 		fatal(err)
 	}

@@ -1,60 +1,16 @@
 package analysis
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/overlap"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
-
-func TestForEachCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 7, 100} {
-		var hits [57]int32
-		if err := ForEachContext(context.Background(), workers, len(hits), func(i int) error {
-			atomic.AddInt32(&hits[i], 1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, n := range hits {
-			if n != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, n)
-			}
-		}
-	}
-}
-
-func TestForEachReturnsLowestIndexError(t *testing.T) {
-	errA, errB := errors.New("a"), errors.New("b")
-	for _, workers := range []int{2, 4, 8} {
-		err := ForEachContext(context.Background(), workers, 20, func(i int) error {
-			switch i {
-			case 3:
-				return errA
-			case 17:
-				return errB
-			}
-			return nil
-		})
-		if err != errA {
-			t.Fatalf("workers=%d: got %v, want lowest-index error %v", workers, err, errA)
-		}
-	}
-}
-
-func TestForEachEmpty(t *testing.T) {
-	if err := ForEachContext(context.Background(), 4, 0, func(int) error { return errors.New("called") }); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // dump renders a Result deterministically so byte-level comparison is
 // meaningful.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,65 +115,6 @@ func TestRunContextCancelled(t *testing.T) {
 		if results != nil {
 			t.Fatalf("workers %d: cancelled run returned results", workers)
 		}
-	}
-}
-
-// TestForEachWorkerContextCancelMidDispatch cancels at randomized dispatch
-// points from inside a job and asserts the dispatcher stops, every worker
-// joins, jobs past the stop point never run, and the call returns ctx.Err().
-// A job past the cancelling one waits for the cancellation before it returns
-// its worker, so how far dispatch gets does not depend on the scheduler: each
-// other worker can be holding one such job, and the dispatcher — which checks
-// the context before every send — can have at most one more send in flight.
-func TestForEachWorkerContextCancelMidDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	baseline := runtime.NumGoroutine()
-	for trial := 0; trial < 20; trial++ {
-		const n = 200
-		workers := 1 + rng.Intn(8)
-		target := rng.Intn(n / 2)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancelled := make(chan struct{})
-		var ran atomic.Int64
-		err := ForEachWorkerContext(ctx, workers, n, func(_, i int) error {
-			ran.Add(1)
-			switch {
-			case i == target:
-				cancel()
-				close(cancelled)
-			case i > target:
-				<-cancelled
-			}
-			return nil
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("trial %d (workers %d, target %d): err = %v, want context.Canceled",
-				trial, workers, target, err)
-		}
-		if got, limit := ran.Load(), int64(target+workers+1); got > limit {
-			t.Fatalf("trial %d (workers %d): %d jobs ran despite cancellation at index %d, want at most %d",
-				trial, workers, got, target, limit)
-		}
-	}
-	settleGoroutines(t, baseline)
-}
-
-// TestForEachWorkerContextErrorBeatsCancel asserts job errors keep their
-// deterministic lowest-index priority over the context error.
-func TestForEachWorkerContextErrorBeatsCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	boom := errors.New("boom")
-	err := ForEachWorkerContext(ctx, 4, 50, func(_, i int) error {
-		if i == 10 {
-			cancel()
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want job error to take precedence over cancellation", err)
 	}
 }
 

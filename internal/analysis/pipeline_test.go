@@ -69,7 +69,7 @@ func TestPipelineCutsMatchSequential(t *testing.T) {
 		byStart := &trace.Trace{Events: slices.Clone(tr.Events)}
 		slices.SortStableFunc(byStart.Events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
 		v1dir := writeTrace(t, byStart, 1<<15)
-		dirs := map[string]string{"v1": v1dir, "v2": convertTrace(t, v1dir, trace.FormatV2)}
+		dirs := map[string]string{"v1": v1dir, "v2": convertTrace(t, v1dir)}
 
 		for workers := 1; workers <= 4; workers++ {
 			for _, budget := range []int64{0, 1, 8 << 10} {

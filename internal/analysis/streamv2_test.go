@@ -10,17 +10,13 @@ import (
 	"repro/internal/trace"
 )
 
-// convertTrace rewrites dir into a sibling directory in the given format,
-// with the round-trip digest verification on.
-func convertTrace(t *testing.T, dir string, to trace.Format) string {
+// convertTrace rewrites dir into a sibling directory in the columnar format,
+// verified by ConvertDir's round-trip digest.
+func convertTrace(t *testing.T, dir string) string {
 	t.Helper()
-	dst := filepath.Join(t.TempDir(), "converted-"+to.String())
-	stats, err := trace.ConvertDir(dir, dst, to, true)
-	if err != nil {
-		t.Fatalf("ConvertDir(%v): %v", to, err)
-	}
-	if !stats.Verified {
-		t.Fatal("ConvertDir did not verify")
+	dst := filepath.Join(t.TempDir(), "converted-v2")
+	if _, err := trace.ConvertDir(dir, dst); err != nil {
+		t.Fatalf("ConvertDir: %v", err)
 	}
 	return dst
 }
@@ -82,7 +78,7 @@ func TestRunStreamFormatV2MatchesV1(t *testing.T) {
 		}
 		want := dumpAll(Run(loaded, Options{Workers: 1}))
 		dirs := map[string]string{
-			"v2":    convertTrace(t, v1dir, trace.FormatV2),
+			"v2":    convertTrace(t, v1dir),
 			"mixed": mixTrace(t, v1dir),
 		}
 		for label, dir := range dirs {
@@ -111,7 +107,7 @@ func TestRunStreamWarmReaderReuse(t *testing.T) {
 		t.Fatalf("ReadDir: %v", err)
 	}
 	want := dumpAll(Run(loaded, Options{Workers: 1}))
-	for _, dir := range []string{v1dir, convertTrace(t, v1dir, trace.FormatV2)} {
+	for _, dir := range []string{v1dir, convertTrace(t, v1dir)} {
 		r, err := trace.OpenDir(dir)
 		if err != nil {
 			t.Fatalf("OpenDir: %v", err)
@@ -134,7 +130,7 @@ func TestRunStreamWarmReaderReuse(t *testing.T) {
 func TestRunStreamCorruptV2Chunk(t *testing.T) {
 	tr := randomTrace(rand.New(rand.NewSource(13)))
 	v1dir := writeTrace(t, tr, 1<<10)
-	dir := convertTrace(t, v1dir, trace.FormatV2)
+	dir := convertTrace(t, v1dir)
 	chunks, err := filepath.Glob(filepath.Join(dir, "*.rlstrace"))
 	if err != nil || len(chunks) < 2 {
 		t.Fatalf("want multiple chunks, got %v (err %v)", chunks, err)

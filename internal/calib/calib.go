@@ -176,37 +176,6 @@ func delta(run Runner, base *RunStats, flags trace.FeatureFlags, kind trace.Over
 	return d / vclock.Duration(count), nil
 }
 
-// CalibrateN runs Calibrate reps times with distinct seeds and averages the
-// estimates — the paper notes calibration "only needs to be done once per
-// workload and can be reused", and averaging over repetitions reduces the
-// variance of each mean estimate on jittery workloads.
-func CalibrateN(run Runner, seed int64, reps int) (*Calibration, error) {
-	if reps <= 0 {
-		return nil, fmt.Errorf("calib: CalibrateN needs reps > 0")
-	}
-	sum := &Calibration{CUPTI: map[string]vclock.Duration{}}
-	for r := 0; r < reps; r++ {
-		cal, err := Calibrate(run, seed+int64(r)*7717)
-		if err != nil {
-			return nil, fmt.Errorf("calib: rep %d: %w", r, err)
-		}
-		sum.Annotation += cal.Annotation
-		sum.Interception += cal.Interception
-		sum.CUDAIntercept += cal.CUDAIntercept
-		for api, d := range cal.CUPTI {
-			sum.CUPTI[api] += d
-		}
-	}
-	n := vclock.Duration(reps)
-	sum.Annotation /= n
-	sum.Interception /= n
-	sum.CUDAIntercept /= n
-	for api := range sum.CUPTI {
-		sum.CUPTI[api] /= n
-	}
-	return sum, nil
-}
-
 // EstimatedOverhead returns the total overhead a corrected analysis will
 // subtract from a run, split by marker kind and name — the stacked overhead
 // components of Figure 11.

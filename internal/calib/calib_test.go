@@ -90,22 +90,6 @@ func TestCUPTILaunchInflationExceedsMemcpy(t *testing.T) {
 	}
 }
 
-func TestCalibrateNAveragesEstimates(t *testing.T) {
-	run := toyRunner(150)
-	cal, err := CalibrateN(run, 5, 3)
-	if err != nil {
-		t.Fatalf("CalibrateN: %v", err)
-	}
-	model := profiler.DefaultOverheads()
-	rel := math.Abs(float64(cal.Interception-model.Interception.Mean)) / float64(model.Interception.Mean)
-	if rel > 0.10 {
-		t.Fatalf("averaged interception mean off by %.1f%%", 100*rel)
-	}
-	if _, err := CalibrateN(run, 5, 0); err == nil {
-		t.Fatal("reps=0 accepted")
-	}
-}
-
 func TestCorrectionRemovesMarkersAndShrinksTrace(t *testing.T) {
 	run := toyRunner(100)
 	cal, err := Calibrate(run, 3)

@@ -14,7 +14,10 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/backend"
@@ -73,12 +76,35 @@ func analyzeMain(tr *trace.Trace) *overlap.Result {
 	return overlap.Compute(nil)
 }
 
-// forEach fans n independent experiment jobs (workload replays, validation
-// runs) out over the analysis engine's pool scheduler, stopping dispatch
-// when ctx is cancelled. Each call spins up its own pool sized to the
-// machine; pools are not shared across calls.
+// forEach runs n independent experiment jobs (workload replays, validation
+// runs), fn(0) … fn(n-1), at most GOMAXPROCS at once. Jobs are dispatched in
+// index order and none once ctx is cancelled or a job has failed; every
+// dispatched job runs to completion, so the lowest failing index always runs
+// and its error is the one returned — else ctx.Err().
 func forEach(ctx context.Context, n int, fn func(i int) error) error {
-	return analysis.ForEachContext(ctx, 0, n, fn)
+	errs := make([]error, n)
+	jobs, fail := context.WithCancel(ctx)
+	defer fail()
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		slots <- struct{}{}
+		if jobs.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			if errs[i] = fn(i); errs[i] != nil {
+				fail()
+			}
+		}()
+	}
+	wg.Wait()
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+		return errs[i]
+	}
+	return ctx.Err()
 }
 
 // runPair executes two independent workload replays concurrently — the

@@ -360,16 +360,11 @@ func (e *Evaluator) cell(ctx context.Context, experiment string, steps int, seed
 }
 
 // Gate returns an error when the document contains a refuted deterministic
-// hypothesis — the one outcome that is always a bug. With strict set, any
-// refuted hypothesis trips the gate.
-func Gate(doc *Document, strict bool) error {
+// hypothesis — the one outcome that is always a bug.
+func Gate(doc *Document) error {
 	var bad []string
 	for i := range doc.Results {
-		r := &doc.Results[i]
-		if r.Verdict != Refuted {
-			continue
-		}
-		if r.Class == Deterministic || strict {
+		if r := &doc.Results[i]; r.Verdict == Refuted && r.Class == Deterministic {
 			bad = append(bad, fmt.Sprintf("%s (%s)", r.ID, r.Class))
 		}
 	}

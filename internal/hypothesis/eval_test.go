@@ -178,7 +178,7 @@ func TestDeterministicVerdictIsBinary(t *testing.T) {
 	if doc.Results[0].Verdict != Refuted {
 		t.Errorf("mismatch: %s, want refuted", doc.Results[0].Verdict)
 	}
-	if err := Gate(doc, false); err == nil {
+	if err := Gate(doc); err == nil {
 		t.Error("gate must fail on a refuted deterministic hypothesis")
 	}
 }

@@ -140,7 +140,7 @@ func TestBrokenHypothesisIsRefutedAndGated(t *testing.T) {
 	if byID["D.fine"] != hypothesis.Confirmed {
 		t.Fatalf("control hypothesis verdict = %s, want confirmed", byID["D.fine"])
 	}
-	err = hypothesis.Gate(doc, false)
+	err = hypothesis.Gate(doc)
 	if err == nil {
 		t.Fatal("Gate passed a document with a refuted deterministic hypothesis")
 	}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -53,9 +54,6 @@ type Options struct {
 	// clock-offset bracket; wider brackets mean the traces cannot be
 	// causally ordered and the merge is rejected (0 = default).
 	MaxUncertainty vclock.Duration
-	// ChunkBytes is the output writer's chunk-size target (0 = writer
-	// default).
-	ChunkBytes int
 }
 
 func (o Options) maxUncertainty() vclock.Duration {
@@ -187,7 +185,7 @@ func MergeTraces(inputs []*trace.Trace, opts Options) (*trace.Trace, *Stats, err
 			merged.Events = append(merged.Events, e)
 		}
 	}
-	merged.Meta.Labels[LabelHosts] = joinHosts(hostNames)
+	merged.Meta.Labels[LabelHosts] = strings.Join(hostNames, ",")
 
 	// Labels every host agrees on (e.g. experiment ids attached with
 	// rlscope-prof -label on each machine) survive into the merged trace;
@@ -216,8 +214,9 @@ func MergeTraces(inputs []*trace.Trace, opts Options) (*trace.Trace, *Stats, err
 }
 
 // Merge reads the host trace directories, aligns and merges them, and
-// writes the result to dst as a v2-format directory, verifying the written
-// bytes round-trip to the merged events before reporting the output digest.
+// writes the result to dst as a v2-format directory in the writer's default
+// chunk size, verifying the written bytes round-trip to the merged events
+// before reporting the output digest.
 // dst's previous trace files (if any) are overwritten, matching
 // trace.NewWriter semantics.
 func Merge(dst string, hostDirs []string, opts Options) (*Stats, error) {
@@ -237,7 +236,7 @@ func Merge(dst string, hostDirs []string, opts Options) (*Stats, error) {
 		return nil, err
 	}
 
-	w, err := trace.NewWriter(dst, opts.ChunkBytes, trace.WithFormat(trace.FormatV2))
+	w, err := trace.NewWriter(dst, 0, trace.WithFormat(trace.FormatV2))
 	if err != nil {
 		return nil, err
 	}
@@ -267,16 +266,4 @@ func Merge(dst string, hostDirs []string, opts Options) (*Stats, error) {
 	}
 	stats.Digest = digest
 	return stats, nil
-}
-
-// joinHosts renders the sorted host list for the hosts label.
-func joinHosts(hosts []string) string {
-	out := ""
-	for i, h := range hosts {
-		if i > 0 {
-			out += ","
-		}
-		out += h
-	}
-	return out
 }

@@ -109,7 +109,7 @@ func Compute(events []trace.Event) *Result {
 // analysis engine (internal/analysis) parallelizes over.
 func ComputeWindow(events []trace.Event, lo, hi vclock.Time) *Result {
 	sw := GetSweeper()
-	res := sw.computeWindow(events, lo, hi, true)
+	res := sw.ComputeWindow(events, lo, hi)
 	PutSweeper(sw)
 	return res
 }

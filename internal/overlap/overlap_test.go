@@ -191,19 +191,6 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-func TestMergeResults(t *testing.T) {
-	a := Compute([]trace.Event{
-		{Kind: trace.KindCPU, Cat: trace.CatPython, Start: 0, End: 10, Name: "p"},
-	})
-	b := Compute([]trace.Event{
-		{Kind: trace.KindCPU, Cat: trace.CatPython, Start: 0, End: 15, Name: "p"},
-	})
-	a.Merge(b)
-	if got := a.Dur(UntrackedOp, ResCPU, trace.CatPython); got != 25 {
-		t.Errorf("merged python = %v, want 25", got)
-	}
-}
-
 // referenceCompute is a brute-force re-implementation of the sweep: it
 // evaluates the attribution at every unit timestep, picking innermost
 // events with the same innerCPU/innerOp comparators the sweep uses so that

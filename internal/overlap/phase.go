@@ -49,11 +49,10 @@ func Phases(events []trace.Event) []PhaseBreakdown {
 	defer sweepers.Put(sw)
 	for pi := range phases {
 		p := &phases[pi]
-		// Run the overlap sweep restricted to the phase window, without
-		// transition scoping (only the resource/category sums below are
-		// consumed); the per-operation split the full sweep adds
-		// collapses back out in those sums.
-		res := sw.computeWindow(events, p.Start, p.End, false)
+		// Run the overlap sweep restricted to the phase window; only its
+		// resource/category sums are consumed, so the per-operation split
+		// (and the transition counts) collapse back out.
+		res := sw.ComputeWindow(events, p.Start, p.End)
 		for k, d := range res.ByKey {
 			if k.Res&ResCPU != 0 {
 				p.CPU += d

@@ -141,20 +141,3 @@ func ComputeTrace(t *trace.Trace) map[trace.ProcID]*Result {
 	}
 	return out
 }
-
-// Merge sums other into r (used to aggregate multi-process runs into one
-// breakdown when a combined view is wanted).
-func (r *Result) Merge(other *Result) {
-	for k, d := range other.ByKey {
-		r.ByKey[k] += d
-	}
-	for k, n := range other.Transitions {
-		r.Transitions[k] += n
-	}
-	if other.SpanStart < r.SpanStart {
-		r.SpanStart = other.SpanStart
-	}
-	if other.SpanEnd > r.SpanEnd {
-		r.SpanEnd = other.SpanEnd
-	}
-}

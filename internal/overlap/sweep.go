@@ -143,13 +143,18 @@ type opSegment struct {
 // Compute runs the sweep over one process's events using this Sweeper's
 // buffers. See the package-level Compute for semantics.
 func (sw *Sweeper) Compute(events []trace.Event) *Result {
-	return sw.computeWindow(events, vclock.MinTime, vclock.MaxTime, true)
+	return sw.ComputeWindow(events, vclock.MinTime, vclock.MaxTime)
 }
 
 // ComputeWindow runs the windowed sweep using this Sweeper's buffers. See
 // the package-level ComputeWindow for semantics.
 func (sw *Sweeper) ComputeWindow(events []trace.Event, lo, hi vclock.Time) *Result {
-	return sw.computeWindow(events, lo, hi, true)
+	res := &Result{
+		ByKey:       map[Key]vclock.Duration{},
+		Transitions: map[TransitionKey]int{},
+	}
+	sw.computeWindowInto(res, events, lo, hi)
+	return res
 }
 
 // ComputeWindowInto runs the windowed sweep accumulating into res, whose
@@ -169,19 +174,10 @@ func (sw *Sweeper) ComputeWindowInto(res *Result, events []trace.Event, lo, hi v
 		clear(res.Transitions)
 	}
 	res.SpanStart, res.SpanEnd = 0, 0
-	sw.computeWindowInto(res, events, lo, hi, true)
+	sw.computeWindowInto(res, events, lo, hi)
 }
 
-func (sw *Sweeper) computeWindow(events []trace.Event, lo, hi vclock.Time, withTransitions bool) *Result {
-	res := &Result{
-		ByKey:       map[Key]vclock.Duration{},
-		Transitions: map[TransitionKey]int{},
-	}
-	sw.computeWindowInto(res, events, lo, hi, withTransitions)
-	return res
-}
-
-func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi vclock.Time, withTransitions bool) {
+func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi vclock.Time) {
 	// Pass 1: intern names/categories and collect the opens of the
 	// window-relevant intervals. Span uses the unclipped extent of included
 	// events so a partition of windows merges to the span Compute reports.
@@ -321,9 +317,6 @@ func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi v
 		}
 	}
 
-	if !withTransitions {
-		return
-	}
 	// Transition markers are scoped to the innermost operation active at
 	// the marker's timestamp. The segment table is built lazily so windows
 	// without markers skip its sort entirely.

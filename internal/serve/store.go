@@ -124,7 +124,8 @@ func errFirst(errs ...error) error {
 	return nil
 }
 
-// Len counts well-formed entries on disk (a scan; monitoring only).
+// Len counts the store's entry files by suffix, reading none of them: an
+// entry Get would refuse as malformed still counts (monitoring only).
 func (s *DiskStore) Len() (int, error) {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {

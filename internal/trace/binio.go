@@ -54,16 +54,6 @@ const v1EventBytesHint = 16
 // one byte each of proc, start delta, duration and name reference.
 const v1MinEventBytes = 7
 
-// EncodeChunk writes events as one v1 binary chunk to w.
-func EncodeChunk(w io.Writer, events []Event) error {
-	frame, err := encodeChunkV1(events)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
 // encodeChunkV1 is the v1 encoder into one presized frame buffer.
 func encodeChunkV1(events []Event) ([]byte, error) {
 	return appendChunkV1(make([]byte, 0, 16+len(events)*v1EventBytesHint), events)
@@ -320,28 +310,6 @@ func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, scan Ove
 // interner-shared) strings.
 func DecodeChunkBytes(data []byte, dst []Event) ([]Event, error) {
 	dst, _, _, err := walkChunk(data, nil, nil, dst, nil)
-	return dst, err
-}
-
-// readBufPool recycles whole-frame read buffers for DecodeChunk.
-var readBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// DecodeChunk reads one binary chunk from r — either format, detected from
-// the version field — appending its events to dst and returning the extended
-// slice.
-func DecodeChunk(r io.Reader, dst []Event) ([]Event, error) {
-	bp := readBufPool.Get().(*[]byte)
-	buf := (*bp)[:0]
-	var err error
-	buf, err = readAllInto(buf, r)
-	if err != nil {
-		*bp = buf
-		readBufPool.Put(bp)
-		return dst, fmt.Errorf("trace: decode: reading chunk: %w", err)
-	}
-	dst, err = DecodeChunkBytes(buf, dst)
-	*bp = buf
-	readBufPool.Put(bp)
 	return dst, err
 }
 

@@ -27,13 +27,13 @@ func sampleEvents() []Event {
 
 func TestChunkRoundTrip(t *testing.T) {
 	events := sampleEvents()
-	var buf bytes.Buffer
-	if err := EncodeChunk(&buf, events); err != nil {
-		t.Fatalf("EncodeChunk: %v", err)
-	}
-	got, err := DecodeChunk(&buf, nil)
+	frame, err := encodeChunkV1(events)
 	if err != nil {
-		t.Fatalf("DecodeChunk: %v", err)
+		t.Fatalf("encodeChunkV1: %v", err)
+	}
+	got, err := DecodeChunkBytes(frame, nil)
+	if err != nil {
+		t.Fatalf("DecodeChunkBytes: %v", err)
 	}
 	if !reflect.DeepEqual(events, got) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, events)
@@ -41,13 +41,13 @@ func TestChunkRoundTrip(t *testing.T) {
 }
 
 func TestChunkRoundTripEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeChunk(&buf, nil); err != nil {
-		t.Fatalf("EncodeChunk(empty): %v", err)
-	}
-	got, err := DecodeChunk(&buf, nil)
+	frame, err := encodeChunkV1(nil)
 	if err != nil {
-		t.Fatalf("DecodeChunk(empty): %v", err)
+		t.Fatalf("encodeChunkV1(empty): %v", err)
+	}
+	got, err := DecodeChunkBytes(frame, nil)
+	if err != nil {
+		t.Fatalf("DecodeChunkBytes(empty): %v", err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("decoded %d events from empty chunk", len(got))
@@ -64,16 +64,16 @@ func TestChunkStringTableDeduplicates(t *testing.T) {
 			Name: "cudaLaunchKernel",
 		}
 	}
-	var buf bytes.Buffer
-	if err := EncodeChunk(&buf, events); err != nil {
-		t.Fatalf("EncodeChunk: %v", err)
+	frame, err := encodeChunkV1(events)
+	if err != nil {
+		t.Fatalf("encodeChunkV1: %v", err)
 	}
-	if n := strings.Count(buf.String(), "cudaLaunchKernel"); n != 1 {
+	if n := strings.Count(string(frame), "cudaLaunchKernel"); n != 1 {
 		t.Fatalf("name appears %d times in encoding, want 1", n)
 	}
-	got, err := DecodeChunk(&buf, nil)
+	got, err := DecodeChunkBytes(frame, nil)
 	if err != nil {
-		t.Fatalf("DecodeChunk: %v", err)
+		t.Fatalf("DecodeChunkBytes: %v", err)
 	}
 	if !reflect.DeepEqual(events, got) {
 		t.Fatal("round trip mismatch with deduplicated strings")
@@ -81,11 +81,11 @@ func TestChunkStringTableDeduplicates(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeChunk(bytes.NewReader([]byte("NOTATRACE")), nil); err == nil {
-		t.Fatal("DecodeChunk accepted garbage magic")
+	if _, err := DecodeChunkBytes([]byte("NOTATRACE"), nil); err == nil {
+		t.Fatal("DecodeChunkBytes accepted garbage magic")
 	}
-	if _, err := DecodeChunk(bytes.NewReader(nil), nil); err == nil {
-		t.Fatal("DecodeChunk accepted empty input")
+	if _, err := DecodeChunkBytes(nil, nil); err == nil {
+		t.Fatal("DecodeChunkBytes accepted empty input")
 	}
 }
 
@@ -106,9 +106,6 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "trailing") {
 			t.Errorf("%s: %d events, err = %v; want a trailing-bytes error", name, len(events), err)
 		}
-		if _, err := DecodeChunk(bytes.NewReader(padded), nil); err == nil {
-			t.Errorf("%s: DecodeChunk accepted the padded frame", name)
-		}
 		if _, _, _, err := walkChunk(padded, nil, nil, nil, func(ProcID, vclock.Time, OverheadKind, string) {}); err == nil {
 			t.Errorf("%s: the overhead scan accepted the padded frame", name)
 		}
@@ -116,10 +113,8 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 }
 
 func TestEncodeRejectsNegativeDuration(t *testing.T) {
-	var buf bytes.Buffer
-	err := EncodeChunk(&buf, []Event{{Kind: KindCPU, Cat: CatPython, Start: 10, End: 5}})
-	if err == nil {
-		t.Fatal("EncodeChunk accepted negative duration")
+	if _, err := encodeChunkV1([]Event{{Kind: KindCPU, Cat: CatPython, Start: 10, End: 5}}); err == nil {
+		t.Fatal("encodeChunkV1 accepted negative duration")
 	}
 }
 
@@ -162,11 +157,11 @@ func TestChunkRoundTripProperty(t *testing.T) {
 	f := func(seed int64, size uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		events := randomEvents(r, int(size))
-		var buf bytes.Buffer
-		if err := EncodeChunk(&buf, events); err != nil {
+		frame, err := encodeChunkV1(events)
+		if err != nil {
 			return false
 		}
-		got, err := DecodeChunk(&buf, nil)
+		got, err := DecodeChunkBytes(frame, nil)
 		if err != nil {
 			return false
 		}

@@ -123,19 +123,6 @@ func (r *rleState) flush(col *[]byte) {
 	r.run = 0
 }
 
-// EncodeChunkV2 writes events as one columnar chunk frame to w. The frame is
-// deterministic: equal event lists encode to equal bytes.
-func EncodeChunkV2(w io.Writer, events []Event) error {
-	enc := v2EncPool.Get().(*v2Encoder)
-	defer v2EncPool.Put(enc)
-	frame, err := enc.encode(events)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
 // encodeChunkV2 returns events as one columnar frame the caller owns (the
 // encoder's own frame is pooled scratch).
 func encodeChunkV2(events []Event) ([]byte, error) {
@@ -241,8 +228,7 @@ type eventClass struct {
 // ColumnChunk is a parsed columnar chunk: the column byte slices alias the
 // frame passed to Parse (zero copy), and the name dictionary and class table
 // are materialized once — names through an Interner when given one, so
-// repeated names across chunks share storage. Iterating events constructs
-// Event values on the fly without any per-event allocation; Name fields are
+// repeated names across chunks share storage. Decoded events' Name fields are
 // dictionary references, so they stay valid after the frame's buffer is
 // reused.
 //
@@ -253,15 +239,6 @@ type ColumnChunk struct {
 	dict    []string
 	classes []eventClass
 	cols    [numCols][]byte
-}
-
-// ParseColumnChunk parses one v2 chunk frame. in may be nil.
-func ParseColumnChunk(frame []byte, in *Interner) (*ColumnChunk, error) {
-	c := &ColumnChunk{}
-	if err := c.Parse(frame, in); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // Parse (re)initializes c from one v2 chunk frame, reusing c's scratch. The
@@ -490,17 +467,6 @@ type colWalk struct {
 	class, proc, dur, ref [colBlock]uint64
 }
 
-func (c *ColumnChunk) newWalk() colWalk {
-	return colWalk{
-		c:       c,
-		classes: newColIter(c.cols[colClasses]),
-		procs:   newColIter(c.cols[colProcs]),
-		durs:    newColIter(c.cols[colDurs]),
-		refs:    newColIter(c.cols[colNames]),
-		starts:  c.cols[colStarts],
-	}
-}
-
 // next builds the chunk's next events — a block of them, at most len(out) —
 // into out and returns how many: zero, with no error, once the chunk is
 // exhausted. On an error the block does not count, whatever of it out holds.
@@ -551,11 +517,18 @@ func (w *colWalk) next(out []Event) (int, error) {
 	return n, nil
 }
 
-// walk is v1Decoder.walk for a parsed columnar chunk: the one pass behind
-// AppendEvents (scan nil), which builds the events where they are to stay,
-// and the overhead scan, which builds them a block at a time on its stack.
+// walk is v1Decoder.walk for a parsed columnar chunk: the one pass behind a
+// decode (scan nil), which builds the events where they are to stay, and the
+// overhead scan, which builds them a block at a time on its stack.
 func (c *ColumnChunk) walk(dst []Event, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
-	w := c.newWalk()
+	w := colWalk{
+		c:       c,
+		classes: newColIter(c.cols[colClasses]),
+		procs:   newColIter(c.cols[colProcs]),
+		durs:    newColIter(c.cols[colDurs]),
+		refs:    newColIter(c.cols[colNames]),
+		starts:  c.cols[colStarts],
+	}
 	if scan != nil {
 		var block [colBlock]Event
 		for {
@@ -577,27 +550,6 @@ func (c *ColumnChunk) walk(dst []Event, scan OverheadFunc) (out []Event, n int, 
 			return dst, w.done, w.bytes, err
 		}
 		dst = dst[:len(dst)+m]
-	}
-}
-
-// Events iterates the chunk in storage order, constructing each Event on the
-// stack — no per-event allocation, names resolved through the dictionary.
-// Iteration stops early when yield returns false. The same corruption
-// classes the v1 decoder rejects (duration overflow, dangling dictionary or
-// class references, truncated columns) surface as errors here.
-func (c *ColumnChunk) Events(yield func(i int, e Event) bool) error {
-	w := c.newWalk()
-	var block [colBlock]Event
-	for {
-		m, err := w.next(block[:])
-		if m == 0 {
-			return err
-		}
-		for i, e := range block[:m] {
-			if !yield(w.done-m+i, e) {
-				return nil
-			}
-		}
 	}
 }
 
@@ -631,11 +583,4 @@ func (c *ColumnChunk) Times(yield func(i int, start, end vclock.Time) bool) erro
 		}
 	}
 	return nil
-}
-
-// AppendEvents materializes the chunk, appending its events to dst — the v2
-// half of DecodeChunk. dst grows once, by the count Parse validated.
-func (c *ColumnChunk) AppendEvents(dst []Event) ([]Event, error) {
-	dst, _, _, err := c.walk(dst, nil)
-	return dst, err
 }

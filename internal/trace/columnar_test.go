@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,13 +13,13 @@ import (
 
 func TestChunkV2RoundTrip(t *testing.T) {
 	events := randomEvents(rand.New(rand.NewSource(77)), 2000)
-	var buf bytes.Buffer
-	if err := EncodeChunkV2(&buf, events); err != nil {
-		t.Fatalf("EncodeChunkV2: %v", err)
-	}
-	got, err := DecodeChunk(bytes.NewReader(buf.Bytes()), nil)
+	frame, err := encodeChunkV2(events)
 	if err != nil {
-		t.Fatalf("DecodeChunk: %v", err)
+		t.Fatalf("encodeChunkV2: %v", err)
+	}
+	got, err := DecodeChunkBytes(frame, nil)
+	if err != nil {
+		t.Fatalf("DecodeChunkBytes: %v", err)
 	}
 	if !reflect.DeepEqual(events, got) {
 		t.Fatalf("v2 round trip mismatch: %d in, %d out", len(events), len(got))
@@ -28,13 +27,13 @@ func TestChunkV2RoundTrip(t *testing.T) {
 }
 
 func TestChunkV2Empty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeChunkV2(&buf, nil); err != nil {
-		t.Fatalf("EncodeChunkV2(nil): %v", err)
-	}
-	got, err := DecodeChunk(bytes.NewReader(buf.Bytes()), nil)
+	frame, err := encodeChunkV2(nil)
 	if err != nil {
-		t.Fatalf("DecodeChunk: %v", err)
+		t.Fatalf("encodeChunkV2(nil): %v", err)
+	}
+	got, err := DecodeChunkBytes(frame, nil)
+	if err != nil {
+		t.Fatalf("DecodeChunkBytes: %v", err)
 	}
 	if len(got) != 0 {
 		t.Fatalf("empty v2 chunk decoded to %d events", len(got))
@@ -100,66 +99,58 @@ func TestChunkFormatSniff(t *testing.T) {
 }
 
 func TestEncodeChunkV2RejectsNegativeDuration(t *testing.T) {
-	var buf bytes.Buffer
-	err := EncodeChunkV2(&buf, []Event{{Kind: KindCPU, Cat: CatPython, Start: 10, End: 5}})
-	if err == nil {
-		t.Fatal("EncodeChunkV2 accepted negative duration")
+	if _, err := encodeChunkV2([]Event{{Kind: KindCPU, Cat: CatPython, Start: 10, End: 5}}); err == nil {
+		t.Fatal("encodeChunkV2 accepted negative duration")
 	}
 }
 
-// TestColumnChunkIteration exercises the zero-materialization surface: Events
-// must visit the same event values a full decode materializes, Times must
-// visit the same extents, and AppendEvents must materialize the same slice.
+// TestColumnChunkIteration exercises the parsed-chunk surface: the chunk walk
+// must build the same event values a full decode materializes and size them
+// as EventBytes does, and Times must visit the same extents, stopping when
+// its yield says so.
 func TestColumnChunkIteration(t *testing.T) {
 	events := randomEvents(rand.New(rand.NewSource(9)), 513)
-	frame := seedChunkV2(events)
-	cc, err := ParseColumnChunk(frame, NewInterner())
-	if err != nil {
-		t.Fatalf("ParseColumnChunk: %v", err)
+	var cc ColumnChunk
+	if err := cc.Parse(seedChunkV2(events), NewInterner()); err != nil {
+		t.Fatalf("Parse: %v", err)
 	}
 	if cc.Len() != len(events) {
 		t.Fatalf("Len = %d, want %d", cc.Len(), len(events))
 	}
-	var streamed []Event
-	if err := cc.Events(func(i int, e Event) bool {
-		if i != len(streamed) {
-			t.Fatalf("Events index %d out of order (want %d)", i, len(streamed))
-		}
-		streamed = append(streamed, e)
-		return true
-	}); err != nil {
-		t.Fatalf("Events: %v", err)
+	walked, n, size, err := cc.walk(nil, nil)
+	if err != nil {
+		t.Fatalf("walk: %v", err)
 	}
-	if !reflect.DeepEqual(events, streamed) {
-		t.Fatal("Events iteration != source events")
+	if !reflect.DeepEqual(events, walked) || n != len(events) {
+		t.Fatalf("walk built %d events (counted %d) != the %d source events", len(walked), n, len(events))
 	}
-	n := 0
+	var want int64
+	for _, e := range events {
+		want += int64(eventBytes(e))
+	}
+	if size != want {
+		t.Fatalf("walk sized the events at %d bytes, EventBytes sums to %d", size, want)
+	}
+	visited := 0
 	if err := cc.Times(func(i int, start, end vclock.Time) bool {
 		if start != events[i].Start || end != events[i].End {
 			t.Fatalf("Times(%d) = [%d,%d], want [%d,%d]", i, start, end, events[i].Start, events[i].End)
 		}
-		n++
+		visited++
 		return true
 	}); err != nil {
 		t.Fatalf("Times: %v", err)
 	}
-	if n != len(events) {
-		t.Fatalf("Times visited %d of %d events", n, len(events))
-	}
-	materialized, err := cc.AppendEvents(nil)
-	if err != nil {
-		t.Fatalf("AppendEvents: %v", err)
-	}
-	if !reflect.DeepEqual(events, materialized) {
-		t.Fatal("AppendEvents != source events")
+	if visited != len(events) {
+		t.Fatalf("Times visited %d of %d events", visited, len(events))
 	}
 	// Early stop: the yield contract must be honored.
 	stops := 0
-	if err := cc.Events(func(int, Event) bool { stops++; return stops < 10 }); err != nil {
-		t.Fatalf("Events early stop: %v", err)
+	if err := cc.Times(func(int, vclock.Time, vclock.Time) bool { stops++; return stops < 10 }); err != nil {
+		t.Fatalf("Times early stop: %v", err)
 	}
 	if stops != 10 {
-		t.Fatalf("Events visited %d events after yield returned false at 10", stops)
+		t.Fatalf("Times visited %d events after yield returned false at 10", stops)
 	}
 }
 
@@ -221,8 +212,11 @@ func TestWriterFormatV2(t *testing.T) {
 		if !ok {
 			t.Fatalf("chunk %d written by a v2 Writer is not columnar", i)
 		}
-		if got, err = cc.AppendEvents(got); err != nil {
-			t.Fatalf("AppendEvents(%d): %v", i, err)
+		if cc.Len() == 0 {
+			t.Fatalf("chunk %d parsed to no events", i)
+		}
+		if got, err = r.ReadChunk(i, got); err != nil {
+			t.Fatalf("ReadChunk(%d): %v", i, err)
 		}
 	}
 	if !reflect.DeepEqual(got, events) {

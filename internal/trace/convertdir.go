@@ -19,8 +19,6 @@ type ConvertStats struct {
 	SrcChunkBytes, DstChunkBytes int64
 	// SrcDigest is DirDigest of the source; DstDigest of the destination.
 	SrcDigest, DstDigest string
-	// Verified reports that the round-trip digest check ran and passed.
-	Verified bool
 }
 
 // Ratio returns the at-rest chunk-size ratio dst/src (1.0 when src is
@@ -33,23 +31,21 @@ func (s *ConvertStats) Ratio() float64 {
 }
 
 // ConvertDir rewrites the trace directory src into dst with every chunk
-// re-encoded in format to, preserving chunk boundaries, sequence numbers,
+// re-encoded columnar (v2), preserving chunk boundaries, sequence numbers,
 // sidecar indexes, and metadata. dst must not already contain trace files.
 //
-// When verify is set, ConvertDir proves event equivalence through DirDigest:
-// while converting it re-encodes each chunk's decoded events back into the
-// chunk's original format and folds the resulting frames (with their derived
-// sidecars and the re-marshalled metadata) into a running digest with
-// DirDigest's exact framing. Both of this package's encoders are canonical —
-// equal event lists encode to equal bytes — so for any directory this
-// package wrote, that round-trip digest equals DirDigest(src) if and only if
-// every event survived the conversion intact. A mismatch fails the
-// conversion. (Foreign v1 files produced by a non-canonical encoder would
-// fail verification spuriously; none exist in practice.)
-func ConvertDir(src, dst string, to Format, verify bool) (*ConvertStats, error) {
-	if !to.valid() {
-		return nil, fmt.Errorf("trace: convert: invalid target format %v", to)
-	}
+// ConvertDir proves event equivalence through DirDigest: while converting it
+// re-encodes each chunk's decoded events back into the chunk's original
+// format and folds the resulting frames (with their derived sidecars and the
+// re-marshalled metadata) into a running digest with DirDigest's exact
+// framing. Both of this package's encoders are canonical — equal event lists
+// encode to equal bytes — so for any directory this package wrote, that
+// round-trip digest equals DirDigest(src) if and only if every event survived
+// the conversion intact. A mismatch fails the conversion before dst is
+// sealed, so dst then has no meta.json and does not open as a trace.
+// (Foreign v1 files produced by a non-canonical encoder would fail
+// verification spuriously; none exist in practice.)
+func ConvertDir(src, dst string) (*ConvertStats, error) {
 	r, err := OpenDir(src)
 	if err != nil {
 		return nil, err
@@ -59,10 +55,8 @@ func ConvertDir(src, dst string, to Format, verify bool) (*ConvertStats, error) 
 		return nil, err
 	}
 	stats := &ConvertStats{}
-	if verify {
-		if stats.SrcDigest, err = DirDigest(src); err != nil {
-			return nil, fmt.Errorf("trace: convert: digesting source: %w", err)
-		}
+	if stats.SrcDigest, err = DirDigest(src); err != nil {
+		return nil, fmt.Errorf("trace: convert: digesting source: %w", err)
 	}
 	round := sha256.New()
 	var events []Event
@@ -82,7 +76,7 @@ func ConvertDir(src, dst string, to Format, verify bool) (*ConvertStats, error) 
 		}
 		stats.Chunks++
 		stats.Events += len(events)
-		chunk, ix, err := EncodeEventsFormat(events, to)
+		chunk, ix, err := EncodeEventsFormat(events, FormatV2)
 		if err != nil {
 			return nil, err
 		}
@@ -90,39 +84,34 @@ func ConvertDir(src, dst string, to Format, verify bool) (*ConvertStats, error) 
 		if err := sink.AppendChunk(i, chunk, ix); err != nil {
 			return nil, err
 		}
-		if verify {
-			back, backIx, err := EncodeEventsFormat(events, srcFormat)
-			if err != nil {
-				return nil, fmt.Errorf("trace: convert: re-encoding chunk %d: %w", i, err)
-			}
-			// The sidecar is re-derived in the encoding the source's one
-			// has: a pre-binary JSON document marshals as it always did.
-			sidecar, err := backIx.AppendBinary(nil)
-			if old, rerr := os.ReadFile(r.sidePaths[i]); rerr == nil && !bytes.HasPrefix(old, []byte(sidecarMagic)) {
-				sidecar, err = json.Marshal(backIx)
-			}
-			if err != nil {
-				return nil, err
-			}
-			name := fmt.Sprintf(chunkFilePattern, i)
-			digestFile(round, sidecarPath(name), sidecar)
-			digestFile(round, name, back)
+		back, backIx, err := EncodeEventsFormat(events, srcFormat)
+		if err != nil {
+			return nil, fmt.Errorf("trace: convert: re-encoding chunk %d: %w", i, err)
 		}
+		// The sidecar is re-derived in the encoding the source's one has: a
+		// pre-binary JSON document marshals as it always did.
+		sidecar, err := backIx.AppendBinary(nil)
+		if old, rerr := os.ReadFile(r.sidePaths[i]); rerr == nil && !bytes.HasPrefix(old, []byte(sidecarMagic)) {
+			sidecar, err = json.Marshal(backIx)
+		}
+		if err != nil {
+			return nil, err
+		}
+		name := fmt.Sprintf(chunkFilePattern, i)
+		digestFile(round, sidecarPath(name), sidecar)
+		digestFile(round, name, back)
+	}
+	metaData, err := json.MarshalIndent(r.Meta(), "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	digestFile(round, metaFileName, metaData)
+	if got := hex.EncodeToString(round.Sum(nil)); got != stats.SrcDigest {
+		return stats, fmt.Errorf("trace: convert: round-trip digest %s does not match source digest %s — events not preserved", got, stats.SrcDigest)
 	}
 	if err := sink.Seal(r.Meta()); err != nil {
 		return nil, err
 	}
 	stats.DstDigest = sink.Digest()
-	if verify {
-		metaData, err := json.MarshalIndent(r.Meta(), "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		digestFile(round, metaFileName, metaData)
-		if got := hex.EncodeToString(round.Sum(nil)); got != stats.SrcDigest {
-			return stats, fmt.Errorf("trace: convert: round-trip digest %s does not match source digest %s — events not preserved", got, stats.SrcDigest)
-		}
-		stats.Verified = true
-	}
 	return stats, nil
 }

@@ -26,10 +26,10 @@ func readAllEvents(t *testing.T, dir string) []Event {
 	return all
 }
 
-// TestConvertDirV1ToV2 converts a v1 directory to columnar with verification
-// on and checks the full contract: chunk count and boundaries preserved, the
-// event stream byte-identical, the at-rest chunk bytes smaller, and the
-// round-trip digest check passing.
+// TestConvertDirV1ToV2 converts a v1 directory to columnar and checks the
+// full contract: chunk count and boundaries preserved, the event stream
+// byte-identical, the at-rest chunk bytes smaller, and both digests the
+// directories' own.
 func TestConvertDirV1ToV2(t *testing.T) {
 	src := filepath.Join(t.TempDir(), "v1")
 	w, err := NewWriter(src, 4096)
@@ -42,12 +42,14 @@ func TestConvertDirV1ToV2(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	dst := filepath.Join(t.TempDir(), "v2")
-	stats, err := ConvertDir(src, dst, FormatV2, true)
+	stats, err := ConvertDir(src, dst)
 	if err != nil {
 		t.Fatalf("ConvertDir: %v", err)
 	}
-	if !stats.Verified {
-		t.Fatal("verify requested but Verified not set")
+	for dir, digest := range map[string]string{src: stats.SrcDigest, dst: stats.DstDigest} {
+		if want, err := DirDigest(dir); err != nil || digest != want {
+			t.Fatalf("stats digest of %s = %s, DirDigest = %s (%v)", dir, digest, want, err)
+		}
 	}
 	if stats.Events != len(events) {
 		t.Fatalf("converted %d events, want %d", stats.Events, len(events))
@@ -76,28 +78,29 @@ func TestConvertDirV1ToV2(t *testing.T) {
 }
 
 // TestConvertDirThereAndBack proves the strongest equivalence available:
-// because both encoders are canonical, converting v1 -> v2 -> v1 must land on
-// a directory whose DirDigest equals the original's exactly.
+// because the encoders are canonical, converting v1 -> v2 -> v2 must land on
+// a directory whose DirDigest equals the first conversion's exactly — and
+// the second conversion verifies against a v2 source.
 func TestConvertDirThereAndBack(t *testing.T) {
 	src, _ := writeRandomTrace(t, 43, 2500, 4096)
 	mid := filepath.Join(t.TempDir(), "v2")
-	back := filepath.Join(t.TempDir(), "v1-again")
-	if _, err := ConvertDir(src, mid, FormatV2, true); err != nil {
+	again := filepath.Join(t.TempDir(), "v2-again")
+	if _, err := ConvertDir(src, mid); err != nil {
 		t.Fatalf("ConvertDir v1->v2: %v", err)
 	}
-	if _, err := ConvertDir(mid, back, FormatV1, true); err != nil {
-		t.Fatalf("ConvertDir v2->v1: %v", err)
+	if _, err := ConvertDir(mid, again); err != nil {
+		t.Fatalf("ConvertDir v2->v2: %v", err)
 	}
-	want, err := DirDigest(src)
+	want, err := DirDigest(mid)
 	if err != nil {
-		t.Fatalf("DirDigest(src): %v", err)
+		t.Fatalf("DirDigest(mid): %v", err)
 	}
-	got, err := DirDigest(back)
+	got, err := DirDigest(again)
 	if err != nil {
-		t.Fatalf("DirDigest(back): %v", err)
+		t.Fatalf("DirDigest(again): %v", err)
 	}
 	if got != want {
-		t.Fatalf("v1 -> v2 -> v1 digest drifted: %s != %s", got, want)
+		t.Fatalf("v1 -> v2 -> v2 digest drifted: %s != %s", got, want)
 	}
 }
 
@@ -110,14 +113,15 @@ func TestConvertDirRejectsNonEmptyDst(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dst, "chunk_000000"+chunkSuffix), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ConvertDir(src, dst, FormatV2, false); err == nil {
+	if _, err := ConvertDir(src, dst); err == nil {
 		t.Fatal("ConvertDir wrote into a directory that already held trace files")
 	}
 }
 
 // TestConvertDirDetectsTamper ensures the verification actually bites: a
-// conversion whose source chunk bytes do not match what the canonical encoder
-// would produce (one flipped name byte, re-encoded) fails the digest check.
+// source whose DirDigest covers something the conversion never sees fails
+// the digest check, and the failure leaves dst unsealed — no meta.json, so
+// it does not open as a trace anything could register.
 func TestConvertDirDetectsTamper(t *testing.T) {
 	src, _ := writeRandomTrace(t, 53, 600, 2048)
 	// Tamper: rewrite chunk 0 with one event's name changed, keeping the
@@ -130,8 +134,11 @@ func TestConvertDirDetectsTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := filepath.Join(t.TempDir(), "v2")
-	if _, err := ConvertDir(src, dst, FormatV2, true); err == nil {
+	if _, err := ConvertDir(src, dst); err == nil {
 		t.Fatal("verification passed despite a digest-visible extra file in src")
+	}
+	if _, err := OpenDir(dst); err == nil {
+		t.Fatal("a conversion that failed verification left an openable trace behind")
 	}
 }
 
@@ -150,7 +157,7 @@ func TestConvertDirPreservesHostMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := filepath.Join(t.TempDir(), "v2")
-	if _, err := ConvertDir(src, dst, FormatV2, true); err != nil {
+	if _, err := ConvertDir(src, dst); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadDir(dst)

@@ -2,10 +2,10 @@ package trace
 
 import "fmt"
 
-// Format selects the on-disk chunk encoding a Writer (or converter) emits.
-// Decoders never need one: every chunk frame carries its version after the
-// magic, and DecodeChunk / Reader auto-detect it per chunk, so directories
-// may freely mix formats.
+// Format selects the on-disk chunk encoding a Writer emits. Decoders never
+// need one: every chunk frame carries its version after the magic, and
+// DecodeChunkBytes / Reader auto-detect it per chunk, so directories may
+// freely mix formats.
 type Format int
 
 const (
@@ -33,8 +33,7 @@ func (f Format) String() string {
 	}
 }
 
-// ParseFormat parses the flag spelling accepted by rlscope-prof -format and
-// rlscope-convert -to.
+// ParseFormat parses the flag spelling accepted by rlscope-prof -format.
 func ParseFormat(s string) (Format, error) {
 	switch s {
 	case "v1", "1":

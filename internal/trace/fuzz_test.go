@@ -11,13 +11,13 @@ import (
 	"repro/internal/vclock"
 )
 
-// seedChunk encodes events into bytes for the fuzz corpus.
+// seedChunk encodes events into a v1 frame for the fuzz corpus.
 func seedChunk(events []Event) []byte {
-	var buf bytes.Buffer
-	if err := EncodeChunk(&buf, events); err != nil {
+	frame, err := encodeChunkV1(events)
+	if err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	return frame
 }
 
 // FuzzDecodeChunk feeds arbitrary bytes to the chunk decoder. Two
@@ -50,7 +50,7 @@ func FuzzDecodeChunk(f *testing.F) {
 	f.Add(append(bytes.Clone(full), 1, 2, 3)) // garbage after the last record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := DecodeChunk(bytes.NewReader(data), nil)
+		events, err := DecodeChunkBytes(data, nil)
 		// An event takes at least one byte of either format, seven of v1.
 		if cap(events) > len(data) {
 			t.Fatalf("a %d-byte frame made the decoder allocate room for %d events", len(data), cap(events))
@@ -63,11 +63,11 @@ func FuzzDecodeChunk(f *testing.F) {
 				t.Fatalf("decoder accepted event %d with End %d < Start %d", i, e.End, e.Start)
 			}
 		}
-		var buf bytes.Buffer
-		if err := EncodeChunk(&buf, events); err != nil {
+		frame, err := encodeChunkV1(events)
+		if err != nil {
 			t.Fatalf("re-encoding %d decoded events failed: %v", len(events), err)
 		}
-		again, err := DecodeChunk(&buf, nil)
+		again, err := DecodeChunkBytes(frame, nil)
 		if err != nil {
 			t.Fatalf("re-decoding failed: %v", err)
 		}
@@ -80,13 +80,13 @@ func FuzzDecodeChunk(f *testing.F) {
 	})
 }
 
-// seedChunkV2 encodes events columnar for the fuzz corpus.
+// seedChunkV2 encodes events into a columnar frame for the fuzz corpus.
 func seedChunkV2(events []Event) []byte {
-	var buf bytes.Buffer
-	if err := EncodeChunkV2(&buf, events); err != nil {
+	frame, err := encodeChunkV2(events)
+	if err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	return frame
 }
 
 // FuzzDecodeChunkV2 is FuzzDecodeChunk for the columnar format: the decoder
@@ -121,7 +121,7 @@ func FuzzDecodeChunkV2(f *testing.F) {
 	f.Add(append(bytes.Clone(full), 1, 2, 3)) // garbage after the last column
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := DecodeChunk(bytes.NewReader(data), nil)
+		events, err := DecodeChunkBytes(data, nil)
 		if err != nil {
 			return // rejected input: the only requirement is no panic
 		}
@@ -130,11 +130,11 @@ func FuzzDecodeChunkV2(f *testing.F) {
 				t.Fatalf("decoder accepted event %d with End %d < Start %d", i, e.End, e.Start)
 			}
 		}
-		var buf bytes.Buffer
-		if err := EncodeChunkV2(&buf, events); err != nil {
+		frame, err := encodeChunkV2(events)
+		if err != nil {
 			t.Fatalf("re-encoding %d decoded events failed: %v", len(events), err)
 		}
-		again, err := DecodeChunk(&buf, nil)
+		again, err := DecodeChunkBytes(frame, nil)
 		if err != nil {
 			t.Fatalf("re-decoding failed: %v", err)
 		}
@@ -156,7 +156,7 @@ type scannedMarker struct {
 }
 
 // FuzzOverheadScan holds the marker scan to the decoder it stands in for: on
-// arbitrary bytes it must accept exactly the frames DecodeChunk accepts — the
+// arbitrary bytes it must accept exactly the frames DecodeChunkBytes accepts — the
 // correction pre-pass may not wave through a chunk the analysis pass will
 // then refuse, nor the reverse — count the same events, and report exactly
 // the KindOverhead records of the decoded list, in order. The seeds are both
@@ -268,13 +268,13 @@ func FuzzChunkRoundTrip(f *testing.F) {
 			size = 8192
 		}
 		events := randomEvents(rand.New(rand.NewSource(seed)), int(size))
-		var buf bytes.Buffer
-		if err := EncodeChunk(&buf, events); err != nil {
-			t.Fatalf("EncodeChunk: %v", err)
-		}
-		got, err := DecodeChunk(&buf, nil)
+		frame, err := encodeChunkV1(events)
 		if err != nil {
-			t.Fatalf("DecodeChunk: %v", err)
+			t.Fatalf("encodeChunkV1: %v", err)
+		}
+		got, err := DecodeChunkBytes(frame, nil)
+		if err != nil {
+			t.Fatalf("DecodeChunkBytes: %v", err)
 		}
 		if len(events) == 0 {
 			if len(got) != 0 {

@@ -82,7 +82,7 @@ func TestConvertDirPreservesLabels(t *testing.T) {
 	labels := map[string]string{"algo": "ppo", "seed": "42"}
 	src := labeledTestDir(t, labels)
 	dst := t.TempDir()
-	if _, err := ConvertDir(src, dst, FormatV2, true); err != nil {
+	if _, err := ConvertDir(src, dst); err != nil {
 		t.Fatal(err)
 	}
 	r, err := OpenDir(dst)

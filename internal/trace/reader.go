@@ -250,7 +250,7 @@ func (r *Reader) walk(i int, dst []Event, scan OverheadFunc) ([]Event, int, int6
 
 // ReadColumns reads chunk i and, when it is columnar (v2), parses it into
 // the Reader's reusable ColumnChunk and returns it with ok = true — the
-// zero-materialization path: iterate it with Events or Times. For v1 chunks
+// zero-materialization path: iterate its extents with Times. For v1 chunks
 // it returns ok = false with no error; the caller falls back to ReadChunk,
 // which reuses the already-loaded frame. The returned ColumnChunk is valid
 // only until the next Reader call.

@@ -222,13 +222,6 @@ func (s *DirSink) Chunks() int {
 	return s.next
 }
 
-// Sealed reports whether Seal has completed.
-func (s *DirSink) Sealed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sealed
-}
-
 // Digest returns the content digest of the directory as it stands: the
 // same quantity DirDigest(dir) computes, maintained incrementally so a
 // growing trace can be content-addressed without rehashing the directory

@@ -62,8 +62,8 @@ func TestDirSinkDigestTracksDirDigest(t *testing.T) {
 	if got := sink.Digest(); got != want {
 		t.Fatalf("sealed sink digest %s, DirDigest %s", got, want)
 	}
-	if !sink.Sealed() || sink.Chunks() != len(chunks) {
-		t.Fatalf("sealed=%v chunks=%d, want true/%d", sink.Sealed(), sink.Chunks(), len(chunks))
+	if err := sink.Seal(meta); !errors.Is(err, ErrSinkSealed) || sink.Chunks() != len(chunks) {
+		t.Fatalf("second Seal: %v, chunks=%d; want ErrSinkSealed/%d", err, sink.Chunks(), len(chunks))
 	}
 }
 

@@ -242,19 +242,3 @@ func (t *Trace) CountKind(k EventKind) int {
 	}
 	return n
 }
-
-// Merge appends the events and processes of other into t. Process IDs must
-// not collide (callers allocate disjoint ID ranges).
-func (t *Trace) Merge(other *Trace) error {
-	if t.Meta.Procs == nil {
-		t.Meta.Procs = map[ProcID]ProcInfo{}
-	}
-	for id, info := range other.Meta.Procs {
-		if _, dup := t.Meta.Procs[id]; dup {
-			return fmt.Errorf("trace: merge: duplicate process id %d", id)
-		}
-		t.Meta.Procs[id] = info
-	}
-	t.Events = append(t.Events, other.Events...)
-	return nil
-}

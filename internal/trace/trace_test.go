@@ -177,26 +177,6 @@ func TestCountKind(t *testing.T) {
 	}
 }
 
-func TestMergeDisjointProcs(t *testing.T) {
-	a := &Trace{
-		Events: []Event{cpuEvent(0, CatPython, "a", 0, 1)},
-		Meta:   Meta{Procs: map[ProcID]ProcInfo{0: {Name: "main", Parent: -1}}},
-	}
-	b := &Trace{
-		Events: []Event{cpuEvent(1, CatPython, "b", 0, 1)},
-		Meta:   Meta{Procs: map[ProcID]ProcInfo{1: {Name: "worker", Parent: 0}}},
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge() = %v", err)
-	}
-	if len(a.Events) != 2 || len(a.Meta.Procs) != 2 {
-		t.Fatalf("merged trace has %d events, %d procs", len(a.Events), len(a.Meta.Procs))
-	}
-	if err := a.Merge(b); err == nil {
-		t.Fatal("Merge() accepted duplicate process IDs")
-	}
-}
-
 func TestKindAndOverheadStrings(t *testing.T) {
 	if KindCPU.String() != "cpu" || KindOverhead.String() != "overhead" {
 		t.Fatal("EventKind.String misnamed")

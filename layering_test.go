@@ -156,17 +156,147 @@ func TestOneTraceLifecycle(t *testing.T) {
 		"final"+"Stats", "has"+"Meta", "handle"+"LiveSummary", "ind"+"exes")
 }
 
+// TestOneWayEach pins the second ways that were deleted so none grows back:
+// internal/trace speaks frames, not streams — no exported function takes an
+// io.Reader or io.Writer; internal/analysis exports no job pool (ForEach…)
+// beside the pipeline's own workers; overlap.Result has no merge of its own
+// beside analysis.MergeResult; and internal/experiments, the one package that
+// fans independent jobs out, is the only non-test caller of a fan-out.
+func TestOneWayEach(t *testing.T) {
+	fset := token.NewFileSet()
+	funcs := func(dir string) (fns []*ast.FuncDecl) {
+		for _, f := range parseNonTest(t, fset, dir) {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					fns = append(fns, fn)
+				}
+			}
+		}
+		return fns
+	}
+	for _, fn := range funcs(filepath.Join("internal", "trace")) {
+		if !fn.Name.IsExported() {
+			continue
+		}
+		ast.Inspect(fn.Type.Params, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Reader" || sel.Sel.Name == "Writer") {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "io" {
+					t.Errorf("trace.%s takes an io.%s (%s)", fn.Name.Name, sel.Sel.Name, fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	for _, fn := range funcs(filepath.Join("internal", "analysis")) {
+		if fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "ForEach") {
+			t.Errorf("internal/analysis exports %s again", fn.Name.Name)
+		}
+	}
+	for _, fn := range funcs(filepath.Join("internal", "overlap")) {
+		if fn.Recv != nil && fn.Name.Name == "Merge" {
+			t.Errorf("overlap declares a Merge method again at %s", fset.Position(fn.Pos()))
+		}
+	}
+	callers := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			name := ""
+			switch fun := call.Fun.(type) {
+			case *ast.Ident:
+				name = fun.Name
+			case *ast.SelectorExpr:
+				name = fun.Sel.Name
+			}
+			if name == "forEach" || strings.HasPrefix(name, "ForEach") {
+				callers[filepath.Dir(path)] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := slices.Sorted(maps.Keys(callers))
+	if want := []string{filepath.Join("internal", "experiments")}; !slices.Equal(got, want) {
+		t.Errorf("a job fan-out is called from %v, want exactly %v", got, want)
+	}
+}
+
 // docNames matches the names README.md and DESIGN.md use for things in the
 // tree: an internal package, a command (by path or by binary name) and a
 // benchmark function.
 var docNames = regexp.MustCompile(`\binternal/[a-z0-9_]+|\bcmd/[a-z0-9-]+|\brlscope-[a-z0-9-]+|\bBenchmark[A-Z]\w*`)
 
 // docSpans matches the code spans of one line of markdown, docFlag the flag
-// a word of one spells (`-workers`, `-timing=false`, `-label k=v`).
+// a word of one spells (`-workers`, `-timing=false`, `-label k=v`), docIdent
+// a qualified name one holds (`trace.Reader`, `overlap.Result.Merge(r)`): a
+// package, then its dotted exported names.
 var (
 	docSpans = regexp.MustCompile("`[^`]+`")
 	docFlag  = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
+	docIdent = regexp.MustCompile(`\b([a-z][a-z0-9]*)((?:\.[A-Z]\w*)+)`)
 )
+
+// packageIdents returns, per internal package (by directory name), every
+// name its files declare: functions and methods, types, values, and struct
+// and interface fields.
+func packageIdents(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join("internal", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idents := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		pkgs, err := parser.ParseDir(fset, dir, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				ast.Inspect(f, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.FuncDecl:
+						names[n.Name.Name] = true
+					case *ast.TypeSpec:
+						names[n.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, id := range n.Names {
+							names[id.Name] = true
+						}
+					case *ast.Field:
+						for _, id := range n.Names {
+							names[id.Name] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+		idents[filepath.Base(dir)] = names
+	}
+	return idents
+}
 
 // commandFlags returns the flags each command under cmd/ defines: the name
 // argument of every call into package flag.
@@ -213,12 +343,13 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 }
 
 // TestDocsNameWhatExists fails when README.md or DESIGN.md names a package,
-// command, benchmark or command-line flag that is no longer in the tree, so
-// a deletion cannot leave its documentation behind. A flag is a code span
-// that starts with one (`-workers N`): it must be defined by a command named
-// on the same line, or — prose wraps — by any command when the line names
-// none. A span that is a command line (`rlscope-hyp -gate`) is held to that
-// command's flags.
+// command, benchmark, command-line flag or internal package identifier that
+// is no longer in the tree, so a deletion cannot leave its documentation
+// behind. A flag is a code span that starts with one (`-workers N`): it must
+// be defined by a command named on the same line, or — prose wraps — by any
+// command when the line names none. A span that is a command line
+// (`rlscope-hyp -gate`) is held to that command's flags. A span's
+// `pkg.Name.Field` is held to what internal/pkg declares, name by name.
 func TestDocsNameWhatExists(t *testing.T) {
 	benchmarks := map[string]bool{}
 	fset := token.NewFileSet()
@@ -253,6 +384,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 	// The CI badge URL's organisation and repository.
 	allowed := map[string]bool{"rlscope-repro": true}
 	flags := commandFlags(t)
+	idents := packageIdents(t)
 	everyCommand := slices.Sorted(maps.Keys(flags))
 	defines := func(cmds []string, flag string) bool {
 		return slices.ContainsFunc(cmds, func(cmd string) bool { return flags[cmd][flag] })
@@ -285,6 +417,14 @@ func TestDocsNameWhatExists(t *testing.T) {
 				named = onLine
 			}
 			for _, span := range docSpans.FindAllString(line, -1) {
+				for _, m := range docIdent.FindAllStringSubmatch(span, -1) {
+					for _, name := range strings.Split(m[2], ".")[1:] {
+						if names := idents[m[1]]; names != nil && !names[name] {
+							t.Errorf("%s:%d names %s%s, but internal/%s declares no %s", doc, i+1, m[1], m[2], m[1], name)
+							break
+						}
+					}
+				}
 				// A command line's every word, else the span's first.
 				owners, words := named, strings.Fields(strings.Trim(span, "`"))
 				if len(words) > 0 && flags[words[0]] != nil {
