@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	rlscope-hyp                                  # run hypotheses.json, verdicts to stdout
-//	rlscope-hyp -out verdicts.json -gate         # CI: archive verdicts, fail on refuted deterministic
-//	rlscope-hyp -ids F.1,F.10 -timing=false      # a subset, excluding wall-clock hypotheses
+//	rlscope-hyp                                  # run hypotheses.json minus wall-clock hypotheses, verdicts to stdout
+//	rlscope-hyp -out verdicts.json -gate         # regenerate the committed golden; exit 1 on a refuted deterministic
+//	rlscope-hyp -ids F.1,R.serve-cache -timing   # a subset, wall-clock hypotheses included
 //	rlscope-hyp -list                            # show the grid without running it
 //	rlscope-hyp -metrics fig4 -steps 800 -seed 42  # dump one experiment's metric bundle
 //
@@ -34,7 +34,7 @@ func main() {
 		gridPath = flag.String("grid", "hypotheses.json", "experiment grid to evaluate")
 		ids      = flag.String("ids", "", "comma-separated hypothesis ids (default: all)")
 		steps    = flag.Int("steps", 0, "override every hypothesis's step budget (0 = grid scale; verdicts are calibrated at grid scale)")
-		timing   = flag.Bool("timing", true, "include wall-clock (timing) hypotheses; disable for byte-deterministic output")
+		timing   = flag.Bool("timing", false, "include wall-clock (timing) hypotheses; the output is then not byte-deterministic")
 		out      = flag.String("out", "", "write the verdict document to this file (default: stdout)")
 		gate     = flag.Bool("gate", false, "exit 1 when any deterministic hypothesis is refuted")
 		list     = flag.Bool("list", false, "print the grid's hypotheses without running them")
@@ -79,8 +79,7 @@ func main() {
 			idList = append(idList, strings.TrimSpace(id))
 		}
 	}
-	eval := hypothesis.NewEvaluator(experiments.Metrics)
-	doc, err := eval.Evaluate(grid, hypothesis.Options{
+	doc, err := hypothesis.NewEvaluator(experiments.Metrics).Evaluate(grid, hypothesis.Options{
 		IDs: idList, Timing: *timing, Steps: *steps, Context: ctx,
 	})
 	if err != nil {
@@ -101,19 +100,21 @@ func main() {
 	}
 }
 
-// emit writes v as deterministic, indented JSON to path or stdout.
-func emit(v any, path string) {
+// encode is the command's one output encoding; verdicts.json is its output.
+func encode(v any) ([]byte, error) {
 	data, err := json.MarshalIndent(v, "", "  ")
+	return append(data, '\n'), err
+}
+
+// emit writes v, encoded, to path or stdout.
+func emit(v any, path string) {
+	data, err := encode(v)
+	if err == nil && path != "" {
+		err = os.WriteFile(path, data, 0o644)
+	} else if err == nil {
+		_, err = os.Stdout.Write(data)
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rlscope-hyp: %v\n", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if path == "" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "rlscope-hyp: %v\n", err)
 		os.Exit(1)
 	}

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation (see DESIGN.md's per-experiment index). Each harness runs the
 // relevant workloads, computes RL-Scope's cross-stack analysis, and returns
-// both structured results (asserted by findings_test.go) and text renderings
-// (printed by cmd/rlscope-experiments).
+// structured results, which Metrics flattens into the bundles hypotheses.json
+// asserts, and text renderings (printed by cmd/rlscope-experiments).
 //
 // Figure-generating harnesses run workloads uninstrumented: in this
 // simulation an uninstrumented trace is exactly what a perfectly corrected

@@ -164,8 +164,8 @@ type HypothesisResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Document is the machine-readable verdict document the CLI emits and CI
-// archives.
+// Document is the machine-readable verdict document the CLI emits; the
+// committed grid's is verdicts.json.
 type Document struct {
 	Grid    string             `json:"grid,omitempty"`
 	Note    string             `json:"note,omitempty"`

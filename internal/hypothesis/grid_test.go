@@ -67,12 +67,13 @@ func TestCommittedGridLoads(t *testing.T) {
 	}
 }
 
-// TestCommittedGridMetricsResolve checks, without running any experiments,
-// that every condition in the committed grid names metrics its experiment
-// bundle actually produces — using one cheap representative bundle per
-// experiment is too slow here, so this drives the evaluator with a source
-// that records requested cells and serves the committed dumps' key sets.
-// It catches renamed metrics and typos at test time instead of CI time.
+// TestCommittedGridConditionShapes checks, without running any experiments,
+// that every contra cutoff a condition sets lies on the far side of its
+// threshold — below the floor of a min_ratio, min_value or band (its lo),
+// above the cap of a max_value — so the weak zone between them is not
+// empty. Whether the metrics a condition names exist is not
+// checked here: cmd/rlscope-hyp's TestVerdictsGolden evaluates the grid,
+// where an unknown metric is a refuted or inconclusive verdict.
 func TestCommittedGridConditionShapes(t *testing.T) {
 	g, err := hypothesis.LoadGrid(gridPath)
 	if err != nil {
@@ -100,9 +101,9 @@ func TestCommittedGridConditionShapes(t *testing.T) {
 	}
 }
 
-// TestBrokenHypothesisIsRefutedAndGated is the CI-gate fixture the issue
-// demands: a deliberately broken deterministic hypothesis must come back
-// refuted, and the gate must fail the document that contains it.
+// TestBrokenHypothesisIsRefutedAndGated is the gate's own fixture: a
+// deliberately broken deterministic hypothesis must come back refuted, and
+// the gate must fail the document that contains it.
 func TestBrokenHypothesisIsRefutedAndGated(t *testing.T) {
 	grid := &hypothesis.Grid{Hypotheses: []hypothesis.Hypothesis{
 		{
@@ -149,8 +150,9 @@ func TestBrokenHypothesisIsRefutedAndGated(t *testing.T) {
 	}
 }
 
-// TestDocumentJSONDeterministic: the verdict document CI archives must be
-// byte-reproducible — same grid, same source, same bytes.
+// TestDocumentJSONDeterministic: the verdict document committed as
+// verdicts.json must be byte-reproducible — same grid, same source, same
+// bytes.
 func TestDocumentJSONDeterministic(t *testing.T) {
 	g, err := hypothesis.LoadGrid(gridPath)
 	if err != nil {

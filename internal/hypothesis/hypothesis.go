@@ -4,7 +4,7 @@
 // set of conditions over named experiment metrics; the evaluator runs the
 // required experiment cells (one per ⟨experiment, steps, seed⟩, shared
 // across hypotheses), classifies each claim, and emits a machine-readable
-// verdict document CI can gate on.
+// verdict document, committed for the grid as verdicts.json.
 //
 // The rigor rules follow the BLIS experiment standards (SNIPPETS.md
 // snippet 3). Every hypothesis is classified before evaluation:
@@ -131,8 +131,8 @@ type Hypothesis struct {
 	Seeds []int64 `json:"seeds"`
 	// Timing marks hypotheses whose metrics measure host wall-clock time
 	// rather than the simulated clock. Their values — though not their
-	// expected verdicts — vary run to run, so -timing=false excludes
-	// them when byte-deterministic output is required.
+	// expected verdicts — vary run to run, so evaluation leaves them out
+	// unless Options.Timing asks for them.
 	Timing bool `json:"timing,omitempty"`
 	// Conditions must all hold for the hypothesis to be confirmed.
 	Conditions []Condition `json:"conditions"`
