@@ -39,7 +39,9 @@ type IncrementalStats struct {
 type incWindow struct {
 	window
 	dirty bool
-	res   *overlap.Result // last sweep; nil while the window is empty
+	// res is the last sweep, re-swept in place: its maps outlive the sweeps
+	// and, on the left part, a split. nil until the window is first swept.
+	res *overlap.Result
 }
 
 // incProc is the per-process incremental state: an ascending partition of
@@ -67,22 +69,52 @@ type incProc struct {
 // Engine run over the sealed directory — the live-ingest equivalence the
 // property tests pin down.
 //
+// Window buffers come from a scratch of the pool the batch pipeline's runs
+// share (see freeList): a window that must grow moves into a buffer off it,
+// handing its old one back, and a split's left part is drawn from it. Release
+// returns every buffer to the pool, so a server that seals one trace and
+// opens the next allocates no event storage for it.
+//
 // Incremental is not safe for concurrent use; the serve layer serializes
 // epochs and result reads per trace under its analysis lock.
 type Incremental struct {
 	procs map[trace.ProcID]*incProc
 	stats IncrementalStats
+	free  *freeList // nil once released
 }
 
-// NewIncremental returns an empty incremental analysis state.
+// minWindowEvents is the room a window's first buffer is drawn with.
+const minWindowEvents = 256
+
+// NewIncremental returns an empty incremental analysis state, drawing its
+// buffers from a scratch of the pool.
 func NewIncremental() *Incremental {
-	return &Incremental{procs: map[trace.ProcID]*incProc{}}
+	return &Incremental{procs: map[trace.ProcID]*incProc{}, free: getScratch()}
+}
+
+// Release ends the state: every window buffer goes back on its scratch and
+// the scratch back to the pool, for the next Engine run or Incremental to
+// draw from. Only Stats may be called afterwards; a second Release is a
+// no-op.
+func (inc *Incremental) Release() {
+	if inc.free == nil {
+		return
+	}
+	for _, p := range inc.procs {
+		for _, w := range p.windows {
+			inc.free.put(w.events)
+		}
+	}
+	putScratch(inc.free)
+	inc.procs, inc.free = nil, nil
 }
 
 // Apply ingests one epoch: every chunk that arrived since the last epoch,
 // in sequence order. Each event is appended to the buffer of every window
-// it overlaps, marking those windows dirty. Phase and overhead annotations
+// it overlaps, marking those windows dirty; a full buffer at least doubles,
+// by a move into one off the scratch. Phase and overhead annotations
 // register their process but are not buffered: the sweep reads neither.
+// After the epoch the scratch is trimmed to the pool's bound.
 func (inc *Incremental) Apply(chunks [][]trace.Event) {
 	inc.stats.Epochs++
 	for _, events := range chunks {
@@ -106,12 +138,16 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 			}
 			for ; i < len(p.windows) && trace.OverlapsWindow(e, p.windows[i].lo, p.windows[i].hi); i++ {
 				w := p.windows[i]
+				if len(w.events) == cap(w.events) {
+					w.events = inc.free.reserve(w.events, max(len(w.events), minWindowEvents))
+				}
 				w.events = append(w.events, e)
 				w.dirty = true
 			}
 			p.merged = nil
 		}
 	}
+	inc.free.trim()
 }
 
 // Results brings every dirty shard up to date and returns the merged
@@ -137,8 +173,10 @@ func (inc *Incremental) Results(filter map[trace.ProcID]bool) map[trace.ProcID]*
 	return out
 }
 
-// sweep re-sweeps p's dirty windows, splitting the ones that have outgrown
-// splitEvents first, and returns the merge of all of p's window results.
+// sweep re-sweeps p's dirty windows — each into its own cached result —
+// splitting the ones that have outgrown splitEvents first, and returns the
+// merge of all of p's window results in a fresh Result: Results shares it
+// with callers.
 func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
 	res := &overlap.Result{
 		ByKey:       map[overlap.Key]vclock.Duration{},
@@ -148,14 +186,17 @@ func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
 		w := p.windows[i]
 		if w.dirty {
 			for len(w.events) > max(splitEvents, w.retry) {
-				right := w.split()
+				right := w.split(inc.free)
 				if right == nil {
 					break
 				}
 				p.windows = slices.Insert(p.windows, i+1, right)
 				inc.stats.Windows++
 			}
-			w.res = sw.ComputeWindow(w.events, w.lo, w.hi)
+			if w.res == nil {
+				w.res = new(overlap.Result)
+			}
+			sw.ComputeWindowInto(w.res, w.events, w.lo, w.hi)
 			w.dirty = false
 			inc.stats.Shards++
 			inc.stats.EventsSwept += len(w.events)
@@ -172,19 +213,20 @@ func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
 // by start first (the sweep is input-order invariant), so the right part —
 // the left intervals reaching past the cut, then the rest — stays sorted
 // for the next split and keeps the old buffer with its spare capacity,
-// which is where in-order arrivals will land; the left part moves to a
-// buffer of its own size. A split that would leave the right part above ¾
-// of the buffer is refused (nil); see window.cut.
-func (w *incWindow) split() *incWindow {
+// which is where in-order arrivals will land; the left part moves to the
+// best-fitting buffer off free, and keeps w's cached result to be re-swept
+// into. A split that would leave the right part above ¾ of the buffer is
+// refused (nil); see window.cut.
+func (w *incWindow) split(free *freeList) *incWindow {
 	n := len(w.events)
 	slices.SortFunc(w.events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
 	lo := w.lo
-	left, _, _, ok := w.cut(w.events[n/2].Start, n/4*3, nil)
+	left, _, _, ok := w.cut(w.events[n/2].Start, n/4*3, free, 0)
 	if !ok {
 		return nil
 	}
 	right := &incWindow{window: w.window, dirty: true}
-	*w = incWindow{window: window{lo: lo, hi: right.lo, events: left}, dirty: true}
+	*w = incWindow{window: window{lo: lo, hi: right.lo, events: left}, dirty: true, res: w.res}
 	return right
 }
 

@@ -111,66 +111,6 @@ type sweepJob struct {
 	lo, hi vclock.Time
 }
 
-// runScratch is what one run leaves for the next: its event buffers — the
-// chunk buffers of the decode-ahead stage, the windows' and the ones closed
-// windows travel to the workers in. A run takes the scratch from the pool,
-// draws every buffer it needs from it (allocating only what the scratch
-// cannot supply) and, once its goroutines have ended, puts every buffer
-// back, however it ends. A server's engine runs, an experiment's hundreds
-// and a benchmark's therefore allocate event buffers once per process, not
-// once per run. The buffers are not cleared: the names their stale events
-// still point at are the last run's interned strings, which live until the
-// buffer is next filled.
-type runScratch struct {
-	bufs [][]trace.Event // empty, in ascending capacity: a pipeline's free list
-}
-
-// scratches is the pool: the scratch of runs that have ended, for the runs to
-// come. It is a plain bounded stack, not a sync.Pool: that one empties on
-// every second GC and does not show a Get on one P what was Put on another,
-// so what a warm run allocated depended on when the collector last ran and on
-// where the goroutine was scheduled (the same op measured anywhere between
-// 0.8 and 10.7 MB). Here a run allocates event buffers exactly when no
-// earlier run left one large enough. The price is memory the collector cannot
-// take back, so it is bounded: maxIdleScratches scratches, each trimmed to
-// maxScratchEvents events of capacity when it is put back.
-var scratches struct {
-	mu   sync.Mutex
-	idle []*runScratch
-}
-
-const (
-	maxIdleScratches = 2       // concurrent runs beyond these allocate afresh
-	maxScratchEvents = 1 << 20 // 40 MiB of trace.Event
-)
-
-func getScratch() *runScratch {
-	scratches.mu.Lock()
-	defer scratches.mu.Unlock()
-	if n := len(scratches.idle); n > 0 {
-		sc := scratches.idle[n-1]
-		scratches.idle = scratches.idle[:n-1]
-		return sc
-	}
-	return new(runScratch)
-}
-
-func putScratch(sc *runScratch) {
-	events := 0
-	for i, buf := range sc.bufs {
-		if events += cap(buf); events > maxScratchEvents {
-			clear(sc.bufs[i:])
-			sc.bufs = sc.bufs[:i]
-			break
-		}
-	}
-	scratches.mu.Lock()
-	defer scratches.mu.Unlock()
-	if len(scratches.idle) < maxIdleScratches {
-		scratches.idle = append(scratches.idle, sc)
-	}
-}
-
 // pipeline is the state of one batch analysis (see the package comment):
 // plan → route → cut → sweep → merge.
 type pipeline struct {
@@ -209,11 +149,10 @@ type pipeline struct {
 	wg        sync.WaitGroup
 	inlineSw  *overlap.Sweeper
 	inlineRes overlap.Result
-	// mu guards the per-process accumulators and the free list of event
-	// buffers: the run's scratch, which closed windows recycle through, in
-	// ascending capacity.
-	mu   sync.Mutex
-	free [][]trace.Event
+	// mu guards the per-process accumulators.
+	mu sync.Mutex
+	// free is the run's scratch, which closed windows recycle through.
+	free *freeList
 }
 
 // run executes the pipeline over src on scratch from the pool. The returned
@@ -226,18 +165,17 @@ func run(ctx context.Context, src source, opts Options) (map[trace.ProcID]*overl
 	return runOn(ctx, sc, src, opts)
 }
 
-// runOn is run on the caller's scratch, which it empties and, before it
+// runOn is run on the caller's scratch, which it draws from and, before it
 // returns, refills with every buffer the run held.
-func runOn(ctx context.Context, sc *runScratch, src source, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
+func runOn(ctx context.Context, sc *freeList, src source, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pl := &pipeline{ctx: ctx, src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}, free: sc.bufs}
-	sc.bufs = nil
+	pl := &pipeline{ctx: ctx, src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}, free: sc}
 	// Deferred, so it runs on every exit path, and after the only goroutines
 	// that touch the buffers have ended: stream closes the decode-ahead stage
 	// before it returns and the workers are joined right after it.
-	defer func() { sc.bufs = pl.release() }()
+	defer pl.release()
 	if src.reader() != nil {
 		pl.stats.Chunks = src.numChunks()
 	}
@@ -287,16 +225,15 @@ func runOn(ctx context.Context, sc *runScratch, src source, opts Options) (map[t
 	return out, pl.stats, nil
 }
 
-// release gathers every buffer the run still holds — the free list, the
-// coordinator's chunk buffer, and the windows a failed run left open — for
-// the scratch. Only runOn calls it, once no other goroutine is left.
-func (pl *pipeline) release() [][]trace.Event {
-	pl.recycle(pl.spare)
+// release puts every buffer the run still holds — the coordinator's chunk
+// buffer, and the windows a failed run left open — back on the scratch. Only
+// runOn calls it, once no other goroutine is left.
+func (pl *pipeline) release() {
+	pl.free.put(pl.spare)
 	for _, w := range pl.order {
-		pl.recycle(w.events)
+		pl.free.put(w.events)
 		w.events = nil
 	}
-	return pl.free
 }
 
 // plan derives the watermarks of every process in procs (none: all) from
@@ -359,10 +296,10 @@ func (pl *pipeline) stream(opts Options) error {
 				chunks = append(chunks, i)
 			}
 		}
-		pl.ahead = startDecodeAhead(r, chunks, pl.buffer(pl.chunkHint))
+		pl.ahead = startDecodeAhead(r, chunks, pl.free.take(pl.chunkHint))
 		defer func() {
 			for _, buf := range pl.ahead.close() {
-				pl.recycle(buf)
+				pl.free.put(buf)
 			}
 		}()
 	}
@@ -380,15 +317,15 @@ func (pl *pipeline) stream(opts Options) error {
 		// so a window fed a little per chunk does not move per chunk.
 		for _, s := range spans {
 			if w := s.w; cap(w.events)-len(w.events) < s.events {
-				w.events = pl.reserve(w.events, min(w.left, splitEvents+s.events))
+				w.events = pl.free.reserve(w.events, min(w.left, splitEvents+s.events))
 			}
 			s.w.left -= s.events
 		}
 		// After an adoption the spare is the window's old array: trade one
 		// too small for a chunk, so the decoder need not replace it.
 		if cap(pl.spare) < pl.chunkHint {
-			pl.recycle(pl.spare)
-			pl.spare = pl.buffer(pl.chunkHint)
+			pl.free.put(pl.spare)
+			pl.spare = pl.free.take(pl.chunkHint)
 		}
 		var (
 			events []trace.Event
@@ -510,8 +447,7 @@ func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
 		prefix, w.events, bytes = w.events, nil, w.bytes
 	} else {
 		var ok bool
-		if prefix, bytes, kept, ok = w.cut(w.watermark, keep, pl.buffer(n)); !ok {
-			pl.recycle(prefix)
+		if prefix, bytes, kept, ok = w.cut(w.watermark, keep, pl.free, n); !ok {
 			return false
 		}
 	}
@@ -535,7 +471,7 @@ func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
 	select {
 	case pl.jobs <- job:
 	case <-pl.ctx.Done(): // dropped: run reports ctx.Err()
-		pl.recycle(prefix)
+		pl.free.put(prefix)
 	}
 	return true
 }
@@ -572,52 +508,9 @@ func (pl *pipeline) sweep(sw *overlap.Sweeper, res *overlap.Result, job sweepJob
 		MergeResult(job.acc, res)
 		pl.mu.Unlock()
 	}
-	pl.recycle(job.events)
+	pl.free.put(job.events)
 	pl.inflightBytes.Add(-job.bytes)
 	pl.inflightEvents.Add(-int64(len(job.events)))
-}
-
-// buffer takes off the run's free list the smallest event buffer with room
-// for n events or, when none has, the largest, for the caller to grow; nil
-// when the list is empty. It never allocates, so n may be a sidecar's word.
-// Best fit is what lets a scratch settle: were a small request handed a large
-// buffer, the large request behind it would find only small ones and replace
-// one, run after run, in whatever order the workers happened to recycle them.
-func (pl *pipeline) buffer(n int) []trace.Event {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if len(pl.free) == 0 {
-		return nil
-	}
-	i, _ := slices.BinarySearchFunc(pl.free, n, capCompare)
-	i = min(i, len(pl.free)-1)
-	buf := pl.free[i]
-	pl.free = slices.Delete(pl.free, i, i+1)
-	return buf
-}
-
-func (pl *pipeline) recycle(buf []trace.Event) {
-	if cap(buf) == 0 {
-		return
-	}
-	pl.mu.Lock()
-	i, _ := slices.BinarySearchFunc(pl.free, cap(buf), capCompare)
-	pl.free = slices.Insert(pl.free, i, buf[:0])
-	pl.mu.Unlock()
-}
-
-func capCompare(buf []trace.Event, n int) int { return cmp.Compare(cap(buf), n) }
-
-// reserve returns buf with room for n more events: buf itself when it has
-// the room, else its events moved into a buffer off the free list — a new
-// one only when that is too small as well — and buf recycled.
-func (pl *pipeline) reserve(buf []trace.Event, n int) []trace.Event {
-	if cap(buf)-len(buf) >= n {
-		return buf
-	}
-	moved := append(slices.Grow(pl.buffer(len(buf)+n), len(buf)+n), buf...)
-	pl.recycle(buf)
-	return moved
 }
 
 // sample folds the current residency estimate — open windows, the chunk

@@ -18,7 +18,7 @@ import (
 // dispatch order.
 func recordWindows(t *testing.T, src source, opts Options) (map[trace.ProcID]*overlap.Result, map[trace.ProcID][][2]vclock.Time) {
 	t.Helper()
-	pl := &pipeline{ctx: context.Background(), src: src, windows: map[trace.ProcID]*procWindow{}}
+	pl := &pipeline{ctx: context.Background(), src: src, windows: map[trace.ProcID]*procWindow{}, free: &freeList{}}
 	if err := pl.plan(nil); err != nil {
 		t.Fatalf("plan: %v", err)
 	}

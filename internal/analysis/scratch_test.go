@@ -16,7 +16,7 @@ import (
 // the race detector turns into a failure if any goroutine of the run that
 // handed them back can still touch one — and checks that no two of them share
 // memory, as two owners of one array would.
-func scribble(t *testing.T, sc *runScratch, what string) {
+func scribble(t *testing.T, sc *freeList, what string) {
 	t.Helper()
 	seen := map[*trace.Event]bool{}
 	for _, buf := range sc.bufs {
@@ -55,7 +55,7 @@ func TestHandBackOnCancelAndCorruptChunk(t *testing.T) {
 		return readerSource{r}
 	}
 	want := dumpAll(Run(tr, Options{Workers: 1}))
-	sc := &runScratch{}
+	sc := &freeList{}
 	complete := func(what string, opts Options) {
 		t.Helper()
 		held := len(sc.bufs)
@@ -124,13 +124,13 @@ func TestHandBackOnCancelAndCorruptChunk(t *testing.T) {
 // TestBufferBestFit: the free list hands out the smallest buffer with room,
 // the largest when none has, and nothing once it is empty.
 func TestBufferBestFit(t *testing.T) {
-	pl := &pipeline{}
+	f := &freeList{}
 	for _, c := range []int{64, 8, 32, 16} {
-		pl.recycle(make([]trace.Event, 0, c))
+		f.put(make([]trace.Event, 0, c))
 	}
 	for _, c := range []struct{ n, want int }{{10, 16}, {16, 32}, {100, 64}, {0, 8}, {1, 0}} {
-		if got := cap(pl.buffer(c.n)); got != c.want {
-			t.Errorf("buffer(%d) has capacity %d, want %d", c.n, got, c.want)
+		if got := cap(f.take(c.n)); got != c.want {
+			t.Errorf("take(%d) has capacity %d, want %d", c.n, got, c.want)
 		}
 	}
 }
@@ -182,11 +182,11 @@ func TestScratchSettlesAndOutlivesGC(t *testing.T) {
 // TestPutScratchBounds: a scratch is trimmed to maxScratchEvents of capacity,
 // largest buffers first, and no more than maxIdleScratches are kept.
 func TestPutScratchBounds(t *testing.T) {
-	var held []*runScratch
+	var held []*freeList
 	for i := 0; i <= maxIdleScratches; i++ {
 		held = append(held, getScratch())
 	}
-	big := &runScratch{bufs: [][]trace.Event{make([]trace.Event, 0, 8), make([]trace.Event, 0, 16), make([]trace.Event, 0, maxScratchEvents)}}
+	big := &freeList{bufs: [][]trace.Event{make([]trace.Event, 0, 8), make([]trace.Event, 0, 16), make([]trace.Event, 0, maxScratchEvents)}}
 	putScratch(big)
 	if len(big.bufs) != 2 || cap(big.bufs[1]) != 16 {
 		t.Errorf("a scratch over the bound kept %d buffers, want the two small ones", len(big.bufs))
@@ -202,6 +202,77 @@ func TestPutScratchBounds(t *testing.T) {
 	if n := len(scratches.idle); n != maxIdleScratches {
 		t.Errorf("%d idle scratches, want %d", n, maxIdleScratches)
 	}
+}
+
+// TestIncrementalEpochAllocs pins what a steady-state epoch — Apply of one
+// 512-event chunk, then Results — costs an Incremental seeded from a released
+// one: the pool hands it the scratch the same stream left, so every window
+// that grows and every split's left part finds its buffer there. What is left
+// is per epoch and per window (the merged result, a split's window and its
+// result), and no event buffer: an epoch allocates less than its events would
+// occupy.
+func TestIncrementalEpochAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	// One P throughout: AllocsPerRun measures on one, and the pooled Sweeper
+	// would not survive the change.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	// The pool holds only what this test releases.
+	scratches.mu.Lock()
+	saved := scratches.idle
+	scratches.idle = nil
+	scratches.mu.Unlock()
+	defer func() {
+		scratches.mu.Lock()
+		scratches.idle = saved
+		scratches.mu.Unlock()
+	}()
+
+	const per, warm, runs = 512, 16, 20
+	all := steadyEvents(0, 0, (warm+runs+1)*per)
+	var chunks [][]trace.Event
+	for len(chunks) < warm+runs+1 {
+		chunks = append(chunks, all[:per])
+		all = all[per:]
+	}
+	var (
+		inc *Incremental
+		seq int
+	)
+	epoch := func() {
+		inc.Apply(chunks[seq : seq+1])
+		inc.Results(nil)
+		seq++
+	}
+	// Two streams released first settle the scratch: the first allocates
+	// what it needs, the second meets the buffers the same requests took.
+	for i := 0; i < 2; i++ {
+		inc, seq = NewIncremental(), 0
+		for seq < len(chunks) {
+			epoch()
+		}
+		inc.Release()
+	}
+	inc, seq = NewIncremental(), 0
+	for seq < warm {
+		epoch()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, epoch)
+	runtime.ReadMemStats(&after)
+	perEpoch := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+	if limit := uint64(per * 40); perEpoch >= limit {
+		t.Errorf("a steady-state epoch allocates %d B, want under %d: an event buffer is among them", perEpoch, limit)
+	}
+	if want := 8.0; allocs != want {
+		t.Errorf("a steady-state epoch allocates %.0f times, want %.0f", allocs, want)
+	}
+	if st := inc.Stats(); st.Windows < 4 {
+		t.Fatalf("%d windows: the stream never split enough to exercise the scratch", st.Windows)
+	}
+	inc.Release()
 }
 
 // TestAnalyzeWarmAllocs pins what a warm Engine.Analyze allocates: the second

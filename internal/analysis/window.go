@@ -32,18 +32,19 @@ type window struct {
 }
 
 // cut closes the prefix [lo, at) of the window: the events overlapping it
-// are appended to prefix[:0] and returned, and w shrinks to [at, hi),
+// are copied into a buffer taken off free — best fit for room events or for
+// their count, whichever is more — and returned, and w shrinks to [at, hi),
 // keeping — compacted in place, order preserved — only the events still
 // alive at the cut. closed and kept are the summed trace.EventBytes of the
 // two sides, taken in the same pass.
 //
-// The cut is refused (false, only retry touched) when at is not past lo or
-// when more than keep events would survive it: a window dominated by long
-// enclosing events, or by events sharing one start, which no cut divides.
-// Refusing is safe because no result depends on where the cuts are; the
-// window is simply not tried again by size until it has doubled, so
-// refused attempts stay amortized O(1) per event.
-func (w *window) cut(at vclock.Time, keep int, prefix []trace.Event) (_ []trace.Event, closed, kept int64, ok bool) {
+// The cut is refused (false, nothing taken, only retry touched) when at is
+// not past lo or when more than keep events would survive it: a window
+// dominated by long enclosing events, or by events sharing one start, which
+// no cut divides. Refusing is safe because no result depends on where the
+// cuts are; the window is simply not tried again by size until it has
+// doubled, so refused attempts stay amortized O(1) per event.
+func (w *window) cut(at vclock.Time, keep int, free *freeList, room int) (prefix []trace.Event, closed, kept int64, ok bool) {
 	alive, overlapping := 0, 0
 	if at > w.lo {
 		for _, e := range w.events {
@@ -57,9 +58,9 @@ func (w *window) cut(at vclock.Time, keep int, prefix []trace.Event) (_ []trace.
 	}
 	if at <= w.lo || alive > keep {
 		w.retry = 2 * len(w.events)
-		return prefix, 0, 0, false
+		return nil, 0, 0, false
 	}
-	prefix = slices.Grow(prefix[:0], overlapping)
+	prefix = slices.Grow(free.take(max(room, overlapping)), overlapping)
 	survivors := w.events[:0]
 	for _, e := range w.events {
 		eb := int64(trace.EventBytes(e))

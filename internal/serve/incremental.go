@@ -28,8 +28,14 @@ import (
 )
 
 // maxChunkBytes bounds one ingest request body; the profiler flushes ~1 MiB
-// chunks (trace.DefaultChunkBytes), so 64 MiB is generous headroom.
+// chunks (trace.DefaultChunkBytes), so 64 MiB is generous headroom. A body
+// over it is 413 bad_request: refused before a byte is read when its
+// Content-Length says so, and as soon as the bytes pass it when it has none.
 const maxChunkBytes = 64 << 20
+
+// maxDecodedBufs bounds an open trace's stack of drained decode buffers: an
+// epoch of more chunks than this allocates the rest afresh.
+const maxDecodedBufs = 16
 
 // Trace lifecycle states reported in TraceInfo.State: open while the trace
 // accepts chunks, sealed from /seal on — and from AddDir on, by construction.
@@ -45,14 +51,21 @@ type liveTrace struct {
 	id   string
 	sink *trace.DirSink
 
-	// pmu guards the ingest side: sink ordering, the pending epoch queue, and
+	// pmu guards the ingest side: sink ordering, the pending epoch queue,
 	// what listing and summary read — the digest as of the last append and
-	// the sidecar fold. They never ask the sink, so a trace reads as open,
-	// with its last open digest, until seal swaps it out.
+	// the sidecar fold — and the recycled ingest buffers. They never ask the
+	// sink, so a trace reads as open, with its last open digest, until seal
+	// swaps it out.
 	pmu     sync.Mutex
 	pending [][]trace.Event
 	digest  string
 	fold    summaryFold
+	// frame is the body buffer of the last append to finish, and decoded the
+	// chunk buffers epochs have drained: what the next appends read and
+	// decode into. An append takes them while it runs, so concurrent appends
+	// never share one.
+	frame   []byte
+	decoded [][]trace.Event
 
 	// amu guards the analysis side: the incremental state and the one-slot
 	// encoded-document cache. Epoch application and result reads are
@@ -65,17 +78,69 @@ type liveTrace struct {
 }
 
 // drain is the coordinator step: everything appended since the last epoch
-// becomes this epoch, applied in landing order. It returns the digest the
-// epoch brings the analysis up to. amu held.
+// becomes this epoch, applied in landing order. Apply copies the events into
+// the windows, so the chunk buffers then go back on the decode stack, and
+// the queue's own array back to the queue if no append has started a new
+// one. It returns the digest the epoch brings the analysis up to. amu held.
 func (lt *liveTrace) drain() (digest string) {
 	lt.pmu.Lock()
 	batch := lt.pending
 	lt.pending, digest = nil, lt.digest
 	lt.pmu.Unlock()
-	if len(batch) > 0 {
-		lt.inc.Apply(batch)
+	if len(batch) == 0 {
+		return digest
 	}
+	lt.inc.Apply(batch)
+	lt.pmu.Lock()
+	for i, events := range batch {
+		lt.putDecoded(events)
+		batch[i] = nil
+	}
+	if lt.pending == nil {
+		lt.pending = batch[:0]
+	}
+	lt.pmu.Unlock()
 	return digest
+}
+
+// takeBuffers hands an append the trace's frame buffer and a decode buffer,
+// either nil when there is none to take; lt may be nil: a trace not open yet
+// has no buffers.
+func (lt *liveTrace) takeBuffers() (frame []byte, events []trace.Event) {
+	if lt == nil {
+		return nil, nil
+	}
+	lt.pmu.Lock()
+	defer lt.pmu.Unlock()
+	frame, lt.frame = lt.frame, nil
+	if n := len(lt.decoded); n > 0 {
+		events = lt.decoded[n-1]
+		lt.decoded[n-1] = nil
+		lt.decoded = lt.decoded[:n-1]
+	}
+	return frame, events
+}
+
+// putBuffers is takeBuffers' converse; events is nil when the append queued
+// them. Of two frame buffers the larger stays.
+func (lt *liveTrace) putBuffers(frame []byte, events []trace.Event) {
+	if lt == nil {
+		return
+	}
+	lt.pmu.Lock()
+	defer lt.pmu.Unlock()
+	if cap(frame) > cap(lt.frame) {
+		lt.frame = frame
+	}
+	lt.putDecoded(events)
+}
+
+// putDecoded pushes a chunk buffer on the decode stack while there is room.
+// pmu held.
+func (lt *liveTrace) putDecoded(events []trace.Event) {
+	if cap(events) > 0 && len(lt.decoded) < maxDecodedBufs {
+		lt.decoded = append(lt.decoded, events[:0])
+	}
 }
 
 // AppendResponse is the POST /v1/traces/{id}/chunks response body.
@@ -190,7 +255,10 @@ func validTraceID(id string) bool {
 // handleAppendChunk is POST /v1/traces/{id}/chunks?seq=N: the request body
 // is one encoded chunk frame, whatever its Content-Type. The server decodes
 // the chunk and derives the sidecar itself, so nothing a client sends beside
-// the frame can skew the stored trace or the incremental analysis.
+// the frame can skew the stored trace or the incremental analysis. An open
+// trace's frame is read into the trace's recycled body buffer and decoded
+// into one of its recycled chunk buffers; the body buffer goes back when the
+// append ends, the chunk buffer when an epoch has drained it.
 func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	seqStr := r.URL.Query().Get("seq")
 	seq, err := strconv.Atoi(seqStr)
@@ -199,9 +267,27 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("chunk append needs a non-negative ?seq parameter, got %q", seqStr))
 		return
 	}
-	chunk, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxChunkBytes))
+	if r.ContentLength > maxChunkBytes {
+		writeError(w, http.StatusRequestEntityTooLarge, ErrCodeBadRequest,
+			fmt.Sprintf("chunk body of %d bytes exceeds the %d-byte limit", r.ContentLength, maxChunkBytes))
+		return
+	}
+	entry := s.lookup(r.PathValue("id"))
+	var owner *liveTrace // whose buffers these are: the trace's, once it is open
+	if entry != nil {
+		owner = entry.live
+	}
+	frame, events := owner.takeBuffers()
+	defer func() { owner.putBuffers(frame, events) }()
+	frame, err = readFrame(frame, http.MaxBytesReader(w, r.Body, maxChunkBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "reading chunk body: "+err.Error())
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		frame = nil // a partial body, perhaps the limit's worth: not kept
+		writeError(w, status, ErrCodeBadRequest, "reading chunk body: "+err.Error())
 		return
 	}
 	// An append certain to be refused — a sealed trace, a seq beyond its next
@@ -209,7 +295,7 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	// openLive and the sink's check under pmu stay the authority. A trace that
 	// does not exist yet has nothing to ask, so an undecodable first chunk
 	// still creates no trace.
-	if entry := s.lookup(r.PathValue("id")); entry != nil {
+	if entry != nil {
 		if apiErr := entry.appendRefusal(); apiErr != nil {
 			writeAPIError(w, apiErr)
 			return
@@ -221,12 +307,12 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	// DecodeChunkBytes sniffs the frame's version: v1 and v2 chunks are
 	// accepted alike, landed byte-for-byte, and analyzed as decoded events.
-	events, err := trace.DecodeChunkBytes(chunk, nil)
+	events, err = trace.DecodeChunkBytes(frame, events[:0])
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadChunk, "undecodable chunk frame: "+err.Error())
 		return
 	}
-	index := trace.BuildChunkIndex(events, int64(len(chunk)))
+	index := trace.BuildChunkIndex(events, int64(len(frame)))
 	sidecar, err := index.AppendBinary(nil)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding sidecar: "+err.Error())
@@ -238,13 +324,15 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiErr)
 		return
 	}
+	owner = lt // the first append's buffers start the new trace's
 
 	// Apply under the ingest lock so the sink's sequence order is the pending
 	// queue's: the epoch drained later replays chunks as they landed on disk.
 	lt.pmu.Lock()
-	dup, err := lt.sink.Append(seq, chunk, sidecar)
+	dup, err := lt.sink.Append(seq, frame, sidecar)
 	if err == nil && !dup {
 		lt.pending = append(lt.pending, events)
+		events = nil // the epoch's now
 		lt.fold.foldIndex(index)
 		lt.digest = lt.sink.Digest()
 	}
@@ -255,6 +343,25 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, AppendResponse{ID: lt.id, Seq: seq, Chunks: chunks, Digest: digest, Duplicate: dup})
+}
+
+// readFrame reads r to EOF into buf[:0], growing it only when the bytes that
+// have arrived fill it — never from what the request declares.
+func readFrame(buf []byte, r io.Reader) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // ingestError maps sink errors onto the API error vocabulary.
@@ -310,7 +417,9 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 // epoch; the result set (fleet queries, filtered analyzes) and the unfiltered
 // result-only document go to the report store, so neither costs an Engine
 // run. The entry is built from memory, not read back from the directory; the
-// liveTrace, whose Incremental holds every decoded event, goes with the old one.
+// liveTrace goes with the old one, and its Incremental's window buffers —
+// every decoded event — go back to the pool the next Engine run or live
+// trace draws from.
 func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 	lt.amu.Lock()
 	defer lt.amu.Unlock()
@@ -336,6 +445,9 @@ func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 	s.mu.Lock()
 	s.traces[lt.id] = sealed
 	s.mu.Unlock()
+	// Still under amu: an analyze that waited for it finds the sealed entry
+	// and never reaches the released state.
+	lt.inc.Release()
 	return sealed, nil
 }
 

@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -491,6 +494,69 @@ func TestIngestTrailingBytesIsBadChunk(t *testing.T) {
 		if rec := doReq(t, h, "POST", "/v1/traces/pad/chunks?seq=0", string(frame)); rec.Code != http.StatusOK {
 			t.Fatalf("%v: the frame without its padding: %d %s", format, rec.Code, rec.Body)
 		}
+	}
+}
+
+// unreadable is a request body the handler must refuse without reading.
+type unreadable struct{ tb testing.TB }
+
+func (u unreadable) Read([]byte) (int, error) {
+	u.tb.Error("the body of a request refused on its Content-Length was read")
+	return 0, io.EOF
+}
+
+// zeros is an endless body of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestIngestOversizedChunk: a chunk body over maxChunkBytes is 413
+// bad_request and creates nothing — refused on its declared Content-Length
+// before a byte is read, and without one as soon as the bytes pass the limit.
+// A declared length never sizes a buffer: a request declaring the limit and
+// sending ten bytes allocates kilobytes, not the limit.
+func TestIngestOversizedChunk(t *testing.T) {
+	s, store := liveServer(t, Config{})
+	h := s.Handler()
+	send := func(body io.Reader, length int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("POST", "/v1/traces/big/chunks?seq=0", body)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	for _, c := range []struct {
+		name   string
+		body   io.Reader
+		length int64
+	}{
+		{"declared", unreadable{t}, maxChunkBytes + 1},
+		{"undeclared", io.LimitReader(zeros{}, maxChunkBytes+1), -1},
+	} {
+		rec := send(c.body, c.length)
+		if rec.Code != http.StatusRequestEntityTooLarge || errCode(t, rec) != ErrCodeBadRequest {
+			t.Errorf("%s oversized body: %d %s, want 413 %s", c.name, rec.Code, rec.Body, ErrCodeBadRequest)
+		}
+	}
+	if s.lookup("big") != nil {
+		t.Fatal("an oversized append created the trace")
+	}
+	if entries, err := os.ReadDir(store); err != nil || len(entries) != 0 {
+		t.Fatalf("an oversized append left %d entries in the store (err %v)", len(entries), err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := send(strings.NewReader("0123456789"), maxChunkBytes)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || errCode(t, rec) != ErrCodeBadChunk {
+		t.Fatalf("ten bytes declared as %d: %d %s, want 400 %s", maxChunkBytes, rec.Code, rec.Body, ErrCodeBadChunk)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Fatalf("ten bytes declared as %d allocated %d B: a buffer was sized from the header", maxChunkBytes, d)
 	}
 }
 
