@@ -149,31 +149,37 @@ func Calibrate(run Runner, seed int64) (*Calibration, error) {
 		return nil, fmt.Errorf("calib: CUPTI run: %w", err)
 	}
 	for api := range withCUPTI.APICount {
-		d := withCUPTI.APIMean(api) - hookOnly.APIMean(api)
-		if d < 0 {
-			d = 0
-		}
-		cal.CUPTI[api] = d
+		cal.CUPTI[api] = APIInflation(hookOnly, withCUPTI, api)
 	}
 	return cal, nil
 }
 
-// delta measures one feature's mean book-keeping cost: Δ total runtime
-// divided by occurrence count (Figure 9).
+// delta runs the workload with one feature on and delta-calibrates it
+// against base.
 func delta(run Runner, base *RunStats, flags trace.FeatureFlags, kind trace.OverheadKind, seed int64) (vclock.Duration, error) {
 	on, err := run(flags, seed)
 	if err != nil {
 		return 0, fmt.Errorf("calib: %v run: %w", kind, err)
 	}
+	return DeltaMean(base, on, kind), nil
+}
+
+// DeltaMean is delta calibration's mean cost of one book-keeping kind
+// (Appendix C.1, Figure 9): the total-runtime Δ from base to on, clamped at
+// zero, divided by on's occurrence count; 0 when kind never occurred.
+func DeltaMean(base, on *RunStats, kind trace.OverheadKind) vclock.Duration {
 	count := on.OverheadCounts[kind]
 	if count == 0 {
-		return 0, nil
+		return 0
 	}
-	d := on.Total - base.Total
-	if d < 0 {
-		d = 0
-	}
-	return d / vclock.Duration(count), nil
+	return max(on.Total-base.Total, 0) / vclock.Duration(count)
+}
+
+// APIInflation is difference-of-average calibration's per-call CUPTI
+// inflation of one CUDA API (Appendix C.2, Figure 10): its mean duration
+// with CUPTI minus without, clamped at zero.
+func APIInflation(without, with *RunStats, api string) vclock.Duration {
+	return max(with.APIMean(api)-without.APIMean(api), 0)
 }
 
 // EstimatedOverhead returns the total overhead a corrected analysis will

@@ -42,18 +42,10 @@ func Figure9(opts Options) (*Figure9Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	count := hooked.OverheadCounts[trace.OverheadCUDAIntercept]
-	var mean vclock.Duration
-	if count > 0 {
-		d := hooked.Total - base.Total
-		if d < 0 {
-			d = 0
-		}
-		mean = d / vclock.Duration(count)
-	}
 	return &Figure9Result{
 		BaseTotal: base.Total, HookTotal: hooked.Total,
-		Count: count, MeanOverhead: mean,
+		Count:        hooked.OverheadCounts[trace.OverheadCUDAIntercept],
+		MeanOverhead: calib.DeltaMean(base, hooked, trace.OverheadCUDAIntercept),
 	}, nil
 }
 
@@ -103,13 +95,11 @@ func Figure10(opts Options) (*Figure10Result, error) {
 	}
 	sort.Strings(apis)
 	for _, api := range apis {
-		w, wo := with.APIMean(api), without.APIMean(api)
-		infl := w - wo
-		if infl < 0 {
-			infl = 0
-		}
 		out.Rows = append(out.Rows, Figure10Row{
-			API: api, MeanWithoutCUPTI: wo, MeanWithCUPTI: w, InflationPerCall: infl,
+			API:              api,
+			MeanWithoutCUPTI: without.APIMean(api),
+			MeanWithCUPTI:    with.APIMean(api),
+			InflationPerCall: calib.APIInflation(without, with, api),
 		})
 	}
 	return out, nil

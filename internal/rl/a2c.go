@@ -2,37 +2,17 @@ package rl
 
 import (
 	"math"
-	"math/rand"
 
-	"repro/internal/backend"
 	"repro/internal/nn"
 )
 
 // A2C is synchronous advantage actor-critic, the paper's first on-policy
 // survey algorithm. Following stable-baselines, it collects short
-// fixed-length rollouts from a vector of 16 environments — one batched
-// inference serves every environment's step, while the simulator steps run
-// serially in high-level code. That structure is why A2C is the most
-// simulation-bound algorithm in Figure 5 (67% simulation).
+// fixed-length rollouts from a vector of 16 environments, which is why A2C
+// is the most simulation-bound algorithm in Figure 5 (67% simulation).
 type A2C struct {
-	cfg Config
-	b   *backend.Backend
-	rng *rand.Rand
-
-	policy *backend.Network
-	value  *backend.Network
-	opt    *nn.Adam
-
-	logStd   float64
-	nEnvs    int
-	rollouts []Rollout
-	// pending carries value/logp per env from ActBatch to Observe.
-	pendingValues []float64
-	pendingLogps  []float64
-	// boot holds the next-observation per env for value bootstrapping.
-	bootObs [][]float64
-
-	gamma, entCoef float64
+	onPolicy
+	entCoef float64
 }
 
 // a2cNumEnvs is stable-baselines' default vectorization for A2C.
@@ -40,170 +20,23 @@ const a2cNumEnvs = 16
 
 // NewA2C builds an A2C agent (discrete or continuous).
 func NewA2C(cfg Config) *A2C {
-	validateDims("A2C", cfg.ObsDim, cfg.ActDim)
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	return &A2C{
-		cfg:           cfg,
-		b:             cfg.Backend,
-		rng:           rng,
-		policy:        backend.NewNetwork(rng, "policy", cfg.sizes(cfg.ObsDim, cfg.ActDim), nn.Tanh, nn.Identity),
-		value:         backend.NewNetwork(rng, "value", cfg.sizes(cfg.ObsDim, 1), nn.Tanh, nn.Identity),
-		opt:           nn.NewAdam(7e-4),
-		logStd:        math.Log(0.5),
-		nEnvs:         a2cNumEnvs,
-		rollouts:      make([]Rollout, a2cNumEnvs),
-		pendingValues: make([]float64, a2cNumEnvs),
-		pendingLogps:  make([]float64, a2cNumEnvs),
-		bootObs:       make([][]float64, a2cNumEnvs),
-		gamma:         0.99,
-		entCoef:       0.01,
+		// stable-baselines' n_steps=5 per env.
+		onPolicy: newOnPolicy("A2C", "a2c", cfg, 5, a2cNumEnvs, 7e-4),
+		entCoef:  0.01,
 	}
-}
-
-// Name implements Agent.
-func (a *A2C) Name() string { return "A2C" }
-
-// OnPolicy implements Agent.
-func (a *A2C) OnPolicy() bool { return true }
-
-// NumEnvs implements Agent.
-func (a *A2C) NumEnvs() int { return a.nEnvs }
-
-// CollectSteps implements Agent: stable-baselines' n_steps=5 per env.
-func (a *A2C) CollectSteps() int {
-	if a.cfg.CollectStepsOverride > 0 {
-		return a.cfg.CollectStepsOverride
-	}
-	return 5
-}
-
-// UpdatesPerCollect implements Agent: one update consumes the rollout.
-func (a *A2C) UpdatesPerCollect() int { return 1 }
-
-// ActBatch implements Agent: one batched policy+value inference for all
-// environments, then per-env sampling in high-level code.
-func (a *A2C) ActBatch(obs [][]float64) [][]float64 {
-	x := obsTensor(obs)
-	var out, val *nn.Tensor
-	a.b.Compute("a2c/predict", backend.KindInference, func(c *backend.Comp) {
-		c.Feed(x)
-		out = c.Forward(a.policy, x)
-		val = c.Forward(a.value, x)
-		c.Fetch(out)
-		c.Fetch(val)
-	})
-	acts := make([][]float64, len(obs))
-	for e := range obs {
-		a.pendingValues[e] = val.At(e, 0)
-		acts[e], a.pendingLogps[e] = a.sample(out, e)
-	}
-	return acts
-}
-
-// sample draws an action for row e of the policy output.
-func (a *A2C) sample(out *nn.Tensor, e int) ([]float64, float64) {
-	if a.cfg.Discrete {
-		probs := nn.Softmax(out)
-		act := sampleCategorical(a.rng, probs.Row(e))
-		return []float64{float64(act)}, math.Log(probs.At(e, act) + 1e-12)
-	}
-	mean := out.Row(e)
-	std := math.Exp(a.logStd)
-	act := make([]float64, len(mean))
-	var logp float64
-	const log2pi = 1.8378770664093453
-	for i, m := range mean {
-		act[i] = m + std*a.rng.NormFloat64()
-		z := (act[i] - m) / std
-		logp += -0.5*z*z - a.logStd - 0.5*log2pi
-		// Clip to the action space, as stable-baselines' VecEnv does
-		// before stepping the simulator.
-		act[i] = clipf(act[i], 1)
-	}
-	return act, logp
-}
-
-// Observe implements Agent.
-func (a *A2C) Observe(env int, t Transition) {
-	a.rollouts[env].Add(t.Obs, t.Act, t.Reward, t.Done, a.pendingValues[env], a.pendingLogps[env])
-	a.bootObs[env] = t.Next
 }
 
 // Update implements Agent: one combined policy+value gradient step over all
 // environments' rollouts.
 func (a *A2C) Update() {
-	total := 0
-	for e := range a.rollouts {
-		total += a.rollouts[e].Len()
-	}
-	if total == 0 {
+	fb := a.gather(1.0) // A2C: λ=1 (n-step returns)
+	if fb == nil {
 		return
 	}
-	// Batched value bootstrap for every env's final observation.
-	xBoot := obsTensor(a.bootObs)
-	var bootVal *nn.Tensor
-	a.b.Compute("a2c/bootstrap", backend.KindInference, func(c *backend.Comp) {
-		c.Feed(xBoot)
-		bootVal = c.Forward(a.value, xBoot)
-		c.Fetch(bootVal)
+	a.trainStep(fb.obs, fb.ret, "pg_loss", func(out *nn.Tensor) *nn.Tensor {
+		return a.policyGrad(out, fb.acts, fb.adv)
 	})
-
-	// Per-env GAE, concatenated into one training batch.
-	var allObs [][]float64
-	var allActs [][]float64
-	var allAdv, allRet []float64
-	for e := range a.rollouts {
-		ro := &a.rollouts[e]
-		n := ro.Len()
-		if n == 0 {
-			continue
-		}
-		if ro.Dones[n-1] {
-			ro.LastValue = 0
-		} else {
-			ro.LastValue = bootVal.At(e, 0)
-		}
-		adv, ret := ro.GAE(a.gamma, 1.0) // A2C: λ=1 (n-step returns)
-		allObs = append(allObs, ro.Obs...)
-		allActs = append(allActs, ro.Acts...)
-		allAdv = append(allAdv, adv...)
-		allRet = append(allRet, ret...)
-	}
-
-	x := obsTensor(allObs)
-	a.b.Session().Python(pythonMinibatchCost(total))
-	a.b.Compute("a2c/train_step", backend.KindBackprop, func(c *backend.Comp) {
-		c.Feed(x)
-		c.ZeroGrad(a.policy)
-		c.ZeroGrad(a.value)
-		out := c.Forward(a.policy, x)
-		var pgrad *nn.Tensor
-		c.HostLoss("a2c/pg_loss", func() {
-			pgrad = a.policyGrad(out, allActs, allAdv)
-		})
-		c.Backward(a.policy, pgrad)
-
-		pred := c.Forward(a.value, x)
-		var vgrad *nn.Tensor
-		c.HostLoss("a2c/value_loss", func() {
-			target := nn.NewTensor(total, 1)
-			for i, r := range allRet {
-				target.Set(i, 0, r)
-			}
-			_, vgrad = nn.MSELoss(pred, target)
-			vgrad.Scale(0.5)
-		})
-		c.Backward(a.value, vgrad)
-
-		c.HostLoss("a2c/clip_grads", func() {
-			nn.ClipGradByGlobalNorm(append(a.policy.MLP.Params(), a.value.MLP.Params()...), 0.5)
-		})
-		c.AdamStepFused(a.policy, a.opt)
-		c.AdamStepFused(a.value, a.opt)
-	})
-	for e := range a.rollouts {
-		a.rollouts[e].Reset()
-	}
 }
 
 // policyGrad computes dLoss/d(policy output) for the concatenated batch.
@@ -226,16 +59,4 @@ func (a *A2C) policyGrad(out *nn.Tensor, acts [][]float64, adv []float64) *nn.Te
 		}
 	}
 	return grad
-}
-
-func sampleCategorical(rng *rand.Rand, probs []float64) int {
-	r := rng.Float64()
-	var cum float64
-	for i, p := range probs {
-		cum += p
-		if r < cum {
-			return i
-		}
-	}
-	return len(probs) - 1
 }

@@ -7,7 +7,6 @@
 package rl
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
@@ -26,7 +25,6 @@ type Transition struct {
 type ReplayBuffer struct {
 	buf   []Transition
 	next  int
-	full  bool
 	rng   *rand.Rand
 	limit int
 }
@@ -51,14 +49,10 @@ func (r *ReplayBuffer) Add(t Transition) {
 	}
 	r.buf[r.next] = t
 	r.next = (r.next + 1) % r.limit
-	r.full = true
 }
 
 // Len returns the number of stored transitions.
 func (r *ReplayBuffer) Len() int { return len(r.buf) }
-
-// Capacity returns the buffer limit.
-func (r *ReplayBuffer) Capacity() int { return r.limit }
 
 // Sample draws n transitions uniformly with replacement.
 func (r *ReplayBuffer) Sample(n int) []Transition {
@@ -159,13 +153,5 @@ func NormalizeAdvantages(adv []float64) {
 	}
 	for i := range adv {
 		adv[i] = (adv[i] - mean) / std
-	}
-}
-
-// validateDims panics when an algorithm's configuration is inconsistent
-// with its environment.
-func validateDims(name string, obsDim, actDim int) {
-	if obsDim <= 0 || actDim <= 0 {
-		panic(fmt.Sprintf("rl: %s configured with obsDim=%d actDim=%d", name, obsDim, actDim))
 	}
 }

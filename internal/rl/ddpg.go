@@ -1,111 +1,64 @@
 package rl
 
 import (
-	"math/rand"
-
 	"repro/internal/backend"
 	"repro/internal/nn"
 )
 
 // DDPG is deep deterministic policy gradient: an off-policy actor-critic
 // for continuous control. The paper's framework study singles out the
-// stable-baselines (Graph) implementation for two inefficiencies (F.4):
-// the MPI-friendly CPU Adam that round-trips weights over PCIe, and target
-// updates issued as separate session calls — both reproduced here behind
-// Config.UseMPIAdam and Config.SeparateTargetCalls.
+// stable-baselines implementation — the TF Graph row of Table 1 — for two
+// inefficiencies (F.4): the MPI-friendly CPU Adam that round-trips weights
+// over PCIe, and target updates issued as separate session calls. Under
+// the Graph execution model DDPG reproduces both; elsewhere it runs the
+// fused device Adam with in-graph target updates. Both paths apply the same
+// Adam updates, then the same Polyak averaging.
 type DDPG struct {
-	cfg Config
-	b   *backend.Backend
-	rng *rand.Rand
+	offPolicy
 
 	actor, actorTarget   *backend.Network
 	critic, criticTarget *backend.Network
 	actorOpt, criticOpt  *nn.Adam
+	// stableBaselines selects the MPI Adam and separate target calls.
+	stableBaselines bool
 
-	replay *ReplayBuffer
-	steps  int
-	warmup int
-	noise  float64
-	tau    float64
-	gamma  float64
+	noise float64
+	tau   float64
 }
 
 // NewDDPG builds a DDPG agent.
 func NewDDPG(cfg Config) *DDPG {
-	validateDims("DDPG", cfg.ObsDim, cfg.ActDim)
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	d := &DDPG{
+		offPolicy: offPolicy{
+			// stable-baselines DDPG performs 100 consecutive
+			// simulator steps per collection segment (paper F.5).
+			agentBase: newAgentBase("DDPG", "ddpg", cfg, 100),
+			replay:    NewReplayBuffer(100_000, cfg.Seed+1),
+			warmup:    100,
+			gamma:     0.99,
+		},
+		actorOpt:        nn.NewAdam(1e-4),
+		criticOpt:       nn.NewAdam(1e-3),
+		stableBaselines: cfg.Backend.Model() == backend.Graph,
+		noise:           0.1,
+		tau:             0.005,
+	}
 	actorSizes := cfg.sizes(cfg.ObsDim, cfg.ActDim)
 	criticSizes := cfg.sizes(cfg.ObsDim+cfg.ActDim, 1)
-	d := &DDPG{
-		cfg:       cfg,
-		b:         cfg.Backend,
-		rng:       rng,
-		actor:     backend.NewNetwork(rng, "actor", actorSizes, nn.ReLU, nn.Tanh),
-		critic:    backend.NewNetwork(rng, "critic", criticSizes, nn.ReLU, nn.Identity),
-		actorOpt:  nn.NewAdam(1e-4),
-		criticOpt: nn.NewAdam(1e-3),
-		replay:    NewReplayBuffer(100_000, cfg.Seed+1),
-		warmup:    100,
-		noise:     0.1,
-		tau:       0.005,
-		gamma:     0.99,
-	}
-	d.actorTarget = backend.NewNetwork(rng, "actor_target", actorSizes, nn.ReLU, nn.Tanh)
-	d.criticTarget = backend.NewNetwork(rng, "critic_target", criticSizes, nn.ReLU, nn.Identity)
+	d.actor = backend.NewNetwork(d.rng, "actor", actorSizes, nn.ReLU, nn.Tanh)
+	d.critic = backend.NewNetwork(d.rng, "critic", criticSizes, nn.ReLU, nn.Identity)
+	d.actorTarget = backend.NewNetwork(d.rng, "actor_target", actorSizes, nn.ReLU, nn.Tanh)
+	d.criticTarget = backend.NewNetwork(d.rng, "critic_target", criticSizes, nn.ReLU, nn.Identity)
 	d.actor.MLP.CopyTo(d.actorTarget.MLP)
 	d.critic.MLP.CopyTo(d.criticTarget.MLP)
+	d.act = d.Act
 	return d
 }
 
-// Name implements Agent.
-func (d *DDPG) Name() string { return "DDPG" }
-
-// OnPolicy implements Agent.
-func (d *DDPG) OnPolicy() bool { return false }
-
-// CollectSteps implements Agent: stable-baselines DDPG performs 100
-// consecutive simulator steps per collection segment (paper F.5).
-func (d *DDPG) CollectSteps() int {
-	if d.cfg.CollectStepsOverride > 0 {
-		return d.cfg.CollectStepsOverride
-	}
-	return 100
-}
-
-// UpdatesPerCollect implements Agent: one gradient step per collected
-// environment step once the replay buffer is warm.
-func (d *DDPG) UpdatesPerCollect() int {
-	if d.replay.Len() < d.warmup {
-		return 0
-	}
-	return d.CollectSteps() / 2
-}
-
-// Act implements Agent: deterministic actor plus Gaussian exploration
+// Act is DDPG's action rule: deterministic actor plus Gaussian exploration
 // noise.
 func (d *DDPG) Act(obs []float64) []float64 {
-	x := obsTensor([][]float64{obs})
-	var a *nn.Tensor
-	d.b.Compute("ddpg/predict", backend.KindInference, func(c *backend.Comp) {
-		c.Feed(x)
-		a = c.Forward(d.actor, x)
-		c.Fetch(a)
-	})
-	return gaussianNoise(d.rng, a.Row(0), d.noise)
-}
-
-// NumEnvs implements Agent: DDPG collects from a single environment.
-func (d *DDPG) NumEnvs() int { return 1 }
-
-// ActBatch implements Agent.
-func (d *DDPG) ActBatch(obs [][]float64) [][]float64 {
-	return [][]float64{d.Act(obs[0])}
-}
-
-// Observe implements Agent.
-func (d *DDPG) Observe(_ int, t Transition) {
-	d.replay.Add(t)
-	d.steps++
+	return gaussianNoise(d.rng, d.infer(d.actor, obs).Row(0), d.noise)
 }
 
 // actorMean returns the actor's deterministic first-dimension output for one
@@ -117,110 +70,55 @@ func (d *DDPG) actorMean(obs []float64) float64 {
 // Update implements Agent: one critic update and one actor update, with
 // target-network maintenance.
 func (d *DDPG) Update() {
-	batchSize := d.cfg.batch()
-	d.b.Session().Python(pythonMinibatchCost(batchSize))
-	batch := d.replay.Sample(batchSize)
-
-	obs := make([][]float64, batchSize)
-	acts := make([][]float64, batchSize)
-	next := make([][]float64, batchSize)
-	for i, t := range batch {
-		obs[i] = t.Obs
-		acts[i] = t.Act
-		next[i] = t.Next
-	}
-	xNext := obsTensor(next)
-	xObs := obsTensor(obs)
-	critIn := concatTensor(obs, acts)
+	mb := d.sample()
 
 	// --- Critic update ---
 	d.b.Compute("ddpg/critic_train", backend.KindBackprop, func(c *backend.Comp) {
-		c.Feed(critIn)
-		c.Feed(xNext)
+		c.Feed(mb.critIn)
+		c.Feed(mb.xNext)
 		c.ZeroGrad(d.critic)
 		// y = r + γ·Q'(s', π'(s'))
-		aNext := c.Forward(d.actorTarget, xNext)
+		aNext := c.Forward(d.actorTarget, mb.xNext)
 		var targetIn *nn.Tensor
 		c.HostLoss("ddpg/concat", func() {
-			nextActs := make([][]float64, batchSize)
-			for i := 0; i < batchSize; i++ {
-				nextActs[i] = aNext.Row(i)
-			}
-			targetIn = concatTensor(next, nextActs)
+			targetIn = concatTensor(mb.next, rows(aNext))
 		})
 		qNext := c.Forward(d.criticTarget, targetIn)
-		pred := c.Forward(d.critic, critIn)
+		pred := c.Forward(d.critic, mb.critIn)
 		var grad *nn.Tensor
 		c.HostLoss("ddpg/mse", func() {
-			target := nn.NewTensor(batchSize, 1)
-			for i, t := range batch {
-				y := t.Reward
-				if !t.Done {
-					y += d.gamma * qNext.At(i, 0)
-				}
-				target.Set(i, 0, y)
-			}
-			_, grad = nn.MSELoss(pred, target)
+			_, grad = nn.MSELoss(pred, d.tdTarget(mb, func(i int) float64 { return qNext.At(i, 0) }))
 		})
 		c.Backward(d.critic, grad)
-		if d.cfg.UseMPIAdam {
-			return // applied outside, in Python (stable-baselines path)
+		if d.stableBaselines {
+			return // applied outside, in Python
 		}
 		c.AdamStepFused(d.critic, d.criticOpt)
 	})
-	if d.cfg.UseMPIAdam {
+	if d.stableBaselines {
 		d.b.MPIAdamApply(d.critic, d.criticOpt)
 	}
 
 	// --- Actor update: maximize Q(s, π(s)) ---
 	d.b.Compute("ddpg/actor_train", backend.KindBackprop, func(c *backend.Comp) {
-		c.Feed(xObs)
-		c.ZeroGrad(d.actor)
-		c.ZeroGrad(d.critic) // scratch gradients for dQ/da only
-		aPred := c.Forward(d.actor, xObs)
-		var actorIn *nn.Tensor
-		c.HostLoss("ddpg/concat_pi", func() {
-			piActs := make([][]float64, batchSize)
-			for i := 0; i < batchSize; i++ {
-				piActs[i] = aPred.Row(i)
-			}
-			actorIn = concatTensor(obs, piActs)
-		})
-		c.Forward(d.critic, actorIn)
-		var dQdIn *nn.Tensor
-		c.HostLoss("ddpg/actor_grad", func() {
-			// Maximize mean Q: upstream gradient is −1/N.
-			up := nn.NewTensor(batchSize, 1)
-			up.Fill(-1.0 / float64(batchSize))
-			dQdIn = up
-		})
-		dIn := c.Backward(d.critic, dQdIn)
-		var dAct *nn.Tensor
-		c.HostLoss("ddpg/split_grad", func() {
-			dAct = splitCriticInputGrad(dIn, d.cfg.ObsDim)
-		})
-		c.Backward(d.actor, dAct)
-		if d.cfg.UseMPIAdam {
+		d.dpgActorGrad(c, mb, d.actor, d.critic)
+		if d.stableBaselines {
 			return
 		}
 		c.AdamStepFused(d.actor, d.actorOpt)
-		if !d.cfg.SeparateTargetCalls {
-			c.PolyakUpdate(d.actor, d.actorTarget, d.tau)
-			c.PolyakUpdate(d.critic, d.criticTarget, d.tau)
-		}
+		c.PolyakUpdate(d.actor, d.actorTarget, d.tau)
+		c.PolyakUpdate(d.critic, d.criticTarget, d.tau)
 	})
-	if d.cfg.UseMPIAdam {
-		d.b.MPIAdamApply(d.actor, d.actorOpt)
+	if !d.stableBaselines {
+		return
 	}
-	if d.cfg.SeparateTargetCalls {
-		// stable-baselines issues each target update as its own
-		// session call (paper F.4's "could be bundled into a single
-		// call").
-		d.b.Compute("ddpg/update_actor_target", backend.KindBackprop, func(c *backend.Comp) {
-			c.PolyakUpdate(d.actor, d.actorTarget, d.tau)
-		})
-		d.b.Compute("ddpg/update_critic_target", backend.KindBackprop, func(c *backend.Comp) {
-			c.PolyakUpdate(d.critic, d.criticTarget, d.tau)
-		})
-	}
+	d.b.MPIAdamApply(d.actor, d.actorOpt)
+	// stable-baselines issues each target update as its own session call
+	// (paper F.4's "could be bundled into a single call").
+	d.b.Compute("ddpg/update_actor_target", backend.KindBackprop, func(c *backend.Comp) {
+		c.PolyakUpdate(d.actor, d.actorTarget, d.tau)
+	})
+	d.b.Compute("ddpg/update_critic_target", backend.KindBackprop, func(c *backend.Comp) {
+		c.PolyakUpdate(d.critic, d.criticTarget, d.tau)
+	})
 }

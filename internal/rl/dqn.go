@@ -1,8 +1,6 @@
 package rl
 
 import (
-	"math/rand"
-
 	"repro/internal/backend"
 	"repro/internal/nn"
 )
@@ -11,17 +9,12 @@ import (
 // its running example (§2.1): ε-greedy inference, experience replay, and
 // Huber-loss Q-learning against a periodically synchronized target network.
 type DQN struct {
-	cfg Config
-	b   *backend.Backend
-	rng *rand.Rand
+	offPolicy
 
 	q, qTarget *backend.Network
 	opt        *nn.Adam
-	replay     *ReplayBuffer
 
-	steps       int
 	updates     int
-	warmup      int
 	targetEvery int
 	eps         float64
 	epsMin      float64
@@ -30,115 +23,56 @@ type DQN struct {
 
 // NewDQN builds a DQN agent for a discrete-action environment.
 func NewDQN(cfg Config) *DQN {
-	validateDims("DQN", cfg.ObsDim, cfg.ActDim)
-	if !cfg.Discrete {
-		panic("rl: DQN requires a discrete action space")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	sizes := cfg.sizes(cfg.ObsDim, cfg.ActDim)
-	q := backend.NewNetwork(rng, "q", sizes, nn.ReLU, nn.Identity)
-	qt := backend.NewNetwork(rng, "q_target", sizes, nn.ReLU, nn.Identity)
-	q.MLP.CopyTo(qt.MLP)
-	return &DQN{
-		cfg:         cfg,
-		b:           cfg.Backend,
-		rng:         rng,
-		q:           q,
-		qTarget:     qt,
+	d := &DQN{
+		offPolicy: offPolicy{
+			agentBase:  newAgentBase("DQN", "dqn", cfg, 4), // trains every 4 frames
+			replay:     NewReplayBuffer(50_000, cfg.Seed+1),
+			warmup:     200,
+			perCollect: 1,
+			gamma:      0.99,
+		},
 		opt:         nn.NewAdam(5e-4),
-		replay:      NewReplayBuffer(50_000, cfg.Seed+1),
-		warmup:      200,
 		targetEvery: 250,
 		eps:         1.0,
 		epsMin:      0.05,
 		epsDecay:    0.995,
 	}
-}
-
-// Name implements Agent.
-func (d *DQN) Name() string { return "DQN" }
-
-// OnPolicy implements Agent.
-func (d *DQN) OnPolicy() bool { return false }
-
-// CollectSteps implements Agent: DQN trains every 4 frames.
-func (d *DQN) CollectSteps() int {
-	if d.cfg.CollectStepsOverride > 0 {
-		return d.cfg.CollectStepsOverride
+	if !cfg.Discrete {
+		panic("rl: DQN requires a discrete action space")
 	}
-	return 4
+	sizes := cfg.sizes(cfg.ObsDim, cfg.ActDim)
+	d.q = backend.NewNetwork(d.rng, "q", sizes, nn.ReLU, nn.Identity)
+	d.qTarget = backend.NewNetwork(d.rng, "q_target", sizes, nn.ReLU, nn.Identity)
+	d.q.MLP.CopyTo(d.qTarget.MLP)
+	d.act = d.Act
+	return d
 }
 
-// UpdatesPerCollect implements Agent.
-func (d *DQN) UpdatesPerCollect() int {
-	if d.replay.Len() < d.warmup {
-		return 0
-	}
-	return 1
-}
-
-// Act implements Agent: ε-greedy over the Q network.
+// Act is DQN's action rule: ε-greedy over the Q network.
 func (d *DQN) Act(obs []float64) []float64 {
-	d.eps = maxf(d.epsMin, d.eps*d.epsDecay)
+	d.eps = max(d.epsMin, d.eps*d.epsDecay)
 	if d.rng.Float64() < d.eps {
 		return []float64{float64(d.rng.Intn(d.cfg.ActDim))}
 	}
-	x := obsTensor([][]float64{obs})
-	var qvals *nn.Tensor
-	d.b.Compute("dqn/predict", backend.KindInference, func(c *backend.Comp) {
-		c.Feed(x)
-		qvals = c.Forward(d.q, x)
-		c.Fetch(qvals)
-	})
-	return []float64{float64(qvals.ArgmaxRow(0))}
-}
-
-// NumEnvs implements Agent: DQN collects from a single environment.
-func (d *DQN) NumEnvs() int { return 1 }
-
-// ActBatch implements Agent.
-func (d *DQN) ActBatch(obs [][]float64) [][]float64 {
-	return [][]float64{d.Act(obs[0])}
-}
-
-// Observe implements Agent.
-func (d *DQN) Observe(_ int, t Transition) {
-	d.replay.Add(t)
-	d.steps++
+	return []float64{float64(d.infer(d.q, obs).ArgmaxRow(0))}
 }
 
 // Update implements Agent: one Huber-loss Q update on a sampled minibatch.
 func (d *DQN) Update() {
-	batchSize := d.cfg.batch()
-	// Minibatch assembly happens in high-level code.
-	d.b.Session().Python(pythonMinibatchCost(batchSize))
-	batch := d.replay.Sample(batchSize)
-
-	obs := make([][]float64, batchSize)
-	next := make([][]float64, batchSize)
-	for i, t := range batch {
-		obs[i] = t.Obs
-		next[i] = t.Next
-	}
-	x := obsTensor(obs)
-	xn := obsTensor(next)
-
+	mb := d.sample()
 	d.b.Compute("dqn/train_step", backend.KindBackprop, func(c *backend.Comp) {
-		c.Feed(x)
-		c.Feed(xn)
+		c.Feed(mb.xObs)
+		c.Feed(mb.xNext)
 		c.ZeroGrad(d.q)
 		// Target values from the frozen network.
-		qNext := c.Forward(d.qTarget, xn)
-		pred := c.Forward(d.q, x)
+		qNext := c.Forward(d.qTarget, mb.xNext)
+		pred := c.Forward(d.q, mb.xObs)
 		var grad *nn.Tensor
 		c.HostLoss("dqn/huber", func() {
+			y := d.tdTarget(mb, func(i int) float64 { return qNext.Row(i)[qNext.ArgmaxRow(i)] })
 			target := pred.Clone()
-			for i, t := range batch {
-				y := t.Reward
-				if !t.Done {
-					y += 0.99 * qNext.Row(i)[qNext.ArgmaxRow(i)]
-				}
-				target.Set(i, int(t.Act[0]), y)
+			for i, t := range mb.batch {
+				target.Set(i, int(t.Act[0]), y.At(i, 0))
 			}
 			_, grad = nn.HuberLoss(pred, target)
 		})
@@ -149,11 +83,4 @@ func (d *DQN) Update() {
 		}
 	})
 	d.updates++
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

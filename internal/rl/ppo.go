@@ -2,9 +2,7 @@ package rl
 
 import (
 	"math"
-	"math/rand"
 
-	"repro/internal/backend"
 	"repro/internal/nn"
 )
 
@@ -14,24 +12,9 @@ import (
 // the off-policy algorithms' per-step updates, PPO2 lands in the middle of
 // Figure 5's simulation-bound spectrum (46.3% simulation).
 type PPO2 struct {
-	cfg Config
-	b   *backend.Backend
-	rng *rand.Rand
-
-	policy *backend.Network
-	value  *backend.Network
-	opt    *nn.Adam
-
-	logStd   float64
-	nEnvs    int
-	rollouts []Rollout
-
-	pendingValues []float64
-	pendingLogps  []float64
-	bootObs       [][]float64
-
-	gamma, lambda, clip, entCoef float64
-	epochs, minibatch            int
+	onPolicy
+	lambda, clip      float64
+	epochs, minibatch int
 }
 
 // ppoNumEnvs is the vectorization PPO2 collects with on continuous-control
@@ -47,155 +30,30 @@ const (
 
 // NewPPO2 builds a PPO2 agent (discrete or continuous).
 func NewPPO2(cfg Config) *PPO2 {
-	validateDims("PPO2", cfg.ObsDim, cfg.ActDim)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	p := &PPO2{
-		cfg:           cfg,
-		b:             cfg.Backend,
-		rng:           rng,
-		policy:        backend.NewNetwork(rng, "policy", cfg.sizes(cfg.ObsDim, cfg.ActDim), nn.Tanh, nn.Identity),
-		value:         backend.NewNetwork(rng, "value", cfg.sizes(cfg.ObsDim, 1), nn.Tanh, nn.Identity),
-		opt:           nn.NewAdam(3e-4),
-		logStd:        math.Log(0.5),
-		nEnvs:         ppoNumEnvs,
-		rollouts:      make([]Rollout, ppoNumEnvs),
-		pendingValues: make([]float64, ppoNumEnvs),
-		pendingLogps:  make([]float64, ppoNumEnvs),
-		bootObs:       make([][]float64, ppoNumEnvs),
-		gamma:         0.99,
-		lambda:        0.95,
-		clip:          0.2,
-		entCoef:       0.0,
-		epochs:        4,
-		minibatch:     64,
-	}
+	nEnvs, epochs := ppoNumEnvs, 4
 	if cfg.Discrete {
-		p.nEnvs = ppoAtariEnvs
-		p.epochs = ppoAtariEpochs
-		p.rollouts = make([]Rollout, p.nEnvs)
-		p.pendingValues = make([]float64, p.nEnvs)
-		p.pendingLogps = make([]float64, p.nEnvs)
-		p.bootObs = make([][]float64, p.nEnvs)
+		nEnvs, epochs = ppoAtariEnvs, ppoAtariEpochs
 	}
-	return p
-}
-
-// Name implements Agent.
-func (p *PPO2) Name() string { return "PPO2" }
-
-// OnPolicy implements Agent.
-func (p *PPO2) OnPolicy() bool { return true }
-
-// NumEnvs implements Agent.
-func (p *PPO2) NumEnvs() int { return p.nEnvs }
-
-// CollectSteps implements Agent: n_steps=128 per env.
-func (p *PPO2) CollectSteps() int {
-	if p.cfg.CollectStepsOverride > 0 {
-		return p.cfg.CollectStepsOverride
+	return &PPO2{
+		// n_steps=128 per env.
+		onPolicy:  newOnPolicy("PPO2", "ppo", cfg, 128, nEnvs, 3e-4),
+		lambda:    0.95,
+		clip:      0.2,
+		epochs:    epochs,
+		minibatch: 64,
 	}
-	return 128
-}
-
-// UpdatesPerCollect implements Agent: one update pass (internally several
-// epochs of minibatches) consumes the rollout.
-func (p *PPO2) UpdatesPerCollect() int { return 1 }
-
-// ActBatch implements Agent.
-func (p *PPO2) ActBatch(obs [][]float64) [][]float64 {
-	x := obsTensor(obs)
-	var out, val *nn.Tensor
-	p.b.Compute("ppo/predict", backend.KindInference, func(c *backend.Comp) {
-		c.Feed(x)
-		out = c.Forward(p.policy, x)
-		val = c.Forward(p.value, x)
-		c.Fetch(out)
-		c.Fetch(val)
-	})
-	acts := make([][]float64, len(obs))
-	for e := range obs {
-		p.pendingValues[e] = val.At(e, 0)
-		acts[e], p.pendingLogps[e] = p.sample(out, e)
-	}
-	return acts
-}
-
-func (p *PPO2) sample(out *nn.Tensor, e int) ([]float64, float64) {
-	if p.cfg.Discrete {
-		probs := nn.Softmax(out)
-		act := sampleCategorical(p.rng, probs.Row(e))
-		return []float64{float64(act)}, math.Log(probs.At(e, act) + 1e-12)
-	}
-	mean := out.Row(e)
-	std := math.Exp(p.logStd)
-	act := make([]float64, len(mean))
-	var logp float64
-	const log2pi = 1.8378770664093453
-	for i, m := range mean {
-		act[i] = m + std*p.rng.NormFloat64()
-		z := (act[i] - m) / std
-		logp += -0.5*z*z - p.logStd - 0.5*log2pi
-		// Clip to the action space, as stable-baselines' VecEnv does
-		// before stepping the simulator.
-		act[i] = clipf(act[i], 1)
-	}
-	return act, logp
-}
-
-// Observe implements Agent.
-func (p *PPO2) Observe(env int, t Transition) {
-	p.rollouts[env].Add(t.Obs, t.Act, t.Reward, t.Done, p.pendingValues[env], p.pendingLogps[env])
-	p.bootObs[env] = t.Next
-}
-
-// flatBatch is the concatenated rollout PPO2 optimizes over.
-type flatBatch struct {
-	obs   [][]float64
-	acts  [][]float64
-	logps []float64
-	adv   []float64
-	ret   []float64
 }
 
 // Update implements Agent: GAE, then epochs × minibatches of clipped
 // surrogate updates.
 func (p *PPO2) Update() {
-	total := 0
-	for e := range p.rollouts {
-		total += p.rollouts[e].Len()
-	}
-	if total == 0 {
+	fb := p.gather(p.lambda)
+	if fb == nil {
 		return
-	}
-	xBoot := obsTensor(p.bootObs)
-	var bootVal *nn.Tensor
-	p.b.Compute("ppo/bootstrap", backend.KindInference, func(c *backend.Comp) {
-		c.Feed(xBoot)
-		bootVal = c.Forward(p.value, xBoot)
-		c.Fetch(bootVal)
-	})
-
-	var fb flatBatch
-	for e := range p.rollouts {
-		ro := &p.rollouts[e]
-		n := ro.Len()
-		if n == 0 {
-			continue
-		}
-		if ro.Dones[n-1] {
-			ro.LastValue = 0
-		} else {
-			ro.LastValue = bootVal.At(e, 0)
-		}
-		adv, ret := ro.GAE(p.gamma, p.lambda)
-		fb.obs = append(fb.obs, ro.Obs...)
-		fb.acts = append(fb.acts, ro.Acts...)
-		fb.logps = append(fb.logps, ro.LogPs...)
-		fb.adv = append(fb.adv, adv...)
-		fb.ret = append(fb.ret, ret...)
 	}
 	NormalizeAdvantages(fb.adv)
 
+	total := len(fb.obs)
 	idx := make([]int, total)
 	for i := range idx {
 		idx[i] = i
@@ -203,55 +61,17 @@ func (p *PPO2) Update() {
 	for epoch := 0; epoch < p.epochs; epoch++ {
 		p.rng.Shuffle(total, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for lo := 0; lo < total; lo += p.minibatch {
-			hi := lo + p.minibatch
-			if hi > total {
-				hi = total
+			mb := idx[lo:min(lo+p.minibatch, total)]
+			obs := make([][]float64, len(mb))
+			ret := make([]float64, len(mb))
+			for i, id := range mb {
+				obs[i], ret[i] = fb.obs[id], fb.ret[id]
 			}
-			p.updateMinibatch(&fb, idx[lo:hi])
+			p.trainStep(obs, ret, "clip_loss", func(out *nn.Tensor) *nn.Tensor {
+				return p.clippedGrad(out, fb, mb)
+			})
 		}
 	}
-	for e := range p.rollouts {
-		p.rollouts[e].Reset()
-	}
-}
-
-func (p *PPO2) updateMinibatch(fb *flatBatch, idx []int) {
-	m := len(idx)
-	obs := make([][]float64, m)
-	for i, id := range idx {
-		obs[i] = fb.obs[id]
-	}
-	x := obsTensor(obs)
-	p.b.Session().Python(pythonMinibatchCost(m))
-	p.b.Compute("ppo/train_step", backend.KindBackprop, func(c *backend.Comp) {
-		c.Feed(x)
-		c.ZeroGrad(p.policy)
-		c.ZeroGrad(p.value)
-		out := c.Forward(p.policy, x)
-		var pgrad *nn.Tensor
-		c.HostLoss("ppo/clip_loss", func() {
-			pgrad = p.clippedGrad(out, fb, idx)
-		})
-		c.Backward(p.policy, pgrad)
-
-		pred := c.Forward(p.value, x)
-		var vgrad *nn.Tensor
-		c.HostLoss("ppo/value_loss", func() {
-			target := nn.NewTensor(m, 1)
-			for i, id := range idx {
-				target.Set(i, 0, fb.ret[id])
-			}
-			_, vgrad = nn.MSELoss(pred, target)
-			vgrad.Scale(0.5)
-		})
-		c.Backward(p.value, vgrad)
-
-		c.HostLoss("ppo/clip_grads", func() {
-			nn.ClipGradByGlobalNorm(append(p.policy.MLP.Params(), p.value.MLP.Params()...), 0.5)
-		})
-		c.AdamStepFused(p.policy, p.opt)
-		c.AdamStepFused(p.value, p.opt)
-	})
 }
 
 // clippedGrad computes dL/d(policy output) for the clipped surrogate.
@@ -279,12 +99,10 @@ func (p *PPO2) clippedGrad(out *nn.Tensor, fb *flatBatch, idx []int) *nn.Tensor 
 		return grad
 	}
 	sigma2 := math.Exp(2 * p.logStd)
-	const log2pi = 1.8378770664093453
 	for i, id := range idx {
 		var logp float64
 		for j := 0; j < p.cfg.ActDim; j++ {
-			z := (fb.acts[id][j] - out.At(i, j)) / math.Exp(p.logStd)
-			logp += -0.5*z*z - p.logStd - 0.5*log2pi
+			logp += gaussLogp(fb.acts[id][j], out.At(i, j), p.logStd)
 		}
 		ratio := math.Exp(logp - fb.logps[id])
 		if clippedOut(ratio, fb.adv[id], p.clip) {

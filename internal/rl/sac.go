@@ -2,7 +2,6 @@ package rl
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/backend"
 	"repro/internal/nn"
@@ -14,207 +13,120 @@ import (
 // actions are tanh(u). Twin critics with entropy-regularized targets follow
 // Haarnoja et al.; the temperature α is fixed.
 type SAC struct {
-	cfg Config
-	b   *backend.Backend
-	rng *rand.Rand
+	offPolicy
+	twinCritic
 
-	actor                  *backend.Network
-	critic1, critic2       *backend.Network
-	critic1Target          *backend.Network
-	critic2Target          *backend.Network
-	actorOpt, criticOpt    *nn.Adam
-	logStd                 float64
-	alpha                  float64
-	replay                 *ReplayBuffer
-	steps, updates, warmup int
-	tau, gamma             float64
+	actor    *backend.Network
+	actorOpt *nn.Adam
+
+	logStd float64
+	alpha  float64
+	tau    float64
 }
 
 // NewSAC builds a SAC agent.
 func NewSAC(cfg Config) *SAC {
-	validateDims("SAC", cfg.ObsDim, cfg.ActDim)
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	s := &SAC{
+		offPolicy: offPolicy{
+			agentBase: newAgentBase("SAC", "sac", cfg, 100),
+			replay:    NewReplayBuffer(100_000, cfg.Seed+1),
+			warmup:    100,
+			gamma:     0.99,
+		},
+		twinCritic: twinCritic{criticOpt: nn.NewAdam(3e-4)},
+		actorOpt:   nn.NewAdam(3e-4),
+		logStd:     math.Log(0.3),
+		alpha:      0.2,
+		tau:        0.005,
+	}
 	actorSizes := cfg.sizes(cfg.ObsDim, cfg.ActDim)
 	criticSizes := cfg.sizes(cfg.ObsDim+cfg.ActDim, 1)
-	s := &SAC{
-		cfg:       cfg,
-		b:         cfg.Backend,
-		rng:       rng,
-		actor:     backend.NewNetwork(rng, "actor", actorSizes, nn.ReLU, nn.Identity),
-		critic1:   backend.NewNetwork(rng, "critic1", criticSizes, nn.ReLU, nn.Identity),
-		critic2:   backend.NewNetwork(rng, "critic2", criticSizes, nn.ReLU, nn.Identity),
-		actorOpt:  nn.NewAdam(3e-4),
-		criticOpt: nn.NewAdam(3e-4),
-		logStd:    math.Log(0.3),
-		alpha:     0.2,
-		replay:    NewReplayBuffer(100_000, cfg.Seed+1),
-		warmup:    100,
-		tau:       0.005,
-		gamma:     0.99,
-	}
-	s.critic1Target = backend.NewNetwork(rng, "critic1_target", criticSizes, nn.ReLU, nn.Identity)
-	s.critic2Target = backend.NewNetwork(rng, "critic2_target", criticSizes, nn.ReLU, nn.Identity)
+	s.actor = backend.NewNetwork(s.rng, "actor", actorSizes, nn.ReLU, nn.Identity)
+	s.critic1 = backend.NewNetwork(s.rng, "critic1", criticSizes, nn.ReLU, nn.Identity)
+	s.critic2 = backend.NewNetwork(s.rng, "critic2", criticSizes, nn.ReLU, nn.Identity)
+	s.critic1Target = backend.NewNetwork(s.rng, "critic1_target", criticSizes, nn.ReLU, nn.Identity)
+	s.critic2Target = backend.NewNetwork(s.rng, "critic2_target", criticSizes, nn.ReLU, nn.Identity)
 	s.critic1.MLP.CopyTo(s.critic1Target.MLP)
 	s.critic2.MLP.CopyTo(s.critic2Target.MLP)
+	s.act = s.Act
 	return s
-}
-
-// Name implements Agent.
-func (s *SAC) Name() string { return "SAC" }
-
-// OnPolicy implements Agent.
-func (s *SAC) OnPolicy() bool { return false }
-
-// CollectSteps implements Agent.
-func (s *SAC) CollectSteps() int {
-	if s.cfg.CollectStepsOverride > 0 {
-		return s.cfg.CollectStepsOverride
-	}
-	return 100
-}
-
-// UpdatesPerCollect implements Agent.
-func (s *SAC) UpdatesPerCollect() int {
-	if s.replay.Len() < s.warmup {
-		return 0
-	}
-	return s.CollectSteps() / 2
 }
 
 // samplePolicy draws u ~ N(mean, σ), a = tanh(u); returns a and logπ(a|s).
 func (s *SAC) samplePolicy(mean []float64) (act []float64, logp float64) {
 	std := math.Exp(s.logStd)
 	act = make([]float64, len(mean))
-	const log2pi = 1.8378770664093453
 	for i, m := range mean {
 		u := m + std*s.rng.NormFloat64()
 		a := math.Tanh(u)
 		act[i] = a
-		z := (u - m) / std
-		logp += -0.5*z*z - s.logStd - 0.5*log2pi
+		logp += gaussLogp(u, m, s.logStd)
 		logp -= math.Log(1 - a*a + 1e-6) // tanh change of variables
 	}
 	return act, logp
 }
 
-// Act implements Agent.
+// Act is SAC's action rule: a sample from the squashed Gaussian policy.
 func (s *SAC) Act(obs []float64) []float64 {
-	x := obsTensor([][]float64{obs})
-	var mean *nn.Tensor
-	s.b.Compute("sac/predict", backend.KindInference, func(c *backend.Comp) {
-		c.Feed(x)
-		mean = c.Forward(s.actor, x)
-		c.Fetch(mean)
-	})
-	act, _ := s.samplePolicy(mean.Row(0))
+	act, _ := s.samplePolicy(s.infer(s.actor, obs).Row(0))
 	return act
-}
-
-// NumEnvs implements Agent: SAC collects from a single environment.
-func (s *SAC) NumEnvs() int { return 1 }
-
-// ActBatch implements Agent.
-func (s *SAC) ActBatch(obs [][]float64) [][]float64 {
-	return [][]float64{s.Act(obs[0])}
-}
-
-// Observe implements Agent.
-func (s *SAC) Observe(_ int, t Transition) {
-	s.replay.Add(t)
-	s.steps++
 }
 
 // Update implements Agent: entropy-regularized twin-critic update and a
 // reparameterized actor update.
 func (s *SAC) Update() {
-	batchSize := s.cfg.batch()
-	s.b.Session().Python(pythonMinibatchCost(batchSize))
-	batch := s.replay.Sample(batchSize)
-
-	obs := make([][]float64, batchSize)
-	acts := make([][]float64, batchSize)
-	next := make([][]float64, batchSize)
-	for i, t := range batch {
-		obs[i] = t.Obs
-		acts[i] = t.Act
-		next[i] = t.Next
-	}
-	xNext := obsTensor(next)
-	xObs := obsTensor(obs)
-	critIn := concatTensor(obs, acts)
+	mb := s.sample()
+	n := len(mb.batch)
 
 	s.b.Compute("sac/critic_train", backend.KindBackprop, func(c *backend.Comp) {
-		c.Feed(critIn)
-		c.Feed(xNext)
-		meanNext := c.Forward(s.actor, xNext)
+		c.Feed(mb.critIn)
+		c.Feed(mb.xNext)
+		meanNext := c.Forward(s.actor, mb.xNext)
 		var targetIn *nn.Tensor
-		logps := make([]float64, batchSize)
+		logps := make([]float64, n)
 		c.HostLoss("sac/sample_next", func() {
-			nextActs := make([][]float64, batchSize)
-			for i := 0; i < batchSize; i++ {
-				a, lp := s.samplePolicy(meanNext.Row(i))
-				nextActs[i] = a
-				logps[i] = lp
+			nextActs := make([][]float64, n)
+			for i := range nextActs {
+				nextActs[i], logps[i] = s.samplePolicy(meanNext.Row(i))
 			}
-			targetIn = concatTensor(next, nextActs)
+			targetIn = concatTensor(mb.next, nextActs)
 		})
 		q1n := c.Forward(s.critic1Target, targetIn)
 		q2n := c.Forward(s.critic2Target, targetIn)
 		var target *nn.Tensor
 		c.HostLoss("sac/soft_target", func() {
-			target = nn.NewTensor(batchSize, 1)
-			for i, t := range batch {
-				y := t.Reward
-				if !t.Done {
-					q := math.Min(q1n.At(i, 0), q2n.At(i, 0))
-					y += s.gamma * (q - s.alpha*logps[i])
-				}
-				target.Set(i, 0, y)
-			}
+			target = s.tdTarget(mb, func(i int) float64 {
+				return math.Min(q1n.At(i, 0), q2n.At(i, 0)) - s.alpha*logps[i]
+			})
 		})
-		c.ZeroGrad(s.critic1)
-		pred1 := c.Forward(s.critic1, critIn)
-		var grad1 *nn.Tensor
-		c.HostLoss("sac/mse1", func() { _, grad1 = nn.MSELoss(pred1, target) })
-		c.Backward(s.critic1, grad1)
-		c.AdamStepFused(s.critic1, s.criticOpt)
-
-		c.ZeroGrad(s.critic2)
-		pred2 := c.Forward(s.critic2, critIn)
-		var grad2 *nn.Tensor
-		c.HostLoss("sac/mse2", func() { _, grad2 = nn.MSELoss(pred2, target) })
-		c.Backward(s.critic2, grad2)
-		c.AdamStepFused(s.critic2, s.criticOpt)
+		s.regress(c, s.prefix, mb.critIn, target)
 	})
 
 	s.b.Compute("sac/actor_train", backend.KindBackprop, func(c *backend.Comp) {
-		c.Feed(xObs)
+		c.Feed(mb.xObs)
 		c.ZeroGrad(s.actor)
 		c.ZeroGrad(s.critic1)
-		mean := c.Forward(s.actor, xObs)
+		mean := c.Forward(s.actor, mb.xObs)
 		// Reparameterized sample: u = mean + σε, a = tanh(u).
 		std := math.Exp(s.logStd)
-		us := nn.NewTensor(batchSize, s.cfg.ActDim)
+		us := nn.NewTensor(n, s.cfg.ActDim)
 		var actorIn *nn.Tensor
 		c.HostLoss("sac/reparam", func() {
-			piActs := make([][]float64, batchSize)
-			for i := 0; i < batchSize; i++ {
+			piActs := make([][]float64, n)
+			for i := range piActs {
 				row := make([]float64, s.cfg.ActDim)
-				for j := 0; j < s.cfg.ActDim; j++ {
+				for j := range row {
 					u := mean.At(i, j) + std*s.rng.NormFloat64()
 					us.Set(i, j, u)
 					row[j] = math.Tanh(u)
 				}
 				piActs[i] = row
 			}
-			actorIn = concatTensor(obs, piActs)
+			actorIn = concatTensor(mb.obs, piActs)
 		})
 		c.Forward(s.critic1, actorIn)
 		var up *nn.Tensor
-		c.HostLoss("sac/q_grad", func() {
-			up = nn.NewTensor(batchSize, 1)
-			up.Fill(-1.0 / float64(batchSize))
-		})
+		c.HostLoss("sac/q_grad", func() { up = ascendQ(n) })
 		dIn := c.Backward(s.critic1, up)
 		var dMean *nn.Tensor
 		c.HostLoss("sac/actor_grad", func() {
@@ -222,12 +134,12 @@ func (s *SAC) Update() {
 			// (the entropy term through the tanh log-det; the
 			// Gaussian self-term cancels under reparameterization).
 			dAct := splitCriticInputGrad(dIn, s.cfg.ObsDim)
-			dMean = nn.NewTensor(batchSize, s.cfg.ActDim)
-			for i := 0; i < batchSize; i++ {
+			dMean = nn.NewTensor(n, s.cfg.ActDim)
+			for i := 0; i < n; i++ {
 				for j := 0; j < s.cfg.ActDim; j++ {
 					th := math.Tanh(us.At(i, j))
 					g := dAct.At(i, j)*(1-th*th) +
-						s.alpha*2*th/float64(batchSize)
+						s.alpha*2*th/float64(n)
 					dMean.Set(i, j, g)
 				}
 			}
@@ -237,5 +149,4 @@ func (s *SAC) Update() {
 		c.PolyakUpdate(s.critic1, s.critic1Target, s.tau)
 		c.PolyakUpdate(s.critic2, s.critic2Target, s.tau)
 	})
-	s.updates++
 }

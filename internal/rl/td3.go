@@ -1,8 +1,6 @@
 package rl
 
 import (
-	"math/rand"
-
 	"repro/internal/backend"
 	"repro/internal/nn"
 )
@@ -13,136 +11,72 @@ import (
 // hyperparameter whose contrast with DDPG's 100 explains the paper's F.5
 // Autograph anomaly.
 type TD3 struct {
-	cfg Config
-	b   *backend.Backend
-	rng *rand.Rand
+	offPolicy
+	twinCritic
 
-	actor, actorTarget     *backend.Network
-	critic1, critic1Target *backend.Network
-	critic2, critic2Target *backend.Network
-	actorOpt               *nn.Adam
-	criticOpt              *nn.Adam
+	actor, actorTarget *backend.Network
+	actorOpt           *nn.Adam
 
-	replay      *ReplayBuffer
-	steps       int
 	updates     int
-	warmup      int
 	noise       float64
 	targetNoise float64
 	noiseClip   float64
 	policyDelay int
 	tau         float64
-	gamma       float64
 }
 
 // NewTD3 builds a TD3 agent.
 func NewTD3(cfg Config) *TD3 {
-	validateDims("TD3", cfg.ObsDim, cfg.ActDim)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	actorSizes := cfg.sizes(cfg.ObsDim, cfg.ActDim)
-	criticSizes := cfg.sizes(cfg.ObsDim+cfg.ActDim, 1)
 	t := &TD3{
-		cfg:         cfg,
-		b:           cfg.Backend,
-		rng:         rng,
-		actor:       backend.NewNetwork(rng, "actor", actorSizes, nn.ReLU, nn.Tanh),
-		critic1:     backend.NewNetwork(rng, "critic1", criticSizes, nn.ReLU, nn.Identity),
-		critic2:     backend.NewNetwork(rng, "critic2", criticSizes, nn.ReLU, nn.Identity),
+		offPolicy: offPolicy{
+			agentBase: newAgentBase("TD3", "td3", cfg, 1000), // paper F.5
+			replay:    NewReplayBuffer(100_000, cfg.Seed+1),
+			warmup:    100,
+			gamma:     0.99,
+		},
+		twinCritic:  twinCritic{criticOpt: nn.NewAdam(1e-3)},
 		actorOpt:    nn.NewAdam(1e-4),
-		criticOpt:   nn.NewAdam(1e-3),
-		replay:      NewReplayBuffer(100_000, cfg.Seed+1),
-		warmup:      100,
 		noise:       0.1,
 		targetNoise: 0.2,
 		noiseClip:   0.5,
 		policyDelay: 2,
 		tau:         0.005,
-		gamma:       0.99,
 	}
-	t.actorTarget = backend.NewNetwork(rng, "actor_target", actorSizes, nn.ReLU, nn.Tanh)
-	t.critic1Target = backend.NewNetwork(rng, "critic1_target", criticSizes, nn.ReLU, nn.Identity)
-	t.critic2Target = backend.NewNetwork(rng, "critic2_target", criticSizes, nn.ReLU, nn.Identity)
+	actorSizes := cfg.sizes(cfg.ObsDim, cfg.ActDim)
+	criticSizes := cfg.sizes(cfg.ObsDim+cfg.ActDim, 1)
+	t.actor = backend.NewNetwork(t.rng, "actor", actorSizes, nn.ReLU, nn.Tanh)
+	t.critic1 = backend.NewNetwork(t.rng, "critic1", criticSizes, nn.ReLU, nn.Identity)
+	t.critic2 = backend.NewNetwork(t.rng, "critic2", criticSizes, nn.ReLU, nn.Identity)
+	t.actorTarget = backend.NewNetwork(t.rng, "actor_target", actorSizes, nn.ReLU, nn.Tanh)
+	t.critic1Target = backend.NewNetwork(t.rng, "critic1_target", criticSizes, nn.ReLU, nn.Identity)
+	t.critic2Target = backend.NewNetwork(t.rng, "critic2_target", criticSizes, nn.ReLU, nn.Identity)
 	t.actor.MLP.CopyTo(t.actorTarget.MLP)
 	t.critic1.MLP.CopyTo(t.critic1Target.MLP)
 	t.critic2.MLP.CopyTo(t.critic2Target.MLP)
+	t.act = t.Act
 	return t
 }
 
-// Name implements Agent.
-func (t *TD3) Name() string { return "TD3" }
-
-// OnPolicy implements Agent.
-func (t *TD3) OnPolicy() bool { return false }
-
-// CollectSteps implements Agent (paper F.5: TD3 uses 1000).
-func (t *TD3) CollectSteps() int {
-	if t.cfg.CollectStepsOverride > 0 {
-		return t.cfg.CollectStepsOverride
-	}
-	return 1000
-}
-
-// UpdatesPerCollect implements Agent.
-func (t *TD3) UpdatesPerCollect() int {
-	if t.replay.Len() < t.warmup {
-		return 0
-	}
-	return t.CollectSteps() / 2
-}
-
-// Act implements Agent.
+// Act is TD3's action rule: deterministic actor plus Gaussian exploration
+// noise.
 func (t *TD3) Act(obs []float64) []float64 {
-	x := obsTensor([][]float64{obs})
-	var a *nn.Tensor
-	t.b.Compute("td3/predict", backend.KindInference, func(c *backend.Comp) {
-		c.Feed(x)
-		a = c.Forward(t.actor, x)
-		c.Fetch(a)
-	})
-	return gaussianNoise(t.rng, a.Row(0), t.noise)
-}
-
-// NumEnvs implements Agent: TD3 collects from a single environment.
-func (t *TD3) NumEnvs() int { return 1 }
-
-// ActBatch implements Agent.
-func (t *TD3) ActBatch(obs [][]float64) [][]float64 {
-	return [][]float64{t.Act(obs[0])}
-}
-
-// Observe implements Agent.
-func (t *TD3) Observe(_ int, tr Transition) {
-	t.replay.Add(tr)
-	t.steps++
+	return gaussianNoise(t.rng, t.infer(t.actor, obs).Row(0), t.noise)
 }
 
 // Update implements Agent: twin-critic update, delayed actor update.
 func (t *TD3) Update() {
-	batchSize := t.cfg.batch()
-	t.b.Session().Python(pythonMinibatchCost(batchSize))
-	batch := t.replay.Sample(batchSize)
-
-	obs := make([][]float64, batchSize)
-	acts := make([][]float64, batchSize)
-	next := make([][]float64, batchSize)
-	for i, tr := range batch {
-		obs[i] = tr.Obs
-		acts[i] = tr.Act
-		next[i] = tr.Next
-	}
-	xNext := obsTensor(next)
-	xObs := obsTensor(obs)
-	critIn := concatTensor(obs, acts)
+	mb := t.sample()
+	n := len(mb.batch)
 
 	t.b.Compute("td3/critic_train", backend.KindBackprop, func(c *backend.Comp) {
-		c.Feed(critIn)
-		c.Feed(xNext)
+		c.Feed(mb.critIn)
+		c.Feed(mb.xNext)
 		// Smoothed target action: clip(π'(s') + clip(ε, ±c), ±1).
-		aNext := c.Forward(t.actorTarget, xNext)
+		aNext := c.Forward(t.actorTarget, mb.xNext)
 		var targetIn *nn.Tensor
 		c.HostLoss("td3/smooth_target", func() {
-			nextActs := make([][]float64, batchSize)
-			for i := 0; i < batchSize; i++ {
+			nextActs := make([][]float64, n)
+			for i := range nextActs {
 				row := append([]float64(nil), aNext.Row(i)...)
 				for j := range row {
 					eps := clipf(t.rng.NormFloat64()*t.targetNoise, t.noiseClip)
@@ -150,39 +84,22 @@ func (t *TD3) Update() {
 				}
 				nextActs[i] = row
 			}
-			targetIn = concatTensor(next, nextActs)
+			targetIn = concatTensor(mb.next, nextActs)
 		})
 		q1n := c.Forward(t.critic1Target, targetIn)
 		q2n := c.Forward(t.critic2Target, targetIn)
 		var target *nn.Tensor
 		c.HostLoss("td3/min_target", func() {
-			target = nn.NewTensor(batchSize, 1)
-			for i, tr := range batch {
-				y := tr.Reward
-				if !tr.Done {
-					q := q1n.At(i, 0)
-					if q2 := q2n.At(i, 0); q2 < q {
-						q = q2
-					}
-					y += t.gamma * q
+			target = t.tdTarget(mb, func(i int) float64 {
+				q := q1n.At(i, 0)
+				if q2 := q2n.At(i, 0); q2 < q {
+					q = q2
 				}
-				target.Set(i, 0, y)
-			}
+				return q
+			})
 		})
 		// Clipped double-Q: both critics regress to the same target.
-		c.ZeroGrad(t.critic1)
-		pred1 := c.Forward(t.critic1, critIn)
-		var grad1 *nn.Tensor
-		c.HostLoss("td3/mse1", func() { _, grad1 = nn.MSELoss(pred1, target) })
-		c.Backward(t.critic1, grad1)
-		c.AdamStepFused(t.critic1, t.criticOpt)
-
-		c.ZeroGrad(t.critic2)
-		pred2 := c.Forward(t.critic2, critIn)
-		var grad2 *nn.Tensor
-		c.HostLoss("td3/mse2", func() { _, grad2 = nn.MSELoss(pred2, target) })
-		c.Backward(t.critic2, grad2)
-		c.AdamStepFused(t.critic2, t.criticOpt)
+		t.regress(c, t.prefix, mb.critIn, target)
 	})
 
 	t.updates++
@@ -190,43 +107,10 @@ func (t *TD3) Update() {
 		return
 	}
 	t.b.Compute("td3/actor_train", backend.KindBackprop, func(c *backend.Comp) {
-		c.Feed(xObs)
-		c.ZeroGrad(t.actor)
-		c.ZeroGrad(t.critic1)
-		aPred := c.Forward(t.actor, xObs)
-		var actorIn *nn.Tensor
-		c.HostLoss("td3/concat_pi", func() {
-			piActs := make([][]float64, batchSize)
-			for i := 0; i < batchSize; i++ {
-				piActs[i] = aPred.Row(i)
-			}
-			actorIn = concatTensor(obs, piActs)
-		})
-		c.Forward(t.critic1, actorIn)
-		var up *nn.Tensor
-		c.HostLoss("td3/actor_grad", func() {
-			up = nn.NewTensor(batchSize, 1)
-			up.Fill(-1.0 / float64(batchSize))
-		})
-		dIn := c.Backward(t.critic1, up)
-		var dAct *nn.Tensor
-		c.HostLoss("td3/split_grad", func() {
-			dAct = splitCriticInputGrad(dIn, t.cfg.ObsDim)
-		})
-		c.Backward(t.actor, dAct)
+		t.dpgActorGrad(c, mb, t.actor, t.critic1)
 		c.AdamStepFused(t.actor, t.actorOpt)
 		c.PolyakUpdate(t.actor, t.actorTarget, t.tau)
 		c.PolyakUpdate(t.critic1, t.critic1Target, t.tau)
 		c.PolyakUpdate(t.critic2, t.critic2Target, t.tau)
 	})
-}
-
-func clipf(v, lim float64) float64 {
-	if v > lim {
-		return lim
-	}
-	if v < -lim {
-		return -lim
-	}
-	return v
 }

@@ -62,10 +62,8 @@ func (s Spec) Name() string {
 	return fmt.Sprintf("%s-%s-%s", s.Algo, s.Env, s.Model)
 }
 
-// newAgent builds the algorithm, applying the framework-implementation
-// quirks the paper attributes to specific codebases: stable-baselines
-// (Graph) DDPG uses the MPI-friendly CPU Adam and separate target-update
-// session calls (paper F.4).
+// newAgent builds the algorithm for env, refusing DQN on a continuous
+// action space.
 func newAgent(spec Spec, b *backend.Backend, env sim.Env) (rl.Agent, error) {
 	cfg := rl.Config{
 		Backend:              b,
@@ -74,10 +72,6 @@ func newAgent(spec Spec, b *backend.Backend, env sim.Env) (rl.Agent, error) {
 		Discrete:             env.Discrete(),
 		Seed:                 spec.Seed + 17,
 		CollectStepsOverride: spec.CollectStepsOverride,
-	}
-	if spec.Algo == "DDPG" && spec.Model == backend.Graph {
-		cfg.UseMPIAdam = true
-		cfg.SeparateTargetCalls = true
 	}
 	switch spec.Algo {
 	case "DQN":
@@ -123,10 +117,6 @@ func Run(spec Spec, flags trace.FeatureFlags) (*calib.RunStats, error) {
 	agent, err := newAgent(spec, b, env)
 	if err != nil {
 		return nil, err
-	}
-
-	if env.Discrete() != agentNeedsDiscrete(spec.Algo) && spec.Algo == "DQN" {
-		return nil, fmt.Errorf("workloads: %s/%s action-space mismatch", spec.Algo, spec.Env)
 	}
 
 	// Vectorized environments: one batched inference serves every env's
@@ -219,8 +209,6 @@ func Run(spec Spec, flags trace.FeatureFlags) (*calib.RunStats, error) {
 	}
 	return calib.StatsFromTrace(tr, flags, p.OverheadCounts(), p.TotalTime()), nil
 }
-
-func agentNeedsDiscrete(algo string) bool { return algo == "DQN" }
 
 // Runner adapts a Spec into a calib.Runner, re-seeding per invocation so
 // calibration's determinism assumption holds.
