@@ -18,9 +18,6 @@ func TestFigure9DeltaCalibration(t *testing.T) {
 	if r.Count == 0 || r.MeanOverhead <= 0 {
 		t.Fatalf("degenerate calibration: count=%d mean=%v", r.Count, r.MeanOverhead)
 	}
-	if r.Render() == "" {
-		t.Fatal("empty render")
-	}
 }
 
 func TestFigure10DifferenceOfAverage(t *testing.T) {
@@ -41,9 +38,6 @@ func TestFigure10DifferenceOfAverage(t *testing.T) {
 	}
 	if launch.MeanWithCUPTI <= launch.MeanWithoutCUPTI {
 		t.Fatal("CUPTI did not inflate launch duration")
-	}
-	if r.Render() == "" {
-		t.Fatal("empty render")
 	}
 }
 
@@ -66,9 +60,6 @@ func TestFigure11CorrectionWithinBound(t *testing.T) {
 		if v.Corrected >= v.Instrumented {
 			t.Errorf("%s corrected (%v) not below instrumented (%v)", v.Workload, v.Corrected, v.Instrumented)
 		}
-	}
-	if r.Render() == "" {
-		t.Fatal("empty render")
 	}
 }
 
@@ -96,8 +87,5 @@ func TestAppendixC4UncorrectedAnalysisDistorts(t *testing.T) {
 	if r.BackendBackpropUncorrected <= r.BackendBackpropCorrected {
 		t.Errorf("uncorrected backprop backend time (%v) not above corrected (%v)",
 			r.BackendBackpropUncorrected, r.BackendBackpropCorrected)
-	}
-	if r.Render() == "" {
-		t.Fatal("empty render")
 	}
 }

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/overlap"
@@ -35,32 +39,74 @@ func TestScopingAddsInformation(t *testing.T) {
 	}
 }
 
-// The renders stay exercised at a small scale; the figures' numeric claims
-// live in the grid.
-func TestRendersNonEmpty(t *testing.T) {
-	f4, err := Figure4(Options{Steps: 200, Seed: 1})
-	if err != nil {
-		t.Fatalf("Figure4: %v", err)
+// renderGolden is the SHA-256 of every render at Options{Steps: 100, Seed:
+// 1}, the smallest budget at which every row prints (at 60 steps Figure 4 has
+// no backpropagation rows). The renders are deterministic at any GOMAXPROCS.
+var renderGolden = map[string]string{
+	"table1":  "6964ff433360241914fa293ee387d4beb1c64bb462f2a26a7b599797f80a51df",
+	"fig3":    "6f481c0f5faae16deeb4f49d13b4d67e133046d904c078e98a0311fd50ee7277",
+	"fig4":    "7e05dfbb088b6b7d072fda6384ba880ce1b566202c9c2cb856cba7844b914096",
+	"fig5":    "f743bb21d60a1dff589dc250db0e9b486254febb10684990434974d76d4a966d",
+	"fig6":    "b432cfc03871b0d5012e8abb1c66653b77ee35b6be373feea6fcfd4c8b1da390",
+	"fig7":    "276f01db92b773e214a700637fbb34fd66252093bc078bde5c26b431cda5ccee",
+	"fig8":    "03c072bc3e4050ab871f601b327e3f0561c6490c88989c55f29b392dae3c026c",
+	"fig9":    "9db2347173c80cb4d26a6a080527faa76ea8187428f9c14d6ff1d486cd2998a4",
+	"fig10":   "40a50a0a0108141c05a4e813076a855771db09ef63d8da80708a50e95a51a228",
+	"fig11":   "d2eea2760de8850f0e0afbbcadab261e3c98acfba3b42cbc9aa93735b753aa34",
+	"c4":      "689ad9709fa34bd2767ec63d70e242b51e3d4ae1646c6b1d97da1b8afc634e86",
+	"scaling": "b2fe68333d37eb0bd8468ff8ee7a95b0fb2e19e31127105d72c4b41b51deaff4",
+	"stream":  "c3819d67849b157fdb41620efbafa4929feeee1f9da122a9119003a80ff1f731",
+}
+
+// TestRenderGolden pins every rendered table and figure byte for byte at a
+// small scale; the figures' numeric claims live in the grid.
+func TestRenderGolden(t *testing.T) {
+	opts := Options{Steps: 100, Seed: 1}
+	render := func(id string) (string, error) {
+		type renderer interface{ Render() string }
+		var r renderer
+		var err error
+		switch id {
+		case "table1":
+			return RenderTable1(), nil
+		case "fig3":
+			r = Figure3()
+		case "fig4":
+			r, err = Figure4(opts)
+		case "fig5":
+			r, err = Figure5(opts)
+		case "fig6":
+			return RenderFigure6(), nil
+		case "fig7":
+			r, err = Figure7(opts)
+		case "fig8":
+			r, err = Figure8(opts)
+		case "fig9":
+			r, err = Figure9(opts)
+		case "fig10":
+			r, err = Figure10(opts)
+		case "fig11":
+			r, err = Figure11(opts)
+		case "c4":
+			r, err = AppendixC4(opts)
+		case "scaling":
+			r, err = Figure8Scaling(opts)
+		case "stream":
+			r, err = StreamReplay(opts)
+		}
+		if err != nil {
+			return "", err
+		}
+		return r.Render(), nil
 	}
-	f5, err := Figure5(Options{Steps: 200, Seed: 1})
-	if err != nil {
-		t.Fatalf("Figure5: %v", err)
-	}
-	f7, err := Figure7(Options{Steps: 128, Seed: 1})
-	if err != nil {
-		t.Fatalf("Figure7: %v", err)
-	}
-	f8s, err := Figure8Scaling(Options{Steps: 50, Seed: 1})
-	if err != nil {
-		t.Fatalf("Figure8Scaling: %v", err)
-	}
-	if f4.Render() == "" || f5.Render() == "" || f7.Render() == "" || f8s.Render() == "" {
-		t.Fatal("empty figure render")
-	}
-	if RenderFigure6() == "" {
-		t.Fatal("empty figure 6 render")
-	}
-	if RenderTable1() == "" {
-		t.Fatal("empty table 1 render")
+	for _, id := range slices.Sorted(maps.Keys(renderGolden)) {
+		text, err := render(id)
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != renderGolden[id] {
+			t.Errorf("%s renders to sha256 %s, want %s:\n%s", id, got, renderGolden[id], text)
+		}
 	}
 }

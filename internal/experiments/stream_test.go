@@ -23,7 +23,4 @@ func TestStreamReplayFindings(t *testing.T) {
 	if r.Stats.Events != r.Events {
 		t.Fatalf("streamed %d events, trace has %d", r.Stats.Events, r.Events)
 	}
-	if r.Render() == "" {
-		t.Fatal("empty render")
-	}
 }
