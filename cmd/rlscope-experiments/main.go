@@ -5,6 +5,9 @@
 //
 //	rlscope-experiments -run all
 //	rlscope-experiments -run fig4,fig5 -steps 1000
+//
+// Exit status: 0 on success, 1 when an experiment fails, 2 on an unknown
+// id (refused before anything runs), 130 on interrupt.
 package main
 
 import (
@@ -19,28 +22,19 @@ import (
 	"repro/internal/experiments"
 )
 
-var order = []string{
-	"table1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-	"fig9", "fig10", "fig11", "c4", "scaling", "stream",
-}
-
 func main() {
+	all, _ := experiments.Select("all")
 	var (
-		run   = flag.String("run", "all", "comma-separated experiment ids: "+strings.Join(order, ","))
+		run   = flag.String("run", "all", "comma-separated experiment ids: "+strings.Join(all, ","))
 		steps = flag.Int("steps", 0, "environment-step budget per workload (0 = per-figure default)")
 		seed  = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
 
-	want := map[string]bool{}
-	if *run == "all" {
-		for _, id := range order {
-			want[id] = true
-		}
-	} else {
-		for _, id := range strings.Split(*run, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
+	ids, err := experiments.Select(*run)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rlscope-experiments: %v\n", err)
+		os.Exit(2)
 	}
 	// Ctrl-C cancels the experiment pipelines' context: the harnesses stop
 	// dispatching replay/analysis jobs, drain the in-flight ones, and the
@@ -48,101 +42,19 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	opts := experiments.Options{Steps: *steps, Seed: *seed, Context: ctx}
-
-	for _, id := range order {
-		if !want[id] {
-			continue
-		}
-		delete(want, id)
+	for _, id := range ids {
 		if err := ctx.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "rlscope-experiments: interrupted before %s: %v\n", id, err)
 			os.Exit(130)
 		}
-		if err := runOne(id, opts); err != nil {
+		text, err := experiments.Render(id, opts)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "rlscope-experiments: %s: %v\n", id, err)
 			if ctx.Err() != nil {
-				fmt.Fprintf(os.Stderr, "rlscope-experiments: %s interrupted: %v\n", id, err)
 				os.Exit(130)
 			}
-			fmt.Fprintf(os.Stderr, "rlscope-experiments: %s: %v\n", id, err)
 			os.Exit(1)
 		}
+		fmt.Println(text)
 	}
-	for id := range want {
-		fmt.Fprintf(os.Stderr, "rlscope-experiments: unknown experiment %q\n", id)
-		os.Exit(2)
-	}
-}
-
-func runOne(id string, opts experiments.Options) error {
-	switch id {
-	case "table1":
-		fmt.Println(experiments.RenderTable1())
-	case "fig3":
-		fmt.Println(experiments.Figure3().Render())
-	case "fig4":
-		r, err := experiments.Figure4(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	case "fig5":
-		r, err := experiments.Figure5(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	case "fig6":
-		fmt.Println(experiments.RenderFigure6())
-	case "fig7":
-		r, err := experiments.Figure7(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	case "fig8":
-		r, err := experiments.Figure8(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	case "fig9":
-		r, err := experiments.Figure9(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	case "fig10":
-		r, err := experiments.Figure10(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	case "fig11":
-		r, err := experiments.Figure11(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	case "c4":
-		r, err := experiments.AppendixC4(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	case "scaling":
-		r, err := experiments.Figure8Scaling(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	case "stream":
-		r, err := experiments.StreamReplay(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Render())
-	default:
-		return fmt.Errorf("unknown experiment id")
-	}
-	return nil
 }

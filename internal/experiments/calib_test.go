@@ -77,9 +77,9 @@ func TestAppendixC4UncorrectedAnalysisDistorts(t *testing.T) {
 		t.Errorf("total inflation %.2fx, want well above 1 (paper 1.6–2.2x)", r.TotalInflation)
 	}
 	// Uncorrected analysis overstates Backend time in both operations —
-	// the distortion behind Appendix C.4's bottleneck shift. (The exact
-	// inference↔backprop ranking flip the paper sees needs non-uniform
-	// per-call backend costs; see EXPERIMENTS.md.)
+	// the distortion behind Appendix C.4's bottleneck shift. (The paper's
+	// inference↔backprop ranking flip is not reproduced; DESIGN.md §3's
+	// Appendix C.4 row says why.)
 	if r.BackendInferenceUncorrected <= r.BackendInferenceCorrected {
 		t.Errorf("uncorrected inference backend time (%v) not above corrected (%v)",
 			r.BackendInferenceUncorrected, r.BackendInferenceCorrected)

@@ -239,26 +239,31 @@ func AppendixC4(opts Options) (*C4Result, error) {
 	corrected := analyzeMain(calib.Correct(full.Trace, cal))
 	uncorrected := analyzeMain(full.Trace)
 
-	ratio := func(res *overlap.Result) float64 {
-		var cudaTime, gpuTime vclock.Duration
-		for _, op := range res.OpNames() {
-			cudaTime += res.CategoryCPUTime(op, trace.CatCUDA)
-			gpuTime += res.GPUTime(op)
-		}
-		if gpuTime == 0 {
-			return 0
-		}
-		return cudaTime.Seconds() / gpuTime.Seconds()
-	}
+	ratioCorrected, _ := cudaGPURatio(corrected)
+	ratioUncorrected, _ := cudaGPURatio(uncorrected)
 	return &C4Result{
-		CUDAToGPURatioCorrected:     ratio(corrected),
-		CUDAToGPURatioUncorrected:   ratio(uncorrected),
+		CUDAToGPURatioCorrected:     ratioCorrected,
+		CUDAToGPURatioUncorrected:   ratioUncorrected,
 		TotalInflation:              float64(full.Total) / float64(base.Total),
 		BackendInferenceCorrected:   corrected.CategoryCPUTime(workloads.OpInference, trace.CatBackend),
 		BackendBackpropCorrected:    corrected.CategoryCPUTime(workloads.OpBackpropagation, trace.CatBackend),
 		BackendInferenceUncorrected: uncorrected.CategoryCPUTime(workloads.OpInference, trace.CatBackend),
 		BackendBackpropUncorrected:  uncorrected.CategoryCPUTime(workloads.OpBackpropagation, trace.CatBackend),
 	}, nil
+}
+
+// cudaGPURatio is F.8's metric, CPU-side CUDA API time over GPU kernel time;
+// false when res has no GPU time.
+func cudaGPURatio(res *overlap.Result) (float64, bool) {
+	var cudaTime, gpuTime vclock.Duration
+	for _, op := range res.OpNames() {
+		cudaTime += res.CategoryCPUTime(op, trace.CatCUDA)
+		gpuTime += res.GPUTime(op)
+	}
+	if gpuTime == 0 {
+		return 0, false
+	}
+	return cudaTime.Seconds() / gpuTime.Seconds(), true
 }
 
 // Render renders the Appendix C.4 comparison.

@@ -11,13 +11,13 @@ import (
 	"repro/internal/workloads"
 )
 
-// Figure4Entry is one framework configuration's profile (one bar group of
-// Figures 4a–4d).
+// Figure4Entry is one workload's profile: a bar group of Figures 4a–4d, 5
+// or 7.
 type Figure4Entry struct {
-	Algo  string
-	Model backend.ExecModel
-	Res   *overlap.Result
-	Total vclock.Duration
+	Algo, Env string
+	Model     backend.ExecModel
+	Res       *overlap.Result
+	Total     vclock.Duration
 }
 
 // Figure4Result holds the full framework-comparison study.
@@ -25,6 +25,9 @@ type Figure4Result struct {
 	TD3  []Figure4Entry // Figure 4a/4c: 4 configurations
 	DDPG []Figure4Entry // Figure 4b/4d: 3 configurations (no ReAgent DDPG, as in the paper)
 }
+
+// stages are the training-loop operations Figures 4, 5 and 7 break down.
+var stages = []string{workloads.OpBackpropagation, workloads.OpInference, workloads.OpSimulation}
 
 // td3Models lists Figure 4a's configurations in the paper's order.
 var td3Models = []backend.ExecModel{
@@ -48,49 +51,25 @@ func Figure4(opts Options) (*Figure4Result, error) {
 		TD3:  make([]Figure4Entry, len(td3Models)),
 		DDPG: make([]Figure4Entry, len(ddpgModels)),
 	}
-	type job struct {
-		figure string
-		algo   string
-		model  backend.ExecModel
-		dst    *Figure4Entry
-	}
-	var jobs []job
-	for i, m := range td3Models {
-		jobs = append(jobs, job{"4a", "TD3", m, &out.TD3[i]})
-	}
-	for i, m := range ddpgModels {
-		jobs = append(jobs, job{"4b", "DDPG", m, &out.DDPG[i]})
-	}
-	err := forEach(opts.ctx(), len(jobs), func(i int) error {
-		j := jobs[i]
-		res, stats, err := runUninstrumented(workloads.Spec{
-			Algo: j.algo, Env: "Walker2D", Model: j.model,
+	err := forEach(opts.ctx(), len(td3Models)+len(ddpgModels), func(i int) error {
+		algo, models, dst := "TD3", td3Models, out.TD3
+		if i >= len(td3Models) {
+			algo, models, dst, i = "DDPG", ddpgModels, out.DDPG, i-len(td3Models)
+		}
+		var err error
+		dst[i], err = profile(workloads.Spec{
+			Algo: algo, Env: "Walker2D", Model: models[i],
 			TotalSteps: steps, Seed: opts.Seed + 1,
 		})
 		if err != nil {
-			return fmt.Errorf("experiments: figure %s %v: %w", j.figure, j.model, err)
+			return fmt.Errorf("experiments: figure 4 %s %v: %w", algo, models[i], err)
 		}
-		*j.dst = Figure4Entry{Algo: j.algo, Model: j.model, Res: res, Total: stats.Total}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Entry returns the named configuration, or nil.
-func (r *Figure4Result) Entry(algo string, model backend.ExecModel) *Figure4Entry {
-	list := r.TD3
-	if algo == "DDPG" {
-		list = r.DDPG
-	}
-	for i := range list {
-		if list[i].Model == model {
-			return &list[i]
-		}
-	}
-	return nil
 }
 
 // Render renders Figures 4a–4d as text tables.
@@ -101,11 +80,8 @@ func (r *Figure4Result) Render() string {
 		var trows []report.TransitionRow
 		for _, e := range entries {
 			label := e.Model.String()
-			ops := []string{
-				workloads.OpBackpropagation, workloads.OpInference, workloads.OpSimulation,
-			}
-			rows = append(rows, report.FromResult(label, e.Res, ops))
-			trows = append(trows, report.Transitions(label, e.Res, ops)...)
+			rows = append(rows, report.FromResult(label, e.Res, stages))
+			trows = append(trows, report.Transitions(label, e.Res, stages)...)
 		}
 		sb.WriteString(report.Table(title+" — time breakdown", rows))
 		sb.WriteString(report.TransitionTable(title+" — language transitions", trows))
@@ -117,7 +93,7 @@ func (r *Figure4Result) Render() string {
 
 // Figure5Result holds the RL-algorithm survey (Figure 5).
 type Figure5Result struct {
-	Entries []Figure4Entry // reuses the entry shape; Model is Graph for all
+	Entries []Figure4Entry // Model is Graph for all
 }
 
 // figure5Algos lists the surveyed algorithms in the paper's order with
@@ -136,16 +112,13 @@ func Figure5(opts Options) (*Figure5Result, error) {
 	steps := opts.steps(2000)
 	out := &Figure5Result{Entries: make([]Figure4Entry, len(figure5Algos))}
 	err := forEach(opts.ctx(), len(figure5Algos), func(i int) error {
-		a := figure5Algos[i]
-		res, stats, err := runUninstrumented(workloads.Spec{
-			Algo: a.Name, Env: "Walker2D", Model: backend.Graph,
+		var err error
+		out.Entries[i], err = profile(workloads.Spec{
+			Algo: figure5Algos[i].Name, Env: "Walker2D", Model: backend.Graph,
 			TotalSteps: steps, Seed: opts.Seed + 2,
 		})
 		if err != nil {
-			return fmt.Errorf("experiments: figure 5 %s: %w", a.Name, err)
-		}
-		out.Entries[i] = Figure4Entry{
-			Algo: a.Name, Model: backend.Graph, Res: res, Total: stats.Total,
+			return fmt.Errorf("experiments: figure 5 %s: %w", figure5Algos[i].Name, err)
 		}
 		return nil
 	})
@@ -153,16 +126,6 @@ func Figure5(opts Options) (*Figure5Result, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Entry returns the named algorithm's profile, or nil.
-func (r *Figure5Result) Entry(algo string) *Figure4Entry {
-	for i := range r.Entries {
-		if r.Entries[i].Algo == algo {
-			return &r.Entries[i]
-		}
-	}
-	return nil
 }
 
 // SimulationFraction returns simulation time / total time for one entry.
@@ -184,16 +147,12 @@ func (e *Figure4Entry) GPUFraction() float64 {
 // Render renders Figure 5.
 func (r *Figure5Result) Render() string {
 	var rows []*report.Breakdown
-	for _, e := range r.Entries {
+	for i, e := range r.Entries {
 		kind := "Off-policy"
-		for _, a := range figure5Algos {
-			if a.Name == e.Algo && a.OnPolicy {
-				kind = "On-policy"
-			}
+		if figure5Algos[i].OnPolicy {
+			kind = "On-policy"
 		}
-		rows = append(rows, report.FromResult(
-			fmt.Sprintf("%s (%s)", e.Algo, kind), e.Res,
-			[]string{workloads.OpBackpropagation, workloads.OpInference, workloads.OpSimulation}))
+		rows = append(rows, report.FromResult(fmt.Sprintf("%s (%s)", e.Algo, kind), e.Res, stages))
 	}
 	return report.Table("Figure 5: algorithm choice (Walker2D, stable-baselines)", rows)
 }

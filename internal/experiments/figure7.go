@@ -27,16 +27,9 @@ func RenderFigure6() string {
 	return sb.String()
 }
 
-// Figure7Entry is one simulator's profile under PPO2.
-type Figure7Entry struct {
-	Env   string
-	Res   *overlap.Result
-	Total vclock.Duration
-}
-
 // Figure7Result holds the simulator survey.
 type Figure7Result struct {
-	Entries []Figure7Entry
+	Entries []Figure4Entry
 }
 
 // Figure7 runs the simulator survey: the top-performing on-policy algorithm
@@ -45,7 +38,7 @@ type Figure7Result struct {
 // pool.
 func Figure7(opts Options) (*Figure7Result, error) {
 	steps := opts.steps(1024)
-	out := &Figure7Result{Entries: make([]Figure7Entry, len(sim.SurveyNames))}
+	out := &Figure7Result{Entries: make([]Figure4Entry, len(sim.SurveyNames))}
 	err := forEach(opts.ctx(), len(sim.SurveyNames), func(i int) error {
 		env := sim.SurveyNames[i]
 		envSteps := steps
@@ -55,14 +48,14 @@ func Figure7(opts Options) (*Figure7Result, error) {
 			// the breakdown shape is unchanged.
 			envSteps = steps / 4
 		}
-		res, stats, err := runUninstrumented(workloads.Spec{
+		var err error
+		out.Entries[i], err = profile(workloads.Spec{
 			Algo: "PPO2", Env: env, Model: backend.Graph,
 			TotalSteps: envSteps, Seed: opts.Seed + 3,
 		})
 		if err != nil {
 			return fmt.Errorf("experiments: figure 7 %s: %w", env, err)
 		}
-		out.Entries[i] = Figure7Entry{Env: env, Res: res, Total: stats.Total}
 		return nil
 	})
 	if err != nil {
@@ -71,38 +64,11 @@ func Figure7(opts Options) (*Figure7Result, error) {
 	return out, nil
 }
 
-// Entry returns the named environment's profile, or nil.
-func (r *Figure7Result) Entry(env string) *Figure7Entry {
-	for i := range r.Entries {
-		if r.Entries[i].Env == env {
-			return &r.Entries[i]
-		}
-	}
-	return nil
-}
-
-// SimulationFraction returns simulation / total time.
-func (e *Figure7Entry) SimulationFraction() float64 {
-	if e.Res.Total() == 0 {
-		return 0
-	}
-	return e.Res.OpTotal(workloads.OpSimulation).Seconds() / e.Res.Total().Seconds()
-}
-
-// GPUFraction returns device time / total time.
-func (e *Figure7Entry) GPUFraction() float64 {
-	if e.Res.Total() == 0 {
-		return 0
-	}
-	return e.Res.TotalGPUTime().Seconds() / e.Res.Total().Seconds()
-}
-
 // Render renders Figure 7.
 func (r *Figure7Result) Render() string {
 	var rows []*report.Breakdown
 	for _, e := range r.Entries {
-		rows = append(rows, report.FromResult(e.Env, e.Res,
-			[]string{workloads.OpBackpropagation, workloads.OpInference, workloads.OpSimulation}))
+		rows = append(rows, report.FromResult(e.Env, e.Res, stages))
 	}
 	return report.Table("Figure 7: simulator choice (PPO2)", rows)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/overlap"
@@ -61,46 +62,11 @@ var renderGolden = map[string]string{
 // TestRenderGolden pins every rendered table and figure byte for byte at a
 // small scale; the figures' numeric claims live in the grid.
 func TestRenderGolden(t *testing.T) {
-	opts := Options{Steps: 100, Seed: 1}
-	render := func(id string) (string, error) {
-		type renderer interface{ Render() string }
-		var r renderer
-		var err error
-		switch id {
-		case "table1":
-			return RenderTable1(), nil
-		case "fig3":
-			r = Figure3()
-		case "fig4":
-			r, err = Figure4(opts)
-		case "fig5":
-			r, err = Figure5(opts)
-		case "fig6":
-			return RenderFigure6(), nil
-		case "fig7":
-			r, err = Figure7(opts)
-		case "fig8":
-			r, err = Figure8(opts)
-		case "fig9":
-			r, err = Figure9(opts)
-		case "fig10":
-			r, err = Figure10(opts)
-		case "fig11":
-			r, err = Figure11(opts)
-		case "c4":
-			r, err = AppendixC4(opts)
-		case "scaling":
-			r, err = Figure8Scaling(opts)
-		case "stream":
-			r, err = StreamReplay(opts)
-		}
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
+	if ids := slices.Sorted(maps.Keys(renderGolden)); !slices.Equal(slices.Sorted(slices.Values(renders)), ids) {
+		t.Fatalf("render ids %v, golden ids %v", renders, ids)
 	}
-	for _, id := range slices.Sorted(maps.Keys(renderGolden)) {
-		text, err := render(id)
+	for _, id := range renders {
+		text, err := Render(id, Options{Steps: 100, Seed: 1})
 		if err != nil {
 			t.Errorf("%s: %v", id, err)
 			continue
@@ -108,5 +74,25 @@ func TestRenderGolden(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != renderGolden[id] {
 			t.Errorf("%s renders to sha256 %s, want %s:\n%s", id, got, renderGolden[id], text)
 		}
+	}
+}
+
+// TestSelectRefusesUnknownIDs: an unknown -run id is an error that names
+// every known one, before anything runs.
+func TestSelectRefusesUnknownIDs(t *testing.T) {
+	_, err := Select("fig3,nope")
+	if err == nil || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("Select(fig3,nope) = %v, want an error naming nope", err)
+	}
+	for _, id := range renders {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("error %q does not name the known id %s", err, id)
+		}
+	}
+	if got, err := Select(" fig5,fig3"); err != nil || !slices.Equal(got, []string{"fig3", "fig5"}) {
+		t.Errorf("Select(fig5,fig3) = %v, %v; want [fig3 fig5] in table order", got, err)
+	}
+	if _, err := Render("seedrepro", Options{}); err == nil {
+		t.Error("Render of a metric-only bundle did not fail")
 	}
 }

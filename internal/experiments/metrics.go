@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strings"
+	"slices"
 	"time"
 
 	"repro/internal/backend"
@@ -14,60 +14,13 @@ import (
 	"repro/internal/workloads"
 )
 
-// This file exposes every experiment as a structured metric bundle — a flat
-// name → scalar map computed at one ⟨experiment, steps, seed⟩ grid cell —
-// so the hypothesis harness (internal/hypothesis) can evaluate the paper's
-// findings F.1–F.12 and the repo's own scaling claims declaratively instead
-// of through hand-written test assertions. All bundles except the two
-// timing ones (sweepscale, servecache) measure the simulated clock and are
+// The metric bundles the experiment table names: each a flat name → scalar
+// map computed at one ⟨experiment, steps, seed⟩ grid cell, so the hypothesis
+// harness (internal/hypothesis) can evaluate the paper's findings F.1–F.12
+// and the repo's own scaling claims declaratively instead of through
+// hand-written test assertions. All bundles except the two timing ones
+// (sweepscale, servecache) measure the simulated clock and are
 // byte-deterministic per cell.
-
-// MetricExperiments lists the bundle ids Metrics accepts.
-var MetricExperiments = []string{
-	"table1", "fig3", "fig4", "fig5", "fig7", "fig8",
-	"scaling", "stream", "seedrepro", "sweepscale", "multihost",
-	"servecache", "ingest", "formatv2", "fleet",
-}
-
-// Metrics computes the named experiment's metric bundle. The bundle names
-// are stable: the committed hypothesis grid references them.
-func Metrics(ctx context.Context, experiment string, steps int, seed int64) (map[string]float64, error) {
-	opts := Options{Steps: steps, Seed: seed, Context: ctx}
-	switch experiment {
-	case "table1":
-		return table1Metrics(), nil
-	case "fig3":
-		return fig3Metrics(), nil
-	case "fig4":
-		return fig4Metrics(opts)
-	case "fig5":
-		return fig5Metrics(opts)
-	case "fig7":
-		return fig7Metrics(opts)
-	case "fig8":
-		return fig8Metrics(opts)
-	case "scaling":
-		return scalingMetrics(opts)
-	case "stream":
-		return streamMetrics(opts)
-	case "seedrepro":
-		return seedReproMetrics(opts)
-	case "sweepscale":
-		return sweepScaleMetrics(opts)
-	case "multihost":
-		return multihostMetrics(opts)
-	case "servecache":
-		return serveCacheMetrics(opts)
-	case "ingest":
-		return ingestMetrics(opts)
-	case "formatv2":
-		return formatv2Metrics(opts)
-	case "fleet":
-		return fleetMetrics(opts)
-	}
-	return nil, fmt.Errorf("experiments: unknown metric experiment %q (have %s)",
-		experiment, strings.Join(MetricExperiments, ","))
-}
 
 // modelKey is the stable short name metric bundles use for an execution
 // model.
@@ -85,37 +38,33 @@ func modelKey(m backend.ExecModel) string {
 	return "unknown"
 }
 
-func table1Metrics() map[string]float64 {
+func table1Metrics(Options) (map[string]float64, error) {
 	rows := Table1()
 	want := map[string]string{
 		"stable-baselines": "TensorFlow 2.2.0",
 		"ReAgent":          "PyTorch 1.6.0",
 	}
-	match := 1.0
+	match := true
 	for _, r := range rows {
 		if b, ok := want[r.Framework]; ok && r.Backend != b {
-			match = 0
+			match = false
 		}
-	}
-	rendered := 0.0
-	if RenderTable1() != "" {
-		rendered = 1
 	}
 	return map[string]float64{
 		"rows":          float64(len(rows)),
-		"backend_match": match,
-		"rendered":      rendered,
-	}
+		"backend_match": boolMetric(match),
+		"rendered":      boolMetric(RenderTable1() != ""),
+	}, nil
 }
 
-func fig3Metrics() map[string]float64 {
+func fig3Metrics(Options) (map[string]float64, error) {
 	r := Figure3()
 	ms := func(d vclock.Duration) float64 { return float64(d) / float64(vclock.Millisecond) }
 	return map[string]float64{
 		"cpu_mcts_ms":       ms(r.CPUMcts),
 		"cpu_expand_ms":     ms(r.CPUExpand),
 		"overlap_expand_ms": ms(r.OverlapExpand),
-	}
+	}, nil
 }
 
 // pythonInfBp is F.2's metric: Python CPU time inside inference and
@@ -145,19 +94,9 @@ func fig4Metrics(opts Options) (map[string]float64, error) {
 		m["trans_pb_bp/"+key] = float64(e.Res.TransitionCount(workloads.OpBackpropagation, trace.TransPythonToBackend))
 		frac := e.GPUFraction()
 		m["gpufrac/"+key] = frac
-		if frac < gpuMin {
-			gpuMin = frac
-		}
-		if frac > gpuMax {
-			gpuMax = frac
-		}
-		var cudaTime, gpuTime vclock.Duration
-		for _, op := range e.Res.OpNames() {
-			cudaTime += e.Res.CategoryCPUTime(op, trace.CatCUDA)
-			gpuTime += e.Res.GPUTime(op)
-		}
-		if gpuTime > 0 {
-			cudaRatios = append(cudaRatios, cudaTime.Seconds()/gpuTime.Seconds())
+		gpuMin, gpuMax = min(gpuMin, frac), max(gpuMax, frac)
+		if ratio, ok := cudaGPURatio(e.Res); ok {
+			cudaRatios = append(cudaRatios, ratio)
 		}
 	}
 	for i := range r.TD3 {
@@ -167,16 +106,13 @@ func fig4Metrics(opts Options) (map[string]float64, error) {
 		forEntry(&r.DDPG[i])
 	}
 	m["gpufrac/min"], m["gpufrac/max"] = gpuMin, gpuMax
-	cudaMin, cudaSum := 0.0, 0.0
-	for i, x := range cudaRatios {
-		if i == 0 || x < cudaMin {
-			cudaMin = x
-		}
-		cudaSum += x
-	}
 	if n := len(cudaRatios); n > 0 {
-		m["cuda_gpu/avg"] = cudaSum / float64(n)
-		m["cuda_gpu/min"] = cudaMin
+		sum := 0.0
+		for _, x := range cudaRatios {
+			sum += x
+		}
+		m["cuda_gpu/avg"] = sum / float64(n)
+		m["cuda_gpu/min"] = slices.Min(cudaRatios)
 	}
 	m["bp_ratio/TD3"] = m["backprop/TD3/graph"] / m["backprop/TD3/autograph"]
 	m["bp_ratio/DDPG"] = m["backprop/DDPG/graph"] / m["backprop/DDPG/autograph"]
@@ -184,14 +120,14 @@ func fig4Metrics(opts Options) (map[string]float64, error) {
 	// The paper's F.5 confirmation run: DDPG's consecutive-simulator-steps
 	// hyperparameter raised to TD3's 1000, removing the Autograph
 	// loop-entry inflation.
-	res, _, err := runUninstrumented(workloads.Spec{
+	fixed, err := profile(workloads.Spec{
 		Algo: "DDPG", Env: "Walker2D", Model: backend.Autograph,
 		TotalSteps: opts.steps(2000), Seed: opts.Seed + 1, CollectStepsOverride: 1000,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig4 metrics (DDPG@1000): %w", err)
 	}
-	m["simpy_fixed/DDPG"] = res.CategoryCPUTime(workloads.OpSimulation, trace.CatPython).Seconds()
+	m["simpy_fixed/DDPG"] = fixed.Res.CategoryCPUTime(workloads.OpSimulation, trace.CatPython).Seconds()
 	return m, nil
 }
 
@@ -203,8 +139,8 @@ func fig5Metrics(opts Options) (map[string]float64, error) {
 	m := map[string]float64{}
 	minOn, maxOff := 1.0, 0.0
 	opGPUMax, cpuShareMin := 0.0, 1.0
-	for _, a := range figure5Algos {
-		e := r.Entry(a.Name)
+	for i, a := range figure5Algos {
+		e := &r.Entries[i]
 		frac := e.SimulationFraction()
 		m["simfrac/"+a.Name] = frac
 		if a.OnPolicy && frac < minOn {
@@ -299,12 +235,8 @@ func streamMetrics(opts Options) (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	identical := 0.0
-	if r.Identical {
-		identical = 1
-	}
 	return map[string]float64{
-		"identical":              identical,
+		"identical":              boolMetric(r.Identical),
 		"peak_over_budget":       float64(r.Stats.PeakResidentBytes) / float64(r.MaxResidentBytes),
 		"peak_over_materialized": float64(r.Stats.PeakResidentBytes) / float64(r.MaterializedBytes),
 	}, nil

@@ -85,16 +85,6 @@ func Figure8Scaling(opts Options) (*ScalingResult, error) {
 	return out, nil
 }
 
-// Point returns the entry for one worker count, or nil.
-func (r *ScalingResult) Point(workers int) *ScalingPoint {
-	for i := range r.Points {
-		if r.Points[i].Workers == workers {
-			return &r.Points[i]
-		}
-	}
-	return nil
-}
-
 // Render renders the scaling sweep.
 func (r *ScalingResult) Render() string {
 	var sb strings.Builder

@@ -53,12 +53,7 @@ func StreamReplay(opts Options) (*StreamReplayResult, error) {
 		return nil, fmt.Errorf("experiments: stream replay: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	w, err := trace.NewWriter(dir, 1<<16)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: stream replay: %w", err)
-	}
-	w.Append(tr.Events...)
-	if err := w.Close(tr.Meta); err != nil {
+	if err := writeTraceDir(dir, tr); err != nil {
 		return nil, fmt.Errorf("experiments: stream replay: %w", err)
 	}
 
@@ -88,7 +83,7 @@ func StreamReplay(opts Options) (*StreamReplayResult, error) {
 
 	return &StreamReplayResult{
 		Events:            len(tr.Events),
-		Chunks:            w.ChunksWritten(),
+		Chunks:            r.NumChunks(),
 		MaxResidentBytes:  budget,
 		Stats:             stats,
 		Identical:         reflect.DeepEqual(streamed, want),

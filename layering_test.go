@@ -13,6 +13,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/hypothesis"
 )
 
 // TestInternalDoesNotImportFacade pins the layering: this package is a
@@ -241,9 +244,9 @@ func TestOneWayEach(t *testing.T) {
 }
 
 // docNames matches the names README.md and DESIGN.md use for things in the
-// tree: an internal package, a command (by path or by binary name) and a
-// benchmark function.
-var docNames = regexp.MustCompile(`\binternal/[a-z0-9_]+|\bcmd/[a-z0-9-]+|\brlscope-[a-z0-9-]+|\bBenchmark[A-Z]\w*`)
+// tree: an internal package, a command (by path or by binary name), an
+// example program and a benchmark function.
+var docNames = regexp.MustCompile(`\binternal/[a-z0-9_]+|\bcmd/[a-z0-9-]+|\brlscope-[a-z0-9-]+|\bexamples/[a-z0-9_]+|\bBenchmark[A-Z]\w*`)
 
 // docSpans matches the code spans of one line of markdown, docFlag the flag
 // a word of one spells (`-workers`, `-timing=false`, `-label k=v`), docIdent
@@ -253,6 +256,13 @@ var (
 	docSpans = regexp.MustCompile("`[^`]+`")
 	docFlag  = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
 	docIdent = regexp.MustCompile(`\b([a-z][a-z0-9]*)((?:\.[A-Z]\w*)+)`)
+)
+
+// docHypothesis matches a hypothesis id (`F.10`, `D.seed-repro`), docRun the
+// experiment ids of an `rlscope-experiments -run` command line.
+var (
+	docHypothesis = regexp.MustCompile(`\b[FDR]\.[a-z0-9]+(?:-[a-z0-9]+)*`)
+	docRun        = regexp.MustCompile(`rlscope-experiments -run ([\w,]+)`)
 )
 
 // packageIdents returns, per internal package (by directory name), every
@@ -343,13 +353,16 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 }
 
 // TestDocsNameWhatExists fails when README.md or DESIGN.md names a package,
-// command, benchmark, command-line flag or internal package identifier that
-// is no longer in the tree, so a deletion cannot leave its documentation
-// behind. A flag is a code span that starts with one (`-workers N`): it must
-// be defined by a command named on the same line, or — prose wraps — by any
-// command when the line names none. A span that is a command line
-// (`rlscope-hyp -gate`) is held to that command's flags. A span's
-// `pkg.Name.Field` is held to what internal/pkg declares, name by name.
+// command, example, benchmark, command-line flag, internal package
+// identifier, hypothesis or experiment id that is no longer in the tree, so a
+// deletion cannot leave its documentation behind. A flag is a code span that
+// starts with one (`-workers N`): it must be defined by a command named on
+// the same line, or — prose wraps — by any command when the line names none.
+// A span that is a command line (`rlscope-hyp -gate`) is held to that
+// command's flags. A span's `pkg.Name.Field` is held to what internal/pkg
+// declares, name by name, and its hypothesis ids to hypotheses.json. The ids
+// an `rlscope-experiments -run` line names must be ids the experiment table
+// renders.
 func TestDocsNameWhatExists(t *testing.T) {
 	benchmarks := map[string]bool{}
 	fset := token.NewFileSet()
@@ -386,6 +399,10 @@ func TestDocsNameWhatExists(t *testing.T) {
 	flags := commandFlags(t)
 	idents := packageIdents(t)
 	everyCommand := slices.Sorted(maps.Keys(flags))
+	grid, err := hypothesis.LoadGrid("hypotheses.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	defines := func(cmds []string, flag string) bool {
 		return slices.ContainsFunc(cmds, func(cmd string) bool { return flags[cmd][flag] })
 	}
@@ -412,11 +429,21 @@ func TestDocsNameWhatExists(t *testing.T) {
 					t.Errorf("%s:%d names %s, which is not in the tree", doc, i+1, name)
 				}
 			}
+			for _, m := range docRun.FindAllStringSubmatch(line, -1) {
+				if _, err := experiments.Select(m[1]); err != nil {
+					t.Errorf("%s:%d runs %s: %v", doc, i+1, m[0], err)
+				}
+			}
 			named := everyCommand
 			if onLine := slices.DeleteFunc(docNames.FindAllString(line, -1), func(name string) bool { return flags[name] == nil }); len(onLine) > 0 {
 				named = onLine
 			}
 			for _, span := range docSpans.FindAllString(line, -1) {
+				for _, id := range docHypothesis.FindAllString(span, -1) {
+					if grid.Find(id) == nil {
+						t.Errorf("%s:%d names hypothesis %s, which hypotheses.json does not hold", doc, i+1, id)
+					}
+				}
 				for _, m := range docIdent.FindAllStringSubmatch(span, -1) {
 					for _, name := range strings.Split(m[2], ".")[1:] {
 						if names := idents[m[1]]; names != nil && !names[name] {
