@@ -26,20 +26,11 @@ func New(sess *profiler.Session, ctx *cuda.Context, model ExecModel) *Backend {
 	return &Backend{sess: sess, ctx: ctx, model: model, costs: model.Costs()}
 }
 
-// NewWithCosts creates a backend with a custom cost model (ablation benches
-// use this).
-func NewWithCosts(sess *profiler.Session, ctx *cuda.Context, model ExecModel, costs CostModel) *Backend {
-	return &Backend{sess: sess, ctx: ctx, model: model, costs: costs}
-}
-
 // Model returns the backend's execution model.
 func (b *Backend) Model() ExecModel { return b.model }
 
 // Session returns the owning profiler session.
 func (b *Backend) Session() *profiler.Session { return b.sess }
-
-// Context returns the CUDA context.
-func (b *Backend) Context() *cuda.Context { return b.ctx }
 
 // Comp is the handle passed to a computation body; primitives issued
 // through it are timed according to the execution model.
@@ -166,14 +157,5 @@ func (c *Comp) memop(name string, dir cuda.Direction, bytes int) {
 func (b *Backend) AutographLoopEntry() {
 	if b.model == Autograph {
 		b.sess.Python(b.costs.LoopEntry)
-	}
-}
-
-// AutographCollectLoop runs one data-collection segment: the loop-entry
-// cost followed by the per-step body.
-func (b *Backend) AutographCollectLoop(steps int, stepFn func(i int)) {
-	b.AutographLoopEntry()
-	for i := 0; i < steps; i++ {
-		stepFn(i)
 	}
 }

@@ -80,9 +80,6 @@ func (m ExecModel) Framework() string {
 // Eager reports whether the model dispatches per-operator from the driver.
 func (m ExecModel) Eager() bool { return m == EagerTF || m == EagerPyTorch }
 
-// AllModels lists every execution model in Table 1 order.
-var AllModels = []ExecModel{EagerPyTorch, Autograph, EagerTF, Graph}
-
 // CompKind classifies a computation for cost modelling; the Autograph
 // inference anomaly (F.6) applies only to inference computations.
 type CompKind uint8

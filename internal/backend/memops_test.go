@@ -86,7 +86,7 @@ func TestNewWithCostsOverrides(t *testing.T) {
 	p := profiler.New(profiler.Options{Workload: "x", Flags: trace.Uninstrumented(), Seed: 3})
 	s := p.NewProcess("t", -1, 0)
 	ctx := cuda.NewContext(s, gpu.NewDevice(-1), cuda.DefaultCosts())
-	b := NewWithCosts(s, ctx, Graph, costs)
+	b := &Backend{sess: s, ctx: ctx, model: Graph, costs: costs}
 	rng := rand.New(rand.NewSource(1))
 	net := NewNetwork(rng, "n", []int{2, 4, 1}, nn.Tanh, nn.Identity)
 	x := nn.NewTensor(1, 2)
@@ -104,25 +104,6 @@ func TestNewWithCostsOverrides(t *testing.T) {
 		}
 	}
 	t.Fatal("no kernels launched")
-}
-
-func TestSGDStepFusedUpdatesParams(t *testing.T) {
-	b, _, s := newBench(t, Graph)
-	rng := rand.New(rand.NewSource(2))
-	net := NewNetwork(rng, "n", []int{2, 2}, nn.Identity, nn.Identity)
-	for _, param := range net.MLP.Params() {
-		param.Grad.Fill(1)
-	}
-	before := net.MLP.Params()[0].Value.At(0, 0)
-	opt := &nn.SGD{LR: 0.5}
-	b.Compute("sgd", KindBackprop, func(c *Comp) {
-		c.SGDStepFused(net, opt)
-	})
-	s.Close()
-	after := net.MLP.Params()[0].Value.At(0, 0)
-	if after != before-0.5 {
-		t.Fatalf("SGD step wrong: %v -> %v", before, after)
-	}
 }
 
 func TestParamBytes(t *testing.T) {

@@ -106,16 +106,6 @@ func (c *Comp) AdamStepFused(net *Network, opt *nn.Adam) {
 	}
 }
 
-// SGDStepFused applies SGD on the device, one kernel per parameter tensor.
-func (c *Comp) SGDStepFused(net *Network, opt *nn.SGD) {
-	for _, p := range net.MLP.Params() {
-		param := p
-		c.Op(net.Name+"/sgd/"+param.Name, float64(2*param.Value.Size()), 1, func() {
-			opt.Step([]*nn.Param{param})
-		})
-	}
-}
-
 // PolyakUpdate blends net into target on-device (soft target-network
 // update). In stable-baselines Graph implementations this runs as its own
 // session call; callers decide the Compute boundary.

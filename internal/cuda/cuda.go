@@ -37,15 +37,6 @@ const (
 	APIDeviceSynchronize = "cudaDeviceSynchronize"
 )
 
-// APINames lists every modelled API, in a stable order.
-var APINames = []string{
-	APILaunchKernel,
-	APIMemcpyAsync,
-	APIMemcpy,
-	APIStreamSynchronize,
-	APIDeviceSynchronize,
-}
-
 // Direction of a memory copy.
 type Direction uint8
 
@@ -155,8 +146,7 @@ type Context struct {
 	// from this context; Synchronize waits for it.
 	lastEnd vclock.Time
 
-	// counts tracks API invocations, the denominator of delta
-	// calibration.
+	// counts tracks API invocations per API name.
 	counts map[string]int
 }
 
@@ -170,21 +160,6 @@ func NewContext(rec Recorder, dev *gpu.Device, costs Costs) *Context {
 		costs:  costs,
 		counts: map[string]int{},
 	}
-}
-
-// Stream returns the context's stream ID.
-func (c *Context) Stream() gpu.StreamID { return c.stream }
-
-// Device returns the underlying device.
-func (c *Context) Device() *gpu.Device { return c.dev }
-
-// APICounts returns a copy of per-API invocation counts.
-func (c *Context) APICounts() map[string]int {
-	out := make(map[string]int, len(c.counts))
-	for k, v := range c.counts {
-		out[k] = v
-	}
-	return out
 }
 
 // apiCall wraps one CUDA API invocation: librlscope's interception hook runs
@@ -289,12 +264,5 @@ func (c *Context) Memcpy(dir Direction, bytes int) {
 func (c *Context) StreamSynchronize() {
 	c.apiCall(APIStreamSynchronize, func(issue vclock.Time) {
 		c.rec.Clock().AdvanceTo(c.lastEnd)
-	})
-}
-
-// DeviceSynchronize blocks the CPU until every stream on the device drains.
-func (c *Context) DeviceSynchronize() {
-	c.apiCall(APIDeviceSynchronize, func(issue vclock.Time) {
-		c.rec.Clock().AdvanceTo(c.dev.DeviceTail())
 	})
 }

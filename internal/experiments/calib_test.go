@@ -25,8 +25,15 @@ func TestFigure10DifferenceOfAverage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Figure10: %v", err)
 	}
-	launch := r.Row(cuda.APILaunchKernel)
-	memcpy := r.Row(cuda.APIMemcpyAsync)
+	var launch, memcpy *Figure10Row
+	for i := range r.Rows {
+		switch r.Rows[i].API {
+		case cuda.APILaunchKernel:
+			launch = &r.Rows[i]
+		case cuda.APIMemcpyAsync:
+			memcpy = &r.Rows[i]
+		}
+	}
 	if launch == nil || memcpy == nil {
 		t.Fatal("missing API rows")
 	}

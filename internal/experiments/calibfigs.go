@@ -105,16 +105,6 @@ func Figure10(opts Options) (*Figure10Result, error) {
 	return out, nil
 }
 
-// Row returns the named API's row, or nil.
-func (r *Figure10Result) Row(api string) *Figure10Row {
-	for i := range r.Rows {
-		if r.Rows[i].API == api {
-			return &r.Rows[i]
-		}
-	}
-	return nil
-}
-
 // Render renders Figure 10.
 func (r *Figure10Result) Render() string {
 	var sb strings.Builder

@@ -238,9 +238,6 @@ func Compile(q Query) (*Plan, error) {
 	return p, nil
 }
 
-// Match applies the plan's filter clause.
-func (p *Plan) Match(t Trace) bool { return p.matcher.Match(t) }
-
 // ResultLoader produces the per-process overlap results of one trace —
 // from a content-addressed store, a fresh Engine run, whatever the front
 // end has. Execute calls it once per matched trace, in ascending trace-id

@@ -120,17 +120,6 @@ func (b *Board) ToPlay() Color { return b.toPlay }
 // Moves returns the number of moves played (including passes).
 func (b *Board) Moves() int { return b.moves }
 
-// Hash returns the Zobrist hash of (stones, side to move).
-func (b *Board) Hash() uint64 {
-	if b.toPlay == White {
-		return b.hash ^ b.zob.turn
-	}
-	return b.hash
-}
-
-// At returns the stone at point p (row*N+col).
-func (b *Board) At(p int) Color { return b.cells[p] }
-
 // Point converts row/col to a point index.
 func (b *Board) Point(row, col int) int { return row*b.N + col }
 

@@ -27,7 +27,7 @@ func TestSimpleCapture(t *testing.T) {
 		b.Point(4, 3), // W elsewhere
 		b.Point(2, 1), // B captures
 	)
-	if got := b.At(b.Point(1, 1)); got != Empty {
+	if got := b.cells[b.Point(1, 1)]; got != Empty {
 		t.Fatalf("white stone not captured: %v", got)
 	}
 }
@@ -79,7 +79,7 @@ func TestCaptureBeatsSuicide(t *testing.T) {
 		t.Fatal("capturing move misclassified as suicide")
 	}
 	mustPlay(t, b, b.Point(0, 0))
-	if b.At(b.Point(0, 1)) != Empty || b.At(b.Point(1, 0)) != Empty {
+	if b.cells[b.Point(0, 1)] != Empty || b.cells[b.Point(1, 0)] != Empty {
 		t.Fatal("black stones not captured")
 	}
 }
@@ -102,7 +102,7 @@ func TestSimpleKoForbidden(t *testing.T) {
 		b.Point(1, 1), // W — the ko stone
 		b.Point(1, 2), // B captures W(1,1)
 	)
-	if b.At(b.Point(1, 1)) != Empty {
+	if b.cells[b.Point(1, 1)] != Empty {
 		t.Fatal("ko capture did not happen")
 	}
 	// White may not immediately recapture at (1,1).
@@ -171,16 +171,16 @@ func TestEmptyBoardScoreNeutral(t *testing.T) {
 
 func TestZobristHashUpdatesIncrementally(t *testing.T) {
 	b := New(5)
-	h0 := b.Hash()
+	h0 := b.hash
 	mustPlay(t, b, b.Point(2, 2))
-	h1 := b.Hash()
+	h1 := b.hash
 	if h0 == h1 {
 		t.Fatal("hash unchanged after move")
 	}
 	// Rebuild the same position from scratch: hash must match.
 	b2 := New(5)
 	mustPlay(t, b2, b2.Point(2, 2))
-	if b2.Hash() != h1 {
+	if b2.hash != h1 {
 		t.Fatal("hash not a pure function of position")
 	}
 }
@@ -210,7 +210,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	b := New(5)
 	c := b.Clone()
 	mustPlay(t, b, b.Point(0, 0))
-	if c.At(c.Point(0, 0)) != Empty {
+	if c.cells[c.Point(0, 0)] != Empty {
 		t.Fatal("clone shares storage with original")
 	}
 }
@@ -247,7 +247,7 @@ func TestRandomPlayoutInvariants(t *testing.T) {
 			// No chain may be liberty-less after a completed move.
 			visited := make([]bool, b.N*b.N)
 			for p := 0; p < b.N*b.N; p++ {
-				if b.At(p) == Empty || visited[p] {
+				if b.cells[p] == Empty || visited[p] {
 					continue
 				}
 				if _, hasLib := b.group(p, visited); !hasLib {

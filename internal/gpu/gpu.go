@@ -91,26 +91,6 @@ func (d *Device) Submit(proc trace.ProcID, stream StreamID, issue vclock.Time, d
 	return start, end
 }
 
-// StreamTail reports when the last work submitted to the stream completes.
-func (d *Device) StreamTail(s StreamID) vclock.Time {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.tails[s]
-}
-
-// DeviceTail reports when the last work on any stream completes.
-func (d *Device) DeviceTail() vclock.Time {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var tail vclock.Time
-	for _, t := range d.tails {
-		if t > tail {
-			tail = t
-		}
-	}
-	return tail
-}
-
 // BusyIntervals returns a copy of the busy ledger in submission order.
 func (d *Device) BusyIntervals() []Busy {
 	d.mu.Lock()
@@ -123,15 +103,6 @@ func (d *Device) BusyIntervals() []Busy {
 // Interval is a plain time range.
 type Interval struct {
 	Start, End vclock.Time
-}
-
-// BusyUnion returns the merged union of all busy intervals, sorted by start.
-// Overlapping work on different streams counts once — this is "time during
-// which at least one kernel was executing", the denominator of honest GPU
-// usage.
-func (d *Device) BusyUnion() []Interval {
-	busy := d.BusyIntervals()
-	return Union(busy)
 }
 
 // Union merges a set of busy intervals into disjoint sorted intervals.
@@ -156,15 +127,6 @@ func Union(busy []Busy) []Interval {
 		out = append(out, iv)
 	}
 	return out
-}
-
-// TotalBusy returns the total length of the busy union.
-func (d *Device) TotalBusy() vclock.Duration {
-	var total vclock.Duration
-	for _, iv := range d.BusyUnion() {
-		total += iv.End.Sub(iv.Start)
-	}
-	return total
 }
 
 // Reset clears the busy ledger and stream tails, keeping allocated streams.

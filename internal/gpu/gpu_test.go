@@ -29,8 +29,8 @@ func TestStreamFIFO(t *testing.T) {
 	if start2 != end1 {
 		t.Fatalf("k2 starts at %v, want %v (FIFO after k1)", start2, end1)
 	}
-	if d.StreamTail(s) != end2 {
-		t.Fatalf("stream tail = %v, want %v", d.StreamTail(s), end2)
+	if start3, _ := d.Submit(0, s, 0, 1, "k3", trace.CatGPUKernel); start3 != end2 {
+		t.Fatalf("k3 starts at %v, want %v (the stream's tail)", start3, end2)
 	}
 }
 
@@ -41,16 +41,6 @@ func TestStreamsIndependent(t *testing.T) {
 	start2, _ := d.Submit(1, s2, 0, 10, "k2", trace.CatGPUKernel)
 	if start2 != 0 {
 		t.Fatalf("k2 on independent stream starts at %v, want 0", start2)
-	}
-}
-
-func TestDeviceTail(t *testing.T) {
-	d := NewDevice(0)
-	s1, s2 := d.NewStream(), d.NewStream()
-	d.Submit(0, s1, 0, 100, "k1", trace.CatGPUKernel)
-	d.Submit(0, s2, 0, 300, "k2", trace.CatGPUKernel)
-	if got := d.DeviceTail(); got != 300 {
-		t.Fatalf("DeviceTail = %v, want 300", got)
 	}
 }
 
@@ -81,8 +71,12 @@ func TestTotalBusy(t *testing.T) {
 	s1, s2 := d.NewStream(), d.NewStream()
 	d.Submit(0, s1, 0, 100, "a", trace.CatGPUKernel)
 	d.Submit(0, s2, 50, 100, "b", trace.CatGPUKernel) // overlaps [50,100)
-	if got := d.TotalBusy(); got != 150 {
-		t.Fatalf("TotalBusy = %v, want 150", got)
+	var total vclock.Duration
+	for _, iv := range Union(d.BusyIntervals()) {
+		total += iv.End.Sub(iv.Start)
+	}
+	if total != 150 {
+		t.Fatalf("busy union covers %v, want 150", total)
 	}
 }
 
@@ -91,13 +85,10 @@ func TestReset(t *testing.T) {
 	s := d.NewStream()
 	d.Submit(0, s, 0, 100, "a", trace.CatGPUKernel)
 	d.Reset()
-	if got := d.TotalBusy(); got != 0 {
-		t.Fatalf("TotalBusy after Reset = %v, want 0", got)
+	if busy := d.BusyIntervals(); len(busy) != 0 {
+		t.Fatalf("ledger after Reset = %v, want empty", busy)
 	}
-	if got := d.StreamTail(s); got != 0 {
-		t.Fatalf("StreamTail after Reset = %v, want 0", got)
-	}
-	// Stream remains usable.
+	// Stream remains usable, its tail back at zero.
 	start, _ := d.Submit(0, s, 5, 10, "b", trace.CatGPUKernel)
 	if start != 5 {
 		t.Fatalf("post-reset submit start = %v, want 5", start)

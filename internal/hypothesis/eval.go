@@ -49,20 +49,6 @@ func statusOf(c *Condition, v float64) Status {
 		default:
 			return StatusContra
 		}
-	case KindEquiv:
-		contra := c.Contra
-		if contra == 0 {
-			contra = 2 * c.Tol
-		}
-		dev := math.Abs(v - 1)
-		switch {
-		case dev <= c.Tol:
-			return StatusStrong
-		case dev <= contra:
-			return StatusWeak
-		default:
-			return StatusContra
-		}
 	case KindMaxValue:
 		switch {
 		case v <= c.Bound:

@@ -79,37 +79,6 @@ func TestDominanceEffectSizeBoundaries(t *testing.T) {
 	}
 }
 
-// The 5% equivalence boundary: within tol in all seeds confirms, a seed
-// beyond tol blocks confirmation, deviations beyond 2·tol in every seed
-// refute.
-func TestEquivalenceBoundaries(t *testing.T) {
-	eq := Condition{Kind: KindEquiv, Tol: 0.05}
-	cases := []struct {
-		name       string
-		v1, v2, v3 float64
-		want       Verdict
-	}{
-		{"within 5% everywhere", 1.04, 0.96, 1.0, Confirmed},
-		{"one seed at 6%", 1.06, 1.0, 1.0, Inconclusive},
-		{"beyond 2x tol in every seed", 1.12, 1.2, 0.85, Refuted},
-		{"beyond 2x tol in one seed only", 1.12, 1.01, 1.0, Inconclusive},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := evalSamples(t, eq, tc.v1, tc.v2, tc.v3); got != tc.want {
-				t.Errorf("samples (%v, %v, %v): verdict = %s, want %s",
-					tc.v1, tc.v2, tc.v3, got, tc.want)
-			}
-		})
-	}
-	// The boundary itself is inclusive: with an exactly representable
-	// tolerance (1/16), a deviation of exactly tol confirms.
-	dyadic := Condition{Kind: KindEquiv, Tol: 0.0625}
-	if got := evalSamples(t, dyadic, 1.0625, 0.9375, 1.0); got != Confirmed {
-		t.Errorf("deviation exactly tol: %s, want confirmed", got)
-	}
-}
-
 func TestBandAndCapBoundaries(t *testing.T) {
 	band := Condition{Kind: KindBand, Lo: 1.9, Hi: 6.0}
 	if got := evalSamples(t, band, 2.0, 3.0, 5.9); got != Confirmed {
@@ -324,8 +293,8 @@ func TestVerdictConsistencyProperty(t *testing.T) {
 				conds[c] = Condition{Name: fmt.Sprintf("c%d", c), Kind: KindMaxValue,
 					Metric: fmt.Sprintf("m%d", c), Bound: 0.5}
 			default:
-				conds[c] = Condition{Name: fmt.Sprintf("c%d", c), Kind: KindEquiv,
-					Metric: fmt.Sprintf("m%d", c), Tol: 0.05}
+				conds[c] = Condition{Name: fmt.Sprintf("c%d", c), Kind: KindBand,
+					Metric: fmt.Sprintf("m%d", c), Lo: 0.9, Hi: 1.1}
 			}
 		}
 		g := &Grid{Hypotheses: []Hypothesis{{

@@ -40,9 +40,9 @@ func TestCommittedGridLoads(t *testing.T) {
 	for _, e := range experiments.MetricExperiments {
 		known[e] = true
 	}
-	for _, e := range g.Experiments() {
-		if !known[e] {
-			t.Errorf("grid references experiment %q the metric source does not implement", e)
+	for i := range g.Hypotheses {
+		if e := g.Hypotheses[i].Experiment; !known[e] {
+			t.Errorf("%s references experiment %q the metric source does not implement", g.Hypotheses[i].ID, e)
 		}
 	}
 	hasDet, hasStat, hasTiming := false, false, false

@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 )
 
 // Class is the hypothesis classification that fixes the rigor rules.
@@ -68,9 +67,6 @@ const (
 	// Contra (default min(1, Lo)) and above-band values are weak; only
 	// values at or below Contra contradict the claimed direction.
 	KindBand Kind = "band"
-	// KindEquiv requires |value − 1| ≤ Tol (an equivalence test over a
-	// ratio). Deviations beyond Contra (default 2·Tol) contradict.
-	KindEquiv Kind = "equiv"
 	// KindMaxValue requires value ≤ Bound; larger values contradict
 	// unless Contra sets a higher cutoff (then (Bound, Contra] is weak).
 	KindMaxValue Kind = "max_value"
@@ -102,8 +98,6 @@ type Condition struct {
 	// Lo and Hi delimit a band condition.
 	Lo float64 `json:"lo,omitempty"`
 	Hi float64 `json:"hi,omitempty"`
-	// Tol is the equivalence tolerance.
-	Tol float64 `json:"tol,omitempty"`
 	// Want and Eps parameterize an eq condition.
 	Want float64 `json:"want,omitempty"`
 	Eps  float64 `json:"eps,omitempty"`
@@ -224,10 +218,6 @@ func (h *Hypothesis) validate() error {
 			if c.Lo == 0 || c.Hi <= c.Lo {
 				return fmt.Errorf("hypothesis: %s/%s needs 0 < lo < hi", h.ID, c.Name)
 			}
-		case KindEquiv:
-			if c.Tol <= 0 {
-				return fmt.Errorf("hypothesis: %s/%s needs tol > 0", h.ID, c.Name)
-			}
 		case KindEq:
 			// Want may be any value, including 0.
 		default:
@@ -245,18 +235,4 @@ func (g *Grid) Find(id string) *Hypothesis {
 		}
 	}
 	return nil
-}
-
-// Experiments returns the sorted set of experiment ids the grid references.
-func (g *Grid) Experiments() []string {
-	set := map[string]bool{}
-	for i := range g.Hypotheses {
-		set[g.Hypotheses[i].Experiment] = true
-	}
-	ids := make([]string, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

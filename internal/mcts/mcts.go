@@ -362,6 +362,3 @@ func (t *Tree) Advance(move int) {
 	_ = next.Play(move)
 	t.root = t.expandOne(next)
 }
-
-// RootVisits returns the total simulations accumulated at the root.
-func (t *Tree) RootVisits() int { return t.root.total }

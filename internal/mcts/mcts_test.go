@@ -54,7 +54,7 @@ func TestSearchAccumulatesVisits(t *testing.T) {
 	ev := &uniformEval{}
 	tree := New(goboard.New(5), ev, 1)
 	tree.Search(40)
-	if got := tree.RootVisits(); got != 40 {
+	if got := tree.root.total; got != 40 {
 		t.Fatalf("root visits = %d, want 40", got)
 	}
 }
@@ -120,8 +120,8 @@ func TestAdvanceReusesSubtree(t *testing.T) {
 		}
 	}
 	tree.Advance(move)
-	if childVisits > 0 && tree.RootVisits() != childVisits {
-		t.Fatalf("subtree not reused: root visits %d, child had %d", tree.RootVisits(), childVisits)
+	if childVisits > 0 && tree.root.total != childVisits {
+		t.Fatalf("subtree not reused: root visits %d, child had %d", tree.root.total, childVisits)
 	}
 }
 
@@ -173,8 +173,8 @@ func TestSearchOnNearTerminalBoard(t *testing.T) {
 	}
 	tree := New(b, &uniformEval{}, 9)
 	tree.Search(30) // must not panic or hang on terminal descents
-	if tree.RootVisits() != 30 {
-		t.Fatalf("visits = %d", tree.RootVisits())
+	if tree.root.total != 30 {
+		t.Fatalf("visits = %d", tree.root.total)
 	}
 }
 

@@ -155,23 +155,6 @@ func NewMLP(rng *rand.Rand, sizes []int, act, outAct Activation, name string) *M
 	return m
 }
 
-// Forward runs the full network.
-func (m *MLP) Forward(x *Tensor) *Tensor {
-	for _, l := range m.Layers {
-		x = l.Forward(x)
-	}
-	return x
-}
-
-// Backward propagates dL/d(output) through every layer, accumulating
-// parameter gradients, and returns dL/d(input).
-func (m *MLP) Backward(dOut *Tensor) *Tensor {
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		dOut = m.Layers[i].Backward(dOut)
-	}
-	return dOut
-}
-
 // Params returns all trainable parameters in layer order.
 func (m *MLP) Params() []*Param {
 	var ps []*Param
@@ -218,13 +201,4 @@ func (m *MLP) NumParams() int {
 		n += p.Value.Size()
 	}
 	return n
-}
-
-// ForwardFLOPs estimates the forward-pass FLOP count for a batch of n.
-func (m *MLP) ForwardFLOPs(n int) float64 {
-	var f float64
-	for _, l := range m.Layers {
-		f += 2 * float64(n) * float64(l.In) * float64(l.Out)
-	}
-	return f
 }

@@ -128,23 +128,3 @@ func PolicyGradientLoss(logits *Tensor, actions []int, advantages []float64, ent
 	}
 	return loss / n, grad
 }
-
-// GaussianLogProb returns log N(a; mean, std²) summed over action
-// dimensions for each row, used by SAC and continuous PPO.
-func GaussianLogProb(mean *Tensor, logStd []float64, actions *Tensor) []float64 {
-	if mean.Rows != actions.Rows || mean.Cols != actions.Cols || len(logStd) != mean.Cols {
-		panic("nn: GaussianLogProb shape mismatch")
-	}
-	out := make([]float64, mean.Rows)
-	const log2pi = 1.8378770664093453
-	for i := 0; i < mean.Rows; i++ {
-		var lp float64
-		for j := 0; j < mean.Cols; j++ {
-			std := math.Exp(logStd[j])
-			z := (actions.At(i, j) - mean.At(i, j)) / std
-			lp += -0.5*z*z - logStd[j] - 0.5*log2pi
-		}
-		out[i] = lp
-	}
-	return out
-}

@@ -2,32 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from accumulated gradients. Implementations
-// are pure math; the ML backend decides how each update maps onto device
-// work (fused GPU kernels vs. the MPI-friendly CPU path of paper F.4).
-type Optimizer interface {
-	// Step applies one update to the parameters and advances internal
-	// state (e.g. Adam's timestep).
-	Step(params []*Param)
-	// Name identifies the optimizer in traces and reports.
-	Name() string
-}
-
-// SGD is plain stochastic gradient descent.
-type SGD struct {
-	LR float64
-}
-
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "sgd" }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		p.Value.AddScaled(p.Grad, -s.LR)
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba). UpdateParam exposes the
 // per-parameter update so the backend can model the two deployment styles
 // the paper contrasts:
@@ -50,20 +24,12 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Name implements Optimizer.
+// Name identifies the optimizer.
 func (a *Adam) Name() string { return "adam" }
 
-// Step implements Optimizer.
-func (a *Adam) Step(params []*Param) {
-	a.t++
-	for _, p := range params {
-		a.UpdateParam(p)
-	}
-}
-
-// BeginStep advances the timestep without touching parameters; callers that
-// drive UpdateParam directly (the backend's MPI-Adam path) pair it with one
-// UpdateParam per parameter.
+// BeginStep advances the timestep without touching parameters; one
+// optimizer step pairs it with one UpdateParam per parameter (the backend's
+// fused and MPI-Adam paths both do).
 func (a *Adam) BeginStep() { a.t++ }
 
 // UpdateParam applies Adam to a single parameter using the current timestep.

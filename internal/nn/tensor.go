@@ -1,5 +1,5 @@
 // Package nn is a small, pure-Go neural-network library: tensors, dense
-// layers, activations, losses, and optimizers.
+// layers, activations, losses, and the Adam optimizer.
 //
 // The RL algorithms in this repository train real networks with real
 // gradients through this package. The ML backend (internal/backend) wraps
@@ -27,21 +27,6 @@ func NewTensor(rows, cols int) *Tensor {
 		panic(fmt.Sprintf("nn: invalid tensor shape %dx%d", rows, cols))
 	}
 	return &Tensor{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a tensor from row slices (all equal length).
-func FromRows(rows [][]float64) *Tensor {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("nn: FromRows needs non-empty input")
-	}
-	t := NewTensor(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != t.Cols {
-			panic("nn: ragged rows")
-		}
-		copy(t.Data[i*t.Cols:], r)
-	}
-	return t
 }
 
 // FromVec builds a 1×n tensor copying v.
@@ -196,17 +181,6 @@ func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	for i := range t.Data {
 		t.Data[i] = (2*rng.Float64() - 1) * limit
 	}
-}
-
-// MaxAbs returns the largest absolute element (0 for empty).
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
-	for _, v := range t.Data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // ArgmaxRow returns the index of the maximum element of row i.

@@ -74,15 +74,6 @@ func (b *Breakdown) OpTotal(op string) vclock.Duration {
 	return total
 }
 
-// CategoryTotal sums a category across operations.
-func (b *Breakdown) CategoryTotal(cat trace.Category) vclock.Duration {
-	var total vclock.Duration
-	for _, op := range b.Ops {
-		total += b.Cells[CellKey{op, cat}]
-	}
-	return total
-}
-
 // TotalGPU sums device time across operations.
 func (b *Breakdown) TotalGPU() vclock.Duration {
 	var total vclock.Duration

@@ -61,12 +61,6 @@ func (d *DDPG) Act(obs []float64) []float64 {
 	return gaussianNoise(d.rng, d.infer(d.actor, obs).Row(0), d.noise)
 }
 
-// actorMean returns the actor's deterministic first-dimension output for one
-// observation, bypassing the backend and exploration noise (diagnostics).
-func (d *DDPG) actorMean(obs []float64) float64 {
-	return d.actor.MLP.Forward(obsTensor([][]float64{obs})).At(0, 0)
-}
-
 // Update implements Agent: one critic update and one actor update, with
 // target-network maintenance.
 func (d *DDPG) Update() {

@@ -280,6 +280,16 @@ func TestCollectStepsHyperparameters(t *testing.T) {
 	}
 }
 
+// actorMean returns the actor's deterministic first-dimension output for one
+// observation, bypassing the backend and exploration noise.
+func (d *DDPG) actorMean(obs []float64) float64 {
+	x := obsTensor([][]float64{obs})
+	for _, l := range d.actor.MLP.Layers {
+		x = l.Forward(x)
+	}
+	return x.At(0, 0)
+}
+
 func TestDDPGLearnsOnToyProblem(t *testing.T) {
 	// Sanity check that the actor-critic machinery optimizes: a 1-D
 	// bandit where reward = −(a−0.5)². After training, the actor should
@@ -303,6 +313,18 @@ func TestDDPGLearnsOnToyProblem(t *testing.T) {
 	s.Close()
 	if math.Abs(after-0.5) >= math.Abs(before-0.5) {
 		t.Fatalf("actor did not move toward optimum: before=%v after=%v", before, after)
+	}
+}
+
+func TestGaussLogpAgainstClosedForm(t *testing.T) {
+	// N(1; 0, 1) → −0.5−0.5·log2π; N(1; 1, 4) → −log2−0.5·log2π.
+	for _, c := range []struct{ x, mean, logStd, want float64 }{
+		{1, 0, 0, -0.5 - 0.5*math.Log(2*math.Pi)},
+		{1, 1, math.Log(2), -math.Log(2) - 0.5*math.Log(2*math.Pi)},
+	} {
+		if got := gaussLogp(c.x, c.mean, c.logStd); math.Abs(got-c.want) > 1e-9 {
+			t.Fatalf("gaussLogp(%v; %v, e^%v) = %v, want %v", c.x, c.mean, c.logStd, got, c.want)
+		}
 	}
 }
 

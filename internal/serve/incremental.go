@@ -235,8 +235,10 @@ func (s *Server) handleCreateTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, lt.summary().TraceInfo)
 }
 
-// validTraceID accepts ids safe to use as store directory names: one path
-// segment, no traversal, no whitespace.
+// validTraceID is the one trace-id rule, for live ingest and AddDir alike:
+// an id is safe as a store directory name and as a URL path segment — one
+// segment, no traversal, no whitespace, nothing net/http's path cleaning
+// rewrites (".", "..") or a query cuts off ("?").
 func validTraceID(id string) bool {
 	if id == "" || strings.Contains(id, "..") {
 		return false
@@ -398,6 +400,7 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 	}
 	var meta trace.Meta
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&meta); err != nil && !errors.Is(err, io.EOF) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad seal body: "+err.Error())
 		return

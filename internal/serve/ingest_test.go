@@ -431,6 +431,26 @@ func TestIngestProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestSealRefusesUnknownFields: a seal body naming a field trace.Meta does
+// not have — a misspelled "labels" — is a 400 bad_request, not a seal that
+// silently drops it (every fleet query filtering on the label would then
+// miss the trace). The trace stays open, and the corrected body seals it with
+// its labels.
+func TestSealRefusesUnknownFields(t *testing.T) {
+	s, _ := liveServer(t, Config{})
+	h := s.Handler()
+	chunks, _ := quickstartFrames(t, 5, 1)
+	mustOK(t, h, "POST", "/v1/traces/run/chunks?seq=0", string(chunks[0]))
+	rec := doReq(t, h, "POST", "/v1/traces/run/seal", `{"workload":"w","lables":{"algo":"ppo"}}`)
+	if rec.Code != http.StatusBadRequest || errCode(t, rec) != ErrCodeBadRequest {
+		t.Fatalf("seal with an unknown field: %d %s", rec.Code, rec.Body)
+	}
+	mustOK(t, h, "POST", "/v1/traces/run/seal", `{"workload":"w","labels":{"algo":"ppo"}}`)
+	if rec := mustOK(t, h, "GET", "/v1/traces?label.algo=ppo", ""); !strings.Contains(rec.Body.String(), `"id": "run"`) {
+		t.Fatalf("sealed trace not listed under its label:\n%s", rec.Body)
+	}
+}
+
 // TestIngestMultipartIsBadChunk: the append body has one shape, the raw
 // frame. A multipart body — the shape that used to carry a client-computed
 // sidecar beside a perfectly good frame — is just bytes that do not decode:

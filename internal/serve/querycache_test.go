@@ -79,12 +79,12 @@ func TestQueryDocInvalidation(t *testing.T) {
 				}
 				for _, body := range queries {
 					q := parseQuery(t, body)
-					plan, err := fleet.Compile(q)
+					filter, err := fleet.NewMatcher(q.Filter)
 					if err != nil {
 						t.Fatal(err)
 					}
 					want := "hit"
-					if step == 0 || plan.Match(fleet.Trace{ID: r.id, Meta: trace.Meta{Workload: "quickstart", Labels: r.labels}}) {
+					if step == 0 || filter.Match(fleet.Trace{ID: r.id, Meta: trace.Meta{Workload: "quickstart", Labels: r.labels}}) {
 						want = "miss"
 					}
 					rec := queryOK(t, h, body)
@@ -221,8 +221,8 @@ func TestQueryDocsStayOffDisk(t *testing.T) {
 		}
 	}
 	const resultSets, analysisDocs = 3, 1
-	if n, err := s.store.disk.Len(); err != nil || n != resultSets+analysisDocs {
-		t.Fatalf("disk store holds %d entries (err %v), want %d result sets + %d analysis document", n, err, resultSets, analysisDocs)
+	if n := diskEntries(t, s.store.disk); n != resultSets+analysisDocs {
+		t.Fatalf("disk store holds %d entries, want %d result sets + %d analysis document", n, resultSets, analysisDocs)
 	}
 }
 

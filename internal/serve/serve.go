@@ -222,8 +222,8 @@ func (s *Server) EngineRuns() int64 { return s.engineRuns.Load() }
 // summary. Registering the same id twice is an error; the same directory
 // under two ids is fine (they share a digest, hence a cache footprint).
 func (s *Server) AddDir(id, dir string) (TraceInfo, error) {
-	if id == "" || strings.ContainsAny(id, "/ \t\n") {
-		return TraceInfo{}, fmt.Errorf("serve: invalid trace id %q", id)
+	if !validTraceID(id) {
+		return TraceInfo{}, fmt.Errorf("serve: invalid trace id %q: want [A-Za-z0-9][A-Za-z0-9._-]*, no %q", id, "..")
 	}
 	entry, err := newTraceEntry(id, dir)
 	if err != nil {

@@ -124,22 +124,6 @@ func errFirst(errs ...error) error {
 	return nil
 }
 
-// Len counts the store's entry files by suffix, reading none of them: an
-// entry Get would refuse as malformed still counts (monitoring only).
-func (s *DiskStore) Len() (int, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, ent := range entries {
-		if !ent.IsDir() && filepath.Ext(ent.Name()) == reportFileSuffix {
-			n++
-		}
-	}
-	return n, nil
-}
-
 // storeStats is the persistent tier's slice of the /healthz document.
 type storeStats struct {
 	Enabled bool   `json:"enabled"`

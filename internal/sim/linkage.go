@@ -199,9 +199,3 @@ func (l *Linkage) Step(act []float64) ([]float64, float64, bool) {
 	done := fell || l.steps >= l.maxSteps
 	return l.obs(), reward, done
 }
-
-// Forward reports the torso's forward position (for tests).
-func (l *Linkage) Forward() float64 { return l.x }
-
-// Height reports the torso height (for tests).
-func (l *Linkage) Height() float64 { return l.z }

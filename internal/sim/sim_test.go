@@ -186,7 +186,7 @@ func TestLinkageTorqueMovesBody(t *testing.T) {
 			w.Reset()
 		}
 	}
-	if w.Forward() == 0 && w.Height() == 1.1 {
+	if w.x == 0 && w.z == 1.1 {
 		t.Fatal("constant torque produced no motion at all")
 	}
 }

@@ -229,8 +229,8 @@ func TestWriterChunksLargeTraces(t *testing.T) {
 	if err := w.Close(Meta{Workload: "chunky"}); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if w.ChunksWritten() < 2 {
-		t.Fatalf("expected multiple chunks, got %d", w.ChunksWritten())
+	if w.nchunks < 2 {
+		t.Fatalf("expected multiple chunks, got %d", w.nchunks)
 	}
 	got, err := ReadDir(dir)
 	if err != nil {

@@ -178,8 +178,8 @@ func TestWriterAppendBulkChunks(t *testing.T) {
 	if err := w.Close(Meta{Workload: "bulk"}); err != nil {
 		t.Fatal(err)
 	}
-	if w.ChunksWritten() < 2 {
-		t.Fatalf("bulk Append produced %d chunks, want several", w.ChunksWritten())
+	if w.nchunks < 2 {
+		t.Fatalf("bulk Append produced %d chunks, want several", w.nchunks)
 	}
 	got, err := ReadDir(dir)
 	if err != nil {

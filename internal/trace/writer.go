@@ -256,13 +256,6 @@ func (w *Writer) Close(meta Meta) error {
 	return w.err
 }
 
-// ChunksWritten reports how many chunk flushes have been scheduled so far.
-func (w *Writer) ChunksWritten() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.nchunks
-}
-
 // ReadDir loads a trace previously written by Writer from dir, materializing
 // every chunk into one Trace. A truncated or corrupt chunk file is reported
 // as a *ChunkError naming the offending file. For bounded-memory analysis of

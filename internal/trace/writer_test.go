@@ -251,7 +251,7 @@ func TestWriterPipelineOrder(t *testing.T) {
 				w := NewSinkWriter(sink, 4<<10)
 				w.Append(events...)
 				err := w.Close(Meta{})
-				chunks := w.ChunksWritten()
+				chunks := w.nchunks
 				if chunks < 8 {
 					t.Fatalf("only %d chunks; the test needs at least 8 in flight", chunks)
 				}
@@ -295,8 +295,8 @@ func TestWriterEncodeErrorWins(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "negative duration") {
 		t.Fatalf("Close returned %v, want the encoder's negative-duration error", err)
 	}
-	if n := len(sink.seqs); n == 0 || n >= w.ChunksWritten()-1 {
-		t.Fatalf("sink saw %d of %d chunks; want the ones before the bad chunk only", n, w.ChunksWritten())
+	if n := len(sink.seqs); n == 0 || n >= w.nchunks-1 {
+		t.Fatalf("sink saw %d of %d chunks; want the ones before the bad chunk only", n, w.nchunks)
 	}
 }
 

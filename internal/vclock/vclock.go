@@ -64,19 +64,13 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 func (t Time) String() string { return fmt.Sprintf("%.6fs", t.Seconds()) }
 
 // Clock is a per-process virtual clock. The zero value is not usable; create
-// clocks with New so they carry a deterministic RNG stream for cost jitter.
+// clocks with NewAt so they carry a deterministic RNG stream for cost jitter.
 //
 // Clock is not safe for concurrent use: each simulated process is
 // single-threaded, exactly like the Python processes RL-Scope profiles.
 type Clock struct {
 	now Time
 	rng *rand.Rand
-}
-
-// New returns a clock starting at time 0 with a deterministic jitter stream
-// derived from seed.
-func New(seed int64) *Clock {
-	return &Clock{rng: rand.New(rand.NewSource(seed))}
 }
 
 // NewAt returns a clock starting at the given time. Used when forking a

@@ -8,14 +8,14 @@ import (
 )
 
 func TestClockStartsAtZero(t *testing.T) {
-	c := New(1)
+	c := NewAt(0, 1)
 	if c.Now() != 0 {
 		t.Fatalf("new clock at %v, want 0", c.Now())
 	}
 }
 
 func TestClockAdvance(t *testing.T) {
-	c := New(1)
+	c := NewAt(0, 1)
 	c.Advance(5 * Microsecond)
 	c.Advance(2 * Millisecond)
 	want := Time(5*Microsecond + 2*Millisecond)
@@ -30,11 +30,11 @@ func TestClockAdvanceNegativePanics(t *testing.T) {
 			t.Fatal("Advance(-1) did not panic")
 		}
 	}()
-	New(1).Advance(-1)
+	NewAt(0, 1).Advance(-1)
 }
 
 func TestClockAdvanceToNeverGoesBackwards(t *testing.T) {
-	c := New(1)
+	c := NewAt(0, 1)
 	c.Advance(10 * Microsecond)
 	before := c.Now()
 	c.AdvanceTo(before - 5)
@@ -55,7 +55,7 @@ func TestClockNewAt(t *testing.T) {
 }
 
 func TestClockMonotonicProperty(t *testing.T) {
-	c := New(7)
+	c := NewAt(0, 7)
 	f := func(steps []uint16) bool {
 		prev := c.Now()
 		for _, s := range steps {
@@ -137,7 +137,7 @@ func TestDistSampleNeverNegative(t *testing.T) {
 }
 
 func TestSpendReturnsInterval(t *testing.T) {
-	c := New(9)
+	c := NewAt(0, 9)
 	c.Advance(3 * Microsecond)
 	start, end := c.Spend(Exact(7 * Microsecond))
 	if start != Time(3*Microsecond) || end != Time(10*Microsecond) {
@@ -176,7 +176,7 @@ func TestTimeHelpers(t *testing.T) {
 
 func TestClockDeterminism(t *testing.T) {
 	run := func() []Duration {
-		c := New(123)
+		c := NewAt(0, 123)
 		d := Jittered(50*Microsecond, 0.4)
 		var out []Duration
 		for i := 0; i < 50; i++ {

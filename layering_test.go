@@ -2,15 +2,21 @@ package rlscope
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
 	"maps"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -240,6 +246,256 @@ func TestOneWayEach(t *testing.T) {
 	got := slices.Sorted(maps.Keys(callers))
 	if want := []string{filepath.Join("internal", "experiments")}; !slices.Equal(got, want) {
 		t.Errorf("a job fan-out is called from %v, want exactly %v", got, want)
+	}
+}
+
+// linkedAnyway is the reason a method stays that only tests call: the linker
+// keeps every method an interface call of the same name and signature could
+// reach, so the benchmark binary holds it, and deleting it would move all the
+// machine code linked after it.
+const linkedAnyway = "linked into the benchmark binary all the same; deleting it moves the code after it"
+
+// testOnlyAllowed names, with the reason each stays, the functions under
+// internal/ that TestNoTestOnlyCode lets only tests reach.
+var testOnlyAllowed = map[string]string{
+	"calib.PCSampleEstimate":    "DESIGN §3's Appendix A.2 row names its test: the sampling estimate the paper argues against",
+	"overlap.ComputeTrace":      "the per-process reference sweep that the analysis pipeline's equivalence tests compare against",
+	"serve.flightGroup.waiting": "the tests' synchronisation seam: they wait until a request has joined a flight",
+	"trace.ChunkError.Unwrap":   "errors.Is and errors.As call it through the error chain",
+	"gpu.Device.Reset":          linkedAnyway,
+	"nn.Adam.Name":              linkedAnyway,
+	"trace.ColumnChunk.Len":     linkedAnyway,
+	"trace.Interner.Len":        linkedAnyway,
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// TestNoTestOnlyCode fails for every function and method declared in a
+// non-test file under internal/ that the non-test code of the module and of
+// benchmark/ does not reach: code that only its own tests run is a second way
+// to do something that nothing ships. The module is type-checked, so a use is
+// of that very method, not of its name. The roots are the uses outside
+// internal/'s functions, the inits, the methods of the types the root package
+// re-exports (public API), the methods by which a type satisfies error,
+// fmt.Stringer, io.Writer, sort.Interface or an interface the module names
+// (their calls are dynamic), and testOnlyAllowed; a function is reached when
+// a root or the body of a reached function uses it.
+func TestNoTestOnlyCode(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string][]*ast.File{} // by import path; benchmark/ is repro/benchmark
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); !ok || err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := strings.TrimSuffix("repro/"+filepath.ToSlash(filepath.Dir(path)), "/.")
+		files[pkg] = append(files[pkg], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The standard library comes from the build cache's export data, listed
+	// by one go command; the module's packages are checked from source.
+	var std []string
+	for _, pkgFiles := range files {
+		for _, f := range pkgFiles {
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if files[path] == nil && !slices.Contains(std, path) {
+					std = append(std, path)
+				}
+			}
+		}
+	}
+	std = append(std, "fmt", "io", "sort")
+	out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, std...)...).Output()
+	if err != nil {
+		t.Fatalf("go list -export: %v", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "\t")
+		export[path] = file
+	}
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(export[path]) })
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if files[path] == nil {
+			return gc.Import(path)
+		}
+		if pkg := checked[path]; pkg != nil {
+			return pkg, nil
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files[path], info)
+		checked[path] = pkg
+		return pkg, err
+	}
+	paths := slices.Sorted(maps.Keys(files))
+	for _, path := range paths {
+		if _, err := imp(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	origin := func(obj types.Object) types.Object {
+		if fn, ok := obj.(*types.Func); ok {
+			return fn.Origin()
+		}
+		return obj
+	}
+	used := map[types.Object]bool{}
+	for _, obj := range info.Uses {
+		used[origin(obj)] = true
+	}
+	// The interfaces a method may be called through: error, fmt.Stringer,
+	// io.Writer, sort.Interface, every interface literal, and every named
+	// interface the module declares and names somewhere.
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, name := range []string{"fmt.Stringer", "io.Writer", "sort.Interface"} {
+		pkgPath, typeName, _ := strings.Cut(name, ".")
+		pkg, err := gc.Import(pkgPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ifaces = append(ifaces, pkg.Scope().Lookup(typeName).Type().Underlying().(*types.Interface))
+	}
+	public := map[*types.TypeName]bool{}
+	var named []*types.Named
+	for _, path := range paths {
+		for _, f := range files[path] {
+			declared := map[ast.Expr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					obj := info.Defs[n.Name]
+					declared[n.Type] = true
+					if nt, ok := obj.Type().(*types.Named); ok && !n.Assign.IsValid() {
+						named = append(named, nt)
+					}
+					if it, ok := obj.Type().Underlying().(*types.Interface); ok && used[obj] {
+						ifaces = append(ifaces, it)
+					}
+					if path == "repro" && n.Assign.IsValid() {
+						public[types.Unalias(obj.Type()).(*types.Named).Obj()] = true
+					}
+				case *ast.InterfaceType:
+					if !declared[n] {
+						ifaces = append(ifaces, info.Types[n].Type.(*types.Interface))
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	type funcDecl struct {
+		name string
+		fn   *ast.FuncDecl
+	}
+	var decls []funcDecl
+	var roots []types.Object
+	body := map[types.Object][]types.Object{}
+	inBody := map[*ast.Ident]bool{}
+	// A method some interface may call is a root; LookupFieldOrMethod
+	// resolves a promoted one to the embedded type's declaration.
+	for _, nt := range named {
+		if types.IsInterface(nt) {
+			continue
+		}
+		for _, recv := range []types.Type{nt, types.NewPointer(nt)} {
+			for _, it := range ifaces {
+				if !types.Implements(recv, it) {
+					continue
+				}
+				for i := range it.NumMethods() {
+					m, _, _ := types.LookupFieldOrMethod(recv, true, it.Method(i).Pkg(), it.Method(i).Name())
+					roots = append(roots, m)
+				}
+			}
+		}
+	}
+	for _, path := range paths {
+		if !strings.HasPrefix(path, "repro/internal/") {
+			continue
+		}
+		for _, f := range files[path] {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				obj := info.Defs[fn.Name]
+				ast.Inspect(fn, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && info.Uses[id] != nil {
+						inBody[id] = true
+						body[obj] = append(body[obj], origin(info.Uses[id]))
+					}
+					return true
+				})
+				name, root := fn.Name.Name, fn.Name.Name == "init"
+				if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
+					rt := recv.Type()
+					if ptr, ok := rt.(*types.Pointer); ok {
+						rt = ptr.Elem()
+					}
+					name = rt.(*types.Named).Obj().Name() + "." + name
+					root = public[rt.(*types.Named).Obj()]
+				}
+				name = strings.TrimPrefix(path, "repro/internal/") + "." + name
+				if root || testOnlyAllowed[name] != "" {
+					roots = append(roots, obj)
+				}
+				decls = append(decls, funcDecl{name, fn})
+			}
+		}
+	}
+	for id, obj := range info.Uses {
+		if !inBody[id] {
+			roots = append(roots, origin(obj))
+		}
+	}
+	reached := map[types.Object]bool{}
+	for len(roots) > 0 {
+		obj := roots[len(roots)-1]
+		roots = roots[:len(roots)-1]
+		if !reached[obj] {
+			reached[obj] = true
+			roots = append(roots, body[obj]...)
+		}
+	}
+
+	for _, d := range decls {
+		if !reached[info.Defs[d.fn.Name]] {
+			t.Errorf("%s (%s) is reached only from tests: delete it, or move it into the tests that use it", d.name, fset.Position(d.fn.Pos()))
+		}
+	}
+	for name := range testOnlyAllowed {
+		if !slices.ContainsFunc(decls, func(d funcDecl) bool { return d.name == name }) {
+			t.Errorf("testOnlyAllowed lists %s, which is gone", name)
+		}
 	}
 }
 
