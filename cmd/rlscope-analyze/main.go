@@ -162,11 +162,7 @@ func main() {
 	var rows []*report.Breakdown
 	for _, p := range sortedProcs(results) {
 		res := results[p]
-		label := meta.Procs[p].Name
-		if label == "" {
-			label = fmt.Sprintf("proc%d", p)
-		}
-		rows = append(rows, report.FromResult(label, res, report.SortedOps(res)))
+		rows = append(rows, report.FromResult(report.ProcName(meta, p), res, report.SortedOps(res)))
 	}
 	if *csv {
 		fmt.Print(report.CSV(rows))
@@ -174,11 +170,7 @@ func main() {
 	}
 	fmt.Print(report.Table("RL-Scope time breakdown: "+meta.Workload, rows))
 	if *phases {
-		names := map[trace.ProcID]string{}
-		for p, info := range meta.Procs {
-			names[p] = info.Name
-		}
-		fmt.Print(report.PhaseTable("Training phases", overlap.PhasesByProc(tr), names))
+		fmt.Print(report.PhaseTable("Training phases", overlap.PhasesByProc(tr), meta))
 	}
 }
 

@@ -13,10 +13,13 @@
 //	    -store-reports /var/lib/rlscope/reports /traces/*
 //
 // Traces are given as positional directories or repeatable -trace NAME=DIR
-// flags; a bare directory's id is its basename, exactly like rlscope-serve
-// -trace. The query comes either assembled from the convenience flags
-// (-filter/-group-by/-metrics) or verbatim as JSON (-query / -query-file);
-// the two modes are mutually exclusive.
+// flags and registered exactly as rlscope-serve -trace registers them: a
+// bare directory's id is its basename, every id follows the server's
+// trace-id rule, and a directory whose basename is not a valid id — or two
+// directories with one basename — is named with NAME=DIR. The query comes
+// either assembled from the convenience flags (-filter/-group-by/-metrics)
+// or verbatim as JSON (-query / -query-file); the two modes are mutually
+// exclusive.
 //
 // With -store-reports DIR, per-trace result sets are read from (and on
 // miss, written to) the same content-addressed report store rlscope-serve
@@ -30,12 +33,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/fleet"
 	"repro/internal/serve"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -77,35 +78,23 @@ func main() {
 		fatal(err)
 	}
 
-	// The offline query path is the server's: a Server with only the report
-	// store configured reads and writes the same entries rlscope-serve does.
-	srv, err := serve.NewServerStrict(serve.Config{ReportDir: *reportDir, MaxWorkers: *workers})
-	if err != nil {
-		fatal(err)
+	// The offline query path is the server's: a Server holding these
+	// directories, and the report store rlscope-serve reads and writes when
+	// -store-reports names one.
+	cfg := serve.Config{MaxWorkers: *workers}
+	if *reportDir != "" {
+		if cfg.Reports, err = serve.NewDiskStore(*reportDir); err != nil {
+			fatal(err)
+		}
 	}
+	srv := serve.NewServer(cfg)
 	defer srv.Close()
-
-	candidates := make([]fleet.Trace, 0, len(traceArgs))
 	for _, arg := range traceArgs {
-		id, dir, ok := strings.Cut(arg, "=")
-		if !ok {
-			dir = arg
-			id = filepath.Base(filepath.Clean(dir))
-		}
-		digest, err := trace.DirDigest(dir)
-		if err != nil {
+		if _, err := srv.AddDirArg(arg); err != nil {
 			fatal(err)
 		}
-		r, err := trace.OpenDir(dir)
-		if err != nil {
-			fatal(err)
-		}
-		candidates = append(candidates, fleet.Trace{ID: id, Meta: r.Meta(), Digest: digest, Dir: dir})
 	}
-
-	// Two directories with one basename are a duplicate id, which the query
-	// path itself rejects; -trace NAME=DIR names them apart.
-	res, err := srv.Query(context.Background(), plan, candidates)
+	res, err := srv.Query(context.Background(), plan)
 	if err != nil {
 		fatal(err)
 	}

@@ -2,8 +2,11 @@
 // running HTTP/JSON service over a repository of trace directories — the
 // path from one-shot CLI analysis to shared, multi-user infrastructure.
 //
-// Traces are registered at startup (-trace, repeatable); each is addressed
-// by a content digest of its chunk files, sidecar indexes, and metadata.
+// Traces are registered at startup (-trace DIR or NAME=DIR, repeatable; a
+// bare DIR's id is its basename, and every id follows live ingest's trace-id
+// rule); each is addressed by a content digest of its chunk files, sidecar
+// indexes, and metadata. A -store-reports directory that cannot be created
+// stops the server before it listens.
 // Analysis reports are cached in a bounded LRU keyed by (digest,
 // canonicalized options), concurrent identical requests are deduplicated
 // into a single Engine run, and a global worker budget (-max-workers)
@@ -34,7 +37,9 @@
 //	POST /v1/traces/{id}/seal          seal (register) it with its run metadata
 //
 // Errors share the envelope {"error":{"code","message"}} with the stable
-// code vocabulary of DESIGN.md §9.
+// code vocabulary of DESIGN.md §9. A JSON request body is one value of at
+// most 1 MiB: bytes after the value are 400 and a larger body 413, both
+// bad_request.
 //
 // The analyze response body is the stable report.Analysis document
 // `rlscope-analyze -json` prints: result fields are byte-identical for
@@ -57,8 +62,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -97,7 +100,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := serve.Config{CacheBytes: *cacheBytes, MaxWorkers: *maxWorkers, StoreDir: *storeDir, ReportDir: *reportDir}
+	cfg := serve.Config{CacheBytes: *cacheBytes, MaxWorkers: *maxWorkers, StoreDir: *storeDir}
+	var err error
+	if *reportDir != "" {
+		if cfg.Reports, err = serve.NewDiskStore(*reportDir); err != nil {
+			fatal(err)
+		}
+	}
 	if *calPath != "" {
 		data, err := os.ReadFile(*calPath)
 		if err != nil {
@@ -110,23 +119,15 @@ func main() {
 		cfg.Calibration = cal
 	}
 
-	srv, err := serve.NewServerStrict(cfg)
-	if err != nil {
-		fatal(err)
-	}
+	srv := serve.NewServer(cfg)
 	defer srv.Close()
 	for _, arg := range traceArgs {
-		id, dir, ok := strings.Cut(arg, "=")
-		if !ok {
-			dir = arg
-			id = filepath.Base(filepath.Clean(dir))
-		}
-		info, err := srv.AddDir(id, dir)
+		info, err := srv.AddDirArg(arg)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "rlscope-serve: registered %q (%s): %d chunks, %d events, %d procs, digest %.12s…\n",
-			info.ID, dir, info.Chunks, info.Events, info.Procs, info.Digest)
+			info.ID, arg, info.Chunks, info.Events, info.Procs, info.Digest)
 	}
 
 	httpSrv := &http.Server{

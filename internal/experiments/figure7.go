@@ -11,7 +11,6 @@ import (
 	"repro/internal/overlap"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/vclock"
 	"repro/internal/workloads"
 )
@@ -140,10 +139,6 @@ func (r *Figure8Result) Render() string {
 	fmt.Fprintf(&sb, "true GPU duty cycle:            %.2f%%\n", 100*r.TrueUtil)
 	fmt.Fprintf(&sb, "paper: workers ≤5080 s total, ~20 s GPU; nvidia-smi reads 100%%\n\n")
 	// Per-process training phases (selfplay / sgd_updates / evaluation).
-	names := map[trace.ProcID]string{}
-	for p, info := range r.Minigo.Trace.Meta.Procs {
-		names[p] = info.Name
-	}
-	sb.WriteString(report.PhaseTable("Minigo training phases", overlap.PhasesByProc(r.Minigo.Trace), names))
+	sb.WriteString(report.PhaseTable("Minigo training phases", overlap.PhasesByProc(r.Minigo.Trace), r.Minigo.Trace.Meta))
 	return sb.String()
 }

@@ -306,10 +306,11 @@ func fleetMetrics(opts Options) (map[string]float64, error) {
 
 	reportDir := filepath.Join(base, "reports")
 	newServer := func() (*serve.Server, error) {
-		s, err := serve.NewServerStrict(serve.Config{ReportDir: reportDir})
+		reports, err := serve.NewDiskStore(reportDir)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fleet: %w", err)
 		}
+		s := serve.NewServer(serve.Config{Reports: reports})
 		for _, run := range runs[:initial] {
 			if _, err := s.AddDir(run.id, dirs[run.id]); err != nil {
 				s.Close()

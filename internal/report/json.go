@@ -168,16 +168,12 @@ func NewResultAnalysis(meta trace.Meta, results map[trace.ProcID]*overlap.Result
 	}
 	for _, p := range procs {
 		res := results[p]
-		info := meta.Procs[p]
-		name := info.Name
-		if name == "" {
-			name = defaultProcName(p)
-		}
+		name := ProcName(meta, p)
 		ops := SortedOps(res)
 		pj := ProcessJSON{
 			Proc:      p,
 			Name:      name,
-			Parent:    info.Parent,
+			Parent:    meta.Procs[p].Parent,
 			Breakdown: BreakdownToJSON(FromResult(name, res, ops)),
 		}
 		var rows []TransitionRow
@@ -192,13 +188,17 @@ func NewResultAnalysis(meta trace.Meta, results map[trace.ProcID]*overlap.Result
 	return a
 }
 
-// Encode writes the document as indented JSON with a trailing newline —
-// the exact bytes rlscope-serve caches and `rlscope-analyze -json` prints.
-func (a *Analysis) Encode(w io.Writer) error {
+// Encode writes the document with EncodeJSON — the exact bytes rlscope-serve
+// caches and `rlscope-analyze -json` prints.
+func (a *Analysis) Encode(w io.Writer) error { return EncodeJSON(w, a) }
+
+// EncodeJSON is the one spelling of the indented JSON documents the module
+// serves and prints: two-space indent, no HTML escaping, trailing newline.
+func EncodeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.SetIndent("", "  ")
-	return enc.Encode(a)
+	return enc.Encode(v)
 }
 
 // TreeNode is the nested wire form of the multi-process fork tree (the JSON
@@ -220,11 +220,7 @@ func TreeJSON(meta trace.Meta) []*TreeNode {
 	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
 	nodes := make(map[trace.ProcID]*TreeNode, len(procs))
 	for _, p := range procs {
-		name := meta.Procs[p].Name
-		if name == "" {
-			name = defaultProcName(p)
-		}
-		nodes[p] = &TreeNode{Proc: p, Name: name}
+		nodes[p] = &TreeNode{Proc: p, Name: ProcName(meta, p)}
 	}
 	var roots []*TreeNode
 	for _, p := range procs {
@@ -238,5 +234,11 @@ func TreeJSON(meta trace.Meta) []*TreeNode {
 	return roots
 }
 
-// defaultProcName matches the "proc%d" fallback the text reports use.
-func defaultProcName(p trace.ProcID) string { return fmt.Sprintf("proc%d", p) }
+// ProcName is the one process-name rule of every report and document: the
+// name the run's metadata gives p, or "proc<p>" when it gives none.
+func ProcName(meta trace.Meta, p trace.ProcID) string {
+	if name := meta.Procs[p].Name; name != "" {
+		return name
+	}
+	return fmt.Sprintf("proc%d", p)
+}

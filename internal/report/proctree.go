@@ -37,10 +37,7 @@ func ProcessTree(t *trace.Trace, results map[trace.ProcID]*overlap.Result) strin
 	var sb strings.Builder
 	var render func(p trace.ProcID, depth int, last bool)
 	render = func(p trace.ProcID, depth int, last bool) {
-		name := t.Meta.Procs[p].Name
-		if name == "" {
-			name = fmt.Sprintf("proc%d", p)
-		}
+		name := ProcName(t.Meta, p)
 		prefix := ""
 		if depth > 0 {
 			prefix = strings.Repeat("   ", depth-1)

@@ -226,12 +226,6 @@ func RoundFrac(v float64) float64 { return math.Round(v*1e6) / 1e6 }
 // RoundRatio rounds compare ratios to 1e-4.
 func RoundRatio(v float64) float64 { return math.Round(v*1e4) / 1e4 }
 
-// Encode writes the document as indented JSON with a trailing newline —
-// the exact bytes rlscope-serve answers /v1/query with and rlscope-query
-// prints.
-func (q *QueryDoc) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(q)
-}
+// Encode writes the document with EncodeJSON — the exact bytes rlscope-serve
+// answers /v1/query with and rlscope-query prints.
+func (q *QueryDoc) Encode(w io.Writer) error { return EncodeJSON(w, q) }

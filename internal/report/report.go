@@ -232,8 +232,9 @@ func (a *aligner) flush() {
 }
 
 // PhaseTable renders per-process training-phase breakdowns (paper §3.1's
-// rls.set_phase; Minigo's selfplay / sgd_updates / evaluation).
-func PhaseTable(title string, phases map[trace.ProcID][]overlap.PhaseBreakdown, procNames map[trace.ProcID]string) string {
+// rls.set_phase; Minigo's selfplay / sgd_updates / evaluation), naming each
+// process by ProcName.
+func PhaseTable(title string, phases map[trace.ProcID][]overlap.PhaseBreakdown, meta trace.Meta) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s ==\n", title)
 	w := tabWriter(&sb)
@@ -244,10 +245,7 @@ func PhaseTable(title string, phases map[trace.ProcID][]overlap.PhaseBreakdown, 
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i] < procs[j] })
 	for _, p := range procs {
-		name := procNames[p]
-		if name == "" {
-			name = fmt.Sprintf("proc%d", p)
-		}
+		name := ProcName(meta, p)
 		for _, ph := range phases[p] {
 			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%.1f%%\n",
 				name, ph.Name, fmtDur(ph.Duration()), fmtDur(ph.CPU), fmtDur(ph.GPU),

@@ -106,7 +106,7 @@ func TestPhaseTable(t *testing.T) {
 		0: {{Name: "selfplay", Start: 0, End: 100, CPU: 90, GPU: 5}},
 		1: {{Name: "selfplay", Start: 0, End: 80, CPU: 70, GPU: 3}},
 	}
-	out := PhaseTable("phases", phases, map[trace.ProcID]string{0: "trainer"})
+	out := PhaseTable("phases", phases, trace.Meta{Procs: map[trace.ProcID]trace.ProcInfo{0: {Name: "trainer"}}})
 	for _, want := range []string{"phases", "trainer", "proc1", "selfplay"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("phase table missing %q:\n%s", want, out)

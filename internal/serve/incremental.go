@@ -11,7 +11,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -169,9 +168,8 @@ type SealResponse struct {
 // first chunk append, or an explicit POST /v1/traces). A sealed id cannot be
 // appended to, and creation requires a configured trace store.
 func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiError) {
-	if !validTraceID(id) {
-		return nil, false, &apiError{http.StatusBadRequest, ErrCodeInvalidTraceID,
-			fmt.Sprintf("invalid trace id %q: want [A-Za-z0-9][A-Za-z0-9._-]*, no %q", id, "..")}
+	if err := checkTraceID(id); err != nil {
+		return nil, false, &apiError{http.StatusBadRequest, ErrCodeInvalidTraceID, err.Error()}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -217,10 +215,7 @@ type CreateTraceRequest struct {
 // Opening an already-open trace is a 200 no-op; a fresh open is a 201.
 func (s *Server) handleCreateTrace(w http.ResponseWriter, r *http.Request) {
 	var req CreateTraceRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad create request: "+err.Error())
+	if !readJSON(w, r, &req, false) {
 		return
 	}
 	lt, created, apiErr := s.openLive(req.ID)
@@ -235,23 +230,29 @@ func (s *Server) handleCreateTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, lt.summary().TraceInfo)
 }
 
-// validTraceID is the one trace-id rule, for live ingest and AddDir alike:
+// maxTraceIDBytes bounds a trace id: it names the trace's store directory,
+// and file systems refuse a longer name (ENAMETOOLONG).
+const maxTraceIDBytes = 255
+
+// checkTraceID is the one trace-id rule, for live ingest and AddDir alike:
 // an id is safe as a store directory name and as a URL path segment — one
-// segment, no traversal, no whitespace, nothing net/http's path cleaning
-// rewrites (".", "..") or a query cuts off ("?").
-func validTraceID(id string) bool {
-	if id == "" || strings.Contains(id, "..") {
-		return false
-	}
+// segment of at most maxTraceIDBytes, no traversal, no whitespace, nothing
+// net/http's path cleaning rewrites (".", "..") or a query cuts off ("?").
+func checkTraceID(id string) error {
+	valid := id != "" && len(id) <= maxTraceIDBytes && !strings.Contains(id, "..")
 	for i, r := range id {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
 		case i > 0 && (r == '.' || r == '_' || r == '-'):
 		default:
-			return false
+			valid = false
 		}
 	}
-	return true
+	if !valid {
+		return fmt.Errorf("invalid trace id %.64q (%d bytes): want [A-Za-z0-9][A-Za-z0-9._-]*, at most %d bytes, no %q",
+			id, len(id), maxTraceIDBytes, "..")
+	}
+	return nil
 }
 
 // handleAppendChunk is POST /v1/traces/{id}/chunks?seq=N: the request body
@@ -399,10 +400,7 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var meta trace.Meta
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&meta); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad seal body: "+err.Error())
+	if !readJSON(w, r, &meta, true) {
 		return
 	}
 	sealed, err := s.promote(entry.live, meta)
@@ -441,7 +439,7 @@ func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 	results := lt.inc.Results(nil)
 	var rs bytes.Buffer
 	if err := report.EncodeResultSet(&rs, results); err == nil {
-		s.store.add(ResultSetKey(sealed.info.Digest), rs.Bytes())
+		s.store.add(resultSetKey(sealed.info.Digest), rs.Bytes())
 	}
 	s.storeDoc(cacheKey(sealed.info.Digest, canonical{resultOnly: true}), report.NewResultAnalysis(meta, results, false))
 

@@ -356,6 +356,8 @@ func TestIngestProtocolErrors(t *testing.T) {
 	}{
 		{"invalid id", "POST", "/v1/traces/.dot/chunks?seq=0", string(chunks[0]), http.StatusBadRequest, ErrCodeInvalidTraceID},
 		{"traversal id", "POST", "/v1/traces/a..b/chunks?seq=0", string(chunks[0]), http.StatusBadRequest, ErrCodeInvalidTraceID},
+		{"long id", "POST", "/v1/traces/" + strings.Repeat("a", 256) + "/chunks?seq=0", string(chunks[0]), http.StatusBadRequest, ErrCodeInvalidTraceID},
+		{"long id create", "POST", "/v1/traces", `{"id":"` + strings.Repeat("a", 256) + `"}`, http.StatusBadRequest, ErrCodeInvalidTraceID},
 		{"missing seq", "POST", "/v1/traces/run/chunks", string(chunks[0]), http.StatusBadRequest, ErrCodeBadRequest},
 		{"undecodable chunk", "POST", "/v1/traces/run/chunks?seq=0", "not a chunk frame", http.StatusBadRequest, ErrCodeBadChunk},
 		{"read-only collision", "POST", "/v1/traces/qs/chunks?seq=0", string(chunks[0]), http.StatusConflict, ErrCodeTraceExists},

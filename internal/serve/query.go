@@ -7,7 +7,7 @@
 // The document is cached encoded, by content (Server.Query): a repeat of a
 // query over an unchanged fleet is one LRU lookup. Behind that, per-trace
 // results come from the tiered report store: the full-fidelity result set
-// of each trace is cached under its content digest alone (ResultSetKey —
+// of each trace is cached under its content digest alone (resultSetKey —
 // results are byte-identical at any worker count, so no options belong in
 // the key), which makes an N-trace document miss over a warm store N store
 // lookups plus an exact in-memory merge, zero Engine runs. Result-set
@@ -20,7 +20,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -32,12 +31,12 @@ import (
 	"repro/internal/trace"
 )
 
-// ResultSetKey addresses a trace's full-fidelity result set in the report
+// resultSetKey addresses a trace's full-fidelity result set in the report
 // store by content digest alone — no analysis options belong in the key
 // because results are byte-identical at any worker count. The "rs|" prefix
 // keeps result-set blobs disjoint from analysis documents, whose keys
 // start with the bare digest.
-func ResultSetKey(digest string) string { return "rs|" + digest }
+func resultSetKey(digest string) string { return "rs|" + digest }
 
 // queryKey addresses an encoded query document in the report cache by the
 // plan's content key. Query documents live in the memory tier only: the
@@ -57,17 +56,15 @@ type QueryResult struct {
 	EngineRuns int
 }
 
-// Query answers plan over candidates (each carrying its Digest and Dir) —
-// the one fleet query path, behind POST /v1/query and rlscope-query alike.
-// The document is a pure function of the plan and the selected traces'
-// content, so it is cached encoded under the plan's ContentKey: a repeat is
-// one LRU lookup, and a miss runs Execute once however many identical
-// queries are waiting. Selection runs first either way, so an invalid
-// candidate list fails on a hit exactly as on a miss; only successful
-// documents are stored, and nothing is ever purged — a changed fleet is a
-// changed key.
-func (s *Server) Query(ctx context.Context, plan *fleet.Plan, candidates []fleet.Trace) (QueryResult, error) {
-	matched, err := plan.Select(candidates)
+// Query answers plan over every sealed trace in the registry — the one fleet
+// query path, behind POST /v1/query and rlscope-query alike. The document is
+// a pure function of the plan and the selected traces' content, so it is
+// cached encoded under the plan's ContentKey: a repeat is one LRU lookup,
+// and a miss runs Execute once however many identical queries are waiting.
+// Only successful documents are stored, and nothing is ever purged — a
+// changed fleet is a changed key.
+func (s *Server) Query(ctx context.Context, plan *fleet.Plan) (QueryResult, error) {
+	matched, err := plan.Select(s.queryCandidates())
 	if err != nil {
 		return QueryResult{}, err
 	}
@@ -80,7 +77,7 @@ func (s *Server) Query(ctx context.Context, plan *fleet.Plan, candidates []fleet
 	engineRuns := 0
 	body, shared, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
 		doc, err := plan.Execute(runCtx, matched, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
-			results, ran, err := s.LoadResults(ctx, t.Digest, t.Dir)
+			results, ran, err := s.loadResults(ctx, t.Digest, t.Dir)
 			if ran {
 				engineRuns++
 			}
@@ -108,10 +105,7 @@ func (s *Server) Query(ctx context.Context, plan *fleet.Plan, candidates []fleet
 // handleQuery is POST /v1/query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var q fleet.Query
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&q); err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad query body: "+err.Error())
+	if !readJSON(w, r, &q, false) {
 		return
 	}
 	plan, err := fleet.Compile(q)
@@ -119,7 +113,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error())
 		return
 	}
-	res, err := s.Query(r.Context(), plan, s.queryCandidates())
+	res, err := s.Query(r.Context(), plan)
 	if err != nil {
 		var qerr *fleet.QueryError
 		if errors.As(err, &qerr) {
@@ -149,14 +143,14 @@ func (s *Server) queryCandidates() []fleet.Trace {
 	return out
 }
 
-// LoadResults returns the full-fidelity per-process results of the sealed
+// loadResults returns the full-fidelity per-process results of the sealed
 // trace directory dir, addressed by its content digest: tiered store lookup
 // first, a singleflight-deduplicated Engine run on a miss, the encoded
 // result set written back through both tiers. ran reports whether this call
-// paid for an Engine run. It backs POST /v1/query, the result-only analyzes
-// of streamed traces, and rlscope-query (a Server with only ReportDir set).
-func (s *Server) LoadResults(ctx context.Context, digest, dir string) (results map[trace.ProcID]*overlap.Result, ran bool, err error) {
-	key := ResultSetKey(digest)
+// paid for an Engine run. It backs fleet queries and the result-only
+// analyzes of streamed traces.
+func (s *Server) loadResults(ctx context.Context, digest, dir string) (results map[trace.ProcID]*overlap.Result, ran bool, err error) {
+	key := resultSetKey(digest)
 	if body, ok := s.store.get(key); ok {
 		if results, err := report.DecodeResultSet(body); err == nil {
 			return results, false, nil

@@ -226,10 +226,11 @@ func TestQueryBadRequests(t *testing.T) {
 // zero Engine runs and byte-identical output.
 func TestQueryWarmRestart(t *testing.T) {
 	reportDir := t.TempDir()
-	s1, err := NewServerStrict(Config{MaxWorkers: 2, ReportDir: reportDir})
+	reports, err := NewDiskStore(reportDir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1 := NewServer(Config{MaxWorkers: 2, Reports: reports})
 	dirs := fleetDirs(t, s1)
 	body := `{"group_by":["label.framework"]}`
 	rec1 := doReq(t, s1.Handler(), "POST", "/v1/query", body)
@@ -241,10 +242,11 @@ func TestQueryWarmRestart(t *testing.T) {
 	}
 	s1.Close()
 
-	s2, err := NewServerStrict(Config{MaxWorkers: 2, ReportDir: reportDir})
+	reports, err = NewDiskStore(reportDir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s2 := NewServer(Config{MaxWorkers: 2, Reports: reports})
 	t.Cleanup(s2.Close)
 	for id, dir := range dirs {
 		if _, err := s2.AddDir(id, dir); err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -152,9 +151,8 @@ func TestQueryDocCacheMembership(t *testing.T) {
 	expect("hit")
 }
 
-// TestQueryErrorsNeverCached: a query that fails — at selection or at
-// render — stores nothing and fails again the same way, and a valid query
-// after it is unaffected.
+// TestQueryErrorsNeverCached: a query that fails stores nothing and fails
+// again the same way, and a valid query after it is unaffected.
 func TestQueryErrorsNeverCached(t *testing.T) {
 	s := NewServer(Config{MaxWorkers: 2})
 	t.Cleanup(s.Close)
@@ -173,20 +171,6 @@ func TestQueryErrorsNeverCached(t *testing.T) {
 			t.Fatalf("error response carries a cache header: %v", rec.Header())
 		}
 	}
-
-	// Duplicate ids cannot come from the registry; the CLI can produce them
-	// (two directories with one basename) and reaches the same Query.
-	plan, err := fleet.Compile(fleet.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dup := append(s.queryCandidates(), s.queryCandidates()[0])
-	for i := 0; i < 2; i++ {
-		var qerr *fleet.QueryError
-		if _, err := s.Query(context.Background(), plan, dup); !errors.As(err, &qerr) {
-			t.Fatalf("duplicate ids, attempt %d: err %v, want a QueryError", i, err)
-		}
-	}
 	if got := s.store.lru.stats().Entries; got != entries {
 		t.Fatalf("failed queries changed the cache: %d entries, was %d", got, entries)
 	}
@@ -198,10 +182,11 @@ func TestQueryErrorsNeverCached(t *testing.T) {
 // TestQueryDocsStayOffDisk: the disk tier holds what costs an Engine run —
 // result sets and analysis documents — however many distinct queries ran.
 func TestQueryDocsStayOffDisk(t *testing.T) {
-	s, err := NewServerStrict(Config{MaxWorkers: 2, ReportDir: t.TempDir()})
+	reports, err := NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := NewServer(Config{MaxWorkers: 2, Reports: reports})
 	t.Cleanup(s.Close)
 	fleetDirs(t, s)
 	h := s.Handler()
@@ -300,7 +285,7 @@ func TestStaleResultSetBlobRecomputes(t *testing.T) {
 	t.Cleanup(s.Close)
 	dirs := fleetDirs(t, s)
 	for _, c := range s.queryCandidates() {
-		s.store.add(ResultSetKey(c.Digest), []byte(`{"version":0,"procs":[]}`))
+		s.store.add(resultSetKey(c.Digest), []byte(`{"version":0,"procs":[]}`))
 	}
 	body := `{"group_by":["label.algo"]}`
 	rec := doReq(t, s.Handler(), "POST", "/v1/query", body)

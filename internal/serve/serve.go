@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -58,12 +59,12 @@ type Config struct {
 	// creates trace directories under it on first write. Empty disables
 	// the write path (ingest requests fail with 403 ingest_disabled).
 	StoreDir string
-	// ReportDir, when set, adds a persistent content-addressed report
-	// store under the LRU: encoded reports land on disk keyed by (digest,
-	// canonical options), so cache warmth survives restarts and a fleet
-	// of servers sharing one directory share one store. Empty keeps the
-	// cache in-memory only.
-	ReportDir string
+	// Reports, when set, adds a persistent content-addressed report store
+	// (NewDiskStore) under the LRU: encoded reports land on disk keyed by
+	// (digest, canonical options), so cache warmth survives restarts and a
+	// fleet of servers sharing one directory share one store. Nil keeps the
+	// cache in memory only.
+	Reports *DiskStore
 }
 
 // DefaultCacheBytes is the report-cache budget selected by Config.CacheBytes <= 0.
@@ -177,17 +178,8 @@ type AnalyzeRequest struct {
 	Procs []trace.ProcID `json:"procs,omitempty"`
 }
 
-// NewServer builds a Server from cfg. Call Close when done with it. An
-// unusable ReportDir is reported by falling back to the in-memory tier
-// alone — use NewServerStrict when a missing store must be an error.
+// NewServer builds a Server from cfg. Call Close when done with it.
 func NewServer(cfg Config) *Server {
-	s, _ := NewServerStrict(cfg)
-	return s
-}
-
-// NewServerStrict is NewServer, but a ReportDir that cannot be created is
-// returned as an error alongside the (LRU-only) server.
-func NewServerStrict(cfg Config) (*Server, error) {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = DefaultCacheBytes
 	}
@@ -195,19 +187,14 @@ func NewServerStrict(cfg Config) (*Server, error) {
 		cfg.MaxWorkers = analysis.DefaultWorkers()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	store := &tieredStore{lru: newReportCache(cfg.CacheBytes)}
-	var err error
-	if cfg.ReportDir != "" {
-		store.disk, err = NewDiskStore(cfg.ReportDir)
-	}
 	return &Server{
 		cfg:     cfg,
 		stop:    cancel,
 		traces:  map[string]*traceEntry{},
-		store:   store,
+		store:   &tieredStore{lru: newReportCache(cfg.CacheBytes), disk: cfg.Reports},
 		flights: newFlightGroup(ctx),
 		budget:  newWorkerBudget(cfg.MaxWorkers),
-	}, err
+	}
 }
 
 // Close aborts every in-flight Engine run (their contexts descend from the
@@ -222,8 +209,8 @@ func (s *Server) EngineRuns() int64 { return s.engineRuns.Load() }
 // summary. Registering the same id twice is an error; the same directory
 // under two ids is fine (they share a digest, hence a cache footprint).
 func (s *Server) AddDir(id, dir string) (TraceInfo, error) {
-	if !validTraceID(id) {
-		return TraceInfo{}, fmt.Errorf("serve: invalid trace id %q: want [A-Za-z0-9][A-Za-z0-9._-]*, no %q", id, "..")
+	if err := checkTraceID(id); err != nil {
+		return TraceInfo{}, fmt.Errorf("serve: %w", err)
 	}
 	entry, err := newTraceEntry(id, dir)
 	if err != nil {
@@ -237,6 +224,17 @@ func (s *Server) AddDir(id, dir string) (TraceInfo, error) {
 	s.traces[id] = entry
 	s.ids = append(s.ids, id)
 	return entry.info, nil
+}
+
+// AddDirArg registers a directory given as DIR or NAME=DIR, the one spelling
+// rlscope-serve -trace and rlscope-query share: a bare DIR is registered
+// under its basename.
+func (s *Server) AddDirArg(arg string) (TraceInfo, error) {
+	id, dir, ok := strings.Cut(arg, "=")
+	if !ok {
+		id, dir = filepath.Base(filepath.Clean(arg)), arg
+	}
+	return s.AddDir(id, dir)
 }
 
 // newTraceEntry snapshots a directory's content: digest, metadata, and the
@@ -268,7 +266,7 @@ func newTraceEntry(id, dir string) (*traceEntry, error) {
 func sealedEntry(id, dir, digest string, meta trace.Meta, fold *summaryFold) (*traceEntry, error) {
 	summary := buildSummary(fold, id, digest, StateSealed, meta)
 	var body bytes.Buffer
-	if err := encodeJSON(&body, summary); err != nil {
+	if err := report.EncodeJSON(&body, summary); err != nil {
 		return nil, fmt.Errorf("serve: encoding summary of %s: %w", dir, err)
 	}
 	return &traceEntry{id: id, info: summary.TraceInfo, dir: dir, meta: meta, summary: body.Bytes()}, nil
@@ -326,12 +324,7 @@ func buildSummary(f *summaryFold, id, digest, state string, meta trace.Meta) *Tr
 		Tree:   report.TreeJSON(meta),
 	}
 	for _, p := range procs {
-		info := meta.Procs[p]
-		name := info.Name
-		if name == "" {
-			name = fmt.Sprintf("proc%d", p)
-		}
-		ps := ProcSummary{Proc: p, Name: name, Parent: info.Parent}
+		ps := ProcSummary{Proc: p, Name: report.ProcName(meta, p), Parent: meta.Procs[p].Parent}
 		if sp, ok := f.spans[p]; ok {
 			ps.Events, ps.MinStart, ps.MaxEnd = sp.Events, int64(sp.MinStart), int64(sp.MaxEnd)
 		}
@@ -535,9 +528,9 @@ func (s *Server) storeDoc(key string, doc *report.Analysis) ([]byte, error) {
 // renderStored computes a streamed entry's result-only document from the
 // result set its seal stored: per-process results are independent, so the
 // requested processes of the set are what an Engine run filtered to them would
-// compute. LoadResults re-runs the Engine only if every tier has lost the set.
+// compute. loadResults re-runs the Engine only if every tier has lost the set.
 func (s *Server) renderStored(ctx context.Context, entry *traceEntry, procs []trace.ProcID, key string) ([]byte, error) {
-	results, _, err := s.LoadResults(ctx, entry.info.Digest, entry.dir)
+	results, _, err := s.loadResults(ctx, entry.info.Digest, entry.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -560,11 +553,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AnalyzeRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	// io.EOF means an empty body — legal, meaning "all defaults".
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad analyze request: "+err.Error())
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	if entry.live != nil {
@@ -700,16 +689,40 @@ func writeBody(w http.ResponseWriter, body []byte) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	encodeJSON(w, v)
+	report.EncodeJSON(w, v)
 }
 
-// encodeJSON is the one spelling of the service's JSON: two-space indent,
-// no HTML escaping, trailing newline.
-func encodeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+// maxJSONBytes bounds the body of every route that takes a JSON one.
+const maxJSONBytes = 1 << 20
+
+// readJSON is the one JSON body reader: it decodes r's body into v, which
+// must be one JSON value with no field v lacks and nothing but white space
+// after it. An empty body leaves v zero when emptyOK. Otherwise it writes
+// bad_request — 413 for a body over maxJSONBytes, 400 for anything else —
+// and reports false.
+func readJSON(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		// Token answers io.EOF, allocating nothing, exactly when only white
+		// space follows the value.
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		} else if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+	} else if err == io.EOF && emptyOK {
+		return true
+	}
+	// Declared past the returns: errors.As moves it to the heap.
+	var tooBig *http.MaxBytesError
+	status := http.StatusBadRequest
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, ErrCodeBadRequest, "bad request body: "+err.Error())
+	return false
 }
 
 // Stable machine-readable error codes. Every /v1 error body is the

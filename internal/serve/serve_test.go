@@ -560,9 +560,53 @@ func TestAddDirErrors(t *testing.T) {
 	// The live-ingest id rule: "." and ".." would name the store itself and
 	// its parent, and net/http's path cleaning redirects both (and cuts at
 	// "?") before a route sees them.
-	for _, id := range []string{"bad id", ".", "..", "a?b"} {
+	// An id names a store directory, so it is at most 255 bytes.
+	for _, id := range []string{"bad id", ".", "..", "a?b", strings.Repeat("a", 256)} {
 		if _, err := s.AddDir(id, dir); err == nil {
-			t.Fatalf("invalid id %q registered", id)
+			t.Fatalf("invalid id %.32q registered", id)
 		}
+	}
+	if _, err := s.AddDir(strings.Repeat("a", 255), dir); err != nil {
+		t.Fatalf("a 255-byte id: %v", err)
+	}
+}
+
+// TestJSONBodyErrors: the four routes that take a JSON body read one value
+// of at most 1 MiB. Bytes after the value are 400 bad_request, not a request
+// whose second half is dropped, and a body over the limit is 413
+// bad_request, as an oversized chunk is. A refused request changes nothing.
+func TestJSONBodyErrors(t *testing.T) {
+	s := newTestServer(t, Config{StoreDir: t.TempDir()}, quickstartDir(t, 5))
+	h := s.Handler()
+	chunks, _ := quickstartFrames(t, 5, 1)
+	mustOK(t, h, "POST", "/v1/traces/open/chunks?seq=0", string(chunks[0]))
+	long := strings.Repeat("a", 2<<20)
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/traces/qs/analyze", `{"workers":1}garbage`, http.StatusBadRequest},
+		{"/v1/traces/qs/analyze", `{"workers":1} {"correction":true}`, http.StatusBadRequest},
+		{"/v1/traces", `{"id":"zz"} trailing`, http.StatusBadRequest},
+		{"/v1/traces/open/seal", `{"workload":"w"} {}`, http.StatusBadRequest},
+		{"/v1/query", `{"group_by":["label.algo"]}]]]`, http.StatusBadRequest},
+		{"/v1/traces/qs/analyze", `{"procs":[` + strings.Repeat("0,", 600_000) + `0]}`, http.StatusRequestEntityTooLarge},
+		{"/v1/traces", `{"id":"` + long + `"}`, http.StatusRequestEntityTooLarge},
+		{"/v1/traces/open/seal", `{"workload":"` + long + `"}`, http.StatusRequestEntityTooLarge},
+		{"/v1/query", `{"group_by":["` + long + `"]}`, http.StatusRequestEntityTooLarge},
+	} {
+		rec := doReq(t, h, "POST", tc.path, tc.body)
+		if rec.Code != tc.want || errCode(t, rec) != ErrCodeBadRequest {
+			t.Errorf("POST %s %.40q: %d %.120s, want %d %s", tc.path, tc.body, rec.Code, rec.Body, tc.want, ErrCodeBadRequest)
+		}
+	}
+	if s.lookup("zz") != nil {
+		t.Error("a refused create opened its trace")
+	}
+	if s.lookup("open").live == nil {
+		t.Error("a refused seal sealed the trace")
+	}
+	if runs := s.EngineRuns(); runs != 0 {
+		t.Errorf("refused analyzes started %d engine runs", runs)
 	}
 }

@@ -169,8 +169,12 @@ func TestOneTraceLifecycle(t *testing.T) {
 // internal/trace speaks frames, not streams — no exported function takes an
 // io.Reader or io.Writer; internal/analysis exports no job pool (ForEach…)
 // beside the pipeline's own workers; overlap.Result has no merge of its own
-// beside analysis.MergeResult; and internal/experiments, the one package that
-// fans independent jobs out, is the only non-test caller of a fan-out.
+// beside analysis.MergeResult; internal/experiments, the one package that
+// fans independent jobs out, is the only non-test caller of a fan-out;
+// internal/serve decodes a JSON body in one place and exports no second
+// constructor or result-set path; the module spells the "proc%d" process-name
+// fallback once (report.ProcName); and internal/ sets up an indented JSON
+// encoder once (report.EncodeJSON).
 func TestOneWayEach(t *testing.T) {
 	fset := token.NewFileSet()
 	funcs := func(dir string) (fns []*ast.FuncDecl) {
@@ -207,6 +211,13 @@ func TestOneWayEach(t *testing.T) {
 		}
 	}
 	callers := map[string]bool{}
+	serveDir := filepath.Join("internal", "serve")
+	const (
+		decoders  = "json.NewDecoder calls in internal/serve"
+		procNames = `"proc%d" literals`
+		indents   = "SetIndent calls under internal/"
+	)
+	counts := map[string]int{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -222,6 +233,11 @@ func TestOneWayEach(t *testing.T) {
 			return err
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, _ := strconv.Unquote(lit.Value); s == "proc%d" {
+					counts[procNames]++
+				}
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -232,6 +248,12 @@ func TestOneWayEach(t *testing.T) {
 				name = fun.Name
 			case *ast.SelectorExpr:
 				name = fun.Sel.Name
+				if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "json" && name == "NewDecoder" && filepath.Dir(path) == serveDir {
+					counts[decoders]++
+				}
+			}
+			if name == "SetIndent" && strings.HasPrefix(path, "internal"+string(filepath.Separator)) {
+				counts[indents]++
 			}
 			if name == "forEach" || strings.HasPrefix(name, "ForEach") {
 				callers[filepath.Dir(path)] = true
@@ -247,6 +269,12 @@ func TestOneWayEach(t *testing.T) {
 	if want := []string{filepath.Join("internal", "experiments")}; !slices.Equal(got, want) {
 		t.Errorf("a job fan-out is called from %v, want exactly %v", got, want)
 	}
+	for _, what := range []string{decoders, procNames, indents} {
+		if counts[what] != 1 {
+			t.Errorf("non-test code has %d %s, want exactly 1", counts[what], what)
+		}
+	}
+	forbidIdents(t, fset, parseNonTest(t, fset, serveDir), "NewServerStrict", "LoadResults", "ResultSetKey")
 }
 
 // linkedAnyway is the reason a method stays that only tests call: the linker
