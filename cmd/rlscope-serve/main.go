@@ -47,11 +47,16 @@
 // whole body is (the scheduling-stats block varies with worker
 // interleaving above that).
 //
+// With -debug-addr ADDR, net/http/pprof is served on a second listener at
+// ADDR, under /debug/pprof/, for profiling the running service; the service's
+// own listener never has a /debug/ route.
+//
 // Usage:
 //
 //	rlscope-serve -listen :8080 -trace quickstart=/tmp/trace [-trace NAME=DIR ...] \
 //	    [-store /var/lib/rlscope/traces] [-store-reports /var/lib/rlscope/reports] \
-//	    [-cache-bytes N] [-max-workers N] [-calibration cal.json] [-drain-timeout 10s]
+//	    [-cache-bytes N] [-max-workers N] [-calibration cal.json] [-drain-timeout 10s] \
+//	    [-debug-addr 127.0.0.1:6060]
 package main
 
 import (
@@ -60,6 +65,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -87,6 +93,7 @@ func main() {
 		drain      = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain window for in-flight requests")
 		storeDir   = flag.String("store", "", "trace store directory enabling live ingest (POST /v1/traces/{id}/chunks)")
 		reportDir  = flag.String("store-reports", "", "persistent report store directory: cached reports and fleet result sets survive restarts and are shared by servers pointing at the same directory")
+		debugAddr  = flag.String("debug-addr", "", "address of a second listener serving net/http/pprof under /debug/pprof/ (empty = off)")
 	)
 	var traceArgs []string
 	flag.Func("trace", "trace directory to register, as DIR or NAME=DIR (repeatable)", func(v string) error {
@@ -136,9 +143,20 @@ func main() {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-	errCh := make(chan error, 1)
+	errCh := make(chan error, 2)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "rlscope-serve: listening on %s\n", *listen)
+	if *debugAddr != "" {
+		debugSrv := &http.Server{
+			Addr:              *debugAddr,
+			Handler:           debugHandler(),
+			ReadHeaderTimeout: readHeaderTimeout,
+			IdleTimeout:       idleTimeout,
+		}
+		defer debugSrv.Close()
+		go func() { errCh <- debugSrv.ListenAndServe() }()
+		fmt.Fprintf(os.Stderr, "rlscope-serve: pprof on %s/debug/pprof/\n", *debugAddr)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -162,6 +180,18 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "rlscope-serve: bye")
+}
+
+// debugHandler is the -debug-addr listener's mux: net/http/pprof's handlers,
+// and nothing else.
+func debugHandler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 func fatal(err error) {

@@ -477,10 +477,11 @@ func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *trac
 	defer lt.amu.Unlock()
 
 	digest := lt.drain()
-	w.Header().Set("X-RLScope-Digest", digest)
-	w.Header().Set("X-RLScope-State", StateOpen)
+	h := w.Header()
+	h["X-Rlscope-Digest"] = []string{digest}
+	h["X-Rlscope-State"] = stateHdr[StateOpen]
 	if lt.lastBody != nil && lt.lastDigest == digest && slices.Equal(lt.lastProcs, c.procs) {
-		w.Header().Set("X-RLScope-Cache", "hit")
+		h["X-Rlscope-Cache"] = cacheHdr["hit"]
 		writeBody(w, lt.lastBody)
 		return
 	}
@@ -501,7 +502,7 @@ func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *trac
 	lt.lastBody = buf.Bytes()
 	lt.lastDigest = digest
 	lt.lastProcs = c.procs
-	w.Header().Set("X-RLScope-Cache", "miss")
+	h["X-Rlscope-Cache"] = cacheHdr["miss"]
 	writeBody(w, lt.lastBody)
 }
 

@@ -121,3 +121,32 @@ func TestListingMatchesEncodeJSON(t *testing.T) {
 	check("fresh entry after rewrite", "/v1/traces", "odd", "plain", "streamed", "open")
 	check("fresh entry, filtered", "/v1/traces?label.algo=ppo", "odd", "plain")
 }
+
+// TestListingMalformedQuery: a listing query string that does not parse is
+// 400 bad_request, never the registry minus the filters that failed to
+// parse.
+func TestListingMalformedQuery(t *testing.T) {
+	s := NewServer(Config{MaxWorkers: 1})
+	t.Cleanup(s.Close)
+	fleetDirs(t, s)
+	h := s.Handler()
+	if rec := doReq(t, h, "GET", "/v1/traces?label.algo=dqn", ""); rec.Code != http.StatusOK || bytes.Count(rec.Body.Bytes(), []byte(`"id"`)) != 1 {
+		t.Fatalf("label.algo=dqn: %d, want 200 and one row:\n%s", rec.Code, rec.Body)
+	}
+	for _, query := range []string{
+		"label.algo=%zz",
+		"label.algo=dqn;x=1",
+		"label.algo=%zz&label.framework=tf",
+		"label.framework=tf&label.algo=%zz",
+		"label.algo=dqn&%zz",
+	} {
+		rec := doReq(t, h, "GET", "/v1/traces?"+query, "")
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("?%s: %d, want 400:\n%s", query, rec.Code, rec.Body)
+			continue
+		}
+		if code := errCode(t, rec); code != ErrCodeBadRequest {
+			t.Errorf("?%s: code %q, want %q", query, code, ErrCodeBadRequest)
+		}
+	}
+}

@@ -123,8 +123,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	w.Header().Set("X-RLScope-Cache", res.Cache)
-	w.Header().Set("X-RLScope-Engine-Runs", strconv.Itoa(res.EngineRuns))
+	h := w.Header()
+	h["X-Rlscope-Cache"] = cacheHdr[res.Cache]
+	h["X-Rlscope-Engine-Runs"] = []string{strconv.Itoa(res.EngineRuns)}
 	writeBody(w, res.Body)
 }
 

@@ -336,11 +336,12 @@ func warmAllocs(t *testing.T, h http.Handler, method, target, body string) float
 	return testing.AllocsPerRun(200, serve)
 }
 
-// TestWarmReadAllocs pins what a warm fleet query, a warm summary and an
-// analyze cache hit cost. All three serve stored bytes, so the counts are
-// small and exact: a rise means a decode, a merge, a render or an Engine
-// run crept back onto the hit path. A trace that was streamed in and sealed
-// is held to the registered ones' pins: it is the same kind of entry.
+// TestWarmReadAllocs pins what a warm fleet query, a warm summary, an
+// analyze cache hit and the trace listing cost. All of them serve stored
+// bytes, so the counts are small and exact: a rise means a decode, a merge,
+// a render, a row encoding or an Engine run crept back onto the hit path. A
+// trace that was streamed in and sealed is held to the registered ones'
+// pins: it is the same kind of entry, and its listing row is stored alike.
 func TestWarmReadAllocs(t *testing.T) {
 	s, _ := liveServer(t, Config{MaxWorkers: 2})
 	fleetDirs(t, s)
@@ -352,11 +353,13 @@ func TestWarmReadAllocs(t *testing.T) {
 		name, method, target, body string
 		max                        float64
 	}{
-		{"query", "POST", "/v1/query", query, 43},
-		{"summary", "GET", "/v1/traces/run-a/summary", "", 6},
-		{"analyze", "POST", "/v1/traces/run-a/analyze", `{"workers":1}`, 23},
-		{"streamed summary", "GET", "/v1/traces/streamed/summary", "", 6},
-		{"streamed analyze", "POST", "/v1/traces/streamed/analyze", `{"workers":1}`, 23},
+		{"query", "POST", "/v1/query", query, 39},
+		{"summary", "GET", "/v1/traces/run-a/summary", "", 5},
+		{"analyze", "POST", "/v1/traces/run-a/analyze", `{"workers":1}`, 17},
+		{"streamed summary", "GET", "/v1/traces/streamed/summary", "", 5},
+		{"streamed analyze", "POST", "/v1/traces/streamed/analyze", `{"workers":1}`, 17},
+		{"list", "GET", "/v1/traces", "", 7},
+		{"list filtered", "GET", "/v1/traces?label.algo=ppo", "", 12},
 	} {
 		if got := warmAllocs(t, h, pin.method, pin.target, pin.body); got > pin.max {
 			t.Errorf("warm %s: %.0f allocs per request, want <= %.0f", pin.name, got, pin.max)

@@ -97,7 +97,7 @@ func TestLiveEpochAllocs(t *testing.T) {
 	if limit := uint64(per * 40); perEpoch >= limit {
 		t.Errorf("a warm epoch allocates %d B, want under %d: an event buffer is among them", perEpoch, limit)
 	}
-	if want := 122.0; allocs != want {
+	if want := 115.0; allocs != want {
 		t.Errorf("a warm epoch allocates %.0f times, want %.0f", allocs, want)
 	}
 }

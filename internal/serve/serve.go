@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -112,7 +113,11 @@ type traceEntry struct {
 	dir  string
 	meta trace.Meta
 	// summary is the encoded TraceSummary: GET /summary serves these bytes.
-	summary []byte
+	// row is info encoded as a listing row (encodeRow), and digestHdr the
+	// X-Rlscope-Digest value analyzes answer with: both built with summary.
+	summary   []byte
+	row       []byte
+	digestHdr []string
 	// streamed, the final incremental counters, is all that tells a sealed
 	// entry that arrived over /chunks from one AddDir registered. Its results
 	// never came from a batch run, so its uncorrected analyzes are the
@@ -269,7 +274,26 @@ func sealedEntry(id, dir, digest string, meta trace.Meta, fold *summaryFold) (*t
 	if err := report.EncodeJSON(&body, summary); err != nil {
 		return nil, fmt.Errorf("serve: encoding summary of %s: %w", dir, err)
 	}
-	return &traceEntry{id: id, info: summary.TraceInfo, dir: dir, meta: meta, summary: body.Bytes()}, nil
+	row, err := encodeRow(summary.TraceInfo)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encoding listing row of %s: %w", dir, err)
+	}
+	return &traceEntry{
+		id: id, info: summary.TraceInfo, dir: dir, meta: meta,
+		summary: body.Bytes(), row: row, digestHdr: []string{digest},
+	}, nil
+}
+
+// encodeRow encodes a listing row the way report.EncodeJSON lays it out as
+// an element of {"traces": [...]}: two levels deep, so each line after the
+// first gains four spaces, and without the trailing newline. A JSON string
+// holds no raw newline, so every newline of the encoding is a line break.
+func encodeRow(info TraceInfo) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := report.EncodeJSON(&buf, info); err != nil {
+		return nil, err
+	}
+	return bytes.ReplaceAll(bytes.TrimSuffix(buf.Bytes(), []byte("\n")), []byte("\n"), []byte("\n    ")), nil
 }
 
 // summaryFold accumulates what a trace's listing row and summary need from
@@ -385,11 +409,31 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// The frame of the GET /v1/traces body around its rows, as report.EncodeJSON
+// lays out {"traces": [...]}: rows are joined by listSep and a comma.
+const (
+	listHead = "{\n  \"traces\": ["
+	listSep  = "\n    "
+	listTail = "\n  ]\n}\n"
+)
+
+// listEmpty is the listing with no row.
+var listEmpty = []byte("{\n  \"traces\": []\n}\n")
+
+// handleTraces is GET /v1/traces: the selected entries' rows, in
+// registration order, spliced into one body. A sealed entry's row was
+// encoded with its summary; an open trace's is encoded here.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	// ?id=, ?workload=, and ?label.k= filter the listing with the same
 	// glob matcher the fleet query DSL uses (fleet.NewMatcher), so the
-	// two front doors agree on what "workload=ppo-*" selects.
-	matcher, err := listFilter(r.URL.Query())
+	// two front doors agree on what "workload=ppo-*" selects. A query string
+	// that does not parse is refused, not read as the pairs that did.
+	params, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad trace filter query: "+err.Error())
+		return
+	}
+	matcher, err := listFilter(params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad trace filter: "+err.Error())
 		return
@@ -400,23 +444,37 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		entries = append(entries, s.traces[id])
 	}
 	s.mu.RUnlock()
-	infos := make([]TraceInfo, 0, len(entries))
+	rows := make([][]byte, 0, len(entries))
+	size := len(listHead) + len(listTail)
 	for _, entry := range entries {
 		// An open trace has no metadata until seal: only id filters select it.
 		if matcher != nil && !matcher.Match(fleet.Trace{ID: entry.id, Meta: entry.meta}) {
 			continue
 		}
-		info := entry.info
+		row := entry.row
 		if entry.live != nil {
 			// Outside the registry lock: the row takes the trace's own ingest
 			// lock, which an in-flight append may hold.
-			info = entry.live.summary().TraceInfo
+			if row, err = encodeRow(entry.live.summary().TraceInfo); err != nil {
+				writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding listing row: "+err.Error())
+				return
+			}
 		}
-		infos = append(infos, info)
+		rows = append(rows, row)
+		size += len(",") + len(listSep) + len(row)
 	}
-	writeJSON(w, http.StatusOK, struct {
-		Traces []TraceInfo `json:"traces"`
-	}{infos})
+	if len(rows) == 0 {
+		writeBody(w, listEmpty)
+		return
+	}
+	body := append(make([]byte, 0, size), listHead...)
+	for i, row := range rows {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(append(body, listSep...), row...)
+	}
+	writeBody(w, append(body, listTail...))
 }
 
 // listFilter builds a fleet matcher from GET /v1/traces query parameters.
@@ -579,16 +637,15 @@ func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *tr
 	}
 	key := cacheKey(entry.info.Digest, c)
 
-	w.Header().Set("X-RLScope-Digest", entry.info.Digest)
+	h := w.Header()
+	h["X-Rlscope-Digest"] = entry.digestHdr
 	if entry.streamed != nil {
-		// X-RLScope-State in net/http's canonical spelling: Set allocates to
-		// canonicalise any other, and this hit shares the registered hit's pin.
-		w.Header().Set("X-Rlscope-State", StateSealed)
+		h["X-Rlscope-State"] = stateHdr[StateSealed]
 	}
 	if body, ok := s.store.get(key); ok {
 		// Content hit: the stored bytes answer the request with zero
 		// Engine (and zero encoding) work.
-		w.Header().Set("X-RLScope-Cache", "hit")
+		h["X-Rlscope-Cache"] = cacheHdr["hit"]
 		writeBody(w, body)
 		return
 	}
@@ -636,9 +693,9 @@ func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *tr
 		return
 	}
 	if shared {
-		w.Header().Set("X-RLScope-Cache", "dedup")
+		h["X-Rlscope-Cache"] = cacheHdr["dedup"]
 	} else {
-		w.Header().Set("X-RLScope-Cache", "miss")
+		h["X-Rlscope-Cache"] = cacheHdr["miss"]
 	}
 	writeBody(w, body)
 }
@@ -679,15 +736,26 @@ func writeRunError(w http.ResponseWriter, r *http.Request, what string, err erro
 	}
 }
 
+// Header values the handlers write straight into the header map, under
+// net/http's canonical key spelling: Header.Set would allocate a fresh slice
+// for each. They are shared by every response, so never modified.
+var (
+	jsonHdr  = []string{"application/json"}
+	cacheHdr = map[string][]string{"hit": {"hit"}, "miss": {"miss"}, "dedup": {"dedup"}}
+	stateHdr = map[string][]string{StateOpen: {StateOpen}, StateSealed: {StateSealed}}
+)
+
+// writeBody answers 200 with stored JSON bytes.
 func writeBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	h := w.Header()
+	h["Content-Type"] = jsonHdr
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonHdr
 	w.WriteHeader(status)
 	report.EncodeJSON(w, v)
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"io/fs"
 	"maps"
+	"net/textproto"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -275,6 +276,65 @@ func TestOneWayEach(t *testing.T) {
 		}
 	}
 	forbidIdents(t, fset, parseNonTest(t, fset, serveDir), "NewServerStrict", "LoadResults", "ResultSetKey")
+	checkHeaderKeys(t, fset, parseNonTest(t, fset, serveDir))
+}
+
+// checkHeaderKeys fails for every string literal used as an HTTP header key
+// in files — an argument of a header's Set, Add, Get, Del or Values, or an
+// index into one — that is not in net/http's canonical spelling: Set
+// allocates to canonicalise any other, and a direct index with one misses
+// what Set and Get write. A header is X.Header() or a variable assigned it.
+func checkHeaderKeys(t *testing.T, fset *token.FileSet, files []*ast.File) {
+	t.Helper()
+	isHeaderCall := func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok || len(call.Args) != 0 {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Header"
+	}
+	keys := 0
+	for _, f := range files {
+		headerVars := map[string]bool{}
+		isHeader := func(e ast.Expr) bool {
+			id, ok := e.(*ast.Ident)
+			return isHeaderCall(e) || ok && headerVars[id.Name]
+		}
+		checkKey := func(e ast.Expr) {
+			lit, ok := e.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				return
+			}
+			keys++
+			if k, _ := strconv.Unquote(lit.Value); textproto.CanonicalMIMEHeaderKey(k) != k {
+				t.Errorf("header key %q is not canonical (want %q) at %s", k, textproto.CanonicalMIMEHeaderKey(k), fset.Position(lit.Pos()))
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, rhs := range n.Rhs {
+					if id, ok := n.Lhs[i].(*ast.Ident); ok && isHeaderCall(rhs) {
+						headerVars[id.Name] = true
+					}
+				}
+			case *ast.IndexExpr:
+				if isHeader(n.X) {
+					checkKey(n.Index)
+				}
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if ok && len(n.Args) > 0 && isHeader(sel.X) && slices.Contains([]string{"Set", "Add", "Get", "Del", "Values"}, sel.Sel.Name) {
+					checkKey(n.Args[0])
+				}
+			}
+			return true
+		})
+	}
+	if keys == 0 {
+		t.Error("no header key literal found in internal/serve: the canonical-key check reads nothing")
+	}
 }
 
 // linkedAnyway is the reason a method stays that only tests call: the linker
