@@ -70,6 +70,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "rlscope-analyze: -json cannot be combined with -csv/-summary/-timeline/-tree/-phases")
 		os.Exit(2)
 	}
+	// -csv is one table, which the other report modes would interleave text
+	// with or be dropped from.
+	if *csv && (*summary || *timeline || *tree || *phases) {
+		fmt.Fprintln(os.Stderr, "rlscope-analyze: -csv cannot be combined with -summary/-timeline/-tree/-phases")
+		os.Exit(2)
+	}
 	if *resultOnly && !*jsonOut {
 		fmt.Fprintln(os.Stderr, "rlscope-analyze: -result-only requires -json")
 		os.Exit(2)

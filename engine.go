@@ -7,9 +7,9 @@ import (
 
 // Source is one run's worth of events offered to Engine.Analyze: an
 // in-memory trace (FromTrace) or chunked on-disk storage streamed with
-// bounded memory (FromDir, FromReader). See trace.Source for the contract
-// custom sources must meet.
-type Source = trace.Source
+// bounded memory (FromDir, FromReader). Only those three make one; the zero
+// Source fails to analyze.
+type Source = analysis.Source
 
 // TraceReader streams a chunked trace directory lazily: chunk files decode
 // one at a time into a reusable buffer and planning metadata is served from
@@ -25,14 +25,16 @@ type Meta = trace.Meta
 func OpenTraceDir(dir string) (*TraceReader, error) { return trace.OpenDir(dir) }
 
 // FromTrace returns a Source over an already-materialized trace.
-func FromTrace(t *Trace) Source { return trace.FromTrace(t) }
+func FromTrace(t *Trace) Source { return analysis.FromTrace(t) }
 
-// FromDir returns a streaming Source over a chunked trace directory; the
-// directory is opened lazily on first analysis.
-func FromDir(dir string) Source { return trace.FromDir(dir) }
+// FromDir returns a streaming Source over a chunked trace directory; every
+// analysis opens the directory for itself, so one FromDir source can be
+// analyzed from several goroutines at once.
+func FromDir(dir string) Source { return analysis.FromDir(dir) }
 
-// FromReader returns a streaming Source over an open TraceReader.
-func FromReader(r *TraceReader) Source { return trace.FromReader(r) }
+// FromReader returns a streaming Source over an open TraceReader, which one
+// analysis at a time may read.
+func FromReader(r *TraceReader) Source { return analysis.FromReader(r) }
 
 // Progress is one notification from a running analysis: the pipeline stage
 // (analysis.StageCorrect during a streaming correction pre-pass,
@@ -46,11 +48,11 @@ type Progress = analysis.Progress
 // cancellable Analyze call over any Source, configured once by functional
 // options. The zero configuration (NewEngine with no options) analyzes
 // every process with one worker per CPU, unbounded residency, and no
-// correction — equivalent to the legacy free functions it supersedes.
+// correction.
 //
 // An Engine is immutable after construction and safe for concurrent use;
-// one Engine can serve many Analyze calls (though a single streaming
-// source must not be analyzed concurrently — see FromReader).
+// one Engine can serve many Analyze calls (though a single FromReader
+// source must not be analyzed concurrently).
 type Engine = analysis.Engine
 
 // EngineOption configures an Engine at construction.

@@ -3,6 +3,7 @@ package rlscope
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/analysis"
@@ -349,11 +350,11 @@ func TestEngineProgressAndCancellation(t *testing.T) {
 	}
 }
 
-// TestEngineErrors covers the degenerate inputs: nil source, and a
+// TestEngineErrors covers the degenerate inputs: the zero source, and a
 // directory that is not a trace.
 func TestEngineErrors(t *testing.T) {
-	if _, err := NewEngine().Analyze(context.Background(), nil); err == nil {
-		t.Fatal("nil source: want error")
+	if _, err := NewEngine().Analyze(context.Background(), Source{}); err == nil {
+		t.Fatal("zero source: want error")
 	}
 	if _, err := NewEngine().Analyze(context.Background(), FromDir(t.TempDir())); err == nil {
 		t.Fatal("empty dir: want error")
@@ -383,6 +384,39 @@ func TestEngineIsReusable(t *testing.T) {
 			if renderResults(rep.Results) != want {
 				t.Fatalf("round %d %s: result drifted across reuses", i, name)
 			}
+		}
+	}
+}
+
+// TestEngineConcurrentFromDir analyzes one FromDir source from two
+// goroutines through one Engine: every analysis opens the directory for
+// itself, so the two share no Reader and both match the sequential oracle.
+func TestEngineConcurrentFromDir(t *testing.T) {
+	tr := randomWorkloadTrace(5)
+	dir := writeWorkloadTrace(t, tr, 2048)
+	want := renderResults(sequentialOracle(tr))
+	eng := NewEngine(WithWorkers(2))
+	src := FromDir(dir)
+	got := make([]string, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := eng.Analyze(context.Background(), src)
+			if errs[i] = err; err == nil {
+				got[i] = renderResults(rep.Results)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("analysis %d: %v", i, errs[i])
+		}
+		if got[i] != want {
+			t.Errorf("analysis %d diverges from the sequential oracle", i)
 		}
 	}
 }
@@ -445,25 +479,6 @@ func TestCorrectorMatchesCorrect(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestEngineSourceOpenContract documents that custom sources work: a Source
-// implemented outside the trace package analyzes like FromTrace.
-type customSource struct{ tr *Trace }
-
-func (s customSource) Open() (*trace.Trace, *trace.Reader, error) { return s.tr, nil, nil }
-
-func TestEngineSourceOpenContract(t *testing.T) {
-	tr := randomWorkloadTrace(4)
-	want := renderResults(sequentialOracle(tr))
-	rep, err := NewEngine(WithWorkers(1)).Analyze(context.Background(), customSource{tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if renderResults(rep.Results) != want {
-		t.Fatal("custom source diverges from FromTrace")
-	}
-	var _ Source = customSource{} // the interface is open by design
 }
 
 // TestEngineOneEventCount pins the one definition of "events": whatever the

@@ -11,37 +11,19 @@
 //
 // Results are byte-identical for any worker count — including Workers: 1,
 // which executes inline with no goroutines at all — any memory budget and
-// either source. The context-aware entry points (RunContext,
-// RunStreamContext) stop dispatching work as soon as the context is
-// cancelled and join every worker goroutine before returning — cancellation
-// drains the pool, it never leaks it.
+// either source. Engine.Analyze, the one context-aware entry point, stops
+// dispatching work as soon as the context is cancelled and joins every
+// worker goroutine before returning — cancellation drains the pool, it never
+// leaks it.
 package analysis
 
 import (
 	"context"
 
+	"repro/internal/calib"
 	"repro/internal/overlap"
 	"repro/internal/trace"
 )
-
-// EventStage is a per-event transform plugged into the pipeline between
-// decode and window routing. The overhead-correction stage (calib.Corrector)
-// is the canonical implementation: it shifts every event's timestamps left
-// by the calibrated overhead that preceded them and drops the overhead
-// markers themselves, so a corrected analysis runs in bounded memory without
-// ever materializing the corrected trace.
-type EventStage interface {
-	// MapEvent rewrites one event in place; returning false drops it.
-	// The transform must depend only on the event's own fields (plus any
-	// state frozen before the analysis pass), never on decode order.
-	MapEvent(e *trace.Event) bool
-	// MapSpan rewrites a chunk sidecar's per-process span conservatively:
-	// the returned span must contain the MapEvent-transformed extent of
-	// every event the input span summarizes. The planner derives cut
-	// watermarks from mapped spans, so soundness of the bound — not
-	// tightness — is what keeps every cut exact.
-	MapSpan(p trace.ProcID, sp trace.ProcSpan) trace.ProcSpan
-}
 
 // Progress stage labels.
 const (
@@ -83,11 +65,12 @@ type Options struct {
 	// Procs, when non-empty, restricts the analysis to the listed
 	// processes; chunks that hold none of them are never decoded.
 	Procs []trace.ProcID
-	// Stage, when non-nil, transforms every event between decode and
-	// routing — the correction stage. With it the result is byte-identical
-	// to materializing the trace, applying the transform (for correction:
-	// calib.Correct) and analysing the outcome.
-	Stage EventStage
+	// Stage, when non-nil, corrects every event between decode and routing:
+	// it shifts each event's timestamps left by the calibrated overhead that
+	// preceded it and drops the overhead markers, so a corrected analysis
+	// runs in bounded memory without materializing the corrected trace. The
+	// result is byte-identical to calib.Correct followed by the analysis.
+	Stage *calib.Corrector
 	// Progress, when non-nil, receives progress notifications.
 	Progress func(Progress)
 }
@@ -123,19 +106,10 @@ type StreamStats struct {
 // Run computes the per-process cross-stack overlap breakdown of a
 // materialized trace: the pipeline over the sorted trace presented as
 // per-process runs of at most splitEvents events. The result is identical to
-// running overlap.Compute per process regardless of worker count. Run is
-// RunContext with a background context, which cannot fail.
+// running overlap.Compute per process regardless of worker count.
 func Run(t *trace.Trace, opts Options) map[trace.ProcID]*overlap.Result {
-	out, _ := RunContext(context.Background(), t, opts)
+	out, _, _ := run(context.Background(), newMemSource(t), opts)
 	return out
-}
-
-// RunContext is Run bound to a context: dispatch stops as soon as ctx is
-// cancelled, every worker goroutine is joined, and ctx.Err() is returned
-// (partial results are discarded).
-func RunContext(ctx context.Context, t *trace.Trace, opts Options) (map[trace.ProcID]*overlap.Result, error) {
-	out, _, err := run(ctx, newMemSource(t), opts)
-	return out, err
 }
 
 // RunStream computes the same breakdown from a chunked trace directory
@@ -143,16 +117,7 @@ func RunContext(ctx context.Context, t *trace.Trace, opts Options) (map[trace.Pr
 // of r, decoded lazily one at a time. The result is byte-identical to
 // Run(ReadDir(dir)) for every worker count and every memory budget.
 func RunStream(r *trace.Reader, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
-	return RunStreamContext(context.Background(), r, opts)
-}
-
-// RunStreamContext is RunStream bound to a context: the chunk loop stops at
-// the first cancelled iteration, queued sweeps are drained unexecuted, every
-// worker goroutine is joined, and ctx.Err() is returned. The returned
-// StreamStats always describe the work done so far, so a cancelled run still
-// reports how far it got.
-func RunStreamContext(ctx context.Context, r *trace.Reader, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
-	return run(ctx, readerSource{r}, opts)
+	return run(context.Background(), readerSource{r}, opts)
 }
 
 // MergeResult folds one window result into an accumulator with the exact

@@ -35,7 +35,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 
 // TestRunStreamContextCancelMidStream cancels streaming analyses at
 // randomized chunk boundaries (via the Progress hook, which runs on the
-// producing goroutine) and asserts RunStreamContext returns ctx.Err()
+// producing goroutine) and asserts the streaming run returns ctx.Err()
 // promptly, reports the partial stats, and leaks no goroutines.
 func TestRunStreamContextCancelMidStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -55,7 +55,7 @@ func TestRunStreamContextCancelMidStream(t *testing.T) {
 		budget := []int64{0, 1 << 11}[rng.Intn(2)]
 		cutAt := 1 + rng.Intn(n-1) // cancel after this many chunks
 		ctx, cancel := context.WithCancel(context.Background())
-		results, stats, err := RunStreamContext(ctx, r, Options{
+		results, stats, err := run(ctx, readerSource{r}, Options{
 			Workers: workers, MaxResidentBytes: budget,
 			Progress: func(p Progress) {
 				if p.ChunksDone >= cutAt {
@@ -92,7 +92,7 @@ func TestRunStreamContextPreCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, stats, err := RunStreamContext(ctx, r, Options{Workers: 4})
+	results, stats, err := run(ctx, readerSource{r}, Options{Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -108,7 +108,7 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		results, err := RunContext(ctx, tr, Options{Workers: workers})
+		results, _, err := run(ctx, newMemSource(tr), Options{Workers: workers})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
 		}
@@ -135,7 +135,7 @@ func TestRunStreamCancelStressNoLeak(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		delay := time.Duration(rng.Intn(400)) * time.Microsecond
 		timer := time.AfterFunc(delay, cancel)
-		_, _, err := RunStreamContext(ctx, r, Options{Workers: 4, MaxResidentBytes: 1 << 11})
+		_, _, err := run(ctx, readerSource{r}, Options{Workers: 4, MaxResidentBytes: 1 << 11})
 		timer.Stop()
 		cancel()
 		if err != nil && !errors.Is(err, context.Canceled) {

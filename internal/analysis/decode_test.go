@@ -58,7 +58,7 @@ func TestDecodeAheadCancelAtEveryChunk(t *testing.T) {
 			if stage == StageCorrect {
 				opts = append(opts, WithCorrection(cal))
 			}
-			rep, err := NewEngine(opts...).Analyze(ctx, trace.FromDir(dir))
+			rep, err := NewEngine(opts...).Analyze(ctx, FromDir(dir))
 			cancel()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("%s, cut %d/%d: err = %v, want context.Canceled", stage, cutAt, n, err)
@@ -97,7 +97,7 @@ func TestDecodeAheadCorruptChunkAtEveryIndex(t *testing.T) {
 				if corrected {
 					opts = append(opts, WithCorrection(cal))
 				}
-				rep, err := NewEngine(opts...).Analyze(context.Background(), trace.FromDir(dir))
+				rep, err := NewEngine(opts...).Analyze(context.Background(), FromDir(dir))
 				var ce *trace.ChunkError
 				if !errors.As(err, &ce) || ce.Chunk != filepath.Base(victim) {
 					t.Fatalf("%s corrected=%v workers %d: err = %v, want a ChunkError naming the chunk",
@@ -164,7 +164,7 @@ func TestDecodeAheadSkipsUnrequestedChunks(t *testing.T) {
 		// The correction pre-pass lists its chunks by the same rule.
 		cal := &calib.Calibration{Annotation: 90 * vclock.Nanosecond}
 		eng := NewEngine(WithWorkers(workers), WithProcesses(1), WithCorrection(cal))
-		if _, err := eng.Analyze(context.Background(), trace.FromDir(dir)); err != nil {
+		if _, err := eng.Analyze(context.Background(), FromDir(dir)); err != nil {
 			t.Fatalf("workers %d, corrected: %v", workers, err)
 		}
 	}

@@ -2,29 +2,48 @@ package analysis
 
 import (
 	"context"
-	"errors"
 
 	"repro/internal/calib"
 	"repro/internal/overlap"
 	"repro/internal/trace"
 )
 
+// Source is one run's worth of events offered to Engine.Analyze: a
+// materialized trace (FromTrace), an open chunked-trace Reader (FromReader)
+// or a chunked trace directory (FromDir). The zero Source names the empty
+// directory path, so analyzing it fails like any directory that does not
+// open.
+type Source struct {
+	tr  *trace.Trace
+	r   *trace.Reader
+	dir string
+}
+
+// FromTrace returns a Source over an already-materialized trace.
+func FromTrace(t *trace.Trace) Source { return Source{tr: t} }
+
+// FromReader returns a streaming Source over an open chunked-trace reader.
+// Reader methods are not safe for concurrent use, so neither is analyzing
+// the same FromReader source from multiple goroutines at once.
+func FromReader(r *trace.Reader) Source { return Source{r: r} }
+
+// FromDir returns a streaming Source over a chunked trace directory written
+// by trace.Writer. Every analysis opens the directory for itself, so one
+// FromDir source can be analyzed from several goroutines at once; open
+// errors surface from the analysis.
+func FromDir(dir string) Source { return Source{dir: dir} }
+
 // Engine is the one way to run an analysis: a cancellable Analyze over any
-// trace.Source — one pipeline call, whether the source is a materialized
-// trace or a chunked one — with overhead correction composed in as a stage.
-// The public facade (package repro) re-exports these names and carries the
-// per-option documentation; the serving layer and the metric bundles call
-// them here.
+// Source — one pipeline call, whether the source is a materialized trace or
+// a chunked one — with overhead correction composed in as the pipeline's
+// stage. The public facade (package repro) re-exports these names and
+// carries the per-option documentation; the serving layer calls them here.
 //
 // An Engine is immutable after construction and safe for concurrent use,
-// though one streaming source must not be analyzed concurrently (see
-// trace.FromReader).
+// though one FromReader source must not be analyzed concurrently.
 type Engine struct {
-	workers     int
-	maxResident int64
-	cal         *calib.Calibration
-	progress    func(Progress)
-	procs       []trace.ProcID
+	opts Options // Stage is set per analysis, from cal
+	cal  *calib.Calibration
 }
 
 // EngineOption configures an Engine at construction.
@@ -42,20 +61,24 @@ func NewEngine(opts ...EngineOption) *Engine {
 }
 
 // WithWorkers sets the worker-pool size (<= 0: one per CPU).
-func WithWorkers(n int) EngineOption { return func(e *Engine) { e.workers = n } }
+func WithWorkers(n int) EngineOption { return func(e *Engine) { e.opts.Workers = n } }
 
 // WithMaxResidentBytes bounds a streaming run's resident decoded events
 // (0: unbounded).
-func WithMaxResidentBytes(n int64) EngineOption { return func(e *Engine) { e.maxResident = n } }
+func WithMaxResidentBytes(n int64) EngineOption {
+	return func(e *Engine) { e.opts.MaxResidentBytes = n }
+}
 
 // WithCorrection subtracts calibrated profiling overhead before the sweep.
 func WithCorrection(cal *calib.Calibration) EngineOption { return func(e *Engine) { e.cal = cal } }
 
 // WithProgress registers a progress callback.
-func WithProgress(fn func(Progress)) EngineOption { return func(e *Engine) { e.progress = fn } }
+func WithProgress(fn func(Progress)) EngineOption { return func(e *Engine) { e.opts.Progress = fn } }
 
 // WithProcesses restricts the analysis to the listed processes (none: all).
-func WithProcesses(procs ...trace.ProcID) EngineOption { return func(e *Engine) { e.procs = procs } }
+func WithProcesses(procs ...trace.ProcID) EngineOption {
+	return func(e *Engine) { e.opts.Procs = procs }
+}
 
 // Report bundles everything one analysis produced.
 type Report struct {
@@ -82,35 +105,23 @@ type Report struct {
 // ctx.Err(). On error the returned Report is still non-nil when any work
 // was done, carrying the partial Stats (never partial Results), so callers
 // can report how far an interrupted analysis got.
-func (e *Engine) Analyze(ctx context.Context, src trace.Source) (*Report, error) {
-	if src == nil {
-		return nil, errors.New("rlscope: Engine.Analyze: nil source")
+func (e *Engine) Analyze(ctx context.Context, src Source) (*Report, error) {
+	tr, r := src.tr, src.r
+	if tr == nil && r == nil {
+		var err error
+		if r, err = trace.OpenDir(src.dir); err != nil {
+			return nil, err
+		}
 	}
-	tr, r, err := src.Open()
-	if err != nil {
-		return nil, err
-	}
-	workers := e.workers
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	opts := Options{
-		Workers:          workers,
-		MaxResidentBytes: e.maxResident,
-		Procs:            e.procs,
-		Progress:         e.progress,
-	}
+	opts := e.opts
 	var (
 		in   source
 		meta trace.Meta
 	)
-	switch {
-	case tr != nil:
+	if tr != nil {
 		in, meta = newMemSource(tr), tr.Meta
-	case r != nil:
+	} else {
 		in, meta = readerSource{r}, r.Meta()
-	default:
-		return nil, errors.New("rlscope: source resolved to neither a trace nor a reader")
 	}
 	if e.cal != nil {
 		meta.Config = trace.Uninstrumented() // see Report.Meta
@@ -122,14 +133,14 @@ func (e *Engine) Analyze(ctx context.Context, src trace.Source) (*Report, error)
 			prepass := StreamStats{Chunks: r.NumChunks()}
 			onChunk := func(done, total, events int) {
 				prepass.ChunksDecoded, prepass.Events = done, events
-				if e.progress != nil {
-					e.progress(Progress{
+				if e.opts.Progress != nil {
+					e.opts.Progress(Progress{
 						Stage:      StageCorrect,
 						ChunksDone: done, Chunks: total, Events: events,
 					})
 				}
 			}
-			corr, err := calib.NewStreamCorrector(ctx, r, e.cal, e.procs, onChunk)
+			corr, err := calib.NewStreamCorrector(ctx, r, e.cal, e.opts.Procs, onChunk)
 			if err != nil {
 				return &Report{Stats: prepass, Meta: meta}, err
 			}

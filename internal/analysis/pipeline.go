@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/calib"
 	"repro/internal/overlap"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -116,7 +117,7 @@ type sweepJob struct {
 type pipeline struct {
 	ctx   context.Context
 	src   source
-	stage EventStage
+	stage *calib.Corrector
 	stats StreamStats
 
 	windows map[trace.ProcID]*procWindow
@@ -237,9 +238,9 @@ func (pl *pipeline) release() {
 }
 
 // plan derives the watermarks of every process in procs (none: all) from
-// chunk indexes alone. An EventStage bends the plan the way it bends the
-// events: spans are mapped (conservatively) before the watermarks are taken
-// from them.
+// chunk indexes alone. The correction stage bends the plan the way it bends
+// the events: spans are mapped (conservatively) before the watermarks are
+// taken from them.
 func (pl *pipeline) plan(procs []trace.ProcID) error {
 	n := pl.src.numChunks()
 	pl.spanOff = make([]int, n+1)

@@ -299,13 +299,17 @@ func TestAnalyzeWarmAllocs(t *testing.T) {
 		{"corrected", []EngineOption{WithWorkers(1), WithCorrection(cal)}, 134},
 	} {
 		eng := NewEngine(c.opts...)
-		src := trace.FromDir(dir)
+		r, err := trace.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := FromReader(r)
 		run := func() {
 			if _, err := eng.Analyze(context.Background(), src); err != nil {
 				t.Fatal(err)
 			}
 		}
-		run() // the cold run: opens the Reader, fills the scratch
+		run() // the cold run: fills the Reader's caches and the scratch
 		if got := testing.AllocsPerRun(10, run); got != c.want {
 			t.Errorf("%s: a warm Analyze allocates %.0f times, want %.0f", c.name, got, c.want)
 		}

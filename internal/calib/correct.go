@@ -31,10 +31,10 @@ import (
 // inherent to mean-based correction; downstream overlap analysis tolerates
 // it.
 //
-// Correct materializes the corrected trace. Streaming analyses instead plug
-// a Corrector — the same per-event math — into the engine as an
-// analysis.EventStage, correcting each event in flight under the engine's
-// memory budget; the two paths produce byte-identical breakdowns.
+// Correct materializes the corrected trace. Analyses instead run a Corrector
+// — the same per-event math — as the pipeline's stage (analysis
+// Options.Stage), correcting each event in flight under the engine's memory
+// budget; the two paths produce byte-identical breakdowns.
 func Correct(t *trace.Trace, cal *Calibration) *trace.Trace {
 	c := NewCorrector(t, cal)
 	out := &trace.Trace{Meta: t.Meta}
@@ -54,7 +54,7 @@ func Correct(t *trace.Trace, cal *Calibration) *trace.Trace {
 
 // Corrector is the factored-out per-event correction stage: per-process
 // shift indexes frozen at construction, applied to one event at a time.
-// It implements analysis.EventStage, which is what lets the streaming
+// It is the analysis pipeline's stage, which is what lets the streaming
 // engine produce corrected breakdowns in bounded memory — the index holds
 // one (time, cost) pair per calibrated overhead marker, never the events
 // themselves.
@@ -66,10 +66,21 @@ type Corrector struct {
 
 // NewCorrector builds the correction stage from a materialized trace.
 // Correct is exactly NewCorrector + MapEvent over every event + Sort.
+// ProcEvents yields a process's events in start order, so every index is
+// built in place, its markers ascending.
 func NewCorrector(t *trace.Trace, cal *Calibration) *Corrector {
 	c := &Corrector{shifts: map[trace.ProcID]shiftIndex{}}
 	for _, p := range t.ProcIDs() {
-		c.shifts[p] = buildShift(t.ProcEvents(p), cal)
+		var ix shiftIndex
+		for _, e := range t.ProcEvents(p) {
+			if e.Kind != trace.KindOverhead {
+				continue
+			}
+			if d := cal.MeanFor(e.Overhead, e.Name); d > 0 {
+				ix.add(e.Start, d)
+			}
+		}
+		c.shifts[p] = ix
 	}
 	return c
 }
@@ -231,23 +242,10 @@ type shiftIndex struct {
 	prefix []vclock.Duration // prefix[i] = total overhead of markers [0, i)
 }
 
-func buildShift(events []trace.Event, cal *Calibration) shiftIndex {
-	var ms []marker
-	for _, e := range events {
-		if e.Kind != trace.KindOverhead {
-			continue
-		}
-		if d := cal.MeanFor(e.Overhead, e.Name); d > 0 {
-			ms = append(ms, marker{e.Start, d})
-		}
-	}
-	return buildShiftFromMarkers(ms)
-}
-
 // buildShiftFromMarkers sorts the markers by time and folds them into a
 // prefix-sum index. Equal-time markers may land in either order without
-// affecting any before(t) query, so collection order (materialized proc
-// order vs streaming chunk order) cannot leak into corrected timestamps.
+// affecting any before(t) query, so the order the streaming pre-pass
+// collected them in cannot leak into corrected timestamps.
 func buildShiftFromMarkers(ms []marker) shiftIndex {
 	sort.Slice(ms, func(i, j int) bool { return ms[i].t < ms[j].t })
 	ix := shiftIndex{
@@ -262,10 +260,10 @@ func buildShiftFromMarkers(ms []marker) shiftIndex {
 }
 
 // add appends one marker to an index under construction and reports whether
-// the times are still ascending — as markers in storage order all but always
-// are, so the streaming pre-pass builds each index in place as its markers
-// arrive. One marker out of order leaves the index unusable until resorted
-// has rebuilt it.
+// the times are still ascending — as a process's events in start order
+// always are and markers in storage order all but always are, so both
+// constructors build each index in place as its markers arrive. One marker
+// out of order leaves the index unusable until resorted has rebuilt it.
 func (ix *shiftIndex) add(t vclock.Time, d vclock.Duration) bool {
 	if ix.prefix == nil {
 		ix.prefix = append(ix.prefix, 0)

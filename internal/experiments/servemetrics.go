@@ -55,7 +55,7 @@ func writeTraceDir(dir string, tr *trace.Trace) error {
 // engineResults is the offline oracle: one fresh single-worker Engine run
 // over a trace directory.
 func engineResults(ctx context.Context, dir string) (*analysis.Report, error) {
-	return analysis.NewEngine(analysis.WithWorkers(1)).Analyze(ctx, trace.FromDir(dir))
+	return analysis.NewEngine(analysis.WithWorkers(1)).Analyze(ctx, analysis.FromDir(dir))
 }
 
 // resultDoc encodes the result-only document of an offline Engine run over

@@ -33,7 +33,7 @@ type StreamReplayResult struct {
 // StreamReplay runs the streaming-ingestion extension experiment: profile
 // the Minigo scale-up pipeline (the repo's largest multi-process trace),
 // write it through the chunked asynchronous writer exactly as rlscope-prof
-// does, then replay the directory through analysis.RunStream under a memory
+// does, then replay the directory through an Engine under a memory
 // budget of about 1/8th of the materialized trace and verify the breakdown
 // is byte-identical to the load-then-analyze path.
 func StreamReplay(opts Options) (*StreamReplayResult, error) {
@@ -70,13 +70,12 @@ func StreamReplay(opts Options) (*StreamReplayResult, error) {
 	// One worker: windows are swept inline in fixed process order, so the
 	// peak-residency figures the hypothesis grid reports repeat exactly
 	// instead of following worker interleaving.
-	streamed, stats, err := analysis.RunStreamContext(opts.ctx(), r, analysis.Options{
-		Workers: 1, MaxResidentBytes: budget,
-	})
+	streamed, err := analysis.NewEngine(analysis.WithWorkers(1), analysis.WithMaxResidentBytes(budget)).
+		Analyze(opts.ctx(), analysis.FromReader(r))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: stream replay: %w", err)
 	}
-	want, err := analysis.RunContext(opts.ctx(), tr, analysis.Options{Workers: 0})
+	want, err := analysis.NewEngine().Analyze(opts.ctx(), analysis.FromTrace(tr))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: stream replay: %w", err)
 	}
@@ -85,8 +84,8 @@ func StreamReplay(opts Options) (*StreamReplayResult, error) {
 		Events:            len(tr.Events),
 		Chunks:            r.NumChunks(),
 		MaxResidentBytes:  budget,
-		Stats:             stats,
-		Identical:         reflect.DeepEqual(streamed, want),
+		Stats:             streamed.Stats,
+		Identical:         reflect.DeepEqual(streamed.Results, want.Results),
 		MaterializedBytes: materialized,
 	}, nil
 }

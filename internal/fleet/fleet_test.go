@@ -161,19 +161,13 @@ func TestFleetMergeExact(t *testing.T) {
 			for p, info := range tr.Meta.Procs {
 				concat.Meta.Procs[p] = info
 			}
-			results, err := analysis.RunContext(context.Background(), tr, analysis.Options{Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
+			results := analysis.Run(tr, analysis.Options{Workers: 2})
 			for p, res := range results {
 				union[p] = res
 				analysis.MergeResult(fold, res)
 			}
 		}
-		concatResults, err := analysis.RunContext(context.Background(), concat, analysis.Options{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		concatResults := analysis.Run(concat, analysis.Options{Workers: 2})
 		if got, want := encodeResults(t, union), encodeResults(t, concatResults); !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: per-trace result union diverges from concatenated engine run\nunion:  %s\nconcat: %s", seed, got, want)
 		}

@@ -702,8 +702,9 @@ func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *tr
 
 // run is the server's one Engine call. It holds c.workers of the global
 // budget for the run's duration (admission), counts the run, and analyzes
-// dir through a fresh Source — trace.Reader is not safe for concurrent use,
-// so runs never share one. Callers encode the document they serve.
+// dir through FromDir, which opens a Reader of its own per run — a
+// trace.Reader is not safe for concurrent use. Callers encode the document
+// they serve.
 func (s *Server) run(ctx context.Context, dir string, c canonical) (*analysis.Report, error) {
 	if err := s.budget.acquire(ctx, c.workers); err != nil {
 		return nil, err
@@ -719,7 +720,7 @@ func (s *Server) run(ctx context.Context, dir string, c canonical) (*analysis.Re
 	if c.correction {
 		opts = append(opts, analysis.WithCorrection(s.cfg.Calibration))
 	}
-	return analysis.NewEngine(opts...).Analyze(ctx, trace.FromDir(dir))
+	return analysis.NewEngine(opts...).Analyze(ctx, analysis.FromDir(dir))
 }
 
 // writeRunError reports a failed Engine-backed request (what is "analysis"

@@ -70,7 +70,8 @@ func parseNonTest(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
 }
 
 // callersOf lists, sorted, the functions ("Recv.name" for methods) of files
-// that call a method or package function with one of the given names.
+// that call a function or method with one of the given names, spelled plain
+// (run(…)) or selected (x.run(…), pkg.Run(…)).
 func callersOf(files []*ast.File, names ...string) []string {
 	var callers []string
 	for _, f := range files {
@@ -91,7 +92,14 @@ func callersOf(files []*ast.File, names ...string) []string {
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && slices.Contains(names, sel.Sel.Name) {
+					var called string
+					switch fun := call.Fun.(type) {
+					case *ast.Ident:
+						called = fun.Name
+					case *ast.SelectorExpr:
+						called = fun.Sel.Name
+					}
+					if slices.Contains(names, called) {
 						callers = append(callers, name)
 					}
 				}
@@ -119,13 +127,18 @@ func forbidIdents(t *testing.T, fset *token.FileSet, files []*ast.File, banned .
 // TestOneSweepPath pins the batch refactor structurally: the windowed sweep
 // is reached from exactly two functions in internal/analysis — the
 // pipeline's sweep job and Incremental.sweep — so a third analysis path
-// cannot grow back unnoticed, and internal/trace exports no partitioner of
-// its own again.
+// cannot grow back unnoticed; the batch pipeline is entered from exactly
+// Engine.Analyze and the two context-free shorthands Run and RunStream; and
+// internal/trace exports no partitioner of its own again.
 func TestOneSweepPath(t *testing.T) {
 	fset := token.NewFileSet()
-	callers := callersOf(parseNonTest(t, fset, filepath.Join("internal", "analysis")), "ComputeWindow", "ComputeWindowInto")
+	analysisFiles := parseNonTest(t, fset, filepath.Join("internal", "analysis"))
+	callers := callersOf(analysisFiles, "ComputeWindow", "ComputeWindowInto")
 	if want := []string{"Incremental.sweep", "pipeline.sweep"}; !slices.Equal(callers, want) {
 		t.Errorf("windowed sweep called from %v, want exactly %v", callers, want)
+	}
+	if got, want := callersOf(analysisFiles, "run"), []string{"Engine.Analyze", "Run", "RunStream"}; !slices.Equal(got, want) {
+		t.Errorf("the batch pipeline is entered from %v, want exactly %v", got, want)
 	}
 	// Spelled in two halves so a grep for the deleted names stays empty.
 	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "trace")), "Shards", "Phase"+"Partition")
@@ -175,7 +188,10 @@ func TestOneTraceLifecycle(t *testing.T) {
 // internal/serve decodes a JSON body in one place and exports no second
 // constructor or result-set path; the module spells the "proc%d" process-name
 // fallback once (report.ProcName); and internal/ sets up an indented JSON
-// encoder once (report.EncodeJSON).
+// encoder once (report.EncodeJSON); an analysis's one input is
+// analysis.Source, not a second open one in internal/trace, its one stage is
+// the corrector, with no interface in front of it, its one context-taking
+// entry is Engine.Analyze, and internal/calib builds a shift index one way.
 func TestOneWayEach(t *testing.T) {
 	fset := token.NewFileSet()
 	funcs := func(dir string) (fns []*ast.FuncDecl) {
@@ -276,6 +292,12 @@ func TestOneWayEach(t *testing.T) {
 		}
 	}
 	forbidIdents(t, fset, parseNonTest(t, fset, serveDir), "NewServerStrict", "LoadResults", "ResultSetKey")
+	// Spelled in two halves so a grep for the deleted names stays empty.
+	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "trace")),
+		"Sou"+"rce", "From"+"Trace", "From"+"Reader", "From"+"Dir")
+	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "analysis")),
+		"Event"+"Stage", "Run"+"Context", "RunStream"+"Context")
+	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "calib")), "build"+"Shift")
 	checkHeaderKeys(t, fset, parseNonTest(t, fset, serveDir))
 }
 
