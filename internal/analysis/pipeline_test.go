@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/calib"
 	"repro/internal/overlap"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -146,5 +147,48 @@ func TestRunStreamCutsWithoutBudget(t *testing.T) {
 	}
 	if limit := len(tr.Events) * 6 / 10; stats.PeakResidentEvents >= limit {
 		t.Fatalf("peak resident %d events of %d, want under %d", stats.PeakResidentEvents, len(tr.Events), limit)
+	}
+}
+
+// TestBudgetedStreamStats pins the residency accounting of one-worker
+// budgeted runs over traces that are cut many times: which windows close,
+// how many the budget forces, and the peak estimate. Where a closed window's
+// events travel to the sweep is an implementation choice; none of these
+// counters may depend on it.
+func TestBudgetedStreamStats(t *testing.T) {
+	byStart := func(tr *trace.Trace) *trace.Trace {
+		slices.SortStableFunc(tr.Events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
+		return tr
+	}
+	marked, cal := markedTrace(rand.New(rand.NewSource(41)))
+	marked.Events = append(marked.Events, steadyEvents(7, 0, 6*splitEvents)...)
+	for _, c := range []struct {
+		name   string
+		tr     *trace.Trace
+		budget int64
+		cal    *calib.Calibration
+		want   StreamStats
+	}{
+		{"splitting/8K", byStart(splittingTrace(rand.New(rand.NewSource(0)))), 8 << 10, nil,
+			StreamStats{Chunks: 50, Events: 38489, ChunksDecoded: 50, Shards: 140, Evictions: 137, PeakResidentEvents: 6476, PeakResidentBytes: 107396}},
+		{"splitting/256K", byStart(splittingTrace(rand.New(rand.NewSource(1)))), 256 << 10, nil,
+			StreamStats{Chunks: 70, Events: 53278, ChunksDecoded: 70, Shards: 15, Evictions: 1, PeakResidentEvents: 14347, PeakResidentBytes: 284939}},
+		{"streaming/16K", streamingTrace(rand.New(rand.NewSource(99)), 20000), 16 << 10, nil,
+			StreamStats{Chunks: 25, Events: 20000, ChunksDecoded: 25, Shards: 50, Evictions: 47, PeakResidentEvents: 2494, PeakResidentBytes: 49176}},
+		{"corrected/16K", byStart(marked), 16 << 10, cal,
+			StreamStats{Chunks: 37, Events: 31029, ChunksDecoded: 37, Shards: 36, Evictions: 34, PeakResidentEvents: 2561, PeakResidentBytes: 49152}},
+	} {
+		dir := writeTrace(t, c.tr, 1<<14)
+		opts := []EngineOption{WithWorkers(1), WithMaxResidentBytes(c.budget)}
+		if c.cal != nil {
+			opts = append(opts, WithCorrection(c.cal))
+		}
+		a, err := NewEngine(opts...).Analyze(context.Background(), FromDir(dir))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if a.Stats != c.want {
+			t.Errorf("%s: stats %+v, want %+v", c.name, a.Stats, c.want)
+		}
 	}
 }
