@@ -422,9 +422,9 @@ func TestEngineConcurrentFromDir(t *testing.T) {
 }
 
 // TestCorrectorMatchesCorrect pins the factored per-event stage to the
-// materializing Correct: applying MapEvent over every event reproduces
-// Correct's output exactly, and MapSpan's conservative bounds contain every
-// corrected extent.
+// materializing Correct: applying MapEvent over every event, each with a
+// fresh cursor, reproduces Correct's output exactly, and MapSpan's
+// conservative bounds contain every corrected extent.
 func TestCorrectorMatchesCorrect(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		tr := randomWorkloadTrace(seed)
@@ -437,7 +437,7 @@ func TestCorrectorMatchesCorrect(t *testing.T) {
 		for _, p := range tr.ProcIDs() {
 			for _, e := range tr.ProcEvents(p) {
 				ne := e
-				if corr.MapEvent(&ne) {
+				if corr.MapEvent(&ne, new(calib.Cursor)) { // each search from scratch
 					got.Events = append(got.Events, ne)
 				}
 			}
@@ -469,7 +469,7 @@ func TestCorrectorMatchesCorrect(t *testing.T) {
 			mapped := corr.MapSpan(p, sp)
 			for _, e := range events {
 				ne := e
-				if !corr.MapEvent(&ne) {
+				if !corr.MapEvent(&ne, new(calib.Cursor)) {
 					continue
 				}
 				if ne.Start < mapped.MinStart || ne.End > mapped.MaxEnd {

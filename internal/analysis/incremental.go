@@ -221,7 +221,7 @@ func (w *incWindow) split(free *freeList) *incWindow {
 	n := len(w.events)
 	slices.SortFunc(w.events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
 	lo := w.lo
-	left, _, _, ok := w.cut(w.events[n/2].Start, n/4*3, free, 0)
+	left, _, _, _, ok := w.cut(w.events[n/2].Start, n/4*3, free, 0, false)
 	if !ok {
 		return nil
 	}

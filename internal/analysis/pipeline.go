@@ -95,6 +95,9 @@ type procWindow struct {
 	// acc is the merge of the process's closed windows; nil until the
 	// first is dispatched.
 	acc *overlap.Result
+	// cur is where the stage's searches for the process resume: its events
+	// reach route in start order, chunk after chunk.
+	cur calib.Cursor
 }
 
 // chunkSpan is one (chunk, process) entry of the plan.
@@ -104,10 +107,14 @@ type chunkSpan struct {
 	after  vclock.Time // the process's watermark once the chunk is decoded
 }
 
-// sweepJob is one closed window on its way to a worker.
+// sweepJob is one closed window on its way to a worker: a buffer holding
+// every event that overlaps [lo, hi), possibly among others that lie wholly
+// outside it (see window.cut), and the count and summed trace.EventBytes of
+// the overlapping ones, which are what the residency estimate holds it at.
 type sweepJob struct {
 	acc    *overlap.Result
 	events []trace.Event
+	n      int
 	bytes  int64
 	lo, hi vclock.Time
 }
@@ -136,6 +143,8 @@ type pipeline struct {
 	// ready), or a borrowed chunk is copied into for the stage to rewrite.
 	// Between chunks it holds the last chunk's events, already routed.
 	spare []trace.Event
+	// cur is the stage's cursor for the processes no window takes.
+	cur calib.Cursor
 
 	// The coordinator's side of the residency estimate: events buffered in
 	// open windows, and the chunk being decoded.
@@ -384,31 +393,24 @@ func (pl *pipeline) stream(opts Options) error {
 	return nil
 }
 
-// route takes one chunk through the stage, in place, and into the windows,
-// one bulk append per run of one process — every event of a process belongs
-// in its one open window: the window reaches to MaxTime and its lo is a past
-// watermark, which no later event can start before. bytes is the chunk's
-// summed trace.EventBytes. An owned chunk is pl.spare's array; when it is
-// all one process's and that window is empty, the window takes the array
-// itself and leaves its own as the spare.
+// route takes one chunk into the windows, one run of one process at a time:
+// each run through the stage, in place and with its window's cursor, then in
+// one bulk append — every event of a process belongs in its one open window:
+// the window reaches to MaxTime and its lo is a past watermark, which no
+// later event can start before. bytes is the chunk's summed
+// trace.EventBytes. An owned chunk is pl.spare's array; when it is all one
+// process's and that window is empty, the window takes the array itself and
+// leaves its own as the spare.
 func (pl *pipeline) route(events []trace.Event, bytes int64, owned bool) {
 	pl.stats.Events += len(events)
-	if pl.stage != nil {
-		if !owned {
-			pl.spare = append(pl.spare[:0], events...)
-			events, owned = pl.spare, true
-		}
-		mapped := events[:0]
-		bytes = 0
-		for i := range events {
-			if pl.stage.MapEvent(&events[i]) {
-				bytes += int64(trace.EventBytes(events[i]))
-				mapped = append(mapped, events[i])
-			}
-		}
-		events = mapped
+	if pl.stage != nil && !owned {
+		pl.spare = append(pl.spare[:0], events...)
+		events, owned = pl.spare, true
 	}
 	pl.chunkEvents, pl.chunkBytes = len(events), bytes
+	if pl.stage != nil {
+		pl.chunkEvents, pl.chunkBytes = 0, 0 // what the stage keeps, run by run
+	}
 	for rest := events; len(rest) > 0; {
 		n := 1
 		for n < len(rest) && rest[n].Proc == rest[0].Proc {
@@ -417,12 +419,20 @@ func (pl *pipeline) route(events []trace.Event, bytes int64, owned bool) {
 		run := rest[:n]
 		rest = rest[n:]
 		w := pl.windows[run[0].Proc]
+		runBytes := bytes
+		if pl.stage != nil {
+			cur := &pl.cur
+			if w != nil {
+				cur = &w.cur
+			}
+			run, runBytes = pl.mapRun(run, cur)
+			pl.chunkEvents += len(run)
+			pl.chunkBytes += runBytes
+		} else if w != nil && n < len(events) {
+			runBytes = eventBytes(run)
+		}
 		if w == nil {
 			continue
-		}
-		runBytes := bytes
-		if n < len(events) {
-			runBytes = eventBytes(run)
 		}
 		if owned && n == len(events) && len(w.events) == 0 {
 			w.events, pl.spare = run, w.events
@@ -431,24 +441,40 @@ func (pl *pipeline) route(events []trace.Event, bytes int64, owned bool) {
 		}
 		w.bytes += runBytes
 		pl.bufferedBytes += runBytes
-		pl.bufferedEvents += n
+		pl.bufferedEvents += len(run)
 	}
 }
 
-// closeWindow cuts w at its watermark and dispatches the closed prefix,
-// carrying the survivors; a window no later chunk feeds is complete and goes
-// whole. It reports false when the cut was refused (see window.cut).
+// mapRun takes one process's run through the stage in place, compacting
+// away the events it drops, and returns what is left with its summed
+// trace.EventBytes.
+func (pl *pipeline) mapRun(run []trace.Event, cur *calib.Cursor) (mapped []trace.Event, bytes int64) {
+	mapped = run[:0]
+	for i := range run {
+		if pl.stage.MapEvent(&run[i], cur) {
+			bytes += int64(trace.EventBytes(run[i]))
+			mapped = append(mapped, run[i])
+		}
+	}
+	return mapped, bytes
+}
+
+// closeWindow cuts w at its watermark and dispatches the closed prefix — the
+// window's buffer whole, the survivors moving to one off the scratch (see
+// window.cut); a window no later chunk feeds is complete and goes whole. It
+// reports false when the cut was refused.
 func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
 	lo, n := w.lo, len(w.events)
 	var (
 		prefix      []trace.Event
+		closed      int
 		bytes, kept int64
 	)
 	if w.watermark == vclock.MaxTime {
-		prefix, w.events, bytes = w.events, nil, w.bytes
+		prefix, closed, w.events, bytes = w.events, n, nil, w.bytes
 	} else {
 		var ok bool
-		if prefix, bytes, kept, ok = w.cut(w.watermark, keep, pl.free, n); !ok {
+		if prefix, closed, bytes, kept, ok = w.cut(w.watermark, keep, pl.free, cap(w.events), true); !ok {
 			return false
 		}
 	}
@@ -463,8 +489,8 @@ func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
 	}
 	pl.stats.Shards++
 	pl.inflightBytes.Add(bytes)
-	pl.inflightEvents.Add(int64(len(prefix)))
-	job := sweepJob{acc: w.acc, events: prefix, bytes: bytes, lo: lo, hi: w.watermark}
+	pl.inflightEvents.Add(int64(closed))
+	job := sweepJob{acc: w.acc, events: prefix, n: closed, bytes: bytes, lo: lo, hi: w.watermark}
 	if pl.jobs == nil {
 		pl.sweep(pl.inlineSw, &pl.inlineRes, job)
 		return true
@@ -511,7 +537,7 @@ func (pl *pipeline) sweep(sw *overlap.Sweeper, res *overlap.Result, job sweepJob
 	}
 	pl.free.put(job.events)
 	pl.inflightBytes.Add(-job.bytes)
-	pl.inflightEvents.Add(-int64(len(job.events)))
+	pl.inflightEvents.Add(-int64(job.n))
 }
 
 // sample folds the current residency estimate — open windows, the chunk

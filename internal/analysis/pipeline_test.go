@@ -13,27 +13,29 @@ import (
 	"repro/internal/vclock"
 )
 
-// recordWindows runs the pipeline over src with the test standing in for
-// the worker pool, so every closed window's [lo, hi) is seen on its way to
-// the sweep. It returns the results and, per process, the windows in
-// dispatch order.
-func recordWindows(t *testing.T, src source, opts Options) (map[trace.ProcID]*overlap.Result, map[trace.ProcID][][2]vclock.Time) {
+// heldJobs runs the pipeline over src with the test standing in for the
+// worker pool and holding every closed window unswept until the chunk loop
+// has ended, so the coordinator routes and cuts on while each buffer it
+// handed over is still out. It returns the jobs in dispatch order, a copy of
+// each job's events taken as it arrived, and the pipeline, whose sweep
+// merges them.
+func heldJobs(t *testing.T, src source, opts Options) ([]sweepJob, [][]trace.Event, *pipeline) {
 	t.Helper()
-	pl := &pipeline{ctx: context.Background(), src: src, windows: map[trace.ProcID]*procWindow{}, free: &freeList{}}
+	pl := &pipeline{ctx: context.Background(), src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}, free: &freeList{}}
 	if err := pl.plan(nil); err != nil {
 		t.Fatalf("plan: %v", err)
 	}
 	pl.jobs = make(chan sweepJob)
-	byAcc := map[*overlap.Result][][2]vclock.Time{}
+	var (
+		jobs   []sweepJob
+		copies [][]trace.Event
+	)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		sw := overlap.GetSweeper()
-		defer overlap.PutSweeper(sw)
-		var res overlap.Result
 		for job := range pl.jobs {
-			byAcc[job.acc] = append(byAcc[job.acc], [2]vclock.Time{job.lo, job.hi})
-			pl.sweep(sw, &res, job)
+			jobs = append(jobs, job)
+			copies = append(copies, slices.Clone(job.events))
 		}
 	}()
 	err := pl.stream(opts)
@@ -42,12 +44,24 @@ func recordWindows(t *testing.T, src source, opts Options) (map[trace.ProcID]*ov
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
-	out := map[trace.ProcID]*overlap.Result{}
-	windows := map[trace.ProcID][][2]vclock.Time{}
-	for _, w := range pl.order {
-		out[w.proc], windows[w.proc] = w.acc, byAcc[w.acc]
+	return jobs, copies, pl
+}
+
+// sweepHeld sweeps held jobs in dispatch order and returns the results.
+func sweepHeld(pl *pipeline, jobs []sweepJob) map[trace.ProcID]*overlap.Result {
+	sw := overlap.GetSweeper()
+	defer overlap.PutSweeper(sw)
+	var res overlap.Result
+	for _, job := range jobs {
+		pl.sweep(sw, &res, job)
 	}
-	return out, windows
+	out := map[trace.ProcID]*overlap.Result{}
+	for _, w := range pl.order {
+		if w.acc != nil {
+			out[w.proc] = w.acc
+		}
+	}
+	return out
 }
 
 // TestPipelineCutsMatchSequential keeps cut coverage alive now that windows
@@ -57,8 +71,8 @@ func recordWindows(t *testing.T, src source, opts Options) (map[trace.ProcID]*ov
 // layers and same-start bursts that make cuts refuse — goes through Run and
 // through RunStream over v1 and v2 directories, every worker count and
 // budget, and every result is compared to the sequential oracle. Each run
-// must have cut (more sweeps than processes), and the windows of a process
-// must abut from MinTime to MaxTime.
+// must have cut (more sweeps than processes), and in a held run (heldJobs)
+// the windows of a process must abut from MinTime to MaxTime.
 func TestPipelineCutsMatchSequential(t *testing.T) {
 	for seed := int64(0); seed < 2; seed++ {
 		tr := splittingTrace(rand.New(rand.NewSource(seed)))
@@ -100,11 +114,16 @@ func TestPipelineCutsMatchSequential(t *testing.T) {
 		}
 		for name, src := range map[string]source{"memory": newMemSource(tr), "reader": &readerSource{r: r}} {
 			for _, budget := range []int64{0, 8 << 10} {
-				got, windows := recordWindows(t, src, Options{MaxResidentBytes: budget})
-				if dumpAll(got) != want {
-					t.Fatalf("seed %d %s budget %d: recorded run diverges from the sequential sweep", seed, name, budget)
+				jobs, _, pl := heldJobs(t, src, Options{MaxResidentBytes: budget})
+				if dumpAll(sweepHeld(pl, jobs)) != want {
+					t.Fatalf("seed %d %s budget %d: held run diverges from the sequential sweep", seed, name, budget)
 				}
-				for p, ws := range windows {
+				windows := map[*overlap.Result][][2]vclock.Time{}
+				for _, job := range jobs {
+					windows[job.acc] = append(windows[job.acc], [2]vclock.Time{job.lo, job.hi})
+				}
+				for _, w := range pl.order {
+					p, ws := w.proc, windows[w.acc]
 					if len(ws) < 2 {
 						t.Fatalf("seed %d %s budget %d: proc %d was never cut", seed, name, budget, p)
 					}
@@ -189,6 +208,163 @@ func TestBudgetedStreamStats(t *testing.T) {
 		}
 		if a.Stats != c.want {
 			t.Errorf("%s: stats %+v, want %+v", c.name, a.Stats, c.want)
+		}
+	}
+}
+
+// pastCutTrace is two processes' timelines in chunks of one process each,
+// alternating. Chunk k of a process covers [k·span, (k+1)·span) in start
+// order, opens an interval that stays open for three more chunks and ends
+// with an interval and a transition written ahead of their time: half a span
+// past the cut the next chunk's watermark allows. Every chunk has the same
+// composition, so a Writer whose chunk size is chunkBytes ends a file
+// exactly where a chunk ends.
+func pastCutTrace(chunks int) (tr *trace.Trace, chunkBytes int) {
+	const span = 1000
+	tr = &trace.Trace{}
+	for k := 0; k < chunks; k++ {
+		for p := trace.ProcID(0); p < 2; p++ {
+			b := vclock.Time(k * span)
+			from := len(tr.Events)
+			add := func(e trace.Event) {
+				e.Proc = p
+				tr.Events = append(tr.Events, e)
+			}
+			add(cpuEvent(p, b, b+10))
+			add(trace.Event{Kind: trace.KindCPU, Cat: trace.CatSimulator, Name: "long", Start: b + 1, End: b + 3*span})
+			add(trace.Event{Kind: trace.KindOp, Name: "step", Start: b + 2, End: b + span - 2})
+			for t := b + 20; t < b+span-40; t += 20 {
+				add(trace.Event{Kind: trace.KindCPU, Cat: trace.CatBackend, Name: "fwd", Start: t, End: t + 8})
+				add(trace.Event{Kind: trace.KindTransition, Name: trace.TransPythonToBackend, Start: t + 1, End: t + 1})
+				add(trace.Event{Kind: trace.KindGPU, Cat: trace.CatGPUKernel, Name: "k", Start: t + 3, End: t + 30})
+			}
+			early := b + span + span/2
+			add(cpuEvent(p, early, early+30))
+			add(trace.Event{Kind: trace.KindTransition, Name: trace.TransPythonToBackend, Start: early + 5, End: early + 5})
+			if k == 0 && p == 0 {
+				chunkBytes = int(eventBytes(tr.Events[from:]))
+			}
+		}
+	}
+	return tr, chunkBytes
+}
+
+// TestHandoffCarriesEventsPastTheCut: a closed window travels to the sweep
+// in the window's whole buffer, survivors and events past the cut included,
+// which the windowed sweep must skip. On pastCutTrace every buffer but a
+// process's last holds events that start at or after its window's end, and
+// every run, held or through the Engine, matches the sequential sweep.
+func TestHandoffCarriesEventsPastTheCut(t *testing.T) {
+	const chunks = 8
+	tr, chunkBytes := pastCutTrace(chunks)
+	dir := writeTrace(t, tr, chunkBytes)
+	want := dumpAll(overlap.ComputeTrace(tr)) // sorts tr: written first
+	r, err := trace.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.NumChunks() != 2*chunks {
+		t.Fatalf("%d chunk files, want %d", r.NumChunks(), 2*chunks)
+	}
+	jobs, _, pl := heldJobs(t, readerSource{r}, Options{MaxResidentBytes: 1})
+	if len(jobs) != 2*chunks {
+		t.Fatalf("%d windows closed, want one per chunk: %d", len(jobs), 2*chunks)
+	}
+	for i, job := range jobs {
+		if job.hi == vclock.MaxTime {
+			continue
+		}
+		past := 0
+		for _, e := range job.events {
+			if e.Start >= job.hi {
+				past++
+			}
+		}
+		if past == 0 || job.n+past > len(job.events) {
+			t.Fatalf("window %d [%d, %d): %d of %d events past the cut, %d overlapping", i, job.lo, job.hi, past, len(job.events), job.n)
+		}
+	}
+	if got := dumpAll(sweepHeld(pl, jobs)); got != want {
+		t.Fatal("held run diverges from the sequential sweep")
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, budget := range []int64{0, 1} {
+			for label, d := range map[string]string{"v1": dir, "v2": convertTrace(t, dir)} {
+				if got, _ := streamDir(t, d, Options{Workers: workers, MaxResidentBytes: budget}); dumpAll(got) != want {
+					t.Fatalf("%s workers %d budget %d: diverges from the sequential sweep", label, workers, budget)
+				}
+			}
+		}
+	}
+}
+
+// TestHandoffBuffersDoNotAlias: a buffer handed to the sweep is the
+// worker's alone. With every job held until the run ends, no buffer changes
+// after it was handed over — not by routing into a window's survivors, not
+// by the stage or a chunk decode into the spare — and no two jobs share an
+// array. Runs with a real pool on one warm scratch, whose recycled buffers
+// the coordinator draws survivors buffers from while workers sweep, must
+// match the sequential sweep; under the race detector they also show any
+// write the coordinator makes to a buffer a worker reads.
+func TestHandoffBuffersDoNotAlias(t *testing.T) {
+	past, chunkBytes := pastCutTrace(6)
+	marked, cal := markedTrace(rand.New(rand.NewSource(41)))
+	marked.Events = append(marked.Events, steadyEvents(7, 0, 3*splitEvents)...)
+	for _, c := range []struct {
+		name       string
+		tr         *trace.Trace
+		chunkBytes int
+		cal        *calib.Calibration
+	}{
+		{"past the cut", past, chunkBytes, nil},
+		{"corrected", marked, 2048, cal},
+	} {
+		dir := writeTrace(t, c.tr, c.chunkBytes)
+		// Both sort c.tr, so it is written first.
+		var stage *calib.Corrector
+		if c.cal != nil {
+			stage = calib.NewCorrector(c.tr, c.cal)
+		}
+		want := dumpAll(Run(c.tr, Options{Workers: 1, Stage: stage}))
+		for _, budget := range []int64{0, 1, 1 << 12} {
+			r, err := trace.OpenDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs, copies, pl := heldJobs(t, readerSource{r}, Options{Stage: stage, MaxResidentBytes: budget})
+			arrays := map[*trace.Event]int{}
+			for i, job := range jobs {
+				if !slices.Equal(job.events, copies[i]) {
+					t.Fatalf("%s budget %d: window %d's buffer changed after it was handed over", c.name, budget, i)
+				}
+				if cap(job.events) == 0 {
+					continue
+				}
+				end := &job.events[:cap(job.events)][cap(job.events)-1] // one per array, whatever the offset
+				if j, ok := arrays[end]; ok {
+					t.Fatalf("%s budget %d: windows %d and %d were handed one array", c.name, budget, j, i)
+				}
+				arrays[end] = i
+			}
+			if got := dumpAll(sweepHeld(pl, jobs)); got != want {
+				t.Fatalf("%s budget %d: held run diverges from Run", c.name, budget)
+			}
+		}
+		sc := &freeList{}
+		for _, workers := range []int{2, 4} {
+			for _, budget := range []int64{0, 1, 1 << 12} {
+				r, err := trace.OpenDir(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := runOn(context.Background(), sc, readerSource{r}, Options{Workers: workers, MaxResidentBytes: budget, Stage: stage})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dumpAll(got) != want {
+					t.Fatalf("%s workers %d budget %d: diverges from Run", c.name, workers, budget)
+				}
+			}
 		}
 	}
 }

@@ -31,12 +31,19 @@ type window struct {
 	retry  int // buffer length below which a refused cut is not retried
 }
 
-// cut closes the prefix [lo, at) of the window: the events overlapping it
-// are copied into a buffer taken off free — best fit for room events or for
-// their count, whichever is more — and returned, and w shrinks to [at, hi),
-// keeping — compacted in place, order preserved — only the events still
-// alive at the cut. closed and kept are the summed trace.EventBytes of the
-// two sides, taken in the same pass.
+// cut closes the prefix [lo, at) of the window and shrinks w to [at, hi),
+// keeping only the events still alive at the cut, order preserved. It
+// returns the closed prefix's buffer; n, the count of the buffer's events
+// that overlap [lo, at); and closed and kept, the summed trace.EventBytes of
+// those and of the survivors, taken in the pass that moves them.
+//
+// One side moves to a buffer taken off free — best fit for room events or
+// for its count, whichever is more — and the other keeps w's buffer; the
+// caller picks which. With handOff the survivors move and the prefix is w's
+// buffer whole: the overlapping events among others wholly outside
+// [lo, at), which the windowed sweep skips (see
+// overlap.Sweeper.ComputeWindowInto) and so costs no copy. Otherwise the
+// overlapping events are copied out and the survivors compacted in place.
 //
 // The cut is refused (false, nothing taken, only retry touched) when at is
 // not past lo or when more than keep events would survive it: a window
@@ -44,28 +51,34 @@ type window struct {
 // no cut divides. Refusing is safe because no result depends on where the
 // cuts are; the window is simply not tried again by size until it has
 // doubled, so refused attempts stay amortized O(1) per event.
-func (w *window) cut(at vclock.Time, keep int, free *freeList, room int) (prefix []trace.Event, closed, kept int64, ok bool) {
-	alive, overlapping := 0, 0
+func (w *window) cut(at vclock.Time, keep int, free *freeList, room int, handOff bool) (prefix []trace.Event, n int, closed, kept int64, ok bool) {
+	alive := 0
 	if at > w.lo {
 		for _, e := range w.events {
 			if !trace.DeadBefore(e, at) {
 				alive++
 			}
 			if trace.OverlapsWindow(e, w.lo, at) {
-				overlapping++
+				n++
 			}
 		}
 	}
 	if at <= w.lo || alive > keep {
 		w.retry = 2 * len(w.events)
-		return nil, 0, 0, false
+		return nil, 0, 0, 0, false
 	}
-	prefix = slices.Grow(free.take(max(room, overlapping)), overlapping)
 	survivors := w.events[:0]
+	if handOff {
+		prefix, survivors = w.events, slices.Grow(free.take(max(room, alive)), alive)
+	} else {
+		prefix = slices.Grow(free.take(max(room, n)), n)
+	}
 	for _, e := range w.events {
 		eb := int64(trace.EventBytes(e))
 		if trace.OverlapsWindow(e, w.lo, at) {
-			prefix = append(prefix, e)
+			if !handOff {
+				prefix = append(prefix, e)
+			}
 			closed += eb
 		}
 		if !trace.DeadBefore(e, at) {
@@ -74,5 +87,5 @@ func (w *window) cut(at vclock.Time, keep int, free *freeList, room int) (prefix
 		}
 	}
 	w.events, w.lo, w.retry = survivors, at, 0
-	return prefix, closed, kept, true
+	return prefix, n, closed, kept, true
 }

@@ -246,9 +246,10 @@ func TestPCSampleEstimateEdgeCases(t *testing.T) {
 	}
 }
 
-// TestShiftIndexRankMatchesSortSearch pins the hand-inlined searches to the
-// sort.Search they replaced: every rank, and every resumed rank from every
-// position at or below it, over marker times with duplicates.
+// TestShiftIndexRankMatchesSortSearch pins the written-out searches to
+// sort.Search: every rank, every resumed rank from every position at or
+// below it, and every rank near every hint in [0, n], over marker times
+// with duplicates.
 func TestShiftIndexRankMatchesSortSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{0, 1, 2, 7, 64} {
@@ -265,6 +266,11 @@ func TestShiftIndexRankMatchesSortSearch(t *testing.T) {
 			for from := 0; from <= want; from++ {
 				if got := ix.rankFrom(q, from); got != want {
 					t.Fatalf("n %d: rankFrom(%d, %d) = %d, want %d", n, q, from, got, want)
+				}
+			}
+			for hint := 0; hint <= n; hint++ {
+				if got := ix.rankNear(q, hint); got != want {
+					t.Fatalf("n %d: rankNear(%d, %d) = %d, want %d", n, q, hint, got, want)
 				}
 			}
 		}

@@ -40,9 +40,10 @@ func Correct(t *trace.Trace, cal *Calibration) *trace.Trace {
 	out := &trace.Trace{Meta: t.Meta}
 	out.Meta.Config = trace.Uninstrumented() // the corrected trace estimates the uninstrumented run
 	for _, p := range t.ProcIDs() {
+		var cur Cursor
 		for _, e := range t.ProcEvents(p) {
 			ne := e
-			if !c.MapEvent(&ne) {
+			if !c.MapEvent(&ne, &cur) {
 				continue
 			}
 			out.Events = append(out.Events, ne)
@@ -186,20 +187,39 @@ func NewStreamCorrector(ctx context.Context, r *trace.Reader, cal *Calibration, 
 	return c, nil
 }
 
+// Cursor is a caller's place in a Corrector's shift indexes: the index of
+// the process it last mapped an event of, and the rank that event's start
+// search ended at. A process's events arrive in (or near) start order, so
+// the next search resumes a few markers from there instead of from scratch.
+// The zero value is valid, and a cursor moved to another process or
+// Corrector starts over; each goroutine mapping events holds its own. Where
+// it resumes from is only a cost: a rank is a function of the time alone.
+type Cursor struct {
+	c    *Corrector
+	proc trace.ProcID
+	ix   shiftIndex
+	at   int
+}
+
 // MapEvent applies the correction to one event in place: overhead markers
 // are dropped (false), every other event's timestamps shift left by the
 // cumulative calibrated overhead that preceded them. The math is identical
-// to Correct's, including the end-before-start clamp.
-func (c *Corrector) MapEvent(e *trace.Event) bool {
+// to Correct's, including the end-before-start clamp; cur only says where
+// the searches start.
+func (c *Corrector) MapEvent(e *trace.Event, cur *Cursor) bool {
 	if e.Kind == trace.KindOverhead {
 		return false
 	}
-	ix, ok := c.shifts[e.Proc]
-	if !ok || len(ix.times) == 0 {
+	if cur.c != c || cur.proc != e.Proc {
+		*cur = Cursor{c: c, proc: e.Proc, ix: c.shifts[e.Proc]}
+	}
+	ix := &cur.ix
+	if len(ix.times) == 0 {
 		return true
 	}
-	// End ≥ Start, so the second search resumes where the first ended.
-	at := ix.rank(e.Start, 0, len(ix.times))
+	// End ≥ Start, so the end search resumes where the start search ended.
+	at := ix.rankNear(e.Start, cur.at)
+	cur.at = at
 	e.Start = e.Start.Add(-ix.prefix[at])
 	e.End = e.End.Add(-ix.prefix[ix.rankFrom(e.End, at)])
 	if e.End < e.Start {
@@ -236,7 +256,8 @@ type marker struct {
 }
 
 // shiftIndex answers "how much estimated overhead occurred strictly before
-// time t" in O(log n).
+// time t": in O(log n) from scratch, in O(log d) resumed from a rank d
+// markers away (rankNear, rankFrom).
 type shiftIndex struct {
 	times  []vclock.Time
 	prefix []vclock.Duration // prefix[i] = total overhead of markers [0, i)
@@ -289,8 +310,8 @@ func (ix shiftIndex) before(t vclock.Time) vclock.Duration {
 }
 
 // rank returns the number of markers with time < t, given that it lies in
-// [lo, hi]: a hand-inlined binary search — the closure sort.Search calls per
-// probe was a fifth of a corrected analysis's coordinator time.
+// [lo, hi]: a binary search, written out so that no closure is called per
+// probe.
 func (ix shiftIndex) rank(t vclock.Time, lo, hi int) int {
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -315,6 +336,26 @@ func (ix shiftIndex) rankFrom(t vclock.Time, from int) int {
 			break
 		}
 		lo = probe + 1
+	}
+	return ix.rank(t, lo, hi)
+}
+
+// rankNear is rank for a t whose rank is close to hint ∈ [0, len(times)], on
+// either side of it: forward it is rankFrom, backward it gallops — probing
+// hint-1, hint-3, hint-7, … — to bracket the answer, then searches the
+// bracket.
+func (ix shiftIndex) rankNear(t vclock.Time, hint int) int {
+	if hint < len(ix.times) && ix.times[hint] < t {
+		return ix.rankFrom(t, hint+1)
+	}
+	lo, hi := 0, hint
+	for step := 1; lo < hi; step *= 2 {
+		probe := max(hi-step, lo)
+		if ix.times[probe] < t {
+			lo = probe + 1
+			break
+		}
+		hi = probe
 	}
 	return ix.rank(t, lo, hi)
 }

@@ -200,9 +200,10 @@ func TestStreamCorrectorMatchesDecodedMarkers(t *testing.T) {
 				if len(procs) == 0 && len(want.shifts) < 4 {
 					t.Fatalf("%s: only %d processes carry calibrated markers", what, len(want.shifts))
 				}
+				var gc, wc Cursor
 				for _, e := range events {
 					g, w := e, e
-					if gk, wk := got.MapEvent(&g), want.MapEvent(&w); gk != wk || g != w {
+					if gk, wk := got.MapEvent(&g, &gc), want.MapEvent(&w, &wc); gk != wk || g != w {
 						t.Fatalf("%s: %+v corrected to %+v (kept %v), want %+v (kept %v)", what, e, g, gk, w, wk)
 					}
 				}

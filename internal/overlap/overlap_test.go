@@ -2,6 +2,7 @@ package overlap
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -706,6 +707,83 @@ func TestTotalConservation(t *testing.T) {
 		return res.Total() == union
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWindowIgnoresEventsOutside pins what lets a closed window travel to
+// the sweep in its whole buffer: events that lie wholly outside [lo, hi) —
+// intervals ending at or before lo, intervals starting at or after hi,
+// zero-width intervals, transitions and other point markers outside it,
+// operations among them — may be added to a window's events anywhere
+// without changing the windowed sweep's Result, on a Sweeper warmed by
+// other windows as the pipeline's are.
+func TestWindowIgnoresEventsOutside(t *testing.T) {
+	sw := NewSweeper()
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		const horizon = vclock.Time(180)
+		var events []trace.Event
+		if rng.Intn(2) == 0 {
+			events = genAdversarialEvents(rng, horizon)
+		} else {
+			events = genNestedEvents(rng, horizon)
+		}
+		lo := vclock.Time(rng.Int63n(int64(horizon)+20) - 10)
+		hi := lo + 1 + vclock.Time(rng.Int63n(int64(horizon)))
+		var in []trace.Event
+		for _, e := range events {
+			if trace.OverlapsWindow(e, lo, hi) {
+				in = append(in, e)
+			}
+		}
+		var want Result
+		sw.ComputeWindowInto(&want, in, lo, hi)
+
+		// before and after are instants outside the window, the edges among
+		// them. A marker, and an interval drawn zero-width, is a point at
+		// one of them; any other interval ends at or before lo or starts at
+		// or after hi.
+		before := func() vclock.Time { return lo - 1 - vclock.Time(rng.Intn(3))*vclock.Time(rng.Intn(20)) }
+		after := func() vclock.Time { return hi + vclock.Time(rng.Intn(3))*vclock.Time(rng.Intn(20)) }
+		kinds := []trace.Event{
+			{Kind: trace.KindCPU, Cat: trace.CatBackend, Name: "cpu"},
+			{Kind: trace.KindGPU, Cat: trace.CatGPUKernel, Name: "k"},
+			{Kind: trace.KindOp, Name: "outside"},
+			{Kind: trace.KindOp, Name: "alpha"},
+			{Kind: trace.KindTransition, Name: trace.TransPythonToBackend},
+			{Kind: trace.KindPhase, Name: "phase"},
+			{Kind: trace.KindOverhead, Overhead: trace.OverheadAnnotation},
+		}
+		all := append([]trace.Event(nil), in...)
+		for i, n := 0, 1+rng.Intn(30); i < n; i++ {
+			e := kinds[rng.Intn(len(kinds))]
+			span := vclock.Time(rng.Intn(3)) * vclock.Time(rng.Intn(15))
+			switch e.Kind {
+			case trace.KindTransition, trace.KindPhase, trace.KindOverhead:
+				span = 0
+			}
+			switch {
+			case span == 0 && rng.Intn(2) == 0:
+				e.Start = before()
+			case span == 0:
+				e.Start = after()
+			case rng.Intn(2) == 0:
+				e.Start = before() + 1 - span
+			default:
+				e.Start = after()
+			}
+			e.End = e.Start + span
+			if trace.OverlapsWindow(e, lo, hi) {
+				t.Fatalf("generated %+v overlaps [%d, %d)", e, lo, hi)
+			}
+			all = slices.Insert(all, rng.Intn(len(all)+1), e)
+		}
+		var got Result
+		sw.ComputeWindowInto(&got, all, lo, hi)
+		return resultsEqual(&got, &want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -298,6 +298,19 @@ func TestOneWayEach(t *testing.T) {
 	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "analysis")),
 		"Event"+"Stage", "Run"+"Context", "RunStream"+"Context")
 	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "calib")), "build"+"Shift")
+	// One way to correct an event, and one cut scan for both of its callers.
+	var mappers []string
+	for _, fn := range funcs(filepath.Join("internal", "calib")) {
+		if fn.Recv != nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "Map") {
+			mappers = append(mappers, fn.Name.Name)
+		}
+	}
+	if slices.Sort(mappers); !slices.Equal(mappers, []string{"MapEvent", "MapSpan"}) {
+		t.Errorf("calib maps with %v, want exactly MapEvent and MapSpan", mappers)
+	}
+	if got, want := callersOf(parseNonTest(t, fset, filepath.Join("internal", "analysis")), "cut"), []string{"incWindow.split", "pipeline.closeWindow"}; !slices.Equal(got, want) {
+		t.Errorf("window.cut is called from %v, want exactly %v", got, want)
+	}
 	checkHeaderKeys(t, fset, parseNonTest(t, fset, serveDir))
 }
 
