@@ -210,14 +210,10 @@ func TestPutScratchBounds(t *testing.T) {
 // that grows and every split's left part finds its buffer there. What is left
 // is per epoch and per window (the merged result, a split's window and its
 // result), and no event buffer: an epoch allocates less than its events would
-// occupy.
+// occupy. No sync.Pool is on the path — the scratch and the Sweeper come off
+// bounded pools that neither a collection nor a change of P count empties —
+// so the count holds on any number of Ps and under the race detector.
 func TestIncrementalEpochAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
-	// One P throughout: AllocsPerRun measures on one, and the pooled Sweeper
-	// would not survive the change.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// The pool holds only what this test releases.
 	scratches.mu.Lock()
 	saved := scratches.idle

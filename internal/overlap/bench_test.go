@@ -68,11 +68,8 @@ func TestDeepNestingMatchesReference(t *testing.T) {
 
 // TestSweepAllocs pins what a warm sweep costs the allocator: with the
 // Sweeper and the Result held by the caller, as the analysis workers hold
-// them, it allocates nothing. The package-level Compute cannot carry this
-// pin because it borrows its Sweeper from a sync.Pool that any GC empties,
-// so BenchmarkOverlapDeepNesting/incremental reads 1 276 444 B / 30 allocs
-// per op on a cold pool and 548 B / 5 on a warm one — pool warmth, not the
-// sweep.
+// them, it allocates nothing. The package-level Compute allocates the Result
+// it returns besides, which TestComputeWindowAllocs pins.
 func TestSweepAllocs(t *testing.T) {
 	events := deepNestingEvents(10_000, 100)
 	sw := NewSweeper()

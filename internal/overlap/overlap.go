@@ -20,7 +20,7 @@
 // across event boundaries by innermost-tracking stacks and GPU counters
 // instead of being re-derived per elementary interval, names and categories
 // are interned into dense IDs so the hot accumulator is a flat array, and
-// all scratch memory is pooled across calls.
+// all scratch memory is kept across calls in a small bounded pool.
 package overlap
 
 import (
@@ -87,11 +87,25 @@ type TransitionKey struct {
 }
 
 // sweepers pools sweep scratch (boundary slices, stacks, interners, the
-// dense accumulator) across Compute/ComputeWindow calls; without it every
-// shard of every window would re-allocate the lot. Long-lived callers that
-// sweep many windows (the analysis worker pool) hold their own Sweeper
-// instead, one per worker.
-var sweepers = sync.Pool{New: func() any { return NewSweeper() }}
+// dense grids) across Compute/ComputeWindow calls; without it every shard of
+// every window would re-allocate the lot. Long-lived callers that sweep many
+// windows (the analysis worker pool) hold their own Sweeper instead, one per
+// worker, borrowed here for the run. It is a plain bounded stack, not a
+// sync.Pool: that one empties on every second GC, so every pooled Sweeper
+// regrew its scratch after each collection and what a warm sweep allocated
+// depended on when the collector last ran. The price is memory the collector
+// cannot take back, so it is bounded: at most maxIdleSweepers idle Sweepers,
+// and one whose scratch outgrew maxSweeperScratch — a whole-process
+// Compute's — is dropped on PutSweeper instead of kept.
+var sweepers struct {
+	mu   sync.Mutex
+	idle []*Sweeper
+}
+
+const (
+	maxIdleSweepers   = 4       // concurrent borrowers beyond these allocate afresh
+	maxSweeperScratch = 2 << 20 // bytes of buffers one idle Sweeper may hold
+)
 
 // Compute runs the overlap sweep over one process's events. The slice may be
 // in any order; only KindCPU, KindGPU, KindOp and KindTransition events
@@ -114,15 +128,34 @@ func ComputeWindow(events []trace.Event, lo, hi vclock.Time) *Result {
 	return res
 }
 
-// GetSweeper borrows a Sweeper from the package pool; PutSweeper returns
-// it. Callers that sweep many windows from one goroutine (the analysis
-// worker pool gives each worker its own) borrow once instead of paying a
-// pool round-trip per window.
-func GetSweeper() *Sweeper { return sweepers.Get().(*Sweeper) }
+// GetSweeper borrows a Sweeper from the package pool — the one put back
+// last, or a new one when none is idle; PutSweeper returns it. Callers that
+// sweep many windows from one goroutine (the analysis worker pool gives each
+// worker its own) borrow once instead of paying a pool round-trip per window.
+func GetSweeper() *Sweeper {
+	sweepers.mu.Lock()
+	defer sweepers.mu.Unlock()
+	if n := len(sweepers.idle); n > 0 {
+		sw := sweepers.idle[n-1]
+		sweepers.idle = sweepers.idle[:n-1]
+		return sw
+	}
+	return NewSweeper()
+}
 
-// PutSweeper returns a borrowed Sweeper to the package pool. The Sweeper
-// must not be used after.
-func PutSweeper(sw *Sweeper) { sweepers.Put(sw) }
+// PutSweeper returns a borrowed Sweeper to the package pool, which keeps it
+// unless the pool is full or the Sweeper's scratch outgrew the bound. The
+// Sweeper must not be used after.
+func PutSweeper(sw *Sweeper) {
+	if sw.scratchBytes() > maxSweeperScratch {
+		return
+	}
+	sweepers.mu.Lock()
+	defer sweepers.mu.Unlock()
+	if len(sweepers.idle) < maxIdleSweepers {
+		sweepers.idle = append(sweepers.idle, sw)
+	}
+}
 
 // innerCPU reports whether a is more deeply nested than b: later start wins;
 // at equal starts the higher CPU rank (deeper tier) wins. The remaining

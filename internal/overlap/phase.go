@@ -45,8 +45,8 @@ func Phases(events []trace.Event) []PhaseBreakdown {
 	}
 	// One pooled sweeper serves every phase window: its scratch buffers are
 	// sized by the first sweep and reused by the rest.
-	sw := sweepers.Get().(*Sweeper)
-	defer sweepers.Put(sw)
+	sw := GetSweeper()
+	defer PutSweeper(sw)
 	for pi := range phases {
 		p := &phases[pi]
 		// Run the overlap sweep restricted to the phase window; only its

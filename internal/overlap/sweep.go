@@ -1,7 +1,10 @@
 package overlap
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -40,12 +43,18 @@ import (
 // Operation names and categories are interned into dense small-int IDs at
 // sweep start, so the hot accumulator is a flat []vclock.Duration indexed
 // by a packed (opID, resource set, catID) code; the public map-shaped
-// Result is materialized once at the end. All buffers are retained across
-// calls, so a Sweeper reused over many windows (the analysis worker pool
-// does this) allocates almost nothing per sweep.
+// Result is materialized once at the end. Transition markers ride the same
+// pass: the first collects each marker inside the window as an (instant,
+// label) pair, and the boundary loop scopes every marker to the innermost
+// operation on the stack when it is reached — the state after every
+// boundary at or before its instant — so a window runs orderOpens and the
+// close heap once, and its markers are counted in a dense (opID, labelID)
+// grid. All buffers are retained across calls, so a Sweeper reused over
+// many windows (the analysis worker pool does this) allocates nothing per
+// sweep beyond the Result it fills.
 //
 // A Sweeper is not safe for concurrent use; the package-level Compute and
-// ComputeWindow draw from an internal pool.
+// ComputeWindow borrow one from a small bounded pool (GetSweeper).
 type Sweeper struct {
 	bounds  []boundary // the opens, in openSorter order once orderOpens ran
 	next    int        // the first open nextBound has not yet delivered
@@ -61,18 +70,40 @@ type Sweeper struct {
 	cats    []trace.Category
 	accum   []vclock.Duration // dense (opID, res, catID) accumulator
 
-	// Transition scoping: innermost-op segment table, built lazily only
-	// for windows that contain transition markers.
-	opEvs   []trace.Event
-	segDead []bool
-	segs    []opSegment
+	// Transition scoping: the window's markers in time order, their
+	// interned labels, and the dense (opID, labelID) counts.
+	marks    []mark
+	labels   []string
+	labelIDs map[string]int32 // labels past the first scanLabels
+	counts   []int
 
 	sorter openSorter
+}
+
+// mark is one transition marker inside the window: its instant, its
+// interned label and, once the sweep has passed it, the interned ID of the
+// innermost operation covering it (0, UntrackedOp, when none does).
+type mark struct {
+	t     vclock.Time
+	label int32
+	op    int32
 }
 
 // NewSweeper returns an empty Sweeper. The zero value is also usable; New
 // exists for symmetry with the rest of the codebase.
 func NewSweeper() *Sweeper { return &Sweeper{} }
+
+// scratchBytes is the memory the Sweeper's buffers hold, its interner maps
+// aside: what keeping it idle costs.
+func (sw *Sweeper) scratchBytes() int {
+	entries := cap(sw.cpu.entries) + cap(sw.ops.entries) + cap(sw.gpu.entries)
+	return (cap(sw.bounds)+cap(sw.closes))*int(unsafe.Sizeof(boundary{})) +
+		cap(sw.dead) +
+		entries*int(unsafe.Sizeof(stackEntry{})) +
+		cap(sw.accum)*int(unsafe.Sizeof(vclock.Duration(0))) +
+		cap(sw.marks)*int(unsafe.Sizeof(mark{})) +
+		cap(sw.counts)*int(unsafe.Sizeof(0))
+}
 
 // boundary is one endpoint of an interval event. id carries the interned
 // category slot (KindCPU, KindGPU) or the interned operation ID (KindOp), so
@@ -133,13 +164,6 @@ func (st *innerStack) top(dead []bool) (stackEntry, bool) {
 	return stackEntry{}, false
 }
 
-// opSegment is one entry of the innermost-op segment table: the operation
-// owning instants in [start, next segment's start).
-type opSegment struct {
-	start vclock.Time
-	op    string
-}
-
 // Compute runs the sweep over one process's events using this Sweeper's
 // buffers. See the package-level Compute for semantics.
 func (sw *Sweeper) Compute(events []trace.Event) *Result {
@@ -178,8 +202,8 @@ func (sw *Sweeper) ComputeWindowInto(res *Result, events []trace.Event, lo, hi v
 }
 
 func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi vclock.Time) {
-	// Pass 1: intern names/categories and collect the opens of the
-	// window-relevant intervals. Span uses the unclipped extent of included
+	// Pass 1: intern names, categories and labels, and collect the opens of
+	// the window-relevant intervals and the markers inside the window. Span uses the unclipped extent of included
 	// events so a partition of windows merges to the span Compute reports.
 	sw.resetInterners()
 	if cap(sw.dead) < len(events) {
@@ -188,10 +212,18 @@ func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi v
 		sw.dead = sw.dead[:len(events)]
 		clear(sw.dead)
 	}
-	sw.bounds = sw.bounds[:0]
-	spanSet := false
+	sw.bounds, sw.marks = sw.bounds[:0], sw.marks[:0]
+	spanSet, marksInTime := false, true
 	for i, e := range events {
 		switch e.Kind {
+		case trace.KindTransition:
+			if e.Start < lo || e.Start >= hi {
+				continue
+			}
+			if n := len(sw.marks); n > 0 && sw.marks[n-1].t > e.Start {
+				marksInTime = false
+			}
+			sw.marks = append(sw.marks, mark{t: e.Start, label: sw.internLabel(e.Name)})
 		case trace.KindCPU, trace.KindGPU, trace.KindOp:
 			if e.End <= e.Start {
 				continue // zero-width intervals contribute nothing
@@ -217,6 +249,9 @@ func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi v
 		}
 	}
 	sw.orderOpens(events)
+	if !marksInTime {
+		slices.SortFunc(sw.marks, func(a, b mark) int { return cmp.Compare(a.t, b.t) })
+	}
 
 	// The dense accumulator: (opID, resource set, catID) -> duration.
 	nCats := len(sw.cats)
@@ -231,14 +266,28 @@ func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi v
 
 	// Pass 2: the sweep proper. Classification state persists across
 	// elementary intervals; each boundary updates it in O(1) amortized, and
-	// each interval reads the stack tops directly.
+	// each interval reads the stack tops directly. Before a boundary is
+	// applied, the markers before its instant take the innermost operation
+	// as it stands: the state after every boundary at or before them, with
+	// closes before opens at one instant. Markers past the last boundary
+	// keep op 0, UntrackedOp.
 	sw.cpu.reset()
 	sw.ops.reset()
 	sw.gpu.reset()
 	kernels := 0
 	var prev vclock.Time
 	first := true
+	marks, nextMark := sw.marks, 0
 	for b := sw.nextBound(); b != nil; b = sw.nextBound() {
+		if nextMark < len(marks) && marks[nextMark].t < b.t {
+			op := int32(0)
+			if opTop, ok := sw.ops.top(sw.dead); ok {
+				op = opTop.id
+			}
+			for ; nextMark < len(marks) && marks[nextMark].t < b.t; nextMark++ {
+				marks[nextMark].op = op
+			}
+		}
 		if !first && b.t > prev {
 			// Accumulate only the part of [prev, t) inside [lo, hi).
 			s, e := prev, b.t
@@ -317,21 +366,43 @@ func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi v
 		}
 	}
 
-	// Transition markers are scoped to the innermost operation active at
-	// the marker's timestamp. The segment table is built lazily so windows
-	// without markers skip its sort entirely.
-	built := false
-	for _, e := range events {
-		if e.Kind != trace.KindTransition || e.Start < lo || e.Start >= hi {
-			continue
+	sw.countTransitions(res)
+}
+
+// countTransitions counts the scoped markers in the dense (opID, labelID)
+// grid and materializes the grid into the public map shape once, the way
+// ByKey is. A window whose grid would pass maxTransitionCells — thousands of
+// distinct operations and labels, which only an unvalidated trace carries —
+// counts by key instead, so no window sizes the grid quadratically.
+func (sw *Sweeper) countTransitions(res *Result) {
+	nLabels := len(sw.labels)
+	grid := len(sw.opNames) * nLabels
+	if grid > maxTransitionCells {
+		for _, m := range sw.marks {
+			res.Transitions[TransitionKey{Op: sw.opNames[m.op], Label: sw.labels[m.label]}]++
 		}
-		if !built {
-			sw.buildSegments(events)
-			built = true
+		return
+	}
+	if cap(sw.counts) < grid {
+		sw.counts = make([]int, grid)
+	} else {
+		sw.counts = sw.counts[:grid]
+		clear(sw.counts)
+	}
+	for _, m := range sw.marks {
+		sw.counts[int(m.op)*nLabels+int(m.label)]++
+	}
+	for op, name := range sw.opNames {
+		for l, n := range sw.counts[op*nLabels : (op+1)*nLabels] {
+			if n != 0 {
+				res.Transitions[TransitionKey{Op: name, Label: sw.labels[l]}] = n
+			}
 		}
-		res.Transitions[TransitionKey{Op: sw.opAt(e.Start), Label: e.Name}]++
 	}
 }
+
+// maxTransitionCells bounds the dense transition grid of one window.
+const maxTransitionCells = 1 << 16
 
 func (sw *Sweeper) resetInterners() {
 	if sw.opIDs == nil {
@@ -348,6 +419,8 @@ func (sw *Sweeper) resetInterners() {
 		sw.catSlot[c] = 0
 	}
 	sw.cats = sw.cats[:0]
+	sw.labels = sw.labels[:0]
+	clear(sw.labelIDs)
 }
 
 func (sw *Sweeper) internOp(name string) int32 {
@@ -359,6 +432,31 @@ func (sw *Sweeper) internOp(name string) int32 {
 	sw.opNames = append(sw.opNames, name)
 	return id
 }
+
+// internLabel interns a transition label. A trace has a handful, found by a
+// scan of the first scanLabels; a window with more — an unvalidated trace
+// may carry any — finds the rest in a map, so interning stays O(1).
+func (sw *Sweeper) internLabel(name string) int32 {
+	for i, l := range sw.labels[:min(len(sw.labels), scanLabels)] {
+		if l == name {
+			return int32(i)
+		}
+	}
+	if id, ok := sw.labelIDs[name]; ok {
+		return id
+	}
+	id := int32(len(sw.labels))
+	sw.labels = append(sw.labels, name)
+	if id >= scanLabels {
+		if sw.labelIDs == nil {
+			sw.labelIDs = make(map[string]int32)
+		}
+		sw.labelIDs[name] = id
+	}
+	return id
+}
+
+const scanLabels = 8
 
 func (sw *Sweeper) internCat(c trace.Category) int32 {
 	if s := sw.catSlot[c]; s != 0 {
@@ -516,70 +614,4 @@ func eventOrder(a, b *boundary) bool {
 		return a.kind < b.kind
 	}
 	return a.ev < b.ev
-}
-
-// buildSegments constructs the innermost-op segment table for transition
-// scoping: a mini-sweep over operation intervals only, recording the
-// innermost operation of every elementary interval. Lookups then binary
-// search the table instead of scanning the op list per marker.
-func (sw *Sweeper) buildSegments(events []trace.Event) {
-	sw.opEvs = sw.opEvs[:0]
-	sw.segs = sw.segs[:0]
-	for _, e := range events {
-		if e.Kind == trace.KindOp && e.End > e.Start {
-			sw.opEvs = append(sw.opEvs, e)
-		}
-	}
-	if len(sw.opEvs) == 0 {
-		return
-	}
-	sw.bounds = sw.bounds[:0]
-	for i, e := range sw.opEvs {
-		sw.bounds = append(sw.bounds, boundary{e.Start, e.End, int32(i), 0, trace.KindOp, true})
-	}
-	sw.orderOpens(sw.opEvs)
-	if cap(sw.segDead) < len(sw.opEvs) {
-		sw.segDead = make([]bool, len(sw.opEvs))
-	} else {
-		sw.segDead = sw.segDead[:len(sw.opEvs)]
-		clear(sw.segDead)
-	}
-	sw.ops.reset()
-	var prev vclock.Time
-	first := true
-	for b := sw.nextBound(); b != nil; b = sw.nextBound() {
-		if !first && b.t > prev {
-			name := UntrackedOp
-			if top, ok := sw.ops.top(sw.segDead); ok {
-				name = sw.opEvs[top.ev].Name
-			}
-			if len(sw.segs) == 0 || sw.segs[len(sw.segs)-1].op != name {
-				sw.segs = append(sw.segs, opSegment{prev, name})
-			}
-		}
-		if b.open {
-			sw.ops.push(stackEntry{b.ev, 0})
-		} else {
-			sw.ops.close(b.ev, sw.segDead)
-		}
-		prev = b.t
-		first = false
-	}
-	// Sentinel: instants at or past the last boundary are untracked.
-	if sw.segs[len(sw.segs)-1].op != UntrackedOp {
-		sw.segs = append(sw.segs, opSegment{prev, UntrackedOp})
-	}
-}
-
-// opAt returns the innermost operation covering t, or UntrackedOp —
-// agreeing with duration attribution on which operation owns an instant,
-// including under exact ties, because both derive from the same stack
-// machine. The lookup is a binary search over the segment table.
-func (sw *Sweeper) opAt(t vclock.Time) string {
-	segs := sw.segs
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].start > t })
-	if i == 0 {
-		return UntrackedOp
-	}
-	return segs[i-1].op
 }

@@ -2,6 +2,7 @@ package overlap
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -281,4 +282,27 @@ func FuzzSweepMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTransitionScopingManyLabels: a window with more distinct labels than
+// the scan interns and more (operation, label) cells than the dense grid
+// holds — only an unvalidated trace carries such — is still scoped exactly.
+func TestTransitionScopingManyLabels(t *testing.T) {
+	sw := NewSweeper()
+	rng := rand.New(rand.NewSource(35))
+	for _, n := range []int{12, 300} {
+		var events []trace.Event
+		for i := 0; i < n; i++ {
+			at := vclock.Time(4 * i)
+			events = append(events,
+				trace.Event{Kind: trace.KindOp, Start: at, End: at + 3, Name: fmt.Sprintf("op%d", i)},
+				trace.Event{Kind: trace.KindTransition, Start: at + 1, End: at + 1, Name: fmt.Sprintf("label%d", i)},
+				trace.Event{Kind: trace.KindTransition, Start: at + 3, End: at + 3, Name: fmt.Sprintf("label%d", n-1-i)},
+			)
+		}
+		if cells := (n + 1) * n; n > 100 && cells <= maxTransitionCells {
+			t.Fatalf("%d cells fit the dense grid", cells)
+		}
+		checkScoping(t, sw, rng, fmt.Sprintf("%d labels", n), events, []vclock.Time{vclock.MinTime, 100, vclock.MaxTime})
+	}
 }

@@ -32,9 +32,10 @@ func TestLiveEpochAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	// AllocsPerRun measures on one P, and a sync.Pool drops what it holds
-	// when the P count changes: were the pooled Sweeper lost there, its
-	// scratch — sized by the largest window — would be regrown inside the
-	// measurement. Everything runs on one P from the start instead.
+	// when the P count changes: were the frame decoder's pooled name table
+	// (internal/trace's v1DecPool) lost there, it would be allocated again
+	// inside the measurement. Everything runs on one P from the start
+	// instead.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const per, warm, runs = 512, 16, 20
 	s, _ := liveServer(t, Config{})

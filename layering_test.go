@@ -128,8 +128,12 @@ func forbidIdents(t *testing.T, fset *token.FileSet, files []*ast.File, banned .
 // is reached from exactly two functions in internal/analysis — the
 // pipeline's sweep job and Incremental.sweep — so a third analysis path
 // cannot grow back unnoticed; the batch pipeline is entered from exactly
-// Engine.Analyze and the two context-free shorthands Run and RunStream; and
-// internal/trace exports no partitioner of its own again.
+// Engine.Analyze and the two context-free shorthands Run and RunStream;
+// internal/trace exports no partitioner of its own again; a window is swept
+// in one pass, transition markers scoped inside it, with no second
+// segment-table sweep beside it; and the sweep's scratch, like the
+// analysis scratch, sits in a bounded pool that outlives a collection, not
+// in a sync.Pool.
 func TestOneSweepPath(t *testing.T) {
 	fset := token.NewFileSet()
 	analysisFiles := parseNonTest(t, fset, filepath.Join("internal", "analysis"))
@@ -142,6 +146,18 @@ func TestOneSweepPath(t *testing.T) {
 	}
 	// Spelled in two halves so a grep for the deleted names stays empty.
 	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "trace")), "Shards", "Phase"+"Partition")
+	overlapFiles := parseNonTest(t, fset, filepath.Join("internal", "overlap"))
+	forbidIdents(t, fset, overlapFiles, "build"+"Segments", "op"+"At", "op"+"Segment")
+	for _, f := range append(overlapFiles, analysisFiles...) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sync" {
+					t.Errorf("a sync.Pool is back at %s", fset.Position(sel.Pos()))
+				}
+			}
+			return true
+		})
+	}
 }
 
 // TestOneTraceLifecycle pins internal/serve's registry structurally: the
