@@ -203,8 +203,9 @@ func (sw *Sweeper) ComputeWindowInto(res *Result, events []trace.Event, lo, hi v
 
 func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi vclock.Time) {
 	// Pass 1: intern names, categories and labels, and collect the opens of
-	// the window-relevant intervals and the markers inside the window. Span uses the unclipped extent of included
-	// events so a partition of windows merges to the span Compute reports.
+	// the window-relevant intervals and the markers inside the window. Span
+	// uses the unclipped extent of included events so a partition of windows
+	// merges to the span Compute reports.
 	sw.resetInterners()
 	if cap(sw.dead) < len(events) {
 		sw.dead = make([]bool, len(events))
