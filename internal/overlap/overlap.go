@@ -91,9 +91,9 @@ type TransitionKey struct {
 // every window would re-allocate the lot. Long-lived callers that sweep many
 // windows (the analysis worker pool) hold their own Sweeper instead, one per
 // worker, borrowed here for the run. It is a plain bounded stack, not a
-// sync.Pool: that one empties on every second GC, so every pooled Sweeper
-// regrew its scratch after each collection and what a warm sweep allocated
-// depended on when the collector last ran. The price is memory the collector
+// sync.Pool, which empties on every second GC: a pooled Sweeper would regrow
+// its scratch after each collection, and what a warm sweep allocates would
+// depend on when the collector last ran. The price is memory the collector
 // cannot take back, so it is bounded: at most maxIdleSweepers idle Sweepers,
 // and one whose scratch outgrew maxSweeperScratch — a whole-process
 // Compute's — is dropped on PutSweeper instead of kept.
