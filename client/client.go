@@ -14,8 +14,9 @@
 //	w.Close(meta)
 //
 // streams a live trace into the server's store with exactly the bytes a
-// local trace.NewWriter would have produced. Appends are idempotent on the
-// server, so the sink retries transient transport failures safely.
+// local trace.NewWriter would have produced. Append copies the events, so
+// the caller may refill its slice between calls. Appends are idempotent on
+// the server, so the sink retries transient transport failures safely.
 package client
 
 import (

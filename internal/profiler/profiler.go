@@ -127,11 +127,10 @@ func (p *Profiler) NewProcess(name string, parent trace.ProcID, start vclock.Tim
 	return s
 }
 
-// sortedSessions returns each session's events in Sort order, session by
-// session, and the run's metadata. Sessions sort concurrently (each at most
-// once: see Session.sortedEvents). The slices are the sessions' caches:
-// read-only.
-func (p *Profiler) sortedSessions() ([][]trace.Event, trace.Meta, error) {
+// sortedSessions returns each session's sorted view, session by session,
+// and the run's metadata. Sessions sort concurrently (each at most once:
+// see Session.sortedEvents). The views are the sessions' caches: read-only.
+func (p *Profiler) sortedSessions() ([]sortedView, trace.Meta, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	meta := trace.Meta{
@@ -146,7 +145,7 @@ func (p *Profiler) sortedSessions() ([][]trace.Event, trace.Meta, error) {
 		}
 		meta.Procs[s.proc] = trace.ProcInfo{Name: s.name, Parent: s.parent}
 	}
-	sorted := make([][]trace.Event, len(p.sessions))
+	sorted := make([]sortedView, len(p.sessions))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, s := range p.sessions {
@@ -163,20 +162,20 @@ func (p *Profiler) sortedSessions() ([][]trace.Event, trace.Meta, error) {
 }
 
 // Trace assembles the full run trace across all sessions. Sessions must be
-// closed first. The returned trace is the caller's: its events are a copy
-// of the sessions' sorted buffers.
+// closed first. The returned trace is the caller's: its events are gathered
+// out of the sessions' blocks into one exact-size slice.
 func (p *Profiler) Trace() (*trace.Trace, error) {
 	sorted, meta, err := p.sortedSessions()
 	if err != nil {
 		return nil, err
 	}
 	n := 0
-	for _, evs := range sorted {
-		n += len(evs)
+	for _, v := range sorted {
+		n += len(v.keys)
 	}
 	t := &trace.Trace{Meta: meta, Events: make([]trace.Event, 0, n)}
-	for _, evs := range sorted {
-		t.Events = append(t.Events, evs...)
+	for _, v := range sorted {
+		t.Events = v.gather(t.Events, v.keys)
 	}
 	// Sessions are created in ProcID order and each is sorted, so this is
 	// the O(n) check.
@@ -221,12 +220,21 @@ func (p *Profiler) WriteToSink(sink trace.Sink) error {
 	return writeSessions(trace.NewSinkWriter(sink, 0), sorted, meta)
 }
 
+// stageEvents is how many events writeSessions gathers per Append call.
+const stageEvents = 1024
+
 // writeSessions feeds the sorted sessions to w in order — the event
-// sequence of Trace() without assembling it; the Writer encodes its chunks
-// straight out of the sessions' buffers.
-func writeSessions(w *trace.Writer, sorted [][]trace.Event, meta trace.Meta) error {
-	for _, evs := range sorted {
-		w.Append(evs...)
+// sequence of Trace() without assembling it. Each session's events are
+// gathered out of its blocks a stage at a time, and the Writer copies each
+// stage on into its chunk buffer.
+func writeSessions(w *trace.Writer, sorted []sortedView, meta trace.Meta) error {
+	var stage [stageEvents]trace.Event
+	for _, v := range sorted {
+		for keys := v.keys; len(keys) > 0; {
+			k := keys[:min(len(keys), stageEvents)]
+			w.Append(v.gather(stage[:0], k)...)
+			keys = keys[len(k):]
+		}
 	}
 	return w.Close(meta)
 }

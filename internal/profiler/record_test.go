@@ -45,14 +45,14 @@ func referenceEvents(p *Profiler) []trace.Event {
 	return all
 }
 
-// unsortedEvents is the session's blocks end to end: what it has recorded
-// since it was last sorted, in emission order.
+// unsortedEvents is what the session has recorded since it was last sorted,
+// in emission order: its blocks end to end, less the events already keyed.
 func unsortedEvents(s *Session) []trace.Event {
 	var raw []trace.Event
 	for _, b := range s.full {
 		raw = append(raw, b...)
 	}
-	return append(raw, s.cur...)
+	return append(raw, s.cur...)[len(s.sorted.keys):]
 }
 
 // emitRandom records n events straight through Emit: starts drawn from a
@@ -174,8 +174,8 @@ func TestTraceAfterLateEmit(t *testing.T) {
 	s.closed = true
 	all := referenceEvents(p)
 	p.MustTrace()
-	if len(s.cur)+len(s.full) != 0 || len(s.sorted) != 3000 {
-		t.Fatalf("after Trace(): %d blocks and %d open slots held beside %d sorted events", len(s.full), len(s.cur), len(s.sorted))
+	if len(s.sorted.keys) != 3000 || len(unsortedEvents(s)) != 0 {
+		t.Fatalf("after Trace(): %d events keyed, %d left unkeyed", len(s.sorted.keys), len(unsortedEvents(s)))
 	}
 	emitRandom(s, rng, 40)
 	all = append(all, unsortedEvents(s)...) // behind the sorted prefix, where the raw buffer had them
@@ -196,11 +196,11 @@ func TestEmitRejectsForeignProc(t *testing.T) {
 	s.Emit(trace.Event{Kind: trace.KindTransition, Proc: s.proc + 1})
 }
 
-// TestWriteToMatchesEventAtATime: WriteTo hands the Writer whole sorted
-// sessions, which it cuts chunks out of in place; the directory must be the
-// one the Writer produces when fed Trace() one event per Append call — no
-// borrowing at all — with chunk sizes that put boundaries inside sessions,
-// across them, and (the default) nowhere.
+// TestWriteToMatchesEventAtATime: WriteTo gathers each sorted session out
+// of its blocks a stage at a time; the directory must be the one the Writer
+// produces when fed Trace() one event per Append call, with chunk sizes
+// that put boundaries inside stages, across stages and sessions, and (the
+// default) nowhere.
 func TestWriteToMatchesEventAtATime(t *testing.T) {
 	p := New(Options{Workload: "chunks", Flags: trace.Full(), Seed: 9})
 	dev := gpu.NewDevice(-1)

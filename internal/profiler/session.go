@@ -25,11 +25,12 @@ type Session struct {
 
 	// Recorded events live in fixed-capacity blocks: full is the filled
 	// ones, cur the open one. A block is never regrown, so recording an
-	// event writes it once and copies nothing. sortedEvents moves them into
-	// sorted, after which the blocks are released.
+	// event writes it once and copies nothing, and the events stay there:
+	// sortedEvents caches their sorted order as keys into the blocks, and
+	// readers gather them in that order.
 	full   [][]trace.Event
 	cur    []trace.Event
-	sorted []trace.Event
+	sorted sortedView
 
 	rootStart vclock.Time
 	closed    bool
@@ -98,28 +99,48 @@ type sortKey struct {
 	pos        uint64
 }
 
+// sortedView is a session's events in trace.Trace.Sort order, left where
+// they were recorded: keys[i].pos locates the i-th event in blocks. It is
+// read-only: blocks are the session's own.
+type sortedView struct {
+	blocks [][]trace.Event
+	keys   []sortKey
+}
+
+// gather appends the events keys locate, in keys' order, to dst.
+func (v sortedView) gather(dst []trace.Event, keys []sortKey) []trace.Event {
+	for _, k := range keys {
+		dst = append(dst, v.blocks[k.pos>>32][uint32(k.pos)])
+	}
+	return dst
+}
+
 // sortedEvents returns the session's events in trace.Trace.Sort order. The
-// first call after recording sorts one key per event and gathers the events
-// out of their blocks into one exact-size slice, which is cached (the
-// blocks are released) and shared: callers must not modify it. Events of
-// one session share its Proc, which leaves (Start, End descending) as the
-// order, and the sort is stable, so ties keep emission order exactly as a
-// stable sort of the whole trace would.
-func (s *Session) sortedEvents() []trace.Event {
-	if len(s.cur) == 0 { // the open block is empty only when nothing was recorded
+// first call after recording sorts one key per event; the keys are cached
+// beside the blocks and shared, and nothing is copied — readers gather the
+// events through them. Events of one session share its Proc, which leaves
+// (Start, End descending) as the order, and the sort is stable, so ties
+// keep emission order exactly as a stable sort of the whole trace would.
+func (s *Session) sortedEvents() sortedView {
+	n := len(s.cur)
+	for _, b := range s.full {
+		n += len(b)
+	}
+	if n == len(s.sorted.keys) {
 		return s.sorted
 	}
 	// Events recorded after an earlier call (nothing in this repository
-	// does) sort in behind the cached ones, as one stable sort would.
-	src := make([][]trace.Event, 0, len(s.full)+2)
-	src = append(append(append(src, s.sorted), s.full...), s.cur)
-	n := 0
-	for _, b := range src {
-		n += len(b)
-	}
-	keys := make([]sortKey, 0, n)
-	for i, b := range src {
+	// does) are keyed behind the sorted ones, where one stable sort of
+	// everything would have found them.
+	blocks := append(append(make([][]trace.Event, 0, len(s.full)+1), s.full...), s.cur)
+	keys := slices.Grow(s.sorted.keys, n-len(s.sorted.keys))
+	skip := len(keys)
+	for i, b := range blocks {
 		for j := range b {
+			if skip > 0 {
+				skip--
+				continue
+			}
 			keys = append(keys, sortKey{b[j].Start, b[j].End, uint64(i)<<32 | uint64(j)})
 		}
 	}
@@ -129,12 +150,8 @@ func (s *Session) sortedEvents() []trace.Event {
 		}
 		return cmp.Compare(b.end, a.end)
 	})
-	out := make([]trace.Event, n)
-	for i, k := range keys {
-		out[i] = src[k.pos>>32][uint32(k.pos)]
-	}
-	s.full, s.cur, s.sorted = nil, nil, out
-	return out
+	s.sorted = sortedView{blocks, keys}
+	return s.sorted
 }
 
 // Overhead executes one occurrence of profiler book-keeping: if the feature

@@ -1,7 +1,10 @@
 package profiler
 
 import (
+	"fmt"
+	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/gpu"
@@ -33,5 +36,62 @@ func TestWriteToUnclosedSessionFails(t *testing.T) {
 	p.NewProcess("open", -1, 0)
 	if err := p.WriteTo(t.TempDir()); err == nil {
 		t.Fatal("WriteTo succeeded with an unclosed session")
+	}
+}
+
+// chunkCounter is a Sink that counts the chunks it is handed and keeps
+// nothing, so what a write allocates is the profiler's and the Writer's.
+type chunkCounter struct{ chunks int }
+
+func (c *chunkCounter) AppendChunk(int, []byte, *trace.ChunkIndex) error { c.chunks++; return nil }
+func (c *chunkCounter) Seal(trace.Meta) error                            { return nil }
+
+// TestWriteToRecyclesChunkBuffers pins what writing a closed profiler again
+// allocates: a fixed count for the run — its metadata, the sort fan-out
+// over the sessions (each already sorted), the Writer and its channels —
+// and per chunk its writeJob, the job's done channel, the frame, the
+// encoder's string table, the *ChunkIndex and its process map. No event
+// buffer: the sessions are gathered through one stack-sized stage, and the
+// chunk buffers come back from the Writer's recycled stack, so the count is
+// the same at 2 000 events as at 320 000.
+func TestWriteToRecyclesChunkBuffers(t *testing.T) {
+	const sessions, runFixed, perChunk = 4, 16, 6
+	for _, procs := range []int{1, 2} {
+		for _, n := range []int{500, 20000, 80000} {
+			t.Run(fmt.Sprintf("GOMAXPROCS=%d/%dx%d", procs, sessions, n), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				p := New(Options{Workload: "recycle", Seed: 1})
+				rng := rand.New(rand.NewSource(int64(n)))
+				for i := 0; i < sessions; i++ {
+					s := p.NewProcess(fmt.Sprintf("proc%d", i), -1, 0)
+					emitRandom(s, rng, n)
+					s.closed = true
+				}
+				if err := p.WriteTo(filepath.Join(t.TempDir(), "first")); err != nil {
+					t.Fatal(err)
+				}
+				sink := &chunkCounter{}
+				got := testing.AllocsPerRun(10, func() {
+					if err := p.WriteToSink(sink); err != nil {
+						t.Fatal(err)
+					}
+				})
+				chunks := sink.chunks / 11 // AllocsPerRun warms up with one extra call
+				if want := runFixed + perChunk*chunks; got != float64(want) {
+					t.Errorf("writing %d events in %d chunks again: %.0f allocs, want %d", sessions*n, chunks, got, want)
+				}
+				// In bytes: the frames, well under the 40 B an event buffer
+				// would cost per event by itself.
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if err := p.WriteToSink(sink); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				if perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(sessions*n); n > 500 && perEvent >= 40 {
+					t.Errorf("writing %d events again allocated %.1f B per event", sessions*n, perEvent)
+				}
+			})
+		}
 	}
 }

@@ -90,6 +90,12 @@ func TestLiveEpochAllocs(t *testing.T) {
 	for seq < warm {
 		epoch()
 	}
+	// Collect first, so that no collection falls inside the measurement: a
+	// sync.Pool an epoch draws on (the frame decoder's, and the standard
+	// library's behind fmt, encoding/json and net/http) keeps what it holds
+	// through one collection only, and what an epoch allocates would depend
+	// on when the collector last ran.
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(runs, epoch)
@@ -98,7 +104,7 @@ func TestLiveEpochAllocs(t *testing.T) {
 	if limit := uint64(per * 40); perEpoch >= limit {
 		t.Errorf("a warm epoch allocates %d B, want under %d: an event buffer is among them", perEpoch, limit)
 	}
-	if want := 115.0; allocs != want {
+	if want := 114.0; allocs != want {
 		t.Errorf("a warm epoch allocates %.0f times, want %.0f", allocs, want)
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding"
 	"encoding/hex"
@@ -64,13 +65,6 @@ func (e *ConflictError) Error() string {
 	return fmt.Sprintf("trace: chunk seq %d replayed with different content", e.Seq)
 }
 
-// chunkRecord remembers what was applied under one sequence number, so
-// replays can be verified byte-for-byte without re-reading the files.
-type chunkRecord struct {
-	chunkSum   [sha256.Size]byte
-	sidecarSum [sha256.Size]byte
-}
-
 // DirSink lands a chunked trace in a directory, one .rlstrace chunk plus
 // one .rlsidx sidecar per append and a meta.json at Seal — exactly the
 // files, names, and bytes Writer produces, so a trace streamed through a
@@ -87,12 +81,11 @@ type chunkRecord struct {
 type DirSink struct {
 	dir string
 
-	mu      sync.Mutex
-	next    int // next expected sequence number
-	applied []chunkRecord
-	digest  hash.Hash // running DirDigest-framed hash over sidecar+chunk pairs
-	sealed  bool
-	final   string // digest fixed at Seal
+	mu     sync.Mutex
+	next   int       // next expected sequence number
+	digest hash.Hash // running DirDigest-framed hash over sidecar+chunk pairs
+	sealed bool
+	final  string // digest fixed at Seal
 }
 
 // NewDirSink creates dir (if needed) and returns a sink writing a fresh
@@ -158,14 +151,25 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 	if seq < 0 || seq > s.next {
 		return false, &SeqError{Seq: seq, Next: s.next}
 	}
+	chunkName := fmt.Sprintf(chunkFilePattern, seq)
 	if seq < s.next {
-		rec := s.applied[seq]
-		if sha256.Sum256(chunk) != rec.chunkSum || sha256.Sum256(sidecar) != rec.sidecarSum {
-			return false, &ConflictError{Seq: seq}
+		// A replay is checked against the files it would have written:
+		// landed bytes are hashed once, into the running digest, and never
+		// again.
+		for _, f := range []struct {
+			name string
+			want []byte
+		}{{chunkName, chunk}, {sidecarPath(chunkName), sidecar}} {
+			got, err := os.ReadFile(filepath.Join(s.dir, f.name))
+			if err != nil {
+				return false, fmt.Errorf("trace: reading applied chunk %d: %w", seq, err)
+			}
+			if !bytes.Equal(got, f.want) {
+				return false, &ConflictError{Seq: seq}
+			}
 		}
 		return true, nil
 	}
-	chunkName := fmt.Sprintf(chunkFilePattern, seq)
 	if err := os.WriteFile(filepath.Join(s.dir, chunkName), chunk, 0o644); err != nil {
 		return false, fmt.Errorf("trace: writing chunk: %w", err)
 	}
@@ -179,10 +183,6 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 	// appending frames in arrival order reproduces the sorted walk.
 	digestFile(s.digest, sidecarPath(chunkName), sidecar)
 	digestFile(s.digest, chunkName, chunk)
-	s.applied = append(s.applied, chunkRecord{
-		chunkSum:   sha256.Sum256(chunk),
-		sidecarSum: sha256.Sum256(sidecar),
-	})
 	s.next++
 	return false, nil
 }

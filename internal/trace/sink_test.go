@@ -2,7 +2,10 @@ package trace
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -115,6 +118,33 @@ func TestDirSinkIdempotencyProtocol(t *testing.T) {
 	}
 	if err := sink.Seal(Meta{}); !errors.Is(err, ErrSinkSealed) {
 		t.Fatalf("double seal: %v, want ErrSinkSealed", err)
+	}
+}
+
+// TestDirSinkReplayChecksLandedFiles: a replay is compared with the chunk
+// and sidecar files on disk — a diverging sidecar alone is a conflict, and
+// a replay whose landed file is gone is an error, not a duplicate.
+func TestDirSinkReplayChecksLandedFiles(t *testing.T) {
+	dir := t.TempDir()
+	sink, err := NewDirSink(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks, indexes := sinkTestFrames(t, 2)
+	for i := range chunks {
+		if err := sink.AppendChunk(i, chunks[i], indexes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var conflict *ConflictError
+	if _, err := sink.Append(1, chunks[1], mustSidecar(t, indexes[0])); !errors.As(err, &conflict) || conflict.Seq != 1 {
+		t.Fatalf("replay with another sidecar: %v, want a *ConflictError for seq 1", err)
+	}
+	if err := os.Remove(filepath.Join(dir, fmt.Sprintf(chunkFilePattern, 0))); err != nil {
+		t.Fatal(err)
+	}
+	if dup, err := sink.Append(0, chunks[0], mustSidecar(t, indexes[0])); dup || err == nil || errors.As(err, &conflict) {
+		t.Fatalf("replay of a chunk whose file is gone: dup=%v err=%v, want a read error", dup, err)
 	}
 }
 

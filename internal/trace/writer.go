@@ -43,13 +43,14 @@ type Writer struct {
 	format     Format
 
 	mu sync.Mutex
-	// pending holds what earlier Append calls left of the open chunk; the
-	// current call's share of it stays in the caller's slice until that
-	// call returns.
-	pending []Event
+	// open is the open chunk's events, in a buffer taken from chunkBufs
+	// when its first event arrives; longest is the most events a chunk of
+	// this Writer has held, the size a fresh buffer is made at.
+	open    []Event
+	longest int
 	size    int
 	nchunks int
-	// names tracks the distinct names of the pending v2 chunk, so the
+	// names tracks the distinct names of the open v2 chunk, so the
 	// flush threshold can estimate the encoded size (each name is stored
 	// once per chunk in the dictionary).
 	names  map[string]struct{}
@@ -65,7 +66,8 @@ type Writer struct {
 }
 
 // writeJob is one chunk on its way through the pipeline. An encoder fills
-// frame, index and err and then closes encoded.
+// frame, index and err, hands events back to chunkBufs and then closes
+// encoded.
 type writeJob struct {
 	seq     int
 	events  []Event
@@ -141,6 +143,7 @@ func (w *Writer) encodeLoop() {
 		// was encoded from, so the two can never disagree; a streaming
 		// analysis plans chunk routing from it without decoding events.
 		job.frame, job.index, job.err = EncodeEventsFormat(job.events, w.format)
+		putChunkBuf(job.events)
 		job.events = nil
 		close(job.encoded)
 	}
@@ -167,10 +170,9 @@ func (w *Writer) deliverLoop() {
 // threshold is checked per event, so one large Append still produces
 // size-bounded chunks.
 //
-// Append borrows: a chunk that begins and ends inside events is encoded
-// straight from that slice, and only the tail that does not fill a chunk is
-// copied. The caller must therefore leave events untouched until Close
-// returns. Appending to a closed Writer panics.
+// Append copies: events go into a chunk buffer the Writer owns, so the
+// caller may reuse or modify its slice as soon as Append returns.
+// Appending to a closed Writer panics.
 func (w *Writer) Append(events ...Event) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -196,11 +198,23 @@ func (w *Writer) Append(events ...Event) {
 			w.size += eventBytes(*e)
 		}
 		if w.size >= w.chunkBytes {
-			w.flushLocked(events[from : i+1 : i+1])
+			w.addLocked(events[from : i+1])
+			w.flushLocked()
 			from = i + 1
 		}
 	}
-	w.pending = append(w.pending, events[from:]...)
+	if from < len(events) {
+		w.addLocked(events[from:])
+	}
+}
+
+// addLocked copies events into the open chunk, taking it a buffer first if
+// it has none.
+func (w *Writer) addLocked(events []Event) {
+	if w.open == nil {
+		w.open = getChunkBuf(max(w.longest, len(events)))
+	}
+	w.open = append(w.open, events...)
 }
 
 // eventBytes estimates an event's in-memory/serialized footprint: fixed
@@ -212,24 +226,76 @@ func eventBytes(e Event) int { return 16 + len(e.Name) }
 // analysis engine uses it for its MaxResidentBytes accounting.
 func EventBytes(e Event) int { return eventBytes(e) }
 
-// flushLocked closes the open chunk — pending followed by tail — and queues
-// it. With nothing pending the chunk is tail itself, borrowed.
-func (w *Writer) flushLocked(tail []Event) {
-	chunk := tail
-	if len(w.pending) > 0 {
-		chunk = append(w.pending, tail...)
-		w.pending = nil
-	}
-	if len(chunk) == 0 {
+// flushLocked closes the open chunk and queues it; the chunk's buffer
+// travels with it to the encoder, which hands it back.
+func (w *Writer) flushLocked() {
+	if len(w.open) == 0 {
 		return
 	}
-	job := &writeJob{seq: w.nchunks, events: chunk, encoded: make(chan struct{})}
+	job := &writeJob{seq: w.nchunks, events: w.open, encoded: make(chan struct{})}
 	w.deliver <- job
 	w.encode <- job
+	w.longest = max(w.longest, len(w.open))
+	w.open = nil
 	w.nchunks++
 	w.size = 0
 	if w.names != nil {
 		clear(w.names)
+	}
+}
+
+// chunkBufs recycles the buffers chunks are assembled in, across chunks and
+// across Writers: Append copies events into the open chunk's buffer, and
+// the encoder hands it back once the chunk is encoded. It is a plain
+// bounded stack, not a sync.Pool, which empties on every second GC: what a
+// write allocates would then depend on when the collector last ran. The
+// price is memory the collector cannot take back, so it is bounded: at
+// most maxIdleChunkBufs idle buffers, and a buffer that grew past
+// maxChunkBufEvents — a chunkBytes far above the default — is dropped on
+// putChunkBuf instead of kept.
+var chunkBufs struct {
+	mu   sync.Mutex
+	idle [][]Event
+}
+
+const (
+	maxIdleChunkBufs  = 8       // chunks in flight beyond these allocate afresh
+	maxChunkBufEvents = 1 << 16 // events one idle buffer may hold room for
+)
+
+// getChunkBuf returns an empty buffer with room for n events: the one put
+// back last, or a new one when none is idle. An idle buffer too small for n
+// is dropped rather than regrown — regrowing copies what a fresh buffer
+// does not — so buffers sized for smaller chunks leave the stack as soon as
+// larger chunks need it. A new buffer gets an eighth of slack, because the
+// next chunk of a Writer is rarely exactly as long as its longest so far.
+func getChunkBuf(n int) []Event {
+	chunkBufs.mu.Lock()
+	if k := len(chunkBufs.idle); k > 0 {
+		buf := chunkBufs.idle[k-1]
+		chunkBufs.idle[k-1] = nil
+		chunkBufs.idle = chunkBufs.idle[:k-1]
+		if cap(buf) >= n {
+			chunkBufs.mu.Unlock()
+			return buf
+		}
+	}
+	chunkBufs.mu.Unlock()
+	return make([]Event, 0, n+n/8)
+}
+
+// putChunkBuf hands an encoded chunk's buffer back to chunkBufs, which
+// keeps it unless the stack is full or the buffer outgrew the bound. The
+// events are cleared first, so an idle buffer holds no name alive.
+func putChunkBuf(buf []Event) {
+	if cap(buf) > maxChunkBufEvents {
+		return
+	}
+	clear(buf)
+	chunkBufs.mu.Lock()
+	defer chunkBufs.mu.Unlock()
+	if len(chunkBufs.idle) < maxIdleChunkBufs {
+		chunkBufs.idle = append(chunkBufs.idle, buf[:0])
 	}
 }
 
@@ -243,7 +309,7 @@ func (w *Writer) Close(meta Meta) error {
 		return fmt.Errorf("trace: writer already closed")
 	}
 	w.closed = true
-	w.flushLocked(nil)
+	w.flushLocked()
 	w.mu.Unlock()
 
 	close(w.encode)

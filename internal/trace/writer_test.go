@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -163,11 +164,11 @@ func TestWriterAppendAfterClosePanics(t *testing.T) {
 }
 
 // TestWriterAppendBatchingIsInvisible: chunk boundaries follow the events,
-// not the Append calls that carried them — one bulk call (whole chunks
-// borrowed from the caller's slice), one call per event (every chunk
-// assembled in pending) and random batches (chunks that straddle calls)
-// write the same directory, in both formats, with chunk sizes that put
-// boundaries inside and across batches.
+// not the Append calls that carried them — one bulk call (whole chunks cut
+// out of one slice), one call per event (every chunk assembled event by
+// event) and random batches (chunks that straddle calls) write the same
+// directory, in both formats, with chunk sizes that put boundaries inside
+// and across batches.
 func TestWriterAppendBatchingIsInvisible(t *testing.T) {
 	events := randomEvents(rand.New(rand.NewSource(41)), 4000)
 	meta := Meta{Workload: "batching"}
@@ -198,6 +199,119 @@ func TestWriterAppendBatchingIsInvisible(t *testing.T) {
 			if got := write(f, chunkBytes, func(int) int { return 1 + rng.Intn(300) }); got != want {
 				t.Errorf("%v chunkBytes=%d: random batches wrote %s, one bulk Append %s", f, chunkBytes, got, want)
 			}
+		}
+	}
+}
+
+// TestWriterAppendCopies: the caller may reuse its slice as soon as Append
+// returns — scribbling over it before Close changes nothing written.
+func TestWriterAppendCopies(t *testing.T) {
+	events := randomEvents(rand.New(rand.NewSource(47)), 3000)
+	write := func(scribble bool) string {
+		sink, err := NewDirSink(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := NewSinkWriter(sink, 4<<10)
+		batch := make([]Event, 0, 256)
+		for i := 0; i < len(events); i += cap(batch) {
+			batch = append(batch[:0], events[i:min(i+cap(batch), len(events))]...)
+			w.Append(batch...)
+			if scribble {
+				for j := range batch {
+					batch[j] = Event{Kind: KindCPU, Start: 1, End: 2, Name: "scribbled"}
+				}
+			}
+		}
+		if err := w.Close(Meta{Workload: "copies"}); err != nil {
+			t.Fatal(err)
+		}
+		return sink.Digest()
+	}
+	if got, want := write(true), write(false); got != want {
+		t.Fatalf("reusing the Append slice changed the trace: %s, want %s", got, want)
+	}
+}
+
+// TestChunkBufsBounded: the recycled chunk buffers are bounded in count and
+// in size, and an idle one holds no event — no name — alive.
+func TestChunkBufsBounded(t *testing.T) {
+	chunkBufs.mu.Lock()
+	saved := chunkBufs.idle
+	chunkBufs.idle = nil
+	chunkBufs.mu.Unlock()
+	defer func() {
+		chunkBufs.mu.Lock()
+		chunkBufs.idle = saved
+		chunkBufs.mu.Unlock()
+	}()
+
+	putChunkBuf(make([]Event, 1, maxChunkBufEvents+1))
+	if n := len(chunkBufs.idle); n != 0 {
+		t.Fatalf("a buffer over maxChunkBufEvents was kept (%d idle)", n)
+	}
+	for i := 0; i < 2*maxIdleChunkBufs; i++ {
+		putChunkBuf(append(make([]Event, 0, 64), Event{Name: "held"}))
+	}
+	if n := len(chunkBufs.idle); n != maxIdleChunkBufs {
+		t.Fatalf("%d buffers idle, want the bound %d", n, maxIdleChunkBufs)
+	}
+	buf := getChunkBuf(10)
+	if len(buf) != 0 || cap(buf) != 64 || buf[:1][0] != (Event{}) {
+		t.Fatalf("got len %d cap %d, first slot %+v: want an empty, cleared idle buffer", len(buf), cap(buf), buf[:1][0])
+	}
+	if buf := getChunkBuf(100); cap(buf) < 100 || len(chunkBufs.idle) != maxIdleChunkBufs-2 {
+		t.Fatalf("asked for 100 events: cap %d, %d idle left; want a fresh buffer and the small one dropped", cap(buf), len(chunkBufs.idle))
+	}
+}
+
+// TestChunkBufsConcurrentWriters: Writers running at once share the
+// recycled chunk buffers, so a buffer one Writer's encoder hands back is the
+// next chunk of another; each directory must still be the one its Writer
+// writes alone. Run under -race, this is what shows a buffer handed back
+// while still being read.
+func TestChunkBufsConcurrentWriters(t *testing.T) {
+	const writers = 6
+	traces := make([][]Event, writers)
+	want := make([]string, writers)
+	write := func(i int) (string, error) {
+		sink, err := NewDirSink(t.TempDir())
+		if err != nil {
+			return "", err
+		}
+		w := NewSinkWriter(sink, 1<<10*(1+i%3), WithFormat([]Format{FormatV1, FormatV2}[i%2]))
+		for evs := traces[i]; len(evs) > 0; {
+			n := min(len(evs), 1+i*97)
+			w.Append(evs[:n]...)
+			evs = evs[n:]
+		}
+		if err := w.Close(Meta{Workload: fmt.Sprint("writer", i)}); err != nil {
+			return "", err
+		}
+		return sink.Digest(), nil
+	}
+	for i := range traces {
+		traces[i] = randomEvents(rand.New(rand.NewSource(int64(53+i))), 2000+500*i)
+		d, err := write(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = d
+	}
+	got := make([]string, writers)
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for i := range traces {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = write(i)
+		}()
+	}
+	wg.Wait()
+	for i := range traces {
+		if errs[i] != nil || got[i] != want[i] {
+			t.Errorf("writer %d: concurrently %s (%v), alone %s", i, got[i], errs[i], want[i])
 		}
 	}
 }
