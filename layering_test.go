@@ -1,6 +1,11 @@
 package rlscope
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
+	"flag"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -16,9 +21,9 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/experiments"
@@ -51,289 +56,336 @@ func TestInternalDoesNotImportFacade(t *testing.T) {
 	}
 }
 
-// parseNonTest parses the non-test files of one package directory.
-func parseNonTest(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
+var update = flag.Bool("update", false, "rewrite testdata/surface.txt from the tree instead of comparing with it")
+
+var surfaceFile = filepath.Join("testdata", "surface.txt")
+
+// module is the module's non-test code, type-checked: its files by import
+// path (benchmark/ is repro/benchmark), the packages checked from them, one
+// types.Info over all of them, and the importer of the standard library; and,
+// parsed only, its test files.
+type module struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File
+	pkgs  map[string]*types.Package
+	info  *types.Info
+	std   types.Importer
+	tests []*ast.File
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// loadModule parses and type-checks the module once per test binary, so the
+// tests that read it share its one go list -export.
+var loadModule = sync.OnceValues(func() (*module, error) {
+	m := &module{
+		fset:  token.NewFileSet(),
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+	}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); !ok || err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(m.fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			m.tests = append(m.tests, f)
+			return nil
+		}
+		pkg := strings.TrimSuffix("repro/"+filepath.ToSlash(filepath.Dir(path)), "/.")
+		m.files[pkg] = append(m.files[pkg], f)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	// The standard library comes from the build cache's export data, listed
+	// by one go command; the module's packages are checked from source.
+	var std []string
+	for _, pkgFiles := range m.files {
+		for _, f := range pkgFiles {
+			for _, imp := range f.Imports {
+				path, _ := strconv.Unquote(imp.Path.Value)
+				if m.files[path] == nil && !slices.Contains(std, path) {
+					std = append(std, path)
+				}
+			}
+		}
+	}
+	std = append(std, "fmt", "io", "sort")
+	out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, std...)...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %v", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "\t")
+		export[path] = file
+	}
+	m.std = importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(export[path]) })
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if m.files[path] == nil {
+			return m.std.Import(path)
+		}
+		if pkg := m.pkgs[path]; pkg != nil {
+			return pkg, nil
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(path, m.fset, m.files[path], m.info)
+		m.pkgs[path] = pkg
+		return pkg, err
+	}
+	for _, path := range slices.Sorted(maps.Keys(m.files)) {
+		if _, err := imp(path); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+})
+
+func loadedModule(t *testing.T) *module {
 	t.Helper()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
+	m, err := loadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var files []*ast.File
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			files = append(files, f)
-		}
-	}
-	return files
+	return m
 }
 
-// callersOf lists, sorted, the functions ("Recv.name" for methods) of files
-// that call a function or method with one of the given names, spelled plain
-// (run(…)) or selected (x.run(…), pkg.Run(…)).
-func callersOf(files []*ast.File, names ...string) []string {
-	var callers []string
-	for _, f := range files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
+// surfaceCallees are the functions whose every caller the surface lists, by
+// types.Func.FullName less "repro/internal/" (and "repro/"): the windowed
+// sweep's two ways in, the batch pipeline, its window cut, the sidecar-index
+// fold and the job fan-out.
+var surfaceCallees = []string{
+	"overlap.ComputeWindow",
+	"(*overlap.Sweeper).ComputeWindowInto",
+	"analysis.run",
+	"(*analysis.window).cut",
+	"(*serve.summaryFold).foldIndex",
+	"experiments.forEach",
+}
+
+// TestSurface compares the module's structure with testdata/surface.txt byte
+// for byte, the way Go's api/*.txt pins the standard library's. For every
+// package but benchmark/ (a module of its own) the file lists, one sorted
+// line a fact: every top-level declaration and every method, exported ones
+// with their type or signature and unexported ones by kind and name; every
+// struct field and interface method with its type; and, resolved through
+// go/types rather than by spelling, every caller of surfaceCallees. A deleted
+// declaration that comes back, under its old name or a new one, or a third
+// caller of a pinned function is a + line here and in the file's diff.
+// go test -run TestSurface -update . rewrites the file.
+func TestSurface(t *testing.T) {
+	got := surface(loadedModule(t))
+	for _, callee := range surfaceCallees {
+		if !bytes.Contains(got, []byte("call "+callee+" <- ")) {
+			t.Errorf("nothing calls %s: surfaceCallees pins a function that is gone", callee)
+		}
+	}
+	if *update {
+		if err := os.WriteFile(surfaceFile, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(surfaceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both are sorted: merge them into the lines only one of them has.
+	var diff []string
+	for a, b := strings.Split(string(want), "\n"), strings.Split(string(got), "\n"); len(a)+len(b) > 0; {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0] < b[0]:
+			diff, a = append(diff, "-"+a[0]), a[1:]
+		case len(a) == 0 || b[0] < a[0]:
+			diff, b = append(diff, "+"+b[0]), b[1:]
+		default:
+			a, b = a[1:], b[1:]
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the tree's structure is not %s; if the change is meant, rewrite it with go test -run TestSurface -update .\n%s",
+			surfaceFile, strings.Join(diff, "\n"))
+	}
+}
+
+// surface renders the lines TestSurface compares. A type is listed with its
+// kind (struct, interface, or the type it is defined as); a type from another
+// package is qualified by its import path, less "repro/internal/" or "repro/".
+func surface(m *module) []byte {
+	short := strings.NewReplacer("repro/internal/", "", "repro/", "").Replace
+	var lines []string
+	for path, files := range m.files {
+		if path == "repro/benchmark" {
+			continue
+		}
+		scope := m.pkgs[path].Scope()
+		add := func(kind, name string, t types.Type, withType bool) {
+			line := path + " " + kind + " " + name
+			if withType {
+				line += " " + short(types.TypeString(t, types.RelativeTo(m.pkgs[path])))
+			}
+			if kind == "func" || kind == "method" {
+				line = strings.Replace(line, " func(", "(", 1)
+			}
+			lines = append(lines, line)
+		}
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			tn, ok := obj.(*types.TypeName)
+			switch {
+			case !ok: // the kind is ObjectString's first word: func, var or const
+				add(strings.Fields(types.ObjectString(obj, nil))[0], name, obj.Type(), obj.Exported())
+				continue
+			case tn.IsAlias():
+				add("type", name+" =", types.Unalias(tn.Type()), true)
 				continue
 			}
-			name := fn.Name.Name
-			if fn.Recv != nil && len(fn.Recv.List) == 1 {
-				recv := fn.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
+			named := tn.Type().(*types.Named)
+			switch u := named.Underlying().(type) {
+			case *types.Struct:
+				add("type", name+" struct", nil, false)
+				for f := range u.Fields() {
+					add("field", name+"."+f.Name(), f.Type(), true)
 				}
-				if id, ok := recv.(*ast.Ident); ok {
-					name = id.Name + "." + name
+			case *types.Interface:
+				add("type", name+" interface", nil, false)
+				for f := range u.ExplicitMethods() {
+					add("method", name+"."+f.Name(), f.Type(), f.Exported())
 				}
+				for e := range u.EmbeddedTypes() {
+					add("embed", name, e, true)
+				}
+			default:
+				add("type", name, u, true)
 			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					var called string
-					switch fun := call.Fun.(type) {
-					case *ast.Ident:
-						called = fun.Name
-					case *ast.SelectorExpr:
-						called = fun.Sel.Name
+			for f := range named.Methods() {
+				recv := name
+				if _, ok := f.Signature().Recv().Type().(*types.Pointer); ok {
+					recv = "(*" + name + ")"
+				}
+				add("method", recv+"."+f.Name(), f.Type(), f.Exported())
+			}
+		}
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				caller := "a package-level declaration"
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					caller = short(m.info.Defs[fn.Name].(*types.Func).FullName())
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if callee, ok := m.info.Uses[id].(*types.Func); ok && slices.Contains(surfaceCallees, short(callee.Origin().FullName())) {
+							lines = append(lines, "call "+short(callee.Origin().FullName())+" <- "+caller)
+						}
 					}
-					if slices.Contains(names, called) {
-						callers = append(callers, name)
+					return true
+				})
+			}
+		}
+	}
+	slices.Sort(lines)
+	return []byte(strings.Join(slices.Compact(lines), "\n") + "\n")
+}
+
+// TestOneSweepPath pins where scratch lives: the sweep's scratch, like the
+// analysis scratch and the Writer's chunk buffers, sits in a bounded pool that
+// outlives a collection, not in a sync.Pool — internal/trace keeps only its
+// two decoder/encoder scratch pools. Which functions reach the windowed sweep
+// and the batch pipeline are the surface's call lines (TestSurface).
+func TestOneSweepPath(t *testing.T) {
+	m := loadedModule(t)
+	for _, dir := range []string{"overlap", "analysis", "trace", "profiler"} {
+		for _, f := range m.files["repro/internal/"+dir] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if vs, ok := n.(*ast.ValueSpec); ok && len(vs.Names) == 1 && slices.Contains([]string{"v1DecPool", "v2EncPool"}, vs.Names[0].Name) {
+					return false
+				}
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sync" {
+						t.Errorf("a sync.Pool is back at %s", m.fset.Position(sel.Pos()))
 					}
 				}
 				return true
 			})
 		}
 	}
-	sort.Strings(callers)
-	return callers
 }
 
-// forbidIdents fails for every identifier of files spelled like one of banned.
-func forbidIdents(t *testing.T, fset *token.FileSet, files []*ast.File, banned ...string) {
-	t.Helper()
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && slices.Contains(banned, id.Name) {
-				t.Errorf("%s is named again at %s", id.Name, fset.Position(id.Pos()))
-			}
-			return true
-		})
-	}
-}
-
-// TestOneSweepPath pins the batch refactor structurally: the windowed sweep
-// is reached from exactly two functions in internal/analysis — the
-// pipeline's sweep job and Incremental.sweep — so a third analysis path
-// cannot grow back unnoticed; the batch pipeline is entered from exactly
-// Engine.Analyze and the two context-free shorthands Run and RunStream;
-// internal/trace exports no partitioner of its own again; a window is swept
-// in one pass, transition markers scoped inside it, with no second
-// segment-table sweep beside it; and the sweep's scratch, like the
-// analysis scratch and the Writer's chunk buffers, sits in a bounded pool
-// that outlives a collection, not in a sync.Pool — internal/trace keeps
-// only its two decoder/encoder scratch pools.
-func TestOneSweepPath(t *testing.T) {
-	fset := token.NewFileSet()
-	analysisFiles := parseNonTest(t, fset, filepath.Join("internal", "analysis"))
-	callers := callersOf(analysisFiles, "ComputeWindow", "ComputeWindowInto")
-	if want := []string{"Incremental.sweep", "pipeline.sweep"}; !slices.Equal(callers, want) {
-		t.Errorf("windowed sweep called from %v, want exactly %v", callers, want)
-	}
-	if got, want := callersOf(analysisFiles, "run"), []string{"Engine.Analyze", "Run", "RunStream"}; !slices.Equal(got, want) {
-		t.Errorf("the batch pipeline is entered from %v, want exactly %v", got, want)
-	}
-	// Spelled in two halves so a grep for the deleted names stays empty.
-	traceFiles := parseNonTest(t, fset, filepath.Join("internal", "trace"))
-	forbidIdents(t, fset, traceFiles, "Shards", "Phase"+"Partition")
-	overlapFiles := parseNonTest(t, fset, filepath.Join("internal", "overlap"))
-	forbidIdents(t, fset, overlapFiles, "build"+"Segments", "op"+"At", "op"+"Segment")
-	pooled := slices.Concat(overlapFiles, analysisFiles, traceFiles, parseNonTest(t, fset, filepath.Join("internal", "profiler")))
-	for _, f := range pooled {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if vs, ok := n.(*ast.ValueSpec); ok && len(vs.Names) == 1 && slices.Contains([]string{"v1DecPool", "v2EncPool"}, vs.Names[0].Name) {
-				return false
-			}
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
-				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sync" {
-					t.Errorf("a sync.Pool is back at %s", fset.Position(sel.Pos()))
-				}
-			}
-			return true
-		})
-	}
-}
-
-// TestOneTraceLifecycle pins internal/serve's registry structurally: the
-// Server holds exactly one map (the registry, keyed by trace id), a sidecar
-// index is folded into a summary from exactly two places — the append of an
-// open trace and newTraceEntry's walk of a complete directory — and nothing
-// of the second registry or the sealed-but-still-live state is named again.
-func TestOneTraceLifecycle(t *testing.T) {
-	fset := token.NewFileSet()
-	files := parseNonTest(t, fset, filepath.Join("internal", "serve"))
-	var maps []string
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok || ts.Name.Name != "Server" {
-				return true
-			}
-			for _, field := range ts.Type.(*ast.StructType).Fields.List {
-				if _, ok := field.Type.(*ast.MapType); ok {
-					for _, name := range field.Names {
-						maps = append(maps, name.Name)
-					}
-				}
-			}
-			return false
-		})
-	}
-	if want := []string{"traces"}; !slices.Equal(maps, want) {
-		t.Errorf("serve.Server's map fields are %v, want exactly %v", maps, want)
-	}
-	if got, want := callersOf(files, "foldIndex"), []string{"Server.handleAppendChunk", "newTraceEntry"}; !slices.Equal(got, want) {
-		t.Errorf("sidecar indexes folded from %v, want exactly %v", got, want)
-	}
-	forbidIdents(t, fset, files, "li"+"ves", "live"+"IDs", "live"+"Lookup", "live"+"Info", "evict"+"Sealed",
-		"final"+"Stats", "has"+"Meta", "handle"+"LiveSummary", "ind"+"exes")
-}
-
-// TestOneWayEach pins the second ways that were deleted so none grows back:
-// internal/trace speaks frames, not streams — no exported function takes an
-// io.Reader or io.Writer; internal/analysis exports no job pool (ForEach…)
-// beside the pipeline's own workers; overlap.Result has no merge of its own
-// beside analysis.MergeResult; internal/experiments, the one package that
-// fans independent jobs out, is the only non-test caller of a fan-out;
-// internal/serve decodes a JSON body in one place and exports no second
-// constructor or result-set path; the module spells the "proc%d" process-name
-// fallback once (report.ProcName); and internal/ sets up an indented JSON
-// encoder once (report.EncodeJSON); an analysis's one input is
-// analysis.Source, not a second open one in internal/trace, its one stage is
-// the corrector, with no interface in front of it, its one context-taking
-// entry is Engine.Analyze, and internal/calib builds a shift index one way.
+// TestOneWayEach pins the one ways that a count, not a name, holds:
+// internal/serve decodes a JSON body in one place, the module spells the
+// "proc%d" process-name fallback once (report.ProcName), and internal/ sets up
+// an indented JSON encoder once (report.EncodeJSON); and internal/serve spells
+// its HTTP header keys canonically. The second ways deleted by name stay
+// deleted through the surface (TestSurface).
 func TestOneWayEach(t *testing.T) {
-	fset := token.NewFileSet()
-	funcs := func(dir string) (fns []*ast.FuncDecl) {
-		for _, f := range parseNonTest(t, fset, dir) {
-			for _, decl := range f.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok {
-					fns = append(fns, fn)
-				}
-			}
-		}
-		return fns
-	}
-	for _, fn := range funcs(filepath.Join("internal", "trace")) {
-		if !fn.Name.IsExported() {
-			continue
-		}
-		ast.Inspect(fn.Type.Params, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Reader" || sel.Sel.Name == "Writer") {
-				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "io" {
-					t.Errorf("trace.%s takes an io.%s (%s)", fn.Name.Name, sel.Sel.Name, fset.Position(sel.Pos()))
-				}
-			}
-			return true
-		})
-	}
-	for _, fn := range funcs(filepath.Join("internal", "analysis")) {
-		if fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "ForEach") {
-			t.Errorf("internal/analysis exports %s again", fn.Name.Name)
-		}
-	}
-	for _, fn := range funcs(filepath.Join("internal", "overlap")) {
-		if fn.Recv != nil && fn.Name.Name == "Merge" {
-			t.Errorf("overlap declares a Merge method again at %s", fset.Position(fn.Pos()))
-		}
-	}
-	callers := map[string]bool{}
-	serveDir := filepath.Join("internal", "serve")
 	const (
 		decoders  = "json.NewDecoder calls in internal/serve"
 		procNames = `"proc%d" literals`
 		indents   = "SetIndent calls under internal/"
 	)
+	m := loadedModule(t)
 	counts := map[string]int{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for path, files := range m.files {
+		if path == "repro/benchmark" {
+			continue
 		}
-		if d.IsDir() && (path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != ".") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				if s, _ := strconv.Unquote(lit.Value); s == "proc%d" {
-					counts[procNames]++
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if s, _ := strconv.Unquote(lit.Value); s == "proc%d" {
+						counts[procNames]++
+					}
 				}
-			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				name := ""
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					name = fun.Name
+				case *ast.SelectorExpr:
+					name = fun.Sel.Name
+					if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "json" && name == "NewDecoder" && path == "repro/internal/serve" {
+						counts[decoders]++
+					}
+				}
+				if name == "SetIndent" && strings.HasPrefix(path, "repro/internal/") {
+					counts[indents]++
+				}
 				return true
-			}
-			name := ""
-			switch fun := call.Fun.(type) {
-			case *ast.Ident:
-				name = fun.Name
-			case *ast.SelectorExpr:
-				name = fun.Sel.Name
-				if pkg, ok := fun.X.(*ast.Ident); ok && pkg.Name == "json" && name == "NewDecoder" && filepath.Dir(path) == serveDir {
-					counts[decoders]++
-				}
-			}
-			if name == "SetIndent" && strings.HasPrefix(path, "internal"+string(filepath.Separator)) {
-				counts[indents]++
-			}
-			if name == "forEach" || strings.HasPrefix(name, "ForEach") {
-				callers[filepath.Dir(path)] = true
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := slices.Sorted(maps.Keys(callers))
-	if want := []string{filepath.Join("internal", "experiments")}; !slices.Equal(got, want) {
-		t.Errorf("a job fan-out is called from %v, want exactly %v", got, want)
+			})
+		}
 	}
 	for _, what := range []string{decoders, procNames, indents} {
 		if counts[what] != 1 {
 			t.Errorf("non-test code has %d %s, want exactly 1", counts[what], what)
 		}
 	}
-	forbidIdents(t, fset, parseNonTest(t, fset, serveDir), "NewServerStrict", "LoadResults", "ResultSetKey")
-	// Spelled in two halves so a grep for the deleted names stays empty.
-	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "trace")),
-		"Sou"+"rce", "From"+"Trace", "From"+"Reader", "From"+"Dir")
-	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "analysis")),
-		"Event"+"Stage", "Run"+"Context", "RunStream"+"Context")
-	forbidIdents(t, fset, parseNonTest(t, fset, filepath.Join("internal", "calib")), "build"+"Shift")
-	// One way to correct an event, and one cut scan for both of its callers.
-	var mappers []string
-	for _, fn := range funcs(filepath.Join("internal", "calib")) {
-		if fn.Recv != nil && fn.Name.IsExported() && strings.HasPrefix(fn.Name.Name, "Map") {
-			mappers = append(mappers, fn.Name.Name)
-		}
-	}
-	if slices.Sort(mappers); !slices.Equal(mappers, []string{"MapEvent", "MapSpan"}) {
-		t.Errorf("calib maps with %v, want exactly MapEvent and MapSpan", mappers)
-	}
-	if got, want := callersOf(parseNonTest(t, fset, filepath.Join("internal", "analysis")), "cut"), []string{"incWindow.split", "pipeline.closeWindow"}; !slices.Equal(got, want) {
-		t.Errorf("window.cut is called from %v, want exactly %v", got, want)
-	}
-	checkHeaderKeys(t, fset, parseNonTest(t, fset, serveDir))
+	checkHeaderKeys(t, m.fset, m.files["repro/internal/serve"])
 }
 
 // checkHeaderKeys fails for every string literal used as an HTTP header key
@@ -413,11 +465,6 @@ var testOnlyAllowed = map[string]string{
 	"trace.Interner.Len":        linkedAnyway,
 }
 
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
 // TestNoTestOnlyCode fails for every function and method declared in a
 // non-test file under internal/ that the non-test code of the module and of
 // benchmark/ does not reach: code that only its own tests run is a second way
@@ -429,81 +476,9 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 // (their calls are dynamic), and testOnlyAllowed; a function is reached when
 // a root or the body of a reached function uses it.
 func TestNoTestOnlyCode(t *testing.T) {
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{} // by import path; benchmark/ is repro/benchmark
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") && path != ".") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); !ok || err != nil {
-			return err
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		pkg := strings.TrimSuffix("repro/"+filepath.ToSlash(filepath.Dir(path)), "/.")
-		files[pkg] = append(files[pkg], f)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The standard library comes from the build cache's export data, listed
-	// by one go command; the module's packages are checked from source.
-	var std []string
-	for _, pkgFiles := range files {
-		for _, f := range pkgFiles {
-			for _, imp := range f.Imports {
-				path, _ := strconv.Unquote(imp.Path.Value)
-				if files[path] == nil && !slices.Contains(std, path) {
-					std = append(std, path)
-				}
-			}
-		}
-	}
-	std = append(std, "fmt", "io", "sort")
-	out, err := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, std...)...).Output()
-	if err != nil {
-		t.Fatalf("go list -export: %v", err)
-	}
-	export := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		path, file, _ := strings.Cut(line, "\t")
-		export[path] = file
-	}
-	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(export[path]) })
-	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
-	}
-	checked := map[string]*types.Package{}
-	var imp importerFunc
-	imp = func(path string) (*types.Package, error) {
-		if files[path] == nil {
-			return gc.Import(path)
-		}
-		if pkg := checked[path]; pkg != nil {
-			return pkg, nil
-		}
-		pkg, err := (&types.Config{Importer: imp}).Check(path, fset, files[path], info)
-		checked[path] = pkg
-		return pkg, err
-	}
+	m := loadedModule(t)
+	fset, files, info := m.fset, m.files, m.info
 	paths := slices.Sorted(maps.Keys(files))
-	for _, path := range paths {
-		if _, err := imp(path); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	origin := func(obj types.Object) types.Object {
 		if fn, ok := obj.(*types.Func); ok {
@@ -521,7 +496,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	for _, name := range []string{"fmt.Stringer", "io.Writer", "sort.Interface"} {
 		pkgPath, typeName, _ := strings.Cut(name, ".")
-		pkg, err := gc.Import(pkgPath)
+		pkg, err := m.std.Import(pkgPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -666,130 +641,74 @@ var (
 	docRun        = regexp.MustCompile(`rlscope-experiments -run ([\w,]+)`)
 )
 
-// packageIdents returns, per internal package (by directory name), every
-// name its files declare: functions and methods, types, values, and struct
-// and interface fields.
-func packageIdents(t *testing.T) map[string]map[string]bool {
-	t.Helper()
-	dirs, err := filepath.Glob(filepath.Join("internal", "*"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idents := map[string]map[string]bool{}
-	fset := token.NewFileSet()
-	for _, dir := range dirs {
-		pkgs, err := parser.ParseDir(fset, dir, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		names := map[string]bool{}
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.FuncDecl:
-						names[n.Name.Name] = true
-					case *ast.TypeSpec:
-						names[n.Name.Name] = true
-					case *ast.ValueSpec:
-						for _, id := range n.Names {
-							names[id.Name] = true
-						}
-					case *ast.Field:
-						for _, id := range n.Names {
-							names[id.Name] = true
-						}
-					}
-					return true
-				})
-			}
-		}
-		idents[filepath.Base(dir)] = names
-	}
-	return idents
-}
+// docMetric matches a benchmark metric a code span names, `<layer>.<snake_name>`
+// (`trace.decode_v2_ns_per_event`), with its layer.
+var docMetric = regexp.MustCompile(`\b([a-z]+)\.[a-z]\w*_\w*`)
+
+// surfaceDecl matches a declaration line of testdata/surface.txt: the last
+// element of the package's import path (none for the root package) and the
+// name declared, a method's or a field's after its type's.
+var surfaceDecl = regexp.MustCompile(`(?m)^repro(?:\S*/)?(\w*) \w+ (?:\(?\*?\w+\)?\.)?(\w+)`)
 
 // commandFlags returns the flags each command under cmd/ defines: the name
 // argument of every call into package flag.
-func commandFlags(t *testing.T) map[string]map[string]bool {
-	t.Helper()
+func commandFlags(m *module) map[string]map[string]bool {
 	flags := map[string]map[string]bool{}
-	mains, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, path := range mains {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
+	for pkg, files := range m.files {
+		cmd, ok := strings.CutPrefix(pkg, "repro/cmd/")
+		if !ok {
+			continue
 		}
-		cmd := filepath.Base(filepath.Dir(path))
-		if flags[cmd] == nil {
-			flags[cmd] = map[string]bool{}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
-				return true
-			}
-			// flag.String(name, ...), flag.Func(name, ...), flag.Var(&v, name, ...)
-			for _, arg := range call.Args[:min(2, len(call.Args))] {
-				if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					flags[cmd][strings.Trim(lit.Value, "\"`")] = true
-					break
+		flags[cmd] = map[string]bool{}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
 				}
-			}
-			return true
-		})
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+					return true
+				}
+				// flag.String(name, ...), flag.Func(name, ...), flag.Var(&v, name, ...)
+				for _, arg := range call.Args[:min(2, len(call.Args))] {
+					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						flags[cmd][strings.Trim(lit.Value, "\"`")] = true
+						break
+					}
+				}
+				return true
+			})
+		}
 	}
 	return flags
 }
 
 // TestDocsNameWhatExists fails when README.md or DESIGN.md names a package,
-// command, example, benchmark, command-line flag, internal package
-// identifier, hypothesis or experiment id that is no longer in the tree, so a
-// deletion cannot leave its documentation behind. A flag is a code span that
-// starts with one (`-workers N`): it must be defined by a command named on
-// the same line, or — prose wraps — by any command when the line names none.
-// A span that is a command line (`rlscope-hyp -gate`) is held to that
-// command's flags. A span's `pkg.Name.Field` is held to what internal/pkg
-// declares, name by name, and its hypothesis ids to hypotheses.json. The ids
-// an `rlscope-experiments -run` line names must be ids the experiment table
+// command, example, benchmark, command-line flag, package identifier,
+// benchmark metric, hypothesis or experiment id that is no longer in the
+// tree, so a deletion cannot leave its documentation behind. A flag is a code
+// span that starts with one (`-workers N`): it must be defined by a command
+// named on the same line, or — prose wraps — by any command when the line
+// names none. A span that is a command line (`rlscope-hyp -gate`) is held to
+// that command's flags. A span's `pkg.Name.Field` is held, name by name, to
+// what testdata/surface.txt lists for pkg (rlscope is the root package), its
+// `<layer>.<snake_name>` to the metrics BENCHMARK.json lists when the layer is
+// one of theirs, and its hypothesis ids to hypotheses.json. The ids an
+// `rlscope-experiments -run` line names must be ids the experiment table
 // renders.
 func TestDocsNameWhatExists(t *testing.T) {
+	mod := loadedModule(t)
 	benchmarks := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && (path == "benchmark" || strings.HasPrefix(d.Name(), ".") && path != ".") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	for _, f := range mod.tests {
 		for _, decl := range f.Decls {
 			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Benchmark") {
 				benchmarks[fn.Name.Name] = true
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	isDir := func(path string) bool {
 		fi, err := os.Stat(path)
@@ -797,8 +716,34 @@ func TestDocsNameWhatExists(t *testing.T) {
 	}
 	// The CI badge URL's organisation and repository.
 	allowed := map[string]bool{"rlscope-repro": true}
-	flags := commandFlags(t)
-	idents := packageIdents(t)
+	flags := commandFlags(mod)
+	// Every name the surface declares, as the docs spell it (rlscope.X for
+	// the root package), and the packages it lists.
+	surface, err := os.ReadFile(surfaceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared, packages := map[string]bool{}, map[string]bool{}
+	for _, m := range surfaceDecl.FindAllStringSubmatch(string(surface), -1) {
+		pkg := cmp.Or(m[1], "rlscope")
+		declared[pkg+"."+m[2]], packages[pkg] = true, true
+	}
+	// BENCHMARK.json's per-layer metrics, and the layers they are named in.
+	var bench struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err == nil {
+		err = json.Unmarshal(raw, &bench)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, layers := map[string]bool{}, map[string]bool{}
+	for _, m := range bench.PerLayer {
+		metrics[m.Name] = true
+		layers[strings.Split(m.Name, ".")[0]] = true
+	}
 	everyCommand := slices.Sorted(maps.Keys(flags))
 	grid, err := hypothesis.LoadGrid("hypotheses.json")
 	if err != nil {
@@ -847,10 +792,15 @@ func TestDocsNameWhatExists(t *testing.T) {
 				}
 				for _, m := range docIdent.FindAllStringSubmatch(span, -1) {
 					for _, name := range strings.Split(m[2], ".")[1:] {
-						if names := idents[m[1]]; names != nil && !names[name] {
-							t.Errorf("%s:%d names %s%s, but internal/%s declares no %s", doc, i+1, m[1], m[2], m[1], name)
+						if packages[m[1]] && !declared[m[1]+"."+name] {
+							t.Errorf("%s:%d names %s%s, but %s declares no %s in %s", doc, i+1, m[1], m[2], m[1], name, surfaceFile)
 							break
 						}
+					}
+				}
+				for _, m := range docMetric.FindAllStringSubmatch(span, -1) {
+					if layers[m[1]] && !metrics[m[0]] {
+						t.Errorf("%s:%d names the metric %s, which BENCHMARK.json does not list", doc, i+1, m[0])
 					}
 				}
 				// A command line's every word, else the span's first.
