@@ -204,6 +204,40 @@ func TestIncrementalShardLocality(t *testing.T) {
 	}
 }
 
+// TestIncrementalInOrderSweepsOnce is what the tail cut buys: a stream that
+// arrives in start order, in epochs that each bring at least splitEvents/2
+// buffered events per process, hands every buffered event to the sweeper
+// about once — not once when it lands and again when its window is split
+// and both halves re-swept — for epochs below, at and above splitEvents, and
+// with reads between every epoch. The result stays the batch Run's.
+func TestIncrementalInOrderSweepsOnce(t *testing.T) {
+	const epochs = 12
+	for _, per := range []int{splitEvents / 2, splitEvents, 3 * splitEvents} {
+		var all []trace.Event
+		inc := NewIncremental()
+		for e := 0; e < epochs; e++ {
+			var chunks [][]trace.Event
+			for _, p := range []trace.ProcID{0, 1} {
+				// steadyEvents adds a marker every fourth event: per CPU
+				// events are 1.25 × per buffered ones.
+				chunk := steadyEvents(p, e*per, per)
+				chunks = append(chunks, chunk)
+				all = append(all, chunk...)
+			}
+			inc.Apply(chunks)
+			inc.Results(nil)
+		}
+		st := inc.Stats()
+		if limit := 1.1 * float64(len(all)); float64(st.EventsSwept) > limit {
+			t.Errorf("per=%d: %d buffered events cost %d events swept, want at most %.0f", per, len(all), st.EventsSwept, limit)
+		}
+		if got, want := dumpAll(inc.Results(nil)), dumpAll(Run(&trace.Trace{Events: all}, Options{Workers: 1})); got != want {
+			t.Fatalf("per=%d: incremental result diverges from batch Run", per)
+		}
+		inc.Release()
+	}
+}
+
 // splittingTrace generates a trace whose windows split repeatedly and whose
 // splits sometimes refuse. Every process gets several × splitEvents short
 // events under a process-lifetime operation; odd processes snap timestamps
