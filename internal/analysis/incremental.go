@@ -39,17 +39,26 @@ type IncrementalStats struct {
 type incWindow struct {
 	window
 	dirty bool
-	// res is the last sweep, re-swept in place: its maps outlive the sweeps
-	// and, on the left part, a split. nil until the window is first swept.
+	// res is the last sweep, re-swept in place: its maps outlive the sweeps,
+	// on the left part, a split and, emptied, a Release. nil until the
+	// window is first swept.
 	res *overlap.Result
 }
 
 // incProc is the per-process incremental state: an ascending partition of
-// the whole timeline [MinTime, MaxTime) into windows, and the merge of
-// their results, cached while no window is dirty.
+// the whole timeline [MinTime, MaxTime) into windows, the merge of their
+// results, cached while no window is dirty, and the high-water start: the
+// largest start Apply has routed into a window buffer, where the tail window
+// is closed (see Incremental).
+//
+// A released state keeps its window list's capacity and, in spare, its
+// windows with their results' maps, for the cuts of the process that takes
+// it over.
 type incProc struct {
 	windows []*incWindow
 	merged  *overlap.Result
+	high    vclock.Time
+	spare   []*incWindow
 }
 
 // Incremental is a resumable analysis state for a growing trace: the
@@ -62,18 +71,28 @@ type incProc struct {
 // the pipeline's.
 //
 // A window that has outgrown splitEvents is cut at the median start of its
-// events (no watermark exists for a trace that is still growing), which
-// keeps the cost of an epoch bounded by the events it brought plus a
-// constant, whatever the trace length and arrival order. Any cut is exact
-// (see window), so Results on a fully-applied trace is identical to a fresh
-// Engine run over the sealed directory — the live-ingest equivalence the
-// property tests pin down.
+// events, which keeps the cost of an epoch bounded by the events it brought
+// plus a constant, whatever the trace length and arrival order. No watermark
+// exists for a trace that is still growing, but the high-water start is the
+// next best thing for a stream that arrives in start order: the tail window
+// [lo, MaxTime), once it holds splitEvents/2 events, is closed at it before
+// its sweep — the closed window keeps the buffer and the cached result, and
+// only the events still alive there move on into a fresh tail. The next
+// in-order epoch then dirties only that tail, so each buffered event is
+// swept about once, not once when it lands and again when a median split
+// re-dirties the half it landed in. Any cut is exact (see window), so
+// Results on a fully-applied trace is identical to a fresh Engine run over
+// the sealed directory — the live-ingest equivalence the property tests pin
+// down.
 //
 // Window buffers come from a scratch of the pool the batch pipeline's runs
 // share (see freeList): a window that must grow moves into a buffer off it,
-// handing its old one back, and a split's left part is drawn from it. Release
-// returns every buffer to the pool, so a server that seals one trace and
-// opens the next allocates no event storage for it.
+// handing its old one back, and a median split's left part and a closed
+// tail's successor are drawn from it. Release returns every buffer to the
+// pool, and every process state with its windows and their results, so a
+// server that seals one trace and opens the next allocates no event storage
+// for it, and a cut of the next one's, which takes a spare window, result
+// maps and all, allocates nothing either.
 //
 // Incremental is not safe for concurrent use; the serve layer serializes
 // epochs and result reads per trace under its analysis lock.
@@ -92,10 +111,11 @@ func NewIncremental() *Incremental {
 	return &Incremental{procs: map[trace.ProcID]*incProc{}, free: getScratch()}
 }
 
-// Release ends the state: every window buffer goes back on its scratch and
-// the scratch back to the pool, for the next Engine run or Incremental to
-// draw from. Only Stats may be called afterwards; a second Release is a
-// no-op.
+// Release ends the state: every window buffer and every process state —
+// reset to one empty window over the whole timeline, its other windows
+// spare — goes back on its scratch and the scratch back to the pool, for the
+// next Engine run or Incremental to draw from. Only Stats may be called
+// afterwards; a second Release is a no-op.
 func (inc *Incremental) Release() {
 	if inc.free == nil {
 		return
@@ -103,7 +123,19 @@ func (inc *Incremental) Release() {
 	for _, p := range inc.procs {
 		for _, w := range p.windows {
 			inc.free.put(w.events)
+			if r := w.res; r != nil {
+				// Empty, as a window nothing has reached must merge.
+				clear(r.ByKey)
+				clear(r.Transitions)
+				r.SpanStart, r.SpanEnd = 0, 0
+			}
+			*w = incWindow{res: w.res}
 		}
+		p.windows[0].lo, p.windows[0].hi = vclock.MinTime, vclock.MaxTime
+		p.spare = append(p.spare, p.windows[1:]...)
+		clear(p.windows[1:])
+		p.windows, p.merged, p.high = p.windows[:1], nil, vclock.MinTime
+		inc.free.procs = append(inc.free.procs, p)
 	}
 	putScratch(inc.free)
 	inc.procs, inc.free = nil, nil
@@ -111,8 +143,9 @@ func (inc *Incremental) Release() {
 
 // Apply ingests one epoch: every chunk that arrived since the last epoch,
 // in sequence order. Each event is appended to the buffer of every window
-// it overlaps, marking those windows dirty; a full buffer at least doubles,
-// by a move into one off the scratch. Phase and overhead annotations
+// it overlaps, marking those windows dirty, and raises its process's
+// high-water start; a full buffer at least doubles, by a move into one off
+// the scratch. Phase and overhead annotations
 // register their process but are not buffered: the sweep reads neither.
 // After the epoch the scratch is trimmed to the pool's bound.
 func (inc *Incremental) Apply(chunks [][]trace.Event) {
@@ -123,7 +156,13 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 		for _, e := range events {
 			p := inc.procs[e.Proc]
 			if p == nil {
-				p = &incProc{windows: []*incWindow{{window: window{lo: vclock.MinTime, hi: vclock.MaxTime}}}}
+				// A released state, if the scratch holds one: it is as
+				// new, with spare windows for its cuts.
+				if k := len(inc.free.procs); k > 0 {
+					p, inc.free.procs = inc.free.procs[k-1], inc.free.procs[:k-1]
+				} else {
+					p = &incProc{windows: []*incWindow{{window: window{lo: vclock.MinTime, hi: vclock.MaxTime}}}, high: vclock.MinTime}
+				}
 				inc.procs[e.Proc] = p
 				inc.stats.Windows++
 			}
@@ -144,6 +183,7 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 				w.events = append(w.events, e)
 				w.dirty = true
 			}
+			p.high = max(p.high, e.Start)
 			p.merged = nil
 		}
 	}
@@ -174,9 +214,10 @@ func (inc *Incremental) Results(filter map[trace.ProcID]bool) map[trace.ProcID]*
 }
 
 // sweep re-sweeps p's dirty windows — each into its own cached result —
-// splitting the ones that have outgrown splitEvents first, and returns the
-// merge of all of p's window results in a fresh Result: Results shares it
-// with callers.
+// cutting first the ones that have outgrown splitEvents, at their median
+// start, and the tail once it holds splitEvents/2 events, at the high-water
+// start; it returns the merge of all of p's window results in a fresh
+// Result: Results shares it with callers.
 func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
 	res := &overlap.Result{
 		ByKey:       map[overlap.Key]vclock.Duration{},
@@ -185,9 +226,29 @@ func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
 	for i := 0; i < len(p.windows); i++ {
 		w := p.windows[i]
 		if w.dirty {
-			for len(w.events) > max(splitEvents, w.retry) {
-				right := w.split(inc.free)
-				if right == nil {
+			for {
+				var (
+					at      vclock.Time
+					handOff bool
+				)
+				if n := len(w.events); n > max(splitEvents, w.retry) {
+					slices.SortFunc(w.events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
+					at = w.events[n/2].Start
+				} else if w.hi == vclock.MaxTime && n >= max(splitEvents/2, w.retry) {
+					at, handOff = p.high, true
+				} else {
+					break
+				}
+				// The right part is a spare window, if p has one; a
+				// refused cut leaves it spare.
+				var right *incWindow
+				if k := len(p.spare); k > 0 {
+					right, p.spare = p.spare[k-1], p.spare[:k-1]
+				} else {
+					right = new(incWindow)
+				}
+				if !w.split(right, at, handOff, inc.free) {
+					p.spare = append(p.spare, right)
 					break
 				}
 				p.windows = slices.Insert(p.windows, i+1, right)
@@ -208,26 +269,32 @@ func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
 	return res
 }
 
-// split cuts a window at the median start of its events, shrinking w to the
-// left part and returning the right part, both dirty. The buffer is sorted
-// by start first (the sweep is input-order invariant), so the right part —
-// the left intervals reaching past the cut, then the rest — stays sorted
-// for the next split and keeps the old buffer with its spare capacity,
-// which is where in-order arrivals will land; the left part moves to the
-// best-fitting buffer off free, and keeps w's cached result to be re-swept
-// into. A split that would leave the right part above ¾ of the buffer is
-// refused (nil); see window.cut.
-func (w *incWindow) split(free *freeList) *incWindow {
-	n := len(w.events)
-	slices.SortFunc(w.events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
-	lo := w.lo
-	left, _, _, _, ok := w.cut(w.events[n/2].Start, n/4*3, free, 0, false)
-	if !ok {
-		return nil
+// split cuts the window at at, shrinking w to the left part [lo, at) and
+// making right the right part [at, hi), both dirty; the left part keeps w's
+// cached result, to be re-swept into, and right the one it holds, if any.
+// Without handOff the cut is a median one: the buffer was sorted by start
+// first (the sweep is input-order invariant), so the right part — the left
+// intervals reaching past the cut, then the rest — stays sorted for the
+// next split and keeps the old buffer with its spare capacity, which is
+// where in-order arrivals will land, and the left part moves to the
+// best-fitting buffer off free. With handOff the cut closes the tail at its
+// high-water start: the left part keeps the buffer whole, and the events
+// still alive at the cut move into a buffer off free with room for as many
+// events as the tail gathered, ready for the next epoch. A split that would
+// leave the right part above ¾ of the buffer is refused (false, right
+// untouched); see window.cut.
+func (w *incWindow) split(right *incWindow, at vclock.Time, handOff bool, free *freeList) bool {
+	n, lo, room := len(w.events), w.lo, 0
+	if handOff {
+		room = n
 	}
-	right := &incWindow{window: w.window, dirty: true}
-	*w = incWindow{window: window{lo: lo, hi: right.lo, events: left}, dirty: true, res: w.res}
-	return right
+	left, _, _, _, ok := w.cut(at, n/4*3, free, room, handOff)
+	if !ok {
+		return false
+	}
+	right.window, right.dirty = w.window, true
+	w.window, w.dirty = window{lo: lo, hi: at, events: left}, true
+	return true
 }
 
 // Stats returns a snapshot of the cumulative counters.

@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/overlap"
@@ -236,6 +238,144 @@ func TestIncrementalInOrderSweepsOnce(t *testing.T) {
 		}
 		inc.Release()
 	}
+}
+
+// TestIncrementalTailCutRefused: long-lived intervals still open at the
+// high-water start make the tail cut refuse — more than ¾ of the tail would
+// move on — and a refusal costs no locality. Every epoch still sweeps at most
+// its own events plus 2 × splitEvents (TestIncrementalShardLocality's
+// bound), the tail is cut again once the intervals have ended, and the
+// result stays the batch Run's.
+func TestIncrementalTailCutRefused(t *testing.T) {
+	const per, long = 256, 2000 // an epoch: 320 buffered events over 2560 ticks
+	var all []trace.Event
+	inc := NewIncremental()
+	injected, refused, windows := -1, false, 0
+	for e := 0; e < 40; e++ {
+		events := steadyEvents(0, e*per, per)
+		if p := inc.procs[0]; injected < 0 && p != nil && len(p.windows) > 1 && len(p.windows[len(p.windows)-1].events) < 16 {
+			// Just after a cut: the intervals outnumber what is left of the
+			// tail and what this epoch brings, and outlive the epoch.
+			injected = e
+			start := vclock.Time(e * per * 10)
+			for i := 0; i < long; i++ {
+				events = append(events, trace.Event{Proc: 0, Kind: trace.KindOp, Name: "long", Start: start, End: start + 3000})
+			}
+		}
+		all = append(all, events...)
+		before := inc.Stats().EventsSwept
+		inc.Apply([][]trace.Event{events})
+		inc.Results(nil)
+		if swept := inc.Stats().EventsSwept - before; swept > len(events)+2*splitEvents {
+			t.Fatalf("epoch %d: a %d-event epoch swept %d events, want at most %d", e, len(events), swept, len(events)+2*splitEvents)
+		}
+		ws := inc.procs[0].windows
+		if w := ws[len(ws)-1]; injected >= 0 && !refused && w.retry > 0 {
+			refused, windows = true, len(ws)
+		}
+	}
+	if injected < 0 || !refused {
+		t.Fatalf("intervals injected at epoch %d, tail cut refused: %v", injected, refused)
+	}
+	if n := len(inc.procs[0].windows); n <= windows {
+		t.Fatalf("%d windows after the refusal, %d at it: the tail was never cut again", n, windows)
+	}
+	if got, want := dumpAll(inc.Results(nil)), dumpAll(Run(&trace.Trace{Events: all}, Options{Workers: 1})); got != want {
+		t.Fatal("incremental result diverges from batch Run")
+	}
+}
+
+// TestIncrementalHandoffBuffersDoNotAlias: a closed tail keeps its buffer
+// whole, events alive at the cut and past it included, while the survivors
+// move into a buffer drawn off the scratch; the two must never share an
+// array. Streams of in-order epochs of random size, two at a time on
+// goroutines that draw on and hand back to the one pool, check after every
+// read that no two windows share an array and that no closed window's buffer
+// changed while later epochs filled the tail. A late chunk then re-dirties
+// closed windows, past-the-cut events and all, and every result must still
+// be the batch Run's — also that of a process whose one window, taken over
+// from a released state, never holds an event.
+func TestIncrementalHandoffBuffersDoNotAlias(t *testing.T) {
+	stream := func(seed int64) error {
+		rng := rand.New(rand.NewSource(seed))
+		var all []trace.Event
+		inc := NewIncremental()
+		defer inc.Release()
+		closed := map[*incWindow][]trace.Event{}
+		check := func(epoch int) error {
+			arrays := map[*trace.Event]bool{}
+			for pid, p := range inc.procs {
+				for _, w := range p.windows {
+					if c := cap(w.events); c > 0 {
+						end := &w.events[:c][c-1] // one per array, whatever the offset
+						if arrays[end] {
+							return fmt.Errorf("seed %d epoch %d: proc %d's window [%d, %d) shares an array", seed, epoch, pid, w.lo, w.hi)
+						}
+						arrays[end] = true
+					}
+					if was, ok := closed[w]; ok && !slices.Equal(was, w.events) {
+						return fmt.Errorf("seed %d epoch %d: proc %d's closed window [%d, %d) changed", seed, epoch, pid, w.lo, w.hi)
+					} else if !ok && w.hi != vclock.MaxTime {
+						closed[w] = slices.Clone(w.events)
+					}
+				}
+			}
+			return nil
+		}
+		// A process that only ever has a phase takes over a released
+		// state too, and its one window is never swept.
+		setup := phaseEvent(2, "setup", 0, 10)
+		all = append(all, setup)
+		inc.Apply([][]trace.Event{{setup}})
+		from := [2]int{}
+		for e := 0; e < 10; e++ {
+			var chunks [][]trace.Event
+			for p := range from {
+				n := splitEvents/2 + rng.Intn(2*splitEvents)
+				chunks = append(chunks, steadyEvents(trace.ProcID(p), from[p], n))
+				all = append(all, chunks[p]...)
+				from[p] += n
+			}
+			inc.Apply(chunks)
+			inc.Results(nil)
+			if err := check(e); err != nil {
+				return err
+			}
+		}
+		past := 0
+		for w := range closed {
+			if slices.ContainsFunc(w.events, func(e trace.Event) bool { return e.Start >= w.hi }) {
+				past++
+			}
+		}
+		if past == 0 {
+			return fmt.Errorf("seed %d: no closed window holds an event past its cut: nothing was handed off", seed)
+		}
+		var late []trace.Event
+		for p := range from {
+			late = append(late, steadyEvents(trace.ProcID(p), from[p]/3, splitEvents)...)
+		}
+		all = append(all, late...)
+		inc.Apply([][]trace.Event{late})
+		if got, want := dumpAll(inc.Results(nil)), dumpAll(Run(&trace.Trace{Events: all}, Options{Workers: 1})); got != want {
+			return fmt.Errorf("seed %d: incremental result diverges from batch Run", seed)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				if err := stream(int64(3*g + round)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // splittingTrace generates a trace whose windows split repeatedly and whose

@@ -11,21 +11,23 @@ import (
 // freeList is a run's scratch: the empty event buffers it may draw from, in
 // ascending capacity. A batch run draws the chunk buffers of the decode-ahead
 // stage, its windows' and the ones closed windows travel to the workers in;
-// an Incremental draws its windows' and their split-off left parts. Either
-// takes a scratch from the pool, draws every buffer it needs from it
+// an Incremental draws its windows' and the ones its cuts move events into.
+// Either takes a scratch from the pool, draws every buffer it needs from it
 // (allocating only what the scratch cannot supply) and puts every buffer back
 // — a run once its goroutines have ended, however it ends; an Incremental on
-// Release. A server's engine runs and live traces, an experiment's hundreds of
-// runs and a benchmark's therefore allocate event buffers once per process,
-// not once per run or per trace. The buffers are not cleared: the names their
-// stale events still point at are the last user's interned strings, which
-// live until the buffer is next filled.
+// Release, with its process states (see incProc), which the next
+// Incremental's processes take over. A server's engine runs and live traces,
+// an experiment's hundreds of runs and a benchmark's therefore allocate event
+// buffers once per process, not once per run or per trace. The buffers are
+// not cleared: the names their stale events still point at are the last
+// user's interned strings, which live until the buffer is next filled.
 //
 // Hand-out is best fit (take). Its mutex is for the batch pipeline, whose
 // workers recycle while the coordinator draws.
 type freeList struct {
-	mu   sync.Mutex
-	bufs [][]trace.Event
+	mu    sync.Mutex
+	bufs  [][]trace.Event
+	procs []*incProc
 }
 
 // scratches is the pool: the scratch of runs that have ended, for the runs to
@@ -36,7 +38,8 @@ type freeList struct {
 // 0.8 and 10.7 MB). Here a run allocates event buffers exactly when no
 // earlier run left one large enough. The price is memory the collector cannot
 // take back, so it is bounded: maxIdleScratches scratches, each trimmed to
-// maxScratchEvents events of capacity when it is put back.
+// maxScratchEvents events of capacity, and to the spare windows those could
+// fill, when it is put back.
 var scratches struct {
 	mu   sync.Mutex
 	idle []*freeList
@@ -112,7 +115,9 @@ func (f *freeList) reserve(buf []trace.Event, n int) []trace.Event {
 }
 
 // trim drops the largest buffers until the list holds at most
-// maxScratchEvents events of capacity.
+// maxScratchEvents events of capacity, and the process states past those
+// whose spare windows those events could fill at the tail cut's size,
+// splitEvents/2 each.
 func (f *freeList) trim() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -121,7 +126,15 @@ func (f *freeList) trim() {
 		if events += cap(buf); events > maxScratchEvents {
 			clear(f.bufs[i:])
 			f.bufs = f.bufs[:i]
-			return
+			break
+		}
+	}
+	windows := 0
+	for i, p := range f.procs {
+		if windows += len(p.spare); windows > maxScratchEvents/(splitEvents/2) {
+			clear(f.procs[i:])
+			f.procs = f.procs[:i]
+			break
 		}
 	}
 }

@@ -405,6 +405,9 @@ type ingestRun struct {
 	// maxEpochSwept is the largest number of events any single analyze
 	// handed to the sweeper (the per-epoch EventsSwept delta).
 	maxEpochSwept int
+	// sweptPerEvent is the sealed trace's EventsSwept over the events
+	// streamed: how many times the sweeper saw each event, on average.
+	sweptPerEvent float64
 }
 
 // ingestMetrics checks the live path's two claims end to end over real
@@ -415,7 +418,8 @@ type ingestRun struct {
 // byte-identical to a fresh offline Engine run over that sealed directory.
 // Cost: streamed again at twice the steps with the same chunk size and
 // analyze cadence, the most expensive epoch costs no more — an epoch is
-// O(epoch), not O(trace). Counter-based, so it holds under any scheduler: a
+// O(epoch), not O(trace) — and in either run the sweeper sees each streamed
+// event about once in all. Counter-based, so it holds under any scheduler: a
 // deterministic bundle.
 func ingestMetrics(opts Options) (map[string]float64, error) {
 	steps := opts.steps(200)
@@ -435,6 +439,7 @@ func ingestMetrics(opts Options) (map[string]float64, error) {
 		"max_epoch_swept_n":         float64(n.maxEpochSwept),
 		"max_epoch_swept_2n":        float64(n2.maxEpochSwept),
 		"epoch_swept_growth_chunks": float64(n2.maxEpochSwept-n.maxEpochSwept) / ingestChunkEvents,
+		"swept_per_event":           max(n.sweptPerEvent, n2.sweptPerEvent),
 	}, nil
 }
 
@@ -507,5 +512,6 @@ func ingestStream(opts Options, steps int) (ingestRun, error) {
 	run.digestMatch = sealed.Digest == onDisk
 	run.engineRuns = s.EngineRuns()
 	run.epochs = incStats.Epochs
+	run.sweptPerEvent = float64(incStats.EventsSwept) / float64(len(events))
 	return run, nil
 }

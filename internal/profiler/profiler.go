@@ -120,7 +120,6 @@ func (p *Profiler) NewProcess(name string, parent trace.ProcID, start vclock.Tim
 		parent:    parent,
 		clock:     vclock.NewAt(start, p.opts.Seed+int64(id)*7919),
 		rootStart: start,
-		counts:    map[trace.OverheadKind]int{},
 		ovrng:     rand.New(rand.NewSource(p.opts.Seed + 104729 + int64(id)*7919)),
 	}
 	p.sessions = append(p.sessions, s)
@@ -247,7 +246,9 @@ func (p *Profiler) OverheadCounts() map[trace.OverheadKind]int {
 	out := map[trace.OverheadKind]int{}
 	for _, s := range p.sessions {
 		for k, n := range s.counts {
-			out[k] += n
+			if n > 0 {
+				out[trace.OverheadKind(k)] += n
+			}
 		}
 	}
 	return out

@@ -40,7 +40,9 @@ type Session struct {
 
 	opDepth int
 
-	counts map[trace.OverheadKind]int
+	// counts is the book-keeping occurrences, indexed by kind: Overhead
+	// panics on a kind past OverheadCUPTI before it counts one.
+	counts [trace.OverheadCUPTI + 1]int
 
 	// ovrng draws book-keeping costs. It is separate from the clock's
 	// cost-jitter stream so that enabling or disabling profiler features
@@ -378,11 +380,14 @@ func (s *Session) Close() {
 	s.closed = true
 }
 
-// OverheadCounts returns this session's book-keeping occurrence counts.
+// OverheadCounts returns this session's book-keeping occurrence counts, by
+// kind, for the kinds that occurred.
 func (s *Session) OverheadCounts() map[trace.OverheadKind]int {
-	out := make(map[trace.OverheadKind]int, len(s.counts))
-	for k, v := range s.counts {
-		out[k] = v
+	out := map[trace.OverheadKind]int{}
+	for k, n := range s.counts {
+		if n > 0 {
+			out[trace.OverheadKind(k)] = n
+		}
 	}
 	return out
 }

@@ -433,10 +433,10 @@ func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 	if err != nil {
 		return nil, err
 	}
+	results := lt.inc.Results(nil)
+	// After the final sweep: the counters then include the last epoch's.
 	stats := lt.inc.Stats()
 	sealed.streamed = &stats
-
-	results := lt.inc.Results(nil)
 	var rs bytes.Buffer
 	if err := report.EncodeResultSet(&rs, results); err == nil {
 		s.store.add(resultSetKey(sealed.info.Digest), rs.Bytes())

@@ -404,7 +404,8 @@ func TestSealEvictsIncremental(t *testing.T) {
 	h := s.Handler()
 
 	// Analyze mid-stream so the incremental state has done real work.
-	chunks, meta := quickstartFrames(t, 10, 3)
+	tr := quickstartTrace(t, 10)
+	chunks, meta := eventFrames(t, tr.Events, (len(tr.Events)+2)/3), tr.Meta
 	meta.Labels = map[string]string{"algo": "ppo"}
 	for seq := 0; seq < 2; seq++ {
 		if rec := doReq(t, h, "POST", fmt.Sprintf("/v1/traces/run/chunks?seq=%d", seq), string(chunks[seq])); rec.Code != http.StatusOK {
@@ -431,10 +432,20 @@ func TestSealEvictsIncremental(t *testing.T) {
 		t.Fatal("seal did not replace the open entry (and its incremental state) with a sealed one")
 	}
 
-	// The final counters survive eviction, including the seal's last epoch.
+	// The final counters survive eviction, including the seal's last epoch
+	// and its sweep: every buffered event was swept at least once.
 	post, ok := s.IncrementalStats("run")
 	if !ok || post.Epochs != preSeal.Epochs+1 || post.Chunks != len(chunks) {
 		t.Fatalf("post-seal stats %+v ok=%v (pre-seal %+v)", post, ok, preSeal)
+	}
+	buffered := 0
+	for _, e := range tr.Events {
+		if e.Kind != trace.KindPhase && e.Kind != trace.KindOverhead {
+			buffered++
+		}
+	}
+	if post.EventsSwept < buffered {
+		t.Fatalf("post-seal stats count %d events swept, fewer than the %d buffered: the seal's last sweep is missing", post.EventsSwept, buffered)
 	}
 
 	// Unfiltered analyzes serve the document cached at seal time — zero

@@ -19,14 +19,19 @@ import (
 )
 
 // TestLiveEpochAllocs pins what one epoch of a warm open trace costs through
-// the handler: a 512-event append, then an analyze. The trace is the second
-// of two identical streams on the server — the first, sealed, released its
-// window buffers to the pool this one draws on. The frame is read into the
-// trace's recycled body buffer, decoded into a chunk buffer an earlier epoch
-// drained, and applied into windows whose buffers came off the pool, so what
-// is left is per request and per window — the sink's two files, the sidecar,
-// the digest, the merged result and the document — and no event buffer: an
-// epoch allocates less than its events would occupy.
+// the handler: a 512-event append, then an analyze. The trace is the third
+// of three identical streams on the server — the ones before it, sealed,
+// released their window buffers and process states to the pool this one
+// draws on. The frame is read into the trace's recycled body buffer, decoded
+// into a chunk buffer an earlier epoch drained, and applied into windows
+// whose buffers came off the pool, and a cut takes its window, result maps
+// and all, from the process state an earlier stream left, so what is left is
+// per request — the sink's two files, the sidecar, the digest, the merged
+// result and the document — and no event buffer: an epoch allocates less
+// than its events would occupy. Every warm epoch costs the same count, one
+// that cuts as one that does not: the measured sum is a multiple of runs,
+// and fewer than runs stray allocations elsewhere in the process leave the
+// floored average where it is.
 func TestLiveEpochAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
