@@ -3,6 +3,7 @@ package rlscope
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -172,6 +173,43 @@ func TestEngineCorrectionEquivalence(t *testing.T) {
 		if rep.Stats.PeakResidentEvents >= len(tr.Events) {
 			t.Fatalf("seed %d: corrected streaming peak resident %d events, want below trace size %d",
 				seed, rep.Stats.PeakResidentEvents, len(tr.Events))
+		}
+	}
+}
+
+// TestCorrectedMainPassSkipsMarkers holds the corrected main pass, which
+// steps over the overhead markers instead of decoding them, to
+// Correct-then-Analyze over v1 and v2 chunks alike, inline at one worker and
+// through the decode-ahead stage at three, unbudgeted and at 16 KiB — and
+// Stats.Events still counts every record read, markers included.
+func TestCorrectedMainPassSkipsMarkers(t *testing.T) {
+	tr := randomWorkloadTrace(5)
+	cal := syntheticCalibration(tr)
+	want := renderResults(sequentialOracle(Correct(tr, cal)))
+	for _, format := range []trace.Format{trace.FormatV1, trace.FormatV2} {
+		dir := filepath.Join(t.TempDir(), "trace")
+		w, err := trace.NewWriter(dir, 2048, trace.WithFormat(format))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Append(tr.Events...)
+		if err := w.Close(tr.Meta); err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			for _, budget := range []int64{0, 16 << 10} {
+				eng := NewEngine(WithWorkers(workers), WithMaxResidentBytes(budget), WithCorrection(cal))
+				rep, err := eng.Analyze(context.Background(), FromDir(dir))
+				if err != nil {
+					t.Fatalf("%v workers %d budget %d: %v", format, workers, budget, err)
+				}
+				if got := renderResults(rep.Results); got != want {
+					t.Fatalf("%v workers %d budget %d: corrected Engine diverges from Correct-then-Analyze", format, workers, budget)
+				}
+				if rep.Stats.Events != len(tr.Events) {
+					t.Fatalf("%v workers %d budget %d: Stats.Events %d, want every record of the trace, %d", format, workers, budget, rep.Stats.Events, len(tr.Events))
+				}
+			}
 		}
 	}
 }

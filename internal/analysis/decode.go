@@ -31,13 +31,15 @@ type decodeAhead struct {
 
 type decodedChunk struct {
 	events []trace.Event
+	walked int   // the records read for them, skipped markers included
 	bytes  int64 // their summed trace.EventBytes
 	err    error
 }
 
 // startDecodeAhead starts the stage over the chunks of r listed, ascending,
-// decoding the first into buf. Every start is paired with a close.
-func startDecodeAhead(r *trace.Reader, chunks []int, buf []trace.Event) *decodeAhead {
+// decoding the first into buf; skipOverhead is source.chunk's. Every start is
+// paired with a close.
+func startDecodeAhead(r *trace.Reader, chunks []int, buf []trace.Event, skipOverhead bool) *decodeAhead {
 	d := &decodeAhead{
 		out:  make(chan decodedChunk),
 		free: make(chan []trace.Event, 2),
@@ -54,11 +56,11 @@ func startDecodeAhead(r *trace.Reader, chunks []int, buf []trace.Event) *decodeA
 			case <-d.stop:
 				return
 			}
-			events, bytes, err := r.ReadChunkSized(i, buf[:0])
+			events, walked, bytes, err := readChunk(r, i, buf, skipOverhead)
 			d.waitingEvents.Add(int64(len(events)))
 			d.waitingBytes.Add(bytes)
 			select {
-			case d.out <- decodedChunk{events, bytes, err}:
+			case d.out <- decodedChunk{events, walked, bytes, err}:
 			case <-d.stop:
 				d.free <- events // never blocks: the other buffer is all that can be there
 				return
@@ -72,16 +74,16 @@ func startDecodeAhead(r *trace.Reader, chunks []int, buf []trace.Event) *decodeA
 }
 
 // next hands back to the decoder — which may be writing it as soon as next
-// is called — and returns the events of the next listed chunk with their
-// summed trace.EventBytes; they are the caller's until it passes them to a
-// later next. It must be called at most once per listed chunk, and not again
-// after an error.
-func (d *decodeAhead) next(back []trace.Event) ([]trace.Event, int64, error) {
+// is called — and returns the events of the next listed chunk with the count
+// of records read for them and their summed trace.EventBytes; the events are
+// the caller's until it passes them to a later next. It must be called at
+// most once per listed chunk, and not again after an error.
+func (d *decodeAhead) next(back []trace.Event) ([]trace.Event, int, int64, error) {
 	d.free <- back // never blocks: two buffers, room for two
 	c := <-d.out
 	d.waitingEvents.Add(-int64(len(c.events)))
 	d.waitingBytes.Add(-c.bytes)
-	return c.events, c.bytes, c.err
+	return c.events, c.walked, c.bytes, c.err
 }
 
 // close stops the decoder — between chunks: a decode under way completes —

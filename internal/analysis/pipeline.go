@@ -25,11 +25,16 @@ type source interface {
 	// materialized trace has none.
 	reader() *trace.Reader
 	index(i int) (*trace.ChunkIndex, error)
-	// chunk returns chunk i's events and their summed trace.EventBytes. A
-	// chunk file is decoded into buf[:0], and the events — buf's array, grown
-	// if need be, even when err is set — are then the caller's to rewrite and
-	// to keep; a materialized trace's are returned where they lie, borrowed.
-	chunk(i int, buf []trace.Event) (events []trace.Event, bytes int64, err error)
+	// chunk returns chunk i's events, the count of records read for them
+	// and their summed trace.EventBytes. With skipOverhead set the
+	// KindOverhead records are read and checked but not returned — what
+	// the correction stage would drop never reaches it — and walked still
+	// counts them. A chunk file, or with skipOverhead a materialized trace's
+	// run, is copied into buf[:0], and the events — buf's array, grown if
+	// need be, even when err is set — are then the caller's to rewrite and
+	// to keep; otherwise a materialized trace's are returned where they
+	// lie, borrowed.
+	chunk(i int, buf []trace.Event, skipOverhead bool) (events []trace.Event, walked int, bytes int64, err error)
 }
 
 // readerSource decodes the chunk files of a trace directory inline, for a
@@ -40,8 +45,17 @@ func (s readerSource) numChunks() int                         { return s.r.NumCh
 func (s readerSource) reader() *trace.Reader                  { return s.r }
 func (s readerSource) index(i int) (*trace.ChunkIndex, error) { return s.r.Index(i) }
 
-func (s readerSource) chunk(i int, buf []trace.Event) ([]trace.Event, int64, error) {
-	return s.r.ReadChunkSized(i, buf[:0])
+func (s readerSource) chunk(i int, buf []trace.Event, skipOverhead bool) ([]trace.Event, int, int64, error) {
+	return readChunk(s.r, i, buf, skipOverhead)
+}
+
+// readChunk decodes chunk i of r into buf[:0] the way source.chunk says.
+func readChunk(r *trace.Reader, i int, buf []trace.Event, skipOverhead bool) ([]trace.Event, int, int64, error) {
+	if skipOverhead {
+		return r.ReadChunkSkipOverhead(i, buf[:0])
+	}
+	events, bytes, err := r.ReadChunkSized(i, buf[:0])
+	return events, len(events), bytes, err
 }
 
 // memSource presents a materialized trace: sorted, then offered as
@@ -77,8 +91,20 @@ func (s *memSource) index(i int) (*trace.ChunkIndex, error) {
 	return trace.BuildChunkIndex(s.events[s.off[i]:s.off[i+1]], 0), nil
 }
 
-func (s *memSource) chunk(i int, _ []trace.Event) ([]trace.Event, int64, error) {
-	return s.events[s.off[i]:s.off[i+1]], s.bytes[i], nil
+func (s *memSource) chunk(i int, buf []trace.Event, skipOverhead bool) ([]trace.Event, int, int64, error) {
+	run := s.events[s.off[i]:s.off[i+1]]
+	if !skipOverhead {
+		return run, len(run), s.bytes[i], nil
+	}
+	buf = buf[:0]
+	var bytes int64
+	for _, e := range run {
+		if e.Kind != trace.KindOverhead {
+			buf = append(buf, e)
+			bytes += int64(trace.EventBytes(e))
+		}
+	}
+	return buf, len(run), bytes, nil
 }
 
 // procWindow is the one open window of a process plus what the pipeline
@@ -140,8 +166,9 @@ type pipeline struct {
 	ahead *decodeAhead
 	// spare is the coordinator's chunk buffer: what the next chunk is decoded
 	// into (handed to the decode-ahead stage in exchange for the chunk it has
-	// ready), or a borrowed chunk is copied into for the stage to rewrite.
-	// Between chunks it holds the last chunk's events, already routed.
+	// ready), or a materialized run is copied into, without its markers, for
+	// the stage to rewrite. Between chunks it holds the last chunk's events,
+	// already routed.
 	spare []trace.Event
 	// cur is the stage's cursor for the processes no window takes.
 	cur calib.Cursor
@@ -298,7 +325,11 @@ func (pl *pipeline) plan(procs []trace.ProcID) error {
 func (pl *pipeline) stream(opts Options) error {
 	n := pl.src.numChunks()
 	r := pl.src.reader()
-	owned := r != nil // decoded chunks are the pipeline's, a trace's events are not
+	// A stage drops the overhead markers, so the sources step over them.
+	// Decoded chunks are the pipeline's, and so is a materialized run copied
+	// without its markers; one lent where it lies is not.
+	skip := pl.stage != nil
+	owned := r != nil || skip
 	if r != nil && pl.jobs != nil {
 		chunks := make([]int, 0, n)
 		for i := 0; i < n; i++ {
@@ -306,7 +337,7 @@ func (pl *pipeline) stream(opts Options) error {
 				chunks = append(chunks, i)
 			}
 		}
-		pl.ahead = startDecodeAhead(r, chunks, pl.free.take(pl.chunkHint))
+		pl.ahead = startDecodeAhead(r, chunks, pl.free.take(pl.chunkHint), skip)
 		defer func() {
 			for _, buf := range pl.ahead.close() {
 				pl.free.put(buf)
@@ -339,13 +370,14 @@ func (pl *pipeline) stream(opts Options) error {
 		}
 		var (
 			events []trace.Event
+			walked int
 			bytes  int64
 			err    error
 		)
 		if pl.ahead != nil {
-			events, bytes, err = pl.ahead.next(pl.spare)
+			events, walked, bytes, err = pl.ahead.next(pl.spare)
 		} else {
-			events, bytes, err = pl.src.chunk(i, pl.spare)
+			events, walked, bytes, err = pl.src.chunk(i, pl.spare, skip)
 		}
 		if owned {
 			pl.spare = events
@@ -353,6 +385,7 @@ func (pl *pipeline) stream(opts Options) error {
 		if err != nil {
 			return err
 		}
+		pl.stats.Events += walked
 		pl.route(events, bytes, owned)
 		done := 0
 		if r != nil {
@@ -402,15 +435,7 @@ func (pl *pipeline) stream(opts Options) error {
 // process's and that window is empty, the window takes the array itself and
 // leaves its own as the spare.
 func (pl *pipeline) route(events []trace.Event, bytes int64, owned bool) {
-	pl.stats.Events += len(events)
-	if pl.stage != nil && !owned {
-		pl.spare = append(pl.spare[:0], events...)
-		events, owned = pl.spare, true
-	}
 	pl.chunkEvents, pl.chunkBytes = len(events), bytes
-	if pl.stage != nil {
-		pl.chunkEvents, pl.chunkBytes = 0, 0 // what the stage keeps, run by run
-	}
 	for rest := events; len(rest) > 0; {
 		n := 1
 		for n < len(rest) && rest[n].Proc == rest[0].Proc {
@@ -419,20 +444,19 @@ func (pl *pipeline) route(events []trace.Event, bytes int64, owned bool) {
 		run := rest[:n]
 		rest = rest[n:]
 		w := pl.windows[run[0].Proc]
-		runBytes := bytes
 		if pl.stage != nil {
 			cur := &pl.cur
 			if w != nil {
 				cur = &w.cur
 			}
-			run, runBytes = pl.mapRun(run, cur)
-			pl.chunkEvents += len(run)
-			pl.chunkBytes += runBytes
-		} else if w != nil && n < len(events) {
-			runBytes = eventBytes(run)
+			pl.mapRun(run, cur)
 		}
 		if w == nil {
 			continue
+		}
+		runBytes := bytes
+		if n < len(events) {
+			runBytes = eventBytes(run)
 		}
 		if owned && n == len(events) && len(w.events) == 0 {
 			w.events, pl.spare = run, w.events
@@ -445,18 +469,16 @@ func (pl *pipeline) route(events []trace.Event, bytes int64, owned bool) {
 	}
 }
 
-// mapRun takes one process's run through the stage in place, compacting
-// away the events it drops, and returns what is left with its summed
-// trace.EventBytes.
-func (pl *pipeline) mapRun(run []trace.Event, cur *calib.Cursor) (mapped []trace.Event, bytes int64) {
-	mapped = run[:0]
+// mapRun takes one process's run through the stage in place. The sources
+// step over the overhead markers whenever there is a stage, and those are
+// the only events it drops, so it keeps every event of the run — and their
+// footprint, since correction moves timestamps only.
+func (pl *pipeline) mapRun(run []trace.Event, cur *calib.Cursor) {
 	for i := range run {
-		if pl.stage.MapEvent(&run[i], cur) {
-			bytes += int64(trace.EventBytes(run[i]))
-			mapped = append(mapped, run[i])
+		if !pl.stage.MapEvent(&run[i], cur) {
+			panic("analysis: an overhead marker reached the correction stage")
 		}
 	}
-	return mapped, bytes
 }
 
 // closeWindow cuts w at its watermark and dispatches the closed prefix — the

@@ -279,7 +279,8 @@ func TestIncrementalEpochAllocs(t *testing.T) {
 // so no event buffer is among them. What is left is per run (the pipeline, the
 // plan, the result maps), per chunk (os.Open's three) or per process and per
 // window (accumulators, map growth), none of it per event; a corrected run
-// adds its marker indexes, which grow by doubling. The trace has several
+// adds its marker logs, in blocks that double up to a cap, and one index per
+// process at its exact length. The trace has several
 // processes, one of them cut many times, in a dozen chunks.
 func TestAnalyzeWarmAllocs(t *testing.T) {
 	if raceEnabled {
@@ -294,7 +295,7 @@ func TestAnalyzeWarmAllocs(t *testing.T) {
 		want float64
 	}{
 		{"plain", []EngineOption{WithWorkers(1)}, 80},
-		{"corrected", []EngineOption{WithWorkers(1), WithCorrection(cal)}, 134},
+		{"corrected", []EngineOption{WithWorkers(1), WithCorrection(cal)}, 127},
 	} {
 		eng := NewEngine(c.opts...)
 		r, err := trace.OpenDir(dir)

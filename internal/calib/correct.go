@@ -2,6 +2,7 @@ package calib
 
 import (
 	"context"
+	"math"
 	"sort"
 
 	"repro/internal/trace"
@@ -68,20 +69,20 @@ type Corrector struct {
 // NewCorrector builds the correction stage from a materialized trace.
 // Correct is exactly NewCorrector + MapEvent over every event + Sort.
 // ProcEvents yields a process's events in start order, so every index is
-// built in place, its markers ascending.
+// built on the in-order path, its markers ascending.
 func NewCorrector(t *trace.Trace, cal *Calibration) *Corrector {
 	c := &Corrector{shifts: map[trace.ProcID]shiftIndex{}}
 	for _, p := range t.ProcIDs() {
-		var ix shiftIndex
+		var l markerLog
 		for _, e := range t.ProcEvents(p) {
 			if e.Kind != trace.KindOverhead {
 				continue
 			}
 			if d := cal.MeanFor(e.Overhead, e.Name); d > 0 {
-				ix.add(e.Start, d)
+				l.add(e.Start, d)
 			}
 		}
-		c.shifts[p] = ix
+		c.shifts[p] = l.index()
 	}
 	return c
 }
@@ -90,11 +91,12 @@ func NewCorrector(t *trace.Trace, cal *Calibration) *Corrector {
 // one bounded-memory pre-pass that decodes nothing: every relevant chunk is
 // scanned once for its overhead markers (trace.Reader.ScanOverhead, which
 // checks the chunk as thoroughly as a decode would) and only their (time,
-// calibrated cost) pairs are retained. A non-empty procs list restricts the
-// pre-pass the same way Options.Procs restricts the analysis: markers of
-// other processes are never consulted by MapEvent/MapSpan for surviving
-// events, so chunks whose sidecar lists none of the requested processes are
-// skipped without a scan. onChunk, when non-nil, is invoked after each chunk
+// calibrated cost) pairs are retained, in a markerLog per process — so each
+// index is allocated once, at its exact length, when the pre-pass is over. A
+// non-empty procs list restricts the pre-pass the same way Options.Procs
+// restricts the analysis: markers of other processes are never consulted by
+// MapEvent/MapSpan for surviving events, so chunks whose sidecar lists none
+// of the requested processes are skipped without a scan. onChunk, when non-nil, is invoked after each chunk
 // — skipped or scanned — with the cumulative scanned-event count; ctx cancels
 // the pre-pass between chunks.
 func NewStreamCorrector(ctx context.Context, r *trace.Reader, cal *Calibration, procs []trace.ProcID, onChunk func(done, total, events int)) (*Corrector, error) {
@@ -129,14 +131,12 @@ func NewStreamCorrector(ctx context.Context, r *trace.Reader, cal *Calibration, 
 		}
 	}
 	// Markers arrive in runs of one process, so the map is touched once per
-	// run: ix is shifts[proc]'s index under construction while open is set.
-	c := &Corrector{shifts: map[trace.ProcID]shiftIndex{}}
+	// run: l is logs[proc] once a marker has been kept.
+	logs := map[trace.ProcID]*markerLog{}
 	var (
-		ix   shiftIndex
+		l    *markerLog
 		proc trace.ProcID
-		open bool
 	)
-	unsorted := map[trace.ProcID]bool{}
 	collect := func(p trace.ProcID, at vclock.Time, kind trace.OverheadKind, name string) {
 		if filter != nil && !filter[p] {
 			return
@@ -145,15 +145,13 @@ func NewStreamCorrector(ctx context.Context, r *trace.Reader, cal *Calibration, 
 		if d <= 0 {
 			return
 		}
-		if !open || p != proc {
-			if open {
-				c.shifts[proc] = ix
+		if l == nil || p != proc {
+			if l, proc = logs[p], p; l == nil {
+				l = &markerLog{}
+				logs[p] = l
 			}
-			ix, proc, open = c.shifts[p], p, true
 		}
-		if !ix.add(at, d) {
-			unsorted[p] = true
-		}
+		l.add(at, d)
 	}
 	done, events := 0, 0
 	// report notifies for chunks [done, upto): the one just scanned and the
@@ -178,11 +176,9 @@ func NewStreamCorrector(ctx context.Context, r *trace.Reader, cal *Calibration, 
 		report(i + 1)
 	}
 	report(n)
-	if open {
-		c.shifts[proc] = ix
-	}
-	for p := range unsorted {
-		c.shifts[p] = c.shifts[p].resorted()
+	c := &Corrector{shifts: make(map[trace.ProcID]shiftIndex, len(logs))}
+	for p, l := range logs {
+		c.shifts[p] = l.index()
 	}
 	return c, nil
 }
@@ -280,22 +276,84 @@ func buildShiftFromMarkers(ms []marker) shiftIndex {
 	return ix
 }
 
-// add appends one marker to an index under construction and reports whether
-// the times are still ascending — as a process's events in start order
-// always are and markers in storage order all but always are, so both
-// constructors build each index in place as its markers arrive. One marker
-// out of order leaves the index unusable until resorted has rebuilt it.
-func (ix *shiftIndex) add(t vclock.Time, d vclock.Duration) bool {
-	if ix.prefix == nil {
-		ix.prefix = append(ix.prefix, 0)
-	}
-	n := len(ix.times)
-	ix.times = append(ix.times, t)
-	ix.prefix = append(ix.prefix, ix.prefix[n]+d)
-	return n == 0 || ix.times[n-1] <= t
+// markerLog gathers one process's calibrated markers, in arrival order, for
+// an index that cannot be sized until the last has arrived. A marker is two
+// 32-bit words — its time as the delta from the previous marker's, and its
+// cost — in blocks that are filled and never regrown, so nothing it holds is
+// ever copied and a marker takes 8 bytes here against the 16 it takes in the
+// index. A marker that does not fit — one earlier than the marker before it
+// or more than 4.29 s later, or one that costs that long — is logged whole:
+// markerEscape, then its time and its cost in two words each.
+type markerLog struct {
+	blocks   [][]uint32
+	n        int
+	last     vclock.Time // the time of the marker added last
+	unsorted bool        // some marker came before the one added ahead of it
 }
 
-// resorted is the index of the markers added to ix, whatever their order.
+const (
+	markerEscape = math.MaxUint32
+	// The first block of a log holds 32 markers, so that a process with few
+	// of them costs little; each later block doubles, up to the cap.
+	firstMarkerBlock = 64 // words
+	maxMarkerBlock   = 16 << 10
+)
+
+// add logs one marker.
+func (l *markerLog) add(t vclock.Time, d vclock.Duration) {
+	k := len(l.blocks) - 1
+	if k < 0 || cap(l.blocks[k])-len(l.blocks[k]) < 5 {
+		size := firstMarkerBlock
+		if k >= 0 {
+			size = min(2*cap(l.blocks[k]), maxMarkerBlock)
+		}
+		l.blocks = append(l.blocks, make([]uint32, 0, size))
+		k++
+	}
+	if delta := uint64(t - l.last); delta < markerEscape && uint64(d) <= math.MaxUint32 {
+		l.blocks[k] = append(l.blocks[k], uint32(delta), uint32(d))
+	} else {
+		l.blocks[k] = append(l.blocks[k], markerEscape, uint32(uint64(t)>>32), uint32(t), uint32(uint64(d)>>32), uint32(d))
+	}
+	l.unsorted = l.unsorted || (l.n > 0 && t < l.last)
+	l.last = t
+	l.n++
+}
+
+// index folds the logged markers into their shift index, allocated at its
+// exact length. Markers that arrived in time order — as a process's events
+// in start order always do and markers in storage order all but always do —
+// fold in place; otherwise resorted rebuilds the index.
+func (l *markerLog) index() shiftIndex {
+	ix := shiftIndex{
+		times:  make([]vclock.Time, l.n),
+		prefix: make([]vclock.Duration, l.n+1),
+	}
+	var t vclock.Time
+	i := 0
+	for _, b := range l.blocks {
+		for j := 0; j < len(b); i++ {
+			var d vclock.Duration
+			if b[j] != markerEscape {
+				t += vclock.Time(b[j])
+				d = vclock.Duration(b[j+1])
+				j += 2
+			} else {
+				t = vclock.Time(uint64(b[j+1])<<32 | uint64(b[j+2]))
+				d = vclock.Duration(uint64(b[j+3])<<32 | uint64(b[j+4]))
+				j += 5
+			}
+			ix.times[i] = t
+			ix.prefix[i+1] = ix.prefix[i] + d
+		}
+	}
+	if l.unsorted {
+		return ix.resorted()
+	}
+	return ix
+}
+
+// resorted is the index of ix's markers, whatever their order.
 func (ix shiftIndex) resorted() shiftIndex {
 	ms := make([]marker, len(ix.times))
 	for i, t := range ix.times {

@@ -110,3 +110,37 @@ func TestCursorMatchesSearchFromScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestMarkerLogFoldsEveryOrder: a markerLog's index is the sorted fold of
+// the markers added to it, whatever their order, their count against the
+// block sizes, and however far apart their times lie — MinTime next to
+// MaxTime included, whose delta wraps.
+func TestMarkerLogFoldsEveryOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	extremes := []vclock.Time{vclock.MinTime, vclock.MaxTime, -1, 0, 1}
+	for _, n := range []int{0, 1, 2, 50, 5000} {
+		for _, sorted := range []bool{true, false} {
+			ms := make([]marker, n)
+			for i := range ms {
+				ms[i] = marker{vclock.Time(rng.Int63n(1 << 40)), vclock.Duration(1 + rng.Int63n(1<<33))}
+				if rng.Intn(50) == 0 {
+					ms[i].t = extremes[rng.Intn(len(extremes))]
+				}
+			}
+			if sorted {
+				slices.SortStableFunc(ms, func(a, b marker) int { return cmp.Compare(a.t, b.t) })
+			}
+			var l markerLog
+			for _, m := range ms {
+				l.add(m.t, m.d)
+			}
+			got, want := l.index(), buildShiftFromMarkers(slices.Clone(ms))
+			if !slices.Equal(got.times, want.times) || !slices.Equal(got.prefix, want.prefix) {
+				t.Fatalf("n %d sorted %v: the log folds to %v / %v, want %v / %v", n, sorted, got.times, got.prefix, want.times, want.prefix)
+			}
+			if len(got.times) != n || len(got.prefix) != n+1 || cap(got.times) != n || cap(got.prefix) != n+1 {
+				t.Fatalf("n %d sorted %v: index of len %d/%d, cap %d/%d; want exactly %d/%d", n, sorted, len(got.times), len(got.prefix), cap(got.times), cap(got.prefix), n, n+1)
+			}
+		}
+	}
+}

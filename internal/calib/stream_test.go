@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -266,5 +267,55 @@ func TestStreamCorrectorCancelMidPrepass(t *testing.T) {
 	}
 	if want := [3]int{2, r.NumChunks(), len(first) + len(second)}; last != want {
 		t.Fatalf("last progress %v, want %v", last, want)
+	}
+}
+
+// TestStreamCorrectorAllocatesNearItsIndex pins what the pre-pass allocates
+// on a fixed fixture — a profiled toy run with every overhead marker, in
+// 64 KiB chunks, through a warm Reader — against the bytes of the index it
+// builds: at most twice them. The markers are logged in blocks that are
+// never regrown and each index is allocated once, at its exact length; an
+// index grown by appending as the markers arrive costs 5.0 times here.
+func TestStreamCorrectorAllocatesNearItsIndex(t *testing.T) {
+	run, err := toyRunner(1000)(trace.Full(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "trace")
+	w, err := trace.NewWriter(dir, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Append(run.Trace.Events...)
+	if err := w.Close(run.Trace.Meta); err != nil {
+		t.Fatal(err)
+	}
+	r, err := trace.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *Corrector {
+		c, err := NewStreamCorrector(context.Background(), r, streamCal, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	var index uint64 // the final index's bytes
+	for _, ix := range build().shifts {
+		index += uint64(8 * (len(ix.times) + len(ix.prefix)))
+	}
+	if index < 64<<10 {
+		t.Fatalf("a %d-byte index: the fixture has too few markers to weigh the pre-pass", index)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		build()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 2*index {
+		t.Errorf("the pre-pass allocates %d B for a %d-byte index (%.2f×), want at most 2×", per, index, float64(per)/float64(index))
 	}
 }

@@ -37,6 +37,15 @@ type Analysis struct {
 	Stats     *StreamStatsJSON   `json:"stats,omitempty"`
 }
 
+// DocumentVersion numbers the bytes the stored documents — Analysis and
+// QueryDoc — encode to. A report store keeps documents across builds, so
+// every store key carries the version of the document it addresses: bump it
+// whenever a change can make the same trace and options encode to other
+// bytes, and a new build misses what an older one stored instead of serving
+// it. TestDocumentVersionPinsBytes holds the digests of one fixture's
+// documents at each version.
+const DocumentVersion = 1
+
 // ProcessJSON is one process's slice of the document. Parent encodes the
 // fork tree in flat form (see TreeJSON for the nested form).
 type ProcessJSON struct {

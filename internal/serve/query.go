@@ -35,15 +35,17 @@ import (
 // store by content digest alone — no analysis options belong in the key
 // because results are byte-identical at any worker count. The "rs|" prefix
 // keeps result-set blobs disjoint from analysis documents, whose keys
-// start with the bare digest.
+// start with their version; a result set carries its own
+// (report.ResultSetVersion) and decodes to a miss under another.
 func resultSetKey(digest string) string { return "rs|" + digest }
 
 // queryKey addresses an encoded query document in the report cache by the
-// plan's content key. Query documents live in the memory tier only: the
-// disk tier keeps what costs an Engine run (result sets, analysis
-// documents), memory keeps what costs a merge — every registration changes
-// the key of each query it matches, and that churn must not become files.
-func queryKey(contentKey string) string { return "q|" + contentKey }
+// plan's content key and the document version. Query documents live in the
+// memory tier only: the disk tier keeps what costs an Engine run (result
+// sets, analysis documents), memory keeps what costs a merge — every
+// registration changes the key of each query it matches, and that churn
+// must not become files.
+func queryKey(contentKey string) string { return docKeyPrefix + "q|" + contentKey }
 
 // QueryResult is one answered fleet query: the encoded report.QueryDoc,
 // how the cache answered it ("hit", "miss", or "dedup" when an identical

@@ -368,3 +368,45 @@ func TestWarmReadAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPreviousKeyFormMisses: a document an older build stored — under the
+// key form from before keys carried report.DocumentVersion — is a miss, an
+// analysis document on the disk tier and a query document in memory alike,
+// so the new build recomputes it instead of serving another build's bytes.
+func TestPreviousKeyFormMisses(t *testing.T) {
+	stale := []byte(`{"stale":true}` + "\n")
+	dir := quickstartDir(t, 20)
+	digest, err := trace.DirDigest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.Put(digest+"|w=1|m=0|c=0|p=", stale); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Reports: disk}, dir)
+	h := s.Handler()
+	rec := mustOK(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1}`)
+	if got := rec.Header().Get("X-RLScope-Cache"); got != "miss" || bytes.Equal(rec.Body.Bytes(), stale) {
+		t.Fatalf("analyze answered %q from cache %q; the previous key form must miss", rec.Body.Bytes(), got)
+	}
+
+	fleetDirs(t, s)
+	body := `{"group_by":["label.algo"]}`
+	plan, err := fleet.Compile(parseQuery(t, body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	matched, err := plan.Select(s.queryCandidates())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.store.add("q|"+plan.ContentKey(matched), stale)
+	rec = queryOK(t, h, body)
+	if got := rec.Header().Get("X-RLScope-Cache"); got != "miss" || bytes.Equal(rec.Body.Bytes(), stale) {
+		t.Fatalf("query answered %q from cache %q; the previous key form must miss", rec.Body.Bytes(), got)
+	}
+}

@@ -544,11 +544,18 @@ func (s *Server) canonicalize(req AnalyzeRequest) canonical {
 	return c
 }
 
+// docKeyPrefix starts the key of every stored document: the version of the
+// bytes it addresses, so that a build that encodes documents differently
+// misses every entry an older build stored (report.DocumentVersion).
+var docKeyPrefix = "v" + strconv.Itoa(report.DocumentVersion) + "|"
+
 // cacheKey addresses a report by content: what trace (digest) analyzed
-// under what result-and-run-relevant options.
+// under what result-and-run-relevant options, rendered by what document
+// version.
 func cacheKey(digest string, c canonical) string {
 	var sb strings.Builder
-	sb.Grow(len(digest) + 32)
+	sb.Grow(len(docKeyPrefix) + len(digest) + 32)
+	sb.WriteString(docKeyPrefix)
 	if c.resultOnly {
 		sb.WriteString("ro|")
 	}

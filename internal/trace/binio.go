@@ -142,20 +142,34 @@ func errTruncated(i int, what string) error {
 // OverheadFunc receives one KindOverhead record from a marker scan.
 type OverheadFunc func(proc ProcID, at vclock.Time, kind OverheadKind, name string)
 
+// walkMode is what a chunk walk keeps of the records it checks.
+type walkMode uint8
+
+const (
+	// walkDecode appends every record to dst as an event.
+	walkDecode walkMode = iota
+	// walkSkipOverhead appends every record but the KindOverhead ones,
+	// which it steps over without storing.
+	walkSkipOverhead
+	// walkScan builds no event: the walk's OverheadFunc sees each
+	// KindOverhead record, and dst comes back untouched.
+	walkScan
+)
+
 // walk is the one pass over the body of a v1 chunk (b[off:] starts at the
-// count field). With scan nil it decodes: the records are appended to dst as
-// events, and bytes is their summed EventBytes. With scan set it builds no
-// event: scan sees each KindOverhead record and dst comes back untouched.
-// Either way every record passes the same checks and n counts the records
-// walked, so a scan accepts exactly the frames a decode accepts. Table
+// count field), in one of the three modes of walkMode; scan is read in
+// walkScan only. The records kept are appended to dst as events, and bytes
+// is their summed EventBytes. Whatever the mode, every record passes the
+// same checks and n counts the records walked, so a scan or a walk that
+// skips the markers accepts exactly the frames a decode accepts. Table
 // strings resolve through in when non-nil, so repeated names across chunks
 // share storage.
-func (d *v1Decoder) walk(b []byte, off int, in *Interner, dst []Event, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
+func (d *v1Decoder) walk(b []byte, off int, in *Interner, dst []Event, mode walkMode, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
 	count, off := uvarint(b, off)
 	if off < 0 {
 		return dst, 0, 0, fmt.Errorf("trace: decode: reading count: %w", io.ErrUnexpectedEOF)
 	}
-	if scan == nil {
+	if mode != walkScan {
 		// Grow dst once, to the count the header states — but never past
 		// what the bytes that follow could encode, so a hostile header
 		// cannot force an allocation larger than its frame justifies.
@@ -227,13 +241,16 @@ func (d *v1Decoder) walk(b []byte, off int, in *Interner, dst []Event, scan Over
 		default:
 			return dst, n, bytes, fmt.Errorf("trace: decode: event %d references string %d beyond table size %d", n, ref, len(table))
 		}
-		switch {
-		case scan == nil:
+		if kind == KindOverhead && mode != walkDecode {
+			if mode == walkScan {
+				scan(ProcID(proc), start, overhead, name)
+			}
+			continue
+		}
+		if mode != walkScan {
 			e := Event{Kind: kind, Cat: cat, Overhead: overhead, Proc: ProcID(proc), Start: start, End: end, Name: name}
 			dst = append(dst, e)
 			bytes += int64(eventBytes(e))
-		case kind == KindOverhead:
-			scan(ProcID(proc), start, overhead, name)
 		}
 	}
 	if off != len(b) {
@@ -277,11 +294,10 @@ func ChunkFormat(data []byte) (Format, error) {
 	return f, nil
 }
 
-// walkChunk walks one chunk frame of either version the way v1Decoder.walk
-// documents: decoding into dst when scan is nil, scanning for overhead
-// records otherwise. cc, when non-nil, is the reusable column scratch for v2
-// frames; names resolve through in when non-nil.
-func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
+// walkChunk walks one chunk frame of either version in the given mode, the
+// way v1Decoder.walk documents. cc, when non-nil, is the reusable column
+// scratch for v2 frames; names resolve through in when non-nil.
+func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, mode walkMode, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
 	version, body, err := sniffVersion(data)
 	if err != nil {
 		return dst, 0, 0, err
@@ -290,7 +306,7 @@ func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, scan Ove
 	case chunkVersion:
 		d := v1DecPool.Get().(*v1Decoder)
 		defer v1DecPool.Put(d)
-		return d.walk(data, body, in, dst, scan)
+		return d.walk(data, body, in, dst, mode, scan)
 	case chunkVersion2:
 		if cc == nil {
 			cc = &ColumnChunk{}
@@ -298,7 +314,7 @@ func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, scan Ove
 		if err := cc.Parse(data, in); err != nil {
 			return dst, 0, 0, err
 		}
-		return cc.walk(dst, scan)
+		return cc.walk(dst, mode, scan)
 	default:
 		return dst, 0, 0, fmt.Errorf("trace: decode: unsupported version %d", version)
 	}
@@ -309,7 +325,7 @@ func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, scan Ove
 // extended slice. It never aliases data: decoded names are fresh (or
 // interner-shared) strings.
 func DecodeChunkBytes(data []byte, dst []Event) ([]Event, error) {
-	dst, _, _, err := walkChunk(data, nil, nil, dst, nil)
+	dst, _, _, err := walkChunk(data, nil, nil, dst, walkDecode, nil)
 	return dst, err
 }
 

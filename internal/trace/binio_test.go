@@ -106,8 +106,11 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "trailing") {
 			t.Errorf("%s: %d events, err = %v; want a trailing-bytes error", name, len(events), err)
 		}
-		if _, _, _, err := walkChunk(padded, nil, nil, nil, func(ProcID, vclock.Time, OverheadKind, string) {}); err == nil {
+		if _, _, _, err := walkChunk(padded, nil, nil, nil, walkScan, func(ProcID, vclock.Time, OverheadKind, string) {}); err == nil {
 			t.Errorf("%s: the overhead scan accepted the padded frame", name)
+		}
+		if _, _, _, err := walkChunk(padded, nil, nil, nil, walkSkipOverhead, nil); err == nil {
+			t.Errorf("%s: the walk that skips markers accepted the padded frame", name)
 		}
 	}
 }

@@ -518,9 +518,10 @@ func (w *colWalk) next(out []Event) (int, error) {
 }
 
 // walk is v1Decoder.walk for a parsed columnar chunk: the one pass behind a
-// decode (scan nil), which builds the events where they are to stay, and the
+// decode, which builds the events where they are to stay — a walk that
+// skips the markers then closes each block over the ones it built — and the
 // overhead scan, which builds them a block at a time on its stack.
-func (c *ColumnChunk) walk(dst []Event, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
+func (c *ColumnChunk) walk(dst []Event, mode walkMode, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
 	w := colWalk{
 		c:       c,
 		classes: newColIter(c.cols[colClasses]),
@@ -529,7 +530,7 @@ func (c *ColumnChunk) walk(dst []Event, scan OverheadFunc) (out []Event, n int, 
 		refs:    newColIter(c.cols[colNames]),
 		starts:  c.cols[colStarts],
 	}
-	if scan != nil {
+	if mode == walkScan {
 		var block [colBlock]Event
 		for {
 			m, err := w.next(block[:])
@@ -544,10 +545,23 @@ func (c *ColumnChunk) walk(dst []Event, scan OverheadFunc) (out []Event, n int, 
 		}
 	}
 	dst = slices.Grow(dst, c.count)
+	var skipped int64 // the summed EventBytes of the markers stepped over
 	for {
 		m, err := w.next(dst[len(dst):cap(dst)])
 		if m == 0 {
-			return dst, w.done, w.bytes, err
+			return dst, w.done, w.bytes - skipped, err
+		}
+		if mode == walkSkipOverhead {
+			block := dst[len(dst) : len(dst)+m]
+			kept := block[:0]
+			for i := range block {
+				if block[i].Kind == KindOverhead {
+					skipped += int64(eventBytes(block[i]))
+					continue
+				}
+				kept = append(kept, block[i])
+			}
+			m = len(kept)
 		}
 		dst = dst[:len(dst)+m]
 	}

@@ -117,7 +117,7 @@ func TestColumnChunkIteration(t *testing.T) {
 	if cc.Len() != len(events) {
 		t.Fatalf("Len = %d, want %d", cc.Len(), len(events))
 	}
-	walked, n, size, err := cc.walk(nil, nil)
+	walked, n, size, err := cc.walk(nil, walkDecode, nil)
 	if err != nil {
 		t.Fatalf("walk: %v", err)
 	}

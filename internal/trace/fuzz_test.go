@@ -155,12 +155,15 @@ type scannedMarker struct {
 	name string
 }
 
-// FuzzOverheadScan holds the marker scan to the decoder it stands in for: on
-// arbitrary bytes it must accept exactly the frames DecodeChunkBytes accepts — the
-// correction pre-pass may not wave through a chunk the analysis pass will
-// then refuse, nor the reverse — count the same events, and report exactly
-// the KindOverhead records of the decoded list, in order. The seeds are both
-// decoders' own: every truncation, bit flip and hostile header, in v1 and v2.
+// FuzzOverheadScan holds the two walks that do not keep every record — the
+// marker scan and the walk that skips the markers — to the decoder they stand
+// in for: on arbitrary bytes each must accept exactly the frames
+// DecodeChunkBytes accepts — the correction pre-pass may not wave through a
+// chunk the analysis pass will then refuse, nor the reverse — and count the
+// same events. The scan must report exactly the KindOverhead records of the
+// decoded list, in order; the skipping walk must return the decoded list
+// without them, sized as EventBytes sizes it. The seeds are both decoders'
+// own: every truncation, bit flip and hostile header, in v1 and v2.
 func FuzzOverheadScan(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("RLSC\x01\xff\xff"))
@@ -191,11 +194,18 @@ func FuzzOverheadScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, decodeErr := DecodeChunkBytes(data, nil)
 		var got []scannedMarker
-		_, n, _, scanErr := walkChunk(data, nil, nil, nil, func(proc ProcID, at vclock.Time, kind OverheadKind, name string) {
+		_, n, _, scanErr := walkChunk(data, nil, nil, nil, walkScan, func(proc ProcID, at vclock.Time, kind OverheadKind, name string) {
 			got = append(got, scannedMarker{proc, at, kind, name})
 		})
+		kept, walked, keptBytes, skipErr := walkChunk(data, nil, nil, nil, walkSkipOverhead, nil)
 		if (decodeErr == nil) != (scanErr == nil) {
 			t.Fatalf("decode says %v, scan says %v", decodeErr, scanErr)
+		}
+		if (decodeErr == nil) != (skipErr == nil) {
+			t.Fatalf("decode says %v, the skipping walk says %v", decodeErr, skipErr)
+		}
+		if walked != n {
+			t.Fatalf("the skipping walk counted %d records, the scan %d", walked, n)
 		}
 		if decodeErr != nil {
 			return
@@ -203,14 +213,24 @@ func FuzzOverheadScan(f *testing.F) {
 		if n != len(events) {
 			t.Fatalf("scan counted %d events, decode returned %d", n, len(events))
 		}
-		var want []scannedMarker
+		var (
+			want      []scannedMarker
+			wantKept  []Event
+			wantBytes int64
+		)
 		for _, e := range events {
 			if e.Kind == KindOverhead {
 				want = append(want, scannedMarker{e.Proc, e.Start, e.Overhead, e.Name})
+			} else {
+				wantKept = append(wantKept, e)
+				wantBytes += int64(eventBytes(e))
 			}
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("scan reported %+v, the decoded chunk holds %+v", got, want)
+		}
+		if len(kept) != len(wantKept) || len(kept) > 0 && !reflect.DeepEqual(kept, wantKept) || keptBytes != wantBytes {
+			t.Fatalf("the skipping walk kept %+v (%d B), the decoded chunk without markers is %+v (%d B)", kept, keptBytes, wantKept, wantBytes)
 		}
 	})
 }

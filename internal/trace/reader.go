@@ -222,8 +222,17 @@ func (r *Reader) ReadChunk(i int, dst []Event) ([]Event, error) {
 // events it appended, which the decoder has at hand: a caller that accounts
 // for resident bytes need not walk the events again.
 func (r *Reader) ReadChunkSized(i int, dst []Event) ([]Event, int64, error) {
-	dst, _, bytes, err := r.walk(i, dst, nil)
+	dst, _, bytes, err := r.walk(i, dst, walkDecode, nil)
 	return dst, bytes, err
+}
+
+// ReadChunkSkipOverhead is ReadChunkSized for a reader that would drop the
+// overhead markers on arrival: it applies every check ReadChunk applies but
+// steps over the chunk's KindOverhead records without storing them, so
+// neither dst nor bytes holds one. walked counts every record read, markers
+// included.
+func (r *Reader) ReadChunkSkipOverhead(i int, dst []Event) (events []Event, walked int, bytes int64, err error) {
+	return r.walk(i, dst, walkSkipOverhead, nil)
 }
 
 // ScanOverhead passes every KindOverhead record of chunk i to fn, in storage
@@ -232,16 +241,16 @@ func (r *Reader) ReadChunkSized(i int, dst []Event) ([]Event, int64, error) {
 // same *ChunkError — on exactly the chunks ReadChunk fails on; fn may have
 // seen the markers ahead of the corruption by then.
 func (r *Reader) ScanOverhead(i int, fn OverheadFunc) (events int, err error) {
-	_, events, _, err = r.walk(i, nil, fn)
+	_, events, _, err = r.walk(i, nil, walkScan, fn)
 	return events, err
 }
 
-func (r *Reader) walk(i int, dst []Event, scan OverheadFunc) ([]Event, int, int64, error) {
+func (r *Reader) walk(i int, dst []Event, mode walkMode, scan OverheadFunc) ([]Event, int, int64, error) {
 	frame, err := r.load(i)
 	if err != nil {
 		return dst, 0, 0, err
 	}
-	dst, n, bytes, err := walkChunk(frame, r.in, &r.cc, dst, scan)
+	dst, n, bytes, err := walkChunk(frame, r.in, &r.cc, dst, mode, scan)
 	if err != nil {
 		err = &ChunkError{Dir: r.dir, Chunk: r.names[i], Err: err}
 	}
