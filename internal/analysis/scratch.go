@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 
+	"repro/internal/recycle"
 	"repro/internal/trace"
 )
 
@@ -31,31 +32,16 @@ type freeList struct {
 }
 
 // scratches is the pool: the scratch of runs that have ended, for the runs to
-// come. It is a plain bounded stack, not a sync.Pool: that one empties on
-// every second GC and does not show a Get on one P what was Put on another,
-// so what a warm run allocated depended on when the collector last ran and on
-// where the goroutine was scheduled (the same op measured anywhere between
-// 0.8 and 10.7 MB). Here a run allocates event buffers exactly when no
-// earlier run left one large enough. The price is memory the collector cannot
-// take back, so it is bounded: maxIdleScratches scratches, each trimmed to
-// maxScratchEvents events of capacity, and to the spare windows those could
-// fill, when it is put back.
-var scratches struct {
-	mu   sync.Mutex
-	idle []*freeList
-}
+// come (internal/recycle says why it is a bounded stack). Here a run allocates
+// event buffers exactly when no earlier run left one large enough. Each
+// scratch is trimmed, when it is put back, to maxScratchEvents events of
+// capacity and to the spare windows those could fill.
+var scratches = recycle.Stack[*freeList]{Max: 2} // concurrent runs beyond two allocate afresh
 
-const (
-	maxIdleScratches = 2       // concurrent runs beyond these allocate afresh
-	maxScratchEvents = 1 << 20 // 40 MiB of trace.Event
-)
+const maxScratchEvents = 1 << 20 // 40 MiB of trace.Event
 
 func getScratch() *freeList {
-	scratches.mu.Lock()
-	defer scratches.mu.Unlock()
-	if n := len(scratches.idle); n > 0 {
-		sc := scratches.idle[n-1]
-		scratches.idle = scratches.idle[:n-1]
+	if sc, ok := scratches.Get(); ok {
 		return sc
 	}
 	return new(freeList)
@@ -63,11 +49,7 @@ func getScratch() *freeList {
 
 func putScratch(sc *freeList) {
 	sc.trim()
-	scratches.mu.Lock()
-	defer scratches.mu.Unlock()
-	if len(scratches.idle) < maxIdleScratches {
-		scratches.idle = append(scratches.idle, sc)
-	}
+	scratches.Put(sc)
 }
 
 // take removes from the list the smallest buffer with room for n events or,

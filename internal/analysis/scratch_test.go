@@ -171,7 +171,7 @@ func TestScratchSettlesAndOutlivesGC(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		runtime.GC()
-		runtime.GC() // the second empties a sync.Pool
+		runtime.GC() // the second would empty a sync.Pool
 		runOnce()
 		if got := arrays(); !maps.Equal(got, want) {
 			t.Fatalf("run %d after settling: the scratch holds %v, held %v", i, got, want)
@@ -180,10 +180,10 @@ func TestScratchSettlesAndOutlivesGC(t *testing.T) {
 }
 
 // TestPutScratchBounds: a scratch is trimmed to maxScratchEvents of capacity,
-// largest buffers first, and no more than maxIdleScratches are kept.
+// largest buffers first, and no more than scratches.Max are kept.
 func TestPutScratchBounds(t *testing.T) {
 	var held []*freeList
-	for i := 0; i <= maxIdleScratches; i++ {
+	for i := 0; i <= scratches.Max; i++ {
 		held = append(held, getScratch())
 	}
 	big := &freeList{bufs: [][]trace.Event{make([]trace.Event, 0, 8), make([]trace.Event, 0, 16), make([]trace.Event, 0, maxScratchEvents)}}
@@ -197,10 +197,12 @@ func TestPutScratchBounds(t *testing.T) {
 	for _, sc := range held {
 		putScratch(sc)
 	}
-	scratches.mu.Lock()
-	defer scratches.mu.Unlock()
-	if n := len(scratches.idle); n != maxIdleScratches {
-		t.Errorf("%d idle scratches, want %d", n, maxIdleScratches)
+	n := 0
+	for _, ok := scratches.Get(); ok; _, ok = scratches.Get() {
+		n++
+	}
+	if n != scratches.Max {
+		t.Errorf("%d idle scratches, want %d", n, scratches.Max)
 	}
 }
 
@@ -217,15 +219,8 @@ func TestPutScratchBounds(t *testing.T) {
 // number of Ps and under the race detector.
 func TestIncrementalEpochAllocs(t *testing.T) {
 	// The pool holds only what this test releases.
-	scratches.mu.Lock()
-	saved := scratches.idle
-	scratches.idle = nil
-	scratches.mu.Unlock()
-	defer func() {
-		scratches.mu.Lock()
-		scratches.idle = saved
-		scratches.mu.Unlock()
-	}()
+	for _, ok := scratches.Get(); ok; _, ok = scratches.Get() {
+	}
 
 	const per, warm, runs = 512, 16, 20
 	all := steadyEvents(0, 0, (warm+runs+1)*per)
@@ -283,9 +278,6 @@ func TestIncrementalEpochAllocs(t *testing.T) {
 // process at its exact length. The trace has several
 // processes, one of them cut many times, in a dozen chunks.
 func TestAnalyzeWarmAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	tr, cal := markedTrace(rand.New(rand.NewSource(41)))
 	tr.Events = append(tr.Events, steadyEvents(7, 0, 6*splitEvents)...)
 	dir := writeTrace(t, tr, 1<<16)

@@ -24,8 +24,7 @@
 package overlap
 
 import (
-	"sync"
-
+	"repro/internal/recycle"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -90,22 +89,12 @@ type TransitionKey struct {
 // dense grids) across Compute/ComputeWindow calls; without it every shard of
 // every window would re-allocate the lot. Long-lived callers that sweep many
 // windows (the analysis worker pool) hold their own Sweeper instead, one per
-// worker, borrowed here for the run. It is a plain bounded stack, not a
-// sync.Pool, which empties on every second GC: a pooled Sweeper would regrow
-// its scratch after each collection, and what a warm sweep allocates would
-// depend on when the collector last ran. The price is memory the collector
-// cannot take back, so it is bounded: at most maxIdleSweepers idle Sweepers,
-// and one whose scratch outgrew maxSweeperScratch — a whole-process
-// Compute's — is dropped on PutSweeper instead of kept.
-var sweepers struct {
-	mu   sync.Mutex
-	idle []*Sweeper
-}
+// worker, borrowed here for the run. A Sweeper whose scratch outgrew
+// maxSweeperScratch — a whole-process Compute's — is dropped on PutSweeper
+// instead of kept.
+var sweepers = recycle.Stack[*Sweeper]{Max: 4} // concurrent borrowers beyond four allocate afresh
 
-const (
-	maxIdleSweepers   = 4       // concurrent borrowers beyond these allocate afresh
-	maxSweeperScratch = 2 << 20 // bytes of buffers one idle Sweeper may hold
-)
+const maxSweeperScratch = 2 << 20 // bytes of buffers one idle Sweeper may hold
 
 // Compute runs the overlap sweep over one process's events. The slice may be
 // in any order; only KindCPU, KindGPU, KindOp and KindTransition events
@@ -133,11 +122,7 @@ func ComputeWindow(events []trace.Event, lo, hi vclock.Time) *Result {
 // sweep many windows from one goroutine (the analysis worker pool gives each
 // worker its own) borrow once instead of paying a pool round-trip per window.
 func GetSweeper() *Sweeper {
-	sweepers.mu.Lock()
-	defer sweepers.mu.Unlock()
-	if n := len(sweepers.idle); n > 0 {
-		sw := sweepers.idle[n-1]
-		sweepers.idle = sweepers.idle[:n-1]
+	if sw, ok := sweepers.Get(); ok {
 		return sw
 	}
 	return NewSweeper()
@@ -147,13 +132,8 @@ func GetSweeper() *Sweeper {
 // unless the pool is full or the Sweeper's scratch outgrew the bound. The
 // Sweeper must not be used after.
 func PutSweeper(sw *Sweeper) {
-	if sw.scratchBytes() > maxSweeperScratch {
-		return
-	}
-	sweepers.mu.Lock()
-	defer sweepers.mu.Unlock()
-	if len(sweepers.idle) < maxIdleSweepers {
-		sweepers.idle = append(sweepers.idle, sw)
+	if sw.scratchBytes() <= maxSweeperScratch {
+		sweepers.Put(sw)
 	}
 }
 

@@ -10,26 +10,19 @@ import (
 	"repro/internal/vclock"
 )
 
-// isolatePool empties the package pool for one test and puts its Sweepers
-// back after.
-func isolatePool(t *testing.T) {
-	t.Helper()
-	sweepers.mu.Lock()
-	saved := sweepers.idle
-	sweepers.idle = nil
-	sweepers.mu.Unlock()
-	t.Cleanup(func() {
-		sweepers.mu.Lock()
-		sweepers.idle = saved
-		sweepers.mu.Unlock()
-	})
+// drainPool empties the package pool and reports how many Sweepers it held.
+func drainPool() (n int) {
+	for _, ok := sweepers.Get(); ok; _, ok = sweepers.Get() {
+		n++
+	}
+	return n
 }
 
 // TestSweeperPoolOutlivesGC: an idle Sweeper survives collections, so a warm
 // caller gets back the scratch it left; one whose scratch outgrew the bound
-// is dropped rather than pinned, and no more than maxIdleSweepers are kept.
+// is dropped rather than pinned, and no more than sweepers.Max are kept.
 func TestSweeperPoolOutlivesGC(t *testing.T) {
-	isolatePool(t)
+	drainPool()
 	sw := GetSweeper()
 	sw.Compute(deepNestingEvents(2000, 20))
 	PutSweeper(sw)
@@ -49,17 +42,15 @@ func TestSweeperPoolOutlivesGC(t *testing.T) {
 		t.Error("a Sweeper over the scratch bound was kept")
 	}
 
-	held := make([]*Sweeper, maxIdleSweepers+1)
+	held := make([]*Sweeper, sweepers.Max+1)
 	for i := range held {
 		held[i] = NewSweeper()
 	}
 	for _, sw := range held {
 		PutSweeper(sw)
 	}
-	sweepers.mu.Lock()
-	defer sweepers.mu.Unlock()
-	if n := len(sweepers.idle); n != maxIdleSweepers {
-		t.Errorf("%d idle Sweepers, want %d", n, maxIdleSweepers)
+	if n := drainPool(); n != sweepers.Max {
+		t.Errorf("%d idle Sweepers, want %d", n, sweepers.Max)
 	}
 }
 
@@ -103,10 +94,8 @@ func TestSweeperPoolConcurrentGetPut(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	sweepers.mu.Lock()
-	defer sweepers.mu.Unlock()
-	if n := len(sweepers.idle); n > maxIdleSweepers {
-		t.Errorf("%d idle Sweepers, want at most %d", n, maxIdleSweepers)
+	if n := drainPool(); n > sweepers.Max {
+		t.Errorf("%d idle Sweepers, want at most %d", n, sweepers.Max)
 	}
 }
 
@@ -117,7 +106,7 @@ var resultSink *Result
 // count as building those maps afresh — however often the collector ran in
 // between, since the pooled Sweeper outlives it.
 func TestComputeWindowAllocs(t *testing.T) {
-	isolatePool(t)
+	drainPool()
 	events := deepNestingEvents(4000, 40)
 	for i := 0; i < len(events); i += 7 {
 		events = append(events, trace.Event{Kind: trace.KindTransition, Start: events[i].Start, End: events[i].Start, Name: progLabels[i%len(progLabels)]})

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"path/filepath"
 	"slices"
@@ -22,6 +21,7 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/recycle"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -31,10 +31,6 @@ import (
 // over it is 413 bad_request: refused before a byte is read when its
 // Content-Length says so, and as soon as the bytes pass it when it has none.
 const maxChunkBytes = 64 << 20
-
-// maxDecodedBufs bounds an open trace's stack of drained decode buffers: an
-// epoch of more chunks than this allocates the rest afresh.
-const maxDecodedBufs = 16
 
 // Trace lifecycle states reported in TraceInfo.State: open while the trace
 // accepts chunks, sealed from /seal on — and from AddDir on, by construction.
@@ -52,7 +48,7 @@ type liveTrace struct {
 
 	// pmu guards the ingest side: sink ordering, the pending epoch queue,
 	// what listing and summary read — the digest as of the last append and
-	// the sidecar fold — and the recycled ingest buffers. They never ask the
+	// the sidecar fold — and the recycled body buffer. They never ask the
 	// sink, so a trace reads as open, with its last open digest, until seal
 	// swaps it out.
 	pmu     sync.Mutex
@@ -60,11 +56,12 @@ type liveTrace struct {
 	digest  string
 	fold    summaryFold
 	// frame is the body buffer of the last append to finish, and decoded the
-	// chunk buffers epochs have drained: what the next appends read and
-	// decode into. An append takes them while it runs, so concurrent appends
-	// never share one.
+	// chunk buffers epochs have drained, at most 16 (an epoch of more chunks
+	// allocates the rest afresh): what the next appends read and decode into.
+	// An append takes them while it runs, so concurrent appends never share
+	// one.
 	frame   []byte
-	decoded [][]trace.Event
+	decoded recycle.Stack[[]trace.Event]
 
 	// amu guards the analysis side: the incremental state and the one-slot
 	// encoded-document cache. Epoch application and result reads are
@@ -90,11 +87,11 @@ func (lt *liveTrace) drain() (digest string) {
 		return digest
 	}
 	lt.inc.Apply(batch)
-	lt.pmu.Lock()
 	for i, events := range batch {
 		lt.putDecoded(events)
 		batch[i] = nil
 	}
+	lt.pmu.Lock()
 	if lt.pending == nil {
 		lt.pending = batch[:0]
 	}
@@ -110,13 +107,9 @@ func (lt *liveTrace) takeBuffers() (frame []byte, events []trace.Event) {
 		return nil, nil
 	}
 	lt.pmu.Lock()
-	defer lt.pmu.Unlock()
 	frame, lt.frame = lt.frame, nil
-	if n := len(lt.decoded); n > 0 {
-		events = lt.decoded[n-1]
-		lt.decoded[n-1] = nil
-		lt.decoded = lt.decoded[:n-1]
-	}
+	lt.pmu.Unlock()
+	events, _ = lt.decoded.Get()
 	return frame, events
 }
 
@@ -127,18 +120,17 @@ func (lt *liveTrace) putBuffers(frame []byte, events []trace.Event) {
 		return
 	}
 	lt.pmu.Lock()
-	defer lt.pmu.Unlock()
 	if cap(frame) > cap(lt.frame) {
 		lt.frame = frame
 	}
+	lt.pmu.Unlock()
 	lt.putDecoded(events)
 }
 
 // putDecoded pushes a chunk buffer on the decode stack while there is room.
-// pmu held.
 func (lt *liveTrace) putDecoded(events []trace.Event) {
-	if cap(events) > 0 && len(lt.decoded) < maxDecodedBufs {
-		lt.decoded = append(lt.decoded, events[:0])
+	if cap(events) > 0 {
+		lt.decoded.Put(events[:0])
 	}
 }
 
@@ -185,7 +177,7 @@ func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiEr
 		return nil, false, &apiError{http.StatusConflict, ErrCodeTraceExists,
 			fmt.Sprintf("creating trace store dir: %v", err)}
 	}
-	lt = &liveTrace{id: id, sink: sink, inc: analysis.NewIncremental()}
+	lt = &liveTrace{id: id, sink: sink, inc: analysis.NewIncremental(), decoded: recycle.Stack[[]trace.Event]{Max: 16}}
 	s.traces[id] = &traceEntry{id: id, live: lt}
 	s.ids = append(s.ids, id)
 	return lt, true, nil
@@ -282,7 +274,7 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	frame, events := owner.takeBuffers()
 	defer func() { owner.putBuffers(frame, events) }()
-	frame, err = readFrame(frame, http.MaxBytesReader(w, r.Body, maxChunkBytes))
+	frame, err = recycle.ReadAll(frame, http.MaxBytesReader(w, r.Body, maxChunkBytes))
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -346,25 +338,6 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, AppendResponse{ID: lt.id, Seq: seq, Chunks: chunks, Digest: digest, Duplicate: dup})
-}
-
-// readFrame reads r to EOF into buf[:0], growing it only when the bytes that
-// have arrived fill it — never from what the request declares.
-func readFrame(buf []byte, r io.Reader) ([]byte, error) {
-	buf = buf[:0]
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }
 
 // ingestError maps sink errors onto the API error vocabulary.

@@ -2,6 +2,7 @@
 
 package serve
 
-// raceEnabled: under the race detector sync.Pool drops items at random, so an
-// allocation count that depends on a warm pool is not a constant.
+// raceEnabled: under the race detector the standard library's sync.Pools drop
+// items at random, so an allocation count that depends on them is not a
+// constant.
 const raceEnabled = true

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
+	"repro/internal/recycle"
 	"repro/internal/vclock"
 )
 
@@ -96,12 +96,12 @@ func appendChunkV1(dst []byte, events []Event) ([]byte, error) {
 }
 
 // v1Decoder holds the reusable scratch of one v1 walk: the incremental
-// string table. Pooled so the compat path stops churning the allocator.
+// string table. Recycled so the compat path stops churning the allocator.
 type v1Decoder struct {
 	table []string
 }
 
-var v1DecPool = sync.Pool{New: func() any { return &v1Decoder{} }}
+var v1Decoders = recycle.Stack[*v1Decoder]{Max: 8} // walks at once beyond eight allocate afresh
 
 // uvarint1 is the one-byte case of the uvarint at b[off:] — nearly every
 // proc, class, run length and reference — and small enough to inline into
@@ -304,9 +304,14 @@ func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, mode wal
 	}
 	switch version {
 	case chunkVersion:
-		d := v1DecPool.Get().(*v1Decoder)
-		defer v1DecPool.Put(d)
-		return d.walk(data, body, in, dst, mode, scan)
+		d, ok := v1Decoders.Get()
+		if !ok {
+			d = new(v1Decoder)
+		}
+		out, n, bytes, err = d.walk(data, body, in, dst, mode, scan)
+		clear(d.table) // an idle decoder holds no name alive
+		v1Decoders.Put(d)
+		return out, n, bytes, err
 	case chunkVersion2:
 		if cc == nil {
 			cc = &ColumnChunk{}
@@ -327,21 +332,4 @@ func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, mode wal
 func DecodeChunkBytes(data []byte, dst []Event) ([]Event, error) {
 	dst, _, _, err := walkChunk(data, nil, nil, dst, walkDecode, nil)
 	return dst, err
-}
-
-// readAllInto reads r to EOF into buf's spare capacity, growing as needed.
-func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }

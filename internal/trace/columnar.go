@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
+	"repro/internal/recycle"
 	"repro/internal/vclock"
 )
 
@@ -83,7 +83,8 @@ func classKey(e Event) uint32 {
 
 // v2Encoder holds the reusable scratch of one v2 encode. The mode columns
 // are built twice — run-length into cols, plain into plain — and the smaller
-// encoding wins at emit time.
+// encoding wins at emit time. Its maps are empty between encodes:
+// encodeChunkV2 clears them before the encoder goes idle.
 type v2Encoder struct {
 	cols    [numCols][]byte
 	plain   [len(modeColumns)][]byte
@@ -94,9 +95,7 @@ type v2Encoder struct {
 	classOf map[uint32]uint64
 }
 
-var v2EncPool = sync.Pool{New: func() any {
-	return &v2Encoder{refs: map[string]uint64{}, classOf: map[uint32]uint64{}}
-}}
+var v2Encoders = recycle.Stack[*v2Encoder]{Max: 4} // encodes at once beyond four allocate afresh
 
 // rleState accumulates one run-length-encoded column during encode.
 type rleState struct {
@@ -124,15 +123,20 @@ func (r *rleState) flush(col *[]byte) {
 }
 
 // encodeChunkV2 returns events as one columnar frame the caller owns (the
-// encoder's own frame is pooled scratch).
+// encoder's own frame is recycled scratch).
 func encodeChunkV2(events []Event) ([]byte, error) {
-	enc := v2EncPool.Get().(*v2Encoder)
-	defer v2EncPool.Put(enc)
-	frame, err := enc.encode(events)
-	if err != nil {
-		return nil, err
+	enc, ok := v2Encoders.Get()
+	if !ok {
+		enc = &v2Encoder{refs: map[string]uint64{}, classOf: map[uint32]uint64{}}
 	}
-	return bytes.Clone(frame), nil
+	frame, err := enc.encode(events)
+	if err == nil {
+		frame = bytes.Clone(frame)
+	}
+	clear(enc.refs) // an idle encoder holds no name alive
+	clear(enc.classOf)
+	v2Encoders.Put(enc)
+	return frame, err
 }
 
 func (e *v2Encoder) encode(events []Event) ([]byte, error) {
@@ -145,8 +149,6 @@ func (e *v2Encoder) encode(events []Event) ([]byte, error) {
 	e.dict = e.dict[:0]
 	e.classes = e.classes[:0]
 	e.out = e.out[:0]
-	clear(e.refs)
-	clear(e.classOf)
 
 	var classes, procs, durs, names rleState
 	var prevStart int64

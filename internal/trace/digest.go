@@ -4,11 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/recycle"
 )
 
 // DirDigest computes a content hash identifying a chunked trace directory:
@@ -41,22 +42,18 @@ func DirDigest(dir string) (string, error) {
 	}
 	sort.Strings(names)
 	h := sha256.New()
+	var buf []byte
 	for _, name := range names {
 		f, err := os.Open(filepath.Join(dir, name))
 		if err != nil {
 			return "", fmt.Errorf("trace: digesting trace dir: %w", err)
 		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return "", fmt.Errorf("trace: digesting trace dir: %w", err)
-		}
-		fmt.Fprintf(h, "%s\x00%d\x00", name, fi.Size())
-		_, err = io.Copy(h, f)
+		buf, err = recycle.ReadAll(buf, f)
 		f.Close()
 		if err != nil {
 			return "", fmt.Errorf("trace: digesting trace dir: %w", err)
 		}
+		digestFile(h, name, buf)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

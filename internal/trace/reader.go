@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/recycle"
 	"repro/internal/vclock"
 )
 
@@ -199,7 +200,7 @@ func (r *Reader) load(i int) ([]byte, error) {
 			r.frame = make([]byte, 0, fi.Size()+1)
 		}
 	}
-	r.frame, err = readAllInto(r.frame[:0], f)
+	r.frame, err = recycle.ReadAll(r.frame, f)
 	f.Close()
 	if err != nil {
 		return nil, &ChunkError{Dir: r.dir, Chunk: name, Err: fmt.Errorf("trace: decode: reading chunk: %w", err)}
@@ -337,7 +338,7 @@ func (r *Reader) readSidecar(i int, ix *ChunkIndex) (ok bool, err error) {
 		}
 		return false, err
 	}
-	r.side, err = readAllInto(r.side[:0], f)
+	r.side, err = recycle.ReadAll(r.side, f)
 	f.Close()
 	return err == nil && parseSidecar(r.side, ix, r.in) == nil, err
 }

@@ -187,7 +187,8 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 	return false, nil
 }
 
-// digestFile frames one file into h exactly as DirDigest does.
+// digestFile folds one file into h, framed by its name and size: the one
+// framing of DirDigest and of a sink's running digest.
 func digestFile(h hash.Hash, name string, content []byte) {
 	fmt.Fprintf(h, "%s\x00%d\x00", name, len(content))
 	h.Write(content)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"repro/internal/recycle"
 )
 
 // DefaultChunkBytes is the serialized-size threshold at which a buffered
@@ -246,22 +248,12 @@ func (w *Writer) flushLocked() {
 
 // chunkBufs recycles the buffers chunks are assembled in, across chunks and
 // across Writers: Append copies events into the open chunk's buffer, and
-// the encoder hands it back once the chunk is encoded. It is a plain
-// bounded stack, not a sync.Pool, which empties on every second GC: what a
-// write allocates would then depend on when the collector last ran. The
-// price is memory the collector cannot take back, so it is bounded: at
-// most maxIdleChunkBufs idle buffers, and a buffer that grew past
-// maxChunkBufEvents — a chunkBytes far above the default — is dropped on
-// putChunkBuf instead of kept.
-var chunkBufs struct {
-	mu   sync.Mutex
-	idle [][]Event
-}
+// the encoder hands it back once the chunk is encoded. A buffer that grew
+// past maxChunkBufEvents — a chunkBytes far above the default — is dropped
+// on putChunkBuf instead of kept.
+var chunkBufs = recycle.Stack[[]Event]{Max: 8} // chunks in flight beyond eight allocate afresh
 
-const (
-	maxIdleChunkBufs  = 8       // chunks in flight beyond these allocate afresh
-	maxChunkBufEvents = 1 << 16 // events one idle buffer may hold room for
-)
+const maxChunkBufEvents = 1 << 16 // events one idle buffer may hold room for
 
 // getChunkBuf returns an empty buffer with room for n events: the one put
 // back last, or a new one when none is idle. An idle buffer too small for n
@@ -270,17 +262,9 @@ const (
 // larger chunks need it. A new buffer gets an eighth of slack, because the
 // next chunk of a Writer is rarely exactly as long as its longest so far.
 func getChunkBuf(n int) []Event {
-	chunkBufs.mu.Lock()
-	if k := len(chunkBufs.idle); k > 0 {
-		buf := chunkBufs.idle[k-1]
-		chunkBufs.idle[k-1] = nil
-		chunkBufs.idle = chunkBufs.idle[:k-1]
-		if cap(buf) >= n {
-			chunkBufs.mu.Unlock()
-			return buf
-		}
+	if buf, ok := chunkBufs.Get(); ok && cap(buf) >= n {
+		return buf
 	}
-	chunkBufs.mu.Unlock()
 	return make([]Event, 0, n+n/8)
 }
 
@@ -288,14 +272,9 @@ func getChunkBuf(n int) []Event {
 // keeps it unless the stack is full or the buffer outgrew the bound. The
 // events are cleared first, so an idle buffer holds no name alive.
 func putChunkBuf(buf []Event) {
-	if cap(buf) > maxChunkBufEvents {
-		return
-	}
-	clear(buf)
-	chunkBufs.mu.Lock()
-	defer chunkBufs.mu.Unlock()
-	if len(chunkBufs.idle) < maxIdleChunkBufs {
-		chunkBufs.idle = append(chunkBufs.idle, buf[:0])
+	if cap(buf) <= maxChunkBufEvents {
+		clear(buf)
+		chunkBufs.Put(buf[:0])
 	}
 }
 

@@ -236,33 +236,56 @@ func TestWriterAppendCopies(t *testing.T) {
 // TestChunkBufsBounded: the recycled chunk buffers are bounded in count and
 // in size, and an idle one holds no event — no name — alive.
 func TestChunkBufsBounded(t *testing.T) {
-	chunkBufs.mu.Lock()
-	saved := chunkBufs.idle
-	chunkBufs.idle = nil
-	chunkBufs.mu.Unlock()
-	defer func() {
-		chunkBufs.mu.Lock()
-		chunkBufs.idle = saved
-		chunkBufs.mu.Unlock()
-	}()
-
+	idle := func() (n int) {
+		for _, ok := chunkBufs.Get(); ok; _, ok = chunkBufs.Get() {
+			n++
+		}
+		return n
+	}
+	idle()
 	putChunkBuf(make([]Event, 1, maxChunkBufEvents+1))
-	if n := len(chunkBufs.idle); n != 0 {
+	if n := idle(); n != 0 {
 		t.Fatalf("a buffer over maxChunkBufEvents was kept (%d idle)", n)
 	}
-	for i := 0; i < 2*maxIdleChunkBufs; i++ {
+	for i := 0; i < 2*chunkBufs.Max; i++ {
 		putChunkBuf(append(make([]Event, 0, 64), Event{Name: "held"}))
-	}
-	if n := len(chunkBufs.idle); n != maxIdleChunkBufs {
-		t.Fatalf("%d buffers idle, want the bound %d", n, maxIdleChunkBufs)
 	}
 	buf := getChunkBuf(10)
 	if len(buf) != 0 || cap(buf) != 64 || buf[:1][0] != (Event{}) {
 		t.Fatalf("got len %d cap %d, first slot %+v: want an empty, cleared idle buffer", len(buf), cap(buf), buf[:1][0])
 	}
-	if buf := getChunkBuf(100); cap(buf) < 100 || len(chunkBufs.idle) != maxIdleChunkBufs-2 {
-		t.Fatalf("asked for 100 events: cap %d, %d idle left; want a fresh buffer and the small one dropped", cap(buf), len(chunkBufs.idle))
+	if buf := getChunkBuf(100); cap(buf) < 100 {
+		t.Fatalf("asked for 100 events: cap %d, want a fresh buffer", cap(buf))
 	}
+	if n := idle(); n != chunkBufs.Max-2 {
+		t.Fatalf("%d buffers idle, want the bound %d less the one handed out and the small one dropped", n, chunkBufs.Max)
+	}
+}
+
+// TestIdleCodecsHoldNoName: a v1 decoder and a v2 encoder go idle with
+// their name table and maps cleared, as an idle chunk buffer does.
+func TestIdleCodecsHoldNoName(t *testing.T) {
+	events := []Event{{Kind: KindCPU, Cat: CatPython, Start: 1, End: 5, Name: "held"}}
+	if _, err := encodeChunkV2(events); err != nil {
+		t.Fatal(err)
+	}
+	enc, ok := v2Encoders.Get()
+	if !ok || len(enc.refs) != 0 || len(enc.classOf) != 0 {
+		t.Fatalf("idle v2 encoder (found %v) holds %d names, %d classes", ok, len(enc.refs), len(enc.classOf))
+	}
+	v2Encoders.Put(enc)
+	frame, err := appendChunkV1(nil, events)
+	if err == nil {
+		_, err = DecodeChunkBytes(frame, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := v1Decoders.Get()
+	if !ok || len(d.table) == 0 || d.table[0] != "" {
+		t.Fatalf("idle v1 decoder (found %v): name table %q, want one cleared slot", ok, d.table)
+	}
+	v1Decoders.Put(d)
 }
 
 // TestChunkBufsConcurrentWriters: Writers running at once share the

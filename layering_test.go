@@ -310,26 +310,16 @@ func surface(m *module) []byte {
 	return []byte(strings.Join(slices.Compact(lines), "\n") + "\n")
 }
 
-// TestOneSweepPath pins where scratch lives: the sweep's scratch, like the
-// analysis scratch and the Writer's chunk buffers, sits in a bounded pool that
-// outlives a collection, not in a sync.Pool — internal/trace keeps only its
-// two decoder/encoder scratch pools. Which functions reach the windowed sweep
-// and the batch pipeline are the surface's call lines (TestSurface).
+// TestOneSweepPath pins where scratch lives: idle scratch, the sweep's like
+// the analysis scratch, the Writer's chunk buffers and the frame codecs', sits
+// in a recycle.Stack that outlives a collection, and no non-test package of
+// the module declares or uses a sync.Pool. Which functions reach the windowed
+// sweep and the batch pipeline are the surface's call lines (TestSurface).
 func TestOneSweepPath(t *testing.T) {
 	m := loadedModule(t)
-	for _, dir := range []string{"overlap", "analysis", "trace", "profiler"} {
-		for _, f := range m.files["repro/internal/"+dir] {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if vs, ok := n.(*ast.ValueSpec); ok && len(vs.Names) == 1 && slices.Contains([]string{"v1DecPool", "v2EncPool"}, vs.Names[0].Name) {
-					return false
-				}
-				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Pool" {
-					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sync" {
-						t.Errorf("a sync.Pool is back at %s", m.fset.Position(sel.Pos()))
-					}
-				}
-				return true
-			})
+	for id, obj := range m.info.Uses {
+		if tn, ok := obj.(*types.TypeName); ok && tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "Pool" {
+			t.Errorf("a sync.Pool is back at %s", m.fset.Position(id.Pos()))
 		}
 	}
 }
