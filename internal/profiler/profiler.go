@@ -31,7 +31,6 @@ package profiler
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"repro/internal/cuda"
@@ -126,10 +125,12 @@ func (p *Profiler) NewProcess(name string, parent trace.ProcID, start vclock.Tim
 	return s
 }
 
-// sortedSessions returns each session's sorted view, session by session,
-// and the run's metadata. Sessions sort concurrently (each at most once:
-// see Session.sortedEvents). The views are the sessions' caches: read-only.
-func (p *Profiler) sortedSessions() ([]sortedView, trace.Meta, error) {
+// sortedSessions checks that every session is closed, starts the ordering
+// of any whose events no ordering covers yet (Close has started the rest),
+// and returns the sessions with the run's metadata. The slice is
+// p.sessions itself, capped: NewProcess only ever appends past it. Readers
+// wait for each session's order in turn (Session.sortedEvents).
+func (p *Profiler) sortedSessions() ([]*Session, trace.Meta, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	meta := trace.Meta{
@@ -142,38 +143,27 @@ func (p *Profiler) sortedSessions() ([]sortedView, trace.Meta, error) {
 		if !s.closed {
 			return nil, meta, fmt.Errorf("profiler: session %q (proc %d) not closed", s.name, s.proc)
 		}
+		s.startOrder()
 		meta.Procs[s.proc] = trace.ProcInfo{Name: s.name, Parent: s.parent}
 	}
-	sorted := make([]sortedView, len(p.sessions))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i, s := range p.sessions {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			sorted[i] = s.sortedEvents()
-			<-sem
-		}()
-	}
-	wg.Wait()
-	return sorted, meta, nil
+	return p.sessions[:len(p.sessions):len(p.sessions)], meta, nil
 }
 
 // Trace assembles the full run trace across all sessions. Sessions must be
 // closed first. The returned trace is the caller's: its events are gathered
 // out of the sessions' blocks into one exact-size slice.
 func (p *Profiler) Trace() (*trace.Trace, error) {
-	sorted, meta, err := p.sortedSessions()
+	sessions, meta, err := p.sortedSessions()
 	if err != nil {
 		return nil, err
 	}
 	n := 0
-	for _, v := range sorted {
-		n += len(v.keys)
+	for _, s := range sessions {
+		n += len(s.sortedEvents().keys)
 	}
 	t := &trace.Trace{Meta: meta, Events: make([]trace.Event, 0, n)}
-	for _, v := range sorted {
+	for _, s := range sessions {
+		v := s.sortedEvents()
 		t.Events = v.gather(t.Events, v.keys)
 	}
 	// Sessions are created in ProcID order and each is sorted, so this is
@@ -222,13 +212,16 @@ func (p *Profiler) WriteToSink(sink trace.Sink) error {
 // stageEvents is how many events writeSessions gathers per Append call.
 const stageEvents = 1024
 
-// writeSessions feeds the sorted sessions to w in order — the event
-// sequence of Trace() without assembling it. Each session's events are
-// gathered out of its blocks a stage at a time, and the Writer copies each
-// stage on into its chunk buffer.
-func writeSessions(w *trace.Writer, sorted []sortedView, meta trace.Meta) error {
+// writeSessions feeds the sessions' events to w in order — the event
+// sequence of Trace() without assembling it. It waits for each session's
+// order only when it reaches it, so a session still being ordered does not
+// hold up the ones before it. Each session's events are gathered out of its
+// blocks a stage at a time, and the Writer copies each stage on into its
+// chunk buffer.
+func writeSessions(w *trace.Writer, sessions []*Session, meta trace.Meta) error {
 	var stage [stageEvents]trace.Event
-	for _, v := range sorted {
+	for _, s := range sessions {
+		v := s.sortedEvents()
 		for keys := v.keys; len(keys) > 0; {
 			k := keys[:min(len(keys), stageEvents)]
 			w.Append(v.gather(stage[:0], k)...)

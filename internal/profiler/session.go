@@ -26,11 +26,14 @@ type Session struct {
 	// Recorded events live in fixed-capacity blocks: full is the filled
 	// ones, cur the open one. A block is never regrown, so recording an
 	// event writes it once and copies nothing, and the events stay there:
-	// sortedEvents caches their sorted order as keys into the blocks, and
-	// readers gather them in that order.
-	full   [][]trace.Event
-	cur    []trace.Event
-	sorted sortedView
+	// sorted caches their order as keys into the blocks, and readers
+	// gather them in that order. ordering is closed once the ordering that
+	// wrote sorted is done; it is nil while no ordering covers every
+	// recorded event.
+	full     [][]trace.Event
+	cur      []trace.Event
+	sorted   sortedView
+	ordering chan struct{}
 
 	rootStart vclock.Time
 	closed    bool
@@ -66,17 +69,25 @@ func (s *Session) Clock() *vclock.Clock { return s.clock }
 // that the per-block allocation is noise against 2048 Emit calls, small
 // enough that the open block's unused tail is. The first blocks double up
 // to it from minBlockEvents, so a process that records a handful of events
-// holds a handful of slots.
+// holds a handful of slots. A block's size is a power of two so that an
+// event's offset in it takes exactly keyShift bits of its sort key.
 const (
-	blockEvents    = 2048
+	keyShift       = 11
+	blockEvents    = 1 << keyShift
 	minBlockEvents = 32
 )
 
 // Emit records one event into the session buffer. The event must belong to
-// this session's process.
+// this session's process. An event recorded after Close first waits for the
+// ordering Close started, which reads the blocks, and leaves the next
+// trace to order it in.
 func (s *Session) Emit(e trace.Event) {
 	if e.Proc != s.proc {
 		panic(fmt.Sprintf("profiler: session %q (proc %d) asked to record an event of proc %d", s.name, s.proc, e.Proc))
+	}
+	if s.closed && s.ordering != nil {
+		<-s.ordering
+		s.ordering = nil
 	}
 	if len(s.cur) == cap(s.cur) {
 		s.newBlock()
@@ -87,72 +98,169 @@ func (s *Session) Emit(e trace.Event) {
 func (s *Session) newBlock() {
 	n := minBlockEvents
 	if len(s.cur) > 0 {
+		if len(s.full)+1 == 1<<(32-keyShift) {
+			panic(fmt.Sprintf("profiler: session %q recorded more blocks than a 32-bit key can locate", s.name))
+		}
 		s.full = append(s.full, s.cur)
 		n = min(2*cap(s.cur), blockEvents)
 	}
 	s.cur = make([]trace.Event, 0, n)
 }
 
-// sortKey is what sortedEvents sorts in place of the events themselves: it
-// holds no pointer, so moving one costs no write barrier, and pos says where
-// the event is — block<<32 | offset, which is also its emission rank.
-type sortKey struct {
-	start, end vclock.Time
-	pos        uint64
+// blocks is the session's block list as of now: the full blocks and the
+// open one.
+func (s *Session) blocks() [][]trace.Event {
+	return append(append(make([][]trace.Event, 0, len(s.full)+1), s.full...), s.cur)
 }
 
 // sortedView is a session's events in trace.Trace.Sort order, left where
-// they were recorded: keys[i].pos locates the i-th event in blocks. It is
-// read-only: blocks are the session's own.
+// they were recorded: keys[i] locates the i-th event in blocks as
+// block<<keyShift | offset, which is also its emission rank. A key holds
+// no pointer, so moving one costs no write barrier. The view is read-only:
+// blocks are the session's own.
 type sortedView struct {
 	blocks [][]trace.Event
-	keys   []sortKey
+	keys   []uint32
+}
+
+// at is the event key k locates.
+func (v sortedView) at(k uint32) *trace.Event {
+	return &v.blocks[k>>keyShift][k&(1<<keyShift-1)]
+}
+
+// less reports whether the event a locates sorts strictly before b's:
+// events of one session share its Proc, which leaves (Start, End
+// descending) as trace.Trace.Sort's order.
+func (v sortedView) less(a, b uint32) bool {
+	ea, eb := v.at(a), v.at(b)
+	return ea.Start < eb.Start || ea.Start == eb.Start && ea.End > eb.End
+}
+
+// compare is less as the three-way comparison slices.SortStableFunc takes.
+func (v sortedView) compare(a, b uint32) int {
+	ea, eb := v.at(a), v.at(b)
+	if c := cmp.Compare(ea.Start, eb.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(eb.End, ea.End)
 }
 
 // gather appends the events keys locate, in keys' order, to dst.
-func (v sortedView) gather(dst []trace.Event, keys []sortKey) []trace.Event {
+func (v sortedView) gather(dst []trace.Event, keys []uint32) []trace.Event {
 	for _, k := range keys {
-		dst = append(dst, v.blocks[k.pos>>32][uint32(k.pos)])
+		dst = append(dst, *v.at(k))
 	}
 	return dst
 }
 
-// sortedEvents returns the session's events in trace.Trace.Sort order. The
-// first call after recording sorts one key per event; the keys are cached
-// beside the blocks and shared, and nothing is copied — readers gather the
-// events through them. Events of one session share its Proc, which leaves
-// (Start, End descending) as the order, and the sort is stable, so ties
-// keep emission order exactly as a stable sort of the whole trace would.
-func (s *Session) sortedEvents() sortedView {
-	n := len(s.cur)
-	for _, b := range s.full {
+// maxShiftsPerKey is what insertion may cost before ordering gives up on
+// it: once the keys it has shifted exceed this many per key walked, the
+// events are too far out of order and a stable sort finishes the job.
+const maxShiftsPerKey = 8
+
+// orderStats is what one ordering did: the keys insertion shifted, and
+// whether it gave up and fell back to the stable sort.
+type orderStats struct {
+	shifts   int
+	fellBack bool
+}
+
+// extend returns v's order extended to every event in blocks, which hold
+// v's events first. The events v has not keyed are keyed behind its sorted
+// keys, in emission order, and inserted among them, so the result is the
+// order one stable sort of every event, in emission order, gives.
+func (v sortedView) extend(blocks [][]trace.Event, budget int) (sortedView, orderStats) {
+	n := 0
+	for _, b := range blocks {
 		n += len(b)
 	}
-	if n == len(s.sorted.keys) {
-		return s.sorted
+	from, keys := len(v.keys), v.keys
+	if cap(keys) < n {
+		keys = append(make([]uint32, 0, n), keys...)
 	}
-	// Events recorded after an earlier call (nothing in this repository
-	// does) are keyed behind the sorted ones, where one stable sort of
-	// everything would have found them.
-	blocks := append(append(make([][]trace.Event, 0, len(s.full)+1), s.full...), s.cur)
-	keys := slices.Grow(s.sorted.keys, n-len(s.sorted.keys))
-	skip := len(keys)
+	rank := 0
 	for i, b := range blocks {
-		for j := range b {
-			if skip > 0 {
-				skip--
-				continue
+		for j := max(from-rank, 0); j < len(b); j++ {
+			keys = append(keys, uint32(i)<<keyShift|uint32(j))
+		}
+		rank += len(b)
+	}
+	w := sortedView{blocks, keys}
+	return w, w.insert(from, budget)
+}
+
+// insert orders keys[from:] into the ordered keys[:from] by galloping
+// stable insertion. A key that does not sort before its predecessor stays
+// where it is, which is where almost every key of a session is: events are
+// recorded nearly in start order, and an operation, phase or native call is
+// recorded at its end, behind the events it spans. Any other key gallops
+// back through the ordered prefix, binary-searches its slot after the keys
+// it ties with, and shifts the keys it passes. Once the shifts exceed
+// budget per key walked, slices.SortStableFunc orders everything instead:
+// insertion moved no key past one it ties with, so the stable sort's
+// order is the same either way.
+func (v sortedView) insert(from, budget int) orderStats {
+	var st orderStats
+	keys := v.keys
+	for i := max(from, 1); i < len(keys); i++ {
+		k := keys[i]
+		if !v.less(k, keys[i-1]) {
+			continue
+		}
+		// keys[hi] sorts after k; gallop back until keys[lo-1] does not.
+		lo, hi := 0, i-1
+		for step := 1; hi-step >= 0; step *= 2 {
+			if !v.less(k, keys[hi-step]) {
+				lo = hi - step + 1
+				break
 			}
-			keys = append(keys, sortKey{b[j].Start, b[j].End, uint64(i)<<32 | uint64(j)})
+			hi -= step
+		}
+		// The slot is the first of keys[lo:hi+1] that k sorts before.
+		for lo < hi {
+			if m := int(uint(lo+hi) >> 1); v.less(k, keys[m]) {
+				hi = m
+			} else {
+				lo = m + 1
+			}
+		}
+		copy(keys[hi+1:i+1], keys[hi:i])
+		keys[hi] = k
+		st.shifts += i - hi
+		if st.shifts > budget*(i+1-from) {
+			st.fellBack = true
+			slices.SortStableFunc(keys, v.compare)
+			break
 		}
 	}
-	slices.SortStableFunc(keys, func(a, b sortKey) int {
-		if c := cmp.Compare(a.start, b.start); c != 0 {
-			return c
-		}
-		return cmp.Compare(b.end, a.end)
-	})
-	s.sorted = sortedView{blocks, keys}
+	return st
+}
+
+// startOrder orders the session's events on a goroutine of its own, unless
+// an ordering that covers every recorded event has already started. Close
+// starts one, and a trace starts one for any closed session that none
+// covers, such as one that recorded events after its last ordering: those
+// are ordered in behind it. The goroutine ends once the keys are in place;
+// sortedEvents, and an Emit after Close, wait for that.
+func (s *Session) startOrder() {
+	if s.ordering != nil {
+		return
+	}
+	done := make(chan struct{})
+	s.ordering = done
+	prev, blocks := s.sorted, s.blocks()
+	go func() {
+		s.sorted, _ = prev.extend(blocks, maxShiftsPerKey)
+		close(done)
+	}()
+}
+
+// sortedEvents waits for the ordering startOrder started and returns the
+// session's events in trace.Trace.Sort order: the keys are cached beside
+// the blocks and shared, and nothing is copied — readers gather the events
+// through them.
+func (s *Session) sortedEvents() sortedView {
+	<-s.ordering
 	return s.sorted
 }
 
@@ -378,6 +486,7 @@ func (s *Session) Close() {
 		Name:  "python",
 	})
 	s.closed = true
+	s.startOrder()
 }
 
 // OverheadCounts returns this session's book-keeping occurrence counts, by

@@ -47,15 +47,15 @@ func (c *chunkCounter) AppendChunk(int, []byte, *trace.ChunkIndex) error { c.chu
 func (c *chunkCounter) Seal(trace.Meta) error                            { return nil }
 
 // TestWriteToRecyclesChunkBuffers pins what writing a closed profiler again
-// allocates: a fixed count for the run — its metadata, the sort fan-out
-// over the sessions (each already sorted), the Writer and its channels —
+// allocates: a fixed count for the run — its metadata, the Writer and its
+// channels (the sessions are ordered already, and waiting costs nothing) —
 // and per chunk its writeJob, the job's done channel, the frame, the
 // encoder's string table, the *ChunkIndex and its process map. No event
 // buffer: the sessions are gathered through one stack-sized stage, and the
 // chunk buffers come back from the Writer's recycled stack, so the count is
 // the same at 2 000 events as at 320 000.
 func TestWriteToRecyclesChunkBuffers(t *testing.T) {
-	const sessions, runFixed, perChunk = 4, 16, 6
+	const sessions, runFixed, perChunk = 4, 9, 6
 	for _, procs := range []int{1, 2} {
 		for _, n := range []int{500, 20000, 80000} {
 			t.Run(fmt.Sprintf("GOMAXPROCS=%d/%dx%d", procs, sessions, n), func(t *testing.T) {

@@ -809,3 +809,34 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 	}
 }
+
+// changesEntry is how a CHANGES.md entry starts: "PR <n>" at the head of a
+// paragraph. Later paragraphs that start otherwise belong to it.
+var changesEntry = regexp.MustCompile(`^PR (\d+)\b`)
+
+// TestChangesEntriesStayShort fails when the CHANGES.md entry of PR 41 or
+// later, all its paragraphs together, is over 3 000 bytes: an entry says
+// what changed and points at the commit for the rest (ROADMAP item 12).
+func TestChangesEntriesStayShort(t *testing.T) {
+	const firstCapped, maxBytes = 41, 3000
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := map[int]int{}
+	pr := 0
+	for _, para := range strings.Split(string(text), "\n\n") {
+		para = strings.TrimSpace(para)
+		if m := changesEntry.FindStringSubmatch(para); m != nil {
+			pr, _ = strconv.Atoi(m[1])
+		}
+		if pr >= firstCapped {
+			size[pr] += len(para)
+		}
+	}
+	for _, n := range slices.Sorted(maps.Keys(size)) {
+		if size[n] > maxBytes {
+			t.Errorf("CHANGES.md: the PR %d entry is %d bytes, over the %d-byte cap", n, size[n], maxBytes)
+		}
+	}
+}
