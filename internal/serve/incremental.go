@@ -178,8 +178,7 @@ func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiEr
 			fmt.Sprintf("creating trace store dir: %v", err)}
 	}
 	lt = &liveTrace{id: id, sink: sink, inc: analysis.NewIncremental(), decoded: recycle.Stack[[]trace.Event]{Max: 16}}
-	s.traces[id] = &traceEntry{id: id, live: lt}
-	s.ids = append(s.ids, id)
+	s.setEntry(id, &traceEntry{id: id, live: lt})
 	return lt, true, nil
 }
 
@@ -417,7 +416,7 @@ func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 	s.storeDoc(cacheKey(sealed.info.Digest, canonical{resultOnly: true}), report.NewResultAnalysis(meta, results, false))
 
 	s.mu.Lock()
-	s.traces[lt.id] = sealed
+	s.setEntry(lt.id, sealed)
 	s.mu.Unlock()
 	// Still under amu: an analyze that waited for it finds the sealed entry
 	// and never reaches the released state.

@@ -5,16 +5,20 @@
 // compared with cmp.
 //
 // The document is cached encoded, by content (Server.Query): a repeat of a
-// query over an unchanged fleet is one LRU lookup. Behind that, per-trace
-// results come from the tiered report store: the full-fidelity result set
-// of each trace is cached under its content digest alone (resultSetKey —
-// results are byte-identical at any worker count, so no options belong in
-// the key), which makes an N-trace document miss over a warm store N store
-// lookups plus an exact in-memory merge, zero Engine runs. Result-set
-// misses fall back to a singleflight-deduplicated Engine run whose encoded
-// result set immediately lands back in the store — on disk when the server
-// has a -store-reports directory, so the warmth survives restarts and is
-// shared by every server pointed at the same directory.
+// query over an unchanged fleet is one LRU lookup. The body memo hands a
+// repeated body its compiled plan (queryPlan), and the plan keeps the
+// document key it was last answered under, tagged with the registry
+// generation it was computed at; only a registry change sends a query back
+// through Select and ContentKey. Behind that, per-trace results come from
+// the tiered report store: the full-fidelity result set of each trace is
+// cached under its content digest alone (resultSetKey — results are
+// byte-identical at any worker count, so no options belong in the key),
+// which makes an N-trace document miss over a warm store N store lookups
+// plus an exact in-memory merge, zero Engine runs. Result-set misses fall
+// back to a singleflight-deduplicated Engine run whose encoded result set
+// immediately lands back in the store — on disk when the server has a
+// -store-reports directory, so the warmth survives restarts and is shared
+// by every server pointed at the same directory.
 package serve
 
 import (
@@ -24,6 +28,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/fleet"
 	"repro/internal/overlap"
@@ -34,10 +39,12 @@ import (
 // resultSetKey addresses a trace's full-fidelity result set in the report
 // store by content digest alone — no analysis options belong in the key
 // because results are byte-identical at any worker count. The "rs|" prefix
-// keeps result-set blobs disjoint from analysis documents, whose keys
-// start with their version; a result set carries its own
-// (report.ResultSetVersion) and decodes to a miss under another.
-func resultSetKey(digest string) string { return "rs|" + digest }
+// keeps result-set blobs disjoint from analysis documents, whose keys start
+// with their version; the version that follows it (report.ResultSetVersion)
+// makes a blob another schema wrote a miss by key, never decoded first.
+func resultSetKey(digest string) string { return resultSetPrefix + digest }
+
+var resultSetPrefix = "rs|v" + strconv.Itoa(report.ResultSetVersion) + "|"
 
 // queryKey addresses an encoded query document in the report cache by the
 // plan's content key and the document version. Query documents live in the
@@ -66,11 +73,47 @@ type QueryResult struct {
 // Only successful documents are stored, and nothing is ever purged — a
 // changed fleet is a changed key.
 func (s *Server) Query(ctx context.Context, plan *fleet.Plan) (QueryResult, error) {
-	matched, err := plan.Select(s.queryCandidates())
+	return s.query(ctx, &queryPlan{plan: plan})
+}
+
+// queryPlan is a compiled query as the body memo keeps it: the plan, and the
+// selection it was last answered over.
+type queryPlan struct {
+	plan *fleet.Plan
+	sel  atomic.Pointer[selection]
+}
+
+// selection is what a plan selects at one registry generation: the matched
+// traces and the document key they address.
+type selection struct {
+	gen     uint64
+	matched []fleet.Trace
+	key     string
+}
+
+// selectFor returns qp's selection at the current registry generation: the
+// one qp was last answered over while no registry change has bumped the
+// generation, else Select and ContentKey over a fresh snapshot.
+func (s *Server) selectFor(qp *queryPlan) (*selection, error) {
+	if sel := qp.sel.Load(); sel != nil && sel.gen == s.gen.Load() {
+		return sel, nil
+	}
+	candidates, gen := s.queryCandidates()
+	matched, err := qp.plan.Select(candidates)
+	if err != nil {
+		return nil, err
+	}
+	sel := &selection{gen: gen, matched: matched, key: queryKey(qp.plan.ContentKey(matched))}
+	qp.sel.Store(sel)
+	return sel, nil
+}
+
+func (s *Server) query(ctx context.Context, qp *queryPlan) (QueryResult, error) {
+	sel, err := s.selectFor(qp)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	key := queryKey(plan.ContentKey(matched))
+	key := sel.key
 	if body, ok := s.store.lru.get(key); ok {
 		return QueryResult{Body: body, Cache: "hit"}, nil
 	}
@@ -78,7 +121,7 @@ func (s *Server) Query(ctx context.Context, plan *fleet.Plan) (QueryResult, erro
 	// has returned the flight's result, which orders the two.
 	engineRuns := 0
 	body, shared, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
-		doc, err := plan.Execute(runCtx, matched, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
+		doc, err := qp.plan.Execute(runCtx, sel.matched, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
 			results, ran, err := s.loadResults(ctx, t.Digest, t.Dir)
 			if ran {
 				engineRuns++
@@ -106,16 +149,22 @@ func (s *Server) Query(ctx context.Context, plan *fleet.Plan) (QueryResult, erro
 
 // handleQuery is POST /v1/query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var q fleet.Query
-	if !readJSON(w, r, &q, false) {
+	qp, ok := readMemo(w, r, &s.queryBodies, func(body []byte) (*queryPlan, bool) {
+		var q fleet.Query
+		if !decodeJSON(w, body, &q, false) {
+			return nil, false
+		}
+		plan, err := fleet.Compile(q)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error())
+			return nil, false
+		}
+		return &queryPlan{plan: plan}, true
+	})
+	if !ok {
 		return
 	}
-	plan, err := fleet.Compile(q)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error())
-		return
-	}
-	res, err := s.Query(r.Context(), plan)
+	res, err := s.query(r.Context(), qp)
 	if err != nil {
 		var qerr *fleet.QueryError
 		if errors.As(err, &qerr) {
@@ -131,10 +180,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, res.Body)
 }
 
-// queryCandidates snapshots every sealed entry as a fleet candidate. Open
-// traces are excluded — their content (and digest) is still moving, so they
-// have no stable result set to aggregate; seal them to make them queryable.
-func (s *Server) queryCandidates() []fleet.Trace {
+// queryCandidates snapshots every sealed entry as a fleet candidate, with the
+// registry generation the snapshot is of. Open traces are excluded — their
+// content (and digest) is still moving, so they have no stable result set to
+// aggregate; seal them to make them queryable.
+func (s *Server) queryCandidates() ([]fleet.Trace, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]fleet.Trace, 0, len(s.ids))
@@ -143,7 +193,7 @@ func (s *Server) queryCandidates() []fleet.Trace {
 			out = append(out, fleet.Trace{ID: e.id, Meta: e.meta, Digest: e.info.Digest, Dir: e.dir})
 		}
 	}
-	return out
+	return out, s.gen.Load()
 }
 
 // loadResults returns the full-fidelity per-process results of the sealed

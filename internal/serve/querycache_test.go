@@ -11,12 +11,14 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -226,7 +228,8 @@ func TestQuerySingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matched, err := plan.Select(s.queryCandidates())
+	candidates, _ := s.queryCandidates()
+	matched, err := plan.Select(candidates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +287,8 @@ func TestStaleResultSetBlobRecomputes(t *testing.T) {
 	s := NewServer(Config{MaxWorkers: 2})
 	t.Cleanup(s.Close)
 	dirs := fleetDirs(t, s)
-	for _, c := range s.queryCandidates() {
+	candidates, _ := s.queryCandidates()
+	for _, c := range candidates {
 		s.store.add(resultSetKey(c.Digest), []byte(`{"version":0,"procs":[]}`))
 	}
 	body := `{"group_by":["label.algo"]}`
@@ -338,8 +342,9 @@ func warmAllocs(t *testing.T, h http.Handler, method, target, body string) float
 
 // TestWarmReadAllocs pins what a warm fleet query, a warm summary, an
 // analyze cache hit and the trace listing cost. All of them serve stored
-// bytes, so the counts are small and exact: a rise means a decode, a merge,
-// a render, a row encoding or an Engine run crept back onto the hit path. A
+// bytes, so the counts are small and exact: a rise means a body decode, a
+// query selection, a merge, a render, a row encoding or an Engine run crept
+// back onto the hit path. A
 // trace that was streamed in and sealed is held to the registered ones'
 // pins: it is the same kind of entry, and its listing row is stored alike.
 func TestWarmReadAllocs(t *testing.T) {
@@ -353,11 +358,11 @@ func TestWarmReadAllocs(t *testing.T) {
 		name, method, target, body string
 		max                        float64
 	}{
-		{"query", "POST", "/v1/query", query, 39},
+		{"query", "POST", "/v1/query", query, 8},
 		{"summary", "GET", "/v1/traces/run-a/summary", "", 5},
-		{"analyze", "POST", "/v1/traces/run-a/analyze", `{"workers":1}`, 17},
+		{"analyze", "POST", "/v1/traces/run-a/analyze", `{"workers":1}`, 10},
 		{"streamed summary", "GET", "/v1/traces/streamed/summary", "", 5},
-		{"streamed analyze", "POST", "/v1/traces/streamed/analyze", `{"workers":1}`, 17},
+		{"streamed analyze", "POST", "/v1/traces/streamed/analyze", `{"workers":1}`, 10},
 		{"list", "GET", "/v1/traces", "", 7},
 		{"list filtered", "GET", "/v1/traces?label.algo=ppo", "", 12},
 	} {
@@ -373,6 +378,9 @@ func TestWarmReadAllocs(t *testing.T) {
 // key form from before keys carried report.DocumentVersion — is a miss, an
 // analysis document on the disk tier and a query document in memory alike,
 // so the new build recomputes it instead of serving another build's bytes.
+// So is a result set stored on disk under the key form from before its key
+// carried report.ResultSetVersion, even one that decodes: it is never read,
+// and the recomputed set lands under the new key.
 func TestPreviousKeyFormMisses(t *testing.T) {
 	stale := []byte(`{"stale":true}` + "\n")
 	dir := quickstartDir(t, 20)
@@ -394,13 +402,24 @@ func TestPreviousKeyFormMisses(t *testing.T) {
 		t.Fatalf("analyze answered %q from cache %q; the previous key form must miss", rec.Body.Bytes(), got)
 	}
 
-	fleetDirs(t, s)
+	dirs := fleetDirs(t, s)
+	dirs["qs"] = dir
+	candidates, _ := s.queryCandidates()
+	var empty bytes.Buffer
+	if err := report.EncodeResultSet(&empty, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range candidates {
+		if err := disk.Put("rs|"+c.Digest, empty.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	body := `{"group_by":["label.algo"]}`
 	plan, err := fleet.Compile(parseQuery(t, body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	matched, err := plan.Select(s.queryCandidates())
+	matched, err := plan.Select(candidates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,5 +427,21 @@ func TestPreviousKeyFormMisses(t *testing.T) {
 	rec = queryOK(t, h, body)
 	if got := rec.Header().Get("X-RLScope-Cache"); got != "miss" || bytes.Equal(rec.Body.Bytes(), stale) {
 		t.Fatalf("query answered %q from cache %q; the previous key form must miss", rec.Body.Bytes(), got)
+	}
+	if got, want := rec.Header().Get("X-RLScope-Engine-Runs"), strconv.Itoa(len(candidates)); got != want {
+		t.Errorf("query paid %s engine runs, want %s: a result set under the previous key form was served", got, want)
+	}
+	if offline := offlineQueryDoc(t, parseQuery(t, body), dirs); !bytes.Equal(rec.Body.Bytes(), offline) {
+		t.Errorf("document diverges from offline:\nserver:\n%s\noffline:\n%s", rec.Body, offline)
+	}
+	for _, c := range candidates {
+		blob, ok := disk.Get(resultSetKey(c.Digest))
+		if !ok {
+			t.Errorf("%s: no result set on disk under %q", c.ID, resultSetKey(c.Digest))
+			continue
+		}
+		if results, err := report.DecodeResultSet(blob); err != nil || len(results) == 0 {
+			t.Errorf("%s: result set under the new key decodes to %d processes, %v", c.ID, len(results), err)
+		}
 	}
 }

@@ -21,10 +21,8 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -82,6 +80,13 @@ type Server struct {
 	mu     sync.RWMutex
 	traces map[string]*traceEntry
 	ids    []string // registration order: AddDir, or a streamed trace's first write
+	// gen counts registry changes (setEntry). A query selection made at the
+	// current generation still holds (queryPlan).
+	gen atomic.Uint64
+
+	// What each distinct analyze and query body decoded to (readMemo).
+	analyzeBodies bodyMemo[AnalyzeRequest]
+	queryBodies   bodyMemo[*queryPlan]
 
 	store   *tieredStore
 	flights *flightGroup
@@ -226,9 +231,20 @@ func (s *Server) AddDir(id, dir string) (TraceInfo, error) {
 	if _, ok := s.traces[id]; ok {
 		return TraceInfo{}, fmt.Errorf("serve: trace id %q already registered", id)
 	}
-	s.traces[id] = entry
-	s.ids = append(s.ids, id)
+	s.setEntry(id, entry)
 	return entry.info, nil
+}
+
+// setEntry puts e in the registry under id, appending id to the registration
+// order if it is new, and bumps the registry generation. It is the one way
+// the registry changes: AddDir, a live trace's creation, its seal, and the
+// replacement of a rewritten directory's entry. s.mu held for writing.
+func (s *Server) setEntry(id string, e *traceEntry) {
+	if _, ok := s.traces[id]; !ok {
+		s.ids = append(s.ids, id)
+	}
+	s.traces[id] = e
+	s.gen.Add(1)
 }
 
 // AddDirArg registers a directory given as DIR or NAME=DIR, the one spelling
@@ -617,8 +633,11 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
 		return
 	}
-	var req AnalyzeRequest
-	if !readJSON(w, r, &req, true) {
+	req, ok := readMemo(w, r, &s.analyzeBodies, func(body []byte) (req AnalyzeRequest, ok bool) {
+		ok = decodeJSON(w, body, &req, true)
+		return req, ok
+	})
+	if !ok {
 		return
 	}
 	if entry.live != nil {
@@ -681,7 +700,7 @@ func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *tr
 			}
 			fresh.streamed = entry.streamed
 			s.mu.Lock()
-			s.traces[entry.id] = fresh
+			s.setEntry(entry.id, fresh)
 			s.mu.Unlock()
 			entry = fresh
 			storeKey = cacheKey(digest, c)
@@ -766,39 +785,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header()["Content-Type"] = jsonHdr
 	w.WriteHeader(status)
 	report.EncodeJSON(w, v)
-}
-
-// maxJSONBytes bounds the body of every route that takes a JSON one.
-const maxJSONBytes = 1 << 20
-
-// readJSON is the one JSON body reader: it decodes r's body into v, which
-// must be one JSON value with no field v lacks and nothing but white space
-// after it. An empty body leaves v zero when emptyOK. Otherwise it writes
-// bad_request — 413 for a body over maxJSONBytes, 400 for anything else —
-// and reports false.
-func readJSON(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		// Token answers io.EOF, allocating nothing, exactly when only white
-		// space follows the value.
-		if _, err = dec.Token(); err == io.EOF {
-			return true
-		} else if err == nil {
-			err = errors.New("trailing data after the JSON value")
-		}
-	} else if err == io.EOF && emptyOK {
-		return true
-	}
-	// Declared past the returns: errors.As moves it to the heap.
-	var tooBig *http.MaxBytesError
-	status := http.StatusBadRequest
-	if errors.As(err, &tooBig) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	writeError(w, status, ErrCodeBadRequest, "bad request body: "+err.Error())
-	return false
 }
 
 // Stable machine-readable error codes. Every /v1 error body is the

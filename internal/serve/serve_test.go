@@ -571,20 +571,17 @@ func TestAddDirErrors(t *testing.T) {
 	}
 }
 
-// TestJSONBodyErrors: the four routes that take a JSON body read one value
-// of at most 1 MiB. Bytes after the value are 400 bad_request, not a request
-// whose second half is dropped, and a body over the limit is 413
-// bad_request, as an oversized chunk is. A refused request changes nothing.
-func TestJSONBodyErrors(t *testing.T) {
-	s := newTestServer(t, Config{StoreDir: t.TempDir()}, quickstartDir(t, 5))
-	h := s.Handler()
-	chunks, _ := quickstartFrames(t, 5, 1)
-	mustOK(t, h, "POST", "/v1/traces/open/chunks?seq=0", string(chunks[0]))
+// jsonBodyCase is a body a route that takes JSON refuses.
+type jsonBodyCase struct {
+	path, body string
+	want       int
+}
+
+// jsonBodyCases are the refused bodies of TestJSONBodyErrors, on a server
+// where qs is a registered trace and open an open one.
+func jsonBodyCases() []jsonBodyCase {
 	long := strings.Repeat("a", 2<<20)
-	for _, tc := range []struct {
-		path, body string
-		want       int
-	}{
+	return []jsonBodyCase{
 		{"/v1/traces/qs/analyze", `{"workers":1}garbage`, http.StatusBadRequest},
 		{"/v1/traces/qs/analyze", `{"workers":1} {"correction":true}`, http.StatusBadRequest},
 		{"/v1/traces", `{"id":"zz"} trailing`, http.StatusBadRequest},
@@ -594,7 +591,23 @@ func TestJSONBodyErrors(t *testing.T) {
 		{"/v1/traces", `{"id":"` + long + `"}`, http.StatusRequestEntityTooLarge},
 		{"/v1/traces/open/seal", `{"workload":"` + long + `"}`, http.StatusRequestEntityTooLarge},
 		{"/v1/query", `{"group_by":["` + long + `"]}`, http.StatusRequestEntityTooLarge},
-	} {
+		// Over the limit is 413 whatever the body holds: it is read whole
+		// before a byte of it is decoded.
+		{"/v1/traces/qs/analyze", `]` + long, http.StatusRequestEntityTooLarge},
+		{"/v1/query", `{"group_by":` + long, http.StatusRequestEntityTooLarge},
+	}
+}
+
+// TestJSONBodyErrors: the four routes that take a JSON body read one value
+// of at most 1 MiB. Bytes after the value are 400 bad_request, not a request
+// whose second half is dropped, and a body over the limit is 413
+// bad_request, as an oversized chunk is. A refused request changes nothing.
+func TestJSONBodyErrors(t *testing.T) {
+	s := newTestServer(t, Config{StoreDir: t.TempDir()}, quickstartDir(t, 5))
+	h := s.Handler()
+	chunks, _ := quickstartFrames(t, 5, 1)
+	mustOK(t, h, "POST", "/v1/traces/open/chunks?seq=0", string(chunks[0]))
+	for _, tc := range jsonBodyCases() {
 		rec := doReq(t, h, "POST", tc.path, tc.body)
 		if rec.Code != tc.want || errCode(t, rec) != ErrCodeBadRequest {
 			t.Errorf("POST %s %.40q: %d %.120s, want %d %s", tc.path, tc.body, rec.Code, rec.Body, tc.want, ErrCodeBadRequest)
