@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"hash/maphash"
 	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/fleet"
 	"repro/internal/recycle"
 )
 
@@ -16,17 +19,24 @@ const maxJSONBytes = 1 << 20
 
 // The body memos' bounds (DESIGN §9): a body longer than memoBodyBytes is
 // decoded every time, and a memo holding memoBodies bodies is cleared before
-// it takes another — at most 1 MiB of bodies per memo. They are consts, not
-// Config fields: a hit saves a decode, never an Engine run, so no deployment
-// has a reason to tune them.
+// it takes another — at most 1 MiB of bodies per memo, each with what it
+// decoded to, and as many hashes of bodies seen once (admit). They are
+// consts, not Config fields: a hit saves a decode, never an Engine run, so no
+// deployment has a reason to tune them.
 const (
 	memoBodies    = 256
 	memoBodyBytes = 4 << 10
 )
 
+// bodyBuf is a JSON body read whole, and the reader its decode reads from.
+type bodyBuf struct {
+	b  []byte
+	rd bytes.Reader
+}
+
 // bodyBufs keeps the buffers JSON bodies are read into. A buffer grown past
 // keptBodyBytes is dropped rather than kept idle.
-var bodyBufs = recycle.Stack[[]byte]{Max: 8} // reads at once beyond eight allocate afresh
+var bodyBufs = recycle.Stack[*bodyBuf]{Max: 8} // reads at once beyond eight allocate afresh
 
 const keptBodyBytes = 64 << 10
 
@@ -34,16 +44,17 @@ const keptBodyBytes = 64 << 10
 // bodyBufs; the caller hands it back with releaseBody. Otherwise it writes
 // bad_request — 413 for a body over maxJSONBytes, whatever it holds, 400 for
 // a read that failed — and reports false.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	buf, ok := bodyBufs.Get()
+func readBody(w http.ResponseWriter, r *http.Request) (*bodyBuf, bool) {
+	body, ok := bodyBufs.Get()
 	if !ok {
-		buf = make([]byte, 0, 512)
+		body = &bodyBuf{b: make([]byte, 0, 512)}
 	}
-	buf, err := recycle.ReadAll(buf, http.MaxBytesReader(w, r.Body, maxJSONBytes))
+	var err error
+	body.b, err = recycle.ReadAll(body.b, http.MaxBytesReader(w, r.Body, maxJSONBytes))
 	if err == nil {
-		return buf, true
+		return body, true
 	}
-	releaseBody(buf)
+	releaseBody(body)
 	// Declared past the return: errors.As moves it to the heap.
 	var tooBig *http.MaxBytesError
 	status := http.StatusBadRequest
@@ -54,17 +65,20 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return nil, false
 }
 
-func releaseBody(buf []byte) {
-	if cap(buf) <= keptBodyBytes {
-		bodyBufs.Put(buf[:0])
+func releaseBody(body *bodyBuf) {
+	if cap(body.b) <= keptBodyBytes {
+		body.b = body.b[:0]
+		body.rd.Reset(nil)
+		bodyBufs.Put(body)
 	}
 }
 
 // decodeJSON decodes body into v, which must be one JSON value with no field
 // v lacks and nothing but white space after it. An empty body leaves v zero
 // when emptyOK. Otherwise it writes 400 bad_request and reports false.
-func decodeJSON(w http.ResponseWriter, body []byte, v any, emptyOK bool) bool {
-	dec := json.NewDecoder(bytes.NewReader(body))
+func decodeJSON(w http.ResponseWriter, body *bodyBuf, v any, emptyOK bool) bool {
+	body.rd.Reset(body.b)
+	dec := json.NewDecoder(&body.rd)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
@@ -93,35 +107,20 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool 
 	return decodeJSON(w, body, v, emptyOK)
 }
 
-// readMemo is readJSON behind a memo: a body memo holds is not decoded again.
-// Any other is read and handed to decode, which writes its own refusal and
-// reports false, or builds the value memo then keeps. Only successes are
-// kept, so a refused body is refused afresh every time.
-func readMemo[V any](w http.ResponseWriter, r *http.Request, memo *bodyMemo[V], decode func(body []byte) (V, bool)) (V, bool) {
-	body, ok := readBody(w, r)
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	defer releaseBody(body)
-	if v, ok := memo.get(body); ok {
-		return v, true
-	}
-	v, ok := decode(body)
-	if ok {
-		memo.put(body, v)
-	}
-	return v, ok
-}
-
 // bodyMemo maps exact request bodies to what a handler built from them — a
 // decoded request, a compiled plan — so a repeated body costs one map lookup.
-// A value is shared by every request that sends its body, so it is never
-// modified. The zero value is an empty memo.
+// It keeps a body the second time it sees it (admit): the first sight only
+// records the body's hash, so traffic that never repeats a body costs a hash
+// and a set insert per body, no copy and no allocation. A value is shared by
+// every request that sends its body, so it is never modified. The zero value
+// is an empty memo.
 type bodyMemo[V any] struct {
-	mu sync.Mutex
-	m  map[string]V
+	mu   sync.Mutex
+	seen map[uint64]struct{} // hashes of bodies seen once and not kept
+	m    map[string]V
 }
+
+var memoSeed = maphash.MakeSeed()
 
 func (m *bodyMemo[V]) get(body []byte) (V, bool) {
 	m.mu.Lock()
@@ -130,10 +129,32 @@ func (m *bodyMemo[V]) get(body []byte) (V, bool) {
 	return v, ok
 }
 
-func (m *bodyMemo[V]) put(body []byte, v V) {
+// admit reports whether the memo should keep body, which decoded fine: yes
+// when body is at most memoBodyBytes long and was seen before since seen was
+// last cleared. A hash collision admits a body early, which is harmless — the
+// memo itself is keyed by the exact bytes.
+func (m *bodyMemo[V]) admit(body []byte) bool {
 	if len(body) > memoBodyBytes {
-		return
+		return false
 	}
+	h := maphash.Bytes(memoSeed, body)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.seen[h]; ok {
+		delete(m.seen, h)
+		return true
+	}
+	if m.seen == nil {
+		m.seen = make(map[uint64]struct{})
+	} else if len(m.seen) >= memoBodies {
+		clear(m.seen)
+	}
+	m.seen[h] = struct{}{}
+	return false
+}
+
+// put keeps v for body, which admit admitted.
+func (m *bodyMemo[V]) put(body []byte, v V) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.m == nil {
@@ -142,4 +163,56 @@ func (m *bodyMemo[V]) put(body []byte, v V) {
 		clear(m.m)
 	}
 	m.m[string(body)] = v
+}
+
+// analyzeRequest reads r's analyze body through the analyze memo. On a
+// refusal it has written the error and reports false.
+func (s *Server) analyzeRequest(w http.ResponseWriter, r *http.Request) (AnalyzeRequest, bool) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return AnalyzeRequest{}, false
+	}
+	defer releaseBody(body)
+	if req, ok := s.analyzeBodies.get(body.b); ok {
+		return req, true
+	}
+	// Declared past the hit: decodeJSON moves it to the heap.
+	var req AnalyzeRequest
+	if !decodeJSON(w, body, &req, true) {
+		return req, false
+	}
+	if s.analyzeBodies.admit(body.b) {
+		s.analyzeBodies.put(body.b, req)
+	}
+	return req, true
+}
+
+// queryRequest reads r's query body through the query memo and returns the
+// plan it compiles to and, when the memo keeps the plan, the selection it was
+// last answered over (Server.query). On a refusal it has written the error
+// and reports false.
+func (s *Server) queryRequest(w http.ResponseWriter, r *http.Request) (*fleet.Plan, *atomic.Pointer[selection], bool) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return nil, nil, false
+	}
+	defer releaseBody(body)
+	if qp, ok := s.queryBodies.get(body.b); ok {
+		return qp.plan, &qp.sel, true
+	}
+	var q fleet.Query
+	if !decodeJSON(w, body, &q, false) {
+		return nil, nil, false
+	}
+	plan, err := fleet.Compile(q)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error())
+		return nil, nil, false
+	}
+	if !s.queryBodies.admit(body.b) {
+		return plan, nil, true
+	}
+	qp := &queryPlan{plan: plan}
+	s.queryBodies.put(body.b, qp)
+	return plan, &qp.sel, true
 }

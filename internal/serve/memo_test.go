@@ -10,10 +10,12 @@ import (
 )
 
 // FuzzRequestBodyMemo: a body the memo has seen is answered as a fresh
-// server answers it. Every body goes twice to an analyze and twice to a
-// query on one long-lived server, whose memos fill, clear and refill across
-// inputs, and each answer must carry a fresh server's status and body — the
-// error envelope included — byte for byte. Only the cache header may differ.
+// server answers it. Every body goes three times to an analyze and three
+// times to a query on one long-lived server — the memo keeps a body at its
+// second sight, so the third is answered from it — whose memos fill, clear
+// and refill across inputs, and each answer must carry a fresh server's
+// status and body, the error envelope included, byte for byte. Only the
+// cache header may differ.
 func FuzzRequestBodyMemo(f *testing.F) {
 	for _, tc := range jsonBodyCases() {
 		f.Add(tc.body)
@@ -66,7 +68,7 @@ func FuzzRequestBodyMemo(f *testing.F) {
 		defer fresh.Close()
 		for _, path := range []string{"/v1/traces/qs/analyze", "/v1/query"} {
 			want := doReq(t, fresh.Handler(), "POST", path, body)
-			for i := 0; i < 2; i++ {
+			for i := 0; i < 3; i++ {
 				got := doReq(t, memo.Handler(), "POST", path, body)
 				if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 					t.Fatalf("POST %s %.80q, answer %d: %d %.200s, a fresh server answers %d %.200s",

@@ -8,8 +8,8 @@
 // query over an unchanged fleet is one LRU lookup. The body memo hands a
 // repeated body its compiled plan (queryPlan), and the plan keeps the
 // document key it was last answered under, tagged with the registry
-// generation it was computed at; only a registry change sends a query back
-// through Select and ContentKey. Behind that, per-trace results come from
+// generation it was computed at; only a registry change, or a miss, sends a
+// query back through Select and ContentKey. Behind that, per-trace results come from
 // the tiered report store: the full-fidelity result set of each trace is
 // cached under its content digest alone (resultSetKey — results are
 // byte-identical at any worker count, so no options belong in the key),
@@ -73,7 +73,7 @@ type QueryResult struct {
 // Only successful documents are stored, and nothing is ever purged — a
 // changed fleet is a changed key.
 func (s *Server) Query(ctx context.Context, plan *fleet.Plan) (QueryResult, error) {
-	return s.query(ctx, &queryPlan{plan: plan})
+	return s.query(ctx, plan, nil)
 }
 
 // queryPlan is a compiled query as the body memo keeps it: the plan, and the
@@ -83,37 +83,36 @@ type queryPlan struct {
 	sel  atomic.Pointer[selection]
 }
 
-// selection is what a plan selects at one registry generation: the matched
-// traces and the document key they address.
+// selection is what a plan selected at one registry generation: the key of
+// the document that answered it. The matched traces are not kept — only a
+// miss needs them, and a miss selects afresh.
 type selection struct {
-	gen     uint64
-	matched []fleet.Trace
-	key     string
+	gen uint64
+	key string
 }
 
-// selectFor returns qp's selection at the current registry generation: the
-// one qp was last answered over while no registry change has bumped the
-// generation, else Select and ContentKey over a fresh snapshot.
-func (s *Server) selectFor(qp *queryPlan) (*selection, error) {
-	if sel := qp.sel.Load(); sel != nil && sel.gen == s.gen.Load() {
-		return sel, nil
+// query is Query with the plan's slot in the body memo: last holds the
+// selection a kept plan was last answered over, and is nil for a plan the
+// memo does not keep.
+func (s *Server) query(ctx context.Context, plan *fleet.Plan, last *atomic.Pointer[selection]) (QueryResult, error) {
+	// A selection made at the current generation still names the document:
+	// a repeat over an unchanged registry is this one lookup.
+	if last != nil {
+		if sel := last.Load(); sel != nil && sel.gen == s.gen.Load() {
+			if body, ok := s.store.lru.get(sel.key); ok {
+				return QueryResult{Body: body, Cache: "hit"}, nil
+			}
+		}
 	}
 	candidates, gen := s.queryCandidates()
-	matched, err := qp.plan.Select(candidates)
-	if err != nil {
-		return nil, err
-	}
-	sel := &selection{gen: gen, matched: matched, key: queryKey(qp.plan.ContentKey(matched))}
-	qp.sel.Store(sel)
-	return sel, nil
-}
-
-func (s *Server) query(ctx context.Context, qp *queryPlan) (QueryResult, error) {
-	sel, err := s.selectFor(qp)
+	matched, err := plan.Select(candidates)
 	if err != nil {
 		return QueryResult{}, err
 	}
-	key := sel.key
+	key := queryKey(plan.ContentKey(matched))
+	if last != nil {
+		last.Store(&selection{gen: gen, key: key})
+	}
 	if body, ok := s.store.lru.get(key); ok {
 		return QueryResult{Body: body, Cache: "hit"}, nil
 	}
@@ -121,7 +120,7 @@ func (s *Server) query(ctx context.Context, qp *queryPlan) (QueryResult, error) 
 	// has returned the flight's result, which orders the two.
 	engineRuns := 0
 	body, shared, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
-		doc, err := qp.plan.Execute(runCtx, sel.matched, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
+		doc, err := plan.Execute(runCtx, matched, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
 			results, ran, err := s.loadResults(ctx, t.Digest, t.Dir)
 			if ran {
 				engineRuns++
@@ -149,22 +148,11 @@ func (s *Server) query(ctx context.Context, qp *queryPlan) (QueryResult, error) 
 
 // handleQuery is POST /v1/query.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	qp, ok := readMemo(w, r, &s.queryBodies, func(body []byte) (*queryPlan, bool) {
-		var q fleet.Query
-		if !decodeJSON(w, body, &q, false) {
-			return nil, false
-		}
-		plan, err := fleet.Compile(q)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error())
-			return nil, false
-		}
-		return &queryPlan{plan: plan}, true
-	})
+	plan, last, ok := s.queryRequest(w, r)
 	if !ok {
 		return
 	}
-	res, err := s.query(r.Context(), qp)
+	res, err := s.query(r.Context(), plan, last)
 	if err != nil {
 		var qerr *fleet.QueryError
 		if errors.As(err, &qerr) {

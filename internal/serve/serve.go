@@ -84,7 +84,7 @@ type Server struct {
 	// current generation still holds (queryPlan).
 	gen atomic.Uint64
 
-	// What each distinct analyze and query body decoded to (readMemo).
+	// What each repeated analyze and query body decoded to (bodyMemo).
 	analyzeBodies bodyMemo[AnalyzeRequest]
 	queryBodies   bodyMemo[*queryPlan]
 
@@ -633,10 +633,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
 		return
 	}
-	req, ok := readMemo(w, r, &s.analyzeBodies, func(body []byte) (req AnalyzeRequest, ok bool) {
-		ok = decodeJSON(w, body, &req, true)
-		return req, ok
-	})
+	req, ok := s.analyzeRequest(w, r)
 	if !ok {
 		return
 	}
