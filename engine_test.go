@@ -180,7 +180,7 @@ func TestEngineCorrectionEquivalence(t *testing.T) {
 // TestCorrectedMainPassSkipsMarkers holds the corrected main pass, which
 // steps over the overhead markers instead of decoding them, to
 // Correct-then-Analyze over v1 and v2 chunks alike, inline at one worker and
-// through the decode-ahead stage at three, unbudgeted and at 16 KiB — and
+// with a pool of three, unbudgeted and at 16 KiB — and
 // Stats.Events still counts every record read, markers included.
 func TestCorrectedMainPassSkipsMarkers(t *testing.T) {
 	tr := randomWorkloadTrace(5)

@@ -5,9 +5,9 @@
 // from chunk indexes, route each event to its process's one open window, cut
 // windows by size at watermarks, sweep the closed windows on a worker pool,
 // merge per process. Run feeds it a materialized trace, RunStream a chunked
-// directory — decoded, when there is a pool, one chunk ahead of the router by
-// a goroutine of its own (decodeAhead); Incremental drives the same windows
-// for a trace still growing.
+// directory, whose chunks the coordinator decodes itself, one at a time, at
+// every worker count; Incremental drives the same windows for a trace still
+// growing. The sweep pool is the pipeline's only concurrent stage.
 //
 // Results are byte-identical for any worker count — including Workers: 1,
 // which executes inline with no goroutines at all — any memory budget and
@@ -96,9 +96,8 @@ type StreamStats struct {
 	// Evictions counts the cuts forced by MaxResidentBytes.
 	Evictions int
 	// PeakResidentEvents and PeakResidentBytes track the high-water mark
-	// of events resident at once (buffered in open windows, in the chunk
-	// being decoded, in the chunk decoded ahead of it, or in flight to a
-	// worker).
+	// of events resident at once (buffered in open windows, in the one chunk
+	// being decoded and routed, or in flight to a worker).
 	PeakResidentEvents int
 	PeakResidentBytes  int64
 }

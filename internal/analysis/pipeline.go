@@ -20,9 +20,7 @@ import (
 type source interface {
 	numChunks() int
 	// reader returns the Reader whose chunk files the chunks are — which
-	// StreamStats and Progress count, and which a run with a worker pool
-	// reads through the decode-ahead stage instead of chunk — or nil: a
-	// materialized trace has none.
+	// StreamStats and Progress count — or nil: a materialized trace has none.
 	reader() *trace.Reader
 	index(i int) (*trace.ChunkIndex, error)
 	// chunk returns chunk i's events, the count of records read for them
@@ -37,8 +35,7 @@ type source interface {
 	chunk(i int, buf []trace.Event, skipOverhead bool) (events []trace.Event, walked int, bytes int64, err error)
 }
 
-// readerSource decodes the chunk files of a trace directory inline, for a
-// run without a worker pool.
+// readerSource decodes the chunk files of a trace directory.
 type readerSource struct{ r *trace.Reader }
 
 func (s readerSource) numChunks() int                         { return s.r.NumChunks() }
@@ -46,15 +43,10 @@ func (s readerSource) reader() *trace.Reader                  { return s.r }
 func (s readerSource) index(i int) (*trace.ChunkIndex, error) { return s.r.Index(i) }
 
 func (s readerSource) chunk(i int, buf []trace.Event, skipOverhead bool) ([]trace.Event, int, int64, error) {
-	return readChunk(s.r, i, buf, skipOverhead)
-}
-
-// readChunk decodes chunk i of r into buf[:0] the way source.chunk says.
-func readChunk(r *trace.Reader, i int, buf []trace.Event, skipOverhead bool) ([]trace.Event, int, int64, error) {
 	if skipOverhead {
-		return r.ReadChunkSkipOverhead(i, buf[:0])
+		return s.r.ReadChunkSkipOverhead(i, buf[:0])
 	}
-	events, bytes, err := r.ReadChunkSized(i, buf[:0])
+	events, bytes, err := s.r.ReadChunkSized(i, buf[:0])
 	return events, len(events), bytes, err
 }
 
@@ -161,12 +153,8 @@ type pipeline struct {
 	// run decodes: a hint, which picks a chunk buffer and never sizes one.
 	chunkHint int
 
-	// ahead is the decode-ahead stage, with a worker pool over chunk files;
-	// nil otherwise: the coordinator decodes inline.
-	ahead *decodeAhead
 	// spare is the coordinator's chunk buffer: what the next chunk is decoded
-	// into (handed to the decode-ahead stage in exchange for the chunk it has
-	// ready), or a materialized run is copied into, without its markers, for
+	// into, or a materialized run is copied into, without its markers, for
 	// the stage to rewrite. Between chunks it holds the last chunk's events,
 	// already routed.
 	spare []trace.Event
@@ -210,8 +198,7 @@ func runOn(ctx context.Context, sc *freeList, src source, opts Options) (map[tra
 	}
 	pl := &pipeline{ctx: ctx, src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}, free: sc}
 	// Deferred, so it runs on every exit path, and after the only goroutines
-	// that touch the buffers have ended: stream closes the decode-ahead stage
-	// before it returns and the workers are joined right after it.
+	// that touch the buffers, the workers, have been joined.
 	defer pl.release()
 	if src.reader() != nil {
 		pl.stats.Chunks = src.numChunks()
@@ -320,8 +307,7 @@ func (pl *pipeline) plan(procs []trace.ProcID) error {
 }
 
 // stream is the chunk loop: decode, route, then close what can be closed.
-// With a worker pool, decoding chunk files is the decode-ahead stage's: the
-// plan is complete, so the Reader is its goroutine's until the loop ends.
+// The coordinator decodes every chunk itself, at every worker count.
 func (pl *pipeline) stream(opts Options) error {
 	n := pl.src.numChunks()
 	r := pl.src.reader()
@@ -330,20 +316,6 @@ func (pl *pipeline) stream(opts Options) error {
 	// without its markers; one lent where it lies is not.
 	skip := pl.stage != nil
 	owned := r != nil || skip
-	if r != nil && pl.jobs != nil {
-		chunks := make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			if pl.spanOff[i] < pl.spanOff[i+1] {
-				chunks = append(chunks, i)
-			}
-		}
-		pl.ahead = startDecodeAhead(r, chunks, pl.free.take(pl.chunkHint), skip)
-		defer func() {
-			for _, buf := range pl.ahead.close() {
-				pl.free.put(buf)
-			}
-		}()
-	}
 	for i := 0; i < n; i++ {
 		if err := pl.ctx.Err(); err != nil {
 			return err
@@ -368,17 +340,7 @@ func (pl *pipeline) stream(opts Options) error {
 			pl.free.put(pl.spare)
 			pl.spare = pl.free.take(pl.chunkHint)
 		}
-		var (
-			events []trace.Event
-			walked int
-			bytes  int64
-			err    error
-		)
-		if pl.ahead != nil {
-			events, walked, bytes, err = pl.ahead.next(pl.spare)
-		} else {
-			events, walked, bytes, err = pl.src.chunk(i, pl.spare, skip)
-		}
+		events, walked, bytes, err := pl.src.chunk(i, pl.spare, skip)
 		if owned {
 			pl.spare = events
 		}
@@ -563,15 +525,10 @@ func (pl *pipeline) sweep(sw *overlap.Sweeper, res *overlap.Result, job sweepJob
 }
 
 // sample folds the current residency estimate — open windows, the chunk
-// being decoded, the chunk decoded ahead of it, closed windows in flight —
-// into the peaks.
+// being decoded, closed windows in flight — into the peaks.
 func (pl *pipeline) sample() {
 	bytes := pl.bufferedBytes + pl.chunkBytes + pl.inflightBytes.Load()
 	events := pl.bufferedEvents + pl.chunkEvents + int(pl.inflightEvents.Load())
-	if pl.ahead != nil {
-		bytes += pl.ahead.waitingBytes.Load()
-		events += int(pl.ahead.waitingEvents.Load())
-	}
 	pl.stats.PeakResidentBytes = max(pl.stats.PeakResidentBytes, bytes)
 	pl.stats.PeakResidentEvents = max(pl.stats.PeakResidentEvents, events)
 }

@@ -38,11 +38,11 @@ func chunkFiles(t *testing.T, dir string) []string {
 	return files
 }
 
-// TestDecodeAheadCancelAtEveryChunk cancels a pooled run — and a corrected
+// TestPooledRunCancelAtEveryChunk cancels a pooled run — and a corrected
 // run's pre-pass — after every chunk in turn: the run reports the context's
-// error and exactly the chunks routed so far, whatever the decoder was doing
-// ahead of the cancellation, and the decoder goroutine is joined.
-func TestDecodeAheadCancelAtEveryChunk(t *testing.T) {
+// error and exactly the chunks routed so far, whatever the workers were
+// sweeping at the cancellation, and every worker goroutine is joined.
+func TestPooledRunCancelAtEveryChunk(t *testing.T) {
 	tr, cal := markedTrace(rand.New(rand.NewSource(17)))
 	dir := writeTrace(t, tr, 512)
 	n := len(chunkFiles(t, dir))
@@ -74,11 +74,11 @@ func TestDecodeAheadCancelAtEveryChunk(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
-// TestDecodeAheadCorruptChunkAtEveryIndex truncates each chunk in turn: a
+// TestPooledRunCorruptChunkAtEveryIndex truncates each chunk in turn: a
 // pooled run, and a corrected run's pre-pass, must report the error an inline
-// run reports — the same *trace.ChunkError, naming that chunk, although the
-// decoder met it a chunk early — and join the decoder.
-func TestDecodeAheadCorruptChunkAtEveryIndex(t *testing.T) {
+// run reports — the same *trace.ChunkError, naming that chunk, although
+// workers may still be sweeping earlier windows — and join every worker.
+func TestPooledRunCorruptChunkAtEveryIndex(t *testing.T) {
 	tr, cal := markedTrace(rand.New(rand.NewSource(23)))
 	dir := writeTrace(t, tr, 512)
 	baseline := runtime.NumGoroutine()
@@ -121,12 +121,12 @@ func TestDecodeAheadCorruptChunkAtEveryIndex(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
-// TestDecodeAheadSkipsUnrequestedChunks: with a worker pool, as without one,
+// TestPooledRunSkipsUnrequestedChunks: with a worker pool, as without one,
 // a chunk holding no requested process is never decoded. Only the last chunk
 // of the directory holds the requested process and every other chunk file is
 // truncated behind its intact sidecar, so decoding any of them — in the
 // analysis pass or in a corrected run's pre-pass — would fail the run.
-func TestDecodeAheadSkipsUnrequestedChunks(t *testing.T) {
+func TestPooledRunSkipsUnrequestedChunks(t *testing.T) {
 	tr := &trace.Trace{Events: steadyEvents(0, 0, 600)}
 	target := steadyEvents(1, 0, 3)
 	tr.Events = append(tr.Events, target...)

@@ -10,9 +10,9 @@ import (
 )
 
 // freeList is a run's scratch: the empty event buffers it may draw from, in
-// ascending capacity. A batch run draws the chunk buffers of the decode-ahead
-// stage, its windows' and the ones closed windows travel to the workers in;
-// an Incremental draws its windows' and the ones its cuts move events into.
+// ascending capacity. A batch run draws its chunk buffer, its windows' and
+// the ones closed windows travel to the workers in; an Incremental draws its
+// windows' and the ones its cuts move events into.
 // Either takes a scratch from the pool, draws every buffer it needs from it
 // (allocating only what the scratch cannot supply) and puts every buffer back
 // — a run once its goroutines have ended, however it ends; an Incremental on

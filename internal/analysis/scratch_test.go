@@ -36,10 +36,10 @@ func scribble(t *testing.T, sc *freeList, what string) {
 
 // TestHandBackOnCancelAndCorruptChunk: a run hands its event buffers back to
 // the scratch on every exit path — completed, cancelled after any chunk, a
-// corrupt chunk at any index — and only once the decode-ahead goroutine and
-// every worker have ended: after each run the test writes over all of them,
-// then runs again on the same scratch, and the results never change. A run
-// returns at least the buffers it took, so a warm scratch does not shrink.
+// corrupt chunk at any index — and only once every worker has ended: after
+// each run the test writes over all of them, then runs again on the same
+// scratch, and the results never change. A run returns at least the buffers
+// it took, so a warm scratch does not shrink.
 func TestHandBackOnCancelAndCorruptChunk(t *testing.T) {
 	tr, _ := markedTrace(rand.New(rand.NewSource(41)))
 	tr.Events = append(tr.Events, steadyEvents(7, 0, 3*splitEvents)...) // a process that is cut

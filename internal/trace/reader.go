@@ -319,11 +319,8 @@ func (r *Reader) IndexInto(i int, ix *ChunkIndex) error {
 	if err != nil {
 		return err
 	}
-	var size int64
-	if fi, err := os.Stat(r.paths[i]); err == nil {
-		size = fi.Size()
-	}
-	*ix = *BuildChunkIndex(events, size)
+	// The frame just decoded is the chunk file's bytes: its size is the file's.
+	*ix = *BuildChunkIndex(events, int64(len(r.frame)))
 	return nil
 }
 

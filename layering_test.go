@@ -191,10 +191,11 @@ var surfaceCallees = []string{
 // package but benchmark/ (a module of its own) the file lists, one sorted
 // line a fact: every top-level declaration and every method, exported ones
 // with their type or signature and unexported ones by kind and name; every
-// struct field and interface method with its type; and, resolved through
-// go/types rather than by spelling, every caller of surfaceCallees. A deleted
-// declaration that comes back, under its old name or a new one, or a third
-// caller of a pinned function is a + line here and in the file's diff.
+// struct field and interface method with its type; every go statement, by
+// the function that encloses it; and, resolved through go/types rather than
+// by spelling, every caller of surfaceCallees. A deleted declaration that
+// comes back, under its old name or a new one, a third caller of a pinned
+// function or a new concurrent stage is a + line here and in the file's diff.
 // go test -run TestSurface -update . rewrites the file.
 func TestSurface(t *testing.T) {
 	got := surface(loadedModule(t))
@@ -289,17 +290,27 @@ func surface(m *module) []byte {
 				add("method", recv+"."+f.Name(), f.Type(), f.Exported())
 			}
 		}
+		goSites := map[string]int{}
 		for _, f := range files {
 			for _, decl := range f.Decls {
-				caller := "a package-level declaration"
+				caller, encloser := "a package-level declaration", "a package-level declaration"
 				if fn, ok := decl.(*ast.FuncDecl); ok {
-					caller = short(m.info.Defs[fn.Name].(*types.Func).FullName())
+					obj := m.info.Defs[fn.Name].(*types.Func)
+					caller, encloser = short(obj.FullName()), localName(obj)
 				}
 				ast.Inspect(decl, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						if callee, ok := m.info.Uses[id].(*types.Func); ok && slices.Contains(surfaceCallees, short(callee.Origin().FullName())) {
+					switch n := n.(type) {
+					case *ast.Ident:
+						if callee, ok := m.info.Uses[n].(*types.Func); ok && slices.Contains(surfaceCallees, short(callee.Origin().FullName())) {
 							lines = append(lines, "call "+short(callee.Origin().FullName())+" <- "+caller)
 						}
+					case *ast.GoStmt:
+						// One line per statement: a function's second is "#2".
+						line := path + " go " + encloser
+						if goSites[line]++; goSites[line] > 1 {
+							line += " #" + strconv.Itoa(goSites[line])
+						}
+						lines = append(lines, line)
 					}
 					return true
 				})
@@ -308,6 +319,24 @@ func surface(m *module) []byte {
 	}
 	slices.Sort(lines)
 	return []byte(strings.Join(slices.Compact(lines), "\n") + "\n")
+}
+
+// localName names fn the way its package's surface lines name a method:
+// "f", "T.f" or "(*T).f".
+func localName(fn *types.Func) string {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return fn.Name()
+	}
+	t, ptr := recv.Type(), false
+	if p, ok := t.(*types.Pointer); ok {
+		t, ptr = p.Elem(), true
+	}
+	name := t.(*types.Named).Obj().Name()
+	if ptr {
+		name = "(*" + name + ")"
+	}
+	return name + "." + fn.Name()
 }
 
 // TestOneSweepPath pins where scratch lives: idle scratch, the sweep's like
