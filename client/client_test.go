@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	rlscope "repro"
 	"repro/client"
@@ -244,5 +247,104 @@ func TestClientRetriesAfterConnectionReset(t *testing.T) {
 		if left := flaky.drop.Load(); left >= 0 {
 			t.Fatalf("%s: no connection was reset (drop = %d), the test exercised nothing", tc.name, left)
 		}
+	}
+}
+
+// smallWindow is a listener whose connections buffer little of what the
+// peer sends, so a large request body stays with the client's transport
+// until the handler reads it.
+type smallWindow struct{ net.Listener }
+
+func (l smallWindow) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		err = conn.(*net.TCPConn).SetReadBuffer(64 << 10)
+	}
+	return conn, err
+}
+
+// dialSmallWindow dials connections that buffer little of what they send.
+func dialSmallWindow(ctx context.Context, network, addr string) (net.Conn, error) {
+	conn, err := new(net.Dialer).DialContext(ctx, network, addr)
+	if err == nil {
+		err = conn.(*net.TCPConn).SetWriteBuffer(64 << 10)
+	}
+	return conn, err
+}
+
+const conflictBody = `{"error": {"code": "chunk_conflict", "message": "answered early"}}`
+
+// lateReader is a RoundTripper that answers 409 at once and reads the
+// request body on a goroutine of its own a little later — after RoundTrip
+// has returned, which the RoundTripper contract allows — handing on read
+// the bytes it saw.
+type lateReader struct{ read chan []byte }
+
+func (l *lateReader) RoundTrip(req *http.Request) (*http.Response, error) {
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		b, _ := io.ReadAll(req.Body)
+		req.Body.Close()
+		l.read <- b
+	}()
+	return &http.Response{StatusCode: http.StatusConflict, Header: http.Header{"Content-Type": {"application/json"}},
+		Body: io.NopCloser(strings.NewReader(conflictBody)), Request: req}, nil
+}
+
+// TestClientChunkReusableAfterAppend: a transport may go on reading a
+// request body after the response is in — a server that answers before it
+// has read the body, or a RoundTripper that reads the body on a goroutine of
+// its own. AppendChunk must keep no hold on the chunk once it returns, so a
+// caller that refills its buffer as soon as AppendChunk returns — what a
+// trace.Writer recycling its frames does — never races the transport and
+// never changes what was sent. Run under -race, the early server shows a
+// hold kept too long; the late RoundTripper shows it without -race too.
+func TestClientChunkReusableAfterAppend(t *testing.T) {
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Answer first, then stall before draining the body, so the
+		// client has its response while its body is still being written.
+		rc := http.NewResponseController(w)
+		if err := rc.EnableFullDuplex(); err != nil {
+			t.Error(err)
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusConflict)
+		fmt.Fprint(w, conflictBody)
+		if err := rc.Flush(); err != nil {
+			t.Error(err)
+		}
+		time.Sleep(20 * time.Millisecond)
+		io.Copy(io.Discard, r.Body)
+	}))
+	ts.Listener = smallWindow{ts.Listener}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	late := &lateReader{read: make(chan []byte, 1)}
+	for _, tc := range []struct {
+		name string
+		rt   http.RoundTripper
+	}{
+		{"server answers early", &http.Transport{DialContext: dialSmallWindow}},
+		{"transport reads late", late},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: tc.rt}))
+			chunk := bytes.Repeat([]byte{1}, 4<<20)
+			for i := 1; i <= 2; i++ {
+				_, err := c.AppendChunk(context.Background(), "early", i, chunk, nil)
+				var apiErr *client.APIError
+				if !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict {
+					t.Fatalf("append %d: %v, want the 409", i, err)
+				}
+				for j := range chunk {
+					chunk[j] = byte(i + 1)
+				}
+				if tc.rt == late {
+					if sent := <-late.read; bytes.Count(sent, []byte{byte(i)}) != len(chunk) {
+						t.Fatalf("append %d: the transport read %d bytes, %d of them as sent", i, len(sent), bytes.Count(sent, []byte{byte(i)}))
+					}
+				}
+			}
+		})
 	}
 }

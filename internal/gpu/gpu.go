@@ -12,7 +12,10 @@
 //     streams contend.
 //
 // The device keeps a ledger of busy intervals used both by the trace (GPU
-// events) and by the nvidia-smi-style sampled utilization monitor.
+// events) and by the nvidia-smi-style sampled utilization monitor. The
+// ledger is kept in fixed-capacity blocks, each twice the last up to a cap,
+// so recording an interval never copies the ones before it;
+// BusyIntervals flattens them in submission order.
 package gpu
 
 import (
@@ -41,12 +44,22 @@ func (b Busy) Duration() vclock.Duration { return b.End.Sub(b.Start) }
 // Device is a simulated GPU. It is safe for concurrent use; simulated
 // processes may run on separate goroutines.
 type Device struct {
-	mu            sync.Mutex
-	tails         map[StreamID]vclock.Time
-	nextStream    StreamID
-	busy          []Busy
+	mu         sync.Mutex
+	tails      map[StreamID]vclock.Time
+	nextStream StreamID
+	// The busy ledger in submission order: the full blocks, then cur,
+	// which is never regrown — a full one is kept and a new one opened.
+	full          [][]Busy
+	cur           []Busy
 	launchLatency vclock.Duration
 }
+
+// The ledger's first block holds minLedgerBlock intervals, and each next
+// one twice the last, up to maxLedgerBlock.
+const (
+	minLedgerBlock = 64
+	maxLedgerBlock = 1 << 11
+)
 
 // DefaultLaunchLatency is the delay between a CPU-side launch call issuing
 // and the earliest moment the kernel may begin on an idle stream, modelling
@@ -87,17 +100,36 @@ func (d *Device) Submit(proc trace.ProcID, stream StreamID, issue vclock.Time, d
 	}
 	end = start.Add(dur)
 	d.tails[stream] = end
-	d.busy = append(d.busy, Busy{Start: start, End: end, Name: name, Cat: cat, Proc: proc, Stream: stream})
+	if len(d.cur) == cap(d.cur) {
+		d.newBlock()
+	}
+	d.cur = append(d.cur, Busy{Start: start, End: end, Name: name, Cat: cat, Proc: proc, Stream: stream})
 	return start, end
+}
+
+// newBlock keeps the full open block, if any, and opens the next.
+func (d *Device) newBlock() {
+	n := minLedgerBlock
+	if len(d.cur) > 0 {
+		d.full = append(d.full, d.cur)
+		n = min(2*cap(d.cur), maxLedgerBlock)
+	}
+	d.cur = make([]Busy, 0, n)
 }
 
 // BusyIntervals returns a copy of the busy ledger in submission order.
 func (d *Device) BusyIntervals() []Busy {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]Busy, len(d.busy))
-	copy(out, d.busy)
-	return out
+	n := len(d.cur)
+	for _, b := range d.full {
+		n += len(b)
+	}
+	out := make([]Busy, 0, n)
+	for _, b := range d.full {
+		out = append(out, b...)
+	}
+	return append(out, d.cur...)
 }
 
 // Interval is a plain time range.
@@ -134,7 +166,7 @@ func Union(busy []Busy) []Interval {
 func (d *Device) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.busy = nil
+	d.full, d.cur = nil, nil
 	for s := range d.tails {
 		d.tails[s] = 0
 	}

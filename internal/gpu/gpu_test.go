@@ -1,7 +1,9 @@
 package gpu
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,6 +114,70 @@ func TestBusyLedgerRecordsMetadata(t *testing.T) {
 	}
 	if busy[0].Duration() != 10 {
 		t.Fatalf("Duration = %v, want 10", busy[0].Duration())
+	}
+}
+
+// TestBusyIntervalsAcrossBlocks: a ledger that spans several blocks — past
+// the cap, where blocks stop doubling — reads back as exactly what was
+// submitted, in submission order and field for field, and so does the
+// ledger a Reset device records next.
+func TestBusyIntervalsAcrossBlocks(t *testing.T) {
+	d := NewDevice(3)
+	streams := []StreamID{d.NewStream(), d.NewStream(), d.NewStream()}
+	rng := rand.New(rand.NewSource(11))
+	submit := func(n int) []Busy {
+		want := make([]Busy, 0, n)
+		var issue vclock.Time
+		for i := 0; i < n; i++ {
+			issue = issue.Add(vclock.Duration(rng.Int63n(10)))
+			b := Busy{
+				Name:   fmt.Sprint("k", i%7),
+				Cat:    []trace.Category{trace.CatGPUKernel, trace.CatGPUMemcpy}[i%2],
+				Proc:   trace.ProcID(i % 5),
+				Stream: streams[rng.Intn(len(streams))],
+			}
+			b.Start, b.End = d.Submit(b.Proc, b.Stream, issue, vclock.Duration(1+rng.Int63n(20)), b.Name, b.Cat)
+			want = append(want, b)
+		}
+		return want
+	}
+	for _, n := range []int{minLedgerBlock - 1, minLedgerBlock, minLedgerBlock + 1, 4*maxLedgerBlock + 37} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			d.Reset()
+			if got := d.BusyIntervals(); len(got) != 0 {
+				t.Fatalf("%d intervals after Reset, want none", len(got))
+			}
+			if want, got := submit(n), d.BusyIntervals(); !slices.Equal(got, want) {
+				t.Fatalf("ledger of %d submissions reads back as %d intervals, not the submissions in order", n, len(got))
+			}
+		})
+	}
+}
+
+// TestSubmitAllocatesAtBlockBoundaries: recording an interval allocates
+// nothing until the open block is full; crossing into the next costs that
+// block, and now and then the block list's own growth.
+func TestSubmitAllocatesAtBlockBoundaries(t *testing.T) {
+	d := NewDevice(0)
+	s := d.NewStream()
+	submit := func() { d.Submit(0, s, 0, 1, "k", trace.CatGPUKernel) }
+	// Fill every block below the cap, and open the first capped one.
+	for n := minLedgerBlock; n < maxLedgerBlock; n *= 2 {
+		for i := 0; i < n; i++ {
+			submit()
+		}
+	}
+	submit()
+	if got := testing.AllocsPerRun(100, submit); got != 0 {
+		t.Fatalf("a Submit inside a block allocates %.0f times, want 0", got)
+	}
+	block := func() {
+		for i := 0; i < maxLedgerBlock; i++ {
+			submit()
+		}
+	}
+	if got := testing.AllocsPerRun(5, block); got < 1 || got > 2 {
+		t.Fatalf("a block's worth of Submits allocates %.0f times, want its one boundary's block and at most the list's growth", got)
 	}
 }
 

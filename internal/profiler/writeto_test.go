@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
@@ -49,13 +50,14 @@ func (c *chunkCounter) Seal(trace.Meta) error                            { retur
 // TestWriteToRecyclesChunkBuffers pins what writing a closed profiler again
 // allocates: a fixed count for the run — its metadata, the Writer and its
 // channels (the sessions are ordered already, and waiting costs nothing) —
-// and per chunk its writeJob, the job's done channel, the frame, the
-// encoder's string table, the *ChunkIndex and its process map. No event
-// buffer: the sessions are gathered through one stack-sized stage, and the
-// chunk buffers come back from the Writer's recycled stack, so the count is
-// the same at 2 000 events as at 320 000.
+// and per chunk its writeJob, the job's done channel, the *ChunkIndex, its
+// process map and that map's first group. No event buffer and no frame: the
+// sessions are gathered through one stack-sized stage, the chunk buffers and
+// the frame buffers come back from the Writer's recycled stacks, and each
+// encoder keeps its v1 string table from chunk to chunk, so the count is the
+// same at 2 000 events as at 320 000.
 func TestWriteToRecyclesChunkBuffers(t *testing.T) {
-	const sessions, runFixed, perChunk = 4, 9, 6
+	const sessions, runFixed, perChunk = 4, 9, 5
 	for _, procs := range []int{1, 2} {
 		for _, n := range []int{500, 20000, 80000} {
 			t.Run(fmt.Sprintf("GOMAXPROCS=%d/%dx%d", procs, sessions, n), func(t *testing.T) {
@@ -80,15 +82,24 @@ func TestWriteToRecyclesChunkBuffers(t *testing.T) {
 				if want := runFixed + perChunk*chunks; got != float64(want) {
 					t.Errorf("writing %d events in %d chunks again: %.0f allocs, want %d", sessions*n, chunks, got, want)
 				}
-				// In bytes: the frames, well under the 40 B an event buffer
-				// would cost per event by itself.
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				if err := p.WriteToSink(sink); err != nil {
-					t.Fatal(err)
+				// In bytes: the run's and the chunks' small fixed costs only,
+				// a few KiB in all — well under one byte per event once a
+				// session holds more than 500, where a frame alone would
+				// cost over ten. The least of three rewrites: one that holds
+				// more chunks in flight than any before it, as scheduling on
+				// a loaded machine may, takes the extra buffers fresh, and
+				// the stacks keep them for the next.
+				least := uint64(math.MaxUint64)
+				for range 3 {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					if err := p.WriteToSink(sink); err != nil {
+						t.Fatal(err)
+					}
+					runtime.ReadMemStats(&after)
+					least = min(least, after.TotalAlloc-before.TotalAlloc)
 				}
-				runtime.ReadMemStats(&after)
-				if perEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(sessions*n); n > 500 && perEvent >= 40 {
+				if perEvent := float64(least) / float64(sessions*n); n > 500 && perEvent >= 1 {
 					t.Errorf("writing %d events again allocated %.1f B per event", sessions*n, perEvent)
 				}
 			})

@@ -56,15 +56,29 @@ const v1MinEventBytes = 7
 
 // encodeChunkV1 is the v1 encoder into one presized frame buffer.
 func encodeChunkV1(events []Event) ([]byte, error) {
-	return appendChunkV1(make([]byte, 0, 16+len(events)*v1EventBytesHint), events)
+	return appendChunkV1(make([]byte, 0, frameHint(FormatV1, len(events))), events, nil)
 }
 
-// appendChunkV1 appends events as one v1 frame to dst.
-func appendChunkV1(dst []byte, events []Event) ([]byte, error) {
+// frameHint is the room to give a frame of n events in format f before it is
+// encoded: v1's presize, or nothing for v2, whose encoder sizes its frame
+// exactly once the columns are built.
+func frameHint(f Format, n int) int {
+	if f == FormatV2 {
+		return 0
+	}
+	return 16 + n*v1EventBytesHint
+}
+
+// appendChunkV1 appends events as one v1 frame to dst. strings is the string
+// table to build the frame's in: empty, or nil for a fresh one. The caller
+// that passes one clears it after.
+func appendChunkV1(dst []byte, events []Event, strings map[string]uint64) ([]byte, error) {
 	dst = append(dst, chunkMagic...)
 	dst = binary.AppendUvarint(dst, chunkVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
-	strings := map[string]uint64{}
+	if strings == nil {
+		strings = map[string]uint64{}
+	}
 	var ref uint64 // the previous event's string-table reference
 	var prevStart int64
 	for i := range events {

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -84,13 +83,12 @@ func classKey(e Event) uint32 {
 // v2Encoder holds the reusable scratch of one v2 encode. The mode columns
 // are built twice — run-length into cols, plain into plain — and the smaller
 // encoding wins at emit time. Its maps are empty between encodes:
-// encodeChunkV2 clears them before the encoder goes idle.
+// appendChunkV2 clears them before the encoder goes idle.
 type v2Encoder struct {
 	cols    [numCols][]byte
 	plain   [len(modeColumns)][]byte
 	dict    []byte
 	classes []byte
-	out     []byte
 	refs    map[string]uint64
 	classOf map[uint32]uint64
 }
@@ -122,24 +120,21 @@ func (r *rleState) flush(col *[]byte) {
 	r.run = 0
 }
 
-// encodeChunkV2 returns events as one columnar frame the caller owns (the
-// encoder's own frame is recycled scratch).
-func encodeChunkV2(events []Event) ([]byte, error) {
+// appendChunkV2 appends events as one columnar frame to dst, growing it at
+// most once.
+func appendChunkV2(dst []byte, events []Event) ([]byte, error) {
 	enc, ok := v2Encoders.Get()
 	if !ok {
 		enc = &v2Encoder{refs: map[string]uint64{}, classOf: map[uint32]uint64{}}
 	}
-	frame, err := enc.encode(events)
-	if err == nil {
-		frame = bytes.Clone(frame)
-	}
+	dst, err := enc.encode(dst, events)
 	clear(enc.refs) // an idle encoder holds no name alive
 	clear(enc.classOf)
 	v2Encoders.Put(enc)
-	return frame, err
+	return dst, err
 }
 
-func (e *v2Encoder) encode(events []Event) ([]byte, error) {
+func (e *v2Encoder) encode(dst []byte, events []Event) ([]byte, error) {
 	for i := range e.cols {
 		e.cols[i] = e.cols[i][:0]
 	}
@@ -148,7 +143,6 @@ func (e *v2Encoder) encode(events []Event) ([]byte, error) {
 	}
 	e.dict = e.dict[:0]
 	e.classes = e.classes[:0]
-	e.out = e.out[:0]
 
 	var classes, procs, durs, names rleState
 	var prevStart int64
@@ -196,27 +190,35 @@ func (e *v2Encoder) encode(events []Event) ([]byte, error) {
 		}
 	}
 
-	e.out = append(e.out, chunkMagic...)
-	e.out = binary.AppendUvarint(e.out, chunkVersion2)
-	e.out = binary.AppendUvarint(e.out, uint64(len(events)))
-	e.out = binary.AppendUvarint(e.out, uint64(len(e.refs)))
-	e.out = append(e.out, e.dict...)
-	e.out = binary.AppendUvarint(e.out, uint64(len(e.classOf)))
-	e.out = append(e.out, e.classes...)
+	// Room for the whole frame: the magic, the version, three counts and a
+	// column length per column, each at most a maximal uvarint, then the
+	// dictionary, the class table, the mode bytes and the columns.
+	size := len(chunkMagic) + 1 + (3+numCols)*binary.MaxVarintLen64 + len(e.dict) + len(e.classes) + len(modeColumns)
+	for i := range e.cols {
+		size += len(e.cols[i])
+	}
+	dst = slices.Grow(dst, size)
+	dst = append(dst, chunkMagic...)
+	dst = binary.AppendUvarint(dst, chunkVersion2)
+	dst = binary.AppendUvarint(dst, uint64(len(events)))
+	dst = binary.AppendUvarint(dst, uint64(len(e.refs)))
+	dst = append(dst, e.dict...)
+	dst = binary.AppendUvarint(dst, uint64(len(e.classOf)))
+	dst = append(dst, e.classes...)
 	for i := range e.cols {
 		n := len(e.cols[i])
 		if i != colStarts {
 			n++ // leading mode byte
 		}
-		e.out = binary.AppendUvarint(e.out, uint64(n))
+		dst = binary.AppendUvarint(dst, uint64(n))
 	}
 	for i := range e.cols {
 		if i != colStarts {
-			e.out = append(e.out, mode[i])
+			dst = append(dst, mode[i])
 		}
-		e.out = append(e.out, e.cols[i]...)
+		dst = append(dst, e.cols[i]...)
 	}
-	return e.out, nil
+	return dst, nil
 }
 
 // eventClass is one decoded (Kind, Cat, Overhead) triple from the class

@@ -11,6 +11,9 @@ import (
 	"repro/internal/vclock"
 )
 
+// encodeChunkV2 returns events as one columnar frame of its own.
+func encodeChunkV2(events []Event) ([]byte, error) { return appendChunkV2(nil, events) }
+
 func TestChunkV2RoundTrip(t *testing.T) {
 	events := randomEvents(rand.New(rand.NewSource(77)), 2000)
 	frame, err := encodeChunkV2(events)

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -58,7 +57,7 @@ func ConvertDir(src, dst string) (*ConvertStats, error) {
 	if stats.SrcDigest, err = DirDigest(src); err != nil {
 		return nil, fmt.Errorf("trace: convert: digesting source: %w", err)
 	}
-	round := sha256.New()
+	round := newDigester()
 	var events []Event
 	for i := 0; i < r.NumChunks(); i++ {
 		frame, err := r.load(i)
@@ -97,16 +96,16 @@ func ConvertDir(src, dst string) (*ConvertStats, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := fmt.Sprintf(chunkFilePattern, i)
-		digestFile(round, sidecarPath(name), sidecar)
-		digestFile(round, name, back)
+		name := chunkFileName(i)
+		round.file(sidecarPath(name), sidecar)
+		round.file(name, back)
 	}
 	metaData, err := json.MarshalIndent(r.Meta(), "", "  ")
 	if err != nil {
 		return nil, err
 	}
-	digestFile(round, metaFileName, metaData)
-	if got := hex.EncodeToString(round.Sum(nil)); got != stats.SrcDigest {
+	round.file(metaFileName, metaData)
+	if got := hex.EncodeToString(round.h.Sum(nil)); got != stats.SrcDigest {
 		return stats, fmt.Errorf("trace: convert: round-trip digest %s does not match source digest %s — events not preserved", got, stats.SrcDigest)
 	}
 	if err := sink.Seal(r.Meta()); err != nil {

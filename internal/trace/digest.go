@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -41,7 +40,7 @@ func DirDigest(dir string) (string, error) {
 		return "", fmt.Errorf("trace: digesting trace dir %s: no trace files", dir)
 	}
 	sort.Strings(names)
-	h := sha256.New()
+	d := newDigester()
 	var buf []byte
 	for _, name := range names {
 		f, err := os.Open(filepath.Join(dir, name))
@@ -53,7 +52,7 @@ func DirDigest(dir string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("trace: digesting trace dir: %w", err)
 		}
-		digestFile(h, name, buf)
+		d.file(name, buf)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(d.h.Sum(nil)), nil
 }

@@ -11,6 +11,7 @@ import (
 	"hash"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -27,6 +28,10 @@ import (
 // replays of already-applied chunks (idempotent retries) is up to the
 // implementation — DirSink does, a requirement for at-least-once delivery
 // over a network.
+//
+// A Sink must not use chunk or index after AppendChunk returns: a Writer
+// builds its frames in recycled buffers and hands each back for the next
+// chunk once it has been delivered.
 type Sink interface {
 	// AppendChunk applies the encoded chunk with the given sequence
 	// number. index is the chunk's sidecar index, always derived from the
@@ -79,11 +84,12 @@ func (e *ConflictError) Error() string {
 //
 // DirSink methods are safe for concurrent use.
 type DirSink struct {
-	dir string
+	dir  string
+	root string // filepath.Join(dir, name) is root+name for a trace file's name
 
 	mu     sync.Mutex
-	next   int       // next expected sequence number
-	digest hash.Hash // running DirDigest-framed hash over sidecar+chunk pairs
+	next   int      // next expected sequence number
+	digest digester // running DirDigest-framed hash over sidecar+chunk pairs
 	sealed bool
 	final  string // digest fixed at Seal
 }
@@ -119,7 +125,8 @@ func newDirSink(dir string, overwrite bool) (*DirSink, error) {
 			return nil, fmt.Errorf("trace: clearing stale trace file: %w", err)
 		}
 	}
-	return &DirSink{dir: dir, digest: sha256.New()}, nil
+	root := strings.TrimSuffix(filepath.Join(dir, "_"), "_")
+	return &DirSink{dir: dir, root: root, digest: newDigester()}, nil
 }
 
 // Dir returns the directory the sink writes into.
@@ -151,16 +158,16 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 	if seq < 0 || seq > s.next {
 		return false, &SeqError{Seq: seq, Next: s.next}
 	}
-	chunkName := fmt.Sprintf(chunkFilePattern, seq)
+	sidePath, chunkPath := s.paths(seq)
 	if seq < s.next {
 		// A replay is checked against the files it would have written:
 		// landed bytes are hashed once, into the running digest, and never
 		// again.
 		for _, f := range []struct {
-			name string
+			path string
 			want []byte
-		}{{chunkName, chunk}, {sidecarPath(chunkName), sidecar}} {
-			got, err := os.ReadFile(filepath.Join(s.dir, f.name))
+		}{{chunkPath, chunk}, {sidePath, sidecar}} {
+			got, err := os.ReadFile(f.path)
 			if err != nil {
 				return false, fmt.Errorf("trace: reading applied chunk %d: %w", seq, err)
 			}
@@ -170,10 +177,10 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 		}
 		return true, nil
 	}
-	if err := os.WriteFile(filepath.Join(s.dir, chunkName), chunk, 0o644); err != nil {
+	if err := os.WriteFile(chunkPath, chunk, 0o644); err != nil {
 		return false, fmt.Errorf("trace: writing chunk: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(s.dir, sidecarPath(chunkName)), sidecar, 0o644); err != nil {
+	if err := os.WriteFile(sidePath, sidecar, 0o644); err != nil {
 		return false, fmt.Errorf("trace: writing sidecar: %w", err)
 	}
 	// Fold the pair into the running digest in DirDigest's sorted-name
@@ -181,17 +188,46 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 	// chunk name (".rlsidx" < ".rlstrace"), every chunk pair sorts before
 	// any later pair, and "meta.json" sorts after all of them — so
 	// appending frames in arrival order reproduces the sorted walk.
-	digestFile(s.digest, sidecarPath(chunkName), sidecar)
-	digestFile(s.digest, chunkName, chunk)
+	s.digest.file(sidePath[len(s.root):], sidecar)
+	s.digest.file(chunkPath[len(s.root):], chunk)
 	s.next++
 	return false, nil
 }
 
-// digestFile folds one file into h, framed by its name and size: the one
-// framing of DirDigest and of a sink's running digest.
-func digestFile(h hash.Hash, name string, content []byte) {
-	fmt.Fprintf(h, "%s\x00%d\x00", name, len(content))
-	h.Write(content)
+// paths returns where chunk seq's sidecar and chunk land: the two halves of
+// one string, built in one allocation whatever the directory's length.
+func (s *DirSink) paths(seq int) (sidecar, chunk string) {
+	var buf [32]byte
+	stem := appendChunkStem(buf[:0], seq)
+	var b strings.Builder
+	b.Grow(2*(len(s.root)+len(stem)) + len(sidecarSuffix) + len(chunkSuffix))
+	b.WriteString(s.root)
+	b.Write(stem)
+	b.WriteString(sidecarSuffix)
+	split := b.Len()
+	b.WriteString(s.root)
+	b.Write(stem)
+	b.WriteString(chunkSuffix)
+	both := b.String()
+	return both[:split], both[split:]
+}
+
+// digester folds files into a hash with the one framing of DirDigest and of
+// a sink's running digest: each file's name and size, then its content.
+// frame is the framing's scratch.
+type digester struct {
+	h     hash.Hash
+	frame []byte
+}
+
+func newDigester() digester { return digester{h: sha256.New()} }
+
+// file folds one file into the hash, framed "name\x00size\x00".
+func (d *digester) file(name string, content []byte) {
+	d.frame = append(append(d.frame[:0], name...), 0)
+	d.frame = append(strconv.AppendInt(d.frame, int64(len(content)), 10), 0)
+	d.h.Write(d.frame)
+	d.h.Write(content)
 }
 
 // Seal writes the run metadata and fixes the final digest. Sealing an
@@ -210,8 +246,8 @@ func (s *DirSink) Seal(meta Meta) error {
 	if err := os.WriteFile(filepath.Join(s.dir, metaFileName), data, 0o644); err != nil {
 		return fmt.Errorf("trace: writing metadata: %w", err)
 	}
-	digestFile(s.digest, metaFileName, data)
-	s.final = hex.EncodeToString(s.digest.Sum(nil))
+	s.digest.file(metaFileName, data)
+	s.final = hex.EncodeToString(s.digest.h.Sum(nil))
 	s.sealed = true
 	return nil
 }
@@ -239,7 +275,7 @@ func (s *DirSink) Digest() string {
 	}
 	// Snapshot the running hash via its binary state so Sum never
 	// perturbs the accumulating instance across appends.
-	m, ok := s.digest.(encoding.BinaryMarshaler)
+	m, ok := s.digest.h.(encoding.BinaryMarshaler)
 	if !ok {
 		return "" // cannot happen: sha256 implements BinaryMarshaler
 	}
@@ -267,11 +303,17 @@ func EncodeEvents(events []Event) (chunk []byte, index *ChunkIndex, err error) {
 // schema version, not the chunk's), so sinks — local directories, the
 // network ingest path — handle either format without caring which.
 func EncodeEventsFormat(events []Event, f Format) (chunk []byte, index *ChunkIndex, err error) {
-	switch f {
-	case FormatV2:
-		chunk, err = encodeChunkV2(events)
-	default:
-		chunk, err = encodeChunkV1(events)
+	return encodeInto(make([]byte, 0, frameHint(f, len(events))), events, f, nil)
+}
+
+// encodeInto encodes events as one frame of format f into buf[:0], growing
+// it if it is too small, and builds the frame's sidecar index. table is the
+// v1 string table to build in, as appendChunkV1 takes it.
+func encodeInto(buf []byte, events []Event, f Format, table map[string]uint64) (chunk []byte, index *ChunkIndex, err error) {
+	if f == FormatV2 {
+		chunk, err = appendChunkV2(buf[:0], events)
+	} else {
+		chunk, err = appendChunkV1(buf[:0], events, table)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"repro/internal/recycle"
@@ -14,10 +15,20 @@ import (
 // smaller, but the mechanism is identical.
 const DefaultChunkBytes = 1 << 20
 
-const (
-	chunkFilePattern = "chunk_%06d.rlstrace"
-	metaFileName     = "meta.json"
-)
+const metaFileName = "meta.json"
+
+// appendChunkStem appends chunk seq's file name up to its suffix — "chunk_"
+// and seq, zero-padded to six digits — to b.
+func appendChunkStem(b []byte, seq int) []byte {
+	b = append(b, "chunk_"...)
+	for n := 100000; n > 1 && seq < n; n /= 10 {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(seq), 10)
+}
+
+// chunkFileName is chunk seq's file name: chunk_000003.rlstrace.
+func chunkFileName(seq int) string { return string(appendChunkStem(nil, seq)) + chunkSuffix }
 
 // maxEncoders caps the Writer's encode stage. Landing a chunk in a
 // directory sink costs about what encoding it does, so past a few encoders
@@ -69,7 +80,7 @@ type Writer struct {
 
 // writeJob is one chunk on its way through the pipeline. An encoder fills
 // frame, index and err, hands events back to chunkBufs and then closes
-// encoded.
+// encoded; the deliverer hands frame back to frameBufs.
 type writeJob struct {
 	seq     int
 	events  []Event
@@ -140,30 +151,38 @@ func NewSinkWriter(sink Sink, chunkBytes int, opts ...WriterOption) *Writer {
 
 func (w *Writer) encodeLoop() {
 	defer w.stages.Done()
+	var table map[string]uint64 // the v1 string table, emptied after each chunk
+	if w.format == FormatV1 {
+		table = map[string]uint64{}
+	}
 	for job := range w.encode {
 		// The sidecar index is derived from the same event slice the chunk
 		// was encoded from, so the two can never disagree; a streaming
 		// analysis plans chunk routing from it without decoding events.
-		job.frame, job.index, job.err = EncodeEventsFormat(job.events, w.format)
+		buf := getFrameBuf(frameHint(w.format, len(job.events)))
+		job.frame, job.index, job.err = encodeInto(buf, job.events, w.format, table)
+		clear(table)
 		putChunkBuf(job.events)
 		job.events = nil
 		close(job.encoded)
 	}
 }
 
-// deliverLoop hands frames to the sink in sequence order. The first error —
-// an encode failure or the sink's — wins, and nothing is delivered after
-// it: a later chunk would be a gap to the sink.
+// deliverLoop hands frames to the sink in sequence order, and each frame
+// back to frameBufs once the sink is done with it. The first error — an
+// encode failure or the sink's — wins, and nothing is delivered after it: a
+// later chunk would be a gap to the sink.
 func (w *Writer) deliverLoop() {
 	defer w.stages.Done()
 	for job := range w.deliver {
 		<-job.encoded
-		if w.err != nil {
-			continue
+		if w.err == nil {
+			if w.err = job.err; w.err == nil {
+				w.err = w.sink.AppendChunk(job.seq, job.frame, job.index)
+			}
 		}
-		if w.err = job.err; w.err == nil {
-			w.err = w.sink.AppendChunk(job.seq, job.frame, job.index)
-		}
+		putFrameBuf(job.frame)
+		job.frame = nil
 	}
 }
 
@@ -275,6 +294,37 @@ func putChunkBuf(buf []Event) {
 	if cap(buf) <= maxChunkBufEvents {
 		clear(buf)
 		chunkBufs.Put(buf[:0])
+	}
+}
+
+// frameBufs recycles the buffers frames are built in, across chunks and
+// across Writers: an encoder takes one per chunk, and the deliverer hands it
+// back once the sink's AppendChunk has returned, which the Sink contract
+// says ends the sink's use of it. One Writer holds at most 2*maxEncoders+1
+// frames at once — its deliver channel full and one being delivered. A
+// frame past maxFrameBufBytes — a chunkBytes far above the default — is
+// dropped on putFrameBuf instead of kept.
+var frameBufs = recycle.Stack[[]byte]{Max: 2*maxEncoders + 1}
+
+const maxFrameBufBytes = 2 * DefaultChunkBytes // bytes one idle frame buffer may hold room for
+
+// getFrameBuf returns an empty buffer with room for n bytes, dropping an
+// idle one too small for n the way getChunkBuf does. An encoder still grows
+// it when the frame outgrows n.
+func getFrameBuf(n int) []byte {
+	if buf, ok := frameBufs.Get(); ok && cap(buf) >= n {
+		return buf
+	}
+	return make([]byte, 0, n+n/8)
+}
+
+// putFrameBuf hands a delivered frame's buffer back to frameBufs, which
+// keeps it unless the stack is full or the buffer outgrew the bound. A frame
+// holds no pointer, so there is nothing to clear; a failed encode leaves no
+// buffer to keep.
+func putFrameBuf(buf []byte) {
+	if cap(buf) > 0 && cap(buf) <= maxFrameBufBytes {
+		frameBufs.Put(buf[:0])
 	}
 }
 

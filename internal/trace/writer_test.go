@@ -262,6 +262,36 @@ func TestChunkBufsBounded(t *testing.T) {
 	}
 }
 
+// TestFrameBufsBounded: the recycled frame buffers are bounded in count and
+// in size, an idle one too small for a chunk is dropped for a fresh one
+// with room, and a failed encode hands back nothing.
+func TestFrameBufsBounded(t *testing.T) {
+	idle := func() (n int) {
+		for _, ok := frameBufs.Get(); ok; _, ok = frameBufs.Get() {
+			n++
+		}
+		return n
+	}
+	idle()
+	putFrameBuf(make([]byte, 1, maxFrameBufBytes+1))
+	putFrameBuf(nil)
+	if n := idle(); n != 0 {
+		t.Fatalf("a buffer over maxFrameBufBytes or an empty one was kept (%d idle)", n)
+	}
+	for i := 0; i < 2*frameBufs.Max; i++ {
+		putFrameBuf(make([]byte, 3, 64))
+	}
+	if buf := getFrameBuf(10); len(buf) != 0 || cap(buf) != 64 {
+		t.Fatalf("got len %d cap %d: want an empty idle buffer", len(buf), cap(buf))
+	}
+	if buf := getFrameBuf(100); cap(buf) < 100 {
+		t.Fatalf("asked for 100 bytes: cap %d, want a fresh buffer", cap(buf))
+	}
+	if n := idle(); n != frameBufs.Max-2 {
+		t.Fatalf("%d buffers idle, want the bound %d less the one handed out and the small one dropped", n, frameBufs.Max)
+	}
+}
+
 // TestIdleCodecsHoldNoName: a v1 decoder and a v2 encoder go idle with
 // their name table and maps cleared, as an idle chunk buffer does.
 func TestIdleCodecsHoldNoName(t *testing.T) {
@@ -274,7 +304,7 @@ func TestIdleCodecsHoldNoName(t *testing.T) {
 		t.Fatalf("idle v2 encoder (found %v) holds %d names, %d classes", ok, len(enc.refs), len(enc.classOf))
 	}
 	v2Encoders.Put(enc)
-	frame, err := appendChunkV1(nil, events)
+	frame, err := appendChunkV1(nil, events, nil)
 	if err == nil {
 		_, err = DecodeChunkBytes(frame, nil)
 	}
@@ -294,17 +324,42 @@ func TestIdleCodecsHoldNoName(t *testing.T) {
 // writes alone. Run under -race, this is what shows a buffer handed back
 // while still being read.
 func TestChunkBufsConcurrentWriters(t *testing.T) {
-	const writers = 6
-	traces := make([][]Event, writers)
-	want := make([]string, writers)
+	traces := make([][]Event, 6)
+	for i := range traces {
+		traces[i] = randomEvents(rand.New(rand.NewSource(int64(53+i))), 2000+500*i)
+	}
+	writeAloneAndTogether(t, traces, func(i int) int { return 1 << 10 * (1 + i%3) }, func(i int) int { return 1 + i*97 })
+}
+
+// TestFrameBufsConcurrentWriters: Writers running at once, v1 and v2, share
+// the recycled frame buffers, so a frame one Writer's deliverer hands back
+// is built over by another's encoder; each directory must still be the one
+// its Writer writes alone. Chunk sizes differ by Writer, so a buffer handed
+// from one to another is sometimes too small and sometimes larger than
+// needed. Run under -race, this is what shows a frame handed back while the
+// sink still reads it.
+func TestFrameBufsConcurrentWriters(t *testing.T) {
+	traces := make([][]Event, 6)
+	for i := range traces {
+		traces[i] = randomEvents(rand.New(rand.NewSource(int64(71+i))), 3000+700*i)
+	}
+	writeAloneAndTogether(t, traces, func(i int) int { return 512 << (i % 4) }, func(i int) int { return len(traces[i]) })
+}
+
+// writeAloneAndTogether writes each trace through a Writer of its own into a
+// DirSink — Writer i at chunkBytes(i), v1 or v2 by i's parity, in Appends of
+// batch(i) events — first one Writer at a time, then all at once, and fails
+// on any directory whose digest the two ways differ.
+func writeAloneAndTogether(t *testing.T, traces [][]Event, chunkBytes, batch func(i int) int) {
+	t.Helper()
 	write := func(i int) (string, error) {
 		sink, err := NewDirSink(t.TempDir())
 		if err != nil {
 			return "", err
 		}
-		w := NewSinkWriter(sink, 1<<10*(1+i%3), WithFormat([]Format{FormatV1, FormatV2}[i%2]))
+		w := NewSinkWriter(sink, chunkBytes(i), WithFormat([]Format{FormatV1, FormatV2}[i%2]))
 		for evs := traces[i]; len(evs) > 0; {
-			n := min(len(evs), 1+i*97)
+			n := min(len(evs), batch(i))
 			w.Append(evs[:n]...)
 			evs = evs[n:]
 		}
@@ -313,16 +368,16 @@ func TestChunkBufsConcurrentWriters(t *testing.T) {
 		}
 		return sink.Digest(), nil
 	}
+	want := make([]string, len(traces))
 	for i := range traces {
-		traces[i] = randomEvents(rand.New(rand.NewSource(int64(53+i))), 2000+500*i)
 		d, err := write(i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = d
 	}
-	got := make([]string, writers)
-	errs := make([]error, writers)
+	got := make([]string, len(traces))
+	errs := make([]error, len(traces))
 	var wg sync.WaitGroup
 	for i := range traces {
 		wg.Add(1)
