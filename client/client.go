@@ -26,15 +26,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptrace"
 	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/recycle"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -94,32 +91,19 @@ func decodeError(resp *http.Response) error {
 }
 
 // do performs one request, retrying transport failures (API errors are
-// never retried). body is the whole request body, empty for none. Every v1
-// request in this client is idempotent by protocol design — chunk appends
-// carry sequence numbers the server deduplicates.
-//
-// The transport is handed a copy of body, so the caller may reuse body as
-// soon as do returns: net/http may go on reading a request body after the
-// response is in (a server that answers before the body is all written),
-// and a RoundTripper may read it on a goroutine of its own.
+// never retried). body is the whole request body, nil for none; every
+// attempt reads it from the start. Every v1 request in this client is
+// idempotent by protocol design — chunk appends carry sequence numbers the
+// server deduplicates.
 func (c *Client) do(ctx context.Context, method, path, contentType string, body []byte) (*http.Response, error) {
 	for attempt := 0; ; attempt++ {
-		reqCtx := ctx
-		var sent *sentBody
-		if len(body) > 0 {
-			sent = newSentBody(body)
-			reqCtx = httptrace.WithClientTrace(ctx, &sent.trace)
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
 		}
-		req, err := http.NewRequestWithContext(reqCtx, method, c.base+path, nil)
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 		if err != nil {
 			return nil, err
-		}
-		if sent != nil {
-			// An in-memory body: net/http writes it behind the headers
-			// without a copy buffer of its own. No GetBody, so nothing
-			// reads the copy again once it is written.
-			req.Body = io.NopCloser(&sent.Reader)
-			req.ContentLength = int64(len(body))
 		}
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
@@ -139,42 +123,6 @@ func (c *Client) do(ctx context.Context, method, path, contentType string, body 
 			return nil, err
 		}
 	}
-}
-
-// sentBodies recycles the copies of request bodies that transports send,
-// across requests and Clients. A copy goes back when net/http's trace
-// reports its request written, after the last read of it; one that is
-// never reported — a RoundTripper that does not trace, a request never
-// written — is left to the collector. Copies past maxSentBodyBytes are not
-// kept.
-var sentBodies = recycle.Stack[[]byte]{Max: 4}
-
-const maxSentBodyBytes = 4 << 20
-
-// sentBody is one attempt's copy of its request body, read through
-// Reader, and the trace that hands the copy back to sentBodies. A redirect
-// after an early answer writes a second request under the same trace, and
-// the trace cannot tell whose write it reports, so the copy goes back only
-// while a single request has written its headers, and only once.
-type sentBody struct {
-	bytes.Reader
-	buf      []byte
-	trace    httptrace.ClientTrace
-	headers  atomic.Int32 // requests under trace that wrote their headers
-	returned atomic.Bool
-}
-
-func newSentBody(body []byte) *sentBody {
-	buf, _ := sentBodies.Get()
-	b := &sentBody{buf: append(buf[:0], body...)}
-	b.Reset(b.buf)
-	b.trace.WroteHeaders = func() { b.headers.Add(1) }
-	b.trace.WroteRequest = func(httptrace.WroteRequestInfo) {
-		if b.headers.Load() <= 1 && b.returned.CompareAndSwap(false, true) && cap(b.buf) <= maxSentBodyBytes {
-			sentBodies.Put(b.buf)
-		}
-	}
-	return b
 }
 
 // getJSON GETs path and decodes the response into out.
@@ -271,9 +219,11 @@ func (c *Client) Query(ctx context.Context, q fleet.Query) ([]byte, error) {
 // — the server derives the sidecar from the frame — and stays in the
 // signature because trace.Sink hands one over. Appends are idempotent:
 // retrying a delivered sequence number with the same bytes is a no-op the
-// response flags as Duplicate. AppendChunk keeps no reference to chunk
-// once it returns, whatever it returns, so the caller may reuse it — as
-// the Sink contract lets a recycling trace.Writer do.
+// response flags as Duplicate. The transport reads chunk as it is, and
+// net/http may go on reading a request body after the call has returned (a
+// server that answers before it has read the body), so a caller must not
+// change chunk while the call is in flight, and one that refills its buffer
+// once the call returns must pass a copy — as Sink does.
 func (c *Client) AppendChunk(ctx context.Context, id string, seq int, chunk []byte, index *trace.ChunkIndex) (serve.AppendResponse, error) {
 	var out serve.AppendResponse
 	data, err := c.post(ctx, "/v1/traces/"+url.PathEscape(id)+"/chunks?seq="+strconv.Itoa(seq), "application/octet-stream", chunk)
@@ -309,8 +259,11 @@ type netSink struct {
 	id  string
 }
 
+// AppendChunk sends a copy of chunk: the trace.Sink contract lets the
+// Writer refill chunk once AppendChunk returns, and the transport may still
+// be reading its request body then.
 func (ns *netSink) AppendChunk(seq int, chunk []byte, index *trace.ChunkIndex) error {
-	_, err := ns.c.AppendChunk(ns.ctx, ns.id, seq, chunk, index)
+	_, err := ns.c.AppendChunk(ns.ctx, ns.id, seq, bytes.Clone(chunk), index)
 	return err
 }
 

@@ -294,10 +294,10 @@ func (l *lateReader) RoundTrip(req *http.Request) (*http.Response, error) {
 // TestClientChunkReusableAfterAppend: a transport may go on reading a
 // request body after the response is in — a server that answers before it
 // has read the body, or a RoundTripper that reads the body on a goroutine of
-// its own. AppendChunk must keep no hold on the chunk once it returns, so a
-// caller that refills its buffer as soon as AppendChunk returns — what a
-// trace.Writer recycling its frames does — never races the transport and
-// never changes what was sent. Run under -race, the early server shows a
+// its own. The trace.Sink contract lets a trace.Writer recycling its frames
+// refill a chunk as soon as the sink's AppendChunk returns, so Client.Sink
+// must keep no hold on the chunk then: refilling it never races the
+// transport and never changes what was sent. Run under -race, the early server shows a
 // hold kept too long; the late RoundTripper shows it without -race too.
 func TestClientChunkReusableAfterAppend(t *testing.T) {
 	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -329,9 +329,10 @@ func TestClientChunkReusableAfterAppend(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := client.New(ts.URL, client.WithHTTPClient(&http.Client{Transport: tc.rt}))
+			sink := c.Sink(context.Background(), "early")
 			chunk := bytes.Repeat([]byte{1}, 4<<20)
 			for i := 1; i <= 2; i++ {
-				_, err := c.AppendChunk(context.Background(), "early", i, chunk, nil)
+				err := sink.AppendChunk(i, chunk, nil)
 				var apiErr *client.APIError
 				if !errors.As(err, &apiErr) || apiErr.Status != http.StatusConflict {
 					t.Fatalf("append %d: %v, want the 409", i, err)

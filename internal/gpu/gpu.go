@@ -15,7 +15,10 @@
 // events) and by the nvidia-smi-style sampled utilization monitor. The
 // ledger is kept in fixed-capacity blocks, each twice the last up to a cap,
 // so recording an interval never copies the ones before it;
-// BusyIntervals flattens them in submission order.
+// BusyIntervals flattens them in submission order. The block list
+// deliberately mirrors profiler.Session's event blocks (Session.newBlock),
+// without the sort-key limit on their count; a change to one belongs in
+// both.
 package gpu
 
 import (
@@ -107,7 +110,8 @@ func (d *Device) Submit(proc trace.ProcID, stream StreamID, issue vclock.Time, d
 	return start, end
 }
 
-// newBlock keeps the full open block, if any, and opens the next.
+// newBlock keeps the full open block, if any, and opens the next, as
+// profiler.Session.newBlock does.
 func (d *Device) newBlock() {
 	n := minLedgerBlock
 	if len(d.cur) > 0 {

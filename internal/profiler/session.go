@@ -95,6 +95,9 @@ func (s *Session) Emit(e trace.Event) {
 	s.cur = append(s.cur, e)
 }
 
+// newBlock keeps the full open block, if any, and opens the next. gpu.Device
+// keeps its busy ledger in the same block list (Device.newBlock); a change
+// to one belongs in both.
 func (s *Session) newBlock() {
 	n := minBlockEvents
 	if len(s.cur) > 0 {

@@ -26,15 +26,16 @@ import (
 // into a chunk buffer an earlier epoch drained, and applied into windows
 // whose buffers came off the pool, and a cut takes its window, result maps
 // and all, from the process state an earlier stream left, so what is left is
-// per request — the sink's two files and the one string naming both, the
-// sidecar, the digest, the merged result and the document — and no event
-// buffer: an epoch allocates less than its events would occupy. Every warm
+// per request — the sink's two files, the sidecar, the digest, the merged
+// result and the document — and no event buffer: an epoch allocates less
+// than its events would occupy. The digest frames each file's name and size
+// into kept scratch, so folding the two files in allocates nothing. Every warm
 // epoch costs the same count, one that cuts as one that does not: the
 // measured sum is a multiple of runs, and fewer than runs stray allocations
 // elsewhere in the process leave the floored average where it is.
 func TestLiveEpochAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("under the race detector the standard library's own sync.Pools cost a warm epoch 111-118 allocations, not 102")
+		t.Skip("under the race detector the standard library's own sync.Pools cost a warm epoch 116-121 allocations, not 105")
 	}
 	const per, warm, runs = 512, 16, 20
 	s, _ := liveServer(t, Config{})
@@ -103,7 +104,7 @@ func TestLiveEpochAllocs(t *testing.T) {
 	if limit := uint64(per * 40); perEpoch >= limit {
 		t.Errorf("a warm epoch allocates %d B, want under %d: an event buffer is among them", perEpoch, limit)
 	}
-	if want := 102.0; allocs != want {
+	if want := 105.0; allocs != want {
 		t.Errorf("a warm epoch allocates %.0f times, want %.0f", allocs, want)
 	}
 }

@@ -56,7 +56,7 @@ const v1MinEventBytes = 7
 
 // encodeChunkV1 is the v1 encoder into one presized frame buffer.
 func encodeChunkV1(events []Event) ([]byte, error) {
-	return appendChunkV1(make([]byte, 0, frameHint(FormatV1, len(events))), events, nil)
+	return appendChunkV1(make([]byte, 0, frameHint(FormatV1, len(events))), events)
 }
 
 // frameHint is the room to give a frame of n events in format f before it is
@@ -69,16 +69,12 @@ func frameHint(f Format, n int) int {
 	return 16 + n*v1EventBytesHint
 }
 
-// appendChunkV1 appends events as one v1 frame to dst. strings is the string
-// table to build the frame's in: empty, or nil for a fresh one. The caller
-// that passes one clears it after.
-func appendChunkV1(dst []byte, events []Event, strings map[string]uint64) ([]byte, error) {
+// appendChunkV1 appends events as one v1 frame to dst.
+func appendChunkV1(dst []byte, events []Event) ([]byte, error) {
 	dst = append(dst, chunkMagic...)
 	dst = binary.AppendUvarint(dst, chunkVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
-	if strings == nil {
-		strings = map[string]uint64{}
-	}
+	strings := map[string]uint64{}
 	var ref uint64 // the previous event's string-table reference
 	var prevStart int64
 	for i := range events {

@@ -96,7 +96,7 @@ func ConvertDir(src, dst string) (*ConvertStats, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := chunkFileName(i)
+		name := fmt.Sprintf(chunkFilePattern, i)
 		round.file(sidecarPath(name), sidecar)
 		round.file(name, back)
 	}

@@ -54,7 +54,7 @@ func (ix *ChunkIndex) AppendBinary(dst []byte) ([]byte, error) {
 	if len(ix.Phases) == 0 {
 		return dst, nil
 	}
-	return appendChunkV1(dst, ix.Phases, nil)
+	return appendChunkV1(dst, ix.Phases)
 }
 
 // sidecarCursor reads the fixed fields with a sticky error, refusing what

@@ -84,8 +84,7 @@ func (e *ConflictError) Error() string {
 //
 // DirSink methods are safe for concurrent use.
 type DirSink struct {
-	dir  string
-	root string // filepath.Join(dir, name) is root+name for a trace file's name
+	dir string
 
 	mu     sync.Mutex
 	next   int      // next expected sequence number
@@ -125,8 +124,7 @@ func newDirSink(dir string, overwrite bool) (*DirSink, error) {
 			return nil, fmt.Errorf("trace: clearing stale trace file: %w", err)
 		}
 	}
-	root := strings.TrimSuffix(filepath.Join(dir, "_"), "_")
-	return &DirSink{dir: dir, root: root, digest: newDigester()}, nil
+	return &DirSink{dir: dir, digest: newDigester()}, nil
 }
 
 // Dir returns the directory the sink writes into.
@@ -158,16 +156,16 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 	if seq < 0 || seq > s.next {
 		return false, &SeqError{Seq: seq, Next: s.next}
 	}
-	sidePath, chunkPath := s.paths(seq)
+	chunkName := fmt.Sprintf(chunkFilePattern, seq)
 	if seq < s.next {
 		// A replay is checked against the files it would have written:
 		// landed bytes are hashed once, into the running digest, and never
 		// again.
 		for _, f := range []struct {
-			path string
+			name string
 			want []byte
-		}{{chunkPath, chunk}, {sidePath, sidecar}} {
-			got, err := os.ReadFile(f.path)
+		}{{chunkName, chunk}, {sidecarPath(chunkName), sidecar}} {
+			got, err := os.ReadFile(filepath.Join(s.dir, f.name))
 			if err != nil {
 				return false, fmt.Errorf("trace: reading applied chunk %d: %w", seq, err)
 			}
@@ -177,10 +175,10 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 		}
 		return true, nil
 	}
-	if err := os.WriteFile(chunkPath, chunk, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.dir, chunkName), chunk, 0o644); err != nil {
 		return false, fmt.Errorf("trace: writing chunk: %w", err)
 	}
-	if err := os.WriteFile(sidePath, sidecar, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(s.dir, sidecarPath(chunkName)), sidecar, 0o644); err != nil {
 		return false, fmt.Errorf("trace: writing sidecar: %w", err)
 	}
 	// Fold the pair into the running digest in DirDigest's sorted-name
@@ -188,28 +186,10 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 	// chunk name (".rlsidx" < ".rlstrace"), every chunk pair sorts before
 	// any later pair, and "meta.json" sorts after all of them — so
 	// appending frames in arrival order reproduces the sorted walk.
-	s.digest.file(sidePath[len(s.root):], sidecar)
-	s.digest.file(chunkPath[len(s.root):], chunk)
+	s.digest.file(sidecarPath(chunkName), sidecar)
+	s.digest.file(chunkName, chunk)
 	s.next++
 	return false, nil
-}
-
-// paths returns where chunk seq's sidecar and chunk land: the two halves of
-// one string, built in one allocation whatever the directory's length.
-func (s *DirSink) paths(seq int) (sidecar, chunk string) {
-	var buf [32]byte
-	stem := appendChunkStem(buf[:0], seq)
-	var b strings.Builder
-	b.Grow(2*(len(s.root)+len(stem)) + len(sidecarSuffix) + len(chunkSuffix))
-	b.WriteString(s.root)
-	b.Write(stem)
-	b.WriteString(sidecarSuffix)
-	split := b.Len()
-	b.WriteString(s.root)
-	b.Write(stem)
-	b.WriteString(chunkSuffix)
-	both := b.String()
-	return both[:split], both[split:]
 }
 
 // digester folds files into a hash with the one framing of DirDigest and of
@@ -303,17 +283,16 @@ func EncodeEvents(events []Event) (chunk []byte, index *ChunkIndex, err error) {
 // schema version, not the chunk's), so sinks — local directories, the
 // network ingest path — handle either format without caring which.
 func EncodeEventsFormat(events []Event, f Format) (chunk []byte, index *ChunkIndex, err error) {
-	return encodeInto(make([]byte, 0, frameHint(f, len(events))), events, f, nil)
+	return encodeInto(make([]byte, 0, frameHint(f, len(events))), events, f)
 }
 
 // encodeInto encodes events as one frame of format f into buf[:0], growing
-// it if it is too small, and builds the frame's sidecar index. table is the
-// v1 string table to build in, as appendChunkV1 takes it.
-func encodeInto(buf []byte, events []Event, f Format, table map[string]uint64) (chunk []byte, index *ChunkIndex, err error) {
+// it if it is too small, and builds the frame's sidecar index.
+func encodeInto(buf []byte, events []Event, f Format) (chunk []byte, index *ChunkIndex, err error) {
 	if f == FormatV2 {
 		chunk, err = appendChunkV2(buf[:0], events)
 	} else {
-		chunk, err = appendChunkV1(buf[:0], events, table)
+		chunk, err = appendChunkV1(buf[:0], events)
 	}
 	if err != nil {
 		return nil, nil, err

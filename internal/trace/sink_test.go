@@ -70,66 +70,6 @@ func TestDirSinkDigestTracksDirDigest(t *testing.T) {
 	}
 }
 
-// TestDirSinkAppendAllocs pins what a warm DirSink.Append allocates: what
-// os.WriteFile allocates for each of its two files, and the one string that
-// holds both paths. Naming the files, framing them into the digest and
-// hashing them allocate nothing.
-func TestDirSinkAppendAllocs(t *testing.T) {
-	dir := t.TempDir()
-	sink, err := NewDirSink(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunks, indexes := sinkTestFrames(t, 1)
-	sidecar, err := indexes[0].AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := 0
-	appendOne := func() {
-		if dup, err := sink.Append(seq, chunks[0], sidecar); err != nil || dup {
-			t.Fatalf("append %d: dup %v, %v", seq, dup, err)
-		}
-		seq++
-	}
-	appendOne() // the digest's framing scratch
-	probe := filepath.Join(dir, "probe")
-	writeFile := testing.AllocsPerRun(10, func() {
-		if err := os.WriteFile(probe, chunks[0], 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got, want := testing.AllocsPerRun(10, appendOne), 2*writeFile+1; got != want {
-		t.Fatalf("a warm Append allocates %.0f times, want %.0f: %.0f for each os.WriteFile and the paths", got, want, writeFile)
-	}
-}
-
-// TestChunkFileNames: the names DirSink builds by hand are the ones
-// "chunk_%06d" and filepath.Join spell, for every directory spelling and
-// for sequence numbers past six digits.
-func TestChunkFileNames(t *testing.T) {
-	t.Chdir(t.TempDir())
-	for _, dir := range []string{".", "a", "a/b/", "x/../y", "./z/.", t.TempDir()} {
-		s, err := NewDirSink(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, seq := range []int{0, 7, 99, 100, 99999, 123456, 1234567} {
-			name := fmt.Sprintf("chunk_%06d.rlstrace", seq)
-			if got := chunkFileName(seq); got != name {
-				t.Fatalf("chunkFileName(%d) = %q, want %q", seq, got, name)
-			}
-			side, chunk := s.paths(seq)
-			if want := filepath.Join(dir, sidecarPath(name)); side != want {
-				t.Fatalf("dir %q seq %d: sidecar path %q, want %q", dir, seq, side, want)
-			}
-			if want := filepath.Join(dir, name); chunk != want {
-				t.Fatalf("dir %q seq %d: chunk path %q, want %q", dir, seq, chunk, want)
-			}
-		}
-	}
-}
-
 // TestDirSinkIdempotencyProtocol exercises the retry protocol: replaying an
 // applied sequence with identical bytes is a flagged no-op, a diverging
 // replay is a ConflictError, a gap is a SeqError naming the expected
@@ -200,7 +140,7 @@ func TestDirSinkReplayChecksLandedFiles(t *testing.T) {
 	if _, err := sink.Append(1, chunks[1], mustSidecar(t, indexes[0])); !errors.As(err, &conflict) || conflict.Seq != 1 {
 		t.Fatalf("replay with another sidecar: %v, want a *ConflictError for seq 1", err)
 	}
-	if err := os.Remove(filepath.Join(dir, chunkFileName(0))); err != nil {
+	if err := os.Remove(filepath.Join(dir, fmt.Sprintf(chunkFilePattern, 0))); err != nil {
 		t.Fatal(err)
 	}
 	if dup, err := sink.Append(0, chunks[0], mustSidecar(t, indexes[0])); dup || err == nil || errors.As(err, &conflict) {

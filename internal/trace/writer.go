@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"repro/internal/recycle"
@@ -15,20 +14,10 @@ import (
 // smaller, but the mechanism is identical.
 const DefaultChunkBytes = 1 << 20
 
-const metaFileName = "meta.json"
-
-// appendChunkStem appends chunk seq's file name up to its suffix — "chunk_"
-// and seq, zero-padded to six digits — to b.
-func appendChunkStem(b []byte, seq int) []byte {
-	b = append(b, "chunk_"...)
-	for n := 100000; n > 1 && seq < n; n /= 10 {
-		b = append(b, '0')
-	}
-	return strconv.AppendInt(b, int64(seq), 10)
-}
-
-// chunkFileName is chunk seq's file name: chunk_000003.rlstrace.
-func chunkFileName(seq int) string { return string(appendChunkStem(nil, seq)) + chunkSuffix }
+const (
+	chunkFilePattern = "chunk_%06d.rlstrace"
+	metaFileName     = "meta.json"
+)
 
 // maxEncoders caps the Writer's encode stage. Landing a chunk in a
 // directory sink costs about what encoding it does, so past a few encoders
@@ -151,17 +140,12 @@ func NewSinkWriter(sink Sink, chunkBytes int, opts ...WriterOption) *Writer {
 
 func (w *Writer) encodeLoop() {
 	defer w.stages.Done()
-	var table map[string]uint64 // the v1 string table, emptied after each chunk
-	if w.format == FormatV1 {
-		table = map[string]uint64{}
-	}
 	for job := range w.encode {
 		// The sidecar index is derived from the same event slice the chunk
 		// was encoded from, so the two can never disagree; a streaming
 		// analysis plans chunk routing from it without decoding events.
 		buf := getFrameBuf(frameHint(w.format, len(job.events)))
-		job.frame, job.index, job.err = encodeInto(buf, job.events, w.format, table)
-		clear(table)
+		job.frame, job.index, job.err = encodeInto(buf, job.events, w.format)
 		putChunkBuf(job.events)
 		job.events = nil
 		close(job.encoded)

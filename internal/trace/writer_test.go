@@ -304,7 +304,7 @@ func TestIdleCodecsHoldNoName(t *testing.T) {
 		t.Fatalf("idle v2 encoder (found %v) holds %d names, %d classes", ok, len(enc.refs), len(enc.classOf))
 	}
 	v2Encoders.Put(enc)
-	frame, err := appendChunkV1(nil, events, nil)
+	frame, err := appendChunkV1(nil, events)
 	if err == nil {
 		_, err = DecodeChunkBytes(frame, nil)
 	}
