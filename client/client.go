@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/recycle"
 	"repro/internal/serve"
 	"repro/internal/trace"
 )
@@ -148,8 +149,23 @@ func (c *Client) post(ctx context.Context, path, contentType string, body []byte
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusCreated {
 		return nil, decodeError(resp)
 	}
-	return io.ReadAll(resp.Body)
+	// A declared length sizes the buffer, up to maxPresizeBytes, with room
+	// for the read that meets EOF; ReadAll grows it only as bytes arrive, and
+	// the transport reports a body shorter than declared as an error.
+	size := int64(512) // io.ReadAll's first guess, for a body of unknown length
+	if resp.ContentLength >= 0 {
+		size = min(resp.ContentLength, maxPresizeBytes) + 1
+	}
+	data, err := recycle.ReadAll(make([]byte, 0, size), resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
 }
+
+// maxPresizeBytes caps what post allocates on the strength of a response's
+// Content-Length before its bytes arrive.
+const maxPresizeBytes = 64 << 10
 
 // postJSON POSTs body (JSON-encoded) to path and returns the response body;
 // out, when non-nil, also receives it decoded.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/overlap"
+	"repro/internal/recycle"
 	"repro/internal/trace"
 )
 
@@ -203,11 +204,46 @@ func (a *Analysis) Encode(w io.Writer) error { return EncodeJSON(w, a) }
 
 // EncodeJSON is the one spelling of the indented JSON documents the module
 // serves and prints: two-space indent, no HTML escaping, trailing newline.
+// It borrows an encoder off jsonEncoders, so a warm call keeps the indent
+// buffer an earlier one grew.
 func EncodeJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	e, ok := jsonEncoders.Get()
+	if !ok {
+		e = new(jsonEncoder)
+		e.enc = json.NewEncoder(e)
+		e.enc.SetEscapeHTML(false)
+		e.enc.SetIndent("", "  ")
+	}
+	e.w, e.n = w, 0
+	err := e.enc.Encode(v)
+	e.w = nil
+	// A json.Encoder keeps its first write error and returns it from every
+	// later Encode: one that failed is never handed out again.
+	if err == nil && e.n <= maxEncodeBytes {
+		jsonEncoders.Put(e)
+	}
+	return err
+}
+
+// jsonEncoders keeps idle encoders. One whose last document passed
+// maxEncodeBytes is dropped, so an idle encoder's indent buffer, grown by
+// append to hold documents no longer than that, stays under twice it.
+var jsonEncoders = recycle.Stack[*jsonEncoder]{Max: 8} // encodes at once beyond eight allocate afresh
+
+const maxEncodeBytes = 64 << 10
+
+// jsonEncoder is a kept json.Encoder and the writer it writes through:
+// Write passes the bytes on to w, the destination of the call in progress,
+// and counts them in n.
+type jsonEncoder struct {
+	enc *json.Encoder
+	w   io.Writer
+	n   int
+}
+
+func (e *jsonEncoder) Write(p []byte) (int, error) {
+	e.n += len(p)
+	return e.w.Write(p)
 }
 
 // TreeNode is the nested wire form of the multi-process fork tree (the JSON

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/recycle"
+	"repro/internal/trace"
 )
 
 // maxJSONBytes bounds the body of every route that takes a JSON one.
@@ -34,23 +35,26 @@ type bodyBuf struct {
 	rd bytes.Reader
 }
 
-// bodyBufs keeps the buffers JSON bodies are read into. A buffer grown past
-// keptBodyBytes is dropped rather than kept idle.
+// bodyBufs keeps the buffers request bodies are read into, JSON bodies and
+// chunk frames alike, across requests and traces. A buffer grown past
+// keptBodyBytes is dropped rather than kept idle; the bound admits what a
+// default trace.Writer sends, a frame under trace.DefaultChunkBytes, after
+// ReadAll's regrowths. Eight idle buffers hold at most 16 MiB.
 var bodyBufs = recycle.Stack[*bodyBuf]{Max: 8} // reads at once beyond eight allocate afresh
 
-const keptBodyBytes = 64 << 10
+const keptBodyBytes = 2 * trace.DefaultChunkBytes
 
-// readBody reads r's body, at most maxJSONBytes of it, into a buffer off
+// readBody reads r's body, at most limit bytes of it, into a buffer off
 // bodyBufs; the caller hands it back with releaseBody. Otherwise it writes
-// bad_request — 413 for a body over maxJSONBytes, whatever it holds, 400 for
-// a read that failed — and reports false.
-func readBody(w http.ResponseWriter, r *http.Request) (*bodyBuf, bool) {
+// bad_request, its message starting with what — 413 for a body over limit,
+// whatever it holds, 400 for a read that failed — and reports false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, what string) (*bodyBuf, bool) {
 	body, ok := bodyBufs.Get()
 	if !ok {
 		body = &bodyBuf{b: make([]byte, 0, 512)}
 	}
 	var err error
-	body.b, err = recycle.ReadAll(body.b, http.MaxBytesReader(w, r.Body, maxJSONBytes))
+	body.b, err = recycle.ReadAll(body.b, http.MaxBytesReader(w, r.Body, limit))
 	if err == nil {
 		return body, true
 	}
@@ -61,7 +65,7 @@ func readBody(w http.ResponseWriter, r *http.Request) (*bodyBuf, bool) {
 	if errors.As(err, &tooBig) {
 		status = http.StatusRequestEntityTooLarge
 	}
-	writeError(w, status, ErrCodeBadRequest, "bad request body: "+err.Error())
+	writeError(w, status, ErrCodeBadRequest, what+err.Error())
 	return nil, false
 }
 
@@ -99,7 +103,7 @@ func decodeJSON(w http.ResponseWriter, body *bodyBuf, v any, emptyOK bool) bool 
 // readJSON is the one JSON body reader of the routes that keep no memo:
 // readBody, then decodeJSON into v.
 func readJSON(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
-	body, ok := readBody(w, r)
+	body, ok := readBody(w, r, maxJSONBytes, "bad request body: ")
 	if !ok {
 		return false
 	}
@@ -168,7 +172,7 @@ func (m *bodyMemo[V]) put(body []byte, v V) {
 // analyzeRequest reads r's analyze body through the analyze memo. On a
 // refusal it has written the error and reports false.
 func (s *Server) analyzeRequest(w http.ResponseWriter, r *http.Request) (AnalyzeRequest, bool) {
-	body, ok := readBody(w, r)
+	body, ok := readBody(w, r, maxJSONBytes, "bad request body: ")
 	if !ok {
 		return AnalyzeRequest{}, false
 	}
@@ -192,7 +196,7 @@ func (s *Server) analyzeRequest(w http.ResponseWriter, r *http.Request) (Analyze
 // last answered over (Server.query). On a refusal it has written the error
 // and reports false.
 func (s *Server) queryRequest(w http.ResponseWriter, r *http.Request) (*fleet.Plan, *atomic.Pointer[selection], bool) {
-	body, ok := readBody(w, r)
+	body, ok := readBody(w, r, maxJSONBytes, "bad request body: ")
 	if !ok {
 		return nil, nil, false
 	}

@@ -47,21 +47,13 @@ type liveTrace struct {
 	sink *trace.DirSink
 
 	// pmu guards the ingest side: sink ordering, the pending epoch queue,
-	// what listing and summary read — the digest as of the last append and
-	// the sidecar fold — and the recycled body buffer. They never ask the
-	// sink, so a trace reads as open, with its last open digest, until seal
-	// swaps it out.
+	// and what listing and summary read — the digest as of the last append
+	// and the sidecar fold. They never ask the sink, so a trace reads as
+	// open, with its last open digest, until seal swaps it out.
 	pmu     sync.Mutex
 	pending [][]trace.Event
 	digest  string
 	fold    summaryFold
-	// frame is the body buffer of the last append to finish, and decoded the
-	// chunk buffers epochs have drained, at most 16 (an epoch of more chunks
-	// allocates the rest afresh): what the next appends read and decode into.
-	// An append takes them while it runs, so concurrent appends never share
-	// one.
-	frame   []byte
-	decoded recycle.Stack[[]trace.Event]
 
 	// amu guards the analysis side: the incremental state and the one-slot
 	// encoded-document cache. Epoch application and result reads are
@@ -75,7 +67,7 @@ type liveTrace struct {
 
 // drain is the coordinator step: everything appended since the last epoch
 // becomes this epoch, applied in landing order. Apply copies the events into
-// the windows, so the chunk buffers then go back on the decode stack, and
+// the windows, so the chunk buffers then go back to eventBufs, and
 // the queue's own array back to the queue if no append has started a new
 // one. It returns the digest the epoch brings the analysis up to. amu held.
 func (lt *liveTrace) drain() (digest string) {
@@ -88,7 +80,7 @@ func (lt *liveTrace) drain() (digest string) {
 	}
 	lt.inc.Apply(batch)
 	for i, events := range batch {
-		lt.putDecoded(events)
+		putEvents(events)
 		batch[i] = nil
 	}
 	lt.pmu.Lock()
@@ -99,38 +91,24 @@ func (lt *liveTrace) drain() (digest string) {
 	return digest
 }
 
-// takeBuffers hands an append the trace's frame buffer and a decode buffer,
-// either nil when there is none to take; lt may be nil: a trace not open yet
-// has no buffers.
-func (lt *liveTrace) takeBuffers() (frame []byte, events []trace.Event) {
-	if lt == nil {
-		return nil, nil
-	}
-	lt.pmu.Lock()
-	frame, lt.frame = lt.frame, nil
-	lt.pmu.Unlock()
-	events, _ = lt.decoded.Get()
-	return frame, events
-}
+// eventBufs keeps the buffers appended chunks are decoded into, across
+// appends and traces: an append takes one, an epoch hands it back once
+// Apply has copied its events, and a refused, duplicate or undecodable
+// append at once. An epoch of more than eight chunks allocates the rest
+// afresh. A buffer with room for more than maxEventBufEvents — a chunk far
+// above the ≈ 35 000 events a default trace.Writer sends — is dropped, so
+// the idle buffers hold at most 8 × 2.5 MiB.
+var eventBufs = recycle.Stack[[]trace.Event]{Max: 8}
 
-// putBuffers is takeBuffers' converse; events is nil when the append queued
-// them. Of two frame buffers the larger stays.
-func (lt *liveTrace) putBuffers(frame []byte, events []trace.Event) {
-	if lt == nil {
-		return
-	}
-	lt.pmu.Lock()
-	if cap(frame) > cap(lt.frame) {
-		lt.frame = frame
-	}
-	lt.pmu.Unlock()
-	lt.putDecoded(events)
-}
+const maxEventBufEvents = 1 << 16 // events one idle buffer may hold room for
 
-// putDecoded pushes a chunk buffer on the decode stack while there is room.
-func (lt *liveTrace) putDecoded(events []trace.Event) {
-	if cap(events) > 0 {
-		lt.decoded.Put(events[:0])
+// putEvents hands a chunk buffer back to eventBufs, cleared to its capacity
+// — a failed decode may have written past the length it returned — so an
+// idle buffer holds no name alive.
+func putEvents(events []trace.Event) {
+	if cap(events) > 0 && cap(events) <= maxEventBufEvents {
+		clear(events[:cap(events)])
+		eventBufs.Put(events[:0])
 	}
 }
 
@@ -177,7 +155,7 @@ func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiEr
 		return nil, false, &apiError{http.StatusConflict, ErrCodeTraceExists,
 			fmt.Sprintf("creating trace store dir: %v", err)}
 	}
-	lt = &liveTrace{id: id, sink: sink, inc: analysis.NewIncremental(), decoded: recycle.Stack[[]trace.Event]{Max: 16}}
+	lt = &liveTrace{id: id, sink: sink, inc: analysis.NewIncremental()}
 	s.setEntry(id, &traceEntry{id: id, live: lt})
 	return lt, true, nil
 }
@@ -249,10 +227,11 @@ func checkTraceID(id string) error {
 // handleAppendChunk is POST /v1/traces/{id}/chunks?seq=N: the request body
 // is one encoded chunk frame, whatever its Content-Type. The server decodes
 // the chunk and derives the sidecar itself, so nothing a client sends beside
-// the frame can skew the stored trace or the incremental analysis. An open
-// trace's frame is read into the trace's recycled body buffer and decoded
-// into one of its recycled chunk buffers; the body buffer goes back when the
-// append ends, the chunk buffer when an epoch has drained it.
+// the frame can skew the stored trace or the incremental analysis. The
+// frame is read into a buffer off bodyBufs and decoded into one off
+// eventBufs, whether the trace is open yet or not. The body buffer goes back
+// when the append ends, and so does the chunk buffer unless the chunk
+// landed; then the epoch that drains it hands it back.
 func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	seqStr := r.URL.Query().Get("seq")
 	seq, err := strconv.Atoi(seqStr)
@@ -266,24 +245,15 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("chunk body of %d bytes exceeds the %d-byte limit", r.ContentLength, maxChunkBytes))
 		return
 	}
-	entry := s.lookup(r.PathValue("id"))
-	var owner *liveTrace // whose buffers these are: the trace's, once it is open
-	if entry != nil {
-		owner = entry.live
-	}
-	frame, events := owner.takeBuffers()
-	defer func() { owner.putBuffers(frame, events) }()
-	frame, err = recycle.ReadAll(frame, http.MaxBytesReader(w, r.Body, maxChunkBytes))
-	if err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		frame = nil // a partial body, perhaps the limit's worth: not kept
-		writeError(w, status, ErrCodeBadRequest, "reading chunk body: "+err.Error())
+	body, ok := readBody(w, r, maxChunkBytes, "reading chunk body: ")
+	if !ok {
 		return
 	}
+	defer releaseBody(body)
+	frame := body.b
+	events, _ := eventBufs.Get()
+	defer func() { putEvents(events) }() // nil once the epoch owns them
+	entry := s.lookup(r.PathValue("id"))
 	// An append certain to be refused — a sealed trace, a seq beyond its next
 	// — is refused before the frame is decoded and indexed for nothing;
 	// openLive and the sink's check under pmu stay the authority. A trace that
@@ -318,8 +288,6 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, apiErr)
 		return
 	}
-	owner = lt // the first append's buffers start the new trace's
-
 	// Apply under the ingest lock so the sink's sequence order is the pending
 	// queue's: the epoch drained later replays chunks as they landed on disk.
 	lt.pmu.Lock()
