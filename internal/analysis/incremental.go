@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/overlap"
+	"repro/internal/recycle"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -61,6 +62,12 @@ type incProc struct {
 	spare   []*incWindow
 }
 
+// procStates keeps the states of released processes for the processes of
+// the Incremental states to come (internal/recycle says why it is a bounded
+// stack). Each keeps as many spare windows as its share of trace.EventBufs'
+// bound could fill at the tail cut's size, splitEvents/2 events a window.
+var procStates = recycle.Stack[*incProc]{Max: 16} // processes beyond sixteen start afresh
+
 // Incremental is a resumable analysis state for a growing trace: the
 // serve-side complement of the batch pipeline. Chunks are applied in
 // epochs; each event is routed to the buffers of the windows it overlaps,
@@ -85,44 +92,42 @@ type incProc struct {
 // the sealed directory — the live-ingest equivalence the property tests pin
 // down.
 //
-// Window buffers come from a scratch of the pool the batch pipeline's runs
-// share (see freeList): a window that must grow moves into a buffer off it,
-// handing its old one back, and a median split's left part and a closed
-// tail's successor are drawn from it. Release returns every buffer to the
-// pool, and every process state with its windows and their results, so a
-// server that seals one trace and opens the next allocates no event storage
-// for it, and a cut of the next one's, which takes a spare window, result
-// maps and all, allocates nothing either.
+// Window buffers come from trace.EventBufs, the store the batch pipeline's
+// runs, the Writer and live appends draw on too: a window that must grow
+// moves into a buffer off it, handing its old one back, and a median split's
+// left part and a closed tail's successor are drawn from it. Release hands
+// back every buffer, uncleared — the names their stale events still point at
+// are interned strings, which live until the buffer is next filled — and
+// every process state to procStates, with its windows and their results, so
+// a server that seals one trace and opens the next allocates no event
+// storage for it, and a cut of the next one's, which takes a spare window,
+// result maps and all, allocates nothing either.
 //
 // Incremental is not safe for concurrent use; the serve layer serializes
 // epochs and result reads per trace under its analysis lock.
 type Incremental struct {
-	procs map[trace.ProcID]*incProc
+	procs map[trace.ProcID]*incProc // nil once released
 	stats IncrementalStats
-	free  *freeList // nil once released
 }
 
 // minWindowEvents is the room a window's first buffer is drawn with.
 const minWindowEvents = 256
 
-// NewIncremental returns an empty incremental analysis state, drawing its
-// buffers from a scratch of the pool.
+// NewIncremental returns an empty incremental analysis state.
 func NewIncremental() *Incremental {
-	return &Incremental{procs: map[trace.ProcID]*incProc{}, free: getScratch()}
+	return &Incremental{procs: map[trace.ProcID]*incProc{}}
 }
 
-// Release ends the state: every window buffer and every process state —
-// reset to one empty window over the whole timeline, its other windows
-// spare — goes back on its scratch and the scratch back to the pool, for the
-// next Engine run or Incremental to draw from. Only Stats may be called
-// afterwards; a second Release is a no-op.
+// Release ends the state: every window buffer goes back to trace.EventBufs,
+// and every process state — reset to one empty window over the whole
+// timeline, its other windows spare — to procStates, for the next Engine
+// run or Incremental to draw from. Only Stats may be called afterwards; a
+// second Release is a no-op.
 func (inc *Incremental) Release() {
-	if inc.free == nil {
-		return
-	}
+	spares := trace.EventBufs.Max / (splitEvents / 2) / procStates.Max
 	for _, p := range inc.procs {
 		for _, w := range p.windows {
-			inc.free.put(w.events)
+			trace.EventBufs.Put(w.events)
 			if r := w.res; r != nil {
 				// Empty, as a window nothing has reached must merge.
 				clear(r.ByKey)
@@ -135,19 +140,21 @@ func (inc *Incremental) Release() {
 		p.spare = append(p.spare, p.windows[1:]...)
 		clear(p.windows[1:])
 		p.windows, p.merged, p.high = p.windows[:1], nil, vclock.MinTime
-		inc.free.procs = append(inc.free.procs, p)
+		if len(p.spare) > spares {
+			clear(p.spare[spares:])
+			p.spare = p.spare[:spares]
+		}
+		procStates.Put(p)
 	}
-	putScratch(inc.free)
-	inc.procs, inc.free = nil, nil
+	inc.procs = nil
 }
 
 // Apply ingests one epoch: every chunk that arrived since the last epoch,
 // in sequence order. Each event is appended to the buffer of every window
 // it overlaps, marking those windows dirty, and raises its process's
 // high-water start; a full buffer at least doubles, by a move into one off
-// the scratch. Phase and overhead annotations
-// register their process but are not buffered: the sweep reads neither.
-// After the epoch the scratch is trimmed to the pool's bound.
+// trace.EventBufs. Phase and overhead annotations register their process but
+// are not buffered: the sweep reads neither.
 func (inc *Incremental) Apply(chunks [][]trace.Event) {
 	inc.stats.Epochs++
 	for _, events := range chunks {
@@ -156,11 +163,10 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 		for _, e := range events {
 			p := inc.procs[e.Proc]
 			if p == nil {
-				// A released state, if the scratch holds one: it is as
-				// new, with spare windows for its cuts.
-				if k := len(inc.free.procs); k > 0 {
-					p, inc.free.procs = inc.free.procs[k-1], inc.free.procs[:k-1]
-				} else {
+				// A released state, if one is idle: it is as new, with
+				// spare windows for its cuts.
+				var ok bool
+				if p, ok = procStates.Get(); !ok {
 					p = &incProc{windows: []*incWindow{{window: window{lo: vclock.MinTime, hi: vclock.MaxTime}}}, high: vclock.MinTime}
 				}
 				inc.procs[e.Proc] = p
@@ -178,7 +184,7 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 			for ; i < len(p.windows) && trace.OverlapsWindow(e, p.windows[i].lo, p.windows[i].hi); i++ {
 				w := p.windows[i]
 				if len(w.events) == cap(w.events) {
-					w.events = inc.free.reserve(w.events, max(len(w.events), minWindowEvents))
+					w.events = trace.EventBufs.Reserve(w.events, max(len(w.events), minWindowEvents))
 				}
 				w.events = append(w.events, e)
 				w.dirty = true
@@ -187,7 +193,6 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 			p.merged = nil
 		}
 	}
-	inc.free.trim()
 }
 
 // Results brings every dirty shard up to date and returns the merged
@@ -247,7 +252,7 @@ func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
 				} else {
 					right = new(incWindow)
 				}
-				if !w.split(right, at, handOff, inc.free) {
+				if !w.split(right, at, handOff) {
 					p.spare = append(p.spare, right)
 					break
 				}
@@ -277,18 +282,18 @@ func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
 // intervals reaching past the cut, then the rest — stays sorted for the
 // next split and keeps the old buffer with its spare capacity, which is
 // where in-order arrivals will land, and the left part moves to the
-// best-fitting buffer off free. With handOff the cut closes the tail at its
-// high-water start: the left part keeps the buffer whole, and the events
-// still alive at the cut move into a buffer off free with room for as many
-// events as the tail gathered, ready for the next epoch. A split that would
-// leave the right part above ¾ of the buffer is refused (false, right
-// untouched); see window.cut.
-func (w *incWindow) split(right *incWindow, at vclock.Time, handOff bool, free *freeList) bool {
+// best-fitting buffer off trace.EventBufs. With handOff the cut closes the
+// tail at its high-water start: the left part keeps the buffer whole, and
+// the events still alive at the cut move into a buffer off it with room for
+// as many events as the tail gathered, ready for the next epoch. A split
+// that would leave the right part above ¾ of the buffer is refused (false,
+// right untouched); see window.cut.
+func (w *incWindow) split(right *incWindow, at vclock.Time, handOff bool) bool {
 	n, lo, room := len(w.events), w.lo, 0
 	if handOff {
 		room = n
 	}
-	left, _, _, _, ok := w.cut(at, n/4*3, free, room, handOff)
+	left, _, _, _, ok := w.cut(at, n/4*3, room, handOff)
 	if !ok {
 		return false
 	}

@@ -287,9 +287,9 @@ func TestIncrementalTailCutRefused(t *testing.T) {
 
 // TestIncrementalHandoffBuffersDoNotAlias: a closed tail keeps its buffer
 // whole, events alive at the cut and past it included, while the survivors
-// move into a buffer drawn off the scratch; the two must never share an
+// move into a buffer drawn off trace.EventBufs; the two must never share an
 // array. Streams of in-order epochs of random size, two at a time on
-// goroutines that draw on and hand back to the one pool, check after every
+// goroutines that draw on and hand back to the one store, check after every
 // read that no two windows share an array and that no closed window's buffer
 // changed while later epochs filled the tail. A late chunk then re-dirties
 // closed windows, past-the-cut events and all, and every result must still

@@ -176,27 +176,18 @@ type pipeline struct {
 	inlineRes overlap.Result
 	// mu guards the per-process accumulators.
 	mu sync.Mutex
-	// free is the run's scratch, which closed windows recycle through.
-	free *freeList
 }
 
-// run executes the pipeline over src on scratch from the pool. The returned
-// StreamStats always describe the work done so far, so a cancelled or failed
-// run still reports how far it got; results are returned only by a run that
-// completed.
+// run executes the pipeline over src, drawing its event buffers from
+// trace.EventBufs and, before it returns, handing back every one it held.
+// The returned StreamStats always describe the work done so far, so a
+// cancelled or failed run still reports how far it got; results are
+// returned only by a run that completed.
 func run(ctx context.Context, src source, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
-	sc := getScratch()
-	defer putScratch(sc)
-	return runOn(ctx, sc, src, opts)
-}
-
-// runOn is run on the caller's scratch, which it draws from and, before it
-// returns, refills with every buffer the run held.
-func runOn(ctx context.Context, sc *freeList, src source, opts Options) (map[trace.ProcID]*overlap.Result, StreamStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pl := &pipeline{ctx: ctx, src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}, free: sc}
+	pl := &pipeline{ctx: ctx, src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}}
 	// Deferred, so it runs on every exit path, and after the only goroutines
 	// that touch the buffers, the workers, have been joined.
 	defer pl.release()
@@ -250,12 +241,12 @@ func runOn(ctx context.Context, sc *freeList, src source, opts Options) (map[tra
 }
 
 // release puts every buffer the run still holds — the coordinator's chunk
-// buffer, and the windows a failed run left open — back on the scratch. Only
-// runOn calls it, once no other goroutine is left.
+// buffer, and the windows a failed run left open — back to the store. Only
+// run calls it, once no other goroutine is left.
 func (pl *pipeline) release() {
-	pl.free.put(pl.spare)
+	trace.EventBufs.Put(pl.spare)
 	for _, w := range pl.order {
-		pl.free.put(w.events)
+		trace.EventBufs.Put(w.events)
 		w.events = nil
 	}
 }
@@ -330,15 +321,15 @@ func (pl *pipeline) stream(opts Options) error {
 		// so a window fed a little per chunk does not move per chunk.
 		for _, s := range spans {
 			if w := s.w; cap(w.events)-len(w.events) < s.events {
-				w.events = pl.free.reserve(w.events, min(w.left, splitEvents+s.events))
+				w.events = trace.EventBufs.Reserve(w.events, min(w.left, splitEvents+s.events))
 			}
 			s.w.left -= s.events
 		}
 		// After an adoption the spare is the window's old array: trade one
 		// too small for a chunk, so the decoder need not replace it.
 		if cap(pl.spare) < pl.chunkHint {
-			pl.free.put(pl.spare)
-			pl.spare = pl.free.take(pl.chunkHint)
+			trace.EventBufs.Put(pl.spare)
+			pl.spare = trace.EventBufs.Take(pl.chunkHint)
 		}
 		events, walked, bytes, err := pl.src.chunk(i, pl.spare, skip)
 		if owned {
@@ -444,7 +435,7 @@ func (pl *pipeline) mapRun(run []trace.Event, cur *calib.Cursor) {
 }
 
 // closeWindow cuts w at its watermark and dispatches the closed prefix — the
-// window's buffer whole, the survivors moving to one off the scratch (see
+// window's buffer whole, the survivors moving to one off the store (see
 // window.cut); a window no later chunk feeds is complete and goes whole. It
 // reports false when the cut was refused.
 func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
@@ -458,7 +449,7 @@ func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
 		prefix, closed, w.events, bytes = w.events, n, nil, w.bytes
 	} else {
 		var ok bool
-		if prefix, closed, bytes, kept, ok = w.cut(w.watermark, keep, pl.free, cap(w.events), true); !ok {
+		if prefix, closed, bytes, kept, ok = w.cut(w.watermark, keep, cap(w.events), true); !ok {
 			return false
 		}
 	}
@@ -482,7 +473,7 @@ func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
 	select {
 	case pl.jobs <- job:
 	case <-pl.ctx.Done(): // dropped: run reports ctx.Err()
-		pl.free.put(prefix)
+		trace.EventBufs.Put(prefix)
 	}
 	return true
 }
@@ -519,7 +510,7 @@ func (pl *pipeline) sweep(sw *overlap.Sweeper, res *overlap.Result, job sweepJob
 		MergeResult(job.acc, res)
 		pl.mu.Unlock()
 	}
-	pl.free.put(job.events)
+	trace.EventBufs.Put(job.events)
 	pl.inflightBytes.Add(-job.bytes)
 	pl.inflightEvents.Add(-int64(job.n))
 }

@@ -21,7 +21,7 @@ import (
 // merges them.
 func heldJobs(t *testing.T, src source, opts Options) ([]sweepJob, [][]trace.Event, *pipeline) {
 	t.Helper()
-	pl := &pipeline{ctx: context.Background(), src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}, free: &freeList{}}
+	pl := &pipeline{ctx: context.Background(), src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}}
 	if err := pl.plan(nil); err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -302,9 +302,9 @@ func TestHandoffCarriesEventsPastTheCut(t *testing.T) {
 // worker's alone. With every job held until the run ends, no buffer changes
 // after it was handed over — not by routing into a window's survivors, not
 // by the stage or a chunk decode into the spare — and no two jobs share an
-// array. Runs with a real pool on one warm scratch, whose recycled buffers
-// the coordinator draws survivors buffers from while workers sweep, must
-// match the sequential sweep; under the race detector they also show any
+// array. Runs with a real pool on a warm trace.EventBufs, whose recycled
+// buffers the coordinator draws survivors buffers from while workers sweep,
+// must match the sequential sweep; under the race detector they also show any
 // write the coordinator makes to a buffer a worker reads.
 func TestHandoffBuffersDoNotAlias(t *testing.T) {
 	past, chunkBytes := pastCutTrace(6)
@@ -350,14 +350,13 @@ func TestHandoffBuffersDoNotAlias(t *testing.T) {
 				t.Fatalf("%s budget %d: held run diverges from Run", c.name, budget)
 			}
 		}
-		sc := &freeList{}
 		for _, workers := range []int{2, 4} {
 			for _, budget := range []int64{0, 1, 1 << 12} {
 				r, err := trace.OpenDir(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, _, err := runOn(context.Background(), sc, readerSource{r}, Options{Workers: workers, MaxResidentBytes: budget, Stage: stage})
+				got, _, err := run(context.Background(), readerSource{r}, Options{Workers: workers, MaxResidentBytes: budget, Stage: stage})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -12,18 +13,33 @@ import (
 	"repro/internal/trace"
 )
 
-// scribble overwrites every buffer of a scratch to its full capacity — which
-// the race detector turns into a failure if any goroutine of the run that
-// handed them back can still touch one — and checks that no two of them share
-// memory, as two owners of one array would.
-func scribble(t *testing.T, sc *freeList, what string) {
+// idleBufs empties trace.EventBufs and returns what it held, largest first;
+// putBack hands them back, leaving the store as it was.
+func idleBufs() (bufs [][]trace.Event) {
+	for buf := trace.EventBufs.Take(math.MaxInt); buf != nil; buf = trace.EventBufs.Take(math.MaxInt) {
+		bufs = append(bufs, buf)
+	}
+	return bufs
+}
+
+func putBack(bufs [][]trace.Event) {
+	for _, buf := range bufs {
+		trace.EventBufs.Put(buf)
+	}
+}
+
+// scribble overwrites every idle buffer of trace.EventBufs to its full
+// capacity — which the race detector turns into a failure if any goroutine
+// of the run that handed them back can still touch one — and checks that no
+// two of them share memory, as two owners of one array would. It returns
+// how many are idle.
+func scribble(t *testing.T, what string) int {
 	t.Helper()
+	bufs := idleBufs()
+	defer putBack(bufs)
 	seen := map[*trace.Event]bool{}
-	for _, buf := range sc.bufs {
+	for _, buf := range bufs {
 		buf = buf[:cap(buf)]
-		if len(buf) == 0 {
-			t.Fatalf("%s: an empty buffer was handed back", what)
-		}
 		if seen[&buf[0]] {
 			t.Fatalf("%s: one buffer was handed back twice", what)
 		}
@@ -32,14 +48,15 @@ func scribble(t *testing.T, sc *freeList, what string) {
 			buf[i] = trace.Event{Name: "scribbled"}
 		}
 	}
+	return len(bufs)
 }
 
 // TestHandBackOnCancelAndCorruptChunk: a run hands its event buffers back to
-// the scratch on every exit path — completed, cancelled after any chunk, a
-// corrupt chunk at any index — and only once every worker has ended: after
-// each run the test writes over all of them, then runs again on the same
-// scratch, and the results never change. A run returns at least the buffers
-// it took, so a warm scratch does not shrink.
+// trace.EventBufs on every exit path — completed, cancelled after any chunk,
+// a corrupt chunk at any index — and only once every worker has ended: after
+// each run the test writes over every idle buffer, then runs again drawing on
+// them, and the results never change. A run returns at least the buffers it
+// took, so a warm store does not shrink.
 func TestHandBackOnCancelAndCorruptChunk(t *testing.T) {
 	tr, _ := markedTrace(rand.New(rand.NewSource(41)))
 	tr.Events = append(tr.Events, steadyEvents(7, 0, 3*splitEvents)...) // a process that is cut
@@ -55,21 +72,20 @@ func TestHandBackOnCancelAndCorruptChunk(t *testing.T) {
 		return readerSource{r}
 	}
 	want := dumpAll(Run(tr, Options{Workers: 1}))
-	sc := &freeList{}
+	idle := scribble(t, "before")
 	complete := func(what string, opts Options) {
 		t.Helper()
-		held := len(sc.bufs)
-		got, _, err := runOn(context.Background(), sc, src(), opts)
+		got, _, err := run(context.Background(), src(), opts)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		if dumpAll(got) != want {
 			t.Fatalf("%s: a run over scribbled buffers changed the result", what)
 		}
-		if len(sc.bufs) < held || len(sc.bufs) == 0 {
-			t.Fatalf("%s: the scratch went from %d buffers to %d", what, held, len(sc.bufs))
+		held := idle
+		if idle = scribble(t, what); idle < held || idle == 0 {
+			t.Fatalf("%s: the store went from %d buffers to %d", what, held, idle)
 		}
-		scribble(t, sc, what)
 	}
 	complete("cold", Options{Workers: 2})
 
@@ -81,16 +97,15 @@ func TestHandBackOnCancelAndCorruptChunk(t *testing.T) {
 					cancel()
 				}
 			}
-			held := len(sc.bufs)
-			_, _, err := runOn(ctx, sc, src(), opts)
+			_, _, err := run(ctx, src(), opts)
 			cancel()
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("workers %d, cut %d: err = %v, want context.Canceled", opts.Workers, cutAt, err)
 			}
-			if len(sc.bufs) < held {
-				t.Fatalf("workers %d, cut %d: the scratch went from %d buffers to %d", opts.Workers, cutAt, held, len(sc.bufs))
+			held := idle
+			if idle = scribble(t, "cancelled"); idle < held {
+				t.Fatalf("workers %d, cut %d: the store went from %d buffers to %d", opts.Workers, cutAt, held, idle)
 			}
-			scribble(t, sc, "cancelled")
 		}
 		opts.Progress = nil
 		complete("after the cancelled runs", opts)
@@ -103,16 +118,15 @@ func TestHandBackOnCancelAndCorruptChunk(t *testing.T) {
 			if err := os.WriteFile(victim, data[:len(data)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			held := len(sc.bufs)
-			_, _, err = runOn(context.Background(), sc, src(), opts)
+			_, _, err = run(context.Background(), src(), opts)
 			var ce *trace.ChunkError
 			if !errors.As(err, &ce) {
 				t.Fatalf("workers %d, %s truncated: err = %v, want a ChunkError", opts.Workers, victim, err)
 			}
-			if len(sc.bufs) < held {
-				t.Fatalf("workers %d, %s truncated: the scratch went from %d buffers to %d", opts.Workers, victim, held, len(sc.bufs))
+			held := idle
+			if idle = scribble(t, "corrupt chunk"); idle < held {
+				t.Fatalf("workers %d, %s truncated: the store went from %d buffers to %d", opts.Workers, victim, held, idle)
 			}
-			scribble(t, sc, "corrupt chunk")
 			if err := os.WriteFile(victim, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -121,25 +135,11 @@ func TestHandBackOnCancelAndCorruptChunk(t *testing.T) {
 	}
 }
 
-// TestBufferBestFit: the free list hands out the smallest buffer with room,
-// the largest when none has, and nothing once it is empty.
-func TestBufferBestFit(t *testing.T) {
-	f := &freeList{}
-	for _, c := range []int{64, 8, 32, 16} {
-		f.put(make([]trace.Event, 0, c))
-	}
-	for _, c := range []struct{ n, want int }{{10, 16}, {16, 32}, {100, 64}, {0, 8}, {1, 0}} {
-		if got := cap(f.take(c.n)); got != c.want {
-			t.Errorf("take(%d) has capacity %d, want %d", c.n, got, c.want)
-		}
-	}
-}
-
 // TestScratchSettlesAndOutlivesGC: after a few runs over one directory the
-// pooled scratch stops changing — the same arrays come back, none replaced,
-// none added — and garbage collections between the runs take nothing from it,
-// so a warm run's event buffers cost no allocation whenever the collector
-// ran. One worker: its order of requests is fixed.
+// idle buffers of trace.EventBufs stop changing — the same arrays come back,
+// none replaced, none added — and garbage collections between the runs take
+// nothing from them, so a warm run's event buffers cost no allocation
+// whenever the collector ran. One worker: its order of requests is fixed.
 func TestScratchSettlesAndOutlivesGC(t *testing.T) {
 	tr, _ := markedTrace(rand.New(rand.NewSource(41)))
 	tr.Events = append(tr.Events, steadyEvents(7, 0, 3*splitEvents)...)
@@ -154,10 +154,10 @@ func TestScratchSettlesAndOutlivesGC(t *testing.T) {
 		}
 	}
 	arrays := func() map[*trace.Event]int {
-		sc := getScratch()
-		defer putScratch(sc)
+		bufs := idleBufs()
+		defer putBack(bufs)
 		m := map[*trace.Event]int{}
-		for _, buf := range sc.bufs {
+		for _, buf := range bufs {
 			m[&buf[:1][0]] = cap(buf)
 		}
 		return m
@@ -167,59 +167,34 @@ func TestScratchSettlesAndOutlivesGC(t *testing.T) {
 	}
 	want := arrays()
 	if len(want) == 0 {
-		t.Fatal("four runs left no buffer in the pool")
+		t.Fatal("four runs left no buffer in the store")
 	}
 	for i := 0; i < 3; i++ {
 		runtime.GC()
 		runtime.GC() // the second would empty a sync.Pool
 		runOnce()
 		if got := arrays(); !maps.Equal(got, want) {
-			t.Fatalf("run %d after settling: the scratch holds %v, held %v", i, got, want)
+			t.Fatalf("run %d after settling: the store holds %v, held %v", i, got, want)
 		}
-	}
-}
-
-// TestPutScratchBounds: a scratch is trimmed to maxScratchEvents of capacity,
-// largest buffers first, and no more than scratches.Max are kept.
-func TestPutScratchBounds(t *testing.T) {
-	var held []*freeList
-	for i := 0; i <= scratches.Max; i++ {
-		held = append(held, getScratch())
-	}
-	big := &freeList{bufs: [][]trace.Event{make([]trace.Event, 0, 8), make([]trace.Event, 0, 16), make([]trace.Event, 0, maxScratchEvents)}}
-	putScratch(big)
-	if len(big.bufs) != 2 || cap(big.bufs[1]) != 16 {
-		t.Errorf("a scratch over the bound kept %d buffers, want the two small ones", len(big.bufs))
-	}
-	if getScratch() != big {
-		t.Error("the scratch put last is not the one handed out next")
-	}
-	for _, sc := range held {
-		putScratch(sc)
-	}
-	n := 0
-	for _, ok := scratches.Get(); ok; _, ok = scratches.Get() {
-		n++
-	}
-	if n != scratches.Max {
-		t.Errorf("%d idle scratches, want %d", n, scratches.Max)
 	}
 }
 
 // TestIncrementalEpochAllocs pins what a steady-state epoch — Apply of one
 // 512-event chunk, then Results — costs an Incremental seeded from a released
-// one: the pool hands it the scratch the same stream left, so every window
-// that grows and every cut finds its buffer there, and every cut its window,
-// result maps and all, in the process state the stream left.
+// one: trace.EventBufs holds the buffers the same stream left, so every
+// window that grows and every cut finds its buffer there, and every cut its
+// window, result maps and all, in the process state the stream left on
+// procStates.
 // What is left is per epoch (the merged result and the read's map), the same
 // in an epoch that cuts as in one that does not, and no event buffer: an
 // epoch allocates less than its events would occupy. No sync.Pool is on the
-// path — the scratch and the Sweeper come off bounded pools that neither a
-// collection nor a change of P count empties — so the count holds on any
-// number of Ps and under the race detector.
+// path — the buffers, states and Sweeper come off bounded stores that
+// neither a collection nor a change of P count empties — so the count holds
+// on any number of Ps and under the race detector.
 func TestIncrementalEpochAllocs(t *testing.T) {
-	// The pool holds only what this test releases.
-	for _, ok := scratches.Get(); ok; _, ok = scratches.Get() {
+	// The store and procStates hold only what this test releases.
+	idleBufs()
+	for _, ok := procStates.Get(); ok; _, ok = procStates.Get() {
 	}
 
 	const per, warm, runs = 512, 16, 20
@@ -238,7 +213,7 @@ func TestIncrementalEpochAllocs(t *testing.T) {
 		inc.Results(nil)
 		seq++
 	}
-	// Two streams released first settle the scratch: the first allocates
+	// Two streams released first settle the store: the first allocates
 	// what it needs, the second meets the buffers the same requests took.
 	for i := 0; i < 2; i++ {
 		inc, seq = NewIncremental(), 0

@@ -37,11 +37,11 @@ type window struct {
 // that overlap [lo, at); and closed and kept, the summed trace.EventBytes of
 // those and of the survivors, taken in the pass that moves them.
 //
-// One side moves to a buffer taken off free — best fit for room events or
-// for its count, whichever is more — and the other keeps w's buffer; the
-// caller picks which. With handOff the survivors move and the prefix is w's
-// buffer whole: the overlapping events among others wholly outside
-// [lo, at), which the windowed sweep skips (see
+// One side moves to a buffer taken from trace.EventBufs — best fit for room
+// events or for its count, whichever is more — and the other keeps w's
+// buffer; the caller picks which. With handOff the survivors move and the
+// prefix is w's buffer whole: the overlapping events among others wholly
+// outside [lo, at), which the windowed sweep skips (see
 // overlap.Sweeper.ComputeWindowInto) and so costs no copy. Otherwise the
 // overlapping events are copied out and the survivors compacted in place.
 //
@@ -51,7 +51,7 @@ type window struct {
 // no cut divides. Refusing is safe because no result depends on where the
 // cuts are; the window is simply not tried again by size until it has
 // doubled, so refused attempts stay amortized O(1) per event.
-func (w *window) cut(at vclock.Time, keep int, free *freeList, room int, handOff bool) (prefix []trace.Event, n int, closed, kept int64, ok bool) {
+func (w *window) cut(at vclock.Time, keep, room int, handOff bool) (prefix []trace.Event, n int, closed, kept int64, ok bool) {
 	alive := 0
 	if at > w.lo {
 		for _, e := range w.events {
@@ -69,9 +69,9 @@ func (w *window) cut(at vclock.Time, keep int, free *freeList, room int, handOff
 	}
 	survivors := w.events[:0]
 	if handOff {
-		prefix, survivors = w.events, slices.Grow(free.take(max(room, alive)), alive)
+		prefix, survivors = w.events, slices.Grow(trace.EventBufs.Take(max(room, alive)), alive)
 	} else {
-		prefix = slices.Grow(free.take(max(room, n)), n)
+		prefix = slices.Grow(trace.EventBufs.Take(max(room, n)), n)
 	}
 	for _, e := range w.events {
 		eb := int64(trace.EventBytes(e))

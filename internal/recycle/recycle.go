@@ -1,20 +1,22 @@
 // Package recycle keeps scratch for reuse: a bounded stack of idle values
-// that a process or a trace hands from the borrower that is done with one to
-// the next that needs one, and the one way to read a stream to EOF into a
-// buffer that is kept.
+// and a bounded best-fit store of idle slices, which a process or a trace
+// hands from the borrower that is done with one to the next that needs one,
+// and the one way to read a stream to EOF into a buffer that is kept.
 //
-// A Stack is a plain mutex-guarded slice, not a sync.Pool. A sync.Pool
-// empties on every second collection and does not show a Get on one P what
-// was Put on another, so what a warm path allocated would depend on when the
-// collector last ran and on where the goroutine was scheduled; here a
-// borrower allocates exactly when no earlier one left a value. The price is
-// memory the collector cannot take back, so every Stack is bounded: Max idle
-// values, fixed where the Stack is declared, and each caller drops, before
-// Put, what is too large to keep and clears what would hold a name alive.
+// Neither is a sync.Pool. A sync.Pool empties on every second collection and
+// does not show a Get on one P what was Put on another, so what a warm path
+// allocated would depend on when the collector last ran and on where the
+// goroutine was scheduled; here a borrower allocates exactly when no earlier
+// one left a value. The price is memory the collector cannot take back, so
+// both are bounded where they are declared: a Stack by its count of idle
+// values, a Store by its idle capacity. Each caller clears, before it hands a
+// value back, what would hold a name alive.
 package recycle
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -52,6 +54,73 @@ func (s *Stack[T]) Put(v T) {
 		s.idle = append(s.idle, v)
 	}
 }
+
+// Store is a bounded store of idle slices, handed out best fit and safe for
+// concurrent use. Its zero value keeps nothing; set Max where it is declared.
+//
+// Best fit is what lets the borrowers of one store settle: were a small
+// request handed a large slice, the large request behind it would find only
+// small ones and replace one, time after time, in whatever order the
+// borrowers happened to hand theirs back. A borrower that does not know the
+// length it needs asks for the largest, Take(math.MaxInt), not the smallest.
+type Store[T any] struct {
+	Max int // idle capacity, in elements, kept; Put drops the largest past it
+
+	mu   sync.Mutex
+	idle [][]T // ascending capacity
+	held int   // the summed capacity of idle
+}
+
+// Take removes the smallest idle slice with room for n elements or, when
+// none has, the largest, for the caller to grow; nil when none is idle. It
+// never allocates, so n may come from an untrusted header. The slice has
+// length zero; what lies past it is the last borrower's.
+func (s *Store[T]) Take(n int) []T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.idle) == 0 {
+		return nil
+	}
+	i, _ := slices.BinarySearchFunc(s.idle, n, capCompare[T])
+	i = min(i, len(s.idle)-1)
+	buf := s.idle[i]
+	s.idle = slices.Delete(s.idle, i, i+1)
+	s.held -= cap(buf)
+	return buf
+}
+
+// Put hands buf back, emptied, then drops the largest idle slices while
+// their capacity sums past Max; a slice without capacity is dropped. The
+// caller must not use buf after.
+func (s *Store[T]) Put(buf []T) {
+	if cap(buf) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(s.idle, cap(buf), capCompare[T])
+	s.idle = slices.Insert(s.idle, i, buf[:0])
+	for s.held += cap(buf); s.held > s.Max; {
+		last := len(s.idle) - 1
+		s.held -= cap(s.idle[last])
+		s.idle[last] = nil
+		s.idle = s.idle[:last]
+	}
+}
+
+// Reserve returns buf with room for n more elements: buf itself when it has
+// the room, else its elements moved into a slice taken from s — or, when
+// that is too small as well, into a new one in its stead — and buf put back.
+func (s *Store[T]) Reserve(buf []T, n int) []T {
+	if cap(buf)-len(buf) >= n {
+		return buf
+	}
+	moved := append(slices.Grow(s.Take(len(buf)+n), len(buf)+n), buf...)
+	s.Put(buf)
+	return moved
+}
+
+func capCompare[T any](buf []T, n int) int { return cmp.Compare(cap(buf), n) }
 
 // ReadAll reads r to EOF into buf[:0] and returns the filled slice, growing
 // it only when the bytes that have arrived fill it — never from what r's

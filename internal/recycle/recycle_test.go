@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/iotest"
@@ -89,6 +90,153 @@ func TestStackConcurrentBorrowers(t *testing.T) {
 	if n > s.Max {
 		t.Errorf("%d values idle, want at most %d", n, s.Max)
 	}
+}
+
+// idleCaps lists the capacities of s's idle slices, ascending, and checks
+// that s's count of their sum is right and within its bound.
+func idleCaps[T any](t *testing.T, s *Store[T]) []int {
+	t.Helper()
+	var caps []int
+	sum := 0
+	for _, buf := range s.idle {
+		caps = append(caps, cap(buf))
+		sum += cap(buf)
+	}
+	if sum != s.held || sum > s.Max {
+		t.Fatalf("idle capacity %d, counted %d, bound %d", sum, s.held, s.Max)
+	}
+	return caps
+}
+
+// TestStoreBestFit: Take hands out the smallest slice with room, the largest
+// when none has, and nothing once the store is empty; what it hands out has
+// length zero.
+func TestStoreBestFit(t *testing.T) {
+	s := Store[int]{Max: 1 << 10}
+	for _, c := range []int{64, 8, 32, 16} {
+		s.Put(make([]int, 3, c))
+	}
+	if got := idleCaps(t, &s); !slices.Equal(got, []int{8, 16, 32, 64}) {
+		t.Fatalf("idle capacities %v, want them ascending", got)
+	}
+	for _, c := range []struct{ n, want int }{{10, 16}, {16, 32}, {100, 64}, {0, 8}, {1, 0}} {
+		if got := s.Take(c.n); cap(got) != c.want || len(got) != 0 {
+			t.Errorf("Take(%d) has length %d, capacity %d; want 0, %d", c.n, len(got), cap(got), c.want)
+		}
+	}
+}
+
+// TestStoreDropsLargestFirst: a Put that leaves more than Max elements of
+// capacity idle drops the largest slices until it does not — the one put, if
+// that is the largest, or the ones idle before it.
+func TestStoreDropsLargestFirst(t *testing.T) {
+	s := Store[int]{Max: 100}
+	s.Put(make([]int, 0, 8))
+	s.Put(make([]int, 0, 16))
+	s.Put(make([]int, 0, 90))
+	if got := idleCaps(t, &s); !slices.Equal(got, []int{8, 16}) {
+		t.Errorf("a slice that takes the store over its bound left %v idle, want the two small ones", got)
+	}
+	s.Put(make([]int, 0, 60))
+	s.Put(make([]int, 0, 30))
+	if got := idleCaps(t, &s); !slices.Equal(got, []int{8, 16, 30}) {
+		t.Errorf("a small slice that takes the store over its bound left %v idle, want the largest dropped", got)
+	}
+	s.Put(make([]int, 0, 46))
+	if got := idleCaps(t, &s); !slices.Equal(got, []int{8, 16, 30, 46}) {
+		t.Errorf("a slice that fills the store to its bound left %v idle, want it kept", got)
+	}
+}
+
+// TestStoreBounds: a slice with room for more than Max is never kept, nor is
+// one without capacity, a Store without Max keeps nothing, and however many
+// slices come back the idle capacity stays within the bound.
+func TestStoreBounds(t *testing.T) {
+	s := Store[int]{Max: 256}
+	s.Put(make([]int, 1, 257))
+	s.Put(nil)
+	s.Put(make([]int, 0))
+	if got := idleCaps(t, &s); len(got) != 0 {
+		t.Fatalf("an oversized or empty slice was kept: %v idle", got)
+	}
+	for i := 0; i < 16; i++ {
+		s.Put(make([]int, 0, 64))
+	}
+	if got := idleCaps(t, &s); len(got) != 4 {
+		t.Fatalf("%d slices of 64 idle under a bound of 256, want 4", len(got))
+	}
+	var zero Store[int]
+	zero.Put(make([]int, 0, 1))
+	if got := zero.Take(0); got != nil {
+		t.Fatal("a Store without Max kept a slice")
+	}
+}
+
+// TestStoreReserve: Reserve keeps a slice with room, moves one without into
+// the best-fitting idle slice and puts it back, and allocates only when no
+// idle slice is large enough.
+func TestStoreReserve(t *testing.T) {
+	s := Store[int]{Max: 1 << 10}
+	buf := append(make([]int, 0, 4), 1, 2)
+	if got := s.Reserve(buf, 2); &got[:1][0] != &buf[0] {
+		t.Fatal("a slice with room was moved")
+	}
+	big := make([]int, 0, 16)
+	s.Put(big)
+	got := s.Reserve(buf, 5)
+	if &got[:1][0] != &big[:1][0] || !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("Reserve = %v (cap %d), want the events moved into the idle slice", got, cap(got))
+	}
+	if caps := idleCaps(t, &s); !slices.Equal(caps, []int{4}) {
+		t.Fatalf("idle capacities %v, want the old slice put back", caps)
+	}
+	if got := s.Reserve(got, 100); cap(got)-len(got) < 100 || !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("Reserve past every idle slice = %v (cap %d)", got, cap(got))
+	}
+}
+
+// TestStoreOutlivesGC: what is idle survives collections, unlike a
+// sync.Pool's.
+func TestStoreOutlivesGC(t *testing.T) {
+	s := Store[byte]{Max: 1 << 10}
+	buf := make([]byte, 0, 64)
+	s.Put(buf)
+	runtime.GC()
+	runtime.GC()
+	if got := s.Take(1); cap(got) != 64 || &got[:1][0] != &buf[:1][0] {
+		t.Fatal("two collections emptied the store")
+	}
+}
+
+// TestStoreConcurrentBorrowers: goroutines taking, growing and handing back
+// slices at once never hold one array together, and the store ends within
+// its bound. Run it under the race detector.
+func TestStoreConcurrentBorrowers(t *testing.T) {
+	s := Store[int]{Max: 1 << 10}
+	var inUse sync.Map
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				n := 1 + (g*31+i*7)%200
+				buf := s.Reserve(s.Take(n), n)
+				buf = buf[:n]
+				if _, dup := inUse.LoadOrStore(&buf[0], true); dup {
+					t.Error("one array handed to two borrowers")
+					return
+				}
+				for j := range buf {
+					buf[j] = g
+				}
+				inUse.Delete(&buf[0])
+				s.Put(buf)
+			}
+		}()
+	}
+	wg.Wait()
+	idleCaps(t, &s)
 }
 
 // TestReadAll: ReadAll overwrites buf from its start, reads short reads to

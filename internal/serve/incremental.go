@@ -11,8 +11,10 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"path/filepath"
 	"slices"
@@ -21,7 +23,6 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
-	"repro/internal/recycle"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -47,11 +48,14 @@ type liveTrace struct {
 	sink *trace.DirSink
 
 	// pmu guards the ingest side: sink ordering, the pending epoch queue,
-	// and what listing and summary read — the digest as of the last append
-	// and the sidecar fold. They never ask the sink, so a trace reads as
-	// open, with its last open digest, until seal swaps it out.
+	// the most events a landed chunk held — the room the next append's
+	// decode buffer is asked for — and what listing and summary read: the
+	// digest as of the last append and the sidecar fold. They never ask the
+	// sink, so a trace reads as open, with its last open digest, until seal
+	// swaps it out.
 	pmu     sync.Mutex
 	pending [][]trace.Event
+	longest int
 	digest  string
 	fold    summaryFold
 
@@ -67,7 +71,7 @@ type liveTrace struct {
 
 // drain is the coordinator step: everything appended since the last epoch
 // becomes this epoch, applied in landing order. Apply copies the events into
-// the windows, so the chunk buffers then go back to eventBufs, and
+// the windows, so the chunk buffers then go back to trace.EventBufs, and
 // the queue's own array back to the queue if no append has started a new
 // one. It returns the digest the epoch brings the analysis up to. amu held.
 func (lt *liveTrace) drain() (digest string) {
@@ -91,25 +95,14 @@ func (lt *liveTrace) drain() (digest string) {
 	return digest
 }
 
-// eventBufs keeps the buffers appended chunks are decoded into, across
-// appends and traces: an append takes one, an epoch hands it back once
-// Apply has copied its events, and a refused, duplicate or undecodable
-// append at once. An epoch of more than eight chunks allocates the rest
-// afresh. A buffer with room for more than maxEventBufEvents — a chunk far
-// above the ≈ 35 000 events a default trace.Writer sends — is dropped, so
-// the idle buffers hold at most 8 × 2.5 MiB.
-var eventBufs = recycle.Stack[[]trace.Event]{Max: 8}
-
-const maxEventBufEvents = 1 << 16 // events one idle buffer may hold room for
-
-// putEvents hands a chunk buffer back to eventBufs, cleared to its capacity
-// — a failed decode may have written past the length it returned — so an
-// idle buffer holds no name alive.
+// putEvents hands a chunk buffer back to trace.EventBufs, cleared to its
+// capacity — a failed decode may have written past the length it returned —
+// so an idle buffer holds no name alive. An epoch hands the buffers of its
+// chunks back once Apply has copied their events, and a refused, duplicate
+// or undecodable append its buffer at once.
 func putEvents(events []trace.Event) {
-	if cap(events) > 0 && cap(events) <= maxEventBufEvents {
-		clear(events[:cap(events)])
-		eventBufs.Put(events[:0])
-	}
+	clear(events[:cap(events)])
+	trace.EventBufs.Put(events)
 }
 
 // AppendResponse is the POST /v1/traces/{id}/chunks response body.
@@ -229,7 +222,9 @@ func checkTraceID(id string) error {
 // the chunk and derives the sidecar itself, so nothing a client sends beside
 // the frame can skew the stored trace or the incremental analysis. The
 // frame is read into a buffer off bodyBufs and decoded into one off
-// eventBufs, whether the trace is open yet or not. The body buffer goes back
+// trace.EventBufs, whether the trace is open yet or not: the smallest with
+// room for the longest chunk the trace has landed, or, for a trace's first
+// chunk, whose length nothing tells, the largest. The body buffer goes back
 // when the append ends, and so does the chunk buffer unless the chunk
 // landed; then the epoch that drains it hands it back.
 func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
@@ -251,9 +246,8 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	defer releaseBody(body)
 	frame := body.b
-	events, _ := eventBufs.Get()
-	defer func() { putEvents(events) }() // nil once the epoch owns them
 	entry := s.lookup(r.PathValue("id"))
+	longest := 0
 	// An append certain to be refused — a sealed trace, a seq beyond its next
 	// — is refused before the frame is decoded and indexed for nothing;
 	// openLive and the sink's check under pmu stay the authority. A trace that
@@ -268,10 +262,15 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 			writeAPIError(w, ingestError(&trace.SeqError{Seq: seq, Next: next}))
 			return
 		}
+		entry.live.pmu.Lock()
+		longest = entry.live.longest
+		entry.live.pmu.Unlock()
 	}
+	events := trace.EventBufs.Take(cmp.Or(longest, math.MaxInt))
+	defer func() { putEvents(events) }() // nil once the epoch owns them
 	// DecodeChunkBytes sniffs the frame's version: v1 and v2 chunks are
 	// accepted alike, landed byte-for-byte, and analyzed as decoded events.
-	events, err = trace.DecodeChunkBytes(frame, events[:0])
+	events, err = trace.DecodeChunkBytes(frame, events)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadChunk, "undecodable chunk frame: "+err.Error())
 		return
@@ -294,6 +293,7 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	dup, err := lt.sink.Append(seq, frame, sidecar)
 	if err == nil && !dup {
 		lt.pending = append(lt.pending, events)
+		lt.longest = max(lt.longest, len(events))
 		events = nil // the epoch's now
 		lt.fold.foldIndex(index)
 		lt.digest = lt.sink.Digest()
@@ -359,8 +359,8 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 // result-only document go to the report store, so neither costs an Engine
 // run. The entry is built from memory, not read back from the directory; the
 // liveTrace goes with the old one, and its Incremental's window buffers —
-// every decoded event — go back to the pool the next Engine run or live
-// trace draws from.
+// every decoded event — go back to trace.EventBufs, which the next Engine
+// run or live trace draws from.
 func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 	lt.amu.Lock()
 	defer lt.amu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -24,10 +25,10 @@ import (
 // TestLiveEpochAllocs pins what one epoch of a warm open trace costs through
 // the handler: a 512-event append, then an analyze. The trace is the third
 // of three identical streams on the server — the ones before it, sealed,
-// released their window buffers and process states to the pool this one
+// released their window buffers and process states to the stores this one
 // draws on. The frame is read into a body buffer off bodyBufs, decoded into
-// a chunk buffer an earlier epoch drained to eventBufs, and applied into
-// windows whose buffers came off the pool; a cut takes its window, result
+// a chunk buffer an earlier epoch drained to trace.EventBufs, and applied
+// into windows whose buffers came off it too; a cut takes its window, result
 // maps and all, from the process state an earlier stream left; and both
 // responses are encoded by a kept encoder, indent buffer and all. What is
 // left is per request — routing and the query string, the chunk's names, the
@@ -80,9 +81,9 @@ func TestLiveEpochAllocs(t *testing.T) {
 		serve(analyze, []byte(`{}`))
 		seq++
 	}
-	// Two identical streams before it, each sealed, settle the scratch the
+	// Two identical streams before it, each sealed, settle the store the
 	// way runs settle it (TestScratchSettlesAndOutlivesGC): the first meets
-	// whatever earlier tests left in the pool, the second already the
+	// whatever earlier tests left in it, the second already the
 	// buffers the same requests took.
 	for _, id := range []string{"first", "second"} {
 		open(id)
@@ -115,10 +116,10 @@ func TestLiveEpochAllocs(t *testing.T) {
 }
 
 // TestRecycledBuffersDoNotAlias: live traces stream interleaved on one
-// server; each seals — handing its window buffers to the pool — while the
-// others keep appending and analyzing, then opens a new trace that draws on
-// what was handed back, and Engine runs draw on the same pool beside them. A
-// buffer with two owners would show as a corrupted window: every sealed
+// server; each seals — handing its window buffers to trace.EventBufs —
+// while the others keep appending and analyzing, then opens a new trace that
+// draws on what was handed back, and Engine runs draw on the same store
+// beside them. A buffer with two owners would show as a corrupted window: every sealed
 // document must still be the offline Engine's over its directory, byte for
 // byte, every seal digest the directory's, and every Engine run's document
 // the same.
@@ -254,20 +255,66 @@ func putAll[T any](s *recycle.Stack[T], held []T) {
 // however it is resliced.
 func arrayOf[T any](buf []T) *T { return &buf[:cap(buf)][0] }
 
-// idleArrays lists the arrays of the buffers idle on bodyBufs and eventBufs,
-// leaving both stacks as they were.
-func idleArrays() (bodies []*byte, events map[*trace.Event]bool) {
-	heldBodies, heldEvents := takeAll(&bodyBufs), takeAll(&eventBufs)
+// idleEvents empties trace.EventBufs and returns what it held, largest
+// first; putEvents back, one by one, leaves the store as it was, as long as
+// they fit its bound.
+func idleEvents() (bufs [][]trace.Event) {
+	for buf := trace.EventBufs.Take(math.MaxInt); buf != nil; buf = trace.EventBufs.Take(math.MaxInt) {
+		bufs = append(bufs, buf)
+	}
+	return bufs
+}
+
+// idleArrays lists the arrays of the buffers idle on bodyBufs and in
+// trace.EventBufs, with the events the latter have room for, leaving both as
+// they were.
+func idleArrays() (bodies []*byte, events map[*trace.Event]int) {
+	heldBodies, heldEvents := takeAll(&bodyBufs), idleEvents()
 	defer putAll(&bodyBufs, heldBodies)
-	defer putAll(&eventBufs, heldEvents)
-	events = map[*trace.Event]bool{}
+	events = map[*trace.Event]int{}
 	for _, b := range heldBodies {
 		bodies = append(bodies, arrayOf(b.b))
 	}
 	for _, buf := range heldEvents {
-		events[arrayOf(buf)] = true
+		events[arrayOf(buf)] = cap(buf)
+		trace.EventBufs.Put(buf)
 	}
 	return bodies, events
+}
+
+// drainEpoch runs lt's next epoch without the sweep that would follow it in
+// an analyze, so every chunk buffer the epoch hands back is still idle, and
+// returns those buffers' arrays.
+func drainEpoch(lt *liveTrace) []*trace.Event {
+	lt.pmu.Lock()
+	var drained []*trace.Event
+	for _, buf := range lt.pending {
+		drained = append(drained, arrayOf(buf))
+	}
+	lt.pmu.Unlock()
+	lt.amu.Lock()
+	lt.drain()
+	lt.amu.Unlock()
+	return drained
+}
+
+// checkCleared fails unless every one of arrays that is idle in
+// trace.EventBufs holds the zero Event in every slot, and returns how many
+// it checked.
+func checkCleared(t *testing.T, arrays []*trace.Event) (checked int) {
+	t.Helper()
+	for _, buf := range idleEvents() {
+		if slices.Contains(arrays, arrayOf(buf)) {
+			checked++
+			for j, e := range buf[:cap(buf)] {
+				if e != (trace.Event{}) {
+					t.Fatalf("an idle chunk buffer holds %+v in slot %d", e, j)
+				}
+			}
+		}
+		trace.EventBufs.Put(buf)
+	}
+	return checked
 }
 
 // framesSink collects the frames a Writer delivers.
@@ -286,8 +333,8 @@ func (s *framesSink) Seal(trace.Meta) error { return nil }
 // the body buffer the sealed one left idle and decode into chunk buffers it
 // left idle, and no buffer is added or lost: at the 512-event chunks of the
 // epoch pin, and at the frames a default trace.Writer sends through
-// client.Sink, so the caps are shown to admit them. An epoch hands the chunk
-// buffers back with every slot cleared.
+// client.Sink, so the store's bound is shown to admit them. An epoch hands
+// the chunk buffers back with every slot cleared.
 func TestIngestBuffersOutliveTrace(t *testing.T) {
 	writer := &framesSink{}
 	w := trace.NewSinkWriter(writer, 0)
@@ -326,34 +373,103 @@ func TestIngestBuffersOutliveTrace(t *testing.T) {
 				t.Fatalf("%d chunks pending, want 2", len(lt.pending))
 			}
 			for i, buf := range lt.pending {
-				if !events[arrayOf(buf)] {
+				if events[arrayOf(buf)] != cap(buf) {
 					t.Errorf("append %d decoded into a new chunk buffer, not one the sealed trace left idle", i)
 				}
 			}
+			if n := checkCleared(t, drainEpoch(lt)); n != 2 {
+				t.Fatalf("%d of the 2 chunk buffers the epoch handed back are idle", n)
+			}
 			mustOK(t, h, "POST", "/v1/traces/next/analyze", "{}")
-			idle := takeAll(&eventBufs)
-			defer putAll(&eventBufs, idle)
-			for i, buf := range idle[:2] {
-				for j, e := range buf[:cap(buf)] {
-					if e != (trace.Event{}) {
-						t.Fatalf("idle chunk buffer %d holds %+v in slot %d", i, e, j)
+		})
+	}
+}
+
+// TestIdleCeilingAcrossOpenTraces: eight live traces stream into one server
+// at once, each append of one followed by the next trace's, half of them
+// analyzed after each round, and then half of the traces are sealed. However
+// many traces are open, the idle event buffers stay within the one bound of
+// trace.EventBufs, after every epoch and every seal; every sealed document
+// is the offline Engine's over its directory; and every chunk buffer an
+// epoch hands back that is still idle is cleared, followed by its array. At
+// the 512-event frames of the epoch pin and at the frames a default
+// trace.Writer sends.
+func TestIdleCeilingAcrossOpenTraces(t *testing.T) {
+	const traces = 8
+	small, large := quickstartTrace(t, 300), quickstartTrace(t, 2600)
+	writer := &framesSink{}
+	w := trace.NewSinkWriter(writer, 0)
+	w.Append(large.Events...)
+	if err := w.Close(large.Meta); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		frames [][]byte
+		meta   trace.Meta
+	}{
+		{"512 events", eventFrames(t, small.Events, 512), small.Meta},
+		{"default Writer", writer.frames, large.Meta},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			meta, err := json.Marshal(c.meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, store := liveServer(t, Config{MaxWorkers: 1})
+			h := s.Handler()
+			withinBound := func(when string) {
+				t.Helper()
+				held := 0
+				for _, buf := range idleEvents() {
+					held += cap(buf)
+					trace.EventBufs.Put(buf)
+				}
+				if held > trace.EventBufs.Max {
+					t.Fatalf("%s: %d events of idle capacity, over the bound %d", when, held, trace.EventBufs.Max)
+				}
+			}
+			checked := 0
+			for seq, frame := range c.frames {
+				for i := 0; i < traces; i++ {
+					id := fmt.Sprintf("t%d", i)
+					mustOK(t, h, "POST", fmt.Sprintf("/v1/traces/%s/chunks?seq=%d", id, seq), string(frame))
+					if (seq+i)%2 == 1 {
+						checked += checkCleared(t, drainEpoch(s.lookup(id).live))
+						withinBound(fmt.Sprintf("after an epoch of %s", id))
+						mustOK(t, h, "POST", "/v1/traces/"+id+"/analyze", "{}")
 					}
+				}
+			}
+			if checked == 0 {
+				t.Fatal("no chunk buffer an epoch handed back was idle to check")
+			}
+			for i := 0; i < traces; i += 2 {
+				id := fmt.Sprintf("t%d", i)
+				mustOK(t, h, "POST", "/v1/traces/"+id+"/seal", string(meta))
+				withinBound("after the seal of " + id)
+				doc := mustOK(t, h, "POST", "/v1/traces/"+id+"/analyze", "{}").Body.String()
+				if want := offlineResultDoc(t, filepath.Join(store, id)); doc != string(want) {
+					t.Errorf("%s: the sealed document diverges from the offline Engine's", id)
 				}
 			}
 		})
 	}
 }
 
-// TestIngestBufferBounds: neither ingest stack holds more than its Max, a
-// buffer over its cap is dropped rather than kept, and an idle chunk buffer
-// holds no name, up to its capacity.
+// TestIngestBufferBounds: the body stack holds no more than its Max, a body
+// buffer over its cap is dropped rather than kept, a chunk buffer goes back
+// to trace.EventBufs cleared up to its capacity, so that it holds no name,
+// and one with room for more than the store's bound is not kept.
 func TestIngestBufferBounds(t *testing.T) {
-	bodies, events := takeAll(&bodyBufs), takeAll(&eventBufs)
+	bodies, events := takeAll(&bodyBufs), idleEvents()
 	t.Cleanup(func() {
 		takeAll(&bodyBufs)
-		takeAll(&eventBufs)
+		idleEvents()
 		putAll(&bodyBufs, bodies)
-		putAll(&eventBufs, events)
+		for _, buf := range events {
+			trace.EventBufs.Put(buf)
+		}
 	})
 
 	for i := 0; i < 2*bodyBufs.Max; i++ {
@@ -372,25 +488,18 @@ func TestIngestBufferBounds(t *testing.T) {
 		named[:cap(named)][i] = trace.Event{Kind: trace.KindCPU, Start: 1, End: 2, Name: "held"}
 	}
 	putEvents(named)
-	for i := 1; i < 2*eventBufs.Max; i++ {
-		putEvents(make([]trace.Event, 3, 8))
-	}
-	idle := takeAll(&eventBufs)
-	if len(idle) != eventBufs.Max {
-		t.Fatalf("%d chunk buffers idle, want the bound %d", len(idle), eventBufs.Max)
-	}
-	kept := idle[len(idle)-1]
+	kept := trace.EventBufs.Take(0)
 	if arrayOf(kept) != arrayOf(named) || len(kept) != 0 {
-		t.Fatal("the first chunk buffer put back is not the one at the bottom of the stack")
+		t.Fatal("the chunk buffer put back is not the one idle")
 	}
 	for j, e := range kept[:cap(kept)] {
 		if e != (trace.Event{}) {
 			t.Fatalf("idle chunk buffer holds %+v in slot %d", e, j)
 		}
 	}
-	putEvents(make([]trace.Event, 0, maxEventBufEvents+1))
-	if _, ok := eventBufs.Get(); ok {
-		t.Fatalf("a chunk buffer with room for more than %d events was kept", maxEventBufEvents)
+	putEvents(make([]trace.Event, 0, trace.EventBufs.Max+1))
+	if buf := trace.EventBufs.Take(0); buf != nil {
+		t.Fatalf("a chunk buffer with room for more than %d events was kept", trace.EventBufs.Max)
 	}
 }
 

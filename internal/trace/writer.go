@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -45,9 +47,9 @@ type Writer struct {
 	format     Format
 
 	mu sync.Mutex
-	// open is the open chunk's events, in a buffer taken from chunkBufs
+	// open is the open chunk's events, in a buffer taken from EventBufs
 	// when its first event arrives; longest is the most events a chunk of
-	// this Writer has held, the size a fresh buffer is made at.
+	// this Writer has held, the room that buffer is asked for.
 	open    []Event
 	longest int
 	size    int
@@ -68,7 +70,7 @@ type Writer struct {
 }
 
 // writeJob is one chunk on its way through the pipeline. An encoder fills
-// frame, index and err, hands events back to chunkBufs and then closes
+// frame, index and err, hands events back to EventBufs and then closes
 // encoded; the deliverer hands frame back to frameBufs.
 type writeJob struct {
 	seq     int
@@ -217,7 +219,7 @@ func (w *Writer) Append(events ...Event) {
 // it has none.
 func (w *Writer) addLocked(events []Event) {
 	if w.open == nil {
-		w.open = getChunkBuf(max(w.longest, len(events)))
+		w.open = getChunkBuf(w.longest, len(events))
 	}
 	w.open = append(w.open, events...)
 }
@@ -249,36 +251,35 @@ func (w *Writer) flushLocked() {
 	}
 }
 
-// chunkBufs recycles the buffers chunks are assembled in, across chunks and
-// across Writers: Append copies events into the open chunk's buffer, and
-// the encoder hands it back once the chunk is encoded. A buffer that grew
-// past maxChunkBufEvents — a chunkBytes far above the default — is dropped
-// on putChunkBuf instead of kept.
-var chunkBufs = recycle.Stack[[]Event]{Max: 8} // chunks in flight beyond eight allocate afresh
+// EventBufs is the process's one store of idle event buffers, which every
+// borrower of one draws on: the Writer's chunk buffers, the buffers live
+// appends decode into, and the batch pipeline's and every incremental
+// analysis's windows. Its bound, 2^20 events of capacity — 40 MiB of Event —
+// is the whole idle event-buffer ceiling, however many traces are open and
+// runs under way. A borrower clears, before Put, what it must not keep alive.
+var EventBufs = recycle.Store[Event]{Max: 1 << 20}
 
-const maxChunkBufEvents = 1 << 16 // events one idle buffer may hold room for
-
-// getChunkBuf returns an empty buffer with room for n events: the one put
-// back last, or a new one when none is idle. An idle buffer too small for n
-// is dropped rather than regrown — regrowing copies what a fresh buffer
-// does not — so buffers sized for smaller chunks leave the stack as soon as
-// larger chunks need it. A new buffer gets an eighth of slack, because the
-// next chunk of a Writer is rarely exactly as long as its longest so far.
-func getChunkBuf(n int) []Event {
-	if buf, ok := chunkBufs.Get(); ok && cap(buf) >= n {
+// getChunkBuf returns an empty buffer for a chunk of a Writer whose chunks
+// have held at most longest events, to be filled with at least n: the
+// smallest idle buffer with room for longest, or a new one when none has
+// room for both. A Writer's first chunk (longest 0) does not know its
+// length, so it takes the largest idle buffer. A buffer too small is dropped
+// rather than regrown — regrowing copies what a fresh buffer does not — and
+// a new one gets an eighth of slack, because the next chunk of a Writer is
+// rarely exactly as long as its longest so far.
+func getChunkBuf(longest, n int) []Event {
+	n = max(longest, n)
+	if buf := EventBufs.Take(cmp.Or(longest, math.MaxInt)); cap(buf) >= n {
 		return buf
 	}
 	return make([]Event, 0, n+n/8)
 }
 
-// putChunkBuf hands an encoded chunk's buffer back to chunkBufs, which
-// keeps it unless the stack is full or the buffer outgrew the bound. The
-// events are cleared first, so an idle buffer holds no name alive.
+// putChunkBuf hands an encoded chunk's buffer back to EventBufs. The events
+// are cleared first, so an idle buffer holds no name alive.
 func putChunkBuf(buf []Event) {
-	if cap(buf) <= maxChunkBufEvents {
-		clear(buf)
-		chunkBufs.Put(buf[:0])
-	}
+	clear(buf)
+	EventBufs.Put(buf)
 }
 
 // frameBufs recycles the buffers frames are built in, across chunks and

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -233,32 +234,38 @@ func TestWriterAppendCopies(t *testing.T) {
 	}
 }
 
-// TestChunkBufsBounded: the recycled chunk buffers are bounded in count and
-// in size, and an idle one holds no event — no name — alive.
+// TestChunkBufsBounded: a Writer's chunk buffers come from and go back to
+// EventBufs, so they are bounded by its idle capacity; an idle one holds no
+// event — no name — alive; a Writer with a longest chunk asks for the best
+// fit, and one without — its first chunk — for the largest idle buffer; one
+// too small is dropped for a fresh one with room.
 func TestChunkBufsBounded(t *testing.T) {
-	idle := func() (n int) {
-		for _, ok := chunkBufs.Get(); ok; _, ok = chunkBufs.Get() {
-			n++
+	drain := func() (caps []int) {
+		for buf := EventBufs.Take(math.MaxInt); buf != nil; buf = EventBufs.Take(math.MaxInt) {
+			caps = append(caps, cap(buf))
 		}
-		return n
+		return caps
 	}
-	idle()
-	putChunkBuf(make([]Event, 1, maxChunkBufEvents+1))
-	if n := idle(); n != 0 {
-		t.Fatalf("a buffer over maxChunkBufEvents was kept (%d idle)", n)
+	drain()
+	putChunkBuf(make([]Event, 1, EventBufs.Max+1))
+	if caps := drain(); len(caps) != 0 {
+		t.Fatalf("a buffer over EventBufs.Max was kept (%v idle)", caps)
 	}
-	for i := 0; i < 2*chunkBufs.Max; i++ {
-		putChunkBuf(append(make([]Event, 0, 64), Event{Name: "held"}))
+	for _, c := range []int{64, 256, 128} {
+		putChunkBuf(append(make([]Event, 0, c), Event{Name: "held"}))
 	}
-	buf := getChunkBuf(10)
-	if len(buf) != 0 || cap(buf) != 64 || buf[:1][0] != (Event{}) {
-		t.Fatalf("got len %d cap %d, first slot %+v: want an empty, cleared idle buffer", len(buf), cap(buf), buf[:1][0])
+	buf := getChunkBuf(100, 10)
+	if len(buf) != 0 || cap(buf) != 128 || buf[:1][0] != (Event{}) {
+		t.Fatalf("got len %d cap %d, first slot %+v: want the empty, cleared idle buffer that fits best", len(buf), cap(buf), buf[:1][0])
 	}
-	if buf := getChunkBuf(100); cap(buf) < 100 {
-		t.Fatalf("asked for 100 events: cap %d, want a fresh buffer", cap(buf))
+	if buf := getChunkBuf(0, 10); cap(buf) != 256 {
+		t.Fatalf("a first chunk got cap %d, want the largest idle buffer", cap(buf))
 	}
-	if n := idle(); n != chunkBufs.Max-2 {
-		t.Fatalf("%d buffers idle, want the bound %d less the one handed out and the small one dropped", n, chunkBufs.Max)
+	if buf := getChunkBuf(0, 100); cap(buf) < 100 {
+		t.Fatalf("a first Append of 100 events got cap %d, want a fresh buffer", cap(buf))
+	}
+	if caps := drain(); len(caps) != 0 {
+		t.Fatalf("%v idle, want the buffer too small for 100 events dropped", caps)
 	}
 }
 

@@ -356,9 +356,10 @@ func TestOneSweepPath(t *testing.T) {
 // TestOneWayEach pins the one ways that a count, not a name, holds:
 // internal/serve decodes a JSON body in one place, the module spells the
 // "proc%d" process-name fallback once (report.ProcName), and internal/ sets up
-// an indented JSON encoder once (report.EncodeJSON); and internal/serve spells
-// its HTTP header keys canonically. The second ways deleted by name stay
-// deleted through the surface (TestSurface).
+// an indented JSON encoder once (report.EncodeJSON); internal/serve spells
+// its HTTP header keys canonically; and idle event buffers have one owner
+// (checkOneEventStore). The second ways deleted by name stay deleted through
+// the surface (TestSurface).
 func TestOneWayEach(t *testing.T) {
 	const (
 		decoders  = "json.NewDecoder calls in internal/serve"
@@ -405,6 +406,70 @@ func TestOneWayEach(t *testing.T) {
 		}
 	}
 	checkHeaderKeys(t, m.fset, m.files["repro/internal/serve"])
+	checkOneEventStore(t, m)
+}
+
+// checkOneEventStore fails unless, outside benchmark/, idle event buffers
+// have one owner, resolved through go/types: no package keeps a
+// recycle.Stack of []trace.Event, and one recycle.Store of trace.Event is
+// declared and made — trace.EventBufs.
+func checkOneEventStore(t *testing.T, m *module) {
+	t.Helper()
+	// recycled names the recycle type t is, or points at, when its element
+	// is trace.Event: "Stack" for a Stack[[]trace.Event], "Store" for a
+	// Store[trace.Event].
+	recycled := func(t types.Type) string {
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		n, ok := t.(*types.Named)
+		if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "repro/internal/recycle" || n.TypeArgs().Len() != 1 {
+			return ""
+		}
+		arg := n.TypeArgs().At(0)
+		if s, ok := arg.(*types.Slice); ok && n.Obj().Name() == "Stack" {
+			arg = s.Elem()
+		} else if n.Obj().Name() == "Stack" {
+			return ""
+		}
+		if types.TypeString(arg, nil) != "repro/internal/trace.Event" {
+			return ""
+		}
+		return n.Obj().Name()
+	}
+	inBenchmark := func(pos token.Pos) bool {
+		return strings.HasPrefix(filepath.ToSlash(m.fset.Position(pos).Filename), "benchmark/")
+	}
+	declared, made := 0, 0
+	for id, obj := range m.info.Defs {
+		if v, ok := obj.(*types.Var); ok && !inBenchmark(id.Pos()) {
+			switch recycled(v.Type()) {
+			case "Stack":
+				t.Errorf("%s keeps a stack of event buffers of its own at %s", v.Name(), m.fset.Position(id.Pos()))
+			case "Store":
+				if _, ptr := v.Type().(*types.Pointer); !ptr {
+					declared++
+				}
+			}
+		}
+	}
+	for e, tv := range m.info.Types {
+		if tv.IsType() || inBenchmark(e.Pos()) {
+			continue
+		}
+		switch recycled(tv.Type) {
+		case "Stack":
+			t.Errorf("a stack of event buffers is made or used at %s", m.fset.Position(e.Pos()))
+		case "Store":
+			call, isCall := e.(*ast.CallExpr)
+			if _, lit := e.(*ast.CompositeLit); lit || isCall && types.ExprString(call.Fun) == "new" {
+				made++
+			}
+		}
+	}
+	if declared != 1 || made != 1 {
+		t.Errorf("%d stores of trace.Event declared and %d made outside benchmark/, want trace.EventBufs alone", declared, made)
+	}
 }
 
 // checkHeaderKeys fails for every string literal used as an HTTP header key
