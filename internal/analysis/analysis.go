@@ -1,13 +1,18 @@
 // Package analysis is RL-Scope's offline-analysis engine. The paper's
 // overlap computation (§3.3) is one sweep per process, and the windowed
 // sweep (overlap.ComputeWindow) is exact for any cut of a process's
-// timeline (see window), so there is one batch pipeline: plan watermarks
-// from chunk indexes, route each event to its process's one open window, cut
-// windows by size at watermarks, sweep the closed windows on a worker pool,
-// merge per process. Run feeds it a materialized trace, RunStream a chunked
-// directory, whose chunks the coordinator decodes itself, one at a time, at
-// every worker count; Incremental drives the same windows for a trace still
-// growing. The sweep pool is the pipeline's only concurrent stage.
+// timeline (see window), so there is one windowed engine: a per-process
+// window state (procState) that partitions the timeline, closes its tail at
+// a bound the stream has passed, and sweeps and merges each window.
+// Two drivers run it. The batch pipeline plans watermarks from chunk
+// indexes, routes each chunk's events to their process's tail, closes tails
+// by size at the watermarks and sweeps each closed window once on a worker
+// pool; Run feeds it a materialized trace, RunStream a chunked directory,
+// whose chunks the coordinator decodes itself, one at a time, at every
+// worker count. Incremental applies a growing trace in epochs, closes tails
+// at the high-water start and keeps every window with its result,
+// re-sweeping only the dirty ones. The sweep pool is the only concurrent
+// stage.
 //
 // Results are byte-identical for any worker count — including Workers: 1,
 // which executes inline with no goroutines at all — any memory budget and

@@ -34,79 +34,44 @@ type IncrementalStats struct {
 	Windows int
 }
 
-// incWindow is one persistent window of the incremental state: the shared
-// window plus the cached sweep result over its buffer and a dirty bit set
-// when an epoch routes a new event in.
-type incWindow struct {
-	window
-	dirty bool
-	// res is the last sweep, re-swept in place: its maps outlive the sweeps,
-	// on the left part, a split and, emptied, a Release. nil until the
-	// window is first swept.
-	res *overlap.Result
-}
-
-// incProc is the per-process incremental state: an ascending partition of
-// the whole timeline [MinTime, MaxTime) into windows, the merge of their
-// results, cached while no window is dirty, and the high-water start: the
-// largest start Apply has routed into a window buffer, where the tail window
-// is closed (see Incremental).
-//
-// A released state keeps its window list's capacity and, in spare, its
-// windows with their results' maps, for the cuts of the process that takes
-// it over.
-type incProc struct {
-	windows []*incWindow
-	merged  *overlap.Result
-	high    vclock.Time
-	spare   []*incWindow
-}
-
 // procStates keeps the states of released processes for the processes of
 // the Incremental states to come (internal/recycle says why it is a bounded
 // stack). Each keeps as many spare windows as its share of trace.EventBufs'
 // bound could fill at the tail cut's size, splitEvents/2 events a window.
-var procStates = recycle.Stack[*incProc]{Max: 16} // processes beyond sixteen start afresh
+var procStates = recycle.Stack[*procState]{Max: 16} // processes beyond sixteen start afresh
 
 // Incremental is a resumable analysis state for a growing trace: the
-// serve-side complement of the batch pipeline. Chunks are applied in
-// epochs; each event is routed to the buffers of the windows it overlaps,
-// and only windows that received events are re-swept on the next Results
-// call, each straight from its own buffer. It keeps its own driver because
-// its windows are persistent and re-dirtied, where the pipeline's are closed
-// once; the window type, its cut, the windowed sweep and the shard merge are
-// the pipeline's.
+// batch pipeline's per-process window state (procState), driven by epochs
+// instead of chunks and keeping what it closes. Each event is routed to the
+// buffers of the windows it overlaps, and only windows that received events
+// are re-swept on the next Results call, each straight from its own buffer
+// into its kept result.
 //
 // A window that has outgrown splitEvents is cut at the median start of its
 // events, which keeps the cost of an epoch bounded by the events it brought
 // plus a constant, whatever the trace length and arrival order. No watermark
 // exists for a trace that is still growing, but the high-water start is the
-// next best thing for a stream that arrives in start order: the tail window
-// [lo, MaxTime), once it holds splitEvents/2 events, is closed at it before
-// its sweep — the closed window keeps the buffer and the cached result, and
-// only the events still alive there move on into a fresh tail. The next
-// in-order epoch then dirties only that tail, so each buffered event is
-// swept about once, not once when it lands and again when a median split
-// re-dirties the half it landed in. Any cut is exact (see window), so
-// Results on a fully-applied trace is identical to a fresh Engine run over
-// the sealed directory — the live-ingest equivalence the property tests pin
-// down.
+// next best thing for a stream that arrives in start order: the tail, once
+// it holds splitEvents/2 events, is closed at it before its sweep, the way
+// the batch run closes it at a watermark. The next in-order epoch then
+// dirties only the tail, so each buffered event is swept about once, not
+// once when it lands and again when a median split re-dirties the half it
+// landed in. Any cut is exact (see window), so Results on a fully-applied
+// trace is identical to a fresh Engine run over the sealed directory — the
+// live-ingest equivalence the property tests pin down.
 //
-// Window buffers come from trace.EventBufs, the store the batch pipeline's
-// runs, the Writer and live appends draw on too: a window that must grow
-// moves into a buffer off it, handing its old one back, and a median split's
-// left part and a closed tail's successor are drawn from it. Release hands
-// back every buffer, uncleared — the names their stale events still point at
-// are interned strings, which live until the buffer is next filled — and
-// every process state to procStates, with its windows and their results, so
-// a server that seals one trace and opens the next allocates no event
-// storage for it, and a cut of the next one's, which takes a spare window,
-// result maps and all, allocates nothing either.
+// Window buffers come from trace.EventBufs: a window that must grow moves
+// into a buffer off it, handing its old one back. Release hands back every
+// buffer, uncleared — the names their stale events still point at are
+// interned strings, which live until the buffer is next filled — and every
+// process state to procStates, with its windows and their results, so a
+// server that seals one trace and opens the next allocates no event storage
+// for it, and a cut of the next one's allocates nothing either.
 //
 // Incremental is not safe for concurrent use; the serve layer serializes
 // epochs and result reads per trace under its analysis lock.
 type Incremental struct {
-	procs map[trace.ProcID]*incProc // nil once released
+	procs map[trace.ProcID]*procState // nil once released
 	stats IncrementalStats
 }
 
@@ -115,18 +80,19 @@ const minWindowEvents = 256
 
 // NewIncremental returns an empty incremental analysis state.
 func NewIncremental() *Incremental {
-	return &Incremental{procs: map[trace.ProcID]*incProc{}}
+	return &Incremental{procs: map[trace.ProcID]*procState{}}
 }
 
 // Release ends the state: every window buffer goes back to trace.EventBufs,
-// and every process state — reset to one empty window over the whole
-// timeline, its other windows spare — to procStates, for the next Engine
-// run or Incremental to draw from. Only Stats may be called afterwards; a
-// second Release is a no-op.
+// and every process state — reset to one empty tail over the whole
+// timeline, its closed windows spare — to procStates, for the next
+// Incremental to draw from. Only Stats may be called afterwards; a second
+// Release is a no-op.
 func (inc *Incremental) Release() {
 	spares := trace.EventBufs.Max / (splitEvents / 2) / procStates.Max
 	for _, p := range inc.procs {
-		for _, w := range p.windows {
+		for i := 0; i <= len(p.closed); i++ {
+			w := p.at(i)
 			trace.EventBufs.Put(w.events)
 			if r := w.res; r != nil {
 				// Empty, as a window nothing has reached must merge.
@@ -134,12 +100,12 @@ func (inc *Incremental) Release() {
 				clear(r.Transitions)
 				r.SpanStart, r.SpanEnd = 0, 0
 			}
-			*w = incWindow{res: w.res}
+			*w = window{res: w.res}
 		}
-		p.windows[0].lo, p.windows[0].hi = vclock.MinTime, vclock.MaxTime
-		p.spare = append(p.spare, p.windows[1:]...)
-		clear(p.windows[1:])
-		p.windows, p.merged, p.high = p.windows[:1], nil, vclock.MinTime
+		p.lo, p.hi = vclock.MinTime, vclock.MaxTime
+		p.spare = append(p.spare, p.closed...)
+		clear(p.closed)
+		p.closed, p.acc, p.high = p.closed[:0], nil, vclock.MinTime
 		if len(p.spare) > spares {
 			clear(p.spare[spares:])
 			p.spare = p.spare[:spares]
@@ -167,7 +133,7 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 				// spare windows for its cuts.
 				var ok bool
 				if p, ok = procStates.Get(); !ok {
-					p = &incProc{windows: []*incWindow{{window: window{lo: vclock.MinTime, hi: vclock.MaxTime}}}, high: vclock.MinTime}
+					p = &procState{window: window{lo: vclock.MinTime, hi: vclock.MaxTime}, high: vclock.MinTime}
 				}
 				inc.procs[e.Proc] = p
 				inc.stats.Windows++
@@ -177,12 +143,12 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 			}
 			// The first window ending after the event's start is the first
 			// it can overlap; in-order arrival finds it at the tail.
-			i := len(p.windows) - 1
-			if e.Start < p.windows[i].lo {
-				i = sort.Search(i, func(j int) bool { return p.windows[j].hi > e.Start })
+			i := len(p.closed)
+			if e.Start < p.lo {
+				i = sort.Search(i, func(j int) bool { return p.closed[j].hi > e.Start })
 			}
-			for ; i < len(p.windows) && trace.OverlapsWindow(e, p.windows[i].lo, p.windows[i].hi); i++ {
-				w := p.windows[i]
+			for ; i <= len(p.closed) && trace.OverlapsWindow(e, p.at(i).lo, p.at(i).hi); i++ {
+				w := p.at(i)
 				if len(w.events) == cap(w.events) {
 					w.events = trace.EventBufs.Reserve(w.events, max(len(w.events), minWindowEvents))
 				}
@@ -190,7 +156,7 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 				w.dirty = true
 			}
 			p.high = max(p.high, e.Start)
-			p.merged = nil
+			p.acc = nil
 		}
 	}
 }
@@ -210,96 +176,54 @@ func (inc *Incremental) Results(filter map[trace.ProcID]bool) map[trace.ProcID]*
 		if filter != nil && !filter[pid] {
 			continue
 		}
-		if p.merged == nil {
-			p.merged = inc.sweep(p, sw)
+		if p.acc == nil {
+			p.acc = inc.sweep(p, sw)
 		}
-		out[pid] = p.merged
+		out[pid] = p.acc
 	}
 	return out
 }
 
-// sweep re-sweeps p's dirty windows — each into its own cached result —
-// cutting first the ones that have outgrown splitEvents, at their median
-// start, and the tail once it holds splitEvents/2 events, at the high-water
-// start; it returns the merge of all of p's window results in a fresh
-// Result: Results shares it with callers.
-func (inc *Incremental) sweep(p *incProc, sw *overlap.Sweeper) *overlap.Result {
-	res := &overlap.Result{
-		ByKey:       map[overlap.Key]vclock.Duration{},
-		Transitions: map[overlap.TransitionKey]int{},
-	}
-	for i := 0; i < len(p.windows); i++ {
-		w := p.windows[i]
-		if w.dirty {
-			for {
-				var (
-					at      vclock.Time
-					handOff bool
-				)
-				if n := len(w.events); n > max(splitEvents, w.retry) {
-					slices.SortFunc(w.events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
-					at = w.events[n/2].Start
-				} else if w.hi == vclock.MaxTime && n >= max(splitEvents/2, w.retry) {
-					at, handOff = p.high, true
-				} else {
-					break
-				}
-				// The right part is a spare window, if p has one; a
-				// refused cut leaves it spare.
-				var right *incWindow
-				if k := len(p.spare); k > 0 {
-					right, p.spare = p.spare[k-1], p.spare[:k-1]
-				} else {
-					right = new(incWindow)
-				}
-				if !w.split(right, at, handOff) {
-					p.spare = append(p.spare, right)
-					break
-				}
-				p.windows = slices.Insert(p.windows, i+1, right)
-				inc.stats.Windows++
+// sweep re-sweeps p's dirty windows, each into its kept result, cutting
+// first the ones that have outgrown splitEvents, at their median start, and
+// the tail once it holds splitEvents/2 events, at the high-water start; it
+// returns the merge of all of p's window results in a fresh Result: Results
+// shares it with callers.
+func (inc *Incremental) sweep(p *procState, sw *overlap.Sweeper) *overlap.Result {
+	acc := newResult()
+	for i := 0; i <= len(p.closed); i++ {
+		w := p.at(i)
+		if !w.dirty {
+			if w.res != nil {
+				MergeResult(acc, w.res)
 			}
-			if w.res == nil {
-				w.res = new(overlap.Result)
-			}
-			sw.ComputeWindowInto(w.res, w.events, w.lo, w.hi)
-			w.dirty = false
-			inc.stats.Shards++
-			inc.stats.EventsSwept += len(w.events)
+			continue
 		}
-		if w.res != nil {
-			MergeResult(res, w.res)
+		var ok bool
+		if n := len(w.events); n > max(splitEvents, w.retry) {
+			// Sorted by start first (the sweep is input-order invariant),
+			// the part that stays — the left intervals reaching past the
+			// cut, then the rest — stays sorted for the next split and
+			// keeps the buffer with its spare capacity, where in-order
+			// arrivals land.
+			slices.SortFunc(w.events, func(a, b trace.Event) int { return cmp.Compare(a.Start, b.Start) })
+			_, _, _, _, ok = p.split(i, w.events[n/2].Start, n/4*3, 0, false)
+		} else if i == len(p.closed) && n >= max(splitEvents/2, w.retry) {
+			_, _, _, _, ok = p.split(i, p.high, n/4*3, n, true)
 		}
+		if ok {
+			inc.stats.Windows++
+			i-- // the part cut off now sits at i: take it first
+			continue
+		}
+		if w.res == nil {
+			w.res = new(overlap.Result)
+		}
+		w.sweep(sw, w.res, acc, nil)
+		inc.stats.Shards++
+		inc.stats.EventsSwept += len(w.events)
 	}
-	return res
-}
-
-// split cuts the window at at, shrinking w to the left part [lo, at) and
-// making right the right part [at, hi), both dirty; the left part keeps w's
-// cached result, to be re-swept into, and right the one it holds, if any.
-// Without handOff the cut is a median one: the buffer was sorted by start
-// first (the sweep is input-order invariant), so the right part — the left
-// intervals reaching past the cut, then the rest — stays sorted for the
-// next split and keeps the old buffer with its spare capacity, which is
-// where in-order arrivals will land, and the left part moves to the
-// best-fitting buffer off trace.EventBufs. With handOff the cut closes the
-// tail at its high-water start: the left part keeps the buffer whole, and
-// the events still alive at the cut move into a buffer off it with room for
-// as many events as the tail gathered, ready for the next epoch. A split
-// that would leave the right part above ¾ of the buffer is refused (false,
-// right untouched); see window.cut.
-func (w *incWindow) split(right *incWindow, at vclock.Time, handOff bool) bool {
-	n, lo, room := len(w.events), w.lo, 0
-	if handOff {
-		room = n
-	}
-	left, _, _, _, ok := w.cut(at, n/4*3, room, handOff)
-	if !ok {
-		return false
-	}
-	right.window, right.dirty = w.window, true
-	w.window, w.dirty = window{lo: lo, hi: at, events: left}, true
-	return true
+	return acc
 }
 
 // Stats returns a snapshot of the cumulative counters.

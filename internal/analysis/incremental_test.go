@@ -117,6 +117,11 @@ func phaseEvent(p trace.ProcID, name string, lo, hi vclock.Time) trace.Event {
 	return trace.Event{Proc: p, Kind: trace.KindPhase, Name: name, Start: lo, End: hi}
 }
 
+// windowsOf lists p's partition in order: the closed windows, then the tail.
+func windowsOf(p *procState) []*window {
+	return append(slices.Clip(p.closed), &p.window)
+}
+
 // steadyEvents is n back-to-back 10-tick CPU events of process p starting
 // at tick from*10, each carrying a transition marker every fourth event —
 // the in-order stream a profiler ships.
@@ -240,6 +245,42 @@ func TestIncrementalInOrderSweepsOnce(t *testing.T) {
 	}
 }
 
+// TestIncrementalCutThresholds pins where a fresh state's first sweep cuts an
+// in-order epoch of n buffered events: nothing below splitEvents/2; from
+// splitEvents/2 up to and including splitEvents, only the tail closed at the
+// high-water start; past splitEvents, a median split first, whose right half
+// is then the tail to close. When the first long events outlive the epoch
+// and refuse the median split, the tail stays whole — it is not closed in
+// the split's stead — until it has doubled.
+func TestIncrementalCutThresholds(t *testing.T) {
+	for _, c := range []struct{ n, long, windows int }{
+		{splitEvents/2 - 1, 0, 1},
+		{splitEvents / 2, 0, 2},
+		{splitEvents, 0, 2},
+		{splitEvents + 1, 0, 3},
+		{splitEvents + 1, splitEvents/2 + 1, 1},
+	} {
+		var events []trace.Event
+		for i := 0; i < c.n; i++ {
+			end := vclock.Time(i*10 + 10)
+			if i < c.long {
+				end = vclock.Time(c.n*10 + 1000)
+			}
+			events = append(events, cpuEvent(0, vclock.Time(i*10), end))
+		}
+		inc := NewIncremental()
+		inc.Apply([][]trace.Event{events})
+		got := dumpAll(inc.Results(nil))
+		if w := inc.Stats().Windows; w != c.windows {
+			t.Errorf("n=%d long=%d: %d windows after the first sweep, want %d", c.n, c.long, w, c.windows)
+		}
+		if got != dumpAll(Run(&trace.Trace{Events: events}, Options{Workers: 1})) {
+			t.Fatalf("n=%d long=%d: incremental result diverges from batch Run", c.n, c.long)
+		}
+		inc.Release()
+	}
+}
+
 // TestIncrementalTailCutRefused: long-lived intervals still open at the
 // high-water start make the tail cut refuse — more than ¾ of the tail would
 // move on — and a refusal costs no locality. Every epoch still sweeps at most
@@ -253,7 +294,7 @@ func TestIncrementalTailCutRefused(t *testing.T) {
 	injected, refused, windows := -1, false, 0
 	for e := 0; e < 40; e++ {
 		events := steadyEvents(0, e*per, per)
-		if p := inc.procs[0]; injected < 0 && p != nil && len(p.windows) > 1 && len(p.windows[len(p.windows)-1].events) < 16 {
+		if p := inc.procs[0]; injected < 0 && p != nil && len(p.closed) > 0 && len(p.events) < 16 {
 			// Just after a cut: the intervals outnumber what is left of the
 			// tail and what this epoch brings, and outlive the epoch.
 			injected = e
@@ -269,15 +310,14 @@ func TestIncrementalTailCutRefused(t *testing.T) {
 		if swept := inc.Stats().EventsSwept - before; swept > len(events)+2*splitEvents {
 			t.Fatalf("epoch %d: a %d-event epoch swept %d events, want at most %d", e, len(events), swept, len(events)+2*splitEvents)
 		}
-		ws := inc.procs[0].windows
-		if w := ws[len(ws)-1]; injected >= 0 && !refused && w.retry > 0 {
-			refused, windows = true, len(ws)
+		if p := inc.procs[0]; injected >= 0 && !refused && p.retry > 0 {
+			refused, windows = true, len(p.closed)+1
 		}
 	}
 	if injected < 0 || !refused {
 		t.Fatalf("intervals injected at epoch %d, tail cut refused: %v", injected, refused)
 	}
-	if n := len(inc.procs[0].windows); n <= windows {
+	if n := len(inc.procs[0].closed) + 1; n <= windows {
 		t.Fatalf("%d windows after the refusal, %d at it: the tail was never cut again", n, windows)
 	}
 	if got, want := dumpAll(inc.Results(nil)), dumpAll(Run(&trace.Trace{Events: all}, Options{Workers: 1})); got != want {
@@ -301,11 +341,11 @@ func TestIncrementalHandoffBuffersDoNotAlias(t *testing.T) {
 		var all []trace.Event
 		inc := NewIncremental()
 		defer inc.Release()
-		closed := map[*incWindow][]trace.Event{}
+		closed := map[*window][]trace.Event{}
 		check := func(epoch int) error {
 			arrays := map[*trace.Event]bool{}
 			for pid, p := range inc.procs {
-				for _, w := range p.windows {
+				for _, w := range windowsOf(p) {
 					if c := cap(w.events); c > 0 {
 						end := &w.events[:c][c-1] // one per array, whatever the offset
 						if arrays[end] {
@@ -492,12 +532,13 @@ func TestIncrementalArrivalOrderAndSplits(t *testing.T) {
 			}
 			refused := 0
 			for _, p := range inc.procs {
-				for i, w := range p.windows {
+				ws := windowsOf(p)
+				for i, w := range ws {
 					if w.retry > 0 {
 						refused++
 					}
-					if i > 0 && p.windows[i-1].hi != w.lo {
-						t.Fatalf("seed %d, %s order: windows [..%d) and [%d..) do not abut", seed, o.name, p.windows[i-1].hi, w.lo)
+					if i > 0 && ws[i-1].hi != w.lo {
+						t.Fatalf("seed %d, %s order: windows [..%d) and [%d..) do not abut", seed, o.name, ws[i-1].hi, w.lo)
 					}
 				}
 			}

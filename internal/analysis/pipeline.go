@@ -99,42 +99,23 @@ func (s *memSource) chunk(i int, buf []trace.Event, skipOverhead bool) ([]trace.
 	return buf, len(run), bytes, nil
 }
 
-// procWindow is the one open window of a process plus what the pipeline
-// needs to route into it and to close its prefixes.
-type procWindow struct {
-	window
-	proc  trace.ProcID
-	left  int   // events the chunks not yet decoded hold for the process
-	bytes int64 // estimated footprint of events
-	// watermark is the minimum (stage-mapped) start over the chunks not yet
-	// decoded that hold the process, MaxTime once none is left: no future
-	// event can begin before it, so the prefix [lo, watermark) is complete.
-	watermark vclock.Time
-	// acc is the merge of the process's closed windows; nil until the
-	// first is dispatched.
-	acc *overlap.Result
-	// cur is where the stage's searches for the process resume: its events
-	// reach route in start order, chunk after chunk.
-	cur calib.Cursor
-}
-
 // chunkSpan is one (chunk, process) entry of the plan.
 type chunkSpan struct {
-	w      *procWindow
+	p      *procState
 	events int         // the chunk's event count for the process
 	after  vclock.Time // the process's watermark once the chunk is decoded
 }
 
-// sweepJob is one closed window on its way to a worker: a buffer holding
-// every event that overlaps [lo, hi), possibly among others that lie wholly
-// outside it (see window.cut), and the count and summed trace.EventBytes of
-// the overlapping ones, which are what the residency estimate holds it at.
+// sweepJob is one closed window on its way to a worker — its buffer holds
+// every event that overlaps it, possibly among others that lie wholly
+// outside it (see window.cut) — with its process's accumulator, and the
+// count and summed trace.EventBytes of the overlapping events, which are
+// what the residency estimate holds it at.
 type sweepJob struct {
-	acc    *overlap.Result
-	events []trace.Event
-	n      int
-	bytes  int64
-	lo, hi vclock.Time
+	w     window
+	acc   *overlap.Result
+	n     int
+	bytes int64
 }
 
 // pipeline is the state of one batch analysis (see the package comment):
@@ -145,9 +126,9 @@ type pipeline struct {
 	stage *calib.Corrector
 	stats StreamStats
 
-	windows map[trace.ProcID]*procWindow
-	order   []*procWindow // ascending process: the budget's scan order
-	spans   []chunkSpan   // chunk i's entries are spans[spanOff[i]:spanOff[i+1]]
+	procs   map[trace.ProcID]*procState // each with the once bit
+	order   []*procState                // ascending process: the budget's scan order
+	spans   []chunkSpan                 // chunk i's entries are spans[spanOff[i]:spanOff[i+1]]
 	spanOff []int
 	// chunkHint is the largest event count an index claims for a chunk the
 	// run decodes: a hint, which picks a chunk buffer and never sizes one.
@@ -158,8 +139,6 @@ type pipeline struct {
 	// the stage to rewrite. Between chunks it holds the last chunk's events,
 	// already routed.
 	spare []trace.Event
-	// cur is the stage's cursor for the processes no window takes.
-	cur calib.Cursor
 
 	// The coordinator's side of the residency estimate: events buffered in
 	// open windows, and the chunk being decoded.
@@ -187,7 +166,7 @@ func run(ctx context.Context, src source, opts Options) (map[trace.ProcID]*overl
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pl := &pipeline{ctx: ctx, src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}}
+	pl := &pipeline{ctx: ctx, src: src, stage: opts.Stage, procs: map[trace.ProcID]*procState{}}
 	// Deferred, so it runs on every exit path, and after the only goroutines
 	// that touch the buffers, the workers, have been joined.
 	defer pl.release()
@@ -232,9 +211,9 @@ func run(ctx context.Context, src source, opts Options) (map[trace.ProcID]*overl
 	// stage can drop every event of a process (correction erases processes
 	// that recorded nothing but overhead markers).
 	out := make(map[trace.ProcID]*overlap.Result, len(pl.order))
-	for _, w := range pl.order {
-		if w.acc != nil {
-			out[w.proc] = w.acc
+	for _, p := range pl.order {
+		if p.acc != nil {
+			out[p.proc] = p.acc
 		}
 	}
 	return out, pl.stats, nil
@@ -245,9 +224,9 @@ func run(ctx context.Context, src source, opts Options) (map[trace.ProcID]*overl
 // run calls it, once no other goroutine is left.
 func (pl *pipeline) release() {
 	trace.EventBufs.Put(pl.spare)
-	for _, w := range pl.order {
-		trace.EventBufs.Put(w.events)
-		w.events = nil
+	for _, p := range pl.order {
+		trace.EventBufs.Put(p.events)
+		p.events = nil
 	}
 }
 
@@ -270,17 +249,17 @@ func (pl *pipeline) plan(procs []trace.ProcID) error {
 			if pl.stage != nil {
 				sp = pl.stage.MapSpan(p, sp)
 			}
-			w := pl.windows[p]
-			if w == nil {
-				w = &procWindow{
+			ps := pl.procs[p]
+			if ps == nil {
+				ps = &procState{
 					window: window{lo: vclock.MinTime, hi: vclock.MaxTime},
-					proc:   p, watermark: vclock.MaxTime,
+					once:   true, proc: p, watermark: vclock.MaxTime,
 				}
-				pl.windows[p] = w
-				pl.order = append(pl.order, w)
+				pl.procs[p] = ps
+				pl.order = append(pl.order, ps)
 			}
-			w.left += sp.Events
-			pl.spans = append(pl.spans, chunkSpan{w: w, events: sp.Events, after: sp.MinStart})
+			ps.left += sp.Events
+			pl.spans = append(pl.spans, chunkSpan{p: ps, events: sp.Events, after: sp.MinStart})
 		}
 		pl.spanOff[i+1] = len(pl.spans)
 		if pl.spanOff[i] < pl.spanOff[i+1] {
@@ -291,9 +270,9 @@ func (pl *pipeline) plan(procs []trace.ProcID) error {
 	// stashed with for the minimum over the process's later chunks.
 	for i := len(pl.spans) - 1; i >= 0; i-- {
 		s := &pl.spans[i]
-		s.after, s.w.watermark = s.w.watermark, min(s.w.watermark, s.after)
+		s.after, s.p.watermark = s.p.watermark, min(s.p.watermark, s.after)
 	}
-	slices.SortFunc(pl.order, func(a, b *procWindow) int { return cmp.Compare(a.proc, b.proc) })
+	slices.SortFunc(pl.order, func(a, b *procState) int { return cmp.Compare(a.proc, b.proc) })
 	return nil
 }
 
@@ -320,10 +299,10 @@ func (pl *pipeline) stream(opts Options) error {
 		// reach the split size or the process's end, whichever is nearer,
 		// so a window fed a little per chunk does not move per chunk.
 		for _, s := range spans {
-			if w := s.w; cap(w.events)-len(w.events) < s.events {
-				w.events = trace.EventBufs.Reserve(w.events, min(w.left, splitEvents+s.events))
+			if p := s.p; cap(p.events)-len(p.events) < s.events {
+				p.events = trace.EventBufs.Reserve(p.events, min(p.left, splitEvents+s.events))
 			}
-			s.w.left -= s.events
+			s.p.left -= s.events
 		}
 		// After an adoption the spare is the window's old array: trade one
 		// too small for a chunk, so the decoder need not replace it.
@@ -348,10 +327,10 @@ func (pl *pipeline) stream(opts Options) error {
 		pl.sample()
 		pl.chunkBytes, pl.chunkEvents = 0, 0
 		for _, s := range spans {
-			w := s.w
-			w.watermark = s.after
-			if n := len(w.events); n > 0 && (s.after == vclock.MaxTime || n >= max(splitEvents, w.retry)) {
-				pl.closeWindow(w, n/4*3)
+			p := s.p
+			p.watermark = s.after
+			if n := len(p.events); n > 0 && (s.after == vclock.MaxTime || n >= max(splitEvents, p.retry)) {
+				pl.closeWindow(p, n/4*3)
 			}
 		}
 		// Over budget, the same cut with a lower threshold: any window, and
@@ -359,11 +338,11 @@ func (pl *pipeline) stream(opts Options) error {
 		// order, so one worker's schedule is reproducible. The in-flight
 		// side of the total drains at worker speed.
 		if budget := opts.MaxResidentBytes; budget > 0 {
-			for _, w := range pl.order {
+			for _, p := range pl.order {
 				if pl.bufferedBytes+pl.inflightBytes.Load() <= budget {
 					break
 				}
-				if n := len(w.events); n > 0 && pl.closeWindow(w, n-1) {
+				if n := len(p.events); n > 0 && pl.closeWindow(p, n-1) {
 					pl.stats.Evictions++
 				}
 			}
@@ -379,13 +358,13 @@ func (pl *pipeline) stream(opts Options) error {
 	return nil
 }
 
-// route takes one chunk into the windows, one run of one process at a time:
-// each run through the stage, in place and with its window's cursor, then in
-// one bulk append — every event of a process belongs in its one open window:
-// the window reaches to MaxTime and its lo is a past watermark, which no
+// route takes one chunk into the tails, one run of one process at a time:
+// each run through the stage, in place and with its process's cursor, then
+// in one bulk append — every event of a process belongs in its tail, the
+// only window a batch run keeps open: its lo is a past watermark, which no
 // later event can start before. bytes is the chunk's summed
 // trace.EventBytes. An owned chunk is pl.spare's array; when it is all one
-// process's and that window is empty, the window takes the array itself and
+// process's and that tail is empty, the tail takes the array itself and
 // leaves its own as the spare.
 func (pl *pipeline) route(events []trace.Event, bytes int64, owned bool) {
 	pl.chunkEvents, pl.chunkBytes = len(events), bytes
@@ -396,27 +375,23 @@ func (pl *pipeline) route(events []trace.Event, bytes int64, owned bool) {
 		}
 		run := rest[:n]
 		rest = rest[n:]
-		w := pl.windows[run[0].Proc]
-		if pl.stage != nil {
-			cur := &pl.cur
-			if w != nil {
-				cur = &w.cur
-			}
-			pl.mapRun(run, cur)
+		p := pl.procs[run[0].Proc]
+		if p == nil {
+			continue // a process the run does not ask for
 		}
-		if w == nil {
-			continue
+		if pl.stage != nil {
+			pl.mapRun(run, &p.cur)
 		}
 		runBytes := bytes
 		if n < len(events) {
 			runBytes = eventBytes(run)
 		}
-		if owned && n == len(events) && len(w.events) == 0 {
-			w.events, pl.spare = run, w.events
+		if owned && n == len(events) && len(p.events) == 0 {
+			p.events, pl.spare = run, p.events
 		} else {
-			w.events = append(w.events, run...)
+			p.events = append(p.events, run...)
 		}
-		w.bytes += runBytes
+		p.bytes += runBytes
 		pl.bufferedBytes += runBytes
 		pl.bufferedEvents += len(run)
 	}
@@ -434,38 +409,31 @@ func (pl *pipeline) mapRun(run []trace.Event, cur *calib.Cursor) {
 	}
 }
 
-// closeWindow cuts w at its watermark and dispatches the closed prefix — the
-// window's buffer whole, the survivors moving to one off the store (see
-// window.cut); a window no later chunk feeds is complete and goes whole. It
-// reports false when the cut was refused.
-func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
-	lo, n := w.lo, len(w.events)
+// closeWindow closes p's tail at its watermark (see procState.split) and
+// dispatches the closed window; a tail no later chunk feeds is complete and
+// goes whole. It reports false when the cut was refused.
+func (pl *pipeline) closeWindow(p *procState, keep int) bool {
+	n := len(p.events)
 	var (
-		prefix      []trace.Event
-		closed      int
-		bytes, kept int64
+		job  sweepJob
+		kept int64
+		ok   bool
 	)
-	if w.watermark == vclock.MaxTime {
-		prefix, closed, w.events, bytes = w.events, n, nil, w.bytes
-	} else {
-		var ok bool
-		if prefix, closed, bytes, kept, ok = w.cut(w.watermark, keep, cap(w.events), true); !ok {
-			return false
-		}
+	if p.watermark == vclock.MaxTime {
+		job, p.events = sweepJob{w: p.window, n: n, bytes: p.bytes}, nil
+	} else if job.w, job.n, job.bytes, kept, ok = p.split(len(p.closed), p.watermark, keep, cap(p.events), true); !ok {
+		return false
 	}
-	pl.bufferedBytes += kept - w.bytes
-	pl.bufferedEvents += len(w.events) - n
-	w.bytes = kept
-	if w.acc == nil {
-		w.acc = &overlap.Result{
-			ByKey:       map[overlap.Key]vclock.Duration{},
-			Transitions: map[overlap.TransitionKey]int{},
-		}
+	pl.bufferedBytes += kept - p.bytes
+	pl.bufferedEvents += len(p.events) - n
+	p.bytes = kept
+	if p.acc == nil {
+		p.acc = newResult()
 	}
+	job.acc = p.acc
 	pl.stats.Shards++
-	pl.inflightBytes.Add(bytes)
-	pl.inflightEvents.Add(int64(closed))
-	job := sweepJob{acc: w.acc, events: prefix, n: closed, bytes: bytes, lo: lo, hi: w.watermark}
+	pl.inflightBytes.Add(job.bytes)
+	pl.inflightEvents.Add(int64(job.n))
 	if pl.jobs == nil {
 		pl.sweep(pl.inlineSw, &pl.inlineRes, job)
 		return true
@@ -473,7 +441,7 @@ func (pl *pipeline) closeWindow(w *procWindow, keep int) bool {
 	select {
 	case pl.jobs <- job:
 	case <-pl.ctx.Done(): // dropped: run reports ctx.Err()
-		trace.EventBufs.Put(prefix)
+		trace.EventBufs.Put(job.w.events)
 	}
 	return true
 }
@@ -505,12 +473,9 @@ func (pl *pipeline) work() {
 // cancelled only the recycling is left.
 func (pl *pipeline) sweep(sw *overlap.Sweeper, res *overlap.Result, job sweepJob) {
 	if pl.ctx.Err() == nil {
-		sw.ComputeWindowInto(res, job.events, job.lo, job.hi)
-		pl.mu.Lock()
-		MergeResult(job.acc, res)
-		pl.mu.Unlock()
+		job.w.sweep(sw, res, job.acc, &pl.mu)
 	}
-	trace.EventBufs.Put(job.events)
+	trace.EventBufs.Put(job.w.events)
 	pl.inflightBytes.Add(-job.bytes)
 	pl.inflightEvents.Add(-int64(job.n))
 }

@@ -21,7 +21,7 @@ import (
 // merges them.
 func heldJobs(t *testing.T, src source, opts Options) ([]sweepJob, [][]trace.Event, *pipeline) {
 	t.Helper()
-	pl := &pipeline{ctx: context.Background(), src: src, stage: opts.Stage, windows: map[trace.ProcID]*procWindow{}}
+	pl := &pipeline{ctx: context.Background(), src: src, stage: opts.Stage, procs: map[trace.ProcID]*procState{}}
 	if err := pl.plan(nil); err != nil {
 		t.Fatalf("plan: %v", err)
 	}
@@ -35,7 +35,7 @@ func heldJobs(t *testing.T, src source, opts Options) ([]sweepJob, [][]trace.Eve
 		defer close(done)
 		for job := range pl.jobs {
 			jobs = append(jobs, job)
-			copies = append(copies, slices.Clone(job.events))
+			copies = append(copies, slices.Clone(job.w.events))
 		}
 	}()
 	err := pl.stream(opts)
@@ -120,7 +120,7 @@ func TestPipelineCutsMatchSequential(t *testing.T) {
 				}
 				windows := map[*overlap.Result][][2]vclock.Time{}
 				for _, job := range jobs {
-					windows[job.acc] = append(windows[job.acc], [2]vclock.Time{job.lo, job.hi})
+					windows[job.acc] = append(windows[job.acc], [2]vclock.Time{job.w.lo, job.w.hi})
 				}
 				for _, w := range pl.order {
 					p, ws := w.proc, windows[w.acc]
@@ -166,6 +166,16 @@ func TestRunStreamCutsWithoutBudget(t *testing.T) {
 	}
 	if limit := len(tr.Events) * 6 / 10; stats.PeakResidentEvents >= limit {
 		t.Fatalf("peak resident %d events of %d, want under %d", stats.PeakResidentEvents, len(tr.Events), limit)
+	}
+	// From memory the trace comes in runs of splitEvents events, each of
+	// which fills the window to the split size exactly: each is cut as soon
+	// as it lands, one sweep per run.
+	a, err := NewEngine(WithWorkers(1)).Analyze(context.Background(), FromTrace(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs := (len(tr.Events) + splitEvents - 1) / splitEvents; a.Stats.Shards != runs {
+		t.Fatalf("%d events in %d runs of at most %d swept in %d windows, want one per run", len(tr.Events), runs, splitEvents, a.Stats.Shards)
 	}
 }
 
@@ -271,17 +281,17 @@ func TestHandoffCarriesEventsPastTheCut(t *testing.T) {
 		t.Fatalf("%d windows closed, want one per chunk: %d", len(jobs), 2*chunks)
 	}
 	for i, job := range jobs {
-		if job.hi == vclock.MaxTime {
+		if job.w.hi == vclock.MaxTime {
 			continue
 		}
 		past := 0
-		for _, e := range job.events {
-			if e.Start >= job.hi {
+		for _, e := range job.w.events {
+			if e.Start >= job.w.hi {
 				past++
 			}
 		}
-		if past == 0 || job.n+past > len(job.events) {
-			t.Fatalf("window %d [%d, %d): %d of %d events past the cut, %d overlapping", i, job.lo, job.hi, past, len(job.events), job.n)
+		if past == 0 || job.n+past > len(job.w.events) {
+			t.Fatalf("window %d [%d, %d): %d of %d events past the cut, %d overlapping", i, job.w.lo, job.w.hi, past, len(job.w.events), job.n)
 		}
 	}
 	if got := dumpAll(sweepHeld(pl, jobs)); got != want {
@@ -334,13 +344,13 @@ func TestHandoffBuffersDoNotAlias(t *testing.T) {
 			jobs, copies, pl := heldJobs(t, readerSource{r}, Options{Stage: stage, MaxResidentBytes: budget})
 			arrays := map[*trace.Event]int{}
 			for i, job := range jobs {
-				if !slices.Equal(job.events, copies[i]) {
+				if !slices.Equal(job.w.events, copies[i]) {
 					t.Fatalf("%s budget %d: window %d's buffer changed after it was handed over", c.name, budget, i)
 				}
-				if cap(job.events) == 0 {
+				if cap(job.w.events) == 0 {
 					continue
 				}
-				end := &job.events[:cap(job.events)][cap(job.events)-1] // one per array, whatever the offset
+				end := &job.w.events[:cap(job.w.events)][cap(job.w.events)-1] // one per array, whatever the offset
 				if j, ok := arrays[end]; ok {
 					t.Fatalf("%s budget %d: windows %d and %d were handed one array", c.name, budget, j, i)
 				}

@@ -2,7 +2,10 @@ package analysis
 
 import (
 	"slices"
+	"sync"
 
+	"repro/internal/calib"
+	"repro/internal/overlap"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -14,9 +17,8 @@ import (
 const splitEvents = 4096
 
 // window is one half-open slice [lo, hi) of a process's timeline together
-// with the buffer of every event overlapping it, unclipped — the unit the
-// batch pipeline and Incremental both sweep. The windows of one process
-// partition its whole timeline.
+// with the buffer of every event overlapping it, unclipped — the unit every
+// sweep computes. The windows of one process partition its whole timeline.
 //
 // Where the cuts fall is purely a cost decision. The windowed sweep
 // (overlap.Sweeper.ComputeWindow) clips accumulation to the window and
@@ -29,6 +31,12 @@ type window struct {
 	lo, hi vclock.Time
 	events []trace.Event
 	retry  int // buffer length below which a refused cut is not retried
+	// dirty marks events routed in since the last sweep, and res is that
+	// sweep where one is kept (Incremental): re-swept in place, its maps
+	// outlive the sweeps, a cut and, emptied, a Release. A window the batch
+	// run sweeps once keeps none.
+	dirty bool
+	res   *overlap.Result
 }
 
 // cut closes the prefix [lo, at) of the window and shrinks w to [at, hi),
@@ -88,4 +96,94 @@ func (w *window) cut(at vclock.Time, keep, room int, handOff bool) (prefix []tra
 	}
 	w.events, w.lo, w.retry = survivors, at, 0
 	return prefix, n, closed, kept, true
+}
+
+// sweep computes w into res — its kept result, or a worker's scratch — and
+// merges that into acc, under mu when other goroutines merge into acc too.
+func (w *window) sweep(sw *overlap.Sweeper, res, acc *overlap.Result, mu *sync.Mutex) {
+	sw.ComputeWindowInto(res, w.events, w.lo, w.hi)
+	w.dirty = false
+	if mu != nil {
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	MergeResult(acc, res)
+}
+
+// newResult returns an empty Result to merge window results into.
+func newResult() *overlap.Result {
+	return &overlap.Result{ByKey: map[overlap.Key]vclock.Duration{}, Transitions: map[overlap.TransitionKey]int{}}
+}
+
+// procState is one process's window state, which both drivers run on: an
+// ascending partition of the whole timeline into the closed windows and the
+// tail [lo, MaxTime) after them, the process's accumulator, the high-water
+// start — the largest start routed into a window so far — and the cursor at
+// which the correction stage's searches for the process resume.
+//
+// once is the batch run's policy: a window closed off the tail is swept
+// once, on the worker pool, and folded into acc, so closed stays empty and
+// no window keeps a result. Without it (Incremental) a closed window stays
+// in the partition with its kept result, acc is the merge of all of them
+// while no window is dirty, and spare holds windows, result maps and all,
+// for the cuts to come — a released state's, for the process that takes it
+// over.
+type procState struct {
+	window // the tail
+	closed []*window
+	spare  []*window
+	acc    *overlap.Result
+	high   vclock.Time
+	cur    calib.Cursor
+	once   bool
+
+	// The batch run's plan and residency estimate (see pipeline).
+	proc  trace.ProcID
+	left  int   // events the chunks not yet decoded hold for the process
+	bytes int64 // estimated footprint of the tail's events
+	// watermark is the minimum (stage-mapped) start over the chunks not yet
+	// decoded that hold the process, MaxTime once none is left: no future
+	// event can begin before it, so the prefix [lo, watermark) is complete.
+	watermark vclock.Time
+}
+
+// at returns window i of the partition: closed[i], or the tail at
+// len(closed).
+func (p *procState) at(i int) *window {
+	if i == len(p.closed) {
+		return &p.window
+	}
+	return p.closed[i]
+}
+
+// split cuts window i at at (see window.cut): the window keeps [at, hi), and
+// the part before, [lo, at), is returned dirty, with the count and summed
+// trace.EventBytes of its events that overlap it and the survivors' bytes.
+// Closing the tail — at the batch run's watermark, which no later event
+// starts before, or at Incremental's high-water start, which an in-order
+// stream does not come back behind — uses the hand-off form; Incremental's
+// median split uses the copying form, because its left part persists and an
+// out-of-order arrival would re-sweep what it carries past the cut. Unless
+// the state sweeps once, the part also joins the partition at i, in a spare
+// window whose result it takes over. ok is false when the cut was refused.
+func (p *procState) split(i int, at vclock.Time, keep, room int, handOff bool) (closed window, n int, bytes, kept int64, ok bool) {
+	w := p.at(i)
+	lo := w.lo
+	prefix, n, bytes, kept, ok := w.cut(at, keep, room, handOff)
+	if !ok {
+		return window{}, 0, 0, 0, false
+	}
+	closed = window{lo: lo, hi: at, events: prefix, dirty: true}
+	if !p.once {
+		var left *window
+		if k := len(p.spare); k > 0 {
+			left, p.spare = p.spare[k-1], p.spare[:k-1]
+		} else {
+			left = new(window)
+		}
+		closed.res = left.res
+		*left = closed
+		p.closed = slices.Insert(p.closed, i, left)
+	}
+	return closed, n, bytes, kept, true
 }

@@ -285,31 +285,36 @@ func putChunkBuf(buf []Event) {
 // frameBufs recycles the buffers frames are built in, across chunks and
 // across Writers: an encoder takes one per chunk, and the deliverer hands it
 // back once the sink's AppendChunk has returned, which the Sink contract
-// says ends the sink's use of it. One Writer holds at most 2*maxEncoders+1
-// frames at once — its deliver channel full and one being delivered. A
-// frame past maxFrameBufBytes — a chunkBytes far above the default — is
-// dropped on putFrameBuf instead of kept.
-var frameBufs = recycle.Stack[[]byte]{Max: 2*maxEncoders + 1}
+// says ends the sink's use of it. It hands them out best fit, so a frame
+// never takes the buffer a larger one needs, and a short last chunk's buffer
+// stays for the next short chunk. Its bound is what the frames one
+// Writer holds at once could need: at most 2*maxEncoders+1 — its deliver
+// channel full and one being delivered — of at most maxFrameBufBytes each; a
+// frame past that, from a chunkBytes far above the default, is dropped on
+// putFrameBuf instead of kept.
+var frameBufs = recycle.Store[byte]{Max: (2*maxEncoders + 1) * maxFrameBufBytes}
 
 const maxFrameBufBytes = 2 * DefaultChunkBytes // bytes one idle frame buffer may hold room for
 
-// getFrameBuf returns an empty buffer with room for n bytes, dropping an
-// idle one too small for n the way getChunkBuf does. An encoder still grows
-// it when the frame outgrows n.
+// getFrameBuf returns an empty buffer with room for n bytes: the smallest
+// idle one with that room, else a fresh one, leaving the idle ones, all too
+// small, for shorter frames. An encoder still grows it when the frame
+// outgrows n.
 func getFrameBuf(n int) []byte {
-	if buf, ok := frameBufs.Get(); ok && cap(buf) >= n {
+	buf := frameBufs.Take(n)
+	if cap(buf) >= n {
 		return buf
 	}
+	frameBufs.Put(buf) // too small for n, not for a shorter frame to come
 	return make([]byte, 0, n+n/8)
 }
 
-// putFrameBuf hands a delivered frame's buffer back to frameBufs, which
-// keeps it unless the stack is full or the buffer outgrew the bound. A frame
-// holds no pointer, so there is nothing to clear; a failed encode leaves no
-// buffer to keep.
+// putFrameBuf hands a delivered frame's buffer back to frameBufs unless it
+// outgrew the bound. A frame holds no pointer, so there is nothing to clear;
+// a failed encode leaves no buffer to keep.
 func putFrameBuf(buf []byte) {
-	if cap(buf) > 0 && cap(buf) <= maxFrameBufBytes {
-		frameBufs.Put(buf[:0])
+	if cap(buf) <= maxFrameBufBytes {
+		frameBufs.Put(buf)
 	}
 }
 

@@ -269,33 +269,40 @@ func TestChunkBufsBounded(t *testing.T) {
 	}
 }
 
-// TestFrameBufsBounded: the recycled frame buffers are bounded in count and
-// in size, an idle one too small for a chunk is dropped for a fresh one
-// with room, and a failed encode hands back nothing.
+// TestFrameBufsBounded: the recycled frame buffers are bounded in bytes and
+// each in size, handed out best fit, and one too small for a chunk stays
+// idle, for a shorter chunk, while the chunk takes a fresh one with room; a
+// failed encode hands back nothing.
 func TestFrameBufsBounded(t *testing.T) {
-	idle := func() (n int) {
-		for _, ok := frameBufs.Get(); ok; _, ok = frameBufs.Get() {
-			n++
+	drain := func() (caps []int) {
+		for buf := frameBufs.Take(math.MaxInt); buf != nil; buf = frameBufs.Take(math.MaxInt) {
+			caps = append(caps, cap(buf))
 		}
-		return n
+		return caps
 	}
-	idle()
+	drain()
 	putFrameBuf(make([]byte, 1, maxFrameBufBytes+1))
 	putFrameBuf(nil)
-	if n := idle(); n != 0 {
-		t.Fatalf("a buffer over maxFrameBufBytes or an empty one was kept (%d idle)", n)
+	if caps := drain(); len(caps) != 0 {
+		t.Fatalf("a buffer over maxFrameBufBytes or an empty one was kept (%v idle)", caps)
 	}
-	for i := 0; i < 2*frameBufs.Max; i++ {
-		putFrameBuf(make([]byte, 3, 64))
+	for i := 0; i < 3*(2*maxEncoders+1); i++ {
+		putFrameBuf(make([]byte, 3, maxFrameBufBytes/2))
+	}
+	if caps, want := drain(), frameBufs.Max/(maxFrameBufBytes/2); len(caps) != want {
+		t.Fatalf("%d buffers of %d bytes idle, want the %d that fit in %d bytes", len(caps), maxFrameBufBytes/2, want, frameBufs.Max)
+	}
+	for _, c := range []int{4096, 64} {
+		putFrameBuf(make([]byte, 3, c))
 	}
 	if buf := getFrameBuf(10); len(buf) != 0 || cap(buf) != 64 {
-		t.Fatalf("got len %d cap %d: want an empty idle buffer", len(buf), cap(buf))
+		t.Fatalf("got len %d cap %d: want the empty idle buffer that fits best", len(buf), cap(buf))
 	}
-	if buf := getFrameBuf(100); cap(buf) < 100 {
-		t.Fatalf("asked for 100 bytes: cap %d, want a fresh buffer", cap(buf))
+	if buf := getFrameBuf(8192); cap(buf) < 8192 {
+		t.Fatalf("asked for 8192 bytes: cap %d, want a fresh buffer", cap(buf))
 	}
-	if n := idle(); n != frameBufs.Max-2 {
-		t.Fatalf("%d buffers idle, want the bound %d less the one handed out and the small one dropped", n, frameBufs.Max)
+	if caps := drain(); len(caps) != 1 || caps[0] != 4096 {
+		t.Fatalf("%v idle, want the buffer too small for 8192 bytes kept", caps)
 	}
 }
 
