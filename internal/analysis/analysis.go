@@ -1,6 +1,6 @@
 // Package analysis is RL-Scope's offline-analysis engine. The paper's
 // overlap computation (§3.3) is one sweep per process, and the windowed
-// sweep (overlap.ComputeWindow) is exact for any cut of a process's
+// sweep (overlap.Sweeper.ComputeWindowInto) is exact for any cut of a process's
 // timeline (see window), so there is one windowed engine: a per-process
 // window state (procState) that partitions the timeline, closes its tail at
 // a bound the stream has passed, and sweeps and merges each window.
@@ -130,7 +130,7 @@ func RunStream(r *trace.Reader, opts Options) (map[trace.ProcID]*overlap.Result,
 // sentinel respected. Merging N results this way is byte-identical (after
 // rendering) to one sweep over the concatenated inputs, which is also what
 // lets the fleet aggregation layer merge per-trace Results with it. Span is
-// only merged from results that saw interval events: ComputeWindow leaves
+// only merged from results that saw interval events: ComputeWindowInto leaves
 // the span zeroed otherwise, and a process with no interval events must end
 // with a zero span exactly like sequential Compute.
 func MergeResult(dst, src *overlap.Result) {

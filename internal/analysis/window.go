@@ -21,7 +21,7 @@ const splitEvents = 4096
 // sweep computes. The windows of one process partition its whole timeline.
 //
 // Where the cuts fall is purely a cost decision. The windowed sweep
-// (overlap.Sweeper.ComputeWindow) clips accumulation to the window and
+// (overlap.Sweeper.ComputeWindowInto) clips accumulation to the window and
 // counts point markers by membership while classifying against the
 // unclipped events, so an event spanning a cut sits in the buffers on both
 // sides without any instant being counted twice, and the per-window results
@@ -45,7 +45,7 @@ type window struct {
 // that overlap [lo, at); and closed and kept, the summed trace.EventBytes of
 // those and of the survivors, taken in the pass that moves them.
 //
-// One side moves to a buffer taken from trace.EventBufs — best fit for room
+// One side moves to a buffer from trace.EventBufs.Get — best fit for room
 // events or for its count, whichever is more — and the other keeps w's
 // buffer; the caller picks which. With handOff the survivors move and the
 // prefix is w's buffer whole: the overlapping events among others wholly
@@ -77,9 +77,9 @@ func (w *window) cut(at vclock.Time, keep, room int, handOff bool) (prefix []tra
 	}
 	survivors := w.events[:0]
 	if handOff {
-		prefix, survivors = w.events, slices.Grow(trace.EventBufs.Take(max(room, alive)), alive)
+		prefix, survivors = w.events, trace.EventBufs.Get(max(room, alive), alive)
 	} else {
-		prefix = slices.Grow(trace.EventBufs.Take(max(room, n)), n)
+		prefix = trace.EventBufs.Get(max(room, n), n)
 	}
 	for _, e := range w.events {
 		eb := int64(trace.EventBytes(e))

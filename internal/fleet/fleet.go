@@ -401,15 +401,7 @@ func (p *Plan) Execute(ctx context.Context, candidates []Trace, load ResultLoade
 		for i, dim := range p.groupBy {
 			gj.Key[dim] = g.keyVals[i]
 		}
-		ops := report.SortedOps(g.merged)
-		gj.Breakdown = report.BreakdownToJSON(report.FromResult("", g.merged, ops))
-		var rows []report.TransitionRow
-		for _, row := range report.Transitions("", g.merged, ops) {
-			if row.Backend+row.Simulator+row.CUDA > 0 {
-				rows = append(rows, row)
-			}
-		}
-		gj.Transitions = report.TransitionsToJSON(rows)
+		gj.Breakdown, gj.Transitions = report.ResultJSON(g.merged)
 		if baseline != nil {
 			gj.Compare = p.compareRows(g, baseline)
 		}

@@ -86,7 +86,7 @@ type TransitionKey struct {
 }
 
 // sweepers pools sweep scratch (boundary slices, stacks, interners, the
-// dense grids) across Compute/ComputeWindow calls; without it every shard of
+// dense grids) across Compute calls and Phases; without it every shard of
 // every window would re-allocate the lot. Long-lived callers that sweep many
 // windows (the analysis worker pool) hold their own Sweeper instead, one per
 // worker, borrowed here for the run. A Sweeper whose scratch outgrew
@@ -100,19 +100,8 @@ const maxSweeperScratch = 2 << 20 // bytes of buffers one idle Sweeper may hold
 // in any order; only KindCPU, KindGPU, KindOp and KindTransition events
 // participate.
 func Compute(events []trace.Event) *Result {
-	return ComputeWindow(events, vclock.MinTime, vclock.MaxTime)
-}
-
-// ComputeWindow runs the overlap sweep restricted to the half-open window
-// [lo, hi): only time inside the window is accumulated and only transition
-// markers with lo <= t < hi are counted. Events are NOT clipped — every
-// instant inside the window is classified against the original event
-// boundaries, so summing the results of a window partition reproduces
-// Compute over the full timeline exactly. This is the primitive the sharded
-// analysis engine (internal/analysis) parallelizes over.
-func ComputeWindow(events []trace.Event, lo, hi vclock.Time) *Result {
 	sw := GetSweeper()
-	res := sw.ComputeWindow(events, lo, hi)
+	res := sw.Compute(events)
 	PutSweeper(sw)
 	return res
 }

@@ -529,13 +529,15 @@ func TestWindowPartitionProperty(t *testing.T) {
 			Transitions: map[TransitionKey]int{},
 		}
 		spanSet := false
+		sw := NewSweeper()
+		var part Result
 		for i := 0; i+1 < len(cuts); i++ {
 			lo, hi := cuts[i], cuts[i+1]
 			if lo == hi {
 				continue
 			}
-			part := ComputeWindow(events, lo, hi)
-			if !resultsEqual(part, refComputeWindow(events, lo, hi)) {
+			sw.ComputeWindowInto(&part, events, lo, hi)
+			if !resultsEqual(&part, refComputeWindow(events, lo, hi)) {
 				return false
 			}
 			for k, d := range part.ByKey {

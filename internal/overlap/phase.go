@@ -43,16 +43,18 @@ func Phases(events []trace.Event) []PhaseBreakdown {
 	if len(phases) == 0 {
 		return nil
 	}
-	// One pooled sweeper serves every phase window: its scratch buffers are
-	// sized by the first sweep and reused by the rest.
+	// One pooled sweeper and one Result serve every phase window: the
+	// sweeper's scratch buffers are sized by the first sweep and reused by
+	// the rest, and the Result is cleared and refilled per window.
 	sw := GetSweeper()
 	defer PutSweeper(sw)
+	var res Result
 	for pi := range phases {
 		p := &phases[pi]
 		// Run the overlap sweep restricted to the phase window; only its
 		// resource/category sums are consumed, so the per-operation split
 		// (and the transition counts) collapse back out.
-		res := sw.ComputeWindow(events, p.Start, p.End)
+		sw.ComputeWindowInto(&res, events, p.Start, p.End)
 		for k, d := range res.ByKey {
 			if k.Res&ResCPU != 0 {
 				p.CPU += d

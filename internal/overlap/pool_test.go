@@ -75,14 +75,15 @@ func TestSweeperPoolConcurrentGetPut(t *testing.T) {
 				}
 				lo := vclock.Time(rng.Int63n(100))
 				hi := lo + 1 + vclock.Time(rng.Int63n(60))
-				got := sw.ComputeWindow(events, lo, hi)
+				var got Result
+				sw.ComputeWindowInto(&got, events, lo, hi)
 				inUse.Delete(sw)
 				PutSweeper(sw)
-				if !resultsEqual(got, refComputeWindow(events, lo, hi)) {
+				if !resultsEqual(&got, refComputeWindow(events, lo, hi)) {
 					errs <- "a borrowed Sweeper's sweep diverges from the reference"
 					return
 				}
-				if pkg := ComputeWindow(events, vclock.MinTime, vclock.MaxTime); !resultsEqual(pkg, refCompute(events)) {
+				if pkg := Compute(events); !resultsEqual(pkg, refCompute(events)) {
 					errs <- "package-level sweep diverges from the reference"
 					return
 				}
@@ -101,7 +102,7 @@ func TestSweeperPoolConcurrentGetPut(t *testing.T) {
 
 var resultSink *Result
 
-// TestComputeWindowAllocs pins what a warm package-level ComputeWindow costs
+// TestComputeWindowAllocs pins what a warm package-level Compute costs
 // the allocator: its Result and the Result's two maps, no more — the same
 // count as building those maps afresh — however often the collector ran in
 // between, since the pooled Sweeper outlives it.
@@ -111,7 +112,7 @@ func TestComputeWindowAllocs(t *testing.T) {
 	for i := 0; i < len(events); i += 7 {
 		events = append(events, trace.Event{Kind: trace.KindTransition, Start: events[i].Start, End: events[i].Start, Name: progLabels[i%len(progLabels)]})
 	}
-	want := ComputeWindow(events, vclock.MinTime, vclock.MaxTime)
+	want := Compute(events)
 	if len(want.Transitions) == 0 {
 		t.Fatal("no transitions scoped")
 	}
@@ -127,8 +128,8 @@ func TestComputeWindowAllocs(t *testing.T) {
 	})
 	runtime.GC()
 	runtime.GC()
-	got := testing.AllocsPerRun(20, func() { ComputeWindow(events, vclock.MinTime, vclock.MaxTime) })
+	got := testing.AllocsPerRun(20, func() { Compute(events) })
 	if got != rebuild {
-		t.Errorf("warm ComputeWindow: %.0f allocs, want %.0f (its Result's maps)", got, rebuild)
+		t.Errorf("warm Compute: %.0f allocs, want %.0f (its Result's maps)", got, rebuild)
 	}
 }

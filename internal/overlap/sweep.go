@@ -54,7 +54,7 @@ import (
 // sweep beyond the Result it fills.
 //
 // A Sweeper is not safe for concurrent use; the package-level Compute and
-// ComputeWindow borrow one from a small bounded pool (GetSweeper).
+// Phases borrow one from a small bounded pool (GetSweeper).
 type Sweeper struct {
 	bounds  []boundary // the opens, in openSorter order once orderOpens ran
 	next    int        // the first open nextBound has not yet delivered
@@ -167,25 +167,21 @@ func (st *innerStack) top(dead []bool) (stackEntry, bool) {
 // Compute runs the sweep over one process's events using this Sweeper's
 // buffers. See the package-level Compute for semantics.
 func (sw *Sweeper) Compute(events []trace.Event) *Result {
-	return sw.ComputeWindow(events, vclock.MinTime, vclock.MaxTime)
-}
-
-// ComputeWindow runs the windowed sweep using this Sweeper's buffers. See
-// the package-level ComputeWindow for semantics.
-func (sw *Sweeper) ComputeWindow(events []trace.Event, lo, hi vclock.Time) *Result {
-	res := &Result{
-		ByKey:       map[Key]vclock.Duration{},
-		Transitions: map[TransitionKey]int{},
-	}
-	sw.computeWindowInto(res, events, lo, hi)
+	res := new(Result)
+	sw.ComputeWindowInto(res, events, vclock.MinTime, vclock.MaxTime)
 	return res
 }
 
-// ComputeWindowInto runs the windowed sweep accumulating into res, whose
-// maps are cleared and refilled (and allocated if nil). Callers that fold
-// each window's result into an aggregate and discard it — the streaming
-// engine does this once per shard — reuse one Result per worker so the
-// per-window cost stays out of the allocator entirely.
+// ComputeWindowInto runs the overlap sweep restricted to the half-open
+// window [lo, hi) into res, whose maps are cleared and refilled (and
+// allocated if nil): only time inside the window is accumulated and only
+// transition markers with lo <= t < hi are counted. Events are NOT clipped —
+// every instant inside the window is classified against the original event
+// boundaries, so summing the results of a window partition reproduces
+// Compute over the full timeline exactly. This is the primitive the sharded
+// analysis engine (internal/analysis) parallelizes over; it folds each
+// window's result into an aggregate and reuses one Result per worker, so
+// the per-window cost stays out of the allocator entirely.
 func (sw *Sweeper) ComputeWindowInto(res *Result, events []trace.Event, lo, hi vclock.Time) {
 	if res.ByKey == nil {
 		res.ByKey = map[Key]vclock.Duration{}
@@ -198,10 +194,7 @@ func (sw *Sweeper) ComputeWindowInto(res *Result, events []trace.Event, lo, hi v
 		clear(res.Transitions)
 	}
 	res.SpanStart, res.SpanEnd = 0, 0
-	sw.computeWindowInto(res, events, lo, hi)
-}
 
-func (sw *Sweeper) computeWindowInto(res *Result, events []trace.Event, lo, hi vclock.Time) {
 	// Pass 1: intern names, categories and labels, and collect the opens of
 	// the window-relevant intervals and the markers inside the window. Span
 	// uses the unclipped extent of included events so a partition of windows

@@ -188,7 +188,7 @@ var scopingCases = []struct {
 
 // checkScoping compares the windowed sweep with the reference on every
 // window of the partition cuts, on the events as given, reversed and
-// shuffled, through a warm Sweeper and through the package-level call.
+// shuffled, through a warm Sweeper.
 func checkScoping(t *testing.T, sw *Sweeper, rng *rand.Rand, name string, events []trace.Event, cuts []vclock.Time) {
 	t.Helper()
 	reversed := slices.Clone(events)
@@ -204,9 +204,6 @@ func checkScoping(t *testing.T, sw *Sweeper, rng *rand.Rand, name string, events
 			if !resultsEqual(&got, want) {
 				t.Fatalf("%s, window [%d, %d), order %d: transitions %v, want %v; by key %v, want %v",
 					name, lo, hi, order, got.Transitions, want.Transitions, got.ByKey, want.ByKey)
-			}
-			if pkg := ComputeWindow(evs, lo, hi); !resultsEqual(pkg, want) {
-				t.Fatalf("%s, window [%d, %d), order %d: package-level sweep diverges", name, lo, hi, order)
 			}
 		}
 	}

@@ -53,7 +53,7 @@ func (c *chunkCounter) Seal(trace.Meta) error                            { retur
 // and per chunk its writeJob, the job's done channel, the *ChunkIndex, its
 // process map and that map's first group. No event buffer and no frame: the
 // sessions are gathered through one stack-sized stage, and the chunk buffers
-// and the frame buffers come back from the Writer's recycled stacks. No
+// and the frame buffers come back from the Writer's recycled stores. No
 // string table either: the v1 encoder's table never leaves the stack while
 // it holds at most eight names, and these events use at most five. So the count is
 // the same at 2 000 events as at 320 000.

@@ -11,6 +11,12 @@
 // both are bounded where they are declared: a Stack by its count of idle
 // values, a Store by its idle capacity. Each caller clears, before it hands a
 // value back, what would hold a name alive.
+//
+// A borrower that needs room borrows with Store.Get, whose one rule is: take
+// the best fit and, when even that is too small, leave it idle for a shorter
+// borrower and make a new slice, with an eighth of slack. A too-small slice
+// is never grown — growing copies what a new slice does not — and never
+// dropped, since the next borrower may fit it.
 package recycle
 
 import (
@@ -62,7 +68,7 @@ func (s *Stack[T]) Put(v T) {
 // request handed a large slice, the large request behind it would find only
 // small ones and replace one, time after time, in whatever order the
 // borrowers happened to hand theirs back. A borrower that does not know the
-// length it needs asks for the largest, Take(math.MaxInt), not the smallest.
+// length it needs asks for the largest, want math.MaxInt, not the smallest.
 type Store[T any] struct {
 	Max int // idle capacity, in elements, kept; Put drops the largest past it
 
@@ -72,9 +78,9 @@ type Store[T any] struct {
 }
 
 // Take removes the smallest idle slice with room for n elements or, when
-// none has, the largest, for the caller to grow; nil when none is idle. It
-// never allocates, so n may come from an untrusted header. The slice has
-// length zero; what lies past it is the last borrower's.
+// none has, the largest; nil when none is idle. It never allocates, so n may
+// come from an untrusted header. The slice has length zero; what lies past
+// it is the last borrower's. A borrower that needs the room calls Get.
 func (s *Store[T]) Take(n int) []T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -87,6 +93,19 @@ func (s *Store[T]) Take(n int) []T {
 	s.idle = slices.Delete(s.idle, i, i+1)
 	s.held -= cap(buf)
 	return buf
+}
+
+// Get returns an empty slice with room for need elements: the one Take(want)
+// removes when that has the room, else a new one of need+need/8, with the
+// slice taken put back for a shorter borrower. want picks the fit: the
+// length the borrower expects to fill, or math.MaxInt when it cannot tell.
+func (s *Store[T]) Get(want, need int) []T {
+	buf := s.Take(want)
+	if cap(buf) >= need {
+		return buf
+	}
+	s.Put(buf)
+	return make([]T, 0, need+need/8)
 }
 
 // Put hands buf back, emptied, then drops the largest idle slices while
@@ -109,13 +128,12 @@ func (s *Store[T]) Put(buf []T) {
 }
 
 // Reserve returns buf with room for n more elements: buf itself when it has
-// the room, else its elements moved into a slice taken from s — or, when
-// that is too small as well, into a new one in its stead — and buf put back.
+// the room, else its elements moved into a slice from Get, and buf put back.
 func (s *Store[T]) Reserve(buf []T, n int) []T {
 	if cap(buf)-len(buf) >= n {
 		return buf
 	}
-	moved := append(slices.Grow(s.Take(len(buf)+n), len(buf)+n), buf...)
+	moved := append(s.Get(len(buf)+n, len(buf)+n), buf...)
 	s.Put(buf)
 	return moved
 }

@@ -172,6 +172,29 @@ func TestStoreBounds(t *testing.T) {
 	}
 }
 
+// TestStoreGet: Get takes the best fit when it has room; when it has not,
+// puts the slice it took back and makes one of need+need/8; and makes one
+// from an empty store.
+func TestStoreGet(t *testing.T) {
+	s := Store[int]{Max: 1 << 10}
+	for _, c := range []int{8, 64, 16} {
+		s.Put(make([]int, 3, c))
+	}
+	if got := s.Get(10, 10); len(got) != 0 || cap(got) != 16 {
+		t.Fatalf("Get(10, 10) has length %d, capacity %d; want the idle 16", len(got), cap(got))
+	}
+	if got := s.Get(4, 40); len(got) != 0 || cap(got) != 45 {
+		t.Fatalf("Get(4, 40) has length %d, capacity %d; want a new 45", len(got), cap(got))
+	}
+	if got := idleCaps(t, &s); !slices.Equal(got, []int{8, 64}) {
+		t.Fatalf("idle capacities %v, want the 8 too small for 40 put back", got)
+	}
+	var empty Store[int]
+	if got := empty.Get(100, 100); len(got) != 0 || cap(got) != 112 {
+		t.Fatalf("Get on an empty store has length %d, capacity %d; want a new 112", len(got), cap(got))
+	}
+}
+
 // TestStoreReserve: Reserve keeps a slice with room, moves one without into
 // the best-fitting idle slice and puts it back, and allocates only when no
 // idle slice is large enough.
@@ -208,7 +231,7 @@ func TestStoreOutlivesGC(t *testing.T) {
 	}
 }
 
-// TestStoreConcurrentBorrowers: goroutines taking, growing and handing back
+// TestStoreConcurrentBorrowers: goroutines borrowing and handing back
 // slices at once never hold one array together, and the store ends within
 // its bound. Run it under the race detector.
 func TestStoreConcurrentBorrowers(t *testing.T) {
@@ -221,8 +244,7 @@ func TestStoreConcurrentBorrowers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				n := 1 + (g*31+i*7)%200
-				buf := s.Reserve(s.Take(n), n)
-				buf = buf[:n]
+				buf := s.Get(n, n)[:n]
 				if _, dup := inUse.LoadOrStore(&buf[0], true); dup {
 					t.Error("one array handed to two borrowers")
 					return

@@ -111,9 +111,13 @@ func StatsJSON(s analysis.StreamStats) StreamStatsJSON {
 	}
 }
 
-// BreakdownToJSON converts a Breakdown to its wire form, preserving the
-// breakdown's operation order.
-func BreakdownToJSON(b *Breakdown) BreakdownJSON {
+// ResultJSON renders one overlap result in its wire form: its breakdown,
+// operations in SortedOps order, and the transition rows of the operations
+// with a nonzero count. It is the one rendering of a result, for an analysis
+// document's processes and a fleet query's groups alike.
+func ResultJSON(res *overlap.Result) (BreakdownJSON, []TransitionRowJSON) {
+	ops := SortedOps(res)
+	b := FromResult("", res, ops)
 	out := BreakdownJSON{
 		TotalNS: int64(b.Total),
 		GPUNS:   int64(b.TotalGPU()),
@@ -131,21 +135,22 @@ func BreakdownToJSON(b *Breakdown) BreakdownJSON {
 			GPUNS:       int64(b.GPUTime[op]),
 		})
 	}
-	return out
-}
-
-// TransitionsToJSON converts transition rows to their wire form.
-func TransitionsToJSON(rows []TransitionRow) []TransitionRowJSON {
-	out := make([]TransitionRowJSON, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, TransitionRowJSON{
+	var nonzero []TransitionRow
+	for _, r := range Transitions("", res, ops) {
+		if r.Backend+r.Simulator+r.CUDA > 0 {
+			nonzero = append(nonzero, r)
+		}
+	}
+	rows := make([]TransitionRowJSON, 0, len(nonzero))
+	for _, r := range nonzero {
+		rows = append(rows, TransitionRowJSON{
 			Op:                r.Op,
 			PythonToBackend:   r.Backend,
 			PythonToSimulator: r.Simulator,
 			BackendToCUDA:     r.CUDA,
 		})
 	}
-	return out
+	return out, rows
 }
 
 // NewAnalysis assembles the stable document for one analysis run: one
@@ -177,22 +182,8 @@ func NewResultAnalysis(meta trace.Meta, results map[trace.ProcID]*overlap.Result
 		Processes: make([]ProcessJSON, 0, len(procs)),
 	}
 	for _, p := range procs {
-		res := results[p]
-		name := ProcName(meta, p)
-		ops := SortedOps(res)
-		pj := ProcessJSON{
-			Proc:      p,
-			Name:      name,
-			Parent:    meta.Procs[p].Parent,
-			Breakdown: BreakdownToJSON(FromResult(name, res, ops)),
-		}
-		var rows []TransitionRow
-		for _, row := range Transitions(name, res, ops) {
-			if row.Backend+row.Simulator+row.CUDA > 0 {
-				rows = append(rows, row)
-			}
-		}
-		pj.Transitions = TransitionsToJSON(rows)
+		pj := ProcessJSON{Proc: p, Name: ProcName(meta, p), Parent: meta.Procs[p].Parent}
+		pj.Breakdown, pj.Transitions = ResultJSON(results[p])
 		a.Processes = append(a.Processes, pj)
 	}
 	return a

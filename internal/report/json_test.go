@@ -73,8 +73,7 @@ func TestNewAnalysisDeterministicEncoding(t *testing.T) {
 
 func TestBreakdownToJSONValues(t *testing.T) {
 	res := jsonTestResult()
-	b := FromResult("trainer", res, SortedOps(res))
-	bj := BreakdownToJSON(b)
+	bj, _ := ResultJSON(res)
 	if bj.TotalNS != int64(res.Total()) {
 		t.Fatalf("TotalNS = %d, want %d", bj.TotalNS, int64(res.Total()))
 	}

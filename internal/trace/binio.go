@@ -111,7 +111,12 @@ type v1Decoder struct {
 	table []string
 }
 
-var v1Decoders = recycle.Stack[*v1Decoder]{Max: 8} // walks at once beyond eight allocate afresh
+// v1Decoders keeps idle v1 decoders; walks at once beyond eight allocate
+// afresh. A decoder whose name table outgrew maxIdleNames — a frame may
+// declare a new name on every record — is dropped instead of kept.
+var v1Decoders = recycle.Stack[*v1Decoder]{Max: 8}
+
+const maxIdleNames = 1 << 16 // names one idle codec's table or maps may have held
 
 // uvarint1 is the one-byte case of the uvarint at b[off:] — nearly every
 // proc, class, run length and reference — and small enough to inline into
@@ -319,8 +324,10 @@ func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, mode wal
 			d = new(v1Decoder)
 		}
 		out, n, bytes, err = d.walk(data, body, in, dst, mode, scan)
-		clear(d.table) // an idle decoder holds no name alive
-		v1Decoders.Put(d)
+		if cap(d.table) <= maxIdleNames {
+			clear(d.table) // an idle decoder holds no name alive
+			v1Decoders.Put(d)
+		}
 		return out, n, bytes, err
 	case chunkVersion2:
 		if cc == nil {

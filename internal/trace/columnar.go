@@ -93,7 +93,13 @@ type v2Encoder struct {
 	classOf map[uint32]uint64
 }
 
-var v2Encoders = recycle.Stack[*v2Encoder]{Max: 4} // encodes at once beyond four allocate afresh
+// v2Encoders keeps idle v2 encoders; encodes at once beyond four allocate
+// afresh. An encoder whose buffers outgrew maxIdleEncoderBytes — about
+// twice a default-sized chunk's — or whose maps held more than maxIdleNames
+// entries is dropped instead of kept.
+var v2Encoders = recycle.Stack[*v2Encoder]{Max: 4}
+
+const maxIdleEncoderBytes = 4 * DefaultChunkBytes
 
 // rleState accumulates one run-length-encoded column during encode.
 type rleState struct {
@@ -128,9 +134,18 @@ func appendChunkV2(dst []byte, events []Event) ([]byte, error) {
 		enc = &v2Encoder{refs: map[string]uint64{}, classOf: map[uint32]uint64{}}
 	}
 	dst, err := enc.encode(dst, events)
-	clear(enc.refs) // an idle encoder holds no name alive
-	clear(enc.classOf)
-	v2Encoders.Put(enc)
+	held := cap(enc.dict) + cap(enc.classes) // bytes of buffers kept idle
+	for _, col := range enc.cols {
+		held += cap(col)
+	}
+	for _, col := range enc.plain {
+		held += cap(col)
+	}
+	if held <= maxIdleEncoderBytes && len(enc.refs)+len(enc.classOf) <= maxIdleNames {
+		clear(enc.refs) // an idle encoder holds no name alive
+		clear(enc.classOf)
+		v2Encoders.Put(enc)
+	}
 	return dst, err
 }
 

@@ -146,7 +146,8 @@ func (w *Writer) encodeLoop() {
 		// The sidecar index is derived from the same event slice the chunk
 		// was encoded from, so the two can never disagree; a streaming
 		// analysis plans chunk routing from it without decoding events.
-		buf := getFrameBuf(frameHint(w.format, len(job.events)))
+		hint := frameHint(w.format, len(job.events))
+		buf := frameBufs.Get(hint, hint)
 		job.frame, job.index, job.err = encodeInto(buf, job.events, w.format)
 		putChunkBuf(job.events)
 		job.events = nil
@@ -167,7 +168,7 @@ func (w *Writer) deliverLoop() {
 				w.err = w.sink.AppendChunk(job.seq, job.frame, job.index)
 			}
 		}
-		putFrameBuf(job.frame)
+		frameBufs.Put(job.frame) // a frame holds no pointer: nothing to clear
 		job.frame = nil
 	}
 }
@@ -216,10 +217,13 @@ func (w *Writer) Append(events ...Event) {
 }
 
 // addLocked copies events into the open chunk, taking it a buffer first if
-// it has none.
+// it has none: best fit for the Writer's longest chunk so far, with room for
+// that and for events. A first chunk (longest 0) does not know its length,
+// so it takes the largest idle buffer.
 func (w *Writer) addLocked(events []Event) {
 	if w.open == nil {
-		w.open = getChunkBuf(w.longest, len(events))
+		n := max(w.longest, len(events))
+		w.open = EventBufs.Get(cmp.Or(w.longest, math.MaxInt), n)
 	}
 	w.open = append(w.open, events...)
 }
@@ -259,22 +263,6 @@ func (w *Writer) flushLocked() {
 // runs under way. A borrower clears, before Put, what it must not keep alive.
 var EventBufs = recycle.Store[Event]{Max: 1 << 20}
 
-// getChunkBuf returns an empty buffer for a chunk of a Writer whose chunks
-// have held at most longest events, to be filled with at least n: the
-// smallest idle buffer with room for longest, or a new one when none has
-// room for both. A Writer's first chunk (longest 0) does not know its
-// length, so it takes the largest idle buffer. A buffer too small is dropped
-// rather than regrown — regrowing copies what a fresh buffer does not — and
-// a new one gets an eighth of slack, because the next chunk of a Writer is
-// rarely exactly as long as its longest so far.
-func getChunkBuf(longest, n int) []Event {
-	n = max(longest, n)
-	if buf := EventBufs.Take(cmp.Or(longest, math.MaxInt)); cap(buf) >= n {
-		return buf
-	}
-	return make([]Event, 0, n+n/8)
-}
-
 // putChunkBuf hands an encoded chunk's buffer back to EventBufs. The events
 // are cleared first, so an idle buffer holds no name alive.
 func putChunkBuf(buf []Event) {
@@ -285,38 +273,11 @@ func putChunkBuf(buf []Event) {
 // frameBufs recycles the buffers frames are built in, across chunks and
 // across Writers: an encoder takes one per chunk, and the deliverer hands it
 // back once the sink's AppendChunk has returned, which the Sink contract
-// says ends the sink's use of it. It hands them out best fit, so a frame
-// never takes the buffer a larger one needs, and a short last chunk's buffer
-// stays for the next short chunk. Its bound is what the frames one
-// Writer holds at once could need: at most 2*maxEncoders+1 — its deliver
-// channel full and one being delivered — of at most maxFrameBufBytes each; a
-// frame past that, from a chunkBytes far above the default, is dropped on
-// putFrameBuf instead of kept.
-var frameBufs = recycle.Store[byte]{Max: (2*maxEncoders + 1) * maxFrameBufBytes}
-
-const maxFrameBufBytes = 2 * DefaultChunkBytes // bytes one idle frame buffer may hold room for
-
-// getFrameBuf returns an empty buffer with room for n bytes: the smallest
-// idle one with that room, else a fresh one, leaving the idle ones, all too
-// small, for shorter frames. An encoder still grows it when the frame
-// outgrows n.
-func getFrameBuf(n int) []byte {
-	buf := frameBufs.Take(n)
-	if cap(buf) >= n {
-		return buf
-	}
-	frameBufs.Put(buf) // too small for n, not for a shorter frame to come
-	return make([]byte, 0, n+n/8)
-}
-
-// putFrameBuf hands a delivered frame's buffer back to frameBufs unless it
-// outgrew the bound. A frame holds no pointer, so there is nothing to clear;
-// a failed encode leaves no buffer to keep.
-func putFrameBuf(buf []byte) {
-	if cap(buf) <= maxFrameBufBytes {
-		frameBufs.Put(buf)
-	}
-}
+// says ends the sink's use of it. Best fit keeps a short last chunk's buffer
+// for the next short chunk. Its bound is what the frames one Writer holds at
+// once need at the default chunk size: 2*maxEncoders+1 — its deliver channel
+// full and one being delivered — of twice DefaultChunkBytes each.
+var frameBufs = recycle.Store[byte]{Max: (2*maxEncoders + 1) * 2 * DefaultChunkBytes}
 
 // Close flushes remaining events, waits for the background pipeline to
 // drain, seals the sink with the run metadata, and reports the first

@@ -10,10 +10,13 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // referenceEncodeChunkV1 is the v1 encoder this package shipped before the
@@ -238,7 +241,8 @@ func TestWriterAppendCopies(t *testing.T) {
 // EventBufs, so they are bounded by its idle capacity; an idle one holds no
 // event — no name — alive; a Writer with a longest chunk asks for the best
 // fit, and one without — its first chunk — for the largest idle buffer; one
-// too small is dropped for a fresh one with room.
+// too small stays idle, for a shorter chunk, while the chunk takes a fresh
+// one with room.
 func TestChunkBufsBounded(t *testing.T) {
 	drain := func() (caps []int) {
 		for buf := EventBufs.Take(math.MaxInt); buf != nil; buf = EventBufs.Take(math.MaxInt) {
@@ -254,25 +258,30 @@ func TestChunkBufsBounded(t *testing.T) {
 	for _, c := range []int{64, 256, 128} {
 		putChunkBuf(append(make([]Event, 0, c), Event{Name: "held"}))
 	}
-	buf := getChunkBuf(100, 10)
-	if len(buf) != 0 || cap(buf) != 128 || buf[:1][0] != (Event{}) {
+	// open is the chunk buffer a Writer whose chunks have held at most
+	// longest events opens for an Append of n.
+	open := func(longest, n int) []Event {
+		w := &Writer{longest: longest}
+		w.addLocked(make([]Event, n))
+		return w.open
+	}
+	if buf := open(100, 0); len(buf) != 0 || cap(buf) != 128 || buf[:1][0] != (Event{}) {
 		t.Fatalf("got len %d cap %d, first slot %+v: want the empty, cleared idle buffer that fits best", len(buf), cap(buf), buf[:1][0])
 	}
-	if buf := getChunkBuf(0, 10); cap(buf) != 256 {
+	if buf := open(0, 10); cap(buf) != 256 {
 		t.Fatalf("a first chunk got cap %d, want the largest idle buffer", cap(buf))
 	}
-	if buf := getChunkBuf(0, 100); cap(buf) < 100 {
+	if buf := open(0, 100); cap(buf) < 100 {
 		t.Fatalf("a first Append of 100 events got cap %d, want a fresh buffer", cap(buf))
 	}
-	if caps := drain(); len(caps) != 0 {
-		t.Fatalf("%v idle, want the buffer too small for 100 events dropped", caps)
+	if caps := drain(); len(caps) != 1 || caps[0] != 64 {
+		t.Fatalf("%v idle, want the buffer too small for 100 events kept", caps)
 	}
 }
 
-// TestFrameBufsBounded: the recycled frame buffers are bounded in bytes and
-// each in size, handed out best fit, and one too small for a chunk stays
-// idle, for a shorter chunk, while the chunk takes a fresh one with room; a
-// failed encode hands back nothing.
+// TestFrameBufsBounded: the recycled frame buffers are bounded in bytes by
+// frameBufs.Max, handed out best fit, and one too small for a chunk stays
+// idle, for a shorter chunk, while the chunk takes a fresh one with room.
 func TestFrameBufsBounded(t *testing.T) {
 	drain := func() (caps []int) {
 		for buf := frameBufs.Take(math.MaxInt); buf != nil; buf = frameBufs.Take(math.MaxInt) {
@@ -281,24 +290,24 @@ func TestFrameBufsBounded(t *testing.T) {
 		return caps
 	}
 	drain()
-	putFrameBuf(make([]byte, 1, maxFrameBufBytes+1))
-	putFrameBuf(nil)
+	frameBufs.Put(make([]byte, 1, frameBufs.Max+1))
+	frameBufs.Put(nil)
 	if caps := drain(); len(caps) != 0 {
-		t.Fatalf("a buffer over maxFrameBufBytes or an empty one was kept (%v idle)", caps)
+		t.Fatalf("a buffer over frameBufs.Max or an empty one was kept (%v idle)", caps)
 	}
 	for i := 0; i < 3*(2*maxEncoders+1); i++ {
-		putFrameBuf(make([]byte, 3, maxFrameBufBytes/2))
+		frameBufs.Put(make([]byte, 3, DefaultChunkBytes))
 	}
-	if caps, want := drain(), frameBufs.Max/(maxFrameBufBytes/2); len(caps) != want {
-		t.Fatalf("%d buffers of %d bytes idle, want the %d that fit in %d bytes", len(caps), maxFrameBufBytes/2, want, frameBufs.Max)
+	if caps, want := drain(), frameBufs.Max/DefaultChunkBytes; len(caps) != want {
+		t.Fatalf("%d buffers of %d bytes idle, want the %d that fit in %d bytes", len(caps), DefaultChunkBytes, want, frameBufs.Max)
 	}
 	for _, c := range []int{4096, 64} {
-		putFrameBuf(make([]byte, 3, c))
+		frameBufs.Put(make([]byte, 3, c))
 	}
-	if buf := getFrameBuf(10); len(buf) != 0 || cap(buf) != 64 {
+	if buf := frameBufs.Get(10, 10); len(buf) != 0 || cap(buf) != 64 {
 		t.Fatalf("got len %d cap %d: want the empty idle buffer that fits best", len(buf), cap(buf))
 	}
-	if buf := getFrameBuf(8192); cap(buf) < 8192 {
+	if buf := frameBufs.Get(8192, 8192); cap(buf) < 8192 {
 		t.Fatalf("asked for 8192 bytes: cap %d, want a fresh buffer", cap(buf))
 	}
 	if caps := drain(); len(caps) != 1 || caps[0] != 4096 {
@@ -330,6 +339,37 @@ func TestIdleCodecsHoldNoName(t *testing.T) {
 		t.Fatalf("idle v1 decoder (found %v): name table %q, want one cleared slot", ok, d.table)
 	}
 	v1Decoders.Put(d)
+}
+
+// TestIdleCodecsBounded: a v1 frame that declares a new name on every
+// record — as a POSTed chunk may — leaves no idle decoder holding a name
+// table past maxIdleNames, and an encoder that met as many names is not
+// kept either.
+func TestIdleCodecsBounded(t *testing.T) {
+	events := make([]Event, 100_000)
+	for i := range events {
+		events[i] = Event{Kind: KindCPU, Cat: CatPython, Start: vclock.Time(i), End: vclock.Time(i + 1), Name: strconv.Itoa(i)}
+	}
+	frame, err := appendChunkV1(nil, events)
+	if err == nil {
+		_, err = DecodeChunkBytes(frame, nil)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, ok := v1Decoders.Get(); ok; d, ok = v1Decoders.Get() {
+		if cap(d.table) > maxIdleNames {
+			t.Errorf("an idle v1 decoder holds a name table of %d slots, over %d", cap(d.table), maxIdleNames)
+		}
+	}
+	for _, ok := v2Encoders.Get(); ok; _, ok = v2Encoders.Get() {
+	}
+	if _, err := encodeChunkV2(events); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := v2Encoders.Get(); ok {
+		t.Errorf("an encoder that met %d names was kept idle", len(events))
+	}
 }
 
 // TestChunkBufsConcurrentWriters: Writers running at once share the

@@ -175,11 +175,10 @@ func loadedModule(t *testing.T) *module {
 
 // surfaceCallees are the functions whose every caller the surface lists, by
 // types.Func.FullName less "repro/internal/" (and "repro/"): the windowed
-// sweep's two entry points, which internal/analysis reaches only through
+// sweep's one entry point, which internal/analysis reaches only through
 // the window state's one sweep-and-merge; the batch pipeline; the window
 // state's one cut; the sidecar-index fold; and the job fan-out.
 var surfaceCallees = []string{
-	"overlap.ComputeWindow",
 	"(*overlap.Sweeper).ComputeWindowInto",
 	"analysis.run",
 	"(*analysis.window).cut",
