@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/overlap"
-	"repro/internal/recycle"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -34,12 +33,6 @@ type IncrementalStats struct {
 	Windows int
 }
 
-// procStates keeps the states of released processes for the processes of
-// the Incremental states to come (internal/recycle says why it is a bounded
-// stack). Each keeps as many spare windows as its share of trace.EventBufs'
-// bound could fill at the tail cut's size, splitEvents/2 events a window.
-var procStates = recycle.Stack[*procState]{Max: 16} // processes beyond sixteen start afresh
-
 // Incremental is a resumable analysis state for a growing trace: the
 // batch pipeline's per-process window state (procState), driven by epochs
 // instead of chunks and keeping what it closes. Each event is routed to the
@@ -63,10 +56,10 @@ var procStates = recycle.Stack[*procState]{Max: 16} // processes beyond sixteen 
 // Window buffers come from trace.EventBufs: a window that must grow moves
 // into a buffer off it, handing its old one back. Release hands back every
 // buffer, uncleared — the names their stale events still point at are
-// interned strings, which live until the buffer is next filled — and every
-// process state to procStates, with its windows and their results, so a
-// server that seals one trace and opens the next allocates no event storage
-// for it, and a cut of the next one's allocates nothing either.
+// interned strings, which live until the buffer is next filled — so a server
+// that seals one trace and opens the next allocates no event storage for
+// it. The process states, their windows and the windows' results are the
+// Incremental's own: each is built fresh and dies with it.
 //
 // Incremental is not safe for concurrent use; the serve layer serializes
 // epochs and result reads per trace under its analysis lock.
@@ -83,34 +76,14 @@ func NewIncremental() *Incremental {
 	return &Incremental{procs: map[trace.ProcID]*procState{}}
 }
 
-// Release ends the state: every window buffer goes back to trace.EventBufs,
-// and every process state — reset to one empty tail over the whole
-// timeline, its closed windows spare — to procStates, for the next
-// Incremental to draw from. Only Stats may be called afterwards; a second
-// Release is a no-op.
+// Release ends the state: every window buffer goes back to
+// trace.EventBufs. Only Stats may be called afterwards; a second Release is
+// a no-op.
 func (inc *Incremental) Release() {
-	spares := trace.EventBufs.Max / (splitEvents / 2) / procStates.Max
 	for _, p := range inc.procs {
 		for i := 0; i <= len(p.closed); i++ {
-			w := p.at(i)
-			trace.EventBufs.Put(w.events)
-			if r := w.res; r != nil {
-				// Empty, as a window nothing has reached must merge.
-				clear(r.ByKey)
-				clear(r.Transitions)
-				r.SpanStart, r.SpanEnd = 0, 0
-			}
-			*w = window{res: w.res}
+			trace.EventBufs.Put(p.at(i).events)
 		}
-		p.lo, p.hi = vclock.MinTime, vclock.MaxTime
-		p.spare = append(p.spare, p.closed...)
-		clear(p.closed)
-		p.closed, p.acc, p.high = p.closed[:0], nil, vclock.MinTime
-		if len(p.spare) > spares {
-			clear(p.spare[spares:])
-			p.spare = p.spare[:spares]
-		}
-		procStates.Put(p)
 	}
 	inc.procs = nil
 }
@@ -129,12 +102,7 @@ func (inc *Incremental) Apply(chunks [][]trace.Event) {
 		for _, e := range events {
 			p := inc.procs[e.Proc]
 			if p == nil {
-				// A released state, if one is idle: it is as new, with
-				// spare windows for its cuts.
-				var ok bool
-				if p, ok = procStates.Get(); !ok {
-					p = &procState{window: window{lo: vclock.MinTime, hi: vclock.MaxTime}, high: vclock.MinTime}
-				}
+				p = &procState{window: window{lo: vclock.MinTime, hi: vclock.MaxTime}, high: vclock.MinTime}
 				inc.procs[e.Proc] = p
 				inc.stats.Windows++
 			}

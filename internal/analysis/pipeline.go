@@ -308,7 +308,7 @@ func (pl *pipeline) stream(opts Options) error {
 		// too small for a chunk, so the decoder need not replace it.
 		if cap(pl.spare) < pl.chunkHint {
 			trace.EventBufs.Put(pl.spare)
-			pl.spare = trace.EventBufs.Take(pl.chunkHint)
+			pl.spare = trace.EventBufs.Get(pl.chunkHint, 0)
 		}
 		events, walked, bytes, err := pl.src.chunk(i, pl.spare, skip)
 		if owned {

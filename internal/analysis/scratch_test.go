@@ -16,7 +16,7 @@ import (
 // idleBufs empties trace.EventBufs and returns what it held, largest first;
 // putBack hands them back, leaving the store as it was.
 func idleBufs() (bufs [][]trace.Event) {
-	for buf := trace.EventBufs.Take(math.MaxInt); buf != nil; buf = trace.EventBufs.Take(math.MaxInt) {
+	for buf := trace.EventBufs.Get(math.MaxInt, 0); buf != nil; buf = trace.EventBufs.Get(math.MaxInt, 0) {
 		bufs = append(bufs, buf)
 	}
 	return bufs
@@ -180,23 +180,22 @@ func TestScratchSettlesAndOutlivesGC(t *testing.T) {
 }
 
 // TestIncrementalEpochAllocs pins what a steady-state epoch — Apply of one
-// 512-event chunk, then Results — costs an Incremental seeded from a released
-// one: trace.EventBufs holds the buffers the same stream left, so every
-// window that grows and every cut finds its buffer there, and every cut its
-// window, result maps and all, in the process state the stream left on
-// procStates.
-// What is left is per epoch (the merged result and the read's map), the same
-// in an epoch that cuts as in one that does not, and no event buffer: an
-// epoch allocates less than its events would occupy. No sync.Pool is on the
-// path — the buffers, states and Sweeper come off bounded stores that
-// neither a collection nor a change of P count empties — so the count holds
+// 512-event chunk, then Results — costs once trace.EventBufs holds the
+// buffers the same stream left when it was released: every window that grows
+// and every cut finds its buffer there, and no epoch allocates an event
+// buffer — an epoch allocates less than its events would occupy. An epoch
+// that does not cut allocates 7 times: the merged result and the read's map.
+// One that cuts the tail adds 6: the closed window, its kept result and that
+// result's two maps, each a header and a group. Epochs that cut and epochs
+// that do not are counted apart, each as the floored average of its kind,
+// so both counts are exact and a stray allocation elsewhere in the process
+// moves neither; a cut that grows the process's list of closed windows, one
+// in every doubling, adds one more, which the floor absorbs. No sync.Pool is
+// on the path — the buffers and the Sweeper come off bounded stores that
+// neither a collection nor a change of P count empties — so the counts hold
 // on any number of Ps and under the race detector.
 func TestIncrementalEpochAllocs(t *testing.T) {
-	// The store and procStates hold only what this test releases.
-	idleBufs()
-	for _, ok := procStates.Get(); ok; _, ok = procStates.Get() {
-	}
-
+	idleBufs() // the store holds only what this test releases
 	const per, warm, runs = 512, 16, 20
 	all := steadyEvents(0, 0, (warm+runs+1)*per)
 	var chunks [][]trace.Event
@@ -226,21 +225,61 @@ func TestIncrementalEpochAllocs(t *testing.T) {
 	for seq < warm {
 		epoch()
 	}
+	// One P, and one epoch first, as testing.AllocsPerRun measures.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	epoch()
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, epoch)
-	runtime.ReadMemStats(&after)
-	perEpoch := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-	if limit := uint64(per * 40); perEpoch >= limit {
+	var bytes uint64
+	var allocs, epochs [2]uint64 // by whether the epoch cut
+	for range runs {
+		windows := inc.stats.Windows
+		runtime.ReadMemStats(&before)
+		epoch()
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+		cut := min(inc.stats.Windows-windows, 1)
+		allocs[cut] += after.Mallocs - before.Mallocs
+		epochs[cut]++
+	}
+	if perEpoch, limit := bytes/runs, uint64(per*40); perEpoch >= limit {
 		t.Errorf("a steady-state epoch allocates %d B, want under %d: an event buffer is among them", perEpoch, limit)
 	}
-	if want := 7.0; allocs != want {
-		t.Errorf("a steady-state epoch allocates %.0f times, want %.0f", allocs, want)
+	if epochs[1] < 4 {
+		t.Fatalf("%d of %d epochs cut: the stream never split enough to exercise the scratch", epochs[1], runs)
 	}
-	if st := inc.Stats(); st.Windows < 4 {
-		t.Fatalf("%d windows: the stream never split enough to exercise the scratch", st.Windows)
+	if got, want := allocs[0]/epochs[0], uint64(7); got != want {
+		t.Errorf("a steady-state epoch allocates %d times, want %d", got, want)
+	}
+	if got, want := allocs[1]/epochs[1]-7, uint64(6); got != want {
+		t.Errorf("a steady-state cut adds %d allocations to its epoch, want %d", got, want)
 	}
 	inc.Release()
+}
+
+// TestIncrementalReleaseHandsBackEveryBuffer: Release hands the buffer of
+// every window of every process — each closed window and the tail — back to
+// trace.EventBufs.
+func TestIncrementalReleaseHandsBackEveryBuffer(t *testing.T) {
+	idleBufs()
+	inc := NewIncremental()
+	inc.Apply([][]trace.Event{steadyEvents(0, 0, 3*splitEvents), steadyEvents(1, 0, splitEvents/4)})
+	inc.Results(nil)
+	held := map[*trace.Event]bool{}
+	for _, p := range inc.procs {
+		for i := 0; i <= len(p.closed); i++ {
+			held[&p.at(i).events[:1][0]] = true
+		}
+	}
+	if len(held) < 4 {
+		t.Fatalf("%d windows: the stream never split", len(held))
+	}
+	inc.Release()
+	for _, buf := range idleBufs() {
+		delete(held, &buf[:1][0])
+	}
+	if len(held) != 0 {
+		t.Fatalf("Release kept %d window buffers out of trace.EventBufs", len(held))
+	}
 }
 
 // TestAnalyzeWarmAllocs pins what a warm Engine.Analyze allocates: the second

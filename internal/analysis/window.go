@@ -33,8 +33,8 @@ type window struct {
 	retry  int // buffer length below which a refused cut is not retried
 	// dirty marks events routed in since the last sweep, and res is that
 	// sweep where one is kept (Incremental): re-swept in place, its maps
-	// outlive the sweeps, a cut and, emptied, a Release. A window the batch
-	// run sweeps once keeps none.
+	// outlive the sweeps and a cut. A window the batch run sweeps once
+	// keeps none.
 	dirty bool
 	res   *overlap.Result
 }
@@ -124,14 +124,11 @@ func newResult() *overlap.Result {
 // once is the batch run's policy: a window closed off the tail is swept
 // once, on the worker pool, and folded into acc, so closed stays empty and
 // no window keeps a result. Without it (Incremental) a closed window stays
-// in the partition with its kept result, acc is the merge of all of them
-// while no window is dirty, and spare holds windows, result maps and all,
-// for the cuts to come — a released state's, for the process that takes it
-// over.
+// in the partition with its kept result, and acc is the merge of all of
+// them while no window is dirty.
 type procState struct {
 	window // the tail
 	closed []*window
-	spare  []*window
 	acc    *overlap.Result
 	high   vclock.Time
 	cur    calib.Cursor
@@ -164,8 +161,8 @@ func (p *procState) at(i int) *window {
 // stream does not come back behind — uses the hand-off form; Incremental's
 // median split uses the copying form, because its left part persists and an
 // out-of-order arrival would re-sweep what it carries past the cut. Unless
-// the state sweeps once, the part also joins the partition at i, in a spare
-// window whose result it takes over. ok is false when the cut was refused.
+// the state sweeps once, the part also joins the partition at i, in a new
+// window. ok is false when the cut was refused.
 func (p *procState) split(i int, at vclock.Time, keep, room int, handOff bool) (closed window, n int, bytes, kept int64, ok bool) {
 	w := p.at(i)
 	lo := w.lo
@@ -175,13 +172,7 @@ func (p *procState) split(i int, at vclock.Time, keep, room int, handOff bool) (
 	}
 	closed = window{lo: lo, hi: at, events: prefix, dirty: true}
 	if !p.once {
-		var left *window
-		if k := len(p.spare); k > 0 {
-			left, p.spare = p.spare[k-1], p.spare[:k-1]
-		} else {
-			left = new(window)
-		}
-		closed.res = left.res
+		left := new(window)
 		*left = closed
 		p.closed = slices.Insert(p.closed, i, left)
 	}

@@ -12,11 +12,11 @@
 // values, a Store by its idle capacity. Each caller clears, before it hands a
 // value back, what would hold a name alive.
 //
-// A borrower that needs room borrows with Store.Get, whose one rule is: take
-// the best fit and, when even that is too small, leave it idle for a shorter
-// borrower and make a new slice, with an eighth of slack. A too-small slice
-// is never grown — growing copies what a new slice does not — and never
-// dropped, since the next borrower may fit it.
+// A Store lends with Get and Reserve, which keep one rule: take the best fit
+// and, when even that is too small, leave it idle for a shorter borrower and
+// make a new slice, with an eighth of slack. A too-small slice is never
+// grown — growing copies what a new slice does not — and never dropped,
+// since the next borrower may fit it.
 package recycle
 
 import (
@@ -77,11 +77,10 @@ type Store[T any] struct {
 	held int   // the summed capacity of idle
 }
 
-// Take removes the smallest idle slice with room for n elements or, when
-// none has, the largest; nil when none is idle. It never allocates, so n may
-// come from an untrusted header. The slice has length zero; what lies past
-// it is the last borrower's. A borrower that needs the room calls Get.
-func (s *Store[T]) Take(n int) []T {
+// take removes the smallest idle slice with room for n elements or, when
+// none has, the largest; nil when none is idle. The slice has length zero;
+// what lies past it is the last borrower's.
+func (s *Store[T]) take(n int) []T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.idle) == 0 {
@@ -95,12 +94,15 @@ func (s *Store[T]) Take(n int) []T {
 	return buf
 }
 
-// Get returns an empty slice with room for need elements: the one Take(want)
-// removes when that has the room, else a new one of need+need/8, with the
-// slice taken put back for a shorter borrower. want picks the fit: the
-// length the borrower expects to fill, or math.MaxInt when it cannot tell.
+// Get returns an empty slice with room for need elements: the best fit for
+// want — the smallest idle slice with room for want elements or, when none
+// has, the largest — when that has the room, else a new one of need+need/8,
+// with the slice taken put back for a shorter borrower. want picks the fit:
+// the length the borrower expects to fill, or math.MaxInt when it cannot
+// tell. Get(want, 0) never allocates: it returns the best fit, or nil when
+// none is idle. What lies past the slice's length is the last borrower's.
 func (s *Store[T]) Get(want, need int) []T {
-	buf := s.Take(want)
+	buf := s.take(want)
 	if cap(buf) >= need {
 		return buf
 	}

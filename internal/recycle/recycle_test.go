@@ -108,9 +108,9 @@ func idleCaps[T any](t *testing.T, s *Store[T]) []int {
 	return caps
 }
 
-// TestStoreBestFit: Take hands out the smallest slice with room, the largest
-// when none has, and nothing once the store is empty; what it hands out has
-// length zero.
+// TestStoreBestFit: Get without a need hands out the smallest slice with
+// room, the largest when none has, and nothing once the store is empty; what
+// it hands out has length zero.
 func TestStoreBestFit(t *testing.T) {
 	s := Store[int]{Max: 1 << 10}
 	for _, c := range []int{64, 8, 32, 16} {
@@ -120,8 +120,8 @@ func TestStoreBestFit(t *testing.T) {
 		t.Fatalf("idle capacities %v, want them ascending", got)
 	}
 	for _, c := range []struct{ n, want int }{{10, 16}, {16, 32}, {100, 64}, {0, 8}, {1, 0}} {
-		if got := s.Take(c.n); cap(got) != c.want || len(got) != 0 {
-			t.Errorf("Take(%d) has length %d, capacity %d; want 0, %d", c.n, len(got), cap(got), c.want)
+		if got := s.Get(c.n, 0); cap(got) != c.want || len(got) != 0 {
+			t.Errorf("Get(%d, 0) has length %d, capacity %d; want 0, %d", c.n, len(got), cap(got), c.want)
 		}
 	}
 }
@@ -167,7 +167,7 @@ func TestStoreBounds(t *testing.T) {
 	}
 	var zero Store[int]
 	zero.Put(make([]int, 0, 1))
-	if got := zero.Take(0); got != nil {
+	if got := zero.Get(0, 0); got != nil {
 		t.Fatal("a Store without Max kept a slice")
 	}
 }
@@ -226,7 +226,7 @@ func TestStoreOutlivesGC(t *testing.T) {
 	s.Put(buf)
 	runtime.GC()
 	runtime.GC()
-	if got := s.Take(1); cap(got) != 64 || &got[:1][0] != &buf[:1][0] {
+	if got := s.Get(1, 0); cap(got) != 64 || &got[:1][0] != &buf[:1][0] {
 		t.Fatal("two collections emptied the store")
 	}
 }

@@ -11,10 +11,8 @@ package serve
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"path/filepath"
 	"slices"
@@ -48,14 +46,11 @@ type liveTrace struct {
 	sink *trace.DirSink
 
 	// pmu guards the ingest side: sink ordering, the pending epoch queue,
-	// the most events a landed chunk held — the room the next append's
-	// decode buffer is asked for — and what listing and summary read: the
-	// digest as of the last append and the sidecar fold. They never ask the
-	// sink, so a trace reads as open, with its last open digest, until seal
-	// swaps it out.
+	// and what listing and summary read: the digest as of the last append
+	// and the sidecar fold. They never ask the sink, so a trace reads as
+	// open, with its last open digest, until seal swaps it out.
 	pmu     sync.Mutex
 	pending [][]trace.Event
-	longest int
 	digest  string
 	fold    summaryFold
 
@@ -222,11 +217,11 @@ func checkTraceID(id string) error {
 // the chunk and derives the sidecar itself, so nothing a client sends beside
 // the frame can skew the stored trace or the incremental analysis. The
 // frame is read into a buffer off bodyBufs and decoded into one off
-// trace.EventBufs, whether the trace is open yet or not: the smallest with
-// room for the longest chunk the trace has landed, or, for a trace's first
-// chunk, whose length nothing tells, the largest. The body buffer goes back
-// when the append ends, and so does the chunk buffer unless the chunk
-// landed; then the epoch that drains it hands it back.
+// trace.EventBufs, whether the trace is open yet or not, borrowed with room
+// for the events the frame's header states, as the decoder bounds them
+// (trace.ChunkLen). The body buffer goes back when the append ends, and so
+// does the chunk buffer unless the chunk landed; then the epoch that drains
+// it hands it back.
 func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	seqStr := r.URL.Query().Get("seq")
 	seq, err := strconv.Atoi(seqStr)
@@ -247,7 +242,6 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	defer releaseBody(body)
 	frame := body.b
 	entry := s.lookup(r.PathValue("id"))
-	longest := 0
 	// An append certain to be refused — a sealed trace, a seq beyond its next
 	// — is refused before the frame is decoded and indexed for nothing;
 	// openLive and the sink's check under pmu stay the authority. A trace that
@@ -262,11 +256,9 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 			writeAPIError(w, ingestError(&trace.SeqError{Seq: seq, Next: next}))
 			return
 		}
-		entry.live.pmu.Lock()
-		longest = entry.live.longest
-		entry.live.pmu.Unlock()
 	}
-	events := trace.EventBufs.Take(cmp.Or(longest, math.MaxInt))
+	n := trace.ChunkLen(frame)
+	events := trace.EventBufs.Get(n, n)
 	defer func() { putEvents(events) }() // nil once the epoch owns them
 	// DecodeChunkBytes sniffs the frame's version: v1 and v2 chunks are
 	// accepted alike, landed byte-for-byte, and analyzed as decoded events.
@@ -293,7 +285,6 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	dup, err := lt.sink.Append(seq, frame, sidecar)
 	if err == nil && !dup {
 		lt.pending = append(lt.pending, events)
-		lt.longest = max(lt.longest, len(events))
 		events = nil // the epoch's now
 		lt.fold.foldIndex(index)
 		lt.digest = lt.sink.Digest()
@@ -358,9 +349,10 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 // epoch; the result set (fleet queries, filtered analyzes) and the unfiltered
 // result-only document go to the report store, so neither costs an Engine
 // run. The entry is built from memory, not read back from the directory; the
-// liveTrace goes with the old one, and its Incremental's window buffers —
-// every decoded event — go back to trace.EventBufs, which the next Engine
-// run or live trace draws from.
+// liveTrace goes with the old one, its Incremental's process states and
+// window results with it, and the window buffers — every decoded event — go
+// back to trace.EventBufs, which the next Engine run or live trace draws
+// from.
 func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 	lt.amu.Lock()
 	defer lt.amu.Unlock()

@@ -25,20 +25,20 @@ import (
 // TestLiveEpochAllocs pins what one epoch of a warm open trace costs through
 // the handler: a 512-event append, then an analyze. The trace is the third
 // of three identical streams on the server — the ones before it, sealed,
-// released their window buffers and process states to the stores this one
-// draws on. The frame is read into a body buffer off bodyBufs, decoded into
-// a chunk buffer an earlier epoch drained to trace.EventBufs, and applied
-// into windows whose buffers came off it too; a cut takes its window, result
-// maps and all, from the process state an earlier stream left; and both
-// responses are encoded by a kept encoder, indent buffer and all. What is
-// left is per request — routing and the query string, the chunk's names, the
-// sink's two files, the sidecar, the digest, the merged result and the
-// document — and no event buffer: an epoch allocates less than its events
-// would occupy. The digest frames each file's name and size
-// into kept scratch, so folding the two files in allocates nothing. Every warm
-// epoch costs the same count, one that cuts as one that does not: the
-// measured sum is a multiple of runs, and fewer than runs stray allocations
-// elsewhere in the process leave the floored average where it is.
+// released their window buffers to the store this one draws on. The frame is
+// read into a body buffer off bodyBufs, decoded into a chunk buffer an
+// earlier epoch drained to trace.EventBufs, and applied into windows whose
+// buffers came off it too; and both responses are encoded by a kept encoder,
+// indent buffer and all. What is left is per request — routing and the query
+// string, the chunk's names, the sink's two files, the sidecar, the digest,
+// the merged result and the document — and no event buffer: an epoch
+// allocates less than its events would occupy. The digest frames each file's
+// name and size into kept scratch, so folding the two files in allocates
+// nothing. An epoch that cuts a window adds the closed window and its kept
+// result, which TestIncrementalEpochAllocs pins; so the count is the floored
+// average of the epochs that do not cut, every one of which costs the same,
+// and fewer stray allocations elsewhere in the process than there are such
+// epochs leave it where it is. Cutting epochs count towards the bytes.
 func TestLiveEpochAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector the standard library's own sync.Pools cost a warm epoch 99-107 allocations, not 89")
@@ -102,16 +102,36 @@ func TestLiveEpochAllocs(t *testing.T) {
 	// only, and what an epoch allocates would depend on when the collector
 	// last ran.
 	runtime.GC()
+	// One P, and one epoch first, as testing.AllocsPerRun measures.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	epoch()
+	lt := s.lookup("third").live
+	windows := func() int {
+		lt.amu.Lock()
+		defer lt.amu.Unlock()
+		return lt.inc.Stats().Windows
+	}
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, epoch)
-	runtime.ReadMemStats(&after)
-	perEpoch := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
-	if limit := uint64(per * 40); perEpoch >= limit {
+	var bytes, allocs, plain uint64
+	for range runs {
+		n := windows()
+		runtime.ReadMemStats(&before)
+		epoch()
+		runtime.ReadMemStats(&after)
+		bytes += after.TotalAlloc - before.TotalAlloc
+		if windows() == n {
+			allocs += after.Mallocs - before.Mallocs
+			plain++
+		}
+	}
+	if perEpoch, limit := bytes/runs, uint64(per*40); perEpoch >= limit {
 		t.Errorf("a warm epoch allocates %d B, want under %d: an event buffer is among them", perEpoch, limit)
 	}
-	if want := 89.0; allocs != want {
-		t.Errorf("a warm epoch allocates %.0f times, want %.0f", allocs, want)
+	if plain < runs/2 {
+		t.Fatalf("%d of %d epochs cut nothing, want most", plain, runs)
+	}
+	if got, want := allocs/plain, uint64(89); got != want {
+		t.Errorf("a warm epoch allocates %d times, want %d", got, want)
 	}
 }
 
@@ -259,7 +279,7 @@ func arrayOf[T any](buf []T) *T { return &buf[:cap(buf)][0] }
 // first; putEvents back, one by one, leaves the store as it was, as long as
 // they fit its bound.
 func idleEvents() (bufs [][]trace.Event) {
-	for buf := trace.EventBufs.Take(math.MaxInt); buf != nil; buf = trace.EventBufs.Take(math.MaxInt) {
+	for buf := trace.EventBufs.Get(math.MaxInt, 0); buf != nil; buf = trace.EventBufs.Get(math.MaxInt, 0) {
 		bufs = append(bufs, buf)
 	}
 	return bufs
@@ -488,7 +508,7 @@ func TestIngestBufferBounds(t *testing.T) {
 		named[:cap(named)][i] = trace.Event{Kind: trace.KindCPU, Start: 1, End: 2, Name: "held"}
 	}
 	putEvents(named)
-	kept := trace.EventBufs.Take(0)
+	kept := trace.EventBufs.Get(0, 0)
 	if arrayOf(kept) != arrayOf(named) || len(kept) != 0 {
 		t.Fatal("the chunk buffer put back is not the one idle")
 	}
@@ -498,8 +518,39 @@ func TestIngestBufferBounds(t *testing.T) {
 		}
 	}
 	putEvents(make([]trace.Event, 0, trace.EventBufs.Max+1))
-	if buf := trace.EventBufs.Take(0); buf != nil {
+	if buf := trace.EventBufs.Get(0, 0); buf != nil {
 		t.Fatalf("a chunk buffer with room for more than %d events was kept", trace.EventBufs.Max)
+	}
+}
+
+// TestAppendKeepsTooSmallBuffer: an append borrows its decode buffer with
+// room for the events its frame states, so an idle buffer too small for them
+// stays idle, for a shorter chunk — on a trace's first append too, and
+// whether the frame is v1 or v2.
+func TestAppendKeepsTooSmallBuffer(t *testing.T) {
+	held := idleEvents()
+	t.Cleanup(func() {
+		idleEvents()
+		for _, buf := range held {
+			trace.EventBufs.Put(buf)
+		}
+	})
+	events := quickstartTrace(t, 40).Events[:100]
+	srv, _ := liveServer(t, Config{})
+	h := srv.Handler()
+	for _, f := range []trace.Format{trace.FormatV1, trace.FormatV2} {
+		frame, _, err := trace.EncodeEventsFormat(events, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idleEvents()
+		small := make([]trace.Event, 0, 64)
+		trace.EventBufs.Put(small)
+		mustOK(t, h, "POST", fmt.Sprintf("/v1/traces/first-v%d/chunks?seq=0", f), string(frame))
+		idle := idleEvents()
+		if !slices.ContainsFunc(idle, func(buf []trace.Event) bool { return arrayOf(buf) == arrayOf(small) }) {
+			t.Errorf("v%d: a first append of %d events left %d buffers idle, not the 64-event one", f, len(events), len(idle))
+		}
 	}
 }
 

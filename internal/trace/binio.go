@@ -54,6 +54,12 @@ const v1EventBytesHint = 16
 // one byte each of proc, start delta, duration and name reference.
 const v1MinEventBytes = 7
 
+// v1Len is the room a v1 frame's decode grows its buffer by: the count its
+// header states, but never more than the rest bytes after the count could
+// encode, so a hostile header cannot force an allocation larger than its
+// frame justifies.
+func v1Len(count uint64, rest int) int { return int(min(count, uint64(rest)/v1MinEventBytes)) }
+
 // encodeChunkV1 is the v1 encoder into one presized frame buffer.
 func encodeChunkV1(events []Event) ([]byte, error) {
 	return appendChunkV1(make([]byte, 0, frameHint(FormatV1, len(events))), events)
@@ -185,10 +191,7 @@ func (d *v1Decoder) walk(b []byte, off int, in *Interner, dst []Event, mode walk
 		return dst, 0, 0, fmt.Errorf("trace: decode: reading count: %w", io.ErrUnexpectedEOF)
 	}
 	if mode != walkScan {
-		// Grow dst once, to the count the header states — but never past
-		// what the bytes that follow could encode, so a hostile header
-		// cannot force an allocation larger than its frame justifies.
-		dst = slices.Grow(dst, int(min(count, uint64(len(b)-off)/v1MinEventBytes)))
+		dst = slices.Grow(dst, v1Len(count, len(b)-off)) // once
 	}
 	table := d.table[:0]
 	defer func() { d.table = table }()
@@ -340,6 +343,32 @@ func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, mode wal
 	default:
 		return dst, 0, 0, fmt.Errorf("trace: decode: unsupported version %d", version)
 	}
+}
+
+// ChunkLen returns the room DecodeChunkBytes grows its dst by for frame:
+// the count the header states, bounded as the decoder bounds it — a v1
+// frame's by what the bytes after the count could encode (v1Len), a v2
+// frame's by its starts column — and 0 for a frame refused before any event
+// is built. It reads the frame's structure only, so a borrower can size the
+// buffer it decodes into before the frame is checked, and no header gets a
+// larger buffer out of it than out of the decoder.
+func ChunkLen(frame []byte) int {
+	version, body, err := sniffVersion(frame)
+	if err != nil {
+		return 0
+	}
+	switch version {
+	case chunkVersion:
+		if count, off := uvarint(frame, body); off >= 0 {
+			return v1Len(count, len(frame)-off)
+		}
+	case chunkVersion2:
+		var c ColumnChunk
+		if c.parse(frame, nil, false) == nil {
+			return c.count
+		}
+	}
+	return 0
 }
 
 // DecodeChunkBytes decodes one encoded chunk frame — v1 or v2, detected from

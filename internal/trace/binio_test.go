@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -111,6 +112,39 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 		}
 		if _, _, _, err := walkChunk(padded, nil, nil, nil, walkSkipOverhead, nil); err == nil {
 			t.Errorf("%s: the walk that skips markers accepted the padded frame", name)
+		}
+	}
+}
+
+// TestChunkLen: ChunkLen is what a decode of the frame comes to, v1 or v2;
+// for a header that states more events than its frame holds it is the
+// decoder's bound — what a v1 frame's bytes could encode, 0 for a v2 frame,
+// which the decoder refuses before it grows — and 0 for a frame that is no
+// chunk.
+func TestChunkLen(t *testing.T) {
+	events := randomEvents(rand.New(rand.NewSource(3)), 500)
+	for _, f := range []Format{FormatV1, FormatV2} {
+		frame, _, err := EncodeEventsFormat(events, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ChunkLen(frame); got != len(events) {
+			t.Errorf("v%d: ChunkLen = %d, want the %d events it decodes to", f, got, len(events))
+		}
+		// The same body under a header stating 2^40 events.
+		_, off := uvarint(frame, len(chunkMagic)+1) // past the count
+		head := binary.AppendUvarint(binary.AppendUvarint([]byte(chunkMagic), uint64(f)), 1<<40)
+		want := (len(frame) - off) / v1MinEventBytes
+		if f == FormatV2 {
+			want = 0
+		}
+		if got := ChunkLen(append(head, frame[off:]...)); got != want {
+			t.Errorf("v%d stating 2^40 events: ChunkLen = %d, want %d", f, got, want)
+		}
+	}
+	for _, frame := range []string{"", "RLS", "XXXX\x01\x00", chunkMagic + "\x07\x00"} {
+		if got := ChunkLen([]byte(frame)); got != 0 {
+			t.Errorf("ChunkLen(%q) = %d, want 0", frame, got)
 		}
 	}
 }

@@ -264,7 +264,11 @@ type ColumnChunk struct {
 // frame must start with the chunk magic and version 2; every structural
 // field is bounds-checked so corrupt or truncated frames return errors, never
 // panic.
-func (c *ColumnChunk) Parse(frame []byte, in *Interner) error {
+func (c *ColumnChunk) Parse(frame []byte, in *Interner) error { return c.parse(frame, in, true) }
+
+// parse is Parse; without tables it checks the name dictionary and the class
+// table but keeps neither, and so allocates nothing for a frame it accepts.
+func (c *ColumnChunk) parse(frame []byte, in *Interner, tables bool) error {
 	c.count = 0
 	c.dict = c.dict[:0]
 	c.classes = c.classes[:0]
@@ -308,9 +312,11 @@ func (c *ColumnChunk) Parse(frame []byte, in *Interner) error {
 		if err != nil {
 			return err
 		}
-		if in != nil {
+		switch {
+		case !tables:
+		case in != nil:
 			c.dict = append(c.dict, in.Intern(b))
-		} else {
+		default:
 			c.dict = append(c.dict, string(b))
 		}
 	}
@@ -326,9 +332,11 @@ func (c *ColumnChunk) Parse(frame []byte, in *Interner) error {
 		if err != nil {
 			return err
 		}
-		c.classes = append(c.classes, eventClass{
-			kind: EventKind(b[0]), cat: Category(b[1]), ov: OverheadKind(b[2]),
-		})
+		if tables {
+			c.classes = append(c.classes, eventClass{
+				kind: EventKind(b[0]), cat: Category(b[1]), ov: OverheadKind(b[2]),
+			})
+		}
 	}
 	var lens [numCols]int
 	total := 0

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -245,7 +246,7 @@ func TestWriterAppendCopies(t *testing.T) {
 // one with room.
 func TestChunkBufsBounded(t *testing.T) {
 	drain := func() (caps []int) {
-		for buf := EventBufs.Take(math.MaxInt); buf != nil; buf = EventBufs.Take(math.MaxInt) {
+		for buf := EventBufs.Get(math.MaxInt, 0); buf != nil; buf = EventBufs.Get(math.MaxInt, 0) {
 			caps = append(caps, cap(buf))
 		}
 		return caps
@@ -284,7 +285,7 @@ func TestChunkBufsBounded(t *testing.T) {
 // idle, for a shorter chunk, while the chunk takes a fresh one with room.
 func TestFrameBufsBounded(t *testing.T) {
 	drain := func() (caps []int) {
-		for buf := frameBufs.Take(math.MaxInt); buf != nil; buf = frameBufs.Take(math.MaxInt) {
+		for buf := frameBufs.Get(math.MaxInt, 0); buf != nil; buf = frameBufs.Get(math.MaxInt, 0) {
 			caps = append(caps, cap(buf))
 		}
 		return caps
@@ -312,6 +313,33 @@ func TestFrameBufsBounded(t *testing.T) {
 	}
 	if caps := drain(); len(caps) != 1 || caps[0] != 4096 {
 		t.Fatalf("%v idle, want the buffer too small for 8192 bytes kept", caps)
+	}
+}
+
+// TestV2WriterKeepsTooSmallFrameBuffer: a v2 frame's length is not known
+// before it is built, so a v2 Writer's first frame borrows the largest idle
+// buffer and later ones the longest frame so far, and a buffer the encoder
+// outgrows goes back: one too small for every frame is still idle after the
+// Writer is done.
+func TestV2WriterKeepsTooSmallFrameBuffer(t *testing.T) {
+	idle := func() (bufs [][]byte) {
+		for buf := frameBufs.Get(math.MaxInt, 0); buf != nil; buf = frameBufs.Get(math.MaxInt, 0) {
+			bufs = append(bufs, buf)
+		}
+		return bufs
+	}
+	idle()
+	small := make([]byte, 0, 64)
+	frameBufs.Put(small)
+	sink := &recordingSink{failAt: -1}
+	w := NewSinkWriter(sink, 4<<10, WithFormat(FormatV2))
+	w.Append(randomEvents(rand.New(rand.NewSource(5)), 4000)...)
+	if err := w.Close(Meta{}); err != nil {
+		t.Fatal(err)
+	}
+	bufs := idle()
+	if !slices.ContainsFunc(bufs, func(buf []byte) bool { return &buf[:1][0] == &small[:1][0] }) {
+		t.Fatalf("%d v2 frames left %d buffers idle, not the 64-byte one", len(sink.seqs), len(bufs))
 	}
 }
 
