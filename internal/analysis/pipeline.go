@@ -28,10 +28,11 @@ type source interface {
 	// KindOverhead records are read and checked but not returned — what
 	// the correction stage would drop never reaches it — and walked still
 	// counts them. A chunk file, or with skipOverhead a materialized trace's
-	// run, is copied into buf[:0], and the events — buf's array, grown if
-	// need be, even when err is set — are then the caller's to rewrite and
-	// to keep; otherwise a materialized trace's are returned where they
-	// lie, borrowed.
+	// run, is copied into buf[:0] — or, when buf lacks the room, into a
+	// buffer trace.EventBufs.Reserve trades it for — and the events, even
+	// when err is set, are then the caller's to rewrite and to keep;
+	// otherwise a materialized trace's are returned where they lie,
+	// borrowed.
 	chunk(i int, buf []trace.Event, skipOverhead bool) (events []trace.Event, walked int, bytes int64, err error)
 }
 
@@ -44,9 +45,9 @@ func (s readerSource) index(i int) (*trace.ChunkIndex, error) { return s.r.Index
 
 func (s readerSource) chunk(i int, buf []trace.Event, skipOverhead bool) ([]trace.Event, int, int64, error) {
 	if skipOverhead {
-		return s.r.ReadChunkSkipOverhead(i, buf[:0])
+		return s.r.ReadChunkSkipOverhead(i, buf[:0], &trace.EventBufs)
 	}
-	events, bytes, err := s.r.ReadChunkSized(i, buf[:0])
+	events, bytes, err := s.r.ReadChunkSized(i, buf[:0], &trace.EventBufs)
 	return events, len(events), bytes, err
 }
 
@@ -88,7 +89,7 @@ func (s *memSource) chunk(i int, buf []trace.Event, skipOverhead bool) ([]trace.
 	if !skipOverhead {
 		return run, len(run), s.bytes[i], nil
 	}
-	buf = buf[:0]
+	buf = trace.EventBufs.Reserve(buf[:0], len(run))
 	var bytes int64
 	for _, e := range run {
 		if e.Kind != trace.KindOverhead {
@@ -130,14 +131,11 @@ type pipeline struct {
 	order   []*procState                // ascending process: the budget's scan order
 	spans   []chunkSpan                 // chunk i's entries are spans[spanOff[i]:spanOff[i+1]]
 	spanOff []int
-	// chunkHint is the largest event count an index claims for a chunk the
-	// run decodes: a hint, which picks a chunk buffer and never sizes one.
-	chunkHint int
-
 	// spare is the coordinator's chunk buffer: what the next chunk is decoded
 	// into, or a materialized run is copied into, without its markers, for
-	// the stage to rewrite. Between chunks it holds the last chunk's events,
-	// already routed.
+	// the stage to rewrite, traded at the decode for a larger one off
+	// trace.EventBufs when the chunk does not fit. Between chunks it holds
+	// the last chunk's events, already routed.
 	spare []trace.Event
 
 	// The coordinator's side of the residency estimate: events buffered in
@@ -262,9 +260,6 @@ func (pl *pipeline) plan(procs []trace.ProcID) error {
 			pl.spans = append(pl.spans, chunkSpan{p: ps, events: sp.Events, after: sp.MinStart})
 		}
 		pl.spanOff[i+1] = len(pl.spans)
-		if pl.spanOff[i] < pl.spanOff[i+1] {
-			pl.chunkHint = max(pl.chunkHint, ix.Events)
-		}
 	}
 	// Suffix-min, last chunk first: each entry trades the MinStart it was
 	// stashed with for the minimum over the process's later chunks.
@@ -303,12 +298,6 @@ func (pl *pipeline) stream(opts Options) error {
 				p.events = trace.EventBufs.Reserve(p.events, min(p.left, splitEvents+s.events))
 			}
 			s.p.left -= s.events
-		}
-		// After an adoption the spare is the window's old array: trade one
-		// too small for a chunk, so the decoder need not replace it.
-		if cap(pl.spare) < pl.chunkHint {
-			trace.EventBufs.Put(pl.spare)
-			pl.spare = trace.EventBufs.Get(pl.chunkHint, 0)
 		}
 		events, walked, bytes, err := pl.src.chunk(i, pl.spare, skip)
 		if owned {

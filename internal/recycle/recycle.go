@@ -14,9 +14,11 @@
 //
 // A Store lends with Get and Reserve, which keep one rule: take the best fit
 // and, when even that is too small, leave it idle for a shorter borrower and
-// make a new slice, with an eighth of slack. A too-small slice is never
-// grown — growing copies what a new slice does not — and never dropped,
-// since the next borrower may fit it.
+// make a new slice. A too-small slice is never grown — growing copies what a
+// new slice does not — and never dropped, since the next borrower may fit
+// it. Get's new slice has an eighth of slack, for a borrower that fills it
+// as it goes; Reserve's has exactly the room asked for, which its borrowers
+// size from what they are about to write.
 package recycle
 
 import (
@@ -77,23 +79,6 @@ type Store[T any] struct {
 	held int   // the summed capacity of idle
 }
 
-// take removes the smallest idle slice with room for n elements or, when
-// none has, the largest; nil when none is idle. The slice has length zero;
-// what lies past it is the last borrower's.
-func (s *Store[T]) take(n int) []T {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.idle) == 0 {
-		return nil
-	}
-	i, _ := slices.BinarySearchFunc(s.idle, n, capCompare[T])
-	i = min(i, len(s.idle)-1)
-	buf := s.idle[i]
-	s.idle = slices.Delete(s.idle, i, i+1)
-	s.held -= cap(buf)
-	return buf
-}
-
 // Get returns an empty slice with room for need elements: the best fit for
 // want — the smallest idle slice with room for want elements or, when none
 // has, the largest — when that has the room, else a new one of need+need/8,
@@ -101,13 +86,25 @@ func (s *Store[T]) take(n int) []T {
 // the length the borrower expects to fill, or math.MaxInt when it cannot
 // tell. Get(want, 0) never allocates: it returns the best fit, or nil when
 // none is idle. What lies past the slice's length is the last borrower's.
-func (s *Store[T]) Get(want, need int) []T {
-	buf := s.take(want)
+func (s *Store[T]) Get(want, need int) []T { return s.get(want, need, need+need/8) }
+
+// get is Get, making a new slice of size elements.
+func (s *Store[T]) get(want, need, size int) []T {
+	var buf []T
+	s.mu.Lock()
+	if len(s.idle) > 0 {
+		i, _ := slices.BinarySearchFunc(s.idle, want, capCompare[T])
+		i = min(i, len(s.idle)-1)
+		buf = s.idle[i]
+		s.idle = slices.Delete(s.idle, i, i+1)
+		s.held -= cap(buf)
+	}
+	s.mu.Unlock()
 	if cap(buf) >= need {
 		return buf
 	}
 	s.Put(buf)
-	return make([]T, 0, need+need/8)
+	return make([]T, 0, size)
 }
 
 // Put hands buf back, emptied, then drops the largest idle slices while
@@ -130,12 +127,19 @@ func (s *Store[T]) Put(buf []T) {
 }
 
 // Reserve returns buf with room for n more elements: buf itself when it has
-// the room, else its elements moved into a slice from Get, and buf put back.
+// the room, else its elements moved into the best fit with the room, or into
+// a new slice of exactly len(buf)+n, and buf put back. A nil Store grows buf
+// by slices.Grow and keeps nothing, so a borrower that is handed no store
+// grows where it would have borrowed.
 func (s *Store[T]) Reserve(buf []T, n int) []T {
+	if s == nil {
+		return slices.Grow(buf, n)
+	}
 	if cap(buf)-len(buf) >= n {
 		return buf
 	}
-	moved := append(s.Get(len(buf)+n, len(buf)+n), buf...)
+	need := len(buf) + n
+	moved := append(s.get(need, need, need), buf...)
 	s.Put(buf)
 	return moved
 }

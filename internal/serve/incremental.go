@@ -217,11 +217,11 @@ func checkTraceID(id string) error {
 // the chunk and derives the sidecar itself, so nothing a client sends beside
 // the frame can skew the stored trace or the incremental analysis. The
 // frame is read into a buffer off bodyBufs and decoded into one off
-// trace.EventBufs, whether the trace is open yet or not, borrowed with room
-// for the events the frame's header states, as the decoder bounds them
-// (trace.ChunkLen). The body buffer goes back when the append ends, and so
-// does the chunk buffer unless the chunk landed; then the epoch that drains
-// it hands it back.
+// trace.EventBufs, whether the trace is open yet or not, which the decoder
+// borrows with room for the events the frame's header states, as it bounds
+// them (trace.DecodeChunkBytes). The body buffer goes back when the append
+// ends, and so does the chunk buffer unless the chunk landed; then the epoch
+// that drains it hands it back.
 func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	seqStr := r.URL.Query().Get("seq")
 	seq, err := strconv.Atoi(seqStr)
@@ -257,12 +257,11 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	n := trace.ChunkLen(frame)
-	events := trace.EventBufs.Get(n, n)
+	var events []trace.Event
 	defer func() { putEvents(events) }() // nil once the epoch owns them
-	// DecodeChunkBytes sniffs the frame's version: v1 and v2 chunks are
-	// accepted alike, landed byte-for-byte, and analyzed as decoded events.
-	events, err = trace.DecodeChunkBytes(frame, events)
+	// The decoder sniffs the frame's version: v1 and v2 chunks are accepted
+	// alike, landed byte-for-byte, and analyzed as decoded events.
+	events, err = trace.DecodeChunkBytes(frame, nil, &trace.EventBufs)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrCodeBadChunk, "undecodable chunk frame: "+err.Error())
 		return

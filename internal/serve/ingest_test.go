@@ -498,7 +498,7 @@ func TestIngestTrailingBytesIsBadChunk(t *testing.T) {
 		s, _ := liveServer(t, Config{})
 		h := s.Handler()
 		chunks, _ := quickstartFrames(t, 5, 1)
-		events, err := trace.DecodeChunkBytes(chunks[0], nil)
+		events, err := trace.DecodeChunkBytes(chunks[0], nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

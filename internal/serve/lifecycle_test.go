@@ -293,7 +293,7 @@ func TestSealSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq, frame := range frames {
-		events, err := trace.DecodeChunkBytes(frame, nil)
+		events, err := trace.DecodeChunkBytes(frame, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

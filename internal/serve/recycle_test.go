@@ -34,16 +34,19 @@ import (
 // the merged result and the document — and no event buffer: an epoch
 // allocates less than its events would occupy. The digest frames each file's
 // name and size into kept scratch, so folding the two files in allocates
-// nothing. An epoch that cuts a window adds the closed window and its kept
-// result, which TestIncrementalEpochAllocs pins; so the count is the floored
-// average of the epochs that do not cut, every one of which costs the same,
-// and fewer stray allocations elsewhere in the process than there are such
-// epochs leave it where it is. Cutting epochs count towards the bytes.
+// nothing. An epoch that cuts a window adds 9: the closed window, its kept
+// result and that result's two maps, a header and a group each, as
+// TestIncrementalEpochAllocs pins them, and 3 more because this stream's
+// breakdown outgrows a map group's 8 entries and becomes a table (the
+// table, its groups, its directory). A cut that doubles its process's list
+// of closed windows adds 1 more. Each kind of epoch is pinned by its floored
+// average, so the doublings, and fewer stray allocations elsewhere in the
+// process than there are epochs of the kind, leave it where it is.
 func TestLiveEpochAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector the standard library's own sync.Pools cost a warm epoch 99-107 allocations, not 89")
 	}
-	const per, warm, runs = 512, 16, 20
+	const per, warm, runs = 512, 16, 60
 	s, _ := liveServer(t, Config{})
 	h := s.Handler()
 	frames := eventFrames(t, quickstartTrace(t, 900).Events, per)
@@ -112,26 +115,29 @@ func TestLiveEpochAllocs(t *testing.T) {
 		return lt.inc.Stats().Windows
 	}
 	var before, after runtime.MemStats
-	var bytes, allocs, plain uint64
+	var bytes uint64
+	var allocs, epochs [2]uint64 // by whether the epoch cut
 	for range runs {
 		n := windows()
 		runtime.ReadMemStats(&before)
 		epoch()
 		runtime.ReadMemStats(&after)
 		bytes += after.TotalAlloc - before.TotalAlloc
-		if windows() == n {
-			allocs += after.Mallocs - before.Mallocs
-			plain++
-		}
+		cut := min(windows()-n, 1)
+		allocs[cut] += after.Mallocs - before.Mallocs
+		epochs[cut]++
 	}
 	if perEpoch, limit := bytes/runs, uint64(per*40); perEpoch >= limit {
 		t.Errorf("a warm epoch allocates %d B, want under %d: an event buffer is among them", perEpoch, limit)
 	}
-	if plain < runs/2 {
-		t.Fatalf("%d of %d epochs cut nothing, want most", plain, runs)
+	if epochs[1] < 4 {
+		t.Fatalf("%d of %d epochs cut: the stream never split enough to pin a cut", epochs[1], runs)
 	}
-	if got, want := allocs/plain, uint64(89); got != want {
+	if got, want := allocs[0]/epochs[0], uint64(89); got != want {
 		t.Errorf("a warm epoch allocates %d times, want %d", got, want)
+	}
+	if got, want := allocs[1]/epochs[1]-89, uint64(9); got != want {
+		t.Errorf("a warm cut adds %d allocations to its epoch, want %d", got, want)
 	}
 }
 

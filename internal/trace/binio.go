@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"repro/internal/recycle"
 	"repro/internal/vclock"
@@ -54,26 +53,15 @@ const v1EventBytesHint = 16
 // one byte each of proc, start delta, duration and name reference.
 const v1MinEventBytes = 7
 
-// v1Len is the room a v1 frame's decode grows its buffer by: the count its
-// header states, but never more than the rest bytes after the count could
-// encode, so a hostile header cannot force an allocation larger than its
-// frame justifies.
-func v1Len(count uint64, rest int) int { return int(min(count, uint64(rest)/v1MinEventBytes)) }
-
 // encodeChunkV1 is the v1 encoder into one presized frame buffer.
 func encodeChunkV1(events []Event) ([]byte, error) {
-	return appendChunkV1(make([]byte, 0, frameHint(FormatV1, len(events))), events)
+	return appendChunkV1(make([]byte, 0, frameHint(len(events))), events)
 }
 
-// frameHint is the room to give a frame of n events in format f before it is
-// encoded: v1's presize, or nothing for v2, whose encoder sizes its frame
-// exactly once the columns are built.
-func frameHint(f Format, n int) int {
-	if f == FormatV2 {
-		return 0
-	}
-	return 16 + n*v1EventBytesHint
-}
+// frameHint is the room to give a v1 frame of n events before it is
+// encoded. A v2 frame needs none: its encoder sizes the frame exactly once
+// the columns are built.
+func frameHint(n int) int { return 16 + n*v1EventBytesHint }
 
 // appendChunkV1 appends events as one v1 frame to dst.
 func appendChunkV1(dst []byte, events []Event) ([]byte, error) {
@@ -180,18 +168,21 @@ const (
 // walk is the one pass over the body of a v1 chunk (b[off:] starts at the
 // count field), in one of the three modes of walkMode; scan is read in
 // walkScan only. The records kept are appended to dst as events, and bytes
-// is their summed EventBytes. Whatever the mode, every record passes the
+// is their summed EventBytes; dst grows once, by bufs.Reserve. Whatever the mode, every record passes the
 // same checks and n counts the records walked, so a scan or a walk that
 // skips the markers accepts exactly the frames a decode accepts. Table
 // strings resolve through in when non-nil, so repeated names across chunks
 // share storage.
-func (d *v1Decoder) walk(b []byte, off int, in *Interner, dst []Event, mode walkMode, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
+func (d *v1Decoder) walk(b []byte, off int, in *Interner, dst []Event, bufs *recycle.Store[Event], mode walkMode, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
 	count, off := uvarint(b, off)
 	if off < 0 {
 		return dst, 0, 0, fmt.Errorf("trace: decode: reading count: %w", io.ErrUnexpectedEOF)
 	}
 	if mode != walkScan {
-		dst = slices.Grow(dst, v1Len(count, len(b)-off)) // once
+		// Grow dst once, to the count the header states — but never past
+		// what the bytes that follow could encode, so a hostile header
+		// cannot force an allocation larger than its frame justifies.
+		dst = bufs.Reserve(dst, int(min(count, uint64(len(b)-off)/v1MinEventBytes)))
 	}
 	table := d.table[:0]
 	defer func() { d.table = table }()
@@ -314,8 +305,11 @@ func ChunkFormat(data []byte) (Format, error) {
 
 // walkChunk walks one chunk frame of either version in the given mode, the
 // way v1Decoder.walk documents. cc, when non-nil, is the reusable column
-// scratch for v2 frames; names resolve through in when non-nil.
-func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, mode walkMode, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
+// scratch for v2 frames; names resolve through in when non-nil. dst grows
+// once, to the count the frame states as the frame bounds it, by
+// bufs.Reserve: from bufs, with dst handed back to it, or by slices.Grow when
+// bufs is nil.
+func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, bufs *recycle.Store[Event], mode walkMode, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
 	version, body, err := sniffVersion(data)
 	if err != nil {
 		return dst, 0, 0, err
@@ -326,7 +320,7 @@ func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, mode wal
 		if !ok {
 			d = new(v1Decoder)
 		}
-		out, n, bytes, err = d.walk(data, body, in, dst, mode, scan)
+		out, n, bytes, err = d.walk(data, body, in, dst, bufs, mode, scan)
 		if cap(d.table) <= maxIdleNames {
 			clear(d.table) // an idle decoder holds no name alive
 			v1Decoders.Put(d)
@@ -339,43 +333,21 @@ func walkChunk(data []byte, in *Interner, cc *ColumnChunk, dst []Event, mode wal
 		if err := cc.Parse(data, in); err != nil {
 			return dst, 0, 0, err
 		}
-		return cc.walk(dst, mode, scan)
+		return cc.walk(dst, bufs, mode, scan)
 	default:
 		return dst, 0, 0, fmt.Errorf("trace: decode: unsupported version %d", version)
 	}
 }
 
-// ChunkLen returns the room DecodeChunkBytes grows its dst by for frame:
-// the count the header states, bounded as the decoder bounds it — a v1
-// frame's by what the bytes after the count could encode (v1Len), a v2
-// frame's by its starts column — and 0 for a frame refused before any event
-// is built. It reads the frame's structure only, so a borrower can size the
-// buffer it decodes into before the frame is checked, and no header gets a
-// larger buffer out of it than out of the decoder.
-func ChunkLen(frame []byte) int {
-	version, body, err := sniffVersion(frame)
-	if err != nil {
-		return 0
-	}
-	switch version {
-	case chunkVersion:
-		if count, off := uvarint(frame, body); off >= 0 {
-			return v1Len(count, len(frame)-off)
-		}
-	case chunkVersion2:
-		var c ColumnChunk
-		if c.parse(frame, nil, false) == nil {
-			return c.count
-		}
-	}
-	return 0
-}
-
 // DecodeChunkBytes decodes one encoded chunk frame — v1 or v2, detected from
 // the frame's version field — appending its events to dst and returning the
 // extended slice. It never aliases data: decoded names are fresh (or
-// interner-shared) strings.
-func DecodeChunkBytes(data []byte, dst []Event) ([]Event, error) {
-	dst, _, _, err := walkChunk(data, nil, nil, dst, walkDecode, nil)
+// interner-shared) strings. When dst lacks room for the frame's events, the
+// room comes from bufs.Reserve — the best fit that has it, or a new slice of
+// exactly the room, with dst handed back to bufs — sized by the count the
+// frame states, bounded as the decoder bounds it, at the one point where the
+// decoder grows dst; with bufs nil, dst grows by slices.Grow.
+func DecodeChunkBytes(data []byte, dst []Event, bufs *recycle.Store[Event]) ([]Event, error) {
+	dst, _, _, err := walkChunk(data, nil, nil, dst, bufs, walkDecode, nil)
 	return dst, err
 }

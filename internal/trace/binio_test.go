@@ -3,13 +3,16 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/recycle"
 	"repro/internal/vclock"
 )
 
@@ -32,7 +35,7 @@ func TestChunkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeChunkV1: %v", err)
 	}
-	got, err := DecodeChunkBytes(frame, nil)
+	got, err := DecodeChunkBytes(frame, nil, nil)
 	if err != nil {
 		t.Fatalf("DecodeChunkBytes: %v", err)
 	}
@@ -46,7 +49,7 @@ func TestChunkRoundTripEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeChunkV1(empty): %v", err)
 	}
-	got, err := DecodeChunkBytes(frame, nil)
+	got, err := DecodeChunkBytes(frame, nil, nil)
 	if err != nil {
 		t.Fatalf("DecodeChunkBytes(empty): %v", err)
 	}
@@ -72,7 +75,7 @@ func TestChunkStringTableDeduplicates(t *testing.T) {
 	if n := strings.Count(string(frame), "cudaLaunchKernel"); n != 1 {
 		t.Fatalf("name appears %d times in encoding, want 1", n)
 	}
-	got, err := DecodeChunkBytes(frame, nil)
+	got, err := DecodeChunkBytes(frame, nil, nil)
 	if err != nil {
 		t.Fatalf("DecodeChunkBytes: %v", err)
 	}
@@ -82,10 +85,10 @@ func TestChunkStringTableDeduplicates(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := DecodeChunkBytes([]byte("NOTATRACE"), nil); err == nil {
+	if _, err := DecodeChunkBytes([]byte("NOTATRACE"), nil, nil); err == nil {
 		t.Fatal("DecodeChunkBytes accepted garbage magic")
 	}
-	if _, err := DecodeChunkBytes(nil, nil); err == nil {
+	if _, err := DecodeChunkBytes(nil, nil, nil); err == nil {
 		t.Fatal("DecodeChunkBytes accepted empty input")
 	}
 }
@@ -99,37 +102,58 @@ func TestDecodeRejectsTrailingBytes(t *testing.T) {
 		"v1": seedChunk(sampleEvents()), "v2": seedChunkV2(sampleEvents()),
 		"v1 empty": seedChunk(nil), "v2 empty": seedChunkV2(nil),
 	} {
-		if _, err := DecodeChunkBytes(frame, nil); err != nil {
+		if _, err := DecodeChunkBytes(frame, nil, nil); err != nil {
 			t.Fatalf("%s: the frame itself: %v", name, err)
 		}
 		padded := append(bytes.Clone(frame), 1, 2, 3)
-		events, err := DecodeChunkBytes(padded, nil)
+		events, err := DecodeChunkBytes(padded, nil, nil)
 		if err == nil || !strings.Contains(err.Error(), "trailing") {
 			t.Errorf("%s: %d events, err = %v; want a trailing-bytes error", name, len(events), err)
 		}
-		if _, _, _, err := walkChunk(padded, nil, nil, nil, walkScan, func(ProcID, vclock.Time, OverheadKind, string) {}); err == nil {
+		if _, _, _, err := walkChunk(padded, nil, nil, nil, nil, walkScan, func(ProcID, vclock.Time, OverheadKind, string) {}); err == nil {
 			t.Errorf("%s: the overhead scan accepted the padded frame", name)
 		}
-		if _, _, _, err := walkChunk(padded, nil, nil, nil, walkSkipOverhead, nil); err == nil {
+		if _, _, _, err := walkChunk(padded, nil, nil, nil, nil, walkSkipOverhead, nil); err == nil {
 			t.Errorf("%s: the walk that skips markers accepted the padded frame", name)
 		}
 	}
 }
 
-// TestChunkLen: ChunkLen is what a decode of the frame comes to, v1 or v2;
-// for a header that states more events than its frame holds it is the
-// decoder's bound — what a v1 frame's bytes could encode, 0 for a v2 frame,
-// which the decoder refuses before it grows — and 0 for a frame that is no
-// chunk.
-func TestChunkLen(t *testing.T) {
+// TestDecodeChunkBytesBorrows: a decode into a store takes the best fit with
+// room for the frame's events and leaves an idle buffer too small for them,
+// and the dst it outgrew, idle; from an empty store it makes exactly the
+// room. A header that states more events than its frame holds gets the
+// decoder's bound and no more: what a v1 frame's bytes could encode, nothing
+// for a v2 frame, which is refused before the decode grows dst.
+func TestDecodeChunkBytesBorrows(t *testing.T) {
+	idle := func(bufs *recycle.Store[Event]) (caps []int) {
+		for buf := bufs.Get(math.MaxInt, 0); buf != nil; buf = bufs.Get(math.MaxInt, 0) {
+			caps = append(caps, cap(buf))
+		}
+		return caps
+	}
 	events := randomEvents(rand.New(rand.NewSource(3)), 500)
 	for _, f := range []Format{FormatV1, FormatV2} {
 		frame, _, err := EncodeEventsFormat(events, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ChunkLen(frame); got != len(events) {
-			t.Errorf("v%d: ChunkLen = %d, want the %d events it decodes to", f, got, len(events))
+		bufs := recycle.Store[Event]{Max: 1 << 12}
+		fit := make([]Event, 0, 600)
+		bufs.Put(make([]Event, 0, 64))
+		bufs.Put(fit)
+		got, err := DecodeChunkBytes(frame, make([]Event, 0, 8), &bufs)
+		if err != nil || !reflect.DeepEqual(got, events) {
+			t.Fatalf("v%d: decode into the store: %d events, %v", f, len(got), err)
+		}
+		if &got[0] != &fit[:1][0] {
+			t.Errorf("v%d: decoded into a buffer of %d, want the idle 600", f, cap(got))
+		}
+		if caps := idle(&bufs); !slices.Equal(caps, []int{64, 8}) {
+			t.Errorf("v%d: idle capacities %v, want the 64 too small for the chunk and the outgrown dst", f, caps)
+		}
+		if got, _ := DecodeChunkBytes(frame, nil, &bufs); cap(got) != len(events) {
+			t.Errorf("v%d: from an empty store, capacity %d; want exactly %d", f, cap(got), len(events))
 		}
 		// The same body under a header stating 2^40 events.
 		_, off := uvarint(frame, len(chunkMagic)+1) // past the count
@@ -138,13 +162,8 @@ func TestChunkLen(t *testing.T) {
 		if f == FormatV2 {
 			want = 0
 		}
-		if got := ChunkLen(append(head, frame[off:]...)); got != want {
-			t.Errorf("v%d stating 2^40 events: ChunkLen = %d, want %d", f, got, want)
-		}
-	}
-	for _, frame := range []string{"", "RLS", "XXXX\x01\x00", chunkMagic + "\x07\x00"} {
-		if got := ChunkLen([]byte(frame)); got != 0 {
-			t.Errorf("ChunkLen(%q) = %d, want 0", frame, got)
+		if got, err := DecodeChunkBytes(append(head, frame[off:]...), nil, &bufs); err == nil || cap(got) != want {
+			t.Errorf("v%d stating 2^40 events: capacity %d, err %v; want %d and an error", f, cap(got), err, want)
 		}
 	}
 }
@@ -198,7 +217,7 @@ func TestChunkRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeChunkBytes(frame, nil)
+		got, err := DecodeChunkBytes(frame, nil, nil)
 		if err != nil {
 			return false
 		}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"slices"
 
 	"repro/internal/recycle"
 	"repro/internal/vclock"
@@ -127,13 +126,13 @@ func (r *rleState) flush(col *[]byte) {
 }
 
 // appendChunkV2 appends events as one columnar frame to dst, growing it at
-// most once.
-func appendChunkV2(dst []byte, events []Event) ([]byte, error) {
+// most once, by bufs.Reserve, to exactly the frame's size.
+func appendChunkV2(dst []byte, events []Event, bufs *recycle.Store[byte]) ([]byte, error) {
 	enc, ok := v2Encoders.Get()
 	if !ok {
 		enc = &v2Encoder{refs: map[string]uint64{}, classOf: map[uint32]uint64{}}
 	}
-	dst, err := enc.encode(dst, events)
+	dst, err := enc.encode(dst, events, bufs)
 	held := cap(enc.dict) + cap(enc.classes) // bytes of buffers kept idle
 	for _, col := range enc.cols {
 		held += cap(col)
@@ -149,7 +148,7 @@ func appendChunkV2(dst []byte, events []Event) ([]byte, error) {
 	return dst, err
 }
 
-func (e *v2Encoder) encode(dst []byte, events []Event) ([]byte, error) {
+func (e *v2Encoder) encode(dst []byte, events []Event, bufs *recycle.Store[byte]) ([]byte, error) {
 	for i := range e.cols {
 		e.cols[i] = e.cols[i][:0]
 	}
@@ -212,7 +211,7 @@ func (e *v2Encoder) encode(dst []byte, events []Event) ([]byte, error) {
 	for i := range e.cols {
 		size += len(e.cols[i])
 	}
-	dst = slices.Grow(dst, size)
+	dst = bufs.Reserve(dst, size)
 	dst = append(dst, chunkMagic...)
 	dst = binary.AppendUvarint(dst, chunkVersion2)
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
@@ -264,11 +263,7 @@ type ColumnChunk struct {
 // frame must start with the chunk magic and version 2; every structural
 // field is bounds-checked so corrupt or truncated frames return errors, never
 // panic.
-func (c *ColumnChunk) Parse(frame []byte, in *Interner) error { return c.parse(frame, in, true) }
-
-// parse is Parse; without tables it checks the name dictionary and the class
-// table but keeps neither, and so allocates nothing for a frame it accepts.
-func (c *ColumnChunk) parse(frame []byte, in *Interner, tables bool) error {
+func (c *ColumnChunk) Parse(frame []byte, in *Interner) error {
 	c.count = 0
 	c.dict = c.dict[:0]
 	c.classes = c.classes[:0]
@@ -312,11 +307,9 @@ func (c *ColumnChunk) parse(frame []byte, in *Interner, tables bool) error {
 		if err != nil {
 			return err
 		}
-		switch {
-		case !tables:
-		case in != nil:
+		if in != nil {
 			c.dict = append(c.dict, in.Intern(b))
-		default:
+		} else {
 			c.dict = append(c.dict, string(b))
 		}
 	}
@@ -332,11 +325,9 @@ func (c *ColumnChunk) parse(frame []byte, in *Interner, tables bool) error {
 		if err != nil {
 			return err
 		}
-		if tables {
-			c.classes = append(c.classes, eventClass{
-				kind: EventKind(b[0]), cat: Category(b[1]), ov: OverheadKind(b[2]),
-			})
-		}
+		c.classes = append(c.classes, eventClass{
+			kind: EventKind(b[0]), cat: Category(b[1]), ov: OverheadKind(b[2]),
+		})
 	}
 	var lens [numCols]int
 	total := 0
@@ -548,7 +539,7 @@ func (w *colWalk) next(out []Event) (int, error) {
 // decode, which builds the events where they are to stay — a walk that
 // skips the markers then closes each block over the ones it built — and the
 // overhead scan, which builds them a block at a time on its stack.
-func (c *ColumnChunk) walk(dst []Event, mode walkMode, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
+func (c *ColumnChunk) walk(dst []Event, bufs *recycle.Store[Event], mode walkMode, scan OverheadFunc) (out []Event, n int, bytes int64, err error) {
 	w := colWalk{
 		c:       c,
 		classes: newColIter(c.cols[colClasses]),
@@ -571,7 +562,7 @@ func (c *ColumnChunk) walk(dst []Event, mode walkMode, scan OverheadFunc) (out [
 			}
 		}
 	}
-	dst = slices.Grow(dst, c.count)
+	dst = bufs.Reserve(dst, c.count)
 	var skipped int64 // the summed EventBytes of the markers stepped over
 	for {
 		m, err := w.next(dst[len(dst):cap(dst)])

@@ -12,7 +12,7 @@ import (
 )
 
 // encodeChunkV2 returns events as one columnar frame of its own.
-func encodeChunkV2(events []Event) ([]byte, error) { return appendChunkV2(nil, events) }
+func encodeChunkV2(events []Event) ([]byte, error) { return appendChunkV2(nil, events, nil) }
 
 func TestChunkV2RoundTrip(t *testing.T) {
 	events := randomEvents(rand.New(rand.NewSource(77)), 2000)
@@ -20,7 +20,7 @@ func TestChunkV2RoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeChunkV2: %v", err)
 	}
-	got, err := DecodeChunkBytes(frame, nil)
+	got, err := DecodeChunkBytes(frame, nil, nil)
 	if err != nil {
 		t.Fatalf("DecodeChunkBytes: %v", err)
 	}
@@ -34,7 +34,7 @@ func TestChunkV2Empty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encodeChunkV2(nil): %v", err)
 	}
-	got, err := DecodeChunkBytes(frame, nil)
+	got, err := DecodeChunkBytes(frame, nil, nil)
 	if err != nil {
 		t.Fatalf("DecodeChunkBytes: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestColumnChunkIteration(t *testing.T) {
 	if cc.Len() != len(events) {
 		t.Fatalf("Len = %d, want %d", cc.Len(), len(events))
 	}
-	walked, n, size, err := cc.walk(nil, walkDecode, nil)
+	walked, n, size, err := cc.walk(nil, nil, walkDecode, nil)
 	if err != nil {
 		t.Fatalf("walk: %v", err)
 	}
@@ -294,7 +294,7 @@ func TestDecodeChunkV2Corrupt(t *testing.T) {
 		"last byte cut": full[:len(full)-1],
 	}
 	for name, data := range cases {
-		if _, err := DecodeChunkBytes(data, nil); err == nil {
+		if _, err := DecodeChunkBytes(data, nil, nil); err == nil {
 			t.Errorf("%s: corrupt frame accepted", name)
 		} else if !strings.Contains(err.Error(), "trace:") {
 			t.Errorf("%s: error %q lacks package context", name, err)

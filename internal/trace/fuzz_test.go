@@ -50,7 +50,7 @@ func FuzzDecodeChunk(f *testing.F) {
 	f.Add(append(bytes.Clone(full), 1, 2, 3)) // garbage after the last record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := DecodeChunkBytes(data, nil)
+		events, err := DecodeChunkBytes(data, nil, nil)
 		// An event takes at least one byte of either format, seven of v1.
 		if cap(events) > len(data) {
 			t.Fatalf("a %d-byte frame made the decoder allocate room for %d events", len(data), cap(events))
@@ -67,7 +67,7 @@ func FuzzDecodeChunk(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding %d decoded events failed: %v", len(events), err)
 		}
-		again, err := DecodeChunkBytes(frame, nil)
+		again, err := DecodeChunkBytes(frame, nil, nil)
 		if err != nil {
 			t.Fatalf("re-decoding failed: %v", err)
 		}
@@ -121,7 +121,7 @@ func FuzzDecodeChunkV2(f *testing.F) {
 	f.Add(append(bytes.Clone(full), 1, 2, 3)) // garbage after the last column
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := DecodeChunkBytes(data, nil)
+		events, err := DecodeChunkBytes(data, nil, nil)
 		if err != nil {
 			return // rejected input: the only requirement is no panic
 		}
@@ -134,7 +134,7 @@ func FuzzDecodeChunkV2(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding %d decoded events failed: %v", len(events), err)
 		}
-		again, err := DecodeChunkBytes(frame, nil)
+		again, err := DecodeChunkBytes(frame, nil, nil)
 		if err != nil {
 			t.Fatalf("re-decoding failed: %v", err)
 		}
@@ -192,12 +192,12 @@ func FuzzOverheadScan(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		events, decodeErr := DecodeChunkBytes(data, nil)
+		events, decodeErr := DecodeChunkBytes(data, nil, nil)
 		var got []scannedMarker
-		_, n, _, scanErr := walkChunk(data, nil, nil, nil, walkScan, func(proc ProcID, at vclock.Time, kind OverheadKind, name string) {
+		_, n, _, scanErr := walkChunk(data, nil, nil, nil, nil, walkScan, func(proc ProcID, at vclock.Time, kind OverheadKind, name string) {
 			got = append(got, scannedMarker{proc, at, kind, name})
 		})
-		kept, walked, keptBytes, skipErr := walkChunk(data, nil, nil, nil, walkSkipOverhead, nil)
+		kept, walked, keptBytes, skipErr := walkChunk(data, nil, nil, nil, nil, walkSkipOverhead, nil)
 		if (decodeErr == nil) != (scanErr == nil) {
 			t.Fatalf("decode says %v, scan says %v", decodeErr, scanErr)
 		}
@@ -251,11 +251,11 @@ func FuzzV1V2RoundTrip(f *testing.F) {
 		events := randomEvents(rand.New(rand.NewSource(seed)), int(size))
 		v1 := seedChunk(events)
 		v2 := seedChunkV2(events)
-		gotV1, err := DecodeChunkBytes(v1, nil)
+		gotV1, err := DecodeChunkBytes(v1, nil, nil)
 		if err != nil {
 			t.Fatalf("decode v1: %v", err)
 		}
-		gotV2, err := DecodeChunkBytes(v2, nil)
+		gotV2, err := DecodeChunkBytes(v2, nil, nil)
 		if err != nil {
 			t.Fatalf("decode v2: %v", err)
 		}
@@ -292,7 +292,7 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encodeChunkV1: %v", err)
 		}
-		got, err := DecodeChunkBytes(frame, nil)
+		got, err := DecodeChunkBytes(frame, nil, nil)
 		if err != nil {
 			t.Fatalf("DecodeChunkBytes: %v", err)
 		}

@@ -215,15 +215,17 @@ func (r *Reader) load(i int) ([]byte, error) {
 // one buffer for the whole trace. Decode failures are reported as
 // *ChunkError.
 func (r *Reader) ReadChunk(i int, dst []Event) ([]Event, error) {
-	dst, _, err := r.ReadChunkSized(i, dst)
+	dst, _, _, err := r.walk(i, dst, nil, walkDecode, nil)
 	return dst, err
 }
 
 // ReadChunkSized is ReadChunk that also returns the summed EventBytes of the
 // events it appended, which the decoder has at hand: a caller that accounts
-// for resident bytes need not walk the events again.
-func (r *Reader) ReadChunkSized(i int, dst []Event) ([]Event, int64, error) {
-	dst, _, bytes, err := r.walk(i, dst, walkDecode, nil)
+// for resident bytes need not walk the events again. When dst lacks room for
+// the chunk, the room comes from bufs as DecodeChunkBytes takes it; a nil
+// bufs grows dst as ReadChunk does.
+func (r *Reader) ReadChunkSized(i int, dst []Event, bufs *recycle.Store[Event]) ([]Event, int64, error) {
+	dst, _, bytes, err := r.walk(i, dst, bufs, walkDecode, nil)
 	return dst, bytes, err
 }
 
@@ -232,8 +234,8 @@ func (r *Reader) ReadChunkSized(i int, dst []Event) ([]Event, int64, error) {
 // steps over the chunk's KindOverhead records without storing them, so
 // neither dst nor bytes holds one. walked counts every record read, markers
 // included.
-func (r *Reader) ReadChunkSkipOverhead(i int, dst []Event) (events []Event, walked int, bytes int64, err error) {
-	return r.walk(i, dst, walkSkipOverhead, nil)
+func (r *Reader) ReadChunkSkipOverhead(i int, dst []Event, bufs *recycle.Store[Event]) (events []Event, walked int, bytes int64, err error) {
+	return r.walk(i, dst, bufs, walkSkipOverhead, nil)
 }
 
 // ScanOverhead passes every KindOverhead record of chunk i to fn, in storage
@@ -242,16 +244,16 @@ func (r *Reader) ReadChunkSkipOverhead(i int, dst []Event) (events []Event, walk
 // same *ChunkError — on exactly the chunks ReadChunk fails on; fn may have
 // seen the markers ahead of the corruption by then.
 func (r *Reader) ScanOverhead(i int, fn OverheadFunc) (events int, err error) {
-	_, events, _, err = r.walk(i, nil, walkScan, fn)
+	_, events, _, err = r.walk(i, nil, nil, walkScan, fn)
 	return events, err
 }
 
-func (r *Reader) walk(i int, dst []Event, mode walkMode, scan OverheadFunc) ([]Event, int, int64, error) {
+func (r *Reader) walk(i int, dst []Event, bufs *recycle.Store[Event], mode walkMode, scan OverheadFunc) ([]Event, int, int64, error) {
 	frame, err := r.load(i)
 	if err != nil {
 		return dst, 0, 0, err
 	}
-	dst, n, bytes, err := walkChunk(frame, r.in, &r.cc, dst, mode, scan)
+	dst, n, bytes, err := walkChunk(frame, r.in, &r.cc, dst, bufs, mode, scan)
 	if err != nil {
 		err = &ChunkError{Dir: r.dir, Chunk: r.names[i], Err: err}
 	}

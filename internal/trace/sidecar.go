@@ -135,7 +135,7 @@ func parseSidecar(data []byte, ix *ChunkIndex, in *Interner) error {
 	// v2 frame, an empty frame and padded varints inside it.
 	frame := data[c.off:]
 	var err error
-	if ix.Phases, _, _, err = walkChunk(frame, in, nil, ix.Phases, walkDecode, nil); err != nil {
+	if ix.Phases, _, _, err = walkChunk(frame, in, nil, ix.Phases, nil, walkDecode, nil); err != nil {
 		return err
 	}
 	if again, err := encodeChunkV1(ix.Phases); err != nil || len(ix.Phases) == 0 || !bytes.Equal(again, frame) {

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/recycle"
 )
 
 // Sink is the destination of a chunked trace write: a sequence of encoded
@@ -283,16 +285,21 @@ func EncodeEvents(events []Event) (chunk []byte, index *ChunkIndex, err error) {
 // schema version, not the chunk's), so sinks — local directories, the
 // network ingest path — handle either format without caring which.
 func EncodeEventsFormat(events []Event, f Format) (chunk []byte, index *ChunkIndex, err error) {
-	return encodeInto(make([]byte, 0, frameHint(f, len(events))), events, f)
+	return encodeInto(events, f, nil)
 }
 
-// encodeInto encodes events as one frame of format f into buf[:0], growing
-// it if it is too small, and builds the frame's sidecar index.
-func encodeInto(buf []byte, events []Event, f Format) (chunk []byte, index *ChunkIndex, err error) {
+// encodeInto encodes events as one frame of format f in a buffer borrowed
+// from bufs — a new one when bufs is nil — and builds the frame's sidecar
+// index. A v2 frame borrows at its one grow, exactly its size; a v1 frame,
+// built by append, borrows its presize, and a buffer it outgrew goes back.
+func encodeInto(events []Event, f Format, bufs *recycle.Store[byte]) (chunk []byte, index *ChunkIndex, err error) {
 	if f == FormatV2 {
-		chunk, err = appendChunkV2(buf[:0], events)
+		chunk, err = appendChunkV2(nil, events, bufs)
 	} else {
-		chunk, err = appendChunkV1(buf[:0], events)
+		buf := bufs.Reserve(nil, frameHint(len(events)))
+		if chunk, err = appendChunkV1(buf, events); bufs != nil && cap(chunk) != cap(buf) {
+			bufs.Put(buf) // outgrown, or refused: kept for another frame
+		}
 	}
 	if err != nil {
 		return nil, nil, err

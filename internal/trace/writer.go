@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/recycle"
 )
@@ -68,10 +67,6 @@ type Writer struct {
 	deliver chan *writeJob
 	stages  sync.WaitGroup // the encoders and the deliverer
 	err     error          // first error; the deliverer's until stages is done
-	// longestFrame is the most bytes a frame the deliverer handed on held:
-	// the room a v2 frame, whose length is not known before it is built,
-	// asks frameBufs for.
-	longestFrame atomic.Int64
 }
 
 // writeJob is one chunk on its way through the pipeline. An encoder fills
@@ -148,18 +143,10 @@ func NewSinkWriter(sink Sink, chunkBytes int, opts ...WriterOption) *Writer {
 func (w *Writer) encodeLoop() {
 	defer w.stages.Done()
 	for job := range w.encode {
-		// A v1 frame's room is known before it is built; a v2 frame asks
-		// for the longest this Writer has delivered, or, before any, the
-		// largest idle buffer.
-		room := cmp.Or(frameHint(w.format, len(job.events)), int(w.longestFrame.Load()))
-		buf := frameBufs.Get(cmp.Or(room, math.MaxInt), room)
 		// The sidecar index is derived from the same event slice the chunk
 		// was encoded from, so the two can never disagree; a streaming
 		// analysis plans chunk routing from it without decoding events.
-		job.frame, job.index, job.err = encodeInto(buf, job.events, w.format)
-		if cap(job.frame) != cap(buf) {
-			frameBufs.Put(buf) // outgrown: kept for a shorter frame
-		}
+		job.frame, job.index, job.err = encodeInto(job.events, w.format, &frameBufs)
 		putChunkBuf(job.events)
 		job.events = nil
 		close(job.encoded)
@@ -178,9 +165,6 @@ func (w *Writer) deliverLoop() {
 			if w.err = job.err; w.err == nil {
 				w.err = w.sink.AppendChunk(job.seq, job.frame, job.index)
 			}
-		}
-		if n := int64(len(job.frame)); n > w.longestFrame.Load() {
-			w.longestFrame.Store(n) // the deliverer is its only writer
 		}
 		frameBufs.Put(job.frame) // a frame holds no pointer: nothing to clear
 		job.frame = nil

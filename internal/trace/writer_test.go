@@ -101,7 +101,7 @@ func TestEncodeV1MatchesReference(t *testing.T) {
 		if ix.Bytes != int64(len(got)) || ix.Events != len(events) {
 			t.Fatalf("%s: index says %d events in %d bytes, frame has %d in %d", name, ix.Events, ix.Bytes, len(events), len(got))
 		}
-		decoded, err := DecodeChunkBytes(got, nil)
+		decoded, err := DecodeChunkBytes(got, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
@@ -316,11 +316,9 @@ func TestFrameBufsBounded(t *testing.T) {
 	}
 }
 
-// TestV2WriterKeepsTooSmallFrameBuffer: a v2 frame's length is not known
-// before it is built, so a v2 Writer's first frame borrows the largest idle
-// buffer and later ones the longest frame so far, and a buffer the encoder
-// outgrows goes back: one too small for every frame is still idle after the
-// Writer is done.
+// TestV2WriterKeepsTooSmallFrameBuffer: a v2 frame borrows its buffer once
+// its encoder knows the frame's size, so an idle buffer too small for every
+// frame is still idle after the Writer is done.
 func TestV2WriterKeepsTooSmallFrameBuffer(t *testing.T) {
 	idle := func() (bufs [][]byte) {
 		for buf := frameBufs.Get(math.MaxInt, 0); buf != nil; buf = frameBufs.Get(math.MaxInt, 0) {
@@ -357,7 +355,7 @@ func TestIdleCodecsHoldNoName(t *testing.T) {
 	v2Encoders.Put(enc)
 	frame, err := appendChunkV1(nil, events)
 	if err == nil {
-		_, err = DecodeChunkBytes(frame, nil)
+		_, err = DecodeChunkBytes(frame, nil, nil)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +378,7 @@ func TestIdleCodecsBounded(t *testing.T) {
 	}
 	frame, err := appendChunkV1(nil, events)
 	if err == nil {
-		_, err = DecodeChunkBytes(frame, nil)
+		_, err = DecodeChunkBytes(frame, nil, nil)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +488,7 @@ func (s *recordingSink) AppendChunk(seq int, chunk []byte, index *ChunkIndex) er
 	if seq == s.failAt {
 		return errSinkFull
 	}
-	if n, err := DecodeChunkBytes(chunk, nil); err != nil || len(n) != index.Events {
+	if n, err := DecodeChunkBytes(chunk, nil, nil); err != nil || len(n) != index.Events {
 		return fmt.Errorf("seq %d: frame decodes to %d events (%v), index says %d", seq, len(n), err, index.Events)
 	}
 	return nil
