@@ -256,6 +256,25 @@ func TestIncrementalEpochAllocs(t *testing.T) {
 	inc.Release()
 }
 
+// TestPipelineKeepsTooSmallChunkBuffer: the batch pipeline's decoder
+// borrows each chunk's buffer with room for the events the chunk states, so
+// an idle buffer too small for every chunk is still idle after the run.
+func TestPipelineKeepsTooSmallChunkBuffer(t *testing.T) {
+	dir := writeTrace(t, &trace.Trace{Events: steadyEvents(0, 0, 4000)}, 1<<14)
+	held := idleBufs()
+	defer func() { idleBufs(); putBack(held) }()
+	small := make([]trace.Event, 0, 64)
+	trace.EventBufs.Put(small)
+	streamDir(t, dir, Options{Workers: 1})
+	idle := idleBufs()
+	for _, buf := range idle {
+		if &buf[:1][0] == &small[:1][0] {
+			return
+		}
+	}
+	t.Fatalf("a run left %d buffers idle, not the 64-event one", len(idle))
+}
+
 // TestIncrementalReleaseHandsBackEveryBuffer: Release hands the buffer of
 // every window of every process — each closed window and the tail — back to
 // trace.EventBufs.
