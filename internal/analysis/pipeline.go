@@ -3,6 +3,7 @@ package analysis
 import (
 	"cmp"
 	"context"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,6 +36,12 @@ type source interface {
 	// borrowed.
 	chunk(i int, buf []trace.Event, skipOverhead bool) (events []trace.Event, walked int, bytes int64, err error)
 }
+
+// minEventBytes is the smallest event record a chunk file can hold, the v1
+// record (trace's v1MinEventBytes): a chunk of n bytes is sized for at most
+// n/minEventBytes events. A v2 chunk can pack more; its window then grows
+// by append.
+const minEventBytes = 7
 
 // readerSource decodes the chunk files of a trace directory.
 type readerSource struct{ r *trace.Reader }
@@ -256,8 +263,15 @@ func (pl *pipeline) plan(procs []trace.ProcID) error {
 				pl.procs[p] = ps
 				pl.order = append(pl.order, ps)
 			}
-			ps.left += sp.Events
-			pl.spans = append(pl.spans, chunkSpan{p: ps, events: sp.Events, after: sp.MinStart})
+			// A sidecar's count sizes the windows' buffers, so it is capped
+			// at what the chunk file could encode, and the sum saturates. A
+			// materialized run's count is exact.
+			events := sp.Events
+			if pl.src.reader() != nil {
+				events = max(0, min(events, int(ix.Bytes/minEventBytes)))
+			}
+			ps.left += min(events, math.MaxInt-ps.left)
+			pl.spans = append(pl.spans, chunkSpan{p: ps, events: events, after: sp.MinStart})
 		}
 		pl.spanOff[i+1] = len(pl.spans)
 	}

@@ -1,11 +1,15 @@
 package analysis
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/overlap"
 	"repro/internal/trace"
@@ -213,5 +217,76 @@ func TestRunStreamEmptyTrace(t *testing.T) {
 	}
 	if stats.Chunks != 0 || stats.Events != 0 {
 		t.Fatalf("empty trace reported stats %+v", stats)
+	}
+}
+
+// TestHostileSidecarClaims rewrites every sidecar of a trace directory to
+// claim 2^32 and then 2^60 events for each of its processes. The claims size
+// the windows' buffers, so uncapped they panic Engine.Analyze (makeslice) or
+// ask for hundreds of gigabytes. Capped at what each chunk file could
+// encode, the run allocates no more than that cap above the honest run, and
+// its result is the honest one.
+func TestHostileSidecarClaims(t *testing.T) {
+	tr := randomTrace(rand.New(rand.NewSource(12)))
+	dir := writeTrace(t, tr, 1<<10)
+	analyze := func() (string, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := NewEngine(WithWorkers(2)).Analyze(context.Background(), FromDir(dir))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			var ce *trace.ChunkError
+			if !errors.As(err, &ce) {
+				t.Fatalf("Analyze: %v, want a result or a *trace.ChunkError", err)
+			}
+			return "", after.TotalAlloc - before.TotalAlloc
+		}
+		return dumpAll(rep.Results), after.TotalAlloc - before.TotalAlloc
+	}
+	want, honest := analyze()
+	if want == "" {
+		t.Fatal("the honest directory did not analyze")
+	}
+
+	r, err := trace.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indexes []trace.ChunkIndex
+	var capEvents uint64
+	for i := range r.NumChunks() {
+		ix, err := r.Index(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes = append(indexes, *ix)
+		capEvents += uint64(len(ix.Procs)) * uint64(ix.Bytes/minEventBytes)
+	}
+	bound := 2*honest + capEvents*uint64(unsafe.Sizeof(trace.Event{}))
+	for _, claim := range []int{1 << 32, 1 << 60} {
+		for i, ix := range indexes {
+			hostile := ix
+			hostile.Events = claim
+			hostile.Procs = map[trace.ProcID]trace.ProcSpan{}
+			for p, sp := range ix.Procs {
+				sp.Events = claim
+				hostile.Procs[p] = sp
+			}
+			// The legacy JSON sidecar encoding is still read.
+			data, err := json.Marshal(&hostile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(sidecarFor(filepath.Join(dir, r.ChunkName(i))), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, allocated := analyze()
+		if got != "" && got != want {
+			t.Fatalf("claim %d: the result differs from the honest sidecars'", claim)
+		}
+		if allocated > bound {
+			t.Fatalf("claim %d: allocated %d bytes, more than the %d the chunk files bound", claim, allocated, bound)
+		}
 	}
 }

@@ -165,7 +165,11 @@ func (b *Board) group(p int, visited []bool) (points []int, hasLiberty bool) {
 	return points, hasLiberty
 }
 
-// Legal reports whether the move is legal for the side to play.
+// maxPoints is the point count of the largest board New accepts (19×19).
+const maxPoints = 19 * 19
+
+// Legal reports whether the move is legal for the side to play. It
+// allocates nothing: the flood fills run over arrays on the stack.
 func (b *Board) Legal(p int) bool {
 	if p == Pass {
 		return true
@@ -173,44 +177,55 @@ func (b *Board) Legal(p int) bool {
 	if p < 0 || p >= len(b.cells) || b.cells[p] != Empty || p == b.koPoint {
 		return false
 	}
-	// Try the move on a scratch copy only when needed: fast path —
-	// if the point has an empty neighbor it cannot be suicide.
+	// A point with an empty neighbor cannot be suicide.
 	var nbuf [4]int
-	me := b.toPlay
-	captures := false
-	for _, nb := range b.neighbors(p, nbuf[:0]) {
+	nbs := b.neighbors(p, nbuf[:0])
+	for _, nb := range nbs {
 		if b.cells[nb] == Empty {
 			return true
 		}
-		if b.cells[nb] == me.Opponent() {
-			// Capturing if that chain has exactly this liberty.
-			if b.libertiesAfterRemoval(nb, p) == 0 {
-				captures = true
-			}
-		}
 	}
-	if captures {
-		return true
-	}
-	// No empty neighbor and no capture: legal only if joining a friendly
-	// chain that retains a liberty besides p.
-	visited := make([]bool, len(b.cells))
-	visited[p] = true
-	for _, nb := range b.neighbors(p, nbuf[:0]) {
-		if b.cells[nb] != me || visited[nb] {
+	// Every neighbor is a stone: the move is legal when it captures an
+	// opponent chain whose last liberty is p, or joins a friendly chain
+	// that keeps a liberty besides p. Chains are disjoint, so one visited
+	// set serves every neighbor, and a neighbor in a chain already filled
+	// has had its answer.
+	var visited [maxPoints]bool
+	for _, nb := range nbs {
+		if visited[nb] {
 			continue
 		}
-		pts, _ := b.group(nb, visited)
-		for _, gp := range pts {
-			var n2 [4]int
-			for _, lib := range b.neighbors(gp, n2[:0]) {
-				if b.cells[lib] == Empty && lib != p {
-					return true
-				}
-			}
+		free := b.libertyBesides(nb, p, &visited)
+		if free == (b.cells[nb] == b.toPlay) {
+			return true
 		}
 	}
 	return false
+}
+
+// libertyBesides flood-fills the chain containing p, marking all of it in
+// visited, and reports whether it has a liberty other than point skip.
+func (b *Board) libertyBesides(p, skip int, visited *[maxPoints]bool) (free bool) {
+	color := b.cells[p]
+	var stack [maxPoints]int16
+	stack[0] = int16(p)
+	top := 1
+	visited[p] = true
+	var nbuf [4]int
+	for top > 0 {
+		top--
+		for _, nb := range b.neighbors(int(stack[top]), nbuf[:0]) {
+			switch c := b.cells[nb]; {
+			case c == Empty:
+				free = free || nb != skip
+			case c == color && !visited[nb]:
+				visited[nb] = true
+				stack[top] = int16(nb)
+				top++
+			}
+		}
+	}
+	return free
 }
 
 // libertiesAfterRemoval counts the liberties of the chain containing p,
@@ -297,9 +312,10 @@ func (b *Board) GameOver() bool {
 }
 
 // LegalMoves returns all legal point moves for the side to play (Pass is
-// always additionally legal).
+// always additionally legal). The result has room for one more element, so
+// appending Pass to it does not copy it.
 func (b *Board) LegalMoves() []int {
-	var out []int
+	out := make([]int, 0, len(b.cells)+1)
 	for p := range b.cells {
 		if b.Legal(p) {
 			out = append(out, p)

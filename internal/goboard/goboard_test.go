@@ -2,6 +2,7 @@ package goboard
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -275,5 +276,140 @@ func TestMoveLimitEndsGame(t *testing.T) {
 	}
 	if !b.GameOver() {
 		t.Fatal("game did not terminate at move limit")
+	}
+}
+
+// refLegal is Legal as it was before its flood fill moved onto the stack:
+// a visited slice per chain, a point slice per group and a liberty map per
+// opponent chain. TestLegalMatchesReference holds Legal to it.
+func refLegal(b *Board, p int) bool {
+	if p == Pass {
+		return true
+	}
+	if p < 0 || p >= len(b.cells) || b.cells[p] != Empty || p == b.koPoint {
+		return false
+	}
+	var nbuf [4]int
+	me := b.toPlay
+	captures := false
+	for _, nb := range b.neighbors(p, nbuf[:0]) {
+		if b.cells[nb] == Empty {
+			return true
+		}
+		if b.cells[nb] == me.Opponent() {
+			visited := make([]bool, len(b.cells))
+			pts, _ := b.group(nb, visited)
+			libs := map[int]bool{}
+			for _, gp := range pts {
+				var n2 [4]int
+				for _, lib := range b.neighbors(gp, n2[:0]) {
+					if b.cells[lib] == Empty && lib != p {
+						libs[lib] = true
+					}
+				}
+			}
+			if len(libs) == 0 {
+				captures = true
+			}
+		}
+	}
+	if captures {
+		return true
+	}
+	visited := make([]bool, len(b.cells))
+	visited[p] = true
+	for _, nb := range b.neighbors(p, nbuf[:0]) {
+		if b.cells[nb] != me || visited[nb] {
+			continue
+		}
+		pts, _ := b.group(nb, visited)
+		for _, gp := range pts {
+			var n2 [4]int
+			for _, lib := range b.neighbors(gp, n2[:0]) {
+				if b.cells[lib] == Empty && lib != p {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// TestLegalMatchesReference compares Legal and LegalMoves with refLegal at
+// every point of every position of seeded random playouts on 3×3 to 9×9
+// boards, which pass rarely, so the boards fill up and captures, suicide
+// points and ko all occur; the counters show that they did.
+func TestLegalMatchesReference(t *testing.T) {
+	var captures, kos, refused int
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := New(3 + int(seed)%7)
+		for !b.GameOver() {
+			var want []int
+			for p := -2; p <= len(b.cells); p++ {
+				got, ref := b.Legal(p), refLegal(b, p)
+				if got != ref {
+					t.Fatalf("seed %d, move %d: Legal(%d) = %v, reference %v\n%v", seed, b.moves, p, got, ref, b)
+				}
+				if ref && p >= 0 {
+					want = append(want, p)
+				} else if p >= 0 && p < len(b.cells) && b.cells[p] == Empty {
+					refused++
+				}
+			}
+			moves := b.LegalMoves()
+			if !slices.Equal(moves, want) {
+				t.Fatalf("seed %d, move %d: LegalMoves = %v, reference %v", seed, b.moves, moves, want)
+			}
+			if b.koPoint >= 0 {
+				kos++
+			}
+			move := Pass
+			if len(moves) > 0 && rng.Intn(30) != 0 {
+				move = moves[rng.Intn(len(moves))]
+			}
+			stones := b.stones()
+			mustPlay(t, b, move)
+			if move != Pass && b.stones() < stones+1 {
+				captures++
+			}
+		}
+	}
+	if captures == 0 || kos == 0 || refused == 0 {
+		t.Fatalf("playouts made %d captures, %d ko points and %d refused empty points: every kind must occur", captures, kos, refused)
+	}
+}
+
+// stones counts the stones on the board.
+func (b *Board) stones() (n int) {
+	for _, c := range b.cells {
+		if c != Empty {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLegalAllocs pins the legality check at zero allocations and
+// LegalMoves at one, the result with its room for Pass.
+func TestLegalAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	b := New(9)
+	for i := 0; i < 60; i++ {
+		moves := b.LegalMoves()
+		mustPlay(t, b, moves[rng.Intn(len(moves))])
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for p := range b.cells {
+			b.Legal(p)
+		}
+	}); n != 0 {
+		t.Errorf("Legal over every point: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { b.LegalMoves() }); n != 1 {
+		t.Errorf("LegalMoves: %v allocations, want 1", n)
+	}
+	if moves := b.LegalMoves(); cap(moves) == len(moves) {
+		t.Errorf("LegalMoves: no room for Pass (len %d, cap %d)", len(moves), cap(moves))
 	}
 }

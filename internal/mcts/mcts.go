@@ -27,6 +27,9 @@ type Node struct {
 	priors   []float64
 	visits   []int
 	valueSum []float64
+	// children holds each move's expanded child. It stays nil until the
+	// first expansion below the node, which most nodes of a search never
+	// see; child and setChild read and write it.
 	children []*Node
 	// vloss marks in-flight virtual losses during minibatch collection.
 	vloss []int
@@ -78,8 +81,8 @@ func (t *Tree) applyRootNoise() {
 		return
 	}
 	for i := range t.root.priors {
-		t.root.priors[i] = (1-dirichletEpsilon)*t.root.priors[i] +
-			dirichletEpsilon*noise[i]/sum
+		t.root.priors[i] = float64((1-dirichletEpsilon)*t.root.priors[i]) +
+			float64(dirichletEpsilon*noise[i])/sum
 	}
 }
 
@@ -98,16 +101,16 @@ func gammaSample(rng *rand.Rand, shape float64) float64 {
 	c := 1.0 / math.Sqrt(9*d)
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}
@@ -143,16 +146,19 @@ func (t *Tree) expandOne(b *goboard.Board) *Node {
 }
 
 func newNode(b *goboard.Board, prior []float64) *Node {
-	legal := b.LegalMoves()
-	moves := append(legal, goboard.Pass)
+	// LegalMoves leaves room for Pass. The per-move statistics come out of
+	// one float and one int allocation, each slice capped at its length so
+	// that no append through one reaches the next.
+	moves := append(b.LegalMoves(), goboard.Pass)
+	n := len(moves)
+	floats, ints := make([]float64, 2*n), make([]int, 2*n)
 	node := &Node{
 		board:    b,
 		moves:    moves,
-		priors:   make([]float64, len(moves)),
-		visits:   make([]int, len(moves)),
-		valueSum: make([]float64, len(moves)),
-		children: make([]*Node, len(moves)),
-		vloss:    make([]int, len(moves)),
+		priors:   floats[:n:n],
+		valueSum: floats[n:],
+		visits:   ints[:n:n],
+		vloss:    ints[n:],
 	}
 	var sum float64
 	for i, m := range moves {
@@ -171,6 +177,22 @@ func newNode(b *goboard.Board, prior []float64) *Node {
 		}
 	}
 	return node
+}
+
+// child returns move i's expanded child, or nil.
+func (n *Node) child(i int) *Node {
+	if n.children == nil {
+		return nil
+	}
+	return n.children[i]
+}
+
+// setChild records c as move i's expanded child.
+func (n *Node) setChild(i int, c *Node) {
+	if n.children == nil {
+		n.children = make([]*Node, len(n.moves))
+	}
+	n.children[i] = c
 }
 
 // selectChild picks the PUCT-maximizing move index at a node.
@@ -235,7 +257,7 @@ func (t *Tree) Search(nSims int) {
 			priors, values := t.eval.Evaluate(leafBoards)
 			for i, path := range paths {
 				last := path[len(path)-1]
-				last.node.children[last.mi] = newNode(leafBoards[i], priors[i])
+				last.node.setChild(last.mi, newNode(leafBoards[i], priors[i]))
 				t.backup(path, values[i])
 			}
 		}
@@ -256,7 +278,7 @@ func (t *Tree) descend() ([]pathStep, *goboard.Board) {
 		mi := node.selectChild(t.cPUCT)
 		path = append(path, pathStep{node, mi})
 		node.vloss[mi]++
-		child := node.children[mi]
+		child := node.child(mi)
 		if child == nil {
 			next := node.board.Clone()
 			_ = next.Play(node.moves[mi])
@@ -353,8 +375,8 @@ func (t *Tree) VisitPolicy() []float64 {
 // when present.
 func (t *Tree) Advance(move int) {
 	for i, m := range t.root.moves {
-		if m == move && t.root.children[i] != nil {
-			t.root = t.root.children[i]
+		if child := t.root.child(i); m == move && child != nil {
+			t.root = child
 			return
 		}
 	}

@@ -115,8 +115,8 @@ func TestAdvanceReusesSubtree(t *testing.T) {
 	// Find the child's visit count before advancing.
 	var childVisits int
 	for i, m := range tree.root.moves {
-		if m == move && tree.root.children[i] != nil {
-			childVisits = tree.root.children[i].total
+		if child := tree.root.child(i); m == move && child != nil {
+			childVisits = child.total
 		}
 	}
 	tree.Advance(move)
@@ -242,5 +242,44 @@ func TestSampleMoveIsLegal(t *testing.T) {
 		if m != goboard.Pass && !b.Legal(m) {
 			t.Fatalf("sampled illegal move %d", m)
 		}
+	}
+}
+
+// TestNewNodeSlicesDoNotAlias writes every element of each per-move slice of
+// a fresh node, and appends through each, and checks that no other slice
+// saw it: the slices share two allocations, so a slice that reached past
+// its length into its neighbour would corrupt the search's statistics.
+func TestNewNodeSlicesDoNotAlias(t *testing.T) {
+	b := goboard.New(5)
+	prior := make([]float64, 26)
+	for i := range prior {
+		prior[i] = float64(i + 1)
+	}
+	n := newNode(b, prior)
+	if len(n.moves) != 26 || n.moves[25] != goboard.Pass {
+		t.Fatalf("moves = %v, want the 25 points then Pass", n.moves)
+	}
+	priors := append([]float64(nil), n.priors...)
+	for i := range n.moves {
+		n.visits[i], n.vloss[i], n.valueSum[i] = 7, 9, 11
+	}
+	for i := range n.moves {
+		if n.priors[i] != priors[i] || n.visits[i] != 7 || n.vloss[i] != 9 || n.valueSum[i] != 11 {
+			t.Fatalf("move %d: prior %v visits %d vloss %d valueSum %v after writing 7, 9 and 11", i, n.priors[i], n.visits[i], n.vloss[i], n.valueSum[i])
+		}
+	}
+	_ = append(n.priors, -1)
+	_ = append(n.visits, -1)
+	_ = append(n.moves, -1)
+	if n.valueSum[0] != 11 || n.vloss[0] != 9 {
+		t.Fatal("an append through priors, visits or moves wrote into the next slice")
+	}
+	if n.children != nil || n.child(3) != nil {
+		t.Fatal("a fresh node has children")
+	}
+	c := newNode(b.Clone(), prior)
+	n.setChild(3, c)
+	if n.child(3) != c || n.child(2) != nil || len(n.children) != len(n.moves) {
+		t.Fatal("setChild did not record the child alone")
 	}
 }

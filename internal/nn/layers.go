@@ -33,40 +33,46 @@ func (a Activation) String() string {
 // Apply computes the activation element-wise into a fresh tensor.
 func (a Activation) Apply(x *Tensor) *Tensor {
 	out := x.Clone()
-	switch a {
-	case Identity:
-	case ReLU:
-		for i, v := range out.Data {
-			if v < 0 {
-				out.Data[i] = 0
-			}
-		}
-	case Tanh:
-		for i, v := range out.Data {
-			out.Data[i] = math.Tanh(v)
-		}
-	}
+	a.apply(out)
 	return out
 }
 
-// Grad computes d(activation)/d(pre-activation) given the activation output
-// y, multiplied element-wise into dY (returned as a fresh tensor).
-func (a Activation) Grad(dY, y *Tensor) *Tensor {
-	out := dY.Clone()
+// apply computes the activation element-wise in place.
+func (a Activation) apply(x *Tensor) {
 	switch a {
 	case Identity:
 	case ReLU:
-		for i := range out.Data {
-			if y.Data[i] <= 0 {
-				out.Data[i] = 0
+		for i, v := range x.Data {
+			if v < 0 {
+				x.Data[i] = 0
 			}
 		}
 	case Tanh:
-		for i := range out.Data {
-			out.Data[i] *= 1 - y.Data[i]*y.Data[i]
+		for i, v := range x.Data {
+			x.Data[i] = math.Tanh(v)
 		}
 	}
-	return out
+}
+
+// gradInto writes dY multiplied element-wise by d(activation)/d(pre-
+// activation), given the activation output y, into out (dY's shape).
+// Identity's is dY itself, which Backward uses as it is.
+func (a Activation) gradInto(out, dY, y *Tensor) {
+	o, g, v := out.Data, dY.Data[:len(out.Data)], y.Data[:len(out.Data)]
+	switch a {
+	case ReLU:
+		for i, yv := range v {
+			if yv <= 0 {
+				o[i] = 0
+			} else {
+				o[i] = g[i]
+			}
+		}
+	case Tanh:
+		for i, yv := range v {
+			o[i] = g[i] * (1 - float64(yv*yv))
+		}
+	}
 }
 
 // Param is one trainable parameter tensor with its gradient and optimizer
@@ -83,6 +89,11 @@ type Param struct {
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
 // Dense is a fully connected layer: y = act(x @ W + b).
+//
+// A layer is confined to one goroutine at a time: Backward reads what the
+// last Forward cached, and both work in scratch the layer owns. Every tensor
+// Forward and Backward return is fresh and the caller's to keep; the
+// scratch never leaves the layer.
 type Dense struct {
 	In, Out int
 	Act     Activation
@@ -91,6 +102,11 @@ type Dense struct {
 	// Forward caches for backprop.
 	lastX *Tensor // input
 	lastY *Tensor // post-activation output
+
+	// Scratch reused across steps: the pre-activation gradient, the
+	// transposed input, and the weight-gradient product, which is summed
+	// apart and then added to W.Grad, as one product tensor always was.
+	dZ, xT, dW *Tensor
 }
 
 // NewDense builds a Glorot-initialized dense layer.
@@ -99,18 +115,21 @@ func NewDense(rng *rand.Rand, in, out int, act Activation, name string) *Dense {
 	w.XavierInit(rng, in, out)
 	return &Dense{
 		In: in, Out: out, Act: act,
-		W: &Param{Name: name + ".W", Value: w, Grad: NewTensor(in, out)},
-		B: &Param{Name: name + ".b", Value: NewTensor(1, out), Grad: NewTensor(1, out)},
+		W:  &Param{Name: name + ".W", Value: w, Grad: NewTensor(in, out)},
+		B:  &Param{Name: name + ".b", Value: NewTensor(1, out), Grad: NewTensor(1, out)},
+		dW: NewTensor(in, out),
 	}
 }
 
 // Forward computes the layer output for a batch x of shape [n, In].
 func (d *Dense) Forward(x *Tensor) *Tensor {
 	d.lastX = x
-	z := MatMul(x, d.W.Value)
-	AddBias(z, d.B.Value)
-	d.lastY = d.Act.Apply(z)
-	return d.lastY
+	y := NewTensor(x.Rows, d.Out)
+	matMul(y, x, d.W.Value)
+	AddBias(y, d.B.Value)
+	d.Act.apply(y)
+	d.lastY = y
+	return y
 }
 
 // Backward consumes dL/dy and returns dL/dx, accumulating into W.Grad and
@@ -119,15 +138,37 @@ func (d *Dense) Backward(dY *Tensor) *Tensor {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
-	dZ := d.Act.Grad(dY, d.lastY)
-	d.W.Grad.AddScaled(MatMulT1(d.lastX, dZ), 1)
+	dZ := dY
+	if d.Act != Identity {
+		d.dZ = reshape(d.dZ, dY.Rows, dY.Cols)
+		dZ = d.dZ
+		d.Act.gradInto(dZ, dY, d.lastY)
+	}
+	d.xT = reshape(d.xT, d.lastX.Cols, d.lastX.Rows)
+	transposeInto(d.xT, d.lastX)
+	d.dW.Zero()
+	matMul(d.dW, d.xT, dZ)
+	d.W.Grad.AddScaled(d.dW, 1)
+	bg := d.B.Grad.Data
 	for i := 0; i < dZ.Rows; i++ {
-		row := dZ.Row(i)
+		row := dZ.Row(i)[:len(bg)]
 		for j, v := range row {
-			d.B.Grad.Data[j] += v
+			bg[j] += v
 		}
 	}
-	return MatMulT2(dZ, d.W.Value)
+	dX := NewTensor(dZ.Rows, d.In)
+	matMulT2(dX, dZ, d.W.Value)
+	return dX
+}
+
+// reshape returns t as a rows×cols tensor, reusing its storage when it has
+// the room; the contents are the caller's to overwrite.
+func reshape(t *Tensor, rows, cols int) *Tensor {
+	if t == nil || cap(t.Data) < rows*cols {
+		return NewTensor(rows, cols)
+	}
+	t.Rows, t.Cols, t.Data = rows, cols, t.Data[:rows*cols]
+	return t
 }
 
 // MLP is a stack of dense layers — the network shape every RL algorithm in
@@ -189,7 +230,7 @@ func (m *MLP) PolyakTo(dst *MLP, tau float64) {
 	sp, dp := m.Params(), dst.Params()
 	for i := range sp {
 		for j := range dp[i].Value.Data {
-			dp[i].Value.Data[j] = tau*sp[i].Value.Data[j] + (1-tau)*dp[i].Value.Data[j]
+			dp[i].Value.Data[j] = float64(tau*sp[i].Value.Data[j]) + float64((1-tau)*dp[i].Value.Data[j])
 		}
 	}
 }

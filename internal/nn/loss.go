@@ -14,7 +14,7 @@ func MSELoss(pred, target *Tensor) (float64, *Tensor) {
 	var loss float64
 	for i, p := range pred.Data {
 		d := p - target.Data[i]
-		loss += d * d
+		loss += float64(d * d)
 		grad.Data[i] = 2 * d / n
 	}
 	return loss / n, grad
@@ -31,7 +31,7 @@ func HuberLoss(pred, target *Tensor) (float64, *Tensor) {
 	for i, p := range pred.Data {
 		d := p - target.Data[i]
 		if math.Abs(d) <= 1 {
-			loss += 0.5 * d * d
+			loss += float64(0.5 * d * d)
 			grad.Data[i] = d / n
 		} else {
 			loss += math.Abs(d) - 0.5
@@ -104,25 +104,25 @@ func PolicyGradientLoss(logits *Tensor, actions []int, advantages []float64, ent
 	for i := 0; i < logits.Rows; i++ {
 		a := actions[i]
 		adv := advantages[i]
-		loss -= adv * logp.At(i, a)
+		loss -= float64(adv * logp.At(i, a))
 		// Entropy bonus: H = −Σ p·logp; loss −= entCoef·H.
 		var h float64
 		for j := 0; j < logits.Cols; j++ {
 			p := probs.At(i, j)
 			if p > 1e-12 {
-				h -= p * logp.At(i, j)
+				h -= float64(p * logp.At(i, j))
 			}
 		}
-		loss -= entCoef * h
+		loss -= float64(entCoef * h)
 		// d(−adv·logp_a)/dlogit_j = adv·(p_j − 1[j==a])
 		// d(−entCoef·H)/dlogit_j = entCoef·p_j·(logp_j + H)
 		for j := 0; j < logits.Cols; j++ {
 			p := probs.At(i, j)
-			g := adv * p
+			g := float64(adv * p)
 			if j == a {
 				g -= adv
 			}
-			g += entCoef * p * (logp.At(i, j) + h)
+			g += float64(entCoef * p * (logp.At(i, j) + h))
 			grad.Set(i, j, g/n)
 		}
 	}

@@ -7,10 +7,113 @@ import (
 	"testing/quick"
 )
 
+// The reference kernels are the loops the kernels replaced, written the
+// plain way: a fresh zero output, k ascending per element, a zero a value
+// skipped in refMatMul and refMatMulT1 and not in refMatMulT2.
+func refMatMul(a, b *Tensor) *Tensor {
+	out := NewTensor(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			av := a.At(i, k)
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				out.Set(i, j, out.At(i, j)+float64(av*b.At(k, j)))
+			}
+		}
+	}
+	return out
+}
+
+func refMatMulT1(a, b *Tensor) *Tensor {
+	out := NewTensor(a.Cols, b.Cols)
+	for r := 0; r < a.Rows; r++ {
+		for i := 0; i < a.Cols; i++ {
+			av := a.At(r, i)
+			if av == 0 {
+				continue
+			}
+			for j := 0; j < b.Cols; j++ {
+				out.Set(i, j, out.At(i, j)+float64(av*b.At(r, j)))
+			}
+		}
+	}
+	return out
+}
+
+func refMatMulT2(a, b *Tensor) *Tensor {
+	out := NewTensor(a.Rows, b.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Rows; j++ {
+			var s float64
+			for k := 0; k < a.Cols; k++ {
+				s += float64(a.At(i, k) * b.At(j, k))
+			}
+			out.Set(i, j, s)
+		}
+	}
+	return out
+}
+
+// The kernels' fresh-output forms, for the tests; kMatMulT1 is Dense's
+// weight gradient, matMul over the transposed a.
+func kMatMul(a, b *Tensor) *Tensor {
+	out := NewTensor(a.Rows, b.Cols)
+	matMul(out, a, b)
+	return out
+}
+
+func kMatMulT1(a, b *Tensor) *Tensor {
+	aT := NewTensor(a.Cols, a.Rows)
+	transposeInto(aT, a)
+	return kMatMul(aT, b)
+}
+
+func kMatMulT2(a, b *Tensor) *Tensor {
+	out := NewTensor(a.Rows, b.Rows)
+	matMulT2(out, a, b)
+	return out
+}
+
+// sameBits reports the first element where got and want differ in bits, or
+// -1. A NaN matches any NaN: which operand's payload an add propagates is
+// the hardware's rule applied to the operand order the compiler picks, and
+// Go does not fix that order for a commutative add.
+func sameBits(got, want *Tensor) int {
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		return 0
+	}
+	for i, w := range want.Data {
+		g := got.Data[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// specialFill fills t with normal values, a fifth of them replaced by one of
+// 0, −0, ±Inf and NaN when specials is set, and a further fifth by 0 so the
+// zero skip and the nonzero pairing both run.
+func specialFill(rng *rand.Rand, t *Tensor, specials bool) {
+	odd := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := range t.Data {
+		switch r := rng.Intn(10); {
+		case r < 2 && specials:
+			t.Data[i] = odd[rng.Intn(len(odd))]
+		case r < 4:
+			t.Data[i] = 0
+		default:
+			t.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+		}
+	}
+}
+
 func TestMatMulKnownValues(t *testing.T) {
 	a := &Tensor{Rows: 2, Cols: 2, Data: []float64{1, 2, 3, 4}}
 	b := &Tensor{Rows: 2, Cols: 2, Data: []float64{5, 6, 7, 8}}
-	c := MatMul(a, b)
+	c := kMatMul(a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := range want {
 		for j := range want[i] {
@@ -22,12 +125,72 @@ func TestMatMulKnownValues(t *testing.T) {
 }
 
 func TestMatMulShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on shape mismatch")
+	for name, f := range map[string]func(){
+		"matMul":    func() { matMul(NewTensor(2, 3), NewTensor(2, 3), NewTensor(2, 3)) },
+		"transpose": func() { transposeInto(NewTensor(3, 3), NewTensor(2, 3)) },
+		"matMulT2":  func() { matMulT2(NewTensor(2, 2), NewTensor(2, 3), NewTensor(2, 2)) },
+		"out":       func() { matMul(NewTensor(2, 2), NewTensor(2, 3), NewTensor(3, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on shape mismatch", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestKernelsMatchReference holds the kernels to the naive loops bit for
+// bit over random shapes — one row, fewer than four output columns, odd
+// and even k — with 0, −0, ±Inf and NaN injected: the blocking and the
+// nonzero pairing change time, never a bit.
+func TestKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for trial := 0; trial < 400; trial++ {
+		n, k, m := 1+rng.Intn(9), 1+rng.Intn(11), 1+rng.Intn(10)
+		if trial%4 == 0 {
+			n = 1
 		}
-	}()
-	MatMul(NewTensor(2, 3), NewTensor(2, 3))
+		specials := trial%2 == 1
+		a, b := NewTensor(n, k), NewTensor(k, m)
+		specialFill(rng, a, specials)
+		specialFill(rng, b, specials)
+		if i := sameBits(kMatMul(a, b), refMatMul(a, b)); i >= 0 {
+			t.Fatalf("trial %d: matMul %dx%d @ %dx%d differs at %d", trial, n, k, k, m, i)
+		}
+		c := NewTensor(n, m)
+		specialFill(rng, c, specials)
+		if i := sameBits(kMatMulT1(a, c), refMatMulT1(a, c)); i >= 0 {
+			t.Fatalf("trial %d: weight gradient %dx%d, %dx%d differs at %d", trial, n, k, n, m, i)
+		}
+		d := NewTensor(m, k)
+		specialFill(rng, d, specials)
+		if i := sameBits(kMatMulT2(a, d), refMatMulT2(a, d)); i >= 0 {
+			t.Fatalf("trial %d: matMulT2 %dx%d, %dx%d differs at %d", trial, n, k, m, k, i)
+		}
+	}
+}
+
+// TestKernelsAccumulate checks that a kernel adds to what out holds, in the
+// order out + (the sum over k), the contract Dense's weight gradient relies
+// on when it sums into its own scratch first.
+func TestKernelsAccumulate(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	a, b := NewTensor(3, 5), NewTensor(5, 6)
+	specialFill(rng, a, false)
+	specialFill(rng, b, false)
+	out := NewTensor(3, 6)
+	matMul(out, a, b)
+	matMul(out, a, b)
+	want := refMatMul(a, b)
+	want.AddScaled(refMatMul(a, b), 1)
+	for i := range want.Data {
+		if math.Abs(out.Data[i]-want.Data[i]) > 1e-9*math.Max(1, math.Abs(want.Data[i])) {
+			t.Fatalf("matMul twice into one out: %v at %d, want %v", out.Data[i], i, want.Data[i])
+		}
+	}
 }
 
 func TestMatMulTransposesAgree(t *testing.T) {
@@ -46,11 +209,11 @@ func TestMatMulTransposesAgree(t *testing.T) {
 			at.Set(j, i, a.At(i, j))
 		}
 	}
-	want := MatMul(at, b)
-	got := MatMulT1(a, b)
+	want := kMatMul(at, b)
+	got := kMatMulT1(a, b)
 	for i := range want.Data {
 		if math.Abs(want.Data[i]-got.Data[i]) > 1e-12 {
-			t.Fatalf("MatMulT1 disagrees at %d: %v vs %v", i, got.Data[i], want.Data[i])
+			t.Fatalf("weight gradient disagrees at %d: %v vs %v", i, got.Data[i], want.Data[i])
 		}
 	}
 	// a @ cᵀ two ways.
@@ -64,11 +227,11 @@ func TestMatMulTransposesAgree(t *testing.T) {
 			ct.Set(j, i, c.At(i, j))
 		}
 	}
-	want2 := MatMul(a, ct)
-	got2 := MatMulT2(a, c)
+	want2 := kMatMul(a, ct)
+	got2 := kMatMulT2(a, c)
 	for i := range want2.Data {
 		if math.Abs(want2.Data[i]-got2.Data[i]) > 1e-12 {
-			t.Fatalf("MatMulT2 disagrees at %d", i)
+			t.Fatalf("matMulT2 disagrees at %d", i)
 		}
 	}
 }
@@ -356,5 +519,71 @@ func TestMLPNumParams(t *testing.T) {
 	m := NewMLP(rng, []int{10, 20, 5}, ReLU, Identity, "n")
 	if m.NumParams() != 10*20+20+20*5+5 {
 		t.Fatalf("NumParams = %d", m.NumParams())
+	}
+}
+
+// TestMLPStepAllocs pins a warm forward and backward step of a three-layer
+// MLP at one tensor per layer each way: the fresh output Forward returns and
+// the fresh input gradient Backward returns. The pre-activation gradient,
+// the transposed input and the weight-gradient product live in the layer's
+// scratch.
+func TestMLPStepAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	m := NewMLP(rng, []int{11, 64, 64, 3}, Tanh, Identity, "pi")
+	x, dOut := NewTensor(32, 11), NewTensor(32, 3)
+	specialFill(rng, x, false)
+	specialFill(rng, dOut, false)
+	forward(m, x)
+	backward(m, dOut)
+	perTensor := testing.AllocsPerRun(100, func() { NewTensor(32, 64) })
+	if n := testing.AllocsPerRun(100, func() { forward(m, x) }); n != 3*perTensor {
+		t.Errorf("forward: %v allocations, want %v (one tensor per layer)", n, 3*perTensor)
+	}
+	if n := testing.AllocsPerRun(100, func() { backward(m, dOut) }); n != 3*perTensor {
+		t.Errorf("backward: %v allocations, want %v (one tensor per layer)", n, 3*perTensor)
+	}
+}
+
+// TestDenseMatchesReference runs a Dense layer's forward and backward steps
+// at changing batch sizes, so its scratch is reused, regrown and resliced,
+// against the same step built from the reference kernels and fresh tensors,
+// bit for bit.
+func TestDenseMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, act := range []Activation{Identity, ReLU, Tanh} {
+		d := NewDense(rng, 7, 5, act, "d")
+		wGrad, bGrad := NewTensor(7, 5), NewTensor(1, 5)
+		for _, rows := range []int{4, 1, 9, 4, 2} {
+			x, dY := NewTensor(rows, 7), NewTensor(rows, 5)
+			specialFill(rng, x, false)
+			specialFill(rng, dY, false)
+			z := refMatMul(x, d.W.Value)
+			AddBias(z, d.B.Value)
+			y := act.Apply(z)
+			if i := sameBits(d.Forward(x), y); i >= 0 {
+				t.Fatalf("%v, %d rows: Forward differs at %d", act, rows, i)
+			}
+			dZ := dY.Clone()
+			for i, yv := range y.Data {
+				switch {
+				case act == ReLU && yv <= 0:
+					dZ.Data[i] = 0
+				case act == Tanh:
+					dZ.Data[i] *= 1 - float64(yv*yv)
+				}
+			}
+			wGrad.AddScaled(refMatMulT1(x, dZ), 1)
+			for i := 0; i < rows; i++ {
+				for j, v := range dZ.Row(i) {
+					bGrad.Data[j] += v
+				}
+			}
+			if i := sameBits(d.Backward(dY), refMatMulT2(dZ, d.W.Value)); i >= 0 {
+				t.Fatalf("%v, %d rows: Backward differs at %d", act, rows, i)
+			}
+			if sameBits(d.W.Grad, wGrad) >= 0 || sameBits(d.B.Grad, bGrad) >= 0 {
+				t.Fatalf("%v, %d rows: the accumulated gradients differ", act, rows)
+			}
+		}
 	}
 }

@@ -41,8 +41,8 @@ func (a *Adam) UpdateParam(p *Param) {
 	b1t := 1 - math.Pow(a.Beta1, float64(a.t))
 	b2t := 1 - math.Pow(a.Beta2, float64(a.t))
 	for i, g := range p.Grad.Data {
-		p.M.Data[i] = a.Beta1*p.M.Data[i] + (1-a.Beta1)*g
-		p.V.Data[i] = a.Beta2*p.V.Data[i] + (1-a.Beta2)*g*g
+		p.M.Data[i] = float64(a.Beta1*p.M.Data[i]) + float64((1-a.Beta1)*g)
+		p.V.Data[i] = float64(a.Beta2*p.V.Data[i]) + float64((1-a.Beta2)*g*g)
 		mHat := p.M.Data[i] / b1t
 		vHat := p.V.Data[i] / b2t
 		p.Value.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
@@ -55,7 +55,7 @@ func ClipGradByGlobalNorm(params []*Param, maxNorm float64) float64 {
 	var sq float64
 	for _, p := range params {
 		for _, g := range p.Grad.Data {
-			sq += g * g
+			sq += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(sq)

@@ -77,68 +77,106 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 	copy(t.Data, src.Data)
 }
 
-// MatMul computes a @ b into a fresh tensor.
-func MatMul(a, b *Tensor) *Tensor {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+// The matmul kernels accumulate into a caller-owned out of the product's
+// shape, which holds zeros or a sum to continue. They keep one summation
+// order for every output element, so a kernel rewrite changes time and
+// never bits: each element adds its products over k in ascending order into
+// one float64, and every product is written float64(x*y), which forbids the
+// compiler to fuse it with the add (arm64 would). matMul skips a zero a
+// value as the loops always have; dropping the skip changes bits, since
+// 0·Inf is NaN. Slices are cut to their loop length first, so the inner
+// loops carry no bounds checks.
+
+// matMul accumulates a @ b into out (a.Rows×b.Cols). Each row lists its
+// nonzero k first, then adds them into the output row four at a time, as
+// (((o + p0) + p1) + p2) + p3 — the four sequential adds — and the rest one
+// at a time.
+func matMul(out, a, b *Tensor) {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d @ %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	out := NewTensor(a.Rows, b.Cols)
+	n := b.Cols
+	var buf [256]int // the list stays on the stack up to 256 columns of a
+	nz := buf[:0]
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
+		nz = nz[:0]
 		for k, av := range arow {
-			if av == 0 {
-				continue
+			if av != 0 {
+				nz = append(nz, k)
 			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
+		}
+		ks := nz
+		for ; len(ks) >= 4; ks = ks[4:] {
+			k0, k1, k2, k3 := ks[0], ks[1], ks[2], ks[3]
+			a0, a1, a2, a3 := arow[k0], arow[k1], arow[k2], arow[k3]
+			b0 := b.Data[k0*n : k0*n+n][:len(orow)]
+			b1 := b.Data[k1*n : k1*n+n][:len(orow)]
+			b2 := b.Data[k2*n : k2*n+n][:len(orow)]
+			b3 := b.Data[k3*n : k3*n+n][:len(orow)]
+			for j := range orow {
+				orow[j] = orow[j] + float64(a0*b0[j]) + float64(a1*b1[j]) + float64(a2*b2[j]) + float64(a3*b3[j])
+			}
+		}
+		for _, k := range ks {
+			av := arow[k]
+			brow := b.Data[k*n : k*n+n][:len(orow)]
+			for j := range orow {
+				orow[j] += float64(av * brow[j])
 			}
 		}
 	}
-	return out
 }
 
-// MatMulT1 computes aᵀ @ b (used for weight gradients).
-func MatMulT1(a, b *Tensor) *Tensor {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("nn: matmulT1 shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+// transposeInto writes tᵀ into dst (t.Cols×t.Rows). The weight gradient
+// aᵀ @ b is matMul over the transposed a: each element sums over a's rows
+// in ascending order and skips a zero a value, as the aᵀ @ b loop did.
+func transposeInto(dst, t *Tensor) {
+	if dst.Rows != t.Cols || dst.Cols != t.Rows {
+		panic(fmt.Sprintf("nn: transpose %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols))
 	}
-	out := NewTensor(a.Cols, b.Cols)
-	for r := 0; r < a.Rows; r++ {
-		arow, brow := a.Row(r), b.Row(r)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+	for r := 0; r < t.Rows; r++ {
+		for c, v := range t.Row(r) {
+			dst.Data[c*dst.Cols+r] = v
 		}
 	}
-	return out
 }
 
-// MatMulT2 computes a @ bᵀ (used for input gradients).
-func MatMulT2(a, b *Tensor) *Tensor {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: matmulT2 shape mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+// matMulT2 accumulates a @ bᵀ into out (a.Rows×b.Rows): the input gradient.
+// It computes four output columns at once, each with its own accumulator,
+// and the last b.Rows mod 4 one at a time. It skips no zero, as it never has.
+func matMulT2(out, a, b *Tensor) {
+	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
+		panic(fmt.Sprintf("nn: matmulT2 shape mismatch %dx%d, %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	out := NewTensor(a.Rows, b.Rows)
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float64
+		j := 0
+		for ; j+4 <= len(orow); j += 4 {
+			b0 := b.Row(j)[:len(arow)]
+			b1 := b.Row(j + 1)[:len(arow)]
+			b2 := b.Row(j + 2)[:len(arow)]
+			b3 := b.Row(j + 3)[:len(arow)]
+			s0, s1, s2, s3 := orow[j], orow[j+1], orow[j+2], orow[j+3]
 			for k, av := range arow {
-				s += av * brow[k]
+				s0 += float64(av * b0[k])
+				s1 += float64(av * b1[k])
+				s2 += float64(av * b2[k])
+				s3 += float64(av * b3[k])
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < len(orow); j++ {
+			brow := b.Row(j)[:len(arow)]
+			s := orow[j]
+			for k, av := range arow {
+				s += float64(av * brow[k])
 			}
 			orow[j] = s
 		}
 	}
-	return out
 }
 
 // AddBias adds bias (1×n) to every row of x in place and returns x.
@@ -169,7 +207,7 @@ func (t *Tensor) AddScaled(src *Tensor, f float64) *Tensor {
 		panic("nn: AddScaled size mismatch")
 	}
 	for i := range t.Data {
-		t.Data[i] += f * src.Data[i]
+		t.Data[i] += float64(f * src.Data[i])
 	}
 	return t
 }
@@ -179,7 +217,7 @@ func (t *Tensor) AddScaled(src *Tensor, f float64) *Tensor {
 func (t *Tensor) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range t.Data {
-		t.Data[i] = (2*rng.Float64() - 1) * limit
+		t.Data[i] = (2*float64(rng.Float64()) - 1) * limit
 	}
 }
 

@@ -127,10 +127,7 @@ func pythonMinibatchCost(batch int) vclock.Dist {
 	return vclock.Jittered(vclock.Duration(batch)*700*vclock.Nanosecond, 0.2)
 }
 
-// obsTensor packs observations into a batch tensor. It is nn.FromRows
-// without the shape checks; calling FromRows instead links it in ahead of
-// nn.MatMul, which moves the matmul loops off their 64-byte alignment and
-// made agent training ≈15% slower on a 2-vCPU Xeon.
+// obsTensor packs observations into a batch tensor, one row each.
 func obsTensor(obs [][]float64) *nn.Tensor {
 	t := nn.NewTensor(len(obs), len(obs[0]))
 	for i, o := range obs {

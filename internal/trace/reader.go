@@ -56,7 +56,8 @@ type ChunkIndex struct {
 	Version int `json:"version"`
 	// Events is the total event count of the chunk.
 	Events int `json:"events"`
-	// Bytes is the encoded size of the chunk file.
+	// Bytes is the encoded size of the chunk file. A Reader sets it from
+	// the file, whatever the sidecar says.
 	Bytes int64 `json:"bytes"`
 	// Procs maps each process present in the chunk to its span.
 	Procs map[ProcID]ProcSpan `json:"procs"`
@@ -143,14 +144,20 @@ type Reader struct {
 // OpenDir opens a trace directory previously written by Writer: it lists
 // the chunk files and reads the run metadata, decoding no events.
 func OpenDir(dir string) (*Reader, error) {
-	entries, err := os.ReadDir(dir)
+	// Names only: readSidecar takes each chunk's size from the file itself.
+	d, err := os.Open(dir)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading trace dir: %w", err)
+	}
+	entries, err := d.Readdirnames(-1)
+	d.Close()
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading trace dir: %w", err)
 	}
 	r := &Reader{dir: dir, in: NewInterner(), loaded: -1}
-	for _, ent := range entries {
-		if strings.HasSuffix(ent.Name(), chunkSuffix) {
-			r.names = append(r.names, ent.Name())
+	for _, name := range entries {
+		if strings.HasSuffix(name, chunkSuffix) {
+			r.names = append(r.names, name)
 		}
 	}
 	sort.Strings(r.names)
@@ -339,7 +346,18 @@ func (r *Reader) readSidecar(i int, ix *ChunkIndex) (ok bool, err error) {
 	}
 	r.side, err = recycle.ReadAll(r.side, f)
 	f.Close()
-	return err == nil && parseSidecar(r.side, ix, r.in) == nil, err
+	if err != nil || parseSidecar(r.side, ix, r.in) != nil {
+		return false, err
+	}
+	// The sidecar's claims size buffers, so its byte count is not taken on
+	// trust: Bytes is the chunk file's size as it is now, which bounds what
+	// the chunk can hold.
+	fi, err := os.Stat(r.paths[i])
+	if err != nil {
+		return false, nil
+	}
+	ix.Bytes = fi.Size()
+	return true, nil
 }
 
 // eventsHint is the directory's event count as its sidecars state it, for
@@ -350,9 +368,8 @@ func (r *Reader) readSidecar(i int, ix *ChunkIndex) (ok bool, err error) {
 func (r *Reader) eventsHint() (n int) {
 	var ix ChunkIndex
 	for i := range r.names {
-		fi, err := os.Stat(r.paths[i])
-		if ok, _ := r.readSidecar(i, &ix); ok && err == nil && ix.Events > 0 {
-			n += int(min(int64(ix.Events), fi.Size()/v1MinEventBytes))
+		if ok, _ := r.readSidecar(i, &ix); ok && ix.Events > 0 {
+			n += min(ix.Events, int(ix.Bytes/v1MinEventBytes))
 		}
 	}
 	return n
