@@ -95,7 +95,7 @@ func main() {
 	}
 	if *validate {
 		spec := workloads.Spec{Algo: *algo, Env: *env, Model: model, TotalSteps: *steps}
-		fmt.Fprintf(os.Stderr, "rlscope-prof: calibrating and validating %s (7 runs)\n", spec.Name())
+		fmt.Fprintf(os.Stderr, "rlscope-prof: calibrating and validating %s (2 trainings: one profiled 5 ways, one 2 ways)\n", spec.Name())
 		v, err := calib.Validate(spec.Name(), workloads.Runner(spec), *seed, *seed+1000)
 		if err != nil {
 			fatal(err)

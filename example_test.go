@@ -137,24 +137,28 @@ func mustReadDir(dir string) *rlscope.Trace {
 	return tr
 }
 
-// exampleRunner replays the same workload under the feature-flag subsets
-// calibration requests.
+// exampleRunner profiles the same workload under each feature-flag subset
+// calibration requests, running it once per subset.
 func exampleRunner() rlscope.Runner {
-	return func(flags rlscope.FeatureFlags, seed int64) (*rlscope.RunStats, error) {
-		p := rlscope.New(rlscope.Options{Workload: "calib-example", Flags: flags, Seed: seed})
-		dev := gpu.NewDevice(-1)
-		sess := p.NewProcess("trainer", -1, 0)
-		ctx := cuda.NewContext(sess, dev, cuda.DefaultCosts())
-		for i := 0; i < 50; i++ {
-			sess.WithOperation("step", func() {
-				sess.CallBackend("train", func() {
-					ctx.LaunchKernel("k", 3*vclock.Microsecond)
-					ctx.StreamSynchronize()
+	return func(seed int64, flagSets ...rlscope.FeatureFlags) ([]*rlscope.RunStats, error) {
+		runs := make([]*rlscope.RunStats, len(flagSets))
+		for i, flags := range flagSets {
+			p := rlscope.New(rlscope.Options{Workload: "calib-example", Flags: flags, Seed: seed})
+			dev := gpu.NewDevice(-1)
+			sess := p.NewProcess("trainer", -1, 0)
+			ctx := cuda.NewContext(sess, dev, cuda.DefaultCosts())
+			for i := 0; i < 50; i++ {
+				sess.WithOperation("step", func() {
+					sess.CallBackend("train", func() {
+						ctx.LaunchKernel("k", 3*vclock.Microsecond)
+						ctx.StreamSynchronize()
+					})
 				})
-			})
+			}
+			sess.Close()
+			runs[i] = rlscope.StatsFromTrace(p.MustTrace(), flags, p.OverheadCounts(), p.TotalTime())
 		}
-		sess.Close()
-		return rlscope.StatsFromTrace(p.MustTrace(), flags, p.OverheadCounts(), p.TotalTime()), nil
+		return runs, nil
 	}
 }
 
@@ -172,7 +176,8 @@ func ExampleCalibrate() {
 
 	// Correct an instrumented run: overhead is subtracted at the points
 	// where the book-keeping occurred, and the markers disappear.
-	stats, _ := runner(rlscope.FullInstrumentation(), 99)
+	runs, _ := runner(99, rlscope.FullInstrumentation())
+	stats := runs[0]
 	corrected := rlscope.Correct(stats.Trace, cal)
 	fmt.Println("overhead markers removed:    ", corrected.CountKind(trace.KindOverhead) == 0)
 	// Output:
@@ -192,7 +197,8 @@ func ExampleWithCorrection() {
 		fmt.Println(err)
 		return
 	}
-	stats, _ := runner(rlscope.FullInstrumentation(), 99)
+	runs, _ := runner(99, rlscope.FullInstrumentation())
+	stats := runs[0]
 
 	dir, err := os.MkdirTemp("", "rlscope-corrected-")
 	if err != nil {

@@ -86,7 +86,7 @@ func TestNewWithCostsOverrides(t *testing.T) {
 	p := profiler.New(profiler.Options{Workload: "x", Flags: trace.Uninstrumented(), Seed: 3})
 	s := p.NewProcess("t", -1, 0)
 	ctx := cuda.NewContext(s, gpu.NewDevice(-1), cuda.DefaultCosts())
-	b := &Backend{sess: s, ctx: ctx, model: Graph, costs: costs}
+	b := &Backend{lanes: []Lane{{Sess: s, Ctx: ctx}}, model: Graph, costs: costs}
 	rng := rand.New(rand.NewSource(1))
 	net := NewNetwork(rng, "n", []int{2, 4, 1}, nn.Tanh, nn.Identity)
 	x := nn.NewTensor(1, 2)

@@ -140,10 +140,10 @@ func (b *Backend) MPIAdamApply(net *Network, opt *nn.Adam) {
 	// 2. Adam math in Python on the host, one interpreted update per
 	// parameter tensor.
 	opt.BeginStep()
-	b.sess.Python(b.costs.PyGlue)
+	b.Python(b.costs.PyGlue)
 	pyAdam := vclock.Jittered(30*vclock.Microsecond, 0.2)
 	for _, p := range params {
-		b.sess.Python(pyAdam)
+		b.Python(pyAdam)
 		opt.UpdateParam(p)
 	}
 	// 3. Write updated weights back to the device.

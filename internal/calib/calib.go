@@ -4,9 +4,12 @@
 // Profilers inflate CPU-side time with book-keeping code on the critical
 // path — the paper observes up to 90.2% inflation, and up to 1.9× total
 // training-time inflation for RL workloads. RL-Scope calibrates the average
-// duration of each book-keeping code path by re-running the workload under
-// different feature subsets, then — during offline analysis — subtracts that
-// time at the precise points where book-keeping occurred.
+// duration of each book-keeping code path by profiling one seed of the
+// workload under different feature subsets, then — during offline analysis —
+// subtracts that time at the precise points where book-keeping occurred.
+// The paper re-runs the workload per subset; a Runner on this reproduction's
+// virtual clock trains it once and profiles that training under every
+// subset (workloads.RunLanes, DESIGN §2).
 //
 // Two calibration strategies are needed:
 //
@@ -77,10 +80,26 @@ func StatsFromTrace(t *trace.Trace, flags trace.FeatureFlags, counts map[trace.O
 	return rs
 }
 
-// Runner executes the workload once under the given feature flags with the
-// given seed and returns its stats. Calibration assumes the workload is
-// deterministic for a fixed seed (the paper's assumption, Appendix C.1).
-type Runner func(flags trace.FeatureFlags, seed int64) (*RunStats, error)
+// Runner trains the workload once with the given seed and returns one run's
+// stats per feature subset, in flags' order: a run profiled under flags[i]
+// alone would give the same stats as element i. Calibration assumes the
+// workload is deterministic for a fixed seed (the paper's assumption,
+// Appendix C.1); a runner on a virtual clock can therefore profile one
+// training under every subset, while one on a wall clock must train once
+// per subset.
+type Runner func(seed int64, flags ...trace.FeatureFlags) ([]*RunStats, error)
+
+// runAll calls run and checks that it returned one run per flag set.
+func runAll(run Runner, seed int64, flags ...trace.FeatureFlags) ([]*RunStats, error) {
+	runs, err := run(seed, flags...)
+	if err != nil {
+		return nil, err
+	}
+	if len(runs) != len(flags) {
+		return nil, fmt.Errorf("calib: runner returned %d runs for %d flag sets", len(runs), len(flags))
+	}
+	return runs, nil
+}
 
 // Calibration holds the estimated mean cost of each book-keeping path.
 // It is the reusable artifact the paper describes: "calibration only needs
@@ -113,55 +132,38 @@ func (c *Calibration) MeanFor(kind trace.OverheadKind, name string) vclock.Durat
 }
 
 // Calibrate runs the delta-calibration ladder plus the difference-of-average
-// CUPTI pass. It performs five runs of the workload:
+// CUPTI pass over five feature subsets of one seed:
 //
 //	base (uninstrumented), +annotations, +interception, +CUDA hook,
 //	and +CUDA hook+CUPTI.
+//
+// The +CUDA hook run serves both passes: it is the CUDA hook's delta run
+// and CUPTI's baseline.
 func Calibrate(run Runner, seed int64) (*Calibration, error) {
-	base, err := run(trace.Uninstrumented(), seed)
+	runs, err := runAll(run, seed,
+		trace.Uninstrumented(),
+		trace.FeatureFlags{Annotations: true},
+		trace.FeatureFlags{Interception: true},
+		trace.FeatureFlags{CUDAIntercept: true},
+		trace.FeatureFlags{CUDAIntercept: true, CUPTI: true},
+	)
 	if err != nil {
-		return nil, fmt.Errorf("calib: base run: %w", err)
+		return nil, fmt.Errorf("calib: calibration runs: %w", err)
 	}
-	cal := &Calibration{CUPTI: map[string]vclock.Duration{}}
-
-	cal.Annotation, err = delta(run, base, trace.FeatureFlags{Annotations: true}, trace.OverheadAnnotation, seed)
-	if err != nil {
-		return nil, err
+	base, annotated, intercepted, hooked, withCUPTI := runs[0], runs[1], runs[2], runs[3], runs[4]
+	cal := &Calibration{
+		Annotation:    DeltaMean(base, annotated, trace.OverheadAnnotation),
+		Interception:  DeltaMean(base, intercepted, trace.OverheadInterception),
+		CUDAIntercept: DeltaMean(base, hooked, trace.OverheadCUDAIntercept),
+		CUPTI:         map[string]vclock.Duration{},
 	}
-	cal.Interception, err = delta(run, base, trace.FeatureFlags{Interception: true}, trace.OverheadInterception, seed)
-	if err != nil {
-		return nil, err
-	}
-	cal.CUDAIntercept, err = delta(run, base, trace.FeatureFlags{CUDAIntercept: true}, trace.OverheadCUDAIntercept, seed)
-	if err != nil {
-		return nil, err
-	}
-
 	// Difference-of-average for CUPTI: both runs need the CUDA hook on so
 	// per-API durations are observable; the hook cost itself cancels in
 	// the difference.
-	hookOnly, err := run(trace.FeatureFlags{CUDAIntercept: true}, seed)
-	if err != nil {
-		return nil, fmt.Errorf("calib: CUPTI baseline run: %w", err)
-	}
-	withCUPTI, err := run(trace.FeatureFlags{CUDAIntercept: true, CUPTI: true}, seed)
-	if err != nil {
-		return nil, fmt.Errorf("calib: CUPTI run: %w", err)
-	}
 	for api := range withCUPTI.APICount {
-		cal.CUPTI[api] = APIInflation(hookOnly, withCUPTI, api)
+		cal.CUPTI[api] = APIInflation(hooked, withCUPTI, api)
 	}
 	return cal, nil
-}
-
-// delta runs the workload with one feature on and delta-calibrates it
-// against base.
-func delta(run Runner, base *RunStats, flags trace.FeatureFlags, kind trace.OverheadKind, seed int64) (vclock.Duration, error) {
-	on, err := run(flags, seed)
-	if err != nil {
-		return 0, fmt.Errorf("calib: %v run: %w", kind, err)
-	}
-	return DeltaMean(base, on, kind), nil
 }
 
 // DeltaMean is delta calibration's mean cost of one book-keeping kind

@@ -3,6 +3,7 @@ package calib
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -14,43 +15,53 @@ import (
 )
 
 // toyRunner builds a Runner over a miniature RL-like loop with known
-// structure. The overhead model uses jittered costs so calibration has real
+// structure, running the loop once per flag set as a runner on a wall clock
+// must. The overhead model uses jittered costs so calibration has real
 // estimation work to do.
 func toyRunner(iters int) Runner {
-	return func(flags trace.FeatureFlags, seed int64) (*RunStats, error) {
-		p := profiler.New(profiler.Options{Workload: "toy", Flags: flags, Seed: seed})
-		dev := gpu.NewDevice(-1)
-		s := p.NewProcess("trainer", -1, 0)
-		ctx := cuda.NewContext(s, dev, cuda.DefaultCosts())
-		for i := 0; i < iters; i++ {
-			s.WithOperation("inference", func() {
-				s.Python(vclock.Jittered(15*vclock.Microsecond, 0.2))
-				s.CallBackend("forward", func() {
-					s.Clock().Advance(4 * vclock.Microsecond)
-					ctx.LaunchKernel("matmul", 3*vclock.Microsecond)
-					ctx.StreamSynchronize()
-				})
-			})
-			s.WithOperation("simulation", func() {
-				s.CallSimulator("step", func() {
-					s.Clock().Advance(40 * vclock.Microsecond)
-				})
-			})
-			s.WithOperation("backpropagation", func() {
-				s.Python(vclock.Jittered(10*vclock.Microsecond, 0.2))
-				s.CallBackend("train", func() {
-					s.Clock().Advance(6 * vclock.Microsecond)
-					ctx.LaunchKernel("fwd", 3*vclock.Microsecond)
-					ctx.LaunchKernel("bwd", 5*vclock.Microsecond)
-					ctx.MemcpyAsync(cuda.HostToDevice, 64*1024)
-					ctx.StreamSynchronize()
-				})
-			})
+	return func(seed int64, flags ...trace.FeatureFlags) ([]*RunStats, error) {
+		runs := make([]*RunStats, len(flags))
+		for i, f := range flags {
+			runs[i] = toyRun(iters, f, seed)
 		}
-		s.Close()
-		tr := p.MustTrace()
-		return StatsFromTrace(tr, flags, p.OverheadCounts(), p.TotalTime()), nil
+		return runs, nil
 	}
+}
+
+// toyRun runs the toy loop iters times under one flag set.
+func toyRun(iters int, flags trace.FeatureFlags, seed int64) *RunStats {
+	p := profiler.New(profiler.Options{Workload: "toy", Flags: flags, Seed: seed})
+	dev := gpu.NewDevice(-1)
+	s := p.NewProcess("trainer", -1, 0)
+	ctx := cuda.NewContext(s, dev, cuda.DefaultCosts())
+	for i := 0; i < iters; i++ {
+		s.WithOperation("inference", func() {
+			s.Python(vclock.Jittered(15*vclock.Microsecond, 0.2))
+			s.CallBackend("forward", func() {
+				s.Clock().Advance(4 * vclock.Microsecond)
+				ctx.LaunchKernel("matmul", 3*vclock.Microsecond)
+				ctx.StreamSynchronize()
+			})
+		})
+		s.WithOperation("simulation", func() {
+			s.CallSimulator("step", func() {
+				s.Clock().Advance(40 * vclock.Microsecond)
+			})
+		})
+		s.WithOperation("backpropagation", func() {
+			s.Python(vclock.Jittered(10*vclock.Microsecond, 0.2))
+			s.CallBackend("train", func() {
+				s.Clock().Advance(6 * vclock.Microsecond)
+				ctx.LaunchKernel("fwd", 3*vclock.Microsecond)
+				ctx.LaunchKernel("bwd", 5*vclock.Microsecond)
+				ctx.MemcpyAsync(cuda.HostToDevice, 64*1024)
+				ctx.StreamSynchronize()
+			})
+		})
+	}
+	s.Close()
+	tr := p.MustTrace()
+	return StatsFromTrace(tr, flags, p.OverheadCounts(), p.TotalTime())
 }
 
 func TestCalibrateRecoversMeans(t *testing.T) {
@@ -77,6 +88,45 @@ func TestCalibrateRecoversMeans(t *testing.T) {
 	within("cupti memcpy", cal.CUPTI[cuda.APIMemcpyAsync], model.CUPTI[cuda.APIMemcpyAsync].Mean, 0.25)
 }
 
+// TestCalibrateAndValidateCallRunnerOnce holds calibration to one training
+// per seed: Calibrate asks its Runner once, for five distinct flag sets,
+// and ValidateWith once, for the uninstrumented and the full set. A runner
+// that answers with the wrong number of runs is an error.
+func TestCalibrateAndValidateCallRunnerOnce(t *testing.T) {
+	var calls [][]trace.FeatureFlags
+	counting := func(seed int64, flags ...trace.FeatureFlags) ([]*RunStats, error) {
+		calls = append(calls, append([]trace.FeatureFlags(nil), flags...))
+		return toyRunner(20)(seed, flags...)
+	}
+	distinct := func(flags []trace.FeatureFlags) int {
+		seen := map[trace.FeatureFlags]bool{}
+		for _, f := range flags {
+			seen[f] = true
+		}
+		return len(seen)
+	}
+	cal, err := Calibrate(counting, 4)
+	if err != nil {
+		t.Fatalf("Calibrate: %v", err)
+	}
+	if len(calls) != 1 || len(calls[0]) != 5 || distinct(calls[0]) != 5 {
+		t.Fatalf("Calibrate asked for %v, want one call with five distinct flag sets", calls)
+	}
+	calls = nil
+	if _, err := ValidateWith("toy", counting, cal, 5); err != nil {
+		t.Fatalf("ValidateWith: %v", err)
+	}
+	if want := []trace.FeatureFlags{trace.Uninstrumented(), trace.Full()}; len(calls) != 1 || !slices.Equal(calls[0], want) {
+		t.Fatalf("ValidateWith asked for %v, want one call for %v", calls, want)
+	}
+	short := func(seed int64, flags ...trace.FeatureFlags) ([]*RunStats, error) {
+		return toyRunner(20)(seed, flags[1:]...)
+	}
+	if _, err := Calibrate(short, 4); err == nil {
+		t.Fatal("Calibrate accepted four runs for five flag sets")
+	}
+}
+
 func TestCUPTILaunchInflationExceedsMemcpy(t *testing.T) {
 	// The paper's Figure 10 property: per-API inflation differs, with
 	// launches costing more than memcpys.
@@ -91,15 +141,11 @@ func TestCUPTILaunchInflationExceedsMemcpy(t *testing.T) {
 }
 
 func TestCorrectionRemovesMarkersAndShrinksTrace(t *testing.T) {
-	run := toyRunner(100)
-	cal, err := Calibrate(run, 3)
+	cal, err := Calibrate(toyRunner(100), 3)
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
 	}
-	full, err := run(trace.Full(), 3)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	full := toyRun(100, trace.Full(), 3)
 	corrected := Correct(full.Trace, cal)
 	if n := corrected.CountKind(trace.KindOverhead); n != 0 {
 		t.Fatalf("corrected trace retains %d overhead markers", n)
@@ -149,15 +195,11 @@ func TestCorrectionBeatsNoCorrection(t *testing.T) {
 }
 
 func TestEstimatedOverheadComponents(t *testing.T) {
-	run := toyRunner(50)
-	cal, err := Calibrate(run, 2)
+	cal, err := Calibrate(toyRunner(50), 2)
 	if err != nil {
 		t.Fatalf("Calibrate: %v", err)
 	}
-	full, err := run(trace.Full(), 2)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
+	full := toyRun(50, trace.Full(), 2)
 	comps := EstimatedOverhead(full.Trace, cal)
 	var haveCUPTI, haveHook, haveBackendIntercept, haveSimIntercept, haveAnnot bool
 	for c, d := range comps {

@@ -277,10 +277,7 @@ func TestStreamCorrectorCancelMidPrepass(t *testing.T) {
 // never regrown and each index is allocated once, at its exact length; an
 // index grown by appending as the markers arrive costs 5.0 times here.
 func TestStreamCorrectorAllocatesNearItsIndex(t *testing.T) {
-	run, err := toyRunner(1000)(trace.Full(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := toyRun(1000, trace.Full(), 3)
 	dir := filepath.Join(t.TempDir(), "trace")
 	w, err := trace.NewWriter(dir, 64<<10)
 	if err != nil {

@@ -64,14 +64,11 @@ func Validate(workload string, run Runner, calibSeed, validateSeed int64) (*Vali
 
 // ValidateWith is Validate with a pre-computed calibration.
 func ValidateWith(workload string, run Runner, cal *Calibration, seed int64) (*ValidationResult, error) {
-	base, err := run(trace.Uninstrumented(), seed)
+	runs, err := runAll(run, seed, trace.Uninstrumented(), trace.Full())
 	if err != nil {
-		return nil, fmt.Errorf("calib: validate %s baseline: %w", workload, err)
+		return nil, fmt.Errorf("calib: validate %s: %w", workload, err)
 	}
-	full, err := run(trace.Full(), seed)
-	if err != nil {
-		return nil, fmt.Errorf("calib: validate %s instrumented: %w", workload, err)
-	}
+	base, full := runs[0], runs[1]
 	corrected := Correct(full.Trace, cal)
 	return &ValidationResult{
 		Workload:       workload,

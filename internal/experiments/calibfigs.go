@@ -31,17 +31,14 @@ type Figure9Result struct {
 }
 
 // Figure9 reproduces the delta-calibration example (paper Figure 9 /
-// Appendix C.1). The two feature-flag replays are independent and run
-// concurrently.
+// Appendix C.1): one training, profiled with the hook off and on.
 func Figure9(opts Options) (*Figure9Result, error) {
-	run := workloads.Runner(calibSpec(opts))
-	base, hooked, err := runPair(opts.ctx(),
-		func() (*calib.RunStats, error) { return run(trace.Uninstrumented(), opts.Seed+11) },
-		func() (*calib.RunStats, error) { return run(trace.FeatureFlags{CUDAIntercept: true}, opts.Seed+11) },
-	)
+	runs, err := workloads.Runner(calibSpec(opts))(opts.Seed+11,
+		trace.Uninstrumented(), trace.FeatureFlags{CUDAIntercept: true})
 	if err != nil {
 		return nil, err
 	}
+	base, hooked := runs[0], runs[1]
 	return &Figure9Result{
 		BaseTotal: base.Total, HookTotal: hooked.Total,
 		Count:        hooked.OverheadCounts[trace.OverheadCUDAIntercept],
@@ -76,18 +73,14 @@ type Figure10Result struct {
 // Figure10 reproduces the difference-of-average calibration example (paper
 // Figure 10 / Appendix C.2): CUPTI inflates each CUDA API by a different
 // amount, measured as the difference of per-API mean durations with and
-// without CUPTI enabled.
+// without CUPTI enabled, over one training profiled both ways.
 func Figure10(opts Options) (*Figure10Result, error) {
-	run := workloads.Runner(calibSpec(opts))
-	without, with, err := runPair(opts.ctx(),
-		func() (*calib.RunStats, error) { return run(trace.FeatureFlags{CUDAIntercept: true}, opts.Seed+13) },
-		func() (*calib.RunStats, error) {
-			return run(trace.FeatureFlags{CUDAIntercept: true, CUPTI: true}, opts.Seed+13)
-		},
-	)
+	runs, err := workloads.Runner(calibSpec(opts))(opts.Seed+13,
+		trace.FeatureFlags{CUDAIntercept: true}, trace.FeatureFlags{CUDAIntercept: true, CUPTI: true})
 	if err != nil {
 		return nil, err
 	}
+	without, with := runs[0], runs[1]
 	out := &Figure10Result{}
 	var apis []string
 	for api := range with.APICount {
@@ -129,8 +122,9 @@ type Figure11Result struct {
 // Figure11 validates overhead correction: for each workload, calibrate,
 // run uninstrumented and fully instrumented, correct, and compare (paper
 // Figure 11 / Appendix C.3; the paper reports |bias| ≤ 16%). The eight
-// workload validations — each a full calibrate/run/correct cycle — are the
-// most expensive harness in the repo and run concurrently on the pool.
+// workload validations — each two trainings, one profiled under the five
+// calibration subsets and one uninstrumented and fully instrumented — are
+// the most expensive harness in the repo and run concurrently on the pool.
 func Figure11(opts Options) (*Figure11Result, error) {
 	steps := opts.steps(400)
 	algos := []string{"PPO2", "A2C", "SAC", "DDPG"}
@@ -205,8 +199,9 @@ type C4Result struct {
 	BackendInferenceUncorrected, BackendBackpropUncorrected vclock.Duration
 }
 
-// AppendixC4 re-runs the TF Eager DDPG workload with full instrumentation
-// and compares corrected against uncorrected analyses.
+// AppendixC4 calibrates the TF Eager DDPG workload, trains it once more,
+// profiled uninstrumented and with full instrumentation, and compares
+// corrected against uncorrected analyses.
 func AppendixC4(opts Options) (*C4Result, error) {
 	spec := workloads.Spec{
 		Algo: "DDPG", Env: "Walker2D", Model: backend.EagerTF,
@@ -217,15 +212,11 @@ func AppendixC4(opts Options) (*C4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The uninstrumented and fully instrumented validation replays are
-	// independent and run concurrently.
-	base, full, err := runPair(opts.ctx(),
-		func() (*calib.RunStats, error) { return runner(trace.Uninstrumented(), opts.Seed+1023) },
-		func() (*calib.RunStats, error) { return runner(trace.Full(), opts.Seed+1023) },
-	)
+	runs, err := runner(opts.Seed+1023, trace.Uninstrumented(), trace.Full())
 	if err != nil {
 		return nil, err
 	}
+	base, full := runs[0], runs[1]
 	corrected := analyzeMain(calib.Correct(full.Trace, cal))
 	uncorrected := analyzeMain(full.Trace)
 

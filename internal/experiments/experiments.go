@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/backend"
-	"repro/internal/calib"
 	"repro/internal/overlap"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -223,26 +222,6 @@ func forEach(ctx context.Context, n int, fn func(i int) error) error {
 		return errs[i]
 	}
 	return ctx.Err()
-}
-
-// runPair executes two independent workload replays concurrently — the
-// calibration illustrations all compare a pair of runs under different
-// feature flags.
-func runPair(ctx context.Context, a, b func() (*calib.RunStats, error)) (*calib.RunStats, *calib.RunStats, error) {
-	var ra, rb *calib.RunStats
-	err := forEach(ctx, 2, func(i int) error {
-		var err error
-		if i == 0 {
-			ra, err = a()
-		} else {
-			rb, err = b()
-		}
-		return err
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return ra, rb, nil
 }
 
 // Table1Row is one row of Table 1.

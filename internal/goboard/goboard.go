@@ -141,30 +141,6 @@ func (b *Board) neighbors(p int, buf []int) []int {
 	return buf
 }
 
-// group flood-fills the chain containing p, returning its points and
-// whether it has at least one liberty.
-func (b *Board) group(p int, visited []bool) (points []int, hasLiberty bool) {
-	color := b.cells[p]
-	stack := []int{p}
-	visited[p] = true
-	var nbuf [4]int
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		points = append(points, cur)
-		for _, nb := range b.neighbors(cur, nbuf[:0]) {
-			switch {
-			case b.cells[nb] == Empty:
-				hasLiberty = true
-			case b.cells[nb] == color && !visited[nb]:
-				visited[nb] = true
-				stack = append(stack, nb)
-			}
-		}
-	}
-	return points, hasLiberty
-}
-
 // maxPoints is the point count of the largest board New accepts (19×19).
 const maxPoints = 19 * 19
 
@@ -191,11 +167,12 @@ func (b *Board) Legal(p int) bool {
 	// set serves every neighbor, and a neighbor in a chain already filled
 	// has had its answer.
 	var visited [maxPoints]bool
+	var chain [maxPoints]int16
 	for _, nb := range nbs {
 		if visited[nb] {
 			continue
 		}
-		free := b.libertyBesides(nb, p, &visited)
+		_, free := b.fill(nb, p, &visited, &chain)
 		if free == (b.cells[nb] == b.toPlay) {
 			return true
 		}
@@ -203,46 +180,28 @@ func (b *Board) Legal(p int) bool {
 	return false
 }
 
-// libertyBesides flood-fills the chain containing p, marking all of it in
-// visited, and reports whether it has a liberty other than point skip.
-func (b *Board) libertyBesides(p, skip int, visited *[maxPoints]bool) (free bool) {
+// fill flood-fills the chain containing p into chain, marking all of it in
+// visited, and returns the chain's size and whether it has a liberty other
+// than point skip.
+func (b *Board) fill(p, skip int, visited *[maxPoints]bool, chain *[maxPoints]int16) (n int, free bool) {
 	color := b.cells[p]
-	var stack [maxPoints]int16
-	stack[0] = int16(p)
-	top := 1
+	chain[0] = int16(p)
+	n = 1
 	visited[p] = true
 	var nbuf [4]int
-	for top > 0 {
-		top--
-		for _, nb := range b.neighbors(int(stack[top]), nbuf[:0]) {
+	for i := 0; i < n; i++ {
+		for _, nb := range b.neighbors(int(chain[i]), nbuf[:0]) {
 			switch c := b.cells[nb]; {
 			case c == Empty:
 				free = free || nb != skip
 			case c == color && !visited[nb]:
 				visited[nb] = true
-				stack[top] = int16(nb)
-				top++
+				chain[n] = int16(nb)
+				n++
 			}
 		}
 	}
-	return free
-}
-
-// libertiesAfterRemoval counts the liberties of the chain containing p,
-// treating point removed as occupied.
-func (b *Board) libertiesAfterRemoval(p, occupied int) int {
-	visited := make([]bool, len(b.cells))
-	pts, _ := b.group(p, visited)
-	libs := map[int]bool{}
-	var nbuf [4]int
-	for _, gp := range pts {
-		for _, nb := range b.neighbors(gp, nbuf[:0]) {
-			if b.cells[nb] == Empty && nb != occupied {
-				libs[nb] = true
-			}
-		}
-	}
-	return len(libs)
+	return n, free
 }
 
 // Play executes a move (or Pass) for the side to play. It returns an error
@@ -260,31 +219,43 @@ func (b *Board) Play(p int) error {
 	}
 	me := b.toPlay
 	b.place(p, me)
-	// Capture opponent chains left without liberties.
+	// Capture opponent chains left without liberties. Chains are disjoint,
+	// so one visited set serves every neighbor; the flood fills run over
+	// arrays on the stack, as Legal's do.
 	var nbuf [4]int
+	var visited [maxPoints]bool
+	var chain [maxPoints]int16
+	nbs := b.neighbors(p, nbuf[:0])
 	capturedTotal := 0
 	lastCaptured := -1
-	for _, nb := range b.neighbors(p, nbuf[:0]) {
-		if b.cells[nb] != me.Opponent() {
+	for _, nb := range nbs {
+		if b.cells[nb] != me.Opponent() || visited[nb] {
 			continue
 		}
-		visited := make([]bool, len(b.cells))
-		pts, hasLib := b.group(nb, visited)
-		if !hasLib {
-			for _, cp := range pts {
-				b.remove(cp)
+		if n, free := b.fill(nb, -1, &visited, &chain); !free {
+			for _, cp := range chain[:n] {
+				b.remove(int(cp))
 				capturedTotal++
-				lastCaptured = cp
+				lastCaptured = int(cp)
 			}
 		}
 	}
 	// Simple ko: single-stone capture by a single stone with no other
-	// liberties makes the captured point immediately illegal.
+	// liberties makes the captured point immediately illegal. The new
+	// stone is a chain of its own when no neighbor is friendly, and then
+	// its liberties are its empty neighbors.
 	b.koPoint = -1
 	if capturedTotal == 1 {
-		visited := make([]bool, len(b.cells))
-		pts, _ := b.group(p, visited)
-		if len(pts) == 1 && b.libertiesAfterRemoval(p, -1) == 1 {
+		libs, alone := 0, true
+		for _, nb := range nbs {
+			switch b.cells[nb] {
+			case Empty:
+				libs++
+			case me:
+				alone = false
+			}
+		}
+		if alone && libs == 1 {
 			b.koPoint = lastCaptured
 		}
 	}

@@ -413,3 +413,136 @@ func TestLegalAllocs(t *testing.T) {
 		t.Errorf("LegalMoves: no room for Pass (len %d, cap %d)", len(moves), cap(moves))
 	}
 }
+
+// group flood-fills the chain containing p, returning its points and
+// whether it has at least one liberty: the flood fill Legal and Play used
+// before theirs moved onto the stack, kept as the references' own.
+func (b *Board) group(p int, visited []bool) (points []int, hasLiberty bool) {
+	color := b.cells[p]
+	stack := []int{p}
+	visited[p] = true
+	var nbuf [4]int
+	for len(stack) > 0 {
+		cur := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		points = append(points, cur)
+		for _, nb := range b.neighbors(cur, nbuf[:0]) {
+			switch {
+			case b.cells[nb] == Empty:
+				hasLiberty = true
+			case b.cells[nb] == color && !visited[nb]:
+				visited[nb] = true
+				stack = append(stack, nb)
+			}
+		}
+	}
+	return points, hasLiberty
+}
+
+// refPlay is Play's point move as it was before its flood fills moved onto
+// the stack: a visited slice per neighbouring opponent chain and a group
+// and liberty map for the ko check. TestPlayMatchesReference holds Play to
+// it.
+func refPlay(b *Board, p int) {
+	me := b.toPlay
+	b.place(p, me)
+	var nbuf [4]int
+	capturedTotal := 0
+	lastCaptured := -1
+	for _, nb := range b.neighbors(p, nbuf[:0]) {
+		if b.cells[nb] != me.Opponent() {
+			continue
+		}
+		visited := make([]bool, len(b.cells))
+		pts, hasLib := b.group(nb, visited)
+		if !hasLib {
+			for _, cp := range pts {
+				b.remove(cp)
+				capturedTotal++
+				lastCaptured = cp
+			}
+		}
+	}
+	b.koPoint = -1
+	if capturedTotal == 1 {
+		pts, _ := b.group(p, make([]bool, len(b.cells)))
+		libs := map[int]bool{}
+		for _, gp := range pts {
+			for _, nb := range b.neighbors(gp, nbuf[:0]) {
+				if b.cells[nb] == Empty {
+					libs[nb] = true
+				}
+			}
+		}
+		if len(pts) == 1 && len(libs) == 1 {
+			b.koPoint = lastCaptured
+		}
+	}
+	b.passes = 0
+	b.moves++
+	b.toPlay = me.Opponent()
+}
+
+// TestPlayMatchesReference plays seeded random playouts on 3×3 to 9×9
+// boards and, before every point move, plays it on a clone with refPlay:
+// the two boards must then agree on every stone, the hash, the ko point and
+// the side to move. The counters show that captures and ko occurred.
+func TestPlayMatchesReference(t *testing.T) {
+	var captures, kos int
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := New(3 + int(seed)%7)
+		for !b.GameOver() {
+			moves := b.LegalMoves()
+			if len(moves) == 0 || rng.Intn(30) == 0 {
+				mustPlay(t, b, Pass)
+				continue
+			}
+			move := moves[rng.Intn(len(moves))]
+			ref := b.Clone()
+			refPlay(ref, move)
+			stones := b.stones()
+			mustPlay(t, b, move)
+			if !slices.Equal(b.cells, ref.cells) || b.hash != ref.hash || b.koPoint != ref.koPoint ||
+				b.toPlay != ref.toPlay || b.moves != ref.moves || b.passes != ref.passes {
+				t.Fatalf("seed %d, move %d at %d: Play gives\n%vko %d, reference\n%vko %d",
+					seed, b.moves, move, b, b.koPoint, ref, ref.koPoint)
+			}
+			if b.stones() < stones+1 {
+				captures++
+			}
+			if b.koPoint >= 0 {
+				kos++
+			}
+		}
+	}
+	if captures == 0 || kos == 0 {
+		t.Fatalf("playouts made %d captures and %d ko points: both must occur", captures, kos)
+	}
+}
+
+// TestPlayAllocs pins a point move at zero allocations, with a capture and
+// the ko check that follows it: on a 5×5 board black's stone at 7 takes
+// white's lone stone at 6 and is left with one liberty, 6, which becomes
+// the ko point.
+//
+//	. B W . .
+//	B W . W .
+//	. B W . .
+func TestPlayAllocs(t *testing.T) {
+	start := New(5)
+	mustPlay(t, start, 1, 6, 5, 2, 11, 12, Pass, 8)
+	b := start.Clone()
+	if n := testing.AllocsPerRun(100, func() {
+		copy(b.cells, start.cells)
+		b.koPoint, b.toPlay, b.hash, b.moves = start.koPoint, start.toPlay, start.hash, start.moves
+		if err := b.Play(7); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Play with a capture: %v allocations, want 0", n)
+	}
+	if b.cells[6] != Empty || b.koPoint != 6 {
+		t.Fatalf("black at 7 left ko point %d, want 6 with 6 captured\n%v", b.koPoint, b)
+	}
+}

@@ -18,6 +18,7 @@ package minigo
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 
@@ -137,15 +138,9 @@ func (e *evaluator) Evaluate(boards []*goboard.Board) ([][]float64, []float64) {
 		row := out.Row(i)
 		logits := nn.FromVec(row[:nPolicy])
 		priors[i] = nn.Softmax(logits).Row(0)
-		values[i] = tanh(row[nPolicy])
+		values[i] = math.Tanh(row[nPolicy])
 	}
 	return priors, values
-}
-
-func tanh(x float64) float64 {
-	// math.Tanh via nn's activation to keep behaviour uniform.
-	t := nn.FromVec([]float64{x})
-	return nn.Tanh.Apply(t).At(0, 0)
 }
 
 // traverseCost is the high-level Python time one MCTS tree traversal
@@ -354,7 +349,7 @@ func pvLossGrad(out *nn.Tensor, pis [][]float64, zs []float64, nPolicy int) *nn.
 		}
 		// Value head: v = tanh(raw); d(v−z)²/draw = 2(v−z)(1−v²).
 		raw := out.At(i, nPolicy)
-		v := tanh(raw)
+		v := math.Tanh(raw)
 		grad.Set(i, nPolicy, 2*(v-zs[i])*(1-v*v)/nb)
 	}
 	return grad

@@ -30,13 +30,6 @@ func (a Activation) String() string {
 	}
 }
 
-// Apply computes the activation element-wise into a fresh tensor.
-func (a Activation) Apply(x *Tensor) *Tensor {
-	out := x.Clone()
-	a.apply(out)
-	return out
-}
-
 // apply computes the activation element-wise in place.
 func (a Activation) apply(x *Tensor) {
 	switch a {

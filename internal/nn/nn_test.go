@@ -236,6 +236,13 @@ func TestMatMulTransposesAgree(t *testing.T) {
 	}
 }
 
+// Apply computes the activation element-wise into a fresh tensor.
+func (a Activation) Apply(x *Tensor) *Tensor {
+	out := x.Clone()
+	a.apply(out)
+	return out
+}
+
 func TestActivations(t *testing.T) {
 	x := FromVec([]float64{-1, 0, 2})
 	r := ReLU.Apply(x)

@@ -71,7 +71,7 @@ type minibatch struct {
 // sample assembles a minibatch, which happens in high-level code.
 func (o *offPolicy) sample() *minibatch {
 	n := o.cfg.batch()
-	o.b.Session().Python(pythonMinibatchCost(n))
+	o.b.Python(pythonMinibatchCost(n))
 	mb := &minibatch{
 		batch: o.replay.Sample(n),
 		obs:   make([][]float64, n),

@@ -173,7 +173,7 @@ func (o *onPolicy) gather(lambda float64) *flatBatch {
 // the value network to ret, and global-norm gradient clipping.
 func (o *onPolicy) trainStep(obs [][]float64, ret []float64, pgLoss string, pg func(out *nn.Tensor) *nn.Tensor) {
 	x := obsTensor(obs)
-	o.b.Session().Python(pythonMinibatchCost(len(obs)))
+	o.b.Python(pythonMinibatchCost(len(obs)))
 	o.b.Compute(o.prefix+"/train_step", backend.KindBackprop, func(c *backend.Comp) {
 		c.Feed(x)
 		c.ZeroGrad(o.policy)

@@ -1,9 +1,12 @@
 package workloads
 
 import (
+	"errors"
+	"maps"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/calib"
 	"repro/internal/trace"
 )
 
@@ -27,20 +30,59 @@ var agentDigestCases = []struct {
 	{Spec{Algo: "SAC", Env: "Walker2D", Model: backend.EagerPyTorch, TotalSteps: 200, Seed: 7, CollectStepsOverride: 4}, "ccdcb846c1b71f049bdeb892b3010ce8a7e960a1aa793e2c4094e2f9e0f9245a"},
 }
 
+// calibrateFlags is the flag sets Calibrate asks its runner for.
+func calibrateFlags() []trace.FeatureFlags {
+	var asked []trace.FeatureFlags
+	calib.Calibrate(func(_ int64, flags ...trace.FeatureFlags) ([]*calib.RunStats, error) {
+		asked = flags
+		return nil, errors.New("flags recorded")
+	}, 0)
+	return asked
+}
+
+// traceDigest is the on-disk digest of a run's trace.
+func traceDigest(t *testing.T, stats *calib.RunStats) string {
+	t.Helper()
+	dir := t.TempDir()
+	w, err := trace.NewWriter(dir, 1<<15)
+	if err != nil {
+		t.Fatalf("NewWriter: %v", err)
+	}
+	w.Append(stats.Trace.Events...)
+	if err := w.Close(stats.Trace.Meta); err != nil {
+		t.Fatalf("Writer.Close: %v", err)
+	}
+	got, err := trace.DirDigest(dir)
+	if err != nil {
+		t.Fatalf("DirDigest: %v", err)
+	}
+	return got
+}
+
 // TestAgentTraceDigests holds every agent's observable behaviour — its RNG
 // draws, the names and order of its backend calls, and the floats those
 // calls carry — to the byte: the on-disk digest of each run's fully
 // instrumented trace must equal the pinned value. A refactor of
 // internal/rl that changes any of them moves a digest.
+//
+// Each spec trains once with six lanes, the full flag set and Calibrate's
+// five, and every lane must record what a run with that flag set alone
+// records: the same trace bytes, total, book-keeping counts and per-API
+// CUDA statistics.
 func TestAgentTraceDigests(t *testing.T) {
+	flags := append([]trace.FeatureFlags{trace.Full()}, calibrateFlags()...)
+	if len(flags) != 6 {
+		t.Fatalf("Calibrate asked for %d flag sets, want 5", len(flags)-1)
+	}
 	for _, c := range agentDigestCases {
 		t.Run(c.spec.Name(), func(t *testing.T) {
-			stats, err := Run(c.spec, trace.Full())
+			t.Parallel()
+			lanes, err := RunLanes(c.spec, flags...)
 			if err != nil {
-				t.Fatalf("Run: %v", err)
+				t.Fatalf("RunLanes: %v", err)
 			}
 			updates := 0
-			for _, e := range stats.Trace.Events {
+			for _, e := range lanes[0].Trace.Events {
 				if e.Kind == trace.KindOp && e.Name == OpBackpropagation {
 					updates++
 				}
@@ -48,21 +90,25 @@ func TestAgentTraceDigests(t *testing.T) {
 			if updates < 2 {
 				t.Fatalf("%d Update calls, want at least 2", updates)
 			}
-			dir := t.TempDir()
-			w, err := trace.NewWriter(dir, 1<<15)
-			if err != nil {
-				t.Fatalf("NewWriter: %v", err)
-			}
-			w.Append(stats.Trace.Events...)
-			if err := w.Close(stats.Trace.Meta); err != nil {
-				t.Fatalf("Writer.Close: %v", err)
-			}
-			got, err := trace.DirDigest(dir)
-			if err != nil {
-				t.Fatalf("DirDigest: %v", err)
-			}
-			if got != c.digest {
+			if got := traceDigest(t, lanes[0]); got != c.digest {
 				t.Fatalf("trace digest %s, pinned %s", got, c.digest)
+			}
+			for i, f := range flags {
+				solo, err := Run(c.spec, f)
+				if err != nil {
+					t.Fatalf("Run(%v): %v", f, err)
+				}
+				lane := lanes[i]
+				switch {
+				case traceDigest(t, lane) != traceDigest(t, solo):
+					t.Errorf("lane %d (%v): trace differs from its solo run", i, f)
+				case lane.Total != solo.Total:
+					t.Errorf("lane %d (%v): total %v, solo %v", i, f, lane.Total, solo.Total)
+				case !maps.Equal(lane.OverheadCounts, solo.OverheadCounts):
+					t.Errorf("lane %d (%v): overhead counts %v, solo %v", i, f, lane.OverheadCounts, solo.OverheadCounts)
+				case !maps.Equal(lane.APICount, solo.APICount) || !maps.Equal(lane.APIDur, solo.APIDur):
+					t.Errorf("lane %d (%v): CUDA API stats %v %v, solo %v %v", i, f, lane.APICount, lane.APIDur, solo.APICount, solo.APIDur)
+				}
 			}
 		})
 	}

@@ -97,18 +97,38 @@ func newAgent(spec Spec, b *backend.Backend, env sim.Env) (rl.Agent, error) {
 // Run executes the workload once under the given profiler feature flags and
 // returns its run statistics (trace, totals, overhead counts).
 func Run(spec Spec, flags trace.FeatureFlags) (*calib.RunStats, error) {
+	runs, err := RunLanes(spec, flags)
+	if err != nil {
+		return nil, err
+	}
+	return runs[0], nil
+}
+
+// RunLanes trains the workload once and profiles that one training under
+// every flag set: one agent and one set of environments do the arithmetic,
+// and each flag set gets a profiler, device and CUDA context of its own — a
+// backend lane. The clock is virtual and book-keeping draws its costs from
+// a stream of its own, so lane i records exactly the trace Run(spec,
+// flags[i]) does. The stats come back in flags' order.
+func RunLanes(spec Spec, flags ...trace.FeatureFlags) ([]*calib.RunStats, error) {
 	if spec.TotalSteps <= 0 {
 		return nil, fmt.Errorf("workloads: TotalSteps must be positive")
 	}
-	p := profiler.New(profiler.Options{
-		Workload: spec.Name(),
-		Flags:    flags,
-		Seed:     spec.Seed,
-	})
-	dev := gpu.NewDevice(-1)
-	sess := p.NewProcess("trainer", -1, 0)
-	ctx := cuda.NewContext(sess, dev, cuda.DefaultCosts())
-	b := backend.New(sess, ctx, spec.Model)
+	if len(flags) == 0 {
+		return nil, fmt.Errorf("workloads: no feature flags to run under")
+	}
+	profs := make([]*profiler.Profiler, len(flags))
+	lanes := make([]backend.Lane, len(flags))
+	for i, f := range flags {
+		profs[i] = profiler.New(profiler.Options{
+			Workload: spec.Name(),
+			Flags:    f,
+			Seed:     spec.Seed,
+		})
+		sess := profs[i].NewProcess("trainer", -1, 0)
+		lanes[i] = backend.Lane{Sess: sess, Ctx: cuda.NewContext(sess, gpu.NewDevice(-1), cuda.DefaultCosts())}
+	}
+	b := backend.NewLanes(spec.Model, lanes)
 
 	env, err := sim.New(spec.Env, spec.Seed+29)
 	if err != nil {
@@ -132,13 +152,14 @@ func Run(spec Spec, flags trace.FeatureFlags) (*calib.RunStats, error) {
 		}
 	}
 
-	sess.SetPhase("training")
+	for _, l := range lanes {
+		l.Sess.SetPhase("training")
+	}
 	obs := make([][]float64, nEnvs)
-	sess.WithOperation(OpSimulation, func() {
+	withOperation(b, OpSimulation, func() {
 		for e := range envs {
 			ev := envs[e]
-			sess.CallSimulator(ev.Name()+".reset", func() {
-				sess.Clock().Spend(ev.ResetCost())
+			callSimulator(b, ev.Name()+".reset", ev.ResetCost(), func() {
 				obs[e] = ev.Reset()
 			})
 		}
@@ -155,31 +176,27 @@ func Run(spec Spec, flags trace.FeatureFlags) (*calib.RunStats, error) {
 		// the data-collection stage, so it is charged inside a
 		// simulation annotation — that is where the paper observes the
 		// resulting Python-time inflation.
-		sess.WithOperation(OpSimulation, func() {
-			b.AutographLoopEntry()
-		})
+		withOperation(b, OpSimulation, b.AutographLoopEntry)
 		for step := 0; step < segment; step++ {
 			var acts [][]float64
-			sess.WithOperation(OpInference, func() {
+			withOperation(b, OpInference, func() {
 				acts = agent.ActBatch(obs)
 			})
 			next := make([][]float64, nEnvs)
 			rewards := make([]float64, nEnvs)
 			dones := make([]bool, nEnvs)
-			sess.WithOperation(OpSimulation, func() {
+			withOperation(b, OpSimulation, func() {
 				for e := range envs {
 					ev := envs[e]
 					// Per-step driver glue: action unboxing
 					// and observation marshaling in
 					// high-level code.
-					sess.Python(stepGlueCost)
-					sess.CallSimulator(ev.Name()+".step", func() {
-						sess.Clock().Spend(ev.StepCost())
+					b.Python(stepGlueCost)
+					callSimulator(b, ev.Name()+".step", ev.StepCost(), func() {
 						next[e], rewards[e], dones[e] = ev.Step(acts[e])
 					})
 					if dones[e] {
-						sess.CallSimulator(ev.Name()+".reset", func() {
-							sess.Clock().Spend(ev.ResetCost())
+						callSimulator(b, ev.Name()+".reset", ev.ResetCost(), func() {
 							next[e] = ev.Reset()
 						})
 					}
@@ -196,26 +213,47 @@ func Run(spec Spec, flags trace.FeatureFlags) (*calib.RunStats, error) {
 		stepsDone += segment * nEnvs
 
 		for u, n := 0, agent.UpdatesPerCollect(); u < n; u++ {
-			sess.WithOperation(OpBackpropagation, func() {
-				agent.Update()
-			})
+			withOperation(b, OpBackpropagation, agent.Update)
 		}
 	}
-	sess.Close()
 
-	tr, err := p.Trace()
-	if err != nil {
-		return nil, err
+	for _, l := range lanes {
+		l.Sess.Close()
 	}
-	return calib.StatsFromTrace(tr, flags, p.OverheadCounts(), p.TotalTime()), nil
+	runs := make([]*calib.RunStats, len(flags))
+	for i, p := range profs {
+		tr, err := p.Trace()
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = calib.StatsFromTrace(tr, flags[i], p.OverheadCounts(), p.TotalTime())
+	}
+	return runs, nil
 }
 
-// Runner adapts a Spec into a calib.Runner, re-seeding per invocation so
-// calibration's determinism assumption holds.
+// withOperation runs fn once inside an operation annotation on every lane.
+func withOperation(b *backend.Backend, name string, fn func()) {
+	b.Nest(func(l backend.Lane, inner func()) { l.Sess.WithOperation(name, inner) }, fn)
+}
+
+// callSimulator wraps one call into the simulator on every lane, each lane
+// spending cost inside it; fn, the simulator's own arithmetic, runs once.
+func callSimulator(b *backend.Backend, name string, cost vclock.Dist, fn func()) {
+	b.Nest(func(l backend.Lane, inner func()) {
+		l.Sess.CallSimulator(name, func() {
+			l.Sess.Clock().Spend(cost)
+			inner()
+		})
+	}, fn)
+}
+
+// Runner adapts a Spec into a calib.Runner: it re-seeds the spec per call,
+// so calibration's determinism assumption holds, and trains it once for
+// every flag set the call asks for (RunLanes).
 func Runner(spec Spec) calib.Runner {
-	return func(flags trace.FeatureFlags, seed int64) (*calib.RunStats, error) {
+	return func(seed int64, flags ...trace.FeatureFlags) ([]*calib.RunStats, error) {
 		s := spec
 		s.Seed = seed
-		return Run(s, flags)
+		return RunLanes(s, flags...)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/overlap"
 	"repro/internal/trace"
+	"repro/internal/vclock"
 )
 
 func runSpec(t *testing.T, spec Spec) *overlap.Result {
@@ -108,22 +109,19 @@ func TestSpecName(t *testing.T) {
 
 func TestRunnerReseeds(t *testing.T) {
 	r := Runner(Spec{Algo: "A2C", Env: "Walker2D", Model: backend.Graph, TotalSteps: 50, Seed: 1})
-	a, err := r(trace.Uninstrumented(), 42)
-	if err != nil {
-		t.Fatalf("runner: %v", err)
+	total := func(seed int64) vclock.Duration {
+		t.Helper()
+		runs, err := r(seed, trace.Uninstrumented())
+		if err != nil {
+			t.Fatalf("runner: %v", err)
+		}
+		return runs[0].Total
 	}
-	b, err := r(trace.Uninstrumented(), 42)
-	if err != nil {
-		t.Fatalf("runner: %v", err)
+	a, b := total(42), total(42)
+	if a != b {
+		t.Fatalf("same seed produced different totals: %v vs %v", a, b)
 	}
-	if a.Total != b.Total {
-		t.Fatalf("same seed produced different totals: %v vs %v", a.Total, b.Total)
-	}
-	c, err := r(trace.Uninstrumented(), 43)
-	if err != nil {
-		t.Fatalf("runner: %v", err)
-	}
-	if c.Total == a.Total {
+	if total(43) == a {
 		t.Fatal("different seeds produced identical totals (suspicious)")
 	}
 }

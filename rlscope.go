@@ -39,8 +39,8 @@
 //
 // # Overhead calibration and correction
 //
-// Calibrate measures the profiler's own book-keeping costs by re-running a
-// workload under feature subsets (delta calibration plus
+// Calibrate measures the profiler's own book-keeping costs by profiling one
+// seed of a workload under five feature subsets (delta calibration plus
 // difference-of-average calibration for per-CUDA-API CUPTI inflation), and
 // correction subtracts them from a trace at the points where they occurred
 // (§3.4, Appendix C). Composed into the Engine, correction runs as a
@@ -104,7 +104,8 @@ type (
 	Calibration = calib.Calibration
 	// RunStats is what one run exposes to calibration.
 	RunStats = calib.RunStats
-	// Runner executes a workload under given flags for calibration.
+	// Runner runs one seed of a workload under each of the given flag
+	// sets for calibration.
 	Runner = calib.Runner
 	// ValidationResult reports correction accuracy for one workload.
 	ValidationResult = calib.ValidationResult
@@ -143,7 +144,8 @@ type StreamStats = analysis.StreamStats
 func TraceDirDigest(dir string) (string, error) { return trace.DirDigest(dir) }
 
 // Calibrate measures the mean cost of each profiler book-keeping path by
-// re-running the workload under feature subsets (paper Appendix C).
+// profiling one seed of the workload under five feature subsets (paper
+// Appendix C): run is asked once, for all five.
 func Calibrate(run Runner, seed int64) (*Calibration, error) { return calib.Calibrate(run, seed) }
 
 // Correct subtracts calibrated overhead from a trace at the precise points

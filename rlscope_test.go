@@ -52,9 +52,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 func TestPublicAPICalibrationRoundTrip(t *testing.T) {
-	runner := Runner(func(flags FeatureFlags, seed int64) (*RunStats, error) {
-		p, tr := runToy(flags, seed)
-		return StatsFromTrace(tr, flags, p.OverheadCounts(), p.TotalTime()), nil
+	runner := Runner(func(seed int64, flagSets ...FeatureFlags) ([]*RunStats, error) {
+		runs := make([]*RunStats, len(flagSets))
+		for i, flags := range flagSets {
+			p, tr := runToy(flags, seed)
+			runs[i] = StatsFromTrace(tr, flags, p.OverheadCounts(), p.TotalTime())
+		}
+		return runs, nil
 	})
 	cal, err := Calibrate(runner, 7)
 	if err != nil {
