@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	rlscope-hyp                                  # run hypotheses.json minus wall-clock hypotheses, verdicts to stdout
+//	rlscope-hyp                                  # run hypotheses.json, verdicts to stdout
 //	rlscope-hyp -out verdicts.json -gate         # regenerate the committed golden; exit 1 on a refuted deterministic
-//	rlscope-hyp -ids F.1,R.serve-cache -timing   # a subset, wall-clock hypotheses included
+//	rlscope-hyp -ids F.1,D.seed-repro            # a subset
 //	rlscope-hyp -list                            # show the grid without running it
 //	rlscope-hyp -metrics fig4 -steps 800 -seed 42  # dump one experiment's metric bundle
 //
@@ -34,7 +34,6 @@ func main() {
 		gridPath = flag.String("grid", "hypotheses.json", "experiment grid to evaluate")
 		ids      = flag.String("ids", "", "comma-separated hypothesis ids (default: all)")
 		steps    = flag.Int("steps", 0, "override every hypothesis's step budget (0 = grid scale; verdicts are calibrated at grid scale)")
-		timing   = flag.Bool("timing", false, "include wall-clock (timing) hypotheses; the output is then not byte-deterministic")
 		out      = flag.String("out", "", "write the verdict document to this file (default: stdout)")
 		gate     = flag.Bool("gate", false, "exit 1 when any deterministic hypothesis is refuted")
 		list     = flag.Bool("list", false, "print the grid's hypotheses without running them")
@@ -63,12 +62,8 @@ func main() {
 
 	if *list {
 		for _, h := range grid.Hypotheses {
-			timingNote := ""
-			if h.Timing {
-				timingNote = ", timing"
-			}
-			fmt.Printf("%-18s %-13s %-10s %d seeds%s  %s\n",
-				h.ID, h.Class, h.Experiment, len(h.Seeds), timingNote, h.Title)
+			fmt.Printf("%-18s %-13s %-10s %d seeds  %s\n",
+				h.ID, h.Class, h.Experiment, len(h.Seeds), h.Title)
 		}
 		return
 	}
@@ -80,7 +75,7 @@ func main() {
 		}
 	}
 	doc, err := hypothesis.NewEvaluator(experiments.Metrics).Evaluate(grid, hypothesis.Options{
-		IDs: idList, Timing: *timing, Steps: *steps, Context: ctx,
+		IDs: idList, Steps: *steps, Context: ctx,
 	})
 	if err != nil {
 		fail(ctx, err)

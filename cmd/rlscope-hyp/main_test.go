@@ -19,8 +19,8 @@ import (
 // claims — must come back confirmed, the gate must pass, and the document,
 // encoded as the command writes it, must equal the committed verdicts.json
 // byte for byte. A metric that moves therefore shows up as a diff of that
-// file, not only as a verdict flip. Wall-clock hypotheses are excluded, as
-// they are by the command's default, so the document is byte-deterministic.
+// file, not only as a verdict flip. Every metric bundle is a pure function of
+// its grid cell, so the document is byte-deterministic.
 // Absolute numbers differ from the paper's (the substrate is a simulator);
 // the conditions hold the shape: who wins, by roughly what factor, and
 // where crossovers fall.

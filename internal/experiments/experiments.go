@@ -82,9 +82,7 @@ var table = []experiment{
 	{"scaling", render(Figure8Scaling), scalingMetrics},
 	{"stream", render(StreamReplay), streamMetrics},
 	{"seedrepro", nil, seedReproMetrics},
-	{"sweepscale", nil, sweepScaleMetrics},
 	{"multihost", nil, multihostMetrics},
-	{"servecache", nil, serveCacheMetrics},
 	{"ingest", nil, ingestMetrics},
 	{"formatv2", nil, formatv2Metrics},
 	{"fleet", nil, fleetMetrics},

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"slices"
-	"time"
 
 	"repro/internal/backend"
 	"repro/internal/overlap"
@@ -18,9 +16,11 @@ import (
 // map computed at one ⟨experiment, steps, seed⟩ grid cell, so the hypothesis
 // harness (internal/hypothesis) can evaluate the paper's findings F.1–F.12
 // and the repo's own scaling claims declaratively instead of through
-// hand-written test assertions. All bundles except the two timing ones
-// (sweepscale, servecache) measure the simulated clock and are
-// byte-deterministic per cell.
+// hand-written test assertions. Every bundle reads the simulated clock or
+// compares bytes, never the host's clock, so each is a pure function of its
+// cell. Host-time claims live elsewhere: the benchmark measures them, and
+// tests check the properties behind them (a warm serve hit runs no Engine;
+// the sweep matches its reference on the deep-nesting trace).
 
 // modelKey is the stable short name metric bundles use for an execution
 // model.
@@ -279,96 +279,4 @@ func seedReproMetrics(opts Options) (map[string]float64, error) {
 		"same_seed_identical": boolMetric(a == b),
 		"diff_seed_differs":   boolMetric(a != c),
 	}, nil
-}
-
-// sweepScaleMetrics measures the incremental overlap sweep's scaling shape
-// (PR 3's claim): doubling a deep-nesting trace should roughly double the
-// sweep's wall time (O(n log n)), where the retained O(n·depth) reference
-// implementation would quadruple it. Host wall-clock time — a timing
-// bundle.
-func sweepScaleMetrics(opts Options) (map[string]float64, error) {
-	n := opts.steps(6000)
-	if n < 2000 {
-		n = 2000
-	}
-	small := sweepStressEvents(n, 80)
-	large := sweepStressEvents(2*n, 80)
-	tSmall, err := minSweepTime(opts.ctx(), small)
-	if err != nil {
-		return nil, err
-	}
-	tLarge, err := minSweepTime(opts.ctx(), large)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]float64{
-		"t2n_over_tn": tLarge.Seconds() / tSmall.Seconds(),
-	}, nil
-}
-
-// sweepStressEvents builds the deep-nesting stress trace (pyramids of
-// nested CPU/op events with staggered GPU activity — the regime where the
-// pre-incremental sweep was quadratic in depth).
-func sweepStressEvents(total, depth int) []trace.Event {
-	cpuCats := []trace.Category{
-		trace.CatPython, trace.CatSimulator, trace.CatBackend, trace.CatCUDA,
-	}
-	perPyramid := depth + depth/2 + depth/2
-	pyramids := total / perPyramid
-	if pyramids < 1 {
-		pyramids = 1
-	}
-	width := vclock.Time(4 * depth)
-	var events []trace.Event
-	for p := 0; p < pyramids; p++ {
-		base := vclock.Time(p) * width
-		for j := 0; j < depth; j++ {
-			events = append(events, trace.Event{
-				Kind: trace.KindCPU, Cat: cpuCats[j%len(cpuCats)],
-				Start: base + vclock.Time(j), End: base + width - vclock.Time(j),
-				Name: "cpu",
-			})
-		}
-		for j := 0; j < depth/2; j++ {
-			events = append(events, trace.Event{
-				Kind:  trace.KindOp,
-				Start: base + vclock.Time(2*j), End: base + width - vclock.Time(2*j),
-				Name: "op",
-			})
-		}
-		for j := 0; j < depth/2; j++ {
-			cat := trace.CatGPUKernel
-			if j%2 == 1 {
-				cat = trace.CatGPUMemcpy
-			}
-			events = append(events, trace.Event{
-				Kind: trace.KindGPU, Cat: cat,
-				Start: base + vclock.Time(j), End: base + width/2 + vclock.Time(j),
-				Name: "k",
-			})
-		}
-	}
-	return events
-}
-
-// minSweepTime returns the minimum wall time of the incremental sweep over
-// several repetitions — min-of-K, to shed scheduler noise.
-func minSweepTime(ctx context.Context, events []trace.Event) (time.Duration, error) {
-	const reps = 5
-	best := time.Duration(0)
-	for i := 0; i < reps; i++ {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		res := overlap.Compute(events)
-		elapsed := time.Since(start)
-		if len(res.ByKey) == 0 {
-			return 0, fmt.Errorf("experiments: sweepscale: empty sweep result")
-		}
-		if i == 0 || elapsed < best {
-			best = elapsed
-		}
-	}
-	return best, nil
 }

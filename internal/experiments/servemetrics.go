@@ -1,10 +1,9 @@
 package experiments
 
-// Metric bundles over the storage and serving layers: the report cache
-// (servecache), live ingest (ingest), the columnar chunk format (formatv2)
-// and fleet queries (fleet). Each writes a real DDPG/Walker2D trace
-// directory and drives the same front doors users do — the Engine,
-// rlscope-serve's handler, the typed client.
+// Metric bundles over the storage and serving layers: live ingest (ingest),
+// the columnar chunk format (formatv2) and fleet queries (fleet). Each
+// writes a real DDPG/Walker2D trace directory and drives the same front
+// doors users do — the Engine, rlscope-serve's handler, the typed client.
 
 import (
 	"bytes"
@@ -15,8 +14,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
-	"time"
 
 	"repro/client"
 	"repro/internal/analysis"
@@ -70,95 +67,6 @@ func resultDoc(ctx context.Context, dir string) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// serveCacheMetrics measures rlscope-serve's content-addressed report cache
-// (PR 5's claim): a cache hit answers from stored bytes and must be far
-// cheaper than the cache miss that pays a full Engine run. Host wall-clock
-// time — a timing bundle.
-func serveCacheMetrics(opts Options) (map[string]float64, error) {
-	tr, err := walkerRun(opts.steps(200), opts.Seed, trace.Uninstrumented())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: servecache: %w", err)
-	}
-	dir, err := os.MkdirTemp("", "rlscope-hyp-servecache-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	if err := writeTraceDir(dir, tr); err != nil {
-		return nil, err
-	}
-
-	request := func(h http.Handler) (time.Duration, error) {
-		if err := opts.ctx().Err(); err != nil {
-			return 0, err
-		}
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest("POST", "/v1/traces/t/analyze", strings.NewReader(`{"workers":1}`))
-		start := time.Now()
-		h.ServeHTTP(rec, req)
-		elapsed := time.Since(start)
-		if rec.Code != http.StatusOK {
-			return 0, fmt.Errorf("experiments: servecache: analyze: %d %s", rec.Code, rec.Body)
-		}
-		return elapsed, nil
-	}
-	newServer := func() (*serve.Server, error) {
-		s := serve.NewServer(serve.Config{})
-		if _, err := s.AddDir("t", dir); err != nil {
-			s.Close()
-			return nil, fmt.Errorf("experiments: servecache: %w", err)
-		}
-		return s, nil
-	}
-
-	// Miss: a fresh server's first request pays digesting + the Engine
-	// run + encoding. Min over a few one-shot servers.
-	const missReps = 3
-	var missBest time.Duration
-	for i := 0; i < missReps; i++ {
-		s, err := newServer()
-		if err != nil {
-			return nil, err
-		}
-		elapsed, err := request(s.Handler())
-		s.Close()
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 || elapsed < missBest {
-			missBest = elapsed
-		}
-	}
-
-	// Hit: a warm server answers the identical request from the cache.
-	s, err := newServer()
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	h := s.Handler()
-	if _, err := request(h); err != nil { // warm the cache
-		return nil, err
-	}
-	const hitReps = 50
-	var hitBest time.Duration
-	for i := 0; i < hitReps; i++ {
-		elapsed, err := request(h)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 || elapsed < hitBest {
-			hitBest = elapsed
-		}
-	}
-	if runs := s.EngineRuns(); runs != 1 {
-		return nil, fmt.Errorf("experiments: servecache: cache hits performed %d engine runs", runs)
-	}
-	return map[string]float64{
-		"miss_over_hit": missBest.Seconds() / hitBest.Seconds(),
-	}, nil
 }
 
 // formatv2Metrics checks PR 8's format-parity and compression claims on a

@@ -141,7 +141,6 @@ type HypothesisResult struct {
 	Class      Class             `json:"class"`
 	Experiment string            `json:"experiment"`
 	Steps      int               `json:"steps,omitempty"`
-	Timing     bool              `json:"timing,omitempty"`
 	Seeds      []int64           `json:"seeds"`
 	Verdict    Verdict           `json:"verdict"`
 	Conditions []ConditionResult `json:"conditions"`
@@ -161,8 +160,7 @@ type Document struct {
 
 // Source computes the named experiment's metric bundle at one grid cell.
 // steps ≤ 0 selects the experiment's default scale. Implementations must be
-// deterministic in (experiment, steps, seed) unless the metrics measure
-// host time (Hypothesis.Timing).
+// deterministic in (experiment, steps, seed).
 type Source func(ctx context.Context, experiment string, steps int, seed int64) (map[string]float64, error)
 
 // Evaluator runs grids against a metric source, memoizing experiment cells
@@ -193,9 +191,6 @@ func NewEvaluator(source Source) *Evaluator {
 type Options struct {
 	// IDs, when non-empty, restricts evaluation to the listed hypotheses.
 	IDs []string
-	// Timing includes wall-clock-measuring hypotheses. Excluding them
-	// (the default) keeps the document byte-deterministic.
-	Timing bool
 	// Steps, when positive, overrides every hypothesis's step budget —
 	// an experimentation knob; verdicts are calibrated at grid scale.
 	Steps int
@@ -229,9 +224,6 @@ func (e *Evaluator) Evaluate(g *Grid, opts Options) (*Document, error) {
 		if len(want) > 0 && !want[h.ID] {
 			continue
 		}
-		if h.Timing && !opts.Timing {
-			continue
-		}
 		if err := opts.ctx().Err(); err != nil {
 			return nil, err
 		}
@@ -249,7 +241,7 @@ func (e *Evaluator) evaluateOne(ctx context.Context, h *Hypothesis, stepsOverrid
 	}
 	out := HypothesisResult{
 		ID: h.ID, Title: h.Title, Class: h.Class, Experiment: h.Experiment,
-		Steps: steps, Timing: h.Timing, Seeds: h.Seeds,
+		Steps: steps, Seeds: h.Seeds,
 		Conditions: make([]ConditionResult, len(h.Conditions)),
 	}
 	for c := range h.Conditions {

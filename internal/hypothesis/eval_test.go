@@ -379,16 +379,10 @@ func TestCellMemoization(t *testing.T) {
 	}
 }
 
-// Timing hypotheses are excluded unless opted in; per-hypothesis summaries
-// report mean/min/max across seeds.
-func TestTimingFilterAndSummaries(t *testing.T) {
-	g := &Grid{Hypotheses: []Hypothesis{
-		{
-			ID: "T", Title: "t", Class: Statistical, Experiment: "x",
-			Seeds: []int64{1, 2, 3}, Timing: true,
-			Conditions: []Condition{{Name: "c", Kind: KindMinRatio, Metric: "v", Bound: 1.2}},
-		},
-	}}
+// Per-hypothesis summaries report mean/min/max across seeds, and the
+// result echoes the seeds it ran.
+func TestStatisticalSummaries(t *testing.T) {
+	g := statHyp(Condition{Kind: KindMinRatio, Bound: 1.2})
 	src := fixedSource(map[int64]map[string]float64{
 		1: {"v": 2}, 2: {"v": 4}, 3: {"v": 3},
 	})
@@ -396,15 +390,8 @@ func TestTimingFilterAndSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Results) != 0 {
-		t.Fatalf("timing hypothesis evaluated without opt-in: %+v", doc.Results)
-	}
-	doc, err = NewEvaluator(src).Evaluate(g, Options{Timing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(doc.Results) != 1 {
-		t.Fatalf("timing opt-in ignored")
+		t.Fatalf("got %d results, want 1", len(doc.Results))
 	}
 	c := doc.Results[0].Conditions[0]
 	if c.Mean != 3 || c.Min != 2 || c.Max != 4 {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestCommittedGridLoads(t *testing.T) {
 			t.Errorf("grid is missing paper finding %s", id)
 		}
 	}
-	for _, id := range []string{"R.scaling-illusion", "R.sweep-subquadratic", "R.serve-cache", "D.stream-bounded", "D.seed-repro"} {
+	for _, id := range []string{"R.scaling-illusion", "D.stream-bounded", "D.seed-repro"} {
 		if g.Find(id) == nil {
 			t.Errorf("grid is missing repo claim %s", id)
 		}
@@ -45,25 +46,46 @@ func TestCommittedGridLoads(t *testing.T) {
 			t.Errorf("%s references experiment %q the metric source does not implement", g.Hypotheses[i].ID, e)
 		}
 	}
-	hasDet, hasStat, hasTiming := false, false, false
+	hasDet, hasStat := false, false
 	for i := range g.Hypotheses {
-		h := &g.Hypotheses[i]
-		switch h.Class {
+		switch g.Hypotheses[i].Class {
 		case hypothesis.Deterministic:
 			hasDet = true
 		case hypothesis.Statistical:
 			hasStat = true
 		}
-		if h.Timing {
-			hasTiming = true
-			if h.Class == hypothesis.Deterministic {
-				t.Errorf("%s: wall-clock metrics cannot back a deterministic hypothesis", h.ID)
-			}
+	}
+	if !hasDet || !hasStat {
+		t.Errorf("grid should exercise every class: deterministic=%v statistical=%v", hasDet, hasStat)
+	}
+}
+
+// TestParseGridRefusesUnknownKeys: a key the grid does not define — a
+// retired one such as "timing", or a misspelt "seed" — is refused by name
+// rather than silently dropped, and so is anything after the one document.
+func TestParseGridRefusesUnknownKeys(t *testing.T) {
+	data, err := os.ReadFile(gridPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hypothesis.ParseGrid(data); err != nil {
+		t.Fatalf("committed grid refused: %v", err)
+	}
+	first := []byte(`"seeds": [`)
+	if !bytes.Contains(data, first) {
+		t.Fatal("committed grid has no seeds key to edit")
+	}
+	for key, edited := range map[string][]byte{
+		"timing": bytes.Replace(data, first, []byte(`"timing": true, "seeds": [`), 1),
+		"seed":   bytes.Replace(data, first, []byte(`"seed": [`), 1),
+	} {
+		_, err := hypothesis.ParseGrid(edited)
+		if err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Errorf("grid with key %q: err = %v, want one naming the key", key, err)
 		}
 	}
-	if !hasDet || !hasStat || !hasTiming {
-		t.Errorf("grid should exercise every class: deterministic=%v statistical=%v timing=%v",
-			hasDet, hasStat, hasTiming)
+	if _, err := hypothesis.ParseGrid(append(bytes.Clone(data), "{}"...)); err == nil {
+		t.Error("grid followed by a second JSON value accepted")
 	}
 }
 
@@ -164,7 +186,7 @@ func TestDocumentJSONDeterministic(t *testing.T) {
 		return map[string]float64{"synthetic": float64(seed) / 100}, nil
 	}
 	render := func() []byte {
-		doc, err := hypothesis.NewEvaluator(source).Evaluate(g, hypothesis.Options{Timing: true})
+		doc, err := hypothesis.NewEvaluator(source).Evaluate(g, hypothesis.Options{})
 		if err != nil {
 			t.Fatalf("Evaluate: %v", err)
 		}

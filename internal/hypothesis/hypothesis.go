@@ -24,8 +24,11 @@
 package hypothesis
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -108,7 +111,7 @@ type Condition struct {
 
 // Hypothesis is one claim of the grid.
 type Hypothesis struct {
-	// ID is the stable identifier (e.g. "F.1", "R.sweep-scaling").
+	// ID is the stable identifier (e.g. "F.1", "R.scaling-illusion").
 	ID string `json:"id"`
 	// Title states the claim in one line.
 	Title string `json:"title"`
@@ -123,11 +126,6 @@ type Hypothesis struct {
 	// Seeds lists the cell seeds. Deterministic hypotheses use exactly
 	// one; statistical hypotheses at least three.
 	Seeds []int64 `json:"seeds"`
-	// Timing marks hypotheses whose metrics measure host wall-clock time
-	// rather than the simulated clock. Their values — though not their
-	// expected verdicts — vary run to run, so evaluation leaves them out
-	// unless Options.Timing asks for them.
-	Timing bool `json:"timing,omitempty"`
 	// Conditions must all hold for the hypothesis to be confirmed.
 	Conditions []Condition `json:"conditions"`
 }
@@ -149,10 +147,24 @@ func LoadGrid(path string) (*Grid, error) {
 	return ParseGrid(data)
 }
 
-// ParseGrid decodes and validates a grid document.
+// ParseGrid decodes and validates a grid document: one JSON value with no
+// key the grid does not define, so a misspelt or retired key is refused
+// rather than dropped.
 func ParseGrid(data []byte) (*Grid, error) {
 	var g Grid
-	if err := json.Unmarshal(data, &g); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&g)
+	if err == nil {
+		// Token answers io.EOF exactly when only white space follows the
+		// value.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("trailing data after the grid")
+		}
+	}
+	if err != nil {
 		return nil, fmt.Errorf("hypothesis: parsing grid: %w", err)
 	}
 	if err := g.Validate(); err != nil {

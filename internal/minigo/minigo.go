@@ -13,7 +13,8 @@
 // seconds; this reproduction defaults to 9×9 with the same 16-worker
 // structure, preserving the finding that per-worker GPU time is a tiny
 // fraction of per-worker runtime even while a sampled utilization monitor
-// reads ~100% (F.11).
+// reads ~100% (F.11). A product that feeds an add is written float64(x*y),
+// which forbids the compiler to fuse the two (arm64 would).
 package minigo
 
 import (
@@ -350,7 +351,7 @@ func pvLossGrad(out *nn.Tensor, pis [][]float64, zs []float64, nPolicy int) *nn.
 		// Value head: v = tanh(raw); d(v−z)²/draw = 2(v−z)(1−v²).
 		raw := out.At(i, nPolicy)
 		v := math.Tanh(raw)
-		grad.Set(i, nPolicy, 2*(v-zs[i])*(1-v*v)/nb)
+		grad.Set(i, nPolicy, 2*(v-zs[i])*(1-float64(v*v))/nb)
 	}
 	return grad
 }

@@ -87,8 +87,9 @@ func TestSweepAllocs(t *testing.T) {
 // BenchmarkOverlapDeepNesting measures the incremental sweep against the
 // retained reference implementation on ~10k events with up to ~100
 // simultaneously active events — the regime the incremental state machine
-// exists for. Ungated: R.sweep-subquadratic in the hypothesis grid holds
-// the scaling claim, TestSweepAllocs the allocation one.
+// exists for. Ungated: TestDeepNestingMatchesReference holds the sweep's
+// result on this trace and TestSweepAllocs its allocations; its scaling in
+// time is not gated yet.
 func BenchmarkOverlapDeepNesting(b *testing.B) {
 	events := deepNestingEvents(10_000, 100)
 	b.Run("incremental", func(b *testing.B) {

@@ -160,7 +160,7 @@ func rows(t *nn.Tensor) [][]float64 {
 func gaussianNoise(rng *rand.Rand, act []float64, sigma float64) []float64 {
 	out := make([]float64, len(act))
 	for i, a := range act {
-		out[i] = clipf(a+rng.NormFloat64()*sigma, 1)
+		out[i] = clipf(a+float64(rng.NormFloat64()*sigma), 1)
 	}
 	return out
 }
@@ -172,7 +172,7 @@ const log2pi = 1.8378770664093453
 // of the diagonal Gaussian policies A2C, PPO2 and SAC sample from.
 func gaussLogp(x, mean, logStd float64) float64 {
 	z := (x - mean) / math.Exp(logStd)
-	return -0.5*z*z - logStd - 0.5*log2pi
+	return float64(-0.5*z*z) - logStd - 0.5*log2pi
 }
 
 // splitCriticInputGrad extracts the action part of dL/d[obs,act].

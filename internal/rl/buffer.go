@@ -3,7 +3,9 @@
 // simulated ML backend. Every algorithm trains real networks with real
 // gradients; the backend charges simulated CPU/GPU time around the math, so
 // profiled training runs produce the cross-stack traces the case studies
-// analyze.
+// analyze. A product that feeds an add is written float64(x*y), which
+// forbids the compiler to fuse the two (arm64 would), so training computes
+// the same bits on every architecture.
 package rl
 
 import (
@@ -123,8 +125,8 @@ func (ro *Rollout) GAE(gamma, lambda float64) (advantages, returns []float64) {
 		if !ro.Dones[t] {
 			nextNonTerminal = 1
 		}
-		delta := ro.Rewards[t] + gamma*nextValue*nextNonTerminal - ro.Values[t]
-		adv = delta + gamma*lambda*nextNonTerminal*adv
+		delta := ro.Rewards[t] + float64(gamma*nextValue*nextNonTerminal) - ro.Values[t]
+		adv = delta + float64(gamma*lambda*nextNonTerminal*adv)
 		advantages[t] = adv
 		returns[t] = adv + ro.Values[t]
 	}
@@ -145,7 +147,7 @@ func NormalizeAdvantages(adv []float64) {
 	var varsum float64
 	for _, a := range adv {
 		d := a - mean
-		varsum += d * d
+		varsum += float64(d * d)
 	}
 	std := math.Sqrt(varsum / float64(len(adv)))
 	if std < 1e-8 {

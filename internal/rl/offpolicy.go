@@ -94,7 +94,7 @@ func (o *offPolicy) tdTarget(mb *minibatch, next func(i int) float64) *nn.Tensor
 	for i, t := range mb.batch {
 		y := t.Reward
 		if !t.Done {
-			y += o.gamma * next(i)
+			y += float64(o.gamma * next(i))
 		}
 		target.Set(i, 0, y)
 	}

@@ -89,7 +89,7 @@ func (o *onPolicy) sample(out *nn.Tensor, e int) ([]float64, float64) {
 	act := make([]float64, len(mean))
 	var logp float64
 	for i, m := range mean {
-		act[i] = m + std*o.rng.NormFloat64()
+		act[i] = m + float64(std*o.rng.NormFloat64())
 		logp += gaussLogp(act[i], m, o.logStd)
 		// Clip to the action space, as stable-baselines' VecEnv does
 		// before stepping the simulator.

@@ -57,11 +57,11 @@ func (s *SAC) samplePolicy(mean []float64) (act []float64, logp float64) {
 	std := math.Exp(s.logStd)
 	act = make([]float64, len(mean))
 	for i, m := range mean {
-		u := m + std*s.rng.NormFloat64()
+		u := m + float64(std*s.rng.NormFloat64())
 		a := math.Tanh(u)
 		act[i] = a
 		logp += gaussLogp(u, m, s.logStd)
-		logp -= math.Log(1 - a*a + 1e-6) // tanh change of variables
+		logp -= math.Log(1 - float64(a*a) + 1e-6) // tanh change of variables
 	}
 	return act, logp
 }
@@ -96,7 +96,7 @@ func (s *SAC) Update() {
 		var target *nn.Tensor
 		c.HostLoss("sac/soft_target", func() {
 			target = s.tdTarget(mb, func(i int) float64 {
-				return math.Min(q1n.At(i, 0), q2n.At(i, 0)) - s.alpha*logps[i]
+				return math.Min(q1n.At(i, 0), q2n.At(i, 0)) - float64(s.alpha*logps[i])
 			})
 		})
 		s.regress(c, s.prefix, mb.critIn, target)
@@ -116,7 +116,7 @@ func (s *SAC) Update() {
 			for i := range piActs {
 				row := make([]float64, s.cfg.ActDim)
 				for j := range row {
-					u := mean.At(i, j) + std*s.rng.NormFloat64()
+					u := mean.At(i, j) + float64(std*s.rng.NormFloat64())
 					us.Set(i, j, u)
 					row[j] = math.Tanh(u)
 				}
@@ -138,7 +138,7 @@ func (s *SAC) Update() {
 			for i := 0; i < n; i++ {
 				for j := 0; j < s.cfg.ActDim; j++ {
 					th := math.Tanh(us.At(i, j))
-					g := dAct.At(i, j)*(1-th*th) +
+					g := float64(dAct.At(i, j)*(1-float64(th*th))) +
 						s.alpha*2*th/float64(n)
 					dMean.Set(i, j, g)
 				}

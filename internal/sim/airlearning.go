@@ -86,7 +86,7 @@ func (a *AirLearning) distToGoal() float64 {
 	var s float64
 	for i := 0; i < 3; i++ {
 		d := a.goal[i] - a.pos[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s)
 }
@@ -96,13 +96,13 @@ func (a *AirLearning) Step(act []float64) ([]float64, float64, bool) {
 	a.steps++
 	prevDist := a.distToGoal()
 	for i := 0; i < 3; i++ {
-		thrust := clip(act[i], 1) * airMaxThrust
-		acc := thrust - airDrag*a.vel[i]
+		thrust := float64(clip(act[i], 1) * airMaxThrust)
+		acc := thrust - float64(airDrag*a.vel[i])
 		if i == 2 {
 			acc += 0 // gravity assumed compensated by hover thrust
 		}
-		a.vel[i] += acc * airDT
-		a.pos[i] += a.vel[i] * airDT
+		a.vel[i] += float64(acc * airDT)
+		a.pos[i] += float64(a.vel[i] * airDT)
 	}
 	newDist := a.distToGoal()
 	reward := (prevDist - newDist) - 0.01 // progress minus time penalty

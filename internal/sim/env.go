@@ -12,7 +12,9 @@
 // with meaningful observations and rewards that the RL algorithms train
 // against. Each also carries a per-step CPU cost model: the virtual time a
 // step consumes inside the simulator's native library, scaled to match the
-// relative complexities of the originals.
+// relative complexities of the originals. A product that feeds an add is
+// written float64(x*y), which forbids the compiler to fuse the two (arm64
+// would), so a seed gives the same trajectory on every architecture.
 package sim
 
 import (
@@ -127,5 +129,5 @@ func clip(v, lim float64) float64 {
 
 // randRange draws uniformly from [lo, hi).
 func randRange(rng *rand.Rand, lo, hi float64) float64 {
-	return lo + rng.Float64()*(hi-lo)
+	return lo + float64(rng.Float64()*(hi-lo))
 }

@@ -149,17 +149,17 @@ func (l *Linkage) Step(act []float64) ([]float64, float64, bool) {
 	inertia := l.linkLen * l.linkLen
 	for i := 0; i < l.nJoints; i++ {
 		tq := clip(act[i], linkTorqueLim)
-		ctrlCost += tq * tq
-		alpha := (tq - linkJointDamp*l.omega[i]) / inertia
-		l.omega[i] += alpha * linkDT
-		l.theta[i] += l.omega[i] * linkDT
+		ctrlCost += float64(tq * tq)
+		alpha := (tq - float64(linkJointDamp*l.omega[i])) / inertia
+		l.omega[i] += float64(alpha * linkDT)
+		l.theta[i] += float64(l.omega[i] * linkDT)
 		// Joint limits as stiff springs.
 		const lim = 2.0
 		if l.theta[i] > lim {
-			l.omega[i] -= (l.theta[i] - lim) * 6
+			l.omega[i] -= float64((l.theta[i] - lim) * 6)
 			l.theta[i] = lim
 		} else if l.theta[i] < -lim {
-			l.omega[i] -= (l.theta[i] + lim) * 6
+			l.omega[i] -= float64((l.theta[i] + lim) * 6)
 			l.theta[i] = -lim
 		}
 	}
@@ -169,32 +169,32 @@ func (l *Linkage) Step(act []float64) ([]float64, float64, bool) {
 	// through joint motion, forward thrust.
 	var fz, fx float64
 	for i := 0; i < l.nJoints; i++ {
-		footZ := l.z - l.linkLen*(1+0.5*math.Cos(l.theta[i]))
+		footZ := l.z - float64(l.linkLen*(1+float64(0.5*math.Cos(l.theta[i]))))
 		if footZ < 0 {
 			pen := -footZ
-			vFoot := l.vz + l.linkLen*0.5*math.Sin(l.theta[i])*l.omega[i]
-			n := linkKContact*pen - linkDContact*vFoot
+			vFoot := l.vz + float64(l.linkLen*0.5*math.Sin(l.theta[i])*l.omega[i])
+			n := float64(linkKContact*pen) - float64(linkDContact*vFoot)
 			if n < 0 {
 				n = 0
 			}
 			fz += n
 			// Tangential thrust from leg sweep while in contact.
-			fx += 0.35 * n * math.Sin(l.theta[i]) * l.omega[i] * l.linkLen
+			fx += float64(0.35 * n * math.Sin(l.theta[i]) * l.omega[i] * l.linkLen)
 		}
 	}
 
 	// Torso dynamics.
 	az := linkGravity + fz/l.torsoM
-	ax := fx/l.torsoM - 0.3*l.vx // quadratic-ish drag, linearized
-	l.vz += az * linkDT
-	l.vx += ax * linkDT
-	l.z += l.vz * linkDT
-	l.x += l.vx * linkDT
+	ax := fx/l.torsoM - float64(0.3*l.vx) // quadratic-ish drag, linearized
+	l.vz += float64(az * linkDT)
+	l.vx += float64(ax * linkDT)
+	l.z += float64(l.vz * linkDT)
+	l.x += float64(l.vx * linkDT)
 	if l.z < 0.1 {
 		l.z, l.vz = 0.1, 0
 	}
 
-	reward := l.vx + l.aliveBonus - 0.05*ctrlCost
+	reward := l.vx + l.aliveBonus - float64(0.05*ctrlCost)
 	fell := l.z < l.minH || l.z > l.maxH
 	done := fell || l.steps >= l.maxSteps
 	return l.obs(), reward, done

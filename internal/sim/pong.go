@@ -137,7 +137,7 @@ func (p *Pong) frame(act []float64) ([]float64, float64, bool) {
 		if math.Abs(p.ballY-p.paddleA) <= pongPaddleSize/2 {
 			p.ballX, p.velX = -p.ballX, -p.velX
 			// Impart spin based on hit offset.
-			p.velY += (p.ballY - p.paddleA) * 0.05
+			p.velY += float64((p.ballY - p.paddleA) * 0.05)
 		} else {
 			p.scoreB++
 			reward = -1
@@ -146,7 +146,7 @@ func (p *Pong) frame(act []float64) ([]float64, float64, bool) {
 	} else if p.ballX >= pongWidth {
 		if math.Abs(p.ballY-p.paddleB) <= pongPaddleSize/2 {
 			p.ballX, p.velX = 2*pongWidth-p.ballX, -p.velX
-			p.velY += (p.ballY - p.paddleB) * 0.05
+			p.velY += float64((p.ballY - p.paddleB) * 0.05)
 		} else {
 			p.scoreA++
 			reward = 1

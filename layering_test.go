@@ -56,6 +56,26 @@ func TestInternalDoesNotImportFacade(t *testing.T) {
 	}
 }
 
+// TestGridCellsArePure pins that every metric bundle the hypothesis grid
+// reads is a pure function of its ⟨experiment, steps, seed⟩ cell: no non-test
+// file of internal/experiments or internal/hypothesis imports "time", so
+// none can read the host's clock. The simulated clock is internal/vclock.
+func TestGridCellsArePure(t *testing.T) {
+	m := loadedModule(t)
+	for _, pkg := range []string{"repro/internal/experiments", "repro/internal/hypothesis"} {
+		if len(m.files[pkg]) == 0 {
+			t.Errorf("no non-test files found for %s", pkg)
+		}
+		for _, f := range m.files[pkg] {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"time"` {
+					t.Errorf("%s: %s imports \"time\"; a grid cell must not read the host's clock", m.fset.Position(imp.Pos()), pkg)
+				}
+			}
+		}
+	}
+}
+
 var update = flag.Bool("update", false, "rewrite testdata/surface.txt from the tree instead of comparing with it")
 
 var surfaceFile = filepath.Join("testdata", "surface.txt")
