@@ -20,10 +20,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
+	"text/tabwriter"
 
 	"repro/internal/experiments"
 	"repro/internal/hypothesis"
@@ -61,9 +63,9 @@ func main() {
 	}
 
 	if *list {
-		for _, h := range grid.Hypotheses {
-			fmt.Printf("%-18s %-13s %-10s %d seeds  %s\n",
-				h.ID, h.Class, h.Experiment, len(h.Seeds), h.Title)
+		if err := writeList(os.Stdout, grid.Hypotheses); err != nil {
+			fmt.Fprintf(os.Stderr, "rlscope-hyp: %v\n", err)
+			os.Exit(1)
 		}
 		return
 	}
@@ -83,9 +85,11 @@ func main() {
 	doc.Grid = *gridPath
 	emit(doc, *out)
 
+	tw := tabwriter.NewWriter(os.Stderr, 0, 0, 1, ' ', 0)
 	for _, r := range doc.Results {
-		fmt.Fprintf(os.Stderr, "rlscope-hyp: %-18s %s\n", r.ID, r.Verdict)
+		fmt.Fprintf(tw, "rlscope-hyp: %s\t%s\n", r.ID, r.Verdict)
 	}
+	tw.Flush()
 	if *gate {
 		if err := hypothesis.Gate(doc); err != nil {
 			fmt.Fprintf(os.Stderr, "rlscope-hyp: gate: %v\n", err)
@@ -93,6 +97,17 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "rlscope-hyp: gate passed")
 	}
+}
+
+// writeList prints one row per hypothesis, each column padded to its
+// widest cell, so that an id of any length keeps the columns after it in
+// line.
+func writeList(w io.Writer, hs []hypothesis.Hypothesis) error {
+	tw := tabwriter.NewWriter(w, 0, 0, 1, ' ', 0)
+	for _, h := range hs {
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%d seeds\t %s\n", h.ID, h.Class, h.Experiment, len(h.Seeds), h.Title)
+	}
+	return tw.Flush()
 }
 
 // encode is the command's one output encoding; verdicts.json is its output.

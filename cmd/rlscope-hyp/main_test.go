@@ -58,6 +58,38 @@ func TestVerdictsGolden(t *testing.T) {
 	}
 }
 
+// TestListColumnsAlign checks that every -list row of the committed grid
+// starts its class column at one offset, past the longest id.
+func TestListColumnsAlign(t *testing.T) {
+	grid, err := hypothesis.LoadGrid("../../hypotheses.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := writeList(&buf, grid.Hypotheses); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(rows) != len(grid.Hypotheses) {
+		t.Fatalf("%d rows for %d hypotheses", len(rows), len(grid.Hypotheses))
+	}
+	offset := -1
+	for i, h := range grid.Hypotheses {
+		row := rows[i]
+		rest := strings.TrimLeft(strings.TrimPrefix(row, h.ID), " ")
+		if !strings.HasPrefix(row, h.ID+" ") || !strings.HasPrefix(rest, string(h.Class)+" ") {
+			t.Fatalf("row %q is not %s, padding, then %s", row, h.ID, h.Class)
+		}
+		at := len(row) - len(rest)
+		if offset < 0 {
+			offset = at
+		}
+		if at != offset {
+			t.Errorf("%s: class column at %d, the first row's at %d", h.ID, at, offset)
+		}
+	}
+}
+
 // TestGoldenDiffNamesDrift checks the comparison itself: a value that moves
 // without flipping any verdict is still a mismatch, and the error names the
 // hypothesis and condition it moved in.

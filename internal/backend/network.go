@@ -14,11 +14,48 @@ import (
 type Network struct {
 	Name string
 	MLP  *nn.MLP
+
+	// The op names its calls issue, built once so that a call
+	// concatenates nothing.
+	layers                    []layerOps
+	adam                      []string // per parameter, in Params order
+	zeroGrad, polyak, tgtCopy string
+}
+
+// layerOps are one dense layer's op names, each under the prefix
+// "<network>/dense<i>".
+type layerOps struct {
+	linearAct, matmul, biasAdd, act                       string // Forward
+	linearBackward, actGrad, matmulDW, matmulDX, biasGrad string // Backward
 }
 
 // NewNetwork builds a device-resident MLP.
 func NewNetwork(rng *rand.Rand, name string, sizes []int, act, outAct nn.Activation) *Network {
-	return &Network{Name: name, MLP: nn.NewMLP(rng, sizes, act, outAct, name)}
+	net := &Network{
+		Name:     name,
+		MLP:      nn.NewMLP(rng, sizes, act, outAct, name),
+		zeroGrad: name + "/zero_grad",
+		polyak:   name + "/polyak",
+		tgtCopy:  name + "/target_copy",
+	}
+	for i, l := range net.MLP.Layers {
+		prefix := fmt.Sprintf("%s/dense%d", name, i)
+		net.layers = append(net.layers, layerOps{
+			linearAct:      prefix + "/linear_act",
+			matmul:         prefix + "/matmul",
+			biasAdd:        prefix + "/bias_add",
+			act:            prefix + "/" + l.Act.String(),
+			linearBackward: prefix + "/linear_backward",
+			actGrad:        prefix + "/" + l.Act.String() + "_grad",
+			matmulDW:       prefix + "/matmul_dW",
+			matmulDX:       prefix + "/matmul_dX",
+			biasGrad:       prefix + "/bias_grad",
+		})
+	}
+	for _, p := range net.MLP.Params() {
+		net.adam = append(net.adam, name+"/adam/"+p.Name)
+	}
+	return net
 }
 
 // ParamBytes returns the float32 footprint of all parameters.
@@ -28,24 +65,24 @@ func (n *Network) ParamBytes() int { return 4 * n.MLP.NumParams() }
 // dense layer is three operators (matmul, bias_add, activation), each its
 // own eager dispatch in Eager mode; under PyTorch a layer executes as one
 // fused linear+activation op — the structural difference behind the paper's
-// F.3 transition-count gap.
+// F.3 transition-count gap. The result is the last layer's output, valid
+// until that layer's next call (nn.Dense).
 func (c *Comp) Forward(net *Network, x *nn.Tensor) *nn.Tensor {
 	cur := x
 	for i, l := range net.MLP.Layers {
-		layer, in := l, cur
+		layer, in, ops := l, cur, &net.layers[i]
 		flops := 2 * float64(in.Rows) * float64(layer.In) * float64(layer.Out)
-		prefix := fmt.Sprintf("%s/dense%d", net.Name, i)
 		var out *nn.Tensor
 		if c.b.costs.FuseDense {
-			c.Op(prefix+"/linear_act", flops, 1, func() {
+			c.Op(ops.linearAct, flops, 1, func() {
 				out = layer.Forward(in)
 			})
 		} else {
-			c.Op(prefix+"/matmul", flops, 1, func() {
+			c.Op(ops.matmul, flops, 1, func() {
 				out = layer.Forward(in)
 			})
-			c.Op(prefix+"/bias_add", float64(in.Rows*layer.Out), 1, nil)
-			c.Op(prefix+"/"+layer.Act.String(), float64(in.Rows*layer.Out), 1, nil)
+			c.Op(ops.biasAdd, float64(in.Rows*layer.Out), 1, nil)
+			c.Op(ops.act, float64(in.Rows*layer.Out), 1, nil)
 		}
 		cur = out
 	}
@@ -53,27 +90,27 @@ func (c *Comp) Forward(net *Network, x *nn.Tensor) *nn.Tensor {
 }
 
 // Backward propagates dL/d(output) through the network, accumulating
-// parameter gradients on the device, and returns dL/d(input). TensorFlow
-// models run four operators per layer (activation grad, weight grad, input
-// grad, bias reduce); PyTorch fuses to two.
+// parameter gradients on the device, and returns dL/d(input), valid until
+// the first layer's next call. TensorFlow models run four operators per
+// layer (activation grad, weight grad, input grad, bias reduce); PyTorch
+// fuses to two.
 func (c *Comp) Backward(net *Network, dOut *nn.Tensor) *nn.Tensor {
 	cur := dOut
 	for i := len(net.MLP.Layers) - 1; i >= 0; i-- {
-		layer, in := net.MLP.Layers[i], cur
+		layer, in, ops := net.MLP.Layers[i], cur, &net.layers[i]
 		flops := 4 * float64(in.Rows) * float64(layer.In) * float64(layer.Out)
-		prefix := fmt.Sprintf("%s/dense%d", net.Name, i)
 		var out *nn.Tensor
 		if c.b.costs.FuseDense {
-			c.Op(prefix+"/linear_backward", flops, 2, func() {
+			c.Op(ops.linearBackward, flops, 2, func() {
 				out = layer.Backward(in)
 			})
 		} else {
-			c.Op(prefix+"/"+layer.Act.String()+"_grad", float64(in.Rows*layer.Out), 1, nil)
-			c.Op(prefix+"/matmul_dW", flops/2, 1, func() {
+			c.Op(ops.actGrad, float64(in.Rows*layer.Out), 1, nil)
+			c.Op(ops.matmulDW, flops/2, 1, func() {
 				out = layer.Backward(in)
 			})
-			c.Op(prefix+"/matmul_dX", flops/2, 1, nil)
-			c.Op(prefix+"/bias_grad", float64(in.Rows*layer.Out), 1, nil)
+			c.Op(ops.matmulDX, flops/2, 1, nil)
+			c.Op(ops.biasGrad, float64(in.Rows*layer.Out), 1, nil)
 		}
 		cur = out
 	}
@@ -82,7 +119,7 @@ func (c *Comp) Backward(net *Network, dOut *nn.Tensor) *nn.Tensor {
 
 // ZeroGrad clears gradients as a device op.
 func (c *Comp) ZeroGrad(net *Network) {
-	c.Op(net.Name+"/zero_grad", float64(net.MLP.NumParams()), 1, func() {
+	c.Op(net.zeroGrad, float64(net.MLP.NumParams()), 1, func() {
 		net.MLP.ZeroGrad()
 	})
 }
@@ -98,9 +135,9 @@ func (c *Comp) HostLoss(name string, fn func()) {
 // ReAgent optimizer path.
 func (c *Comp) AdamStepFused(net *Network, opt *nn.Adam) {
 	opt.BeginStep()
-	for _, p := range net.MLP.Params() {
+	for i, p := range net.MLP.Params() {
 		param := p
-		c.Op(net.Name+"/adam/"+param.Name, float64(10*param.Value.Size()), 1, func() {
+		c.Op(net.adam[i], float64(10*param.Value.Size()), 1, func() {
 			opt.UpdateParam(param)
 		})
 	}
@@ -110,14 +147,14 @@ func (c *Comp) AdamStepFused(net *Network, opt *nn.Adam) {
 // update). In stable-baselines Graph implementations this runs as its own
 // session call; callers decide the Compute boundary.
 func (c *Comp) PolyakUpdate(net, target *Network, tau float64) {
-	c.Op(net.Name+"/polyak", float64(3*net.MLP.NumParams()), 2, func() {
+	c.Op(net.polyak, float64(3*net.MLP.NumParams()), 2, func() {
 		net.MLP.PolyakTo(target.MLP, tau)
 	})
 }
 
 // HardUpdate copies net's parameters into target on-device.
 func (c *Comp) HardUpdate(net, target *Network) {
-	c.Op(net.Name+"/target_copy", float64(net.MLP.NumParams()), 1, func() {
+	c.Op(net.tgtCopy, float64(net.MLP.NumParams()), 1, func() {
 		net.MLP.CopyTo(target.MLP)
 	})
 }

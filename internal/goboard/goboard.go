@@ -282,17 +282,16 @@ func (b *Board) GameOver() bool {
 	return b.passes >= 2 || b.moves >= 2*b.N*b.N
 }
 
-// LegalMoves returns all legal point moves for the side to play (Pass is
-// always additionally legal). The result has room for one more element, so
-// appending Pass to it does not copy it.
-func (b *Board) LegalMoves() []int {
-	out := make([]int, 0, len(b.cells)+1)
+// LegalMoves appends every legal point move for the side to play to dst and
+// returns the result (Pass is always additionally legal). It allocates only
+// when dst runs out of room.
+func (b *Board) LegalMoves(dst []int) []int {
 	for p := range b.cells {
 		if b.Legal(p) {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
 // Score returns Tromp-Taylor area scores: (black, white). komi is added to
@@ -362,21 +361,29 @@ func (b *Board) Winner(komi float64) Color {
 // Features encodes the position as a flat float vector for the policy/value
 // network: two planes (own stones, opponent stones) plus a side-to-move bit.
 func (b *Board) Features() []float64 {
+	out := make([]float64, FeatureDim(b.N))
+	b.FeaturesInto(out)
+	return out
+}
+
+// FeaturesInto writes Features into dst, which holds FeatureDim(b.N)
+// elements, overwriting every one.
+func (b *Board) FeaturesInto(dst []float64) {
 	n2 := len(b.cells)
-	out := make([]float64, 2*n2+1)
+	dst = dst[:2*n2+1]
+	clear(dst)
 	me := b.toPlay
 	for p, c := range b.cells {
 		switch c {
 		case me:
-			out[p] = 1
+			dst[p] = 1
 		case me.Opponent():
-			out[n2+p] = 1
+			dst[n2+p] = 1
 		}
 	}
 	if me == Black {
-		out[2*n2] = 1
+		dst[2*n2] = 1
 	}
-	return out
 }
 
 // FeatureDim returns len(Features()) for an N×N board.

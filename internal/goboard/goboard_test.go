@@ -235,7 +235,7 @@ func TestRandomPlayoutInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		b := New(5)
 		for !b.GameOver() {
-			moves := b.LegalMoves()
+			moves := b.LegalMoves(nil)
 			if len(moves) == 0 || rng.Intn(8) == 0 {
 				if err := b.Play(Pass); err != nil {
 					return false
@@ -267,7 +267,7 @@ func TestMoveLimitEndsGame(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := New(3)
 	for i := 0; i < 2*9*2+10 && !b.GameOver(); i++ {
-		moves := b.LegalMoves()
+		moves := b.LegalMoves(nil)
 		if len(moves) == 0 {
 			b.Play(Pass)
 			continue
@@ -357,7 +357,7 @@ func TestLegalMatchesReference(t *testing.T) {
 					refused++
 				}
 			}
-			moves := b.LegalMoves()
+			moves := b.LegalMoves(nil)
 			if !slices.Equal(moves, want) {
 				t.Fatalf("seed %d, move %d: LegalMoves = %v, reference %v", seed, b.moves, moves, want)
 			}
@@ -390,13 +390,13 @@ func (b *Board) stones() (n int) {
 	return n
 }
 
-// TestLegalAllocs pins the legality check at zero allocations and
-// LegalMoves at one, the result with its room for Pass.
+// TestLegalAllocs pins the legality check at zero allocations, and
+// LegalMoves at zero when dst has the room, appending after what dst holds.
 func TestLegalAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	b := New(9)
 	for i := 0; i < 60; i++ {
-		moves := b.LegalMoves()
+		moves := b.LegalMoves(nil)
 		mustPlay(t, b, moves[rng.Intn(len(moves))])
 	}
 	if n := testing.AllocsPerRun(100, func() {
@@ -406,11 +406,12 @@ func TestLegalAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Legal over every point: %v allocations, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { b.LegalMoves() }); n != 1 {
-		t.Errorf("LegalMoves: %v allocations, want 1", n)
+	buf := make([]int, 0, len(b.cells))
+	if n := testing.AllocsPerRun(100, func() { b.LegalMoves(buf[:0]) }); n != 0 {
+		t.Errorf("LegalMoves into a buffer with room: %v allocations, want 0", n)
 	}
-	if moves := b.LegalMoves(); cap(moves) == len(moves) {
-		t.Errorf("LegalMoves: no room for Pass (len %d, cap %d)", len(moves), cap(moves))
+	if moves := b.LegalMoves([]int{-7}); len(moves) < 2 || moves[0] != -7 {
+		t.Errorf("LegalMoves did not append to dst: %v", moves)
 	}
 }
 
@@ -493,7 +494,7 @@ func TestPlayMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		b := New(3 + int(seed)%7)
 		for !b.GameOver() {
-			moves := b.LegalMoves()
+			moves := b.LegalMoves(nil)
 			if len(moves) == 0 || rng.Intn(30) == 0 {
 				mustPlay(t, b, Pass)
 				continue

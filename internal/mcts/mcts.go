@@ -15,7 +15,9 @@ import (
 
 // Evaluator scores a minibatch of positions: a prior over moves (length
 // N²+1; the last entry is Pass) and a value in [-1, 1] from the side to
-// move's perspective, for each board.
+// move's perspective, for each board. What it returns may be its own
+// storage, overwritten by its next call: the tree copies each prior into
+// the node it builds and backs each value up before it calls again.
 type Evaluator interface {
 	Evaluate(boards []*goboard.Board) (priors [][]float64, values []float64)
 }
@@ -54,6 +56,7 @@ type Tree struct {
 	RootNoise bool
 
 	noisedRoot *Node
+	legal      []int // newNode's scratch
 }
 
 // Dirichlet-noise constants from AlphaGoZero.
@@ -142,26 +145,29 @@ func moveIndex(n, move int) int {
 // expandOne evaluates a single position and returns its node.
 func (t *Tree) expandOne(b *goboard.Board) *Node {
 	priors, _ := t.eval.Evaluate([]*goboard.Board{b})
-	return newNode(b, priors[0])
+	return t.newNode(b, priors[0])
 }
 
-func newNode(b *goboard.Board, prior []float64) *Node {
-	// LegalMoves leaves room for Pass. The per-move statistics come out of
-	// one float and one int allocation, each slice capped at its length so
-	// that no append through one reaches the next.
-	moves := append(b.LegalMoves(), goboard.Pass)
-	n := len(moves)
-	floats, ints := make([]float64, 2*n), make([]int, 2*n)
+func (t *Tree) newNode(b *goboard.Board, prior []float64) *Node {
+	// The moves are listed into the tree's scratch first, to learn how
+	// many there are. The node's moves and per-move counts then come out
+	// of one int allocation and its per-move statistics out of one float
+	// allocation, each slice capped at its length so that no append
+	// through one reaches the next.
+	t.legal = append(b.LegalMoves(t.legal[:0]), goboard.Pass)
+	n := len(t.legal)
+	floats, ints := make([]float64, 2*n), make([]int, 3*n)
 	node := &Node{
 		board:    b,
-		moves:    moves,
+		moves:    ints[:n:n],
 		priors:   floats[:n:n],
 		valueSum: floats[n:],
-		visits:   ints[:n:n],
-		vloss:    ints[n:],
+		visits:   ints[n : 2*n : 2*n],
+		vloss:    ints[2*n:],
 	}
+	copy(node.moves, t.legal)
 	var sum float64
-	for i, m := range moves {
+	for i, m := range node.moves {
 		p := prior[moveIndex(b.N, m)]
 		node.priors[i] = p
 		sum += p
@@ -171,7 +177,7 @@ func newNode(b *goboard.Board, prior []float64) *Node {
 			node.priors[i] /= sum
 		}
 	} else {
-		uniform := 1 / float64(len(moves))
+		uniform := 1 / float64(n)
 		for i := range node.priors {
 			node.priors[i] = uniform
 		}
@@ -257,7 +263,7 @@ func (t *Tree) Search(nSims int) {
 			priors, values := t.eval.Evaluate(leafBoards)
 			for i, path := range paths {
 				last := path[len(path)-1]
-				last.node.setChild(last.mi, newNode(leafBoards[i], priors[i]))
+				last.node.setChild(last.mi, t.newNode(leafBoards[i], priors[i]))
 				t.backup(path, values[i])
 			}
 		}

@@ -161,7 +161,7 @@ func TestSearchOnNearTerminalBoard(t *testing.T) {
 	b := goboard.New(3)
 	rng := rand.New(rand.NewSource(8))
 	for i := 0; i < 12 && !b.GameOver(); i++ {
-		moves := b.LegalMoves()
+		moves := b.LegalMoves(nil)
 		if len(moves) == 0 {
 			_ = b.Play(goboard.Pass)
 			continue
@@ -255,7 +255,8 @@ func TestNewNodeSlicesDoNotAlias(t *testing.T) {
 	for i := range prior {
 		prior[i] = float64(i + 1)
 	}
-	n := newNode(b, prior)
+	tree := &Tree{}
+	n := tree.newNode(b, prior)
 	if len(n.moves) != 26 || n.moves[25] != goboard.Pass {
 		t.Fatalf("moves = %v, want the 25 points then Pass", n.moves)
 	}
@@ -271,13 +272,13 @@ func TestNewNodeSlicesDoNotAlias(t *testing.T) {
 	_ = append(n.priors, -1)
 	_ = append(n.visits, -1)
 	_ = append(n.moves, -1)
-	if n.valueSum[0] != 11 || n.vloss[0] != 9 {
+	if n.valueSum[0] != 11 || n.vloss[0] != 9 || n.visits[0] != 7 {
 		t.Fatal("an append through priors, visits or moves wrote into the next slice")
 	}
 	if n.children != nil || n.child(3) != nil {
 		t.Fatal("a fresh node has children")
 	}
-	c := newNode(b.Clone(), prior)
+	c := tree.newNode(b.Clone(), prior)
 	n.setChild(3, c)
 	if n.child(3) != c || n.child(2) != nil || len(n.children) != len(n.moves) {
 		t.Fatal("setChild did not record the child alone")

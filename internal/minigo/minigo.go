@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"repro/internal/backend"
@@ -115,33 +116,41 @@ type evaluator struct {
 	b    *backend.Backend
 	sess *profiler.Session
 	pv   *pvnet
+
+	// Evaluate's own storage, overwritten by its next call: the input
+	// batch, the priors and the slices it returns. mcts copies each prior
+	// into the node it builds and backs each value up at once.
+	x      nn.Tensor
+	priors []float64
+	rows   [][]float64
+	values []float64
 }
 
 // Evaluate implements mcts.Evaluator: one batched inference per leaf
 // minibatch, annotated as expand_leaf (paper Figure 2).
 func (e *evaluator) Evaluate(boards []*goboard.Board) ([][]float64, []float64) {
-	x := nn.NewTensor(len(boards), goboard.FeatureDim(e.pv.n))
+	n, dim, nPolicy := len(boards), goboard.FeatureDim(e.pv.n), e.pv.n*e.pv.n+1
+	e.x = nn.Tensor{Rows: n, Cols: dim, Data: slices.Grow(e.x.Data[:0], n*dim)[:n*dim]}
 	for i, bd := range boards {
-		copy(x.Row(i), bd.Features())
+		bd.FeaturesInto(e.x.Row(i))
 	}
 	var out *nn.Tensor
 	e.sess.WithOperation("expand_leaf", func() {
 		e.b.Compute("minigo/predict", backend.KindInference, func(c *backend.Comp) {
-			c.Feed(x)
-			out = c.Forward(e.pv.net, x)
+			c.Feed(&e.x)
+			out = c.Forward(e.pv.net, &e.x)
 			c.Fetch(out)
 		})
 	})
-	nPolicy := e.pv.n*e.pv.n + 1
-	priors := make([][]float64, len(boards))
-	values := make([]float64, len(boards))
+	e.priors = slices.Grow(e.priors[:0], n*nPolicy)[:n*nPolicy]
+	e.rows, e.values = e.rows[:0], e.values[:0]
 	for i := range boards {
-		row := out.Row(i)
-		logits := nn.FromVec(row[:nPolicy])
-		priors[i] = nn.Softmax(logits).Row(0)
-		values[i] = math.Tanh(row[nPolicy])
+		row, prior := out.Row(i), e.priors[i*nPolicy:(i+1)*nPolicy]
+		nn.SoftmaxRow(prior, row[:nPolicy])
+		e.rows = append(e.rows, prior)
+		e.values = append(e.values, math.Tanh(row[nPolicy]))
 	}
-	return priors, values
+	return e.rows, e.values
 }
 
 // traverseCost is the high-level Python time one MCTS tree traversal
@@ -342,11 +351,11 @@ func pvLossGrad(out *nn.Tensor, pis [][]float64, zs []float64, nPolicy int) *nn.
 	grad := nn.NewTensor(out.Rows, out.Cols)
 	nb := float64(out.Rows)
 	for i := 0; i < out.Rows; i++ {
-		logits := nn.FromVec(out.Row(i)[:nPolicy])
-		probs := nn.Softmax(logits).Row(0)
 		// d(−Σ π log p)/dlogit_j = p_j − π_j
-		for j := 0; j < nPolicy; j++ {
-			grad.Set(i, j, (probs[j]-pis[i][j])/nb)
+		probs := grad.Row(i)[:nPolicy]
+		nn.SoftmaxRow(probs, out.Row(i)[:nPolicy])
+		for j, p := range probs {
+			probs[j] = (p - pis[i][j]) / nb
 		}
 		// Value head: v = tanh(raw); d(v−z)²/draw = 2(v−z)(1−v²).
 		raw := out.At(i, nPolicy)

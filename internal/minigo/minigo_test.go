@@ -2,12 +2,17 @@ package minigo
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/calib"
-
+	"repro/internal/cuda"
+	"repro/internal/goboard"
+	"repro/internal/gpu"
 	"repro/internal/nvsmi"
 	"repro/internal/overlap"
+	"repro/internal/profiler"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -227,5 +232,30 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	if a.Examples != b.Examples || a.SpanEnd != b.SpanEnd {
 		t.Fatalf("runs diverged: %d/%v vs %d/%v", a.Examples, a.SpanEnd, b.Examples, b.SpanEnd)
+	}
+}
+
+// TestEvaluateAllocs pins a warm Evaluate of eight boards at 23 allocations,
+// read as a floored average. The evaluator's input, priors and returned
+// slices and the network's layer outputs are reused, so none of the 23 is
+// per board or per tensor: they are the closures and device-copy records
+// of the profiler and backend calls around one batched inference.
+func TestEvaluateAllocs(t *testing.T) {
+	p := profiler.New(profiler.Options{Workload: "minigo", Flags: trace.Uninstrumented(), Seed: 1})
+	sess := p.NewProcess("selfplay_worker_0", -1, 0)
+	b := backend.New(sess, cuda.NewContext(sess, gpu.NewDevice(-1), cuda.DefaultCosts()), backend.Graph)
+	ev := &evaluator{b: b, sess: sess, pv: newPVNet(rand.New(rand.NewSource(1)), "pv", 9)}
+	boards := make([]*goboard.Board, 8)
+	for i := range boards {
+		bd := goboard.New(9)
+		for m := 0; m < i; m++ {
+			legal := bd.LegalMoves(nil)
+			_ = bd.Play(legal[m*7%len(legal)])
+		}
+		boards[i] = bd
+	}
+	ev.Evaluate(boards)
+	if n := testing.AllocsPerRun(100, func() { ev.Evaluate(boards) }); n != 23 {
+		t.Errorf("warm Evaluate of %d boards: %v allocations, want 23", len(boards), n)
 	}
 }

@@ -84,22 +84,26 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // Dense is a fully connected layer: y = act(x @ W + b).
 //
 // A layer is confined to one goroutine at a time: Backward reads what the
-// last Forward cached, and both work in scratch the layer owns. Every tensor
-// Forward and Backward return is fresh and the caller's to keep; the
-// scratch never leaves the layer.
+// last Forward cached, and both work in scratch the layer owns. The tensor
+// Forward returns and the one Backward returns are the layer's too: each is
+// valid until that layer's next Forward or Backward, which overwrites it, so
+// a caller that needs one longer copies it. Backward also reads Forward's
+// input until then, and its own output is the next layer down's dY.
 type Dense struct {
 	In, Out int
 	Act     Activation
 	W, B    *Param
 
-	// Forward caches for backprop.
-	lastX *Tensor // input
-	lastY *Tensor // post-activation output
+	lastX *Tensor // Forward's input, cached for Backward
+	y     *Tensor // Forward's output, which Backward reads as the activation
+	dX    *Tensor // Backward's output
 
-	// Scratch reused across steps: the pre-activation gradient, the
-	// transposed input, and the weight-gradient product, which is summed
-	// apart and then added to W.Grad, as one product tensor always was.
-	dZ, xT, dW *Tensor
+	// Backward's scratch, made by its first call and reused: the
+	// pre-activation gradient, the transposed input, the weight-gradient
+	// product, which is summed apart and then added to W.Grad, as one
+	// product tensor always was, and the transposed W the input gradient
+	// runs over.
+	dZ, xT, dW, wT *Tensor
 }
 
 // NewDense builds a Glorot-initialized dense layer.
@@ -108,25 +112,27 @@ func NewDense(rng *rand.Rand, in, out int, act Activation, name string) *Dense {
 	w.XavierInit(rng, in, out)
 	return &Dense{
 		In: in, Out: out, Act: act,
-		W:  &Param{Name: name + ".W", Value: w, Grad: NewTensor(in, out)},
-		B:  &Param{Name: name + ".b", Value: NewTensor(1, out), Grad: NewTensor(1, out)},
-		dW: NewTensor(in, out),
+		W: &Param{Name: name + ".W", Value: w, Grad: NewTensor(in, out)},
+		B: &Param{Name: name + ".b", Value: NewTensor(1, out), Grad: NewTensor(1, out)},
 	}
 }
 
-// Forward computes the layer output for a batch x of shape [n, In].
+// Forward computes the layer output for a batch x of shape [n, In]. The
+// output is the layer's, valid until its next call.
 func (d *Dense) Forward(x *Tensor) *Tensor {
 	d.lastX = x
-	y := NewTensor(x.Rows, d.Out)
-	matMul(y, x, d.W.Value)
-	AddBias(y, d.B.Value)
-	d.Act.apply(y)
-	d.lastY = y
-	return y
+	d.y = reshape(d.y, x.Rows, d.Out)
+	d.y.Zero()
+	matMul(d.y, x, d.W.Value)
+	AddBias(d.y, d.B.Value)
+	d.Act.apply(d.y)
+	return d.y
 }
 
 // Backward consumes dL/dy and returns dL/dx, accumulating into W.Grad and
-// B.Grad. Forward must have been called first.
+// B.Grad. Forward must have been called first. The input gradient is the
+// layer's, valid until its next call. It runs over W as it is now: W is
+// transposed afresh on every call, since the optimizer writes W in place.
 func (d *Dense) Backward(dY *Tensor) *Tensor {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward")
@@ -135,10 +141,11 @@ func (d *Dense) Backward(dY *Tensor) *Tensor {
 	if d.Act != Identity {
 		d.dZ = reshape(d.dZ, dY.Rows, dY.Cols)
 		dZ = d.dZ
-		d.Act.gradInto(dZ, dY, d.lastY)
+		d.Act.gradInto(dZ, dY, d.y)
 	}
 	d.xT = reshape(d.xT, d.lastX.Cols, d.lastX.Rows)
 	transposeInto(d.xT, d.lastX)
+	d.dW = reshape(d.dW, d.In, d.Out)
 	d.dW.Zero()
 	matMul(d.dW, d.xT, dZ)
 	d.W.Grad.AddScaled(d.dW, 1)
@@ -149,9 +156,12 @@ func (d *Dense) Backward(dY *Tensor) *Tensor {
 			bg[j] += v
 		}
 	}
-	dX := NewTensor(dZ.Rows, d.In)
-	matMulT2(dX, dZ, d.W.Value)
-	return dX
+	d.dX = reshape(d.dX, dZ.Rows, d.In)
+	d.dX.Zero()
+	d.wT = reshape(d.wT, d.Out, d.In)
+	transposeInto(d.wT, d.W.Value)
+	matMulNoSkip(d.dX, dZ, d.wT)
+	return d.dX
 }
 
 // reshape returns t as a rows×cols tensor, reusing its storage when it has

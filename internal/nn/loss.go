@@ -45,24 +45,30 @@ func HuberLoss(pred, target *Tensor) (float64, *Tensor) {
 func Softmax(x *Tensor) *Tensor {
 	out := NewTensor(x.Rows, x.Cols)
 	for i := 0; i < x.Rows; i++ {
-		row, orow := x.Row(i), out.Row(i)
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - maxv)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
+		SoftmaxRow(out.Row(i), x.Row(i))
 	}
 	return out
+}
+
+// SoftmaxRow writes the softmax of the nonempty row x into dst, which has
+// x's length and may be x itself.
+func SoftmaxRow(dst, x []float64) {
+	dst = dst[:len(x)]
+	maxv := x[0]
+	for _, v := range x[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	for j, v := range x {
+		e := math.Exp(v - maxv)
+		dst[j] = e
+		sum += e
+	}
+	for j := range dst {
+		dst[j] /= sum
+	}
 }
 
 // LogSoftmax computes row-wise log-softmax into a fresh tensor.

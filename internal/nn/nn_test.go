@@ -57,7 +57,8 @@ func refMatMulT2(a, b *Tensor) *Tensor {
 }
 
 // The kernels' fresh-output forms, for the tests; kMatMulT1 is Dense's
-// weight gradient, matMul over the transposed a.
+// weight gradient, matMul over the transposed a, and kMatMulT2 its input
+// gradient, matMulNoSkip over the transposed b.
 func kMatMul(a, b *Tensor) *Tensor {
 	out := NewTensor(a.Rows, b.Cols)
 	matMul(out, a, b)
@@ -71,8 +72,10 @@ func kMatMulT1(a, b *Tensor) *Tensor {
 }
 
 func kMatMulT2(a, b *Tensor) *Tensor {
+	bT := NewTensor(b.Cols, b.Rows)
+	transposeInto(bT, b)
 	out := NewTensor(a.Rows, b.Rows)
-	matMulT2(out, a, b)
+	matMulNoSkip(out, a, bT)
 	return out
 }
 
@@ -128,7 +131,7 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"matMul":    func() { matMul(NewTensor(2, 3), NewTensor(2, 3), NewTensor(2, 3)) },
 		"transpose": func() { transposeInto(NewTensor(3, 3), NewTensor(2, 3)) },
-		"matMulT2":  func() { matMulT2(NewTensor(2, 2), NewTensor(2, 3), NewTensor(2, 2)) },
+		"noSkip":    func() { matMulNoSkip(NewTensor(2, 2), NewTensor(2, 3), NewTensor(2, 2)) },
 		"out":       func() { matMul(NewTensor(2, 2), NewTensor(2, 3), NewTensor(3, 3)) },
 	} {
 		func() {
@@ -168,8 +171,16 @@ func TestKernelsMatchReference(t *testing.T) {
 		d := NewTensor(m, k)
 		specialFill(rng, d, specials)
 		if i := sameBits(kMatMulT2(a, d), refMatMulT2(a, d)); i >= 0 {
-			t.Fatalf("trial %d: matMulT2 %dx%d, %dx%d differs at %d", trial, n, k, m, k, i)
+			t.Fatalf("trial %d: input gradient %dx%d, %dx%d differs at %d", trial, n, k, m, k, i)
 		}
+	}
+	// A row of a longer than the k list the kernels keep on the stack.
+	a, b, d := NewTensor(3, 300), NewTensor(300, 6), NewTensor(6, 300)
+	specialFill(rng, a, true)
+	specialFill(rng, b, true)
+	specialFill(rng, d, true)
+	if sameBits(kMatMul(a, b), refMatMul(a, b)) >= 0 || sameBits(kMatMulT2(a, d), refMatMulT2(a, d)) >= 0 {
+		t.Fatal("a 300-wide row of a differs from the reference")
 	}
 }
 
@@ -231,7 +242,7 @@ func TestMatMulTransposesAgree(t *testing.T) {
 	got2 := kMatMulT2(a, c)
 	for i := range want2.Data {
 		if math.Abs(want2.Data[i]-got2.Data[i]) > 1e-12 {
-			t.Fatalf("matMulT2 disagrees at %d", i)
+			t.Fatalf("input gradient disagrees at %d", i)
 		}
 	}
 }
@@ -243,8 +254,11 @@ func (a Activation) Apply(x *Tensor) *Tensor {
 	return out
 }
 
+// vec builds a 1×n tensor over v.
+func vec(v ...float64) *Tensor { return &Tensor{Rows: 1, Cols: len(v), Data: v} }
+
 func TestActivations(t *testing.T) {
-	x := FromVec([]float64{-1, 0, 2})
+	x := vec(-1, 0, 2)
 	r := ReLU.Apply(x)
 	if r.At(0, 0) != 0 || r.At(0, 1) != 0 || r.At(0, 2) != 2 {
 		t.Fatalf("relu = %v", r.Data)
@@ -375,7 +389,7 @@ func TestTrainingReducesLoss(t *testing.T) {
 }
 
 func TestAdamMatchesManualFirstStep(t *testing.T) {
-	p := &Param{Value: FromVec([]float64{1}), Grad: FromVec([]float64{0.3})}
+	p := &Param{Value: vec(1), Grad: vec(0.3)}
 	a := NewAdam(0.1)
 	a.BeginStep()
 	a.UpdateParam(p)
@@ -471,8 +485,8 @@ func TestPolicyGradientLossGradNumerical(t *testing.T) {
 }
 
 func TestHuberLossQuadraticAndLinearRegions(t *testing.T) {
-	pred := FromVec([]float64{0.5, 3})
-	target := FromVec([]float64{0, 0})
+	pred := vec(0.5, 3)
+	target := vec(0, 0)
 	loss, grad := HuberLoss(pred, target)
 	want := (0.5*0.25 + (3 - 0.5)) / 2
 	if math.Abs(loss-want) > 1e-12 {
@@ -484,7 +498,7 @@ func TestHuberLossQuadraticAndLinearRegions(t *testing.T) {
 }
 
 func TestClipGradByGlobalNorm(t *testing.T) {
-	p := &Param{Value: FromVec([]float64{0, 0}), Grad: FromVec([]float64{3, 4})}
+	p := &Param{Value: vec(0, 0), Grad: vec(3, 4)}
 	norm := ClipGradByGlobalNorm([]*Param{p}, 1.0)
 	if math.Abs(norm-5) > 1e-12 {
 		t.Fatalf("pre-clip norm = %v, want 5", norm)
@@ -493,7 +507,7 @@ func TestClipGradByGlobalNorm(t *testing.T) {
 		t.Fatalf("clipped grad = %v", p.Grad.Data)
 	}
 	// Below the bound: untouched.
-	p2 := &Param{Value: FromVec([]float64{0}), Grad: FromVec([]float64{0.1})}
+	p2 := &Param{Value: vec(0), Grad: vec(0.1)}
 	ClipGradByGlobalNorm([]*Param{p2}, 1.0)
 	if p2.Grad.Data[0] != 0.1 {
 		t.Fatal("clip modified in-bound gradient")
@@ -501,7 +515,7 @@ func TestClipGradByGlobalNorm(t *testing.T) {
 }
 
 func TestTensorHelpers(t *testing.T) {
-	x := FromVec([]float64{1, -5, 3})
+	x := vec(1, -5, 3)
 	if x.ArgmaxRow(0) != 2 {
 		t.Fatalf("ArgmaxRow = %d", x.ArgmaxRow(0))
 	}
@@ -530,10 +544,9 @@ func TestMLPNumParams(t *testing.T) {
 }
 
 // TestMLPStepAllocs pins a warm forward and backward step of a three-layer
-// MLP at one tensor per layer each way: the fresh output Forward returns and
-// the fresh input gradient Backward returns. The pre-activation gradient,
-// the transposed input and the weight-gradient product live in the layer's
-// scratch.
+// MLP at zero allocations each way: the output Forward returns, the input
+// gradient Backward returns, the pre-activation gradient, the transposed
+// input and W and the weight-gradient product all live in the layer.
 func TestMLPStepAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	m := NewMLP(rng, []int{11, 64, 64, 3}, Tanh, Identity, "pi")
@@ -542,12 +555,11 @@ func TestMLPStepAllocs(t *testing.T) {
 	specialFill(rng, dOut, false)
 	forward(m, x)
 	backward(m, dOut)
-	perTensor := testing.AllocsPerRun(100, func() { NewTensor(32, 64) })
-	if n := testing.AllocsPerRun(100, func() { forward(m, x) }); n != 3*perTensor {
-		t.Errorf("forward: %v allocations, want %v (one tensor per layer)", n, 3*perTensor)
+	if n := testing.AllocsPerRun(100, func() { forward(m, x) }); n != 0 {
+		t.Errorf("forward: %v allocations, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { backward(m, dOut) }); n != 3*perTensor {
-		t.Errorf("backward: %v allocations, want %v (one tensor per layer)", n, 3*perTensor)
+	if n := testing.AllocsPerRun(100, func() { backward(m, dOut) }); n != 0 {
+		t.Errorf("backward: %v allocations, want 0", n)
 	}
 }
 

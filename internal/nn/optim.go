@@ -40,12 +40,20 @@ func (a *Adam) UpdateParam(p *Param) {
 	}
 	b1t := 1 - math.Pow(a.Beta1, float64(a.t))
 	b2t := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, g := range p.Grad.Data {
-		p.M.Data[i] = float64(a.Beta1*p.M.Data[i]) + float64((1-a.Beta1)*g)
-		p.V.Data[i] = float64(a.Beta2*p.V.Data[i]) + float64((1-a.Beta2)*g*g)
-		mHat := p.M.Data[i] / b1t
-		vHat := p.V.Data[i] / b2t
-		p.Value.Data[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Epsilon)
+	// The loop reads the settings from locals and the four slices cut to
+	// one length: no reload through a and no bounds check per element,
+	// and the same operations in the same order.
+	beta1, beta2, lr, eps := a.Beta1, a.Beta2, a.LR, a.Epsilon
+	c1, c2 := 1-beta1, 1-beta2
+	grad := p.Grad.Data
+	m, v, w := p.M.Data[:len(grad)], p.V.Data[:len(grad)], p.Value.Data[:len(grad)]
+	for i, g := range grad {
+		mi := float64(beta1*m[i]) + float64(c1*g)
+		vi := float64(beta2*v[i]) + float64(c2*g*g)
+		m[i], v[i] = mi, vi
+		mHat := mi / b1t
+		vHat := vi / b2t
+		w[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
 	}
 }
 

@@ -29,13 +29,6 @@ func NewTensor(rows, cols int) *Tensor {
 	return &Tensor{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromVec builds a 1×n tensor copying v.
-func FromVec(v []float64) *Tensor {
-	t := NewTensor(1, len(v))
-	copy(t.Data, v)
-	return t
-}
-
 // At returns element (i, j).
 func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols+j] }
 
@@ -81,57 +74,104 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 // shape, which holds zeros or a sum to continue. They keep one summation
 // order for every output element, so a kernel rewrite changes time and
 // never bits: each element adds its products over k in ascending order into
-// one float64, and every product is written float64(x*y), which forbids the
-// compiler to fuse it with the add (arm64 would). matMul skips a zero a
-// value as the loops always have; dropping the skip changes bits, since
-// 0·Inf is NaN. Slices are cut to their loop length first, so the inner
-// loops carry no bounds checks.
+// one float64, each product rounded before its add (rowupdate.go). matMul
+// skips a zero a value as the loops always have; dropping the skip changes
+// bits, since 0·Inf is NaN. matMulNoSkip skips none.
 
-// matMul accumulates a @ b into out (a.Rows×b.Cols). Each row lists its
-// nonzero k first, then adds them into the output row four at a time, as
-// (((o + p0) + p1) + p2) + p3 — the four sequential adds — and the rest one
-// at a time.
+// matMul accumulates a @ b into out (a.Rows×b.Cols), skipping each k where
+// the row of a holds a zero.
 func matMul(out, a, b *Tensor) {
+	checkMatMul(out, a, b)
+	var buf [256]int // the list stays on the stack up to 256 columns of a
+	list := buf[:]
+	if a.Cols > len(buf) {
+		list = make([]int, a.Cols)
+	}
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Row(i)
+		list := list[:len(arow)]
+		// Every k is written and only a nonzero one kept, with no branch
+		// on the value for the predictor to miss.
+		nz := 0
+		for k, av := range arow {
+			list[nz] = k
+			if av != 0 {
+				nz++
+			}
+		}
+		rowProduct(out.Row(i), arow, list[:nz], b)
+	}
+}
+
+// matMulNoSkip accumulates a @ b into out as matMul does, adding every k.
+// It is Dense's input gradient dZ @ Wᵀ over the layer's transposed W,
+// whose loop never skipped a zero.
+func matMulNoSkip(out, a, b *Tensor) {
+	checkMatMul(out, a, b)
+	var buf [256]int
+	ks := buf[:0]
+	for k := 0; k < a.Cols; k++ {
+		ks = append(ks, k)
+	}
+	for i := 0; i < a.Rows; i++ {
+		rowProduct(out.Row(i), a.Row(i), ks, b)
+	}
+}
+
+func checkMatMul(out, a, b *Tensor) {
 	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d @ %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
+}
+
+// rowProduct adds arow[k]·(row k of b) over the listed k, in order, into
+// orow: four rows of b at a time, as (((o + p0) + p1) + p2) + p3, and the
+// rest one at a time. An output narrower than four, too short for the
+// kernels' lanes, keeps each element's sum in a register over the whole
+// list instead: the same adds in the same order.
+func rowProduct(orow, arow []float64, ks []int, b *Tensor) {
 	n := b.Cols
-	var buf [256]int // the list stays on the stack up to 256 columns of a
-	nz := buf[:0]
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		nz = nz[:0]
-		for k, av := range arow {
-			if av != 0 {
-				nz = append(nz, k)
-			}
-		}
-		ks := nz
-		for ; len(ks) >= 4; ks = ks[4:] {
-			k0, k1, k2, k3 := ks[0], ks[1], ks[2], ks[3]
-			a0, a1, a2, a3 := arow[k0], arow[k1], arow[k2], arow[k3]
-			b0 := b.Data[k0*n : k0*n+n][:len(orow)]
-			b1 := b.Data[k1*n : k1*n+n][:len(orow)]
-			b2 := b.Data[k2*n : k2*n+n][:len(orow)]
-			b3 := b.Data[k3*n : k3*n+n][:len(orow)]
-			for j := range orow {
-				orow[j] = orow[j] + float64(a0*b0[j]) + float64(a1*b1[j]) + float64(a2*b2[j]) + float64(a3*b3[j])
-			}
-		}
+	switch n {
+	case 1:
+		s := orow[0]
 		for _, k := range ks {
-			av := arow[k]
-			brow := b.Data[k*n : k*n+n][:len(orow)]
-			for j := range orow {
-				orow[j] += float64(av * brow[j])
-			}
+			s += float64(arow[k] * b.Data[k])
 		}
+		orow[0] = s
+		return
+	case 2:
+		s0, s1 := orow[0], orow[1]
+		for _, k := range ks {
+			av, bk := arow[k], b.Data[2*k:2*k+2]
+			s0 += float64(av * bk[0])
+			s1 += float64(av * bk[1])
+		}
+		orow[0], orow[1] = s0, s1
+		return
+	case 3:
+		s0, s1, s2 := orow[0], orow[1], orow[2]
+		for _, k := range ks {
+			av, bk := arow[k], b.Data[3*k:3*k+3]
+			s0 += float64(av * bk[0])
+			s1 += float64(av * bk[1])
+			s2 += float64(av * bk[2])
+		}
+		orow[0], orow[1], orow[2] = s0, s1, s2
+		return
+	}
+	for ; len(ks) >= 4; ks = ks[4:] {
+		k0, k1, k2, k3 := ks[0], ks[1], ks[2], ks[3]
+		rowUpdate4(orow, arow[k0], arow[k1], arow[k2], arow[k3],
+			b.Data[k0*n:k0*n+n], b.Data[k1*n:k1*n+n], b.Data[k2*n:k2*n+n], b.Data[k3*n:k3*n+n])
+	}
+	for _, k := range ks {
+		rowUpdate1(orow, arow[k], b.Data[k*n:k*n+n])
 	}
 }
 
 // transposeInto writes tᵀ into dst (t.Cols×t.Rows). The weight gradient
-// aᵀ @ b is matMul over the transposed a: each element sums over a's rows
-// in ascending order and skips a zero a value, as the aᵀ @ b loop did.
+// xᵀ @ dZ is matMul over the transposed x: each element sums over x's rows
+// in ascending order and skips a zero x value, as the xᵀ @ dZ loop did.
 func transposeInto(dst, t *Tensor) {
 	if dst.Rows != t.Cols || dst.Cols != t.Rows {
 		panic(fmt.Sprintf("nn: transpose %dx%d into %dx%d", t.Rows, t.Cols, dst.Rows, dst.Cols))
@@ -139,42 +179,6 @@ func transposeInto(dst, t *Tensor) {
 	for r := 0; r < t.Rows; r++ {
 		for c, v := range t.Row(r) {
 			dst.Data[c*dst.Cols+r] = v
-		}
-	}
-}
-
-// matMulT2 accumulates a @ bᵀ into out (a.Rows×b.Rows): the input gradient.
-// It computes four output columns at once, each with its own accumulator,
-// and the last b.Rows mod 4 one at a time. It skips no zero, as it never has.
-func matMulT2(out, a, b *Tensor) {
-	if a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != b.Rows {
-		panic(fmt.Sprintf("nn: matmulT2 shape mismatch %dx%d, %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		j := 0
-		for ; j+4 <= len(orow); j += 4 {
-			b0 := b.Row(j)[:len(arow)]
-			b1 := b.Row(j + 1)[:len(arow)]
-			b2 := b.Row(j + 2)[:len(arow)]
-			b3 := b.Row(j + 3)[:len(arow)]
-			s0, s1, s2, s3 := orow[j], orow[j+1], orow[j+2], orow[j+3]
-			for k, av := range arow {
-				s0 += float64(av * b0[k])
-				s1 += float64(av * b1[k])
-				s2 += float64(av * b2[k])
-				s3 += float64(av * b3[k])
-			}
-			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-		}
-		for ; j < len(orow); j++ {
-			brow := b.Row(j)[:len(arow)]
-			s := orow[j]
-			for k, av := range arow {
-				s += float64(av * brow[k])
-			}
-			orow[j] = s
 		}
 	}
 }

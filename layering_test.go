@@ -556,6 +556,11 @@ func checkHeaderKeys(t *testing.T, fset *token.FileSet, files []*ast.File) {
 // machine code linked after it.
 const linkedAnyway = "linked into the benchmark binary all the same; deleting it moves the code after it"
 
+// rowUpdateGo is why the Go row updates stay on amd64, where the assembly
+// replaces them: off amd64 they are the kernels, and here they are the
+// reference FuzzRowKernels holds the assembly to.
+const rowUpdateGo = "the kernel off amd64; on amd64 the reference FuzzRowKernels holds the assembly to"
+
 // testOnlyAllowed names, with the reason each stays, the functions under
 // internal/ that TestNoTestOnlyCode lets only tests reach.
 var testOnlyAllowed = map[string]string{
@@ -563,6 +568,8 @@ var testOnlyAllowed = map[string]string{
 	"overlap.ComputeTrace":      "the per-process reference sweep that the analysis pipeline's equivalence tests compare against",
 	"serve.flightGroup.waiting": "the tests' synchronisation seam: they wait until a request has joined a flight",
 	"trace.ChunkError.Unwrap":   "errors.Is and errors.As call it through the error chain",
+	"nn.rowUpdate4Go":           rowUpdateGo,
+	"nn.rowUpdate1Go":           rowUpdateGo,
 	"gpu.Device.Reset":          linkedAnyway,
 	"nn.Adam.Name":              linkedAnyway,
 	"trace.ColumnChunk.Len":     linkedAnyway,
