@@ -12,14 +12,17 @@ import (
 // forward/backward execution goes through a Comp so the execution model can
 // time it.
 type Network struct {
-	Name string
-	MLP  *nn.MLP
+	MLP *nn.MLP
 
 	// The op names its calls issue, built once so that a call
 	// concatenates nothing.
 	layers                    []layerOps
 	adam                      []string // per parameter, in Params order
 	zeroGrad, polyak, tgtCopy string
+	// MPIAdamApply's two calls, and its flatten and assign ops per
+	// parameter.
+	mpiFetch, mpiAssign string
+	gradFlatten, assign []string
 }
 
 // layerOps are one dense layer's op names, each under the prefix
@@ -32,11 +35,12 @@ type layerOps struct {
 // NewNetwork builds a device-resident MLP.
 func NewNetwork(rng *rand.Rand, name string, sizes []int, act, outAct nn.Activation) *Network {
 	net := &Network{
-		Name:     name,
-		MLP:      nn.NewMLP(rng, sizes, act, outAct, name),
-		zeroGrad: name + "/zero_grad",
-		polyak:   name + "/polyak",
-		tgtCopy:  name + "/target_copy",
+		MLP:       nn.NewMLP(rng, sizes, act, outAct, name),
+		zeroGrad:  name + "/zero_grad",
+		polyak:    name + "/polyak",
+		tgtCopy:   name + "/target_copy",
+		mpiFetch:  name + "/mpi_adam/fetch_grads",
+		mpiAssign: name + "/mpi_adam/assign_weights",
 	}
 	for i, l := range net.MLP.Layers {
 		prefix := fmt.Sprintf("%s/dense%d", name, i)
@@ -54,6 +58,8 @@ func NewNetwork(rng *rand.Rand, name string, sizes []int, act, outAct nn.Activat
 	}
 	for _, p := range net.MLP.Params() {
 		net.adam = append(net.adam, name+"/adam/"+p.Name)
+		net.gradFlatten = append(net.gradFlatten, name+"/grad_flatten/"+p.Name)
+		net.assign = append(net.assign, name+"/assign/"+p.Name)
 	}
 	return net
 }
@@ -168,9 +174,9 @@ func (b *Backend) MPIAdamApply(net *Network, opt *nn.Adam) {
 	params := net.MLP.Params()
 	// 1. Fetch gradients to the host with blocking copies — Python needs
 	// the values immediately.
-	b.Compute(net.Name+"/mpi_adam/fetch_grads", KindBackprop, func(c *Comp) {
-		for _, p := range params {
-			c.Op(net.Name+"/grad_flatten/"+p.Name, float64(p.Grad.Size()), 1, nil)
+	b.Compute(net.mpiFetch, KindBackprop, func(c *Comp) {
+		for i, p := range params {
+			c.Op(net.gradFlatten[i], float64(p.Grad.Size()), 1, nil)
 			c.FetchSync(p.Grad)
 		}
 	})
@@ -184,10 +190,10 @@ func (b *Backend) MPIAdamApply(net *Network, opt *nn.Adam) {
 		opt.UpdateParam(p)
 	}
 	// 3. Write updated weights back to the device.
-	b.Compute(net.Name+"/mpi_adam/assign_weights", KindBackprop, func(c *Comp) {
-		for _, p := range params {
+	b.Compute(net.mpiAssign, KindBackprop, func(c *Comp) {
+		for i, p := range params {
 			c.Feed(p.Value)
-			c.Op(net.Name+"/assign/"+p.Name, float64(p.Value.Size()), 1, nil)
+			c.Op(net.assign[i], float64(p.Value.Size()), 1, nil)
 		}
 	})
 }

@@ -145,9 +145,6 @@ type Context struct {
 	// lastEnd is the completion time of the most recently submitted work
 	// from this context; Synchronize waits for it.
 	lastEnd vclock.Time
-
-	// counts tracks API invocations per API name.
-	counts map[string]int
 }
 
 // NewContext binds a process (via its Recorder) to a device, allocating a
@@ -158,7 +155,6 @@ func NewContext(rec Recorder, dev *gpu.Device, costs Costs) *Context {
 		dev:    dev,
 		stream: dev.NewStream(),
 		costs:  costs,
-		counts: map[string]int{},
 	}
 }
 
@@ -167,7 +163,6 @@ func NewContext(rec Recorder, dev *gpu.Device, costs Costs) *Context {
 // API cost and any CUPTI inflation run inside, and a CatCUDA CPU event spans
 // the call.
 func (c *Context) apiCall(api string, body func(issue vclock.Time)) {
-	c.counts[api]++
 	c.rec.Transition(trace.TransBackendToCUDA)
 	c.rec.Overhead(trace.OverheadCUDAIntercept, api)
 	clk := c.rec.Clock()
@@ -191,7 +186,7 @@ func (c *Context) apiCall(api string, body func(issue vclock.Time)) {
 // returns after the CPU-side API cost; the kernel runs asynchronously.
 func (c *Context) LaunchKernel(name string, gpuDur vclock.Duration) {
 	c.apiCall(APILaunchKernel, func(issue vclock.Time) {
-		start, end := c.dev.Submit(c.rec.Proc(), c.stream, issue, gpuDur, name, trace.CatGPUKernel)
+		start, end := c.dev.Submit(c.rec.Proc(), c.stream, issue, gpuDur)
 		if end > c.lastEnd {
 			c.lastEnd = end
 		}
@@ -223,7 +218,7 @@ func (c *Context) transferDur(bytes int) vclock.Duration {
 func (c *Context) MemcpyAsync(dir Direction, bytes int) {
 	c.apiCall(APIMemcpyAsync, func(issue vclock.Time) {
 		name := "memcpy" + dir.String()
-		start, end := c.dev.Submit(c.rec.Proc(), c.stream, issue, c.transferDur(bytes), name, trace.CatGPUMemcpy)
+		start, end := c.dev.Submit(c.rec.Proc(), c.stream, issue, c.transferDur(bytes))
 		if end > c.lastEnd {
 			c.lastEnd = end
 		}
@@ -243,7 +238,7 @@ func (c *Context) MemcpyAsync(dir Direction, bytes int) {
 func (c *Context) Memcpy(dir Direction, bytes int) {
 	c.apiCall(APIMemcpy, func(issue vclock.Time) {
 		name := "memcpy" + dir.String()
-		start, end := c.dev.Submit(c.rec.Proc(), c.stream, issue, c.transferDur(bytes), name, trace.CatGPUMemcpy)
+		start, end := c.dev.Submit(c.rec.Proc(), c.stream, issue, c.transferDur(bytes))
 		if end > c.lastEnd {
 			c.lastEnd = end
 		}

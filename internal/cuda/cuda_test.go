@@ -192,6 +192,8 @@ func TestCUPTIInflationLandsInsideAPICall(t *testing.T) {
 	}
 }
 
+// TestAPICounts: each API call emits one CatCUDA event named after its API,
+// which is how the profiler counts calls per API.
 func TestAPICounts(t *testing.T) {
 	rec := newFakeRecorder()
 	ctx := NewContext(rec, gpu.NewDevice(0), exactCosts())
@@ -199,8 +201,14 @@ func TestAPICounts(t *testing.T) {
 	ctx.LaunchKernel("b", 1)
 	ctx.MemcpyAsync(HostToDevice, 1)
 	ctx.StreamSynchronize()
-	if c := ctx.counts; c[APILaunchKernel] != 2 || c[APIMemcpyAsync] != 1 || c[APIStreamSynchronize] != 1 {
-		t.Fatalf("API counts = %v", c)
+	c := map[string]int{}
+	for _, e := range rec.events {
+		if e.Cat == trace.CatCUDA {
+			c[e.Name]++
+		}
+	}
+	if c[APILaunchKernel] != 2 || c[APIMemcpyAsync] != 1 || c[APIStreamSynchronize] != 1 || len(c) != 3 {
+		t.Fatalf("CatCUDA events per API = %v", c)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 type Figure3Result struct {
 	// CPUMcts, CPUExpand and OverlapExpand are the three published sums.
 	CPUMcts, CPUExpand, OverlapExpand vclock.Duration
-	Res                               *overlap.Result
 }
 
 // Figure3 reconstructs the paper's Figure 3 trace — an mcts_tree_search
@@ -39,7 +38,6 @@ func Figure3() *Figure3Result {
 		CPUMcts:       res.Dur("mcts_tree_search", overlap.ResCPU, trace.CatPython),
 		CPUExpand:     res.Dur("expand_leaf", overlap.ResCPU, trace.CatPython),
 		OverlapExpand: res.Dur("expand_leaf", overlap.ResCPU|overlap.ResGPU, trace.CatPython),
-		Res:           res,
 	}
 }
 

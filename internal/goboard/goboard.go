@@ -1,15 +1,13 @@
 // Package goboard implements the rules of the game of Go on small boards:
-// legal move generation, capture, the simple-ko rule, suicide prohibition,
-// area (Tromp-Taylor) scoring, and Zobrist hashing. It is the game substrate
-// for the Minigo scale-up case study (paper §4.3): AlphaGoZero-style
-// self-play needs a real board, real legality checks, and real outcomes.
+// legal move generation, capture, the simple-ko rule, suicide prohibition
+// and area (Tromp-Taylor) scoring. It is the game substrate for the Minigo
+// scale-up case study (paper §4.3): AlphaGoZero-style self-play needs a real
+// board, real legality checks, and real outcomes.
 package goboard
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
 )
 
 // Color of a stone or player.
@@ -59,38 +57,6 @@ type Board struct {
 	// consecutive passes end the game.
 	passes int
 	moves  int
-	hash   uint64
-	zob    *zobrist
-}
-
-// zobrist holds the hashing table for one board size.
-type zobrist struct {
-	table [][2]uint64 // per point, per color
-	turn  uint64
-}
-
-var (
-	zobMu    sync.Mutex
-	zobCache = map[int]*zobrist{}
-)
-
-// zobristFor returns the shared hashing table for one board size. Boards
-// are created concurrently by Minigo's self-play workers, so the cache is
-// guarded.
-func zobristFor(n int) *zobrist {
-	zobMu.Lock()
-	defer zobMu.Unlock()
-	if z, ok := zobCache[n]; ok {
-		return z
-	}
-	rng := rand.New(rand.NewSource(0x60B0A4D + int64(n)))
-	z := &zobrist{table: make([][2]uint64, n*n), turn: rng.Uint64()}
-	for i := range z.table {
-		z.table[i][0] = rng.Uint64()
-		z.table[i][1] = rng.Uint64()
-	}
-	zobCache[n] = z
-	return z
 }
 
 // New creates an empty board with Black to play.
@@ -103,7 +69,6 @@ func New(n int) *Board {
 		cells:   make([]Color, n*n),
 		toPlay:  Black,
 		koPoint: -1,
-		zob:     zobristFor(n),
 	}
 }
 
@@ -218,7 +183,7 @@ func (b *Board) Play(p int) error {
 		return fmt.Errorf("goboard: illegal move %d for %v", p, b.toPlay)
 	}
 	me := b.toPlay
-	b.place(p, me)
+	b.cells[p] = me
 	// Capture opponent chains left without liberties. Chains are disjoint,
 	// so one visited set serves every neighbor; the flood fills run over
 	// arrays on the stack, as Legal's do.
@@ -234,7 +199,7 @@ func (b *Board) Play(p int) error {
 		}
 		if n, free := b.fill(nb, -1, &visited, &chain); !free {
 			for _, cp := range chain[:n] {
-				b.remove(int(cp))
+				b.cells[cp] = Empty
 				capturedTotal++
 				lastCaptured = int(cp)
 			}
@@ -263,17 +228,6 @@ func (b *Board) Play(p int) error {
 	b.moves++
 	b.toPlay = me.Opponent()
 	return nil
-}
-
-func (b *Board) place(p int, c Color) {
-	b.cells[p] = c
-	b.hash ^= b.zob.table[p][c-1]
-}
-
-func (b *Board) remove(p int) {
-	c := b.cells[p]
-	b.cells[p] = Empty
-	b.hash ^= b.zob.table[p][c-1]
 }
 
 // GameOver reports whether two consecutive passes ended the game (or the

@@ -170,22 +170,6 @@ func TestEmptyBoardScoreNeutral(t *testing.T) {
 	}
 }
 
-func TestZobristHashUpdatesIncrementally(t *testing.T) {
-	b := New(5)
-	h0 := b.hash
-	mustPlay(t, b, b.Point(2, 2))
-	h1 := b.hash
-	if h0 == h1 {
-		t.Fatal("hash unchanged after move")
-	}
-	// Rebuild the same position from scratch: hash must match.
-	b2 := New(5)
-	mustPlay(t, b2, b2.Point(2, 2))
-	if b2.hash != h1 {
-		t.Fatal("hash not a pure function of position")
-	}
-}
-
 func TestFeaturesEncodeSideToMove(t *testing.T) {
 	b := New(5)
 	f := b.Features()
@@ -228,8 +212,7 @@ func TestIllegalMoveRejected(t *testing.T) {
 }
 
 // Property: random legal playouts never corrupt the board — every stone has
-// a liberty after each move (no zombie chains), and hashes stay consistent
-// with a from-scratch recount.
+// a liberty after each move (no zombie chains).
 func TestRandomPlayoutInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -446,7 +429,7 @@ func (b *Board) group(p int, visited []bool) (points []int, hasLiberty bool) {
 // it.
 func refPlay(b *Board, p int) {
 	me := b.toPlay
-	b.place(p, me)
+	b.cells[p] = me
 	var nbuf [4]int
 	capturedTotal := 0
 	lastCaptured := -1
@@ -458,7 +441,7 @@ func refPlay(b *Board, p int) {
 		pts, hasLib := b.group(nb, visited)
 		if !hasLib {
 			for _, cp := range pts {
-				b.remove(cp)
+				b.cells[cp] = Empty
 				capturedTotal++
 				lastCaptured = cp
 			}
@@ -486,7 +469,7 @@ func refPlay(b *Board, p int) {
 
 // TestPlayMatchesReference plays seeded random playouts on 3×3 to 9×9
 // boards and, before every point move, plays it on a clone with refPlay:
-// the two boards must then agree on every stone, the hash, the ko point and
+// the two boards must then agree on every stone, the ko point and
 // the side to move. The counters show that captures and ko occurred.
 func TestPlayMatchesReference(t *testing.T) {
 	var captures, kos int
@@ -504,7 +487,7 @@ func TestPlayMatchesReference(t *testing.T) {
 			refPlay(ref, move)
 			stones := b.stones()
 			mustPlay(t, b, move)
-			if !slices.Equal(b.cells, ref.cells) || b.hash != ref.hash || b.koPoint != ref.koPoint ||
+			if !slices.Equal(b.cells, ref.cells) || b.koPoint != ref.koPoint ||
 				b.toPlay != ref.toPlay || b.moves != ref.moves || b.passes != ref.passes {
 				t.Fatalf("seed %d, move %d at %d: Play gives\n%vko %d, reference\n%vko %d",
 					seed, b.moves, move, b, b.koPoint, ref, ref.koPoint)
@@ -536,7 +519,7 @@ func TestPlayAllocs(t *testing.T) {
 	b := start.Clone()
 	if n := testing.AllocsPerRun(100, func() {
 		copy(b.cells, start.cells)
-		b.koPoint, b.toPlay, b.hash, b.moves = start.koPoint, start.toPlay, start.hash, start.moves
+		b.koPoint, b.toPlay, b.moves = start.koPoint, start.toPlay, start.moves
 		if err := b.Play(7); err != nil {
 			t.Fatal(err)
 		}

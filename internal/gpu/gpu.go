@@ -11,11 +11,12 @@
 //     workers) submit to the same device, so their kernels serialize when
 //     streams contend.
 //
-// The device keeps a ledger of busy intervals used both by the trace (GPU
-// events) and by the nvidia-smi-style sampled utilization monitor. The
-// ledger is kept in fixed-capacity blocks, each twice the last up to a cap,
-// so recording an interval never copies the ones before it;
-// BusyIntervals flattens them in submission order. The block list
+// The device keeps a ledger of busy intervals, each with the process that
+// submitted it, for the nvidia-smi-style sampled utilization monitor and
+// per-worker GPU time; the trace's GPU events come from package cuda, not
+// from the ledger. The ledger is kept in fixed-capacity blocks, each twice
+// the last up to a cap, so recording an interval never copies the ones
+// before it; BusyIntervals flattens them in submission order. The block list
 // deliberately mirrors profiler.Session's event blocks (Session.newBlock),
 // without the sort-key limit on their count; a change to one belongs in
 // both.
@@ -35,10 +36,7 @@ type StreamID int32
 // Busy is one interval of device activity.
 type Busy struct {
 	Start, End vclock.Time
-	Name       string
-	Cat        trace.Category // CatGPUKernel or CatGPUMemcpy
 	Proc       trace.ProcID
-	Stream     StreamID
 }
 
 // Duration returns the interval's extent.
@@ -94,7 +92,7 @@ func (d *Device) NewStream() StreamID {
 // Submit enqueues dur of device work on the stream, issued from the CPU at
 // time issue. It returns the scheduled [start, end) of the work: the work
 // begins after both the launch latency and any earlier work on the stream.
-func (d *Device) Submit(proc trace.ProcID, stream StreamID, issue vclock.Time, dur vclock.Duration, name string, cat trace.Category) (start, end vclock.Time) {
+func (d *Device) Submit(proc trace.ProcID, stream StreamID, issue vclock.Time, dur vclock.Duration) (start, end vclock.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	start = issue.Add(d.launchLatency)
@@ -106,7 +104,7 @@ func (d *Device) Submit(proc trace.ProcID, stream StreamID, issue vclock.Time, d
 	if len(d.cur) == cap(d.cur) {
 		d.newBlock()
 	}
-	d.cur = append(d.cur, Busy{Start: start, End: end, Name: name, Cat: cat, Proc: proc, Stream: stream})
+	d.cur = append(d.cur, Busy{Start: start, End: end, Proc: proc})
 	return start, end
 }
 
@@ -163,15 +161,4 @@ func Union(busy []Busy) []Interval {
 		out = append(out, iv)
 	}
 	return out
-}
-
-// Reset clears the busy ledger and stream tails, keeping allocated streams.
-// Experiments reuse one device across repeated runs.
-func (d *Device) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.full, d.cur = nil, nil
-	for s := range d.tails {
-		d.tails[s] = 0
-	}
 }

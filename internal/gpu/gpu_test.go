@@ -14,7 +14,7 @@ import (
 func TestSubmitOnIdleStream(t *testing.T) {
 	d := NewDevice(2 * vclock.Microsecond)
 	s := d.NewStream()
-	start, end := d.Submit(0, s, 100, 50, "k", trace.CatGPUKernel)
+	start, end := d.Submit(0, s, 100, 50)
 	if start != 100+vclock.Time(2*vclock.Microsecond) {
 		t.Fatalf("start = %v, want issue+latency", start)
 	}
@@ -26,12 +26,12 @@ func TestSubmitOnIdleStream(t *testing.T) {
 func TestStreamFIFO(t *testing.T) {
 	d := NewDevice(0)
 	s := d.NewStream()
-	_, end1 := d.Submit(0, s, 0, 100, "k1", trace.CatGPUKernel)
-	start2, end2 := d.Submit(0, s, 10, 100, "k2", trace.CatGPUKernel)
+	_, end1 := d.Submit(0, s, 0, 100)
+	start2, end2 := d.Submit(0, s, 10, 100)
 	if start2 != end1 {
 		t.Fatalf("k2 starts at %v, want %v (FIFO after k1)", start2, end1)
 	}
-	if start3, _ := d.Submit(0, s, 0, 1, "k3", trace.CatGPUKernel); start3 != end2 {
+	if start3, _ := d.Submit(0, s, 0, 1); start3 != end2 {
 		t.Fatalf("k3 starts at %v, want %v (the stream's tail)", start3, end2)
 	}
 }
@@ -39,8 +39,8 @@ func TestStreamFIFO(t *testing.T) {
 func TestStreamsIndependent(t *testing.T) {
 	d := NewDevice(0)
 	s1, s2 := d.NewStream(), d.NewStream()
-	d.Submit(0, s1, 0, 1000, "k1", trace.CatGPUKernel)
-	start2, _ := d.Submit(1, s2, 0, 10, "k2", trace.CatGPUKernel)
+	d.Submit(0, s1, 0, 1000)
+	start2, _ := d.Submit(1, s2, 0, 10)
 	if start2 != 0 {
 		t.Fatalf("k2 on independent stream starts at %v, want 0", start2)
 	}
@@ -71,8 +71,8 @@ func TestUnionEmpty(t *testing.T) {
 func TestTotalBusy(t *testing.T) {
 	d := NewDevice(0)
 	s1, s2 := d.NewStream(), d.NewStream()
-	d.Submit(0, s1, 0, 100, "a", trace.CatGPUKernel)
-	d.Submit(0, s2, 50, 100, "b", trace.CatGPUKernel) // overlaps [50,100)
+	d.Submit(0, s1, 0, 100)
+	d.Submit(0, s2, 50, 100) // overlaps [50,100)
 	var total vclock.Duration
 	for _, iv := range Union(d.BusyIntervals()) {
 		total += iv.End.Sub(iv.Start)
@@ -82,35 +82,17 @@ func TestTotalBusy(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	d := NewDevice(0)
-	s := d.NewStream()
-	d.Submit(0, s, 0, 100, "a", trace.CatGPUKernel)
-	d.Reset()
-	if busy := d.BusyIntervals(); len(busy) != 0 {
-		t.Fatalf("ledger after Reset = %v, want empty", busy)
-	}
-	// Stream remains usable, its tail back at zero.
-	start, _ := d.Submit(0, s, 5, 10, "b", trace.CatGPUKernel)
-	if start != 5 {
-		t.Fatalf("post-reset submit start = %v, want 5", start)
-	}
-}
-
 func TestBusyLedgerRecordsMetadata(t *testing.T) {
 	d := NewDevice(0)
 	s := d.NewStream()
-	d.Submit(7, s, 0, 10, "matmul", trace.CatGPUKernel)
-	d.Submit(7, s, 0, 5, "memcpyH2D", trace.CatGPUMemcpy)
+	d.Submit(7, s, 0, 10)
+	d.Submit(3, s, 0, 5)
 	busy := d.BusyIntervals()
 	if len(busy) != 2 {
 		t.Fatalf("ledger has %d entries, want 2", len(busy))
 	}
-	if busy[0].Name != "matmul" || busy[0].Proc != 7 || busy[0].Cat != trace.CatGPUKernel {
-		t.Fatalf("ledger entry = %+v", busy[0])
-	}
-	if busy[1].Cat != trace.CatGPUMemcpy {
-		t.Fatalf("second entry cat = %v", busy[1].Cat)
+	if busy[0].Proc != 7 || busy[1].Proc != 3 {
+		t.Fatalf("ledger procs = %d, %d, want 7, 3", busy[0].Proc, busy[1].Proc)
 	}
 	if busy[0].Duration() != 10 {
 		t.Fatalf("Duration = %v, want 10", busy[0].Duration())
@@ -119,35 +101,22 @@ func TestBusyLedgerRecordsMetadata(t *testing.T) {
 
 // TestBusyIntervalsAcrossBlocks: a ledger that spans several blocks — past
 // the cap, where blocks stop doubling — reads back as exactly what was
-// submitted, in submission order and field for field, and so does the
-// ledger a Reset device records next.
+// submitted, in submission order and field for field.
 func TestBusyIntervalsAcrossBlocks(t *testing.T) {
-	d := NewDevice(3)
-	streams := []StreamID{d.NewStream(), d.NewStream(), d.NewStream()}
 	rng := rand.New(rand.NewSource(11))
-	submit := func(n int) []Busy {
-		want := make([]Busy, 0, n)
-		var issue vclock.Time
-		for i := 0; i < n; i++ {
-			issue = issue.Add(vclock.Duration(rng.Int63n(10)))
-			b := Busy{
-				Name:   fmt.Sprint("k", i%7),
-				Cat:    []trace.Category{trace.CatGPUKernel, trace.CatGPUMemcpy}[i%2],
-				Proc:   trace.ProcID(i % 5),
-				Stream: streams[rng.Intn(len(streams))],
-			}
-			b.Start, b.End = d.Submit(b.Proc, b.Stream, issue, vclock.Duration(1+rng.Int63n(20)), b.Name, b.Cat)
-			want = append(want, b)
-		}
-		return want
-	}
 	for _, n := range []int{minLedgerBlock - 1, minLedgerBlock, minLedgerBlock + 1, 4*maxLedgerBlock + 37} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			d.Reset()
-			if got := d.BusyIntervals(); len(got) != 0 {
-				t.Fatalf("%d intervals after Reset, want none", len(got))
+			d := NewDevice(3)
+			streams := []StreamID{d.NewStream(), d.NewStream(), d.NewStream()}
+			want := make([]Busy, 0, n)
+			var issue vclock.Time
+			for i := 0; i < n; i++ {
+				issue = issue.Add(vclock.Duration(rng.Int63n(10)))
+				b := Busy{Proc: trace.ProcID(i % 5)}
+				b.Start, b.End = d.Submit(b.Proc, streams[rng.Intn(len(streams))], issue, vclock.Duration(1+rng.Int63n(20)))
+				want = append(want, b)
 			}
-			if want, got := submit(n), d.BusyIntervals(); !slices.Equal(got, want) {
+			if got := d.BusyIntervals(); !slices.Equal(got, want) {
 				t.Fatalf("ledger of %d submissions reads back as %d intervals, not the submissions in order", n, len(got))
 			}
 		})
@@ -160,7 +129,7 @@ func TestBusyIntervalsAcrossBlocks(t *testing.T) {
 func TestSubmitAllocatesAtBlockBoundaries(t *testing.T) {
 	d := NewDevice(0)
 	s := d.NewStream()
-	submit := func() { d.Submit(0, s, 0, 1, "k", trace.CatGPUKernel) }
+	submit := func() { d.Submit(0, s, 0, 1) }
 	// Fill every block below the cap, and open the first capped one.
 	for n := minLedgerBlock; n < maxLedgerBlock; n *= 2 {
 		for i := 0; i < n; i++ {
@@ -223,7 +192,7 @@ func TestStreamFIFOProperty(t *testing.T) {
 		var prevEnd vclock.Time
 		for i := 0; i < 50; i++ {
 			issue = issue.Add(vclock.Duration(rng.Int63n(20)))
-			start, end := d.Submit(0, s, issue, vclock.Duration(1+rng.Int63n(30)), "k", trace.CatGPUKernel)
+			start, end := d.Submit(0, s, issue, vclock.Duration(1+rng.Int63n(30)))
 			if start < prevEnd || end <= start {
 				return false
 			}

@@ -6,8 +6,9 @@
 //     each running minibatched MCTS leaf evaluations on the shared GPU;
 //  2. SGD-updates: the collected (position, visit-policy, outcome) examples
 //     train a candidate policy/value network;
-//  3. evaluation: the candidate plays the current model; the winner becomes
-//     the next generation.
+//  3. evaluation: the candidate plays the current model; Minigo makes the
+//     winner the next generation. Run profiles one generation, so it plays
+//     the games and keeps no score.
 //
 // The paper's Minigo plays 19×19 Go with 16 workers for thousands of
 // seconds; this reproduction defaults to 9×9 with the same 16-worker
@@ -88,10 +89,6 @@ type Result struct {
 	Busy []gpu.Busy
 	// Span is the virtual extent of the self-play phase.
 	SpanStart, SpanEnd vclock.Time
-	// Examples collected, Promoted reports whether the candidate won
-	// evaluation.
-	Examples int
-	Promoted bool
 }
 
 // pvnet is the policy/value network: one trunk MLP whose output packs
@@ -237,7 +234,6 @@ func Run(cfg Config) (*Result, error) {
 		res.WorkerGPU[bz.Proc] += bz.Duration()
 	}
 	res.Busy = busy
-	res.Examples = len(examples)
 
 	// Trainer waited for the self-play pool to drain (process join).
 	trainer.Clock().AdvanceTo(lastEnd)
@@ -248,10 +244,9 @@ func Run(cfg Config) (*Result, error) {
 	current.net.MLP.CopyTo(candidate.net.MLP)
 	trainCandidate(cfg, trainer, trainerBackend, candidate, examples, rng)
 
-	// --- Phase 3: evaluation chooses the next generation ---
+	// --- Phase 3: evaluation plays the candidate against the current ---
 	trainer.SetPhase("evaluation")
-	wins := evaluateCandidate(cfg, trainer, trainerBackend, candidate, current)
-	res.Promoted = float64(wins) > float64(cfg.EvalGames)*0.55
+	evaluateCandidate(cfg, trainer, trainerBackend, candidate, current)
 
 	trainer.Close()
 	tr, err := p.Trace()
@@ -366,10 +361,9 @@ func pvLossGrad(out *nn.Tensor, pis [][]float64, zs []float64, nPolicy int) *nn.
 }
 
 // evaluateCandidate plays candidate (Black) vs current (White), alternating
-// colors per game, and returns the candidate's wins. The paper notes Minigo
-// does not parallelize evaluation; it runs on the trainer process.
-func evaluateCandidate(cfg Config, sess *profiler.Session, b *backend.Backend, cand, cur *pvnet) int {
-	wins := 0
+// colors per game. The paper notes Minigo does not parallelize evaluation;
+// it runs on the trainer process.
+func evaluateCandidate(cfg Config, sess *profiler.Session, b *backend.Backend, cand, cur *pvnet) {
 	for g := 0; g < cfg.EvalGames; g++ {
 		candIsBlack := g%2 == 0
 		board := goboard.New(cfg.BoardSize)
@@ -394,10 +388,5 @@ func evaluateCandidate(cfg Config, sess *profiler.Session, b *backend.Backend, c
 			tCand.Advance(move)
 			tCur.Advance(move)
 		}
-		winner := board.Winner(7.5)
-		if (winner == goboard.Black) == candIsBlack && winner != goboard.Empty {
-			wins++
-		}
 	}
-	return wins
 }

@@ -35,8 +35,8 @@ func TestPipelineRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Examples == 0 {
-		t.Fatal("no training examples collected")
+	if n := trainSteps(res.Trace); n != smallConfig().TrainSteps {
+		t.Fatalf("%d minigo/train_step events, want %d: SGD runs only on collected examples", n, smallConfig().TrainSteps)
 	}
 	if len(res.WorkerTotal) != 4 {
 		t.Fatalf("worker totals for %d workers, want 4", len(res.WorkerTotal))
@@ -230,9 +230,21 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if a.Examples != b.Examples || a.SpanEnd != b.SpanEnd {
-		t.Fatalf("runs diverged: %d/%v vs %d/%v", a.Examples, a.SpanEnd, b.Examples, b.SpanEnd)
+	if trainSteps(a.Trace) != trainSteps(b.Trace) || a.SpanEnd != b.SpanEnd {
+		t.Fatalf("runs diverged: %d/%v vs %d/%v", trainSteps(a.Trace), a.SpanEnd, trainSteps(b.Trace), b.SpanEnd)
 	}
+}
+
+// trainSteps counts the trace's minigo/train_step events: one per SGD step,
+// none when self-play collected no examples.
+func trainSteps(tr *trace.Trace) int {
+	n := 0
+	for _, e := range tr.Events {
+		if e.Name == "minigo/train_step" {
+			n++
+		}
+	}
+	return n
 }
 
 // TestEvaluateAllocs pins a warm Evaluate of eight boards at 23 allocations,

@@ -24,9 +24,6 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Name identifies the optimizer.
-func (a *Adam) Name() string { return "adam" }
-
 // BeginStep advances the timestep without touching parameters; one
 // optimizer step pairs it with one UpdateParam per parameter (the backend's
 // fused and MPI-Adam paths both do).

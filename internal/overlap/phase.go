@@ -8,7 +8,7 @@ import (
 )
 
 // PhaseBreakdown summarizes one training phase (paper §3.1's
-// rls.set_phase): its extent and the resource/category time inside it.
+// rls.set_phase): its extent and the CPU and GPU time inside it.
 // Minigo's three phases — selfplay, sgd_updates, evaluation — are the
 // paper's example.
 type PhaseBreakdown struct {
@@ -17,8 +17,6 @@ type PhaseBreakdown struct {
 	// CPU is CPU-busy time within the phase (including CPU+GPU overlap);
 	// GPU is device-busy time within the phase.
 	CPU, GPU vclock.Duration
-	// ByCategory splits the CPU time by stack tier.
-	ByCategory map[trace.Category]vclock.Duration
 }
 
 // Duration returns the phase extent.
@@ -31,12 +29,7 @@ func Phases(events []trace.Event) []PhaseBreakdown {
 	var phases []PhaseBreakdown
 	for _, e := range events {
 		if e.Kind == trace.KindPhase && e.End > e.Start {
-			phases = append(phases, PhaseBreakdown{
-				Name:       e.Name,
-				Start:      e.Start,
-				End:        e.End,
-				ByCategory: map[trace.Category]vclock.Duration{},
-			})
+			phases = append(phases, PhaseBreakdown{Name: e.Name, Start: e.Start, End: e.End})
 		}
 	}
 	sort.Slice(phases, func(i, j int) bool { return phases[i].Start < phases[j].Start })
@@ -52,13 +45,12 @@ func Phases(events []trace.Event) []PhaseBreakdown {
 	for pi := range phases {
 		p := &phases[pi]
 		// Run the overlap sweep restricted to the phase window; only its
-		// resource/category sums are consumed, so the per-operation split
-		// (and the transition counts) collapse back out.
+		// resource sums are consumed, so the per-operation and category
+		// splits (and the transition counts) collapse back out.
 		sw.ComputeWindowInto(&res, events, p.Start, p.End)
 		for k, d := range res.ByKey {
 			if k.Res&ResCPU != 0 {
 				p.CPU += d
-				p.ByCategory[k.Cat] += d
 			}
 			if k.Res&ResGPU != 0 {
 				p.GPU += d

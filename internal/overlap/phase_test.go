@@ -34,12 +34,6 @@ func TestPhasesClipAndAttribute(t *testing.T) {
 	if train.CPU != 40 {
 		t.Errorf("train CPU = %v, want 40 (python tail)", train.CPU)
 	}
-	if train.ByCategory[trace.CatBackend] != 20 {
-		t.Errorf("train backend = %v, want 20", train.ByCategory[trace.CatBackend])
-	}
-	if train.ByCategory[trace.CatPython] != 20 {
-		t.Errorf("train python = %v, want 20", train.ByCategory[trace.CatPython])
-	}
 	if train.GPU != 20 {
 		t.Errorf("train GPU = %v, want 20", train.GPU)
 	}

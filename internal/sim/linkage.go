@@ -10,7 +10,7 @@ import (
 
 // Linkage is a planar rigid-linkage locomotion simulator standing in for
 // MuJoCo's Hopper/Walker2D/HalfCheetah/Ant tasks. A torso (point mass with
-// height and forward position) carries a chain of actuated rotational
+// height and forward velocity) carries a chain of actuated rotational
 // joints whose feet interact with the ground through a spring-damper
 // contact; torques propel the body forward.
 //
@@ -31,8 +31,8 @@ type Linkage struct {
 	aliveBonus float64
 
 	// State.
-	x, z   float64 // torso position (forward, height)
-	vx, vz float64 // torso velocity
+	z      float64 // torso height
+	vx, vz float64 // torso velocity (forward, vertical)
 	theta  []float64
 	omega  []float64
 	steps  int
@@ -116,7 +116,7 @@ func (l *Linkage) ResetCost() vclock.Dist { return l.stepCost.Scale(4) }
 
 // Reset implements Env.
 func (l *Linkage) Reset() []float64 {
-	l.x, l.z = 0, 1.1
+	l.z = 1.1
 	l.vx, l.vz = 0, 0
 	l.theta = make([]float64, l.nJoints)
 	l.omega = make([]float64, l.nJoints)
@@ -189,7 +189,6 @@ func (l *Linkage) Step(act []float64) ([]float64, float64, bool) {
 	l.vz += float64(az * linkDT)
 	l.vx += float64(ax * linkDT)
 	l.z += float64(l.vz * linkDT)
-	l.x += float64(l.vx * linkDT)
 	if l.z < 0.1 {
 		l.z, l.vz = 0.1, 0
 	}

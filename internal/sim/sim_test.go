@@ -186,7 +186,7 @@ func TestLinkageTorqueMovesBody(t *testing.T) {
 			w.Reset()
 		}
 	}
-	if w.x == 0 && w.z == 1.1 {
+	if w.vx == 0 && w.z == 1.1 {
 		t.Fatal("constant torque produced no motion at all")
 	}
 }

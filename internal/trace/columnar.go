@@ -377,9 +377,6 @@ func (c *ColumnChunk) Parse(frame []byte, in *Interner) error {
 	return nil
 }
 
-// Len reports the chunk's event count.
-func (c *ColumnChunk) Len() int { return c.count }
-
 // colCursor walks one byte slice, returning errors (never panicking) on
 // truncation or malformed varints.
 type colCursor struct {

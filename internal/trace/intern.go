@@ -26,6 +26,3 @@ func (in *Interner) Intern(b []byte) string {
 	in.m[s] = s
 	return s
 }
-
-// Len reports how many distinct strings the interner holds.
-func (in *Interner) Len() int { return len(in.m) }

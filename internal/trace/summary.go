@@ -12,13 +12,11 @@ import (
 // per category, plus the heaviest GPU kernels. It is the quick-look view
 // rlscope-analyze prints before the full breakdown.
 type Summary struct {
-	Events      int
-	Procs       int
-	Span        vclock.Duration
-	ByKind      map[EventKind]int
-	ByCategory  map[Category]CategoryStats
-	Transitions map[string]int
-	Overheads   map[OverheadKind]int
+	Events     int
+	Procs      int
+	Span       vclock.Duration
+	ByKind     map[EventKind]int
+	ByCategory map[Category]CategoryStats
 	// TopKernels are the GPU kernel names with the largest total device
 	// time, descending.
 	TopKernels []KernelStat
@@ -40,20 +38,17 @@ type KernelStat struct {
 // Summarize computes trace statistics.
 func Summarize(t *Trace) *Summary {
 	s := &Summary{
-		Events:      len(t.Events),
-		Procs:       len(t.ProcIDs()),
-		ByKind:      map[EventKind]int{},
-		ByCategory:  map[Category]CategoryStats{},
-		Transitions: map[string]int{},
-		Overheads:   map[OverheadKind]int{},
+		Events:     len(t.Events),
+		Procs:      len(t.ProcIDs()),
+		ByKind:     map[EventKind]int{},
+		ByCategory: map[Category]CategoryStats{},
 	}
 	start, end := t.Span()
 	s.Span = end.Sub(start)
 	kernels := map[string]KernelStat{}
 	for _, e := range t.Events {
 		s.ByKind[e.Kind]++
-		switch e.Kind {
-		case KindCPU, KindGPU:
+		if e.Kind == KindCPU || e.Kind == KindGPU {
 			cs := s.ByCategory[e.Cat]
 			cs.Events++
 			cs.Total += e.Duration()
@@ -65,10 +60,6 @@ func Summarize(t *Trace) *Summary {
 				k.Total += e.Duration()
 				kernels[e.Name] = k
 			}
-		case KindTransition:
-			s.Transitions[e.Name]++
-		case KindOverhead:
-			s.Overheads[e.Overhead]++
 		}
 	}
 	for _, k := range kernels {

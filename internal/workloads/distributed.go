@@ -35,8 +35,7 @@ const LearnerHost = "learner"
 // ActorHost names the i-th actor host ("actor00", "actor01", ...).
 func ActorHost(i int) string { return fmt.Sprintf("actor%02d", i) }
 
-// DefaultMaxSkew bounds the clock-origin skew injected per host when
-// DistributedSpec.MaxSkew is zero.
+// DefaultMaxSkew bounds the clock-origin skew injected per host.
 const DefaultMaxSkew = 2 * vclock.Millisecond
 
 // MaxActors bounds a distributed run's size; multihost.Merge relies on
@@ -60,8 +59,6 @@ type DistributedSpec struct {
 	// Seed drives every stochastic component, including the injected
 	// per-host clock skews and wire latencies.
 	Seed int64
-	// MaxSkew bounds the per-host clock-origin skew (0 = DefaultMaxSkew).
-	MaxSkew vclock.Duration
 }
 
 // Name labels the workload in traces and reports.
@@ -122,10 +119,6 @@ func RunDistributed(spec DistributedSpec, flags trace.FeatureFlags) ([]HostRun, 
 	if spec.TotalSteps <= 0 {
 		return nil, fmt.Errorf("workloads: TotalSteps must be positive")
 	}
-	maxSkew := spec.MaxSkew
-	if maxSkew <= 0 {
-		maxSkew = DefaultMaxSkew
-	}
 	base := Spec{Algo: spec.Algo, Env: spec.Env, Model: spec.Model, TotalSteps: spec.TotalSteps, Seed: spec.Seed}
 
 	skewRng := rand.New(rand.NewSource(spec.Seed*7907 + 11))
@@ -135,7 +128,7 @@ func RunDistributed(spec DistributedSpec, flags trace.FeatureFlags) ([]HostRun, 
 	}
 
 	newHost := func(i int, name string) (*distHost, error) {
-		skew := vclock.Duration(skewRng.Int63n(int64(maxSkew)))
+		skew := vclock.Duration(skewRng.Int63n(int64(DefaultMaxSkew)))
 		p := profiler.New(profiler.Options{
 			Workload: spec.Name(),
 			Host:     name,

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/backend"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 func testDistSpec() DistributedSpec {
@@ -135,20 +134,5 @@ func TestRunDistributedValidation(t *testing.T) {
 				t.Fatalf("err %q does not mention %q", err, tc.want)
 			}
 		})
-	}
-}
-
-// TestRunDistributedSkewBound: a custom MaxSkew caps the injected origins.
-func TestRunDistributedSkewBound(t *testing.T) {
-	spec := testDistSpec()
-	spec.MaxSkew = 50 * vclock.Microsecond
-	runs, err := RunDistributed(spec, trace.Full())
-	if err != nil {
-		t.Fatalf("RunDistributed: %v", err)
-	}
-	for _, r := range runs {
-		if r.Skew < 0 || r.Skew >= spec.MaxSkew {
-			t.Errorf("host %s: skew %v outside [0, %v)", r.Host, r.Skew, spec.MaxSkew)
-		}
 	}
 }

@@ -550,12 +550,6 @@ func checkHeaderKeys(t *testing.T, fset *token.FileSet, files []*ast.File) {
 	}
 }
 
-// linkedAnyway is the reason a method stays that only tests call: the linker
-// keeps every method an interface call of the same name and signature could
-// reach, so the benchmark binary holds it, and deleting it would move all the
-// machine code linked after it.
-const linkedAnyway = "linked into the benchmark binary all the same; deleting it moves the code after it"
-
 // rowUpdateGo is why the Go row updates stay on amd64, where the assembly
 // replaces them: off amd64 they are the kernels, and here they are the
 // reference FuzzRowKernels holds the assembly to.
@@ -570,10 +564,6 @@ var testOnlyAllowed = map[string]string{
 	"trace.ChunkError.Unwrap":   "errors.Is and errors.As call it through the error chain",
 	"nn.rowUpdate4Go":           rowUpdateGo,
 	"nn.rowUpdate1Go":           rowUpdateGo,
-	"gpu.Device.Reset":          linkedAnyway,
-	"nn.Adam.Name":              linkedAnyway,
-	"trace.ColumnChunk.Len":     linkedAnyway,
-	"trace.Interner.Len":        linkedAnyway,
 }
 
 // TestNoTestOnlyCode fails for every function and method declared in a
@@ -613,7 +603,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 		}
 		ifaces = append(ifaces, pkg.Scope().Lookup(typeName).Type().Underlying().(*types.Interface))
 	}
-	public := map[*types.TypeName]bool{}
+	public := reexported(m)
 	var named []*types.Named
 	for _, path := range paths {
 		for _, f := range files[path] {
@@ -628,9 +618,6 @@ func TestNoTestOnlyCode(t *testing.T) {
 					}
 					if it, ok := obj.Type().Underlying().(*types.Interface); ok && used[obj] {
 						ifaces = append(ifaces, it)
-					}
-					if path == "repro" && n.Assign.IsValid() {
-						public[types.Unalias(obj.Type()).(*types.Named).Obj()] = true
 					}
 				case *ast.InterfaceType:
 					if !declared[n] {
@@ -727,6 +714,232 @@ func TestNoTestOnlyCode(t *testing.T) {
 		if !slices.ContainsFunc(decls, func(d funcDecl) bool { return d.name == name }) {
 			t.Errorf("testOnlyAllowed lists %s, which is gone", name)
 		}
+	}
+}
+
+// reexported returns the types the root package re-exports by alias: the
+// public API, whose methods and exported fields callers outside the module
+// use.
+func reexported(m *module) map[*types.TypeName]bool {
+	public := map[*types.TypeName]bool{}
+	for _, f := range m.files["repro"] {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok && ts.Assign.IsValid() {
+				public[types.Unalias(m.info.Defs[ts.Name].Type()).(*types.Named).Obj()] = true
+			}
+			return true
+		})
+	}
+	return public
+}
+
+// writeOnlyFields returns, in source order, the struct fields declared in
+// files that no expression in files reads. Every use of a field reads it
+// except the left side of an assignment (=, op=) and the operand of ++ or --,
+// either one directly (s.f = v) or through one index (s.f[k]++), and the key
+// of a composite literal. The fields of a struct with a tagged field are
+// exempt (an encoder reads them by reflection), and so are those of a struct
+// used as a map key or compared with == or != (the comparison reads every
+// field), with the structs such a struct holds.
+func writeOnlyFields(info *types.Info, files []*ast.File) []*types.Var {
+	exempt := map[*types.Struct]bool{}
+	var compared func(t types.Type)
+	compared = func(t types.Type) {
+		if nt, ok := t.(*types.Named); ok {
+			t = nt.Origin()
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			if !exempt[u] {
+				exempt[u] = true
+				for f := range u.Fields() {
+					compared(f.Type())
+				}
+			}
+		case *types.Array:
+			compared(u.Elem())
+		}
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			compared(m.Key())
+		}
+	}
+
+	written := map[*ast.Ident]bool{}
+	write := func(e ast.Expr) {
+		if ix, ok := e.(*ast.IndexExpr); ok {
+			e = ix.X
+		}
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			written[sel.Sel] = true
+		}
+	}
+	read := map[*types.Var]bool{}
+	var structs []*ast.StructType
+	for _, f := range files {
+		// Inspect visits a statement before its operands, so a write is
+		// marked before its identifier is seen.
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					write(lhs)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if key, ok := kv.Key.(*ast.Ident); ok {
+							written[key] = true
+						}
+					}
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					compared(info.Types[n.X].Type)
+				}
+			case *ast.StructType:
+				structs = append(structs, n)
+			case *ast.Ident:
+				if v, ok := info.Uses[n].(*types.Var); ok && v.IsField() && !written[n] {
+					read[v.Origin()] = true
+				}
+			}
+			return true
+		})
+	}
+
+	var out []*types.Var
+	for _, st := range structs {
+		if exempt[info.Types[st].Type.(*types.Struct)] || slices.ContainsFunc(st.Fields.List, func(f *ast.Field) bool { return f.Tag != nil }) {
+			continue
+		}
+		for _, f := range st.Fields.List {
+			for _, name := range f.Names {
+				if v := info.Defs[name].(*types.Var); !read[v] {
+					out = append(out, v)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// writeOnlyAllowed names, with the reason each stays, the fields under
+// internal/ that TestNoWriteOnlyFields lets no non-test code read.
+var writeOnlyAllowed = map[string]string{
+	"profiler.orderStats.fellBack":      "tests assert which ordering path ran; the ordered events are the same either way",
+	"analysis.IncrementalStats.Chunks":  "tests assert what the incremental analysis ingested; no output depends on it",
+	"analysis.IncrementalStats.Events":  "tests assert what the incremental analysis ingested; no output depends on it",
+	"analysis.IncrementalStats.Windows": "tests assert how the incremental analysis split its windows; no output depends on it",
+}
+
+// TestNoWriteOnlyFields fails for every struct field declared in a non-test
+// file under internal/ that the non-test code of the module and of
+// benchmark/ only writes (writeOnlyFields): state that nothing reads is work
+// on every path that fills it, and a test that asserts it pins what nothing
+// ships. The exported fields of the types the root package re-exports are
+// public API and exempt, and writeOnlyAllowed lists the rest that stay.
+func TestNoWriteOnlyFields(t *testing.T) {
+	m := loadedModule(t)
+	var files []*ast.File
+	owner := map[*types.Var]*types.TypeName{}
+	for _, path := range slices.Sorted(maps.Keys(m.pkgs)) {
+		pkg := m.pkgs[path]
+		files = append(files, m.files[path]...)
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+					for v := range st.Fields() {
+						owner[v] = tn
+					}
+				}
+			}
+		}
+	}
+	public := reexported(m)
+	flagged := map[string]bool{}
+	for _, v := range writeOnlyFields(m.info, files) {
+		pkg, ok := strings.CutPrefix(v.Pkg().Path(), "repro/internal/")
+		if !ok || v.Exported() && public[owner[v]] {
+			continue
+		}
+		// A field's name is its package's, its struct type's and its own.
+		name := pkg + ".<struct>." + v.Name()
+		if tn := owner[v]; tn != nil {
+			name = pkg + "." + tn.Name() + "." + v.Name()
+		}
+		flagged[name] = true
+		if writeOnlyAllowed[name] == "" {
+			t.Errorf("%s (%s) is written but never read: delete it and the work that fills it", name, m.fset.Position(v.Pos()))
+		}
+	}
+	for name := range writeOnlyAllowed {
+		if !flagged[name] {
+			t.Errorf("writeOnlyAllowed lists %s, which is gone or read", name)
+		}
+	}
+}
+
+// TestWriteOnlyFieldsClassifies runs writeOnlyFields on a small package
+// that writes fields every way it counts as a write, reads one, and holds
+// each kind of exempt struct, so that neither the write forms nor the
+// exemptions can widen unseen.
+func TestWriteOnlyFieldsClassifies(t *testing.T) {
+	const src = `package p
+
+type s struct {
+	assigned, added, incremented, keyed int
+	indexed                             []int
+	read                                int
+}
+
+type tagged struct {
+	a int ` + "`json:\"a\"`" + `
+	b int
+}
+
+type key struct{ a, b int }
+
+type compared struct{ a, b int }
+
+type inner struct{ c int }
+
+type outer struct{ in inner }
+
+func f(x *s, m map[key]int, y, z compared, o, q outer) bool {
+	x.assigned = 1
+	x.added += 1
+	x.incremented++
+	x.indexed[0] = 2
+	*x = s{keyed: 3}
+	_ = x.read
+	_ = tagged{b: 1}
+	m[key{}] = 1
+	return y == z && o != q
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
+	if _, err := (&types.Config{}).Check("p", fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range writeOnlyFields(info, []*ast.File{f}) {
+		got = append(got, v.Name())
+	}
+	if want := []string{"assigned", "added", "incremented", "keyed", "indexed"}; !slices.Equal(got, want) {
+		t.Errorf("write-only fields = %v, want %v", got, want)
 	}
 }
 
