@@ -41,7 +41,7 @@ func runTrainStep(t *testing.T, model ExecModel, steps int) (*overlap.Result, vc
 				c.HostLoss("mse", func() {
 					_, grad = nn.MSELoss(pred, y)
 				})
-				c.Backward(net, grad)
+				c.Backward(net, grad, false)
 				c.AdamStepFused(net, adam)
 				c.Fetch(y)
 			})
@@ -159,7 +159,7 @@ func TestMathIdenticalAcrossExecModels(t *testing.T) {
 				c.HostLoss("mse", func() {
 					loss, grad = nn.MSELoss(pred, y)
 				})
-				c.Backward(net, grad)
+				c.Backward(net, grad, false)
 				c.AdamStepFused(net, adam)
 			})
 		}

@@ -96,24 +96,27 @@ func (c *Comp) Forward(net *Network, x *nn.Tensor) *nn.Tensor {
 }
 
 // Backward propagates dL/d(output) through the network, accumulating
-// parameter gradients on the device, and returns dL/d(input), valid until
-// the first layer's next call. TensorFlow models run four operators per
-// layer (activation grad, weight grad, input grad, bias reduce); PyTorch
-// fuses to two.
-func (c *Comp) Backward(net *Network, dOut *nn.Tensor) *nn.Tensor {
+// parameter gradients on the device. With inputGrad it returns dL/d(input),
+// valid until the first layer's next call; without, the first layer skips
+// that product and Backward returns nil. The ops and their FLOPs are the
+// same either way: the modelled device still runs the input-grad kernel.
+// TensorFlow models run four operators per layer (activation grad, weight
+// grad, input grad, bias reduce); PyTorch fuses to two.
+func (c *Comp) Backward(net *Network, dOut *nn.Tensor, inputGrad bool) *nn.Tensor {
 	cur := dOut
 	for i := len(net.MLP.Layers) - 1; i >= 0; i-- {
 		layer, in, ops := net.MLP.Layers[i], cur, &net.layers[i]
+		wantDX := i > 0 || inputGrad
 		flops := 4 * float64(in.Rows) * float64(layer.In) * float64(layer.Out)
 		var out *nn.Tensor
 		if c.b.costs.FuseDense {
 			c.Op(ops.linearBackward, flops, 2, func() {
-				out = layer.Backward(in)
+				out = layer.Backward(in, wantDX)
 			})
 		} else {
 			c.Op(ops.actGrad, float64(in.Rows*layer.Out), 1, nil)
 			c.Op(ops.matmulDW, flops/2, 1, func() {
-				out = layer.Backward(in)
+				out = layer.Backward(in, wantDX)
 			})
 			c.Op(ops.matmulDX, flops/2, 1, nil)
 			c.Op(ops.biasGrad, float64(in.Rows*layer.Out), 1, nil)

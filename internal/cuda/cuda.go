@@ -61,6 +61,21 @@ func (d Direction) String() string {
 	}
 }
 
+// memcpyName names a copy's GPU event: "memcpy" and the direction, one
+// constant per direction, so a copy builds no string.
+func (d Direction) memcpyName() string {
+	switch d {
+	case HostToDevice:
+		return "memcpyH2D"
+	case DeviceToHost:
+		return "memcpyD2H"
+	case DeviceToDevice:
+		return "memcpyD2D"
+	default:
+		return "memcpy" + d.String()
+	}
+}
+
 // Recorder is the profiler-facing hook surface. The profiler's per-process
 // session implements it; an inert implementation is used when profiling is
 // off. Methods are invoked on the simulated process's own goroutine.
@@ -217,7 +232,6 @@ func (c *Context) transferDur(bytes int) vclock.Duration {
 // after the CPU-side API cost.
 func (c *Context) MemcpyAsync(dir Direction, bytes int) {
 	c.apiCall(APIMemcpyAsync, func(issue vclock.Time) {
-		name := "memcpy" + dir.String()
 		start, end := c.dev.Submit(c.rec.Proc(), c.stream, issue, c.transferDur(bytes))
 		if end > c.lastEnd {
 			c.lastEnd = end
@@ -228,7 +242,7 @@ func (c *Context) MemcpyAsync(dir Direction, bytes int) {
 			Proc:  c.rec.Proc(),
 			Start: start,
 			End:   end,
-			Name:  name,
+			Name:  dir.memcpyName(),
 		})
 	})
 }
@@ -237,7 +251,6 @@ func (c *Context) MemcpyAsync(dir Direction, bytes int) {
 // until the device completes the transfer.
 func (c *Context) Memcpy(dir Direction, bytes int) {
 	c.apiCall(APIMemcpy, func(issue vclock.Time) {
-		name := "memcpy" + dir.String()
 		start, end := c.dev.Submit(c.rec.Proc(), c.stream, issue, c.transferDur(bytes))
 		if end > c.lastEnd {
 			c.lastEnd = end
@@ -248,7 +261,7 @@ func (c *Context) Memcpy(dir Direction, bytes int) {
 			Proc:  c.rec.Proc(),
 			Start: start,
 			End:   end,
-			Name:  name,
+			Name:  dir.memcpyName(),
 		})
 		c.rec.Clock().AdvanceTo(end)
 	})

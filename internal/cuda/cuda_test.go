@@ -1,6 +1,7 @@
 package cuda
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gpu"
@@ -149,6 +150,35 @@ func TestMemcpyEmitsGPUMemcpyEvent(t *testing.T) {
 	}
 	if evs[0].Duration() != vclock.Microsecond {
 		t.Fatalf("1000B at 1GB/s = %v, want 1µs", evs[0].Duration())
+	}
+}
+
+// TestMemcpyNamesAllocateNothing: a warm copy, either kind and every
+// direction, names its GPU event with a constant and allocates nothing once
+// the recorder has room for its events.
+func TestMemcpyNamesAllocateNothing(t *testing.T) {
+	rec := newFakeRecorder()
+	ctx := NewContext(rec, gpu.NewDevice(0), exactCosts())
+	copies := func() {
+		for _, dir := range []Direction{HostToDevice, DeviceToHost, DeviceToDevice} {
+			ctx.MemcpyAsync(dir, 1000)
+			ctx.Memcpy(dir, 1000)
+		}
+	}
+	copies()
+	rec.events = make([]trace.Event, 0, 64*len(rec.events))
+	if got := testing.AllocsPerRun(10, func() {
+		rec.events = rec.events[:0]
+		copies()
+	}); got != 0 {
+		t.Fatalf("six warm copies allocated %v times, want 0", got)
+	}
+	var names []string
+	for _, e := range rec.gpuEvents() {
+		names = append(names, e.Name)
+	}
+	if want := "[memcpyH2D memcpyH2D memcpyD2H memcpyD2H memcpyD2D memcpyD2D]"; fmt.Sprint(names) != want {
+		t.Fatalf("copy event names %v, want %s", names, want)
 	}
 }
 

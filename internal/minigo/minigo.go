@@ -334,7 +334,7 @@ func trainCandidate(cfg Config, sess *profiler.Session, b *backend.Backend, cand
 				c.HostLoss("minigo/loss", func() {
 					grad = pvLossGrad(out, pis, zs, nPolicy)
 				})
-				c.Backward(cand.net, grad)
+				c.Backward(cand.net, grad, false)
 				c.AdamStepFused(cand.net, opt)
 			})
 		})

@@ -129,11 +129,13 @@ func (d *Dense) Forward(x *Tensor) *Tensor {
 	return d.y
 }
 
-// Backward consumes dL/dy and returns dL/dx, accumulating into W.Grad and
-// B.Grad. Forward must have been called first. The input gradient is the
+// Backward consumes dL/dy, accumulating into W.Grad and B.Grad, and returns
+// dL/dx when inputGrad is set. Without it Backward skips that product and
+// returns nil: a network's first layer, whose input gradient most callers
+// discard. Forward must have been called first. The input gradient is the
 // layer's, valid until its next call. It runs over W as it is now: W is
 // transposed afresh on every call, since the optimizer writes W in place.
-func (d *Dense) Backward(dY *Tensor) *Tensor {
+func (d *Dense) Backward(dY *Tensor, inputGrad bool) *Tensor {
 	if d.lastX == nil {
 		panic("nn: Dense.Backward before Forward")
 	}
@@ -155,6 +157,9 @@ func (d *Dense) Backward(dY *Tensor) *Tensor {
 		for j, v := range row {
 			bg[j] += v
 		}
+	}
+	if !inputGrad {
+		return nil
 	}
 	d.dX = reshape(d.dX, dZ.Rows, d.In)
 	d.dX.Zero()

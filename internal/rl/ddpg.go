@@ -83,7 +83,7 @@ func (d *DDPG) Update() {
 		c.HostLoss("ddpg/mse", func() {
 			_, grad = nn.MSELoss(pred, d.tdTarget(mb, func(i int) float64 { return qNext.At(i, 0) }))
 		})
-		c.Backward(d.critic, grad)
+		c.Backward(d.critic, grad, false)
 		if d.stableBaselines {
 			return // applied outside, in Python
 		}

@@ -76,7 +76,7 @@ func (d *DQN) Update() {
 			}
 			_, grad = nn.HuberLoss(pred, target)
 		})
-		c.Backward(d.q, grad)
+		c.Backward(d.q, grad, false)
 		c.AdamStepFused(d.q, d.opt)
 		if d.updates%d.targetEvery == 0 {
 			c.HardUpdate(d.q, d.qTarget)

@@ -116,12 +116,12 @@ func (o *offPolicy) dpgActorGrad(c *backend.Comp, mb *minibatch, actor, critic *
 	c.Forward(critic, actorIn)
 	var up *nn.Tensor
 	c.HostLoss(o.prefix+"/actor_grad", func() { up = ascendQ(len(mb.batch)) })
-	dIn := c.Backward(critic, up)
+	dIn := c.Backward(critic, up, true)
 	var dAct *nn.Tensor
 	c.HostLoss(o.prefix+"/split_grad", func() {
 		dAct = splitCriticInputGrad(dIn, o.cfg.ObsDim)
 	})
-	c.Backward(actor, dAct)
+	c.Backward(actor, dAct, false)
 }
 
 // ascendQ is the upstream gradient that makes backpropagation through a
@@ -147,7 +147,7 @@ func (tc *twinCritic) regress(c *backend.Comp, prefix string, critIn, target *nn
 		pred := c.Forward(q, critIn)
 		var grad *nn.Tensor
 		c.HostLoss(fmt.Sprintf("%s/mse%d", prefix, i+1), func() { _, grad = nn.MSELoss(pred, target) })
-		c.Backward(q, grad)
+		c.Backward(q, grad, false)
 		c.AdamStepFused(q, tc.criticOpt)
 	}
 }

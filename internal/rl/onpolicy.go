@@ -181,7 +181,7 @@ func (o *onPolicy) trainStep(obs [][]float64, ret []float64, pgLoss string, pg f
 		out := c.Forward(o.policy, x)
 		var pgrad *nn.Tensor
 		c.HostLoss(o.prefix+"/"+pgLoss, func() { pgrad = pg(out) })
-		c.Backward(o.policy, pgrad)
+		c.Backward(o.policy, pgrad, false)
 
 		pred := c.Forward(o.value, x)
 		var vgrad *nn.Tensor
@@ -191,7 +191,7 @@ func (o *onPolicy) trainStep(obs [][]float64, ret []float64, pgLoss string, pg f
 			_, vgrad = nn.MSELoss(pred, target)
 			vgrad.Scale(0.5)
 		})
-		c.Backward(o.value, vgrad)
+		c.Backward(o.value, vgrad, false)
 
 		c.HostLoss(o.prefix+"/clip_grads", func() {
 			nn.ClipGradByGlobalNorm(append(o.policy.MLP.Params(), o.value.MLP.Params()...), 0.5)

@@ -127,7 +127,7 @@ func (s *SAC) Update() {
 		c.Forward(s.critic1, actorIn)
 		var up *nn.Tensor
 		c.HostLoss("sac/q_grad", func() { up = ascendQ(n) })
-		dIn := c.Backward(s.critic1, up)
+		dIn := c.Backward(s.critic1, up, true)
 		var dMean *nn.Tensor
 		c.HostLoss("sac/actor_grad", func() {
 			// dObj/dmean = −dQ/da·(1−tanh²u) + α·2·tanh(u)/N
@@ -144,7 +144,7 @@ func (s *SAC) Update() {
 				}
 			}
 		})
-		c.Backward(s.actor, dMean)
+		c.Backward(s.actor, dMean, false)
 		c.AdamStepFused(s.actor, s.actorOpt)
 		c.PolyakUpdate(s.critic1, s.critic1Target, s.tau)
 		c.PolyakUpdate(s.critic2, s.critic2Target, s.tau)

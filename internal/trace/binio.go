@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"unsafe"
 
 	"repro/internal/recycle"
 	"repro/internal/vclock"
@@ -63,12 +64,16 @@ func encodeChunkV1(events []Event) ([]byte, error) {
 // the columns are built.
 func frameHint(n int) int { return 16 + n*v1EventBytesHint }
 
-// appendChunkV1 appends events as one v1 frame to dst.
+// appendChunkV1 appends events as one v1 frame to dst. A record's head —
+// kind, category, overhead and a proc below 128 — is one 4-byte append, and
+// its start delta and duration take appendUvarint's one- and two-byte cases
+// in place.
 func appendChunkV1(dst []byte, events []Event) ([]byte, error) {
 	dst = append(dst, chunkMagic...)
 	dst = binary.AppendUvarint(dst, chunkVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
 	strings := map[string]uint64{}
+	var cache nameCache
 	var ref uint64 // the previous event's string-table reference
 	var prevStart int64
 	for i := range events {
@@ -76,27 +81,72 @@ func appendChunkV1(dst []byte, events []Event) ([]byte, error) {
 		if e.End < e.Start {
 			return nil, fmt.Errorf("trace: encode: event %q has negative duration", e.Name)
 		}
-		dst = append(dst, byte(e.Kind), byte(e.Cat), byte(e.Overhead))
-		dst = binary.AppendUvarint(dst, uint64(e.Proc))
-		dst = binary.AppendVarint(dst, int64(e.Start)-prevStart)
+		if proc := uint64(e.Proc); proc < 0x80 {
+			dst = append(dst, byte(e.Kind), byte(e.Cat), byte(e.Overhead), byte(proc))
+		} else {
+			dst = append(dst, byte(e.Kind), byte(e.Cat), byte(e.Overhead))
+			dst = binary.AppendUvarint(dst, proc)
+		}
+		// The start delta is zigzag-folded as binary.AppendVarint folds it.
+		delta := int64(e.Start) - prevStart
 		prevStart = int64(e.Start)
-		dst = binary.AppendUvarint(dst, uint64(e.End-e.Start))
+		dst = appendUvarint(dst, uint64(delta<<1)^uint64(delta>>63))
+		dst = appendUvarint(dst, uint64(e.End-e.Start))
 		// A run of one name (a kernel relaunched, an API called in a loop)
-		// reuses the previous reference without a map lookup.
+		// reuses the previous reference; any other name tries the cache
+		// before the map.
 		if i == 0 || e.Name != events[i-1].Name {
-			var ok bool
-			if ref, ok = strings[e.Name]; !ok {
-				ref = uint64(len(strings))
-				strings[e.Name] = ref
-				dst = binary.AppendUvarint(dst, ref)
-				dst = binary.AppendUvarint(dst, uint64(len(e.Name)))
-				dst = append(dst, e.Name...)
-				continue
+			slot := &cache[nameSlot(e.Name)]
+			if slot.ref1 != 0 && slot.name == e.Name {
+				ref = slot.ref1 - 1
+			} else {
+				var ok bool
+				if ref, ok = strings[e.Name]; !ok {
+					ref = uint64(len(strings))
+					strings[e.Name] = ref
+					slot.name, slot.ref1 = e.Name, ref+1
+					dst = binary.AppendUvarint(dst, ref)
+					dst = binary.AppendUvarint(dst, uint64(len(e.Name)))
+					dst = append(dst, e.Name...)
+					continue
+				}
+				slot.name, slot.ref1 = e.Name, ref+1
 			}
 		}
-		dst = binary.AppendUvarint(dst, ref)
+		dst = appendUvarint(dst, ref)
 	}
 	return dst, nil
+}
+
+// appendUvarint is binary.AppendUvarint with its one- and two-byte cases —
+// nearly every reference, most start deltas and durations — written in
+// place: the encoder's twin of the decoders' uvarint1 and uvarint.
+func appendUvarint(dst []byte, v uint64) []byte {
+	if v < 1<<7 {
+		return append(dst, byte(v))
+	}
+	if v < 1<<14 {
+		return append(dst, byte(v)|0x80, byte(v>>7))
+	}
+	return binary.AppendUvarint(dst, v)
+}
+
+// nameCache is a direct-mapped cache in front of a v1 encoder's per-chunk
+// name map, keyed by the address of a name's bytes: the profiler builds
+// each name once, so the events of one name share that address, and a hit
+// costs a multiply and a string compare instead of a map lookup. A slot
+// holds the reference plus one, so an empty slot matches no name, the empty
+// name included. Equal names at different addresses take different slots,
+// and each still finds the one reference through the map.
+type nameCache [64]struct {
+	name string
+	ref1 uint64
+}
+
+// nameSlot is s's slot in a nameCache: the top six bits of the Fibonacci
+// hash of its bytes' address.
+func nameSlot(s string) uint64 {
+	return uint64(uintptr(unsafe.Pointer(unsafe.StringData(s)))) * 0x9e3779b97f4a7c15 >> 58
 }
 
 // v1Decoder holds the reusable scratch of one v1 walk: the incremental

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/vclock"
@@ -380,6 +382,143 @@ func FuzzSidecar(f *testing.F) {
 		}
 		if !reflect.DeepEqual(&ix, &back) {
 			t.Fatalf("legacy document %+v came back from its binary form as %+v", ix, back)
+		}
+	})
+}
+
+// refAppendChunkV1 is the v1 encoder as it stood before its varint fast
+// paths and name cache: every field through binary.AppendUvarint or
+// AppendVarint, every new name through the map. FuzzEncodeV1MatchesReference
+// holds appendChunkV1 to its bytes.
+func refAppendChunkV1(dst []byte, events []Event) ([]byte, error) {
+	dst = append(dst, chunkMagic...)
+	dst = binary.AppendUvarint(dst, chunkVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(events)))
+	strings := map[string]uint64{}
+	var ref uint64
+	var prevStart int64
+	for i := range events {
+		e := &events[i]
+		if e.End < e.Start {
+			return nil, fmt.Errorf("trace: encode: event %q has negative duration", e.Name)
+		}
+		dst = append(dst, byte(e.Kind), byte(e.Cat), byte(e.Overhead))
+		dst = binary.AppendUvarint(dst, uint64(e.Proc))
+		dst = binary.AppendVarint(dst, int64(e.Start)-prevStart)
+		prevStart = int64(e.Start)
+		dst = binary.AppendUvarint(dst, uint64(e.End-e.Start))
+		if i == 0 || e.Name != events[i-1].Name {
+			var ok bool
+			if ref, ok = strings[e.Name]; !ok {
+				ref = uint64(len(strings))
+				strings[e.Name] = ref
+				dst = binary.AppendUvarint(dst, ref)
+				dst = binary.AppendUvarint(dst, uint64(len(e.Name)))
+				dst = append(dst, e.Name...)
+				continue
+			}
+		}
+		dst = binary.AppendUvarint(dst, ref)
+	}
+	return dst, nil
+}
+
+// encodeNames is the name pool of an encoder program: the empty name, 199
+// distinct names each in its own allocation — more than a nameCache has
+// slots, so they collide in it — and 56 of those names again at other
+// addresses, which miss the cache and must still find their reference.
+var encodeNames = func() []string {
+	names := []string{""}
+	for i := 1; i < 200; i++ {
+		names = append(names, fmt.Sprintf("name-%03d", i))
+	}
+	for i := 1; len(names) < 256; i++ {
+		names = append(names, strings.Clone(names[i]))
+	}
+	return names
+}()
+
+// encodeRecord appends one event to an encoder program: kind, category,
+// overhead, a little-endian int16 proc and a name-pool index as six bytes,
+// then the start delta as a varint and the duration as a uvarint.
+func encodeRecord(data []byte, kind, cat, overhead byte, proc int16, delta int64, dur uint64, name byte) []byte {
+	data = append(data, kind, cat, overhead, byte(proc), byte(uint16(proc)>>8), name)
+	return binary.AppendUvarint(binary.AppendVarint(data, delta), dur)
+}
+
+// decodeEncodeProgram turns fuzz bytes into the events encodeRecord wrote,
+// stopping at the first incomplete record.
+func decodeEncodeProgram(data []byte) []Event {
+	var events []Event
+	var start int64
+	for len(data) >= 6 {
+		e := Event{
+			Kind: EventKind(data[0]), Cat: Category(data[1]), Overhead: OverheadKind(data[2]),
+			Proc: ProcID(int16(binary.LittleEndian.Uint16(data[3:]))),
+			Name: encodeNames[data[5]],
+		}
+		delta, n := binary.Varint(data[6:])
+		if n <= 0 {
+			break
+		}
+		dur, m := binary.Uvarint(data[6+n:])
+		if m <= 0 {
+			break
+		}
+		data = data[6+n+m:]
+		start += delta
+		e.Start = vclock.Time(start)
+		e.End = e.Start + vclock.Time(dur)
+		events = append(events, e)
+	}
+	return events
+}
+
+// FuzzEncodeV1MatchesReference holds the v1 encoder to its reference: for
+// any event list, appendChunkV1 fails exactly when refAppendChunkV1 does and
+// otherwise appends the same bytes. The seeds sit on every edge of the fast
+// paths: procs across 128 and negative, zigzag start deltas at 63/64 and
+// 8191/8192 either sign, durations at 0x7f/0x80/0x3fff/0x4000, empty names,
+// and more distinct names than the cache has slots.
+func FuzzEncodeV1MatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	var procs []byte
+	for _, p := range []int16{0, 1, 127, 128, 255, 16383, 16384, 32767, -1, -128, -32768} {
+		procs = encodeRecord(procs, byte(KindCPU), byte(CatPython), 0, p, 5, 3, 1)
+	}
+	f.Add(procs)
+	var deltas []byte
+	for _, d := range []int64{0, 63, 64, -64, -65, 8191, 8192, -8192, -8193, 1 << 20, -(1 << 20), 1 << 40} {
+		deltas = encodeRecord(deltas, byte(KindGPU), byte(CatGPUKernel), 0, 2, d, 1, 2)
+	}
+	f.Add(deltas)
+	var durs []byte
+	for _, d := range []uint64{0, 0x7f, 0x80, 0x3fff, 0x4000, 0x1fffff, 0x200000, 1 << 40, 1 << 63} {
+		durs = encodeRecord(durs, byte(KindOp), 0, 0, 0, 1, d, 3)
+	}
+	f.Add(durs)
+	var empty []byte
+	for i, name := range []byte{0, 0, 4, 0, 4, 4, 0} {
+		empty = encodeRecord(empty, byte(KindTransition), 0, 0, 1, int64(i), 0, name)
+	}
+	f.Add(empty)
+	var many []byte
+	for round := 0; round < 3; round++ {
+		for name := 0; name < 256; name++ {
+			many = encodeRecord(many, byte(KindOverhead), 0, byte(OverheadCUPTI), int16(name%3), 7, 0, byte(name*(round+1)))
+		}
+	}
+	f.Add(many)
+	f.Add(encodeRecord(bytes.Clone(procs), byte(KindCPU), 0, 0, 0, -1, 1<<63, 1)) // End < Start: both refuse
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events := decodeEncodeProgram(data)
+		want, wantErr := refAppendChunkV1([]byte("dst"), events)
+		got, err := appendChunkV1([]byte("dst"), events)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("encoder error %v, reference error %v", err, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d events: encoder wrote\n%x\nthe reference\n%x", len(events), got, want)
 		}
 	})
 }

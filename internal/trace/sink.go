@@ -78,11 +78,13 @@ func (e *ConflictError) Error() string {
 // DirSink is byte-identical to one written locally by the same workload.
 //
 // DirSink is the server side of live trace ingest: appends are sequence-
-// checked (a gap is a *SeqError), idempotent (replaying an applied
+// checked (a gap is a *SeqError) and idempotent (replaying an applied
 // sequence with identical content is a no-op, with different content a
-// *ConflictError), and folded into a running content digest with the same
-// framing as DirDigest — so the digest of the growing directory is always
-// available in O(1), and after Seal it equals DirDigest(dir) exactly.
+// *ConflictError). A sink made by NewDirSink folds every landed file into
+// a running content digest with the same framing as DirDigest — so the
+// digest of the growing directory is always available in O(1), and after
+// Seal it equals DirDigest(dir) exactly. The sink NewWriter builds keeps
+// none: the Writer is its only holder and never asks for one.
 //
 // DirSink methods are safe for concurrent use.
 type DirSink struct {
@@ -90,7 +92,7 @@ type DirSink struct {
 
 	mu     sync.Mutex
 	next   int      // next expected sequence number
-	digest digester // running DirDigest-framed hash over sidecar+chunk pairs
+	digest digester // running DirDigest-framed hash over sidecar+chunk pairs; no hash in a Writer's sink
 	sealed bool
 	final  string // digest fixed at Seal
 }
@@ -104,7 +106,9 @@ func NewDirSink(dir string) (*DirSink, error) {
 	return newDirSink(dir, false)
 }
 
-func newDirSink(dir string, overwrite bool) (*DirSink, error) {
+// newDirSink makes a sink in dir. A Writer's own sink (forWriter) clears
+// stale trace files instead of refusing them, and keeps no digest.
+func newDirSink(dir string, forWriter bool) (*DirSink, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("trace: creating trace dir: %w", err)
 	}
@@ -117,7 +121,7 @@ func newDirSink(dir string, overwrite bool) (*DirSink, error) {
 		if name != metaFileName && !strings.HasSuffix(name, chunkSuffix) && !strings.HasSuffix(name, sidecarSuffix) {
 			continue
 		}
-		if !overwrite {
+		if !forWriter {
 			return nil, fmt.Errorf("trace: dir %s already contains trace file %s", dir, name)
 		}
 		// Overwrite mode: clear stale trace files so a shorter rewrite
@@ -125,6 +129,9 @@ func newDirSink(dir string, overwrite bool) (*DirSink, error) {
 		if err := os.Remove(filepath.Join(dir, name)); err != nil {
 			return nil, fmt.Errorf("trace: clearing stale trace file: %w", err)
 		}
+	}
+	if forWriter {
+		return &DirSink{dir: dir}, nil
 	}
 	return &DirSink{dir: dir, digest: newDigester()}, nil
 }
@@ -188,8 +195,10 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 	// chunk name (".rlsidx" < ".rlstrace"), every chunk pair sorts before
 	// any later pair, and "meta.json" sorts after all of them — so
 	// appending frames in arrival order reproduces the sorted walk.
-	s.digest.file(sidecarPath(chunkName), sidecar)
-	s.digest.file(chunkName, chunk)
+	if s.digest.h != nil {
+		s.digest.file(sidecarPath(chunkName), sidecar)
+		s.digest.file(chunkName, chunk)
+	}
 	s.next++
 	return false, nil
 }
@@ -228,8 +237,10 @@ func (s *DirSink) Seal(meta Meta) error {
 	if err := os.WriteFile(filepath.Join(s.dir, metaFileName), data, 0o644); err != nil {
 		return fmt.Errorf("trace: writing metadata: %w", err)
 	}
-	s.digest.file(metaFileName, data)
-	s.final = hex.EncodeToString(s.digest.h.Sum(nil))
+	if s.digest.h != nil {
+		s.digest.file(metaFileName, data)
+		s.final = hex.EncodeToString(s.digest.h.Sum(nil))
+	}
 	s.sealed = true
 	return nil
 }
@@ -245,14 +256,15 @@ func (s *DirSink) Chunks() int {
 // same quantity DirDigest(dir) computes, maintained incrementally so a
 // growing trace can be content-addressed without rehashing the directory
 // on every append. After Seal it is the trace's final digest. An empty
-// sink (no chunks, not sealed) has no content to address and returns "".
+// sink (no chunks, not sealed) has no content to address and returns "",
+// as does a Writer's own sink, which keeps no digest.
 func (s *DirSink) Digest() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sealed {
 		return s.final
 	}
-	if s.next == 0 {
+	if s.next == 0 || s.digest.h == nil {
 		return ""
 	}
 	// Snapshot the running hash via its binary state so Sum never

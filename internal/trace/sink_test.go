@@ -205,3 +205,53 @@ func TestSinkWriterMatchesWriter(t *testing.T) {
 		t.Fatalf("streamed digest %s, local digest %s", got, want)
 	}
 }
+
+// TestOnlyReadDigestsAreKept: a Writer's own sink, which nothing can ask for
+// a digest, keeps no hash state, while every sink whose digest is read — a
+// NewDirSink's, so the server's live traces (serve's TestIngestLifecycle
+// checks a sealed one), and ConvertDir's — still reports DirDigest(dir).
+func TestOnlyReadDigestsAreKept(t *testing.T) {
+	events := randomEvents(rand.New(rand.NewSource(13)), 500)
+	meta := Meta{Workload: "digests", Config: Full(), Procs: map[ProcID]ProcInfo{0: {Name: "p", Parent: -1}}}
+
+	local := t.TempDir()
+	w, err := NewWriter(local, 4<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := w.sink.(*DirSink)
+	w.Append(events...)
+	if err := w.Close(meta); err != nil {
+		t.Fatal(err)
+	}
+	if own.digest.h != nil || own.digest.frame != nil || own.final != "" || own.Digest() != "" {
+		t.Fatalf("a Writer's sink kept digest state: hash %v, %d frame bytes, final %q", own.digest.h != nil, len(own.digest.frame), own.final)
+	}
+	want, err := DirDigest(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	streamed := t.TempDir()
+	sink, err := NewDirSink(streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := NewSinkWriter(sink, 4<<10)
+	sw.Append(events...)
+	if err := sw.Close(meta); err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.Digest(); got != want {
+		t.Fatalf("NewDirSink digest %s, DirDigest %s", got, want)
+	}
+
+	dst := filepath.Join(t.TempDir(), "v2")
+	stats, err := ConvertDir(local, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DirDigest(dst); err != nil || stats.DstDigest != got || stats.SrcDigest != want {
+		t.Fatalf("ConvertDir digests %s → %s, DirDigest %s → %s (%v)", stats.SrcDigest, stats.DstDigest, want, got, err)
+	}
+}

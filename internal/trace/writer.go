@@ -100,7 +100,9 @@ func WithFormat(f Format) WriterOption {
 // flushing chunks of approximately chunkBytes serialized bytes into it.
 // Stale trace files from a previous run in the same directory are removed
 // first, so a rewrite can never leave orphaned higher-numbered chunks
-// behind. chunkBytes <= 0 uses DefaultChunkBytes.
+// behind. The Writer's sink keeps no running digest, since nothing can ask
+// it for one; DirDigest(dir) computes it from the files. chunkBytes <= 0
+// uses DefaultChunkBytes.
 func NewWriter(dir string, chunkBytes int, opts ...WriterOption) (*Writer, error) {
 	sink, err := newDirSink(dir, true)
 	if err != nil {
