@@ -61,20 +61,9 @@ func (d Direction) String() string {
 	}
 }
 
-// memcpyName names a copy's GPU event: "memcpy" and the direction, one
-// constant per direction, so a copy builds no string.
-func (d Direction) memcpyName() string {
-	switch d {
-	case HostToDevice:
-		return "memcpyH2D"
-	case DeviceToHost:
-		return "memcpyD2H"
-	case DeviceToDevice:
-		return "memcpyD2D"
-	default:
-		return "memcpy" + d.String()
-	}
-}
+// memcpyNames names a copy's GPU event, by Direction: "memcpy" and the
+// direction, one constant each, so a copy builds no string.
+var memcpyNames = [...]string{"memcpyH2D", "memcpyD2H", "memcpyD2D"}
 
 // Recorder is the profiler-facing hook surface. The profiler's per-process
 // session implements it; an inert implementation is used when profiling is
@@ -242,7 +231,7 @@ func (c *Context) MemcpyAsync(dir Direction, bytes int) {
 			Proc:  c.rec.Proc(),
 			Start: start,
 			End:   end,
-			Name:  dir.memcpyName(),
+			Name:  memcpyNames[dir],
 		})
 	})
 }
@@ -261,7 +250,7 @@ func (c *Context) Memcpy(dir Direction, bytes int) {
 			Proc:  c.rec.Proc(),
 			Start: start,
 			End:   end,
-			Name:  dir.memcpyName(),
+			Name:  memcpyNames[dir],
 		})
 		c.rec.Clock().AdvanceTo(end)
 	})

@@ -74,7 +74,6 @@ func appendChunkV1(dst []byte, events []Event) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(events)))
 	strings := map[string]uint64{}
 	var cache nameCache
-	var ref uint64 // the previous event's string-table reference
 	var prevStart int64
 	for i := range events {
 		e := &events[i]
@@ -92,26 +91,20 @@ func appendChunkV1(dst []byte, events []Event) ([]byte, error) {
 		prevStart = int64(e.Start)
 		dst = appendUvarint(dst, uint64(delta<<1)^uint64(delta>>63))
 		dst = appendUvarint(dst, uint64(e.End-e.Start))
-		// A run of one name (a kernel relaunched, an API called in a loop)
-		// reuses the previous reference; any other name tries the cache
-		// before the map.
-		if i == 0 || e.Name != events[i-1].Name {
-			slot := &cache[nameSlot(e.Name)]
-			if slot.ref1 != 0 && slot.name == e.Name {
-				ref = slot.ref1 - 1
-			} else {
-				var ok bool
-				if ref, ok = strings[e.Name]; !ok {
-					ref = uint64(len(strings))
-					strings[e.Name] = ref
-					slot.name, slot.ref1 = e.Name, ref+1
-					dst = binary.AppendUvarint(dst, ref)
-					dst = binary.AppendUvarint(dst, uint64(len(e.Name)))
-					dst = append(dst, e.Name...)
-					continue
-				}
+		slot := &cache[nameSlot(e.Name)]
+		ref := slot.ref1 - 1
+		if slot.ref1 == 0 || slot.name != e.Name {
+			var ok bool
+			if ref, ok = strings[e.Name]; !ok {
+				ref = uint64(len(strings))
+				strings[e.Name] = ref
 				slot.name, slot.ref1 = e.Name, ref+1
+				dst = binary.AppendUvarint(dst, ref)
+				dst = binary.AppendUvarint(dst, uint64(len(e.Name)))
+				dst = append(dst, e.Name...)
+				continue
 			}
+			slot.name, slot.ref1 = e.Name, ref+1
 		}
 		dst = appendUvarint(dst, ref)
 	}
@@ -132,12 +125,13 @@ func appendUvarint(dst []byte, v uint64) []byte {
 }
 
 // nameCache is a direct-mapped cache in front of a v1 encoder's per-chunk
-// name map, keyed by the address of a name's bytes: the profiler builds
-// each name once, so the events of one name share that address, and a hit
-// costs a multiply and a string compare instead of a map lookup. A slot
-// holds the reference plus one, so an empty slot matches no name, the empty
-// name included. Equal names at different addresses take different slots,
-// and each still finds the one reference through the map.
+// name map, keyed by the address of a name's bytes: most names are built
+// once, so the events of one name share that address, and a hit costs a
+// multiply and a string compare instead of a map lookup. A slot holds the
+// reference plus one, so an empty slot matches no name, the empty name
+// included. A name built per call, or equal to another at a different
+// address, takes its own slot and still finds its one reference through
+// the map.
 type nameCache [64]struct {
 	name string
 	ref1 uint64

@@ -386,43 +386,6 @@ func FuzzSidecar(f *testing.F) {
 	})
 }
 
-// refAppendChunkV1 is the v1 encoder as it stood before its varint fast
-// paths and name cache: every field through binary.AppendUvarint or
-// AppendVarint, every new name through the map. FuzzEncodeV1MatchesReference
-// holds appendChunkV1 to its bytes.
-func refAppendChunkV1(dst []byte, events []Event) ([]byte, error) {
-	dst = append(dst, chunkMagic...)
-	dst = binary.AppendUvarint(dst, chunkVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(events)))
-	strings := map[string]uint64{}
-	var ref uint64
-	var prevStart int64
-	for i := range events {
-		e := &events[i]
-		if e.End < e.Start {
-			return nil, fmt.Errorf("trace: encode: event %q has negative duration", e.Name)
-		}
-		dst = append(dst, byte(e.Kind), byte(e.Cat), byte(e.Overhead))
-		dst = binary.AppendUvarint(dst, uint64(e.Proc))
-		dst = binary.AppendVarint(dst, int64(e.Start)-prevStart)
-		prevStart = int64(e.Start)
-		dst = binary.AppendUvarint(dst, uint64(e.End-e.Start))
-		if i == 0 || e.Name != events[i-1].Name {
-			var ok bool
-			if ref, ok = strings[e.Name]; !ok {
-				ref = uint64(len(strings))
-				strings[e.Name] = ref
-				dst = binary.AppendUvarint(dst, ref)
-				dst = binary.AppendUvarint(dst, uint64(len(e.Name)))
-				dst = append(dst, e.Name...)
-				continue
-			}
-		}
-		dst = binary.AppendUvarint(dst, ref)
-	}
-	return dst, nil
-}
-
 // encodeNames is the name pool of an encoder program: the empty name, 199
 // distinct names each in its own allocation — more than a nameCache has
 // slots, so they collide in it — and 56 of those names again at other
@@ -475,11 +438,11 @@ func decodeEncodeProgram(data []byte) []Event {
 }
 
 // FuzzEncodeV1MatchesReference holds the v1 encoder to its reference: for
-// any event list, appendChunkV1 fails exactly when refAppendChunkV1 does and
-// otherwise appends the same bytes. The seeds sit on every edge of the fast
-// paths: procs across 128 and negative, zigzag start deltas at 63/64 and
-// 8191/8192 either sign, durations at 0x7f/0x80/0x3fff/0x4000, empty names,
-// and more distinct names than the cache has slots.
+// any event list, appendChunkV1 fails exactly when referenceEncodeChunkV1
+// does and otherwise writes the same bytes. The seeds sit on every edge of
+// the fast paths: procs across 128 and negative, zigzag start deltas at
+// 63/64 and 8191/8192 either sign, durations at 0x7f/0x80/0x3fff/0x4000,
+// empty names, and more distinct names than the cache has slots.
 func FuzzEncodeV1MatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	var procs []byte
@@ -512,13 +475,14 @@ func FuzzEncodeV1MatchesReference(f *testing.F) {
 	f.Add(encodeRecord(bytes.Clone(procs), byte(KindCPU), 0, 0, 0, -1, 1<<63, 1)) // End < Start: both refuse
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := decodeEncodeProgram(data)
-		want, wantErr := refAppendChunkV1([]byte("dst"), events)
-		got, err := appendChunkV1([]byte("dst"), events)
+		var want bytes.Buffer
+		wantErr := referenceEncodeChunkV1(&want, events)
+		got, err := appendChunkV1(nil, events)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("encoder error %v, reference error %v", err, wantErr)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%d events: encoder wrote\n%x\nthe reference\n%x", len(events), got, want)
+		if err == nil && !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%d events: encoder wrote\n%x\nthe reference\n%x", len(events), got, want.Bytes())
 		}
 	})
 }

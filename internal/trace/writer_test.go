@@ -58,10 +58,9 @@ func referenceEncodeChunkV1(w io.Writer, events []Event) error {
 }
 
 // TestEncodeV1MatchesReference: the append-based encoder writes the bytes
-// the old one wrote — over random chunks, runs of one name (the fast path
-// that skips the string table), the empty name first and repeated, negative
-// process ids and out-of-order starts — and a decoded frame re-encodes to
-// itself.
+// the old one wrote — over random chunks, runs of one name, the empty name
+// first and repeated, negative process ids and out-of-order starts — and a
+// decoded frame re-encodes to itself.
 func TestEncodeV1MatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	cases := map[string][]Event{
