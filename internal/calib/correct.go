@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/recycle"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -73,7 +74,7 @@ type Corrector struct {
 func NewCorrector(t *trace.Trace, cal *Calibration) *Corrector {
 	c := &Corrector{shifts: map[trace.ProcID]shiftIndex{}}
 	for _, p := range t.ProcIDs() {
-		var l markerLog
+		l := newMarkerLog()
 		for _, e := range t.ProcEvents(p) {
 			if e.Kind != trace.KindOverhead {
 				continue
@@ -147,7 +148,7 @@ func NewStreamCorrector(ctx context.Context, r *trace.Reader, cal *Calibration, 
 		}
 		if l == nil || p != proc {
 			if l, proc = logs[p], p; l == nil {
-				l = &markerLog{}
+				l = newMarkerLog()
 				logs[p] = l
 			}
 		}
@@ -279,41 +280,33 @@ func buildShiftFromMarkers(ms []marker) shiftIndex {
 // markerLog gathers one process's calibrated markers, in arrival order, for
 // an index that cannot be sized until the last has arrived. A marker is two
 // 32-bit words — its time as the delta from the previous marker's, and its
-// cost — in blocks that are filled and never regrown, so nothing it holds is
+// cost — kept together in one block of a block list, so nothing it holds is
 // ever copied and a marker takes 8 bytes here against the 16 it takes in the
 // index. A marker that does not fit — one earlier than the marker before it
 // or more than 4.29 s later, or one that costs that long — is logged whole:
 // markerEscape, then its time and its cost in two words each.
 type markerLog struct {
-	blocks   [][]uint32
+	words    recycle.BlockList[uint32]
 	n        int
 	last     vclock.Time // the time of the marker added last
 	unsorted bool        // some marker came before the one added ahead of it
 }
 
-const (
-	markerEscape = math.MaxUint32
-	// The first block of a log holds 32 markers, so that a process with few
-	// of them costs little; each later block doubles, up to the cap.
-	firstMarkerBlock = 64 // words
-	maxMarkerBlock   = 16 << 10
-)
+// markerEscape opens a marker logged whole.
+const markerEscape = math.MaxUint32
+
+// newMarkerLog returns an empty log: 32 markers fill its first block, so that
+// a process with few costs little, and each later block doubles to 16 Ki words.
+func newMarkerLog() *markerLog {
+	return &markerLog{words: recycle.BlockList[uint32]{Min: 64, Max: 16 << 10}}
+}
 
 // add logs one marker.
 func (l *markerLog) add(t vclock.Time, d vclock.Duration) {
-	k := len(l.blocks) - 1
-	if k < 0 || cap(l.blocks[k])-len(l.blocks[k]) < 5 {
-		size := firstMarkerBlock
-		if k >= 0 {
-			size = min(2*cap(l.blocks[k]), maxMarkerBlock)
-		}
-		l.blocks = append(l.blocks, make([]uint32, 0, size))
-		k++
-	}
 	if delta := uint64(t - l.last); delta < markerEscape && uint64(d) <= math.MaxUint32 {
-		l.blocks[k] = append(l.blocks[k], uint32(delta), uint32(d))
+		l.words.AppendRun(uint32(delta), uint32(d))
 	} else {
-		l.blocks[k] = append(l.blocks[k], markerEscape, uint32(uint64(t)>>32), uint32(t), uint32(uint64(d)>>32), uint32(d))
+		l.words.AppendRun(markerEscape, uint32(uint64(t)>>32), uint32(t), uint32(uint64(d)>>32), uint32(d))
 	}
 	l.unsorted = l.unsorted || (l.n > 0 && t < l.last)
 	l.last = t
@@ -331,7 +324,7 @@ func (l *markerLog) index() shiftIndex {
 	}
 	var t vclock.Time
 	i := 0
-	for _, b := range l.blocks {
+	for _, b := range l.words.Blocks() {
 		for j := 0; j < len(b); i++ {
 			var d vclock.Duration
 			if b[j] != markerEscape {

@@ -130,7 +130,7 @@ func TestMarkerLogFoldsEveryOrder(t *testing.T) {
 			if sorted {
 				slices.SortStableFunc(ms, func(a, b marker) int { return cmp.Compare(a.t, b.t) })
 			}
-			var l markerLog
+			l := newMarkerLog()
 			for _, m := range ms {
 				l.add(m.t, m.d)
 			}

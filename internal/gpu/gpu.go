@@ -14,18 +14,17 @@
 // The device keeps a ledger of busy intervals, each with the process that
 // submitted it, for the nvidia-smi-style sampled utilization monitor and
 // per-worker GPU time; the trace's GPU events come from package cuda, not
-// from the ledger. The ledger is kept in fixed-capacity blocks, each twice
-// the last up to a cap, so recording an interval never copies the ones
-// before it; BusyIntervals flattens them in submission order. The block list
-// deliberately mirrors profiler.Session's event blocks (Session.newBlock),
-// without the sort-key limit on their count; a change to one belongs in
-// both.
+// from the ledger. The ledger is a recycle.BlockList, so recording an
+// interval never copies the ones before it; BusyIntervals flattens its
+// blocks in submission order.
 package gpu
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
+	"repro/internal/recycle"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -45,22 +44,14 @@ func (b Busy) Duration() vclock.Duration { return b.End.Sub(b.Start) }
 // Device is a simulated GPU. It is safe for concurrent use; simulated
 // processes may run on separate goroutines.
 type Device struct {
-	mu         sync.Mutex
-	tails      map[StreamID]vclock.Time
-	nextStream StreamID
-	// The busy ledger in submission order: the full blocks, then cur,
-	// which is never regrown — a full one is kept and a new one opened.
-	full          [][]Busy
-	cur           []Busy
+	mu            sync.Mutex
+	tails         map[StreamID]vclock.Time
+	nextStream    StreamID
+	ledger        recycle.BlockList[Busy] // the busy intervals in submission order
 	launchLatency vclock.Duration
 }
 
-// The ledger's first block holds minLedgerBlock intervals, and each next
-// one twice the last, up to maxLedgerBlock.
-const (
-	minLedgerBlock = 64
-	maxLedgerBlock = 1 << 11
-)
+const minLedgerBlock, maxLedgerBlock = 64, 1 << 11 // the ledger's first and largest blocks, in intervals
 
 // DefaultLaunchLatency is the delay between a CPU-side launch call issuing
 // and the earliest moment the kernel may begin on an idle stream, modelling
@@ -75,6 +66,7 @@ func NewDevice(launchLatency vclock.Duration) *Device {
 	}
 	return &Device{
 		tails:         map[StreamID]vclock.Time{},
+		ledger:        recycle.BlockList[Busy]{Min: minLedgerBlock, Max: maxLedgerBlock},
 		launchLatency: launchLatency,
 	}
 }
@@ -101,37 +93,15 @@ func (d *Device) Submit(proc trace.ProcID, stream StreamID, issue vclock.Time, d
 	}
 	end = start.Add(dur)
 	d.tails[stream] = end
-	if len(d.cur) == cap(d.cur) {
-		d.newBlock()
-	}
-	d.cur = append(d.cur, Busy{Start: start, End: end, Proc: proc})
+	*d.ledger.Add() = Busy{Start: start, End: end, Proc: proc}
 	return start, end
-}
-
-// newBlock keeps the full open block, if any, and opens the next, as
-// profiler.Session.newBlock does.
-func (d *Device) newBlock() {
-	n := minLedgerBlock
-	if len(d.cur) > 0 {
-		d.full = append(d.full, d.cur)
-		n = min(2*cap(d.cur), maxLedgerBlock)
-	}
-	d.cur = make([]Busy, 0, n)
 }
 
 // BusyIntervals returns a copy of the busy ledger in submission order.
 func (d *Device) BusyIntervals() []Busy {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := len(d.cur)
-	for _, b := range d.full {
-		n += len(b)
-	}
-	out := make([]Busy, 0, n)
-	for _, b := range d.full {
-		out = append(out, b...)
-	}
-	return append(out, d.cur...)
+	return slices.Concat(d.ledger.Blocks()...)
 }
 
 // Interval is a plain time range.

@@ -29,13 +29,7 @@ func emissionKeys(blocks [][]trace.Event) []uint32 {
 }
 
 // recorded is every event the session holds, in emission order.
-func recorded(s *Session) []trace.Event {
-	var all []trace.Event
-	for _, b := range s.blocks() {
-		all = append(all, b...)
-	}
-	return all
-}
+func recorded(s *Session) []trace.Event { return slices.Concat(s.events.Blocks()...) }
 
 // cudaHeavyWorkload is a training loop dominated by the CUDA API: each
 // step's forward and backward calls launch a dozen kernels around two
@@ -81,7 +75,7 @@ func TestOrderShiftsAndFallbacks(t *testing.T) {
 		{cudaHeavyWorkload(p, gpu.NewDevice(-1), 300), false},
 		{random, true},
 	} {
-		blocks := c.s.blocks()
+		blocks := c.s.events.Blocks()
 		v, st := sortedView{}.extend(blocks, maxShiftsPerKey)
 		if want := emissionKeys(blocks); !slices.Equal(v.keys, want) {
 			t.Fatalf("%s: order differs from the stable sort", c.s.name)
@@ -96,10 +90,24 @@ func TestOrderShiftsAndFallbacks(t *testing.T) {
 	}
 }
 
+// TestExtendRefusesBlocksPastTheKey: a key has 32-keyShift bits for its
+// block, so extend keys a list of that many blocks and panics on one more.
+func TestExtendRefusesBlocksPastTheKey(t *testing.T) {
+	blocks := make([][]trace.Event, 1<<(32-keyShift)+1)
+	sortedView{}.extend(blocks[:len(blocks)-1], maxShiftsPerKey)
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("extend keyed %d blocks", len(blocks))
+		}
+	}()
+	sortedView{}.extend(blocks, maxShiftsPerKey)
+}
+
 // TestOrderAllocatesItsKeys pins what ordering costs the allocator: the
-// 4-byte keys and the block list. The slack is what the allocator rounds a
-// 400 KB slice up to (1 408 B, to whole pages) and the goroutine's
-// hand-off (closure, channel; a few hundred bytes more under -race).
+// 4-byte keys, and no copy of the block list, which they index in place.
+// The slack is what the allocator rounds a 400 KB slice up to (1 408 B, to
+// whole pages) and the goroutine's hand-off (closure, channel; a few
+// hundred bytes more under -race).
 func TestOrderAllocatesItsKeys(t *testing.T) {
 	const n, slack = 100000, 4096
 	best := uint64(1 << 62)
@@ -121,10 +129,10 @@ func TestOrderAllocatesItsKeys(t *testing.T) {
 		if len(v.keys) != n {
 			t.Fatalf("%d events keyed, want %d", len(v.keys), n)
 		}
-		best = min(best, after.TotalAlloc-before.TotalAlloc-uint64(cap(v.blocks))*24)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
 	if best > 4*n+slack {
-		t.Errorf("ordering %d events allocated %d B beside its block list, want at most 4 B per event + %d", n, best, slack)
+		t.Errorf("ordering %d events allocated %d B, want at most 4 B per event + %d", n, best, slack)
 	}
 }
 
@@ -226,17 +234,17 @@ func FuzzSessionOrder(f *testing.F) {
 		split := int(data[0]) * len(spans) / 255
 		p := New(Options{Workload: "fuzz", Seed: 1})
 		s := p.NewProcess("f", -1, 0)
-		var early [][]trace.Event
+		var early [][]trace.Event // the blocks as the first split events left them
 		for i, sp := range spans {
 			if i == split {
-				early = s.blocks()
+				early = slices.Clone(s.events.Blocks())
 			}
 			s.Emit(trace.Event{Kind: trace.KindCPU, Proc: s.proc, Start: sp[0], End: sp[1]})
 		}
-		if early == nil {
-			early = s.blocks()
+		blocks := s.events.Blocks()
+		if split == len(spans) {
+			early = blocks
 		}
-		blocks := s.blocks()
 		want := emissionKeys(blocks)
 		for _, budget := range []int{0, maxShiftsPerKey, len(spans) + 1} {
 			v, _ := sortedView{}.extend(early, budget)

@@ -34,6 +34,7 @@ import (
 	"sync"
 
 	"repro/internal/cuda"
+	"repro/internal/recycle"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -118,6 +119,7 @@ func (p *Profiler) NewProcess(name string, parent trace.ProcID, start vclock.Tim
 		name:      name,
 		parent:    parent,
 		clock:     vclock.NewAt(start, p.opts.Seed+int64(id)*7919),
+		events:    recycle.BlockList[trace.Event]{Min: minBlockEvents, Max: blockEvents},
 		rootStart: start,
 		ovrng:     rand.New(rand.NewSource(p.opts.Seed + 104729 + int64(id)*7919)),
 	}

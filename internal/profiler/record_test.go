@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -48,11 +49,7 @@ func referenceEvents(p *Profiler) []trace.Event {
 // unsortedEvents is what the session has recorded since it was last sorted,
 // in emission order: its blocks end to end, less the events already keyed.
 func unsortedEvents(s *Session) []trace.Event {
-	var raw []trace.Event
-	for _, b := range s.full {
-		raw = append(raw, b...)
-	}
-	return append(raw, s.cur...)[len(s.sorted.keys):]
+	return slices.Concat(s.events.Blocks()...)[len(s.sorted.keys):]
 }
 
 // emitRandom records n events straight through Emit: starts drawn from a
@@ -261,7 +258,7 @@ func TestWriteToMatchesEventAtATime(t *testing.T) {
 // TestEmitAllocs pins what recording costs the allocator: one allocation per
 // block, plus the block list's own doublings — and nothing that grows with a
 // buffer being regrown. 10 000 events fill blocks of 32, 64, … 1024 and four
-// of 2048, the last one open: ten blocks, and a list that reached nine
+// of 2048, the last one open: ten blocks, and a list that reached ten
 // entries through capacities 1, 2, 4, 8 and 16.
 func TestEmitAllocs(t *testing.T) {
 	const n, runs = 10000, 10
@@ -281,8 +278,8 @@ func TestEmitAllocs(t *testing.T) {
 					e.Start, e.End = vclock.Time(i), vclock.Time(i)
 					s.Emit(e)
 				}
-				if len(s.full) != 9 || cap(s.cur) != blockEvents {
-					t.Fatalf("%d events sit in %d full blocks and an open one of %d", n, len(s.full), cap(s.cur))
+				if b := s.events.Blocks(); len(b) != 10 || cap(b[9]) != blockEvents {
+					t.Fatalf("%d events sit in %d blocks, the last of %d", n, len(b), cap(b[len(b)-1]))
 				}
 			}
 			const want = 10 + 5

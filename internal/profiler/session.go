@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/recycle"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -23,15 +24,12 @@ type Session struct {
 	parent trace.ProcID
 	clock  *vclock.Clock
 
-	// Recorded events live in fixed-capacity blocks: full is the filled
-	// ones, cur the open one. A block is never regrown, so recording an
-	// event writes it once and copies nothing, and the events stay there:
-	// sorted caches their order as keys into the blocks, and readers
-	// gather them in that order. ordering is closed once the ordering that
-	// wrote sorted is done; it is nil while no ordering covers every
-	// recorded event.
-	full     [][]trace.Event
-	cur      []trace.Event
+	// Recorded events live in events' blocks, never regrown, so recording
+	// an event copies nothing and the events stay put: sorted caches their
+	// order as keys into the blocks, and readers gather them in that order.
+	// ordering is closed once the ordering that wrote sorted is done; it is
+	// nil while no ordering covers every recorded event.
+	events   recycle.BlockList[trace.Event]
 	sorted   sortedView
 	ordering chan struct{}
 
@@ -89,31 +87,7 @@ func (s *Session) Emit(e trace.Event) {
 		<-s.ordering
 		s.ordering = nil
 	}
-	if len(s.cur) == cap(s.cur) {
-		s.newBlock()
-	}
-	s.cur = append(s.cur, e)
-}
-
-// newBlock keeps the full open block, if any, and opens the next. gpu.Device
-// keeps its busy ledger in the same block list (Device.newBlock); a change
-// to one belongs in both.
-func (s *Session) newBlock() {
-	n := minBlockEvents
-	if len(s.cur) > 0 {
-		if len(s.full)+1 == 1<<(32-keyShift) {
-			panic(fmt.Sprintf("profiler: session %q recorded more blocks than a 32-bit key can locate", s.name))
-		}
-		s.full = append(s.full, s.cur)
-		n = min(2*cap(s.cur), blockEvents)
-	}
-	s.cur = make([]trace.Event, 0, n)
-}
-
-// blocks is the session's block list as of now: the full blocks and the
-// open one.
-func (s *Session) blocks() [][]trace.Event {
-	return append(append(make([][]trace.Event, 0, len(s.full)+1), s.full...), s.cur)
+	*s.events.Add() = e
 }
 
 // sortedView is a session's events in trace.Trace.Sort order, left where
@@ -171,8 +145,12 @@ type orderStats struct {
 // extend returns v's order extended to every event in blocks, which hold
 // v's events first. The events v has not keyed are keyed behind its sorted
 // keys, in emission order, and inserted among them, so the result is the
-// order one stable sort of every event, in emission order, gives.
+// order one stable sort of every event, in emission order, gives. A key
+// has 32-keyShift bits for the block, so extend panics on more blocks.
 func (v sortedView) extend(blocks [][]trace.Event, budget int) (sortedView, orderStats) {
+	if len(blocks) > 1<<(32-keyShift) {
+		panic(fmt.Sprintf("profiler: %d blocks of events are more than a 32-bit key can locate", len(blocks)))
+	}
 	n := 0
 	for _, b := range blocks {
 		n += len(b)
@@ -251,7 +229,7 @@ func (s *Session) startOrder() {
 	}
 	done := make(chan struct{})
 	s.ordering = done
-	prev, blocks := s.sorted, s.blocks()
+	prev, blocks := s.sorted, s.events.Blocks()
 	go func() {
 		s.sorted, _ = prev.extend(blocks, maxShiftsPerKey)
 		close(done)

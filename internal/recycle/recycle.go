@@ -1,16 +1,18 @@
 // Package recycle keeps scratch for reuse: a bounded stack of idle values
 // and a bounded best-fit store of idle slices, which a process or a trace
-// hands from the borrower that is done with one to the next that needs one,
-// and the one way to read a stream to EOF into a buffer that is kept.
+// hands from the borrower that is done with one to the next that needs one;
+// the one block list recorders append into; and the one way to read a
+// stream to EOF into a buffer that is kept.
 //
-// Neither is a sync.Pool. A sync.Pool empties on every second collection and
-// does not show a Get on one P what was Put on another, so what a warm path
-// allocated would depend on when the collector last ran and on where the
-// goroutine was scheduled; here a borrower allocates exactly when no earlier
-// one left a value. The price is memory the collector cannot take back, so
-// both are bounded where they are declared: a Stack by its count of idle
-// values, a Store by its idle capacity. Each caller clears, before it hands a
-// value back, what would hold a name alive.
+// Neither Stack nor Store is a sync.Pool. A sync.Pool empties on every
+// second collection and does not show a Get on one P what was Put on
+// another, so what a warm path allocated would depend on when the collector
+// last ran and on where the goroutine was scheduled; here a borrower
+// allocates exactly when no earlier one left a value. The price is memory
+// the collector cannot take back, so both are bounded where they are
+// declared: a Stack by its count of idle values, a Store by its idle
+// capacity. Each caller clears, before it hands a value back, what would
+// hold a name alive.
 //
 // A Store lends with Get and Reserve, which keep one rule: take the best fit
 // and, when even that is too small, leave it idle for a shorter borrower and
@@ -145,6 +147,56 @@ func (s *Store[T]) Reserve(buf []T, n int) []T {
 }
 
 func capCompare[T any](buf []T, n int) int { return cmp.Compare(cap(buf), n) }
+
+// BlockList is an append-only list of values in fixed-capacity blocks: the
+// first holds Min values and each later one twice the last, up to Max; set
+// both where the list is declared. A block is never regrown, so appending
+// copies no value, and a value stays where it landed for as long as a
+// reader keeps the blocks.
+type BlockList[T any] struct {
+	Min, Max int
+
+	blocks [][]T // the last is the open one
+}
+
+// Add extends the open block by one value, opening the next block when it
+// is full, and returns a pointer to that value for the caller to set. The
+// caller's value is copied once, straight into the block; an argument
+// passed by value would be copied to a temporary first, on every call.
+func (l *BlockList[T]) Add() *T {
+	k := len(l.blocks) - 1
+	if k < 0 || len(l.blocks[k]) == cap(l.blocks[k]) {
+		k = l.next()
+	}
+	b := &l.blocks[k]
+	*b = (*b)[:len(*b)+1]
+	return &(*b)[len(*b)-1]
+}
+
+// AppendRun adds vs, at most Min of them, in one block: it opens the next
+// unless the open one has room for the whole run.
+func (l *BlockList[T]) AppendRun(vs ...T) {
+	k := len(l.blocks) - 1
+	if k < 0 || cap(l.blocks[k])-len(l.blocks[k]) < len(vs) {
+		k = l.next()
+	}
+	l.blocks[k] = append(l.blocks[k], vs...)
+}
+
+// next opens the next block and returns its index.
+func (l *BlockList[T]) next() int {
+	n := l.Min
+	if k := len(l.blocks) - 1; k >= 0 {
+		n = min(2*cap(l.blocks[k]), l.Max)
+	}
+	l.blocks = append(l.blocks, make([]T, 0, n))
+	return len(l.blocks) - 1
+}
+
+// Blocks is the list's blocks in append order, the open one last. They are
+// the list's own, not a copy: the caller must not write to them, and a
+// later Add or AppendRun may lengthen the last in place.
+func (l *BlockList[T]) Blocks() [][]T { return l.blocks }
 
 // ReadAll reads r to EOF into buf[:0] and returns the filled slice, growing
 // it only when the bytes that have arrived fill it — never from what r's

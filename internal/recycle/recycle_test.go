@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"runtime"
 	"slices"
 	"sync"
@@ -259,6 +260,86 @@ func TestStoreConcurrentBorrowers(t *testing.T) {
 	}
 	wg.Wait()
 	idleCaps(t, &s)
+}
+
+// TestBlockListSchedule: the first block holds Min values, each later one
+// twice the last up to Max, and the blocks hold every value in append order.
+func TestBlockListSchedule(t *testing.T) {
+	l := BlockList[int]{Min: 4, Max: 16}
+	if b := l.Blocks(); len(b) != 0 {
+		t.Fatalf("an empty list has %d blocks", len(b))
+	}
+	want := make([]int, 61)
+	for i := range want {
+		want[i] = i
+		*l.Add() = i
+	}
+	var caps []int
+	for _, b := range l.Blocks() {
+		caps = append(caps, cap(b))
+	}
+	if wantCaps := []int{4, 8, 16, 16, 16, 16}; !slices.Equal(caps, wantCaps) {
+		t.Errorf("block capacities %v, want %v", caps, wantCaps)
+	}
+	if got := slices.Concat(l.Blocks()...); !slices.Equal(got, want) {
+		t.Errorf("the blocks hold %v, want %v", got, want)
+	}
+}
+
+// TestBlockListRunsStayWhole: a run lands whole in one block, leaving short
+// a block without room for it, and the blocks hold runs and single values
+// in append order.
+func TestBlockListRunsStayWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	l := BlockList[int]{Min: 5, Max: 20}
+	var want []int
+	for r := 1; r <= 300; r++ {
+		run := slices.Repeat([]int{r}, 1+rng.Intn(5))
+		if len(run) == 1 && r%2 == 0 {
+			*l.Add() = r
+		} else {
+			l.AppendRun(run...)
+		}
+		want = append(want, run...)
+	}
+	blocks, short := l.Blocks(), 0
+	for i, b := range blocks {
+		if want := min(l.Min<<i, l.Max); cap(b) != want {
+			t.Fatalf("block %d has capacity %d, want %d", i, cap(b), want)
+		}
+		if i+1 == len(blocks) {
+			break
+		}
+		if b[len(b)-1] == blocks[i+1][0] {
+			t.Fatalf("run %d straddles blocks %d and %d", b[len(b)-1], i, i+1)
+		}
+		if len(b) < cap(b) {
+			short++
+		}
+	}
+	if short == 0 {
+		t.Fatal("no block was left short of a run: the test shows nothing")
+	}
+	if got := slices.Concat(blocks...); !slices.Equal(got, want) {
+		t.Fatal("the blocks do not hold the runs in append order")
+	}
+}
+
+// TestBlockListAllocatesPerBlock: appending into the open block allocates
+// nothing and moves no value already there; only opening a block does.
+func TestBlockListAllocatesPerBlock(t *testing.T) {
+	l := BlockList[int]{Min: 256, Max: 256}
+	*l.Add() = 0
+	first := &l.Blocks()[0][0]
+	if got := testing.AllocsPerRun(100, func() { *l.Add() = 1; l.AppendRun(2, 3) }); got != 0 {
+		t.Errorf("appending inside a block: %.0f allocs, want 0", got)
+	}
+	for len(l.Blocks()) == 1 {
+		*l.Add() = 4
+	}
+	if &l.Blocks()[0][0] != first || len(l.Blocks()[0]) != 256 {
+		t.Error("the first block moved or lost values when the next opened")
+	}
 }
 
 // TestReadAll: ReadAll overwrites buf from its start, reads short reads to

@@ -34,7 +34,7 @@ func (a *A2C) Update() {
 	if fb == nil {
 		return
 	}
-	a.trainStep(fb.obs, fb.ret, "pg_loss", func(out *nn.Tensor) *nn.Tensor {
+	a.trainStep(fb.obs, fb.ret, "a2c/pg_loss", func(out *nn.Tensor) *nn.Tensor {
 		return a.policyGrad(out, fb.acts, fb.adv)
 	})
 }

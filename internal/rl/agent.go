@@ -80,15 +80,20 @@ func (c *Config) sizes(in, out int) []int {
 }
 
 // agentBase is what every agent holds, whichever policy family it belongs
-// to: its name, configuration, backend and RNG, the prefix its backend
-// calls are named with, and its default collection-segment length.
+// to: its name, configuration, backend and RNG, the names of the backend
+// calls and host losses its policy-family core makes, built once from its
+// prefix ("ddpg" in "ddpg/predict") as backend.NewNetwork builds its op
+// names, and its default collection-segment length.
 type agentBase struct {
 	name    string
-	prefix  string // "ddpg" in "ddpg/predict"
 	cfg     Config
 	b       *backend.Backend
 	rng     *rand.Rand
 	collect int
+
+	predict, bootstrap, trainStepOp, valueLoss, clipGrads string
+	concatPi, actorGrad, splitGrad                        string
+	mse                                                   [2]string // the twin critics' regressions
 }
 
 // newAgentBase validates cfg for the named algorithm and seeds its RNG,
@@ -100,7 +105,9 @@ func newAgentBase(name, prefix string, cfg Config, collect int) agentBase {
 	}
 	return agentBase{
 		name:    name,
-		prefix:  prefix,
+		predict: prefix + "/predict", bootstrap: prefix + "/bootstrap", trainStepOp: prefix + "/train_step",
+		valueLoss: prefix + "/value_loss", clipGrads: prefix + "/clip_grads", mse: [2]string{prefix + "/mse1", prefix + "/mse2"},
+		concatPi: prefix + "/concat_pi", actorGrad: prefix + "/actor_grad", splitGrad: prefix + "/split_grad",
 		cfg:     cfg,
 		b:       cfg.Backend,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),

@@ -1,8 +1,6 @@
 package rl
 
 import (
-	"fmt"
-
 	"repro/internal/backend"
 	"repro/internal/nn"
 )
@@ -52,7 +50,7 @@ func (o *offPolicy) UpdatesPerCollect() int {
 func (o *offPolicy) infer(net *backend.Network, obs []float64) *nn.Tensor {
 	x := obsTensor([][]float64{obs})
 	var out *nn.Tensor
-	o.b.Compute(o.prefix+"/predict", backend.KindInference, func(c *backend.Comp) {
+	o.b.Compute(o.predict, backend.KindInference, func(c *backend.Comp) {
 		c.Feed(x)
 		out = c.Forward(net, x)
 		c.Fetch(out)
@@ -110,15 +108,15 @@ func (o *offPolicy) dpgActorGrad(c *backend.Comp, mb *minibatch, actor, critic *
 	c.ZeroGrad(critic) // scratch gradients for dQ/da only
 	aPred := c.Forward(actor, mb.xObs)
 	var actorIn *nn.Tensor
-	c.HostLoss(o.prefix+"/concat_pi", func() {
+	c.HostLoss(o.concatPi, func() {
 		actorIn = concatTensor(mb.obs, rows(aPred))
 	})
 	c.Forward(critic, actorIn)
 	var up *nn.Tensor
-	c.HostLoss(o.prefix+"/actor_grad", func() { up = ascendQ(len(mb.batch)) })
+	c.HostLoss(o.actorGrad, func() { up = ascendQ(len(mb.batch)) })
 	dIn := c.Backward(critic, up, true)
 	var dAct *nn.Tensor
-	c.HostLoss(o.prefix+"/split_grad", func() {
+	c.HostLoss(o.splitGrad, func() {
 		dAct = splitCriticInputGrad(dIn, o.cfg.ObsDim)
 	})
 	c.Backward(actor, dAct, false)
@@ -140,13 +138,13 @@ type twinCritic struct {
 }
 
 // regress fits both critics on critIn to one target, in host losses
-// prefix/mse1 and prefix/mse2.
-func (tc *twinCritic) regress(c *backend.Comp, prefix string, critIn, target *nn.Tensor) {
+// names[0] and names[1].
+func (tc *twinCritic) regress(c *backend.Comp, names [2]string, critIn, target *nn.Tensor) {
 	for i, q := range []*backend.Network{tc.critic1, tc.critic2} {
 		c.ZeroGrad(q)
 		pred := c.Forward(q, critIn)
 		var grad *nn.Tensor
-		c.HostLoss(fmt.Sprintf("%s/mse%d", prefix, i+1), func() { _, grad = nn.MSELoss(pred, target) })
+		c.HostLoss(names[i], func() { _, grad = nn.MSELoss(pred, target) })
 		c.Backward(q, grad, false)
 		c.AdamStepFused(q, tc.criticOpt)
 	}

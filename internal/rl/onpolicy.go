@@ -61,7 +61,7 @@ func (o *onPolicy) UpdatesPerCollect() int { return 1 }
 func (o *onPolicy) ActBatch(obs [][]float64) [][]float64 {
 	x := obsTensor(obs)
 	var out, val *nn.Tensor
-	o.b.Compute(o.prefix+"/predict", backend.KindInference, func(c *backend.Comp) {
+	o.b.Compute(o.predict, backend.KindInference, func(c *backend.Comp) {
 		c.Feed(x)
 		out = c.Forward(o.policy, x)
 		val = c.Forward(o.value, x)
@@ -139,7 +139,7 @@ func (o *onPolicy) gather(lambda float64) *flatBatch {
 	}
 	xBoot := obsTensor(o.bootObs)
 	var bootVal *nn.Tensor
-	o.b.Compute(o.prefix+"/bootstrap", backend.KindInference, func(c *backend.Comp) {
+	o.b.Compute(o.bootstrap, backend.KindInference, func(c *backend.Comp) {
 		c.Feed(xBoot)
 		bootVal = c.Forward(o.value, xBoot)
 		c.Fetch(bootVal)
@@ -169,23 +169,23 @@ func (o *onPolicy) gather(lambda float64) *flatBatch {
 }
 
 // trainStep is one combined policy+value gradient step over obs: the
-// policy gradient pg in host loss prefix/pgLoss, a half-MSE regression of
+// policy gradient pg in host loss pgLoss, a half-MSE regression of
 // the value network to ret, and global-norm gradient clipping.
 func (o *onPolicy) trainStep(obs [][]float64, ret []float64, pgLoss string, pg func(out *nn.Tensor) *nn.Tensor) {
 	x := obsTensor(obs)
 	o.b.Python(pythonMinibatchCost(len(obs)))
-	o.b.Compute(o.prefix+"/train_step", backend.KindBackprop, func(c *backend.Comp) {
+	o.b.Compute(o.trainStepOp, backend.KindBackprop, func(c *backend.Comp) {
 		c.Feed(x)
 		c.ZeroGrad(o.policy)
 		c.ZeroGrad(o.value)
 		out := c.Forward(o.policy, x)
 		var pgrad *nn.Tensor
-		c.HostLoss(o.prefix+"/"+pgLoss, func() { pgrad = pg(out) })
+		c.HostLoss(pgLoss, func() { pgrad = pg(out) })
 		c.Backward(o.policy, pgrad, false)
 
 		pred := c.Forward(o.value, x)
 		var vgrad *nn.Tensor
-		c.HostLoss(o.prefix+"/value_loss", func() {
+		c.HostLoss(o.valueLoss, func() {
 			target := nn.NewTensor(len(ret), 1)
 			copy(target.Data, ret)
 			_, vgrad = nn.MSELoss(pred, target)
@@ -193,7 +193,7 @@ func (o *onPolicy) trainStep(obs [][]float64, ret []float64, pgLoss string, pg f
 		})
 		c.Backward(o.value, vgrad, false)
 
-		c.HostLoss(o.prefix+"/clip_grads", func() {
+		c.HostLoss(o.clipGrads, func() {
 			nn.ClipGradByGlobalNorm(append(o.policy.MLP.Params(), o.value.MLP.Params()...), 0.5)
 		})
 		c.AdamStepFused(o.policy, o.opt)

@@ -67,7 +67,7 @@ func (p *PPO2) Update() {
 			for i, id := range mb {
 				obs[i], ret[i] = fb.obs[id], fb.ret[id]
 			}
-			p.trainStep(obs, ret, "clip_loss", func(out *nn.Tensor) *nn.Tensor {
+			p.trainStep(obs, ret, "ppo/clip_loss", func(out *nn.Tensor) *nn.Tensor {
 				return p.clippedGrad(out, fb, mb)
 			})
 		}

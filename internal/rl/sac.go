@@ -99,7 +99,7 @@ func (s *SAC) Update() {
 				return math.Min(q1n.At(i, 0), q2n.At(i, 0)) - float64(s.alpha*logps[i])
 			})
 		})
-		s.regress(c, s.prefix, mb.critIn, target)
+		s.regress(c, s.mse, mb.critIn, target)
 	})
 
 	s.b.Compute("sac/actor_train", backend.KindBackprop, func(c *backend.Comp) {

@@ -99,7 +99,7 @@ func (t *TD3) Update() {
 			})
 		})
 		// Clipped double-Q: both critics regress to the same target.
-		t.regress(c, t.prefix, mb.critIn, target)
+		t.regress(c, t.mse, mb.critIn, target)
 	})
 
 	t.updates++

@@ -585,8 +585,11 @@ func TestEncodeChunkAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			const want = 4 // frame, string-table map, *ChunkIndex, its Procs map
-			if got := testing.AllocsPerRun(10, encode); got != want {
+			want := 4 // frame, string-table map, *ChunkIndex, its Procs map
+			if raceEnabled {
+				want++ // the frame's grow makes a temporary as well
+			}
+			if got := testing.AllocsPerRun(10, encode); got != float64(want) {
 				t.Errorf("EncodeEvents of a %d-event chunk: %.0f allocs, want %d", len(events), got, want)
 			}
 		})
