@@ -15,33 +15,46 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
+	"repro/internal/cli"
 	"repro/internal/trace"
 )
 
 func main() {
-	var (
-		in  = flag.String("in", "", "source trace directory")
-		out = flag.String("out", "", "destination directory (must not already contain trace files)")
-	)
-	flag.Parse()
-	if *in == "" || *out == "" {
-		fatal(fmt.Errorf("both -in and -out are required"))
-	}
-	stats, err := trace.ConvertDir(*in, *out)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("converted %d chunks (%d events) to %s\n", stats.Chunks, stats.Events, trace.FormatV2)
-	fmt.Printf("chunk bytes: %d -> %d (ratio %.3f)\n", stats.SrcChunkBytes, stats.DstChunkBytes, stats.Ratio())
-	fmt.Printf("verified: round-trip digest matches source digest %s\n", stats.SrcDigest)
-	fmt.Printf("destination digest: %s\n", stats.DstDigest)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rlscope-convert:", err)
-	os.Exit(1)
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rlscope-convert", stderr)
+	var (
+		in  = fs.String("in", "", "source trace directory")
+		out = fs.String("out", "", "destination directory (must not already contain trace files)")
+	)
+	return cli.Run(ctx, fs, args, func() error {
+		if *in == "" || *out == "" {
+			return cli.Usagef("both -in and -out are required")
+		}
+		// ConvertDir does not watch ctx: a signal during it ends the
+		// command once it returns, and a second one kills the process.
+		stats, err := trace.ConvertDir(*in, *out)
+		if err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "converted %d chunks (%d events) to %s\n", stats.Chunks, stats.Events, trace.FormatV2)
+		fmt.Fprintf(stdout, "chunk bytes: %d -> %d (ratio %.3f)\n", stats.SrcChunkBytes, stats.DstChunkBytes, stats.Ratio())
+		fmt.Fprintf(stdout, "verified: round-trip digest matches source digest %s\n", stats.SrcDigest)
+		fmt.Fprintf(stdout, "destination digest: %s\n", stats.DstDigest)
+		return nil
+	})
 }

@@ -12,49 +12,50 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 )
 
 func main() {
-	all, _ := experiments.Select("all")
-	var (
-		run   = flag.String("run", "all", "comma-separated experiment ids: "+strings.Join(all, ","))
-		steps = flag.Int("steps", 0, "environment-step budget per workload (0 = per-figure default)")
-		seed  = flag.Int64("seed", 1, "random seed")
-	)
-	flag.Parse()
-
-	ids, err := experiments.Select(*run)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rlscope-experiments: %v\n", err)
-		os.Exit(2)
-	}
-	// Ctrl-C cancels the experiment pipelines' context: the harnesses stop
-	// dispatching replay/analysis jobs, drain the in-flight ones, and the
-	// loop below stops before the next experiment.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	opts := experiments.Options{Steps: *steps, Seed: *seed, Context: ctx}
-	for _, id := range ids {
-		if err := ctx.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "rlscope-experiments: interrupted before %s: %v\n", id, err)
-			os.Exit(130)
-		}
-		text, err := experiments.Render(id, opts)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	all, _ := experiments.Select("all")
+	fs := cli.NewFlagSet("rlscope-experiments", stderr)
+	var (
+		runIDs = fs.String("run", "all", "comma-separated experiment ids: "+strings.Join(all, ","))
+		steps  = fs.Int("steps", 0, "environment-step budget per workload (0 = per-figure default)")
+		seed   = fs.Int64("seed", 1, "random seed")
+	)
+	return cli.Run(ctx, fs, args, func() error {
+		ids, err := experiments.Select(*runIDs)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rlscope-experiments: %s: %v\n", id, err)
-			if ctx.Err() != nil {
-				os.Exit(130)
-			}
-			os.Exit(1)
+			return cli.Usagef("%v", err)
 		}
-		fmt.Println(text)
-	}
+		// A signal cancels the experiment pipelines' context: the harnesses
+		// stop dispatching replay/analysis jobs, drain the in-flight ones,
+		// and the loop below stops before the next experiment.
+		opts := experiments.Options{Steps: *steps, Seed: *seed, Context: ctx}
+		for _, id := range ids {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("before %s: %w", id, err)
+			}
+			text, err := experiments.Render(id, opts)
+			if err != nil {
+				return fmt.Errorf("%s: %w", id, err)
+			}
+			fmt.Fprintln(stdout, text)
+		}
+		return nil
+	})
 }

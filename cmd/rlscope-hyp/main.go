@@ -18,7 +18,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -27,76 +26,86 @@ import (
 	"syscall"
 	"text/tabwriter"
 
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/hypothesis"
 )
 
 func main() {
-	var (
-		gridPath = flag.String("grid", "hypotheses.json", "experiment grid to evaluate")
-		ids      = flag.String("ids", "", "comma-separated hypothesis ids (default: all)")
-		steps    = flag.Int("steps", 0, "override every hypothesis's step budget (0 = grid scale; verdicts are calibrated at grid scale)")
-		out      = flag.String("out", "", "write the verdict document to this file (default: stdout)")
-		gate     = flag.Bool("gate", false, "exit 1 when any deterministic hypothesis is refuted")
-		list     = flag.Bool("list", false, "print the grid's hypotheses without running them")
-		metrics  = flag.String("metrics", "", "dump one experiment's metric bundle instead of evaluating (ids: "+strings.Join(experiments.MetricExperiments, ",")+")")
-		seed     = flag.Int64("seed", 1, "seed for -metrics")
-	)
-	flag.Parse()
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *metrics != "" {
-		bundle, err := experiments.Metrics(ctx, *metrics, *steps, *seed)
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rlscope-hyp", stderr)
+	var (
+		gridPath = fs.String("grid", "hypotheses.json", "experiment grid to evaluate")
+		ids      = fs.String("ids", "", "comma-separated hypothesis ids (default: all)")
+		steps    = fs.Int("steps", 0, "override every hypothesis's step budget (0 = grid scale; verdicts are calibrated at grid scale)")
+		out      = fs.String("out", "", "write the verdict document to this file (default: stdout)")
+		gate     = fs.Bool("gate", false, "exit 1 when any deterministic hypothesis is refuted")
+		list     = fs.Bool("list", false, "print the grid's hypotheses without running them")
+		metrics  = fs.String("metrics", "", "dump one experiment's metric bundle instead of evaluating (ids: "+strings.Join(experiments.MetricExperiments, ",")+")")
+		seed     = fs.Int64("seed", 1, "seed for -metrics")
+	)
+	// emit writes v, encoded, to -out or stdout.
+	emit := func(v any) error {
+		data, err := encode(v)
+		if err == nil && *out != "" {
+			err = os.WriteFile(*out, data, 0o644)
+		} else if err == nil {
+			_, err = stdout.Write(data)
+		}
+		return err
+	}
+	return cli.Run(ctx, fs, args, func() error {
+		if *metrics != "" {
+			bundle, err := experiments.Metrics(ctx, *metrics, *steps, *seed)
+			if err != nil {
+				return err
+			}
+			return emit(bundle)
+		}
+
+		grid, err := hypothesis.LoadGrid(*gridPath)
 		if err != nil {
-			fail(ctx, err)
+			return cli.Usagef("%v", err)
 		}
-		emit(bundle, *out)
-		return
-	}
-
-	grid, err := hypothesis.LoadGrid(*gridPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rlscope-hyp: %v\n", err)
-		os.Exit(2)
-	}
-
-	if *list {
-		if err := writeList(os.Stdout, grid.Hypotheses); err != nil {
-			fmt.Fprintf(os.Stderr, "rlscope-hyp: %v\n", err)
-			os.Exit(1)
+		if *list {
+			return writeList(stdout, grid.Hypotheses)
 		}
-		return
-	}
 
-	var idList []string
-	if *ids != "" {
-		for _, id := range strings.Split(*ids, ",") {
-			idList = append(idList, strings.TrimSpace(id))
+		var idList []string
+		if *ids != "" {
+			for _, id := range strings.Split(*ids, ",") {
+				idList = append(idList, strings.TrimSpace(id))
+			}
 		}
-	}
-	doc, err := hypothesis.NewEvaluator(experiments.Metrics).Evaluate(grid, hypothesis.Options{
-		IDs: idList, Steps: *steps, Context: ctx,
+		doc, err := hypothesis.NewEvaluator(experiments.Metrics).Evaluate(grid, hypothesis.Options{
+			IDs: idList, Steps: *steps, Context: ctx,
+		})
+		if err != nil {
+			return err
+		}
+		doc.Grid = *gridPath
+		if err := emit(doc); err != nil {
+			return err
+		}
+
+		tw := tabwriter.NewWriter(stderr, 0, 0, 1, ' ', 0)
+		for _, r := range doc.Results {
+			fmt.Fprintf(tw, "rlscope-hyp: %s\t%s\n", r.ID, r.Verdict)
+		}
+		tw.Flush()
+		if *gate {
+			if err := hypothesis.Gate(doc); err != nil {
+				return fmt.Errorf("gate: %w", err)
+			}
+			fmt.Fprintln(stderr, "rlscope-hyp: gate passed")
+		}
+		return nil
 	})
-	if err != nil {
-		fail(ctx, err)
-	}
-	doc.Grid = *gridPath
-	emit(doc, *out)
-
-	tw := tabwriter.NewWriter(os.Stderr, 0, 0, 1, ' ', 0)
-	for _, r := range doc.Results {
-		fmt.Fprintf(tw, "rlscope-hyp: %s\t%s\n", r.ID, r.Verdict)
-	}
-	tw.Flush()
-	if *gate {
-		if err := hypothesis.Gate(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "rlscope-hyp: gate: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintln(os.Stderr, "rlscope-hyp: gate passed")
-	}
 }
 
 // writeList prints one row per hypothesis, each column padded to its
@@ -114,29 +123,4 @@ func writeList(w io.Writer, hs []hypothesis.Hypothesis) error {
 func encode(v any) ([]byte, error) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	return append(data, '\n'), err
-}
-
-// emit writes v, encoded, to path or stdout.
-func emit(v any, path string) {
-	data, err := encode(v)
-	if err == nil && path != "" {
-		err = os.WriteFile(path, data, 0o644)
-	} else if err == nil {
-		_, err = os.Stdout.Write(data)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rlscope-hyp: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// fail reports an evaluation error, distinguishing interruption (130) from
-// failure (1).
-func fail(ctx context.Context, err error) {
-	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "rlscope-hyp: interrupted: %v\n", err)
-		os.Exit(130)
-	}
-	fmt.Fprintf(os.Stderr, "rlscope-hyp: %v\n", err)
-	os.Exit(1)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -172,4 +173,110 @@ func diffGolden(doc *hypothesis.Document, golden []byte) error {
 		break
 	}
 	return fmt.Errorf("verdict document differs from verdicts.json at %s; if the change is intended, regenerate it with: go run ./cmd/rlscope-hyp -out verdicts.json", where)
+}
+
+// call runs the command and returns its exit status, stdout and stderr.
+func call(ctx context.Context, args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(ctx, args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// refutedGrid writes a grid whose one deterministic hypothesis, Figure 3's
+// with a wrong value, is refuted.
+func refutedGrid(t *testing.T) string {
+	t.Helper()
+	grid, err := hypothesis.LoadGrid("../../hypotheses.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := *grid.Find("D.fig3")
+	h.Conditions = h.Conditions[:1:1]
+	h.Conditions[0].Want = 9
+	data, err := encode(hypothesis.Grid{Hypotheses: []hypothesis.Hypothesis{h}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "refuted.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestExitStatus pins the exit status of each way a run can end: usage
+// errors exit 2 with nothing on stdout, failures (a tripped gate included)
+// 1 and interruption 130.
+func TestExitStatus(t *testing.T) {
+	refuted := refutedGrid(t)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		args []string
+		want int
+	}{
+		{"help", context.Background(), []string{"-h"}, 0},
+		{"unknown flag", context.Background(), []string{"-nope"}, 2},
+		{"missing grid", context.Background(), []string{"-grid", filepath.Join(t.TempDir(), "missing.json")}, 2},
+		{"unknown metrics id", context.Background(), []string{"-metrics", "nope"}, 1},
+		{"gate trips", context.Background(), []string{"-grid", refuted, "-out", filepath.Join(t.TempDir(), "v.json"), "-gate"}, 1},
+		{"refuted without gate", context.Background(), []string{"-grid", refuted, "-out", filepath.Join(t.TempDir(), "v.json")}, 0},
+		{"interrupted", cancelled, []string{"-grid", "../../hypotheses.json", "-ids", "D.fig3"}, 130},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := call(tc.ctx, tc.args...)
+			if code != tc.want {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.want, stderr)
+			}
+			if code != 0 && stdout != "" {
+				t.Errorf("exit %d with stdout %q", code, stdout)
+			}
+		})
+	}
+}
+
+// TestRunEmitsDocuments checks each output the command writes: the verdict
+// document for a subset, to -out or stdout; the grid's -list; and one
+// experiment's -metrics bundle.
+func TestRunEmitsDocuments(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "verdicts.json")
+	code, _, stderr := call(context.Background(), "-grid", "../../hypotheses.json", "-ids", "D.fig3", "-out", out, "-gate")
+	if code != 0 || !strings.Contains(stderr, "rlscope-hyp: gate passed") {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stdout, _ := call(context.Background(), "-grid", "../../hypotheses.json", "-ids", "D.fig3")
+	if stdout != string(data) {
+		t.Error("the document on stdout is not the one -out writes")
+	}
+	var doc hypothesis.Document
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Results) != 1 || doc.Results[0].ID != "D.fig3" || doc.Results[0].Verdict != hypothesis.Confirmed {
+		t.Errorf("-ids D.fig3 document: %+v", doc.Results)
+	}
+
+	grid, err := hypothesis.LoadGrid("../../hypotheses.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, _ := call(context.Background(), "-grid", "../../hypotheses.json", "-list")
+	if n := strings.Count(list, "\n"); n != len(grid.Hypotheses) {
+		t.Errorf("-list printed %d rows for %d hypotheses", n, len(grid.Hypotheses))
+	}
+
+	_, bundle, _ := call(context.Background(), "-metrics", "fig3")
+	var metrics map[string]float64
+	if err := json.Unmarshal([]byte(bundle), &metrics); err != nil {
+		t.Fatal(err)
+	}
+	if metrics["cpu_mcts_ms"] != 1.25 {
+		t.Errorf("-metrics fig3: cpu_mcts_ms = %v, want 1.25", metrics["cpu_mcts_ms"])
+	}
 }

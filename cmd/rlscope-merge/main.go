@@ -17,85 +17,65 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
+	"context"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
+	"os/signal"
+	"syscall"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/multihost"
 	"repro/internal/vclock"
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rlscope-merge", stderr)
 	var (
-		out          = flag.String("out", "", "merged trace output directory (required)")
-		manifestPath = flag.String("manifest", "", "manifest.json from rlscope-prof -distributed; its host dirs are merged (alternative to positional dirs)")
-		maxUnc       = flag.Duration("max-uncertainty", 0, "largest acceptable clock-offset bracket half-width, e.g. 5ms (0 = default)")
-		quiet        = flag.Bool("q", false, "suppress the per-host offset summary")
+		out          = fs.String("out", "", "merged trace output directory (required)")
+		manifestPath = fs.String("manifest", "", "manifest.json from rlscope-prof -distributed; its host dirs are merged (alternative to positional dirs)")
+		maxUnc       = fs.Duration("max-uncertainty", 0, "largest acceptable clock-offset bracket half-width, e.g. 5ms (0 = default)")
+		quiet        = fs.Bool("q", false, "suppress the per-host offset summary")
 	)
-	flag.Parse()
-	if *out == "" {
-		fatal(fmt.Errorf("-out is required"))
-	}
-
-	dirs := flag.Args()
-	if *manifestPath != "" {
-		if len(dirs) > 0 {
-			fatal(fmt.Errorf("pass either -manifest or positional host dirs, not both"))
+	return cli.Run(ctx, fs, args, func() error {
+		dirs := fs.Args()
+		switch {
+		case *out == "":
+			return cli.Usagef("-out is required")
+		case *manifestPath != "" && len(dirs) > 0:
+			return cli.Usagef("pass either -manifest or positional host dirs, not both")
+		case *manifestPath != "":
+			var err error
+			if dirs, err = multihost.ManifestDirs(*manifestPath); err != nil {
+				return err
+			}
 		}
-		var err error
-		if dirs, err = manifestDirs(*manifestPath); err != nil {
-			fatal(err)
+		if len(dirs) < 2 {
+			return fmt.Errorf("need at least 2 host trace dirs (got %d); pass them as arguments or via -manifest", len(dirs))
 		}
-	}
-	if len(dirs) < 2 {
-		fatal(fmt.Errorf("need at least 2 host trace dirs (got %d); pass them as arguments or via -manifest", len(dirs)))
-	}
-
-	stats, err := multihost.Merge(*out, dirs, multihost.Options{MaxUncertainty: vclock.Duration(*maxUnc)})
-	if err != nil {
-		fatal(err)
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "rlscope-merge: aligned %d hosts from %d cross-host messages\n",
-			len(stats.Hosts), stats.Messages)
-		for _, h := range stats.Hosts {
-			fmt.Fprintf(os.Stderr, "  %-12s shift %v\n", h, time.Duration(stats.Offsets[h]))
+		// Merge does not watch ctx: a signal during it ends the command
+		// once it returns, and a second one kills the process.
+		stats, err := multihost.Merge(*out, dirs, multihost.Options{MaxUncertainty: vclock.Duration(*maxUnc)})
+		if err != nil {
+			return err
 		}
-	}
-	fmt.Fprintf(os.Stderr, "rlscope-merge: wrote %d events / %d procs to %s (digest %s)\n",
-		stats.Events, stats.Procs, *out, stats.Digest)
-}
-
-// manifestDirs resolves the host trace directories listed in a
-// rlscope-prof -distributed manifest, relative to the manifest's location.
-func manifestDirs(path string) ([]string, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var man struct {
-		Hosts []struct {
-			Dir string `json:"dir"`
-		} `json:"hosts"`
-	}
-	if err := json.Unmarshal(buf, &man); err != nil {
-		return nil, fmt.Errorf("parsing manifest %s: %w", path, err)
-	}
-	base := filepath.Dir(path)
-	dirs := make([]string, len(man.Hosts))
-	for i, h := range man.Hosts {
-		if h.Dir == "" {
-			return nil, fmt.Errorf("manifest %s: host entry %d has no dir", path, i)
+		if err := ctx.Err(); err != nil {
+			return err
 		}
-		dirs[i] = filepath.Join(base, h.Dir)
-	}
-	return dirs, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rlscope-merge:", err)
-	os.Exit(1)
+		if !*quiet {
+			fmt.Fprintf(stderr, "rlscope-merge: aligned %d hosts from %d cross-host messages\n", len(stats.Hosts), stats.Messages)
+			for _, h := range stats.Hosts {
+				fmt.Fprintf(stderr, "  %-12s shift %v\n", h, time.Duration(stats.Offsets[h]))
+			}
+		}
+		fmt.Fprintf(stderr, "rlscope-merge: wrote %d events / %d procs to %s (digest %s)\n", stats.Events, stats.Procs, *out, stats.Digest)
+		return nil
+	})
 }

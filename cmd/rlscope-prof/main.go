@@ -25,17 +25,20 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"repro/client"
 	"repro/internal/backend"
 	"repro/internal/calib"
+	"repro/internal/cli"
+	"repro/internal/multihost"
 	"repro/internal/overlap"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -53,13 +56,20 @@ func parseModel(s string) (backend.ExecModel, error) {
 	case "eager-pytorch", "pytorch":
 		return backend.EagerPyTorch, nil
 	default:
-		return 0, fmt.Errorf("unknown framework %q (graph|autograph|eager-tf|eager-pytorch)", s)
+		return 0, cli.Usagef("unknown framework %q (graph|autograph|eager-tf|eager-pytorch)", s)
 	}
 }
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rlscope-prof", stderr)
 	labels := map[string]string{}
-	flag.Func("label", "attach a k=v label to the trace metadata (repeatable); fleet queries filter and group by labels", func(v string) error {
+	fs.Func("label", "attach a k=v label to the trace metadata (repeatable); fleet queries filter and group by labels", func(v string) error {
 		k, val, ok := strings.Cut(v, "=")
 		if !ok || k == "" {
 			return fmt.Errorf("want -label key=value, got %q", v)
@@ -68,161 +78,142 @@ func main() {
 		return nil
 	})
 	var (
-		algo      = flag.String("algo", "TD3", "RL algorithm: "+strings.Join(workloads.AlgorithmNames, "|"))
-		env       = flag.String("env", "Walker2D", "simulator: AirLearning|Ant|HalfCheetah|Hopper|Pong|Walker2D")
-		framework = flag.String("framework", "graph", "execution model / RL framework")
-		steps     = flag.Int("steps", 2000, "environment steps to train for")
-		seed      = flag.Int64("seed", 1, "random seed")
-		out       = flag.String("out", "", "trace output directory (omit to skip writing)")
-		format    = flag.String("format", "v1", "chunk encoding for -out and -serve: v1 (row) or v2 (columnar)")
-		serveURL  = flag.String("serve", "", "rlscope-serve base URL to stream the trace to (e.g. http://localhost:8080)")
-		traceID   = flag.String("trace-id", "", "trace id to stream under (with -serve; default: the workload name)")
-		instrOff  = flag.Bool("uninstrumented", false, "disable all profiler book-keeping")
-		csv       = flag.Bool("csv", false, "emit the breakdown as CSV instead of a table")
-		validate  = flag.Bool("validate", false, "calibrate, then validate overhead correction on this workload")
-		host      = flag.String("host", "", "originating host recorded in the trace metadata (default: os.Hostname())")
-		distrib   = flag.String("distributed", "", "simulate an actor/learner cluster, e.g. actors=3; writes one trace dir per host plus manifest.json under -out")
+		algo      = fs.String("algo", "TD3", "RL algorithm: "+strings.Join(workloads.AlgorithmNames, "|"))
+		env       = fs.String("env", "Walker2D", "simulator: AirLearning|Ant|HalfCheetah|Hopper|Pong|Walker2D")
+		framework = fs.String("framework", "graph", "execution model / RL framework")
+		steps     = fs.Int("steps", 2000, "environment steps to train for")
+		seed      = fs.Int64("seed", 1, "random seed")
+		out       = fs.String("out", "", "trace output directory (omit to skip writing)")
+		format    = fs.String("format", "v1", "chunk encoding for -out and -serve: v1 (row) or v2 (columnar)")
+		serveURL  = fs.String("serve", "", "rlscope-serve base URL to stream the trace to (e.g. http://localhost:8080)")
+		traceID   = fs.String("trace-id", "", "trace id to stream under (with -serve; default: the workload name)")
+		instrOff  = fs.Bool("uninstrumented", false, "disable all profiler book-keeping")
+		csv       = fs.Bool("csv", false, "emit the breakdown as CSV instead of a table")
+		validate  = fs.Bool("validate", false, "calibrate, then validate overhead correction on this workload")
+		host      = fs.String("host", "", "originating host recorded in the trace metadata (default: os.Hostname())")
+		distrib   = fs.String("distributed", "", "simulate an actor/learner cluster, e.g. actors=3; writes one trace dir per host plus manifest.json under -out")
 	)
-	flag.Parse()
-
-	model, err := parseModel(*framework)
-	if err != nil {
-		fatal(err)
-	}
-	chunkFormat, err := trace.ParseFormat(*format)
-	if err != nil {
-		fatal(err)
-	}
-	if *validate {
-		spec := workloads.Spec{Algo: *algo, Env: *env, Model: model, TotalSteps: *steps}
-		fmt.Fprintf(os.Stderr, "rlscope-prof: calibrating and validating %s (2 trainings: one profiled 5 ways, one 2 ways)\n", spec.Name())
-		v, err := calib.Validate(spec.Name(), workloads.Runner(spec), *seed, *seed+1000)
+	return cli.Run(ctx, fs, args, func() error {
+		model, err := parseModel(*framework)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(v)
-		return
-	}
-	flags := trace.Full()
-	if *instrOff {
-		flags = trace.Uninstrumented()
-	}
-	if *distrib != "" {
-		if err := runDistributed(*distrib, *algo, *env, model, *steps, *seed, *out, chunkFormat, flags, labels); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *host == "" {
-		*host, _ = os.Hostname()
-	}
-	spec := workloads.Spec{
-		Algo: *algo, Env: *env, Model: model, TotalSteps: *steps, Seed: *seed,
-	}
-	fmt.Fprintf(os.Stderr, "rlscope-prof: running %s (%d steps, %s)\n", spec.Name(), *steps, flags)
-	stats, err := workloads.Run(spec, flags)
-	if err != nil {
-		fatal(err)
-	}
-	if len(labels) > 0 {
-		stats.Trace.Meta.Labels = labels
-	}
-	stats.Trace.Meta.Host = *host
-	if *out != "" {
-		w, err := trace.NewWriter(*out, 0, trace.WithFormat(chunkFormat))
+		chunkFormat, err := trace.ParseFormat(*format)
 		if err != nil {
-			fatal(err)
+			return cli.Usagef("%v", err)
 		}
-		w.Append(stats.Trace.Events...)
-		if err := w.Close(stats.Trace.Meta); err != nil {
-			fatal(err)
+		// The workloads do not watch ctx: a signal during one ends the
+		// command once it returns, before anything is written, and a
+		// second one kills the process.
+		if *validate {
+			spec := workloads.Spec{Algo: *algo, Env: *env, Model: model, TotalSteps: *steps}
+			fmt.Fprintf(stderr, "rlscope-prof: calibrating and validating %s (2 trainings: one profiled 5 ways, one 2 ways)\n", spec.Name())
+			v, err := calib.Validate(spec.Name(), workloads.Runner(spec), *seed, *seed+1000)
+			if err != nil {
+				return err
+			}
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, v)
+			return nil
 		}
-		fmt.Fprintf(os.Stderr, "rlscope-prof: wrote %d events to %s\n", len(stats.Trace.Events), *out)
-	}
-	if *serveURL != "" {
-		// Live ingest: stream the trace chunk-by-chunk into a running
-		// rlscope-serve store and seal it — the same frames a local -out
-		// write produces, delivered over the typed client's network sink.
-		id := *traceID
-		if id == "" {
-			id = strings.ReplaceAll(spec.Name(), "/", "-")
+		flags := trace.Full()
+		if *instrOff {
+			flags = trace.Uninstrumented()
 		}
-		c := client.New(*serveURL)
-		ctx := context.Background()
-		if _, err := c.Register(ctx, id); err != nil {
-			fatal(err)
+		if *distrib != "" {
+			return runDistributed(ctx, stderr, *distrib, *algo, *env, model, *steps, *seed, *out, chunkFormat, flags, labels)
 		}
-		w := trace.NewSinkWriter(c.Sink(ctx, id), 0, trace.WithFormat(chunkFormat))
-		w.Append(stats.Trace.Events...)
-		if err := w.Close(stats.Trace.Meta); err != nil {
-			fatal(err)
+		if *host == "" {
+			*host, _ = os.Hostname()
 		}
-		fmt.Fprintf(os.Stderr, "rlscope-prof: streamed %d events to %s as trace %q\n",
-			len(stats.Trace.Events), *serveURL, id)
-	}
-	res := overlap.Compute(stats.Trace.ProcEvents(0))
-	b := report.FromResult(spec.Name(), res, report.SortedOps(res))
-	if *csv {
-		fmt.Print(report.CSV([]*report.Breakdown{b}))
-		return
-	}
-	fmt.Print(report.Table("RL-Scope time breakdown", []*report.Breakdown{b}))
-	fmt.Print(report.TransitionTable("Language transitions",
-		report.Transitions(spec.Name(), res, report.SortedOps(res))))
-	fmt.Printf("total training time: %v\n", stats.Total)
-}
-
-// manifest indexes a distributed run's per-host trace directories so
-// rlscope-merge (and scripts) can pick them up without globbing.
-type manifest struct {
-	Workload string         `json:"workload"`
-	Actors   int            `json:"actors"`
-	Steps    int            `json:"steps"`
-	Seed     int64          `json:"seed"`
-	Hosts    []manifestHost `json:"hosts"`
-}
-
-type manifestHost struct {
-	Host   string `json:"host"`
-	Dir    string `json:"dir"` // relative to the manifest's directory
-	Events int    `json:"events"`
-	// SkewNS is the injected ground-truth clock-origin skew. A real
-	// cluster would not know this; it is recorded so experiments can
-	// score rlscope-merge's trace-only offset recovery against truth.
-	SkewNS int64 `json:"skew_ns"`
+		spec := workloads.Spec{Algo: *algo, Env: *env, Model: model, TotalSteps: *steps, Seed: *seed}
+		fmt.Fprintf(stderr, "rlscope-prof: running %s (%d steps, %s)\n", spec.Name(), *steps, flags)
+		stats, err := workloads.Run(spec, flags)
+		if err != nil {
+			return err
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if len(labels) > 0 {
+			stats.Trace.Meta.Labels = labels
+		}
+		stats.Trace.Meta.Host = *host
+		if *out != "" {
+			w, err := trace.NewWriter(*out, 0, trace.WithFormat(chunkFormat))
+			if err != nil {
+				return err
+			}
+			w.Append(stats.Trace.Events...)
+			if err := w.Close(stats.Trace.Meta); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "rlscope-prof: wrote %d events to %s\n", len(stats.Trace.Events), *out)
+		}
+		if *serveURL != "" {
+			// Live ingest: stream the trace chunk-by-chunk into a running
+			// rlscope-serve store and seal it — the same frames a local
+			// -out write produces, delivered over the typed client's
+			// network sink.
+			id := *traceID
+			if id == "" {
+				id = strings.ReplaceAll(spec.Name(), "/", "-")
+			}
+			c := client.New(*serveURL)
+			if _, err := c.Register(ctx, id); err != nil {
+				return err
+			}
+			w := trace.NewSinkWriter(c.Sink(ctx, id), 0, trace.WithFormat(chunkFormat))
+			w.Append(stats.Trace.Events...)
+			if err := w.Close(stats.Trace.Meta); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "rlscope-prof: streamed %d events to %s as trace %q\n",
+				len(stats.Trace.Events), *serveURL, id)
+		}
+		res := overlap.Compute(stats.Trace.ProcEvents(0))
+		b := report.FromResult(spec.Name(), res, report.SortedOps(res))
+		if *csv {
+			_, err := io.WriteString(stdout, report.CSV([]*report.Breakdown{b}))
+			return err
+		}
+		fmt.Fprint(stdout, report.Table("RL-Scope time breakdown", []*report.Breakdown{b}))
+		fmt.Fprint(stdout, report.TransitionTable("Language transitions",
+			report.Transitions(spec.Name(), res, report.SortedOps(res))))
+		fmt.Fprintf(stdout, "total training time: %v\n", stats.Total)
+		return nil
+	})
 }
 
 // runDistributed handles -distributed: simulate the actor/learner cluster
 // and write one trace directory per host plus manifest.json under out.
-func runDistributed(arg, algo, env string, model backend.ExecModel, steps int, seed int64, out string, format trace.Format, flags trace.FeatureFlags, labels map[string]string) error {
-	k, v, ok := strings.Cut(arg, "=")
-	if !ok || k != "actors" {
-		return fmt.Errorf("want -distributed actors=N, got %q", arg)
-	}
+func runDistributed(ctx context.Context, stderr io.Writer, arg, algo, env string, model backend.ExecModel, steps int, seed int64, out string, format trace.Format, flags trace.FeatureFlags, labels map[string]string) error {
+	v, ok := strings.CutPrefix(arg, "actors=")
 	actors, err := strconv.Atoi(v)
-	if err != nil {
-		return fmt.Errorf("want -distributed actors=N, got %q: %v", arg, err)
+	if !ok || err != nil {
+		return cli.Usagef("want -distributed actors=N, got %q", arg)
 	}
 	if out == "" {
-		return fmt.Errorf("-distributed needs -out: each simulated host writes its own trace directory")
+		return cli.Usagef("-distributed needs -out: each simulated host writes its own trace directory")
 	}
-	spec := workloads.DistributedSpec{
-		Actors: actors, Algo: algo, Env: env, Model: model,
-		TotalSteps: steps, Seed: seed,
-	}
-	fmt.Fprintf(os.Stderr, "rlscope-prof: running %s (%d steps/actor, %d hosts, %s)\n",
+	spec := workloads.DistributedSpec{Actors: actors, Algo: algo, Env: env, Model: model, TotalSteps: steps, Seed: seed}
+	fmt.Fprintf(stderr, "rlscope-prof: running %s (%d steps/actor, %d hosts, %s)\n",
 		spec.Name(), steps, actors+1, flags)
 	runs, err := workloads.RunDistributed(spec, flags)
 	if err != nil {
 		return err
 	}
-	man := manifest{Workload: spec.Name(), Actors: actors, Steps: steps, Seed: seed}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	man := multihost.Manifest{Workload: spec.Name(), Actors: actors, Steps: steps, Seed: seed}
 	for _, r := range runs {
 		if len(labels) > 0 {
 			r.Trace.Meta.Labels = labels
 		}
-		dir := filepath.Join(out, r.Host)
-		w, err := trace.NewWriter(dir, 0, trace.WithFormat(format))
+		w, err := trace.NewWriter(filepath.Join(out, r.Host), 0, trace.WithFormat(format))
 		if err != nil {
 			return err
 		}
@@ -230,22 +221,13 @@ func runDistributed(arg, algo, env string, model backend.ExecModel, steps int, s
 		if err := w.Close(r.Trace.Meta); err != nil {
 			return err
 		}
-		man.Hosts = append(man.Hosts, manifestHost{
+		man.Hosts = append(man.Hosts, multihost.ManifestHost{
 			Host: r.Host, Dir: r.Host, Events: len(r.Trace.Events), SkewNS: int64(r.Skew),
 		})
 	}
-	buf, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
+	if err := multihost.WriteManifest(out, &man); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(out, "manifest.json"), append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "rlscope-prof: wrote %d host trace dirs + manifest.json to %s\n", len(runs), out)
+	fmt.Fprintf(stderr, "rlscope-prof: wrote %d host trace dirs + manifest.json to %s\n", len(runs), out)
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rlscope-prof:", err)
-	os.Exit(1)
 }

@@ -30,26 +30,36 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
+	"repro/internal/cli"
 	"repro/internal/fleet"
 	"repro/internal/serve"
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rlscope-query", stderr)
 	var (
-		queryJSON = flag.String("query", "", "fleet query as a JSON document (mutually exclusive with -filter/-group-by/-metrics)")
-		queryFile = flag.String("query-file", "", "read the JSON query from a file instead of -query")
-		groupBy   = flag.String("group-by", "", "comma-separated group dimensions: id, workload, label.<key>")
-		metrics   = flag.String("metrics", "", "comma-separated metrics (default total_ns,cpu_ns,gpu_ns,gpu_frac)")
-		reportDir = flag.String("store-reports", "", "content-addressed report store directory shared with rlscope-serve; misses are computed and written back")
-		workers   = flag.Int("workers", 0, "Engine worker budget per cold-trace analysis (0 = one per CPU)")
+		queryJSON = fs.String("query", "", "fleet query as a JSON document (mutually exclusive with -filter/-group-by/-metrics)")
+		queryFile = fs.String("query-file", "", "read the JSON query from a file instead of -query")
+		groupBy   = fs.String("group-by", "", "comma-separated group dimensions: id, workload, label.<key>")
+		metrics   = fs.String("metrics", "", "comma-separated metrics (default total_ns,cpu_ns,gpu_ns,gpu_frac)")
+		reportDir = fs.String("store-reports", "", "content-addressed report store directory shared with rlscope-serve; misses are computed and written back")
+		workers   = fs.Int("workers", 0, "Engine worker budget per cold-trace analysis (0 = one per CPU)")
 	)
 	filter := map[string]string{}
-	flag.Func("filter", "filter clause k=v with glob patterns, e.g. 'workload=ppo-*' (repeatable)", func(v string) error {
+	fs.Func("filter", "filter clause k=v with glob patterns, e.g. 'workload=ppo-*' (repeatable)", func(v string) error {
 		k, val, ok := strings.Cut(v, "=")
 		if !ok || k == "" {
 			return fmt.Errorf("want -filter dimension=pattern, got %q", v)
@@ -58,49 +68,47 @@ func main() {
 		return nil
 	})
 	var traceArgs []string
-	flag.Func("trace", "trace directory to query, as DIR or NAME=DIR (repeatable)", func(v string) error {
+	fs.Func("trace", "trace directory to query, as DIR or NAME=DIR (repeatable)", func(v string) error {
 		traceArgs = append(traceArgs, v)
 		return nil
 	})
-	flag.Parse()
-	traceArgs = append(traceArgs, flag.Args()...)
-	if len(traceArgs) == 0 {
-		fmt.Fprintln(os.Stderr, "rlscope-query: at least one trace directory (positional or -trace NAME=DIR) is required")
-		os.Exit(2)
-	}
-
-	q, err := buildQuery(*queryJSON, *queryFile, filter, *groupBy, *metrics)
-	if err != nil {
-		fatal(err)
-	}
-	plan, err := fleet.Compile(q)
-	if err != nil {
-		fatal(err)
-	}
-
-	// The offline query path is the server's: a Server holding these
-	// directories, and the report store rlscope-serve reads and writes when
-	// -store-reports names one.
-	cfg := serve.Config{MaxWorkers: *workers}
-	if *reportDir != "" {
-		if cfg.Reports, err = serve.NewDiskStore(*reportDir); err != nil {
-			fatal(err)
+	return cli.Run(ctx, fs, args, func() error {
+		traceArgs = append(traceArgs, fs.Args()...)
+		if len(traceArgs) == 0 {
+			return cli.Usagef("at least one trace directory (positional or -trace NAME=DIR) is required")
 		}
-	}
-	srv := serve.NewServer(cfg)
-	defer srv.Close()
-	for _, arg := range traceArgs {
-		if _, err := srv.AddDirArg(arg); err != nil {
-			fatal(err)
+		q, err := buildQuery(*queryJSON, *queryFile, filter, *groupBy, *metrics)
+		if err != nil {
+			return err
 		}
-	}
-	res, err := srv.Query(context.Background(), plan)
-	if err != nil {
-		fatal(err)
-	}
-	if _, err := os.Stdout.Write(res.Body); err != nil {
-		fatal(err)
-	}
+		plan, err := fleet.Compile(q)
+		if err != nil {
+			return err
+		}
+
+		// The offline query path is the server's: a Server holding these
+		// directories, and the report store rlscope-serve reads and writes
+		// when -store-reports names one.
+		cfg := serve.Config{MaxWorkers: *workers}
+		if *reportDir != "" {
+			if cfg.Reports, err = serve.NewDiskStore(*reportDir); err != nil {
+				return err
+			}
+		}
+		srv := serve.NewServer(cfg)
+		defer srv.Close()
+		for _, arg := range traceArgs {
+			if _, err := srv.AddDirArg(arg); err != nil {
+				return err
+			}
+		}
+		res, err := srv.Query(ctx, plan)
+		if err != nil {
+			return err
+		}
+		_, err = stdout.Write(res.Body)
+		return err
+	})
 }
 
 // buildQuery assembles the fleet query from either the verbatim JSON
@@ -111,7 +119,7 @@ func buildQuery(queryJSON, queryFile string, filter map[string]string, groupBy, 
 	raw := queryJSON
 	if queryFile != "" {
 		if raw != "" {
-			return q, fmt.Errorf("-query and -query-file are mutually exclusive")
+			return q, cli.Usagef("-query and -query-file are mutually exclusive")
 		}
 		data, err := os.ReadFile(queryFile)
 		if err != nil {
@@ -121,7 +129,7 @@ func buildQuery(queryJSON, queryFile string, filter map[string]string, groupBy, 
 	}
 	if raw != "" {
 		if len(filter) > 0 || groupBy != "" || metrics != "" {
-			return q, fmt.Errorf("-query/-query-file and -filter/-group-by/-metrics are mutually exclusive")
+			return q, cli.Usagef("-query/-query-file and -filter/-group-by/-metrics are mutually exclusive")
 		}
 		dec := json.NewDecoder(strings.NewReader(raw))
 		dec.DisallowUnknownFields()
@@ -149,9 +157,4 @@ func splitCSV(s string) []string {
 		}
 	}
 	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rlscope-query:", err)
-	os.Exit(1)
 }

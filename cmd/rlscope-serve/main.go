@@ -62,8 +62,8 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -72,6 +72,7 @@ import (
 	"time"
 
 	"repro/internal/calib"
+	"repro/internal/cli"
 	"repro/internal/serve"
 )
 
@@ -85,101 +86,106 @@ const (
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop) // a second signal kills the process the default way
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := cli.NewFlagSet("rlscope-serve", stderr)
 	var (
-		listen     = flag.String("listen", ":8080", "address to serve on")
-		cacheBytes = flag.Int64("cache-bytes", serve.DefaultCacheBytes, "report cache budget in bytes")
-		maxWorkers = flag.Int("max-workers", 0, "global Engine worker budget shared across requests (0 = one per CPU)")
-		calPath    = flag.String("calibration", "", "calibration JSON enabling {\"correction\":true} requests")
-		drain      = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain window for in-flight requests")
-		storeDir   = flag.String("store", "", "trace store directory enabling live ingest (POST /v1/traces/{id}/chunks)")
-		reportDir  = flag.String("store-reports", "", "persistent report store directory: cached reports and fleet result sets survive restarts and are shared by servers pointing at the same directory")
-		debugAddr  = flag.String("debug-addr", "", "address of a second listener serving net/http/pprof under /debug/pprof/ (empty = off)")
+		listen     = fs.String("listen", ":8080", "address to serve on")
+		cacheBytes = fs.Int64("cache-bytes", serve.DefaultCacheBytes, "report cache budget in bytes")
+		maxWorkers = fs.Int("max-workers", 0, "global Engine worker budget shared across requests (0 = one per CPU)")
+		calPath    = fs.String("calibration", "", "calibration JSON enabling {\"correction\":true} requests")
+		drain      = fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain window for in-flight requests")
+		storeDir   = fs.String("store", "", "trace store directory enabling live ingest (POST /v1/traces/{id}/chunks)")
+		reportDir  = fs.String("store-reports", "", "persistent report store directory: cached reports and fleet result sets survive restarts and are shared by servers pointing at the same directory")
+		debugAddr  = fs.String("debug-addr", "", "address of a second listener serving net/http/pprof under /debug/pprof/ (empty = off)")
 	)
 	var traceArgs []string
-	flag.Func("trace", "trace directory to register, as DIR or NAME=DIR (repeatable)", func(v string) error {
+	fs.Func("trace", "trace directory to register, as DIR or NAME=DIR (repeatable)", func(v string) error {
 		traceArgs = append(traceArgs, v)
 		return nil
 	})
-	flag.Parse()
-	traceArgs = append(traceArgs, flag.Args()...)
-	if len(traceArgs) == 0 && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "rlscope-serve: at least one -trace DIR (or NAME=DIR), or -store for live ingest, is required")
-		os.Exit(2)
-	}
+	// ctx's end is the service's shutdown, not an interruption: a clean
+	// drain exits 0 and an expired one 1.
+	return cli.Run(context.Background(), fs, args, func() error {
+		traceArgs = append(traceArgs, fs.Args()...)
+		if len(traceArgs) == 0 && *storeDir == "" {
+			return cli.Usagef("at least one -trace DIR (or NAME=DIR), or -store for live ingest, is required")
+		}
+		cfg := serve.Config{CacheBytes: *cacheBytes, MaxWorkers: *maxWorkers, StoreDir: *storeDir}
+		var err error
+		if *reportDir != "" {
+			if cfg.Reports, err = serve.NewDiskStore(*reportDir); err != nil {
+				return err
+			}
+		}
+		if *calPath != "" {
+			data, err := os.ReadFile(*calPath)
+			if err != nil {
+				return err
+			}
+			cal := &calib.Calibration{}
+			if err := json.Unmarshal(data, cal); err != nil {
+				return fmt.Errorf("decoding calibration %s: %w", *calPath, err)
+			}
+			cfg.Calibration = cal
+		}
 
-	cfg := serve.Config{CacheBytes: *cacheBytes, MaxWorkers: *maxWorkers, StoreDir: *storeDir}
-	var err error
-	if *reportDir != "" {
-		if cfg.Reports, err = serve.NewDiskStore(*reportDir); err != nil {
-			fatal(err)
+		srv := serve.NewServer(cfg)
+		defer srv.Close()
+		for _, arg := range traceArgs {
+			info, err := srv.AddDirArg(arg)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "rlscope-serve: registered %q (%s): %d chunks, %d events, %d procs, digest %.12s…\n",
+				info.ID, arg, info.Chunks, info.Events, info.Procs, info.Digest)
 		}
-	}
-	if *calPath != "" {
-		data, err := os.ReadFile(*calPath)
-		if err != nil {
-			fatal(err)
-		}
-		cal := &calib.Calibration{}
-		if err := json.Unmarshal(data, cal); err != nil {
-			fatal(fmt.Errorf("decoding calibration %s: %w", *calPath, err))
-		}
-		cfg.Calibration = cal
-	}
 
-	srv := serve.NewServer(cfg)
-	defer srv.Close()
-	for _, arg := range traceArgs {
-		info, err := srv.AddDirArg(arg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "rlscope-serve: registered %q (%s): %d chunks, %d events, %d procs, digest %.12s…\n",
-			info.ID, arg, info.Chunks, info.Events, info.Procs, info.Digest)
-	}
-
-	httpSrv := &http.Server{
-		Addr:              *listen,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-	errCh := make(chan error, 2)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "rlscope-serve: listening on %s\n", *listen)
-	if *debugAddr != "" {
-		debugSrv := &http.Server{
-			Addr:              *debugAddr,
-			Handler:           debugHandler(),
+		httpSrv := &http.Server{
+			Addr:              *listen,
+			Handler:           srv.Handler(),
 			ReadHeaderTimeout: readHeaderTimeout,
 			IdleTimeout:       idleTimeout,
 		}
-		defer debugSrv.Close()
-		go func() { errCh <- debugSrv.ListenAndServe() }()
-		fmt.Fprintf(os.Stderr, "rlscope-serve: pprof on %s/debug/pprof/\n", *debugAddr)
-	}
+		errCh := make(chan error, 2)
+		go func() { errCh <- httpSrv.ListenAndServe() }()
+		fmt.Fprintf(stderr, "rlscope-serve: listening on %s\n", *listen)
+		if *debugAddr != "" {
+			debugSrv := &http.Server{
+				Addr:              *debugAddr,
+				Handler:           debugHandler(),
+				ReadHeaderTimeout: readHeaderTimeout,
+				IdleTimeout:       idleTimeout,
+			}
+			defer debugSrv.Close()
+			go func() { errCh <- debugSrv.ListenAndServe() }()
+			fmt.Fprintf(stderr, "rlscope-serve: pprof on %s/debug/pprof/\n", *debugAddr)
+		}
+		defer httpSrv.Close()
+		select {
+		case err := <-errCh:
+			return err // a listener died on its own
+		case <-ctx.Done():
+		}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	select {
-	case err := <-errCh:
-		fatal(err) // the listener died on its own
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills the process the default way
-
-	// Graceful shutdown: stop accepting, let in-flight requests (and the
-	// Engine runs they wait on) finish within the drain window, then abort
-	// whatever is left by cancelling the server's base context.
-	fmt.Fprintln(os.Stderr, "rlscope-serve: draining in-flight requests")
-	shCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	err = httpSrv.Shutdown(shCtx)
-	srv.Close()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rlscope-serve: drain window expired, aborted in-flight analyses: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintln(os.Stderr, "rlscope-serve: bye")
+		// Graceful shutdown: stop accepting, let in-flight requests (and the
+		// Engine runs they wait on) finish within the drain window, then
+		// abort whatever is left by cancelling the server's base context.
+		fmt.Fprintln(stderr, "rlscope-serve: draining in-flight requests")
+		shCtx, cancel := context.WithTimeout(context.Background(), *drain)
+		defer cancel()
+		err = httpSrv.Shutdown(shCtx)
+		srv.Close()
+		if err != nil {
+			return fmt.Errorf("drain window expired, aborted in-flight analyses: %v", err)
+		}
+		fmt.Fprintln(stderr, "rlscope-serve: bye")
+		return nil
+	})
 }
 
 // debugHandler is the -debug-addr listener's mux: net/http/pprof's handlers,
@@ -192,9 +198,4 @@ func debugHandler() http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rlscope-serve:", err)
-	os.Exit(1)
 }

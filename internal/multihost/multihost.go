@@ -16,7 +16,10 @@
 package multihost
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -266,4 +269,55 @@ func Merge(dst string, hostDirs []string, opts Options) (*Stats, error) {
 	}
 	stats.Digest = digest
 	return stats, nil
+}
+
+// Manifest indexes a distributed run's per-host trace directories, so
+// rlscope-merge (and scripts) can pick them up without globbing.
+type Manifest struct {
+	Workload string         `json:"workload"`
+	Actors   int            `json:"actors"`
+	Steps    int            `json:"steps"`
+	Seed     int64          `json:"seed"`
+	Hosts    []ManifestHost `json:"hosts"`
+}
+
+// ManifestHost is one host's entry in a Manifest.
+type ManifestHost struct {
+	Host   string `json:"host"`
+	Dir    string `json:"dir"` // relative to the manifest's directory
+	Events int    `json:"events"`
+	// SkewNS is the injected ground-truth clock-origin skew. A real
+	// cluster would not know this; it is recorded so experiments can
+	// score rlscope-merge's trace-only offset recovery against truth.
+	SkewNS int64 `json:"skew_ns"`
+}
+
+// WriteManifest writes m, indented, to dir/manifest.json.
+func WriteManifest(dir string, m *Manifest) error {
+	buf, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(dir, "manifest.json"), append(buf, '\n'), 0o644)
+}
+
+// ManifestDirs resolves the host trace directories a manifest lists,
+// relative to the manifest's location.
+func ManifestDirs(path string) ([]string, error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var m Manifest
+	if err := json.Unmarshal(buf, &m); err != nil {
+		return nil, fmt.Errorf("parsing manifest %s: %w", path, err)
+	}
+	dirs := make([]string, len(m.Hosts))
+	for i, h := range m.Hosts {
+		if h.Dir == "" {
+			return nil, fmt.Errorf("manifest %s: host entry %d has no dir", path, i)
+		}
+		dirs[i] = filepath.Join(filepath.Dir(path), h.Dir)
+	}
+	return dirs, nil
 }

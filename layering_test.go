@@ -975,7 +975,7 @@ var docMetric = regexp.MustCompile(`\b([a-z]+)\.[a-z]\w*_\w*`)
 var surfaceDecl = regexp.MustCompile(`(?m)^repro(?:\S*/)?(\w*) \w+ (?:\(?\*?\w+\)?\.)?(\w+)`)
 
 // commandFlags returns the flags each command under cmd/ defines: the name
-// argument of every call into package flag.
+// argument of every call into package flag or a *flag.FlagSet method.
 func commandFlags(m *module) map[string]map[string]bool {
 	flags := map[string]map[string]bool{}
 	for pkg, files := range m.files {
@@ -994,10 +994,10 @@ func commandFlags(m *module) map[string]map[string]bool {
 				if !ok {
 					return true
 				}
-				if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+				if fn, ok := m.info.Uses[sel.Sel].(*types.Func); !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
 					return true
 				}
-				// flag.String(name, ...), flag.Func(name, ...), flag.Var(&v, name, ...)
+				// fs.String(name, ...), fs.Func(name, ...), fs.Var(&v, name, ...)
 				for _, arg := range call.Args[:min(2, len(call.Args))] {
 					if lit, ok := arg.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 						flags[cmd][strings.Trim(lit.Value, "\"`")] = true
@@ -1009,6 +1009,63 @@ func commandFlags(m *module) map[string]map[string]bool {
 		}
 	}
 	return flags
+}
+
+// processGlobals are the process-wide functions and variables a command's
+// main alone may use, by package path: the exit, the arguments and the
+// standard streams, the fatal logs, the signal context, and every
+// package-level function and variable of package flag (nil: all of them),
+// which reach flag.CommandLine.
+var processGlobals = map[string][]string{
+	"os":        {"Exit", "Args", "Stdout", "Stderr"},
+	"log":       {"Fatal", "Fatalf", "Fatalln"},
+	"os/signal": {"NotifyContext"},
+	"flag":      nil,
+}
+
+// TestCommandsAreFunctions fails when a command under cmd/ or an example
+// under examples/ uses a processGlobals name outside its func main. Each
+// main only sets up the signal context and exits with what run returns;
+// run parses its own flag set and writes only to the writers it is given,
+// so a test can call it as a function.
+func TestCommandsAreFunctions(t *testing.T) {
+	m := loadedModule(t)
+	mains := 0
+	for _, path := range slices.Sorted(maps.Keys(m.files)) {
+		if !strings.HasPrefix(path, "repro/cmd/") && !strings.HasPrefix(path, "repro/examples/") {
+			continue
+		}
+		for _, f := range m.files[path] {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "main" {
+					mains++
+					continue
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					obj := m.info.Uses[sel.Sel]
+					switch obj.(type) {
+					case *types.Func, *types.Var:
+					default:
+						return true
+					}
+					if obj.Pkg() == nil || obj.Parent() != obj.Pkg().Scope() {
+						return true
+					}
+					if names, ok := processGlobals[obj.Pkg().Path()]; ok && (names == nil || slices.Contains(names, obj.Name())) {
+						t.Errorf("%s: %s.%s outside func main: take it as run's argument", m.fset.Position(sel.Pos()), obj.Pkg().Name(), obj.Name())
+					}
+					return true
+				})
+			}
+		}
+	}
+	if mains == 0 {
+		t.Error("found no func main under cmd/ or examples/")
+	}
 }
 
 // TestDocsNameWhatExists fails when README.md or DESIGN.md names a package,
