@@ -7,7 +7,7 @@
 //	rlscope-experiments -run fig4,fig5 -steps 1000
 //
 // Exit status: 0 on success, 1 when an experiment fails, 2 on an unknown
-// id (refused before anything runs), 130 on interrupt.
+// id or a negative -steps (refused before anything runs), 130 on interrupt.
 package main
 
 import (
@@ -38,6 +38,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		seed   = fs.Int64("seed", 1, "random seed")
 	)
 	return cli.Run(ctx, fs, args, func() error {
+		if *steps < 0 {
+			return cli.Usagef("-steps %d: want 0 (the per-figure default) or more", *steps)
+		}
 		ids, err := experiments.Select(*runIDs)
 		if err != nil {
 			return cli.Usagef("%v", err)

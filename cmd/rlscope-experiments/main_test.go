@@ -16,7 +16,8 @@ func call(ctx context.Context, args ...string) (int, string, string) {
 
 // TestExitStatus pins the exit status of each way a run can end: usage
 // errors exit 2 with nothing on stdout, and interruption 130. An unknown id
-// is refused before anything runs, so the known id beside it prints nothing.
+// or a negative step budget is refused before anything runs, so the known
+// id beside it prints nothing.
 func TestExitStatus(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -29,6 +30,7 @@ func TestExitStatus(t *testing.T) {
 		{"help", context.Background(), []string{"-h"}, 0},
 		{"unknown flag", context.Background(), []string{"-nope"}, 2},
 		{"unknown id", context.Background(), []string{"-run", "fig3,nope"}, 2},
+		{"negative steps", context.Background(), []string{"-run", "fig3", "-steps", "-1"}, 2},
 		{"interrupted", cancelled, []string{"-run", "fig3"}, 130},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

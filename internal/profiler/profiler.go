@@ -29,6 +29,7 @@
 package profiler
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -83,14 +84,19 @@ type Options struct {
 	Seed int64
 }
 
-// Profiler owns one profiled run across one or more simulated processes.
+// Profiler owns one profiled run across one or more simulated processes. A
+// write ends the run, handing its event blocks back to trace.EventBufs.
 type Profiler struct {
 	opts Options
 
 	mu       sync.Mutex
 	sessions []*Session
 	nextProc trace.ProcID
+	written  bool
 }
+
+// ErrWritten is what reading a run returns once a write has ended it.
+var ErrWritten = errors.New("profiler: run already written; its events are gone")
 
 // New creates a profiler for one run.
 func New(opts Options) *Profiler {
@@ -119,7 +125,7 @@ func (p *Profiler) NewProcess(name string, parent trace.ProcID, start vclock.Tim
 		name:      name,
 		parent:    parent,
 		clock:     vclock.NewAt(start, p.opts.Seed+int64(id)*7919),
-		events:    recycle.BlockList[trace.Event]{Min: minBlockEvents, Max: blockEvents},
+		events:    recycle.BlockList[trace.Event]{Min: minBlockEvents, Max: blockEvents, Store: &trace.EventBufs},
 		rootStart: start,
 		ovrng:     rand.New(rand.NewSource(p.opts.Seed + 104729 + int64(id)*7919)),
 	}
@@ -127,14 +133,17 @@ func (p *Profiler) NewProcess(name string, parent trace.ProcID, start vclock.Tim
 	return s
 }
 
-// sortedSessions checks that every session is closed, starts the ordering
-// of any whose events no ordering covers yet (Close has started the rest),
-// and returns the sessions with the run's metadata. The slice is
-// p.sessions itself, capped: NewProcess only ever appends past it. Readers
-// wait for each session's order in turn (Session.sortedEvents).
+// sortedSessions checks that the run is unwritten and every session closed,
+// starts the ordering of any whose events no ordering covers yet (Close has
+// started the rest), and returns the sessions with the run's metadata. The
+// slice is p.sessions itself, capped: NewProcess only ever appends past it.
+// Readers wait for each session's order in turn (Session.sortedEvents).
 func (p *Profiler) sortedSessions() ([]*Session, trace.Meta, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.written {
+		return nil, trace.Meta{}, ErrWritten
+	}
 	meta := trace.Meta{
 		Workload: p.opts.Workload,
 		Host:     p.opts.Host,
@@ -184,8 +193,8 @@ func (p *Profiler) MustTrace() *trace.Trace {
 	return t
 }
 
-// WriteTo persists the run's trace to dir with the chunked asynchronous
-// trace writer (paper Appendix A.1). Sessions must be closed first.
+// WriteTo persists the run's trace to dir with the chunked asynchronous trace
+// writer (paper Appendix A.1) and ends the run; sessions must be closed first.
 func (p *Profiler) WriteTo(dir string) error {
 	sorted, meta, err := p.sortedSessions()
 	if err != nil {
@@ -195,20 +204,20 @@ func (p *Profiler) WriteTo(dir string) error {
 	if err != nil {
 		return err
 	}
-	return writeSessions(w, sorted, meta)
+	return p.writeSessions(w, sorted, meta)
 }
 
 // WriteToSink persists the run's trace through an arbitrary chunk sink —
 // the same chunked delivery as WriteTo, but with the destination abstracted
 // so a workload can stream its trace over HTTP into a live rlscope-serve
 // store (client.Sink) instead of writing a local directory. Sessions must
-// be closed first.
+// be closed first, and the write ends the run as WriteTo's does.
 func (p *Profiler) WriteToSink(sink trace.Sink) error {
 	sorted, meta, err := p.sortedSessions()
 	if err != nil {
 		return err
 	}
-	return writeSessions(trace.NewSinkWriter(sink, 0), sorted, meta)
+	return p.writeSessions(trace.NewSinkWriter(sink, 0), sorted, meta)
 }
 
 // stageEvents is how many events writeSessions gathers per Append call.
@@ -219,8 +228,9 @@ const stageEvents = 1024
 // order only when it reaches it, so a session still being ordered does not
 // hold up the ones before it. Each session's events are gathered out of its
 // blocks a stage at a time, and the Writer copies each stage on into its
-// chunk buffer.
-func writeSessions(w *trace.Writer, sessions []*Session, meta trace.Meta) error {
+// chunk buffer. Then it ends the run, failed or not: the blocks, read only
+// here and after each ordering finished, go back to trace.EventBufs.
+func (p *Profiler) writeSessions(w *trace.Writer, sessions []*Session, meta trace.Meta) error {
 	var stage [stageEvents]trace.Event
 	for _, s := range sessions {
 		v := s.sortedEvents()
@@ -230,7 +240,14 @@ func writeSessions(w *trace.Writer, sessions []*Session, meta trace.Meta) error 
 			keys = keys[len(k):]
 		}
 	}
-	return w.Close(meta)
+	err := w.Close(meta)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.written = true
+	for _, s := range sessions {
+		s.events.Release()
+	}
+	return err
 }
 
 // OverheadCounts sums book-keeping occurrence counts across sessions —

@@ -88,12 +88,14 @@ func randomRun(rng *rand.Rand, sessions int) *Profiler {
 
 // TestTraceMatchesReferenceSort: per-session sorting and concatenation gives
 // the trace one stable sort of the concatenated buffers gave, event for
-// event, and writing the run in between changes nothing.
+// event, and so does the directory the run writes; and the same run,
+// recorded again into the blocks that write handed back, traces the same.
 func TestTraceMatchesReferenceSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for _, sessions := range []int{1, 2, 17} {
 		for round := 0; round < 6; round++ {
-			p := randomRun(rng, sessions)
+			seed := rng.Int63()
+			p := randomRun(rand.New(rand.NewSource(seed)), sessions)
 			want := referenceEvents(p)
 			before := p.MustTrace()
 			if !reflect.DeepEqual(before.Events, want) {
@@ -103,12 +105,18 @@ func TestTraceMatchesReferenceSort(t *testing.T) {
 			if len(before.Meta.Procs) != sessions {
 				t.Fatalf("%d sessions: meta names %d", sessions, len(before.Meta.Procs))
 			}
+			// The caller owns what Trace returns: scribbling on it must not
+			// reach the sessions' cached buffers.
+			scribbled := p.MustTrace()
+			for i := range scribbled.Events {
+				scribbled.Events[i] = trace.Event{}
+			}
+			if again := p.MustTrace(); !reflect.DeepEqual(again.Events, want) {
+				t.Fatalf("%d sessions: modifying a returned trace changed the next one", sessions)
+			}
 			dir := filepath.Join(t.TempDir(), "trace")
 			if err := p.WriteTo(dir); err != nil {
 				t.Fatal(err)
-			}
-			if after := p.MustTrace(); !reflect.DeepEqual(after, before) {
-				t.Fatalf("%d sessions, round %d: Trace() after WriteTo differs from Trace() before", sessions, round)
 			}
 			read, err := trace.ReadDir(dir)
 			if err != nil {
@@ -117,13 +125,8 @@ func TestTraceMatchesReferenceSort(t *testing.T) {
 			if !reflect.DeepEqual(read.Events, want) && len(want) > 0 {
 				t.Fatalf("%d sessions, round %d: WriteTo wrote a different event sequence", sessions, round)
 			}
-			// The caller owns what Trace returns: scribbling on it must not
-			// reach the sessions' cached buffers.
-			for i := range before.Events {
-				before.Events[i] = trace.Event{}
-			}
-			if again := p.MustTrace(); !reflect.DeepEqual(again.Events, want) {
-				t.Fatalf("%d sessions: modifying a returned trace changed the next one", sessions)
+			if again := randomRun(rand.New(rand.NewSource(seed)), sessions).MustTrace(); !reflect.DeepEqual(again, before) {
+				t.Fatalf("%d sessions, round %d: the run recorded again after WriteTo traces differently", sessions, round)
 			}
 		}
 	}
@@ -197,23 +200,23 @@ func TestEmitRejectsForeignProc(t *testing.T) {
 // of its blocks a stage at a time; the directory must be the one the Writer
 // produces when fed Trace() one event per Append call, with chunk sizes
 // that put boundaries inside stages, across stages and sessions, and (the
-// default) nowhere.
+// default) nowhere. A write ends the run it writes, so each write is of
+// the same run recorded again.
 func TestWriteToMatchesEventAtATime(t *testing.T) {
-	p := New(Options{Workload: "chunks", Flags: trace.Full(), Seed: 9})
-	dev := gpu.NewDevice(-1)
-	toyWorkload(p, dev, 8)
-	toyWorkload(p, dev, 2)
-	rng := rand.New(rand.NewSource(71))
-	for _, n := range []int{0, 1, 600} {
-		s := p.NewProcess("raw", 0, 0)
-		emitRandom(s, rng, n)
-		s.closed = true
+	record := func() *Profiler {
+		p := New(Options{Workload: "chunks", Flags: trace.Full(), Seed: 9})
+		dev := gpu.NewDevice(-1)
+		toyWorkload(p, dev, 8)
+		toyWorkload(p, dev, 2)
+		rng := rand.New(rand.NewSource(71))
+		for _, n := range []int{0, 1, 600} {
+			s := p.NewProcess("raw", 0, 0)
+			emitRandom(s, rng, n)
+			s.closed = true
+		}
+		return p
 	}
-	tr := p.MustTrace()
-	sorted, meta, err := p.sortedSessions()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := record().MustTrace()
 	sink := func() *trace.DirSink {
 		s, err := trace.NewDirSink(t.TempDir())
 		if err != nil {
@@ -231,8 +234,12 @@ func TestWriteToMatchesEventAtATime(t *testing.T) {
 			if err := w.Close(tr.Meta); err != nil {
 				t.Fatal(err)
 			}
-			got := sink()
-			if err := writeSessions(trace.NewSinkWriter(got, chunkBytes, trace.WithFormat(f)), sorted, meta); err != nil {
+			got, p := sink(), record()
+			sorted, meta, err := p.sortedSessions()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.writeSessions(trace.NewSinkWriter(got, chunkBytes, trace.WithFormat(f)), sorted, meta); err != nil {
 				t.Fatal(err)
 			}
 			if got.Digest() != ref.Digest() {
@@ -240,14 +247,14 @@ func TestWriteToMatchesEventAtATime(t *testing.T) {
 			}
 			if f == trace.FormatV1 && chunkBytes == 0 {
 				dir := filepath.Join(t.TempDir(), "trace")
-				if err := p.WriteTo(dir); err != nil {
+				if err := record().WriteTo(dir); err != nil {
 					t.Fatal(err)
 				}
 				if d, err := trace.DirDigest(dir); err != nil || d != ref.Digest() {
 					t.Errorf("WriteTo wrote %s (%v), Trace() event by event %s", d, err, ref.Digest())
 				}
 				streamed := sink()
-				if err := p.WriteToSink(streamed); err != nil || streamed.Digest() != ref.Digest() {
+				if err := record().WriteToSink(streamed); err != nil || streamed.Digest() != ref.Digest() {
 					t.Errorf("WriteToSink wrote %s (%v), Trace() event by event %s", streamed.Digest(), err, ref.Digest())
 				}
 			}
@@ -255,13 +262,15 @@ func TestWriteToMatchesEventAtATime(t *testing.T) {
 	}
 }
 
-// TestEmitAllocs pins what recording costs the allocator: one allocation per
-// block, plus the block list's own doublings — and nothing that grows with a
-// buffer being regrown. 10 000 events fill blocks of 32, 64, … 1024 and four
-// of 2048, the last one open: ten blocks, and a list that reached ten
-// entries through capacities 1, 2, 4, 8 and 16.
+// TestEmitAllocs pins what recording costs the allocator when no written
+// run has left blocks in trace.EventBufs: one allocation per block, plus the
+// block list's own doublings — and nothing that grows with a buffer being
+// regrown. 10 000 events fill blocks of 32, 64, … 1024 and four of 2048,
+// the last one open: ten blocks, and a list that reached ten entries
+// through capacities 1, 2, 4, 8 and 16.
 func TestEmitAllocs(t *testing.T) {
 	const n, runs = 10000, 10
+	emptyEventBufs()
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

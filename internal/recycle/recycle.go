@@ -110,10 +110,10 @@ func (s *Store[T]) get(want, need, size int) []T {
 }
 
 // Put hands buf back, emptied, then drops the largest idle slices while
-// their capacity sums past Max; a slice without capacity is dropped. The
-// caller must not use buf after.
+// their capacity sums past Max; a slice without capacity, or put to a nil
+// Store, is dropped. The caller must not use buf after.
 func (s *Store[T]) Put(buf []T) {
-	if cap(buf) == 0 {
+	if s == nil || cap(buf) == 0 {
 		return
 	}
 	s.mu.Lock()
@@ -152,9 +152,12 @@ func capCompare[T any](buf []T, n int) int { return cmp.Compare(cap(buf), n) }
 // first holds Min values and each later one twice the last, up to Max; set
 // both where the list is declared. A block is never regrown, so appending
 // copies no value, and a value stays where it landed for as long as a
-// reader keeps the blocks.
+// reader keeps the blocks. A Store, if set, lends each block — the best
+// fit, whole and not zeroed, when that holds between the block's size and
+// Max values, else a new one — and Release hands the blocks back.
 type BlockList[T any] struct {
 	Min, Max int
+	Store    *Store[T]
 
 	blocks [][]T // the last is the open one
 }
@@ -189,8 +192,25 @@ func (l *BlockList[T]) next() int {
 	if k := len(l.blocks) - 1; k >= 0 {
 		n = min(2*cap(l.blocks[k]), l.Max)
 	}
-	l.blocks = append(l.blocks, make([]T, 0, n))
+	var b []T
+	if l.Store != nil {
+		b = l.Store.Get(n, 0)
+	}
+	if cap(b) < n || cap(b) > l.Max {
+		l.Store.Put(b)
+		b = make([]T, 0, n)
+	}
+	l.blocks = append(l.blocks, b)
 	return len(l.blocks) - 1
+}
+
+// Release clears the blocks and hands them to Store, emptying the list.
+func (l *BlockList[T]) Release() {
+	for _, b := range l.blocks {
+		clear(b)
+		l.Store.Put(b)
+	}
+	l.blocks = nil
 }
 
 // Blocks is the list's blocks in append order, the open one last. They are

@@ -342,6 +342,54 @@ func TestBlockListAllocatesPerBlock(t *testing.T) {
 	}
 }
 
+// TestBlockListBorrowsAndReleases: with a Store, a block is the best fit
+// kept whole when its capacity lies between the block's size and Max, and a
+// new block otherwise, with the misfit left idle; Release hands every block
+// back cleared over its whole capacity and empties the list. Without a
+// Store, Release only empties the list.
+func TestBlockListBorrowsAndReleases(t *testing.T) {
+	s := Store[int]{Max: 1 << 10}
+	for _, c := range []int{3, 12, 100} {
+		s.Put(make([]int, 0, c))
+	}
+	fit := &s.idle[1][:1][0] // the idle slice of capacity 12
+	l := BlockList[int]{Min: 4, Max: 16, Store: &s}
+	for i := 1; i <= 40; i++ {
+		*l.Add() = i
+	}
+	var caps []int
+	for _, b := range l.Blocks() {
+		caps = append(caps, cap(b))
+	}
+	if want := []int{12, 16, 16}; !slices.Equal(caps, want) {
+		t.Fatalf("block capacities %v, want %v: the 12 borrowed whole, the rest made", caps, want)
+	}
+	if &l.Blocks()[0][0] != fit {
+		t.Fatal("the first block is not the idle slice that fits it")
+	}
+	if got := idleCaps(t, &s); !slices.Equal(got, []int{3, 100}) {
+		t.Fatalf("idle capacities %v while borrowed, want the misfits 3 and 100", got)
+	}
+	l.Release()
+	if len(l.Blocks()) != 0 {
+		t.Fatalf("a released list has %d blocks", len(l.Blocks()))
+	}
+	if got := idleCaps(t, &s); !slices.Equal(got, []int{3, 12, 16, 16, 100}) {
+		t.Fatalf("idle capacities %v after Release, want every block back whole", got)
+	}
+	for _, buf := range s.idle {
+		if slices.ContainsFunc(buf[:cap(buf)], func(v int) bool { return v != 0 }) {
+			t.Fatalf("an idle slice of capacity %d holds a released value", cap(buf))
+		}
+	}
+	bare := BlockList[int]{Min: 4, Max: 16}
+	*bare.Add() = 1
+	bare.Release()
+	if len(bare.Blocks()) != 0 {
+		t.Fatal("Release without a Store left blocks in the list")
+	}
+}
+
 // TestReadAll: ReadAll overwrites buf from its start, reads short reads to
 // the end, keeps a buffer that has room, and returns what it read before an
 // error.

@@ -19,6 +19,7 @@
 //	})
 //	sess.Close()
 //	tr := p.MustTrace()
+//	err := p.WriteTo(dir) // persist the run; this ends it, so trace first
 //
 // # Analysis
 //
