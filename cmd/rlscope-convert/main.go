@@ -42,13 +42,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if *in == "" || *out == "" {
 			return cli.Usagef("both -in and -out are required")
 		}
-		// ConvertDir does not watch ctx: a signal during it ends the
-		// command once it returns, and a second one kills the process.
-		stats, err := trace.ConvertDir(*in, *out)
+		// A signal during the conversion ends it before the next chunk.
+		stats, err := trace.ConvertDir(ctx, *in, *out)
 		if err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "converted %d chunks (%d events) to %s\n", stats.Chunks, stats.Events, trace.FormatV2)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -19,8 +20,8 @@ func call(ctx context.Context, args ...string) (int, string, string) {
 	return code, stdout.String(), stderr.String()
 }
 
-// writeTrace profiles a short run into a v1 trace directory, as
-// rlscope-prof -out does.
+// writeTrace profiles a short run into a v1 trace directory of several
+// chunks, as rlscope-prof -out does.
 func writeTrace(t *testing.T) string {
 	t.Helper()
 	stats, err := workloads.Run(workloads.Spec{Algo: "PPO2", Env: "Hopper", Model: backend.Graph, TotalSteps: 200, Seed: 1}, trace.Full())
@@ -28,7 +29,7 @@ func writeTrace(t *testing.T) string {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	w, err := trace.NewWriter(dir, 0)
+	w, err := trace.NewWriter(dir, 16<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,24 +40,47 @@ func writeTrace(t *testing.T) string {
 	return dir
 }
 
+// cancelAfter is a context that a signal reaches after its first checks
+// Err calls: from then on it reads as cancelled.
+type cancelAfter struct {
+	context.Context
+	checks int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.checks == 0 {
+		return context.Canceled
+	}
+	c.checks--
+	return nil
+}
+
 // TestExitStatus pins the exit status of each way a run can end: usage
-// errors exit 2 with nothing on stdout, failures 1 and interruption 130.
+// errors exit 2 with nothing on stdout, failures 1 and interruption 130. An
+// interrupted conversion converts no chunk past the signal and leaves the
+// destination unsealed.
 func TestExitStatus(t *testing.T) {
 	src := writeTrace(t)
+	srcChunks, err := filepath.Glob(filepath.Join(src, "*.rlstrace"))
+	if err != nil || len(srcChunks) < 3 {
+		t.Fatalf("source has %d chunks (%v), want at least 3", len(srcChunks), err)
+	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range []struct {
-		name string
-		ctx  context.Context
-		args []string
-		want int
+		name   string
+		ctx    context.Context
+		args   []string
+		want   int
+		chunks int // chunks the destination holds after an interruption
 	}{
-		{"help", context.Background(), []string{"-h"}, 0},
-		{"unknown flag", context.Background(), []string{"-nope"}, 2},
-		{"no in", context.Background(), []string{"-out", t.TempDir()}, 2},
-		{"no out", context.Background(), []string{"-in", src}, 2},
-		{"missing source", context.Background(), []string{"-in", filepath.Join(t.TempDir(), "missing"), "-out", t.TempDir()}, 1},
-		{"interrupted", cancelled, []string{"-in", src, "-out", t.TempDir()}, 130},
+		{"help", context.Background(), []string{"-h"}, 0, 0},
+		{"unknown flag", context.Background(), []string{"-nope"}, 2, 0},
+		{"no in", context.Background(), []string{"-out", t.TempDir()}, 2, 0},
+		{"no out", context.Background(), []string{"-in", src}, 2, 0},
+		{"missing source", context.Background(), []string{"-in", filepath.Join(t.TempDir(), "missing"), "-out", t.TempDir()}, 1, 0},
+		{"interrupted", cancelled, []string{"-in", src, "-out", filepath.Join(t.TempDir(), "v2")}, 130, 0},
+		{"interrupted after a chunk", &cancelAfter{Context: context.Background(), checks: 1}, []string{"-in", src, "-out", filepath.Join(t.TempDir(), "v2")}, 130, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := call(tc.ctx, tc.args...)
@@ -65,6 +89,16 @@ func TestExitStatus(t *testing.T) {
 			}
 			if code != 0 && stdout != "" {
 				t.Errorf("exit %d with stdout %q", code, stdout)
+			}
+			if code != 130 {
+				return
+			}
+			dst := tc.args[len(tc.args)-1]
+			if chunks, _ := filepath.Glob(filepath.Join(dst, "*.rlstrace")); len(chunks) != tc.chunks {
+				t.Errorf("interrupted conversion wrote %d chunks, want %d", len(chunks), tc.chunks)
+			}
+			if _, err := os.Stat(filepath.Join(dst, "meta.json")); !os.IsNotExist(err) {
+				t.Errorf("interrupted conversion sealed its destination: %v", err)
 			}
 		})
 	}

@@ -60,13 +60,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		if len(dirs) < 2 {
 			return fmt.Errorf("need at least 2 host trace dirs (got %d); pass them as arguments or via -manifest", len(dirs))
 		}
-		// Merge does not watch ctx: a signal during it ends the command
-		// once it returns, and a second one kills the process.
-		stats, err := multihost.Merge(*out, dirs, multihost.Options{MaxUncertainty: vclock.Duration(*maxUnc)})
+		// A signal during the merge ends it before the next host is read,
+		// or before the merged trace is written.
+		stats, err := multihost.Merge(ctx, *out, dirs, multihost.Options{MaxUncertainty: vclock.Duration(*maxUnc)})
 		if err != nil {
-			return err
-		}
-		if err := ctx.Err(); err != nil {
 			return err
 		}
 		if !*quiet {

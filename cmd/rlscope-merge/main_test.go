@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -51,8 +52,24 @@ func writeDistributed(t *testing.T) string {
 	return filepath.Join(out, "manifest.json")
 }
 
+// cancelAfter is a context that a signal reaches after its first checks
+// Err calls: from then on it reads as cancelled.
+type cancelAfter struct {
+	context.Context
+	checks int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.checks == 0 {
+		return context.Canceled
+	}
+	c.checks--
+	return nil
+}
+
 // TestExitStatus pins the exit status of each way a run can end: usage
-// errors exit 2 with nothing on stdout, failures 1 and interruption 130.
+// errors exit 2 with nothing on stdout, failures 1 and interruption 130. An
+// interrupted merge reads no host past the signal and writes nothing.
 func TestExitStatus(t *testing.T) {
 	manifest := writeDistributed(t)
 	hostDir := filepath.Join(filepath.Dir(manifest), "learner")
@@ -70,12 +87,18 @@ func TestExitStatus(t *testing.T) {
 		{"manifest beside dirs", context.Background(), []string{"-out", t.TempDir(), "-manifest", manifest, hostDir}, 2},
 		{"one host", context.Background(), []string{"-out", t.TempDir(), hostDir}, 1},
 		{"missing manifest", context.Background(), []string{"-out", t.TempDir(), "-manifest", filepath.Join(t.TempDir(), "manifest.json")}, 1},
-		{"interrupted", cancelled, []string{"-out", t.TempDir(), "-manifest", manifest}, 130},
+		{"interrupted", cancelled, []string{"-out", filepath.Join(t.TempDir(), "merged"), "-manifest", manifest}, 130},
+		{"interrupted after a host", &cancelAfter{Context: context.Background(), checks: 1}, []string{"-out", filepath.Join(t.TempDir(), "merged"), "-manifest", manifest}, 130},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := call(tc.ctx, tc.args...)
 			if code != tc.want {
 				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.want, stderr)
+			}
+			if code == 130 {
+				if _, err := os.Stat(tc.args[1]); !os.IsNotExist(err) {
+					t.Errorf("interrupted merge wrote %s: %v", tc.args[1], err)
+				}
 			}
 			if stdout != "" {
 				t.Errorf("exit %d with stdout %q", code, stdout)

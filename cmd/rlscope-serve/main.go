@@ -37,7 +37,9 @@
 //	POST /v1/traces/{id}/seal          seal (register) it with its run metadata
 //
 // Errors share the envelope {"error":{"code","message"}} with the stable
-// code vocabulary of DESIGN.md §9. A JSON request body is one value of at
+// code vocabulary of DESIGN.md §9; a path no endpoint has is 404
+// unknown_route, and an endpoint's path under another method 405
+// method_not_allowed. A GET endpoint answers HEAD too. A JSON request body is one value of at
 // most 1 MiB: bytes after the value are 400 and a larger body 413, both
 // bad_request.
 //

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"os"
@@ -15,7 +16,7 @@ import (
 func convertTrace(t *testing.T, dir string) string {
 	t.Helper()
 	dst := filepath.Join(t.TempDir(), "converted-v2")
-	if _, err := trace.ConvertDir(dir, dst); err != nil {
+	if _, err := trace.ConvertDir(context.Background(), dir, dst); err != nil {
 		t.Fatalf("ConvertDir: %v", err)
 	}
 	return dst

@@ -9,6 +9,7 @@ package experiments
 // wait is a visible share of the merged breakdown.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -53,7 +54,7 @@ func multihostMetrics(opts Options) (map[string]float64, error) {
 
 	// Merge once in manifest order and once with the input dirs reversed;
 	// a deterministic merge writes byte-identical directories.
-	statsA, err := multihost.Merge(filepath.Join(root, "merged-a"), dirs, multihost.Options{})
+	statsA, err := multihost.Merge(context.Background(), filepath.Join(root, "merged-a"), dirs, multihost.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: multihost: merge: %w", err)
 	}
@@ -61,7 +62,7 @@ func multihostMetrics(opts Options) (map[string]float64, error) {
 	for i, d := range dirs {
 		rev[len(dirs)-1-i] = d
 	}
-	statsB, err := multihost.Merge(filepath.Join(root, "merged-b"), rev, multihost.Options{})
+	statsB, err := multihost.Merge(context.Background(), filepath.Join(root, "merged-b"), rev, multihost.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: multihost: permuted merge: %w", err)
 	}

@@ -90,7 +90,7 @@ func formatv2Metrics(opts Options) (map[string]float64, error) {
 	if err := writeTraceDir(v1dir, tr); err != nil {
 		return nil, err
 	}
-	cstats, err := trace.ConvertDir(v1dir, v2dir)
+	cstats, err := trace.ConvertDir(context.Background(), v1dir, v2dir)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: formatv2: convert: %w", err)
 	}

@@ -253,6 +253,9 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := p.Release(); err != nil {
+		return nil, err
+	}
 	res.Trace = tr
 	return res, nil
 }

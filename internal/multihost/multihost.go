@@ -16,6 +16,7 @@
 package multihost
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -221,13 +222,18 @@ func MergeTraces(inputs []*trace.Trace, opts Options) (*trace.Trace, *Stats, err
 // chunk size, verifying the written bytes round-trip to the merged events
 // before reporting the output digest.
 // dst's previous trace files (if any) are overwritten, matching
-// trace.NewWriter semantics.
-func Merge(dst string, hostDirs []string, opts Options) (*Stats, error) {
+// trace.NewWriter semantics. ctx is checked before each host directory is
+// read and before dst is written: once it is done, Merge reads and writes
+// nothing more and returns ctx's error.
+func Merge(ctx context.Context, dst string, hostDirs []string, opts Options) (*Stats, error) {
 	if len(hostDirs) < 2 {
 		return nil, fmt.Errorf("multihost: need at least 2 host dirs, got %d", len(hostDirs))
 	}
 	inputs := make([]*trace.Trace, len(hostDirs))
 	for i, dir := range hostDirs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		t, err := trace.ReadDir(dir)
 		if err != nil {
 			return nil, fmt.Errorf("multihost: reading host dir %q: %w", dir, err)
@@ -236,6 +242,9 @@ func Merge(dst string, hostDirs []string, opts Options) (*Stats, error) {
 	}
 	merged, stats, err := MergeTraces(inputs, opts)
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 

@@ -1,6 +1,7 @@
 package multihost
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -179,7 +180,7 @@ func TestMergePermutationDeterminism(t *testing.T) {
 			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		}
 		dst := filepath.Join(root, "merged", string(rune('a'+trial)))
-		stats, err := Merge(dst, perm, Options{})
+		stats, err := Merge(context.Background(), dst, perm, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: Merge(%v): %v", trial, perm, err)
 		}

@@ -85,7 +85,8 @@ type Options struct {
 }
 
 // Profiler owns one profiled run across one or more simulated processes. A
-// write ends the run, handing its event blocks back to trace.EventBufs.
+// write, or Release, ends the run, handing its event blocks back to
+// trace.EventBufs.
 type Profiler struct {
 	opts Options
 
@@ -95,7 +96,8 @@ type Profiler struct {
 	written  bool
 }
 
-// ErrWritten is what reading a run returns once a write has ended it.
+// ErrWritten is what reading a run returns once a write or Release has
+// ended it.
 var ErrWritten = errors.New("profiler: run already written; its events are gone")
 
 // New creates a profiler for one run.
@@ -241,13 +243,37 @@ func (p *Profiler) writeSessions(w *trace.Writer, sessions []*Session, meta trac
 		}
 	}
 	err := w.Close(meta)
+	p.end(sessions)
+	return err
+}
+
+// Release ends a run that is only traced, never written, the way a write
+// ends it: the event blocks go back to trace.EventBufs, and a later Trace,
+// WriteTo, WriteToSink or Release returns ErrWritten. Take every Trace
+// first, and call it on no goroutine that reads the run at the same time.
+// Sessions must be closed: an unclosed one is an error that releases
+// nothing and leaves the run as it was.
+func (p *Profiler) Release() error {
+	sessions, _, err := p.sortedSessions()
+	if err != nil {
+		return err
+	}
+	for _, s := range sessions {
+		s.sortedEvents() // the ordering reads the blocks: wait for it to finish
+	}
+	p.end(sessions)
+	return nil
+}
+
+// end marks the run written and hands the sessions' blocks back, each of
+// whose orderings has finished.
+func (p *Profiler) end(sessions []*Session) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.written = true
 	for _, s := range sessions {
 		s.events.Release()
 	}
-	return err
 }
 
 // OverheadCounts sums book-keeping occurrence counts across sessions —

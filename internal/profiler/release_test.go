@@ -118,6 +118,57 @@ func TestWrittenProfilerIsSpent(t *testing.T) {
 	}
 }
 
+// TestReleasedTraceReturnsBlocks: a run that is only traced, never written,
+// ends with Release the way a written one ends. Every block it recorded
+// into lands in trace.EventBufs, cleared over its whole capacity, and
+// Trace, WriteTo, WriteToSink and Release then return ErrWritten; the Trace
+// taken before stays what it was. A Release while a session is open
+// releases nothing and leaves the run readable.
+func TestReleasedTraceReturnsBlocks(t *testing.T) {
+	emptyEventBufs()
+	p := New(Options{Workload: "traced", Flags: trace.Full(), Seed: 5})
+	toyWorkload(p, gpu.NewDevice(-1), 200)
+	open := p.NewProcess("open", -1, 0)
+	if err := p.Release(); err == nil || errors.Is(err, ErrWritten) {
+		t.Fatalf("Release with a session open: %v, want the unclosed-session error", err)
+	}
+	open.Close()
+	kept := p.MustTrace()
+	want := *kept
+	want.Events = slices.Clone(kept.Events)
+	arrays := blockArrays(p)
+	if err := p.Release(); err != nil {
+		t.Fatal(err)
+	}
+	idle := 0
+	for buf := trace.EventBufs.Get(math.MaxInt, 0); buf != nil; buf = trace.EventBufs.Get(math.MaxInt, 0) {
+		if arrays[&buf[:1][0]] {
+			idle++
+		}
+		if slices.ContainsFunc(buf[:cap(buf)], func(e trace.Event) bool { return e != trace.Event{} }) {
+			t.Fatalf("an idle event buffer of capacity %d holds a recorded event", cap(buf))
+		}
+	}
+	if idle != len(arrays) || idle == 0 {
+		t.Errorf("%d of the run's %d blocks are idle in trace.EventBufs after Release, want all", idle, len(arrays))
+	}
+	if _, err := p.Trace(); !errors.Is(err, ErrWritten) {
+		t.Errorf("Trace after Release: %v, want ErrWritten", err)
+	}
+	if err := p.WriteTo(t.TempDir()); !errors.Is(err, ErrWritten) {
+		t.Errorf("WriteTo after Release: %v, want ErrWritten", err)
+	}
+	if err := p.WriteToSink(&chunkCounter{}); !errors.Is(err, ErrWritten) {
+		t.Errorf("WriteToSink after Release: %v, want ErrWritten", err)
+	}
+	if err := p.Release(); !errors.Is(err, ErrWritten) {
+		t.Errorf("Release after Release: %v, want ErrWritten", err)
+	}
+	if !reflect.DeepEqual(*kept, want) {
+		t.Error("a Trace taken before Release changed")
+	}
+}
+
 // TestWarmRecordBorrowsItsBlocks: a run recorded after an equal run was
 // written records into that run's blocks, every one, and allocates only
 // its block list's doublings — five against TestEmitAllocs' fifteen. The

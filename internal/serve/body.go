@@ -169,26 +169,30 @@ func (m *bodyMemo[V]) put(body []byte, v V) {
 	m.m[string(body)] = v
 }
 
-// analyzeRequest reads r's analyze body through the analyze memo. On a
-// refusal it has written the error and reports false.
-func (s *Server) analyzeRequest(w http.ResponseWriter, r *http.Request) (AnalyzeRequest, bool) {
+// analyzeRequest reads r's analyze body through the analyze memo and returns
+// the plan it canonicalizes to. On a refusal it has written the error and
+// reports false.
+func (s *Server) analyzeRequest(w http.ResponseWriter, r *http.Request) (analyzePlan, bool) {
 	body, ok := readBody(w, r, maxJSONBytes, "bad request body: ")
 	if !ok {
-		return AnalyzeRequest{}, false
+		return analyzePlan{}, false
 	}
 	defer releaseBody(body)
-	if req, ok := s.analyzeBodies.get(body.b); ok {
-		return req, true
+	if plan, ok := s.analyzeBodies.get(body.b); ok {
+		return *plan, true
 	}
 	// Declared past the hit: decodeJSON moves it to the heap.
 	var req AnalyzeRequest
 	if !decodeJSON(w, body, &req, true) {
-		return req, false
+		return analyzePlan{}, false
 	}
+	plan := analyzePlan{c: s.canonicalize(req)}
 	if s.analyzeBodies.admit(body.b) {
-		s.analyzeBodies.put(body.b, req)
+		plan.tail, plan.roTail = keyTail(plan.c), keyTail(resultOnly(plan.c))
+		kept := plan
+		s.analyzeBodies.put(body.b, &kept)
 	}
-	return req, true
+	return plan, true
 }
 
 // queryRequest reads r's query body through the query memo and returns the

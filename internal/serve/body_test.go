@@ -64,9 +64,9 @@ func bodyServer(tb testing.TB) func(target *url.URL, body string) {
 // TestDistinctBodyAllocs pins an analyze hit and a warm query whose body the
 // memo has never seen: 1024 distinct bodies, each sent once, so every
 // request is a memo miss that decodes (and, for a query, compiles, selects
-// and keys) before its cache hit. The pins are
-// what these requests cost before there was a memo: traffic that never
-// repeats a body pays nothing for it in allocations.
+// and keys) before its cache hit. The pins are what these requests cost
+// with no memo in front of the decode: traffic that never repeats a body
+// pays nothing for it in allocations.
 func TestDistinctBodyAllocs(t *testing.T) {
 	post := bodyServer(t)
 	for _, route := range bodyRoutes {
@@ -75,7 +75,7 @@ func TestDistinctBodyAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		bodies := spacedBodies(route.tokens, 1024)
-		max := map[string]float64{"analyze": 17, "query": 31}[route.name]
+		max := map[string]float64{"analyze": 13, "query": 28}[route.name]
 		i := 0
 		// AllocsPerRun makes one run more than it counts: n+1 bodies in all.
 		got := testing.AllocsPerRun(len(bodies)-1, func() {

@@ -8,9 +8,10 @@ import (
 // reportCache is the bounded LRU holding encoded analysis documents. The
 // budget is bytes of cached document, not entry count, because documents
 // vary by orders of magnitude with process and operation counts. Values
-// are the exact response bodies — a hit serves stored bytes without
-// re-encoding anything. Entries larger than the whole budget are never
-// admitted (they would only evict everything else to be evicted in turn).
+// are the exact response bodies, each with its Content-Length value — a hit
+// serves stored bytes without re-encoding or measuring anything. Entries
+// larger than the whole budget are never admitted (they would only evict
+// everything else to be evicted in turn).
 type reportCache struct {
 	mu    sync.Mutex
 	max   int64
@@ -23,7 +24,7 @@ type reportCache struct {
 
 type cacheEntry struct {
 	key  string
-	body []byte
+	body storedBody
 }
 
 func newReportCache(maxBytes int64) *reportCache {
@@ -32,7 +33,7 @@ func newReportCache(maxBytes int64) *reportCache {
 
 // get returns the cached body for key. The bytes are shared and must be
 // treated as immutable by callers.
-func (c *reportCache) get(key string) ([]byte, bool) {
+func (c *reportCache) get(key string) (storedBody, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -41,21 +42,23 @@ func (c *reportCache) get(key string) ([]byte, bool) {
 		return el.Value.(*cacheEntry).body, true
 	}
 	c.misses++
-	return nil, false
+	return storedBody{}, false
 }
 
 // add inserts body under key, evicting least-recently-used entries until
-// the budget holds. Re-adding an existing key refreshes its body.
-func (c *reportCache) add(key string, body []byte) {
-	n := int64(len(body))
+// the budget holds, and returns it as stored. Re-adding an existing key
+// refreshes its body.
+func (c *reportCache) add(key string, b []byte) storedBody {
+	body := newStoredBody(b)
+	n := int64(len(b))
 	if n > c.max {
-		return
+		return body
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
-		c.size += n - int64(len(ent.body))
+		c.size += n - int64(len(ent.body.b))
 		ent.body = body
 		c.ll.MoveToFront(el)
 	} else {
@@ -70,9 +73,10 @@ func (c *reportCache) add(key string, body []byte) {
 		ent := back.Value.(*cacheEntry)
 		c.ll.Remove(back)
 		delete(c.items, ent.key)
-		c.size -= int64(len(ent.body))
+		c.size -= int64(len(ent.body.b))
 		c.evictions++
 	}
+	return body
 }
 
 // cacheStats is the snapshot /healthz reports.

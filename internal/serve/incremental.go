@@ -61,7 +61,7 @@ type liveTrace struct {
 	inc        *analysis.Incremental
 	lastDigest string
 	lastProcs  []trace.ProcID
-	lastBody   []byte
+	lastBody   storedBody
 }
 
 // drain is the coordinator step: everything appended since the last epoch
@@ -222,7 +222,7 @@ func checkTraceID(id string) error {
 // them (trace.DecodeChunkBytes). The body buffer goes back when the append
 // ends, and so does the chunk buffer unless the chunk landed; then the epoch
 // that drains it hands it back.
-func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request, id string) {
 	seqStr := r.URL.Query().Get("seq")
 	seq, err := strconv.Atoi(seqStr)
 	if err != nil || seq < 0 {
@@ -241,7 +241,7 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	defer releaseBody(body)
 	frame := body.b
-	entry := s.lookup(r.PathValue("id"))
+	entry := s.lookup(id)
 	// An append certain to be refused — a sealed trace, a seq beyond its next
 	// — is refused before the frame is decoded and indexed for nothing;
 	// openLive and the sink's check under pmu stay the authority. A trace that
@@ -273,7 +273,7 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	lt, _, apiErr := s.openLive(r.PathValue("id"))
+	lt, _, apiErr := s.openLive(id)
 	if apiErr != nil {
 		writeAPIError(w, apiErr)
 		return
@@ -319,8 +319,8 @@ func ingestError(err error) *apiError {
 // (an empty body seals with zero metadata). Sealing writes meta.json, fixes
 // the trace's content digest, and promotes the entry in place: from here on
 // the id is a sealed entry like any AddDir registered.
-func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
-	entry := s.lookup(r.PathValue("id"))
+func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request, id string) {
+	entry := s.lookup(id)
 	if entry == nil {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown live trace id")
 		return
@@ -389,20 +389,20 @@ func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 // so a quiescent trace answers repeats from the cached bytes. Correction is
 // refused: it rewrites events before routing, which would need the
 // calibration at ingest time. Once sealed it is an ordinary Engine run.
-func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *traceEntry, req AnalyzeRequest) {
-	if req.Correction {
+func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *traceEntry, plan *analyzePlan) {
+	if plan.c.correction {
 		writeError(w, http.StatusBadRequest, ErrCodeCorrectionUnsupported,
 			"correction is not supported on an open trace; seal it first")
 		return
 	}
-	c := s.canonicalize(req)
+	c := plan.c
 
 	lt := entry.live
 	lt.amu.Lock()
 	if now := s.lookup(entry.id); now != entry {
 		// Sealed while this request waited for the lock.
 		lt.amu.Unlock()
-		s.analyzeSealed(w, r, now, req)
+		s.analyzeSealed(w, r, now, plan)
 		return
 	}
 	defer lt.amu.Unlock()
@@ -411,7 +411,7 @@ func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *trac
 	h := w.Header()
 	h["X-Rlscope-Digest"] = []string{digest}
 	h["X-Rlscope-State"] = stateHdr[StateOpen]
-	if lt.lastBody != nil && lt.lastDigest == digest && slices.Equal(lt.lastProcs, c.procs) {
+	if lt.lastBody.b != nil && lt.lastDigest == digest && slices.Equal(lt.lastProcs, c.procs) {
 		h["X-Rlscope-Cache"] = cacheHdr["hit"]
 		writeBody(w, lt.lastBody)
 		return
@@ -430,7 +430,7 @@ func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *trac
 		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding report: "+err.Error())
 		return
 	}
-	lt.lastBody = buf.Bytes()
+	lt.lastBody = newStoredBody(buf.Bytes())
 	lt.lastDigest = digest
 	lt.lastProcs = c.procs
 	h["X-Rlscope-Cache"] = cacheHdr["miss"]

@@ -2,11 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"maps"
 	"net/http"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/report"
 )
 
 // FuzzRequestBodyMemo: a body the memo has seen is answered as a fresh
@@ -241,5 +247,222 @@ func TestWarmQueryRacesRegistry(t *testing.T) {
 	}
 	if got := queryOK(t, h, body).Header().Get("X-RLScope-Cache"); got != "hit" {
 		t.Fatalf("repeat after the changes: cache %q, want hit", got)
+	}
+}
+
+// memoFreeListing is GET /v1/traces over s's registry as it stands, rendered
+// without the server: report.EncodeJSON of {"traces": [...]} over the rows,
+// in registration order, that keep selects.
+func memoFreeListing(tb testing.TB, s *Server, keep func(TraceInfo) bool) []byte {
+	tb.Helper()
+	s.mu.RLock()
+	ids := slices.Clone(s.ids)
+	s.mu.RUnlock()
+	rows := []TraceInfo{}
+	for _, id := range ids {
+		if row := listingRow(tb, s, id); keep(row) {
+			rows = append(rows, row)
+		}
+	}
+	var buf bytes.Buffer
+	if err := report.EncodeJSON(&buf, struct {
+		Traces []TraceInfo `json:"traces"`
+	}{rows}); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// listSelectionHolds reports whether the listing memo holds a selection for
+// rawQuery made at the current registry generation.
+func listSelectionHolds(s *Server, rawQuery string) bool {
+	lp, ok := s.listQueries.get([]byte(rawQuery))
+	if !ok {
+		return false
+	}
+	sel := lp.sel.Load()
+	return sel != nil && sel.gen == s.gen.Load()
+}
+
+// TestWarmListingFollowsRegistry: a repeated listing is the body it was last
+// answered with only while the registry stands and no trace it selects is
+// open. AddDir, a live trace's creation, an append to it, its seal and the
+// replacement of a rewritten directory's entry each change what the next
+// identical listing returns, byte-equal to a render without the memo; a
+// listing that selects no open trace keeps its selection at each new
+// generation, and one that selects an open trace keeps none, since an append
+// changes the trace's row without a generation bump.
+func TestWarmListingFollowsRegistry(t *testing.T) {
+	s, _ := liveServer(t, Config{MaxWorkers: 2})
+	h := s.Handler()
+	dirs := fleetDirs(t, s)
+	listings := []struct {
+		rawQuery string
+		keep     func(TraceInfo) bool
+	}{
+		{"", func(TraceInfo) bool { return true }},
+		{"label.algo=ppo", func(row TraceInfo) bool { return row.Labels["algo"] == "ppo" }},
+		{"id=live-*", func(row TraceInfo) bool { return strings.HasPrefix(row.ID, "live-") }},
+	}
+	last := map[string][]byte{}
+	check := func(after string) {
+		t.Helper()
+		for _, l := range listings {
+			want := memoFreeListing(t, s, l.keep)
+			// Three times: the memo keeps a query string at its second sight,
+			// so the third answers from the selection the second made.
+			for i := range 3 {
+				rec := mustOK(t, h, "GET", "/v1/traces?"+l.rawQuery, "")
+				if !bytes.Equal(rec.Body.Bytes(), want) {
+					t.Fatalf("after %s, listing %q answer %d differs from a render without the memo:\ngot:\n%s\nwant:\n%s", after, l.rawQuery, i+1, rec.Body, want)
+				}
+			}
+			open := bytes.Contains(want, []byte(`"state": "open"`))
+			if holds := listSelectionHolds(s, l.rawQuery); holds == open {
+				t.Errorf("after %s, listing %q: selection held %v, selecting an open trace %v", after, l.rawQuery, holds, open)
+			}
+			last[l.rawQuery] = want
+		}
+	}
+	check("registration")
+	chunks, meta := quickstartFrames(t, 10, 3)
+	meta.Labels = map[string]string{"algo": "ppo"}
+	for _, change := range []struct {
+		name   string
+		mutate func()
+		bump   bool
+		moves  []string // the listings whose body the change moves
+	}{
+		{"AddDir", func() {
+			if _, err := s.AddDir("run-d", labeledDir(t, 9, map[string]string{"algo": "ppo"})); err != nil {
+				t.Fatal(err)
+			}
+		}, true, []string{"", "label.algo=ppo"}},
+		{"live create", func() {
+			if rec := doReq(t, h, "POST", "/v1/traces", `{"id":"live-e"}`); rec.Code != http.StatusCreated {
+				t.Fatalf("create: %d %s", rec.Code, rec.Body)
+			}
+		}, true, []string{"", "id=live-*"}},
+		{"append", func() {
+			mustOK(t, h, "POST", "/v1/traces/live-e/chunks?seq=0", string(chunks[0]))
+		}, false, []string{"", "id=live-*"}},
+		{"seal", func() {
+			for seq := 1; seq < len(chunks); seq++ {
+				mustOK(t, h, "POST", fmt.Sprintf("/v1/traces/live-e/chunks?seq=%d", seq), string(chunks[seq]))
+			}
+			metaBody, err := json.Marshal(meta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustOK(t, h, "POST", "/v1/traces/live-e/seal", string(metaBody))
+		}, true, []string{"", "label.algo=ppo", "id=live-*"}},
+		{"rewrite", func() {
+			rewriteDir(t, dirs["run-a"], 15, map[string]string{"algo": "ppo", "framework": "jax"})
+			// The analyze misses, re-digests and replaces the entry.
+			mustOK(t, h, "POST", "/v1/traces/run-a/analyze", `{"workers":1}`)
+		}, true, []string{"", "label.algo=ppo"}},
+	} {
+		gen := s.gen.Load()
+		change.mutate()
+		if bumped := s.gen.Load() != gen; bumped != change.bump {
+			t.Fatalf("%s bumped the registry generation: %v, want %v", change.name, bumped, change.bump)
+		}
+		before := maps.Clone(last)
+		check(change.name)
+		for _, l := range listings {
+			if moved := !bytes.Equal(before[l.rawQuery], last[l.rawQuery]); moved != slices.Contains(change.moves, l.rawQuery) {
+				t.Errorf("%s moved listing %q: %v", change.name, l.rawQuery, moved)
+			}
+		}
+	}
+}
+
+// TestWarmListingRacesRegistry: warm listings racing registrations and a
+// streamed trace's creation, appends and seal never answer a registry that
+// did not exist. Every answer is the listing of one of the registry's
+// successive states — an open trace is never selected by a label filter —
+// and once the changes are done the listing answers the final registry's,
+// as a fresh server does, from a selection at the final generation.
+func TestWarmListingRacesRegistry(t *testing.T) {
+	s, store := liveServer(t, Config{MaxWorkers: 2})
+	h := s.Handler()
+	dirs := fleetDirs(t, s)
+	const target = "/v1/traces?label.algo=ppo"
+	s.mu.RLock()
+	order := slices.Clone(s.ids)
+	s.mu.RUnlock()
+	extra := []struct{ id, dir string }{
+		{"run-d", labeledDir(t, 9, map[string]string{"algo": "sac"})},
+		{"run-e", labeledDir(t, 11, map[string]string{"algo": "ppo"})},
+	}
+	mustOK(t, h, "GET", target, "")
+
+	var (
+		mu      sync.Mutex
+		answers = map[string]int{}
+		wg      sync.WaitGroup
+		stop    = make(chan struct{})
+	)
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				rec := doReq(t, h, "GET", target, "")
+				if rec.Code != http.StatusOK {
+					t.Errorf("racing listing: %d %s", rec.Code, rec.Body)
+					return
+				}
+				mu.Lock()
+				answers[rec.Body.String()]++
+				mu.Unlock()
+			}
+		}()
+	}
+	for _, e := range extra {
+		if _, err := s.AddDir(e.id, e.dir); err != nil {
+			t.Error(err)
+		}
+		dirs[e.id] = e.dir
+		order = append(order, e.id)
+	}
+	streamAndSeal(t, h, "live-f", map[string]string{"algo": "ppo"})
+	close(stop)
+	wg.Wait()
+	dirs["live-f"] = filepath.Join(store, "live-f")
+	order = append(order, "live-f")
+
+	// The registry's states are its prefixes in registration order; a fresh
+	// server registering the same directories in the same order renders each.
+	valid := map[string]bool{}
+	var final []byte
+	for n := len(order) - len(extra) - 1; n <= len(order); n++ {
+		fresh := NewServer(Config{MaxWorkers: 1})
+		for _, id := range order[:n] {
+			if _, err := fresh.AddDir(id, dirs[id]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		final = mustOK(t, fresh.Handler(), "GET", target, "").Body.Bytes()
+		fresh.Close()
+		valid[string(final)] = true
+	}
+	for body, n := range answers {
+		if !valid[body] {
+			t.Errorf("%d racing answers are the listing of no registry state:\n%s", n, body)
+		}
+	}
+	for range 2 {
+		if got := mustOK(t, h, "GET", target, "").Body.Bytes(); !bytes.Equal(got, final) {
+			t.Fatalf("listing after the changes diverges from a fresh server's:\nserver:\n%s\nfresh:\n%s", got, final)
+		}
+	}
+	if !listSelectionHolds(s, "label.algo=ppo") {
+		t.Fatal("the listing after the changes holds no selection at the final generation")
 	}
 }

@@ -63,6 +63,8 @@ type QueryResult struct {
 	Body       []byte
 	Cache      string
 	EngineRuns int
+	// length is Body's Content-Length value, stored with a cached document.
+	length []string
 }
 
 // Query answers plan over every sealed trace in the registry — the one fleet
@@ -100,7 +102,7 @@ func (s *Server) query(ctx context.Context, plan *fleet.Plan, last *atomic.Point
 	if last != nil {
 		if sel := last.Load(); sel != nil && sel.gen == s.gen.Load() {
 			if body, ok := s.store.lru.get(sel.key); ok {
-				return QueryResult{Body: body, Cache: "hit"}, nil
+				return QueryResult{Body: body.b, Cache: "hit", length: body.length}, nil
 			}
 		}
 	}
@@ -114,7 +116,7 @@ func (s *Server) query(ctx context.Context, plan *fleet.Plan, last *atomic.Point
 		last.Store(&selection{gen: gen, key: key})
 	}
 	if body, ok := s.store.lru.get(key); ok {
-		return QueryResult{Body: body, Cache: "hit"}, nil
+		return QueryResult{Body: body.b, Cache: "hit", length: body.length}, nil
 	}
 	// engineRuns is written on the flight's goroutine and read only once do
 	// has returned the flight's result, which orders the two.
@@ -140,10 +142,11 @@ func (s *Server) query(ctx context.Context, plan *fleet.Plan, last *atomic.Point
 	if err != nil {
 		return QueryResult{}, err
 	}
+	length := newStoredBody(body).length
 	if shared {
-		return QueryResult{Body: body, Cache: "dedup"}, nil
+		return QueryResult{Body: body, Cache: "dedup", length: length}, nil
 	}
-	return QueryResult{Body: body, Cache: "miss", EngineRuns: engineRuns}, nil
+	return QueryResult{Body: body, Cache: "miss", EngineRuns: engineRuns, length: length}, nil
 }
 
 // handleQuery is POST /v1/query.
@@ -164,8 +167,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	h := w.Header()
 	h["X-Rlscope-Cache"] = cacheHdr[res.Cache]
-	h["X-Rlscope-Engine-Runs"] = []string{strconv.Itoa(res.EngineRuns)}
-	writeBody(w, res.Body)
+	if res.EngineRuns == 0 {
+		h["X-Rlscope-Engine-Runs"] = noRunsHdr
+	} else {
+		h["X-Rlscope-Engine-Runs"] = []string{strconv.Itoa(res.EngineRuns)}
+	}
+	writeBody(w, storedBody{b: res.Body, length: res.length})
 }
 
 // queryCandidates snapshots every sealed entry as a fleet candidate, with the
@@ -193,7 +200,7 @@ func (s *Server) queryCandidates() ([]fleet.Trace, uint64) {
 func (s *Server) loadResults(ctx context.Context, digest, dir string) (results map[trace.ProcID]*overlap.Result, ran bool, err error) {
 	key := resultSetKey(digest)
 	if body, ok := s.store.get(key); ok {
-		if results, err := report.DecodeResultSet(body); err == nil {
+		if results, err := report.DecodeResultSet(body.b); err == nil {
 			return results, false, nil
 		}
 		// A stale or corrupt blob (version bump, torn disk entry the
@@ -207,8 +214,8 @@ func (s *Server) loadResults(ctx context.Context, digest, dir string) (results m
 		// only with a blob that decodes, or the stale one above would be
 		// served straight back and never overwritten.
 		if body, ok := s.store.get(key); ok {
-			if _, err := report.DecodeResultSet(body); err == nil {
-				return body, nil
+			if _, err := report.DecodeResultSet(body.b); err == nil {
+				return body.b, nil
 			}
 		}
 		rep, err := s.run(runCtx, dir, s.canonicalize(AnalyzeRequest{}))

@@ -342,11 +342,15 @@ func warmAllocs(t *testing.T, h http.Handler, method, target, body string) float
 
 // TestWarmReadAllocs pins what a warm fleet query, a warm summary, an
 // analyze cache hit and the trace listing cost. All of them serve stored
-// bytes, so the counts are small and exact: a rise means a body decode, a
-// query selection, a merge, a render, a row encoding or an Engine run crept
-// back onto the hit path. A
-// trace that was streamed in and sealed is held to the registered ones'
-// pins: it is the same kind of entry, and its listing row is stored alike.
+// bytes with their stored Content-Length, through a router that allocates
+// nothing, so the counts are small and exact: a rise means routing, a body
+// decode, a key tail, a query or listing selection, a merge, a render, a row
+// encoding, a length or an Engine run crept back onto the hit path. Two of
+// each count are this test's request and header map, two more a body's
+// reader; what is left of an analyze hit is the body's size limit and its
+// key, and of a query the size limit. A trace that was streamed in and
+// sealed is held to the registered ones' pins: it is the same kind of
+// entry, and its listing row is stored alike.
 func TestWarmReadAllocs(t *testing.T) {
 	s, _ := liveServer(t, Config{MaxWorkers: 2})
 	fleetDirs(t, s)
@@ -358,13 +362,13 @@ func TestWarmReadAllocs(t *testing.T) {
 		name, method, target, body string
 		max                        float64
 	}{
-		{"query", "POST", "/v1/query", query, 8},
-		{"summary", "GET", "/v1/traces/run-a/summary", "", 5},
-		{"analyze", "POST", "/v1/traces/run-a/analyze", `{"workers":1}`, 10},
-		{"streamed summary", "GET", "/v1/traces/streamed/summary", "", 5},
-		{"streamed analyze", "POST", "/v1/traces/streamed/analyze", `{"workers":1}`, 10},
-		{"list", "GET", "/v1/traces", "", 7},
-		{"list filtered", "GET", "/v1/traces?label.algo=ppo", "", 12},
+		{"query", "POST", "/v1/query", query, 5},
+		{"summary", "GET", "/v1/traces/run-a/summary", "", 2},
+		{"analyze", "POST", "/v1/traces/run-a/analyze", `{"workers":1}`, 6},
+		{"streamed summary", "GET", "/v1/traces/streamed/summary", "", 2},
+		{"streamed analyze", "POST", "/v1/traces/streamed/analyze", `{"workers":1}`, 6},
+		{"list", "GET", "/v1/traces", "", 2},
+		{"list filtered", "GET", "/v1/traces?label.algo=ppo", "", 2},
 	} {
 		if got := warmAllocs(t, h, pin.method, pin.target, pin.body); got > pin.max {
 			t.Errorf("warm %s: %.0f allocs per request, want <= %.0f", pin.name, got, pin.max)

@@ -13,9 +13,10 @@
 // The response body of POST /analyze is the report.Analysis document
 // `rlscope-analyze -json` prints — the CLI and the service are two front
 // ends to one encoding, byte-identical at workers:1 (see the Analysis
-// type's determinism contract for the stats caveat above that). Errors on
-// every /v1 endpoint share one envelope, {"error":{"code","message"}},
-// with the stable code vocabulary tabulated in DESIGN.md §9.
+// type's determinism contract for the stats caveat above that). Every
+// error, a route miss included, shares one envelope,
+// {"error":{"code","message"}}, with the stable code vocabulary tabulated
+// in DESIGN.md §9.
 package serve
 
 import (
@@ -80,13 +81,15 @@ type Server struct {
 	mu     sync.RWMutex
 	traces map[string]*traceEntry
 	ids    []string // registration order: AddDir, or a streamed trace's first write
-	// gen counts registry changes (setEntry). A query selection made at the
-	// current generation still holds (queryPlan).
+	// gen counts registry changes (setEntry). A query or listing selection
+	// made at the current generation still holds (queryPlan, listPlan).
 	gen atomic.Uint64
 
-	// What each repeated analyze and query body decoded to (bodyMemo).
-	analyzeBodies bodyMemo[AnalyzeRequest]
+	// What each repeated analyze body, query body and listing query string
+	// decoded to (bodyMemo).
+	analyzeBodies bodyMemo[*analyzePlan]
 	queryBodies   bodyMemo[*queryPlan]
+	listQueries   bodyMemo[*listPlan]
 
 	store   *tieredStore
 	flights *flightGroup
@@ -120,7 +123,7 @@ type traceEntry struct {
 	// summary is the encoded TraceSummary: GET /summary serves these bytes.
 	// row is info encoded as a listing row (encodeRow), and digestHdr the
 	// X-Rlscope-Digest value analyzes answer with: both built with summary.
-	summary   []byte
+	summary   storedBody
 	row       []byte
 	digestHdr []string
 	// streamed, the final incremental counters, is all that tells a sealed
@@ -296,7 +299,7 @@ func sealedEntry(id, dir, digest string, meta trace.Meta, fold *summaryFold) (*t
 	}
 	return &traceEntry{
 		id: id, info: summary.TraceInfo, dir: dir, meta: meta,
-		summary: body.Bytes(), row: row, digestHdr: []string{digest},
+		summary: newStoredBody(body.Bytes()), row: row, digestHdr: []string{digest},
 	}, nil
 }
 
@@ -383,20 +386,6 @@ func (s *Server) lookup(id string) *traceEntry {
 	return s.traces[id]
 }
 
-// Handler returns the service's HTTP handler.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /v1/traces", s.handleTraces)
-	mux.HandleFunc("POST /v1/traces", s.handleCreateTrace)
-	mux.HandleFunc("GET /v1/traces/{id}/summary", s.handleSummary)
-	mux.HandleFunc("POST /v1/traces/{id}/analyze", s.handleAnalyze)
-	mux.HandleFunc("POST /v1/traces/{id}/chunks", s.handleAppendChunk)
-	mux.HandleFunc("POST /v1/traces/{id}/seal", s.handleSeal)
-	mux.HandleFunc("POST /v1/query", s.handleQuery)
-	return mux
-}
-
 type healthResponse struct {
 	Status     string       `json:"status"`
 	Traces     int          `json:"traces"`
@@ -411,7 +400,7 @@ type workerHealth struct {
 	Available int `json:"available"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter) {
 	s.mu.RLock()
 	n := len(s.ids)
 	s.mu.RUnlock()
@@ -434,34 +423,51 @@ const (
 )
 
 // listEmpty is the listing with no row.
-var listEmpty = []byte("{\n  \"traces\": []\n}\n")
+var listEmpty = newStoredBody([]byte("{\n  \"traces\": []\n}\n"))
+
+// listPlan is a listing's query string as the memo keeps it: the filter it
+// parses to, and the selection it was last answered with.
+type listPlan struct {
+	matcher *fleet.Matcher
+	sel     atomic.Pointer[listSelection]
+}
+
+// listSelection is a listing body spliced at one registry generation from
+// sealed rows only. It holds while the generation stands: a sealed row never
+// changes, and every change to which entries are sealed bumps the
+// generation. An open trace's row changes on every append without a bump, so
+// a listing that selects one is never kept.
+type listSelection struct {
+	gen  uint64
+	body storedBody
+}
 
 // handleTraces is GET /v1/traces: the selected entries' rows, in
 // registration order, spliced into one body. A sealed entry's row was
-// encoded with its summary; an open trace's is encoded here.
+// encoded with its summary; an open trace's is encoded here. A repeated query
+// string over an unchanged registry is answered with the body it was last
+// answered with, the way POST /v1/query is.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	// ?id=, ?workload=, and ?label.k= filter the listing with the same
-	// glob matcher the fleet query DSL uses (fleet.NewMatcher), so the
-	// two front doors agree on what "workload=ppo-*" selects. A query string
-	// that does not parse is refused, not read as the pairs that did.
-	params, err := url.ParseQuery(r.URL.RawQuery)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad trace filter query: "+err.Error())
+	matcher, last, ok := s.listRequest(w, r)
+	if !ok {
 		return
 	}
-	matcher, err := listFilter(params)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad trace filter: "+err.Error())
-		return
+	if last != nil {
+		if sel := last.Load(); sel != nil && sel.gen == s.gen.Load() {
+			writeBody(w, sel.body)
+			return
+		}
 	}
 	s.mu.RLock()
 	entries := make([]*traceEntry, 0, len(s.ids))
 	for _, id := range s.ids {
 		entries = append(entries, s.traces[id])
 	}
+	gen := s.gen.Load()
 	s.mu.RUnlock()
 	rows := make([][]byte, 0, len(entries))
 	size := len(listHead) + len(listTail)
+	open := false
 	for _, entry := range entries {
 		// An open trace has no metadata until seal: only id filters select it.
 		if matcher != nil && !matcher.Match(fleet.Trace{ID: entry.id, Meta: entry.meta}) {
@@ -469,8 +475,10 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		row := entry.row
 		if entry.live != nil {
+			open = true
 			// Outside the registry lock: the row takes the trace's own ingest
 			// lock, which an in-flight append may hold.
+			var err error
 			if row, err = encodeRow(entry.live.summary().TraceInfo); err != nil {
 				writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding listing row: "+err.Error())
 				return
@@ -479,18 +487,51 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		rows = append(rows, row)
 		size += len(",") + len(listSep) + len(row)
 	}
-	if len(rows) == 0 {
-		writeBody(w, listEmpty)
-		return
-	}
-	body := append(make([]byte, 0, size), listHead...)
-	for i, row := range rows {
-		if i > 0 {
-			body = append(body, ',')
+	body := listEmpty
+	if len(rows) > 0 {
+		b := append(make([]byte, 0, size), listHead...)
+		for i, row := range rows {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(append(b, listSep...), row...)
 		}
-		body = append(append(body, listSep...), row...)
+		body = newStoredBody(append(b, listTail...))
 	}
-	writeBody(w, append(body, listTail...))
+	if last != nil && !open {
+		last.Store(&listSelection{gen: gen, body: body})
+	}
+	writeBody(w, body)
+}
+
+// listRequest reads r's query string through the listing memo and returns
+// the filter it parses to and, when the memo keeps the filter, the selection
+// it was last answered with. ?id=, ?workload=, and ?label.k= filter the
+// listing with the same glob matcher the fleet query DSL uses
+// (fleet.NewMatcher), so the two front doors agree on what "workload=ppo-*"
+// selects. A query string that does not parse is refused, not read as the
+// pairs that did: the error is written and ok is false.
+func (s *Server) listRequest(w http.ResponseWriter, r *http.Request) (*fleet.Matcher, *atomic.Pointer[listSelection], bool) {
+	raw := []byte(r.URL.RawQuery)
+	if lp, ok := s.listQueries.get(raw); ok {
+		return lp.matcher, &lp.sel, true
+	}
+	params, err := url.ParseQuery(r.URL.RawQuery)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad trace filter query: "+err.Error())
+		return nil, nil, false
+	}
+	matcher, err := listFilter(params)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, ErrCodeBadRequest, "bad trace filter: "+err.Error())
+		return nil, nil, false
+	}
+	if !s.listQueries.admit(raw) {
+		return matcher, nil, true
+	}
+	lp := &listPlan{matcher: matcher}
+	s.listQueries.put(raw, lp)
+	return matcher, &lp.sel, true
 }
 
 // listFilter builds a fleet matcher from GET /v1/traces query parameters.
@@ -514,8 +555,8 @@ func listFilter(params map[string][]string) (*fleet.Matcher, error) {
 	return fleet.NewMatcher(filter)
 }
 
-func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	entry := s.lookup(r.PathValue("id"))
+func (s *Server) handleSummary(w http.ResponseWriter, id string) {
+	entry := s.lookup(id)
 	if entry == nil {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
 		return
@@ -560,22 +601,44 @@ func (s *Server) canonicalize(req AnalyzeRequest) canonical {
 	return c
 }
 
+// resultOnly is c as it addresses a streamed entry's result-only document.
+func resultOnly(c canonical) canonical {
+	return canonical{procs: c.procs, resultOnly: true}
+}
+
 // docKeyPrefix starts the key of every stored document: the version of the
 // bytes it addresses, so that a build that encodes documents differently
 // misses every entry an older build stored (report.DocumentVersion).
-var docKeyPrefix = "v" + strconv.Itoa(report.DocumentVersion) + "|"
+// roKeyPrefix starts the key of a result-only document.
+var (
+	docKeyPrefix = "v" + strconv.Itoa(report.DocumentVersion) + "|"
+	roKeyPrefix  = docKeyPrefix + "ro|"
+)
 
 // cacheKey addresses a report by content: what trace (digest) analyzed
 // under what result-and-run-relevant options, rendered by what document
 // version.
 func cacheKey(digest string, c canonical) string {
 	var sb strings.Builder
-	sb.Grow(len(docKeyPrefix) + len(digest) + 32)
-	sb.WriteString(docKeyPrefix)
+	sb.Grow(len(roKeyPrefix) + len(digest) + 32)
 	if c.resultOnly {
-		sb.WriteString("ro|")
+		sb.WriteString(roKeyPrefix)
+	} else {
+		sb.WriteString(docKeyPrefix)
 	}
 	sb.WriteString(digest)
+	writeKeyTail(&sb, c)
+	return sb.String()
+}
+
+// keyTail is what follows the digest in c's keys.
+func keyTail(c canonical) string {
+	var sb strings.Builder
+	writeKeyTail(&sb, c)
+	return sb.String()
+}
+
+func writeKeyTail(sb *strings.Builder, c canonical) {
 	sb.WriteString("|w=")
 	sb.WriteString(strconv.Itoa(c.workers))
 	sb.WriteString("|m=")
@@ -593,7 +656,30 @@ func cacheKey(digest string, c canonical) string {
 		}
 		sb.WriteString(strconv.Itoa(int(p)))
 	}
-	return sb.String()
+}
+
+// analyzePlan is an analyze body as the memo keeps it: the canonical options
+// it asks for, and what follows the digest in the two keys a sealed entry's
+// document can be stored under — the full document's, and a streamed entry's
+// result-only one's — so a hit neither canonicalizes nor builds a key tail.
+// Shared by every request that sends its body, so never modified.
+type analyzePlan struct {
+	c canonical
+	// tail and roTail are keyTail of c and of resultOnly(c). A plan the
+	// memo does not keep has neither, and builds its keys per request.
+	tail, roTail string
+}
+
+// key is cacheKey(digest, c), where c is p.c or resultOnly(p.c).
+func (p *analyzePlan) key(digest string, c canonical) string {
+	switch {
+	case p.tail == "":
+		return cacheKey(digest, c)
+	case c.resultOnly:
+		return roKeyPrefix + digest + p.roTail
+	default:
+		return docKeyPrefix + digest + p.tail
+	}
 }
 
 // storeDoc encodes doc and lands it in the report store under key.
@@ -627,21 +713,21 @@ func (s *Server) renderStored(ctx context.Context, entry *traceEntry, procs []tr
 	return s.storeDoc(key, report.NewResultAnalysis(entry.meta, results, false))
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	entry := s.lookup(r.PathValue("id"))
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, id string) {
+	entry := s.lookup(id)
 	if entry == nil {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
 		return
 	}
-	req, ok := s.analyzeRequest(w, r)
+	plan, ok := s.analyzeRequest(w, r)
 	if !ok {
 		return
 	}
 	if entry.live != nil {
-		s.analyzeLive(w, r, entry, req)
+		s.analyzeLive(w, r, entry, &plan)
 		return
 	}
-	s.analyzeSealed(w, r, entry, req)
+	s.analyzeSealed(w, r, entry, &plan)
 }
 
 // analyzeSealed answers an analyze of a sealed entry: the content-addressed
@@ -649,16 +735,16 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // run rendered as the full document, except that the uncorrected analyze of
 // a streamed entry renders the result set its seal stored (renderStored). A
 // corrected one is an Engine run like any other: the directory is all it needs.
-func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *traceEntry, req AnalyzeRequest) {
-	if req.Correction && s.cfg.Calibration == nil {
+func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *traceEntry, plan *analyzePlan) {
+	c := plan.c
+	if c.correction && s.cfg.Calibration == nil {
 		writeError(w, http.StatusBadRequest, ErrCodeNoCalibration, "correction requested but the server has no calibration loaded (start rlscope-serve with -calibration)")
 		return
 	}
-	c := s.canonicalize(req)
 	if entry.streamed != nil && !c.correction {
-		c = canonical{procs: c.procs, resultOnly: true}
+		c = resultOnly(c)
 	}
-	key := cacheKey(entry.info.Digest, c)
+	key := plan.key(entry.info.Digest, c)
 
 	h := w.Header()
 	h["X-Rlscope-Digest"] = entry.digestHdr
@@ -672,11 +758,17 @@ func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *tr
 		writeBody(w, body)
 		return
 	}
+	s.analyzeMiss(w, r, entry, c, key)
+}
 
+// analyzeMiss is analyzeSealed past a store miss: the flight for key. It is
+// a function of its own because the flight's closure moves what it captures
+// to the heap, which a hit must not pay for.
+func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *traceEntry, c canonical, key string) {
 	body, shared, err := s.flights.do(r.Context(), key, func(runCtx context.Context) ([]byte, error) {
 		// A flight that lost a fill race can still answer from cache.
 		if body, ok := s.store.get(key); ok {
-			return body, nil
+			return body.b, nil
 		}
 		if c.resultOnly {
 			return s.renderStored(runCtx, entry, c.procs, key)
@@ -716,11 +808,11 @@ func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *tr
 		return
 	}
 	if shared {
-		h["X-Rlscope-Cache"] = cacheHdr["dedup"]
+		w.Header()["X-Rlscope-Cache"] = cacheHdr["dedup"]
 	} else {
-		h["X-Rlscope-Cache"] = cacheHdr["miss"]
+		w.Header()["X-Rlscope-Cache"] = cacheHdr["miss"]
 	}
-	writeBody(w, body)
+	writeBody(w, newStoredBody(body))
 }
 
 // run is the server's one Engine call. It holds c.workers of the global
@@ -767,15 +859,30 @@ var (
 	jsonHdr  = []string{"application/json"}
 	cacheHdr = map[string][]string{"hit": {"hit"}, "miss": {"miss"}, "dedup": {"dedup"}}
 	stateHdr = map[string][]string{StateOpen: {StateOpen}, StateSealed: {StateSealed}}
+	// noRunsHdr is X-Rlscope-Engine-Runs of a query that started no run.
+	noRunsHdr = []string{"0"}
 )
 
+// storedBody is a 200 response body as the service keeps it: the JSON bytes
+// and their Content-Length header value, built once beside them, so a warm
+// read formats no length. It is shared by every response it answers, so
+// never modified.
+type storedBody struct {
+	b      []byte
+	length []string
+}
+
+func newStoredBody(b []byte) storedBody {
+	return storedBody{b: b, length: []string{strconv.Itoa(len(b))}}
+}
+
 // writeBody answers 200 with stored JSON bytes.
-func writeBody(w http.ResponseWriter, body []byte) {
+func writeBody(w http.ResponseWriter, body storedBody) {
 	h := w.Header()
 	h["Content-Type"] = jsonHdr
-	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	h["Content-Length"] = body.length
 	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	w.Write(body.b)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -802,6 +909,8 @@ const (
 	ErrCodeBadChunk              = "bad_chunk"
 	ErrCodeIngestDisabled        = "ingest_disabled"
 	ErrCodeCorrectionUnsupported = "correction_unsupported"
+	ErrCodeUnknownRoute          = "unknown_route"
+	ErrCodeMethodNotAllowed      = "method_not_allowed"
 )
 
 // ErrorEnvelope is the wire form of every /v1 error response.

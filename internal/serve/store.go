@@ -142,19 +142,19 @@ type tieredStore struct {
 	disk *DiskStore // nil when no -store-reports directory is configured
 }
 
-// get returns the cached bytes for key from the hottest tier holding it.
-func (t *tieredStore) get(key string) ([]byte, bool) {
+// get returns the cached bytes for key from the hottest tier holding it. A
+// disk hit is promoted into the LRU, its Content-Length value built there.
+func (t *tieredStore) get(key string) (storedBody, bool) {
 	if body, ok := t.lru.get(key); ok {
 		return body, true
 	}
 	if t.disk == nil {
-		return nil, false
+		return storedBody{}, false
 	}
-	body, ok := t.disk.Get(key)
-	if ok {
-		t.lru.add(key, body)
+	if b, ok := t.disk.Get(key); ok {
+		return t.lru.add(key, b), true
 	}
-	return body, ok
+	return storedBody{}, false
 }
 
 // add populates both tiers. Disk errors are swallowed here — the hot tier

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -111,8 +112,8 @@ func TestDiskStoreSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestTieredStorePromotion: a disk hit lands in the LRU, so the second get
-// never touches disk.
+// TestTieredStorePromotion: a disk hit lands in the LRU, its Content-Length
+// value built on promotion, so the second get never touches disk.
 func TestTieredStorePromotion(t *testing.T) {
 	disk, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -122,14 +123,14 @@ func TestTieredStorePromotion(t *testing.T) {
 	if err := disk.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := ts.get("k"); !ok || string(got) != "v" {
-		t.Fatalf("tiered get: ok=%v body=%q", ok, got)
+	if got, ok := ts.get("k"); !ok || string(got.b) != "v" || !slices.Equal(got.length, []string{"1"}) {
+		t.Fatalf("tiered get: ok=%v body=%q length=%q", ok, got.b, got.length)
 	}
 	if hits := disk.hits.Load(); hits != 1 {
 		t.Fatalf("disk hits %d, want 1", hits)
 	}
-	if got, ok := ts.get("k"); !ok || string(got) != "v" {
-		t.Fatalf("promoted get: ok=%v body=%q", ok, got)
+	if got, ok := ts.get("k"); !ok || string(got.b) != "v" || !slices.Equal(got.length, []string{"1"}) {
+		t.Fatalf("promoted get: ok=%v body=%q length=%q", ok, got.b, got.length)
 	}
 	if hits := disk.hits.Load(); hits != 1 {
 		t.Fatalf("second get went to disk (hits %d), want LRU promotion", hits)
@@ -142,8 +143,8 @@ func TestTieredStorePromotion(t *testing.T) {
 	// Without a disk tier the store degrades to the LRU alone.
 	bare := &tieredStore{lru: newReportCache(1 << 20)}
 	bare.add("k3", []byte("v3"))
-	if got, ok := bare.get("k3"); !ok || string(got) != "v3" {
-		t.Fatalf("LRU-only get: ok=%v body=%q", ok, got)
+	if got, ok := bare.get("k3"); !ok || string(got.b) != "v3" {
+		t.Fatalf("LRU-only get: ok=%v body=%q", ok, got.b)
 	}
 	if st := bare.stats(); st.Enabled {
 		t.Fatal("LRU-only store reports a disk tier")

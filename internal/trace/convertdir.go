@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -44,7 +45,10 @@ func (s *ConvertStats) Ratio() float64 {
 // sealed, so dst then has no meta.json and does not open as a trace.
 // (Foreign v1 files produced by a non-canonical encoder would fail
 // verification spuriously; none exist in practice.)
-func ConvertDir(src, dst string) (*ConvertStats, error) {
+//
+// ctx is checked before each chunk: once it is done, ConvertDir converts no
+// further chunk and returns ctx's error, leaving dst unsealed.
+func ConvertDir(ctx context.Context, src, dst string) (*ConvertStats, error) {
 	r, err := OpenDir(src)
 	if err != nil {
 		return nil, err
@@ -60,6 +64,9 @@ func ConvertDir(src, dst string) (*ConvertStats, error) {
 	round := newDigester()
 	var events []Event
 	for i := 0; i < r.NumChunks(); i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		frame, err := r.load(i)
 		if err != nil {
 			return nil, err

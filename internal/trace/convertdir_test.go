@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -42,7 +43,7 @@ func TestConvertDirV1ToV2(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	dst := filepath.Join(t.TempDir(), "v2")
-	stats, err := ConvertDir(src, dst)
+	stats, err := ConvertDir(context.Background(), src, dst)
 	if err != nil {
 		t.Fatalf("ConvertDir: %v", err)
 	}
@@ -85,10 +86,10 @@ func TestConvertDirThereAndBack(t *testing.T) {
 	src, _ := writeRandomTrace(t, 43, 2500, 4096)
 	mid := filepath.Join(t.TempDir(), "v2")
 	again := filepath.Join(t.TempDir(), "v2-again")
-	if _, err := ConvertDir(src, mid); err != nil {
+	if _, err := ConvertDir(context.Background(), src, mid); err != nil {
 		t.Fatalf("ConvertDir v1->v2: %v", err)
 	}
-	if _, err := ConvertDir(mid, again); err != nil {
+	if _, err := ConvertDir(context.Background(), mid, again); err != nil {
 		t.Fatalf("ConvertDir v2->v2: %v", err)
 	}
 	want, err := DirDigest(mid)
@@ -113,7 +114,7 @@ func TestConvertDirRejectsNonEmptyDst(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dst, "chunk_000000"+chunkSuffix), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ConvertDir(src, dst); err == nil {
+	if _, err := ConvertDir(context.Background(), src, dst); err == nil {
 		t.Fatal("ConvertDir wrote into a directory that already held trace files")
 	}
 }
@@ -134,7 +135,7 @@ func TestConvertDirDetectsTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := filepath.Join(t.TempDir(), "v2")
-	if _, err := ConvertDir(src, dst); err == nil {
+	if _, err := ConvertDir(context.Background(), src, dst); err == nil {
 		t.Fatal("verification passed despite a digest-visible extra file in src")
 	}
 	if _, err := OpenDir(dst); err == nil {
@@ -157,7 +158,7 @@ func TestConvertDirPreservesHostMeta(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := filepath.Join(t.TempDir(), "v2")
-	if _, err := ConvertDir(src, dst); err != nil {
+	if _, err := ConvertDir(context.Background(), src, dst); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadDir(dst)

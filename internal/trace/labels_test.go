@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestConvertDirPreservesLabels(t *testing.T) {
 	labels := map[string]string{"algo": "ppo", "seed": "42"}
 	src := labeledTestDir(t, labels)
 	dst := t.TempDir()
-	if _, err := ConvertDir(src, dst); err != nil {
+	if _, err := ConvertDir(context.Background(), src, dst); err != nil {
 		t.Fatal(err)
 	}
 	r, err := OpenDir(dst)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -178,7 +179,7 @@ func TestLegacyJSONSidecarsStayReadable(t *testing.T) {
 	// Conversion verifies against DirDigest(src), which covers the JSON
 	// sidecars byte for byte; the destination gets binary ones.
 	dst := filepath.Join(t.TempDir(), "v2")
-	stats, err := ConvertDir(legacyFixture, dst)
+	stats, err := ConvertDir(context.Background(), legacyFixture, dst)
 	if err != nil || stats.SrcDigest != legacyFixtureDigest {
 		t.Fatalf("ConvertDir: %+v, %v", stats, err)
 	}
@@ -187,7 +188,7 @@ func TestLegacyJSONSidecarsStayReadable(t *testing.T) {
 	}
 	// ...and a directory with binary sidecars verifies the same way, landing
 	// on the digest it started from.
-	if again, err := ConvertDir(dst, filepath.Join(t.TempDir(), "v2-again")); err != nil || again.DstDigest != stats.DstDigest {
+	if again, err := ConvertDir(context.Background(), dst, filepath.Join(t.TempDir(), "v2-again")); err != nil || again.DstDigest != stats.DstDigest {
 		t.Fatalf("ConvertDir again: %+v, %v; want destination digest %s", again, err, stats.DstDigest)
 	}
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -247,7 +248,7 @@ func TestOnlyReadDigestsAreKept(t *testing.T) {
 	}
 
 	dst := filepath.Join(t.TempDir(), "v2")
-	stats, err := ConvertDir(local, dst)
+	stats, err := ConvertDir(context.Background(), local, dst)
 	if err != nil {
 		t.Fatal(err)
 	}

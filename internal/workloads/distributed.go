@@ -271,6 +271,9 @@ func RunDistributed(spec DistributedSpec, flags trace.FeatureFlags) ([]HostRun, 
 		if err != nil {
 			return nil, err
 		}
+		if err := h.prof.Release(); err != nil {
+			return nil, err
+		}
 		runs = append(runs, HostRun{Host: h.name, Trace: t, Skew: h.skew})
 	}
 	return runs, nil

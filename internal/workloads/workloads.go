@@ -227,6 +227,9 @@ func RunLanes(spec Spec, flags ...trace.FeatureFlags) ([]*calib.RunStats, error)
 			return nil, err
 		}
 		runs[i] = calib.StatsFromTrace(tr, flags[i], p.OverheadCounts(), p.TotalTime())
+		if err := p.Release(); err != nil {
+			return nil, err
+		}
 	}
 	return runs, nil
 }
