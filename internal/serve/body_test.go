@@ -42,7 +42,7 @@ func spacedBodies(tokens []string, n int) []string {
 // failing tb on any status but 200. Like warmAllocs, it counts the request's
 // construction but not the parse of its URL.
 func bodyServer(tb testing.TB) func(target *url.URL, body string) {
-	s, _ := liveServer(tb, Config{MaxWorkers: 1})
+	s := newScenario(tb, Config{MaxWorkers: 1}).s
 	fleetDirs(tb, s)
 	h := s.Handler()
 	for _, route := range bodyRoutes {

@@ -138,18 +138,23 @@ func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiEr
 		return nil, false, &apiError{http.StatusForbidden, ErrCodeIngestDisabled,
 			"live ingest is disabled: rlscope-serve was started without -store"}
 	}
+	// A directory already holding a trace is an id collision; any other
+	// failure is the store's, a 500.
 	sink, err := trace.NewDirSink(filepath.Join(s.cfg.StoreDir, id))
-	if err != nil {
+	if errors.Is(err, trace.ErrDirHasTrace) {
 		return nil, false, &apiError{http.StatusConflict, ErrCodeTraceExists,
 			fmt.Sprintf("creating trace store dir: %v", err)}
+	}
+	if err != nil {
+		return nil, false, ingestError(fmt.Errorf("creating trace store dir: %w", err))
 	}
 	lt = &liveTrace{id: id, sink: sink, inc: analysis.NewIncremental()}
 	s.setEntry(id, &traceEntry{id: id, live: lt})
 	return lt, true, nil
 }
 
-// appendRefusal is why e takes no more chunks: nil while it is open,
-// trace_sealed once the seal of a streamed trace has promoted it,
+// appendRefusal is why e takes no more chunks and no seal: nil while it is
+// open, trace_sealed once the seal of a streamed trace has promoted it,
 // trace_exists for a directory registered read-only.
 func (e *traceEntry) appendRefusal() *apiError {
 	if e.live != nil {
@@ -325,8 +330,8 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request, id string) {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown live trace id")
 		return
 	}
-	if entry.live == nil {
-		writeAPIError(w, ingestError(trace.ErrSinkSealed))
+	if apiErr := entry.appendRefusal(); apiErr != nil {
+		writeAPIError(w, apiErr)
 		return
 	}
 	var meta trace.Meta

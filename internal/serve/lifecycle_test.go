@@ -2,118 +2,41 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
-	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	rlscope "repro"
-	"repro/internal/calib"
-	"repro/internal/cuda"
-	"repro/internal/gpu"
 	"repro/internal/report"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
-
-// twoProcTrace profiles a trainer and a simulator worker it forks, so process
-// filters have something to choose between.
-func twoProcTrace(tb testing.TB, steps int) *trace.Trace {
-	tb.Helper()
-	p := rlscope.New(rlscope.Options{Workload: "two-proc", Flags: rlscope.FullInstrumentation(), Seed: 1})
-	trainer := p.NewProcess("trainer", -1, 0)
-	ctx := cuda.NewContext(trainer, gpu.NewDevice(-1), cuda.DefaultCosts())
-	worker := p.NewProcess("worker", 0, 0)
-	trainer.SetPhase("training")
-	for step := 0; step < steps; step++ {
-		trainer.WithOperation("inference", func() {
-			trainer.CallBackend("policy.forward", func() {
-				ctx.LaunchKernel("dense", 3*vclock.Microsecond)
-				ctx.StreamSynchronize()
-			})
-		})
-		worker.WithOperation("simulation", func() {
-			worker.CallSimulator("env.step", func() { worker.Clock().Advance(90 * vclock.Microsecond) })
-		})
-	}
-	trainer.Close()
-	worker.Close()
-	return p.MustTrace()
-}
-
-// offlineResultDoc is what `rlscope-analyze -json -result-only` prints for
-// dir under the given process filter.
-func offlineResultDoc(tb testing.TB, dir string, procs ...trace.ProcID) []byte {
-	tb.Helper()
-	rep, err := rlscope.NewEngine(rlscope.WithWorkers(1), rlscope.WithProcesses(procs...)).
-		Analyze(context.Background(), rlscope.FromDir(dir))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := report.NewResultAnalysis(rep.Meta, rep.Results, rep.Corrected).Encode(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-func mustOK(tb testing.TB, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
-	tb.Helper()
-	rec := doReq(tb, h, method, path, body)
-	if rec.Code != http.StatusOK {
-		tb.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body)
-	}
-	return rec
-}
-
-// listingRows decodes a GET /v1/traces body.
-func listingRows(tb testing.TB, body []byte) []TraceInfo {
-	tb.Helper()
-	var listing struct {
-		Traces []TraceInfo `json:"traces"`
-	}
-	if err := json.Unmarshal(body, &listing); err != nil {
-		tb.Fatal(err)
-	}
-	return listing.Traces
-}
 
 // TestPromotionEquivalence: however a trace was chunked, framed and analyzed
 // on its way in, once sealed its entry is the one AddDir builds from the same
-// store directory — listing row, summary bytes, fleet-query document and
-// digest, modulo the id — registered in first-write order; its uncorrected
-// analyzes are the offline result-only document at zero Engine runs under any
-// sequence of filters; and its corrected analyze is the registered one's.
+// store directory. Each step is checked against the model: the listing rows
+// in first-write order, the summaries, the fleet document at zero Engine
+// runs, uncorrected analyzes under a random walk of filters (the offline
+// result-only document, zero Engine runs), the corrected analyze (the
+// offline corrected document, one Engine run for both ids), and the refusal
+// codes of an append to each.
 func TestPromotionEquivalence(t *testing.T) {
-	cal := &calib.Calibration{Annotation: 50 * vclock.Nanosecond, Interception: 30 * vclock.Nanosecond, CUDAIntercept: 20 * vclock.Nanosecond}
-	tr := twoProcTrace(t, 120)
-	tr.Meta.Labels = map[string]string{"algo": "ppo"}
-	tr.Meta.Host = "node-1"
-	// A process the metadata names but no event mentions.
-	tr.Meta.Procs[7] = trace.ProcInfo{Name: "idle", Parent: 0}
-	metaBody, err := json.Marshal(tr.Meta)
-	if err != nil {
-		t.Fatal(err)
-	}
 	filters := []string{`{}`, `{"procs":[0]}`, `{"procs":[1]}`, `{"procs":[1,0]}`, `{"procs":[7]}`, `{"workers":2}`}
-	filterProcs := [][]trace.ProcID{nil, {0}, {1}, {0, 1}, {7}, nil}
-
+	tr := twoProcTrace(t, 120)
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s, store := liveServer(t, Config{MaxWorkers: 2, Calibration: cal})
-		h := s.Handler()
+		sc := newScenario(t, Config{MaxWorkers: 1, Calibration: scenarioCal})
+		sc.pick = rng.Intn
 
 		// Random chunk sizes, a random frame format per chunk (seeds 0 and 1
 		// are pure v1 and pure v2), and analyzes under random filters thrown
 		// in mid-stream so the incremental state has history.
-		seq := 0
-		for lo := 0; lo < len(tr.Events); seq++ {
+		for lo, seq := 0, 0; lo < len(tr.Events); seq++ {
 			hi := min(lo+1+rng.Intn(400), len(tr.Events))
 			format := trace.FormatV1
 			if seed == 1 || (seed > 1 && rng.Intn(2) == 0) {
@@ -123,105 +46,37 @@ func TestPromotionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mustOK(t, h, "POST", fmt.Sprintf("/v1/traces/live/chunks?seq=%d", seq), string(frame))
+			sc.append("live", seq, chunk{b: frame, end: hi}, tr)
 			if rng.Intn(3) == 0 {
-				mustOK(t, h, "POST", "/v1/traces/live/analyze", filters[rng.Intn(len(filters))])
+				sc.analyze("live", filters[rng.Intn(len(filters))])
 			}
 			lo = hi
 		}
-		mustOK(t, h, "POST", "/v1/traces/live/seal", string(metaBody))
-		dir := filepath.Join(store, "live")
-
-		// The twin: the same directory, registered — on this server (after
-		// the streamed trace, and listed after it) and on a fresh one that
-		// shares no cache with it.
-		if _, err := s.AddDir("twin", dir); err != nil {
+		// Labels, a host, and a process the metadata names but no event
+		// mentions.
+		meta := tr.Meta
+		meta.Procs = maps.Clone(meta.Procs)
+		meta.Procs[7] = trace.ProcInfo{Name: "idle", Parent: 0}
+		meta.Labels, meta.Host = map[string]string{"algo": "ppo"}, "node-1"
+		body, err := json.Marshal(meta)
+		if err != nil {
 			t.Fatal(err)
 		}
-		ref := NewServer(Config{MaxWorkers: 2, Calibration: cal})
-		t.Cleanup(ref.Close)
-		if _, err := ref.AddDir("twin", dir); err != nil {
-			t.Fatal(err)
-		}
-		rh := ref.Handler()
-		asLive := func(body []byte) []byte { return bytes.ReplaceAll(body, []byte(`"twin"`), []byte(`"live"`)) }
-
-		rows := listingRows(t, mustOK(t, h, "GET", "/v1/traces", "").Body.Bytes())
-		if len(rows) != 2 || rows[0].ID != "live" || rows[1].ID != "twin" {
-			t.Fatalf("seed %d: listing %+v, want live then twin", seed, rows)
-		}
-		twinRow := rows[1]
-		twinRow.ID = "live"
-		if a, b := fmt.Sprintf("%+v", rows[0]), fmt.Sprintf("%+v", twinRow); a != b {
-			t.Fatalf("seed %d: listing rows differ:\nlive: %s\ntwin: %s", seed, a, b)
-		}
-		liveSum := mustOK(t, h, "GET", "/v1/traces/live/summary", "").Body.Bytes()
-		for _, twin := range [][]byte{
-			mustOK(t, h, "GET", "/v1/traces/twin/summary", "").Body.Bytes(),
-			mustOK(t, rh, "GET", "/v1/traces/twin/summary", "").Body.Bytes(),
-		} {
-			if !bytes.Equal(liveSum, asLive(twin)) {
-				t.Fatalf("seed %d: summaries differ:\nlive:\n%s\ntwin:\n%s", seed, liveSum, twin)
-			}
-		}
-		query := `{"filter":{"id":"live"},"group_by":["label.algo"]}`
-		liveQ := mustOK(t, h, "POST", "/v1/query", query)
-		twinQ := mustOK(t, rh, "POST", "/v1/query", `{"filter":{"id":"twin"},"group_by":["label.algo"]}`)
-		if !bytes.Equal(liveQ.Body.Bytes(), asLive(twinQ.Body.Bytes())) {
-			t.Fatalf("seed %d: fleet documents differ:\nlive:\n%s\ntwin:\n%s", seed, liveQ.Body, twinQ.Body)
-		}
-		if runs := liveQ.Header().Get("X-RLScope-Engine-Runs"); runs != "0" {
-			t.Fatalf("seed %d: fleet query over the sealed trace ran %s engines", seed, runs)
-		}
-
-		// Uncorrected analyzes: a random walk over the filters, each the
-		// offline result-only document, none an Engine run.
+		sc.seal("live", string(body))
+		sc.addDir("twin", sc.traces["live"].dir)
+		sc.list("")
+		sc.summary("live")
+		sc.summary("twin")
+		sc.query(`{"filter":{"id":"live"},"group_by":["label.algo"]}`)
 		for i := 0; i < 12; i++ {
-			k := rng.Intn(len(filters))
-			rec := mustOK(t, h, "POST", "/v1/traces/live/analyze", filters[k])
-			if want := offlineResultDoc(t, dir, filterProcs[k]...); !bytes.Equal(rec.Body.Bytes(), want) {
-				t.Fatalf("seed %d: analyze %s diverges from offline:\nserved:\n%s\noffline:\n%s", seed, filters[k], rec.Body, want)
-			}
-			if got := rec.Header().Get("X-RLScope-State"); got != StateSealed {
-				t.Fatalf("seed %d: analyze %s state %q", seed, filters[k], got)
-			}
+			sc.analyze("live", filters[rng.Intn(len(filters))])
 		}
-		if runs := s.EngineRuns(); runs != 0 {
-			t.Fatalf("seed %d: uncorrected analyzes of the sealed trace ran %d engines", seed, runs)
-		}
-
-		// Corrected: the registered path, digest and document.
-		liveC := mustOK(t, h, "POST", "/v1/traces/live/analyze", `{"workers":1,"correction":true}`)
-		twinC := mustOK(t, rh, "POST", "/v1/traces/twin/analyze", `{"workers":1,"correction":true}`)
-		if !bytes.Equal(liveC.Body.Bytes(), twinC.Body.Bytes()) {
-			t.Fatalf("seed %d: corrected analyzes differ:\nlive:\n%s\ntwin:\n%s", seed, liveC.Body, twinC.Body)
-		}
-		var doc report.Analysis
-		if err := json.Unmarshal(liveC.Body.Bytes(), &doc); err != nil || !doc.Corrected || doc.Stats == nil {
-			t.Fatalf("seed %d: corrected analyze is not the full corrected document (err %v)", seed, err)
-		}
-		if a, b := liveC.Header().Get("X-RLScope-Digest"), twinC.Header().Get("X-RLScope-Digest"); a != b || a != rows[0].Digest {
-			t.Fatalf("seed %d: digests: live %s, twin %s, listing %s", seed, a, b, rows[0].Digest)
-		}
-		if runs := s.EngineRuns(); runs != 1 {
-			t.Fatalf("seed %d: corrected analyze ran %d engines, want 1", seed, runs)
-		}
-
-		// What remains of having been streamed: the refusal code and the
-		// final counters.
-		rec := doReq(t, h, "POST", fmt.Sprintf("/v1/traces/live/chunks?seq=%d", seq), "any bytes")
-		if rec.Code != http.StatusConflict || errCode(t, rec) != ErrCodeTraceSealed {
-			t.Fatalf("seed %d: append to the sealed trace: %d %s", seed, rec.Code, rec.Body)
-		}
-		rec = doReq(t, h, "POST", "/v1/traces/twin/chunks?seq=0", "any bytes")
-		if rec.Code != http.StatusConflict || errCode(t, rec) != ErrCodeTraceExists {
-			t.Fatalf("seed %d: append to the registered twin: %d %s", seed, rec.Code, rec.Body)
-		}
-		if st, ok := s.IncrementalStats("live"); !ok || st.Chunks != seq || st.Events != len(tr.Events) {
-			t.Fatalf("seed %d: final stats %+v ok=%v, want %d chunks of %d events", seed, st, ok, seq, len(tr.Events))
-		}
-		if _, ok := s.IncrementalStats("twin"); ok {
-			t.Fatalf("seed %d: a registered directory reports incremental stats", seed)
+		sc.analyze("live", `{"workers":1,"correction":true}`)
+		sc.analyze("twin", `{"workers":1,"correction":true}`)
+		sc.appendNext("live")
+		sc.appendNext("twin")
+		if tail := sc.trail[len(sc.trail)-2:]; tail[0] != ErrCodeTraceSealed || tail[1] != ErrCodeTraceExists {
+			t.Fatalf("seed %d: appends to the sealed trace and its twin: %q", seed, tail)
 		}
 	}
 }
@@ -230,7 +85,7 @@ func TestPromotionEquivalence(t *testing.T) {
 // whole epoch, however long — is nobody else's business. With it held, the
 // listing (that trace's row included), summaries and fleet queries answer.
 func TestOpenTraceLockIsPrivate(t *testing.T) {
-	s, _ := liveServer(t, Config{MaxWorkers: 2})
+	s := newScenario(t, Config{MaxWorkers: 2}).s
 	h := s.Handler()
 	fleetDirs(t, s)
 	chunks, _ := quickstartFrames(t, 10, 2)
@@ -306,17 +161,10 @@ func TestSealSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealDigest := sink.Digest()
-	sealedDoc := offlineResultDoc(t, refDir)
-	rep, err := rlscope.NewEngine(rlscope.WithWorkers(1)).Analyze(context.Background(), rlscope.FromDir(refDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var openDoc bytes.Buffer
-	if err := report.NewResultAnalysis(trace.Meta{}, rep.Results, false).Encode(&openDoc); err != nil {
-		t.Fatal(err)
-	}
+	sealedDoc := offlineDoc(t, rlscope.FromDir(refDir), docOpts{})
+	openDoc := offlineDoc(t, rlscope.FromTrace(&trace.Trace{Events: slices.Clone(tr.Events)}), docOpts{})
 
-	s, _ := liveServer(t, Config{MaxWorkers: 2})
+	s := newScenario(t, Config{MaxWorkers: 2}).s
 	h := s.Handler()
 	for seq, frame := range frames {
 		mustOK(t, h, "POST", fmt.Sprintf("/v1/traces/swap/chunks?seq=%d", seq), string(frame))
@@ -364,7 +212,7 @@ func TestSealSwap(t *testing.T) {
 				return
 			}
 			state, digest := rec.Header().Get("X-RLScope-State"), rec.Header().Get("X-RLScope-Digest")
-			want := openDoc.Bytes()
+			want := openDoc
 			if state == StateSealed {
 				want = sealedDoc
 			}

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/report"
@@ -26,18 +24,10 @@ func listingRow(tb testing.TB, s *Server, id string) TraceInfo {
 	return entry.info
 }
 
-// rewriteDir replaces a trace directory's content with a different run.
-func rewriteDir(tb testing.TB, dir string, steps int, labels map[string]string) {
+// rewriteDir writes the quickstart trace, labeled, into dir, replacing the
+// trace files of any run there before (trace.NewWriter clears them).
+func rewriteDir(tb testing.TB, dir string, steps int, labels map[string]string) string {
 	tb.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, ent := range entries {
-		if err := os.Remove(filepath.Join(dir, ent.Name())); err != nil {
-			tb.Fatal(err)
-		}
-	}
 	tr := quickstartTrace(tb, steps)
 	tr.Meta.Labels = labels
 	w, err := trace.NewWriter(dir, 4<<10)
@@ -48,6 +38,7 @@ func rewriteDir(tb testing.TB, dir string, steps int, labels map[string]string) 
 	if err := w.Close(tr.Meta); err != nil {
 		tb.Fatal(err)
 	}
+	return dir
 }
 
 // TestListingMatchesEncodeJSON is the listing's byte reference: whatever way
@@ -55,7 +46,7 @@ func rewriteDir(tb testing.TB, dir string, steps int, labels map[string]string) 
 // {"traces": [...]} over the selected rows — no HTML escaping, U+2028
 // escaped, registration order — for every mix of entry states.
 func TestListingMatchesEncodeJSON(t *testing.T) {
-	s, _ := liveServer(t, Config{MaxWorkers: 1})
+	s := newScenario(t, Config{MaxWorkers: 1}).s
 	h := s.Handler()
 	check := func(name, target string, ids ...string) {
 		t.Helper()
@@ -126,27 +117,16 @@ func TestListingMatchesEncodeJSON(t *testing.T) {
 // 400 bad_request, never the registry minus the filters that failed to
 // parse.
 func TestListingMalformedQuery(t *testing.T) {
-	s := NewServer(Config{MaxWorkers: 1})
-	t.Cleanup(s.Close)
-	fleetDirs(t, s)
-	h := s.Handler()
-	if rec := doReq(t, h, "GET", "/v1/traces?label.algo=dqn", ""); rec.Code != http.StatusOK || bytes.Count(rec.Body.Bytes(), []byte(`"id"`)) != 1 {
-		t.Fatalf("label.algo=dqn: %d, want 200 and one row:\n%s", rec.Code, rec.Body)
+	sc := newScenario(t, Config{MaxWorkers: 1})
+	sc.addFleet()
+	if rows := sc.list("label.algo=dqn"); len(rows) != 1 {
+		t.Fatalf("label.algo=dqn: %d rows, want 1", len(rows))
 	}
-	for _, query := range []string{
-		"label.algo=%zz",
-		"label.algo=dqn;x=1",
-		"label.algo=%zz&label.framework=tf",
-		"label.framework=tf&label.algo=%zz",
-		"label.algo=dqn&%zz",
-	} {
-		rec := doReq(t, h, "GET", "/v1/traces?"+query, "")
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("?%s: %d, want 400:\n%s", query, rec.Code, rec.Body)
-			continue
-		}
-		if code := errCode(t, rec); code != ErrCodeBadRequest {
-			t.Errorf("?%s: code %q, want %q", query, code, ErrCodeBadRequest)
-		}
+	queries := []string{"label.algo=%zz", "label.algo=dqn;x=1", "label.algo=%zz&label.framework=tf",
+		"label.framework=tf&label.algo=%zz", "label.algo=dqn&%zz"}
+	for _, query := range queries {
+		sc.list(query)
 	}
+	bad := ErrCodeBadRequest
+	sc.answered("", bad, bad, bad, bad, bad)
 }

@@ -108,7 +108,8 @@ func freshQueryDoc(tb testing.TB, dirs map[string]string, body string) []byte {
 // document it already had. A repeat with no change is a hit that starts no
 // Engine run.
 func TestWarmQueryFollowsRegistry(t *testing.T) {
-	s, store := liveServer(t, Config{MaxWorkers: 2})
+	sc := newScenario(t, Config{MaxWorkers: 2})
+	s, store := sc.s, sc.cfg.StoreDir
 	h := s.Handler()
 	dirs := fleetDirs(t, s)
 	const body = `{"group_by":["label.algo"],"metrics":["total_ns","transitions"]}`
@@ -177,7 +178,8 @@ func TestWarmQueryFollowsRegistry(t *testing.T) {
 // document of one of the registry's successive states, and once the changes
 // are done the query answers the final fleet's, as a fresh server does.
 func TestWarmQueryRacesRegistry(t *testing.T) {
-	s, store := liveServer(t, Config{MaxWorkers: 2})
+	sc := newScenario(t, Config{MaxWorkers: 2})
+	s, store := sc.s, sc.cfg.StoreDir
 	h := s.Handler()
 	dirs := fleetDirs(t, s)
 	const body = `{"group_by":["label.algo"]}`
@@ -293,7 +295,7 @@ func listSelectionHolds(s *Server, rawQuery string) bool {
 // generation, and one that selects an open trace keeps none, since an append
 // changes the trace's row without a generation bump.
 func TestWarmListingFollowsRegistry(t *testing.T) {
-	s, _ := liveServer(t, Config{MaxWorkers: 2})
+	s := newScenario(t, Config{MaxWorkers: 2}).s
 	h := s.Handler()
 	dirs := fleetDirs(t, s)
 	listings := []struct {
@@ -384,7 +386,8 @@ func TestWarmListingFollowsRegistry(t *testing.T) {
 // and once the changes are done the listing answers the final registry's,
 // as a fresh server does, from a selection at the final generation.
 func TestWarmListingRacesRegistry(t *testing.T) {
-	s, store := liveServer(t, Config{MaxWorkers: 2})
+	sc := newScenario(t, Config{MaxWorkers: 2})
+	s, store := sc.s, sc.cfg.StoreDir
 	h := s.Handler()
 	dirs := fleetDirs(t, s)
 	const target = "/v1/traces?label.algo=ppo"

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"testing"
 
 	rlscope "repro"
@@ -19,33 +21,36 @@ import (
 // the given labels — distinct labels make distinct content digests.
 func labeledDir(tb testing.TB, steps int, labels map[string]string) string {
 	tb.Helper()
-	tr := quickstartTrace(tb, steps)
-	tr.Meta.Labels = labels
-	dir := tb.TempDir()
-	w, err := trace.NewWriter(dir, 4<<10)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	w.Append(tr.Events...)
-	if err := w.Close(tr.Meta); err != nil {
-		tb.Fatal(err)
-	}
-	return dir
+	return rewriteDir(tb, tb.TempDir(), steps, labels)
 }
 
-// fleetDirs registers three labeled quickstart traces on a server: two
-// ppo runs and one dqn run.
-func fleetDirs(tb testing.TB, s *Server) map[string]string {
-	tb.Helper()
-	dirs := map[string]string{
+// fleetRuns writes three labeled quickstart traces: two ppo runs and one
+// dqn run.
+func fleetRuns(tb testing.TB) map[string]string {
+	return map[string]string{
 		"run-a": labeledDir(tb, 12, map[string]string{"algo": "ppo", "framework": "tf"}),
 		"run-b": labeledDir(tb, 18, map[string]string{"algo": "ppo", "framework": "torch"}),
 		"run-c": labeledDir(tb, 24, map[string]string{"algo": "dqn", "framework": "tf"}),
 	}
+}
+
+// fleetDirs registers fleetRuns on a server.
+func fleetDirs(tb testing.TB, s *Server) map[string]string {
+	tb.Helper()
+	dirs := fleetRuns(tb)
 	for id, dir := range dirs {
 		if _, err := s.AddDir(id, dir); err != nil {
 			tb.Fatal(err)
 		}
+	}
+	return dirs
+}
+
+// addFleet registers fleetRuns through the scenario.
+func (sc *scenario) addFleet() map[string]string {
+	dirs := fleetRuns(sc.tb)
+	for _, id := range slices.Sorted(maps.Keys(dirs)) {
+		sc.addDir(id, dirs[id])
 	}
 	return dirs
 }
@@ -84,63 +89,22 @@ func offlineQueryDoc(tb testing.TB, q fleet.Query, dirs map[string]string) []byt
 	return buf.Bytes()
 }
 
+// TestQueryEndpoint: a cold query over three registered runs costs three
+// Engine runs and is the offline document, grouped dqn before ppo; its
+// repeat is a hit at no run; a filter matching nothing is the empty
+// document.
 func TestQueryEndpoint(t *testing.T) {
-	s := NewServer(Config{MaxWorkers: 2})
-	t.Cleanup(s.Close)
-	dirs := fleetDirs(t, s)
-	h := s.Handler()
-
+	sc := newScenario(t, Config{MaxWorkers: 1})
+	sc.addFleet()
 	body := `{"group_by":["label.algo"],"metrics":["total_ns","gpu_ns","gpu_frac"]}`
-	rec := doReq(t, h, "POST", "/v1/query", body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("query: %d %s", rec.Code, rec.Body)
-	}
-	if runs := rec.Header().Get("X-RLScope-Engine-Runs"); runs != "3" {
-		t.Fatalf("cold query engine runs %q, want 3", runs)
-	}
 	var doc report.QueryDoc
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(sc.query(body), &doc); err != nil || doc.Traces != 3 || len(doc.Groups) != 2 ||
+		doc.Groups[0].Key["label.algo"] != "dqn" || doc.Groups[1].Key["label.algo"] != "ppo" {
+		t.Fatalf("doc of %d traces in groups %+v (%v), want 3 in dqn then ppo", doc.Traces, doc.Groups, err)
 	}
-	if doc.Traces != 3 || len(doc.Groups) != 2 {
-		t.Fatalf("doc has %d traces in %d groups, want 3 in 2: %s", doc.Traces, len(doc.Groups), rec.Body)
-	}
-	if doc.Groups[0].Key["label.algo"] != "dqn" || doc.Groups[1].Key["label.algo"] != "ppo" {
-		t.Fatalf("group keys out of order: %s", rec.Body)
-	}
-
-	// The server's document is byte-identical to the offline computation
-	// over the same traces and query — the CLI/server cmp contract.
-	var q fleet.Query
-	if err := json.Unmarshal([]byte(body), &q); err != nil {
-		t.Fatal(err)
-	}
-	if offline := offlineQueryDoc(t, q, dirs); !bytes.Equal(rec.Body.Bytes(), offline) {
-		t.Fatalf("server document diverges from offline:\nserver:\n%s\noffline:\n%s", rec.Body, offline)
-	}
-
-	// Repeat: every result set is now stored, zero Engine runs, same bytes.
-	rec2 := doReq(t, h, "POST", "/v1/query", body)
-	if rec2.Code != http.StatusOK {
-		t.Fatalf("warm query: %d %s", rec2.Code, rec2.Body)
-	}
-	if runs := rec2.Header().Get("X-RLScope-Engine-Runs"); runs != "0" {
-		t.Fatalf("warm query engine runs %q, want 0", runs)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), rec2.Body.Bytes()) {
-		t.Fatal("warm query bytes differ from cold query")
-	}
-
-	// A filter with no matches is an empty (but valid) document.
-	rec3 := doReq(t, h, "POST", "/v1/query", `{"filter":{"label.algo":"nothing"}}`)
-	if rec3.Code != http.StatusOK {
-		t.Fatalf("empty query: %d %s", rec3.Code, rec3.Body)
-	}
-	if err := json.Unmarshal(rec3.Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Traces != 0 || len(doc.Groups) != 0 {
-		t.Fatalf("no-match query: %s", rec3.Body)
+	sc.query(body)
+	if err := json.Unmarshal(sc.query(`{"filter":{"label.algo":"nothing"}}`), &doc); err != nil || doc.Traces != 0 || len(doc.Groups) != 0 {
+		t.Fatalf("no-match query: %+v (%v)", doc, err)
 	}
 }
 
@@ -150,8 +114,7 @@ func TestQueryEndpoint(t *testing.T) {
 // the exact merge, independent of fleet size.
 func TestQueryFleetScaleWarm(t *testing.T) {
 	const fleetSize = 120
-	s := NewServer(Config{MaxWorkers: 2})
-	t.Cleanup(s.Close)
+	s := newScenario(t, Config{MaxWorkers: 2}).s
 	// Same tiny event stream everywhere; the labels alone make each
 	// directory distinct content (labels live in meta.json, so they are
 	// part of the digest).
@@ -198,129 +161,51 @@ func TestQueryFleetScaleWarm(t *testing.T) {
 	}
 }
 
+// TestQueryBadRequests: a body with an unknown field, an unknown dimension,
+// a malformed glob, an unknown metric, a baseline without group_by, and
+// bytes that are not JSON are each 400 bad_request.
 func TestQueryBadRequests(t *testing.T) {
-	s := NewServer(Config{MaxWorkers: 1})
-	t.Cleanup(s.Close)
-	h := s.Handler()
-	for _, body := range []string{
-		`{"bogus_field": 1}`,
-		`{"group_by":["nope"]}`,
-		`{"filter":{"workload":"[unclosed"}}`,
-		`{"metrics":["watts"]}`,
-		`{"compare":{"baseline":{"label.algo":"x"}}}`,
-		`not json`,
-	} {
-		rec := doReq(t, h, "POST", "/v1/query", body)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("query %s: %d, want 400", body, rec.Code)
-			continue
-		}
-		if code := errCode(t, rec); code != ErrCodeBadRequest {
-			t.Errorf("query %s: error code %q, want %q", body, code, ErrCodeBadRequest)
-		}
+	sc := newScenario(t, Config{MaxWorkers: 1})
+	bodies := []string{`{"bogus_field": 1}`, `{"group_by":["nope"]}`, `{"filter":{"workload":"[unclosed"}}`,
+		`{"metrics":["watts"]}`, `{"compare":{"baseline":{"label.algo":"x"}}}`, `not json`}
+	for _, body := range bodies {
+		sc.query(body)
 	}
+	bad := ErrCodeBadRequest
+	sc.answered(bad, bad, bad, bad, bad, bad)
 }
 
-// TestQueryWarmRestart is the persistence tentpole: a server restarted
-// over the same -store-reports directory answers the repeat query with
-// zero Engine runs and byte-identical output.
+// TestQueryWarmRestart is the persistence tentpole: a server restarted over
+// the same -store-reports directory answers the repeat query, a memory miss,
+// with zero Engine runs and the same document.
 func TestQueryWarmRestart(t *testing.T) {
-	reportDir := t.TempDir()
-	reports, err := NewDiskStore(reportDir)
+	reports, err := NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := NewServer(Config{MaxWorkers: 2, Reports: reports})
-	dirs := fleetDirs(t, s1)
-	body := `{"group_by":["label.framework"]}`
-	rec1 := doReq(t, s1.Handler(), "POST", "/v1/query", body)
-	if rec1.Code != http.StatusOK {
-		t.Fatalf("cold query: %d %s", rec1.Code, rec1.Body)
-	}
-	if runs := s1.EngineRuns(); runs != 3 {
-		t.Fatalf("cold server ran %d engines, want 3", runs)
-	}
-	s1.Close()
-
-	reports, err = NewDiskStore(reportDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewServer(Config{MaxWorkers: 2, Reports: reports})
-	t.Cleanup(s2.Close)
-	for id, dir := range dirs {
-		if _, err := s2.AddDir(id, dir); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec2 := doReq(t, s2.Handler(), "POST", "/v1/query", body)
-	if rec2.Code != http.StatusOK {
-		t.Fatalf("warm query: %d %s", rec2.Code, rec2.Body)
-	}
-	if runs := s2.EngineRuns(); runs != 0 {
-		t.Fatalf("restarted server ran %d engines, want 0 (report store is warm)", runs)
-	}
-	if runs := rec2.Header().Get("X-RLScope-Engine-Runs"); runs != "0" {
-		t.Fatalf("warm query header %q, want 0", runs)
-	}
-	if !bytes.Equal(rec1.Body.Bytes(), rec2.Body.Bytes()) {
-		t.Fatal("restarted server's document differs")
-	}
+	sc := newScenario(t, Config{MaxWorkers: 1, Reports: reports})
+	sc.addFleet()
+	sc.query(`{"group_by":["label.framework"]}`)
+	sc.restart()
+	sc.query(`{"group_by":["label.framework"]}`)
+	sc.answered("miss", "miss") // the second at no Engine run, the model checked
 }
 
+// TestTraceListFilters: listing filters share the fleet matcher — labels,
+// several at once, workload and id globs, an absent label — an unknown
+// parameter is 400, and labels ride along in the rows.
 func TestTraceListFilters(t *testing.T) {
-	s := NewServer(Config{MaxWorkers: 1})
-	t.Cleanup(s.Close)
-	fleetDirs(t, s)
-	h := s.Handler()
-
-	count := func(path string) int {
-		t.Helper()
-		rec := doReq(t, h, "GET", path, "")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+	sc := newScenario(t, Config{MaxWorkers: 1})
+	sc.addFleet()
+	for query, n := range map[string]int{"": 3, "label.algo=ppo": 2, "label.algo=ppo&label.framework=tf": 1,
+		"workload=quick*": 3, "id=run-[ab]": 2, "label.missing=x": 0} {
+		if rows := sc.list(query); len(rows) != n {
+			t.Errorf("?%s: %d rows, want %d", query, len(rows), n)
 		}
-		var listing struct {
-			Traces []TraceInfo `json:"traces"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
-			t.Fatal(err)
-		}
-		return len(listing.Traces)
 	}
-	if n := count("/v1/traces"); n != 3 {
-		t.Fatalf("unfiltered listing: %d, want 3", n)
-	}
-	if n := count("/v1/traces?label.algo=ppo"); n != 2 {
-		t.Fatalf("label.algo=ppo: %d, want 2", n)
-	}
-	if n := count("/v1/traces?label.algo=ppo&label.framework=tf"); n != 1 {
-		t.Fatalf("two label filters: %d, want 1", n)
-	}
-	if n := count("/v1/traces?workload=quick*"); n != 3 {
-		t.Fatalf("workload glob: %d, want 3", n)
-	}
-	if n := count("/v1/traces?id=run-[ab]"); n != 2 {
-		t.Fatalf("id glob: %d, want 2", n)
-	}
-	if n := count("/v1/traces?label.missing=x"); n != 0 {
-		t.Fatalf("absent label: %d, want 0", n)
-	}
-	rec := doReq(t, h, "GET", "/v1/traces?bogus=1", "")
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("bogus filter param: %d, want 400", rec.Code)
-	}
-
-	// Labels ride along in the listing rows.
-	rec = doReq(t, h, "GET", "/v1/traces?id=run-a", "")
-	var listing struct {
-		Traces []TraceInfo `json:"traces"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
-		t.Fatal(err)
-	}
-	if got := listing.Traces[0].Labels["algo"]; got != "ppo" {
-		t.Fatalf("listed labels %v", listing.Traces[0].Labels)
+	sc.list("bogus=1")
+	if rows := sc.list("id=run-a"); rows[0].Labels["algo"] != "ppo" {
+		t.Fatalf("listed labels %v", rows[0].Labels)
 	}
 }
 
@@ -351,48 +236,23 @@ func streamAndSeal(tb testing.TB, h http.Handler, id string, labels map[string]s
 	return sealed.Digest
 }
 
-// TestQueryOverSealedLive: sealed live traces are fleet candidates, and
-// sealing itself populated the result-set store — so querying them costs
-// zero Engine runs. Open live traces are excluded until sealed.
+// TestQueryOverSealedLive: an open trace is no fleet candidate; sealed
+// streamed traces are, and their seal already stored their result sets, so
+// the query costs no Engine run.
 func TestQueryOverSealedLive(t *testing.T) {
-	s, _ := liveServer(t, Config{MaxWorkers: 2})
-	h := s.Handler()
-
-	chunk, _ := quickstartFrames(t, 10, 1)
-	if rec := doReq(t, h, "POST", "/v1/traces/open1/chunks?seq=0", string(chunk[0])); rec.Code != http.StatusOK {
-		t.Fatalf("append: %d %s", rec.Code, rec.Body)
-	}
-	rec := doReq(t, h, "POST", "/v1/query", `{}`)
+	tr := quickstartTrace(t, 10)
+	sc := newScenario(t, Config{MaxWorkers: 1})
+	sc.append("open1", 0, frameChunks(t, tr, 1)[0], tr)
 	var doc report.QueryDoc
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(sc.query(`{}`), &doc); err != nil || doc.Traces != 0 {
+		t.Fatalf("open live trace entered a fleet query: %+v (%v)", doc, err)
 	}
-	if doc.Traces != 0 {
-		t.Fatalf("open live trace entered a fleet query: %s", rec.Body)
+	for _, algo := range []string{"ppo", "dqn"} {
+		sc.stream("live-"+algo, tr, 3, map[string]string{"algo": algo})
 	}
-
-	streamAndSeal(t, h, "live-ppo", map[string]string{"algo": "ppo"})
-	streamAndSeal(t, h, "live-dqn", map[string]string{"algo": "dqn"})
-	rec = doReq(t, h, "POST", "/v1/query", `{"group_by":["label.algo"]}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("query: %d %s", rec.Code, rec.Body)
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Traces != 2 || len(doc.Groups) != 2 {
-		t.Fatalf("sealed live query: %d traces in %d groups, want 2 in 2", doc.Traces, len(doc.Groups))
-	}
-	if got := doc.Groups[0].TraceIDs[0]; got != "live-dqn" {
-		t.Fatalf("dqn group members %v", doc.Groups[0].TraceIDs)
-	}
-	// Seal already stored each trace's result set; the query needed no
-	// Engine at all.
-	if runs := rec.Header().Get("X-RLScope-Engine-Runs"); runs != "0" {
-		t.Fatalf("sealed-live query engine runs %q, want 0", runs)
-	}
-	if runs := s.EngineRuns(); runs != 0 {
-		t.Fatalf("server ran %d engines, want 0", runs)
+	if err := json.Unmarshal(sc.query(`{"group_by":["label.algo"]}`), &doc); err != nil || doc.Traces != 2 ||
+		len(doc.Groups) != 2 || doc.Groups[0].TraceIDs[0] != "live-dqn" {
+		t.Fatalf("sealed live query: %+v (%v), want 2 traces in 2 groups, dqn first", doc, err)
 	}
 }
 
@@ -400,7 +260,7 @@ func TestQueryOverSealedLive(t *testing.T) {
 // while keeping the final document, the final counters, and a working
 // (store-backed) filtered-analysis path.
 func TestSealEvictsIncremental(t *testing.T) {
-	s, _ := liveServer(t, Config{MaxWorkers: 2})
+	s := newScenario(t, Config{MaxWorkers: 2}).s
 	h := s.Handler()
 
 	// Analyze mid-stream so the incremental state has done real work.
@@ -457,17 +317,8 @@ func TestSealEvictsIncremental(t *testing.T) {
 	if got := rec.Header().Get("X-RLScope-Cache"); got != "hit" {
 		t.Fatalf("post-seal analyze cache %q, want hit", got)
 	}
-	dir := entry.dir
-	rep, err := rlscope.NewEngine(rlscope.WithWorkers(1)).Analyze(context.Background(), rlscope.FromDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offline bytes.Buffer
-	if err := report.NewResultAnalysis(rep.Meta, rep.Results, false).Encode(&offline); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), offline.Bytes()) {
-		t.Fatalf("sealed document diverges from offline:\nlive:\n%s\noffline:\n%s", rec.Body, offline.String())
+	if offline := offlineDoc(t, rlscope.FromDir(entry.dir), docOpts{}); !bytes.Equal(rec.Body.Bytes(), offline) {
+		t.Fatalf("sealed document diverges from offline:\nlive:\n%s\noffline:\n%s", rec.Body, offline)
 	}
 	if runs := s.EngineRuns(); runs != 0 {
 		t.Fatalf("unfiltered post-seal analyze ran %d engines, want 0", runs)
@@ -483,15 +334,7 @@ func TestSealEvictsIncremental(t *testing.T) {
 	if runs := s.EngineRuns(); runs != 0 {
 		t.Fatalf("filtered post-seal analyze ran %d engines, want 0", runs)
 	}
-	repF, err := rlscope.NewEngine(rlscope.WithWorkers(1), rlscope.WithProcesses(0)).Analyze(context.Background(), rlscope.FromDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var offlineF bytes.Buffer
-	if err := report.NewResultAnalysis(repF.Meta, repF.Results, false).Encode(&offlineF); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), offlineF.Bytes()) {
+	if !bytes.Equal(rec.Body.Bytes(), offlineDoc(t, rlscope.FromDir(entry.dir), docOpts{procs: []trace.ProcID{0}})) {
 		t.Fatalf("filtered sealed document diverges from offline")
 	}
 	// Repeating the same filtered request hits the per-trace cache.

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -43,68 +42,36 @@ func parseQuery(tb testing.TB, body string) fleet.Query {
 // traces sealed over HTTP): after every registration each served document
 // equals the offline oracle over exactly the traces registered so far, is a
 // miss precisely when the newcomer matches the query's filter, and repeats
-// as a byte-identical hit. There is no purge to get wrong — a stale answer
-// could only come from two fleets sharing a key.
+// as a byte-identical hit at no Engine run. There is no purge to get wrong —
+// a stale answer could only come from two fleets sharing a key.
 func TestQueryDocInvalidation(t *testing.T) {
-	type run struct {
+	pool := []struct {
 		id     string
 		labels map[string]string
 		steps  int // 0 = streamed live and sealed
-	}
-	pool := []run{
+	}{
 		{"run-a", map[string]string{"algo": "ppo", "framework": "tf"}, 8},
 		{"run-b", map[string]string{"algo": "ppo", "framework": "torch"}, 12},
 		{"run-c", map[string]string{"algo": "dqn", "framework": "tf"}, 16},
 		{"live-d", map[string]string{"algo": "dqn", "framework": "torch"}, 0},
 		{"live-e", map[string]string{"algo": "ppo", "framework": "tf"}, 0},
 	}
-	queries := []string{
-		`{"group_by":["label.algo"],"metrics":["total_ns","gpu_frac","transitions"]}`,
-		`{"filter":{"label.algo":"ppo"},"group_by":["label.framework"]}`,
-	}
+	tr := quickstartTrace(t, 10)
 	for seed := int64(0); seed < 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			s, store := liveServer(t, Config{MaxWorkers: 2})
-			h := s.Handler()
-			dirs := map[string]string{}
-			for step, i := range rand.New(rand.NewSource(seed)).Perm(len(pool)) {
-				r := pool[i]
-				if r.steps > 0 {
-					dirs[r.id] = labeledDir(t, r.steps, r.labels)
-					if _, err := s.AddDir(r.id, dirs[r.id]); err != nil {
-						t.Fatal(err)
-					}
+			sc := newScenario(t, Config{MaxWorkers: 1})
+			for _, i := range rand.New(rand.NewSource(seed)).Perm(len(pool)) {
+				if r := pool[i]; r.steps > 0 {
+					sc.addDir(r.id, labeledDir(t, r.steps, r.labels))
 				} else {
-					streamAndSeal(t, h, r.id, r.labels)
-					dirs[r.id] = filepath.Join(store, r.id)
+					sc.stream(r.id, tr, 3, r.labels)
 				}
-				for _, body := range queries {
-					q := parseQuery(t, body)
-					filter, err := fleet.NewMatcher(q.Filter)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := "hit"
-					if step == 0 || filter.Match(fleet.Trace{ID: r.id, Meta: trace.Meta{Workload: "quickstart", Labels: r.labels}}) {
-						want = "miss"
-					}
-					rec := queryOK(t, h, body)
-					if got := rec.Header().Get("X-RLScope-Cache"); got != want {
-						t.Fatalf("after registering %s, query %s: cache %q, want %q", r.id, body, got, want)
-					}
-					if offline := offlineQueryDoc(t, q, dirs); !bytes.Equal(rec.Body.Bytes(), offline) {
-						t.Fatalf("after registering %s, query %s diverges from offline:\nserver:\n%s\noffline:\n%s", r.id, body, rec.Body, offline)
-					}
-					again := queryOK(t, h, body)
-					if got := again.Header().Get("X-RLScope-Cache"); got != "hit" {
-						t.Fatalf("repeat of %s: cache %q, want hit", body, got)
-					}
-					if got := again.Header().Get("X-RLScope-Engine-Runs"); got != "0" {
-						t.Fatalf("repeat of %s: engine runs %q, want 0", body, got)
-					}
-					if !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
-						t.Fatalf("repeat of %s: hit bytes differ from the miss", body)
-					}
+				for _, body := range []string{
+					`{"group_by":["label.algo"],"metrics":["total_ns","gpu_frac","transitions"]}`,
+					`{"filter":{"label.algo":"ppo"},"group_by":["label.framework"]}`,
+				} {
+					sc.query(body)
+					sc.query(body)
 				}
 			}
 		})
@@ -116,48 +83,28 @@ func TestQueryDocInvalidation(t *testing.T) {
 // its content is new, the same content under a second id, or the same
 // events carrying a different group_by label value.
 func TestQueryDocCacheMembership(t *testing.T) {
-	s := NewServer(Config{MaxWorkers: 2})
-	t.Cleanup(s.Close)
-	dirs := fleetDirs(t, s)
-	h := s.Handler()
+	sc := newScenario(t, Config{MaxWorkers: 1})
+	dirs := sc.addFleet()
 	body := `{"filter":{"label.algo":"ppo"},"group_by":["label.framework"]}`
-	add := func(id, dir string) {
-		t.Helper()
-		if _, err := s.AddDir(id, dir); err != nil {
-			t.Fatal(err)
-		}
-		dirs[id] = dir
+	sc.query(body)
+	sc.query(body)
+	for _, add := range []struct{ id, dir string }{
+		{"run-d", labeledDir(t, 30, map[string]string{"algo": "dqn", "framework": "torch"})}, // the filter rejects it
+		{"run-e", labeledDir(t, 30, map[string]string{"algo": "ppo", "framework": "tf"})},    // new matching content
+		{"run-a2", dirs["run-a"]}, // run-a's content under a second id
+		{"run-f", labeledDir(t, 12, map[string]string{"algo": "ppo", "framework": "jax"})}, // run-a's events, another group
+	} {
+		sc.addDir(add.id, add.dir)
+		sc.query(body)
+		sc.query(body)
 	}
-	expect := func(want string) {
-		t.Helper()
-		rec := queryOK(t, h, body)
-		if got := rec.Header().Get("X-RLScope-Cache"); got != want {
-			t.Fatalf("cache %q, want %q", got, want)
-		}
-		if offline := offlineQueryDoc(t, parseQuery(t, body), dirs); !bytes.Equal(rec.Body.Bytes(), offline) {
-			t.Fatalf("document diverges from offline:\nserver:\n%s\noffline:\n%s", rec.Body, offline)
-		}
-	}
-	expect("miss")
-	expect("hit")
-	add("run-d", labeledDir(t, 30, map[string]string{"algo": "dqn", "framework": "torch"}))
-	expect("hit") // the filter rejects run-d
-	add("run-e", labeledDir(t, 30, map[string]string{"algo": "ppo", "framework": "tf"}))
-	expect("miss") // new matching content
-	expect("hit")
-	add("run-a2", dirs["run-a"])
-	expect("miss") // run-a's content, second id
-	expect("hit")
-	add("run-f", labeledDir(t, 12, map[string]string{"algo": "ppo", "framework": "jax"}))
-	expect("miss") // run-a's events, another group
-	expect("hit")
+	sc.answered("miss", "hit", "hit", "hit", "miss", "hit", "miss", "hit", "miss", "hit")
 }
 
 // TestQueryErrorsNeverCached: a query that fails stores nothing and fails
 // again the same way, and a valid query after it is unaffected.
 func TestQueryErrorsNeverCached(t *testing.T) {
-	s := NewServer(Config{MaxWorkers: 2})
-	t.Cleanup(s.Close)
+	s := newScenario(t, Config{MaxWorkers: 2}).s
 	fleetDirs(t, s)
 	h := s.Handler()
 	queryOK(t, h, `{"group_by":["label.algo"]}`) // result sets are now stored
@@ -188,8 +135,7 @@ func TestQueryDocsStayOffDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(Config{MaxWorkers: 2, Reports: reports})
-	t.Cleanup(s.Close)
+	s := newScenario(t, Config{MaxWorkers: 2, Reports: reports}).s
 	fleetDirs(t, s)
 	h := s.Handler()
 	if rec := doReq(t, h, "POST", "/v1/traces/run-a/analyze", `{"workers":1}`); rec.Code != http.StatusOK {
@@ -219,8 +165,7 @@ func TestQueryDocsStayOffDisk(t *testing.T) {
 // request has joined it.
 func TestQuerySingleflight(t *testing.T) {
 	const n = 6
-	s := NewServer(Config{MaxWorkers: 2})
-	t.Cleanup(s.Close)
+	s := newScenario(t, Config{MaxWorkers: 2}).s
 	fleetDirs(t, s)
 	h := s.Handler()
 	body := `{"group_by":["label.algo"]}`
@@ -284,8 +229,7 @@ func TestQuerySingleflight(t *testing.T) {
 // decode (an older version, a corrupt entry) is a miss — recomputed and
 // overwritten — not a permanent 500.
 func TestStaleResultSetBlobRecomputes(t *testing.T) {
-	s := NewServer(Config{MaxWorkers: 2})
-	t.Cleanup(s.Close)
+	s := newScenario(t, Config{MaxWorkers: 2}).s
 	dirs := fleetDirs(t, s)
 	candidates, _ := s.queryCandidates()
 	for _, c := range candidates {
@@ -352,7 +296,7 @@ func warmAllocs(t *testing.T, h http.Handler, method, target, body string) float
 // sealed is held to the registered ones' pins: it is the same kind of
 // entry, and its listing row is stored alike.
 func TestWarmReadAllocs(t *testing.T) {
-	s, _ := liveServer(t, Config{MaxWorkers: 2})
+	s := newScenario(t, Config{MaxWorkers: 2}).s
 	fleetDirs(t, s)
 	h := s.Handler()
 	streamAndSeal(t, h, "streamed", map[string]string{"algo": "sac"})
@@ -399,7 +343,7 @@ func TestPreviousKeyFormMisses(t *testing.T) {
 	if err := disk.Put(digest+"|w=1|m=0|c=0|p=", stale); err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Config{Reports: disk}, dir)
+	s := newScenario(t, Config{Reports: disk}).addDir("qs", dir).s
 	h := s.Handler()
 	rec := mustOK(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1}`)
 	if got := rec.Header().Get("X-RLScope-Cache"); got != "miss" || bytes.Equal(rec.Body.Bytes(), stale) {

@@ -47,7 +47,7 @@ func TestLiveEpochAllocs(t *testing.T) {
 		t.Skip("under the race detector the standard library's own sync.Pools cost a warm epoch more allocations than the pin")
 	}
 	const per, warm, runs = 512, 16, 60
-	s, _ := liveServer(t, Config{})
+	s := newScenario(t, Config{}).s
 	h := s.Handler()
 	frames := eventFrames(t, quickstartTrace(t, 900).Events, per)
 	if len(frames) < warm+runs+1 {
@@ -151,7 +151,8 @@ func TestLiveEpochAllocs(t *testing.T) {
 // byte, every seal digest the directory's, and every Engine run's document
 // the same.
 func TestRecycledBuffersDoNotAlias(t *testing.T) {
-	s, store := liveServer(t, Config{MaxWorkers: 2})
+	sc := newScenario(t, Config{MaxWorkers: 2})
+	s, store := sc.s, sc.cfg.StoreDir
 	h := s.Handler()
 	type stream struct {
 		frames [][]byte
@@ -166,7 +167,7 @@ func TestRecycledBuffersDoNotAlias(t *testing.T) {
 		streams = append(streams, stream{eventFrames(t, tr.Events, 128<<(i%3)), meta})
 	}
 	engineDir := quickstartDir(t, 200)
-	engineDoc := offlineResultDoc(t, engineDir)
+	engineDoc := offlineDoc(t, rlscope.FromDir(engineDir), docOpts{})
 
 	type sealed struct{ id, digest, doc string }
 	var (
@@ -253,7 +254,7 @@ func TestRecycledBuffersDoNotAlias(t *testing.T) {
 		if g.digest != digest {
 			t.Errorf("%s: seal digest %.12s, directory digest %.12s", g.id, g.digest, digest)
 		}
-		if want := offlineResultDoc(t, dir); g.doc != string(want) {
+		if want := offlineDoc(t, rlscope.FromDir(dir), docOpts{}); g.doc != string(want) {
 			t.Errorf("%s: sealed document diverges from the offline engine's:\nserved:\n%s\noffline:\n%s", g.id, g.doc, want)
 		}
 	}
@@ -380,7 +381,7 @@ func TestIngestBuffersOutliveTrace(t *testing.T) {
 		{"default Writer", writer.frames[:len(writer.frames)-1]}, // the last one is short
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			s, _ := liveServer(t, Config{})
+			s := newScenario(t, Config{}).s
 			h := s.Handler()
 			appendFrames := func(id string, frames [][]byte) {
 				for seq, frame := range frames {
@@ -443,7 +444,8 @@ func TestIdleCeilingAcrossOpenTraces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, store := liveServer(t, Config{MaxWorkers: 1})
+			sc := newScenario(t, Config{MaxWorkers: 1})
+			s, store := sc.s, sc.cfg.StoreDir
 			h := s.Handler()
 			withinBound := func(when string) {
 				t.Helper()
@@ -476,7 +478,7 @@ func TestIdleCeilingAcrossOpenTraces(t *testing.T) {
 				mustOK(t, h, "POST", "/v1/traces/"+id+"/seal", string(meta))
 				withinBound("after the seal of " + id)
 				doc := mustOK(t, h, "POST", "/v1/traces/"+id+"/analyze", "{}").Body.String()
-				if want := offlineResultDoc(t, filepath.Join(store, id)); doc != string(want) {
+				if want := offlineDoc(t, rlscope.FromDir(filepath.Join(store, id)), docOpts{}); doc != string(want) {
 					t.Errorf("%s: the sealed document diverges from the offline Engine's", id)
 				}
 			}
@@ -543,7 +545,7 @@ func TestAppendKeepsTooSmallBuffer(t *testing.T) {
 		}
 	})
 	events := quickstartTrace(t, 40).Events[:100]
-	srv, _ := liveServer(t, Config{})
+	srv := newScenario(t, Config{}).s
 	h := srv.Handler()
 	for _, f := range []trace.Format{trace.FormatV1, trace.FormatV2} {
 		frame, _, err := trace.EncodeEventsFormat(events, f)

@@ -76,11 +76,7 @@ func checkAnswer(tb testing.TB, codes map[string]map[int]bool, what string, rec 
 // open.
 func routeServer(tb testing.TB, dir string, frame []byte) http.Handler {
 	tb.Helper()
-	s, _ := liveServer(tb, Config{MaxWorkers: 1})
-	if _, err := s.AddDir("qs", dir); err != nil {
-		tb.Fatal(err)
-	}
-	h := s.Handler()
+	h := newScenario(tb, Config{MaxWorkers: 1}).addDir("qs", dir).h
 	if rec := doReq(tb, h, "POST", "/v1/traces/live/chunks?seq=0", string(frame)); rec.Code != http.StatusOK {
 		tb.Fatalf("append: %d %s", rec.Code, rec.Body)
 	}

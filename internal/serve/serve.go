@@ -130,7 +130,7 @@ type traceEntry struct {
 	// entry that arrived over /chunks from one AddDir registered. Its results
 	// never came from a batch run, so its uncorrected analyzes are the
 	// result-only document (no stats block: no Engine run to describe), and
-	// an append to it is trace_sealed rather than trace_exists.
+	// an append or seal of it is trace_sealed rather than trace_exists.
 	streamed *analysis.IncrementalStats
 }
 

@@ -7,18 +7,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	rlscope "repro"
-	"repro/internal/calib"
 	"repro/internal/cuda"
 	"repro/internal/gpu"
-	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
@@ -69,30 +66,7 @@ func quickstartTrace(tb testing.TB, steps int) *trace.Trace {
 }
 
 // quickstartDir writes the quickstart trace as a multi-chunk directory.
-func quickstartDir(tb testing.TB, steps int) string {
-	tb.Helper()
-	tr := quickstartTrace(tb, steps)
-	dir := tb.TempDir()
-	w, err := trace.NewWriter(dir, 4<<10)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	w.Append(tr.Events...)
-	if err := w.Close(tr.Meta); err != nil {
-		tb.Fatal(err)
-	}
-	return dir
-}
-
-func newTestServer(tb testing.TB, cfg Config, dir string) *Server {
-	tb.Helper()
-	s := NewServer(cfg)
-	tb.Cleanup(s.Close)
-	if _, err := s.AddDir("qs", dir); err != nil {
-		tb.Fatal(err)
-	}
-	return s
-}
+func quickstartDir(tb testing.TB, steps int) string { return labeledDir(tb, steps, nil) }
 
 func doReq(tb testing.TB, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
 	tb.Helper()
@@ -102,27 +76,15 @@ func doReq(tb testing.TB, h http.Handler, method, path, body string) *httptest.R
 	return rec
 }
 
+// TestHealthz: the health document counts the registry and the Engine runs
+// started, and reports the worker budget and the defaulted cache budget.
 func TestHealthz(t *testing.T) {
-	s := newTestServer(t, Config{MaxWorkers: 4}, quickstartDir(t, 20))
-	rec := doReq(t, s.Handler(), "GET", "/healthz", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("healthz: %d %s", rec.Code, rec.Body)
-	}
-	var h healthResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Status != "ok" || h.Traces != 1 || h.Workers.Total != 4 || h.Workers.Available != 4 {
-		t.Fatalf("unexpected health: %+v", h)
-	}
-	if h.Cache.MaxBytes != DefaultCacheBytes {
-		t.Fatalf("cache budget not defaulted: %+v", h.Cache)
-	}
+	newScenario(t, Config{MaxWorkers: 4}).addDir("qs", quickstartDir(t, 20)).healthz()
 }
 
 func TestTracesGolden(t *testing.T) {
 	dir := quickstartDir(t, 20)
-	s := newTestServer(t, Config{}, dir)
+	s := newScenario(t, Config{}).addDir("qs", dir).s
 	digest, err := trace.DirDigest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +122,7 @@ func TestTracesGolden(t *testing.T) {
 
 func TestSummary(t *testing.T) {
 	dir := quickstartDir(t, 20)
-	s := newTestServer(t, Config{}, dir)
+	s := newScenario(t, Config{}).addDir("qs", dir).s
 	rec := doReq(t, s.Handler(), "GET", "/v1/traces/qs/summary", "")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("summary: %d %s", rec.Code, rec.Body)
@@ -202,43 +164,16 @@ func TestSummary(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCacheHitDoesZeroEngineWork: a first analyze is a miss and one
+// Engine run, its repeat a hit with the same bytes and none, and options
+// spelled differently are one key: a duplicated procs filter is the plain
+// one.
 func TestAnalyzeCacheHitDoesZeroEngineWork(t *testing.T) {
-	s := newTestServer(t, Config{}, quickstartDir(t, 20))
-	h := s.Handler()
-
-	rec1 := doReq(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1}`)
-	if rec1.Code != http.StatusOK {
-		t.Fatalf("analyze: %d %s", rec1.Code, rec1.Body)
+	sc := newScenario(t, Config{MaxWorkers: 1}).addDir("qs", quickstartDir(t, 20))
+	for _, body := range []string{`{"workers":1}`, `{"workers":1}`, `{"workers":1,"procs":[0,0]}`, `{"workers":1,"procs":[0]}`} {
+		sc.analyze("qs", body)
 	}
-	if got := rec1.Header().Get("X-RLScope-Cache"); got != "miss" {
-		t.Fatalf("first request cache header %q, want miss", got)
-	}
-	if runs := s.EngineRuns(); runs != 1 {
-		t.Fatalf("engine runs after first request: %d, want 1", runs)
-	}
-
-	rec2 := doReq(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1}`)
-	if rec2.Code != http.StatusOK {
-		t.Fatalf("analyze (warm): %d %s", rec2.Code, rec2.Body)
-	}
-	if got := rec2.Header().Get("X-RLScope-Cache"); got != "hit" {
-		t.Fatalf("second request cache header %q, want hit", got)
-	}
-	if runs := s.EngineRuns(); runs != 1 {
-		t.Fatalf("cache hit performed engine work: %d runs", runs)
-	}
-	if !bytes.Equal(rec1.Body.Bytes(), rec2.Body.Bytes()) {
-		t.Fatal("cache hit body differs from the original")
-	}
-
-	// Equivalent-but-differently-spelled options canonicalize to the same
-	// key: a duplicated, unsorted procs filter is still the same request.
-	rec3 := doReq(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1,"procs":[0,0]}`)
-	rec4 := doReq(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1,"procs":[0]}`)
-	if rec3.Header().Get("X-RLScope-Cache") != "miss" || rec4.Header().Get("X-RLScope-Cache") != "hit" {
-		t.Fatalf("procs canonicalization broken: %q then %q",
-			rec3.Header().Get("X-RLScope-Cache"), rec4.Header().Get("X-RLScope-Cache"))
-	}
+	sc.answered("miss", "hit", "miss", "hit")
 }
 
 // TestAnalyzeMatchesCLI pins the satellite guarantee: the service's
@@ -247,26 +182,7 @@ func TestAnalyzeCacheHitDoesZeroEngineWork(t *testing.T) {
 // from an Engine run and encode with Analysis.Encode; Workers:1 makes the
 // stats block deterministic too).
 func TestAnalyzeMatchesCLI(t *testing.T) {
-	dir := quickstartDir(t, 20)
-	s := newTestServer(t, Config{}, dir)
-
-	rec := doReq(t, s.Handler(), "POST", "/v1/traces/qs/analyze", `{"workers":1}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("analyze: %d %s", rec.Code, rec.Body)
-	}
-
-	eng := rlscope.NewEngine(rlscope.WithWorkers(1))
-	rep, err := eng.Analyze(context.Background(), rlscope.FromDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cli bytes.Buffer
-	if err := report.NewAnalysis(rep.Meta, rep.Results, rep.Stats, rep.Corrected).Encode(&cli); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rec.Body.Bytes(), cli.Bytes()) {
-		t.Fatalf("service and CLI documents differ:\nservice:\n%s\ncli:\n%s", rec.Body, cli.String())
-	}
+	newScenario(t, Config{MaxWorkers: 1}).addDir("qs", quickstartDir(t, 20)).analyze("qs", `{"workers":1}`)
 }
 
 // TestAnalyzeSingleflight proves N identical concurrent requests cost one
@@ -275,7 +191,7 @@ func TestAnalyzeMatchesCLI(t *testing.T) {
 func TestAnalyzeSingleflight(t *testing.T) {
 	const n = 8
 	dir := quickstartDir(t, 20)
-	s := newTestServer(t, Config{}, dir)
+	s := newScenario(t, Config{}).addDir("qs", dir).s
 	digest, err := trace.DirDigest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +259,7 @@ func TestAnalyzeSingleflight(t *testing.T) {
 // instead of burning the worker budget for nobody.
 func TestAnalyzeClientDisconnectCancels(t *testing.T) {
 	dir := quickstartDir(t, 20)
-	s := newTestServer(t, Config{}, dir)
+	s := newScenario(t, Config{}).addDir("qs", dir).s
 
 	entered := make(chan struct{})
 	aborted := make(chan struct{})
@@ -389,7 +305,7 @@ func TestCacheEviction(t *testing.T) {
 	dir := quickstartDir(t, 20)
 
 	// Measure the two documents' sizes with an unbounded cache.
-	big := newTestServer(t, Config{}, dir)
+	big := newScenario(t, Config{}).addDir("qs", dir).s
 	bodyA := doReq(t, big.Handler(), "POST", "/v1/traces/qs/analyze", `{"workers":1}`)
 	bodyB := doReq(t, big.Handler(), "POST", "/v1/traces/qs/analyze", `{"workers":1,"max_resident_bytes":4096}`)
 	if bodyA.Code != http.StatusOK || bodyB.Code != http.StatusOK {
@@ -400,7 +316,7 @@ func TestCacheEviction(t *testing.T) {
 		budget = n
 	}
 
-	s := newTestServer(t, Config{CacheBytes: budget + 1}, dir)
+	s := newScenario(t, Config{CacheBytes: budget + 1}).addDir("qs", dir).s
 	h := s.Handler()
 	doReq(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1}`)
 	doReq(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1,"max_resident_bytes":4096}`)
@@ -426,7 +342,7 @@ func TestCacheEviction(t *testing.T) {
 // under the new digest — new bytes are never filed under the old digest.
 func TestAnalyzeReDigestsRewrittenDir(t *testing.T) {
 	dir := quickstartDir(t, 20)
-	s := newTestServer(t, Config{}, dir)
+	s := newScenario(t, Config{}).addDir("qs", dir).s
 	h := s.Handler()
 
 	rec1 := doReq(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1}`)
@@ -436,24 +352,8 @@ func TestAnalyzeReDigestsRewrittenDir(t *testing.T) {
 	oldDigest := s.lookup("qs").info.Digest
 
 	// Rewrite the directory in place with a different (larger) run.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		if err := os.Remove(filepath.Join(dir, ent.Name())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tr := quickstartTrace(t, 40)
-	w, err := trace.NewWriter(dir, 4<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Append(tr.Events...)
-	if err := w.Close(tr.Meta); err != nil {
-		t.Fatal(err)
-	}
+	events := len(quickstartTrace(t, 40).Events)
+	rewriteDir(t, dir, 40, nil)
 
 	// A different option combination misses, re-digests, and refreshes
 	// the registration snapshot.
@@ -465,8 +365,8 @@ func TestAnalyzeReDigestsRewrittenDir(t *testing.T) {
 	if fresh.info.Digest == oldDigest {
 		t.Fatal("registration digest not refreshed after rewrite")
 	}
-	if fresh.info.Events != len(tr.Events) {
-		t.Fatalf("refreshed summary has %d events, want %d", fresh.info.Events, len(tr.Events))
+	if fresh.info.Events != events {
+		t.Fatalf("refreshed summary has %d events, want %d", fresh.info.Events, events)
 	}
 	// The report landed under the new digest: the identical request hits.
 	rec3 := doReq(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1,"max_resident_bytes":8192}`)
@@ -484,90 +384,49 @@ func TestAnalyzeReDigestsRewrittenDir(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCorrection: a corrected analyze is the offline corrected
+// document, and it and the uncorrected one are two cache entries with two
+// documents.
 func TestAnalyzeCorrection(t *testing.T) {
 	dir := quickstartDir(t, 20)
-	cal := &calib.Calibration{
-		Annotation:    50 * vclock.Nanosecond,
-		Interception:  30 * vclock.Nanosecond,
-		CUDAIntercept: 20 * vclock.Nanosecond,
+	sc := newScenario(t, Config{MaxWorkers: 1, Calibration: scenarioCal}).addDir("qs", dir)
+	for _, body := range []string{`{"workers":1,"correction":true}`, `{"workers":1}`, `{"workers":1,"correction":true}`} {
+		sc.analyze("qs", body)
 	}
-	s := newTestServer(t, Config{Calibration: cal}, dir)
-	h := s.Handler()
-
-	rec := doReq(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1,"correction":true}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("corrected analyze: %d %s", rec.Code, rec.Body)
-	}
-	var doc report.Analysis
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if !doc.Corrected {
-		t.Fatal("corrected document not marked corrected")
-	}
-	// Corrected and uncorrected analyses are distinct cache entries.
-	plain := doReq(t, h, "POST", "/v1/traces/qs/analyze", `{"workers":1}`)
-	if plain.Header().Get("X-RLScope-Cache") != "miss" {
-		t.Fatal("uncorrected request hit the corrected cache entry")
-	}
-	if bytes.Equal(rec.Body.Bytes(), plain.Body.Bytes()) {
+	sc.answered("miss", "miss", "hit")
+	if bytes.Equal(offlineDoc(t, rlscope.FromDir(dir), docOpts{full: true, cal: scenarioCal}), offlineDoc(t, rlscope.FromDir(dir), docOpts{full: true})) {
 		t.Fatal("corrected and uncorrected documents are identical")
 	}
 }
 
+// TestAnalyzeRequestErrors: an unknown id is 404 unknown_trace to analyze
+// and summary, a body no server takes and correction without a
+// calibration are 400, and none of them costs an Engine run; an empty body
+// is all defaults.
 func TestAnalyzeRequestErrors(t *testing.T) {
-	s := newTestServer(t, Config{}, quickstartDir(t, 5))
-	h := s.Handler()
-	cases := []struct {
-		method, path, body string
-		want               int
-	}{
-		{"POST", "/v1/traces/nope/analyze", "", http.StatusNotFound},
-		{"GET", "/v1/traces/nope/summary", "", http.StatusNotFound},
-		{"POST", "/v1/traces/qs/analyze", `{"workers":`, http.StatusBadRequest},
-		{"POST", "/v1/traces/qs/analyze", `{"bogus_option":1}`, http.StatusBadRequest},
-		{"POST", "/v1/traces/qs/analyze", `{"correction":true}`, http.StatusBadRequest},
+	sc := newScenario(t, Config{MaxWorkers: 1}).addDir("qs", quickstartDir(t, 5))
+	sc.analyze("nope", "")
+	sc.summary("nope")
+	for _, body := range append(slices.Clone(badAnalyzeBodies), `{"correction":true}`, "") {
+		sc.analyze("qs", body)
 	}
-	for _, tc := range cases {
-		rec := doReq(t, h, tc.method, tc.path, tc.body)
-		if rec.Code != tc.want {
-			t.Errorf("%s %s %q: got %d, want %d (%s)", tc.method, tc.path, tc.body, rec.Code, tc.want, rec.Body)
-		}
-	}
-	if runs := s.EngineRuns(); runs != 0 {
-		t.Fatalf("rejected requests started %d engine runs", runs)
-	}
-	// An empty body is legal: all defaults.
-	rec := doReq(t, h, "POST", "/v1/traces/qs/analyze", "")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("empty-body analyze: %d %s", rec.Code, rec.Body)
-	}
+	bad := ErrCodeBadRequest
+	sc.answered(ErrCodeUnknownTrace, ErrCodeUnknownTrace, bad, bad, bad, ErrCodeNoCalibration, "miss")
 }
 
+// TestAddDirErrors: AddDir refuses a directory with no trace files, an id
+// already registered, and ids that break the rule — "." and ".." would name
+// the store and its parent, net/http's path cleaning redirects both and
+// cuts at "?" before a route sees them, and an id names a store directory,
+// so it is at most 255 bytes, which it may be.
 func TestAddDirErrors(t *testing.T) {
-	s := NewServer(Config{})
-	defer s.Close()
-	if _, err := s.AddDir("x", t.TempDir()); err == nil {
-		t.Fatal("registering an empty directory succeeded")
-	}
 	dir := quickstartDir(t, 5)
-	if _, err := s.AddDir("qs", dir); err != nil {
-		t.Fatal(err)
+	sc := newScenario(t, Config{}).addDir("x", t.TempDir()).addDir("qs", dir).addDir("qs", dir)
+	for _, id := range []string{"bad id", ".", "..", "a?b", strings.Repeat("a", 256), strings.Repeat("a", 255)} {
+		sc.addDir(id, dir)
 	}
-	if _, err := s.AddDir("qs", dir); err == nil {
-		t.Fatal("duplicate id registration succeeded")
-	}
-	// The live-ingest id rule: "." and ".." would name the store itself and
-	// its parent, and net/http's path cleaning redirects both (and cuts at
-	// "?") before a route sees them.
-	// An id names a store directory, so it is at most 255 bytes.
-	for _, id := range []string{"bad id", ".", "..", "a?b", strings.Repeat("a", 256)} {
-		if _, err := s.AddDir(id, dir); err == nil {
-			t.Fatalf("invalid id %.32q registered", id)
-		}
-	}
-	if _, err := s.AddDir(strings.Repeat("a", 255), dir); err != nil {
-		t.Fatalf("a 255-byte id: %v", err)
+	if len(sc.order) != 2 {
+		t.Fatalf("registered %v, want qs and the 255-byte id", sc.order)
 	}
 }
 
@@ -603,7 +462,7 @@ func jsonBodyCases() []jsonBodyCase {
 // whose second half is dropped, and a body over the limit is 413
 // bad_request, as an oversized chunk is. A refused request changes nothing.
 func TestJSONBodyErrors(t *testing.T) {
-	s := newTestServer(t, Config{StoreDir: t.TempDir()}, quickstartDir(t, 5))
+	s := newScenario(t, Config{}).addDir("qs", quickstartDir(t, 5)).s
 	h := s.Handler()
 	chunks, _ := quickstartFrames(t, 5, 1)
 	mustOK(t, h, "POST", "/v1/traces/open/chunks?seq=0", string(chunks[0]))

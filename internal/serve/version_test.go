@@ -42,7 +42,7 @@ func TestDocumentVersionPinsServedBytes(t *testing.T) {
 	if err := w.Close(run.Trace.Meta); err != nil {
 		t.Fatal(err)
 	}
-	h := newTestServer(t, Config{MaxWorkers: 1}, dir).Handler()
+	h := newScenario(t, Config{MaxWorkers: 1}).addDir("qs", dir).s.Handler()
 	got := map[string]string{
 		"trace summary": mustOK(t, h, "GET", "/v1/traces/qs/summary", "").Body.String(),
 		"fleet query":   mustOK(t, h, "POST", "/v1/query", `{"group_by":["workload"]}`).Body.String(),

@@ -48,6 +48,11 @@ type Sink interface {
 // already-sealed sink.
 var ErrSinkSealed = errors.New("trace: sink already sealed")
 
+// ErrDirHasTrace is wrapped by NewDirSink's refusal of a directory that
+// already holds trace files: a store never overwrites a trace. Any other
+// NewDirSink error is the file system's.
+var ErrDirHasTrace = errors.New("trace: dir already holds a trace")
+
 // SeqError reports an out-of-order chunk append: Seq arrived while the
 // sink still expects Next. Retrying an already-applied sequence is not a
 // SeqError (that path is idempotent); only a gap — a chunk from the future
@@ -122,7 +127,7 @@ func newDirSink(dir string, forWriter bool) (*DirSink, error) {
 			continue
 		}
 		if !forWriter {
-			return nil, fmt.Errorf("trace: dir %s already contains trace file %s", dir, name)
+			return nil, fmt.Errorf("%w: %s contains trace file %s", ErrDirHasTrace, dir, name)
 		}
 		// Overwrite mode: clear stale trace files so a shorter rewrite
 		// cannot leave higher-numbered chunks of a previous trace behind.

@@ -158,11 +158,17 @@ func mustSidecar(t testing.TB, ix *ChunkIndex) []byte {
 	return data
 }
 
-// TestDirSinkRefusesExistingTrace: a server-owned store never overwrites.
+// TestDirSinkRefusesExistingTrace: a server-owned store never overwrites,
+// and says so with ErrDirHasTrace; a path it cannot make a directory of is
+// some other error.
 func TestDirSinkRefusesExistingTrace(t *testing.T) {
 	dir := digestTestDir(t)
-	if _, err := NewDirSink(dir); err == nil {
-		t.Fatal("NewDirSink over an existing trace directory succeeded")
+	if _, err := NewDirSink(dir); !errors.Is(err, ErrDirHasTrace) {
+		t.Fatalf("NewDirSink over an existing trace directory: %v, want ErrDirHasTrace", err)
+	}
+	file := filepath.Join(dir, "meta.json")
+	if _, err := NewDirSink(filepath.Join(file, "x")); err == nil || errors.Is(err, ErrDirHasTrace) {
+		t.Fatalf("NewDirSink under a regular file: %v, want a file-system error", err)
 	}
 }
 
@@ -209,8 +215,8 @@ func TestSinkWriterMatchesWriter(t *testing.T) {
 
 // TestOnlyReadDigestsAreKept: a Writer's own sink, which nothing can ask for
 // a digest, keeps no hash state, while every sink whose digest is read — a
-// NewDirSink's, so the server's live traces (serve's TestIngestLifecycle
-// checks a sealed one), and ConvertDir's — still reports DirDigest(dir).
+// NewDirSink's, so the server's live traces (serve's scenario tests check
+// each seal's), and ConvertDir's — still reports DirDigest(dir).
 func TestOnlyReadDigestsAreKept(t *testing.T) {
 	events := randomEvents(rand.New(rand.NewSource(13)), 500)
 	meta := Meta{Workload: "digests", Config: Full(), Procs: map[ProcID]ProcInfo{0: {Name: "p", Parent: -1}}}
