@@ -26,8 +26,8 @@ type source interface {
 	index(i int) (*trace.ChunkIndex, error)
 	// chunk returns chunk i's events, the count of records read for them
 	// and their summed trace.EventBytes. With skipOverhead set the
-	// KindOverhead records are read and checked but not returned — what
-	// the correction stage would drop never reaches it — and walked still
+	// KindOverhead records are read and checked but not returned — no sweep
+	// reads one, and the correction stage drops them — and walked still
 	// counts them. A chunk file, or with skipOverhead a materialized trace's
 	// run, is copied into buf[:0] — or, when buf lacks the room, into a
 	// buffer trace.EventBufs.Reserve trades it for — and the events, even
@@ -139,8 +139,8 @@ type pipeline struct {
 	spans   []chunkSpan                 // chunk i's entries are spans[spanOff[i]:spanOff[i+1]]
 	spanOff []int
 	// spare is the coordinator's chunk buffer: what the next chunk is decoded
-	// into, or a materialized run is copied into, without its markers, for
-	// the stage to rewrite, traded at the decode for a larger one off
+	// into, or a materialized run is copied into for the stage to rewrite,
+	// without its markers either way, traded at the decode for a larger one off
 	// trace.EventBufs when the chunk does not fit. Between chunks it holds
 	// the last chunk's events, already routed.
 	spare []trace.Event
@@ -212,11 +212,16 @@ func run(ctx context.Context, src source, opts Options) (map[trace.ProcID]*overl
 	if err != nil {
 		return nil, pl.stats, err
 	}
-	// A process has a result exactly when an event reached its window: a
-	// stage can drop every event of a process (correction erases processes
-	// that recorded nothing but overhead markers).
+	// Correction erases a process that recorded nothing but overhead
+	// markers, so under a stage a process has a result exactly when an event
+	// reached its window. Without one every planned process has a result,
+	// whether its markers were read or stepped over: no sweep reads a
+	// marker, so a window of them sweeps to the empty result.
 	out := make(map[trace.ProcID]*overlap.Result, len(pl.order))
 	for _, p := range pl.order {
+		if p.acc == nil && pl.stage == nil {
+			p.acc = newResult()
+		}
 		if p.acc != nil {
 			out[p.proc] = p.acc
 		}
@@ -290,11 +295,12 @@ func (pl *pipeline) plan(procs []trace.ProcID) error {
 func (pl *pipeline) stream(opts Options) error {
 	n := pl.src.numChunks()
 	r := pl.src.reader()
-	// A stage drops the overhead markers, so the sources step over them.
-	// Decoded chunks are the pipeline's, and so is a materialized run copied
-	// without its markers; one lent where it lies is not.
-	skip := pl.stage != nil
-	owned := r != nil || skip
+	// No sweep reads an overhead marker and a stage drops them, so a chunk
+	// file is read without them, and so is a materialized run the stage
+	// rewrites. Decoded chunks are the pipeline's, and so is such a copy; a
+	// materialized run without a stage is lent where it lies, markers and
+	// all, and is not.
+	owned := r != nil || pl.stage != nil
 	for i := 0; i < n; i++ {
 		if err := pl.ctx.Err(); err != nil {
 			return err
@@ -313,7 +319,7 @@ func (pl *pipeline) stream(opts Options) error {
 			}
 			s.p.left -= s.events
 		}
-		events, walked, bytes, err := pl.src.chunk(i, pl.spare, skip)
+		events, walked, bytes, err := pl.src.chunk(i, pl.spare, owned)
 		if owned {
 			pl.spare = events
 		}

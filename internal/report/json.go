@@ -45,7 +45,13 @@ type Analysis struct {
 // bytes, and a new build misses what an older one stored instead of serving
 // it. TestDocumentVersionPinsBytes holds the digests of one fixture's
 // documents at each version.
-const DocumentVersion = 1
+//
+// Version 2: an uncorrected run over a chunk file steps over the overhead
+// markers as a corrected one does, since no sweep reads one, so the stats
+// block of a full document over a trace that carries markers counts fewer
+// resident events and bytes. Results, result-only documents and query
+// documents encode as at version 1.
+const DocumentVersion = 2
 
 // ProcessJSON is one process's slice of the document. Parent encodes the
 // fork tree in flat form (see TreeJSON for the nested form).

@@ -31,6 +31,16 @@ var documentDigests = map[int]struct{ full, result [2]string }{
 			"8e5067a0bfe747306a153fe9415e9d98d95b49369fa0dbc2d35633c8946b0c1f",
 		},
 	},
+	2: {
+		full: [2]string{
+			"ef57b3507744b684fee64327d3582290628d6886875a790246a55d3e9fe7e4b8",
+			"52eb15fcd4bc836b9a9e20dd6e42fb32ee471c828779e28d8ae297f443e261c4",
+		},
+		result: [2]string{
+			"fa884bcc29c7d36b7e550671dbe7156323f0b9aa13a98992fc9057ab0db9e31c",
+			"8e5067a0bfe747306a153fe9415e9d98d95b49369fa0dbc2d35633c8946b0c1f",
+		},
+	},
 }
 
 // resultSetDigests holds, per ResultSetVersion, the SHA-256 of the version

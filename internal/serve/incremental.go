@@ -139,14 +139,14 @@ func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiEr
 			"live ingest is disabled: rlscope-serve was started without -store"}
 	}
 	// A directory already holding a trace is an id collision; any other
-	// failure is the store's, a 500.
+	// failure is the store's, a 500. Neither names where the store lives.
 	sink, err := trace.NewDirSink(filepath.Join(s.cfg.StoreDir, id))
 	if errors.Is(err, trace.ErrDirHasTrace) {
 		return nil, false, &apiError{http.StatusConflict, ErrCodeTraceExists,
-			fmt.Sprintf("creating trace store dir: %v", err)}
+			fmt.Sprintf("trace %q already has files in the trace store", id)}
 	}
 	if err != nil {
-		return nil, false, ingestError(fmt.Errorf("creating trace store dir: %w", err))
+		return nil, false, storeFailed(id, err)
 	}
 	lt = &liveTrace{id: id, sink: sink, inc: analysis.NewIncremental()}
 	s.setEntry(id, &traceEntry{id: id, live: lt})
@@ -161,7 +161,7 @@ func (e *traceEntry) appendRefusal() *apiError {
 		return nil
 	}
 	if e.streamed != nil {
-		return ingestError(trace.ErrSinkSealed)
+		return ingestError(e.id, trace.ErrSinkSealed)
 	}
 	return &apiError{http.StatusConflict, ErrCodeTraceExists,
 		fmt.Sprintf("trace %q is registered read-only; live chunks cannot be appended to it", e.id)}
@@ -258,7 +258,7 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request, id st
 			return
 		}
 		if next := entry.live.sink.Chunks(); seq > next {
-			writeAPIError(w, ingestError(&trace.SeqError{Seq: seq, Next: next}))
+			writeAPIError(w, ingestError(id, &trace.SeqError{Seq: seq, Next: next}))
 			return
 		}
 	}
@@ -274,7 +274,7 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request, id st
 	index := trace.BuildChunkIndex(events, int64(len(frame)))
 	sidecar, err := index.AppendBinary(nil)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding sidecar: "+err.Error())
+		writeAPIError(w, storeFailed(id, err))
 		return
 	}
 
@@ -296,14 +296,15 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request, id st
 	chunks, digest := lt.fold.chunks, lt.digest
 	lt.pmu.Unlock()
 	if err != nil {
-		writeAPIError(w, ingestError(err))
+		writeAPIError(w, ingestError(id, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, AppendResponse{ID: lt.id, Seq: seq, Chunks: chunks, Digest: digest, Duplicate: dup})
 }
 
-// ingestError maps sink errors onto the API error vocabulary.
-func ingestError(err error) *apiError {
+// ingestError maps the errors of trace id's sink onto the API error
+// vocabulary: what the sink refuses, or else the store's failure.
+func ingestError(id string, err error) *apiError {
 	var seqErr *trace.SeqError
 	var conflict *trace.ConflictError
 	switch {
@@ -316,8 +317,20 @@ func ingestError(err error) *apiError {
 	case errors.Is(err, trace.ErrSinkSealed):
 		return &apiError{http.StatusConflict, ErrCodeTraceSealed, "trace is sealed; no further appends accepted"}
 	default:
-		return &apiError{http.StatusInternalServerError, ErrCodeAnalysisFailed, err.Error()}
+		return storeFailed(id, err)
 	}
+}
+
+// storeFailed is the answer to a trace store that failed trace id: 500
+// store_failed, which a client tells from a failed Engine run. The message
+// names the id and the innermost cause (an errno, say), never a path: where
+// the store lives is the server's own business.
+func storeFailed(id string, err error) *apiError {
+	for u := errors.Unwrap(err); u != nil; u = errors.Unwrap(u) {
+		err = u
+	}
+	return &apiError{http.StatusInternalServerError, ErrCodeStoreFailed,
+		fmt.Sprintf("the trace store failed trace %q: %v", id, err)}
 }
 
 // handleSeal is POST /v1/traces/{id}/seal: the body is the run's trace.Meta
@@ -340,7 +353,7 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	sealed, err := s.promote(entry.live, meta)
 	if err != nil {
-		writeAPIError(w, ingestError(err))
+		writeAPIError(w, ingestError(id, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, SealResponse{ID: sealed.id, Chunks: sealed.info.Chunks, Digest: sealed.info.Digest})

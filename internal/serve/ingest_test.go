@@ -343,8 +343,8 @@ func TestIngestDisabledWithoutStore(t *testing.T) {
 }
 
 // TestIngestStoreRefusals: a store the server cannot write, a path that is
-// a regular file, is the store's failure, 500 analysis_failed, not an id
-// collision. A store directory that already holds a trace is one: an id
+// a regular file, is the store's failure, 500 store_failed, not an id
+// collision, and the answer does not say where the store is. A store directory that already holds a trace is one: an id
 // streamed in before a restart answers 409 trace_exists to a create and to
 // an append.
 func TestIngestStoreRefusals(t *testing.T) {
@@ -357,7 +357,7 @@ func TestIngestStoreRefusals(t *testing.T) {
 	sc := newScenario(t, Config{StoreDir: file})
 	sc.append("run", 0, c[0], tr)
 	sc.create(`{"id":"run"}`)
-	sc.answered(ErrCodeAnalysisFailed, ErrCodeAnalysisFailed)
+	sc.answered(ErrCodeStoreFailed, ErrCodeStoreFailed)
 
 	sc = newScenario(t, Config{})
 	sc.append("run", 0, c[0], tr)

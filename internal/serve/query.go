@@ -123,7 +123,7 @@ func (s *Server) query(ctx context.Context, plan *fleet.Plan, last *atomic.Point
 	engineRuns := 0
 	body, shared, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
 		doc, err := plan.Execute(runCtx, matched, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
-			results, ran, err := s.loadResults(ctx, t.Digest, t.Dir)
+			results, ran, err := s.loadResults(ctx, t.ID, t.Digest, t.Dir)
 			if ran {
 				engineRuns++
 			}
@@ -136,7 +136,12 @@ func (s *Server) query(ctx context.Context, plan *fleet.Plan, last *atomic.Point
 		if err := doc.Encode(&buf); err != nil {
 			return nil, fmt.Errorf("encoding query document: %w", err)
 		}
-		s.store.lru.add(key, buf.Bytes())
+		// A result-set run that found its directory rewritten swapped a fresh
+		// entry in, so the results may not be the content the key names:
+		// after any registry change the document answers, but is not stored.
+		if s.gen.Load() == gen {
+			s.store.lru.add(key, buf.Bytes())
+		}
 		return buf.Bytes(), nil
 	})
 	if err != nil {
@@ -192,12 +197,13 @@ func (s *Server) queryCandidates() ([]fleet.Trace, uint64) {
 }
 
 // loadResults returns the full-fidelity per-process results of the sealed
-// trace directory dir, addressed by its content digest: tiered store lookup
-// first, a singleflight-deduplicated Engine run on a miss, the encoded
-// result set written back through both tiers. ran reports whether this call
-// paid for an Engine run. It backs fleet queries and the result-only
-// analyzes of streamed traces.
-func (s *Server) loadResults(ctx context.Context, digest, dir string) (results map[trace.ProcID]*overlap.Result, ran bool, err error) {
+// trace registered at id over dir, addressed by its content digest: tiered
+// store lookup first, then a singleflight-deduplicated Engine run under the
+// default options, which writes the encoded result set back through both
+// tiers, and with it the default analyze document (runSealed). ran reports
+// whether this call paid for an Engine run. It backs fleet queries and the
+// result-only analyzes of streamed traces.
+func (s *Server) loadResults(ctx context.Context, id, digest, dir string) (results map[trace.ProcID]*overlap.Result, ran bool, err error) {
 	key := resultSetKey(digest)
 	if body, ok := s.store.get(key); ok {
 		if results, err := report.DecodeResultSet(body.b); err == nil {
@@ -218,18 +224,9 @@ func (s *Server) loadResults(ctx context.Context, digest, dir string) (results m
 				return body.b, nil
 			}
 		}
-		rep, err := s.run(runCtx, dir, s.canonicalize(AnalyzeRequest{}))
-		if err != nil {
-			return nil, err
-		}
-		paid = true
-		var buf bytes.Buffer
-		if err := report.EncodeResultSet(&buf, rep.Results); err != nil {
-			return nil, err
-		}
-		body := buf.Bytes()
-		s.store.add(key, body)
-		return body, nil
+		_, set, err := s.runSealed(runCtx, id, dir, digest, s.canonicalize(AnalyzeRequest{}))
+		paid = err == nil
+		return set, err
 	})
 	if err != nil {
 		return nil, false, err

@@ -128,8 +128,51 @@ func TestQueryErrorsNeverCached(t *testing.T) {
 	}
 }
 
+// TestColdReadsShareOneRun: one Engine run fills every stored form of its
+// answer. On a fresh server a fleet query and the default analyze of one
+// registered trace cost one run between them, in either order, and each
+// answers the bytes a server that answered it alone does. A filtered and a
+// corrected analyze each run their own.
+func TestColdReadsShareOneRun(t *testing.T) {
+	dir := quickstartDir(t, 20)
+	const query = `{"group_by":["workload"]}`
+	fresh := func() *scenario {
+		return newScenario(t, Config{MaxWorkers: 1, Calibration: scenarioCal}).addDir("qs", dir)
+	}
+	alone := map[string][]byte{"query": fresh().query(query), "analyze": fresh().analyze("qs", "")}
+	for _, order := range [][]string{{"query", "analyze"}, {"analyze", "query"}} {
+		sc := fresh()
+		for _, op := range order {
+			var body []byte
+			if op == "query" {
+				body = sc.query(query)
+			} else {
+				body = sc.analyze("qs", "")
+			}
+			if !bytes.Equal(body, alone[op]) {
+				t.Errorf("%v: the %s differs from a server's that answered it alone", order, op)
+			}
+		}
+		// The second request finds what the first one's run stored: the
+		// analyze is a hit, the query a miss (its document is its own) at zero
+		// Engine runs, which the model checks.
+		sc.answered("miss", map[string]string{"query": "hit", "analyze": "miss"}[order[0]])
+		if runs := sc.s.EngineRuns(); runs != 1 {
+			t.Fatalf("%v: %d Engine runs, want 1", order, runs)
+		}
+		sc.analyze("qs", `{"procs":[0]}`)
+		sc.analyze("qs", `{"correction":true}`)
+		sc.answered("miss", "miss")
+		if runs := sc.s.EngineRuns(); runs != 3 {
+			t.Fatalf("%v: %d Engine runs after a filtered and a corrected analyze, want 3", order, runs)
+		}
+	}
+}
+
 // TestQueryDocsStayOffDisk: the disk tier holds what costs an Engine run —
-// result sets and analysis documents — however many distinct queries ran.
+// result sets and analysis documents — however many distinct queries ran:
+// the three traces' sets, run-a's workers=1 document, and the default
+// document each run a query started stored beside its set.
 func TestQueryDocsStayOffDisk(t *testing.T) {
 	reports, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -153,9 +196,9 @@ func TestQueryDocsStayOffDisk(t *testing.T) {
 			t.Fatalf("repeat of %s: cache %q, want hit", body, rec.Header().Get("X-RLScope-Cache"))
 		}
 	}
-	const resultSets, analysisDocs = 3, 1
+	const resultSets, analysisDocs = 3, 3
 	if n := diskEntries(t, s.store.disk); n != resultSets+analysisDocs {
-		t.Fatalf("disk store holds %d entries, want %d result sets + %d analysis document", n, resultSets, analysisDocs)
+		t.Fatalf("disk store holds %d entries, want %d result sets + %d analysis documents", n, resultSets, analysisDocs)
 	}
 }
 
@@ -376,7 +419,8 @@ func TestPreviousKeyFormMisses(t *testing.T) {
 	if got := rec.Header().Get("X-RLScope-Cache"); got != "miss" || bytes.Equal(rec.Body.Bytes(), stale) {
 		t.Fatalf("query answered %q from cache %q; the previous key form must miss", rec.Body.Bytes(), got)
 	}
-	if got, want := rec.Header().Get("X-RLScope-Engine-Runs"), strconv.Itoa(len(candidates)); got != want {
+	// qs's set landed under the new key with its analyze above.
+	if got, want := rec.Header().Get("X-RLScope-Engine-Runs"), strconv.Itoa(len(candidates)-1); got != want {
 		t.Errorf("query paid %s engine runs, want %s: a result set under the previous key form was served", got, want)
 	}
 	if offline := offlineQueryDoc(t, parseQuery(t, body), dirs); !bytes.Equal(rec.Body.Bytes(), offline) {

@@ -173,12 +173,20 @@ func TestRouteTable(t *testing.T) {
 	}
 }
 
-// TestRouteCodesAreDocumented: the two route-miss codes are rows of
-// DESIGN.md §9's table, at the statuses the router answers them with.
+// TestRouteCodesAreDocumented: the two route-miss codes, and the two 500s a
+// client tells apart, a failed Engine run and a failed trace store, are rows
+// of DESIGN.md §9's table, at the statuses the server answers them with.
 func TestRouteCodesAreDocumented(t *testing.T) {
 	codes := documentedCodes(t)
-	if !codes[ErrCodeUnknownRoute][http.StatusNotFound] || !codes[ErrCodeMethodNotAllowed][http.StatusMethodNotAllowed] {
-		t.Fatalf("DESIGN.md §9 lacks %s 404 or %s 405: %v", ErrCodeUnknownRoute, ErrCodeMethodNotAllowed, codes)
+	for code, status := range map[string]int{
+		ErrCodeUnknownRoute:     http.StatusNotFound,
+		ErrCodeMethodNotAllowed: http.StatusMethodNotAllowed,
+		ErrCodeAnalysisFailed:   http.StatusInternalServerError,
+		ErrCodeStoreFailed:      http.StatusInternalServerError,
+	} {
+		if !codes[code][status] {
+			t.Errorf("DESIGN.md §9 lacks %s %d: %v", code, status, codes)
+		}
 	}
 }
 

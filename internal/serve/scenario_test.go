@@ -62,11 +62,11 @@ type traceModel struct {
 // scenario is one server and its model. newScenario is the one way a test
 // in this package builds a Server.
 type scenario struct {
-	tb    testing.TB
-	cfg   Config
-	s     *Server
-	h     http.Handler
-	pick  func(n int) int // a walk's next choice in [0, n)
+	tb   testing.TB
+	cfg  Config
+	s    *Server
+	h    http.Handler
+	pick func(n int) int // a walk's next choice in [0, n)
 	// storeErr is the status creating a trace answers when the store cannot
 	// take it: 403 without one, 500 where it is a regular file.
 	storeErr int
@@ -81,6 +81,9 @@ type scenario struct {
 	what    string            // the request being checked
 
 	ids, fixtures []string // what a walk picks ids and AddDir directories from
+	// broken holds the digests of registered directories no Engine run
+	// completes over: a chunk of each no longer decodes.
+	broken map[string]bool
 	// own marks one of several walks on one server: it cannot know the
 	// server's Engine runs. driven: a request has gone through send, so
 	// the runs are checked before each request and at the end.
@@ -100,7 +103,7 @@ func newScenario(tb testing.TB, cfg Config) *scenario {
 	tb.Helper()
 	codesOnce.Do(func() { codes = documentedCodes(tb) })
 	sc := &scenario{tb: tb, pick: rand.New(rand.NewSource(1)).Intn, traces: map[string]*traceModel{},
-		stored: map[string]bool{}, inStore: map[string]bool{}, renders: map[string][]byte{}}
+		stored: map[string]bool{}, inStore: map[string]bool{}, renders: map[string][]byte{}, broken: map[string]bool{}}
 	if st, err := os.Stat(cfg.StoreDir); err == nil && !st.IsDir() {
 		sc.storeErr = http.StatusInternalServerError
 	}
@@ -143,7 +146,8 @@ func (sc *scenario) checkRuns() {
 }
 
 // send serves req and checks the answer's shape: a 2xx, or the error
-// envelope, with no cache header and a code §9 documents for its status.
+// envelope, with no cache header, a code §9 documents for its status, and no
+// mention of where the trace store lives.
 func (sc *scenario) send(req *http.Request, body string) (*httptest.ResponseRecorder, string) {
 	sc.tb.Helper()
 	sc.checkRuns()
@@ -152,6 +156,9 @@ func (sc *scenario) send(req *http.Request, body string) (*httptest.ResponseReco
 	sc.h.ServeHTTP(rec, req)
 	code := ""
 	if rec.Code >= 300 {
+		if store := sc.cfg.StoreDir; store != "" && bytes.Contains(rec.Body.Bytes(), []byte(store)) {
+			sc.tb.Fatalf("%.200s: %d %s quotes the store path %s", sc.what, rec.Code, rec.Body, store)
+		}
 		code = checkAnswer(sc.tb, codes, sc.what, rec)
 		if c := rec.Header().Get("X-Rlscope-Cache"); c != "" {
 			sc.tb.Fatalf("%.200s: %d %s with cache header %q", sc.what, rec.Code, code, c)
@@ -293,7 +300,7 @@ func (sc *scenario) refusal(id string) answer {
 	case sc.storeErr == http.StatusForbidden:
 		return refused(sc.storeErr, ErrCodeIngestDisabled)
 	case sc.storeErr != 0:
-		return refused(sc.storeErr, ErrCodeAnalysisFailed)
+		return refused(sc.storeErr, ErrCodeStoreFailed)
 	case m != nil && (len(m.frames) > 0 || m.entry != nil):
 		// Gone, but its directory still holds the files.
 		return refused(http.StatusConflict, ErrCodeTraceExists)
@@ -472,7 +479,8 @@ var badAnalyzeBodies = []string{`{"workers":`, `{"bogus_option":1}`, `{"workers"
 // sealed or registered trace's the one rlscope-analyze prints over its
 // directory, result-only for a streamed trace's uncorrected analyze, which
 // renders the result set its seal stored; every other miss is an Engine run.
-func (sc *scenario) analyze(id, body string) {
+// It returns the body.
+func (sc *scenario) analyze(id, body string) []byte {
 	sc.tb.Helper()
 	rec, code := sc.do("POST", "/v1/traces/"+id+"/analyze", body)
 	m := sc.registered(id)
@@ -490,7 +498,7 @@ func (sc *scenario) analyze(id, body string) {
 	}
 	if want.status != 0 {
 		sc.check(rec, code, want)
-		return
+		return nil
 	}
 	slices.Sort(req.Procs)
 	o := docOpts{procs: slices.Compact(req.Procs)}
@@ -511,9 +519,21 @@ func (sc *scenario) analyze(id, body string) {
 				o.cal = sc.cfg.Calibration
 			}
 		}
-		key = fmt.Sprint(m.entry.info.Digest, o.full, o.maxResident, req.Correction, o.procs)
-		if hit = sc.stored[key]; !hit && o.full {
+		digest := m.entry.info.Digest
+		if sc.broken[digest] {
+			// Every run over it fails, and nothing is stored.
 			sc.runs++
+			sc.check(rec, code, refused(http.StatusInternalServerError, ErrCodeAnalysisFailed))
+			return nil
+		}
+		key = docKey(digest, o.full, o.maxResident, req.Correction, o.procs)
+		if hit = sc.stored[key]; !hit && o.full {
+			// One run fills every stored form of its answer: an uncorrected,
+			// unfiltered one the result set too.
+			sc.runs++
+			if !req.Correction && len(o.procs) == 0 {
+				sc.stored["rs|"+digest] = true
+			}
 		}
 		sc.stored[key] = true
 		want.hdr["X-Rlscope-Digest"] = m.entry.info.Digest
@@ -527,6 +547,15 @@ func (sc *scenario) analyze(id, body string) {
 	}
 	want.status, want.body = http.StatusOK, sc.renders[key]
 	sc.check(rec, code, want)
+	return want.body
+}
+
+// docKey is the model's report-store key of a sealed or registered trace's
+// document: full or result-only, under a residency bound, corrected or not,
+// over a process filter. The walks run at one worker, so every request's
+// workers are one.
+func docKey(digest string, full bool, maxResident int64, corrected bool, procs []trace.ProcID) string {
+	return fmt.Sprint(digest, full, maxResident, corrected, procs)
 }
 
 // docOpts are the rlscope-analyze flags offlineDoc renders under, at
@@ -603,7 +632,7 @@ func (sc *scenario) seal(id, body string) {
 		m.state, m.entry = StateSealed, sc.snapshot(id, m.dir)
 		want = sc.encoded(http.StatusOK, SealResponse{ID: id, Chunks: len(m.frames), Digest: m.entry.info.Digest})
 		sc.stored["rs|"+m.entry.info.Digest] = true
-		sc.stored[fmt.Sprint(m.entry.info.Digest, false, 0, false, []trace.ProcID(nil))] = true
+		sc.stored[docKey(m.entry.info.Digest, false, 0, false, nil)] = true
 		if st, ok := sc.s.IncrementalStats(id); !ok || st.Chunks != len(m.frames) || st.Events != m.next {
 			sc.tb.Fatalf("%.200s: final stats %+v ok=%v, the model says %d chunks of %d events", sc.what, st, ok, len(m.frames), m.next)
 		}
@@ -678,7 +707,9 @@ var queryBodies = []string{
 // query is POST /v1/query: rlscope-query's document over the sealed and
 // registered traces. A repeat over the same matched traces — ids and
 // contents — is a hit; a miss runs the Engine once per digest whose result
-// set is not stored. It returns the document.
+// set is not stored, in the order they matched, and each run stores the
+// default analyze document too. A run over a broken directory fails the
+// query, and the traces after it are not loaded. It returns the document.
 func (sc *scenario) query(body string) []byte {
 	sc.tb.Helper()
 	rec, code := sc.do("POST", "/v1/query", body)
@@ -712,10 +743,17 @@ func (sc *scenario) query(body string) []byte {
 	if !sc.stored[key] {
 		runs := 0
 		for _, t := range matched {
-			if !sc.stored["rs|"+t.Digest] {
-				sc.stored["rs|"+t.Digest] = true
-				runs++
+			if sc.stored["rs|"+t.Digest] {
+				continue
 			}
+			runs++
+			if sc.broken[t.Digest] {
+				sc.runs += int64(runs)
+				sc.check(rec, code, refused(http.StatusInternalServerError, ErrCodeAnalysisFailed))
+				return nil
+			}
+			sc.stored["rs|"+t.Digest] = true
+			sc.stored[docKey(t.Digest, true, 0, false, nil)] = true
 		}
 		sc.stored[key], sc.runs = true, sc.runs+int64(runs)
 		want.hdr = map[string]string{"X-Rlscope-Cache": "miss", "X-Rlscope-Engine-Runs": fmt.Sprint(runs)}
@@ -742,6 +780,27 @@ func (sc *scenario) stream(id string, tr *trace.Trace, n int, labels map[string]
 		sc.tb.Fatal(err)
 	}
 	sc.seal(id, string(body))
+}
+
+// addBroken is AddDir of a directory whose first chunk is cut short: it
+// registers, since AddDir reads only the sidecars, and the model knows that
+// no Engine run over it completes.
+func (sc *scenario) addBroken(id, dir string) {
+	sc.tb.Helper()
+	chunks, err := filepath.Glob(filepath.Join(dir, "*.rlstrace"))
+	if err != nil || len(chunks) == 0 {
+		sc.tb.Fatalf("no chunk in %s: %v", dir, err)
+	}
+	b, err := os.ReadFile(chunks[0])
+	if err == nil {
+		err = os.WriteFile(chunks[0], b[:len(b)/2], 0o644)
+	}
+	if err != nil {
+		sc.tb.Fatal(err)
+	}
+	if sc.addDir(id, dir); sc.registered(id) != nil {
+		sc.broken[sc.traces[id].entry.info.Digest] = true
+	}
 }
 
 // addDir is AddDir: refused for an invalid id, one a server entry holds, or
@@ -970,8 +1029,9 @@ func scenarioFixtures(tb testing.TB) []string {
 
 // TestScenarios walks the server from two seeds: with a calibration, over a
 // persistent report store, without a trace store, and over a store path
-// that is a regular file. Together the walks answer every code but a
-// cancelled run's.
+// that is a regular file. A walk with a calibration then registers a
+// directory whose chunk no longer decodes, and analyzes and queries it.
+// Together the walks answer every code but a cancelled run's.
 func TestScenarios(t *testing.T) {
 	fixtures, seen := scenarioFixtures(t), map[string]int{}
 	file := filepath.Join(t.TempDir(), "file")
@@ -994,7 +1054,14 @@ func TestScenarios(t *testing.T) {
 			{"store-is-a-file", Config{StoreDir: file}, 60},
 		} {
 			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
-				for _, answer := range walk(t, c.cfg, rand.New(rand.NewSource(seed)).Intn, c.steps, fixtures).trail {
+				sc := walk(t, c.cfg, rand.New(rand.NewSource(seed)).Intn, c.steps, fixtures)
+				if c.cfg.Calibration != nil && !t.Failed() {
+					sc.addBroken("broken", labeledDir(t, 12, nil))
+					sc.analyze("broken", "")
+					sc.analyze("broken", `{"correction":true}`)
+					sc.query(`{}`)
+				}
+				for _, answer := range sc.trail {
 					seen[answer]++
 				}
 			})

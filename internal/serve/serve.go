@@ -697,7 +697,7 @@ func (s *Server) storeDoc(key string, doc *report.Analysis) ([]byte, error) {
 // requested processes of the set are what an Engine run filtered to them would
 // compute. loadResults re-runs the Engine only if every tier has lost the set.
 func (s *Server) renderStored(ctx context.Context, entry *traceEntry, procs []trace.ProcID, key string) ([]byte, error) {
-	results, _, err := s.loadResults(ctx, entry.info.Digest, entry.dir)
+	results, _, err := s.loadResults(ctx, entry.id, entry.info.Digest, entry.dir)
 	if err != nil {
 		return nil, err
 	}
@@ -773,35 +773,11 @@ func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *trac
 		if c.resultOnly {
 			return s.renderStored(runCtx, entry, c.procs, key)
 		}
-		// Every miss pays an Engine run, so re-digesting first is cheap
-		// insurance that the report is addressed by the content actually
-		// analyzed: if the directory was rewritten since registration,
-		// snapshot it afresh and cache under the new digest — never new
-		// bytes under the old one. Reports cached before the rewrite
-		// stay addressed by the content they were computed from.
-		storeKey := key
-		if digest, err := trace.DirDigest(entry.dir); err != nil {
-			return nil, err
-		} else if digest != entry.info.Digest {
-			fresh, err := newTraceEntry(entry.id, entry.dir)
-			if err != nil {
-				return nil, err
-			}
-			fresh.streamed = entry.streamed
-			s.mu.Lock()
-			s.setEntry(entry.id, fresh)
-			s.mu.Unlock()
-			entry = fresh
-			storeKey = cacheKey(digest, c)
-		}
 		if s.preRun != nil {
 			s.preRun(runCtx, key)
 		}
-		rep, err := s.run(runCtx, entry.dir, c)
-		if err != nil {
-			return nil, err
-		}
-		return s.storeDoc(storeKey, report.NewAnalysis(rep.Meta, rep.Results, rep.Stats, rep.Corrected))
+		doc, _, err := s.runSealed(runCtx, entry.id, entry.dir, entry.info.Digest, c)
+		return doc, err
 	})
 	if err != nil {
 		writeRunError(w, r, "analysis", err)
@@ -813,6 +789,52 @@ func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *trac
 		w.Header()["X-Rlscope-Cache"] = cacheHdr["miss"]
 	}
 	writeBody(w, newStoredBody(body))
+}
+
+// runSealed is the Engine run behind every miss over the sealed trace
+// registered at id, and it lands every stored form of its answer: the
+// document c asks for and, when c neither corrects nor filters, the trace's
+// result set too — results are byte-identical at any worker count and
+// budget, so one run fills both. It returns the encoded document and the
+// encoded result set (nil for a run that does not fill one).
+//
+// Every such run re-digests dir first, cheap insurance that what it stores
+// is addressed by the content it analyzed: if the directory was rewritten
+// since registration, a fresh snapshot replaces the entry and the run stores
+// under the new digest — never new bytes under the old one. What was stored
+// before the rewrite stays addressed by the content it was computed from.
+func (s *Server) runSealed(ctx context.Context, id, dir, digest string, c canonical) (doc, set []byte, err error) {
+	now, err := trace.DirDigest(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if now != digest {
+		fresh, err := newTraceEntry(id, dir)
+		if err != nil {
+			return nil, nil, err
+		}
+		s.mu.Lock()
+		fresh.streamed = s.traces[id].streamed
+		s.setEntry(id, fresh)
+		s.mu.Unlock()
+		digest = fresh.info.Digest
+	}
+	rep, err := s.run(ctx, dir, c)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The set first: the document is what the request waits for, so under a
+	// tight LRU budget it is the one kept.
+	if !c.correction && len(c.procs) == 0 {
+		var buf bytes.Buffer
+		if err := report.EncodeResultSet(&buf, rep.Results); err != nil {
+			return nil, nil, err
+		}
+		set = buf.Bytes()
+		s.store.add(resultSetKey(digest), set)
+	}
+	doc, err = s.storeDoc(cacheKey(digest, c), report.NewAnalysis(rep.Meta, rep.Results, rep.Stats, rep.Corrected))
+	return doc, set, err
 }
 
 // run is the server's one Engine call. It holds c.workers of the global
@@ -902,6 +924,7 @@ const (
 	ErrCodeNoCalibration         = "no_calibration"
 	ErrCodeAnalysisAborted       = "analysis_aborted"
 	ErrCodeAnalysisFailed        = "analysis_failed"
+	ErrCodeStoreFailed           = "store_failed"
 	ErrCodeOutOfOrderSeq         = "out_of_order_sequence"
 	ErrCodeChunkConflict         = "chunk_conflict"
 	ErrCodeTraceSealed           = "trace_sealed"

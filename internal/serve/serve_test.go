@@ -336,6 +336,46 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
+// TestQueryReDigestsRewrittenDir: a result-set run keeps the rule an analyze
+// miss keeps. A query over a rewritten directory swaps the fresh snapshot in
+// and stores the set and the default document under the new digest, none
+// under the old; its own document, selected over the old content, answers
+// but is not stored. The next query selects the new content, and its set.
+func TestQueryReDigestsRewrittenDir(t *testing.T) {
+	dir := quickstartDir(t, 20)
+	s := newScenario(t, Config{MaxWorkers: 1}).addDir("qs", dir).s
+	h := s.Handler()
+	old := s.lookup("qs").info.Digest
+	rewriteDir(t, dir, 40, nil)
+	const query = `{"group_by":["workload"]}`
+	queryOK(t, h, query)
+	fresh := s.lookup("qs").info.Digest
+	if fresh == old {
+		t.Fatal("registration digest not refreshed by the query's run")
+	}
+	def := s.canonicalize(AnalyzeRequest{})
+	for key, want := range map[string]bool{
+		resultSetKey(old): false, cacheKey(old, def): false,
+		resultSetKey(fresh): true, cacheKey(fresh, def): true,
+	} {
+		if _, ok := s.store.get(key); ok != want {
+			t.Errorf("%.40s… stored: %v, want %v", key, ok, want)
+		}
+	}
+	for key := range s.store.lru.items {
+		if strings.HasPrefix(key, queryKey("")) {
+			t.Errorf("a query document selected over the old content was stored")
+		}
+	}
+	rec := queryOK(t, h, query)
+	if c, runs := rec.Header().Get("X-RLScope-Cache"), rec.Header().Get("X-RLScope-Engine-Runs"); c != "miss" || runs != "0" {
+		t.Fatalf("query after the swap: cache %q, %s Engine runs; want a miss that runs nothing", c, runs)
+	}
+	if offline := offlineQueryDoc(t, parseQuery(t, query), map[string]string{"qs": dir}); !bytes.Equal(rec.Body.Bytes(), offline) {
+		t.Errorf("document after the swap diverges from offline:\nserver:\n%s\noffline:\n%s", rec.Body, offline)
+	}
+}
+
 // TestAnalyzeReDigestsRewrittenDir pins the content-addressing guarantee
 // on the miss path: when a registered directory's bytes change, the next
 // analysis that actually runs re-snapshots the registration and caches

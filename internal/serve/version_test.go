@@ -21,6 +21,10 @@ var servedDocumentDigests = map[int]map[string]string{
 		"trace summary": "1dc0a7ebd916f926aa0a7283ebc0193776d49eec6c58a6d479c3a9dcba3a18ee",
 		"fleet query":   "700f1d71b4cddb0a0664639c4f97740354ef0487f2c05a316408ec97287f75b7",
 	},
+	2: {
+		"trace summary": "1dc0a7ebd916f926aa0a7283ebc0193776d49eec6c58a6d479c3a9dcba3a18ee",
+		"fleet query":   "700f1d71b4cddb0a0664639c4f97740354ef0487f2c05a316408ec97287f75b7",
+	},
 }
 
 // TestDocumentVersionPinsServedBytes fails when the bytes of a served trace

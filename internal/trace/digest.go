@@ -47,6 +47,12 @@ func DirDigest(dir string) (string, error) {
 		if err != nil {
 			return "", fmt.Errorf("trace: digesting trace dir: %w", err)
 		}
+		// Room for the file and one byte more, so the read that finds EOF
+		// fits too: the buffer is sized to each larger file once, not grown
+		// by doubling.
+		if fi, err := f.Stat(); err == nil && fi.Size() >= int64(cap(buf)) {
+			buf = make([]byte, 0, fi.Size()+1)
+		}
 		buf, err = recycle.ReadAll(buf, f)
 		f.Close()
 		if err != nil {
