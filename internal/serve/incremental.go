@@ -140,7 +140,7 @@ func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiEr
 	}
 	// A directory already holding a trace is an id collision; any other
 	// failure is the store's, a 500. Neither names where the store lives.
-	sink, err := trace.NewDirSink(filepath.Join(s.cfg.StoreDir, id))
+	sink, err := trace.NewDirSinkFS(s.fs, filepath.Join(s.cfg.StoreDir, id))
 	if errors.Is(err, trace.ErrDirHasTrace) {
 		return nil, false, &apiError{http.StatusConflict, ErrCodeTraceExists,
 			fmt.Sprintf("trace %q already has files in the trace store", id)}
@@ -326,11 +326,8 @@ func ingestError(id string, err error) *apiError {
 // names the id and the innermost cause (an errno, say), never a path: where
 // the store lives is the server's own business.
 func storeFailed(id string, err error) *apiError {
-	for u := errors.Unwrap(err); u != nil; u = errors.Unwrap(u) {
-		err = u
-	}
 	return &apiError{http.StatusInternalServerError, ErrCodeStoreFailed,
-		fmt.Sprintf("the trace store failed trace %q: %v", id, err)}
+		"the trace store failed " + pathless(id, err).Error()}
 }
 
 // handleSeal is POST /v1/traces/{id}/seal: the body is the run's trace.Meta

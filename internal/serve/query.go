@@ -127,7 +127,10 @@ func (s *Server) query(ctx context.Context, plan *fleet.Plan, last *atomic.Point
 			if ran {
 				engineRuns++
 			}
-			return results, err
+			if err != nil {
+				return nil, pathless(t.ID, err)
+			}
+			return results, nil
 		})
 		if err != nil {
 			return nil, err

@@ -84,6 +84,9 @@ type scenario struct {
 	// broken holds the digests of registered directories no Engine run
 	// completes over: a chunk of each no longer decodes.
 	broken map[string]bool
+	// faults, under a fault schedule, is the file system the server's
+	// stores write through.
+	faults *faultFS
 	// own marks one of several walks on one server: it cannot know the
 	// server's Engine runs. driven: a request has gone through send, so
 	// the runs are checked before each request and at the end.
@@ -145,19 +148,38 @@ func (sc *scenario) checkRuns() {
 	}
 }
 
-// send serves req and checks the answer's shape: a 2xx, or the error
-// envelope, with no cache header, a code §9 documents for its status, and no
-// mention of where the trace store lives.
+// send serves req and checks the answer's shape (serve). Under a fault
+// schedule, a request the fault refused is sent once more, as a client
+// retries it, and the model checks what that answers.
 func (sc *scenario) send(req *http.Request, body string) (*httptest.ResponseRecorder, string) {
 	sc.tb.Helper()
 	sc.checkRuns()
 	sc.what, sc.driven = req.Method+" "+req.URL.String()+" "+body, true
+	again := sc.faults.replayable(req)
+	rec, code := sc.serve(req)
+	if again != nil && sc.faults.refused(rec.Code) {
+		rec, code = sc.serve(again())
+	}
+	return rec, code
+}
+
+// serve answers req and checks the answer's shape: a 2xx, or the error
+// envelope, with no cache header, a code §9 documents for its status, and no
+// mention of where the trace store or the report store lives.
+func (sc *scenario) serve(req *http.Request) (*httptest.ResponseRecorder, string) {
+	sc.tb.Helper()
 	rec := httptest.NewRecorder()
 	sc.h.ServeHTTP(rec, req)
 	code := ""
 	if rec.Code >= 300 {
-		if store := sc.cfg.StoreDir; store != "" && bytes.Contains(rec.Body.Bytes(), []byte(store)) {
-			sc.tb.Fatalf("%.200s: %d %s quotes the store path %s", sc.what, rec.Code, rec.Body, store)
+		dirs := []string{sc.cfg.StoreDir}
+		if sc.cfg.Reports != nil {
+			dirs = append(dirs, sc.cfg.Reports.dir)
+		}
+		for _, dir := range dirs {
+			if dir != "" && bytes.Contains(rec.Body.Bytes(), []byte(dir)) {
+				sc.tb.Fatalf("%.200s: %d %s quotes the store path %s", sc.what, rec.Code, rec.Body, dir)
+			}
 		}
 		code = checkAnswer(sc.tb, codes, sc.what, rec)
 		if c := rec.Header().Get("X-Rlscope-Cache"); c != "" {
@@ -807,19 +829,27 @@ func (sc *scenario) addBroken(id, dir string) {
 // a directory with no trace files.
 func (sc *scenario) addDir(id, dir string) *scenario {
 	sc.tb.Helper()
-	info, err := sc.s.AddDir(id, dir)
 	_, derr := trace.DirDigest(dir)
-	if (err == nil) != (validID(id) && sc.registered(id) == nil && derr == nil) {
-		sc.tb.Fatalf("AddDir %q: %v, the model says the opposite", id, err)
-	}
-	if err == nil {
-		m := &traceModel{state: stateRegistered, dir: dir, entry: sc.snapshot(id, dir)}
-		if _, ok := sc.s.IncrementalStats(id); ok || fmt.Sprint(info) != fmt.Sprint(m.entry.info) {
-			sc.tb.Fatalf("AddDir %q: %+v (incremental stats: %v), the model says %+v", id, info, ok, m.entry.info)
-		}
-		sc.traces[id], sc.order = m, append(sc.order, id)
+	if want := validID(id) && sc.registered(id) == nil && derr == nil; sc.adopt(id, dir) != want {
+		sc.tb.Fatalf("AddDir %q: registered %v, the model says the opposite", id, !want)
 	}
 	return sc
+}
+
+// adopt is AddDir, and the model takes what it registered: AddDir's
+// snapshot of dir. It reports whether AddDir registered it.
+func (sc *scenario) adopt(id, dir string) bool {
+	sc.tb.Helper()
+	info, err := sc.s.AddDir(id, dir)
+	if err != nil {
+		return false
+	}
+	m := &traceModel{state: stateRegistered, dir: dir, entry: sc.snapshot(id, dir)}
+	if _, ok := sc.s.IncrementalStats(id); ok || fmt.Sprint(info) != fmt.Sprint(m.entry.info) {
+		sc.tb.Fatalf("AddDir %q: %+v (incremental stats: %v), the model says %+v", id, info, ok, m.entry.info)
+	}
+	sc.traces[id], sc.order = m, append(sc.order, id)
+	return true
 }
 
 // restart closes the server and opens one over the same stores, and

@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -35,6 +36,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/calib"
+	"repro/internal/disk"
 	"repro/internal/fleet"
 	"repro/internal/overlap"
 	"repro/internal/report"
@@ -103,6 +105,7 @@ type Server struct {
 	// preRun, when set (tests only), runs inside the singleflight call
 	// before admission and the Engine run, on the flight's run context.
 	preRun func(ctx context.Context, key string)
+	fs     disk.FS // what live traces' sinks write through: disk.OS, or a test's
 }
 
 // traceEntry is one trace of the registry, in one of two states. Open
@@ -207,6 +210,7 @@ func NewServer(cfg Config) *Server {
 		store:   &tieredStore{lru: newReportCache(cfg.CacheBytes), disk: cfg.Reports},
 		flights: newFlightGroup(ctx),
 		budget:  newWorkerBudget(cfg.MaxWorkers),
+		fs:      disk.OS,
 	}
 }
 
@@ -780,7 +784,7 @@ func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *trac
 		return doc, err
 	})
 	if err != nil {
-		writeRunError(w, r, "analysis", err)
+		writeRunError(w, r, "analysis", pathless(entry.id, err))
 		return
 	}
 	if shared {
@@ -858,6 +862,25 @@ func (s *Server) run(ctx context.Context, dir string, c canonical) (*analysis.Re
 		opts = append(opts, analysis.WithCorrection(s.cfg.Calibration))
 	}
 	return analysis.NewEngine(opts...).Analyze(ctx, analysis.FromDir(dir))
+}
+
+// pathless is err as a client is told it, never with a path, since where a
+// trace lives is the server's own business: the trace id, the chunk file a
+// *trace.ChunkError names, and the decode error, which is the chunk's bytes',
+// or else the innermost cause (an errno, a sentinel).
+func pathless(id string, err error) error {
+	var ce *trace.ChunkError
+	var pe *fs.PathError
+	what := fmt.Sprintf("trace %q", id)
+	if errors.As(err, &ce) {
+		if what += ", chunk " + ce.Chunk; !errors.As(err, &pe) {
+			return fmt.Errorf("%s: %w", what, ce.Err)
+		}
+	}
+	for u := errors.Unwrap(err); u != nil; u = errors.Unwrap(u) {
+		err = u
+	}
+	return fmt.Errorf("%s: %w", what, err)
 }
 
 // writeRunError reports a failed Engine-backed request (what is "analysis"

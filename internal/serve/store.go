@@ -5,10 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strconv"
 	"sync/atomic"
+
+	"repro/internal/disk"
 )
 
 // DiskStore is the persistent tier of the report cache: encoded report
@@ -26,6 +27,7 @@ import (
 // final name or fails the frame check on read and is treated as a miss —
 // the caller recomputes and rewrites it.
 type DiskStore struct {
+	fs  disk.FS
 	dir string
 
 	hits, misses, writes atomic.Int64
@@ -41,10 +43,10 @@ const reportFileSuffix = ".rlsreport"
 
 // NewDiskStore opens (creating if needed) a report store directory.
 func NewDiskStore(dir string) (*DiskStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := disk.OS.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("serve: creating report store: %w", err)
 	}
-	return &DiskStore{dir: dir}, nil
+	return &DiskStore{fs: disk.OS, dir: dir}, nil
 }
 
 // path maps a cache key to its file: keys embed hex digests and option
@@ -58,13 +60,9 @@ func (s *DiskStore) path(key string) string {
 // Get returns the stored bytes for key. A missing, torn, or malformed
 // entry is a miss.
 func (s *DiskStore) Get(key string) ([]byte, bool) {
-	data, err := os.ReadFile(s.path(key))
-	if err != nil {
-		s.misses.Add(1)
-		return nil, false
-	}
+	data, err := s.fs.ReadFile(s.path(key), nil)
 	body, ok := parseStoreEntry(data)
-	if !ok {
+	if err != nil || !ok {
 		s.misses.Add(1)
 		return nil, false
 	}
@@ -89,38 +87,16 @@ func parseStoreEntry(data []byte) ([]byte, bool) {
 	return rest[nl+1:], true
 }
 
-// Put persists body under key: write to a temp file in the store
-// directory, fsync-free rename into place. Persistence is best-effort
+// Put persists body under key: framed, into a temporary file in the store
+// directory, renamed into place with no sync. Persistence is best-effort
 // cache population — an error leaves the hot tier authoritative — but is
 // still reported so callers can surface disk trouble.
 func (s *DiskStore) Put(key string, body []byte) error {
-	final := s.path(key)
-	tmp, err := os.CreateTemp(s.dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: report store write: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	_, werr := fmt.Fprintf(tmp, "%s%d\n", storeMagic, len(body))
-	if werr == nil {
-		_, werr = tmp.Write(body)
-	}
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		return fmt.Errorf("serve: report store write: %w", errFirst(werr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	head := fmt.Appendf(nil, "%s%d\n", storeMagic, len(body))
+	if err := s.fs.Replace(s.path(key), head, body); err != nil {
 		return fmt.Errorf("serve: report store write: %w", err)
 	}
 	s.writes.Add(1)
-	return nil
-}
-
-func errFirst(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

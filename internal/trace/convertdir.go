@@ -6,7 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
+
+	"repro/internal/disk"
 )
 
 // ConvertStats reports what a directory conversion did.
@@ -97,7 +98,7 @@ func ConvertDir(ctx context.Context, src, dst string) (*ConvertStats, error) {
 		// The sidecar is re-derived in the encoding the source's one has: a
 		// pre-binary JSON document marshals as it always did.
 		sidecar, err := backIx.AppendBinary(nil)
-		if old, rerr := os.ReadFile(r.sidePaths[i]); rerr == nil && !bytes.HasPrefix(old, []byte(sidecarMagic)) {
+		if old, rerr := disk.OS.ReadFile(r.sidePaths[i], nil); rerr == nil && !bytes.HasPrefix(old, []byte(sidecarMagic)) {
 			sidecar, err = json.Marshal(backIx)
 		}
 		if err != nil {

@@ -2,13 +2,11 @@ package trace
 
 import (
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
-	"repro/internal/recycle"
+	"repro/internal/disk"
 )
 
 // DirDigest computes a content hash identifying a chunked trace directory:
@@ -23,42 +21,24 @@ import (
 // whose bytes have since changed. Files other than the trace's own
 // (temporaries, editor droppings) are ignored.
 func DirDigest(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
+	names, err := traceFiles(disk.OS, dir)
 	if err != nil {
 		return "", fmt.Errorf("trace: digesting trace dir: %w", err)
 	}
-	var names []string
-	for _, ent := range entries {
-		name := ent.Name()
-		if name == metaFileName ||
-			strings.HasSuffix(name, chunkSuffix) ||
-			strings.HasSuffix(name, sidecarSuffix) {
-			names = append(names, name)
-		}
-	}
 	if len(names) == 0 {
-		return "", fmt.Errorf("trace: digesting trace dir %s: no trace files", dir)
+		return "", fmt.Errorf("trace: digesting trace dir %s: %w", dir, errNoTraceFiles)
 	}
-	sort.Strings(names)
 	d := newDigester()
-	var buf []byte
+	bufs := map[string][]byte{} // one buffer per kind of file, each sized by its first
 	for _, name := range names {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
+		kind := filepath.Ext(name)
+		if bufs[kind], err = disk.OS.ReadFile(filepath.Join(dir, name), bufs[kind]); err != nil {
 			return "", fmt.Errorf("trace: digesting trace dir: %w", err)
 		}
-		// Room for the file and one byte more, so the read that finds EOF
-		// fits too: the buffer is sized to each larger file once, not grown
-		// by doubling.
-		if fi, err := f.Stat(); err == nil && fi.Size() >= int64(cap(buf)) {
-			buf = make([]byte, 0, fi.Size()+1)
-		}
-		buf, err = recycle.ReadAll(buf, f)
-		f.Close()
-		if err != nil {
-			return "", fmt.Errorf("trace: digesting trace dir: %w", err)
-		}
-		d.file(name, buf)
+		d.file(name, bufs[kind])
 	}
 	return hex.EncodeToString(d.h.Sum(nil)), nil
 }
+
+// errNoTraceFiles is why a directory without trace files has no digest.
+var errNoTraceFiles = errors.New("trace: no trace files")

@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
+	"repro/internal/disk"
 	"repro/internal/recycle"
 	"repro/internal/vclock"
 )
@@ -105,6 +106,20 @@ func sidecarPath(chunkPath string) string {
 	return strings.TrimSuffix(chunkPath, chunkSuffix) + sidecarSuffix
 }
 
+// traceFiles lists, sorted, the files of dir that make up a trace: the run
+// metadata, every chunk and every sidecar, and nothing else.
+func traceFiles(fsys disk.FS, dir string) ([]string, error) {
+	names, err := fsys.ReadDirNames(dir)
+	if err != nil {
+		return nil, err
+	}
+	names = slices.DeleteFunc(names, func(name string) bool {
+		return name != metaFileName && !strings.HasSuffix(name, chunkSuffix) && !strings.HasSuffix(name, sidecarSuffix)
+	})
+	slices.Sort(names)
+	return names, nil
+}
+
 // Reader iterates a chunked trace directory lazily: chunks are decoded one
 // at a time into a caller-supplied buffer, and per-chunk sidecar indexes are
 // served without decoding events, so an analysis never needs the whole trace
@@ -118,12 +133,11 @@ func sidecarPath(chunkPath string) string {
 //
 // Reader methods are not safe for concurrent use.
 type Reader struct {
-	dir   string
-	names []string // chunk file names, sorted
-	meta  Meta
+	dir  string
+	meta Meta
 
-	// paths and sidePaths hold the precomputed full paths of each chunk
-	// and its sidecar, so the per-chunk read loop never rebuilds them.
+	// paths and sidePaths hold the full paths of each chunk, in name order,
+	// and of its sidecar, so the per-chunk read loop never rebuilds them.
 	paths     []string
 	sidePaths []string
 
@@ -144,30 +158,20 @@ type Reader struct {
 // OpenDir opens a trace directory previously written by Writer: it lists
 // the chunk files and reads the run metadata, decoding no events.
 func OpenDir(dir string) (*Reader, error) {
-	// Names only: readSidecar takes each chunk's size from the file itself.
-	d, err := os.Open(dir)
+	files, err := traceFiles(disk.OS, dir)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading trace dir: %w", err)
 	}
-	entries, err := d.Readdirnames(-1)
-	d.Close()
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading trace dir: %w", err)
-	}
-	r := &Reader{dir: dir, in: NewInterner(), loaded: -1}
-	for _, name := range entries {
+	// Room for half the files: each chunk has its sidecar beside it.
+	r := &Reader{dir: dir, in: NewInterner(), loaded: -1,
+		paths: make([]string, 0, len(files)/2+1), sidePaths: make([]string, 0, len(files)/2+1)}
+	for _, name := range files {
 		if strings.HasSuffix(name, chunkSuffix) {
-			r.names = append(r.names, name)
+			r.paths = append(r.paths, filepath.Join(dir, name))
+			r.sidePaths = append(r.sidePaths, filepath.Join(dir, sidecarPath(name)))
 		}
 	}
-	sort.Strings(r.names)
-	r.paths = make([]string, len(r.names))
-	r.sidePaths = make([]string, len(r.names))
-	for i, name := range r.names {
-		r.paths[i] = filepath.Join(dir, name)
-		r.sidePaths[i] = filepath.Join(dir, sidecarPath(name))
-	}
-	metaData, err := os.ReadFile(filepath.Join(dir, metaFileName))
+	metaData, err := disk.OS.ReadFile(filepath.Join(dir, metaFileName), nil)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading metadata: %w", err)
 	}
@@ -181,36 +185,23 @@ func OpenDir(dir string) (*Reader, error) {
 func (r *Reader) Meta() Meta { return r.meta }
 
 // NumChunks reports the number of chunk files in the directory.
-func (r *Reader) NumChunks() int { return len(r.names) }
+func (r *Reader) NumChunks() int { return len(r.paths) }
 
 // ChunkName returns the file name of chunk i.
-func (r *Reader) ChunkName(i int) string { return r.names[i] }
+func (r *Reader) ChunkName(i int) string { return filepath.Base(r.paths[i]) }
 
-// load reads chunk i's frame into the reusable frame buffer, first sized from
-// the file so that a Reader's first chunk costs one allocation, not a
-// doubling series. The previous frame stays cached, so ReadColumns followed
-// by ReadChunk on the same chunk (the v1 fallback path) reads the file once.
+// load reads chunk i's frame into the reusable frame buffer, which the
+// Reader's first chunk sizes from its file. The previous frame stays cached,
+// so ReadColumns followed by ReadChunk on the same chunk (the v1 fallback
+// path) reads the file once.
 func (r *Reader) load(i int) ([]byte, error) {
 	if r.loaded == i {
 		return r.frame, nil
 	}
 	r.loaded = -1
-	name := r.names[i]
-	f, err := os.Open(r.paths[i])
-	if err != nil {
-		return nil, &ChunkError{Dir: r.dir, Chunk: name, Err: err}
-	}
-	if cap(r.frame) == 0 {
-		// The Reader's first chunk: one byte past the file's size lets the
-		// read that finds EOF fit too. Later chunks find the buffer there.
-		if fi, err := f.Stat(); err == nil {
-			r.frame = make([]byte, 0, fi.Size()+1)
-		}
-	}
-	r.frame, err = recycle.ReadAll(r.frame, f)
-	f.Close()
-	if err != nil {
-		return nil, &ChunkError{Dir: r.dir, Chunk: name, Err: fmt.Errorf("trace: decode: reading chunk: %w", err)}
+	var err error
+	if r.frame, err = disk.OS.ReadFile(r.paths[i], r.frame); err != nil {
+		return nil, &ChunkError{Dir: r.dir, Chunk: r.ChunkName(i), Err: fmt.Errorf("trace: decode: reading chunk: %w", err)}
 	}
 	r.loaded = i
 	return r.frame, nil
@@ -262,7 +253,7 @@ func (r *Reader) walk(i int, dst []Event, bufs *recycle.Store[Event], mode walkM
 	}
 	dst, n, bytes, err := walkChunk(frame, r.in, &r.cc, dst, bufs, mode, scan)
 	if err != nil {
-		err = &ChunkError{Dir: r.dir, Chunk: r.names[i], Err: err}
+		err = &ChunkError{Dir: r.dir, Chunk: r.ChunkName(i), Err: err}
 	}
 	return dst, n, bytes, err
 }
@@ -280,13 +271,13 @@ func (r *Reader) ReadColumns(i int) (cc *ColumnChunk, ok bool, err error) {
 	}
 	version, _, err := sniffVersion(frame)
 	if err != nil {
-		return nil, false, &ChunkError{Dir: r.dir, Chunk: r.names[i], Err: err}
+		return nil, false, &ChunkError{Dir: r.dir, Chunk: r.ChunkName(i), Err: err}
 	}
 	if version != chunkVersion2 {
 		return nil, false, nil
 	}
 	if err := r.cc.Parse(frame, r.in); err != nil {
-		return nil, false, &ChunkError{Dir: r.dir, Chunk: r.names[i], Err: err}
+		return nil, false, &ChunkError{Dir: r.dir, Chunk: r.ChunkName(i), Err: err}
 	}
 	return &r.cc, true, nil
 }
@@ -299,8 +290,8 @@ func (r *Reader) ReadColumns(i int) (cc *ColumnChunk, ok bool, err error) {
 // memory.
 func (r *Reader) Index(i int) (*ChunkIndex, error) {
 	if r.ixOK == nil {
-		r.ixOK = make([]bool, len(r.names))
-		r.ixCache = make([]ChunkIndex, len(r.names))
+		r.ixOK = make([]bool, len(r.paths))
+		r.ixCache = make([]ChunkIndex, len(r.paths))
 	}
 	if !r.ixOK[i] {
 		if err := r.IndexInto(i, &r.ixCache[i]); err != nil {
@@ -322,7 +313,7 @@ func (r *Reader) IndexInto(i int, ix *ChunkIndex) error {
 		return nil
 	}
 	if err != nil {
-		return &ChunkError{Dir: r.dir, Chunk: sidecarPath(r.names[i]), Err: err}
+		return &ChunkError{Dir: r.dir, Chunk: sidecarPath(r.ChunkName(i)), Err: err}
 	}
 	events, err := r.ReadChunk(i, nil)
 	if err != nil {
@@ -337,26 +328,21 @@ func (r *Reader) IndexInto(i int, ix *ChunkIndex) error {
 // could: a missing file or one that does not parse is not an error — the
 // index is then the chunk's to rebuild — only a file that cannot be read is.
 func (r *Reader) readSidecar(i int, ix *ChunkIndex) (ok bool, err error) {
-	f, err := os.Open(r.sidePaths[i])
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
+	if r.side, err = disk.OS.ReadFile(r.sidePaths[i], r.side); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
 			err = nil
 		}
 		return false, err
 	}
-	r.side, err = recycle.ReadAll(r.side, f)
-	f.Close()
-	if err != nil || parseSidecar(r.side, ix, r.in) != nil {
-		return false, err
+	if parseSidecar(r.side, ix, r.in) != nil {
+		return false, nil
 	}
 	// The sidecar's claims size buffers, so its byte count is not taken on
 	// trust: Bytes is the chunk file's size as it is now, which bounds what
 	// the chunk can hold.
-	fi, err := os.Stat(r.paths[i])
-	if err != nil {
+	if ix.Bytes, err = disk.OS.Size(r.paths[i]); err != nil {
 		return false, nil
 	}
-	ix.Bytes = fi.Size()
 	return true, nil
 }
 
@@ -367,7 +353,7 @@ func (r *Reader) readSidecar(i int, ix *ChunkIndex) (ok bool, err error) {
 // it when it is decoded.
 func (r *Reader) eventsHint() (n int) {
 	var ix ChunkIndex
-	for i := range r.names {
+	for i := range r.paths {
 		if ok, _ := r.readSidecar(i, &ix); ok && ix.Events > 0 {
 			n += min(ix.Events, int(ix.Bytes/v1MinEventBytes))
 		}

@@ -2,19 +2,18 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
-	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash"
-	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 
+	"repro/internal/disk"
 	"repro/internal/recycle"
 )
 
@@ -93,13 +92,13 @@ func (e *ConflictError) Error() string {
 //
 // DirSink methods are safe for concurrent use.
 type DirSink struct {
+	fs  disk.FS
 	dir string
 
 	mu     sync.Mutex
 	next   int      // next expected sequence number
 	digest digester // running DirDigest-framed hash over sidecar+chunk pairs; no hash in a Writer's sink
 	sealed bool
-	final  string // digest fixed at Seal
 }
 
 // NewDirSink creates dir (if needed) and returns a sink writing a fresh
@@ -107,38 +106,35 @@ type DirSink struct {
 // server-owned trace store never overwrites, it rejects (callers wanting
 // Writer's historical overwrite semantics go through NewWriter, which
 // clears stale trace files first).
-func NewDirSink(dir string) (*DirSink, error) {
-	return newDirSink(dir, false)
-}
+func NewDirSink(dir string) (*DirSink, error) { return NewDirSinkFS(disk.OS, dir) }
+
+// NewDirSinkFS is NewDirSink making every file call through fs.
+func NewDirSinkFS(fs disk.FS, dir string) (*DirSink, error) { return newDirSink(fs, dir, false) }
 
 // newDirSink makes a sink in dir. A Writer's own sink (forWriter) clears
 // stale trace files instead of refusing them, and keeps no digest.
-func newDirSink(dir string, forWriter bool) (*DirSink, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func newDirSink(fs disk.FS, dir string, forWriter bool) (*DirSink, error) {
+	if err := fs.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("trace: creating trace dir: %w", err)
 	}
-	entries, err := os.ReadDir(dir)
+	names, err := traceFiles(fs, dir)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading trace dir: %w", err)
 	}
-	for _, ent := range entries {
-		name := ent.Name()
-		if name != metaFileName && !strings.HasSuffix(name, chunkSuffix) && !strings.HasSuffix(name, sidecarSuffix) {
-			continue
-		}
+	for _, name := range names {
 		if !forWriter {
 			return nil, fmt.Errorf("%w: %s contains trace file %s", ErrDirHasTrace, dir, name)
 		}
 		// Overwrite mode: clear stale trace files so a shorter rewrite
 		// cannot leave higher-numbered chunks of a previous trace behind.
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		if err := fs.Remove(filepath.Join(dir, name)); err != nil {
 			return nil, fmt.Errorf("trace: clearing stale trace file: %w", err)
 		}
 	}
 	if forWriter {
-		return &DirSink{dir: dir}, nil
+		return &DirSink{fs: fs, dir: dir}, nil
 	}
-	return &DirSink{dir: dir, digest: newDigester()}, nil
+	return &DirSink{fs: fs, dir: dir, digest: newDigester()}, nil
 }
 
 // Dir returns the directory the sink writes into.
@@ -175,24 +171,20 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 		// A replay is checked against the files it would have written:
 		// landed bytes are hashed once, into the running digest, and never
 		// again.
-		for _, f := range []struct {
-			name string
-			want []byte
-		}{{chunkName, chunk}, {sidecarPath(chunkName), sidecar}} {
-			got, err := os.ReadFile(filepath.Join(s.dir, f.name))
-			if err != nil {
-				return false, fmt.Errorf("trace: reading applied chunk %d: %w", seq, err)
-			}
-			if !bytes.Equal(got, f.want) {
-				return false, &ConflictError{Seq: seq}
-			}
+		got, err := s.fs.ReadFile(filepath.Join(s.dir, chunkName), nil)
+		side, serr := s.fs.ReadFile(filepath.Join(s.dir, sidecarPath(chunkName)), nil)
+		if err = cmp.Or(err, serr); err != nil {
+			return false, fmt.Errorf("trace: reading applied chunk %d: %w", seq, err)
+		}
+		if !bytes.Equal(got, chunk) || !bytes.Equal(side, sidecar) {
+			return false, &ConflictError{Seq: seq}
 		}
 		return true, nil
 	}
-	if err := os.WriteFile(filepath.Join(s.dir, chunkName), chunk, 0o644); err != nil {
+	if err := s.fs.WriteFile(filepath.Join(s.dir, chunkName), chunk); err != nil {
 		return false, fmt.Errorf("trace: writing chunk: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(s.dir, sidecarPath(chunkName)), sidecar, 0o644); err != nil {
+	if err := s.fs.WriteFile(filepath.Join(s.dir, sidecarPath(chunkName)), sidecar); err != nil {
 		return false, fmt.Errorf("trace: writing sidecar: %w", err)
 	}
 	// Fold the pair into the running digest in DirDigest's sorted-name
@@ -226,7 +218,7 @@ func (d *digester) file(name string, content []byte) {
 	d.h.Write(content)
 }
 
-// Seal writes the run metadata and fixes the final digest. Sealing an
+// Seal writes the run metadata and folds it into the digest. Sealing an
 // already-sealed sink is ErrSinkSealed; callers wanting idempotent seals
 // compare metadata themselves before retrying.
 func (s *DirSink) Seal(meta Meta) error {
@@ -239,12 +231,11 @@ func (s *DirSink) Seal(meta Meta) error {
 	if err != nil {
 		return fmt.Errorf("trace: encoding metadata: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(s.dir, metaFileName), data, 0o644); err != nil {
+	if err := s.fs.WriteFile(filepath.Join(s.dir, metaFileName), data); err != nil {
 		return fmt.Errorf("trace: writing metadata: %w", err)
 	}
 	if s.digest.h != nil {
 		s.digest.file(metaFileName, data)
-		s.final = hex.EncodeToString(s.digest.h.Sum(nil))
 	}
 	s.sealed = true
 	return nil
@@ -266,27 +257,11 @@ func (s *DirSink) Chunks() int {
 func (s *DirSink) Digest() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.sealed {
-		return s.final
-	}
-	if s.next == 0 || s.digest.h == nil {
+	if s.digest.h == nil || s.next == 0 && !s.sealed {
 		return ""
 	}
-	// Snapshot the running hash via its binary state so Sum never
-	// perturbs the accumulating instance across appends.
-	m, ok := s.digest.h.(encoding.BinaryMarshaler)
-	if !ok {
-		return "" // cannot happen: sha256 implements BinaryMarshaler
-	}
-	state, err := m.MarshalBinary()
-	if err != nil {
-		return ""
-	}
-	clone := sha256.New()
-	if err := clone.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
-		return ""
-	}
-	return hex.EncodeToString(clone.Sum(nil))
+	// Sum leaves the running hash as it was, so later appends fold on.
+	return hex.EncodeToString(s.digest.h.Sum(nil))
 }
 
 // EncodeEvents serializes events into one v1 chunk frame plus its sidecar

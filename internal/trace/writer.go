@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/disk"
 	"repro/internal/recycle"
 )
 
@@ -104,7 +105,7 @@ func WithFormat(f Format) WriterOption {
 // it for one; DirDigest(dir) computes it from the files. chunkBytes <= 0
 // uses DefaultChunkBytes.
 func NewWriter(dir string, chunkBytes int, opts ...WriterOption) (*Writer, error) {
-	sink, err := newDirSink(dir, true)
+	sink, err := newDirSink(disk.OS, dir, true)
 	if err != nil {
 		return nil, err
 	}

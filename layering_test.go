@@ -429,6 +429,39 @@ func TestOneWayEach(t *testing.T) {
 	checkOneEventStore(t, m)
 }
 
+// TestOneWayToDisk fails for every call of an os file function — Open*,
+// ReadFile, WriteFile, Create*, Mkdir*, ReadDir, Rename, Remove* or Stat — in
+// the non-test code of internal/trace, internal/serve or internal/disk, but
+// for those in the methods of disk's os implementation. The trace and report
+// stores reach the file system through disk.FS alone, so a test that swaps
+// it sees every call (DESIGN §1, "One way to the disk"). Calls are resolved
+// through go/types, so a renamed import does not hide one.
+func TestOneWayToDisk(t *testing.T) {
+	fileFunc := regexp.MustCompile(`^(Open.*|ReadFile|WriteFile|Create.*|Mkdir.*|ReadDir|Rename|Remove.*|Stat)$`)
+	m := loadedModule(t)
+	for _, path := range []string{"repro/internal/trace", "repro/internal/serve", "repro/internal/disk"} {
+		for _, f := range m.files[path] {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && path == "repro/internal/disk" &&
+					types.ExprString(fn.Recv.List[0].Type) == "osFS" {
+					continue
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if fn, ok := m.info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "os" &&
+						fn.Signature().Recv() == nil && fileFunc.MatchString(fn.Name()) {
+						t.Errorf("%s: os.%s outside disk's os implementation; go through a disk.FS", m.fset.Position(sel.Pos()), fn.Name())
+					}
+					return true
+				})
+			}
+		}
+	}
+}
+
 // checkOneEventStore fails unless, outside benchmark/, idle event buffers
 // have one owner, resolved through go/types: no package keeps a
 // recycle.Stack of []trace.Event, and one recycle.Store of trace.Event is
