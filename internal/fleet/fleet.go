@@ -43,12 +43,10 @@ import (
 type Trace struct {
 	ID   string
 	Meta trace.Meta
-	// Digest is the content address of the trace (trace.DirDigest) and Dir
-	// the directory holding it. The query layer only hashes Digest into
-	// ContentKey; both are there for the front end's ResultLoader, which
-	// would otherwise keep a side table from id back to them.
+	// Digest is the content address of the trace (trace.DirDigest): the
+	// query layer hashes it into ContentKey, so a document names the content
+	// it was computed over.
 	Digest string
-	Dir    string
 }
 
 // Query is the fleet query DSL, decoded verbatim from the POST /v1/query

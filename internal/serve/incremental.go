@@ -362,7 +362,8 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request, id string) {
 // its analysis is computed once, here — the pending chunks are the final
 // epoch; the result set (fleet queries, filtered analyzes) and the unfiltered
 // result-only document go to the report store, so neither costs an Engine
-// run. The entry is built from memory, not read back from the directory; the
+// run. The entry is built from memory, not read back from the directory, and
+// keeps the sealed sink for the prints it took (runSealed); the rest of the
 // liveTrace goes with the old one, its Incremental's process states and
 // window results with it, and the window buffers — every decoded event — go
 // back to trace.EventBufs, which the next Engine run or live trace draws
@@ -382,7 +383,7 @@ func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 	results := lt.inc.Results(nil)
 	// After the final sweep: the counters then include the last epoch's.
 	stats := lt.inc.Stats()
-	sealed.streamed = &stats
+	sealed.streamed, sealed.sink = &stats, lt.sink
 	var rs bytes.Buffer
 	if err := report.EncodeResultSet(&rs, results); err == nil {
 		s.store.add(resultSetKey(sealed.info.Digest), rs.Bytes())

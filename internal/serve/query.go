@@ -123,7 +123,10 @@ func (s *Server) query(ctx context.Context, plan *fleet.Plan, last *atomic.Point
 	engineRuns := 0
 	body, shared, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
 		doc, err := plan.Execute(runCtx, matched, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
-			results, ran, err := s.loadResults(ctx, t.ID, t.Digest, t.Dir)
+			// The entry the registry holds now: the one selected, or a fresh
+			// snapshot a run swapped in since, which moved the generation, so
+			// this document is then not stored.
+			results, ran, err := s.loadResults(ctx, s.lookup(t.ID))
 			if ran {
 				engineRuns++
 			}
@@ -193,21 +196,22 @@ func (s *Server) queryCandidates() ([]fleet.Trace, uint64) {
 	out := make([]fleet.Trace, 0, len(s.ids))
 	for _, id := range s.ids {
 		if e := s.traces[id]; e.live == nil {
-			out = append(out, fleet.Trace{ID: e.id, Meta: e.meta, Digest: e.info.Digest, Dir: e.dir})
+			out = append(out, fleet.Trace{ID: e.id, Meta: e.meta, Digest: e.info.Digest})
 		}
 	}
 	return out, s.gen.Load()
 }
 
-// loadResults returns the full-fidelity per-process results of the sealed
-// trace registered at id over dir, addressed by its content digest: tiered
-// store lookup first, then a singleflight-deduplicated Engine run under the
-// default options, which writes the encoded result set back through both
-// tiers, and with it the default analyze document (runSealed). ran reports
-// whether this call paid for an Engine run. It backs fleet queries and the
-// result-only analyzes of streamed traces.
-func (s *Server) loadResults(ctx context.Context, id, digest, dir string) (results map[trace.ProcID]*overlap.Result, ran bool, err error) {
-	key := resultSetKey(digest)
+// loadResults returns the full-fidelity per-process results of a sealed
+// entry, addressed by its content digest: tiered store lookup first, then a
+// singleflight-deduplicated Engine run under the default options, which
+// writes the encoded result set back through both tiers, and with it the
+// default analyze document (runSealed). ran reports whether this call paid
+// for an Engine run; such a call returns the results the run computed,
+// while callers that joined its flight decode the set it encoded. It backs
+// fleet queries and the result-only analyzes of streamed traces.
+func (s *Server) loadResults(ctx context.Context, entry *traceEntry) (results map[trace.ProcID]*overlap.Result, ran bool, err error) {
+	key := resultSetKey(entry.info.Digest)
 	if body, ok := s.store.get(key); ok {
 		if results, err := report.DecodeResultSet(body.b); err == nil {
 			return results, false, nil
@@ -215,10 +219,10 @@ func (s *Server) loadResults(ctx context.Context, id, digest, dir string) (resul
 		// A stale or corrupt blob (version bump, torn disk entry the
 		// frame check missed) is a miss: recompute and overwrite.
 	}
-	// paid is written on the flight's goroutine and read only once do has
-	// returned the flight's result, which orders the two.
-	paid := false
-	body, _, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
+	// computed is written on the flight's goroutine and read only once do
+	// has returned the flight's result, which orders the two.
+	var computed map[trace.ProcID]*overlap.Result
+	body, shared, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
 		// A flight that lost a fill race can answer from the store — but
 		// only with a blob that decodes, or the stale one above would be
 		// served straight back and never overwritten.
@@ -227,13 +231,16 @@ func (s *Server) loadResults(ctx context.Context, id, digest, dir string) (resul
 				return body.b, nil
 			}
 		}
-		_, set, err := s.runSealed(runCtx, id, dir, digest, s.canonicalize(AnalyzeRequest{}))
-		paid = err == nil
+		_, set, results, err := s.runSealed(runCtx, entry, s.canonicalize(AnalyzeRequest{}))
+		computed = results
 		return set, err
 	})
 	if err != nil {
 		return nil, false, err
 	}
+	if !shared && computed != nil {
+		return computed, true, nil
+	}
 	results, err = report.DecodeResultSet(body)
-	return results, paid, err
+	return results, false, err
 }

@@ -103,7 +103,8 @@ type Server struct {
 	engineRuns atomic.Int64
 
 	// preRun, when set (tests only), runs inside the singleflight call
-	// before admission and the Engine run, on the flight's run context.
+	// before admission and each Engine run of a miss, on the flight's run
+	// context, with the key of the document the run fills.
 	preRun func(ctx context.Context, key string)
 	fs     disk.FS // what live traces' sinks write through: disk.OS, or a test's
 }
@@ -111,11 +112,12 @@ type Server struct {
 // traceEntry is one trace of the registry, in one of two states. Open
 // (live != nil): the trace is being streamed in, live owns everything that
 // moves and the other fields are zero. Sealed (live == nil): an immutable
-// snapshot of a finished directory's content — AddDir builds it from the
-// directory, POST /seal from memory, swapping it in at the same id. A sealed
-// entry is never modified; when a miss-path analysis finds the directory
-// rewritten a fresh entry replaces it, and handlers holding the old pointer
-// keep a consistent (if stale) read-only view.
+// snapshot of a finished directory's content — AddDir builds it from one
+// read of the directory, POST /seal from memory, swapping it in at the same
+// id. A sealed entry is never modified; when a miss-path run reads a file of
+// the directory that is not the one the entry printed, a fresh entry replaces
+// it, and handlers holding the old pointer keep a consistent (if stale)
+// read-only view.
 type traceEntry struct {
 	id   string
 	live *liveTrace
@@ -123,6 +125,12 @@ type traceEntry struct {
 	info TraceInfo
 	dir  string
 	meta trace.Meta
+	// prints are the directory's files as AddDir's digest read them, and
+	// sink, of a sealed stream, the sink that printed its files as they
+	// landed: every Engine run over the entry checks what it reads against
+	// them (runSealed).
+	prints trace.Prints
+	sink   *trace.DirSink
 	// summary is the encoded TraceSummary: GET /summary serves these bytes.
 	// row is info encoded as a listing row (encodeRow), and digestHdr the
 	// X-Rlscope-Digest value analyzes answer with: both built with summary.
@@ -221,10 +229,11 @@ func (s *Server) Close() { s.stop() }
 // EngineRuns reports how many Engine.Analyze calls the server has started.
 func (s *Server) EngineRuns() int64 { return s.engineRuns.Load() }
 
-// AddDir registers a chunked trace directory under id: it digests the
-// directory's content, reads the run metadata, and precomputes the sidecar
-// summary. Registering the same id twice is an error; the same directory
-// under two ids is fine (they share a digest, hence a cache footprint).
+// AddDir registers a chunked trace directory under id: one read of each of
+// the directory's files digests and prints its content, and gives the run
+// metadata and the sidecar summary. Registering the same id twice is an
+// error; the same directory under two ids is fine (they share a digest,
+// hence a cache footprint).
 func (s *Server) AddDir(id, dir string) (TraceInfo, error) {
 	if err := checkTraceID(id); err != nil {
 		return TraceInfo{}, fmt.Errorf("serve: %w", err)
@@ -265,28 +274,25 @@ func (s *Server) AddDirArg(arg string) (TraceInfo, error) {
 	return s.AddDir(id, dir)
 }
 
-// newTraceEntry snapshots a directory's content: digest, metadata, and the
-// sidecar summary.
+// newTraceEntry snapshots a directory's content from one read of each file:
+// digest, prints, metadata, and the sidecar summary. A chunk without a
+// sidecar is decoded from the bytes that read brought, so pre-sidecar
+// directories still register.
 func newTraceEntry(id, dir string) (*traceEntry, error) {
-	digest, err := trace.DirDigest(dir)
-	if err != nil {
-		return nil, err
-	}
-	r, err := trace.OpenDir(dir)
+	snap, err := trace.ReadSnapshot(dir)
 	if err != nil {
 		return nil, err
 	}
 	var fold summaryFold
-	for i := 0; i < r.NumChunks(); i++ {
-		// A missing sidecar falls back to a one-off chunk decode inside
-		// Index, so pre-sidecar directories still register.
-		ix, err := r.Index(i)
-		if err != nil {
-			return nil, err
-		}
-		fold.foldIndex(ix)
+	for i := range snap.Indexes {
+		fold.foldIndex(&snap.Indexes[i])
 	}
-	return sealedEntry(id, dir, digest, r.Meta(), &fold)
+	entry, err := sealedEntry(id, dir, snap.Digest, snap.Meta, &fold)
+	if err != nil {
+		return nil, err
+	}
+	entry.prints = snap.Prints
+	return entry, nil
 }
 
 // sealedEntry builds a trace's sealed state from what AddDir has just read
@@ -701,7 +707,7 @@ func (s *Server) storeDoc(key string, doc *report.Analysis) ([]byte, error) {
 // requested processes of the set are what an Engine run filtered to them would
 // compute. loadResults re-runs the Engine only if every tier has lost the set.
 func (s *Server) renderStored(ctx context.Context, entry *traceEntry, procs []trace.ProcID, key string) ([]byte, error) {
-	results, _, err := s.loadResults(ctx, entry.id, entry.info.Digest, entry.dir)
+	results, _, err := s.loadResults(ctx, entry)
 	if err != nil {
 		return nil, err
 	}
@@ -777,10 +783,7 @@ func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *trac
 		if c.resultOnly {
 			return s.renderStored(runCtx, entry, c.procs, key)
 		}
-		if s.preRun != nil {
-			s.preRun(runCtx, key)
-		}
-		doc, _, err := s.runSealed(runCtx, entry.id, entry.dir, entry.info.Digest, c)
+		doc, _, _, err := s.runSealed(runCtx, entry, c)
 		return doc, err
 	})
 	if err != nil {
@@ -795,64 +798,87 @@ func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *trac
 	writeBody(w, newStoredBody(body))
 }
 
-// runSealed is the Engine run behind every miss over the sealed trace
-// registered at id, and it lands every stored form of its answer: the
-// document c asks for and, when c neither corrects nor filters, the trace's
-// result set too — results are byte-identical at any worker count and
-// budget, so one run fills both. It returns the encoded document and the
-// encoded result set (nil for a run that does not fill one).
+// runSealed is the Engine run behind every miss over a sealed entry, and it
+// lands every stored form of its answer: the document c asks for and, when c
+// neither corrects nor filters, the trace's result set too — results are
+// byte-identical at any worker count and budget, so one run fills both. It
+// returns the encoded document, the encoded result set (nil for a run that
+// does not fill one) and the results the run computed.
 //
-// Every such run re-digests dir first, cheap insurance that what it stores
-// is addressed by the content it analyzed: if the directory was rewritten
-// since registration, a fresh snapshot replaces the entry and the run stores
-// under the new digest — never new bytes under the old one. What was stored
-// before the rewrite stays addressed by the content it was computed from.
-func (s *Server) runSealed(ctx context.Context, id, dir, digest string, c canonical) (doc, set []byte, err error) {
-	now, err := trace.DirDigest(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	if now != digest {
-		fresh, err := newTraceEntry(id, dir)
-		if err != nil {
-			return nil, nil, err
+// A stored key promises that its digest names every byte its answer was
+// computed from. The run reads the directory through a Reader checked
+// against the entry's prints (trace.OpenChecked), so it either reads exactly
+// the bytes the entry's digest names or fails with a *trace.ChangedError.
+// Then a fresh snapshot replaces the entry and the run is repeated once over
+// it, storing under the new digest — never new bytes under the old one; if
+// that run finds a change too, nothing is stored. What was stored before the
+// rewrite stays addressed by the content it was computed from.
+func (s *Server) runSealed(ctx context.Context, entry *traceEntry, c canonical) (doc, set []byte, results map[trace.ProcID]*overlap.Result, err error) {
+	rep, err := s.run(ctx, entry, c)
+	if err != nil && errors.As(err, new(*trace.ChangedError)) {
+		if entry, err = s.refresh(entry); err != nil {
+			return nil, nil, nil, err
 		}
-		s.mu.Lock()
-		fresh.streamed = s.traces[id].streamed
-		s.setEntry(id, fresh)
-		s.mu.Unlock()
-		digest = fresh.info.Digest
+		rep, err = s.run(ctx, entry, c)
 	}
-	rep, err := s.run(ctx, dir, c)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
+	digest := entry.info.Digest
 	// The set first: the document is what the request waits for, so under a
 	// tight LRU budget it is the one kept.
 	if !c.correction && len(c.procs) == 0 {
 		var buf bytes.Buffer
 		if err := report.EncodeResultSet(&buf, rep.Results); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		set = buf.Bytes()
 		s.store.add(resultSetKey(digest), set)
 	}
 	doc, err = s.storeDoc(cacheKey(digest, c), report.NewAnalysis(rep.Meta, rep.Results, rep.Stats, rep.Corrected))
-	return doc, set, err
+	return doc, set, rep.Results, err
+}
+
+// refresh swaps a fresh snapshot of entry's directory in for entry, whose
+// directory a run found changed, and returns it. A streamed entry's final
+// counters go with it.
+func (s *Server) refresh(entry *traceEntry) (*traceEntry, error) {
+	fresh, err := newTraceEntry(entry.id, entry.dir)
+	if err != nil {
+		return nil, err
+	}
+	fresh.streamed = entry.streamed
+	s.mu.Lock()
+	s.setEntry(entry.id, fresh)
+	s.mu.Unlock()
+	return fresh, nil
 }
 
 // run is the server's one Engine call. It holds c.workers of the global
 // budget for the run's duration (admission), counts the run, and analyzes
-// dir through FromDir, which opens a Reader of its own per run — a
-// trace.Reader is not safe for concurrent use. Callers encode the document
-// they serve.
-func (s *Server) run(ctx context.Context, dir string, c canonical) (*analysis.Report, error) {
+// the entry's directory through a Reader of its own per run — a trace.Reader
+// is not safe for concurrent use — checked against the entry's prints.
+// Callers encode the document they serve.
+func (s *Server) run(ctx context.Context, entry *traceEntry, c canonical) (*analysis.Report, error) {
+	if s.preRun != nil {
+		s.preRun(ctx, cacheKey(entry.info.Digest, c))
+	}
 	if err := s.budget.acquire(ctx, c.workers); err != nil {
 		return nil, err
 	}
 	defer s.budget.release(c.workers)
 
 	s.engineRuns.Add(1)
+	prints := entry.prints
+	if entry.sink != nil {
+		// Named only when a run needs them: most sealed streams never run,
+		// their result set was stored at seal.
+		prints = entry.sink.Prints()
+	}
+	r, err := trace.OpenChecked(entry.dir, prints)
+	if err != nil {
+		return nil, err
+	}
 	opts := []analysis.EngineOption{
 		analysis.WithWorkers(c.workers),
 		analysis.WithMaxResidentBytes(c.maxResident),
@@ -861,17 +887,22 @@ func (s *Server) run(ctx context.Context, dir string, c canonical) (*analysis.Re
 	if c.correction {
 		opts = append(opts, analysis.WithCorrection(s.cfg.Calibration))
 	}
-	return analysis.NewEngine(opts...).Analyze(ctx, analysis.FromDir(dir))
+	return analysis.NewEngine(opts...).Analyze(ctx, analysis.FromReader(r))
 }
 
 // pathless is err as a client is told it, never with a path, since where a
-// trace lives is the server's own business: the trace id, the chunk file a
-// *trace.ChunkError names, and the decode error, which is the chunk's bytes',
-// or else the innermost cause (an errno, a sentinel).
+// trace lives is the server's own business: the trace id, the file a
+// *trace.ChangedError names, or the chunk file a *trace.ChunkError names and
+// the decode error, which is the chunk's bytes', or else the innermost cause
+// (an errno, a sentinel).
 func pathless(id string, err error) error {
 	var ce *trace.ChunkError
+	var changed *trace.ChangedError
 	var pe *fs.PathError
 	what := fmt.Sprintf("trace %q", id)
+	if errors.As(err, &changed) {
+		return fmt.Errorf("%s, file %s: changed while the run read it", what, changed.File)
+	}
 	if errors.As(err, &ce) {
 		if what += ", chunk " + ce.Chunk; !errors.As(err, &pe) {
 			return fmt.Errorf("%s: %w", what, ce.Err)

@@ -153,17 +153,38 @@ type Reader struct {
 	// the allocator.
 	ixCache []ChunkIndex
 	ixOK    []bool
+
+	// prints, when set (OpenChecked), are what every file the Reader reads
+	// must match.
+	prints Prints
 }
 
 // OpenDir opens a trace directory previously written by Writer: it lists
 // the chunk files and reads the run metadata, decoding no events.
-func OpenDir(dir string) (*Reader, error) {
+func OpenDir(dir string) (*Reader, error) { return openDir(dir, nil) }
+
+// OpenChecked is OpenDir over a directory whose files were printed when it
+// was digested (ReadSnapshot, DirSink.Prints): the listing must name exactly
+// the printed files, and every file the Reader then reads — the metadata, a
+// sidecar, a chunk it decodes or scans — must be the one printed, or the
+// call that read it fails with a *ChangedError naming it. Whatever the
+// Reader returns was computed from bytes the prints' digest names. A chunk
+// the caller never reads is never checked, and a sidecar's Bytes is the
+// printed size of its chunk.
+func OpenChecked(dir string, prints Prints) (*Reader, error) { return openDir(dir, prints) }
+
+func openDir(dir string, prints Prints) (*Reader, error) {
 	files, err := traceFiles(disk.OS, dir)
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading trace dir: %w", err)
 	}
+	if prints != nil {
+		if name := prints.changed(files); name != "" {
+			return nil, &ChangedError{Dir: dir, File: name}
+		}
+	}
 	// Room for half the files: each chunk has its sidecar beside it.
-	r := &Reader{dir: dir, in: NewInterner(), loaded: -1,
+	r := &Reader{dir: dir, in: NewInterner(), loaded: -1, prints: prints,
 		paths: make([]string, 0, len(files)/2+1), sidePaths: make([]string, 0, len(files)/2+1)}
 	for _, name := range files {
 		if strings.HasSuffix(name, chunkSuffix) {
@@ -175,10 +196,25 @@ func OpenDir(dir string) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: reading metadata: %w", err)
 	}
+	if err := r.check(metaFileName, metaData); err != nil {
+		return nil, err
+	}
 	if err := json.Unmarshal(metaData, &r.meta); err != nil {
 		return nil, fmt.Errorf("trace: decoding metadata: %w", err)
 	}
 	return r, nil
+}
+
+// check fails with a *ChangedError unless b is the file name printed, when
+// the Reader was opened with prints.
+func (r *Reader) check(name string, b []byte) error {
+	if r.prints == nil {
+		return nil
+	}
+	if p, ok := r.prints[name]; !ok || p != printOf(b) {
+		return &ChangedError{Dir: r.dir, File: name}
+	}
+	return nil
 }
 
 // Meta returns the run metadata.
@@ -202,6 +238,9 @@ func (r *Reader) load(i int) ([]byte, error) {
 	var err error
 	if r.frame, err = disk.OS.ReadFile(r.paths[i], r.frame); err != nil {
 		return nil, &ChunkError{Dir: r.dir, Chunk: r.ChunkName(i), Err: fmt.Errorf("trace: decode: reading chunk: %w", err)}
+	}
+	if err := r.check(r.ChunkName(i), r.frame); err != nil {
+		return nil, err
 	}
 	r.loaded = i
 	return r.frame, nil
@@ -327,20 +366,32 @@ func (r *Reader) IndexInto(i int, ix *ChunkIndex) error {
 // readSidecar parses chunk i's sidecar file into ix and reports whether it
 // could: a missing file or one that does not parse is not an error — the
 // index is then the chunk's to rebuild — only a file that cannot be read is.
+//
+// A checked Reader (OpenChecked) refuses a sidecar that is not the printed
+// one, or that is gone though printed.
 func (r *Reader) readSidecar(i int, ix *ChunkIndex) (ok bool, err error) {
+	name := filepath.Base(r.sidePaths[i])
 	if r.side, err = disk.OS.ReadFile(r.sidePaths[i], r.side); err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
+			if _, printed := r.prints[name]; printed {
+				return false, &ChangedError{Dir: r.dir, File: name}
+			}
 			err = nil
 		}
+		return false, err
+	}
+	if err := r.check(name, r.side); err != nil {
 		return false, err
 	}
 	if parseSidecar(r.side, ix, r.in) != nil {
 		return false, nil
 	}
 	// The sidecar's claims size buffers, so its byte count is not taken on
-	// trust: Bytes is the chunk file's size as it is now, which bounds what
-	// the chunk can hold.
-	if ix.Bytes, err = disk.OS.Size(r.paths[i]); err != nil {
+	// trust: Bytes is the chunk file's size — as printed, or as it is now —
+	// which bounds what the chunk can hold.
+	if r.prints != nil {
+		ix.Bytes = r.prints[r.ChunkName(i)].Size
+	} else if ix.Bytes, err = disk.OS.Size(r.paths[i]); err != nil {
 		return false, nil
 	}
 	return true, nil

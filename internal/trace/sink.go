@@ -87,8 +87,10 @@ func (e *ConflictError) Error() string {
 // *ConflictError). A sink made by NewDirSink folds every landed file into
 // a running content digest with the same framing as DirDigest — so the
 // digest of the growing directory is always available in O(1), and after
-// Seal it equals DirDigest(dir) exactly. The sink NewWriter builds keeps
-// none: the Writer is its only holder and never asks for one.
+// Seal it equals DirDigest(dir) exactly — and takes each file's print as it
+// lands, so a sealed directory is checked without being read again
+// (Prints). The sink NewWriter builds keeps neither: the Writer is its only
+// holder and never asks for them.
 //
 // DirSink methods are safe for concurrent use.
 type DirSink struct {
@@ -98,6 +100,9 @@ type DirSink struct {
 	mu     sync.Mutex
 	next   int      // next expected sequence number
 	digest digester // running DirDigest-framed hash over sidecar+chunk pairs; no hash in a Writer's sink
+	// prints holds each landed file's print beside the digest: sidecar then
+	// chunk for each seq, then the metadata's. None in a Writer's sink.
+	prints []Print
 	sealed bool
 }
 
@@ -195,6 +200,7 @@ func (s *DirSink) Append(seq int, chunk, sidecar []byte) (dup bool, err error) {
 	if s.digest.h != nil {
 		s.digest.file(sidecarPath(chunkName), sidecar)
 		s.digest.file(chunkName, chunk)
+		s.prints = append(s.prints, printOf(sidecar), printOf(chunk))
 	}
 	s.next++
 	return false, nil
@@ -236,6 +242,7 @@ func (s *DirSink) Seal(meta Meta) error {
 	}
 	if s.digest.h != nil {
 		s.digest.file(metaFileName, data)
+		s.prints = append(s.prints, printOf(data))
 	}
 	s.sealed = true
 	return nil
@@ -262,6 +269,25 @@ func (s *DirSink) Digest() string {
 	}
 	// Sum leaves the running hash as it was, so later appends fold on.
 	return hex.EncodeToString(s.digest.h.Sum(nil))
+}
+
+// Prints returns the print of every file the sink landed, each taken as the
+// file landed, once the sink is sealed: what a Reader over the sealed
+// directory checks its reads against (OpenChecked), with no file read again.
+// It is nil before Seal and for a Writer's own sink.
+func (s *DirSink) Prints() Prints {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.sealed || s.prints == nil {
+		return nil
+	}
+	p := make(Prints, len(s.prints))
+	for seq := range s.next {
+		name := fmt.Sprintf(chunkFilePattern, seq)
+		p[sidecarPath(name)], p[name] = s.prints[2*seq], s.prints[2*seq+1]
+	}
+	p[metaFileName] = s.prints[len(s.prints)-1]
+	return p
 }
 
 // EncodeEvents serializes events into one v1 chunk frame plus its sidecar

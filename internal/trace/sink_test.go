@@ -234,6 +234,9 @@ func TestOnlyReadDigestsAreKept(t *testing.T) {
 	if own.digest.h != nil || own.digest.frame != nil || own.Digest() != "" {
 		t.Fatalf("a Writer's sink kept digest state: hash %v, %d frame bytes", own.digest.h != nil, len(own.digest.frame))
 	}
+	if own.prints != nil || own.Prints() != nil {
+		t.Fatalf("a Writer's sink kept %d prints", len(own.prints))
+	}
 	want, err := DirDigest(local)
 	if err != nil {
 		t.Fatal(err)
