@@ -17,7 +17,6 @@ import (
 
 	rlscope "repro"
 	"repro/internal/fleet"
-	"repro/internal/overlap"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/vclock"
@@ -83,15 +82,18 @@ func (c dirChange) apply(dir string) error {
 // TestRunChecksWhatItReads: a run stores what it computed under its entry's
 // digest only when every file it read is the one that digest names. A
 // registered two-process directory gets one change at a time — its metadata,
-// each sidecar, each chunk rewritten, a chunk added, a chunk removed — made
-// before the first miss, or by the first run itself (preRun), and then a
-// filtered analyze, an unfiltered one and a query, in two orders. After each
-// request, every stored key's digest names the content its document was
-// computed from, rendered offline from a copy of that content; the entry is
-// refreshed exactly when the request ran the Engine and the run read a
-// changed file or saw a changed listing — a filtered run reads the
-// metadata, every sidecar and only the chunks of its processes; and every
-// answer is the offline Engine's over the directory as it then is.
+// each sidecar, each chunk rewritten, the metadata and a chunk together, a
+// chunk added, a chunk removed — made before the first miss, or by the first
+// run itself (preRun), and then a filtered analyze, an unfiltered one and a
+// query, in two orders. After each request, every stored key's digest names
+// the content its document was computed from, rendered offline from a copy of
+// that content; the entry is refreshed exactly when the request ran the
+// Engine and the run read a changed file or saw a changed listing — a
+// filtered run reads the metadata, every sidecar and only the chunks of its
+// processes; every answer is the offline Engine's over the directory as it
+// then is; an analyze's X-Rlscope-Digest names the content its body was
+// computed from; and a query's X-Rlscope-Engine-Runs counts every run the
+// request started, the one that found the change included.
 func TestRunChecksWhatItReads(t *testing.T) {
 	const query = `{"group_by":["workload"]}`
 	filter := []trace.ProcID{1}
@@ -132,7 +134,12 @@ func TestRunChecksWhatItReads(t *testing.T) {
 	altDir := writeTraceDir(t, alt, 1<<10)
 
 	var changes []dirChange
-	changes = append(changes, dirChange{name: "meta.json", write: map[string][]byte{"meta.json": readFile(t, altDir, "meta.json")}})
+	changes = append(changes,
+		dirChange{name: "meta.json", write: map[string][]byte{"meta.json": readFile(t, altDir, "meta.json")}},
+		// A document of neither content is what an answer that pairs one
+		// content's metadata with the other's results would be.
+		dirChange{name: "meta.json and " + chunkNames[0], write: map[string][]byte{
+			"meta.json": readFile(t, altDir, "meta.json"), chunkNames[0]: readFile(t, altDir, chunkNames[0])}})
 	for i, name := range chunkNames {
 		// The sidecar's legacy JSON form: other bytes, the same index.
 		js, err := json.Marshal(&snap.Indexes[i])
@@ -229,34 +236,6 @@ func TestRunChecksWhatItReads(t *testing.T) {
 		}
 		renders[key] = b
 		return b
-	}
-	// selectedQuery is the query document selected over content sel, with
-	// the results the offline Engine computes over content dir: what a query
-	// whose run found the directory changed since the selection answers.
-	selectedQuery := func(sel, dir string) []byte {
-		t.Helper()
-		if sel == dir {
-			return render("query", dir, nil)
-		}
-		snap, err := trace.ReadSnapshot(sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		doc, err := plan.Execute(context.Background(), []fleet.Trace{{ID: "tr", Meta: snap.Meta}}, func(ctx context.Context, _ fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
-			rep, err := rlscope.NewEngine(rlscope.WithWorkers(1)).Analyze(ctx, rlscope.FromDir(dir))
-			if err != nil {
-				return nil, err
-			}
-			return rep.Results, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := doc.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
 	}
 	hexDigest := regexp.MustCompile(`[0-9a-f]{64}`)
 	// checkStored: every stored key's digest names content whose offline
@@ -387,7 +366,8 @@ func TestRunChecksWhatItReads(t *testing.T) {
 			}
 		}()
 		for _, op := range order {
-			before := s.lookup("tr")
+			before := s.reg.Load().byID["tr"]
+			runs := s.EngineRuns()
 			var procs []trace.ProcID
 			var rec *httptest.ResponseRecorder
 			var stored bool
@@ -410,20 +390,26 @@ func TestRunChecksWhatItReads(t *testing.T) {
 				t.Fatal(err)
 			}
 			now := copies[digest]
-			var want []byte
+			kind := "doc"
 			if op == "query" {
-				// Selected over the entry the request found.
-				want = selectedQuery(copies[before.info.Digest], now)
-			} else {
-				want = render("doc", now, procs)
+				kind = "query"
 			}
-			if !bytes.Equal(rec.Body.Bytes(), want) {
+			if want := render(kind, now, procs); !bytes.Equal(rec.Body.Bytes(), want) {
 				t.Fatalf("%s: the %s answered other than the offline Engine over the directory:\n%s\nwant:\n%s", what, op, rec.Body, want)
+			}
+			after := s.reg.Load().byID["tr"]
+			if op == "query" {
+				if got, want := rec.Header().Get("X-Rlscope-Engine-Runs"), fmt.Sprint(s.EngineRuns()-runs); got != want {
+					t.Fatalf("%s: the query says it started %s Engine runs, the server counted %s", what, got, want)
+				}
+			} else if hdr := rec.Header().Get("X-Rlscope-Digest"); hdr != after.info.Digest || copies[hdr] == "" ||
+				!bytes.Equal(rec.Body.Bytes(), render("doc", copies[hdr], procs)) {
+				t.Fatalf("%s: the %s names digest %.12s…, not the content its body was computed from", what, op, hdr)
 			}
 			from := copies[before.info.Digest]
 			// A query's run is the unfiltered default one.
 			wantRefresh := !stored && readsChanged(from, dir, procs)
-			if refreshed := s.lookup("tr") != before; refreshed != wantRefresh {
+			if refreshed := after != before; refreshed != wantRefresh {
 				t.Fatalf("%s: the %s refreshed the entry: %v, want %v", what, op, refreshed, wantRefresh)
 			}
 			checkStored(s, what+" "+op)

@@ -54,14 +54,15 @@ type liveTrace struct {
 	digest  string
 	fold    summaryFold
 
-	// amu guards the analysis side: the incremental state and the one-slot
-	// encoded-document cache. Epoch application and result reads are
+	// amu guards the analysis side: the incremental state, the one-slot
+	// document cache and sealed. Epoch application and result reads are
 	// serialized per trace; appends, listings and summaries never take it.
 	amu        sync.Mutex
 	inc        *analysis.Incremental
 	lastDigest string
 	lastProcs  []trace.ProcID
 	lastBody   storedBody
+	sealed     *traceEntry // the entry the seal swapped in for this one
 }
 
 // drain is the coordinator step: everything appended since the last epoch
@@ -129,9 +130,9 @@ func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiEr
 	if err := checkTraceID(id); err != nil {
 		return nil, false, &apiError{http.StatusBadRequest, ErrCodeInvalidTraceID, err.Error()}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if entry := s.traces[id]; entry != nil {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if entry := s.reg.Load().byID[id]; entry != nil {
 		return entry.live, false, entry.appendRefusal()
 	}
 	if s.cfg.StoreDir == "" {
@@ -149,7 +150,7 @@ func (s *Server) openLive(id string) (lt *liveTrace, created bool, apiErr *apiEr
 		return nil, false, storeFailed(id, err)
 	}
 	lt = &liveTrace{id: id, sink: sink, inc: analysis.NewIncremental()}
-	s.setEntry(id, &traceEntry{id: id, live: lt})
+	s.setEntry(&traceEntry{id: id, live: lt})
 	return lt, true, nil
 }
 
@@ -246,7 +247,7 @@ func (s *Server) handleAppendChunk(w http.ResponseWriter, r *http.Request, id st
 	}
 	defer releaseBody(body)
 	frame := body.b
-	entry := s.lookup(id)
+	entry := s.reg.Load().byID[id]
 	// An append certain to be refused — a sealed trace, a seq beyond its next
 	// — is refused before the frame is decoded and indexed for nothing;
 	// openLive and the sink's check under pmu stay the authority. A trace that
@@ -335,7 +336,7 @@ func storeFailed(id string, err error) *apiError {
 // the trace's content digest, and promotes the entry in place: from here on
 // the id is a sealed entry like any AddDir registered.
 func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request, id string) {
-	entry := s.lookup(id)
+	entry := s.reg.Load().byID[id]
 	if entry == nil {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown live trace id")
 		return
@@ -357,8 +358,8 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request, id string) {
 }
 
 // promote seals lt and swaps the sealed entry in for its open one, all under
-// the analysis lock: an analyze that was waiting on it finds the registry
-// changed and answers from the sealed entry. A sealed trace is immutable, so
+// the analysis lock: an analyze that was waiting on it finds lt.sealed set
+// and answers from the sealed entry. A sealed trace is immutable, so
 // its analysis is computed once, here — the pending chunks are the final
 // epoch; the result set (fleet queries, filtered analyzes) and the unfiltered
 // result-only document go to the report store, so neither costs an Engine
@@ -390,11 +391,12 @@ func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 	}
 	s.storeDoc(cacheKey(sealed.info.Digest, canonical{resultOnly: true}), report.NewResultAnalysis(meta, results, false))
 
-	s.mu.Lock()
-	s.setEntry(lt.id, sealed)
-	s.mu.Unlock()
+	s.wmu.Lock()
+	s.setEntry(sealed)
+	s.wmu.Unlock()
 	// Still under amu: an analyze that waited for it finds the sealed entry
 	// and never reaches the released state.
+	lt.sealed = sealed
 	lt.inc.Release()
 	return sealed, nil
 }
@@ -404,22 +406,21 @@ func (s *Server) promote(lt *liveTrace, meta trace.Meta) (*traceEntry, error) {
 // state has no single "run" to describe), cached encoded per (digest, procs)
 // so a quiescent trace answers repeats from the cached bytes. Correction is
 // refused: it rewrites events before routing, which would need the
-// calibration at ingest time. Once sealed it is an ordinary Engine run.
-func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *traceEntry, plan *analyzePlan) {
+// calibration at ingest time. Once sealed, even while the request waited for
+// the analysis lock, it is an ordinary Engine run.
+func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *traceEntry, plan *analyzePlan) error {
 	if plan.c.correction {
 		writeError(w, http.StatusBadRequest, ErrCodeCorrectionUnsupported,
 			"correction is not supported on an open trace; seal it first")
-		return
+		return nil
 	}
 	c := plan.c
 
 	lt := entry.live
 	lt.amu.Lock()
-	if now := s.lookup(entry.id); now != entry {
-		// Sealed while this request waited for the lock.
+	if sealed := lt.sealed; sealed != nil {
 		lt.amu.Unlock()
-		s.analyzeSealed(w, r, now, plan)
-		return
+		return s.analyze(w, r, sealed, plan)
 	}
 	defer lt.amu.Unlock()
 
@@ -430,7 +431,7 @@ func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *trac
 	if lt.lastBody.b != nil && lt.lastDigest == digest && slices.Equal(lt.lastProcs, c.procs) {
 		h["X-Rlscope-Cache"] = cacheHdr["hit"]
 		writeBody(w, lt.lastBody)
-		return
+		return nil
 	}
 
 	var filter map[trace.ProcID]bool
@@ -444,13 +445,14 @@ func (s *Server) analyzeLive(w http.ResponseWriter, r *http.Request, entry *trac
 	var buf bytes.Buffer
 	if err := doc.Encode(&buf); err != nil {
 		writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding report: "+err.Error())
-		return
+		return nil
 	}
 	lt.lastBody = newStoredBody(buf.Bytes())
 	lt.lastDigest = digest
 	lt.lastProcs = c.procs
 	h["X-Rlscope-Cache"] = cacheHdr["miss"]
 	writeBody(w, lt.lastBody)
+	return nil
 }
 
 // summary renders an open trace's summary — and with it its listing row —
@@ -466,7 +468,7 @@ func (lt *liveTrace) summary() *TraceSummary {
 // chunk re-sweeps only the windows it lands in, whatever the trace's length.
 // After seal they are final. ok is false if id is not such a trace.
 func (s *Server) IncrementalStats(id string) (stats analysis.IncrementalStats, ok bool) {
-	entry := s.lookup(id)
+	entry := s.reg.Load().byID[id]
 	switch {
 	case entry != nil && entry.live != nil:
 		entry.live.amu.Lock()

@@ -313,7 +313,7 @@ func TestIngestOversizedChunk(t *testing.T) {
 			t.Errorf("%s oversized body: %d %s, want 413 %s", c.name, rec.Code, rec.Body, ErrCodeBadRequest)
 		}
 	}
-	if s.lookup("big") != nil {
+	if s.reg.Load().byID["big"] != nil {
 		t.Fatal("an oversized append created the trace")
 	}
 	if entries, err := os.ReadDir(store); err != nil || len(entries) != 0 {

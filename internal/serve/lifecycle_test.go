@@ -92,7 +92,7 @@ func TestOpenTraceLockIsPrivate(t *testing.T) {
 	mustOK(t, h, "POST", "/v1/traces/busy/chunks?seq=0", string(chunks[0]))
 	streamAndSeal(t, h, "done", nil)
 
-	busy := s.lookup("busy").live
+	busy := s.reg.Load().byID["busy"].live
 	busy.amu.Lock()
 	defer busy.amu.Unlock()
 

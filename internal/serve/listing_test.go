@@ -14,7 +14,7 @@ import (
 // snapshot of a sealed entry, the fold so far of an open one.
 func listingRow(tb testing.TB, s *Server, id string) TraceInfo {
 	tb.Helper()
-	entry := s.lookup(id)
+	entry := s.reg.Load().byID[id]
 	if entry == nil {
 		tb.Fatalf("trace %q is not registered", id)
 	}

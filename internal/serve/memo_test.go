@@ -101,7 +101,7 @@ func freshQueryDoc(tb testing.TB, dirs map[string]string, body string) []byte {
 // TestWarmQueryFollowsRegistry: a warm query is one lookup only while the
 // registry stands. Each of the four registry changes — AddDir, a live
 // trace's creation, its seal, and the replacement of a rewritten directory's
-// entry — bumps the generation, and the next identical query selects afresh:
+// entry — swaps a new registry state in, and the next identical query selects afresh:
 // it answers the changed fleet's document, byte-equal to a fresh server's,
 // as a miss whenever the change moved the selection. Creating a live trace
 // moves none — an open trace is no candidate — so that query is a hit on the
@@ -154,10 +154,10 @@ func TestWarmQueryFollowsRegistry(t *testing.T) {
 			}
 		}, "miss"},
 	} {
-		gen := s.gen.Load()
+		reg := s.reg.Load()
 		change.mutate()
-		if s.gen.Load() == gen {
-			t.Fatalf("%s left the registry generation at %d", change.name, gen)
+		if s.reg.Load() == reg {
+			t.Fatalf("%s left the registry state in place", change.name)
 		}
 		rec := queryOK(t, h, body)
 		if got := rec.Header().Get("X-RLScope-Cache"); got != change.cache {
@@ -166,17 +166,18 @@ func TestWarmQueryFollowsRegistry(t *testing.T) {
 		if want := freshQueryDoc(t, dirs, body); !bytes.Equal(rec.Body.Bytes(), want) {
 			t.Fatalf("query after %s diverges from a fresh server's:\nserver:\n%s\nfresh:\n%s", change.name, rec.Body, want)
 		}
-		if qp, ok := s.queryBodies.get([]byte(body)); !ok || qp.sel.Load().gen != s.gen.Load() {
-			t.Errorf("query after %s did not select at the current generation", change.name)
+		if qp, ok := s.queryBodies.get([]byte(body)); !ok || qp.sel.Load().reg != s.reg.Load() {
+			t.Errorf("query after %s did not select over the current registry state", change.name)
 		}
 		repeat(change.name)
 	}
 }
 
-// TestWarmQueryRacesRegistry: warm queries racing registrations and a seal
-// never answer a fleet the registry did not hold. Every answer is the
-// document of one of the registry's successive states, and once the changes
-// are done the query answers the final fleet's, as a fresh server does.
+// TestWarmQueryRacesRegistry: warm queries racing registrations, a seal and
+// the refresh of a rewritten directory never answer a fleet the registry did
+// not hold. Every answer is the document of one of the registry's successive
+// states, and once the changes are done the query answers the final fleet's,
+// as a fresh server does.
 func TestWarmQueryRacesRegistry(t *testing.T) {
 	sc := newScenario(t, Config{MaxWorkers: 2})
 	s, store := sc.s, sc.cfg.StoreDir
@@ -187,8 +188,12 @@ func TestWarmQueryRacesRegistry(t *testing.T) {
 		{"run-d", labeledDir(t, 9, map[string]string{"algo": "sac"})},
 		{"run-e", labeledDir(t, 11, map[string]string{"algo": "ppo"})},
 	}
+	// The rewrite changes run-a's directory in place: the states before it
+	// read a copy of its first content.
+	rewritten := dirs["run-a"]
+	dirs["run-a"] = copyDir(t, rewritten)
 	// The documents of the registry's states, in order: before the changes,
-	// after each registration, and after the seal.
+	// after each registration, after the seal, and after the refresh.
 	states := []map[string]string{maps.Clone(dirs)}
 	for _, e := range extra {
 		dirs[e.id] = e.dir
@@ -229,9 +234,16 @@ func TestWarmQueryRacesRegistry(t *testing.T) {
 		}
 	}
 	streamAndSeal(t, h, "live-f", map[string]string{"algo": "dqn"})
+	dirs["live-f"] = filepath.Join(store, "live-f")
+	states = append(states, maps.Clone(dirs))
+	rewriteDir(t, rewritten, 15, map[string]string{"algo": "ppo", "framework": "tf"})
+	// The analyze misses, re-digests and replaces the entry.
+	if rec := mustOK(t, h, "POST", "/v1/traces/run-a/analyze", `{"workers":1}`); rec.Header().Get("X-RLScope-Cache") != "miss" {
+		t.Errorf("analyze of the rewritten directory: cache %q, want miss", rec.Header().Get("X-RLScope-Cache"))
+	}
 	close(stop)
 	wg.Wait()
-	dirs["live-f"] = filepath.Join(store, "live-f")
+	dirs["run-a"] = rewritten
 	states = append(states, dirs)
 
 	valid := map[string]bool{}
@@ -257,12 +269,9 @@ func TestWarmQueryRacesRegistry(t *testing.T) {
 // in registration order, that keep selects.
 func memoFreeListing(tb testing.TB, s *Server, keep func(TraceInfo) bool) []byte {
 	tb.Helper()
-	s.mu.RLock()
-	ids := slices.Clone(s.ids)
-	s.mu.RUnlock()
 	rows := []TraceInfo{}
-	for _, id := range ids {
-		if row := listingRow(tb, s, id); keep(row) {
+	for _, e := range s.reg.Load().entries {
+		if row := listingRow(tb, s, e.id); keep(row) {
 			rows = append(rows, row)
 		}
 	}
@@ -276,14 +285,14 @@ func memoFreeListing(tb testing.TB, s *Server, keep func(TraceInfo) bool) []byte
 }
 
 // listSelectionHolds reports whether the listing memo holds a selection for
-// rawQuery made at the current registry generation.
+// rawQuery made over the current registry state.
 func listSelectionHolds(s *Server, rawQuery string) bool {
 	lp, ok := s.listQueries.get([]byte(rawQuery))
 	if !ok {
 		return false
 	}
 	sel := lp.sel.Load()
-	return sel != nil && sel.gen == s.gen.Load()
+	return sel != nil && sel.reg == s.reg.Load()
 }
 
 // TestWarmListingFollowsRegistry: a repeated listing is the body it was last
@@ -291,9 +300,9 @@ func listSelectionHolds(s *Server, rawQuery string) bool {
 // open. AddDir, a live trace's creation, an append to it, its seal and the
 // replacement of a rewritten directory's entry each change what the next
 // identical listing returns, byte-equal to a render without the memo; a
-// listing that selects no open trace keeps its selection at each new
-// generation, and one that selects an open trace keeps none, since an append
-// changes the trace's row without a generation bump.
+// listing that selects no open trace keeps its selection over each new
+// registry state, and one that selects an open trace keeps none, since an
+// append changes the trace's row without a new state.
 func TestWarmListingFollowsRegistry(t *testing.T) {
 	s := newScenario(t, Config{MaxWorkers: 2}).s
 	h := s.Handler()
@@ -332,7 +341,7 @@ func TestWarmListingFollowsRegistry(t *testing.T) {
 	for _, change := range []struct {
 		name   string
 		mutate func()
-		bump   bool
+		swap   bool
 		moves  []string // the listings whose body the change moves
 	}{
 		{"AddDir", func() {
@@ -364,10 +373,10 @@ func TestWarmListingFollowsRegistry(t *testing.T) {
 			mustOK(t, h, "POST", "/v1/traces/run-a/analyze", `{"workers":1}`)
 		}, true, []string{"", "label.algo=ppo"}},
 	} {
-		gen := s.gen.Load()
+		reg := s.reg.Load()
 		change.mutate()
-		if bumped := s.gen.Load() != gen; bumped != change.bump {
-			t.Fatalf("%s bumped the registry generation: %v, want %v", change.name, bumped, change.bump)
+		if swapped := s.reg.Load() != reg; swapped != change.swap {
+			t.Fatalf("%s swapped a new registry state in: %v, want %v", change.name, swapped, change.swap)
 		}
 		before := maps.Clone(last)
 		check(change.name)
@@ -379,21 +388,27 @@ func TestWarmListingFollowsRegistry(t *testing.T) {
 	}
 }
 
-// TestWarmListingRacesRegistry: warm listings racing registrations and a
-// streamed trace's creation, appends and seal never answer a registry that
-// did not exist. Every answer is the listing of one of the registry's
-// successive states — an open trace is never selected by a label filter —
-// and once the changes are done the listing answers the final registry's,
-// as a fresh server does, from a selection at the final generation.
+// TestWarmListingRacesRegistry: warm listings racing registrations, a
+// streamed trace's creation, appends and seal, and the refresh of a rewritten
+// directory never answer a registry that did not exist. Every answer is the
+// listing of one of the registry's successive states — an open trace is never
+// selected by a label filter — and once the changes are done the listing
+// answers the final registry's, as a fresh server does, from a selection over
+// the final state.
 func TestWarmListingRacesRegistry(t *testing.T) {
 	sc := newScenario(t, Config{MaxWorkers: 2})
 	s, store := sc.s, sc.cfg.StoreDir
 	h := s.Handler()
 	dirs := fleetDirs(t, s)
 	const target = "/v1/traces?label.algo=ppo"
-	s.mu.RLock()
-	order := slices.Clone(s.ids)
-	s.mu.RUnlock()
+	var order []string
+	for _, e := range s.reg.Load().entries {
+		order = append(order, e.id)
+	}
+	// The rewrite changes run-a's directory in place: the states before it
+	// read a copy of its first content.
+	rewritten := dirs["run-a"]
+	dirs["run-a"] = copyDir(t, rewritten)
 	extra := []struct{ id, dir string }{
 		{"run-d", labeledDir(t, 9, map[string]string{"algo": "sac"})},
 		{"run-e", labeledDir(t, 11, map[string]string{"algo": "ppo"})},
@@ -435,26 +450,34 @@ func TestWarmListingRacesRegistry(t *testing.T) {
 		order = append(order, e.id)
 	}
 	streamAndSeal(t, h, "live-f", map[string]string{"algo": "ppo"})
+	rewriteDir(t, rewritten, 15, map[string]string{"algo": "ppo", "framework": "jax"})
+	// The analyze misses, re-digests and replaces the entry.
+	mustOK(t, h, "POST", "/v1/traces/run-a/analyze", `{"workers":1}`)
 	close(stop)
 	wg.Wait()
 	dirs["live-f"] = filepath.Join(store, "live-f")
 	order = append(order, "live-f")
 
-	// The registry's states are its prefixes in registration order; a fresh
-	// server registering the same directories in the same order renders each.
-	valid := map[string]bool{}
-	var final []byte
-	for n := len(order) - len(extra) - 1; n <= len(order); n++ {
+	// The registry's states are its prefixes in registration order, and the
+	// whole of it after the refresh; a fresh server registering the same
+	// directories in the same order renders each.
+	listing := func(dirs map[string]string, ids []string) []byte {
 		fresh := NewServer(Config{MaxWorkers: 1})
-		for _, id := range order[:n] {
+		defer fresh.Close()
+		for _, id := range ids {
 			if _, err := fresh.AddDir(id, dirs[id]); err != nil {
 				t.Fatal(err)
 			}
 		}
-		final = mustOK(t, fresh.Handler(), "GET", target, "").Body.Bytes()
-		fresh.Close()
-		valid[string(final)] = true
+		return mustOK(t, fresh.Handler(), "GET", target, "").Body.Bytes()
 	}
+	valid := map[string]bool{}
+	for n := len(order) - len(extra) - 1; n <= len(order); n++ {
+		valid[string(listing(dirs, order[:n]))] = true
+	}
+	dirs["run-a"] = rewritten
+	final := listing(dirs, order)
+	valid[string(final)] = true
 	for body, n := range answers {
 		if !valid[body] {
 			t.Errorf("%d racing answers are the listing of no registry state:\n%s", n, body)
@@ -466,6 +489,6 @@ func TestWarmListingRacesRegistry(t *testing.T) {
 		}
 	}
 	if !listSelectionHolds(s, "label.algo=ppo") {
-		t.Fatal("the listing after the changes holds no selection at the final generation")
+		t.Fatal("the listing after the changes holds no selection over the final state")
 	}
 }

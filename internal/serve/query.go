@@ -7,9 +7,9 @@
 // The document is cached encoded, by content (Server.Query): a repeat of a
 // query over an unchanged fleet is one LRU lookup. The body memo hands a
 // repeated body its compiled plan (queryPlan), and the plan keeps the
-// document key it was last answered under, tagged with the registry
-// generation it was computed at; only a registry change, or a miss, sends a
-// query back through Select and ContentKey. Behind that, per-trace results come from
+// document key it was last answered under, tagged with the registry state
+// it was selected over; only a registry change, or a miss, sends a query
+// back through Select and ContentKey. Behind that, per-trace results come from
 // the tiered report store: the full-fidelity result set of each trace is
 // cached under its content digest alone (resultSetKey — results are
 // byte-identical at any worker count, so no options belong in the key),
@@ -85,79 +85,69 @@ type queryPlan struct {
 	sel  atomic.Pointer[selection]
 }
 
-// selection is what a plan selected at one registry generation: the key of
-// the document that answered it. The matched traces are not kept — only a
-// miss needs them, and a miss selects afresh.
-type selection struct {
-	gen uint64
-	key string
-}
-
 // query is Query with the plan's slot in the body memo: last holds the
 // selection a kept plan was last answered over, and is nil for a plan the
-// memo does not keep.
+// memo does not keep. EngineRuns counts the runs of every answer, when a run
+// found a directory changed (again).
 func (s *Server) query(ctx context.Context, plan *fleet.Plan, last *atomic.Pointer[selection]) (QueryResult, error) {
-	// A selection made at the current generation still names the document:
-	// a repeat over an unchanged registry is this one lookup.
-	if last != nil {
-		if sel := last.Load(); sel != nil && sel.gen == s.gen.Load() {
-			if body, ok := s.store.lru.get(sel.key); ok {
-				return QueryResult{Body: body.b, Cache: "hit", length: body.length}, nil
+	runs, failed := 0, []string(nil)
+	for {
+		reg := s.reg.Load()
+		// A repeat over an unchanged registry is this one lookup.
+		if last != nil {
+			if sel := last.Load(); sel != nil && sel.reg == reg {
+				if body, ok := s.store.lru.get(sel.key); ok {
+					return QueryResult{Body: body.b, Cache: "hit", length: body.length}, nil
+				}
 			}
 		}
-	}
-	candidates, gen := s.queryCandidates()
-	matched, err := plan.Select(candidates)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	key := queryKey(plan.ContentKey(matched))
-	if last != nil {
-		last.Store(&selection{gen: gen, key: key})
-	}
-	if body, ok := s.store.lru.get(key); ok {
-		return QueryResult{Body: body.b, Cache: "hit", length: body.length}, nil
-	}
-	// engineRuns is written on the flight's goroutine and read only once do
-	// has returned the flight's result, which orders the two.
-	engineRuns := 0
-	body, shared, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
-		doc, err := plan.Execute(runCtx, matched, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
-			// The entry the registry holds now: the one selected, or a fresh
-			// snapshot a run swapped in since, which moved the generation, so
-			// this document is then not stored.
-			results, ran, err := s.loadResults(ctx, s.lookup(t.ID))
-			if ran {
-				engineRuns++
-			}
-			if err != nil {
-				return nil, pathless(t.ID, err)
-			}
-			return results, nil
-		})
+		matched, err := plan.Select(reg.candidates())
 		if err != nil {
-			return nil, err
+			return QueryResult{}, err
 		}
-		var buf bytes.Buffer
-		if err := doc.Encode(&buf); err != nil {
-			return nil, fmt.Errorf("encoding query document: %w", err)
+		key := queryKey(plan.ContentKey(matched))
+		if last != nil {
+			last.Store(&selection{reg: reg, key: key})
 		}
-		// A result-set run that found its directory rewritten swapped a fresh
-		// entry in, so the results may not be the content the key names:
-		// after any registry change the document answers, but is not stored.
-		if s.gen.Load() == gen {
+		if body, ok := s.store.lru.get(key); ok {
+			return QueryResult{Body: body.b, Cache: "hit", length: body.length}, nil
+		}
+		// n is atomic: a caller that gave up reads it while the flight runs on.
+		var n atomic.Int64
+		body, shared, err := s.flights.do(ctx, key, func(runCtx context.Context) ([]byte, error) {
+			doc, err := plan.Execute(runCtx, matched, func(ctx context.Context, t fleet.Trace) (map[trace.ProcID]*overlap.Result, error) {
+				results, ran, err := s.loadResults(ctx, reg.byID[t.ID])
+				if ran {
+					n.Add(1)
+				}
+				if err != nil {
+					return nil, pathless(t.ID, err)
+				}
+				return results, nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			var buf bytes.Buffer
+			if err := doc.Encode(&buf); err != nil {
+				return nil, fmt.Errorf("encoding query document: %w", err)
+			}
+			// Each result is of the content its entry's digest names.
 			s.store.lru.add(key, buf.Bytes())
+			return buf.Bytes(), nil
+		})
+		if runs += int(n.Load()); err != nil && again(&failed, err) {
+			continue
 		}
-		return buf.Bytes(), nil
-	})
-	if err != nil {
-		return QueryResult{}, err
+		if err != nil {
+			return QueryResult{}, err
+		}
+		length := newStoredBody(body).length
+		if shared {
+			return QueryResult{Body: body, Cache: "dedup", length: length}, nil
+		}
+		return QueryResult{Body: body, Cache: "miss", EngineRuns: runs, length: length}, nil
 	}
-	length := newStoredBody(body).length
-	if shared {
-		return QueryResult{Body: body, Cache: "dedup", length: length}, nil
-	}
-	return QueryResult{Body: body, Cache: "miss", EngineRuns: engineRuns, length: length}, nil
 }
 
 // handleQuery is POST /v1/query.
@@ -186,30 +176,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, storedBody{b: res.Body, length: res.length})
 }
 
-// queryCandidates snapshots every sealed entry as a fleet candidate, with the
-// registry generation the snapshot is of. Open traces are excluded — their
-// content (and digest) is still moving, so they have no stable result set to
-// aggregate; seal them to make them queryable.
-func (s *Server) queryCandidates() ([]fleet.Trace, uint64) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]fleet.Trace, 0, len(s.ids))
-	for _, id := range s.ids {
-		if e := s.traces[id]; e.live == nil {
-			out = append(out, fleet.Trace{ID: e.id, Meta: e.meta, Digest: e.info.Digest})
-		}
-	}
-	return out, s.gen.Load()
-}
-
 // loadResults returns the full-fidelity per-process results of a sealed
 // entry, addressed by its content digest: tiered store lookup first, then a
 // singleflight-deduplicated Engine run under the default options, which
 // writes the encoded result set back through both tiers, and with it the
 // default analyze document (runSealed). ran reports whether this call paid
-// for an Engine run; such a call returns the results the run computed,
-// while callers that joined its flight decode the set it encoded. It backs
-// fleet queries and the result-only analyzes of streamed traces.
+// for an Engine run, one that found a file changed too; a successful one
+// returns the results the run computed, while callers that joined its flight
+// decode the set it encoded. It backs fleet queries and the result-only
+// analyzes of streamed traces.
 func (s *Server) loadResults(ctx context.Context, entry *traceEntry) (results map[trace.ProcID]*overlap.Result, ran bool, err error) {
 	key := resultSetKey(entry.info.Digest)
 	if body, ok := s.store.get(key); ok {
@@ -236,7 +211,7 @@ func (s *Server) loadResults(ctx context.Context, entry *traceEntry) (results ma
 		return set, err
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, !shared && errors.As(err, new(*changedError)), err
 	}
 	if !shared && computed != nil {
 		return computed, true, nil

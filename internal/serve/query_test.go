@@ -287,7 +287,7 @@ func TestSealEvictsIncremental(t *testing.T) {
 	if rec := doReq(t, h, "POST", "/v1/traces/run/seal", string(metaBody)); rec.Code != http.StatusOK {
 		t.Fatalf("seal: %d %s", rec.Code, rec.Body)
 	}
-	entry := s.lookup("run")
+	entry := s.reg.Load().byID["run"]
 	if entry.live != nil || entry.streamed == nil {
 		t.Fatal("seal did not replace the open entry (and its incremental state) with a sealed one")
 	}

@@ -216,7 +216,7 @@ func TestQuerySingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	candidates, _ := s.queryCandidates()
+	candidates := s.reg.Load().candidates()
 	matched, err := plan.Select(candidates)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestQuerySingleflight(t *testing.T) {
 func TestStaleResultSetBlobRecomputes(t *testing.T) {
 	s := newScenario(t, Config{MaxWorkers: 2}).s
 	dirs := fleetDirs(t, s)
-	candidates, _ := s.queryCandidates()
+	candidates := s.reg.Load().candidates()
 	for _, c := range candidates {
 		s.store.add(resultSetKey(c.Digest), []byte(`{"version":0,"procs":[]}`))
 	}
@@ -395,7 +395,7 @@ func TestPreviousKeyFormMisses(t *testing.T) {
 
 	dirs := fleetDirs(t, s)
 	dirs["qs"] = dir
-	candidates, _ := s.queryCandidates()
+	candidates := s.reg.Load().candidates()
 	var empty bytes.Buffer
 	if err := report.EncodeResultSet(&empty, nil); err != nil {
 		t.Fatal(err)

@@ -109,7 +109,7 @@ func TestLiveEpochAllocs(t *testing.T) {
 	// One P, and one epoch first, as testing.AllocsPerRun measures.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	epoch()
-	lt := s.lookup("third").live
+	lt := s.reg.Load().byID["third"].live
 	windows := func() int {
 		lt.amu.Lock()
 		defer lt.amu.Unlock()
@@ -397,7 +397,7 @@ func TestIngestBuffersOutliveTrace(t *testing.T) {
 			if after, _ := idleArrays(); !slices.Equal(after, bodies) {
 				t.Fatalf("idle body buffers went from %v to %v: an append kept, dropped or allocated one", bodies, after)
 			}
-			lt := s.lookup("next").live
+			lt := s.reg.Load().byID["next"].live
 			if len(lt.pending) != 2 {
 				t.Fatalf("%d chunks pending, want 2", len(lt.pending))
 			}
@@ -465,7 +465,7 @@ func TestIdleCeilingAcrossOpenTraces(t *testing.T) {
 					id := fmt.Sprintf("t%d", i)
 					mustOK(t, h, "POST", fmt.Sprintf("/v1/traces/%s/chunks?seq=%d", id, seq), string(frame))
 					if (seq+i)%2 == 1 {
-						checked += checkCleared(t, drainEpoch(s.lookup(id).live))
+						checked += checkCleared(t, drainEpoch(s.reg.Load().byID[id].live))
 						withinBound(fmt.Sprintf("after an epoch of %s", id))
 						mustOK(t, h, "POST", "/v1/traces/"+id+"/analyze", "{}")
 					}

@@ -1156,9 +1156,10 @@ func TestScenariosConcurrent(t *testing.T) {
 	}
 	// Which goroutine opened its traces first was up to the scheduler: take
 	// the registry's order, holding exactly the model's ids.
-	sc.s.mu.RLock()
-	sc.order = slices.Clone(sc.s.ids)
-	sc.s.mu.RUnlock()
+	sc.order = nil
+	for _, e := range sc.s.reg.Load().entries {
+		sc.order = append(sc.order, e.id)
+	}
 	if got := slices.Sorted(maps.Keys(sc.traces)); !slices.Equal(got, slices.Sorted(slices.Values(sc.order))) {
 		t.Fatalf("registry %v, the model has %v", sc.order, got)
 	}

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -80,12 +81,9 @@ type Server struct {
 	cfg  Config
 	stop context.CancelFunc
 
-	mu     sync.RWMutex
-	traces map[string]*traceEntry
-	ids    []string // registration order: AddDir, or a streamed trace's first write
-	// gen counts registry changes (setEntry). A query or listing selection
-	// made at the current generation still holds (queryPlan, listPlan).
-	gen atomic.Uint64
+	// reg is the trace registry's current state (setEntry writes it).
+	reg atomic.Pointer[registry]
+	wmu sync.Mutex
 
 	// What each repeated analyze body, query body and listing query string
 	// decoded to (bodyMemo).
@@ -109,15 +107,32 @@ type Server struct {
 	fs     disk.FS // what live traces' sinks write through: disk.OS, or a test's
 }
 
+// registry is the entries by id and in registration order at one moment. It
+// is never modified once swapped in: a request answers from the one it loaded.
+type registry struct {
+	byID    map[string]*traceEntry
+	entries []*traceEntry
+}
+
+// candidates are the sealed entries: an open trace has no stable results.
+func (reg *registry) candidates() []fleet.Trace {
+	out := make([]fleet.Trace, 0, len(reg.entries))
+	for _, e := range reg.entries {
+		if e.live == nil {
+			out = append(out, fleet.Trace{ID: e.id, Meta: e.meta, Digest: e.info.Digest})
+		}
+	}
+	return out
+}
+
 // traceEntry is one trace of the registry, in one of two states. Open
 // (live != nil): the trace is being streamed in, live owns everything that
 // moves and the other fields are zero. Sealed (live == nil): an immutable
 // snapshot of a finished directory's content — AddDir builds it from one
 // read of the directory, POST /seal from memory, swapping it in at the same
-// id. A sealed entry is never modified; when a miss-path run reads a file of
-// the directory that is not the one the entry printed, a fresh entry replaces
-// it, and handlers holding the old pointer keep a consistent (if stale)
-// read-only view.
+// id. A sealed entry is never modified; a run that reads a file of the
+// directory that is not the one the entry printed swaps a fresh entry in and
+// fails (runSealed).
 type traceEntry struct {
 	id   string
 	live *liveTrace
@@ -211,15 +226,16 @@ func NewServer(cfg Config) *Server {
 		cfg.MaxWorkers = analysis.DefaultWorkers()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
 		cfg:     cfg,
 		stop:    cancel,
-		traces:  map[string]*traceEntry{},
 		store:   &tieredStore{lru: newReportCache(cfg.CacheBytes), disk: cfg.Reports},
 		flights: newFlightGroup(ctx),
 		budget:  newWorkerBudget(cfg.MaxWorkers),
 		fs:      disk.OS,
 	}
+	s.reg.Store(&registry{byID: map[string]*traceEntry{}})
+	return s
 }
 
 // Close aborts every in-flight Engine run (their contexts descend from the
@@ -242,25 +258,29 @@ func (s *Server) AddDir(id, dir string) (TraceInfo, error) {
 	if err != nil {
 		return TraceInfo{}, err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.traces[id]; ok {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.reg.Load().byID[id] != nil {
 		return TraceInfo{}, fmt.Errorf("serve: trace id %q already registered", id)
 	}
-	s.setEntry(id, entry)
+	s.setEntry(entry)
 	return entry.info, nil
 }
 
-// setEntry puts e in the registry under id, appending id to the registration
-// order if it is new, and bumps the registry generation. It is the one way
-// the registry changes: AddDir, a live trace's creation, its seal, and the
-// replacement of a rewritten directory's entry. s.mu held for writing.
-func (s *Server) setEntry(id string, e *traceEntry) {
-	if _, ok := s.traces[id]; !ok {
-		s.ids = append(s.ids, id)
+// setEntry swaps in a copy of the registry with e under its id, in place of
+// the entry there or appended. It is the one way the registry changes:
+// AddDir, a live trace's creation, its seal, and a changed directory's
+// refresh (runSealed). s.wmu held.
+func (s *Server) setEntry(e *traceEntry) {
+	old := s.reg.Load()
+	next := &registry{byID: maps.Clone(old.byID), entries: slices.Clone(old.entries)}
+	if prev, ok := old.byID[e.id]; ok {
+		next.entries[slices.Index(old.entries, prev)] = e
+	} else {
+		next.entries = append(next.entries, e)
 	}
-	s.traces[id] = e
-	s.gen.Add(1)
+	next.byID[e.id] = e
+	s.reg.Store(next)
 }
 
 // AddDirArg registers a directory given as DIR or NAME=DIR, the one spelling
@@ -390,12 +410,6 @@ func buildSummary(f *summaryFold, id, digest, state string, meta trace.Meta) *Tr
 	return sum
 }
 
-func (s *Server) lookup(id string) *traceEntry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.traces[id]
-}
-
 type healthResponse struct {
 	Status     string       `json:"status"`
 	Traces     int          `json:"traces"`
@@ -411,12 +425,9 @@ type workerHealth struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter) {
-	s.mu.RLock()
-	n := len(s.ids)
-	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, healthResponse{
 		Status:     "ok",
-		Traces:     n,
+		Traces:     len(s.reg.Load().entries),
 		EngineRuns: s.engineRuns.Load(),
 		Workers:    workerHealth{Total: s.cfg.MaxWorkers, Available: s.budget.available()},
 		Cache:      s.store.lru.stats(),
@@ -439,16 +450,15 @@ var listEmpty = newStoredBody([]byte("{\n  \"traces\": []\n}\n"))
 // parses to, and the selection it was last answered with.
 type listPlan struct {
 	matcher *fleet.Matcher
-	sel     atomic.Pointer[listSelection]
+	sel     atomic.Pointer[selection]
 }
 
-// listSelection is a listing body spliced at one registry generation from
-// sealed rows only. It holds while the generation stands: a sealed row never
-// changes, and every change to which entries are sealed bumps the
-// generation. An open trace's row changes on every append without a bump, so
-// a listing that selects one is never kept.
-type listSelection struct {
-	gen  uint64
+// selection is what a memoized listing or query last answered over registry
+// state reg, valid while reg is current: a listing's body, a query's document
+// key. An open trace's row changes with no new state, so is never kept.
+type selection struct {
+	reg  *registry
+	key  string
 	body storedBody
 }
 
@@ -462,23 +472,17 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	reg := s.reg.Load()
 	if last != nil {
-		if sel := last.Load(); sel != nil && sel.gen == s.gen.Load() {
+		if sel := last.Load(); sel != nil && sel.reg == reg {
 			writeBody(w, sel.body)
 			return
 		}
 	}
-	s.mu.RLock()
-	entries := make([]*traceEntry, 0, len(s.ids))
-	for _, id := range s.ids {
-		entries = append(entries, s.traces[id])
-	}
-	gen := s.gen.Load()
-	s.mu.RUnlock()
-	rows := make([][]byte, 0, len(entries))
+	rows := make([][]byte, 0, len(reg.entries))
 	size := len(listHead) + len(listTail)
 	open := false
-	for _, entry := range entries {
+	for _, entry := range reg.entries {
 		// An open trace has no metadata until seal: only id filters select it.
 		if matcher != nil && !matcher.Match(fleet.Trace{ID: entry.id, Meta: entry.meta}) {
 			continue
@@ -486,8 +490,8 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		row := entry.row
 		if entry.live != nil {
 			open = true
-			// Outside the registry lock: the row takes the trace's own ingest
-			// lock, which an in-flight append may hold.
+			// The row takes the trace's own ingest lock, which an in-flight
+			// append may hold.
 			var err error
 			if row, err = encodeRow(entry.live.summary().TraceInfo); err != nil {
 				writeError(w, http.StatusInternalServerError, ErrCodeAnalysisFailed, "encoding listing row: "+err.Error())
@@ -509,7 +513,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		body = newStoredBody(append(b, listTail...))
 	}
 	if last != nil && !open {
-		last.Store(&listSelection{gen: gen, body: body})
+		last.Store(&selection{reg: reg, body: body})
 	}
 	writeBody(w, body)
 }
@@ -521,7 +525,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 // (fleet.NewMatcher), so the two front doors agree on what "workload=ppo-*"
 // selects. A query string that does not parse is refused, not read as the
 // pairs that did: the error is written and ok is false.
-func (s *Server) listRequest(w http.ResponseWriter, r *http.Request) (*fleet.Matcher, *atomic.Pointer[listSelection], bool) {
+func (s *Server) listRequest(w http.ResponseWriter, r *http.Request) (*fleet.Matcher, *atomic.Pointer[selection], bool) {
 	raw := []byte(r.URL.RawQuery)
 	if lp, ok := s.listQueries.get(raw); ok {
 		return lp.matcher, &lp.sel, true
@@ -566,7 +570,7 @@ func listFilter(params map[string][]string) (*fleet.Matcher, error) {
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, id string) {
-	entry := s.lookup(id)
+	entry := s.reg.Load().byID[id]
 	if entry == nil {
 		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
 		return
@@ -723,33 +727,57 @@ func (s *Server) renderStored(ctx context.Context, entry *traceEntry, procs []tr
 	return s.storeDoc(key, report.NewResultAnalysis(entry.meta, results, false))
 }
 
-func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, id string) {
-	entry := s.lookup(id)
-	if entry == nil {
-		writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
-		return
+// again is the one rule by which a request that failed with err answers over
+// another registry state: when a run found a file of a trace changed and
+// swapped the fresh entry in (*changedError), unless one failed on it before.
+func again(failed *[]string, err error) bool {
+	var ce *changedError
+	if !errors.As(err, &ce) || slices.Contains(*failed, ce.id) {
+		return false
 	}
-	plan, ok := s.analyzeRequest(w, r)
-	if !ok {
-		return
-	}
-	if entry.live != nil {
-		s.analyzeLive(w, r, entry, &plan)
-		return
-	}
-	s.analyzeSealed(w, r, entry, &plan)
+	*failed = append(*failed, ce.id)
+	return true
 }
 
-// analyzeSealed answers an analyze of a sealed entry: the content-addressed
-// store, then one singleflight-deduplicated computation on a miss — an Engine
-// run rendered as the full document, except that the uncorrected analyze of
-// a streamed entry renders the result set its seal stored (renderStored). A
-// corrected one is an Engine run like any other: the directory is all it needs.
-func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *traceEntry, plan *analyzePlan) {
+func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request, id string) {
+	plan, ok, failed := analyzePlan{}, false, []string(nil)
+	for try := 0; ; try++ {
+		entry := s.reg.Load().byID[id]
+		if entry == nil {
+			writeError(w, http.StatusNotFound, ErrCodeUnknownTrace, "unknown trace id")
+			return
+		}
+		if try == 0 {
+			if plan, ok = s.analyzeRequest(w, r); !ok {
+				return
+			}
+		}
+		err := s.analyze(w, r, entry, &plan)
+		if err == nil {
+			return
+		}
+		if !again(&failed, err) {
+			writeRunError(w, r, "analysis", err)
+			return
+		}
+	}
+}
+
+// analyze answers an analyze of entry: an open one incrementally
+// (analyzeLive), a sealed one from the content-addressed store, then one
+// singleflight-deduplicated computation on a miss — an Engine run rendered as
+// the full document, except that the uncorrected analyze of a streamed entry
+// renders the result set its seal stored (renderStored). A corrected one is an
+// Engine run like any other: the directory is all it needs. A failed run's
+// error is returned, pathless, unwritten.
+func (s *Server) analyze(w http.ResponseWriter, r *http.Request, entry *traceEntry, plan *analyzePlan) error {
+	if entry.live != nil {
+		return s.analyzeLive(w, r, entry, plan)
+	}
 	c := plan.c
 	if c.correction && s.cfg.Calibration == nil {
 		writeError(w, http.StatusBadRequest, ErrCodeNoCalibration, "correction requested but the server has no calibration loaded (start rlscope-serve with -calibration)")
-		return
+		return nil
 	}
 	if entry.streamed != nil && !c.correction {
 		c = resultOnly(c)
@@ -766,15 +794,15 @@ func (s *Server) analyzeSealed(w http.ResponseWriter, r *http.Request, entry *tr
 		// Engine (and zero encoding) work.
 		h["X-Rlscope-Cache"] = cacheHdr["hit"]
 		writeBody(w, body)
-		return
+		return nil
 	}
-	s.analyzeMiss(w, r, entry, c, key)
+	return s.analyzeMiss(w, r, entry, c, key)
 }
 
-// analyzeMiss is analyzeSealed past a store miss: the flight for key. It is
+// analyzeMiss is analyze past a store miss: the flight for key. It is
 // a function of its own because the flight's closure moves what it captures
 // to the heap, which a hit must not pay for.
-func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *traceEntry, c canonical, key string) {
+func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *traceEntry, c canonical, key string) error {
 	body, shared, err := s.flights.do(r.Context(), key, func(runCtx context.Context) ([]byte, error) {
 		// A flight that lost a fill race can still answer from cache.
 		if body, ok := s.store.get(key); ok {
@@ -787,8 +815,7 @@ func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *trac
 		return doc, err
 	})
 	if err != nil {
-		writeRunError(w, r, "analysis", pathless(entry.id, err))
-		return
+		return pathless(entry.id, err)
 	}
 	if shared {
 		w.Header()["X-Rlscope-Cache"] = cacheHdr["dedup"]
@@ -796,6 +823,7 @@ func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *trac
 		w.Header()["X-Rlscope-Cache"] = cacheHdr["miss"]
 	}
 	writeBody(w, newStoredBody(body))
+	return nil
 }
 
 // runSealed is the Engine run behind every miss over a sealed entry, and it
@@ -809,20 +837,25 @@ func (s *Server) analyzeMiss(w http.ResponseWriter, r *http.Request, entry *trac
 // computed from. The run reads the directory through a Reader checked
 // against the entry's prints (trace.OpenChecked), so it either reads exactly
 // the bytes the entry's digest names or fails with a *trace.ChangedError.
-// Then a fresh snapshot replaces the entry and the run is repeated once over
-// it, storing under the new digest — never new bytes under the old one; if
-// that run finds a change too, nothing is stored. What was stored before the
+// Then it swaps a fresh snapshot in for the entry, a streamed entry's final
+// counters with it, and fails, storing nothing. What was stored before the
 // rewrite stays addressed by the content it was computed from.
 func (s *Server) runSealed(ctx context.Context, entry *traceEntry, c canonical) (doc, set []byte, results map[trace.ProcID]*overlap.Result, err error) {
 	rep, err := s.run(ctx, entry, c)
-	if err != nil && errors.As(err, new(*trace.ChangedError)) {
-		if entry, err = s.refresh(entry); err != nil {
+	if err != nil {
+		var changed *trace.ChangedError
+		if !errors.As(err, &changed) {
 			return nil, nil, nil, err
 		}
-		rep, err = s.run(ctx, entry, c)
-	}
-	if err != nil {
-		return nil, nil, nil, err
+		fresh, ferr := newTraceEntry(entry.id, entry.dir)
+		if ferr != nil {
+			return nil, nil, nil, ferr
+		}
+		fresh.streamed = entry.streamed
+		s.wmu.Lock()
+		s.setEntry(fresh)
+		s.wmu.Unlock()
+		return nil, nil, nil, &changedError{entry.id, changed.File}
 	}
 	digest := entry.info.Digest
 	// The set first: the document is what the request waits for, so under a
@@ -837,21 +870,6 @@ func (s *Server) runSealed(ctx context.Context, entry *traceEntry, c canonical) 
 	}
 	doc, err = s.storeDoc(cacheKey(digest, c), report.NewAnalysis(rep.Meta, rep.Results, rep.Stats, rep.Corrected))
 	return doc, set, rep.Results, err
-}
-
-// refresh swaps a fresh snapshot of entry's directory in for entry, whose
-// directory a run found changed, and returns it. A streamed entry's final
-// counters go with it.
-func (s *Server) refresh(entry *traceEntry) (*traceEntry, error) {
-	fresh, err := newTraceEntry(entry.id, entry.dir)
-	if err != nil {
-		return nil, err
-	}
-	fresh.streamed = entry.streamed
-	s.mu.Lock()
-	s.setEntry(entry.id, fresh)
-	s.mu.Unlock()
-	return fresh, nil
 }
 
 // run is the server's one Engine call. It holds c.workers of the global
@@ -890,19 +908,21 @@ func (s *Server) run(ctx context.Context, entry *traceEntry, c canonical) (*anal
 	return analysis.NewEngine(opts...).Analyze(ctx, analysis.FromReader(r))
 }
 
+// changedError is what a run that found a file of trace id's directory
+// changed fails with once it has swapped a fresh entry in (runSealed, again).
+type changedError struct{ id, file string }
+
+func (e *changedError) Error() string { return "file " + e.file + " changed while the run read it" }
+
 // pathless is err as a client is told it, never with a path, since where a
-// trace lives is the server's own business: the trace id, the file a
-// *trace.ChangedError names, or the chunk file a *trace.ChunkError names and
-// the decode error, which is the chunk's bytes', or else the innermost cause
-// (an errno, a sentinel).
+// trace lives is the server's own business: the trace id, and the chunk file
+// a *trace.ChunkError names and the decode error, which is the chunk's
+// bytes', or else the innermost cause (an errno, a sentinel, or the
+// *changedError that names the file a run found changed).
 func pathless(id string, err error) error {
 	var ce *trace.ChunkError
-	var changed *trace.ChangedError
 	var pe *fs.PathError
 	what := fmt.Sprintf("trace %q", id)
-	if errors.As(err, &changed) {
-		return fmt.Errorf("%s, file %s: changed while the run read it", what, changed.File)
-	}
 	if errors.As(err, &ce) {
 		if what += ", chunk " + ce.Chunk; !errors.As(err, &pe) {
 			return fmt.Errorf("%s: %w", what, ce.Err)

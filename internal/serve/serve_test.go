@@ -339,17 +339,25 @@ func TestCacheEviction(t *testing.T) {
 // TestQueryReDigestsRewrittenDir: a result-set run keeps the rule an analyze
 // miss keeps. A query over a rewritten directory swaps the fresh snapshot in
 // and stores the set and the default document under the new digest, none
-// under the old; its own document, selected over the old content, answers
-// but is not stored. The next query selects the new content, and its set.
+// under the old; the query then selects again over the new content and
+// answers, and stores, its document, counting both runs. The next query is
+// a hit on it.
 func TestQueryReDigestsRewrittenDir(t *testing.T) {
 	dir := quickstartDir(t, 20)
 	s := newScenario(t, Config{MaxWorkers: 1}).addDir("qs", dir).s
 	h := s.Handler()
-	old := s.lookup("qs").info.Digest
+	old := s.reg.Load().byID["qs"].info.Digest
 	rewriteDir(t, dir, 40, nil)
 	const query = `{"group_by":["workload"]}`
-	queryOK(t, h, query)
-	fresh := s.lookup("qs").info.Digest
+	offline := offlineQueryDoc(t, parseQuery(t, query), map[string]string{"qs": dir})
+	rec := queryOK(t, h, query)
+	if c, runs := rec.Header().Get("X-RLScope-Cache"), rec.Header().Get("X-RLScope-Engine-Runs"); c != "miss" || runs != "2" {
+		t.Fatalf("query over the rewritten directory: cache %q, %s Engine runs; want a miss that ran twice", c, runs)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), offline) {
+		t.Errorf("document over the rewritten directory diverges from offline:\nserver:\n%s\noffline:\n%s", rec.Body, offline)
+	}
+	fresh := s.reg.Load().byID["qs"].info.Digest
 	if fresh == old {
 		t.Fatal("registration digest not refreshed by the query's run")
 	}
@@ -362,17 +370,81 @@ func TestQueryReDigestsRewrittenDir(t *testing.T) {
 			t.Errorf("%.40s… stored: %v, want %v", key, ok, want)
 		}
 	}
-	for key := range s.store.lru.items {
-		if strings.HasPrefix(key, queryKey("")) {
+	for key, item := range s.store.lru.items {
+		if strings.HasPrefix(key, queryKey("")) && !bytes.Equal(item.Value.(*cacheEntry).body.b, offline) {
 			t.Errorf("a query document selected over the old content was stored")
 		}
 	}
-	rec := queryOK(t, h, query)
-	if c, runs := rec.Header().Get("X-RLScope-Cache"), rec.Header().Get("X-RLScope-Engine-Runs"); c != "miss" || runs != "0" {
-		t.Fatalf("query after the swap: cache %q, %s Engine runs; want a miss that runs nothing", c, runs)
+	rec = queryOK(t, h, query)
+	if c, runs := rec.Header().Get("X-RLScope-Cache"), rec.Header().Get("X-RLScope-Engine-Runs"); c != "hit" || runs != "0" {
+		t.Fatalf("query after the swap: cache %q, %s Engine runs; want a hit that runs nothing", c, runs)
 	}
-	if offline := offlineQueryDoc(t, parseQuery(t, query), map[string]string{"qs": dir}); !bytes.Equal(rec.Body.Bytes(), offline) {
+	if !bytes.Equal(rec.Body.Bytes(), offline) {
 		t.Errorf("document after the swap diverges from offline:\nserver:\n%s\noffline:\n%s", rec.Body, offline)
+	}
+}
+
+// TestQueryReDigestsEveryRewrittenDir: a query answers once more for each
+// trace whose run finds its directory rewritten — two directories, one of
+// them registered under two ids — and then answers the offline document over
+// the rewritten content, its Engine-runs header counting every run.
+func TestQueryReDigestsEveryRewrittenDir(t *testing.T) {
+	a, b := quickstartDir(t, 20), quickstartDir(t, 24)
+	s := newScenario(t, Config{MaxWorkers: 1}).addDir("a", a).addDir("a-twin", a).addDir("b", b).s
+	rewriteDir(t, a, 40, nil)
+	rewriteDir(t, b, 44, nil)
+	const query = `{"group_by":["workload"]}`
+	rec := queryOK(t, s.Handler(), query)
+	// a fails and answers again, as do a-twin (a's fresh set is no set of
+	// a-twin's old digest) and b: three failed runs and two that land.
+	if got := rec.Header().Get("X-RLScope-Engine-Runs"); got != "5" || s.EngineRuns() != 5 {
+		t.Fatalf("the query says it started %s Engine runs, the server counted %d; want 5", got, s.EngineRuns())
+	}
+	if offline := offlineQueryDoc(t, parseQuery(t, query), map[string]string{"a": a, "a-twin": a, "b": b}); !bytes.Equal(rec.Body.Bytes(), offline) {
+		t.Errorf("document over the rewritten directories diverges from offline:\nserver:\n%s\noffline:\n%s", rec.Body, offline)
+	}
+}
+
+// TestAnalyzeTwinsShareARewrite: two ids registered over one directory share
+// an analyze flight, and its run finds the directory rewritten. Each request
+// answers again over its own fresh entry, so both answer the rewritten
+// content's document and name its digest.
+func TestAnalyzeTwinsShareARewrite(t *testing.T) {
+	dir := quickstartDir(t, 20)
+	s := newScenario(t, Config{MaxWorkers: 1}).addDir("a", dir).addDir("a-twin", dir).s
+	key := cacheKey(s.reg.Load().byID["a"].info.Digest, s.canonicalize(AnalyzeRequest{}))
+	rewriteDir(t, dir, 40, nil)
+	release := make(chan struct{})
+	s.preRun = func(context.Context, string) { <-release }
+	h := s.Handler()
+	recs := make([]*httptest.ResponseRecorder, 2)
+	var wg sync.WaitGroup
+	for i, id := range []string{"a", "a-twin"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i] = doReq(t, h, "POST", "/v1/traces/"+id+"/analyze", `{}`)
+		}()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.flights.waiting(key) != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 2 requests joined the flight", s.flights.waiting(key))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	digest, err := trace.DirDigest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := offlineDoc(t, rlscope.FromDir(dir), docOpts{full: true})
+	for i, rec := range recs {
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("X-Rlscope-Digest") != digest {
+			t.Errorf("request %d: %d, digest %.12s…, want 200 with the rewritten content's document and digest:\n%.300s",
+				i, rec.Code, rec.Header().Get("X-Rlscope-Digest"), rec.Body)
+		}
 	}
 }
 
@@ -389,7 +461,7 @@ func TestAnalyzeReDigestsRewrittenDir(t *testing.T) {
 	if rec1.Code != http.StatusOK {
 		t.Fatalf("analyze: %d %s", rec1.Code, rec1.Body)
 	}
-	oldDigest := s.lookup("qs").info.Digest
+	oldDigest := s.reg.Load().byID["qs"].info.Digest
 
 	// Rewrite the directory in place with a different (larger) run.
 	events := len(quickstartTrace(t, 40).Events)
@@ -401,7 +473,7 @@ func TestAnalyzeReDigestsRewrittenDir(t *testing.T) {
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("post-rewrite analyze: %d %s", rec2.Code, rec2.Body)
 	}
-	fresh := s.lookup("qs")
+	fresh := s.reg.Load().byID["qs"]
 	if fresh.info.Digest == oldDigest {
 		t.Fatal("registration digest not refreshed after rewrite")
 	}
@@ -512,10 +584,10 @@ func TestJSONBodyErrors(t *testing.T) {
 			t.Errorf("POST %s %.40q: %d %.120s, want %d %s", tc.path, tc.body, rec.Code, rec.Body, tc.want, ErrCodeBadRequest)
 		}
 	}
-	if s.lookup("zz") != nil {
+	if s.reg.Load().byID["zz"] != nil {
 		t.Error("a refused create opened its trace")
 	}
-	if s.lookup("open").live == nil {
+	if s.reg.Load().byID["open"].live == nil {
 		t.Error("a refused seal sealed the trace")
 	}
 	if runs := s.EngineRuns(); runs != 0 {

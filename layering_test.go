@@ -462,6 +462,46 @@ func TestOneWayToDisk(t *testing.T) {
 	}
 }
 
+// TestOneSnapshotPerRequest fails for every non-test function of
+// internal/serve that takes a read lock (a sync.RWMutex's RLock) or loads the
+// registry pointer (an atomic.Pointer[registry]'s Load) more than once. The
+// registry is one immutable state behind that pointer: a request loads it
+// once per answer and answers from that state alone; a request that answers
+// again after a run found a file changed loads it in a loop, at one site
+// (DESIGN §9, "One registry state per answer"). Calls are resolved through
+// go/types.
+func TestOneSnapshotPerRequest(t *testing.T) {
+	m := loadedModule(t)
+	for _, f := range m.files["repro/internal/serve"] {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			loads := 0
+			ast.Inspect(fn, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				callee, ok := m.info.Uses[sel.Sel].(*types.Func)
+				if !ok || callee.Signature().Recv() == nil {
+					return true
+				}
+				switch recv := types.TypeString(callee.Signature().Recv().Type(), nil); {
+				case recv == "*sync.RWMutex" && callee.Name() == "RLock":
+					t.Errorf("%s: %s takes a read lock; load the registry state once instead", m.fset.Position(sel.Pos()), fn.Name.Name)
+				case recv == "*sync/atomic.Pointer[repro/internal/serve.registry]" && callee.Name() == "Load":
+					if loads++; loads == 2 {
+						t.Errorf("%s: %s loads the registry pointer a second time; answer from the state it loaded", m.fset.Position(sel.Pos()), fn.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // checkOneEventStore fails unless, outside benchmark/, idle event buffers
 // have one owner, resolved through go/types: no package keeps a
 // recycle.Stack of []trace.Event, and one recycle.Store of trace.Event is
